@@ -419,7 +419,8 @@ fn main() {
     // injects a 30% sync-loss schedule to give the dump something to show.
     if let Some(path) = &opts.trace_out {
         use jmb_core::fastnet::{FastConfig, FastNet};
-        use jmb_sim::{FaultConfig, FaultSchedule, JsonLinesSink};
+        use jmb_obs::JsonLinesSink;
+        use jmb_sim::{FaultConfig, FaultSchedule};
         let cfg = FastConfig::default_with(4, 4, vec![25.0; 4], opts.seed);
         let mut net = FastNet::new(cfg).expect("fastnet setup");
         net.set_fault_schedule(FaultSchedule::constant(

@@ -14,7 +14,8 @@ use jmb_core::error::JmbError;
 use jmb_core::experiment::{misalignment_samples_with, parallel_map, SchedulePolicy, SweepConfig};
 use jmb_core::fastnet::FastConfig;
 use jmb_core::sync::SyncStrategyId;
-use jmb_sim::{FaultConfig, FaultSchedule, JsonLinesSink};
+use jmb_obs::JsonLinesSink;
+use jmb_sim::{FaultConfig, FaultSchedule};
 use jmb_traffic::{ApOutage, ClientLoad, FastBackend, TrafficConfig, TrafficMetrics, TrafficSim};
 use std::path::Path;
 

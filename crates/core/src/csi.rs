@@ -196,32 +196,30 @@ impl CsiTracker {
 }
 
 /// Per-slave sync-header health: K consecutive misses mark the slave
-/// degraded; hearing a header again restores it.
-#[derive(Debug, Clone)]
+/// degraded; hearing a header again restores it. Written only by
+/// [`crate::control::ControlPlane`]; everyone else reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncHealth {
     degrade_after: u32,
     consecutive_misses: u32,
     degraded: bool,
-    total_misses: u64,
 }
 
 impl SyncHealth {
     /// Creates a healthy slave that degrades after `degrade_after`
     /// consecutive missed sync headers (minimum 1).
-    pub fn new(degrade_after: u32) -> Self {
+    pub(crate) fn new(degrade_after: u32) -> Self {
         SyncHealth {
             degrade_after: degrade_after.max(1),
             consecutive_misses: 0,
             degraded: false,
-            total_misses: 0,
         }
     }
 
     /// Records a missed sync header. Returns `true` iff this miss newly
     /// degraded the slave.
-    pub fn record_miss(&mut self) -> bool {
+    pub(crate) fn record_miss(&mut self) -> bool {
         self.consecutive_misses += 1;
-        self.total_misses += 1;
         if !self.degraded && self.consecutive_misses >= self.degrade_after {
             self.degraded = true;
             return true;
@@ -231,7 +229,7 @@ impl SyncHealth {
 
     /// Records a successfully heard sync header. Returns `true` iff the
     /// slave was degraded and is newly restored.
-    pub fn record_sync(&mut self) -> bool {
+    pub(crate) fn record_sync(&mut self) -> bool {
         self.consecutive_misses = 0;
         let was = self.degraded;
         self.degraded = false;
@@ -241,16 +239,6 @@ impl SyncHealth {
     /// Whether the slave is currently degraded.
     pub fn is_degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// Consecutive misses in the current streak.
-    pub fn consecutive_misses(&self) -> u32 {
-        self.consecutive_misses
-    }
-
-    /// Missed headers over the slave's lifetime.
-    pub fn total_misses(&self) -> u64 {
-        self.total_misses
     }
 }
 
@@ -383,10 +371,8 @@ mod tests {
         assert!(h.record_miss(), "third consecutive miss degrades");
         assert!(h.is_degraded());
         assert!(!h.record_miss(), "already degraded: not *newly* degraded");
-        assert_eq!(h.total_misses(), 4);
         assert!(h.record_sync(), "hearing a header restores");
         assert!(!h.is_degraded());
-        assert_eq!(h.consecutive_misses(), 0);
         assert!(!h.record_sync(), "already healthy");
     }
 

@@ -16,6 +16,7 @@
 //! | [`fastnet`] | §4 | the per-subcarrier protocol model over [`jmb_sim::SubcarrierMedium`], used by the large experiment sweeps |
 //! | [`decouple`] | §7 + appendix | decoupled channel measurements to different receivers via the lead→slave reference channels |
 //! | [`csi`] | §7, robustness | CSI age/confidence tracking, backoff re-measurement scheduling, per-slave sync health |
+//! | [`control`] | §5.1–5.2, robustness | the one control plane both networks hold: control-fault draws, sync health, the miss → fallback-or-exclude policy, and their trace events |
 //! | [`compat`] | §6 | 802.11n compatibility: reference-antenna channel stitching and multi-antenna (2×2 → 4×4) joint transmission |
 //! | [`sync`] | §5.2 + related work | pluggable synchronization strategies: the paper's lead/slave resync plus out-of-band pilot tracking and implicit-CSI rivals behind one [`sync::SyncStrategy`] trait |
 //! | [`mac`] | §9 | the link layer: shared queue, designated APs, lead election, joint packet selection, async ACKs, retransmission |
@@ -27,6 +28,7 @@
 
 pub mod baseline;
 pub mod compat;
+pub mod control;
 pub mod csi;
 pub mod decouple;
 pub mod error;

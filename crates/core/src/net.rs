@@ -22,22 +22,24 @@
 //! lead and one slave alternate OFDM symbols and the receiver tracks the
 //! deviation of their relative phase from its first observation.
 
+use crate::control::{BatchSync, ControlPlane, SlaveLink};
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
 use crate::measure::{self, MeasurementPlan};
-use crate::phasesync::PhaseSync;
+use crate::phasesync::{PhaseCorrection, PhaseSync};
 use crate::precoder::Precoder;
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
 use jmb_dsp::rng::{normal, JmbRng};
 use jmb_dsp::{fft, CMat, Complex64};
+use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::frame::{FrameRx, FrameTx, RxResult};
 use jmb_phy::params::OfdmParams;
 use jmb_phy::preamble;
 use jmb_phy::rates::Mcs;
-use jmb_sim::{Medium, NodeId};
+use jmb_sim::{FaultConfig, FaultSchedule, Medium, NodeId};
 use rand::Rng;
 
 /// Configuration of a sample-level JMB network.
@@ -124,9 +126,9 @@ pub struct JmbNetwork {
     client_noise_bins: Vec<f64>,
     /// Static per-AP trigger offsets (index 0 = lead = 0).
     trigger_offsets: Vec<f64>,
-    /// Corrections applied in the most recent joint transmission (index =
-    /// AP; lead is `None`). Kept for experiment introspection.
-    last_corrections: Vec<Option<crate::phasesync::PhaseCorrection>>,
+    /// Fault draws, sync health, the fallback policy and their events
+    /// (emitted on the medium's trace).
+    control: ControlPlane,
     precoder: Option<Precoder>,
     ftx: FrameTx,
     frx: FrameRx,
@@ -136,10 +138,6 @@ pub struct JmbNetwork {
     rx_scratch: jmb_phy::frame::RxScratch,
     now: f64,
     rng: JmbRng,
-    /// Per-slave sync-header health (index 0 belongs to AP 1): a slave that
-    /// misses K consecutive headers is suppressed from joint transmissions
-    /// until it hears one again.
-    sync_health: Vec<SyncHealth>,
 }
 
 impl JmbNetwork {
@@ -211,7 +209,7 @@ impl JmbNetwork {
         }
 
         let sync_state = (1..cfg.n_aps).map(|_| PhaseSync::new()).collect();
-        let sync_health = (1..cfg.n_aps).map(|_| SyncHealth::default()).collect();
+        let control = ControlPlane::new(cfg.seed, cfg.n_aps);
         let trigger_offsets: Vec<f64> = (0..cfg.n_aps)
             .map(|i| {
                 if i == 0 {
@@ -231,20 +229,45 @@ impl JmbNetwork {
             h: None,
             client_noise_bins: Vec::new(),
             trigger_offsets,
-            last_corrections: Vec::new(),
+            control,
             precoder: None,
             ftx: FrameTx::new(params.clone()),
             frx: FrameRx::new(params),
             rx_scratch: jmb_phy::frame::RxScratch::new(),
             now: 1e-4,
             rng,
-            sync_health,
         })
     }
 
-    /// Per-slave sync health (index 0 = AP 1), for inspection.
+    /// Installs a constant control-plane fault config (applies from now on).
+    pub fn set_control_faults(&mut self, config: FaultConfig) {
+        self.set_fault_schedule(FaultSchedule::constant(config));
+    }
+
+    /// Installs a time-varying fault schedule: its control faults (sync
+    /// header and measurement loss) here, its waveform faults (drop,
+    /// corrupt) on the medium.
+    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
+        self.medium.set_fault_schedule(schedule.clone());
+        self.control.faults = schedule;
+    }
+
+    /// Sets the error budget (radians of predicted phase error) under which
+    /// a slave that missed the sync header may still transmit on a
+    /// CFO-extrapolated correction.
+    pub fn set_sync_error_budget(&mut self, rad: f64) {
+        self.control.budget_rad = rad;
+    }
+
+    /// Per-slave sync health; index 0 is slave AP 1.
     pub fn sync_health(&self) -> &[SyncHealth] {
-        &self.sync_health
+        self.control.sync_health()
+    }
+
+    /// The sync-header record of the most recent joint transmission: the
+    /// corrections applied, and who missed, fell back or sat out.
+    pub fn last_sync(&self) -> &BatchSync {
+        self.control.last_sync()
     }
 
     /// Current simulation time, seconds.
@@ -281,19 +304,9 @@ impl JmbNetwork {
         self.precoder.as_ref().map(|p| p.k_hat())
     }
 
-    /// Corrections applied in the most recent joint transmission.
-    pub fn last_corrections(&self) -> &[Option<crate::phasesync::PhaseCorrection>] {
-        &self.last_corrections
-    }
-
     /// The current zero-forcing precoder, for inspection.
     pub fn precoder(&self) -> Option<&Precoder> {
         self.precoder.as_ref()
-    }
-
-    /// Per-slave phase-sync state (index 0 = AP 1), for inspection.
-    pub fn sync_state(&self) -> &[PhaseSync] {
-        &self.sync_state
     }
 
     /// Medium node ids of the APs (index 0 = lead).
@@ -340,7 +353,7 @@ impl JmbNetwork {
         // Control-plane fault injection: a lost measurement exchange still
         // occupies the air, but no CSI is produced and every stored state
         // (references, precoder) stays as it was — stale.
-        if self.medium.draw_meas_loss(t0) {
+        if self.control.measurement_lost(&mut self.medium.trace, t0) {
             let total = plan.total_len(&params);
             self.now = t0 + total as f64 * ts + 50e-6;
             self.medium.expire(self.now);
@@ -452,10 +465,10 @@ impl JmbNetwork {
     /// transient the §9 failover (designated-AP re-election plus a fresh
     /// subset precoder on the fast path) exists to clean up.
     ///
-    /// When the lead (AP 0) is masked out there is no sync header; slaves
-    /// reuse the corrections from the most recent successful joint
-    /// transmission (stale phase state — decoding degrades further with
-    /// time, it does not error).
+    /// When the lead (AP 0) is masked out there is no sync header: every
+    /// active slave misses it, and falls back or sits out like after any
+    /// other miss. A slave that sits out radiates nothing; like a masked
+    /// AP, it leaves the others' weights as they were.
     pub fn joint_transmit_masked(
         &mut self,
         payloads: &[Vec<u8>],
@@ -491,59 +504,19 @@ impl JmbNetwork {
 
         // 2. Slaves measure and compute corrections. The measurement anchor
         //    is the LTF midpoint: t_h + 240 samples. A downed slave measures
-        //    nothing; with the lead down, every slave falls back to its
-        //    correction from the last successful transmission.
+        //    nothing.
         let t_meas = t_h + 240.0 * ts;
-        let mut corrections: Vec<Option<crate::phasesync::PhaseCorrection>> =
-            vec![None; self.cfg.n_aps];
-        // Slaves suppressed for this batch: degraded sync health means the
-        // slave radiates nothing rather than transmitting misaligned energy.
-        let mut suppressed = vec![false; self.cfg.n_aps];
-        if is_active(0) {
-            for (s, slot) in corrections.iter_mut().enumerate().skip(1) {
-                if !is_active(s) {
-                    continue;
-                }
-                // Fault injection: the slave fails to receive the header.
-                if self.medium.draw_sync_miss(s, t_meas) {
-                    self.medium
-                        .trace
-                        .emit(t_meas, jmb_sim::EventKind::SyncMissed { slave: s });
-                    if self.sync_health[s - 1].record_miss() {
-                        self.medium
-                            .trace
-                            .emit(t_meas, jmb_sim::EventKind::ApDegraded { ap: s });
-                    }
-                    if self.sync_health[s - 1].is_degraded() {
-                        suppressed[s] = true;
-                    } else {
-                        // Stale fallback: reuse the correction from the last
-                        // successful joint transmission (degrades with age).
-                        *slot = self.last_corrections.get(s).cloned().flatten();
-                    }
-                    continue;
-                }
-                let window = self.medium.render_rx(self.aps[s], t_h, 320 + 8);
-                let (est, cfo) = measure::slave_header_measurement(&params, &window)
-                    .map_err(|_| JmbError::SyncHeaderMissed { slave: s })?;
-                if self.sync_health[s - 1].record_sync() {
-                    self.medium
-                        .trace
-                        .emit(t_meas, jmb_sim::EventKind::ApRestored { ap: s });
-                }
-                self.sync_state[s - 1].observe_header(&est, cfo, t_meas);
-                *slot = Some(self.sync_state[s - 1].correction(&est)?);
-            }
-        } else {
-            for (s, slot) in corrections.iter_mut().enumerate().skip(1) {
-                if !is_active(s) {
-                    continue;
-                }
-                *slot = self.last_corrections.get(s).cloned().flatten();
-            }
-        }
-
-        self.last_corrections = corrections.clone();
+        let mut link = SampleLink {
+            medium: &mut self.medium,
+            sync_state: &mut self.sync_state,
+            aps: &self.aps,
+            params: &params,
+            t_h,
+        };
+        let slaves = (1..self.cfg.n_aps).filter(|&s| is_active(s));
+        self.control
+            .sync_batch(&mut link, t_meas, slaves, is_active(0));
+        let sync = self.control.last_sync();
 
         // 3. Build per-AP precoded waveforms.
         let streams: Vec<jmb_phy::frame::StreamBins> = payloads
@@ -558,7 +531,7 @@ impl JmbNetwork {
         let ofdm = jmb_phy::ofdm::Ofdm::new(params.clone());
 
         for (m_idx, &ap) in self.aps.iter().enumerate() {
-            if !is_active(m_idx) || suppressed[m_idx] {
+            if !is_active(m_idx) || sync.excluded.contains(&m_idx) {
                 continue;
             }
             // Preamble bins: the same training sequence on every stream ⇒
@@ -574,9 +547,9 @@ impl JmbNetwork {
                 let wsum: Complex64 = (0..precoder.n_streams()).map(|j| w[(m_idx, j)]).sum();
                 // Per-subcarrier phase-sync correction.
                 let corr = if apply_phase_sync {
-                    corrections[m_idx]
+                    sync.corrections[m_idx]
                         .as_ref()
-                        .map_or(Complex64::ONE, |c| c.phasor_at(k))
+                        .map_or(Complex64::ONE, |(c, _)| c.phasor_at(k))
                 } else {
                     Complex64::ONE
                 };
@@ -597,13 +570,13 @@ impl JmbNetwork {
                 wave.extend(ofdm.bins_to_samples(sym));
             }
             // Within-packet tracking (slaves only): rotate by the EWMA CFO
-            // continuing from the header-measurement anchor (§5.2b).
-            if apply_phase_sync && m_idx > 0 {
-                let f_hat = corrections[m_idx].as_ref().map_or(0.0, |c| c.cfo_hz);
-                if f_hat != 0.0 {
+            // continuing from the correction's anchor — this header, or the
+            // last heard one for a fallback (§5.2b).
+            if apply_phase_sync {
+                if let Some((c, anchor)) = &sync.corrections[m_idx] {
                     for (n, x) in wave.iter_mut().enumerate() {
-                        let t = t_d + n as f64 * ts - t_meas;
-                        *x *= Complex64::cis(2.0 * std::f64::consts::PI * f_hat * t);
+                        let t = t_d + n as f64 * ts - anchor;
+                        *x *= Complex64::cis(2.0 * std::f64::consts::PI * c.cfo_hz * t);
                     }
                 }
             }
@@ -799,6 +772,43 @@ impl JmbNetwork {
     }
 }
 
+/// [`JmbNetwork`]'s half of the sync-header exchange: hearing a header is
+/// rendering the slave's receive window and running the real estimator.
+struct SampleLink<'a> {
+    medium: &'a mut Medium,
+    sync_state: &'a mut [PhaseSync],
+    aps: &'a [NodeId],
+    params: &'a OfdmParams,
+    /// When the lead's header left the antenna.
+    t_h: f64,
+}
+
+impl SlaveLink for SampleLink<'_> {
+    fn trace(&mut self) -> &mut Trace {
+        &mut self.medium.trace
+    }
+
+    fn heard(&mut self, slave: usize, t_meas: f64) -> Option<(PhaseCorrection, f64)> {
+        let window = self.medium.render_rx(self.aps[slave], self.t_h, 320 + 8);
+        // The slave's own packet detector (threshold as in
+        // `jmb_phy::sync::synchronize`) decides whether there is a header
+        // to measure: a jammed or faded one is a miss, not an error.
+        jmb_phy::sync::detect_packet(&window, 0.6)?;
+        let (est, cfo) = measure::slave_header_measurement(self.params, &window).ok()?;
+        let sync = &mut self.sync_state[slave - 1];
+        sync.observe_header(&est, cfo, t_meas);
+        Some((sync.correction(&est).ok()?, t_meas))
+    }
+
+    fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
+        self.sync_state[slave - 1].extrapolation_error_rad(t)
+    }
+
+    fn extrapolated(&self, slave: usize) -> Option<(PhaseCorrection, f64)> {
+        self.sync_state[slave - 1].extrapolated_correction().ok()
+    }
+}
+
 /// Estimates the channel from one 80-sample chanest slot (known LTF
 /// content), without CFO correction (the probe arranges slots close enough
 /// that residual rotation is part of what is being measured).
@@ -960,7 +970,7 @@ mod tests {
         net.run_measurement().unwrap();
         net.advance(1e-3);
         let data = payloads(2, 40);
-        // One healthy transmission to populate last_corrections.
+        // One healthy transmission so every slave has heard a header.
         let r = net.joint_transmit(&data, Mcs::BASE, true).unwrap();
         assert_eq!(r.len(), 2);
         // Slave AP 2 fails: the call still completes and returns per-client
@@ -974,13 +984,14 @@ mod tests {
         assert_eq!(r.len(), 2);
         let n_tx = net.medium_mut().trace.transmit_count() - n_before;
         assert_eq!(n_tx, 3, "header + 2 live AP waveforms, not 4");
-        // Lead fails: no sync header, slaves reuse stale corrections, the
-        // queue still moves (no error).
+        // Lead fails: no sync header, so both slaves miss it; the queue
+        // still moves (no error).
         net.advance(1e-3);
         let r = net
             .joint_transmit_masked(&data, Mcs::BASE, true, Some(&[false, true, true]))
             .unwrap();
         assert_eq!(r.len(), 2);
+        assert_eq!(net.last_sync().missed, vec![1, 2]);
         // Mask validation.
         assert!(net
             .joint_transmit_masked(&data, Mcs::BASE, true, Some(&[true, true]))
@@ -988,56 +999,6 @@ mod tests {
         assert!(net
             .joint_transmit_masked(&data, Mcs::BASE, true, Some(&[false, false, false]))
             .is_err());
-    }
-
-    #[test]
-    fn sync_loss_storm_degrades_then_restores() {
-        let cfg = NetConfig::default_with(3, 2, 22.0, 52);
-        let mut net = JmbNetwork::new(cfg).unwrap();
-        net.run_measurement().unwrap();
-        net.advance(1e-3);
-        let data = payloads(2, 40);
-        // One healthy transmission to populate last_corrections.
-        net.joint_transmit(&data, Mcs::BASE, true).unwrap();
-        net.medium_mut().trace.enable();
-        // Slave 1 loses every header: stale fallback for K−1 batches, then
-        // suppressed — never a panic, every call returns per-client results.
-        let storm = jmb_sim::FaultConfig::builder()
-            .per_slave_sync_loss(1, 1.0)
-            .build()
-            .unwrap();
-        net.medium_mut().set_fault(storm);
-        for _ in 0..4 {
-            net.advance(1e-3);
-            let r = net.joint_transmit(&data, Mcs::BASE, true).unwrap();
-            assert_eq!(r.len(), 2);
-        }
-        assert!(net.sync_health()[0].is_degraded());
-        let trace = &net.medium_mut().trace;
-        assert_eq!(trace.sync_missed_count(), 4);
-        assert_eq!(trace.degraded_count(), 1);
-        // The storm clears: the next header restores the slave.
-        net.medium_mut().set_fault(jmb_sim::FaultConfig::none());
-        net.advance(1e-3);
-        net.joint_transmit(&data, Mcs::BASE, true).unwrap();
-        assert!(!net.sync_health()[0].is_degraded());
-        assert_eq!(net.medium_mut().trace.restored_count(), 1);
-    }
-
-    #[test]
-    fn measurement_loss_surfaces_typed_error() {
-        let cfg = NetConfig::default_with(2, 2, 22.0, 53);
-        let mut net = JmbNetwork::new(cfg).unwrap();
-        let lossy = jmb_sim::FaultConfig::builder()
-            .meas_loss_chance(1.0)
-            .build()
-            .unwrap();
-        net.medium_mut().set_fault(lossy);
-        let t0 = net.now();
-        assert_eq!(net.run_measurement(), Err(JmbError::MeasurementLost));
-        assert!(net.now() > t0, "the lost exchange still costs airtime");
-        net.medium_mut().set_fault(jmb_sim::FaultConfig::none());
-        net.run_measurement().unwrap();
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!   ([`SyncStrategy::measurement_airtime_factor`]).
 //!
 //! The trait deliberately does **not** own fault draws, sync-health
-//! bookkeeping, or trace emission — those stay in the network, which calls
-//! [`SyncStrategy::on_header_missed`] only for strategies that actually
-//! listen for in-band headers ([`SyncStrategy::uses_inband_header`]).
+//! bookkeeping, the fallback-or-exclude decision, or trace emission — those
+//! live in [`crate::control::ControlPlane`], which skips them for
+//! strategies that never listen for in-band headers
+//! ([`SyncStrategy::uses_inband_header`]).
 
 use crate::error::JmbError;
 use crate::phasesync::{PhaseCorrection, PhaseSync};
@@ -39,7 +40,7 @@ use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_sim::{NodeId, SubcarrierMedium};
 
-pub use jmb_sim::SyncStrategyId;
+pub use jmb_obs::SyncStrategyId;
 
 /// 1σ accuracy (Hz) of a single raw per-header CFO estimate at typical
 /// AP↔AP SNRs — the same constant the pre-extraction network used inline.
@@ -96,14 +97,20 @@ pub struct SyncCtx<'a> {
 }
 
 impl SyncCtx<'_> {
-    /// Noisy per-subcarrier estimate of the lead→`slave` channel at `t`
-    /// with explicit noise variance: one channel-row evaluation plus one
+    /// Noisy per-subcarrier estimate of the `tx → rx` channel at `t` with
+    /// explicit noise variance: one channel-row evaluation plus one
     /// complex-Gaussian draw per occupied subcarrier, in subcarrier order
     /// — the exact draw sequence of the pre-extraction network.
-    pub fn estimate_with_var(&mut self, slave: usize, t: f64, var: f64) -> ChannelEstimate {
+    pub fn estimate_with_var(
+        &mut self,
+        tx: NodeId,
+        rx: NodeId,
+        t: f64,
+        var: f64,
+    ) -> ChannelEstimate {
         let mut gains = Vec::with_capacity(self.occupied.len());
         self.medium
-            .channel_row_into(self.aps[0], self.aps[slave], self.occupied, t, &mut gains);
+            .channel_row_into(tx, rx, self.occupied, t, &mut gains);
         for g in gains.iter_mut() {
             *g += complex_gaussian(self.rng, var);
         }
@@ -115,7 +122,7 @@ impl SyncCtx<'_> {
 
     /// The in-band sync-header estimate of the lead→`slave` channel.
     pub fn header_estimate(&mut self, slave: usize, t: f64) -> ChannelEstimate {
-        self.estimate_with_var(slave, t, self.header_noise_var)
+        self.estimate_with_var(self.aps[0], self.aps[slave], t, self.header_noise_var)
     }
 
     /// Ground-truth lead-relative CFO of `slave` at `t` (Hz). Draws no
@@ -134,12 +141,12 @@ impl SyncCtx<'_> {
 
 /// A pluggable phase-synchronization backend.
 ///
-/// The network owns the protocol timeline, fault draws, health
-/// bookkeeping and trace events; the strategy owns per-slave phase state
-/// and answers three questions: what correction does slave `s` apply at
-/// header time `t` (heard or missed), how wrong is an extrapolated
-/// correction predicted to be, and what did the sync control plane cost
-/// the air since last asked.
+/// The network owns the protocol timeline and the control plane the fault
+/// draws, health bookkeeping and trace events; the strategy owns per-slave
+/// phase state and answers three questions: what correction does slave `s`
+/// apply at header time `t` (heard, or extrapolated after a miss), how
+/// wrong is an extrapolated correction predicted to be, and what did the
+/// sync control plane cost the air since last asked.
 pub trait SyncStrategy: Send {
     /// Which strategy this is.
     fn kind(&self) -> SyncStrategyId;
@@ -175,18 +182,14 @@ pub trait SyncStrategy: Send {
         t_meas: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError>;
 
-    /// The slave missed the in-band header at `t_meas` (only called when
-    /// [`SyncStrategy::uses_inband_header`]). Returns a fallback
-    /// correction and its anchor time, or `None` to sit the batch out.
-    /// `degraded` is the network's health verdict for this slave;
-    /// `budget_rad` the network's extrapolation-error budget.
-    fn on_header_missed(
-        &mut self,
-        slave: usize,
-        t_meas: f64,
-        budget_rad: f64,
-        degraded: bool,
-    ) -> Option<(PhaseCorrection, f64)>;
+    /// The fallback for a slave that missed the in-band header: a
+    /// correction extrapolated from its last heard header, with that
+    /// header's time as anchor. `None` when no header was ever heard — and
+    /// for out-of-band strategies, which have no header to miss. Whether
+    /// the slave may use it is the control plane's call.
+    fn extrapolated(&self, _slave: usize) -> Option<(PhaseCorrection, f64)> {
+        None
+    }
 
     /// Predicted 1σ phase error (radians) of the correction slave `slave`
     /// would apply at time `t` without a fresh in-band header. Infinite
@@ -257,19 +260,8 @@ impl SyncStrategy for JmbLeadSlave {
         Ok((self.sync[slave - 1].correction(&est)?, t_meas))
     }
 
-    fn on_header_missed(
-        &mut self,
-        slave: usize,
-        t_meas: f64,
-        budget_rad: f64,
-        degraded: bool,
-    ) -> Option<(PhaseCorrection, f64)> {
-        let within_budget = self.sync[slave - 1].extrapolation_error_rad(t_meas) <= budget_rad;
-        if !degraded && within_budget {
-            self.sync[slave - 1].extrapolated_correction().ok()
-        } else {
-            None
-        }
+    fn extrapolated(&self, slave: usize) -> Option<(PhaseCorrection, f64)> {
+        self.sync[slave - 1].extrapolated_correction().ok()
     }
 
     fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
@@ -349,7 +341,7 @@ impl OobTracker {
         for i in n_due.saturating_sub(MAX_CATCHUP_UPDATES)..n_due {
             let t_p = first_tick + i as f64 * self.interval_s;
             for s in 1..ctx.n_aps() {
-                let est = ctx.estimate_with_var(s, t_p, var);
+                let est = ctx.estimate_with_var(ctx.aps[0], ctx.aps[s], t_p, var);
                 let cfo = ctx.true_cfo_hz(s, t_p) + normal(ctx.rng, self.cfo_sigma_hz);
                 self.sync[s - 1].observe_header(&est, cfo, t_p);
             }
@@ -415,16 +407,6 @@ impl SyncStrategy for AirSyncPilot {
         self.tracker.correction_at(ctx, slave, t_meas)
     }
 
-    fn on_header_missed(
-        &mut self,
-        _slave: usize,
-        _t_meas: f64,
-        _budget_rad: f64,
-        _degraded: bool,
-    ) -> Option<(PhaseCorrection, f64)> {
-        None // unreachable: no in-band headers to miss
-    }
-
     fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
         self.tracker.sync[slave - 1].extrapolation_error_rad(t)
     }
@@ -484,16 +466,6 @@ impl SyncStrategy for ReciprocityImplicit {
         t_meas: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError> {
         self.tracker.correction_at(ctx, slave, t_meas)
-    }
-
-    fn on_header_missed(
-        &mut self,
-        _slave: usize,
-        _t_meas: f64,
-        _budget_rad: f64,
-        _degraded: bool,
-    ) -> Option<(PhaseCorrection, f64)> {
-        None // unreachable: no in-band headers to miss
     }
 
     fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
@@ -599,31 +571,15 @@ mod tests {
     }
 
     #[test]
-    fn jmb_missed_header_fallback_respects_budget_and_health() {
-        let mut r = rig(2, 8);
-        let mut s = JmbLeadSlave::new(2);
-        // No header ever heard: no fallback.
-        assert!(s.on_header_missed(1, 1e-3, 0.35, false).is_none());
-        s.on_measurement(&mut r.ctx(), 1e-4, 10.0);
-        let (_, anchor) = s.on_header(&mut r.ctx(), 1, 1e-3).unwrap();
-        // Fresh state: fallback anchored at the last heard header.
-        let (_, t_old) = s.on_header_missed(1, 2e-3, 0.35, false).unwrap();
-        assert_eq!(t_old, anchor);
-        // Degraded slaves never get a fallback, however fresh.
-        assert!(s.on_header_missed(1, 2e-3, 0.35, true).is_none());
-        // A zero budget rejects any nonzero predicted error.
-        assert!(s.on_header_missed(1, 2.5e-3, 0.0, false).is_none());
-    }
-
-    #[test]
-    fn jmb_fallback_is_inclusive_exactly_at_the_error_budget() {
-        // The fallback gate compares `extrapolation_error_rad(t) <= budget`:
-        // a predicted error *exactly* at 0.35 rad still transmits; the first
-        // representable instant past it sits the batch out. Seeding fixes
-        // the CFO sigma, so the error is the closed form `2π·σ·(t − t0)` and
-        // the crossing time can be solved exactly.
+    fn jmb_extrapolates_from_the_last_heard_header() {
         let mut r = rig(2, 13);
         let mut s = JmbLeadSlave::new(2);
+        // No header ever heard: nothing to extrapolate from.
+        assert!(s.extrapolated(1).is_none());
+        // Seeding fixes the CFO sigma, so the predicted error is the closed
+        // form `2π·σ·(t − t0)` — it reaches the budget exactly at `t_star`
+        // (the control plane's gate is inclusive there) — and the fallback
+        // is anchored at the seed.
         let (t0, sigma_hz) = (1e-4, 10.0);
         s.on_measurement(&mut r.ctx(), t0, sigma_hz);
         let t_star = t0 + SYNC_ERROR_BUDGET_RAD / (2.0 * std::f64::consts::PI * sigma_hz);
@@ -632,15 +588,10 @@ mod tests {
             (err - SYNC_ERROR_BUDGET_RAD).abs() < 1e-12,
             "crossing-time error {err} rad is not at the budget"
         );
-        // Exactly at the budget: fallback granted, anchored at the seed.
-        let (_, anchor) = s.on_header_missed(1, t_star, err, false).unwrap();
-        assert_eq!(anchor, t0);
-        // The next representable error past the budget: no fallback.
-        assert!(s
-            .on_header_missed(1, t_star, err.next_down(), false)
-            .is_none());
-        // A nanosecond later the closed-form error exceeds the budget too.
-        assert!(s.on_header_missed(1, t_star + 1e-9, err, false).is_none());
+        assert_eq!(s.extrapolated(1).unwrap().1, t0);
+        // A heard header moves the anchor.
+        let (_, anchor) = s.on_header(&mut r.ctx(), 1, 1e-3).unwrap();
+        assert_eq!(s.extrapolated(1).unwrap().1, anchor);
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! useful `Display` message. The control plane degrades with typed errors
 //! — it never panics on a lost control frame or a misconfigured network.
 
+use jmb_core::control::BatchSync;
 use jmb_core::fastnet::{FastConfig, FastNet};
 use jmb_core::net::{JmbNetwork, NetConfig};
-use jmb_core::{BackoffPolicy, CsiTracker, JmbError, PhaseSync};
+use jmb_core::{BackoffPolicy, CsiTracker, JmbError, PhaseSync, SyncHealth};
 use jmb_dsp::Complex64;
+use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
+use jmb_phy::rates::Mcs;
 use jmb_sim::FaultConfig;
 
 fn fast_cfg(n: usize, seed: u64) -> FastConfig {
@@ -80,6 +83,151 @@ fn measurement_shape_on_mismatched_estimates() {
     assert!(msg.contains("expected 4") && msg.contains("got 2"), "{msg}");
 }
 
+/// One network of either fidelity behind the control-plane surface both
+/// expose; only how a batch is sent and where the trace lives differ.
+struct Cell<N> {
+    net: N,
+    advance: fn(&mut N, f64),
+    now: fn(&N) -> f64,
+    faults: fn(&mut N, FaultConfig),
+    measure: fn(&mut N) -> Result<(), JmbError>,
+    /// A 2-stream batch over all 3 APs.
+    transmit: fn(&mut N) -> Result<(), JmbError>,
+    health: fn(&N) -> &[SyncHealth],
+    last_sync: fn(&N) -> &BatchSync,
+    trace: fn(&mut N) -> &mut Trace,
+}
+
+/// What the control plane reported for one scripted step.
+#[derive(Debug, PartialEq)]
+struct Step {
+    missed: Vec<usize>,
+    fallback: Vec<usize>,
+    excluded: Vec<usize>,
+    newly_degraded: Vec<usize>,
+    newly_restored: Vec<usize>,
+    health: Vec<SyncHealth>,
+}
+
+/// Slave 1 loses every header, then the storm clears, then every
+/// measurement frame is lost. Returns the per-batch control record and the
+/// control-event kinds the run left on the trace.
+fn storm_script<N>(mut c: Cell<N>) -> (Vec<Step>, Vec<&'static str>) {
+    (c.measure)(&mut c.net).unwrap();
+    (c.trace)(&mut c.net).enable();
+    (c.faults)(
+        &mut c.net,
+        FaultConfig::builder()
+            .per_slave_sync_loss(1, 1.0)
+            .build()
+            .unwrap(),
+    );
+    let mut steps = Vec::new();
+    for batch in 0..5 {
+        if batch == 4 {
+            (c.faults)(&mut c.net, FaultConfig::none());
+        }
+        (c.advance)(&mut c.net, 3e-4);
+        let t0 = (c.now)(&c.net);
+        (c.transmit)(&mut c.net).unwrap();
+        assert!((c.now)(&c.net) > t0, "batch {batch} must advance the clock");
+        let s = (c.last_sync)(&c.net);
+        steps.push(Step {
+            missed: s.missed.clone(),
+            fallback: s.fallback.clone(),
+            excluded: s.excluded.clone(),
+            newly_degraded: s.newly_degraded.clone(),
+            newly_restored: s.newly_restored.clone(),
+            health: (c.health)(&c.net).to_vec(),
+        });
+    }
+    (c.faults)(
+        &mut c.net,
+        FaultConfig::builder()
+            .meas_loss_chance(1.0)
+            .build()
+            .unwrap(),
+    );
+    let t0 = (c.now)(&c.net);
+    let err = (c.measure)(&mut c.net).unwrap_err();
+    assert_eq!(err, JmbError::MeasurementLost);
+    assert!(err.to_string().contains("lost"), "{err}");
+    assert!(
+        (c.now)(&c.net) > t0,
+        "the lost exchange still costs airtime"
+    );
+    (c.faults)(&mut c.net, FaultConfig::none());
+    (c.measure)(&mut c.net).unwrap();
+    let kinds = (c.trace)(&mut c.net)
+        .events()
+        .iter()
+        .map(|e| e.kind.name())
+        .filter(|k| ["SyncMissed", "ApDegraded", "ApRestored", "MeasurementLost"].contains(k))
+        .collect();
+    (steps, kinds)
+}
+
+#[test]
+fn control_faults_play_out_identically_on_both_fidelities() {
+    let fast = storm_script(Cell {
+        net: FastNet::new(fast_cfg(3, 22)).unwrap(),
+        advance: FastNet::advance,
+        now: FastNet::now,
+        faults: FastNet::set_control_faults,
+        measure: FastNet::run_measurement,
+        transmit: |n| {
+            n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
+                .map(drop)
+        },
+        health: FastNet::sync_health,
+        last_sync: FastNet::last_sync,
+        trace: |n| &mut n.trace,
+    });
+    let sample = storm_script(Cell {
+        net: JmbNetwork::new(NetConfig::default_with(3, 2, 22.0, 52)).unwrap(),
+        advance: JmbNetwork::advance,
+        now: JmbNetwork::now,
+        faults: JmbNetwork::set_control_faults,
+        measure: JmbNetwork::run_measurement,
+        transmit: |n| {
+            n.joint_transmit(&vec![vec![0x5Au8; 40]; 2], Mcs::BASE, true)
+                .map(drop)
+        },
+        health: JmbNetwork::sync_health,
+        last_sync: JmbNetwork::last_sync,
+        trace: |n| &mut n.medium_mut().trace,
+    });
+    assert_eq!(fast, sample);
+
+    // And the script is the documented policy: misses 1 and 2 ride an
+    // extrapolated correction inside the budget, miss 3 degrades and
+    // excludes, a heard header restores.
+    let (steps, kinds) = fast;
+    for (i, s) in steps.iter().enumerate().take(4) {
+        assert_eq!(s.missed, vec![1], "batch {i}");
+        assert_eq!(s.fallback.is_empty(), i >= 2, "batch {i}");
+        assert_eq!(s.excluded.is_empty(), i < 2, "batch {i}");
+        assert_eq!(s.health[0].is_degraded(), i >= 2, "batch {i}");
+    }
+    assert_eq!(steps[2].newly_degraded, vec![1]);
+    assert!(steps[3].newly_degraded.is_empty(), "degraded once");
+    assert!(steps[4].missed.is_empty());
+    assert_eq!(steps[4].newly_restored, vec![1]);
+    assert!(!steps[4].health[0].is_degraded());
+    assert_eq!(
+        kinds,
+        [
+            "SyncMissed",
+            "SyncMissed",
+            "SyncMissed",
+            "ApDegraded",
+            "SyncMissed",
+            "ApRestored",
+            "MeasurementLost",
+        ]
+    );
+}
+
 #[test]
 fn sync_header_missed_when_too_few_slaves_stay_coherent() {
     let mut net = FastNet::new(fast_cfg(3, 7)).unwrap();
@@ -97,38 +245,39 @@ fn sync_header_missed_when_too_few_slaves_stay_coherent() {
             .unwrap();
     }
     assert!(net.sync_health()[0].is_degraded());
-    // A full-width batch no longer fits the coherent APs: typed error.
+    // A full-width batch no longer fits the coherent APs: typed error, and
+    // the sync record of the batch that never went out stays readable.
     let err = net
         .joint_transmit_subset(&[0, 1, 2], &[0, 1, 2], 1500, 1, true)
         .unwrap_err();
     assert_eq!(err, JmbError::SyncHeaderMissed { slave: 1 });
     assert!(err.to_string().contains("slave 1"), "{err}");
+    assert_eq!(net.last_sync().missed, vec![1]);
+    assert_eq!(net.last_sync().excluded, vec![1]);
 }
 
 #[test]
-fn measurement_lost_surfaces_on_both_fidelities() {
-    // Per-subcarrier network.
-    let mut net = FastNet::new(fast_cfg(2, 9)).unwrap();
-    net.set_control_faults(
-        FaultConfig::builder()
-            .meas_loss_chance(1.0)
-            .build()
-            .unwrap(),
-    );
-    let err = net.run_measurement().unwrap_err();
-    assert_eq!(err, JmbError::MeasurementLost);
-    assert!(err.to_string().contains("lost"), "{err}");
-
-    // Sample-level network.
-    let mut net = JmbNetwork::new(NetConfig::default_with(2, 2, 22.0, 9)).unwrap();
-    net.medium_mut().set_fault(
-        FaultConfig::builder()
-            .meas_loss_chance(1.0)
-            .build()
-            .unwrap(),
-    );
-    assert_eq!(
-        net.run_measurement().unwrap_err(),
-        JmbError::MeasurementLost
-    );
+fn jammed_sync_header_is_a_miss_not_an_abort() {
+    // A noise burst over the slave's header window: the lead's header is
+    // already on the air when the slave fails to make it out, so the batch
+    // must play out (clock advanced, per-client results) with the slave on
+    // the miss path — not return an error mid-air.
+    let mut net = JmbNetwork::new(NetConfig::default_with(2, 2, 22.0, 42)).unwrap();
+    net.run_measurement().unwrap();
+    net.advance(1e-3);
+    let data = vec![vec![0xA5u8; 60]; 2];
+    net.joint_transmit(&data, Mcs::BASE, true).unwrap();
+    net.advance(5e-4);
+    net.medium_mut().trace.enable();
+    let (t0, slave) = (net.now(), net.ap_nodes()[1]);
+    net.medium_mut().inject_noise_burst(slave, t0, 40e-6, 1.0);
+    let results = net.joint_transmit(&data, Mcs::BASE, true).unwrap();
+    assert_eq!(results.len(), 2);
+    assert!(net.now() > t0);
+    assert_eq!(net.medium_mut().trace.sync_missed_count(), 1);
+    assert_eq!(net.last_sync().missed, vec![1]);
+    // The burst has passed: the next header is heard again.
+    net.advance(5e-4);
+    net.joint_transmit(&data, Mcs::BASE, true).unwrap();
+    assert!(net.last_sync().missed.is_empty());
 }

@@ -121,6 +121,7 @@ fn is_hot_path(rel: &str) -> bool {
     const CORE_HOT: &[&str] = &[
         "crates/core/src/fastnet.rs",
         "crates/core/src/net.rs",
+        "crates/core/src/control.rs",
         "crates/core/src/precoder.rs",
         "crates/core/src/mac.rs",
         "crates/core/src/csi.rs",
@@ -575,7 +576,7 @@ fn parse_event_kind_variants(file: &SourceFile) -> Vec<(String, u32, u32)> {
 }
 
 /// Does `file` reference `EventKind::<variant>`? Honours local renames
-/// (`use jmb_sim::EventKind as TraceKind;`). With `include_test` false,
+/// (`use jmb_obs::EventKind as TraceKind;`). With `include_test` false,
 /// test-region tokens don't count.
 fn has_eventkind_ref(file: &SourceFile, variant: &str, include_test: bool) -> bool {
     // Local names for the enum: `EventKind` plus any `EventKind as X`.

@@ -22,8 +22,8 @@ pub enum ScenarioError {
         message: String,
     },
     /// A cross-section semantic problem with no single offending line
-    /// (missing required section, a fault schedule on a backend that has
-    /// no fault hook, a city grid with per-run limits it cannot honour).
+    /// (missing required section, a fault schedule on a city grid, a city
+    /// grid with per-run limits it cannot honour).
     Invalid(String),
     /// The manifest file (or an output artifact) could not be read or
     /// written.

@@ -110,11 +110,11 @@ impl Op {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Per-subcarrier [`jmb_traffic::FastBackend`] — the default; supports
-    /// fault schedules and per-client SNR lists.
+    /// per-client SNR lists and `[sync]` strategy selection.
     #[default]
     Fast,
     /// Sample-level [`jmb_traffic::SampleBackend`] — full OFDM + CRC
-    /// validation; no fault-schedule hook, scalar SNR only.
+    /// validation; scalar SNR and the paper's lead/slave resync only.
     Sample,
 }
 
@@ -985,13 +985,6 @@ impl Manifest {
                 }
             }
         }
-        if self.backend == Backend::Sample
-            && !(self.faults.base.is_clean() && self.faults.windows.is_empty())
-        {
-            return inv("the sample backend has no fault-schedule hook; \
-                        fault probabilities and windows need `backend fast`"
-                .into());
-        }
         if self.backend == Backend::Sample && self.sync != SyncStrategyId::default() {
             return inv(
                 "the sample backend renders the paper's in-band resync waveform; \
@@ -1340,12 +1333,6 @@ respond RemeasureScheduled -> RemeasureOk|RemeasureFailed within 0.1
 
     #[test]
     fn cross_section_rules() {
-        // Sample backend rejects fault schedules.
-        let bad = GOOD.replace("backend fast", "backend sample");
-        assert!(matches!(
-            Manifest::parse(&bad),
-            Err(ScenarioError::Invalid(_))
-        ));
         // Outage AP index must exist.
         let bad = GOOD.replace("outage ap=0", "outage ap=9");
         assert!(Manifest::parse(&bad)

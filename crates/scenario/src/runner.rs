@@ -62,23 +62,26 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunOutput, Scenar
             } else {
                 snr_db.clone()
             };
+            let schedule = schedule_from(&m.faults)?;
             match m.backend {
-                Backend::Fast => {
-                    let schedule = schedule_from(&m.faults)?;
-                    run_single(m, seed, |clean| {
-                        let mut cfg = FastConfig::default_with(*aps, *clients, snr.clone(), seed);
-                        cfg.sync = m.sync;
-                        let mut b =
-                            FastBackend::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))?;
-                        if !clean {
-                            b.net_mut().set_fault_schedule(schedule.clone());
-                        }
-                        Ok(b)
-                    })
-                }
-                Backend::Sample => run_single(m, seed, |_clean| {
+                Backend::Fast => run_single(m, seed, |clean| {
+                    let mut cfg = FastConfig::default_with(*aps, *clients, snr.clone(), seed);
+                    cfg.sync = m.sync;
+                    let mut b =
+                        FastBackend::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))?;
+                    if !clean {
+                        b.net_mut().set_fault_schedule(schedule.clone());
+                    }
+                    Ok(b)
+                }),
+                Backend::Sample => run_single(m, seed, |clean| {
                     let cfg = NetConfig::default_with(*aps, *clients, snr[0], seed);
-                    SampleBackend::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))
+                    let mut b =
+                        SampleBackend::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))?;
+                    if !clean {
+                        b.net_mut().set_fault_schedule(schedule.clone());
+                    }
+                    Ok(b)
                 }),
             }
         }

@@ -106,3 +106,38 @@ fn corpus_manifests_roundtrip_through_the_canonical_form() {
         assert_eq!(back, m, "{name} changed across the canonical roundtrip");
     }
 }
+
+#[test]
+fn sample_backend_runs_a_fault_schedule() {
+    // The control plane is the same at both fidelities, so `[faults]` on
+    // `backend sample` installs like on `backend fast` and its misses reach
+    // the metrics.
+    let text = "\
+version 1
+name sample_sync_storm
+[topology]
+kind single
+aps 2
+clients 1
+snr_db 22
+[channel]
+backend sample
+[traffic]
+arrival poisson 4000
+packet fixed 200
+duration_s 0.003
+drain_s 0.002
+[faults]
+sync_loss 0.9
+[assertions]
+metric sync_misses > 0
+";
+    let m = Manifest::parse(text).expect("sample backend accepts [faults]");
+    let out = run_manifest(&m, &RunOptions::default()).expect("runs");
+    assert_eq!(
+        out.report.verdict,
+        Verdict::Pass,
+        "report: {}",
+        out.report.to_json()
+    );
+}

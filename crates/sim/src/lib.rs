@@ -16,9 +16,8 @@
 //!   and cross-validated against the sample-level medium in tests.
 //!
 //! Fault injection (packet drops, noise bursts — in the spirit of smoltcp's
-//! example fault options) lives in [`fault`]; event tracing comes from the
-//! workspace-wide [`jmb_obs`] observability crate (re-exported via
-//! [`trace`]).
+//! example fault options) lives in [`fault`]; events go to the
+//! workspace-wide [`jmb_obs`] trace.
 //!
 //! Determinism: the medium owns one RNG (for noise and faults); node
 //! oscillators own theirs. Same seeds ⇒ same waveforms, bit for bit.
@@ -29,14 +28,9 @@
 pub mod fault;
 pub mod freq;
 pub mod medium;
-pub mod trace;
 
 pub use fault::{
     ControlFaults, FaultConfig, FaultConfigBuilder, FaultError, FaultSchedule, FaultWindow,
 };
 pub use freq::{InstantPhasors, StaticChannel, SubcarrierMedium};
 pub use medium::{Medium, NodeId, Transmission};
-pub use trace::{
-    read_jsonl, DropCause, Event, EventKind, FilterSink, JsonLinesSink, RingBufferSink, StopCause,
-    SyncStrategyId, Trace, TraceQuery, TraceSink,
-};

@@ -16,11 +16,11 @@
 //! 6. **AWGN** — per-receiver noise floor.
 
 use crate::fault::{FaultConfig, FaultSchedule};
-use crate::trace::{DropCause, EventKind, Trace};
 use jmb_channel::{Link, PhaseTrajectory};
 use jmb_dsp::delay::interpolate_at;
 use jmb_dsp::rng::{complex_gaussian, JmbRng};
 use jmb_dsp::Complex64;
+use jmb_obs::{DropCause, EventKind, Trace};
 use jmb_phy::params::OfdmParams;
 use rand::Rng;
 
@@ -136,7 +136,8 @@ impl Medium {
         &mut self.nodes[node.0].traj
     }
 
-    /// Configures constant (time-invariant) fault injection.
+    /// Configures constant (time-invariant) fault injection: the waveform
+    /// faults (drop, corrupt) — control-frame faults are the network's.
     pub fn set_fault(&mut self, fault: FaultConfig) {
         self.fault = FaultSchedule::constant(fault);
     }
@@ -144,26 +145,6 @@ impl Medium {
     /// Configures time-windowed fault injection (loss storms).
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.fault = schedule;
-    }
-
-    /// The fault config in effect at time `t`.
-    pub fn fault_at(&self, t: f64) -> &FaultConfig {
-        self.fault.config_at(t)
-    }
-
-    /// Draws whether slave AP node `slave` misses the lead's sync header at
-    /// time `t`. Gated on the probability so fault-free runs make no RNG
-    /// draws and stay byte-identical with cleanly-seeded runs.
-    pub fn draw_sync_miss(&mut self, slave: usize, t: f64) -> bool {
-        let p = self.fault.config_at(t).control.sync_loss_for(slave);
-        p > 0.0 && self.rng.gen::<f64>() < p
-    }
-
-    /// Draws whether a channel-measurement exchange at time `t` is lost.
-    /// Gated like [`Medium::draw_sync_miss`].
-    pub fn draw_meas_loss(&mut self, t: f64) -> bool {
-        let p = self.fault.config_at(t).control.meas_loss_chance;
-        p > 0.0 && self.rng.gen::<f64>() < p
     }
 
     /// First payload sample index eligible for fault corruption: past the

@@ -8,6 +8,7 @@
 //! through the real CRC path).
 
 use jmb_core::baseline;
+use jmb_core::control::BatchSync;
 use jmb_core::csi::{BackoffPolicy, CsiTracker};
 use jmb_core::error::JmbError;
 use jmb_core::fastnet::{FastConfig, FastNet};
@@ -48,6 +49,15 @@ pub struct ControlInfo {
     /// it as the per-strategy phase-error gauge. Zero when the PHY has no
     /// pluggable sync (or before any reference exists).
     pub sync_phase_err_rad: f64,
+}
+
+impl ControlInfo {
+    /// Copies what the batch's sync-header exchange did to the slaves.
+    fn copy_sync(&mut self, sync: &BatchSync) {
+        self.missed_slaves.clone_from(&sync.missed);
+        self.newly_degraded.clone_from(&sync.newly_degraded);
+        self.newly_restored.clone_from(&sync.newly_restored);
+    }
 }
 
 /// Outcome of serving one joint batch.
@@ -212,32 +222,9 @@ impl TransmitBackend for FastBackend {
                 Err(e) => return Err(e),
             }
         }
-        // Diff sync health around the transmission rather than copying the
-        // outcome's event lists: when the batch fails outright (too few
-        // sync'd slaves → `SyncHeaderMissed`) there is no outcome, but the
-        // misses and degradations still happened and must be reported.
-        let before: Vec<(bool, u64)> = self
-            .net
-            .sync_health()
-            .iter()
-            .map(|h| (h.is_degraded(), h.total_misses()))
-            .collect();
         let result = self
             .net
             .joint_transmit_subset(dests, active_aps, payload_len, 2, true);
-        for (i, h) in self.net.sync_health().iter().enumerate() {
-            let slave = i + 1; // health is indexed by slave − 1 (AP 0 leads)
-            let (was_degraded, misses) = before[i];
-            if h.total_misses() > misses {
-                control.missed_slaves.push(slave);
-            }
-            if !was_degraded && h.is_degraded() {
-                control.newly_degraded.push(slave);
-            }
-            if was_degraded && !h.is_degraded() {
-                control.newly_restored.push(slave);
-            }
-        }
         // Out-of-band sync control airtime (pilot broadcasts) accrued while
         // serving this batch is charged as control overhead — zero for the
         // in-band JMB strategy, which keeps its accounting byte-exact.
@@ -246,43 +233,37 @@ impl TransmitBackend for FastBackend {
         if phase_err.is_finite() {
             control.sync_phase_err_rad = phase_err;
         }
-        let out = match result {
-            Ok(out) => out,
-            Err(JmbError::SyncHeaderMissed { .. }) => {
-                // Not enough sync'd slaves for this batch width: the joint
-                // transmission never launched. Nobody ACKs, the MAC retry
-                // path takes over, and the control events above still
-                // reach the traffic layer.
-                self.clock_s += control.overhead_s;
-                self.debt_s += self.net.now() - net_t_before - control.overhead_s;
-                return Ok(TxReport {
-                    airtime_s: 0.0,
-                    acked: vec![false; dests.len()],
-                    mcs_index: 0,
-                    control,
-                });
+        let (airtime_s, mcs_index, acked) = match result {
+            Ok(out) => {
+                let threshold = MCS_THRESHOLD_DB[out.mcs.index()];
+                let acked = out
+                    .eff_snr_db
+                    .iter()
+                    .map(|&snr| self.rng.gen::<f64>() >= Self::per_from_margin(snr - threshold))
+                    .collect();
+                (out.airtime_s, out.mcs.index(), acked)
             }
+            // Not enough sync'd slaves for this batch width: the joint
+            // transmission never launched. Nobody ACKs and the MAC retry
+            // path takes over, but the misses and degradations happened —
+            // the sync record below still reaches the traffic layer.
+            Err(JmbError::SyncHeaderMissed { .. }) => (0.0, 0, vec![false; dests.len()]),
             Err(e) => return Err(e),
         };
-        let threshold = MCS_THRESHOLD_DB[out.mcs.index()];
-        let acked = out
-            .eff_snr_db
-            .iter()
-            .map(|&snr| self.rng.gen::<f64>() >= Self::per_from_margin(snr - threshold))
-            .collect();
+        control.copy_sync(self.net.last_sync());
         // The network advances its own oscillators through the frame and
         // the measurement exchange; mirror that here so CSI ages in sim
         // time (the caller's `advance` only covers idle/contention gaps).
-        let charged = out.airtime_s + control.overhead_s;
+        let charged = airtime_s + control.overhead_s;
         self.clock_s += charged;
         // Whatever the network clock ran past the airtime we charged (its
         // own header/turnaround/SIFS model) becomes debt, absorbed out of
         // the caller's future idle-time `advance` calls.
         self.debt_s += self.net.now() - net_t_before - charged;
         Ok(TxReport {
-            airtime_s: out.airtime_s,
+            airtime_s,
             acked,
-            mcs_index: out.mcs.index(),
+            mcs_index,
             control,
         })
     }
@@ -360,11 +341,13 @@ impl TransmitBackend for SampleBackend {
             .net
             .joint_transmit_masked(&payloads, self.mcs, true, Some(&mask))?;
         let acked = dests.iter().map(|&d| results[d].is_ok()).collect();
+        let mut control = ControlInfo::default();
+        control.copy_sync(self.net.last_sync());
         Ok(TxReport {
             airtime_s: baseline::frame_airtime(&self.net.config().params, self.mcs, payload_len),
             acked,
             mcs_index: self.mcs.index(),
-            control: ControlInfo::default(),
+            control,
         })
     }
 }

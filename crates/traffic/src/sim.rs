@@ -25,8 +25,7 @@ use jmb_core::error::JmbError;
 use jmb_core::mac::{JmbMac, MacConfig, MacPacket, PacketFate};
 use jmb_core::sync::SyncStrategyId;
 use jmb_dsp::rng::JmbRng;
-use jmb_obs::Registry;
-use jmb_sim::{DropCause, EventKind as TraceKind, StopCause, Trace};
+use jmb_obs::{DropCause, EventKind as TraceKind, Registry, StopCause, Trace};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};

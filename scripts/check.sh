@@ -1,5 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, tests, lints, formatting.
+# Tier-1 gate: build, tests, lints, formatting, and the byte-level pins.
+#
+# `cargo build` / `cargo test` cover every jmb crate (the workspace's
+# default-members). On top of the debug suites, three release steps: the
+# `sync_equivalence` fixtures (FastNet's default sync path, bit for bit),
+# the benchmark package's own tests (it is a workspace of its own), and
+# the figure CSVs — `run_all_figures` regenerated into a temp dir must
+# `cmp`-equal every checked-in `results/*.csv`, the only byte-level pin on
+# the sample-level network (fig06/07, both ablations).
 #
 # The jmb-* packages must be clippy- and rustfmt-clean; the vendored
 # stand-in crates under vendor/ (rand, proptest, criterion) are kept
@@ -17,8 +25,18 @@ JMB_PKGS=(-p jmb -p jmb-bench -p jmb-channel -p jmb-city -p jmb-core -p jmb-dsp 
 
 cargo build --release
 cargo test -q
+cargo test --release -q -p jmb-bench --test sync_equivalence
+cargo test --release -q --manifest-path crates/bench/benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt "${JMB_PKGS[@]}" -- --check
 cargo run --release -p jmb-lint -- --deny
+
+fresh="$(mktemp -d)"
+trap 'rm -rf "$fresh"' EXIT
+./target/release/run_all_figures --out "$fresh" > /dev/null
+for csv in results/*.csv; do
+  cmp "$csv" "$fresh/$(basename "$csv")"
+done
+echo "results/*.csv byte-identical to a fresh run_all_figures"
 
 echo "tier-1 checks passed"

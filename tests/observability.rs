@@ -7,8 +7,9 @@
 
 use jmb::core::experiment::{parallel_map, SweepConfig};
 use jmb::core::fastnet::FastConfig;
+use jmb::obs::{JsonLinesSink, RingBufferSink, TraceQuery};
 use jmb::prelude::*;
-use jmb::sim::{FaultConfig, FaultSchedule, JsonLinesSink, RingBufferSink, TraceQuery};
+use jmb::sim::{FaultConfig, FaultSchedule};
 use jmb::traffic::TrafficMetrics;
 
 const DURATION_S: f64 = 0.1;
@@ -139,7 +140,7 @@ fn jsonl_dump_replays_losslessly() {
         .attach_sink(JsonLinesSink::create(&path).expect("sink file"));
     sim.run();
     sim.trace.detach_sinks(); // flushes
-    let replayed = jmb::sim::read_jsonl(&path).expect("replay");
+    let replayed = jmb::obs::read_jsonl(&path).expect("replay");
     let _ = std::fs::remove_file(&path);
     let live = sim.trace.events();
     assert_eq!(replayed.len(), live.len());

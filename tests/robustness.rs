@@ -5,8 +5,9 @@
 //! restores it when the storm passes.
 
 use jmb::core::fastnet::FastConfig;
+use jmb::obs::EventKind;
 use jmb::prelude::*;
-use jmb::sim::{EventKind, FaultConfig, FaultSchedule};
+use jmb::sim::{FaultConfig, FaultSchedule};
 use jmb::traffic::TrafficMetrics;
 
 /// 4 APs / 4 clients at saturating load (2500 pps × 1500 B per client)

@@ -83,7 +83,7 @@ fn lead_failover_degrades_but_does_not_stall() {
         .between(0.07, 0.14)
         .events()
     {
-        if let jmb::sim::EventKind::LeadElected { ap } = e.kind {
+        if let jmb::obs::EventKind::LeadElected { ap } = e.kind {
             assert_ne!(ap, 0, "dead AP elected lead at t={}", e.t);
         }
     }
