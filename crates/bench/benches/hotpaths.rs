@@ -128,6 +128,12 @@ fn bench_medium(c: &mut Criterion) {
     c.bench_function("medium_render_320_samples", |b| {
         b.iter(|| m.render_rx(rx, 0.0, 320))
     });
+    // Same call at the `sample_cell` data-frame shape: two APs over six-tap
+    // NLOS links, so each output sample costs twelve interpolations, not one.
+    let (mut m, client, n) = jmb_bench::nlos_two_ap_medium(1);
+    c.bench_function("medium_render_nlos_2tx_300B", |b| {
+        b.iter(|| m.render_rx(client, 0.0, n))
+    });
 }
 
 fn bench_e2e_packet(c: &mut Criterion) {

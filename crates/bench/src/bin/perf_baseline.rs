@@ -275,6 +275,40 @@ fn main() {
         println!("medium_render_320_samples   {ns:>12.1} ns/op");
     }
 
+    // The ideal single-tap link above hides the multipath factor: on the
+    // links the sample-level network runs on, every output sample costs one
+    // interpolation per tap per transmitter.
+    {
+        let (mut m, client, n) = jmb_bench::nlos_two_ap_medium(1);
+        let ns = time_median(samples, min_batch, || {
+            m.render_rx(client, 0.0, n);
+        });
+        entries.push(Entry {
+            name: "medium_render_nlos_2tx_300B",
+            ns_per_op: ns,
+            throughput: Some((n as f64 / (ns * 1e-9), "samples/s")),
+        });
+        println!("medium_render_nlos_2tx_300B {ns:>12.1} ns/op");
+    }
+
+    // --- One windowed-sinc interpolation --------------------------------
+    {
+        let x: Vec<Complex64> = (0..256).map(|i| Complex64::cis(i as f64 * 0.37)).collect();
+        let mut pos = 100.0;
+        let ns = time_median(samples, min_batch, || {
+            // Walk the position as a sampling-clock offset does, so no two
+            // calls share a fraction.
+            pos = if pos < 150.0 { pos + 1.000_37 } else { 100.3 };
+            std::hint::black_box(jmb_dsp::delay::interpolate_at(&x, pos));
+        });
+        entries.push(Entry {
+            name: "interp_at_frac",
+            ns_per_op: ns,
+            throughput: None,
+        });
+        println!("interp_at_frac              {ns:>12.1} ns/op");
+    }
+
     // --- End-to-end PHY packet ------------------------------------------
     {
         let tx = FrameTx::new(params.clone());

@@ -178,6 +178,36 @@ pub fn or_fail<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
     }
 }
 
+/// The `sample_cell` data-frame shape for the medium benchmarks: two APs
+/// send one 300-byte 16-QAM frame each (the second 30 ns late) over
+/// independent indoor-NLOS six-tap links to one client; every node sits on
+/// its own carrier offset, and with it its own sampling-clock ppm. Returns
+/// the medium, the client and the frame length in samples.
+pub fn nlos_two_ap_medium(seed: u64) -> (jmb_sim::Medium, jmb_sim::NodeId, usize) {
+    use jmb_channel::{Link, Multipath, MultipathSpec, PhaseTrajectory};
+    use jmb_dsp::Complex64;
+    const FC: f64 = 2.437e9;
+    let params = jmb_phy::params::OfdmParams::default();
+    let payload: Vec<u8> = (0..300).map(|i| i as u8).collect();
+    let wave = or_fail(
+        jmb_phy::frame::FrameTx::new(params.clone())
+            .tx_frame(jmb_phy::rates::Mcs::ALL[4], &payload),
+        "300-byte 16-QAM frame",
+    );
+    let n = wave.len();
+    let mut rng = jmb_dsp::rng::rng_from_seed(seed);
+    let mut medium = jmb_sim::Medium::new(params, seed);
+    let client = medium.add_node(PhaseTrajectory::fixed(FC, -500.0), 1e-6);
+    for (cfo_hz, start_s, delay_s) in [(1000.0, 0.0, 40e-9), (-2300.0, 30e-9, 65e-9)] {
+        let ap = medium.add_node(PhaseTrajectory::fixed(FC, cfo_hz), 0.0);
+        let fading = Multipath::new(MultipathSpec::indoor_nlos(), &mut rng);
+        let gain = Complex64::from_polar(1.0, 0.7);
+        medium.set_link(ap, client, Link::new(gain, delay_s, fading));
+        medium.transmit(ap, start_s, wave.clone());
+    }
+    (medium, client, n)
+}
+
 /// Prints a header banner for a figure run.
 pub fn banner(fig: &str, what: &str, opts: &FigOpts) {
     println!("=== {fig}: {what} ===");

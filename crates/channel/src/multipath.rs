@@ -134,11 +134,15 @@ impl Multipath {
 
     /// Current taps as `(delay_seconds, gain)` pairs.
     pub fn taps(&self) -> Vec<(f64, Complex64)> {
+        self.tap_iter().collect()
+    }
+
+    /// [`Self::taps`] without the `Vec`, for per-sample loops.
+    pub fn tap_iter(&self) -> impl Iterator<Item = (f64, Complex64)> + '_ {
         self.taps
             .iter()
             .enumerate()
             .map(|(l, &g)| (l as f64 * self.spec.tap_spacing_s, g))
-            .collect()
     }
 
     /// Evolves the channel forward by `dt` seconds (Gauss–Markov):

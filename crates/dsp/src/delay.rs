@@ -11,8 +11,32 @@
 //! up as per-subcarrier phase slopes that are *captured by channel
 //! measurement and inverted by beamforming* — reproducing that effect
 //! faithfully requires actually delaying the waveforms, which this module does.
+//!
+//! # The kernel
+//!
+//! One interpolator serves the whole module: a 49-tap Hann-windowed sinc,
+//! `h(t) = sinc(t)·½(1 + cos(πt/25))` sampled at `t = m − f` for the taps
+//! `m = −24..=24` around a position with fractional part `f`. Evaluating it
+//! tap by tap costs a `sin` and a `cos` per tap; `kernel_weights` gets all
+//! 49 from two `sin_cos` calls through the angle-sum identities
+//!
+//! ```text
+//! sin(π(m − f))    = −(−1)^m · sin(πf)
+//! cos(π(m − f)/25) = cos(πm/25)·cos(πf/25) + sin(πm/25)·sin(πf/25)
+//! ```
+//!
+//! over a table of `cos(πm/25)`, `sin(πm/25)` and `−(−1)^m/2π`. This is the
+//! same function, not an approximation of it: no tap is dropped, nothing is
+//! tabulated in `f`. Only the floating-point route to each weight differs, so
+//! results agree with the per-tap formula to a few ulps (≈ 1e-16 per weight)
+//! and not bit for bit. The per-tap formula is kept as the reference in
+//! `tests/interp_equivalence.rs`, which holds [`interpolate_at`] to it within
+//! 1e-12 on unit-power inputs; `jmb-sim`'s `tests/render_equivalence.rs` does
+//! the same for decoded frames.
 
 use crate::complex::Complex64;
+use std::f64::consts::PI;
+use std::sync::LazyLock;
 
 /// Number of taps on each side of the centre tap in the interpolation
 /// kernel. 24 keeps the in-band interpolation error below ≈ −50 dB even at
@@ -23,6 +47,71 @@ use crate::complex::Complex64;
 /// on this resampler.
 const HALF_TAPS: usize = 24;
 
+/// Taps in the kernel: `m = −HALF_TAPS..=HALF_TAPS`.
+const TAPS: usize = 2 * HALF_TAPS + 1;
+
+/// Half-width of the Hann window: it reaches zero one tap beyond the kernel.
+const WINDOW_HALF: f64 = HALF_TAPS as f64 + 1.0;
+
+/// The parts of the kernel that depend on the tap `m` alone, one array per
+/// factor so that [`kernel_weights`] is a single loop over parallel lanes.
+struct TapTable {
+    /// `m`.
+    offset: [f64; TAPS],
+    /// `−(−1)^m / 2π`: the sign of `sin(π(m − f))`, the `1/π` of the sinc and
+    /// the `½` of the Hann window.
+    scale: [f64; TAPS],
+    /// `cos(πm/25)`.
+    cos: [f64; TAPS],
+    /// `sin(πm/25)`.
+    sin: [f64; TAPS],
+}
+
+static TAP_TABLE: LazyLock<TapTable> = LazyLock::new(|| {
+    let mut t = TapTable {
+        offset: [0.0; TAPS],
+        scale: [0.0; TAPS],
+        cos: [0.0; TAPS],
+        sin: [0.0; TAPS],
+    };
+    for j in 0..TAPS {
+        let m = j as f64 - HALF_TAPS as f64;
+        let sign = if (j + HALF_TAPS).is_multiple_of(2) {
+            -1.0
+        } else {
+            1.0
+        };
+        t.offset[j] = m;
+        t.scale[j] = sign / (2.0 * PI);
+        (t.sin[j], t.cos[j]) = (PI * m / WINDOW_HALF).sin_cos();
+    }
+    t
+});
+
+/// Kernel weights `h(m − frac)` for `m = −HALF_TAPS..=HALF_TAPS`, or `None`
+/// when `frac` is so close to 0 or 1 (closer than the smallest normal number)
+/// that the position is a sample instant and the kernel is a unit impulse.
+///
+/// `frac` must lie in `[0, 1]`.
+#[inline]
+fn kernel_weights(frac: f64) -> Option<[f64; TAPS]> {
+    // sin(πf) = sin(π(1 − f)); taking the smaller argument keeps full
+    // relative precision near f = 1, where the tap at m = 1 divides by 1 − f.
+    let near = frac.min(1.0 - frac);
+    if near < f64::MIN_POSITIVE {
+        return None;
+    }
+    let s = (PI * near).sin();
+    let (d, c) = (PI * frac / WINDOW_HALF).sin_cos();
+    let t = &*TAP_TABLE;
+    let mut w = [0.0; TAPS];
+    for (j, w) in w.iter_mut().enumerate() {
+        let hann2 = 1.0 + t.cos[j] * c + t.sin[j] * d;
+        *w = t.scale[j] * s * hann2 / (t.offset[j] - frac);
+    }
+    Some(w)
+}
+
 /// Applies a (possibly fractional) delay of `delay_samples ≥ 0` to `input`.
 ///
 /// Returns a buffer of the same length as `input` plus the integer part of
@@ -30,15 +119,16 @@ const HALF_TAPS: usize = 24;
 /// The output `y[n]` approximates `x[n − delay]` with `x` treated as zero
 /// outside its support.
 ///
-/// The fractional part is implemented with a Hann-windowed sinc interpolator
-/// (17 taps), accurate to better than −60 dB interpolation error for signals
-/// bandlimited to ~80% of Nyquist — comfortably covering OFDM occupied
-/// bandwidth (52/64 of Nyquist).
+/// The fractional part is implemented with the module's Hann-windowed sinc
+/// interpolator (49 taps), accurate to better than −50 dB interpolation
+/// error for signals bandlimited to ~80% of Nyquist — comfortably covering
+/// OFDM occupied bandwidth (52/64 of Nyquist).
 ///
 /// # Panics
 ///
 /// Panics if `delay_samples` is negative or non-finite.
 pub fn fractional_delay(input: &[Complex64], delay_samples: f64) -> Vec<Complex64> {
+    // jmb-allow(no-panic-hot-path): documented `# Panics` contract on a caller-chosen delay; the simulator's render path goes through `interpolate_at`, which has no panic
     assert!(
         delay_samples.is_finite() && delay_samples >= 0.0,
         "delay must be finite and non-negative, got {delay_samples}"
@@ -49,23 +139,13 @@ pub fn fractional_delay(input: &[Complex64], delay_samples: f64) -> Vec<Complex6
     let out_len = input.len() + int_part + HALF_TAPS + 1;
     let mut out = vec![Complex64::ZERO; out_len];
 
-    if frac < 1e-12 {
+    // y[n] = Σ_k x[k] · h(n − int_part − k − frac): convolve x with the
+    // kernel h[m] = h(m − frac), m in −HALF..=+HALF, then shift.
+    let Some(kernel) = kernel_weights(frac).filter(|_| frac >= 1e-12) else {
         // Pure integer delay: just shift.
-        for (i, &x) in input.iter().enumerate() {
-            out[i + int_part] = x;
-        }
+        out[int_part..int_part + input.len()].copy_from_slice(input);
         return out;
-    }
-
-    // y[n] = Σ_k x[k] · h(n − int_part − k − frac), h = windowed sinc.
-    // Equivalently convolve x with the fractional-delay kernel
-    // h[m] = sinc(m − frac)·w(m − frac) for m in −HALF..=+HALF, then shift.
-    let kernel: Vec<f64> = (-(HALF_TAPS as isize)..=HALF_TAPS as isize)
-        .map(|m| {
-            let t = m as f64 - frac;
-            sinc(t) * hann_window(t)
-        })
-        .collect();
+    };
 
     for (k, &x) in input.iter().enumerate() {
         if x == Complex64::ZERO {
@@ -99,57 +179,50 @@ pub fn fractional_delay(input: &[Complex64], delay_samples: f64) -> Vec<Complex6
 ///
 /// Panics if `ratio` or `offset` is non-finite, `ratio ≤ 0`, or `offset < 0`.
 pub fn resample(input: &[Complex64], ratio: f64, offset: f64, out_len: usize) -> Vec<Complex64> {
+    // jmb-allow(no-panic-hot-path): documented `# Panics` contract on caller-chosen clock parameters; the simulator's render path goes through `interpolate_at`, which has no panic
     assert!(ratio.is_finite() && ratio > 0.0, "bad ratio {ratio}");
+    // jmb-allow(no-panic-hot-path): the same documented `# Panics` contract, for the caller-chosen offset
     assert!(offset.is_finite() && offset >= 0.0, "bad offset {offset}");
-    let mut out = Vec::with_capacity(out_len);
-    for n in 0..out_len {
-        let pos = n as f64 * ratio - offset;
-        out.push(interpolate_at(input, pos));
-    }
-    out
+    (0..out_len)
+        .map(|n| interpolate_at(input, n as f64 * ratio - offset))
+        .collect()
 }
 
 /// Windowed-sinc interpolation of `input` at (possibly fractional) position
-/// `pos`; zero outside the signal's support.
+/// `pos`; zero outside the signal's support (more than `HALF_TAPS` samples
+/// before the first or after the last sample, and for a non-finite `pos`).
 pub fn interpolate_at(input: &[Complex64], pos: f64) -> Complex64 {
-    if !pos.is_finite() {
+    let half = HALF_TAPS as f64;
+    let base = pos.floor();
+    // Clip in f64, before the cast: a NaN or infinite `pos` fails the test,
+    // and so does any finite one whose taps all fall outside the input.
+    if !(base >= -half && base <= input.len() as f64 - 1.0 + half) {
         return Complex64::ZERO;
     }
-    let base = pos.floor();
     let frac = pos - base;
     let base = base as isize;
+    let Some(w) = kernel_weights(frac) else {
+        // A sample instant (frac rounds to 1 for a tiny negative `pos`).
+        let idx = base + (frac > 0.5) as isize;
+        return usize::try_from(idx)
+            .ok()
+            .and_then(|i| input.get(i))
+            .copied()
+            .unwrap_or(Complex64::ZERO);
+    };
+    // Taps m = lo..=hi are the ones that land on input samples.
+    let lo = (-(HALF_TAPS as isize)).max(-base);
+    let hi = (HALF_TAPS as isize).min(input.len() as isize - 1 - base);
+    if lo > hi {
+        return Complex64::ZERO;
+    }
+    let x = &input[(base + lo) as usize..=(base + hi) as usize];
+    let w = &w[(lo + HALF_TAPS as isize) as usize..=(hi + HALF_TAPS as isize) as usize];
     let mut acc = Complex64::ZERO;
-    for m in -(HALF_TAPS as isize)..=HALF_TAPS as isize {
-        let idx = base + m;
-        if idx < 0 || idx as usize >= input.len() {
-            continue;
-        }
-        let t = m as f64 - frac;
-        let h = sinc(t) * hann_window(t);
-        acc += input[idx as usize].scale(h);
+    for (x, &h) in x.iter().zip(w) {
+        acc += x.scale(h);
     }
     acc
-}
-
-#[inline]
-fn sinc(t: f64) -> f64 {
-    if t.abs() < 1e-12 {
-        1.0
-    } else {
-        let pt = std::f64::consts::PI * t;
-        pt.sin() / pt
-    }
-}
-
-/// Hann window over the kernel support `[-HALF_TAPS, HALF_TAPS]`.
-#[inline]
-fn hann_window(t: f64) -> f64 {
-    let half = HALF_TAPS as f64 + 1.0;
-    if t.abs() >= half {
-        0.0
-    } else {
-        0.5 * (1.0 + (std::f64::consts::PI * t / half).cos())
-    }
 }
 
 #[cfg(test)]

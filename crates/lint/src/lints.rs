@@ -115,8 +115,9 @@ pub fn is_known_lint(name: &str) -> bool {
 }
 
 /// Files subject to `no-panic-hot-path`: the §4/§9 hot paths named in the
-/// roadmap, all of `jmb-sim` and `jmb-traffic`, and the jmb-phy decode
-/// chain (everything `frame::decode` touches).
+/// roadmap, all of `jmb-sim` and `jmb-traffic`, the jmb-phy decode chain
+/// (everything `frame::decode` touches), and the resampler every
+/// sample-level render leans on.
 fn is_hot_path(rel: &str) -> bool {
     const CORE_HOT: &[&str] = &[
         "crates/core/src/fastnet.rs",
@@ -140,6 +141,7 @@ fn is_hot_path(rel: &str) -> bool {
     ];
     CORE_HOT.contains(&rel)
         || PHY_DECODE.contains(&rel)
+        || rel == "crates/dsp/src/delay.rs"
         || rel.starts_with("crates/sim/src/")
         || rel.starts_with("crates/traffic/src/")
         || rel.starts_with("crates/scenario/src/")
@@ -1016,6 +1018,8 @@ mod tests {
     fn hot_path_unwrap_flagged_only_in_hot_files() {
         let src = "fn f(v: Vec<u8>) -> u8 { v.first().unwrap().clone() }";
         assert_eq!(diags_for("crates/core/src/fastnet.rs", src).len(), 1);
+        assert_eq!(diags_for("crates/dsp/src/delay.rs", src).len(), 1);
+        assert_eq!(diags_for("crates/dsp/src/fft.rs", src).len(), 0);
         assert_eq!(diags_for("crates/core/src/experiment.rs", src).len(), 0);
     }
 

@@ -58,6 +58,29 @@ pub struct Medium {
     /// Event trace.
     pub trace: Trace,
     rng: JmbRng,
+    /// `render_rx` scratch, kept between calls so that a render allocates
+    /// only its output: the receiver's carrier phase at each sample instant.
+    rx_phases: Vec<f64>,
+}
+
+/// How far, in transmitter samples, a waveform reaches beyond its first and
+/// last sample through [`interpolate_at`]'s kernel (24 taps a side), rounded
+/// up with room to spare; `kernel_reach_covers_the_interpolator` pins it.
+const KERNEL_REACH: f64 = 32.0;
+
+/// The interval of `base_pos` — the position on the transmitter's sample
+/// grid that an output instant maps to through the link's first tap — outside
+/// which a transmission of `tx_len` samples contributes exactly nothing:
+/// the waveform, the kernel's reach on either side, and the delay of the
+/// link's last tap (`fs_tx` converts it to transmitter samples). The one
+/// support rule of [`Medium::render_rx`]: it bounds the output range a
+/// transmission is evaluated on, and a transmission whose range is empty is
+/// skipped.
+fn support(link: &Link, tx_len: usize, fs_tx: f64) -> (f64, f64) {
+    (
+        -KERNEL_REACH,
+        tx_len as f64 + KERNEL_REACH + link.fading.max_delay_s() * fs_tx,
+    )
 }
 
 impl Medium {
@@ -72,6 +95,7 @@ impl Medium {
             fault: FaultSchedule::none(),
             trace: Trace::new(),
             rng: jmb_dsp::rng::rng_from_seed(seed),
+            rx_phases: Vec::new(),
         }
     }
 
@@ -214,14 +238,13 @@ impl Medium {
         let ratio_rx = self.nodes[rx.0].traj.sample_ratio();
         let ts_rx = 1.0 / (fs * ratio_rx);
 
-        // Output sample times on the receiver's clock.
-        let times: Vec<f64> = (0..n).map(|m| start_s + m as f64 * ts_rx).collect();
-
-        // Receiver phase at each output time.
-        let rx_phases: Vec<f64> = times
-            .iter()
-            .map(|&t| self.nodes[rx.0].traj.phase_at(t))
-            .collect();
+        // Output sample times on the receiver's clock, and the receiver's
+        // phase at each.
+        let time_of = |m: usize| start_s + m as f64 * ts_rx;
+        let rx_traj = &mut self.nodes[rx.0].traj;
+        self.rx_phases.clear();
+        self.rx_phases
+            .extend((0..n).map(|m| rx_traj.phase_at(time_of(m))));
 
         // Start with AWGN.
         let noise_var = self.nodes[rx.0].noise_var;
@@ -234,63 +257,54 @@ impl Medium {
             if brx != rx {
                 continue;
             }
-            for (m, &t) in times.iter().enumerate() {
+            for (m, out) in out.iter_mut().enumerate() {
+                let t = time_of(m);
                 if t >= bstart && t < bstart + bdur {
-                    out[m] += complex_gaussian(&mut self.rng, bvar);
+                    *out += complex_gaussian(&mut self.rng, bvar);
                 }
             }
         }
 
         // Superpose every transmission.
-        let end_s = start_s + n as f64 * ts_rx;
-        for ti in 0..self.transmissions.len() {
-            let (tx_id, tx_start, tx_len) = {
-                let t = &self.transmissions[ti];
-                (t.tx, t.start_s, t.samples.len())
-            };
-            if tx_id == rx {
+        for sent in &self.transmissions {
+            if sent.tx == rx {
                 continue;
             }
-            let Some(link) = self.links[tx_id.0][rx.0].clone() else {
+            let Some(link) = &self.links[sent.tx.0][rx.0] else {
                 continue;
             };
-            let ratio_tx = self.nodes[tx_id.0].traj.sample_ratio();
-            let fs_tx = fs * ratio_tx;
-            let tx_dur = tx_len as f64 / fs_tx;
-            // Quick overlap rejection (with tap-delay + interpolation-kernel
-            // slack).
-            let slack = link.delay_s + link.fading.max_delay_s() + 32.0 / fs;
-            if tx_start > end_s || tx_start + tx_dur + slack < start_s {
-                continue;
-            }
-            // Tx phase at each output time.
-            let tx_phases: Vec<f64> = times
-                .iter()
-                .map(|&t| self.nodes[tx_id.0].traj.phase_at(t))
-                .collect();
-            let taps = link.fading.taps();
-            let samples = &self.transmissions[ti].samples;
-            for (m, &t) in times.iter().enumerate() {
+            let tx_traj = &mut self.nodes[sent.tx.0].traj;
+            let fs_tx = fs * tx_traj.sample_ratio();
+            // Output sample m sits at `base_pos ≈ pos0 + m·step` on the
+            // transmitter's grid, so the samples inside the support are one
+            // contiguous range — empty for a transmission out of earshot. It
+            // is taken a sample wide on either side so that rounding in this
+            // estimate can drop nothing; positions past the kernel's reach
+            // interpolate to exactly zero anyway.
+            let (lo, hi) = support(link, sent.samples.len(), fs_tx);
+            let pos0 = (start_s - sent.start_s - link.delay_s) * fs_tx;
+            let step = ts_rx * fs_tx;
+            let end = ((hi - pos0) / step + 2.0).min(n as f64) as usize;
+            let first = (((lo - pos0) / step - 1.0).max(0.0) as usize).min(end);
+            let heard = self.rx_phases[first..end].iter().zip(&mut out[first..end]);
+            for (m, (&rx_phase, out)) in (first..).zip(heard) {
+                let time = time_of(m);
                 // Input-sample position (transmitter clock) for this output
                 // instant, before tap delays.
-                let base_pos = (t - tx_start - link.delay_s) * fs_tx;
-                if base_pos < -(taps.len() as f64 * 8.0) - 32.0 || base_pos > tx_len as f64 + 32.0 {
-                    continue;
-                }
+                let base_pos = (time - sent.start_s - link.delay_s) * fs_tx;
                 let mut acc = Complex64::ZERO;
-                for &(tau, g) in &taps {
+                for (tau, g) in link.fading.tap_iter() {
                     if g == Complex64::ZERO {
                         continue;
                     }
-                    let pos = base_pos - tau * fs_tx;
-                    let v = interpolate_at(samples, pos);
+                    let v = interpolate_at(&sent.samples, base_pos - tau * fs_tx);
                     if v != Complex64::ZERO {
                         acc = g.mul_add(v, acc);
                     }
                 }
                 if acc != Complex64::ZERO {
-                    let rot = Complex64::cis(tx_phases[m] - rx_phases[m]);
-                    out[m] = (link.gain * rot).mul_add(acc, out[m]);
+                    let rot = Complex64::cis(tx_traj.phase_at(time) - rx_phase);
+                    *out = (link.gain * rot).mul_add(acc, *out);
                 }
             }
         }
@@ -336,6 +350,26 @@ mod tests {
 
     fn clean_node(m: &mut Medium) -> NodeId {
         m.add_node(PhaseTrajectory::fixed(FC, 0.0), 0.0)
+    }
+
+    #[test]
+    fn kernel_reach_covers_the_interpolator() {
+        // A lone sample is heard nowhere beyond KERNEL_REACH — and is heard
+        // well inside it, so the constant is not vacuous.
+        let x = [Complex64::ONE];
+        for k in 0..=100 {
+            let beyond = KERNEL_REACH + k as f64 * 0.37;
+            assert_eq!(interpolate_at(&x, -beyond), Complex64::ZERO);
+            assert_eq!(interpolate_at(&x, beyond), Complex64::ZERO);
+        }
+        assert_ne!(
+            interpolate_at(&x, 0.5 - KERNEL_REACH / 2.0),
+            Complex64::ZERO
+        );
+        assert_ne!(
+            interpolate_at(&x, KERNEL_REACH / 2.0 - 0.5),
+            Complex64::ZERO
+        );
     }
 
     #[test]

@@ -2,8 +2,11 @@
 # Tier-1 gate: build, tests, lints, formatting, and the byte-level pins.
 #
 # `cargo build` / `cargo test` cover every jmb crate (the workspace's
-# default-members). On top of the debug suites, three release steps: the
+# default-members). On top of the debug suites, four release steps: the
 # `sync_equivalence` fixtures (FastNet's default sync path, bit for bit),
+# the sample medium's `render_equivalence` corpus (576 frames rendered by
+# `Medium::render_rx` and by the loop it replaced must decode to the same
+# bytes; ignored in debug, where the old per-tap kernel makes it slow),
 # the benchmark package's own tests (it is a workspace of its own), and
 # the figure CSVs — `run_all_figures` regenerated into a temp dir must
 # `cmp`-equal every checked-in `results/*.csv`, the only byte-level pin on
@@ -26,6 +29,7 @@ JMB_PKGS=(-p jmb -p jmb-bench -p jmb-channel -p jmb-city -p jmb-core -p jmb-dsp 
 cargo build --release
 cargo test -q
 cargo test --release -q -p jmb-bench --test sync_equivalence
+cargo test --release -q -p jmb-sim --test render_equivalence
 cargo test --release -q --manifest-path crates/bench/benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt "${JMB_PKGS[@]}" -- --check
