@@ -1,20 +1,6 @@
 //! Machine-readable performance baseline for the hot code paths.
-//!
-//! Runs the same suite as `benches/hotpaths.rs` — FFT, Viterbi, precoder,
-//! phase-sync correction, sample-level medium, end-to-end PHY packet — plus
-//! a full `FastNet::joint_transmit` step, and writes the medians to
-//! `BENCH_<date>.json` at the repo root so perf regressions are diffable
-//! across commits.
-//!
-//! `--quick` (or `JMB_QUICK=1`) shrinks the measurement budget for smoke
-//! runs; the JSON shape is identical.
-//!
-//! `--compare PATH` diffs this run against a previously written
-//! `BENCH_<date>.json` and exits nonzero when any shared entry regressed by
-//! more than `--regress-threshold PCT` (default 10%), so CI can gate on the
-//! checked-in baseline.
 
-use jmb_bench::{FigOpts, USAGE};
+use crate::{bad, ctx, BenchError, Opts, Report};
 use jmb_channel::oscillator::PhaseTrajectory;
 use jmb_channel::Link;
 use jmb_dsp::rng::{complex_gaussian, rng_from_seed};
@@ -24,6 +10,7 @@ use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
 use jmb_phy::{convcode, viterbi};
 use jmb_sim::Medium;
+use std::path::Path;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// One benchmark result row.
@@ -34,9 +21,43 @@ struct Entry {
     throughput: Option<(f64, &'static str)>,
 }
 
-/// Median ns/op of `f`, measured in adaptive batches like the criterion
-/// harness: batch size doubles until one batch takes ≥ `min_batch`, then
-/// `samples` batches are timed and the median per-op time is returned.
+/// The timing budget and the rows measured so far.
+struct Suite {
+    samples: usize,
+    min_batch: Duration,
+    entries: Vec<Entry>,
+}
+
+impl Suite {
+    /// Times `f` with [`time_median`], prints the row and records it;
+    /// `work` units of `unit` per call give the derived throughput.
+    fn time(&mut self, name: &'static str, work: Option<(f64, &'static str)>, f: impl FnMut()) {
+        self.time_n(self.samples, name, work, f);
+    }
+
+    /// [`Self::time`] with its own sample count, for operations that take
+    /// milliseconds each. Returns the median ns/op.
+    fn time_n(
+        &mut self,
+        samples: usize,
+        name: &'static str,
+        work: Option<(f64, &'static str)>,
+        f: impl FnMut(),
+    ) -> f64 {
+        let ns = time_median(samples, self.min_batch, f);
+        println!("{name:<27} {ns:>12.1} ns/op");
+        self.entries.push(Entry {
+            name,
+            ns_per_op: ns,
+            throughput: work.map(|(units, unit)| (units / (ns * 1e-9), unit)),
+        });
+        ns
+    }
+}
+
+/// Median ns/op of `f`, measured in adaptive batches: batch size doubles
+/// until one batch takes ≥ `min_batch`, then `samples` batches are timed
+/// and the median per-op time is returned.
 fn time_median(samples: usize, min_batch: Duration, mut f: impl FnMut()) -> f64 {
     let mut batch = 1u64;
     loop {
@@ -90,7 +111,7 @@ fn json_escape_free(name: &str) -> &str {
 }
 
 /// `(name, ns_per_op)` rows extracted from a `BENCH_<date>.json` written by
-/// this binary. The format is our own (flat, one `"name"`/`"ns_per_op"` pair
+/// this experiment. The format is our own (flat, one `"name"`/`"ns_per_op"` pair
 /// per entry), so a string scan is enough — no JSON dependency.
 fn parse_bench_entries(text: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -114,73 +135,88 @@ fn parse_bench_entries(text: &str) -> Vec<(String, f64)> {
     out
 }
 
-const EXTRA_USAGE: &str =
-    "  --compare PATH           diff against a prior BENCH_<date>.json; exit 1 on regression
-  --regress-threshold PCT  regression tolerance for --compare (default 10)";
-
-fn main() {
-    // Strip the compare-specific flags before handing the rest to the
-    // shared parser (which rejects unknown arguments).
-    let mut compare: Option<std::path::PathBuf> = None;
-    let mut threshold = 10.0f64;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--compare" => match args.next() {
-                Some(p) => compare = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --compare needs a path\n{USAGE}\n{EXTRA_USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--regress-threshold" => match args.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(p) if p.is_finite() && p >= 0.0 => threshold = p,
-                _ => {
-                    eprintln!(
-                            "error: --regress-threshold needs a non-negative percentage\n{USAGE}\n{EXTRA_USAGE}"
-                        );
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(a),
-        }
+/// The `sample_cell` data-frame shape for the medium benchmarks: two APs
+/// send one 300-byte 16-QAM frame each (the second 30 ns late) over
+/// independent indoor-NLOS six-tap links to one client; every node sits on
+/// its own carrier offset, and with it its own sampling-clock ppm. Returns
+/// the medium, the client and the frame length in samples.
+fn nlos_two_ap_medium(seed: u64) -> Result<(Medium, jmb_sim::NodeId, usize), BenchError> {
+    use jmb_channel::{Multipath, MultipathSpec};
+    const FC: f64 = 2.437e9;
+    let params = OfdmParams::default();
+    let payload: Vec<u8> = (0..300).map(|i| i as u8).collect();
+    let wave = ctx(
+        FrameTx::new(params.clone()).tx_frame(Mcs::ALL[4], &payload),
+        "300-byte 16-QAM frame",
+    )?;
+    let n = wave.len();
+    let mut rng = rng_from_seed(seed);
+    let mut medium = Medium::new(params, seed);
+    let client = medium.add_node(PhaseTrajectory::fixed(FC, -500.0), 1e-6);
+    for (cfo_hz, start_s, delay_s) in [(1000.0, 0.0, 40e-9), (-2300.0, 30e-9, 65e-9)] {
+        let ap = medium.add_node(PhaseTrajectory::fixed(FC, cfo_hz), 0.0);
+        let fading = Multipath::new(MultipathSpec::indoor_nlos(), &mut rng);
+        let gain = Complex64::from_polar(1.0, 0.7);
+        medium.set_link(ap, client, Link::new(gain, delay_s, fading));
+        medium.transmit(ap, start_s, wave.clone());
     }
-    let opts = match FigOpts::parse(rest) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}\n{EXTRA_USAGE}");
-            return;
+    Ok((medium, client, n))
+}
+
+/// Times the hot code paths — FFT, Viterbi, precoder, phase-sync
+/// correction, sample-level medium, end-to-end PHY packet, a full
+/// `FastNet::joint_transmit` step, a quick city run and a `jmb-lint` pass —
+/// and writes the medians to `BENCH_<date>.json` at the repo root so perf
+/// regressions are diffable across commits.
+///
+/// `--quick` shrinks the measurement budget for smoke runs; the JSON shape
+/// is identical.
+///
+/// `--compare PATH` diffs this run against a previously written
+/// `BENCH_<date>.json`; an entry that regressed by more than
+/// `--regress-threshold PCT` (default 10%) is a failed acceptance
+/// property, so CI can gate on the checked-in baseline.
+pub fn perf_baseline(opts: &Opts) -> Result<Report, BenchError> {
+    let threshold = opts.number("--regress-threshold")?.unwrap_or(10.0);
+    if threshold < 0.0 {
+        return Err(bad("--regress-threshold needs a non-negative percentage"));
+    }
+    // Read the baseline first: a bad path should not cost a whole run.
+    let baseline = match opts.flag("--compare") {
+        Some(path) => {
+            let text = ctx(std::fs::read_to_string(path), &format!("read {path}"))?;
+            let entries = parse_bench_entries(&text);
+            if entries.is_empty() {
+                return ctx(Err("no entries found"), &format!("read {path}"));
+            }
+            Some((path, entries))
         }
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}\n{EXTRA_USAGE}");
-            std::process::exit(2);
-        }
+        None => None,
     };
     // Span-instrumented kernels (FFT, ZF precoder, traffic event loop)
     // accumulate wall-clock stats into the global jmb-obs span table; the
     // report at the end cross-checks the medians measured here.
     jmb_obs::set_spans_enabled(true);
-    let (samples, min_batch) = if opts.quick {
+    let (samples, min_batch) = if opts.set.quick {
         (5, Duration::from_micros(200))
     } else {
         (15, Duration::from_millis(2))
     };
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut suite = Suite {
+        samples,
+        min_batch,
+        entries: Vec::new(),
+    };
     let params = OfdmParams::default();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = root.canonicalize().unwrap_or_else(|_| ".".into());
 
     // --- FFT (cached plan, in place) -----------------------------------
     {
         let mut buf: Vec<Complex64> = (0..64).map(|i| Complex64::cis(i as f64 * 0.37)).collect();
-        let ns = time_median(samples, min_batch, || {
+        suite.time("fft64_forward_cached", Some((64.0, "samples/s")), || {
             fft::fft_in_place(&mut buf);
         });
-        entries.push(Entry {
-            name: "fft64_forward_cached",
-            ns_per_op: ns,
-            throughput: Some((64.0 / (ns * 1e-9), "samples/s")),
-        });
-        println!("fft64_forward_cached        {ns:>12.1} ns/op");
     }
 
     // --- Viterbi --------------------------------------------------------
@@ -191,15 +227,9 @@ fn main() {
             .iter()
             .map(|&b| if b == 0 { 1.0 } else { -1.0 })
             .collect();
-        let ns = time_median(samples, min_batch, || {
+        suite.time("viterbi_864b", Some((864.0, "bits/s")), || {
             viterbi::decode(&soft).unwrap();
         });
-        entries.push(Entry {
-            name: "viterbi_864b",
-            ns_per_op: ns,
-            throughput: Some((864.0 / (ns * 1e-9), "bits/s")),
-        });
-        println!("viterbi_864b                {ns:>12.1} ns/op");
     }
 
     // --- ZF precoder, 10×10 over 52 subcarriers -------------------------
@@ -214,46 +244,29 @@ fn main() {
                 )
             })
             .collect();
-        let ns = time_median(samples, min_batch, || {
+        let work = Some((52.0, "subcarriers/s"));
+        suite.time("zf_precoder_10x10_52sc", work, || {
             jmb_core::precoder::Precoder::zero_forcing(&hs).unwrap();
         });
-        entries.push(Entry {
-            name: "zf_precoder_10x10_52sc",
-            ns_per_op: ns,
-            throughput: Some((52.0 / (ns * 1e-9), "subcarriers/s")),
-        });
-        println!("zf_precoder_10x10_52sc      {ns:>12.1} ns/op");
     }
 
     // --- Phase-sync correction ------------------------------------------
     {
         use jmb_phy::chanest::ChannelEstimate;
         let subs = params.occupied_subcarriers();
-        let reference = ChannelEstimate {
+        let rotated = |by: f64| ChannelEstimate {
             subcarriers: subs.clone(),
             gains: subs
                 .iter()
-                .map(|&k| Complex64::cis(0.05 * k as f64))
+                .map(|&k| Complex64::cis(0.05 * k as f64 + by))
                 .collect(),
         };
-        let now = ChannelEstimate {
-            subcarriers: subs.clone(),
-            gains: subs
-                .iter()
-                .map(|&k| Complex64::cis(0.05 * k as f64 + 0.8))
-                .collect(),
-        };
+        let now = rotated(0.8);
         let mut ps = jmb_core::phasesync::PhaseSync::new();
-        ps.set_reference(reference);
-        let ns = time_median(samples, min_batch, || {
+        ps.set_reference(rotated(0.0));
+        suite.time("phasesync_correction", None, || {
             ps.correction(&now).unwrap();
         });
-        entries.push(Entry {
-            name: "phasesync_correction",
-            ns_per_op: ns,
-            throughput: None,
-        });
-        println!("phasesync_correction        {ns:>12.1} ns/op");
     }
 
     // --- Sample-level medium render -------------------------------------
@@ -264,49 +277,33 @@ fn main() {
         m.set_link(tx, rx, Link::ideal());
         let wave = jmb_phy::preamble::preamble(&params);
         m.transmit(tx, 0.0, wave);
-        let ns = time_median(samples, min_batch, || {
+        let work = Some((320.0, "samples/s"));
+        suite.time("medium_render_320_samples", work, || {
             m.render_rx(rx, 0.0, 320);
         });
-        entries.push(Entry {
-            name: "medium_render_320_samples",
-            ns_per_op: ns,
-            throughput: Some((320.0 / (ns * 1e-9), "samples/s")),
-        });
-        println!("medium_render_320_samples   {ns:>12.1} ns/op");
     }
 
     // The ideal single-tap link above hides the multipath factor: on the
     // links the sample-level network runs on, every output sample costs one
     // interpolation per tap per transmitter.
     {
-        let (mut m, client, n) = jmb_bench::nlos_two_ap_medium(1);
-        let ns = time_median(samples, min_batch, || {
+        let (mut m, client, n) = nlos_two_ap_medium(1)?;
+        let work = Some((n as f64, "samples/s"));
+        suite.time("medium_render_nlos_2tx_300B", work, || {
             m.render_rx(client, 0.0, n);
         });
-        entries.push(Entry {
-            name: "medium_render_nlos_2tx_300B",
-            ns_per_op: ns,
-            throughput: Some((n as f64 / (ns * 1e-9), "samples/s")),
-        });
-        println!("medium_render_nlos_2tx_300B {ns:>12.1} ns/op");
     }
 
     // --- One windowed-sinc interpolation --------------------------------
     {
         let x: Vec<Complex64> = (0..256).map(|i| Complex64::cis(i as f64 * 0.37)).collect();
         let mut pos = 100.0;
-        let ns = time_median(samples, min_batch, || {
+        suite.time("interp_at_frac", None, || {
             // Walk the position as a sampling-clock offset does, so no two
             // calls share a fraction.
             pos = if pos < 150.0 { pos + 1.000_37 } else { 100.3 };
             std::hint::black_box(jmb_dsp::delay::interpolate_at(&x, pos));
         });
-        entries.push(Entry {
-            name: "interp_at_frac",
-            ns_per_op: ns,
-            throughput: None,
-        });
-        println!("interp_at_frac              {ns:>12.1} ns/op");
     }
 
     // --- End-to-end PHY packet ------------------------------------------
@@ -314,61 +311,36 @@ fn main() {
         let tx = FrameTx::new(params.clone());
         let rx = FrameRx::new(params.clone());
         let payload: Vec<u8> = (0..1500).map(|i| i as u8).collect();
-        let ns_tx = time_median(samples, min_batch, || {
+        let work = Some((1500.0 * 8.0, "bits/s"));
+        suite.time("phy_tx_1500B_qam16", work, || {
             tx.tx_frame(Mcs::ALL[5], &payload).unwrap();
         });
-        entries.push(Entry {
-            name: "phy_tx_1500B_qam16",
-            ns_per_op: ns_tx,
-            throughput: Some((1500.0 * 8.0 / (ns_tx * 1e-9), "bits/s")),
-        });
-        println!("phy_tx_1500B_qam16          {ns_tx:>12.1} ns/op");
-        let wave = tx.tx_frame(Mcs::ALL[5], &payload).unwrap();
-        let ns_rx = time_median(samples, min_batch, || {
-            rx.rx_frame(&wave).unwrap();
-        });
-        entries.push(Entry {
-            name: "phy_rx_1500B_qam16",
-            ns_per_op: ns_rx,
-            throughput: Some((1500.0 * 8.0 / (ns_rx * 1e-9), "bits/s")),
-        });
-        println!("phy_rx_1500B_qam16          {ns_rx:>12.1} ns/op");
         // The modulation extremes bracket the rx pipeline's mix: BPSK is
         // Viterbi-dominated (longest symbol count per bit), QAM-64 leans on
         // the soft demapper and deinterleaver.
         for (name, mcs) in [
+            ("phy_rx_1500B_qam16", Mcs::ALL[5]),
             ("phy_rx_1500B_bpsk", Mcs::ALL[0]),
             ("phy_rx_1500B_qam64", Mcs::ALL[7]),
         ] {
             let wave = tx.tx_frame(mcs, &payload).unwrap();
-            let ns = time_median(samples, min_batch, || {
+            suite.time(name, work, || {
                 rx.rx_frame(&wave).unwrap();
             });
-            entries.push(Entry {
-                name,
-                ns_per_op: ns,
-                throughput: Some((1500.0 * 8.0 / (ns * 1e-9), "bits/s")),
-            });
-            println!("{name:<27} {ns:>12.1} ns/op");
         }
     }
 
     // --- FastNet joint-transmit step (the figure-sweep inner loop) ------
     {
         use jmb_core::fastnet::{FastConfig, FastNet};
-        let cfg = FastConfig::default_with(4, 4, vec![25.0; 4], opts.seed);
+        let cfg = FastConfig::default_with(4, 4, vec![25.0; 4], opts.set.seed);
         let mut net = FastNet::new(cfg).expect("fastnet setup");
         net.run_measurement().expect("measurement");
         net.advance(2e-3);
-        let ns = time_median(samples, min_batch, || {
+        let work = Some((1.0, "packets/s"));
+        suite.time("fastnet_joint_transmit_4x4", work, || {
             net.joint_transmit(1e-3, 4, &[], true).unwrap();
         });
-        entries.push(Entry {
-            name: "fastnet_joint_transmit_4x4",
-            ns_per_op: ns,
-            throughput: Some((1.0 / (ns * 1e-9), "packets/s")),
-        });
-        println!("fastnet_joint_transmit_4x4  {ns:>12.1} ns/op");
     }
 
     // --- City quick sweep (the sharded multi-cell outer loop) -----------
@@ -378,25 +350,24 @@ fn main() {
     {
         use jmb_city::{City, CityConfig, Reuse};
         for (name, threads) in [("city_quick_4x4_t1", 1usize), ("city_quick_4x4_t4", 4usize)] {
-            let mut cfg = CityConfig::default_with(4, 4, Reuse::Three, opts.seed);
+            let mut cfg = CityConfig::default_with(4, 4, Reuse::Three, opts.set.seed);
             cfg.aps_per_cell = 2;
             cfg.clients_per_cell = 4;
             cfg.duration_s = 0.02;
             cfg.rate_pps = 200.0;
             cfg.threads = threads;
             let cells_per_run = (cfg.cols * cfg.rows * cfg.epochs) as f64;
-            let ns = time_median(samples.min(5), min_batch, || {
-                City::new(cfg.clone())
-                    .expect("city config")
-                    .run()
-                    .expect("city run");
-            });
-            entries.push(Entry {
+            suite.time_n(
+                samples.min(5),
                 name,
-                ns_per_op: ns,
-                throughput: Some((cells_per_run / (ns * 1e-9), "cells/s")),
-            });
-            println!("{name:<27} {ns:>12.1} ns/op");
+                Some((cells_per_run, "cells/s")),
+                || {
+                    City::new(cfg.clone())
+                        .expect("city config")
+                        .run()
+                        .expect("city run");
+                },
+            );
         }
     }
 
@@ -405,29 +376,15 @@ fn main() {
     // a tracked budget: files are loaded once outside the timer (I/O is
     // the repo's, not the lint's), then the full engine — lex, symbol
     // index, all lints, allow-matching — is timed per pass.
-    {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| std::path::PathBuf::from("."));
-        match jmb_lint::engine::load(&root) {
-            Ok(files) if !files.is_empty() => {
-                let ns = time_median(samples.min(5), min_batch, || {
-                    std::hint::black_box(jmb_lint::engine::run(&files));
-                });
-                entries.push(Entry {
-                    name: "lint_workspace_ms",
-                    ns_per_op: ns,
-                    throughput: Some((files.len() as f64 / (ns * 1e-9), "files/s")),
-                });
-                println!(
-                    "lint_workspace_ms           {ns:>12.1} ns/op  ({:.1} ms, {} files)",
-                    ns / 1e6,
-                    files.len()
-                );
-            }
-            _ => println!("lint_workspace_ms           skipped (no workspace sources found)"),
+    match jmb_lint::engine::load(&root) {
+        Ok(files) if !files.is_empty() => {
+            let work = Some((files.len() as f64, "files/s"));
+            let ns = suite.time_n(samples.min(5), "lint_workspace_ms", work, || {
+                std::hint::black_box(jmb_lint::engine::run(&files));
+            });
+            println!("{:<27} ({:.1} ms, {} files)", "", ns / 1e6, files.len());
         }
+        _ => println!("lint_workspace_ms           skipped (no workspace sources found)"),
     }
 
     // --- Span report ----------------------------------------------------
@@ -451,11 +408,11 @@ fn main() {
     // --- Optional: dump the joint-transmit step's event trace -----------
     // FastNet only emits events on control-plane faults, so the traced run
     // injects a 30% sync-loss schedule to give the dump something to show.
-    if let Some(path) = &opts.trace_out {
+    if let Some(path) = opts.trace_out() {
         use jmb_core::fastnet::{FastConfig, FastNet};
-        use jmb_obs::JsonLinesSink;
         use jmb_sim::{FaultConfig, FaultSchedule};
-        let cfg = FastConfig::default_with(4, 4, vec![25.0; 4], opts.seed);
+        let sink = ctx(crate::sweeps::trace_sink(path), "open --trace-out file")?;
+        let cfg = FastConfig::default_with(4, 4, vec![25.0; 4], opts.set.seed);
         let mut net = FastNet::new(cfg).expect("fastnet setup");
         net.set_fault_schedule(FaultSchedule::constant(
             FaultConfig::builder()
@@ -465,8 +422,7 @@ fn main() {
         ));
         net.trace.enable();
         net.trace.set_buffering(false);
-        net.trace
-            .attach_sink(JsonLinesSink::create(path).expect("open --trace-out file"));
+        net.trace.attach_sink(sink);
         net.run_measurement().expect("measurement");
         net.advance(2e-3);
         for _ in 0..8 {
@@ -480,17 +436,14 @@ fn main() {
     }
 
     // --- Emit BENCH_<date>.json at the repo root ------------------------
+    let entries = suite.entries;
     let (y, mo, d) = today_utc();
     let date = format!("{y:04}-{mo:02}-{d:02}");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
     let path = root.join(format!("BENCH_{date}.json"));
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"date\": \"{date}\",\n"));
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    json.push_str(&format!("  \"seed\": {},\n", opts.set.seed));
+    json.push_str(&format!("  \"quick\": {},\n", opts.set.quick));
     json.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let name = json_escape_free(e.name);
@@ -510,27 +463,13 @@ fn main() {
         });
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(&path, &json).expect("write BENCH json");
+    ctx(std::fs::write(&path, &json), "write BENCH json")?;
     println!("\nwrote {}", path.display());
 
     // --- Optional comparison against a prior baseline -------------------
-    if let Some(base_path) = compare {
-        let text = match std::fs::read_to_string(&base_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", base_path.display());
-                std::process::exit(2);
-            }
-        };
-        let baseline = parse_bench_entries(&text);
-        if baseline.is_empty() {
-            eprintln!("error: no entries found in {}", base_path.display());
-            std::process::exit(2);
-        }
-        println!(
-            "\ncomparison vs {} (regression threshold +{threshold:.1}%):",
-            base_path.display()
-        );
+    let mut report = Report::default();
+    if let Some((base_path, baseline)) = baseline {
+        println!("\ncomparison vs {base_path} (regression threshold +{threshold:.1}%):");
         println!(
             "{:<27} {:>14} {:>14} {:>9}",
             "name", "old ns/op", "new ns/op", "delta"
@@ -568,14 +507,15 @@ fn main() {
         }
         if regressions.is_empty() {
             println!("no regressions beyond +{threshold:.1}%");
-        } else {
-            eprintln!(
-                "error: {} entr{} regressed beyond +{threshold:.1}%: {}",
+        }
+        report.accept(regressions.is_empty(), || {
+            format!(
+                "{} entr{} regressed beyond +{threshold:.1}%: {}",
                 regressions.len(),
                 if regressions.len() == 1 { "y" } else { "ies" },
                 regressions.join(", ")
-            );
-            std::process::exit(1);
-        }
+            )
+        });
     }
+    Ok(report)
 }

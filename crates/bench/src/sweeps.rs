@@ -1,14 +1,13 @@
-//! Shared row-generation pipelines for the sweep binaries.
+//! Shared row-generation pipelines for the sweep experiments.
 //!
 //! `traffic_sweep`, `robustness_sweep`, and `city_sweep` each produce a
 //! CSV whose bytes are part of the repo's determinism contract (the CI
 //! jobs byte-compare them across runs and `--threads` settings, and the
 //! `sync_equivalence` test pins them against golden fixtures). Keeping the
-//! row generation here — called by both the binaries and the tests — means
-//! the fixture comparison exercises the exact pipeline the binaries ship,
+//! row generation here — called by both the driver and the tests — means
+//! the fixture comparison exercises the exact pipeline `jmb-bench` ships,
 //! not a parallel reimplementation that could drift.
 
-use crate::FigOpts;
 use jmb_city::{City, CityConfig, CityReport, Reuse};
 use jmb_core::error::JmbError;
 use jmb_core::experiment::{misalignment_samples_with, parallel_map, SchedulePolicy, SweepConfig};
@@ -17,6 +16,8 @@ use jmb_core::sync::SyncStrategyId;
 use jmb_obs::JsonLinesSink;
 use jmb_sim::{FaultConfig, FaultSchedule};
 use jmb_traffic::{ApOutage, ClientLoad, FastBackend, TrafficConfig, TrafficMetrics, TrafficSim};
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::Path;
 
 const PACKET_BYTES: usize = 1500;
@@ -26,8 +27,9 @@ const SNR_DB: f64 = 30.0;
 const SATURATING_PPS: f64 = 2500.0;
 const ROBUSTNESS_APS: usize = 4;
 
-/// The inputs every sweep pipeline shares, lifted out of [`FigOpts`] so
-/// tests can drive the pipelines without a CLI.
+/// The inputs every sweep pipeline shares, embedded in [`crate::Opts`] and
+/// constructible on their own so tests can drive the pipelines without a
+/// CLI.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepSettings {
     /// Master seed.
@@ -42,16 +44,6 @@ pub struct SweepSettings {
 }
 
 impl SweepSettings {
-    /// Settings carried by parsed CLI options.
-    pub fn from_opts(opts: &FigOpts) -> Self {
-        SweepSettings {
-            seed: opts.seed,
-            quick: opts.quick,
-            threads: opts.threads,
-            schedule: SchedulePolicy::Natural,
-        }
-    }
-
     fn duration_s(&self) -> f64 {
         if self.quick {
             0.2
@@ -68,7 +60,9 @@ impl SweepSettings {
         }
     }
 
-    fn sweep(&self, points: usize) -> SweepConfig {
+    /// The `parallel_map` config for `points` work items under these
+    /// settings.
+    pub fn sweep(&self, points: usize) -> SweepConfig {
         let mut s = SweepConfig {
             n_topologies: points,
             seed: self.seed,
@@ -82,8 +76,7 @@ impl SweepSettings {
     }
 }
 
-/// Renders CSV content exactly as [`jmb_core::experiment::write_csv`]
-/// would write it (header line, then one line per row).
+/// Renders CSV content: the header line, then one line per row.
 pub fn csv_text(header: &str, rows: &[Vec<String>]) -> String {
     let mut out = String::with_capacity(rows.len() * 64);
     out.push_str(header);
@@ -95,35 +88,120 @@ pub fn csv_text(header: &str, rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Runs one traffic simulation: `n` APs serving `n` clients at
-/// `rate_pps` Poisson arrivals each, with the given outage schedule.
-fn traffic_point(
-    n_aps: usize,
-    rate_pps: f64,
-    duration_s: f64,
-    outages: Vec<ApOutage>,
-    seed: u64,
-) -> TrafficMetrics {
-    let cfg = FastConfig::default_with(n_aps, n_aps, vec![SNR_DB; n_aps], seed);
-    let backend = FastBackend::new(cfg).expect("backend");
-    let loads = vec![ClientLoad::poisson(rate_pps, PACKET_BYTES); n_aps];
-    let mut tcfg = TrafficConfig::default_with(loads, seed);
-    tcfg.duration_s = duration_s;
-    tcfg.drain_timeout_s = duration_s * 0.5;
-    tcfg.outages = outages;
-    TrafficSim::new(tcfg, backend).expect("sim").run()
+/// Writes [`csv_text`] to `path`, creating its directory if need be.
+pub fn write_csv(path: &Path, header: &str, rows: &[Vec<String>]) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, csv_text(header, rows))
 }
 
-/// The lead-AP outage window of the failover section.
-fn failover_outage(duration_s: f64) -> ApOutage {
-    ApOutage {
-        ap: 0,
-        down_at_s: duration_s / 3.0,
-        up_at_s: duration_s * 2.0 / 3.0,
+/// Opens the JSON-lines sink behind a `--trace-out` path, creating its
+/// directory if need be.
+pub fn trace_sink(path: &Path) -> std::io::Result<JsonLinesSink<BufWriter<File>>> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    JsonLinesSink::create(path)
+}
+
+/// Runs `sim` with a JSON-lines trace of every event streamed to `path`.
+fn run_traced(mut sim: TrafficSim<FastBackend>, path: &Path) -> std::io::Result<()> {
+    sim.trace.enable();
+    sim.trace.set_buffering(false);
+    sim.trace.attach_sink(trace_sink(path)?);
+    sim.run();
+    sim.trace.flush();
+    Ok(())
+}
+
+/// One cell of the traffic sweeps: `n_aps` APs serving as many clients at
+/// `rate_pps` Poisson arrivals each, under a sync strategy, a control-fault
+/// schedule and an AP-outage schedule.
+struct Cell {
+    n_aps: usize,
+    rate_pps: f64,
+    strategy: SyncStrategyId,
+    faults: FaultSchedule,
+    outages: Vec<ApOutage>,
+}
+
+impl Cell {
+    /// A fault-free cell under the paper's lead/slave sync.
+    fn new(n_aps: usize, rate_pps: f64) -> Self {
+        Cell {
+            n_aps,
+            rate_pps,
+            strategy: SyncStrategyId::default(),
+            faults: FaultSchedule::none(),
+            outages: Vec::new(),
+        }
+    }
+
+    /// The robustness cell: 4 APs at saturating load under `faults`,
+    /// installed after the (always clean) initial measurement.
+    fn faulted(faults: FaultSchedule) -> Self {
+        Cell {
+            faults,
+            ..Cell::new(ROBUSTNESS_APS, SATURATING_PPS)
+        }
+    }
+
+    /// The simulation, ready to run. Both the PHY config and the traffic
+    /// config carry the strategy, so no mid-run switch (and no
+    /// `SyncStrategySwitched` event) perturbs the rows.
+    fn sim(self, duration_s: f64, seed: u64) -> TrafficSim<FastBackend> {
+        let n = self.n_aps;
+        let mut cfg = FastConfig::default_with(n, n, vec![SNR_DB; n], seed);
+        cfg.sync = self.strategy;
+        let mut backend = FastBackend::new(cfg).expect("backend");
+        backend.net_mut().set_fault_schedule(self.faults);
+        let loads = vec![ClientLoad::poisson(self.rate_pps, PACKET_BYTES); n];
+        let mut tcfg = TrafficConfig::default_with(loads, seed);
+        tcfg.sync_strategy = self.strategy;
+        tcfg.duration_s = duration_s;
+        tcfg.drain_timeout_s = duration_s * 0.5;
+        tcfg.outages = self.outages;
+        TrafficSim::new(tcfg, backend).expect("sim")
     }
 }
 
-/// Everything the `traffic_sweep` binary prints and writes.
+/// Runs `n_points` operating points × `n_topo` seeds (`cell(point)` on
+/// seeds `seed..seed + n_topo`) in one `parallel_map` and merges the
+/// metrics per point.
+fn merged_points(
+    set: &SweepSettings,
+    n_points: usize,
+    cell: impl Fn(usize) -> Cell + Sync,
+) -> Vec<TrafficMetrics> {
+    let (duration_s, n_topo) = (set.duration_s(), set.n_topo());
+    let flat = parallel_map(&set.sweep(n_points * n_topo), |i| {
+        let seed = set.seed + (i % n_topo) as u64;
+        cell(i / n_topo).sim(duration_s, seed).run()
+    });
+    flat.chunks(n_topo).map(TrafficMetrics::merge).collect()
+}
+
+/// One CSV row: the `labels` columns, then the metrics columns.
+fn metrics_row(labels: &[impl ToString], m: &TrafficMetrics) -> Vec<String> {
+    let mut row: Vec<String> = labels.iter().map(|l| l.to_string()).collect();
+    row.extend(m.csv_row());
+    row
+}
+
+/// The lead-AP outage window of the failover section.
+fn failover_cell(duration_s: f64) -> Cell {
+    Cell {
+        outages: vec![ApOutage {
+            ap: 0,
+            down_at_s: duration_s / 3.0,
+            up_at_s: duration_s * 2.0 / 3.0,
+        }],
+        ..Cell::new(4, 800.0)
+    }
+}
+
+/// Everything the `traffic_sweep` experiment prints and writes.
 pub struct TrafficSweep {
     /// Per-AP-count merged metrics of the saturating-load section.
     pub scaling: Vec<(usize, TrafficMetrics)>,
@@ -140,29 +218,18 @@ pub struct TrafficSweep {
 }
 
 /// The full `traffic_sweep` pipeline (all three sections, CSV rows
-/// included) — see the binary's module docs for what each section shows.
+/// included) — see the experiment's docs for what each section shows.
 pub fn traffic_sweep(set: &SweepSettings) -> TrafficSweep {
-    let duration_s = set.duration_s();
-    let n_topo = set.n_topo();
     let mut rows: Vec<Vec<String>> = Vec::new();
 
     // --- Section 1: goodput vs AP count under saturating load. ---
     let ap_counts: Vec<usize> = (1..=10).collect();
-    let flat = parallel_map(&set.sweep(ap_counts.len() * n_topo), |i| {
-        traffic_point(
-            ap_counts[i / n_topo],
-            SATURATING_PPS,
-            duration_s,
-            Vec::new(),
-            set.seed + (i % n_topo) as u64,
-        )
+    let merged = merged_points(set, ap_counts.len(), |p| {
+        Cell::new(ap_counts[p], SATURATING_PPS)
     });
-    let merged: Vec<TrafficMetrics> = flat.chunks(n_topo).map(TrafficMetrics::merge).collect();
     let scaling: Vec<(usize, TrafficMetrics)> = ap_counts.iter().copied().zip(merged).collect();
     for (n, m) in &scaling {
-        let mut row = vec!["scaling".to_string(), format!("{n}")];
-        row.extend(m.csv_row());
-        rows.push(row);
+        rows.push(metrics_row(&["scaling", &n.to_string()], m));
     }
 
     // --- Section 2: offered-load ramp at 4 APs / 4 clients. ---
@@ -171,45 +238,21 @@ pub fn traffic_sweep(set: &SweepSettings) -> TrafficSweep {
     } else {
         vec![100.0, 200.0, 400.0, 800.0, 1600.0, 2400.0, 3200.0]
     };
-    let flat = parallel_map(&set.sweep(rates.len() * n_topo), |i| {
-        traffic_point(
-            4,
-            rates[i / n_topo],
-            duration_s,
-            Vec::new(),
-            set.seed + (i % n_topo) as u64,
-        )
-    });
-    let merged: Vec<TrafficMetrics> = flat.chunks(n_topo).map(TrafficMetrics::merge).collect();
+    let merged = merged_points(set, rates.len(), |p| Cell::new(4, rates[p]));
     let ramp: Vec<(f64, TrafficMetrics)> = rates.iter().copied().zip(merged).collect();
     for (_, m) in &ramp {
-        let mut row = vec!["load".to_string(), "4".to_string()];
-        row.extend(m.csv_row());
-        rows.push(row);
+        rows.push(metrics_row(&["load", "4"], m));
     }
 
     // --- Section 3: lead-AP failover, middle third of the run. ---
-    let outage = failover_outage(duration_s);
-    let flat = parallel_map(&set.sweep(2 * n_topo), |i| {
-        let outages = if i / n_topo == 0 {
-            Vec::new()
-        } else {
-            vec![outage]
-        };
-        traffic_point(
-            4,
-            800.0,
-            duration_s,
-            outages,
-            set.seed + (i % n_topo) as u64,
-        )
+    let mut halves = merged_points(set, 2, |p| match p {
+        0 => Cell::new(4, 800.0),
+        _ => failover_cell(set.duration_s()),
     });
-    let healthy = TrafficMetrics::merge(&flat[..n_topo]);
-    let failover = TrafficMetrics::merge(&flat[n_topo..]);
+    let failover = halves.pop().expect("two points");
+    let healthy = halves.pop().expect("two points");
     for (label, m) in [("healthy", &healthy), ("failover", &failover)] {
-        let mut row = vec![label.to_string(), "4".to_string()];
-        row.extend(m.csv_row());
-        rows.push(row);
+        rows.push(metrics_row(&[label, "4"], m));
     }
 
     TrafficSweep {
@@ -225,48 +268,17 @@ pub fn traffic_sweep(set: &SweepSettings) -> TrafficSweep {
 /// Dedicated re-run of the failover cell (seed = master seed) with a
 /// JSON-lines trace attached, so the sweep rows stay byte-identical
 /// whether or not tracing is on.
-pub fn traffic_failover_trace(set: &SweepSettings, path: &Path) {
+pub fn traffic_failover_trace(set: &SweepSettings, path: &Path) -> std::io::Result<()> {
     let duration_s = set.duration_s();
-    let cfg = FastConfig::default_with(4, 4, vec![SNR_DB; 4], set.seed);
-    let backend = FastBackend::new(cfg).expect("backend");
-    let loads = vec![ClientLoad::poisson(800.0, PACKET_BYTES); 4];
-    let mut tcfg = TrafficConfig::default_with(loads, set.seed);
-    tcfg.duration_s = duration_s;
-    tcfg.drain_timeout_s = duration_s * 0.5;
-    tcfg.outages = vec![failover_outage(duration_s)];
-    let mut sim = TrafficSim::new(tcfg, backend).expect("sim");
-    sim.trace.enable();
-    sim.trace.set_buffering(false);
-    sim.trace
-        .attach_sink(JsonLinesSink::create(path).expect("open --trace-out file"));
-    sim.run();
-    sim.trace.flush();
+    run_traced(failover_cell(duration_s).sim(duration_s, set.seed), path)
 }
 
-/// One robustness traffic simulation with the given control-fault schedule
-/// installed after the (always clean) initial measurement.
-fn robustness_point(faults: FaultSchedule, duration_s: f64, seed: u64) -> TrafficMetrics {
-    let cfg = FastConfig::default_with(
-        ROBUSTNESS_APS,
-        ROBUSTNESS_APS,
-        vec![SNR_DB; ROBUSTNESS_APS],
-        seed,
-    );
-    let mut backend = FastBackend::new(cfg).expect("backend");
-    backend.net_mut().set_fault_schedule(faults);
-    let loads = vec![ClientLoad::poisson(SATURATING_PPS, PACKET_BYTES); ROBUSTNESS_APS];
-    let mut tcfg = TrafficConfig::default_with(loads, seed);
-    tcfg.duration_s = duration_s;
-    tcfg.drain_timeout_s = duration_s * 0.5;
-    TrafficSim::new(tcfg, backend).expect("sim").run()
-}
-
-fn fault_with(sync_loss: f64, meas_loss: f64) -> FaultConfig {
-    FaultConfig::builder()
+fn fault_with(sync_loss: f64, meas_loss: f64) -> FaultSchedule {
+    let fault = FaultConfig::builder()
         .sync_loss_chance(sync_loss)
         .meas_loss_chance(meas_loss)
-        .build()
-        .expect("ramp constants are in range")
+        .build();
+    FaultSchedule::constant(fault.expect("ramp constants are in range"))
 }
 
 /// The storm schedule of the robustness sweep's third section: one slave
@@ -284,7 +296,7 @@ pub fn robustness_storm(duration_s: f64) -> FaultSchedule {
         .expect("valid window")
 }
 
-/// Everything the `robustness_sweep` binary prints and writes (full mode).
+/// Everything the `robustness_sweep` experiment prints and writes (full mode).
 pub struct RobustnessSweep {
     /// Per-loss merged metrics of the sync-header loss ramp.
     pub sync: Vec<(f64, TrafficMetrics)>,
@@ -300,52 +312,27 @@ pub struct RobustnessSweep {
 
 /// The full `robustness_sweep` pipeline (sync ramp, meas ramp, storm).
 pub fn robustness_sweep(set: &SweepSettings) -> RobustnessSweep {
-    let duration_s = set.duration_s();
-    let n_topo = set.n_topo();
-    let losses: Vec<f64> = vec![0.0, 0.02, 0.05, 0.1, 0.2, 0.3];
+    let losses = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3];
     let mut rows: Vec<Vec<String>> = Vec::new();
 
-    // --- Section 1: sync-header loss ramp. ---
-    let flat = parallel_map(&set.sweep(losses.len() * n_topo), |i| {
-        robustness_point(
-            FaultSchedule::constant(fault_with(losses[i / n_topo], 0.0)),
-            duration_s,
-            set.seed + (i % n_topo) as u64,
-        )
-    });
-    let merged: Vec<TrafficMetrics> = flat.chunks(n_topo).map(TrafficMetrics::merge).collect();
-    let sync: Vec<(f64, TrafficMetrics)> = losses.iter().copied().zip(merged).collect();
-    for (l, m) in &sync {
-        let mut row = vec!["sync".to_string(), format!("{l:.2}")];
-        row.extend(m.csv_row());
-        rows.push(row);
-    }
-
-    // --- Section 2: measurement-frame loss ramp. ---
-    let flat = parallel_map(&set.sweep(losses.len() * n_topo), |i| {
-        robustness_point(
-            FaultSchedule::constant(fault_with(0.0, losses[i / n_topo])),
-            duration_s,
-            set.seed + (i % n_topo) as u64,
-        )
-    });
-    let merged: Vec<TrafficMetrics> = flat.chunks(n_topo).map(TrafficMetrics::merge).collect();
-    let meas: Vec<(f64, TrafficMetrics)> = losses.iter().copied().zip(merged).collect();
-    for (l, m) in &meas {
-        let mut row = vec!["meas".to_string(), format!("{l:.2}")];
-        row.extend(m.csv_row());
-        rows.push(row);
-    }
+    // --- Sections 1 and 2: the sync-header and measurement-frame loss
+    // ramps. ---
+    let mut ramp = |section: &str, faults: fn(f64) -> FaultSchedule| {
+        let merged = merged_points(set, losses.len(), |p| Cell::faulted(faults(losses[p])));
+        let ramp: Vec<(f64, TrafficMetrics)> = losses.iter().copied().zip(merged).collect();
+        for (l, m) in &ramp {
+            rows.push(metrics_row(&[section, &format!("{l:.2}")], m));
+        }
+        ramp
+    };
+    let sync = ramp("sync", |loss| fault_with(loss, 0.0));
+    let meas = ramp("meas", |loss| fault_with(0.0, loss));
 
     // --- Section 3: total sync loss on one slave, middle third. ---
-    let storm_sched = robustness_storm(duration_s);
-    let runs = parallel_map(&set.sweep(n_topo), |i| {
-        robustness_point(storm_sched.clone(), duration_s, set.seed + i as u64)
-    });
-    let storm = TrafficMetrics::merge(&runs);
-    let mut row = vec!["storm".to_string(), "1.00".to_string()];
-    row.extend(storm.csv_row());
-    rows.push(row);
+    let storm_sched = robustness_storm(set.duration_s());
+    let mut storm = merged_points(set, 1, |_| Cell::faulted(storm_sched.clone()));
+    let storm = storm.pop().expect("one point");
+    rows.push(metrics_row(&["storm", "1.00"], &storm));
 
     RobustnessSweep {
         sync,
@@ -363,70 +350,20 @@ pub fn robustness_cell(
     set: &SweepSettings,
     fault: FaultConfig,
 ) -> (TrafficMetrics, String, Vec<Vec<String>>) {
-    let duration_s = set.duration_s();
-    let runs = parallel_map(&set.sweep(set.n_topo()), |i| {
-        robustness_point(
-            FaultSchedule::constant(fault.clone()),
-            duration_s,
-            set.seed + i as u64,
-        )
-    });
-    let m = TrafficMetrics::merge(&runs);
-    let mut row = vec!["cell".to_string()];
-    row.extend(m.csv_row());
+    let faults = FaultSchedule::constant(fault);
+    let mut merged = merged_points(set, 1, |_| Cell::faulted(faults.clone()));
+    let m = merged.pop().expect("one point");
     let header = format!("section,{}", TrafficMetrics::csv_header());
-    (m, header, vec![row])
+    let rows = vec![metrics_row(&["cell"], &m)];
+    (m, header, rows)
 }
 
 /// Dedicated re-run of the storm cell (seed = master seed) with a
 /// JSON-lines trace attached.
-pub fn robustness_storm_trace(set: &SweepSettings, path: &Path) {
+pub fn robustness_storm_trace(set: &SweepSettings, path: &Path) -> std::io::Result<()> {
     let duration_s = set.duration_s();
-    let cfg = FastConfig::default_with(
-        ROBUSTNESS_APS,
-        ROBUSTNESS_APS,
-        vec![SNR_DB; ROBUSTNESS_APS],
-        set.seed,
-    );
-    let mut backend = FastBackend::new(cfg).expect("backend");
-    backend
-        .net_mut()
-        .set_fault_schedule(robustness_storm(duration_s));
-    let loads = vec![ClientLoad::poisson(SATURATING_PPS, PACKET_BYTES); ROBUSTNESS_APS];
-    let mut tcfg = TrafficConfig::default_with(loads, set.seed);
-    tcfg.duration_s = duration_s;
-    tcfg.drain_timeout_s = duration_s * 0.5;
-    let mut sim = TrafficSim::new(tcfg, backend).expect("sim");
-    sim.trace.enable();
-    sim.trace.set_buffering(false);
-    sim.trace
-        .attach_sink(JsonLinesSink::create(path).expect("open --trace-out file"));
-    sim.run();
-    sim.trace.flush();
-}
-
-/// One shootout traffic run: `n_aps` APs serving `n_aps` clients at
-/// saturating load under the given synchronization strategy and fault
-/// schedule. Both the PHY config and the traffic config carry the
-/// strategy, so no mid-run switch (and no `SyncStrategySwitched` event)
-/// perturbs the rows.
-fn shootout_point(
-    strategy: SyncStrategyId,
-    n_aps: usize,
-    faults: FaultSchedule,
-    duration_s: f64,
-    seed: u64,
-) -> TrafficMetrics {
-    let mut cfg = FastConfig::default_with(n_aps, n_aps, vec![SNR_DB; n_aps], seed);
-    cfg.sync = strategy;
-    let mut backend = FastBackend::new(cfg).expect("backend");
-    backend.net_mut().set_fault_schedule(faults);
-    let loads = vec![ClientLoad::poisson(SATURATING_PPS, PACKET_BYTES); n_aps];
-    let mut tcfg = TrafficConfig::default_with(loads, seed);
-    tcfg.sync_strategy = strategy;
-    tcfg.duration_s = duration_s;
-    tcfg.drain_timeout_s = duration_s * 0.5;
-    TrafficSim::new(tcfg, backend).expect("sim").run()
+    let cell = Cell::faulted(robustness_storm(duration_s));
+    run_traced(cell.sim(duration_s, set.seed), path)
 }
 
 /// Percentile of an already-sorted sample set (`p` in `[0, 1]`).
@@ -438,7 +375,7 @@ fn pct(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-/// Everything the `sync_shootout` binary prints and writes: per-strategy
+/// Everything the `sync_shootout` experiment prints and writes: per-strategy
 /// phase-error CDF samples (sample-level misalignment probe), storm-cell
 /// traffic metrics (control-overhead fraction comes from
 /// `control_airtime_s / airtime_s`), and throughput-vs-APs scaling under
@@ -464,8 +401,6 @@ pub struct SyncShootout {
 /// The full `sync_shootout` pipeline: every strategy through the same
 /// probes and storms, rows byte-identical across runs and `--threads`.
 pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
-    let duration_s = set.duration_s();
-    let n_topo = set.n_topo();
     let strategies = SyncStrategyId::ALL;
 
     // --- Section 1: phase-error CDF from the sample-level probe. ---
@@ -487,30 +422,21 @@ pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
     }
 
     // --- Section 2: storm cell per strategy (control overhead visible). ---
-    let storm_sched = robustness_storm(duration_s);
+    let storm_sched = robustness_storm(set.duration_s());
+    let stormed = |strategy: SyncStrategyId, n_aps: usize| Cell {
+        strategy,
+        faults: storm_sched.clone(),
+        ..Cell::new(n_aps, SATURATING_PPS)
+    };
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let flat = parallel_map(&set.sweep(strategies.len() * n_topo), |i| {
-        shootout_point(
-            strategies[i / n_topo],
-            ROBUSTNESS_APS,
-            storm_sched.clone(),
-            duration_s,
-            set.seed + (i % n_topo) as u64,
-        )
+    let merged = merged_points(set, strategies.len(), |p| {
+        stormed(strategies[p], ROBUSTNESS_APS)
     });
-    let storm: Vec<(SyncStrategyId, TrafficMetrics)> = strategies
-        .iter()
-        .copied()
-        .zip(flat.chunks(n_topo).map(TrafficMetrics::merge))
-        .collect();
+    let storm: Vec<(SyncStrategyId, TrafficMetrics)> =
+        strategies.iter().copied().zip(merged).collect();
     for (s, m) in &storm {
-        let mut row = vec![
-            "storm".to_string(),
-            s.token().to_string(),
-            ROBUSTNESS_APS.to_string(),
-        ];
-        row.extend(m.csv_row());
-        rows.push(row);
+        let labels = ["storm", s.token(), &ROBUSTNESS_APS.to_string()];
+        rows.push(metrics_row(&labels, m));
     }
 
     // --- Section 3: throughput vs AP count per strategy, same storm. ---
@@ -519,40 +445,23 @@ pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
     } else {
         vec![2, 4, 6, 8, 10]
     };
-    let per_strategy = ap_counts.len() * n_topo;
-    let flat = parallel_map(&set.sweep(strategies.len() * per_strategy), |i| {
-        let strategy = strategies[i / per_strategy];
-        let j = i % per_strategy;
-        shootout_point(
-            strategy,
-            ap_counts[j / n_topo],
-            storm_sched.clone(),
-            duration_s,
-            set.seed + (j % n_topo) as u64,
-        )
+    let n_counts = ap_counts.len();
+    let merged = merged_points(set, strategies.len() * n_counts, |p| {
+        stormed(strategies[p / n_counts], ap_counts[p % n_counts])
     });
+    let mut merged = merged.into_iter();
     let mut scaling: Vec<(SyncStrategyId, Vec<(usize, TrafficMetrics)>)> = Vec::new();
-    for (si, &strategy) in strategies.iter().enumerate() {
-        let base = si * per_strategy;
-        let merged: Vec<(usize, TrafficMetrics)> = ap_counts
-            .iter()
-            .copied()
-            .zip(
-                flat[base..base + per_strategy]
-                    .chunks(n_topo)
-                    .map(TrafficMetrics::merge),
-            )
-            .collect();
-        for (n, m) in &merged {
-            let mut row = vec![
-                "scaling".to_string(),
-                strategy.token().to_string(),
-                n.to_string(),
-            ];
-            row.extend(m.csv_row());
-            rows.push(row);
+    for &strategy in &strategies {
+        // `zip` asks `ap_counts` first, so it takes exactly this strategy's points.
+        let series: Vec<(usize, TrafficMetrics)> =
+            ap_counts.iter().copied().zip(merged.by_ref()).collect();
+        for (n, m) in &series {
+            rows.push(metrics_row(
+                &["scaling", strategy.token(), &n.to_string()],
+                m,
+            ));
         }
-        scaling.push((strategy, merged));
+        scaling.push((strategy, series));
     }
 
     Ok(SyncShootout {
@@ -596,13 +505,13 @@ pub fn city_config(quick: bool, reuse: Reuse, seed: u64, threads: Option<usize>)
     cfg
 }
 
-/// One reuse point of the city sweep: builds and runs the city (tracing
-/// the city-level event feed to `trace_out` if given), returns the report
+/// One reuse point of the city sweep: builds and runs the city (streaming
+/// the city-level event feed into `trace` if given), returns the report
 /// and appends this point's CSV rows to `rows`.
 pub fn city_point(
     set: &SweepSettings,
     reuse: Reuse,
-    trace_out: Option<&Path>,
+    trace: Option<JsonLinesSink<BufWriter<File>>>,
     rows: &mut Vec<Vec<String>>,
 ) -> Result<CityReport, JmbError> {
     let mut cfg = city_config(set.quick, reuse, set.seed, set.threads);
@@ -610,38 +519,43 @@ pub fn city_point(
     let mut city = City::new(cfg)?;
     // Events are emitted outside the cell shards, so tracing cannot
     // perturb the sweep rows.
-    if let Some(path) = trace_out {
+    let traced = trace.is_some();
+    if let Some(sink) = trace {
         city.trace.enable();
         city.trace.set_buffering(false);
-        city.trace
-            .attach_sink(JsonLinesSink::create(path).expect("open --trace-out file"));
+        city.trace.attach_sink(sink);
     }
     let report = city.run()?;
-    if trace_out.is_some() {
+    if traced {
         city.trace.flush();
     }
+    let factor = reuse.factor().to_string();
     for c in &report.cells {
-        let mut row = vec![
-            reuse.factor().to_string(),
-            c.cell.to_string(),
-            c.color.to_string(),
-            format!("{:.6}", c.inr_db),
-        ];
-        row.extend(c.metrics.csv_row());
-        rows.push(row);
+        let inr = format!("{:.6}", c.inr_db);
+        let labels = [&factor, &c.cell.to_string(), &c.color.to_string(), &inr];
+        rows.push(metrics_row(&labels, &c.metrics));
     }
-    let mut pooled = vec![
-        reuse.factor().to_string(),
-        "all".to_string(),
-        "-".to_string(),
-        format!("{:.6}", report.mean_inr_db()),
-    ];
-    pooled.extend(report.pooled.csv_row());
-    rows.push(pooled);
+    let inr = format!("{:.6}", report.mean_inr_db());
+    rows.push(metrics_row(&[&factor, "all", "-", &inr], &report.pooled));
     Ok(report)
 }
 
 /// The CSV header of the city sweep.
 pub fn city_header() -> String {
     format!("reuse,cell,color,inr_db,{}", TrafficMetrics::csv_header())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn csv_writer_roundtrip() {
+        let path = std::env::temp_dir().join(format!("jmb_csv_test_{}.csv", std::process::id()));
+        let rows = vec![vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]];
+        write_csv(&path, "a,b", &rows).unwrap();
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(body, "a,b\n1,2\n3,4\n");
+        std::fs::remove_file(path).ok();
+    }
 }

@@ -1,11 +1,11 @@
 //! The refactor safety contract for pluggable sync strategies: with the
-//! default `JmbLeadSlave` backend, every sweep binary's output is
+//! default `JmbLeadSlave` backend, every sweep experiment's output is
 //! byte-identical to the pre-refactor network.
 //!
 //! Golden fixtures under `tests/fixtures/` were blessed from the commit
 //! *before* the `SyncStrategy` extraction (and verified against the
-//! binaries' own `--out`/`--trace-out` files with `cmp`). These tests
-//! re-run the exact row-generation pipelines the binaries ship
+//! experiments' own `--out`/`--trace-out` files with `cmp`). These tests
+//! re-run the exact row-generation pipelines `jmb-bench` ships
 //! ([`jmb_bench::sweeps`]) and compare bytes. Any behavioural drift in the
 //! default sync path — one extra RNG draw, one reordered estimate — shows
 //! up as a first-differing-line diagnostic here.
@@ -91,7 +91,7 @@ fn traffic_sweep_quick_is_byte_identical() {
         "traffic_sweep.quick.csv",
         &sweeps::csv_text(&out.header, &out.rows),
     );
-    let trace = trace_to_string(|p| sweeps::traffic_failover_trace(&set, p));
+    let trace = trace_to_string(|p| sweeps::traffic_failover_trace(&set, p).expect("trace"));
     check_fixture("traffic_failover.quick.jsonl", &trace);
 }
 
@@ -104,7 +104,7 @@ fn robustness_sweep_quick_is_byte_identical() {
         "robustness_sweep.quick.csv",
         &sweeps::csv_text(&out.header, &out.rows),
     );
-    let trace = trace_to_string(|p| sweeps::robustness_storm_trace(&set, p));
+    let trace = trace_to_string(|p| sweeps::robustness_storm_trace(&set, p).expect("trace"));
     check_fixture("robustness_storm.quick.jsonl", &trace);
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Each function reproduces the *method* of the corresponding experiment —
 //! same independent variables, same metrics, same topology-draw discipline —
-//! and returns typed records that the `jmb-bench` figure binaries print as
+//! and returns typed records that the `jmb-bench` figure experiments print as
 //! the paper's series and write as CSV. Absolute numbers come from our
 //! simulated substrate; the shapes (who wins, by what factor, where
 //! crossovers fall) are the reproduction targets recorded in
@@ -892,28 +892,6 @@ pub fn measurement_interleaving_ablation(
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// CSV output.
-// ---------------------------------------------------------------------------
-
-/// Writes rows of floats as CSV with a header line.
-pub fn write_csv(
-    path: &std::path::Path,
-    header: &str,
-    rows: impl IntoIterator<Item = Vec<String>>,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{header}")?;
-    for row in rows {
-        writeln!(f, "{}", row.join(","))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1054,21 +1032,6 @@ mod tests {
             inter.h_error_db,
             seq.h_error_db
         );
-    }
-
-    #[test]
-    fn csv_writer_roundtrip() {
-        let dir = std::env::temp_dir().join("jmb_csv_test");
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
-            "a,b",
-            vec![vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        )
-        .unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "a,b\n1,2\n3,4\n");
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -835,12 +835,21 @@ impl FastNet {
     /// Re-measures the channel rows of a *single* client (§7: decoupled
     /// measurements) without touching the other clients' rows.
     ///
-    /// The newly measured row is taken at the current time `t_j`; every
-    /// slave AP computes the accumulated lead-relative rotation
-    /// `e^{j(ω_lead−ω_i)(t_j−t₁)}` from its two reference-channel
-    /// observations, and the row is rotated back to the original reference
-    /// time before being spliced into `H̃` (the appendix's factorisation).
-    /// The precoder is rebuilt from the stitched matrix.
+    /// A receiver that joins after the last measurement phase (or whose
+    /// channel alone has changed) should not force re-measuring everyone.
+    /// The appendix proves the channel matrix still factors as
+    /// `H(t) = R(t)·H̃·T(t)` when row `j` is measured at its own time `t_j`,
+    /// provided each slave AP rotates its entry of the late-measured row
+    /// back to the first measurement time `t₁`:
+    ///
+    /// ```text
+    /// H̃[j][i] = h_ji(t_j) · e^{−j(ω_lead − ω_i)(t_j − t₁)}
+    /// ```
+    ///
+    /// The rotation is the ratio of the slave's two lead-reference
+    /// observations, `h_lead_i(t_j) / h_lead_i(t₁)` — again a direct phase
+    /// measurement, no frequency extrapolation. The rotated row is spliced
+    /// into `H̃` and the precoder is rebuilt from the stitched matrix.
     pub fn remeasure_client(&mut self, client: usize) -> Result<(), JmbError> {
         if client >= self.cfg.n_clients {
             return Err(JmbError::BadConfig("no such client"));

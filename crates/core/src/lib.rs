@@ -14,7 +14,6 @@
 //! | [`measure`] | §5.1 | the interleaved channel-measurement packet and client-side per-AP estimation referred to one reference time |
 //! | [`net`] | §5 | the sample-level protocol testbench: lead/slave APs and clients over the [`jmb_sim::Medium`] |
 //! | [`fastnet`] | §4 | the per-subcarrier protocol model over [`jmb_sim::SubcarrierMedium`], used by the large experiment sweeps |
-//! | [`decouple`] | §7 + appendix | decoupled channel measurements to different receivers via the lead→slave reference channels |
 //! | [`csi`] | §7, robustness | CSI age/confidence tracking, backoff re-measurement scheduling, per-slave sync health |
 //! | [`control`] | §5.1–5.2, robustness | the one control plane both networks hold: control-fault draws, sync health, the miss → fallback-or-exclude policy, and their trace events |
 //! | [`compat`] | §6 | 802.11n compatibility: reference-antenna channel stitching and multi-antenna (2×2 → 4×4) joint transmission |
@@ -30,7 +29,6 @@ pub mod baseline;
 pub mod compat;
 pub mod control;
 pub mod csi;
-pub mod decouple;
 pub mod error;
 pub mod experiment;
 pub mod fastnet;

@@ -1,4 +1,4 @@
-//@path crates/bench/src/bin/threads_probe.rs
+//@path crates/bench/src/experiments/threads_probe.rs
 // Same calls are fine here: crates/bench IS the scheduling layer.
 fn main() {
     let n = std::env::var("JMB_THREADS")

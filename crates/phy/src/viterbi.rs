@@ -171,7 +171,7 @@ impl ViterbiScratch {
 /// (a NaN LLR from equalising a spectral null) or −∞ (unreached predecessor)
 /// is clamped to −∞ and can never beat an admissible path; ties select the
 /// even predecessor, as the reference's ascending-state scan does.
-pub fn acs_block(soft: &[f64], metric: &mut [f64; N_STATES], decision: &mut [u8]) -> usize {
+fn acs_block(soft: &[f64], metric: &mut [f64; N_STATES], decision: &mut [u8]) -> usize {
     const HALF: usize = N_STATES / 2;
     let mut cur = *metric;
     // Even/odd predecessor metrics: `even[j] = cur[2j]`, `odd[j] = cur[2j+1]`.

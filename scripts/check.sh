@@ -8,19 +8,19 @@
 # `Medium::render_rx` and by the loop it replaced must decode to the same
 # bytes; ignored in debug, where the old per-tap kernel makes it slow),
 # the benchmark package's own tests (it is a workspace of its own), and
-# the figure CSVs — `run_all_figures` regenerated into a temp dir must
+# the figure CSVs — `jmb-bench all` regenerated into a temp dir must
 # `cmp`-equal every checked-in `results/*.csv`, the only byte-level pin on
 # the sample-level network (fig06/07, both ablations).
 #
 # The jmb-* packages must be clippy- and rustfmt-clean; the vendored
-# stand-in crates under vendor/ (rand, proptest, criterion) are kept
+# stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
 # The jmb-lint deny pass at the end includes the determinism lints
 # (no-unordered-iteration, float-reduction-order, no-ambient-parallelism,
 # ordered-merge). Their dynamic counterpart — the schedule-perturbation
 # harness — is CI's det-matrix job; run it locally with
-#   cargo run --release -p jmb-bench --bin det_harness -- --quick
+#   cargo run --release -p jmb-bench -- det_harness --quick
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,10 +37,10 @@ cargo run --release -p jmb-lint -- --deny
 
 fresh="$(mktemp -d)"
 trap 'rm -rf "$fresh"' EXIT
-./target/release/run_all_figures --out "$fresh" > /dev/null
+./target/release/jmb-bench all --out "$fresh" > /dev/null
 for csv in results/*.csv; do
   cmp "$csv" "$fresh/$(basename "$csv")"
 done
-echo "results/*.csv byte-identical to a fresh run_all_figures"
+echo "results/*.csv byte-identical to a fresh jmb-bench all"
 
 echo "tier-1 checks passed"

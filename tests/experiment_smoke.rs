@@ -1,6 +1,6 @@
 //! Smoke tests for every figure-regeneration function: small sweeps, shape
 //! assertions matching the paper's qualitative claims. The full sweeps run
-//! from `jmb-bench`'s figure binaries.
+//! from `jmb-bench`'s figure experiments.
 
 use jmb::channel::SnrBand;
 use jmb::core::experiment::*;
