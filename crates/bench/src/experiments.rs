@@ -2,7 +2,6 @@
 
 mod det_harness;
 mod figures;
-mod perf_baseline;
 mod sweep_runs;
 
 use crate::{BenchError, Experiment, Flag, Opts, Report, TRACE_OUT};
@@ -170,23 +169,5 @@ pub const EXPERIMENTS: &[Experiment] = &[
             },
         ],
         det_harness::det_harness,
-    ),
-    tool(
-        "perf_baseline",
-        "hot-path timing suite, written to BENCH_<date>.json",
-        &[
-            TRACE_OUT,
-            Flag {
-                name: "--compare",
-                arg: "PATH",
-                help: "diff against a prior BENCH_<date>.json; exit 1 on regression",
-            },
-            Flag {
-                name: "--regress-threshold",
-                arg: "PCT",
-                help: "regression tolerance for --compare (default 10)",
-            },
-        ],
-        perf_baseline::perf_baseline,
     ),
 ];

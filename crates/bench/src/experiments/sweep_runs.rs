@@ -300,7 +300,7 @@ pub fn city_sweep(opts: &Opts) -> Result<Report, BenchError> {
 /// Writes `sync_shootout.csv` (storm + scaling sections) and
 /// `sync_shootout_phase.csv` (per-strategy misalignment percentiles).
 /// Both are byte-identical across runs and `--threads` settings; the CI
-/// `sync-shootout` job compares them.
+/// `det-matrix` job (`det_harness`) compares them.
 pub fn sync_shootout(opts: &Opts) -> Result<Report, BenchError> {
     let out = ctx(sweeps::sync_shootout(&opts.set), "sync_shootout pipeline")?;
     let mut report = Report::default();

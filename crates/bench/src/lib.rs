@@ -1,11 +1,13 @@
-//! # jmb-bench — benchmark and figure-regeneration harness
+//! # jmb-bench — figure-regeneration and sweep harness
 //!
 //! One binary, `jmb-bench <experiment> [flags]`, over one table of
 //! experiments ([`EXPERIMENTS`]): the figures of the paper's evaluation
 //! (§11), the traffic/robustness/city/sync sweeps built on top of them,
-//! the determinism harness and the hot-path timing suite. Each experiment
-//! prints its series as rows and writes its CSVs under `--out`. The table
-//! below is the output of `jmb-bench list`:
+//! and the determinism harness. Each experiment prints its series as rows
+//! and writes its CSVs under `--out`. Nothing here times anything: every
+//! performance number comes from the repo benchmark (`BENCHMARK.json`,
+//! `crates/bench/benchmark/`). The table below is the output of
+//! `jmb-bench list`:
 //!
 //! ```text
 //! * fig00_drift_motivation    naive extrapolation vs direct measurement
@@ -32,10 +34,6 @@
 //!   det_harness               every sweep artifact byte-compared across claim orders and thread counts
 //!       --policies LIST  claim orders from natural|reversed|strided[:K]|random[:SEED]|starve (default natural,reversed,random)
 //!       --threads-list LIST  comma-separated worker counts (default 1,4)
-//!   perf_baseline             hot-path timing suite, written to BENCH_<date>.json
-//!       --trace-out F  dump the structured event trace of one cell to F (.jsonl)
-//!       --compare PATH  diff against a prior BENCH_<date>.json; exit 1 on regression
-//!       --regress-threshold PCT  regression tolerance for --compare (default 10)
 //!   all                       every * experiment in sequence (regenerates results/*.csv)
 //! ```
 //!

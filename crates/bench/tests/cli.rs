@@ -70,6 +70,15 @@ fn invalid_command_lines_exit_2_with_usage() {
     for args in [
         &[][..],
         &["no_such_experiment"],
+        &["perf_baseline"],
+        &["perf_baseline", "--quick", "--trace-out", "t.jsonl"],
+        &[
+            "perf_baseline",
+            "--quick",
+            "--compare",
+            "BENCH_2026-09-30.json",
+        ],
+        &["perf_baseline", "--regress-threshold", "300"],
         &["fig06_misalignment", "--bogus"],
         &["fig06_misalignment", "--threads", "0"],
         &["fig06_misalignment", "--trace-out", "t.jsonl"],
@@ -77,8 +86,8 @@ fn invalid_command_lines_exit_2_with_usage() {
         &["city_sweep", "--reuse"],
         &["city_sweep", "--quick", "--reuse", "2"],
         &["city_sweep", "--quick", "--reuse", "1,,3"],
-        &["perf_baseline", "--quick", "--regress-threshold", "NaN"],
-        &["perf_baseline", "--quick", "--regress-threshold", "-1"],
+        &["robustness_sweep", "--quick", "--sync-loss", "NaN"],
+        &["robustness_sweep", "--quick", "--meas-loss", "-1"],
         &["robustness_sweep", "--quick", "--sync-loss", "1.5"],
         &["det_harness", "--quick", "--threads", "2"],
     ] {
@@ -91,6 +100,31 @@ fn invalid_command_lines_exit_2_with_usage() {
     }
     let out = bench(&["fig06_misalignment", "--trace-out", "t.jsonl"]);
     assert!(text(&out.stderr).contains("fig06_misalignment writes no trace"));
+}
+
+/// The timing suite is gone, not hidden: its name is a typo like any other
+/// (the `perf_baseline` lines of `invalid_command_lines_exit_2_with_usage`),
+/// nothing points at a `BENCH_*.json`, and its flags exist on no row.
+#[test]
+fn perf_baseline_left_no_row_file_or_flag() {
+    let out = bench(&["perf_baseline", "--quick"]);
+    assert!(text(&out.stderr).contains("error: unknown experiment `perf_baseline`"));
+    for arg in ["list", "--help"] {
+        let stdout = text(&bench(&[arg]).stdout);
+        assert!(!stdout.contains("BENCH"), "{arg}: {stdout}");
+    }
+    let rows = EXPERIMENTS.iter().map(|e| e.name).chain(["all"]);
+    for row in rows {
+        for flag in ["--compare", "--regress-threshold"] {
+            let out = bench(&[row, "--quick", flag, "1"]);
+            let stderr = text(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{row} {flag}: {stderr}");
+            assert!(
+                stderr.contains(&format!("error: unknown argument {flag}")),
+                "{row} {flag}: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //!
 //! The full-sweep tests are ignored in debug builds (they run whole
 //! traffic simulations; debug-mode cost is minutes on one core) —
-//! `scripts/check.sh` and the CI `sync-shootout` job run them in release,
-//! where the three together take seconds.
+//! `scripts/check.sh` (and so CI's `check` job) runs them in release, where
+//! the three together take seconds.
 
 use jmb_bench::sweeps::{self, SweepSettings};
 use std::path::{Path, PathBuf};

@@ -1048,7 +1048,7 @@ mod tests {
     fn wallclock_flagged_outside_span_and_bench() {
         let src = "fn f() { let t = std::time::Instant::now(); }";
         assert_eq!(diags_for("crates/sim/src/medium.rs", src).len(), 1);
-        assert!(diags_for("crates/bench/src/experiments/perf_baseline.rs", src).is_empty());
+        assert!(diags_for("crates/bench/benchmark/src/probes.rs", src).is_empty());
         assert!(diags_for("crates/obs/src/span.rs", src).is_empty());
     }
 

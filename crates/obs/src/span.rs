@@ -5,7 +5,7 @@
 //! enters the event trace (traces must stay byte-identical across thread
 //! counts and hosts). The table is gated by one atomic bool so a disabled
 //! span costs a single relaxed load; enabling is an explicit opt-in from
-//! perf tooling (`perf_baseline`), never the default.
+//! perf tooling (the repo benchmark's traced pass), never the default.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -217,7 +217,8 @@ pub struct FaultKnobs {
     pub sync_loss: f64,
     /// Measurement-frame loss probability.
     pub meas_loss: f64,
-    /// Per-slave sync-loss overrides `(ap, probability)`.
+    /// Per-slave sync-loss overrides `(ap, probability)`; `ap` is a slave
+    /// index, `1..aps` (AP 0 leads and hears no header).
     pub per_slave: Vec<(usize, f64)>,
 }
 
@@ -604,11 +605,12 @@ impl Manifest {
                         "cols" => d.cols = Some(parse_usize(ln, "cols", one("value")?)?),
                         "rows" => d.rows = Some(parse_usize(ln, "rows", one("value")?)?),
                         "reuse" => {
-                            let r = parse_u64(ln, "reuse", one("value")?)? as u32;
+                            // Checked before narrowing: 2³² + 3 is not reuse 3.
+                            let r = parse_u64(ln, "reuse", one("value")?)?;
                             if ![1, 3, 7].contains(&r) {
                                 return Err(perr(ln, format!("reuse must be 1, 3 or 7, got {r}")));
                             }
-                            d.reuse = Some(r);
+                            d.reuse = Some(r as u32);
                         }
                         "aps_per_cell" => {
                             d.aps_per_cell = Some(parse_usize(ln, "aps_per_cell", one("value")?)?)
@@ -951,6 +953,16 @@ impl Manifest {
                         return inv(format!("outage names AP {} of {aps}", o.ap));
                     }
                 }
+                // An override for an AP that never hears a sync header (the
+                // lead, or one past the array) would be looked up by nobody.
+                let windows = self.faults.windows.iter().map(|w| &w.knobs);
+                for k in std::iter::once(&self.faults.base).chain(windows) {
+                    if let Some(&(ap, _)) = k.per_slave.iter().find(|s| s.0 == 0 || s.0 >= *aps) {
+                        return inv(format!(
+                            "slave override names AP {ap}; a {aps}-AP cell has slaves 1..{aps}"
+                        ));
+                    }
+                }
             }
             Topology::City { cols, rows, .. } => {
                 if *cols == 0 || *rows == 0 {
@@ -1218,6 +1230,24 @@ count ApDown == 1 in 0.0..0.5
 respond RemeasureScheduled -> RemeasureOk|RemeasureFailed within 0.1
 ";
 
+    const CITY: &str = "\
+version 1
+name c
+[topology]
+kind city
+cols 2
+rows 2
+reuse 3
+aps_per_cell 3
+clients_per_cell 3
+spacing_m 400
+snr_db 25
+[traffic]
+arrival poisson 1500
+packet fixed 1000
+duration_s 0.1
+";
+
     #[test]
     fn parses_the_kitchen_sink() {
         let m = Manifest::parse(GOOD).unwrap();
@@ -1300,6 +1330,12 @@ respond RemeasureScheduled -> RemeasureOk|RemeasureFailed within 0.1
             .unwrap_err()
             .to_string()
             .contains("unknown metric"));
+
+        // 2³² + 3: in range only after a narrowing cast.
+        let bad = CITY.replace("reuse 3", "reuse 4294967299");
+        let err = Manifest::parse(&bad).unwrap_err();
+        assert_eq!(line_of(err.clone()), 7);
+        assert!(err.to_string().contains("reuse must be 1, 3 or 7"));
     }
 
     #[test]
@@ -1340,47 +1376,30 @@ respond RemeasureScheduled -> RemeasureOk|RemeasureFailed within 0.1
             .to_string()
             .contains("AP 9"));
         // City topology rejects faults, extra limits, and fancy traffic.
-        let city = "\
-version 1
-name c
-[topology]
-kind city
-cols 2
-rows 2
-reuse 3
-aps_per_cell 3
-clients_per_cell 3
-spacing_m 400
-snr_db 25
-[traffic]
-arrival poisson 1500
-packet fixed 1000
-duration_s 0.1
-";
-        assert!(Manifest::parse(city).is_ok());
-        let bad = format!("{city}[faults]\nsync_loss 0.1\n");
+        assert!(Manifest::parse(CITY).is_ok());
+        let bad = format!("{CITY}[faults]\nsync_loss 0.1\n");
         assert!(matches!(
             Manifest::parse(&bad),
             Err(ScenarioError::Invalid(_))
         ));
         // City runs pin the paper's lead/slave sync.
-        let bad = format!("{city}[sync]\nstrategy airsync-pilot\n");
+        let bad = format!("{CITY}[sync]\nstrategy airsync-pilot\n");
         assert!(Manifest::parse(&bad)
             .unwrap_err()
             .to_string()
             .contains("single-cell"));
-        let bad = format!("{city}[limits]\nmax_events 5\n");
+        let bad = format!("{CITY}[limits]\nmax_events 5\n");
         assert!(matches!(
             Manifest::parse(&bad),
             Err(ScenarioError::Invalid(_))
         ));
-        let bad = city.replace("arrival poisson 1500", "arrival onoff 5000 0.01 0.01");
+        let bad = CITY.replace("arrival poisson 1500", "arrival onoff 5000 0.01 0.01");
         assert!(matches!(
             Manifest::parse(&bad),
             Err(ScenarioError::Invalid(_))
         ));
         // Metric/topology mismatches are caught.
-        let bad = format!("{city}[assertions]\nmetric goodput_vs_clean >= 0.5\n");
+        let bad = format!("{CITY}[assertions]\nmetric goodput_vs_clean >= 0.5\n");
         assert!(Manifest::parse(&bad)
             .unwrap_err()
             .to_string()
@@ -1390,6 +1409,22 @@ duration_s 0.1
             .unwrap_err()
             .to_string()
             .contains("city"));
+    }
+
+    #[test]
+    fn slave_overrides_must_name_a_slave() {
+        // GOOD is a 4-AP cell: AP 0 leads, the slaves are 1..4.
+        for (from, to) in [
+            ("slave 2:0.2", "slave 0:0.2"),
+            ("slave 2:0.2", "slave 4:0.2"),
+            ("slave=1:0.9", "slave=0:0.9"),
+            ("slave=1:0.9", "slave=9:0.9"),
+        ] {
+            let err = Manifest::parse(&GOOD.replace(from, to)).unwrap_err();
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{to}: {err:?}");
+            assert!(err.to_string().contains("slave override names AP"), "{to}");
+        }
+        assert!(Manifest::parse(&GOOD.replace("slave 2:0.2", "slave 3:0.2")).is_ok());
     }
 
     #[test]

@@ -31,6 +31,8 @@ proptest! {
         threshold in 0.0..1.0f64,
         sync_i in 0usize..3,
     ) {
+        // The last AP is a slave unless it is also the lead.
+        let per_slave = if aps > 1 { vec![(aps - 1, p)] } else { Vec::new() };
         let m = Manifest {
             version: 1,
             name: "prop-single".into(),
@@ -45,7 +47,7 @@ proptest! {
                 drain_s: drain,
             },
             faults: FaultSpec {
-                base: FaultKnobs { drop: p, per_slave: vec![(0, p)], ..Default::default() },
+                base: FaultKnobs { drop: p, per_slave, ..Default::default() },
                 windows: vec![WindowSpec {
                     from_s: from,
                     until_s: from + len,

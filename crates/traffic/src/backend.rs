@@ -116,9 +116,9 @@ pub struct FastBackend {
     clock_s: f64,
     /// Seconds the network's internal clock ran ahead of the airtime we
     /// reported (it models the sync header + turnaround itself, which the
-    /// traffic layer charges separately as `header_overhead_s`). Absorbed
-    /// out of subsequent `advance` calls so `net.now()` tracks sim time —
-    /// fault-schedule windows and fading evolve in sim time.
+    /// traffic layer charges separately as its fixed header overhead).
+    /// Absorbed out of subsequent `advance` calls so `net.now()` tracks sim
+    /// time — fault-schedule windows and fading evolve in sim time.
     debt_s: f64,
 }
 

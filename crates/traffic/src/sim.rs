@@ -83,27 +83,19 @@ pub struct TrafficConfig {
     pub loads: Vec<ClientLoad>,
     /// Scheduled AP failures.
     pub outages: Vec<ApOutage>,
-    /// Contention slot duration, seconds (802.11 OFDM: 9 µs).
-    pub slot_s: f64,
-    /// Fixed per-transmission overhead: lead sync header + software
-    /// turnaround (§5.2), seconds.
-    pub header_overhead_s: f64,
-    /// Timeline bin width, seconds.
-    pub timeline_bin_s: f64,
     /// Master seed (arrivals and backoff; the backend seeds itself).
     pub seed: u64,
     /// Synchronization backend for the run. Applied to the PHY at
-    /// construction when it differs from the backend's current strategy;
-    /// a non-default choice is announced on the trace at run start with
+    /// construction when it differs from the backend's current strategy
+    /// (a backend that cannot run it is a [`JmbError::BadConfig`]); a
+    /// non-default strategy is announced on the trace at run start with
     /// [`TraceKind::SyncStrategySwitched`].
     pub sync_strategy: SyncStrategyId,
 }
 
 impl TrafficConfig {
-    /// Defaults: 9 µs slots, 216 µs fixed overhead (16 µs sync header +
-    /// 150 µs turnaround + 50 µs post-frame SIFS, matching the fast PHY's
-    /// internal timing model so its clock tracks sim time), 50 ms bins,
-    /// 1 s horizon with 0.5 s drain.
+    /// Defaults: 1 s horizon with 0.5 s drain from t = 0, the default MAC
+    /// and sync strategy, no outages.
     pub fn default_with(loads: Vec<ClientLoad>, seed: u64) -> Self {
         TrafficConfig {
             start_s: 0.0,
@@ -112,14 +104,23 @@ impl TrafficConfig {
             mac: MacConfig::default(),
             loads,
             outages: Vec::new(),
-            slot_s: 9e-6,
-            header_overhead_s: 216e-6,
-            timeline_bin_s: 50e-3,
             seed,
             sync_strategy: SyncStrategyId::default(),
         }
     }
 }
+
+/// Contention slot duration, seconds (802.11 OFDM: 9 µs).
+const SLOT_S: f64 = 9e-6;
+
+/// Fixed per-transmission overhead, seconds: lead sync header + software
+/// turnaround (§5.2) + post-frame SIFS, 16 + 150 + 50 µs. Not free: it must
+/// equal the fast PHY's internal timing model, or `FastBackend`'s clock
+/// debt never drains and its clock stops tracking sim time.
+const HEADER_OVERHEAD_S: f64 = 216e-6;
+
+/// Timeline bin width, seconds.
+const TIMELINE_BIN_S: f64 = 50e-3;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
@@ -282,8 +283,8 @@ impl<B: TransmitBackend> TrafficSim<B> {
         {
             return Err(JmbError::BadConfig("bad outage schedule"));
         }
-        if cfg.duration_s <= 0.0 || cfg.timeline_bin_s <= 0.0 || cfg.slot_s <= 0.0 {
-            return Err(JmbError::BadConfig("durations must be positive"));
+        if cfg.duration_s <= 0.0 {
+            return Err(JmbError::BadConfig("duration must be positive"));
         }
         if !cfg.start_s.is_finite() || cfg.start_s < 0.0 {
             return Err(JmbError::BadConfig(
@@ -296,6 +297,12 @@ impl<B: TransmitBackend> TrafficSim<B> {
         // byte-exact draw stream).
         if backend.sync_strategy() != cfg.sync_strategy {
             backend.set_sync_strategy(cfg.sync_strategy);
+            // `set_sync_strategy` is a no-op on a PHY without pluggable sync.
+            if backend.sync_strategy() != cfg.sync_strategy {
+                return Err(JmbError::BadConfig(
+                    "backend cannot run the configured sync strategy",
+                ));
+            }
         }
         let n_aps = backend.n_aps();
         let home_ap: Vec<usize> = (0..backend.n_clients()).map(|j| j % n_aps).collect();
@@ -447,8 +454,8 @@ impl<B: TransmitBackend> TrafficSim<B> {
             },
         );
         let cw = self.mac.contention_window(batch.len());
-        let backoff_s = self.backoff_rng.gen_range(0..cw) as f64 * self.cfg.slot_s;
-        let t_start = now + backoff_s + self.cfg.header_overhead_s;
+        let backoff_s = self.backoff_rng.gen_range(0..cw) as f64 * SLOT_S;
+        let t_start = now + backoff_s + HEADER_OVERHEAD_S;
         // Keep the PHY clock tracking sim time (oscillators drift through
         // idle and contention periods too).
         let dt = (t_start - self.phy_t).max(0.0);
@@ -463,14 +470,14 @@ impl<B: TransmitBackend> TrafficSim<B> {
                 // APs, or too few sync'd slaves) behaves like a lost
                 // transmission: nobody ACKs and the MAC retry path takes
                 // over — the protocol degrades, it never stalls.
-                airtime_s: self.cfg.header_overhead_s,
+                airtime_s: HEADER_OVERHEAD_S,
                 acked: vec![false; batch.len()],
                 mcs_index: 0,
                 control: Default::default(),
             });
         self.record_control(&report.control, now);
         let airtime_s =
-            self.cfg.header_overhead_s + backoff_s + report.airtime_s + report.control.overhead_s;
+            HEADER_OVERHEAD_S + backoff_s + report.airtime_s + report.control.overhead_s;
         let t_done = now + airtime_s;
         self.phy_t = t_start + report.airtime_s + report.control.overhead_s;
         self.in_flight = Some(InFlight {
@@ -499,12 +506,11 @@ impl<B: TransmitBackend> TrafficSim<B> {
         // Announce a non-default sync backend on the trace: the trace is
         // usually enabled after `new`, so the construction-time switch
         // would otherwise be invisible to headless assertion checks.
-        if self.cfg.sync_strategy != SyncStrategyId::default() {
+        let strategy = self.backend.sync_strategy();
+        if strategy != SyncStrategyId::default() {
             self.trace.emit(
                 self.cfg.start_s,
-                TraceKind::SyncStrategySwitched {
-                    strategy: self.cfg.sync_strategy,
-                },
+                TraceKind::SyncStrategySwitched { strategy },
             );
         }
         let n_clients = self.cfg.loads.len();
@@ -609,7 +615,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
                                     .gauge_add_at("traffic_client_bits", dest as u32, bits);
                                 record_timeline(
                                     &mut m.timeline,
-                                    self.cfg.timeline_bin_s,
+                                    TIMELINE_BIN_S,
                                     now - self.cfg.start_s,
                                     bits,
                                     self.mac.queue_len(),
@@ -899,6 +905,27 @@ mod tests {
         let mut cfg = light_cfg(2, 1);
         cfg.duration_s = 0.0;
         assert!(TrafficSim::new(cfg, StubBackend::perfect(2, 2)).is_err());
+    }
+
+    #[test]
+    fn sync_strategy_the_backend_cannot_run_is_rejected() {
+        use crate::backend::SampleBackend;
+        use jmb_core::net::NetConfig;
+        // Neither PHY has pluggable sync: `set_sync_strategy` is the
+        // trait's no-op, so a run configured for a rival strategy would
+        // trace "switched" while the PHY ran lead/slave.
+        for strategy in [
+            SyncStrategyId::AirSyncPilot,
+            SyncStrategyId::ReciprocityImplicit,
+        ] {
+            let mut cfg = light_cfg(2, 1);
+            cfg.sync_strategy = strategy;
+            let err = TrafficSim::new(cfg.clone(), StubBackend::perfect(2, 2)).err();
+            assert!(matches!(err, Some(JmbError::BadConfig(_))), "{err:?}");
+            let sample = SampleBackend::new(NetConfig::default_with(2, 2, 22.0, 3)).unwrap();
+            let err = TrafficSim::new(cfg, sample).err();
+            assert!(matches!(err, Some(JmbError::BadConfig(_))), "{err:?}");
+        }
     }
 
     #[test]
