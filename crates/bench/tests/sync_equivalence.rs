@@ -19,6 +19,9 @@
 //! the three together take seconds.
 
 use jmb_bench::sweeps::{self, SweepSettings};
+use jmb_core::net::NetConfig;
+use jmb_sim::{FaultConfig, FaultSchedule};
+use jmb_traffic::{ApOutage, ClientLoad, SampleBackend, TrafficConfig, TrafficSim};
 use std::path::{Path, PathBuf};
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -138,4 +141,44 @@ fn rows_identical_across_thread_counts() {
         sweeps::csv_text(&a.header, &a.rows),
         sweeps::csv_text(&b.header, &b.rows)
     );
+}
+
+/// The sample-level twin of the pins above: one 2x2 `SampleBackend` cell
+/// (seed 1) through a window in which slave 1 misses every sync header and
+/// a lead outage, recorded from the commit before `JmbNetwork` moved onto
+/// the shared `SyncStrategy`. Every batch is a `joint_transmit_masked`, so
+/// the trace and the metrics row pin its default-strategy path — fallback,
+/// degradation, the lead-down rule and restoration — byte for byte. Short
+/// enough (40 ms of traffic) to run in debug builds too.
+#[test]
+fn sample_backend_cell_is_byte_identical() {
+    let mut backend = SampleBackend::new(NetConfig::default_with(2, 2, 22.0, 1)).expect("backend");
+    let storm = FaultConfig::builder()
+        .per_slave_sync_loss(1, 1.0)
+        .build()
+        .expect("valid");
+    backend.net_mut().set_fault_schedule(
+        FaultSchedule::none()
+            .with_window(0.010, 0.020, storm)
+            .expect("valid window"),
+    );
+    let mut cfg = TrafficConfig::default_with(vec![ClientLoad::poisson(1500.0, 300); 2], 1);
+    cfg.duration_s = 0.04;
+    cfg.drain_timeout_s = 0.02;
+    cfg.outages = vec![ApOutage {
+        ap: 0,
+        down_at_s: 0.028,
+        up_at_s: 0.034,
+    }];
+    let mut sim = TrafficSim::new(cfg, backend).expect("sim");
+    let mut row = String::new();
+    let trace = trace_to_string(|p| {
+        sim.trace.enable();
+        sim.trace.set_buffering(false);
+        sim.trace.attach_sink(sweeps::trace_sink(p).expect("sink"));
+        row = sim.run().csv_row().join(",");
+        sim.trace.flush();
+    });
+    check_fixture("sample_cell.jsonl", &trace);
+    check_fixture("sample_cell.csv", &format!("{row}\n"));
 }
