@@ -93,7 +93,7 @@ pub fn fig06_misalignment(opts: &Opts) -> Result<Report, BenchError> {
 pub fn fig07_misalignment_cdf(opts: &Opts) -> Result<Report, BenchError> {
     let (runs, rounds) = if opts.set.quick { (4, 15) } else { (12, 40) };
     let samples = ctx(
-        misalignment_samples(runs, rounds, opts.set.seed),
+        misalignment_samples(runs, rounds, opts.set.seed, Default::default()),
         "misalignment probe",
     )?;
     let cdf = Cdf::new(&samples);

@@ -10,7 +10,7 @@
 
 use jmb_city::{City, CityConfig, CityReport, Reuse};
 use jmb_core::error::JmbError;
-use jmb_core::experiment::{misalignment_samples_with, parallel_map, SchedulePolicy, SweepConfig};
+use jmb_core::experiment::{misalignment_samples, parallel_map, SchedulePolicy, SweepConfig};
 use jmb_core::fastnet::FastConfig;
 use jmb_core::sync::SyncStrategyId;
 use jmb_obs::JsonLinesSink;
@@ -408,7 +408,7 @@ pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
     let mut phase: Vec<(SyncStrategyId, Vec<f64>)> = Vec::new();
     let mut phase_rows: Vec<Vec<String>> = Vec::new();
     for &strategy in &strategies {
-        let mut samples = misalignment_samples_with(probe_runs, probe_rounds, set.seed, strategy)?;
+        let mut samples = misalignment_samples(probe_runs, probe_rounds, set.seed, strategy)?;
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite misalignment"));
         phase_rows.push(vec![
             strategy.token().to_string(),

@@ -16,13 +16,15 @@
 //! predicted error is inside the budget; otherwise it sits the batch out.
 //! Three consecutive misses degrade it until it hears a header again.
 //!
-//! The networks supply only the fidelity-specific steps ([`SlaveLink`]):
-//! what hearing a header means (a noisy per-subcarrier estimate, or a
-//! rendered waveform through the real estimator) and what the slave's
-//! sync state extrapolates to.
+//! The networks supply the two things the policy is about: their
+//! [`SyncStrategy`] (what a heard header turns into, and what the slave's
+//! sync state extrapolates to after a miss) and their [`LeadObserver`]
+//! (what hearing a header means at that fidelity — a noisy per-subcarrier
+//! estimate, or a rendered waveform through the real estimator).
 
 use crate::csi::SyncHealth;
 use crate::phasesync::PhaseCorrection;
+use crate::sync::{LeadObserver, SyncStrategy};
 use jmb_dsp::rng::JmbRng;
 use jmb_dsp::Complex64;
 use jmb_obs::{EventKind, Trace};
@@ -70,28 +72,6 @@ impl BatchSync {
             None => Complex64::ONE,
         }
     }
-}
-
-/// The fidelity-specific half of a sync-header exchange.
-pub(crate) trait SlaveLink {
-    /// Where control events go.
-    fn trace(&mut self) -> &mut Trace;
-    /// Whether slaves listen for the in-band header at all. An out-of-band
-    /// sync backend does not: losing a frame header cannot desynchronize
-    /// it, so it makes no fault draw and keeps no health.
-    fn inband(&self) -> bool {
-        true
-    }
-    /// Slave `slave` receives the header at `t_meas`: observe the lead and
-    /// return the correction with its anchor time. `None` when the header
-    /// could not be made out, which counts as a miss.
-    fn heard(&mut self, slave: usize, t_meas: f64) -> Option<(PhaseCorrection, f64)>;
-    /// Predicted phase error (radians) at `t` of a correction extrapolated
-    /// from the slave's last heard header.
-    fn phase_error_rad(&self, slave: usize, t: f64) -> f64;
-    /// That extrapolated correction and its anchor, if a header was ever
-    /// heard.
-    fn extrapolated(&self, slave: usize) -> Option<(PhaseCorrection, f64)>;
 }
 
 /// Fault draws, sync health and the fallback policy for one network.
@@ -149,14 +129,18 @@ impl ControlPlane {
     /// ≥ 1, in the caller's order) at header-measurement time `t_meas`, and
     /// leaves the result in [`ControlPlane::last_sync`]. `lead_up = false`
     /// means no header is on the air: every slave misses, without a draw.
+    /// A strategy that does not listen for the in-band header makes no
+    /// fault draw and keeps no health: losing a frame header cannot
+    /// desynchronize it.
     pub(crate) fn sync_batch(
         &mut self,
-        link: &mut impl SlaveLink,
+        strategy: &mut dyn SyncStrategy,
+        obs: &mut dyn LeadObserver,
         t_meas: f64,
         slaves: impl IntoIterator<Item = usize>,
         lead_up: bool,
     ) {
-        let inband = link.inband();
+        let inband = strategy.uses_inband_header();
         let mut b = BatchSync {
             corrections: vec![None; self.health.len() + 1],
             ..BatchSync::default()
@@ -164,26 +148,29 @@ impl ControlPlane {
         for s in slaves {
             let p = self.faults.config_at(t_meas).control.sync_loss_for(s);
             let lost = !lead_up || (inband && self.draw(p));
-            let heard = if lost { None } else { link.heard(s, t_meas) };
+            let heard = if lost {
+                None
+            } else {
+                strategy.on_header(obs, s, t_meas).ok()
+            };
             let applied = match heard {
                 Some(c) => {
                     if inband && self.health[s - 1].record_sync() {
-                        link.trace().emit(t_meas, EventKind::ApRestored { ap: s });
+                        obs.trace().emit(t_meas, EventKind::ApRestored { ap: s });
                         b.newly_restored.push(s);
                     }
                     Some(c)
                 }
                 None => {
-                    link.trace()
-                        .emit(t_meas, EventKind::SyncMissed { slave: s });
+                    obs.trace().emit(t_meas, EventKind::SyncMissed { slave: s });
                     b.missed.push(s);
                     if self.health[s - 1].record_miss() {
-                        link.trace().emit(t_meas, EventKind::ApDegraded { ap: s });
+                        obs.trace().emit(t_meas, EventKind::ApDegraded { ap: s });
                         b.newly_degraded.push(s);
                     }
-                    let within_budget = link.phase_error_rad(s, t_meas) <= self.budget_rad;
+                    let within_budget = strategy.phase_error_rad(s, t_meas) <= self.budget_rad;
                     let fallback = if !self.health[s - 1].is_degraded() && within_budget {
-                        link.extrapolated(s)
+                        strategy.extrapolated(s)
                     } else {
                         None
                     };
@@ -205,23 +192,53 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::JmbError;
     use crate::fastnet::{FastConfig, FastNet};
+    use crate::sync::SyncStrategyId;
+    use jmb_phy::chanest::ChannelEstimate;
     use jmb_sim::FaultConfig;
 
-    /// A slave that never hears a header: its predicted error is `err_rad`
-    /// and, if it `heard_before`, it can extrapolate from t = 0.5.
-    struct DeafLink {
-        trace: Trace,
+    /// Nobody can make the lead out.
+    struct Deaf(Trace);
+
+    impl LeadObserver for Deaf {
+        fn n_aps(&self) -> usize {
+            2
+        }
+        fn trace(&mut self) -> &mut Trace {
+            &mut self.0
+        }
+        fn header(&mut self, _: usize, _: f64) -> Option<(ChannelEstimate, f64)> {
+            None
+        }
+        fn pilot(&mut self, _: usize, _: f64, _: f64, _: f64) -> Option<(ChannelEstimate, f64)> {
+            None
+        }
+        fn seed(&mut self, _: usize, _: f64, _: f64) -> Option<(ChannelEstimate, f64, f64, f64)> {
+            None
+        }
+    }
+
+    /// An in-band strategy whose slave never hears a header: its predicted
+    /// error is `err_rad` and, if it `heard_before`, it can extrapolate from
+    /// t = 0.5.
+    struct Scripted {
         err_rad: f64,
         heard_before: bool,
     }
 
-    impl SlaveLink for DeafLink {
-        fn trace(&mut self) -> &mut Trace {
-            &mut self.trace
+    impl SyncStrategy for Scripted {
+        fn kind(&self) -> SyncStrategyId {
+            SyncStrategyId::JmbLeadSlave
         }
-        fn heard(&mut self, _: usize, _: f64) -> Option<(PhaseCorrection, f64)> {
-            None
+        fn on_measurement(&mut self, _: &mut dyn LeadObserver, _: f64, _: f64) {}
+        fn on_header(
+            &mut self,
+            _: &mut dyn LeadObserver,
+            slave: usize,
+            _: f64,
+        ) -> Result<(PhaseCorrection, f64), JmbError> {
+            Err(JmbError::SyncHeaderMissed { slave })
         }
         fn phase_error_rad(&self, _: usize, _: f64) -> f64 {
             self.err_rad
@@ -235,6 +252,9 @@ mod tests {
                 cfo_hz: 0.0,
             };
             self.heard_before.then_some((pc, 0.5))
+        }
+        fn reference(&self, _: usize) -> Option<&ChannelEstimate> {
+            None
         }
     }
 
@@ -253,12 +273,11 @@ mod tests {
         ] {
             let mut cp = ControlPlane::new(1, 2);
             cp.budget_rad = budget;
-            let mut link = DeafLink {
-                trace: Trace::new(),
+            let mut strategy = Scripted {
                 err_rad,
                 heard_before,
             };
-            cp.sync_batch(&mut link, 1.0, [1], true);
+            cp.sync_batch(&mut strategy, &mut Deaf(Trace::new()), 1.0, [1], true);
             let sync = cp.last_sync();
             assert_eq!(sync.missed, vec![1]);
             assert_eq!(
@@ -278,13 +297,12 @@ mod tests {
         // Degraded slaves never get a fallback, however fresh: the third
         // consecutive miss degrades and excludes in the same batch.
         let mut cp = ControlPlane::new(1, 2);
-        let mut link = DeafLink {
-            trace: Trace::new(),
+        let mut strategy = Scripted {
             err_rad: 0.0,
             heard_before: true,
         };
         for miss in 1..=3 {
-            cp.sync_batch(&mut link, 1.0, [1], true);
+            cp.sync_batch(&mut strategy, &mut Deaf(Trace::new()), 1.0, [1], true);
             assert_eq!(cp.last_sync().excluded.is_empty(), miss < 3);
             assert_eq!(cp.sync_health()[0].is_degraded(), miss == 3);
         }

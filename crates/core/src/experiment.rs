@@ -387,27 +387,13 @@ pub fn snr_reduction_vs_misalignment(
 /// Fig. 7: runs the full sample-level probe — lead and slave alternating
 /// OFDM symbols after real phase synchronisation — and returns the absolute
 /// misalignment samples (radians). Paper: median 0.017 rad, 95th pct 0.05.
+///
+/// `strategy` is the synchronization backend the slave runs. The paper's
+/// number is the lead/slave resync's; the out-of-band backends trade update
+/// cadence and estimate quality for control-plane cost, so their envelopes
+/// are wider (documented in the `sync_shootout` bench rather than pinned to
+/// the paper's band).
 pub fn misalignment_samples(
-    n_runs: usize,
-    rounds_per_run: usize,
-    seed: u64,
-) -> Result<Vec<f64>, JmbError> {
-    misalignment_samples_with(
-        n_runs,
-        rounds_per_run,
-        seed,
-        crate::sync::SyncStrategyId::JmbLeadSlave,
-    )
-}
-
-/// Fig. 7 per synchronization backend: the same sample-level probe with
-/// the slave's correction source swapped
-/// ([`JmbNetwork::misalignment_probe_with`]). `JmbLeadSlave` reproduces
-/// [`misalignment_samples`] byte for byte; the out-of-band backends trade
-/// update cadence and estimate quality for control-plane cost, so their
-/// misalignment envelopes are wider (documented in the `sync_shootout`
-/// bench rather than pinned to the paper's band).
-pub fn misalignment_samples_with(
     n_runs: usize,
     rounds_per_run: usize,
     seed: u64,
@@ -417,8 +403,9 @@ pub fn misalignment_samples_with(
     for run in 0..n_runs {
         let cfg = NetConfig::default_with(2, 1, 25.0, seed.wrapping_add(run as u64));
         let mut net = JmbNetwork::new(cfg)?;
+        net.set_sync_strategy(strategy);
         net.run_measurement()?;
-        let s = net.misalignment_probe_with(rounds_per_run, 2e-3, strategy)?;
+        let s = net.misalignment_probe(rounds_per_run, 2e-3)?;
         samples.extend(s.into_iter().map(f64::abs));
     }
     Ok(samples)

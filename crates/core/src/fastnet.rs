@@ -14,18 +14,20 @@
 //! the sample-level chain in [`crate::net`], and the two are cross-validated
 //! in the workspace integration tests.
 
-use crate::control::{BatchSync, ControlPlane, SlaveLink};
+use crate::control::{BatchSync, ControlPlane};
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
-use crate::phasesync::PhaseCorrection;
 use crate::precoder::Precoder;
-use crate::sync::{strategy_for, SyncCtx, SyncStrategy, SyncStrategyId};
+use crate::sync::{
+    strategy_for, LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ,
+};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
-use jmb_dsp::rng::{complex_gaussian, JmbRng};
+use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::{EventKind, Trace};
+use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultConfig, FaultSchedule, NodeId, SubcarrierMedium};
@@ -512,31 +514,28 @@ impl FastNet {
         &self.clients
     }
 
-    /// The sync backend with its view of the network, split off from the
-    /// control plane so the two can be borrowed side by side. The
+    /// The slaves' view of the lead, split off from the sync backend and
+    /// the control plane so the three can be borrowed side by side. The
     /// per-header estimation noise on the lead→slave channel follows from
     /// the AP↔AP SNR (two LTF repetitions averaged).
-    fn sync_link(&mut self) -> (FastLink<'_>, &mut ControlPlane) {
-        let link = FastLink {
-            strategy: &mut *self.strategy,
-            ctx: SyncCtx {
-                medium: &mut self.medium,
-                rng: &mut self.rng,
-                aps: &self.aps,
-                occupied: &self.occupied,
-                header_noise_var: self.cfg.noise_var / 2.0,
-            },
+    fn observer(&mut self) -> (FastObserver<'_>, &mut dyn SyncStrategy, &mut ControlPlane) {
+        let obs = FastObserver {
+            medium: &mut self.medium,
+            rng: &mut self.rng,
+            aps: &self.aps,
+            occupied: &self.occupied,
+            header_noise_var: self.cfg.noise_var / 2.0,
             trace: &mut self.trace,
         };
-        (link, &mut self.control)
+        (obs, &mut *self.strategy, &mut self.control)
     }
 
     /// The sync-header exchange of one joint transmission for `slaves`,
     /// left in [`FastNet::last_sync`]. The lead's oscillator is distributed
     /// over the wired backplane (§6), so a header is always on the air.
     fn sync_headers(&mut self, t_meas: f64, slaves: impl IntoIterator<Item = usize>) {
-        let (mut link, control) = self.sync_link();
-        control.sync_batch(&mut link, t_meas, slaves, true);
+        let (mut obs, strategy, control) = self.observer();
+        control.sync_batch(strategy, &mut obs, t_meas, slaves, true);
     }
 
     /// The channel-measurement phase (§5.1), frequency-domain model: every
@@ -577,8 +576,8 @@ impl FastNet {
             * self.cfg.params.symbol_len() as f64
             * self.cfg.params.sample_period();
         let seed_sigma = (0.02 / (2.0 * std::f64::consts::PI * span_s)).max(10.0);
-        let (mut link, _) = self.sync_link();
-        link.strategy.on_measurement(&mut link.ctx, t0, seed_sigma);
+        let (mut obs, strategy, _) = self.observer();
+        strategy.on_measurement(&mut obs, t0, seed_sigma);
         // A full-population precoder only exists when ZF is well posed
         // (clients ≤ AP antennas). An over-subscribed cell — the city-scale
         // case, hundreds of clients behind a handful of APs — still gets a
@@ -873,10 +872,10 @@ impl FastNet {
         let mut rotations: Vec<(f64, f64)> = vec![(0.0, 0.0)]; // lead: identity
         let (n_aps, c) = (self.cfg.n_aps, self.clients[client]);
         let row_var = self.cfg.noise_var / self.cfg.rounds as f64;
-        let (mut link, _) = self.sync_link();
+        let (mut obs, strategy, _) = self.observer();
         for s in 1..n_aps {
-            let now_ref = link.ctx.header_estimate(s, t_j);
-            let stored = link.strategy.reference(s).ok_or(JmbError::NoReference)?;
+            let now_ref = obs.estimate(obs.aps[0], obs.aps[s], t_j, obs.header_noise_var);
+            let stored = strategy.reference(s).ok_or(JmbError::NoReference)?;
             let ratios: Vec<Complex64> = now_ref
                 .gains
                 .iter()
@@ -888,7 +887,7 @@ impl FastNet {
         // Fresh row for this client (averaged over the measurement rounds),
         // rotated back to the reference time.
         let est: Vec<_> = (0..n_aps)
-            .map(|i| link.ctx.estimate_with_var(link.ctx.aps[i], c, t_j, row_var))
+            .map(|i| obs.estimate(obs.aps[i], c, t_j, row_var))
             .collect();
         for (k_idx, matrix) in h.iter_mut().enumerate() {
             let k = self.occupied[k_idx] as f64;
@@ -1065,33 +1064,91 @@ struct Batch<'a> {
     mute_streams: &'a [usize],
 }
 
-/// [`FastNet`]'s half of the sync-header exchange: hearing a header is
-/// whatever the sync backend measures at that instant.
-struct FastLink<'a> {
-    strategy: &'a mut dyn SyncStrategy,
-    ctx: SyncCtx<'a>,
-    trace: &'a mut Trace,
+/// [`FastNet`]'s [`LeadObserver`]: an observation is one channel-row
+/// evaluation plus Gaussian estimation noise, and the true lead-relative
+/// CFO plus Gaussian error — drawn from the network's main RNG stream in
+/// that order, which is the draw sequence the golden fixtures pin.
+pub(crate) struct FastObserver<'a> {
+    pub(crate) medium: &'a mut SubcarrierMedium,
+    pub(crate) rng: &'a mut JmbRng,
+    /// AP node ids; index 0 is the lead.
+    pub(crate) aps: &'a [NodeId],
+    /// Occupied subcarrier indices (ascending).
+    pub(crate) occupied: &'a [i32],
+    /// Estimation noise variance of one in-band sync-header measurement.
+    pub(crate) header_noise_var: f64,
+    pub(crate) trace: &'a mut Trace,
 }
 
-impl SlaveLink for FastLink<'_> {
+impl FastObserver<'_> {
+    /// Noisy per-subcarrier estimate of the `tx → rx` channel at `t`: one
+    /// channel-row evaluation plus one complex-Gaussian draw of variance
+    /// `var` per occupied subcarrier, in subcarrier order.
+    fn estimate(&mut self, tx: NodeId, rx: NodeId, t: f64, var: f64) -> ChannelEstimate {
+        let mut gains = Vec::with_capacity(self.occupied.len());
+        self.medium
+            .channel_row_into(tx, rx, self.occupied, t, &mut gains);
+        for g in gains.iter_mut() {
+            *g += complex_gaussian(self.rng, var);
+        }
+        ChannelEstimate {
+            subcarriers: self.occupied.to_vec(),
+            gains,
+        }
+    }
+
+    /// The lead→`slave` estimate at `t` with noise variance `var`, and the
+    /// ground-truth lead-relative CFO at `t` plus a `cfo_sigma_hz` error.
+    fn observe(
+        &mut self,
+        slave: usize,
+        t: f64,
+        var: f64,
+        cfo_sigma_hz: f64,
+    ) -> (ChannelEstimate, f64) {
+        let est = self.estimate(self.aps[0], self.aps[slave], t, var);
+        let f_lead = self.medium.trajectory_mut(self.aps[0]).cfo_hz_at(t);
+        let f_slave = self.medium.trajectory_mut(self.aps[slave]).cfo_hz_at(t);
+        (est, f_lead - f_slave + normal(self.rng, cfo_sigma_hz))
+    }
+}
+
+impl LeadObserver for FastObserver<'_> {
+    fn n_aps(&self) -> usize {
+        self.aps.len()
+    }
+
     fn trace(&mut self) -> &mut Trace {
         self.trace
     }
 
-    fn inband(&self) -> bool {
-        self.strategy.uses_inband_header()
+    fn header(&mut self, slave: usize, t_meas: f64) -> Option<(ChannelEstimate, f64)> {
+        Some(self.observe(
+            slave,
+            t_meas,
+            self.header_noise_var,
+            RAW_HEADER_CFO_SIGMA_HZ,
+        ))
     }
 
-    fn heard(&mut self, slave: usize, t_meas: f64) -> Option<(PhaseCorrection, f64)> {
-        self.strategy.on_header(&mut self.ctx, slave, t_meas).ok()
+    fn pilot(
+        &mut self,
+        slave: usize,
+        t: f64,
+        noise_scale: f64,
+        cfo_sigma_hz: f64,
+    ) -> Option<(ChannelEstimate, f64)> {
+        Some(self.observe(slave, t, noise_scale * self.header_noise_var, cfo_sigma_hz))
     }
 
-    fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
-        self.strategy.phase_error_rad(slave, t)
-    }
-
-    fn extrapolated(&self, slave: usize) -> Option<(PhaseCorrection, f64)> {
-        self.strategy.extrapolated(slave)
+    fn seed(
+        &mut self,
+        slave: usize,
+        t0: f64,
+        sigma_hz: f64,
+    ) -> Option<(ChannelEstimate, f64, f64, f64)> {
+        let (est, cfo) = self.observe(slave, t0, self.header_noise_var, sigma_hz);
+        Some((est, cfo, sigma_hz, t0))
     }
 }
 

@@ -43,4 +43,4 @@ pub use csi::{BackoffPolicy, CsiTracker, SyncHealth};
 pub use error::JmbError;
 pub use phasesync::PhaseSync;
 pub use precoder::Precoder;
-pub use sync::{strategy_for, SyncCtx, SyncStrategy, SyncStrategyId};
+pub use sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};

@@ -22,18 +22,20 @@
 //! lead and one slave alternate OFDM symbols and the receiver tracks the
 //! deviation of their relative phase from its first observation.
 
-use crate::control::{BatchSync, ControlPlane, SlaveLink};
+use crate::control::{BatchSync, ControlPlane};
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
-use crate::measure::{self, MeasurementPlan};
-use crate::phasesync::{PhaseCorrection, PhaseSync};
+use crate::measure::{self, MeasurementPlan, REF_ANCHOR};
 use crate::precoder::Precoder;
+use crate::sync::{
+    strategy_for, JmbLeadSlave, LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ,
+};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
-use jmb_dsp::rng::{normal, JmbRng};
+use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
 use jmb_dsp::{fft, CMat, Complex64};
-use jmb_obs::Trace;
+use jmb_obs::{EventKind, Trace};
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::frame::{FrameRx, FrameTx, RxResult};
 use jmb_phy::params::OfdmParams;
@@ -117,8 +119,9 @@ pub struct JmbNetwork {
     medium: Medium,
     aps: Vec<NodeId>,
     clients: Vec<NodeId>,
-    /// Per-slave phase synchronisation state (index 0 belongs to AP 1).
-    sync_state: Vec<PhaseSync>,
+    /// The pluggable synchronization backend ([`crate::sync`]), the paper's
+    /// lead/slave resync by default. Owns the per-slave phase state.
+    strategy: Box<dyn SyncStrategy>,
     /// Measured joint channel, one matrix per occupied subcarrier
     /// (rows = clients, cols = APs).
     h: Option<Vec<CMat>>,
@@ -208,7 +211,7 @@ impl JmbNetwork {
             }
         }
 
-        let sync_state = (1..cfg.n_aps).map(|_| PhaseSync::new()).collect();
+        let strategy = Box::new(JmbLeadSlave::new(cfg.n_aps));
         let control = ControlPlane::new(cfg.seed, cfg.n_aps);
         let trigger_offsets: Vec<f64> = (0..cfg.n_aps)
             .map(|i| {
@@ -225,7 +228,7 @@ impl JmbNetwork {
             medium,
             aps,
             clients,
-            sync_state,
+            strategy,
             h: None,
             client_noise_bins: Vec::new(),
             trigger_offsets,
@@ -268,6 +271,36 @@ impl JmbNetwork {
     /// corrections applied, and who missed, fell back or sat out.
     pub fn last_sync(&self) -> &BatchSync {
         self.control.last_sync()
+    }
+
+    /// The active synchronization backend.
+    pub fn sync_strategy(&self) -> SyncStrategyId {
+        self.strategy.kind()
+    }
+
+    /// Swaps the synchronization backend, discarding per-slave sync state
+    /// (the next [`JmbNetwork::run_measurement`] re-seeds it). Emits
+    /// [`EventKind::SyncStrategySwitched`] on the medium's trace.
+    pub fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
+        self.strategy = strategy_for(kind, self.cfg.n_aps);
+        self.medium
+            .trace
+            .emit(self.now, EventKind::SyncStrategySwitched { strategy: kind });
+    }
+
+    /// Worst-case predicted phase error (radians) across slaves at the
+    /// current time. Infinite until the backend has references.
+    pub fn sync_phase_error_rad(&self) -> f64 {
+        (1..self.cfg.n_aps)
+            .map(|s| self.strategy.phase_error_rad(s, self.now))
+            .fold(0.0, f64::max)
+    }
+
+    /// Drains the out-of-band control airtime (seconds) the sync backend
+    /// accrued since the last call (pilot broadcasts; zero for the default
+    /// in-band strategy).
+    pub fn take_sync_control_airtime_s(&mut self) -> f64 {
+        self.strategy.take_control_airtime_s()
     }
 
     /// Current simulation time, seconds.
@@ -338,6 +371,32 @@ impl JmbNetwork {
         Ok(())
     }
 
+    /// The slaves' view of the lead whose in-band waveform — a sync header,
+    /// or the measurement packet `plan` — left the antenna at `t_h`, split
+    /// off from the sync backend and the control plane so the three can be
+    /// borrowed side by side.
+    fn observer<'a>(
+        &'a mut self,
+        params: &'a OfdmParams,
+        t_h: f64,
+        plan: Option<&'a MeasurementPlan>,
+    ) -> (
+        SampleObserver<'a>,
+        &'a mut dyn SyncStrategy,
+        &'a mut ControlPlane,
+    ) {
+        let obs = SampleObserver {
+            medium: &mut self.medium,
+            rng: &mut self.rng,
+            aps: &self.aps,
+            params,
+            t_h,
+            plan,
+            header_noise_var: 32.0 * self.cfg.ap_noise_var,
+        };
+        (obs, &mut *self.strategy, &mut self.control)
+    }
+
     /// Runs the channel-measurement phase (§5.1) at the current time.
     ///
     /// On return, the joint channel matrix is stored (feedback modelled as
@@ -389,27 +448,13 @@ impl JmbNetwork {
         }
 
         // Slaves store their reference channel + a refined CFO seed. The
-        // slave hears the whole measurement packet too (minus its own
-        // slots), so it can run the same two-pass CFO refinement a client
-        // runs on the lead's interleaved symbols — giving it a far better
-        // initial frequency estimate than one header provides.
-        for s in 1..self.cfg.n_aps {
-            let window = self.medium.render_rx(self.aps[s], t0, total + 8);
-            let (est, header_cfo) = measure::slave_header_measurement(&params, &window)?;
-            // The multi-slot refinement accuracy improves with the span of
-            // the interleaved rounds (≈ phase noise over the span): ~50 Hz
-            // for a 2-AP packet, better as packets grow.
-            let span_s = (plan.rounds * plan.n_aps) as f64 * params.symbol_len() as f64 * ts;
-            let (refined_cfo, sigma) = match measure::client_estimate(&params, &plan, &window) {
-                Ok(m) => (
-                    m.cfo_per_ap[0],
-                    (0.02 / (2.0 * std::f64::consts::PI * span_s)).max(10.0),
-                ),
-                Err(_) => (header_cfo, 200.0),
-            };
-            self.sync_state[s - 1].set_reference(est.clone());
-            self.sync_state[s - 1].seed_cfo(&est, refined_cfo, sigma, t0 + 240.0 * ts);
-        }
+        // multi-slot refinement accuracy improves with the span of the
+        // interleaved rounds (≈ phase noise over the span): ~50 Hz for a
+        // 2-AP packet, better as packets grow.
+        let span_s = (plan.rounds * plan.n_aps) as f64 * params.symbol_len() as f64 * ts;
+        let seed_sigma = (0.02 / (2.0 * std::f64::consts::PI * span_s)).max(10.0);
+        let (mut obs, strategy, _) = self.observer(&params, t0, Some(&plan));
+        strategy.on_measurement(&mut obs, t0, seed_sigma);
 
         self.precoder = Some(Precoder::zero_forcing(&h)?);
         self.h = Some(h);
@@ -506,16 +551,9 @@ impl JmbNetwork {
         //    is the LTF midpoint: t_h + 240 samples. A downed slave measures
         //    nothing.
         let t_meas = t_h + 240.0 * ts;
-        let mut link = SampleLink {
-            medium: &mut self.medium,
-            sync_state: &mut self.sync_state,
-            aps: &self.aps,
-            params: &params,
-            t_h,
-        };
         let slaves = (1..self.cfg.n_aps).filter(|&s| is_active(s));
-        self.control
-            .sync_batch(&mut link, t_meas, slaves, is_active(0));
+        let (mut obs, strategy, control) = self.observer(&params, t_h, None);
+        control.sync_batch(strategy, &mut obs, t_meas, slaves, is_active(0));
         let sync = self.control.last_sync();
 
         // 3. Build per-AP precoded waveforms.
@@ -644,32 +682,10 @@ impl JmbNetwork {
         n_rounds: usize,
         inter_round_gap_s: f64,
     ) -> Result<Vec<f64>, JmbError> {
-        self.misalignment_probe_with(
-            n_rounds,
-            inter_round_gap_s,
-            crate::sync::SyncStrategyId::JmbLeadSlave,
-        )
-    }
-
-    /// Strategy-aware variant of [`JmbNetwork::misalignment_probe`]: the
-    /// waveform timeline (lead header, alternating chanest symbols) is
-    /// identical, but the slave's correction source follows the chosen
-    /// backend. `JmbLeadSlave` re-measures the in-band header every round
-    /// (byte-identical to [`JmbNetwork::misalignment_probe`]); the
-    /// out-of-band backends absorb a header observation only when their
-    /// pilot/recalibration tick is due and extrapolate in between —
-    /// reciprocity additionally sees noisier estimates (implicit CSI rides
-    /// uncontrolled uplink frames).
-    pub fn misalignment_probe_with(
-        &mut self,
-        n_rounds: usize,
-        inter_round_gap_s: f64,
-        strategy: crate::sync::SyncStrategyId,
-    ) -> Result<Vec<f64>, JmbError> {
         if self.cfg.n_aps < 2 {
             return Err(JmbError::BadConfig("probe needs a lead and a slave"));
         }
-        if !self.sync_state[0].has_reference() {
+        if self.strategy.reference(1).is_none() {
             return Err(JmbError::NoReference);
         }
         let params = self.cfg.params.clone();
@@ -679,57 +695,16 @@ impl JmbNetwork {
         let ofdm = jmb_phy::ofdm::Ofdm::new(params.clone());
         let mut reference_rel: Option<Complex64> = None;
         let mut out = Vec::with_capacity(n_rounds.saturating_sub(1));
-        // Out-of-band update schedule (rival strategies): ticks are
-        // quantized to round headers — the probe's rounds are the only
-        // instants the sample-level medium renders.
-        let update_interval_s = match strategy {
-            crate::sync::SyncStrategyId::JmbLeadSlave => 0.0,
-            crate::sync::SyncStrategyId::AirSyncPilot => crate::sync::AIRSYNC_PILOT_INTERVAL_S,
-            crate::sync::SyncStrategyId::ReciprocityImplicit => {
-                crate::sync::RECIPROCITY_RECAL_INTERVAL_S
-            }
-        };
-        let mut next_update: Option<f64> = None;
 
         for _ in 0..n_rounds {
             let t_h = self.now;
-            // Lead header; slave measures and corrects.
+            // Lead header; the slave's sync backend turns what it learns
+            // of the lead into this round's correction.
             self.medium
                 .transmit(self.aps[0], t_h, preamble::preamble(&params));
-            let window = self.medium.render_rx(self.aps[1], t_h, 320 + 8);
-            let t_meas = t_h + 240.0 * ts;
-            let (corr, t_anchor) = match strategy {
-                crate::sync::SyncStrategyId::JmbLeadSlave => {
-                    let (est, cfo) = measure::slave_header_measurement(&params, &window)
-                        .map_err(|_| JmbError::SyncHeaderMissed { slave: 1 })?;
-                    self.sync_state[0].observe_header(&est, cfo, t_meas);
-                    (self.sync_state[0].correction(&est)?, t_meas)
-                }
-                crate::sync::SyncStrategyId::AirSyncPilot
-                | crate::sync::SyncStrategyId::ReciprocityImplicit => {
-                    if next_update.is_none_or(|t| t_meas >= t) {
-                        let (mut est, mut cfo) =
-                            measure::slave_header_measurement(&params, &window)
-                                .map_err(|_| JmbError::SyncHeaderMissed { slave: 1 })?;
-                        if strategy == crate::sync::SyncStrategyId::ReciprocityImplicit {
-                            // Implicit estimates are noisier: 4× the
-                            // header's estimation variance (the header
-                            // averages two clean LTF repetitions; an
-                            // overheard uplink frame does not).
-                            for g in est.gains.iter_mut() {
-                                *g += jmb_dsp::rng::complex_gaussian(
-                                    &mut self.rng,
-                                    1.5 * self.cfg.ap_noise_var,
-                                );
-                            }
-                            cfo += normal(&mut self.rng, 300.0);
-                        }
-                        self.sync_state[0].observe_header(&est, cfo, t_meas);
-                        next_update = Some(t_meas + update_interval_s);
-                    }
-                    self.sync_state[0].extrapolated_correction()?
-                }
-            };
+            let t_meas = t_h + REF_ANCHOR * ts;
+            let (mut obs, strategy, _) = self.observer(&params, t_h, None);
+            let (corr, t_anchor) = strategy.on_header(&mut obs, 1, t_meas)?;
 
             // Alternating symbols: lead at t_d, slave at t_d + 80·Ts.
             let t_d = t_h + 320.0 * ts + self.cfg.turnaround_s;
@@ -772,40 +747,109 @@ impl JmbNetwork {
     }
 }
 
-/// [`JmbNetwork`]'s half of the sync-header exchange: hearing a header is
-/// rendering the slave's receive window and running the real estimator.
-struct SampleLink<'a> {
-    medium: &'a mut Medium,
-    sync_state: &'a mut [PhaseSync],
-    aps: &'a [NodeId],
-    params: &'a OfdmParams,
-    /// When the lead's header left the antenna.
-    t_h: f64,
+/// [`JmbNetwork`]'s [`LeadObserver`]: an observation is the slave's receive
+/// window rendered through the medium and run through the real estimator.
+pub(crate) struct SampleObserver<'a> {
+    pub(crate) medium: &'a mut Medium,
+    /// The network's main RNG stream (degrading a pilot to a rival's
+    /// estimate quality; the in-band paths draw nothing from it).
+    pub(crate) rng: &'a mut JmbRng,
+    /// AP node ids; index 0 is the lead.
+    pub(crate) aps: &'a [NodeId],
+    pub(crate) params: &'a OfdmParams,
+    /// When the lead's in-band waveform left the antenna. Carried rather
+    /// than recomputed from `t_meas`: the subtraction is not bit-exact.
+    pub(crate) t_h: f64,
+    /// The measurement packet, when that is what the lead sent at `t_h`.
+    pub(crate) plan: Option<&'a MeasurementPlan>,
+    /// Estimation noise variance of one header measurement per subcarrier
+    /// (64 samples' noise per bin, two LTF repetitions averaged).
+    pub(crate) header_noise_var: f64,
 }
 
-impl SlaveLink for SampleLink<'_> {
+impl SampleObserver<'_> {
+    /// Runs the slave's header receiver over `window`. Its own packet
+    /// detector (threshold as in `jmb_phy::sync::synchronize`) decides
+    /// whether there is a header to measure: a jammed or faded one is a
+    /// miss, not an error.
+    fn measure_header(&self, window: &[Complex64]) -> Option<(ChannelEstimate, f64)> {
+        jmb_phy::sync::detect_packet(window, 0.6)?;
+        measure::slave_header_measurement(self.params, window).ok()
+    }
+}
+
+impl LeadObserver for SampleObserver<'_> {
+    fn n_aps(&self) -> usize {
+        self.aps.len()
+    }
+
     fn trace(&mut self) -> &mut Trace {
         &mut self.medium.trace
     }
 
-    fn heard(&mut self, slave: usize, t_meas: f64) -> Option<(PhaseCorrection, f64)> {
+    fn header(&mut self, slave: usize, _t_meas: f64) -> Option<(ChannelEstimate, f64)> {
         let window = self.medium.render_rx(self.aps[slave], self.t_h, 320 + 8);
-        // The slave's own packet detector (threshold as in
-        // `jmb_phy::sync::synchronize`) decides whether there is a header
-        // to measure: a jammed or faded one is a miss, not an error.
-        jmb_phy::sync::detect_packet(&window, 0.6)?;
-        let (est, cfo) = measure::slave_header_measurement(self.params, &window).ok()?;
-        let sync = &mut self.sync_state[slave - 1];
-        sync.observe_header(&est, cfo, t_meas);
-        Some((sync.correction(&est).ok()?, t_meas))
+        self.measure_header(&window)
     }
 
-    fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
-        self.sync_state[slave - 1].extrapolation_error_rad(t)
+    fn pilot(
+        &mut self,
+        slave: usize,
+        t: f64,
+        noise_scale: f64,
+        cfo_sigma_hz: f64,
+    ) -> Option<(ChannelEstimate, f64)> {
+        // The pilot is a sync header on a side channel, timed so that its
+        // LTF midpoint — where the estimate is anchored — falls at `t`. It
+        // must not be summed with the in-band frames on the air.
+        let start_s = t - REF_ANCHOR * self.params.sample_period();
+        let window = self.medium.render_side_channel(
+            self.aps[0],
+            self.aps[slave],
+            start_s,
+            &preamble::preamble(self.params),
+            320 + 8,
+        );
+        let (mut est, mut cfo) = self.measure_header(&window)?;
+        // A dedicated pilot has header quality; an implicit one is worse by
+        // what the strategy asks for on top of it.
+        let extra_var = (noise_scale - 1.0) * self.header_noise_var;
+        if extra_var > 0.0 {
+            for g in est.gains.iter_mut() {
+                *g += complex_gaussian(self.rng, extra_var);
+            }
+        }
+        let extra_sigma = (cfo_sigma_hz.powi(2) - RAW_HEADER_CFO_SIGMA_HZ.powi(2))
+            .max(0.0)
+            .sqrt();
+        if extra_sigma > 0.0 {
+            cfo += normal(self.rng, extra_sigma);
+        }
+        Some((est, cfo))
     }
 
-    fn extrapolated(&self, slave: usize) -> Option<(PhaseCorrection, f64)> {
-        self.sync_state[slave - 1].extrapolated_correction().ok()
+    fn seed(
+        &mut self,
+        slave: usize,
+        _t0: f64,
+        sigma_hz: f64,
+    ) -> Option<(ChannelEstimate, f64, f64, f64)> {
+        // Only a measurement packet carries a reference: a backend swapped
+        // in after it stays unseeded until the next one.
+        let plan = self.plan?;
+        let total = plan.total_len(self.params);
+        let window = self.medium.render_rx(self.aps[slave], self.t_h, total + 8);
+        let (est, header_cfo) = measure::slave_header_measurement(self.params, &window).ok()?;
+        // The slave hears the whole measurement packet too (minus its own
+        // slots), so it can run the same two-pass CFO refinement a client
+        // runs on the lead's interleaved symbols — giving it a far better
+        // initial frequency estimate than one header provides.
+        let (cfo, sigma) = match measure::client_estimate(self.params, plan, &window) {
+            Ok(m) => (m.cfo_per_ap[0], sigma_hz),
+            Err(_) => (header_cfo, RAW_HEADER_CFO_SIGMA_HZ),
+        };
+        let anchor = self.t_h + REF_ANCHOR * self.params.sample_period();
+        Some((est, cfo, sigma, anchor))
     }
 }
 

@@ -28,6 +28,13 @@
 //!   cheaper measurement phase
 //!   ([`SyncStrategy::measurement_airtime_factor`]).
 //!
+//! A strategy never touches a medium. What a slave can learn about the lead
+//! at one instant reaches it through [`LeadObserver`] — the one seam between
+//! the strategies and the two fidelities: `FastNet`'s observer evaluates a
+//! channel row and draws estimation noise, `JmbNetwork`'s renders the
+//! slave's receive window and runs the real estimator. The same three
+//! backends therefore run, unchanged, on both networks.
+//!
 //! The trait deliberately does **not** own fault draws, sync-health
 //! bookkeeping, the fallback-or-exclude decision, or trace emission — those
 //! live in [`crate::control::ControlPlane`], which skips them for
@@ -36,15 +43,14 @@
 
 use crate::error::JmbError;
 use crate::phasesync::{PhaseCorrection, PhaseSync};
-use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
+use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
-use jmb_sim::{NodeId, SubcarrierMedium};
 
 pub use jmb_obs::SyncStrategyId;
 
 /// 1σ accuracy (Hz) of a single raw per-header CFO estimate at typical
 /// AP↔AP SNRs — the same constant the pre-extraction network used inline.
-const RAW_HEADER_CFO_SIGMA_HZ: f64 = 200.0;
+pub(crate) const RAW_HEADER_CFO_SIGMA_HZ: f64 = 200.0;
 
 /// The paper's phase-error budget (§5.2): a slave whose extrapolated
 /// correction would exceed this misalignment sits the batch out rather
@@ -79,64 +85,45 @@ const RECIPROCITY_MEAS_AIRTIME_FACTOR: f64 = 0.2;
 /// not already absorbed.
 const MAX_CATCHUP_UPDATES: u64 = 3;
 
-/// Everything a strategy may touch when it measures: the medium (channel
-/// rows and oscillator trajectories), the network's main RNG stream (so
-/// the default strategy's draws land in exactly the pre-extraction order),
-/// and the AP roster.
-pub struct SyncCtx<'a> {
-    /// The per-subcarrier medium.
-    pub medium: &'a mut SubcarrierMedium,
-    /// The network's main RNG stream (estimation noise, CFO noise).
-    pub rng: &'a mut JmbRng,
-    /// AP node ids; index 0 is the lead.
-    pub aps: &'a [NodeId],
-    /// Occupied subcarrier indices (ascending).
-    pub occupied: &'a [i32],
-    /// Estimation noise variance of one in-band sync-header measurement.
-    pub header_noise_var: f64,
-}
+/// What a slave can learn about the lead at one instant, at whatever
+/// fidelity the network runs: each observation is the lead→slave channel
+/// estimate plus the lead-minus-slave CFO (Hz) measured alongside it, or
+/// `None` when the slave could not make the waveform out.
+pub trait LeadObserver {
+    /// Number of APs (lead included); slaves are `1..n_aps`.
+    fn n_aps(&self) -> usize;
 
-impl SyncCtx<'_> {
-    /// Noisy per-subcarrier estimate of the `tx → rx` channel at `t` with
-    /// explicit noise variance: one channel-row evaluation plus one
-    /// complex-Gaussian draw per occupied subcarrier, in subcarrier order
-    /// — the exact draw sequence of the pre-extraction network.
-    pub fn estimate_with_var(
+    /// Where the control plane records what this exchange did to the
+    /// slaves (the observer holds the medium, and with it the trace).
+    fn trace(&mut self) -> &mut Trace;
+
+    /// The in-band sync header of the current joint transmission, measured
+    /// at `t_meas`.
+    fn header(&mut self, slave: usize, t_meas: f64) -> Option<(ChannelEstimate, f64)>;
+
+    /// An out-of-band pilot the lead broadcast on a side channel, measured
+    /// at `t` (possibly in the past: schedules are caught up lazily).
+    /// `noise_scale` is the estimate's noise variance relative to an
+    /// in-band header's, `cfo_sigma_hz` the 1σ accuracy of its raw CFO.
+    fn pilot(
         &mut self,
-        tx: NodeId,
-        rx: NodeId,
+        slave: usize,
         t: f64,
-        var: f64,
-    ) -> ChannelEstimate {
-        let mut gains = Vec::with_capacity(self.occupied.len());
-        self.medium
-            .channel_row_into(tx, rx, self.occupied, t, &mut gains);
-        for g in gains.iter_mut() {
-            *g += complex_gaussian(self.rng, var);
-        }
-        ChannelEstimate {
-            subcarriers: self.occupied.to_vec(),
-            gains,
-        }
-    }
+        noise_scale: f64,
+        cfo_sigma_hz: f64,
+    ) -> Option<(ChannelEstimate, f64)>;
 
-    /// The in-band sync-header estimate of the lead→`slave` channel.
-    pub fn header_estimate(&mut self, slave: usize, t: f64) -> ChannelEstimate {
-        self.estimate_with_var(self.aps[0], self.aps[slave], t, self.header_noise_var)
-    }
-
-    /// Ground-truth lead-relative CFO of `slave` at `t` (Hz). Draws no
-    /// noise itself — callers add their measurement error on top.
-    pub fn true_cfo_hz(&mut self, slave: usize, t: f64) -> f64 {
-        let f_lead = self.medium.trajectory_mut(self.aps[0]).cfo_hz_at(t);
-        let f_slave = self.medium.trajectory_mut(self.aps[slave]).cfo_hz_at(t);
-        f_lead - f_slave
-    }
-
-    /// Number of APs (lead included).
-    pub fn n_aps(&self) -> usize {
-        self.aps.len()
-    }
+    /// What the measurement packet sent at `t0` gives the slave: its
+    /// reference channel and a CFO seed, as `(estimate, cfo_hz, sigma_hz,
+    /// anchor_s)`. `sigma_hz` is the 1σ accuracy the packet's span supports;
+    /// the observer returns the accuracy it actually achieved and the
+    /// instant the estimate is referred to.
+    fn seed(
+        &mut self,
+        slave: usize,
+        t0: f64,
+        sigma_hz: f64,
+    ) -> Option<(ChannelEstimate, f64, f64, f64)>;
 }
 
 /// A pluggable phase-synchronization backend.
@@ -169,15 +156,16 @@ pub trait SyncStrategy: Send {
     /// the strategy stores per-slave reference channels and seeds its CFO
     /// trackers. `seed_sigma_hz` is the 1σ accuracy the measurement
     /// packet's span supports.
-    fn on_measurement(&mut self, ctx: &mut SyncCtx<'_>, t0: f64, seed_sigma_hz: f64);
+    fn on_measurement(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64);
 
-    /// A joint transmission's header instant `t_meas` arrived (and, for
-    /// in-band strategies, the slave heard it). Returns the phase
-    /// correction the slave applies for this packet plus its anchor time
-    /// (within-packet CFO tracking extrapolates from the anchor).
+    /// A joint transmission's header instant `t_meas` arrived. Returns the
+    /// phase correction the slave applies for this packet plus its anchor
+    /// time (within-packet CFO tracking extrapolates from the anchor);
+    /// [`JmbError::SyncHeaderMissed`] when an in-band strategy's slave could
+    /// not make the header out.
     fn on_header(
         &mut self,
-        ctx: &mut SyncCtx<'_>,
+        obs: &mut dyn LeadObserver,
         slave: usize,
         t_meas: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError>;
@@ -218,6 +206,23 @@ pub fn strategy_for(kind: SyncStrategyId, n_aps: usize) -> Box<dyn SyncStrategy>
     }
 }
 
+/// Stores every slave's reference channel and CFO seed from the measurement
+/// packet at `t0`; a slave that could not make the packet out keeps the
+/// state it had.
+fn seed_from_measurement(
+    sync: &mut [PhaseSync],
+    obs: &mut dyn LeadObserver,
+    t0: f64,
+    seed_sigma_hz: f64,
+) {
+    for s in 1..obs.n_aps() {
+        if let Some((est, cfo, sigma, anchor)) = obs.seed(s, t0, seed_sigma_hz) {
+            sync[s - 1].set_reference(est.clone());
+            sync[s - 1].seed_cfo(&est, cfo, sigma, anchor);
+        }
+    }
+}
+
 /// The paper's lead/slave resync (§5.2), extracted verbatim: per-slave
 /// [`PhaseSync`] state, seeded at measurement time, updated from every
 /// in-band sync header, with the CFO-extrapolated fallback on a miss.
@@ -239,23 +244,19 @@ impl SyncStrategy for JmbLeadSlave {
         SyncStrategyId::JmbLeadSlave
     }
 
-    fn on_measurement(&mut self, ctx: &mut SyncCtx<'_>, t0: f64, seed_sigma_hz: f64) {
-        for s in 1..ctx.n_aps() {
-            let est = ctx.header_estimate(s, t0);
-            let seed = ctx.true_cfo_hz(s, t0) + normal(ctx.rng, seed_sigma_hz);
-            self.sync[s - 1].set_reference(est.clone());
-            self.sync[s - 1].seed_cfo(&est, seed, seed_sigma_hz, t0);
-        }
+    fn on_measurement(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64) {
+        seed_from_measurement(&mut self.sync, obs, t0, seed_sigma_hz);
     }
 
     fn on_header(
         &mut self,
-        ctx: &mut SyncCtx<'_>,
+        obs: &mut dyn LeadObserver,
         slave: usize,
         t_meas: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError> {
-        let est = ctx.header_estimate(slave, t_meas);
-        let raw_cfo = ctx.true_cfo_hz(slave, t_meas) + normal(ctx.rng, RAW_HEADER_CFO_SIGMA_HZ);
+        let (est, raw_cfo) = obs
+            .header(slave, t_meas)
+            .ok_or(JmbError::SyncHeaderMissed { slave })?;
         self.sync[slave - 1].observe_header(&est, raw_cfo, t_meas);
         Ok((self.sync[slave - 1].correction(&est)?, t_meas))
     }
@@ -309,13 +310,8 @@ impl OobTracker {
 
     /// Seeds references and CFO trackers (same shape as the measurement
     /// seeding of the in-band strategy) and starts the update schedule.
-    fn seed(&mut self, ctx: &mut SyncCtx<'_>, t0: f64, seed_sigma_hz: f64) {
-        for s in 1..ctx.n_aps() {
-            let est = ctx.header_estimate(s, t0);
-            let seed = ctx.true_cfo_hz(s, t0) + normal(ctx.rng, seed_sigma_hz);
-            self.sync[s - 1].set_reference(est.clone());
-            self.sync[s - 1].seed_cfo(&est, seed, seed_sigma_hz, t0);
-        }
+    fn seed(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64) {
+        seed_from_measurement(&mut self.sync, obs, t0, seed_sigma_hz);
         self.next_update_t = Some(t0 + self.interval_s);
     }
 
@@ -324,11 +320,11 @@ impl OobTracker {
     /// most recent [`MAX_CATCHUP_UPDATES`] contribute estimates — older
     /// ones carry nothing the tracker's latest state does not supersede.
     /// Self-seeds on first contact if the network never ran a measurement.
-    fn catch_up(&mut self, ctx: &mut SyncCtx<'_>, t: f64) {
+    fn catch_up(&mut self, obs: &mut dyn LeadObserver, t: f64) {
         let first_tick = match self.next_update_t {
             Some(next) => next,
             None => {
-                self.seed(ctx, t, self.cfo_sigma_hz);
+                self.seed(obs, t, self.cfo_sigma_hz);
                 return;
             }
         };
@@ -337,13 +333,13 @@ impl OobTracker {
         }
         let n_due = ((t - first_tick) / self.interval_s).floor() as u64 + 1;
         self.pending_airtime_s += n_due as f64 * self.update_airtime_s;
-        let var = self.noise_scale * ctx.header_noise_var;
         for i in n_due.saturating_sub(MAX_CATCHUP_UPDATES)..n_due {
             let t_p = first_tick + i as f64 * self.interval_s;
-            for s in 1..ctx.n_aps() {
-                let est = ctx.estimate_with_var(ctx.aps[0], ctx.aps[s], t_p, var);
-                let cfo = ctx.true_cfo_hz(s, t_p) + normal(ctx.rng, self.cfo_sigma_hz);
-                self.sync[s - 1].observe_header(&est, cfo, t_p);
+            for s in 1..obs.n_aps() {
+                // A pilot the slave could not make out refreshes nothing.
+                if let Some((est, cfo)) = obs.pilot(s, t_p, self.noise_scale, self.cfo_sigma_hz) {
+                    self.sync[s - 1].observe_header(&est, cfo, t_p);
+                }
             }
         }
         self.next_update_t = Some(first_tick + n_due as f64 * self.interval_s);
@@ -353,11 +349,11 @@ impl OobTracker {
     /// then extrapolate from the latest absorbed update.
     fn correction_at(
         &mut self,
-        ctx: &mut SyncCtx<'_>,
+        obs: &mut dyn LeadObserver,
         slave: usize,
         t: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError> {
-        self.catch_up(ctx, t);
+        self.catch_up(obs, t);
         self.sync[slave - 1].extrapolated_correction()
     }
 }
@@ -394,17 +390,17 @@ impl SyncStrategy for AirSyncPilot {
         false
     }
 
-    fn on_measurement(&mut self, ctx: &mut SyncCtx<'_>, t0: f64, seed_sigma_hz: f64) {
-        self.tracker.seed(ctx, t0, seed_sigma_hz);
+    fn on_measurement(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64) {
+        self.tracker.seed(obs, t0, seed_sigma_hz);
     }
 
     fn on_header(
         &mut self,
-        ctx: &mut SyncCtx<'_>,
+        obs: &mut dyn LeadObserver,
         slave: usize,
         t_meas: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError> {
-        self.tracker.correction_at(ctx, slave, t_meas)
+        self.tracker.correction_at(obs, slave, t_meas)
     }
 
     fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
@@ -455,17 +451,17 @@ impl SyncStrategy for ReciprocityImplicit {
         RECIPROCITY_MEAS_AIRTIME_FACTOR
     }
 
-    fn on_measurement(&mut self, ctx: &mut SyncCtx<'_>, t0: f64, seed_sigma_hz: f64) {
-        self.tracker.seed(ctx, t0, seed_sigma_hz);
+    fn on_measurement(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64) {
+        self.tracker.seed(obs, t0, seed_sigma_hz);
     }
 
     fn on_header(
         &mut self,
-        ctx: &mut SyncCtx<'_>,
+        obs: &mut dyn LeadObserver,
         slave: usize,
         t_meas: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError> {
-        self.tracker.correction_at(ctx, slave, t_meas)
+        self.tracker.correction_at(obs, slave, t_meas)
     }
 
     fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
@@ -480,16 +476,20 @@ impl SyncStrategy for ReciprocityImplicit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastnet::FastObserver;
     use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
+    use jmb_dsp::rng::JmbRng;
     use jmb_phy::params::OfdmParams;
+    use jmb_sim::{NodeId, SubcarrierMedium};
     use rand::Rng;
 
-    /// A tiny two-AP medium for driving strategies directly.
+    /// A tiny fast-fidelity array for driving strategies directly.
     struct Rig {
         medium: SubcarrierMedium,
         rng: JmbRng,
         aps: Vec<NodeId>,
         occupied: Vec<i32>,
+        trace: Trace,
     }
 
     fn rig(n_aps: usize, seed: u64) -> Rig {
@@ -526,17 +526,19 @@ mod tests {
             rng,
             aps,
             occupied,
+            trace: Trace::new(),
         }
     }
 
     impl Rig {
-        fn ctx(&mut self) -> SyncCtx<'_> {
-            SyncCtx {
+        fn obs(&mut self) -> FastObserver<'_> {
+            FastObserver {
                 medium: &mut self.medium,
                 rng: &mut self.rng,
                 aps: &self.aps,
                 occupied: &self.occupied,
                 header_noise_var: 0.5,
+                trace: &mut self.trace,
             }
         }
     }
@@ -559,9 +561,9 @@ mod tests {
         let mut r = rig(2, 7);
         let mut s = JmbLeadSlave::new(2);
         assert_eq!(s.phase_error_rad(1, 0.1), f64::INFINITY);
-        s.on_measurement(&mut r.ctx(), 1e-4, 10.0);
+        s.on_measurement(&mut r.obs(), 1e-4, 10.0);
         assert!(s.reference(1).is_some());
-        let (c, anchor) = s.on_header(&mut r.ctx(), 1, 2e-3).unwrap();
+        let (c, anchor) = s.on_header(&mut r.obs(), 1, 2e-3).unwrap();
         assert_eq!(anchor, 2e-3);
         assert!(c.common_phase.is_finite() && c.cfo_hz.is_finite());
         // Error right after the header is ~0 and grows with staleness.
@@ -581,7 +583,7 @@ mod tests {
         // (the control plane's gate is inclusive there) — and the fallback
         // is anchored at the seed.
         let (t0, sigma_hz) = (1e-4, 10.0);
-        s.on_measurement(&mut r.ctx(), t0, sigma_hz);
+        s.on_measurement(&mut r.obs(), t0, sigma_hz);
         let t_star = t0 + SYNC_ERROR_BUDGET_RAD / (2.0 * std::f64::consts::PI * sigma_hz);
         let err = s.phase_error_rad(1, t_star);
         assert!(
@@ -590,7 +592,7 @@ mod tests {
         );
         assert_eq!(s.extrapolated(1).unwrap().1, t0);
         // A heard header moves the anchor.
-        let (_, anchor) = s.on_header(&mut r.ctx(), 1, 1e-3).unwrap();
+        let (_, anchor) = s.on_header(&mut r.obs(), 1, 1e-3).unwrap();
         assert_eq!(s.extrapolated(1).unwrap().1, anchor);
     }
 
@@ -602,10 +604,10 @@ mod tests {
         ] {
             let mut r = rig(2, 9);
             let mut s = strategy_for(kind, 2);
-            s.on_measurement(&mut r.ctx(), 1e-4, 10.0);
+            s.on_measurement(&mut r.obs(), 1e-4, 10.0);
             // Corrections keep flowing at arbitrary later times.
             for &t in &[1e-3, 5e-3, 30e-3, 31e-3] {
-                let (c, anchor) = s.on_header(&mut r.ctx(), 1, t).unwrap();
+                let (c, anchor) = s.on_header(&mut r.obs(), 1, t).unwrap();
                 assert!(c.common_phase.is_finite(), "{kind:?} at {t}");
                 assert!(anchor <= t, "{kind:?}: anchor {anchor} after {t}");
             }
@@ -618,7 +620,7 @@ mod tests {
     fn oob_strategies_self_seed_without_a_measurement() {
         let mut r = rig(2, 10);
         let mut s = AirSyncPilot::new(2);
-        let (c, _) = s.on_header(&mut r.ctx(), 1, 5e-3).unwrap();
+        let (c, _) = s.on_header(&mut r.obs(), 1, 5e-3).unwrap();
         assert!(c.common_phase.is_finite());
     }
 
@@ -626,8 +628,8 @@ mod tests {
     fn airsync_charges_pilot_airtime_reciprocity_does_not() {
         let mut r = rig(2, 11);
         let mut air = AirSyncPilot::new(2);
-        air.on_measurement(&mut r.ctx(), 0.0, 10.0);
-        air.on_header(&mut r.ctx(), 1, 10e-3).unwrap();
+        air.on_measurement(&mut r.obs(), 0.0, 10.0);
+        air.on_header(&mut r.obs(), 1, 10e-3).unwrap();
         // 10 ms at one pilot per 2 ms: 5 pilots on the air, all charged
         // even though only the most recent few were absorbed.
         let charged = air.take_control_airtime_s();
@@ -639,8 +641,8 @@ mod tests {
         assert_eq!(air.take_control_airtime_s(), 0.0);
 
         let mut rec = ReciprocityImplicit::new(2);
-        rec.on_measurement(&mut r.ctx(), 0.0, 10.0);
-        rec.on_header(&mut r.ctx(), 1, 60e-3).unwrap();
+        rec.on_measurement(&mut r.obs(), 0.0, 10.0);
+        rec.on_header(&mut r.obs(), 1, 60e-3).unwrap();
         assert_eq!(rec.take_control_airtime_s(), 0.0);
         // But its measurement phase is far cheaper.
         assert!(rec.measurement_airtime_factor() < 0.5);
@@ -651,9 +653,9 @@ mod tests {
     fn airsync_error_envelope_is_bounded_by_pilot_cadence() {
         let mut r = rig(2, 12);
         let mut s = AirSyncPilot::new(2);
-        s.on_measurement(&mut r.ctx(), 0.0, 10.0);
+        s.on_measurement(&mut r.obs(), 0.0, 10.0);
         // Let the tracker converge over many pilots.
-        s.on_header(&mut r.ctx(), 1, 50e-3).unwrap();
+        s.on_header(&mut r.obs(), 1, 50e-3).unwrap();
         // Worst case staleness = one pilot interval.
         let worst = s.phase_error_rad(1, 50e-3 + AIRSYNC_PILOT_INTERVAL_S);
         assert!(worst < 0.35, "worst-case pilot-gap error {worst} rad");
@@ -661,16 +663,141 @@ mod tests {
 
     mod contract {
         use super::*;
+        use crate::measure::{MeasurementPlan, REF_ANCHOR};
+        use crate::net::SampleObserver;
+        use jmb_phy::preamble;
+        use jmb_sim::Medium;
         use proptest::prelude::*;
+
+        /// What the contract needs from a rig: put the lead's waveform on
+        /// the air where the fidelity has one, then hand the strategy its
+        /// observer.
+        trait Drive {
+            fn measure(&mut self, s: &mut dyn SyncStrategy, t0: f64);
+            fn header(
+                &mut self,
+                s: &mut dyn SyncStrategy,
+                slave: usize,
+                t: f64,
+            ) -> (PhaseCorrection, f64);
+        }
+
+        impl Drive for Rig {
+            fn measure(&mut self, s: &mut dyn SyncStrategy, t0: f64) {
+                s.on_measurement(&mut self.obs(), t0, 10.0);
+            }
+            fn header(
+                &mut self,
+                s: &mut dyn SyncStrategy,
+                slave: usize,
+                t: f64,
+            ) -> (PhaseCorrection, f64) {
+                s.on_header(&mut self.obs(), slave, t).unwrap()
+            }
+        }
+
+        /// The same array at sample fidelity: real waveforms over a
+        /// [`Medium`], 30 dB AP↔AP links.
+        struct SampleRig {
+            medium: Medium,
+            rng: JmbRng,
+            aps: Vec<NodeId>,
+            params: OfdmParams,
+            /// Start of the last in-band header put on the air.
+            t_h: f64,
+        }
+
+        const NOISE_VAR: f64 = 1e-6;
+
+        fn sample_rig(n_aps: usize, seed: u64) -> SampleRig {
+            let params = OfdmParams::default();
+            let mut rng = jmb_dsp::rng::rng_from_seed(seed);
+            let mut medium = Medium::new(params.clone(), rng.gen());
+            let aps: Vec<NodeId> = (0..n_aps)
+                .map(|_| {
+                    let traj = PhaseTrajectory::new(
+                        OscillatorSpec::usrp2(),
+                        params.carrier_freq,
+                        &mut rng,
+                    );
+                    medium.add_node(traj, NOISE_VAR)
+                })
+                .collect();
+            for i in 0..n_aps {
+                for j in i + 1..n_aps {
+                    let mut link = jmb_channel::Link::new(
+                        jmb_dsp::Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
+                        rng.gen::<f64>() * 30e-9,
+                        jmb_channel::multipath::Multipath::new(
+                            jmb_channel::multipath::MultipathSpec::indoor_los(),
+                            &mut rng,
+                        ),
+                    );
+                    link.calibrate_snr(30.0, 64.0 * NOISE_VAR);
+                    medium.set_reciprocal_link(aps[i], aps[j], link);
+                }
+            }
+            SampleRig {
+                medium,
+                rng,
+                aps,
+                params,
+                t_h: f64::NEG_INFINITY,
+            }
+        }
+
+        impl SampleRig {
+            fn obs<'a>(&'a mut self, plan: Option<&'a MeasurementPlan>) -> SampleObserver<'a> {
+                SampleObserver {
+                    medium: &mut self.medium,
+                    rng: &mut self.rng,
+                    aps: &self.aps,
+                    params: &self.params,
+                    t_h: self.t_h,
+                    plan,
+                    header_noise_var: 32.0 * NOISE_VAR,
+                }
+            }
+        }
+
+        impl Drive for SampleRig {
+            fn measure(&mut self, s: &mut dyn SyncStrategy, t0: f64) {
+                let plan = MeasurementPlan::new(self.aps.len(), 8);
+                let ts = self.params.sample_period();
+                for (i, &ap) in self.aps.iter().enumerate() {
+                    for (off, seg) in plan.ap_segments(&self.params, i) {
+                        self.medium.transmit(ap, t0 + off as f64 * ts, seg);
+                    }
+                }
+                self.t_h = t0;
+                s.on_measurement(&mut self.obs(Some(&plan)), t0, 10.0);
+            }
+            fn header(
+                &mut self,
+                s: &mut dyn SyncStrategy,
+                slave: usize,
+                t: f64,
+            ) -> (PhaseCorrection, f64) {
+                // One header per instant, however many slaves listen to it.
+                let t_h = t - REF_ANCHOR * self.params.sample_period();
+                if t_h != self.t_h {
+                    self.medium
+                        .transmit(self.aps[0], t_h, preamble::preamble(&self.params));
+                    self.t_h = t_h;
+                }
+                s.on_header(&mut self.obs(None), slave, t).unwrap()
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// Trait contract, every backend: once seeded, corrections are
-            /// finite, anchors never run ahead of the request time and are
-            /// monotone across a monotone header sequence, the predicted
-            /// phase error is finite and non-negative, and control airtime
-            /// is non-negative and drains exactly once.
+            /// Trait contract, every backend at either fidelity: once
+            /// seeded, corrections are finite, anchors never run ahead of
+            /// the request time and are monotone across a monotone header
+            /// sequence, the predicted phase error is finite and
+            /// non-negative, and control airtime is non-negative and drains
+            /// exactly once.
             #[test]
             fn corrections_finite_anchors_monotone(
                 kind_i in 0usize..3,
@@ -678,23 +805,29 @@ mod tests {
                 n_aps in 2usize..4,
                 steps in 1usize..8,
                 dt_ms in 1.0..5.0f64,
+                sample in any::<bool>(),
             ) {
                 let kind = SyncStrategyId::ALL[kind_i];
-                let mut r = rig(n_aps, seed);
+                let mut r: Box<dyn Drive> = if sample {
+                    Box::new(sample_rig(2, seed))
+                } else {
+                    Box::new(rig(n_aps, seed))
+                };
+                let n_aps = if sample { 2 } else { n_aps };
                 let mut s = strategy_for(kind, n_aps);
-                s.on_measurement(&mut r.ctx(), 1e-4, 10.0);
+                r.measure(&mut *s, 1e-4);
                 for slave in 1..n_aps {
                     prop_assert!(s.reference(slave).is_some(), "{kind:?} slave {slave}");
                 }
                 // Time is globally monotone (the out-of-band schedules are
                 // shared across slaves), so the clock is the outer loop —
-                // exactly how `FastNet` drives the strategy.
+                // exactly how the networks drive the strategy.
                 let mut last_anchor = vec![f64::NEG_INFINITY; n_aps - 1];
                 for k in 1..=steps {
                     let t = 1e-4 + k as f64 * dt_ms * 1e-3;
                     for (i, last) in last_anchor.iter_mut().enumerate() {
                         let slave = i + 1;
-                        let (c, anchor) = s.on_header(&mut r.ctx(), slave, t).unwrap();
+                        let (c, anchor) = r.header(&mut *s, slave, t);
                         prop_assert!(
                             c.common_phase.is_finite()
                                 && c.slope.is_finite()

@@ -5,7 +5,7 @@
 use jmb_core::control::BatchSync;
 use jmb_core::fastnet::{FastConfig, FastNet};
 use jmb_core::net::{JmbNetwork, NetConfig};
-use jmb_core::{BackoffPolicy, CsiTracker, JmbError, PhaseSync, SyncHealth};
+use jmb_core::{BackoffPolicy, CsiTracker, JmbError, PhaseSync, SyncHealth, SyncStrategyId};
 use jmb_dsp::Complex64;
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
@@ -87,6 +87,7 @@ fn measurement_shape_on_mismatched_estimates() {
 /// expose; only how a batch is sent and where the trace lives differ.
 struct Cell<N> {
     net: N,
+    set_sync: fn(&mut N, SyncStrategyId),
     advance: fn(&mut N, f64),
     now: fn(&N) -> f64,
     faults: fn(&mut N, FaultConfig),
@@ -109,10 +110,11 @@ struct Step {
     health: Vec<SyncHealth>,
 }
 
-/// Slave 1 loses every header, then the storm clears, then every
-/// measurement frame is lost. Returns the per-batch control record and the
-/// control-event kinds the run left on the trace.
-fn storm_script<N>(mut c: Cell<N>) -> (Vec<Step>, Vec<&'static str>) {
+/// Under `strategy`, slave 1 loses every header, then the storm clears,
+/// then every measurement frame is lost. Returns the per-batch control
+/// record and the control-event kinds the run left on the trace.
+fn storm_script<N>(mut c: Cell<N>, strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
+    (c.set_sync)(&mut c.net, strategy);
     (c.measure)(&mut c.net).unwrap();
     (c.trace)(&mut c.net).enable();
     (c.faults)(
@@ -167,42 +169,53 @@ fn storm_script<N>(mut c: Cell<N>) -> (Vec<Step>, Vec<&'static str>) {
     (steps, kinds)
 }
 
+fn both_fidelities(strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
+    let fast = storm_script(
+        Cell {
+            net: FastNet::new(fast_cfg(3, 22)).unwrap(),
+            set_sync: FastNet::set_sync_strategy,
+            advance: FastNet::advance,
+            now: FastNet::now,
+            faults: FastNet::set_control_faults,
+            measure: FastNet::run_measurement,
+            transmit: |n| {
+                n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
+                    .map(drop)
+            },
+            health: FastNet::sync_health,
+            last_sync: FastNet::last_sync,
+            trace: |n| &mut n.trace,
+        },
+        strategy,
+    );
+    let sample = storm_script(
+        Cell {
+            net: JmbNetwork::new(NetConfig::default_with(3, 2, 22.0, 52)).unwrap(),
+            set_sync: JmbNetwork::set_sync_strategy,
+            advance: JmbNetwork::advance,
+            now: JmbNetwork::now,
+            faults: JmbNetwork::set_control_faults,
+            measure: JmbNetwork::run_measurement,
+            transmit: |n| {
+                n.joint_transmit(&vec![vec![0x5Au8; 40]; 2], Mcs::BASE, true)
+                    .map(drop)
+            },
+            health: JmbNetwork::sync_health,
+            last_sync: JmbNetwork::last_sync,
+            trace: |n| &mut n.medium_mut().trace,
+        },
+        strategy,
+    );
+    assert_eq!(fast, sample, "{strategy:?}");
+    fast
+}
+
 #[test]
 fn control_faults_play_out_identically_on_both_fidelities() {
-    let fast = storm_script(Cell {
-        net: FastNet::new(fast_cfg(3, 22)).unwrap(),
-        advance: FastNet::advance,
-        now: FastNet::now,
-        faults: FastNet::set_control_faults,
-        measure: FastNet::run_measurement,
-        transmit: |n| {
-            n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
-                .map(drop)
-        },
-        health: FastNet::sync_health,
-        last_sync: FastNet::last_sync,
-        trace: |n| &mut n.trace,
-    });
-    let sample = storm_script(Cell {
-        net: JmbNetwork::new(NetConfig::default_with(3, 2, 22.0, 52)).unwrap(),
-        advance: JmbNetwork::advance,
-        now: JmbNetwork::now,
-        faults: JmbNetwork::set_control_faults,
-        measure: JmbNetwork::run_measurement,
-        transmit: |n| {
-            n.joint_transmit(&vec![vec![0x5Au8; 40]; 2], Mcs::BASE, true)
-                .map(drop)
-        },
-        health: JmbNetwork::sync_health,
-        last_sync: JmbNetwork::last_sync,
-        trace: |n| &mut n.medium_mut().trace,
-    });
-    assert_eq!(fast, sample);
-
-    // And the script is the documented policy: misses 1 and 2 ride an
+    // The script is the documented policy: misses 1 and 2 ride an
     // extrapolated correction inside the budget, miss 3 degrades and
     // excludes, a heard header restores.
-    let (steps, kinds) = fast;
+    let (steps, kinds) = both_fidelities(SyncStrategyId::JmbLeadSlave);
     for (i, s) in steps.iter().enumerate().take(4) {
         assert_eq!(s.missed, vec![1], "batch {i}");
         assert_eq!(s.fallback.is_empty(), i >= 2, "batch {i}");
@@ -226,6 +239,20 @@ fn control_faults_play_out_identically_on_both_fidelities() {
             "MeasurementLost",
         ]
     );
+
+    // The out-of-band backends consult no in-band header, so at either
+    // fidelity the storm touches nobody; the measurement loss still lands.
+    for strategy in [
+        SyncStrategyId::AirSyncPilot,
+        SyncStrategyId::ReciprocityImplicit,
+    ] {
+        let (steps, kinds) = both_fidelities(strategy);
+        for (i, s) in steps.iter().enumerate() {
+            assert!(s.missed.is_empty() && s.excluded.is_empty(), "batch {i}");
+            assert!(!s.health[0].is_degraded(), "batch {i}");
+        }
+        assert_eq!(kinds, ["MeasurementLost"]);
+    }
 }
 
 #[test]

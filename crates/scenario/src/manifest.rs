@@ -110,11 +110,11 @@ impl Op {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Per-subcarrier [`jmb_traffic::FastBackend`] — the default; supports
-    /// per-client SNR lists and `[sync]` strategy selection.
+    /// per-client SNR lists.
     #[default]
     Fast,
     /// Sample-level [`jmb_traffic::SampleBackend`] — full OFDM + CRC
-    /// validation; scalar SNR and the paper's lead/slave resync only.
+    /// validation; scalar SNR only.
     Sample,
 }
 
@@ -926,6 +926,23 @@ impl Manifest {
         if self.traffic.drain_s < 0.0 {
             return inv("traffic drain_s must be non-negative".into());
         }
+        // A non-positive rate or mean period runs arrival times backwards
+        // (the event loop never reaches the horizon) or offers nothing.
+        let positive: &[(&str, f64)] = match self.traffic.arrival {
+            ArrivalSpec::Poisson { rate_pps } => &[("poisson rate", rate_pps)],
+            ArrivalSpec::OnOff {
+                burst_pps,
+                on_s,
+                off_s,
+            } => &[
+                ("onoff burst rate", burst_pps),
+                ("onoff ON mean", on_s),
+                ("onoff OFF mean", off_s),
+            ],
+        };
+        if let Some((what, v)) = positive.iter().find(|(_, v)| *v <= 0.0) {
+            return inv(format!("traffic arrival {what} must be positive (got {v})"));
+        }
         match &self.topology {
             Topology::Single {
                 aps,
@@ -996,13 +1013,6 @@ impl Manifest {
                         .into());
                 }
             }
-        }
-        if self.backend == Backend::Sample && self.sync != SyncStrategyId::default() {
-            return inv(
-                "the sample backend renders the paper's in-band resync waveform; \
-                        `[sync]` strategy selection needs `backend fast`"
-                    .into(),
-            );
         }
         if let PacketSpec::Uniform { min, max } = self.traffic.packet {
             if min == 0 || min > max {
@@ -1459,6 +1469,30 @@ duration_s 0.1
             assert!(canon.contains(&format!("[sync]\nstrategy {}\n", kind.token())));
             assert_eq!(Manifest::parse(&canon).unwrap(), m);
             assert_eq!(Manifest::parse(&canon).unwrap().to_text(), canon);
+            // The strategies run at either fidelity.
+            let sample = text
+                .replace("backend fast", "backend sample")
+                .replace("28,22,16,10", "22");
+            assert_eq!(Manifest::parse(&sample).unwrap().sync, kind);
+        }
+    }
+
+    #[test]
+    fn arrivals_that_cannot_advance_the_clock_are_invalid() {
+        // Each of these used to pass `check` and then hang the runner (a
+        // negative rate or period runs arrival times backwards) or offer
+        // nothing at all (zero). GOOD carries `arrival onoff 4000 0.02 0.03`.
+        for (arrival, names) in [
+            ("poisson -400", "poisson rate"),
+            ("poisson 0", "poisson rate"),
+            ("onoff 4000 0.02 -1", "onoff OFF mean"),
+            ("onoff 4000 0 0.03", "onoff ON mean"),
+            ("onoff -4000 0.02 0.03", "onoff burst rate"),
+        ] {
+            let bad = GOOD.replace("onoff 4000 0.02 0.03", arrival);
+            let err = Manifest::parse(&bad).unwrap_err();
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{arrival}: {err}");
+            assert!(err.to_string().contains(names), "{arrival}: {err}");
         }
     }
 
@@ -1486,30 +1520,5 @@ duration_s 0.1
             .unwrap_err()
             .to_string()
             .contains("duplicate section"));
-    }
-
-    #[test]
-    fn sample_backend_rejects_strategy_selection() {
-        let sample = "\
-version 1
-name s
-[topology]
-kind single
-aps 2
-clients 1
-snr_db 25
-[channel]
-backend sample
-[sync]
-strategy airsync-pilot
-[traffic]
-arrival poisson 500
-packet fixed 700
-duration_s 0.1
-";
-        assert!(Manifest::parse(sample)
-            .unwrap_err()
-            .to_string()
-            .contains("backend fast"));
     }
 }

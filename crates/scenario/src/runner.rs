@@ -78,6 +78,11 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunOutput, Scenar
                     let cfg = NetConfig::default_with(*aps, *clients, snr[0], seed);
                     let mut b =
                         SampleBackend::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))?;
+                    // Before the faults: the switch re-measures, and that
+                    // exchange is construction, not part of the run.
+                    if m.sync != b.sync_strategy() {
+                        b.set_sync_strategy(m.sync);
+                    }
                     if !clean {
                         b.net_mut().set_fault_schedule(schedule.clone());
                     }

@@ -73,14 +73,75 @@ const KERNEL_REACH: f64 = 32.0;
 /// which a transmission of `tx_len` samples contributes exactly nothing:
 /// the waveform, the kernel's reach on either side, and the delay of the
 /// link's last tap (`fs_tx` converts it to transmitter samples). The one
-/// support rule of [`Medium::render_rx`]: it bounds the output range a
-/// transmission is evaluated on, and a transmission whose range is empty is
-/// skipped.
+/// support rule of every render: it bounds the output range a transmission
+/// is evaluated on, and a transmission whose range is empty is skipped.
 fn support(link: &Link, tx_len: usize, fs_tx: f64) -> (f64, f64) {
     (
         -KERNEL_REACH,
         tx_len as f64 + KERNEL_REACH + link.fading.max_delay_s() * fs_tx,
     )
+}
+
+/// The output instants of one render, on the receiver's clock.
+#[derive(Clone, Copy)]
+struct RxWindow {
+    start_s: f64,
+    /// The receiver's sample period.
+    ts_rx: f64,
+}
+
+impl RxWindow {
+    fn time_of(&self, m: usize) -> f64 {
+        self.start_s + m as f64 * self.ts_rx
+    }
+
+    /// Adds to `out` what the receiver hears of `wave` — `(start_s,
+    /// samples)` on the transmitter's clock, `fs_tx` its sample rate —
+    /// through `link`; `rx_phases` is the receiver's carrier phase at each
+    /// output instant.
+    fn superpose(
+        &self,
+        (sent_start_s, samples): (f64, &[Complex64]),
+        link: &Link,
+        tx_traj: &mut PhaseTrajectory,
+        fs_tx: f64,
+        rx_phases: &[f64],
+        out: &mut [Complex64],
+    ) {
+        let n = out.len();
+        // Output sample m sits at `base_pos ≈ pos0 + m·step` on the
+        // transmitter's grid, so the samples inside the support are one
+        // contiguous range — empty for a transmission out of earshot. It
+        // is taken a sample wide on either side so that rounding in this
+        // estimate can drop nothing; positions past the kernel's reach
+        // interpolate to exactly zero anyway.
+        let (lo, hi) = support(link, samples.len(), fs_tx);
+        let pos0 = (self.start_s - sent_start_s - link.delay_s) * fs_tx;
+        let step = self.ts_rx * fs_tx;
+        let end = ((hi - pos0) / step + 2.0).min(n as f64) as usize;
+        let first = (((lo - pos0) / step - 1.0).max(0.0) as usize).min(end);
+        let heard = rx_phases[first..end].iter().zip(&mut out[first..end]);
+        for (m, (&rx_phase, out)) in (first..).zip(heard) {
+            let time = self.time_of(m);
+            // Input-sample position (transmitter clock) for this output
+            // instant, before tap delays.
+            let base_pos = (time - sent_start_s - link.delay_s) * fs_tx;
+            let mut acc = Complex64::ZERO;
+            for (tau, g) in link.fading.tap_iter() {
+                if g == Complex64::ZERO {
+                    continue;
+                }
+                let v = interpolate_at(samples, base_pos - tau * fs_tx);
+                if v != Complex64::ZERO {
+                    acc = g.mul_add(v, acc);
+                }
+            }
+            if acc != Complex64::ZERO {
+                let rot = Complex64::cis(tx_traj.phase_at(time) - rx_phase);
+                *out = (link.gain * rot).mul_add(acc, *out);
+            }
+        }
+    }
 }
 
 impl Medium {
@@ -228,6 +289,26 @@ impl Medium {
         self.bursts.push((rx, start_s, duration_s, var));
     }
 
+    /// Opens a receive window of `n` samples at `rx` from `start_s`: fills
+    /// the scratch with the receiver's carrier phase at each output instant
+    /// and returns the window (on the receiver's clock) with its AWGN.
+    fn open_window(&mut self, rx: NodeId, start_s: f64, n: usize) -> (RxWindow, Vec<Complex64>) {
+        let ratio_rx = self.nodes[rx.0].traj.sample_ratio();
+        let win = RxWindow {
+            start_s,
+            ts_rx: 1.0 / (self.params.sample_rate() * ratio_rx),
+        };
+        let rx_traj = &mut self.nodes[rx.0].traj;
+        self.rx_phases.clear();
+        self.rx_phases
+            .extend((0..n).map(|m| rx_traj.phase_at(win.time_of(m))));
+        let noise_var = self.nodes[rx.0].noise_var;
+        let out = (0..n)
+            .map(|_| complex_gaussian(&mut self.rng, noise_var))
+            .collect();
+        (win, out)
+    }
+
     /// Renders what `rx` hears between `start_s` and
     /// `start_s + n/fs_rx`: superposition of all transmissions through their
     /// links, plus AWGN and any noise bursts.
@@ -235,22 +316,7 @@ impl Medium {
     /// A node never hears its own transmissions (half-duplex front end).
     pub fn render_rx(&mut self, rx: NodeId, start_s: f64, n: usize) -> Vec<Complex64> {
         let fs = self.params.sample_rate();
-        let ratio_rx = self.nodes[rx.0].traj.sample_ratio();
-        let ts_rx = 1.0 / (fs * ratio_rx);
-
-        // Output sample times on the receiver's clock, and the receiver's
-        // phase at each.
-        let time_of = |m: usize| start_s + m as f64 * ts_rx;
-        let rx_traj = &mut self.nodes[rx.0].traj;
-        self.rx_phases.clear();
-        self.rx_phases
-            .extend((0..n).map(|m| rx_traj.phase_at(time_of(m))));
-
-        // Start with AWGN.
-        let noise_var = self.nodes[rx.0].noise_var;
-        let mut out: Vec<Complex64> = (0..n)
-            .map(|_| complex_gaussian(&mut self.rng, noise_var))
-            .collect();
+        let (win, mut out) = self.open_window(rx, start_s, n);
 
         // Noise bursts.
         for &(brx, bstart, bdur, bvar) in &self.bursts {
@@ -258,7 +324,7 @@ impl Medium {
                 continue;
             }
             for (m, out) in out.iter_mut().enumerate() {
-                let t = time_of(m);
+                let t = win.time_of(m);
                 if t >= bstart && t < bstart + bdur {
                     *out += complex_gaussian(&mut self.rng, bvar);
                 }
@@ -275,41 +341,41 @@ impl Medium {
             };
             let tx_traj = &mut self.nodes[sent.tx.0].traj;
             let fs_tx = fs * tx_traj.sample_ratio();
-            // Output sample m sits at `base_pos ≈ pos0 + m·step` on the
-            // transmitter's grid, so the samples inside the support are one
-            // contiguous range — empty for a transmission out of earshot. It
-            // is taken a sample wide on either side so that rounding in this
-            // estimate can drop nothing; positions past the kernel's reach
-            // interpolate to exactly zero anyway.
-            let (lo, hi) = support(link, sent.samples.len(), fs_tx);
-            let pos0 = (start_s - sent.start_s - link.delay_s) * fs_tx;
-            let step = ts_rx * fs_tx;
-            let end = ((hi - pos0) / step + 2.0).min(n as f64) as usize;
-            let first = (((lo - pos0) / step - 1.0).max(0.0) as usize).min(end);
-            let heard = self.rx_phases[first..end].iter().zip(&mut out[first..end]);
-            for (m, (&rx_phase, out)) in (first..).zip(heard) {
-                let time = time_of(m);
-                // Input-sample position (transmitter clock) for this output
-                // instant, before tap delays.
-                let base_pos = (time - sent.start_s - link.delay_s) * fs_tx;
-                let mut acc = Complex64::ZERO;
-                for (tau, g) in link.fading.tap_iter() {
-                    if g == Complex64::ZERO {
-                        continue;
-                    }
-                    let v = interpolate_at(&sent.samples, base_pos - tau * fs_tx);
-                    if v != Complex64::ZERO {
-                        acc = g.mul_add(v, acc);
-                    }
-                }
-                if acc != Complex64::ZERO {
-                    let rot = Complex64::cis(tx_traj.phase_at(time) - rx_phase);
-                    *out = (link.gain * rot).mul_add(acc, *out);
-                }
-            }
+            let wave = (sent.start_s, &sent.samples[..]);
+            win.superpose(wave, link, tx_traj, fs_tx, &self.rx_phases, &mut out);
         }
         self.trace
             .emit(start_s, EventKind::Render { node: rx.0, len: n });
+        out
+    }
+
+    /// Renders what `rx` hears of one waveform that `tx` sends at `start_s`
+    /// on a side channel: the same link, oscillators and AWGN as
+    /// [`Medium::render_rx`], but the waveform is never scheduled, so it is
+    /// summed with nothing on the air and nobody else hears it. The window
+    /// is `n` receiver samples from `start_s`.
+    pub fn render_side_channel(
+        &mut self,
+        tx: NodeId,
+        rx: NodeId,
+        start_s: f64,
+        samples: &[Complex64],
+        n: usize,
+    ) -> Vec<Complex64> {
+        let fs = self.params.sample_rate();
+        let (win, mut out) = self.open_window(rx, start_s, n);
+        if let Some(link) = &self.links[tx.0][rx.0] {
+            let tx_traj = &mut self.nodes[tx.0].traj;
+            let fs_tx = fs * tx_traj.sample_ratio();
+            win.superpose(
+                (start_s, samples),
+                link,
+                tx_traj,
+                fs_tx,
+                &self.rx_phases,
+                &mut out,
+            );
+        }
         out
     }
 

@@ -103,6 +103,21 @@ impl ArrivalProcess {
             } => burst_rate_pps * mean_on_s / (mean_on_s + mean_off_s),
         }
     }
+
+    /// Whether every rate and mean period is positive and finite. Anything
+    /// else makes inter-arrival times zero, negative or NaN, and a
+    /// generator whose clock does not advance never reaches the horizon.
+    pub(crate) fn is_well_posed(&self) -> bool {
+        let ok = |x: f64| x > 0.0 && x.is_finite();
+        match *self {
+            ArrivalProcess::Poisson { rate_pps } => ok(rate_pps),
+            ArrivalProcess::OnOff {
+                burst_rate_pps,
+                mean_on_s,
+                mean_off_s,
+            } => ok(burst_rate_pps) && ok(mean_on_s) && ok(mean_off_s),
+        }
+    }
 }
 
 /// Exponential draw with the given mean (inverse-CDF of `U(0,1)`).

@@ -46,17 +46,25 @@ pub struct ControlInfo {
     pub csi_stale: bool,
     /// Worst-case predicted phase error (radians) across slaves after the
     /// batch, as reported by the sync backend — the traffic layer exports
-    /// it as the per-strategy phase-error gauge. Zero when the PHY has no
-    /// pluggable sync (or before any reference exists).
+    /// it as the per-strategy phase-error gauge. Zero before any reference
+    /// exists.
     pub sync_phase_err_rad: f64,
 }
 
 impl ControlInfo {
-    /// Copies what the batch's sync-header exchange did to the slaves.
-    fn copy_sync(&mut self, sync: &BatchSync) {
+    /// Records what serving the batch did on the sync plane: what the
+    /// header exchange did to the slaves, the out-of-band control airtime
+    /// (pilot broadcasts) the backend accrued — charged as control overhead;
+    /// zero for the in-band JMB strategy, which keeps its accounting
+    /// byte-exact — and its predicted phase error afterwards.
+    fn record_sync(&mut self, sync: &BatchSync, control_airtime_s: f64, phase_err_rad: f64) {
         self.missed_slaves.clone_from(&sync.missed);
         self.newly_degraded.clone_from(&sync.newly_degraded);
         self.newly_restored.clone_from(&sync.newly_restored);
+        self.overhead_s += control_airtime_s;
+        if phase_err_rad.is_finite() {
+            self.sync_phase_err_rad = phase_err_rad;
+        }
     }
 }
 
@@ -92,14 +100,9 @@ pub trait TransmitBackend {
         active_aps: &[usize],
     ) -> Result<TxReport, JmbError>;
     /// The synchronization backend keeping the array phase-aligned.
-    /// Defaults to the paper's lead/slave strategy for PHYs without
-    /// pluggable sync.
-    fn sync_strategy(&self) -> SyncStrategyId {
-        SyncStrategyId::default()
-    }
-    /// Swaps the synchronization backend. A no-op for PHYs without
-    /// pluggable sync.
-    fn set_sync_strategy(&mut self, _kind: SyncStrategyId) {}
+    fn sync_strategy(&self) -> SyncStrategyId;
+    /// Swaps the synchronization backend.
+    fn set_sync_strategy(&mut self, kind: SyncStrategyId);
 }
 
 /// Per-subcarrier backend over [`FastNet`]: SINR → packet success through
@@ -225,14 +228,6 @@ impl TransmitBackend for FastBackend {
         let result = self
             .net
             .joint_transmit_subset(dests, active_aps, payload_len, 2, true);
-        // Out-of-band sync control airtime (pilot broadcasts) accrued while
-        // serving this batch is charged as control overhead — zero for the
-        // in-band JMB strategy, which keeps its accounting byte-exact.
-        control.overhead_s += self.net.take_sync_control_airtime_s();
-        let phase_err = self.net.sync_phase_error_rad();
-        if phase_err.is_finite() {
-            control.sync_phase_err_rad = phase_err;
-        }
         let (airtime_s, mcs_index, acked) = match result {
             Ok(out) => {
                 let threshold = MCS_THRESHOLD_DB[out.mcs.index()];
@@ -250,7 +245,9 @@ impl TransmitBackend for FastBackend {
             Err(JmbError::SyncHeaderMissed { .. }) => (0.0, 0, vec![false; dests.len()]),
             Err(e) => return Err(e),
         };
-        control.copy_sync(self.net.last_sync());
+        let pilots_s = self.net.take_sync_control_airtime_s();
+        let phase_err = self.net.sync_phase_error_rad();
+        control.record_sync(self.net.last_sync(), pilots_s, phase_err);
         // The network advances its own oscillators through the frame and
         // the measurement exchange; mirror that here so CSI ages in sim
         // time (the caller's `advance` only covers idle/contention gaps).
@@ -342,13 +339,30 @@ impl TransmitBackend for SampleBackend {
             .joint_transmit_masked(&payloads, self.mcs, true, Some(&mask))?;
         let acked = dests.iter().map(|&d| results[d].is_ok()).collect();
         let mut control = ControlInfo::default();
-        control.copy_sync(self.net.last_sync());
+        let pilots_s = self.net.take_sync_control_airtime_s();
+        let phase_err = self.net.sync_phase_error_rad();
+        control.record_sync(self.net.last_sync(), pilots_s, phase_err);
         Ok(TxReport {
             airtime_s: baseline::frame_airtime(&self.net.config().params, self.mcs, payload_len),
             acked,
             mcs_index: self.mcs.index(),
             control,
         })
+    }
+
+    fn sync_strategy(&self) -> SyncStrategyId {
+        self.net.sync_strategy()
+    }
+
+    fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
+        self.net.set_sync_strategy(kind);
+        // The new backend holds no references, and this PHY measures only
+        // at construction: measure again so the slaves are seeded. A lost
+        // exchange leaves them unseeded — every batch a miss — and the rate
+        // as it was.
+        if self.net.run_measurement().is_ok() {
+            self.mcs = self.net.select_rate().unwrap_or(Mcs::BASE);
+        }
     }
 }
 

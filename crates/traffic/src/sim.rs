@@ -86,8 +86,7 @@ pub struct TrafficConfig {
     /// Master seed (arrivals and backoff; the backend seeds itself).
     pub seed: u64,
     /// Synchronization backend for the run. Applied to the PHY at
-    /// construction when it differs from the backend's current strategy
-    /// (a backend that cannot run it is a [`JmbError::BadConfig`]); a
+    /// construction when it differs from the backend's current strategy; a
     /// non-default strategy is announced on the trace at run start with
     /// [`TraceKind::SyncStrategySwitched`].
     pub sync_strategy: SyncStrategyId,
@@ -276,6 +275,11 @@ impl<B: TransmitBackend> TrafficSim<B> {
         if cfg.loads.is_empty() {
             return Err(JmbError::BadConfig("need at least one client"));
         }
+        if !cfg.loads.iter().all(|l| l.arrival.is_well_posed()) {
+            return Err(JmbError::BadConfig(
+                "arrival rates and on/off mean periods must be positive and finite",
+            ));
+        }
         if cfg
             .outages
             .iter()
@@ -297,12 +301,6 @@ impl<B: TransmitBackend> TrafficSim<B> {
         // byte-exact draw stream).
         if backend.sync_strategy() != cfg.sync_strategy {
             backend.set_sync_strategy(cfg.sync_strategy);
-            // `set_sync_strategy` is a no-op on a PHY without pluggable sync.
-            if backend.sync_strategy() != cfg.sync_strategy {
-                return Err(JmbError::BadConfig(
-                    "backend cannot run the configured sync strategy",
-                ));
-            }
         }
         let n_aps = backend.n_aps();
         let home_ap: Vec<usize> = (0..backend.n_clients()).map(|j| j % n_aps).collect();
@@ -703,6 +701,7 @@ mod tests {
         failing: Vec<usize>,
         calls: u64,
         fail_until_call: u64,
+        sync: SyncStrategyId,
     }
 
     impl StubBackend {
@@ -714,6 +713,7 @@ mod tests {
                 failing: Vec::new(),
                 calls: 0,
                 fail_until_call: 0,
+                sync: SyncStrategyId::default(),
             }
         }
     }
@@ -745,6 +745,12 @@ mod tests {
                 mcs_index: 0,
                 control: Default::default(),
             })
+        }
+        fn sync_strategy(&self) -> SyncStrategyId {
+            self.sync
+        }
+        fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
+            self.sync = kind;
         }
     }
 
@@ -908,23 +914,29 @@ mod tests {
     }
 
     #[test]
-    fn sync_strategy_the_backend_cannot_run_is_rejected() {
-        use crate::backend::SampleBackend;
-        use jmb_core::net::NetConfig;
-        // Neither PHY has pluggable sync: `set_sync_strategy` is the
-        // trait's no-op, so a run configured for a rival strategy would
-        // trace "switched" while the PHY ran lead/slave.
-        for strategy in [
-            SyncStrategyId::AirSyncPilot,
-            SyncStrategyId::ReciprocityImplicit,
+    fn arrivals_that_cannot_advance_the_clock_are_rejected() {
+        // A non-positive rate or mean period runs arrival times backwards
+        // (the loop never reaches the horizon) or offers nothing at all.
+        let onoff = |burst_rate_pps, mean_on_s, mean_off_s| ArrivalProcess::OnOff {
+            burst_rate_pps,
+            mean_on_s,
+            mean_off_s,
+        };
+        for arrival in [
+            ArrivalProcess::Poisson { rate_pps: -400.0 },
+            ArrivalProcess::Poisson { rate_pps: 0.0 },
+            onoff(4000.0, 0.02, -1.0),
+            onoff(4000.0, 0.0, 0.03),
+            ArrivalProcess::Poisson { rate_pps: f64::NAN },
+            onoff(f64::INFINITY, 0.02, 0.03),
         ] {
             let mut cfg = light_cfg(2, 1);
-            cfg.sync_strategy = strategy;
-            let err = TrafficSim::new(cfg.clone(), StubBackend::perfect(2, 2)).err();
-            assert!(matches!(err, Some(JmbError::BadConfig(_))), "{err:?}");
-            let sample = SampleBackend::new(NetConfig::default_with(2, 2, 22.0, 3)).unwrap();
-            let err = TrafficSim::new(cfg, sample).err();
-            assert!(matches!(err, Some(JmbError::BadConfig(_))), "{err:?}");
+            cfg.loads[1].arrival = arrival;
+            let err = TrafficSim::new(cfg, StubBackend::perfect(2, 2)).err();
+            assert!(
+                matches!(err, Some(JmbError::BadConfig(_))),
+                "{arrival:?}: {err:?}"
+            );
         }
     }
 

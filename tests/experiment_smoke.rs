@@ -33,7 +33,7 @@ fn fig06_shape() {
 
 #[test]
 fn fig07_misalignment_near_paper() {
-    let samples = misalignment_samples(3, 25, 11).expect("probe");
+    let samples = misalignment_samples(3, 25, 11, Default::default()).expect("probe");
     let median = jmb::dsp::stats::median(&samples);
     let p95 = jmb::dsp::stats::percentile(&samples, 95.0);
     // Paper: median 0.017 rad, 95th 0.05 rad. Same order of magnitude.

@@ -20,7 +20,7 @@
 
 use jmb::channel::SnrBand;
 use jmb::core::experiment::{
-    aggregate_scaling, misalignment_samples_with, throughput_scaling, SweepConfig,
+    aggregate_scaling, misalignment_samples, throughput_scaling, SweepConfig,
 };
 use jmb::core::fastnet::{FastConfig, FastNet};
 use jmb::core::sync::SyncStrategyId;
@@ -109,7 +109,7 @@ fn fig9_throughput_scales_linearly_in_aps() {
 #[test]
 fn fig7_misalignment_matches_paper_band() {
     let strategy = sync_strategy();
-    let samples = misalignment_samples_with(4, 15, master_seed(), strategy).expect("probe");
+    let samples = misalignment_samples(4, 15, master_seed(), strategy).expect("probe");
     assert!(!samples.is_empty());
     let mut sorted = samples.clone();
     sorted.sort_by(f64::total_cmp);
@@ -196,7 +196,7 @@ fn phase_sync_error_stays_inside_budget_across_seed_sweep() {
     let mut pooled = Vec::new();
     for i in 0..10u64 {
         let seed = base.wrapping_add(1000 * i);
-        let samples = misalignment_samples_with(1, 10, seed, strategy).expect("probe");
+        let samples = misalignment_samples(1, 10, seed, strategy).expect("probe");
         let mut sorted = samples.clone();
         sorted.sort_by(f64::total_cmp);
         let median = sorted[sorted.len() / 2];
