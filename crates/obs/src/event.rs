@@ -323,6 +323,37 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind's [`EventKind::name`], in declaration order: what a
+    /// manifest assertion may name and what [`Event::from_json`] accepts.
+    pub const NAMES: [&'static str; 26] = [
+        "Transmit",
+        "Render",
+        "Dropped",
+        "Corrupted",
+        "Enqueued",
+        "LeadElected",
+        "BatchSelected",
+        "Acked",
+        "Retry",
+        "ApDown",
+        "ApUp",
+        "SyncMissed",
+        "CsiStale",
+        "RemeasureScheduled",
+        "RemeasureFailed",
+        "RemeasureOk",
+        "MeasurementLost",
+        "ApDegraded",
+        "ApRestored",
+        "SyncStrategySwitched",
+        "CellStarted",
+        "CellInterference",
+        "CellFinished",
+        "ScenarioStarted",
+        "ScenarioAssertion",
+        "ScenarioStopped",
+    ];
+
     /// Stable kind name (used by [`crate::TraceQuery::kind`] and JSON
     /// output).
     pub fn name(&self) -> &'static str {
@@ -506,11 +537,18 @@ impl Event {
 
     /// Parses one line produced by [`Event::to_json`]. Returns `None` on
     /// anything malformed (foreign JSON is out of scope — this is a replay
-    /// format, not a general parser).
+    /// format, not a general parser). Integer fields are parsed as
+    /// integers of their own width: a negative, fractional or out-of-range
+    /// value is malformed, not rounded into some other valid event.
     pub fn from_json(line: &str) -> Option<Event> {
+        /// Field `k` of `num`, parsed as the type the event stores.
+        fn field<T: std::str::FromStr>(
+            num: &std::collections::BTreeMap<&str, &str>,
+            k: &str,
+        ) -> Option<T> {
+            num.get(k)?.parse().ok()
+        }
         let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut seq = None;
-        let mut t = None;
         let mut num = std::collections::BTreeMap::new();
         let mut strs = std::collections::BTreeMap::new();
         for part in body.split(',') {
@@ -520,103 +558,111 @@ impl Event {
             if let Some(sv) = v.strip_prefix('"').and_then(|x| x.strip_suffix('"')) {
                 strs.insert(k, sv);
             } else {
-                let fv: f64 = v.parse().ok()?;
-                match k {
-                    "seq" => seq = Some(fv as u64),
-                    "t" => t = Some(fv),
-                    _ => {
-                        num.insert(k, fv);
-                    }
-                }
+                v.parse::<f64>().ok()?;
+                num.insert(k, v);
             }
         }
-        let kind_name = strs.get("kind").copied();
-        let get = |k: &str| num.get(k).map(|&v| v as usize);
-        let getf = |k: &str| num.get(k).copied();
-        let kind = match kind_name? {
+        let num = &num;
+        let kind = match *strs.get("kind")? {
             "Transmit" => EventKind::Transmit {
-                node: get("node")?,
-                len: get("len")?,
-                power: getf("power")?,
+                node: field(num, "node")?,
+                len: field(num, "len")?,
+                power: field(num, "power")?,
             },
             "Render" => EventKind::Render {
-                node: get("node")?,
-                len: get("len")?,
+                node: field(num, "node")?,
+                len: field(num, "len")?,
             },
             "Dropped" => EventKind::Dropped {
-                node: get("node")?,
+                node: field(num, "node")?,
                 cause: DropCause::from_name(strs.get("cause")?)?,
             },
-            "Corrupted" => EventKind::Corrupted { node: get("node")? },
-            "Enqueued" => EventKind::Enqueued {
-                client: get("client")?,
-                id: get("id")? as u64,
+            "Corrupted" => EventKind::Corrupted {
+                node: field(num, "node")?,
             },
-            "LeadElected" => EventKind::LeadElected { ap: get("ap")? },
+            "Enqueued" => EventKind::Enqueued {
+                client: field(num, "client")?,
+                id: field(num, "id")?,
+            },
+            "LeadElected" => EventKind::LeadElected {
+                ap: field(num, "ap")?,
+            },
             "BatchSelected" => EventKind::BatchSelected {
-                n_packets: get("n_packets")?,
+                n_packets: field(num, "n_packets")?,
             },
             "Acked" => EventKind::Acked {
-                client: get("client")?,
-                id: get("id")? as u64,
+                client: field(num, "client")?,
+                id: field(num, "id")?,
             },
             "Retry" => EventKind::Retry {
-                client: get("client")?,
-                id: get("id")? as u64,
-                attempt: get("attempt")? as u32,
+                client: field(num, "client")?,
+                id: field(num, "id")?,
+                attempt: field(num, "attempt")?,
             },
-            "ApDown" => EventKind::ApDown { ap: get("ap")? },
-            "ApUp" => EventKind::ApUp { ap: get("ap")? },
+            "ApDown" => EventKind::ApDown {
+                ap: field(num, "ap")?,
+            },
+            "ApUp" => EventKind::ApUp {
+                ap: field(num, "ap")?,
+            },
             "SyncMissed" => EventKind::SyncMissed {
-                slave: get("slave")?,
+                slave: field(num, "slave")?,
             },
             "CsiStale" => EventKind::CsiStale {
-                age_s: getf("age_s")?,
+                age_s: field(num, "age_s")?,
             },
             "RemeasureScheduled" => EventKind::RemeasureScheduled {
-                at: getf("at")?,
-                attempt: get("attempt")? as u32,
+                at: field(num, "at")?,
+                attempt: field(num, "attempt")?,
             },
             "RemeasureFailed" => EventKind::RemeasureFailed {
-                attempt: get("attempt")? as u32,
+                attempt: field(num, "attempt")?,
             },
             "RemeasureOk" => EventKind::RemeasureOk {
-                attempt: get("attempt")? as u32,
+                attempt: field(num, "attempt")?,
             },
             "MeasurementLost" => EventKind::MeasurementLost,
-            "ApDegraded" => EventKind::ApDegraded { ap: get("ap")? },
+            "ApDegraded" => EventKind::ApDegraded {
+                ap: field(num, "ap")?,
+            },
             "SyncStrategySwitched" => EventKind::SyncStrategySwitched {
                 strategy: SyncStrategyId::from_name(strs.get("strategy")?)?,
             },
-            "ApRestored" => EventKind::ApRestored { ap: get("ap")? },
+            "ApRestored" => EventKind::ApRestored {
+                ap: field(num, "ap")?,
+            },
             "CellStarted" => EventKind::CellStarted {
-                cell: get("cell")?,
-                color: get("color")?,
+                cell: field(num, "cell")?,
+                color: field(num, "color")?,
             },
             "CellInterference" => EventKind::CellInterference {
-                cell: get("cell")?,
-                inr_db: getf("inr_db")?,
+                cell: field(num, "cell")?,
+                inr_db: field(num, "inr_db")?,
             },
             "CellFinished" => EventKind::CellFinished {
-                cell: get("cell")?,
-                delivered: get("delivered")? as u64,
+                cell: field(num, "cell")?,
+                delivered: field(num, "delivered")?,
             },
             "ScenarioStarted" => EventKind::ScenarioStarted {
-                assertions: get("assertions")?,
+                assertions: field(num, "assertions")?,
             },
             "ScenarioAssertion" => EventKind::ScenarioAssertion {
-                index: get("index")?,
-                passed: getf("passed")? != 0.0,
+                index: field(num, "index")?,
+                passed: match field(num, "passed")? {
+                    0u8 => false,
+                    1 => true,
+                    _ => return None,
+                },
             },
             "ScenarioStopped" => EventKind::ScenarioStopped {
                 cause: StopCause::from_name(strs.get("cause")?)?,
-                events: get("events")? as u64,
+                events: field(num, "events")?,
             },
             _ => return None,
         };
         Some(Event {
-            seq: seq?,
-            t: t?,
+            seq: field(num, "seq")?,
+            t: field(num, "t")?,
             kind,
         })
     }
@@ -632,19 +678,23 @@ fn push_field(s: &mut String, name: &str, v: u64) {
 mod tests {
     use super::*;
 
-    fn roundtrip(kind: EventKind) {
-        let e = Event {
-            seq: 42,
-            t: 0.001625,
-            kind,
-        };
+    /// Round-trips one event through JSON and returns its kind name.
+    fn roundtrip_event(e: Event) -> &'static str {
         let json = e.to_json();
         let back = Event::from_json(&json).unwrap_or_else(|| panic!("parse failed: {json}"));
         assert_eq!(back, e, "json was {json}");
+        e.kind.name()
     }
 
     #[test]
     fn json_roundtrip_every_kind() {
+        // `NAMES` is the list manifests are checked against: every kind
+        // that round-trips must be on it, and nothing else.
+        let mut seen = std::collections::BTreeSet::new();
+        let mut roundtrip = |kind: EventKind| {
+            let (seq, t) = (42, 0.001625);
+            seen.insert(roundtrip_event(Event { seq, t, kind }));
+        };
         roundtrip(EventKind::Transmit {
             node: 3,
             len: 320,
@@ -711,6 +761,9 @@ mod tests {
         ] {
             roundtrip(EventKind::ScenarioStopped { cause, events: 99 });
         }
+        let listed: std::collections::BTreeSet<_> = EventKind::NAMES.into_iter().collect();
+        assert_eq!(listed.len(), EventKind::NAMES.len(), "duplicate name");
+        assert_eq!(seen, listed);
     }
 
     #[test]
@@ -764,5 +817,33 @@ mod tests {
         assert!(Event::from_json("{\"seq\":1,\"t\":0.0,\"kind\":\"Nope\"}").is_none());
         assert!(Event::from_json("{\"seq\":1,\"t\":0.0,\"kind\":\"Acked\"}").is_none());
         assert!(Event::from_json("not json at all").is_none());
+        // Integer fields that are not integers of the stored width.
+        assert!(Event::from_json("{\"seq\":1,\"t\":0.0,\"kind\":\"ApDown\",\"ap\":-1}").is_none());
+        assert!(Event::from_json(
+            "{\"seq\":1,\"t\":0.0,\"kind\":\"Acked\",\"client\":0,\"id\":1.7}"
+        )
+        .is_none());
+        assert!(Event::from_json(
+            "{\"seq\":1,\"t\":0.0,\"kind\":\"RemeasureOk\",\"attempt\":4294967296}"
+        )
+        .is_none());
+        // …and the full width survives: nothing passes through an `f64`.
+        for kind in [
+            EventKind::Acked {
+                client: 0,
+                id: u64::MAX,
+            },
+            EventKind::CellFinished {
+                cell: 0,
+                delivered: u64::MAX - 1,
+            },
+            EventKind::ScenarioStopped {
+                cause: StopCause::Completed,
+                events: (1 << 53) + 1,
+            },
+        ] {
+            let (seq, t) = (u64::MAX, 0.5);
+            roundtrip_event(Event { seq, t, kind });
+        }
     }
 }

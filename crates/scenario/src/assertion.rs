@@ -10,40 +10,6 @@
 use crate::manifest::Assertion;
 use jmb_obs::Event;
 
-/// Every trace event kind a `count`/`respond` assertion may name.
-///
-/// Kept in sync with `jmb_obs::EventKind` by a test that parses the enum
-/// out of `crates/obs/src/event.rs` (the same source of truth the repo's
-/// `trace-taxonomy-complete` lint uses).
-pub const KNOWN_EVENT_KINDS: &[&str] = &[
-    "Transmit",
-    "Render",
-    "Dropped",
-    "Corrupted",
-    "Enqueued",
-    "LeadElected",
-    "BatchSelected",
-    "Acked",
-    "Retry",
-    "ApDown",
-    "ApUp",
-    "SyncMissed",
-    "CsiStale",
-    "RemeasureScheduled",
-    "RemeasureFailed",
-    "RemeasureOk",
-    "MeasurementLost",
-    "ApDegraded",
-    "SyncStrategySwitched",
-    "ApRestored",
-    "CellStarted",
-    "CellInterference",
-    "CellFinished",
-    "ScenarioStarted",
-    "ScenarioAssertion",
-    "ScenarioStopped",
-];
-
 /// Metrics available in every run (single-cell and city alike).
 pub const COMMON_METRICS: &[&str] = &[
     "goodput_mbps",
@@ -72,30 +38,6 @@ pub const SINGLE_METRICS: &[&str] = &["goodput_vs_clean"];
 
 /// Metrics that only exist in city runs.
 pub const CITY_METRICS: &[&str] = &["area_capacity_mbps_km2", "mean_inr_db"];
-
-/// Every metric name a `metric` assertion may use.
-pub const KNOWN_METRICS: &[&str] = &[
-    "goodput_mbps",
-    "offered_mbps",
-    "generated",
-    "delivered",
-    "dropped",
-    "retries",
-    "queued_at_end",
-    "median_latency_ms",
-    "p99_latency_ms",
-    "jain",
-    "delivery_ratio",
-    "sync_misses",
-    "remeasure_ok",
-    "remeasure_failed",
-    "aps_degraded",
-    "aps_restored",
-    "csi_stale",
-    "goodput_vs_clean",
-    "area_capacity_mbps_km2",
-    "mean_inr_db",
-];
 
 /// One assertion's result: the manifest text, what was observed, and
 /// whether it held.
@@ -307,46 +249,5 @@ mod tests {
             within_s: 0.25,
         };
         assert!(evaluate(0, &a, &[], &events, 1.0).passed);
-    }
-
-    /// The hand-maintained kind list matches the real `EventKind` enum:
-    /// parse the variant names straight out of `crates/obs/src/event.rs`
-    /// the same way the `trace-taxonomy-complete` lint does.
-    #[test]
-    fn known_event_kinds_match_the_enum() {
-        let src = include_str!("../../obs/src/event.rs");
-        let mut parsed: Vec<&str> = Vec::new();
-        for line in src.lines() {
-            let t = line.trim();
-            // name() arms: `EventKind::Variant { .. } => "Variant",`
-            if let Some(rest) = t.strip_prefix("EventKind::") {
-                if let Some((variant, tail)) = rest.split_once(|c: char| !c.is_alphanumeric()) {
-                    if tail.contains("=>") && tail.contains(&format!("\"{variant}\"")) {
-                        parsed.push(variant);
-                    }
-                }
-            }
-        }
-        // Extract from the actual source so additions fail loudly here.
-        let mut known: Vec<&str> = KNOWN_EVENT_KINDS.to_vec();
-        known.sort_unstable();
-        parsed.sort_unstable();
-        parsed.dedup();
-        assert_eq!(known, parsed, "KNOWN_EVENT_KINDS drifted from EventKind");
-    }
-
-    #[test]
-    fn metric_tables_are_consistent() {
-        for m in COMMON_METRICS
-            .iter()
-            .chain(SINGLE_METRICS)
-            .chain(CITY_METRICS)
-        {
-            assert!(KNOWN_METRICS.contains(m), "{m} missing from KNOWN_METRICS");
-        }
-        assert_eq!(
-            KNOWN_METRICS.len(),
-            COMMON_METRICS.len() + SINGLE_METRICS.len() + CITY_METRICS.len()
-        );
     }
 }

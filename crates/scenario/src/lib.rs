@@ -36,7 +36,7 @@ pub mod manifest;
 pub mod report;
 pub mod runner;
 
-pub use assertion::{AssertionOutcome, KNOWN_EVENT_KINDS, KNOWN_METRICS};
+pub use assertion::AssertionOutcome;
 pub use error::ScenarioError;
 pub use manifest::{
     ArrivalSpec, Assertion, Backend, FaultKnobs, FaultSpec, Limits, Manifest, Op, OutageSpec,

@@ -50,7 +50,7 @@
 //! respond RemeasureScheduled -> RemeasureOk|RemeasureFailed within 0.1
 //! ```
 
-use crate::assertion::{KNOWN_EVENT_KINDS, KNOWN_METRICS};
+use crate::assertion::{CITY_METRICS, COMMON_METRICS, SINGLE_METRICS};
 use crate::error::ScenarioError;
 use jmb_obs::SyncStrategyId;
 use std::fmt::Write as _;
@@ -290,7 +290,7 @@ pub struct Limits {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Assertion {
     /// `metric NAME OP VALUE` — compare a named metric (see
-    /// [`KNOWN_METRICS`]).
+    /// [`COMMON_METRICS`], [`SINGLE_METRICS`], [`CITY_METRICS`]).
     Metric {
         /// Metric name.
         name: String,
@@ -302,7 +302,7 @@ pub enum Assertion {
     /// `count KIND OP N [in T0..T1]` — compare the number of trace events
     /// of one kind, optionally restricted to a time window.
     Count {
-        /// Event-kind name (see [`KNOWN_EVENT_KINDS`]).
+        /// Event-kind name (see [`jmb_obs::EventKind::NAMES`]).
         kind: String,
         /// Comparison.
         op: Op,
@@ -430,7 +430,7 @@ fn parse_slave(line: usize, v: &str) -> Result<(usize, f64), ScenarioError> {
 }
 
 fn parse_event_kind(line: usize, s: &str) -> Result<String, ScenarioError> {
-    if KNOWN_EVENT_KINDS.contains(&s) {
+    if jmb_obs::EventKind::NAMES.contains(&s) {
         Ok(s.to_string())
     } else {
         Err(perr(line, format!("unknown event kind `{s}`")))
@@ -798,7 +798,10 @@ impl Manifest {
                 Section::Assertions => match key {
                     "metric" => match rest.as_slice() {
                         [m, op, v] => {
-                            if !KNOWN_METRICS.contains(m) {
+                            if ![COMMON_METRICS, SINGLE_METRICS, CITY_METRICS]
+                                .concat()
+                                .contains(m)
+                            {
                                 return Err(perr(ln, format!("unknown metric `{m}`")));
                             }
                             let op = Op::from_symbol(op)
@@ -1025,8 +1028,8 @@ impl Manifest {
         let city = matches!(self.topology, Topology::City { .. });
         for a in &self.assertions {
             if let Assertion::Metric { name, .. } = a {
-                let city_only = crate::assertion::CITY_METRICS.contains(&name.as_str());
-                let single_only = crate::assertion::SINGLE_METRICS.contains(&name.as_str());
+                let city_only = CITY_METRICS.contains(&name.as_str());
+                let single_only = SINGLE_METRICS.contains(&name.as_str());
                 if city && single_only {
                     return inv(format!("metric `{name}` only exists in single-cell runs"));
                 }

@@ -3,6 +3,7 @@
 //! CRC-driven retransmissions, and cross-run determinism.
 
 use jmb::core::fastnet::FastConfig;
+use jmb::core::SyncStrategyId;
 use jmb::prelude::*;
 use jmb::sim::FaultConfig;
 use jmb::traffic::TrafficMetrics;
@@ -131,6 +132,46 @@ fn sample_backend_delivers_without_faults() {
     assert!(m.generated > 0);
     assert_eq!(m.delivered, m.generated, "clean PHY must deliver all");
     assert_eq!(m.dropped, 0);
+}
+
+#[test]
+fn rival_sync_strategies_ride_out_a_header_storm_on_real_waveforms() {
+    // The out-of-band backends run at sample fidelity too: they consult no
+    // in-band header, so a storm that takes every header from slave 1
+    // leaves no miss behind, packets keep decoding, and AirSync's pilot
+    // broadcasts show up as control airtime (reciprocity rides on uplink
+    // frames that were on the air anyway).
+    for strategy in [
+        SyncStrategyId::AirSyncPilot,
+        SyncStrategyId::ReciprocityImplicit,
+    ] {
+        let backend = SampleBackend::new(NetConfig::default_with(2, 2, 22.0, 5)).unwrap();
+        let loads = vec![ClientLoad::poisson(400.0, 200); 2];
+        let mut cfg = TrafficConfig::default_with(loads, 5);
+        cfg.duration_s = 0.02;
+        cfg.drain_timeout_s = 0.02;
+        cfg.sync_strategy = strategy;
+        let mut sim = TrafficSim::new(cfg, backend).unwrap();
+        assert_eq!(sim.backend_mut().net_mut().sync_strategy(), strategy);
+        sim.backend_mut().net_mut().set_control_faults(
+            FaultConfig::builder()
+                .per_slave_sync_loss(1, 1.0)
+                .build()
+                .unwrap(),
+        );
+        sim.trace.enable();
+        let m = sim.run();
+        assert!(m.generated > 0, "{strategy:?}");
+        assert!(m.delivered > 0, "{strategy:?}: nothing delivered");
+        assert_eq!(sim.trace.sync_missed_count(), 0, "{strategy:?}");
+        assert_eq!(m.sync_misses, 0, "{strategy:?}");
+        assert_eq!(
+            m.control_airtime_s > 0.0,
+            strategy == SyncStrategyId::AirSyncPilot,
+            "{strategy:?}: control airtime {}",
+            m.control_airtime_s
+        );
+    }
 }
 
 #[test]
