@@ -202,19 +202,10 @@ mod tests {
     struct Deaf(Trace);
 
     impl LeadObserver for Deaf {
-        fn n_aps(&self) -> usize {
-            2
-        }
         fn trace(&mut self) -> &mut Trace {
             &mut self.0
         }
-        fn header(&mut self, _: usize, _: f64) -> Option<(ChannelEstimate, f64)> {
-            None
-        }
         fn pilot(&mut self, _: usize, _: f64, _: f64, _: f64) -> Option<(ChannelEstimate, f64)> {
-            None
-        }
-        fn seed(&mut self, _: usize, _: f64, _: f64) -> Option<(ChannelEstimate, f64, f64, f64)> {
             None
         }
     }

@@ -18,9 +18,7 @@ use crate::control::{BatchSync, ControlPlane};
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
 use crate::precoder::Precoder;
-use crate::sync::{
-    strategy_for, LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ,
-};
+use crate::sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
@@ -570,12 +568,9 @@ impl FastNet {
             }
         }
         self.static_ap_client = Some(snap);
-        // Slave references + CFO seeds. Seed accuracy is phase-limited by
-        // the rounds-section span (same formula as the sample-level net).
-        let span_s = (self.cfg.rounds * self.cfg.n_aps) as f64
-            * self.cfg.params.symbol_len() as f64
-            * self.cfg.params.sample_period();
-        let seed_sigma = (0.02 / (2.0 * std::f64::consts::PI * span_s)).max(10.0);
+        // Slave references + CFO seeds.
+        let seed_sigma =
+            crate::measure::seed_cfo_sigma_hz(&self.cfg.params, self.cfg.rounds, self.cfg.n_aps);
         let (mut obs, strategy, _) = self.observer();
         strategy.on_measurement(&mut obs, t0, seed_sigma);
         // A full-population precoder only exists when ZF is well posed
@@ -1096,39 +1091,13 @@ impl FastObserver<'_> {
             gains,
         }
     }
-
-    /// The lead→`slave` estimate at `t` with noise variance `var`, and the
-    /// ground-truth lead-relative CFO at `t` plus a `cfo_sigma_hz` error.
-    fn observe(
-        &mut self,
-        slave: usize,
-        t: f64,
-        var: f64,
-        cfo_sigma_hz: f64,
-    ) -> (ChannelEstimate, f64) {
-        let est = self.estimate(self.aps[0], self.aps[slave], t, var);
-        let f_lead = self.medium.trajectory_mut(self.aps[0]).cfo_hz_at(t);
-        let f_slave = self.medium.trajectory_mut(self.aps[slave]).cfo_hz_at(t);
-        (est, f_lead - f_slave + normal(self.rng, cfo_sigma_hz))
-    }
 }
 
+/// The fast fidelity has no bands and no packets: a header or a measurement
+/// packet is observed like a pilot of that quality (the trait's defaults).
 impl LeadObserver for FastObserver<'_> {
-    fn n_aps(&self) -> usize {
-        self.aps.len()
-    }
-
     fn trace(&mut self) -> &mut Trace {
         self.trace
-    }
-
-    fn header(&mut self, slave: usize, t_meas: f64) -> Option<(ChannelEstimate, f64)> {
-        Some(self.observe(
-            slave,
-            t_meas,
-            self.header_noise_var,
-            RAW_HEADER_CFO_SIGMA_HZ,
-        ))
     }
 
     fn pilot(
@@ -1138,17 +1107,11 @@ impl LeadObserver for FastObserver<'_> {
         noise_scale: f64,
         cfo_sigma_hz: f64,
     ) -> Option<(ChannelEstimate, f64)> {
-        Some(self.observe(slave, t, noise_scale * self.header_noise_var, cfo_sigma_hz))
-    }
-
-    fn seed(
-        &mut self,
-        slave: usize,
-        t0: f64,
-        sigma_hz: f64,
-    ) -> Option<(ChannelEstimate, f64, f64, f64)> {
-        let (est, cfo) = self.observe(slave, t0, self.header_noise_var, sigma_hz);
-        Some((est, cfo, sigma_hz, t0))
+        let var = noise_scale * self.header_noise_var;
+        let est = self.estimate(self.aps[0], self.aps[slave], t, var);
+        let f_lead = self.medium.trajectory_mut(self.aps[0]).cfo_hz_at(t);
+        let f_slave = self.medium.trajectory_mut(self.aps[slave]).cfo_hz_at(t);
+        Some((est, f_lead - f_slave + normal(self.rng, cfo_sigma_hz)))
     }
 }
 

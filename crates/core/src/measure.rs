@@ -153,6 +153,16 @@ pub fn chanest_symbol(params: &OfdmParams) -> Vec<Complex64> {
     out
 }
 
+/// 1σ accuracy (Hz) of the CFO seed a slave takes from a measurement packet
+/// of `rounds` rounds over `n_aps` APs: the multi-slot refinement is
+/// phase-limited by the span of the rounds section (≈ 0.02 rad of phase
+/// noise over it) — ~12 Hz for the default 2-AP packet, better as packets
+/// grow, never trusted below 10 Hz. Both fidelities seed with it.
+pub fn seed_cfo_sigma_hz(params: &OfdmParams, rounds: usize, n_aps: usize) -> f64 {
+    let span_s = (rounds * n_aps) as f64 * params.symbol_len() as f64 * params.sample_period();
+    (0.02 / (2.0 * std::f64::consts::PI * span_s)).max(10.0)
+}
+
 /// What a client learns from one measurement packet.
 #[derive(Debug, Clone)]
 pub struct ClientMeasurement {

@@ -18,6 +18,13 @@
 //!   turnaround (`t_Δ = 150 µs`, §10a); clients receive the superposition
 //!   and decode with a completely standard 802.11-style receiver.
 //!
+//! How a slave turns what it hears of the lead into a correction is the
+//! network's [`SyncStrategy`] — the same three backends, and the same
+//! [`ControlPlane`], that `FastNet` runs. This module supplies only the
+//! sample-level [`LeadObserver`]: a receive window rendered through the
+//! medium and run through the real estimator, with out-of-band pilots on
+//! the medium's side channel.
+//!
 //! [`JmbNetwork::misalignment_probe`] reproduces the Fig. 7 experiment: the
 //! lead and one slave alternate OFDM symbols and the receiver tracks the
 //! deviation of their relative phase from its first observation.
@@ -447,12 +454,8 @@ impl JmbNetwork {
             self.client_noise_bins.push(m.noise_var);
         }
 
-        // Slaves store their reference channel + a refined CFO seed. The
-        // multi-slot refinement accuracy improves with the span of the
-        // interleaved rounds (≈ phase noise over the span): ~50 Hz for a
-        // 2-AP packet, better as packets grow.
-        let span_s = (plan.rounds * plan.n_aps) as f64 * params.symbol_len() as f64 * ts;
-        let seed_sigma = (0.02 / (2.0 * std::f64::consts::PI * span_s)).max(10.0);
+        // Slaves store their reference channel + a refined CFO seed.
+        let seed_sigma = measure::seed_cfo_sigma_hz(&params, plan.rounds, plan.n_aps);
         let (mut obs, strategy, _) = self.observer(&params, t0, Some(&plan));
         strategy.on_measurement(&mut obs, t0, seed_sigma);
 
@@ -779,10 +782,6 @@ impl SampleObserver<'_> {
 }
 
 impl LeadObserver for SampleObserver<'_> {
-    fn n_aps(&self) -> usize {
-        self.aps.len()
-    }
-
     fn trace(&mut self) -> &mut Trace {
         &mut self.medium.trace
     }

@@ -12,7 +12,7 @@
 //!   transmission. This is the default, and the refactor's safety contract:
 //!   it reproduces the pre-extraction network **bit-exactly** (pinned by
 //!   the `sync_equivalence` fixture suite in `jmb-bench`).
-//! * [`AirSyncPilot`] — continuous out-of-band pilot tracking: the lead
+//! * [`OutOfBand::airsync`] — continuous out-of-band pilot tracking: the lead
 //!   broadcasts a short pilot every couple of milliseconds on a side
 //!   channel, and slaves run the same sigma-weighted predict/correct phase
 //!   tracker ([`PhaseSync`]'s unwrap-refined CFO filter — a steady-state
@@ -20,7 +20,7 @@
 //!   so in-band header loss cannot desynchronize the array; the price is a
 //!   standing pilot airtime tax, surfaced through
 //!   [`SyncStrategy::take_control_airtime_s`].
-//! * [`ReciprocityImplicit`] — calibrated implicit CSI in the spirit of
+//! * [`OutOfBand::reciprocity`] — calibrated implicit CSI in the spirit of
 //!   Rogalin et al.: slaves refresh their lead-relative phase from regular
 //!   uplink traffic (reciprocity calibration), with zero dedicated
 //!   per-client measurement frames. Updates are infrequent and noisier, so
@@ -90,16 +90,9 @@ const MAX_CATCHUP_UPDATES: u64 = 3;
 /// estimate plus the lead-minus-slave CFO (Hz) measured alongside it, or
 /// `None` when the slave could not make the waveform out.
 pub trait LeadObserver {
-    /// Number of APs (lead included); slaves are `1..n_aps`.
-    fn n_aps(&self) -> usize;
-
     /// Where the control plane records what this exchange did to the
     /// slaves (the observer holds the medium, and with it the trace).
     fn trace(&mut self) -> &mut Trace;
-
-    /// The in-band sync header of the current joint transmission, measured
-    /// at `t_meas`.
-    fn header(&mut self, slave: usize, t_meas: f64) -> Option<(ChannelEstimate, f64)>;
 
     /// An out-of-band pilot the lead broadcast on a side channel, measured
     /// at `t` (possibly in the past: schedules are caught up lazily).
@@ -113,17 +106,28 @@ pub trait LeadObserver {
         cfo_sigma_hz: f64,
     ) -> Option<(ChannelEstimate, f64)>;
 
+    /// The in-band sync header of the current joint transmission, measured
+    /// at `t_meas`. Unless the fidelity tells the bands apart, a pilot of
+    /// header quality.
+    fn header(&mut self, slave: usize, t_meas: f64) -> Option<(ChannelEstimate, f64)> {
+        self.pilot(slave, t_meas, 1.0, RAW_HEADER_CFO_SIGMA_HZ)
+    }
+
     /// What the measurement packet sent at `t0` gives the slave: its
     /// reference channel and a CFO seed, as `(estimate, cfo_hz, sigma_hz,
     /// anchor_s)`. `sigma_hz` is the 1σ accuracy the packet's span supports;
     /// the observer returns the accuracy it actually achieved and the
-    /// instant the estimate is referred to.
+    /// instant the estimate is referred to. Unless the fidelity renders the
+    /// packet, a header-quality estimate at `t0` with exactly that accuracy.
     fn seed(
         &mut self,
         slave: usize,
         t0: f64,
         sigma_hz: f64,
-    ) -> Option<(ChannelEstimate, f64, f64, f64)>;
+    ) -> Option<(ChannelEstimate, f64, f64, f64)> {
+        let (est, cfo) = self.pilot(slave, t0, 1.0, sigma_hz)?;
+        Some((est, cfo, sigma_hz, t0))
+    }
 }
 
 /// A pluggable phase-synchronization backend.
@@ -201,8 +205,8 @@ pub trait SyncStrategy: Send {
 pub fn strategy_for(kind: SyncStrategyId, n_aps: usize) -> Box<dyn SyncStrategy> {
     match kind {
         SyncStrategyId::JmbLeadSlave => Box::new(JmbLeadSlave::new(n_aps)),
-        SyncStrategyId::AirSyncPilot => Box::new(AirSyncPilot::new(n_aps)),
-        SyncStrategyId::ReciprocityImplicit => Box::new(ReciprocityImplicit::new(n_aps)),
+        SyncStrategyId::AirSyncPilot => Box::new(OutOfBand::airsync(n_aps)),
+        SyncStrategyId::ReciprocityImplicit => Box::new(OutOfBand::reciprocity(n_aps)),
     }
 }
 
@@ -215,10 +219,10 @@ fn seed_from_measurement(
     t0: f64,
     seed_sigma_hz: f64,
 ) {
-    for s in 1..obs.n_aps() {
+    for (s, sync) in (1..).zip(sync) {
         if let Some((est, cfo, sigma, anchor)) = obs.seed(s, t0, seed_sigma_hz) {
-            sync[s - 1].set_reference(est.clone());
-            sync[s - 1].seed_cfo(&est, cfo, sigma, anchor);
+            sync.set_reference(est.clone());
+            sync.seed_cfo(&est, cfo, sigma, anchor);
         }
     }
 }
@@ -274,45 +278,60 @@ impl SyncStrategy for JmbLeadSlave {
     }
 }
 
-/// Shared machinery of the out-of-band strategies: per-slave [`PhaseSync`]
-/// trackers updated on a global periodic schedule (pilots or calibration
-/// exchanges are broadcast — one airtime charge covers every slave), with
-/// corrections always extrapolated from the latest update.
-struct OobTracker {
+/// The out-of-band strategies: per-slave [`PhaseSync`] trackers updated on a
+/// global periodic schedule (pilots or calibration exchanges are broadcast
+/// — one airtime charge covers every slave), with corrections always
+/// extrapolated from the latest update. The two backends are two settings
+/// of it (see the module docs):
+///
+/// * [`OutOfBand::airsync`] — continuous pilot tracking (AirSync-style).
+///   Header-quality estimates at a 2 ms cadence keep the predictor's
+///   extrapolation error well inside the paper's 0.35 rad budget, at the
+///   cost of a standing pilot airtime tax.
+/// * [`OutOfBand::reciprocity`] — calibrated implicit CSI from uplink
+///   reciprocity (Rogalin et al.). Updates are free of dedicated airtime
+///   but sparse and noisy — the widest phase-error envelope of the three —
+///   and the measurement phase is far cheaper.
+pub struct OutOfBand {
+    kind: SyncStrategyId,
     sync: Vec<PhaseSync>,
     interval_s: f64,
     noise_scale: f64,
     cfo_sigma_hz: f64,
     update_airtime_s: f64,
+    meas_airtime_factor: f64,
     /// Global time of the next scheduled update; `None` until seeded.
     next_update_t: Option<f64>,
     pending_airtime_s: f64,
 }
 
-impl OobTracker {
-    fn new(
-        n_aps: usize,
-        interval_s: f64,
-        noise_scale: f64,
-        cfo_sigma_hz: f64,
-        update_airtime_s: f64,
-    ) -> Self {
-        OobTracker {
+impl OutOfBand {
+    /// AirSync pilot tracking for a network with `n_aps` APs.
+    pub fn airsync(n_aps: usize) -> Self {
+        OutOfBand {
+            kind: SyncStrategyId::AirSyncPilot,
             sync: (1..n_aps).map(|_| PhaseSync::new()).collect(),
-            interval_s,
-            noise_scale,
-            cfo_sigma_hz,
-            update_airtime_s,
+            interval_s: AIRSYNC_PILOT_INTERVAL_S,
+            noise_scale: 1.0,
+            cfo_sigma_hz: RAW_HEADER_CFO_SIGMA_HZ,
+            update_airtime_s: AIRSYNC_PILOT_AIRTIME_S,
+            meas_airtime_factor: 1.0,
             next_update_t: None,
             pending_airtime_s: 0.0,
         }
     }
 
-    /// Seeds references and CFO trackers (same shape as the measurement
-    /// seeding of the in-band strategy) and starts the update schedule.
-    fn seed(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64) {
-        seed_from_measurement(&mut self.sync, obs, t0, seed_sigma_hz);
-        self.next_update_t = Some(t0 + self.interval_s);
+    /// Reciprocity calibration for a network with `n_aps` APs.
+    pub fn reciprocity(n_aps: usize) -> Self {
+        OutOfBand {
+            kind: SyncStrategyId::ReciprocityImplicit,
+            interval_s: RECIPROCITY_RECAL_INTERVAL_S,
+            noise_scale: RECIPROCITY_NOISE_SCALE,
+            cfo_sigma_hz: RECIPROCITY_CFO_SIGMA_HZ,
+            update_airtime_s: 0.0, // implicit: the uplink frames were on the air anyway
+            meas_airtime_factor: RECIPROCITY_MEAS_AIRTIME_FACTOR,
+            ..Self::airsync(n_aps)
+        }
     }
 
     /// Processes every scheduled update due by `t`. All due updates are
@@ -323,10 +342,7 @@ impl OobTracker {
     fn catch_up(&mut self, obs: &mut dyn LeadObserver, t: f64) {
         let first_tick = match self.next_update_t {
             Some(next) => next,
-            None => {
-                self.seed(obs, t, self.cfo_sigma_hz);
-                return;
-            }
+            None => return self.on_measurement(obs, t, self.cfo_sigma_hz),
         };
         if t < first_tick {
             return;
@@ -335,112 +351,20 @@ impl OobTracker {
         self.pending_airtime_s += n_due as f64 * self.update_airtime_s;
         for i in n_due.saturating_sub(MAX_CATCHUP_UPDATES)..n_due {
             let t_p = first_tick + i as f64 * self.interval_s;
-            for s in 1..obs.n_aps() {
+            for (s, sync) in (1..).zip(&mut self.sync) {
                 // A pilot the slave could not make out refreshes nothing.
                 if let Some((est, cfo)) = obs.pilot(s, t_p, self.noise_scale, self.cfo_sigma_hz) {
-                    self.sync[s - 1].observe_header(&est, cfo, t_p);
+                    sync.observe_header(&est, cfo, t_p);
                 }
             }
         }
         self.next_update_t = Some(first_tick + n_due as f64 * self.interval_s);
     }
-
-    /// The correction for `slave` at `t`: catch up the update schedule,
-    /// then extrapolate from the latest absorbed update.
-    fn correction_at(
-        &mut self,
-        obs: &mut dyn LeadObserver,
-        slave: usize,
-        t: f64,
-    ) -> Result<(PhaseCorrection, f64), JmbError> {
-        self.catch_up(obs, t);
-        self.sync[slave - 1].extrapolated_correction()
-    }
 }
 
-/// Continuous out-of-band pilot tracking (AirSync-style): see the module
-/// docs. Header-quality estimates at a 2 ms cadence keep the predictor's
-/// extrapolation error well inside the paper's 0.35 rad budget, at the
-/// cost of a standing pilot airtime tax.
-pub struct AirSyncPilot {
-    tracker: OobTracker,
-}
-
-impl AirSyncPilot {
-    /// Fresh state for a network with `n_aps` APs.
-    pub fn new(n_aps: usize) -> Self {
-        AirSyncPilot {
-            tracker: OobTracker::new(
-                n_aps,
-                AIRSYNC_PILOT_INTERVAL_S,
-                1.0,
-                RAW_HEADER_CFO_SIGMA_HZ,
-                AIRSYNC_PILOT_AIRTIME_S,
-            ),
-        }
-    }
-}
-
-impl SyncStrategy for AirSyncPilot {
+impl SyncStrategy for OutOfBand {
     fn kind(&self) -> SyncStrategyId {
-        SyncStrategyId::AirSyncPilot
-    }
-
-    fn uses_inband_header(&self) -> bool {
-        false
-    }
-
-    fn on_measurement(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64) {
-        self.tracker.seed(obs, t0, seed_sigma_hz);
-    }
-
-    fn on_header(
-        &mut self,
-        obs: &mut dyn LeadObserver,
-        slave: usize,
-        t_meas: f64,
-    ) -> Result<(PhaseCorrection, f64), JmbError> {
-        self.tracker.correction_at(obs, slave, t_meas)
-    }
-
-    fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
-        self.tracker.sync[slave - 1].extrapolation_error_rad(t)
-    }
-
-    fn reference(&self, slave: usize) -> Option<&ChannelEstimate> {
-        self.tracker.sync[slave - 1].reference()
-    }
-
-    fn take_control_airtime_s(&mut self) -> f64 {
-        std::mem::take(&mut self.tracker.pending_airtime_s)
-    }
-}
-
-/// Calibrated implicit CSI from uplink reciprocity (Rogalin et al.): see
-/// the module docs. Updates are free of dedicated airtime but sparse and
-/// noisy — the phase-error envelope is the widest of the three backends.
-pub struct ReciprocityImplicit {
-    tracker: OobTracker,
-}
-
-impl ReciprocityImplicit {
-    /// Fresh state for a network with `n_aps` APs.
-    pub fn new(n_aps: usize) -> Self {
-        ReciprocityImplicit {
-            tracker: OobTracker::new(
-                n_aps,
-                RECIPROCITY_RECAL_INTERVAL_S,
-                RECIPROCITY_NOISE_SCALE,
-                RECIPROCITY_CFO_SIGMA_HZ,
-                0.0, // implicit: the uplink frames were on the air anyway
-            ),
-        }
-    }
-}
-
-impl SyncStrategy for ReciprocityImplicit {
-    fn kind(&self) -> SyncStrategyId {
-        SyncStrategyId::ReciprocityImplicit
+        self.kind
     }
 
     fn uses_inband_header(&self) -> bool {
@@ -448,28 +372,36 @@ impl SyncStrategy for ReciprocityImplicit {
     }
 
     fn measurement_airtime_factor(&self) -> f64 {
-        RECIPROCITY_MEAS_AIRTIME_FACTOR
+        self.meas_airtime_factor
     }
 
     fn on_measurement(&mut self, obs: &mut dyn LeadObserver, t0: f64, seed_sigma_hz: f64) {
-        self.tracker.seed(obs, t0, seed_sigma_hz);
+        seed_from_measurement(&mut self.sync, obs, t0, seed_sigma_hz);
+        self.next_update_t = Some(t0 + self.interval_s);
     }
 
+    /// Catches up the update schedule, then extrapolates from the latest
+    /// absorbed update.
     fn on_header(
         &mut self,
         obs: &mut dyn LeadObserver,
         slave: usize,
         t_meas: f64,
     ) -> Result<(PhaseCorrection, f64), JmbError> {
-        self.tracker.correction_at(obs, slave, t_meas)
+        self.catch_up(obs, t_meas);
+        self.sync[slave - 1].extrapolated_correction()
     }
 
     fn phase_error_rad(&self, slave: usize, t: f64) -> f64 {
-        self.tracker.sync[slave - 1].extrapolation_error_rad(t)
+        self.sync[slave - 1].extrapolation_error_rad(t)
     }
 
     fn reference(&self, slave: usize) -> Option<&ChannelEstimate> {
-        self.tracker.sync[slave - 1].reference()
+        self.sync[slave - 1].reference()
+    }
+
+    fn take_control_airtime_s(&mut self) -> f64 {
+        std::mem::take(&mut self.pending_airtime_s)
     }
 }
 
@@ -619,7 +551,7 @@ mod tests {
     #[test]
     fn oob_strategies_self_seed_without_a_measurement() {
         let mut r = rig(2, 10);
-        let mut s = AirSyncPilot::new(2);
+        let mut s = OutOfBand::airsync(2);
         let (c, _) = s.on_header(&mut r.obs(), 1, 5e-3).unwrap();
         assert!(c.common_phase.is_finite());
     }
@@ -627,7 +559,7 @@ mod tests {
     #[test]
     fn airsync_charges_pilot_airtime_reciprocity_does_not() {
         let mut r = rig(2, 11);
-        let mut air = AirSyncPilot::new(2);
+        let mut air = OutOfBand::airsync(2);
         air.on_measurement(&mut r.obs(), 0.0, 10.0);
         air.on_header(&mut r.obs(), 1, 10e-3).unwrap();
         // 10 ms at one pilot per 2 ms: 5 pilots on the air, all charged
@@ -640,7 +572,7 @@ mod tests {
         // Drained: a second take returns zero.
         assert_eq!(air.take_control_airtime_s(), 0.0);
 
-        let mut rec = ReciprocityImplicit::new(2);
+        let mut rec = OutOfBand::reciprocity(2);
         rec.on_measurement(&mut r.obs(), 0.0, 10.0);
         rec.on_header(&mut r.obs(), 1, 60e-3).unwrap();
         assert_eq!(rec.take_control_airtime_s(), 0.0);
@@ -652,7 +584,7 @@ mod tests {
     #[test]
     fn airsync_error_envelope_is_bounded_by_pilot_cadence() {
         let mut r = rig(2, 12);
-        let mut s = AirSyncPilot::new(2);
+        let mut s = OutOfBand::airsync(2);
         s.on_measurement(&mut r.obs(), 0.0, 10.0);
         // Let the tracker converge over many pilots.
         s.on_header(&mut r.obs(), 1, 50e-3).unwrap();

@@ -3,14 +3,16 @@
 #
 # `cargo build` / `cargo test` cover every jmb crate (the workspace's
 # default-members). On top of the debug suites, four release steps: the
-# `sync_equivalence` fixtures (FastNet's default sync path, bit for bit),
+# `sync_equivalence` fixtures (the default sync path bit for bit: four
+# FastNet sweeps, release-only, and the `SampleBackend` cell golden that
+# pins `JmbNetwork::joint_transmit_masked`, which also runs in debug),
 # the sample medium's `render_equivalence` corpus (576 frames rendered by
 # `Medium::render_rx` and by the loop it replaced must decode to the same
 # bytes; ignored in debug, where the old per-tap kernel makes it slow),
 # the benchmark package's own tests (it is a workspace of its own), and
 # the figure CSVs — `jmb-bench all` regenerated into a temp dir must
-# `cmp`-equal every checked-in `results/*.csv`, the only byte-level pin on
-# the sample-level network (fig06/07, both ablations).
+# `cmp`-equal every checked-in `results/*.csv` (fig06/07 and both
+# ablations go through the sample-level network).
 #
 # The jmb-* packages must be clippy- and rustfmt-clean; the vendored
 # stand-in crates under vendor/ (rand, proptest) are kept

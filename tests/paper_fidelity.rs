@@ -108,7 +108,7 @@ fn fig9_throughput_scales_linearly_in_aps() {
 /// a pilot up to 2 ms old, which costs it about 2× the lead/slave median —
 /// still inside). Calibrated reciprocity rides uncontrolled uplink frames
 /// 25 ms apart, so its documented envelope is a 1.9 rad median (2× the
-/// 0.94 rad measured on seeds 1–3 through the shared `OobTracker` over
+/// 0.94 rad measured on seeds 1–3 through the shared `OutOfBand` tracker over
 /// side-channel pilots) and a 2.5 rad 95th percentile.
 #[test]
 fn fig7_misalignment_matches_paper_band() {
