@@ -799,8 +799,8 @@ impl Manifest {
                     "metric" => match rest.as_slice() {
                         [m, op, v] => {
                             if ![COMMON_METRICS, SINGLE_METRICS, CITY_METRICS]
-                                .concat()
-                                .contains(m)
+                                .iter()
+                                .any(|table| table.contains(m))
                             {
                                 return Err(perr(ln, format!("unknown metric `{m}`")));
                             }
