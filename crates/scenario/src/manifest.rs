@@ -1206,60 +1206,9 @@ fn push_knobs_kv(s: &mut String, k: &FaultKnobs) {
 mod tests {
     use super::*;
 
-    const GOOD: &str = "\
-version 1
-name demo
-seed 7
+    const GOOD: &str = include_str!("../tests/fixtures/good.scn");
 
-[topology]
-kind single
-aps 4
-clients 4
-snr_db 28,22,16,10
-
-[channel]
-backend fast
-
-[traffic]
-arrival onoff 4000 0.02 0.03
-packet bimodal 90 1500 0.3
-duration_s 0.2
-drain_s 0.1
-
-[faults]
-sync_loss 0.05
-slave 2:0.2
-window 0.05 0.1 sync_loss=0.5 slave=1:0.9
-outage ap=0 from=0.08 until=0.12
-
-[limits]
-max_sim_time_s 5
-max_events 2000000
-wall_clock_s 60
-
-[assertions]
-metric delivery_ratio >= 0.75
-count ApDown == 1 in 0.0..0.5
-respond RemeasureScheduled -> RemeasureOk|RemeasureFailed within 0.1
-";
-
-    const CITY: &str = "\
-version 1
-name c
-[topology]
-kind city
-cols 2
-rows 2
-reuse 3
-aps_per_cell 3
-clients_per_cell 3
-spacing_m 400
-snr_db 25
-[traffic]
-arrival poisson 1500
-packet fixed 1000
-duration_s 0.1
-";
+    const CITY: &str = include_str!("../tests/fixtures/city.scn");
 
     #[test]
     fn parses_the_kitchen_sink() {

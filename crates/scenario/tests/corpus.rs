@@ -10,9 +10,18 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
+fn fixtures_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
 fn corpus() -> Vec<(String, String)> {
+    manifests_in(corpus_dir())
+}
+
+/// Every `*.scn` directly under `dir`, as `(file name, text)`, sorted.
+fn manifests_in(dir: PathBuf) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for entry in std::fs::read_dir(corpus_dir()).expect("scenarios/ exists") {
+    for entry in std::fs::read_dir(dir).expect("manifest directory exists") {
         let path = entry.expect("dir entry").path();
         if path.extension().is_some_and(|e| e == "scn") {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -104,6 +113,29 @@ fn corpus_manifests_roundtrip_through_the_canonical_form() {
         let m = Manifest::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let back = Manifest::parse(&m.to_text()).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(back, m, "{name} changed across the canonical roundtrip");
+    }
+}
+
+/// The canonical text is a byte pin: `tests/fixtures/canonical/` holds
+/// `to_text()` of the corpus and of the two unit-test fixtures as the
+/// hand-written parser printed them, and no later serializer may move a
+/// byte of it.
+#[test]
+fn canonical_text_matches_the_goldens() {
+    let mut all = corpus();
+    all.extend(manifests_in(fixtures_dir()));
+    assert_eq!(
+        all.len(),
+        10,
+        "eight corpus manifests + good.scn + city.scn"
+    );
+    for (name, text) in all {
+        let canon = Manifest::parse(&text)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .to_text();
+        let golden = fixtures_dir().join("canonical").join(&name);
+        let want = std::fs::read_to_string(&golden).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(canon, want, "{name}: canonical text moved");
     }
 }
 
