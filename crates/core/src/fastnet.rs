@@ -91,6 +91,23 @@ impl FastConfig {
             sync: SyncStrategyId::default(),
         }
     }
+
+    /// The shape rules [`FastNet::new`] starts with, without building
+    /// anything: a caller that only plans a run asks here.
+    pub fn validate(&self) -> Result<(), JmbError> {
+        if self.n_aps == 0 || self.n_clients == 0 {
+            return Err(JmbError::BadConfig("need at least one AP and one client"));
+        }
+        if self.client_snr_db.len() != self.n_clients {
+            return Err(JmbError::BadConfig("client_snr_db length mismatch"));
+        }
+        if let Some(matrix) = &self.link_snr_db {
+            if matrix.len() != self.n_clients || matrix.iter().any(|r| r.len() != self.n_aps) {
+                return Err(JmbError::BadConfig("link_snr_db shape mismatch"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Per-client outcome of one (virtual) joint transmission.
@@ -158,12 +175,7 @@ pub struct FastNet {
 impl FastNet {
     /// Builds the network and calibrates links.
     pub fn new(cfg: FastConfig) -> Result<Self, JmbError> {
-        if cfg.n_aps == 0 || cfg.n_clients == 0 {
-            return Err(JmbError::BadConfig("need at least one AP and one client"));
-        }
-        if cfg.client_snr_db.len() != cfg.n_clients {
-            return Err(JmbError::BadConfig("client_snr_db length mismatch"));
-        }
+        cfg.validate()?;
         let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
         let mut medium = SubcarrierMedium::new(cfg.params.clone(), rng.gen());
         let carrier = cfg.params.carrier_freq;
@@ -192,11 +204,6 @@ impl FastNet {
                 );
                 link.calibrate_snr(cfg.ap_ap_snr_db, cfg.noise_var);
                 medium.set_link(aps[i], aps[j], link);
-            }
-        }
-        if let Some(matrix) = &cfg.link_snr_db {
-            if matrix.len() != cfg.n_clients || matrix.iter().any(|r| r.len() != cfg.n_aps) {
-                return Err(JmbError::BadConfig("link_snr_db shape mismatch"));
             }
         }
         for (j, &c) in clients.iter().enumerate() {

@@ -118,6 +118,23 @@ impl NetConfig {
             seed,
         }
     }
+
+    /// The shape rules [`JmbNetwork::new`] starts with, without building
+    /// anything: a caller that only plans a run asks here.
+    pub fn validate(&self) -> Result<(), JmbError> {
+        if self.n_aps == 0 || self.n_clients == 0 {
+            return Err(JmbError::BadConfig("need at least one AP and one client"));
+        }
+        if self.client_snr_db.len() != self.n_clients {
+            return Err(JmbError::BadConfig("client_snr_db length mismatch"));
+        }
+        if self.n_aps < self.n_clients {
+            return Err(JmbError::BadConfig(
+                "need at least as many AP antennas as clients",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The sample-level network.
@@ -154,17 +171,7 @@ impl JmbNetwork {
     /// Builds the network: places nodes, draws oscillators, calibrates
     /// links to the configured SNR targets.
     pub fn new(cfg: NetConfig) -> Result<Self, JmbError> {
-        if cfg.n_aps == 0 || cfg.n_clients == 0 {
-            return Err(JmbError::BadConfig("need at least one AP and one client"));
-        }
-        if cfg.client_snr_db.len() != cfg.n_clients {
-            return Err(JmbError::BadConfig("client_snr_db length mismatch"));
-        }
-        if cfg.n_aps < cfg.n_clients {
-            return Err(JmbError::BadConfig(
-                "need at least as many AP antennas as clients",
-            ));
-        }
+        cfg.validate()?;
         let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
         let mut medium = Medium::new(cfg.params.clone(), rng.gen());
         let carrier = cfg.params.carrier_freq;

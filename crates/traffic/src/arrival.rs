@@ -56,6 +56,25 @@ impl PacketSizeDist {
         }
     }
 
+    /// Whether every size the distribution can draw is a payload one frame
+    /// carries — `1..=MAX_PSDU − 4`, the PSDU is payload + CRC-32 and
+    /// `FrameTx` refuses a longer one — with `min ≤ max` (`sample` draws
+    /// from `min..=max`) and `p_small` a probability. Anything larger is
+    /// refused by the sample PHY on every attempt: the run delivers nothing
+    /// and says nothing.
+    pub(crate) fn is_well_posed(&self) -> bool {
+        let fits = |n: usize| (1..=jmb_phy::frame::MAX_PSDU - 4).contains(&n);
+        match *self {
+            PacketSizeDist::Fixed(n) => fits(n),
+            PacketSizeDist::Uniform { min, max } => fits(min) && fits(max) && min <= max,
+            PacketSizeDist::Bimodal {
+                small,
+                large,
+                p_small,
+            } => fits(small) && fits(large) && (0.0..=1.0).contains(&p_small),
+        }
+    }
+
     /// Mean packet size, bytes.
     pub fn mean(&self) -> f64 {
         match *self {

@@ -107,6 +107,44 @@ impl TrafficConfig {
             sync_strategy: SyncStrategyId::default(),
         }
     }
+
+    /// The rules [`TrafficSim::new`] starts with, against the shape of the
+    /// backend the run will use, without building anything: a caller that
+    /// only plans a run asks here.
+    pub fn validate(&self, n_aps: usize, n_clients: usize) -> Result<(), JmbError> {
+        if self.loads.len() != n_clients {
+            return Err(JmbError::BadConfig("one load per client required"));
+        }
+        if self.loads.is_empty() {
+            return Err(JmbError::BadConfig("need at least one client"));
+        }
+        if !self.loads.iter().all(|l| l.arrival.is_well_posed()) {
+            return Err(JmbError::BadConfig(
+                "arrival rates and on/off mean periods must be positive and finite",
+            ));
+        }
+        if !self.loads.iter().all(|l| l.size.is_well_posed()) {
+            return Err(JmbError::BadConfig(
+                "packet sizes must be ordered, non-empty and fit one frame with its CRC",
+            ));
+        }
+        if self
+            .outages
+            .iter()
+            .any(|o| o.ap >= n_aps || o.up_at_s <= o.down_at_s)
+        {
+            return Err(JmbError::BadConfig("bad outage schedule"));
+        }
+        if self.duration_s <= 0.0 {
+            return Err(JmbError::BadConfig("duration must be positive"));
+        }
+        if !self.start_s.is_finite() || self.start_s < 0.0 {
+            return Err(JmbError::BadConfig(
+                "start time must be finite and non-negative",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Contention slot duration, seconds (802.11 OFDM: 9 µs).
@@ -269,32 +307,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
     /// (matching the backend topologies, where strongest APs are spread
     /// across clients).
     pub fn new(cfg: TrafficConfig, mut backend: B) -> Result<Self, JmbError> {
-        if cfg.loads.len() != backend.n_clients() {
-            return Err(JmbError::BadConfig("one load per client required"));
-        }
-        if cfg.loads.is_empty() {
-            return Err(JmbError::BadConfig("need at least one client"));
-        }
-        if !cfg.loads.iter().all(|l| l.arrival.is_well_posed()) {
-            return Err(JmbError::BadConfig(
-                "arrival rates and on/off mean periods must be positive and finite",
-            ));
-        }
-        if cfg
-            .outages
-            .iter()
-            .any(|o| o.ap >= backend.n_aps() || o.up_at_s <= o.down_at_s)
-        {
-            return Err(JmbError::BadConfig("bad outage schedule"));
-        }
-        if cfg.duration_s <= 0.0 {
-            return Err(JmbError::BadConfig("duration must be positive"));
-        }
-        if !cfg.start_s.is_finite() || cfg.start_s < 0.0 {
-            return Err(JmbError::BadConfig(
-                "start time must be finite and non-negative",
-            ));
-        }
+        cfg.validate(backend.n_aps(), backend.n_clients())?;
         // Apply the run's sync strategy only when it differs: a backend
         // whose PHY was already built on the requested strategy keeps its
         // measurement-phase seeding (and, for the default strategy, its
@@ -937,6 +950,45 @@ mod tests {
                 matches!(err, Some(JmbError::BadConfig(_))),
                 "{arrival:?}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn packet_sizes_no_frame_carries_are_bad_config() {
+        // 4091 bytes + CRC-32 is the 12-bit LENGTH field's 4095: one byte
+        // more and the sample PHY refuses every attempt, so the run would
+        // deliver nothing without an error. An inverted uniform range
+        // panics in the size draw; `bimodal 0 …` was let through where
+        // `fixed 0` was not.
+        let bimodal = |small, large, p_small| PacketSizeDist::Bimodal {
+            small,
+            large,
+            p_small,
+        };
+        for (size, ok) in [
+            (PacketSizeDist::Fixed(4091), true),
+            (PacketSizeDist::Fixed(4092), false),
+            (PacketSizeDist::Fixed(0), false),
+            (PacketSizeDist::Uniform { min: 1, max: 4091 }, true),
+            (PacketSizeDist::Uniform { min: 0, max: 100 }, false),
+            (PacketSizeDist::Uniform { min: 200, max: 100 }, false),
+            (
+                PacketSizeDist::Uniform {
+                    min: 1,
+                    max: usize::MAX,
+                },
+                false,
+            ),
+            (bimodal(90, 1500, 0.5), true),
+            (bimodal(0, 1500, 0.5), false),
+            (bimodal(90, 70_000, 0.5), false),
+            (bimodal(90, 1500, 1.5), false),
+        ] {
+            let mut cfg = light_cfg(2, 1);
+            cfg.loads[1].size = size;
+            assert_eq!(cfg.validate(2, 2).is_ok(), ok, "{size:?}");
+            let built = TrafficSim::new(cfg, StubBackend::perfect(2, 2));
+            assert_eq!(built.is_ok(), ok, "{size:?}");
         }
     }
 
