@@ -176,7 +176,7 @@ fn merged_points(
 ) -> Vec<TrafficMetrics> {
     let (duration_s, n_topo) = (set.duration_s(), set.n_topo());
     let flat = parallel_map(&set.sweep(n_points * n_topo), |i| {
-        let seed = set.seed + (i % n_topo) as u64;
+        let seed = set.seed.wrapping_add((i % n_topo) as u64);
         cell(i / n_topo).sim(duration_s, seed).run()
     });
     flat.chunks(n_topo).map(TrafficMetrics::merge).collect()

@@ -168,3 +168,30 @@ fn reruns_write_identical_bytes() {
     let table = |stdout: &[u8]| text(stdout).lines().skip(2).collect::<Vec<_>>().join("\n");
     assert_eq!(table(&runs[0].1), table(&runs[1].1));
 }
+
+#[test]
+fn the_largest_seed_runs_and_reruns_identically() {
+    // `seed + topology index` overflowed: a panic in a debug build (which is
+    // what this test drives), a silent wrap in release.
+    let runs = ["max_a", "max_b"].map(|tag| {
+        let dir = scratch(tag);
+        let out = bench(&[
+            "robustness_sweep",
+            "--quick",
+            "--sync-loss",
+            "0.1",
+            "--seed",
+            "18446744073709551615",
+            "--out",
+            dir.to_str().unwrap(),
+        ]);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        let csv = std::fs::read(dir.join("robustness_cell.csv")).expect("csv");
+        std::fs::remove_dir_all(&dir).ok();
+        csv
+    });
+    assert!(!runs[0].is_empty());
+    assert_eq!(runs[0], runs[1]);
+}
