@@ -1,4 +1,5 @@
-//! Assertion evaluation: metrics thresholds and trace predicates.
+//! The assertion language: its three sentence forms, their parser, and
+//! their evaluation over a finished run's metrics and trace.
 //!
 //! Assertions never panic — each evaluates to an [`AssertionOutcome`]
 //! carrying the observed value, and the runner folds outcomes into the
@@ -7,28 +8,145 @@
 //! a failed scenario assertion is a *result*, exit code 1, with the
 //! evidence in `result.json`.
 
-use crate::manifest::Assertion;
+use crate::error::ScenarioError;
+use crate::manifest::{finite, perr};
 use jmb_obs::Event;
+use jmb_traffic::TrafficMetrics;
 
-/// Metrics available in every run (single-cell and city alike).
-pub const COMMON_METRICS: &[&str] = &[
-    "goodput_mbps",
-    "offered_mbps",
-    "generated",
-    "delivered",
-    "dropped",
-    "retries",
-    "queued_at_end",
-    "median_latency_ms",
-    "p99_latency_ms",
-    "jain",
-    "delivery_ratio",
-    "sync_misses",
-    "remeasure_ok",
-    "remeasure_failed",
-    "aps_degraded",
-    "aps_restored",
-    "csi_stale",
+/// Comparison operator in an assertion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// `>=`
+    Ge,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `<`
+    Lt,
+    /// `==`
+    Eq,
+}
+
+type Holds = fn(&f64, &f64) -> bool;
+
+impl Op {
+    /// Every operator with its surface syntax and its meaning.
+    const ALL: [(Op, &'static str, Holds); 5] = [
+        (Op::Ge, ">=", f64::ge),
+        (Op::Le, "<=", f64::le),
+        (Op::Gt, ">", f64::gt),
+        (Op::Lt, "<", f64::lt),
+        (Op::Eq, "==", f64::eq),
+    ];
+
+    /// The operator's surface syntax.
+    pub fn symbol(self) -> &'static str {
+        Op::ALL
+            .iter()
+            .find(|row| row.0 == self)
+            .map_or("", |row| row.1)
+    }
+
+    /// Parses the surface syntax.
+    pub fn from_symbol(s: &str) -> Option<Op> {
+        Op::ALL.iter().find(|row| row.1 == s).map(|row| row.0)
+    }
+
+    /// Applies the comparison.
+    pub fn holds(self, actual: f64, bound: f64) -> bool {
+        Op::ALL
+            .iter()
+            .any(|row| row.0 == self && row.2(&actual, &bound))
+    }
+}
+
+/// One pass/fail condition over the finished run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Assertion {
+    /// `metric NAME OP VALUE` — compare a named metric (see
+    /// [`COMMON_METRICS`], [`SINGLE_METRICS`], [`CITY_METRICS`]).
+    Metric {
+        /// Metric name.
+        name: String,
+        /// Comparison.
+        op: Op,
+        /// Bound.
+        value: f64,
+    },
+    /// `count KIND OP N [in T0..T1]` — compare the number of trace events
+    /// of one kind, optionally restricted to a time window.
+    Count {
+        /// Event-kind name (see [`jmb_obs::EventKind::NAMES`]).
+        kind: String,
+        /// Comparison.
+        op: Op,
+        /// Bound.
+        value: u64,
+        /// Optional `[t0, t1]` restriction, seconds.
+        window: Option<(f64, f64)>,
+    },
+    /// `respond FROM -> TO|TO2 within S` — every `FROM` event must be
+    /// followed by one of the `TO` kinds within `S` seconds (triggers too
+    /// close to the end of the trace to be judged are skipped).
+    Respond {
+        /// Triggering event kind.
+        from: String,
+        /// Acceptable responses (any one suffices).
+        to: Vec<String>,
+        /// Response deadline, seconds.
+        within_s: f64,
+    },
+}
+
+impl Assertion {
+    /// The assertion's canonical surface syntax (what `result.json` and
+    /// the serializer print).
+    pub fn text(&self) -> String {
+        match self {
+            Assertion::Metric { name, op, value } => {
+                format!("metric {name} {} {value}", op.symbol())
+            }
+            Assertion::Count {
+                kind,
+                op,
+                value,
+                window,
+            } => match window {
+                Some((t0, t1)) => format!("count {kind} {} {value} in {t0}..{t1}", op.symbol()),
+                None => format!("count {kind} {} {value}", op.symbol()),
+            },
+            Assertion::Respond { from, to, within_s } => {
+                format!("respond {from} -> {} within {within_s}", to.join("|"))
+            }
+        }
+    }
+}
+
+/// How a metric reads off a run's traffic metrics.
+pub type ReadMetric = fn(&TrafficMetrics) -> f64;
+
+/// Metrics available in every run (single-cell and city alike), each with
+/// how it reads off the run's [`TrafficMetrics`], in the order
+/// `result.json` prints them.
+pub const COMMON_METRICS: &[(&str, ReadMetric)] = &[
+    ("goodput_mbps", |tm| tm.goodput_bps() / 1e6),
+    ("offered_mbps", |tm| tm.offered_bps / 1e6),
+    ("generated", |tm| tm.generated as f64),
+    ("delivered", |tm| tm.delivered as f64),
+    ("dropped", |tm| tm.dropped as f64),
+    ("retries", |tm| tm.retries as f64),
+    ("queued_at_end", |tm| tm.queued_at_end as f64),
+    ("median_latency_ms", |tm| tm.median_latency_s() * 1e3),
+    ("p99_latency_ms", |tm| tm.p99_latency_s() * 1e3),
+    ("jain", |tm| tm.jain_fairness()),
+    ("delivery_ratio", |tm| tm.delivery_ratio()),
+    ("sync_misses", |tm| tm.sync_misses as f64),
+    ("remeasure_ok", |tm| tm.remeasure_ok as f64),
+    ("remeasure_failed", |tm| tm.remeasure_failed as f64),
+    ("aps_degraded", |tm| tm.aps_degraded as f64),
+    ("aps_restored", |tm| tm.aps_restored as f64),
+    ("csi_stale", |tm| tm.csi_stale_events as f64),
 ];
 
 /// Metrics that only exist in single-cell runs. `goodput_vs_clean` is the
@@ -38,6 +156,89 @@ pub const SINGLE_METRICS: &[&str] = &["goodput_vs_clean"];
 
 /// Metrics that only exist in city runs.
 pub const CITY_METRICS: &[&str] = &["area_capacity_mbps_km2", "mean_inr_db"];
+
+fn event_kind(line: usize, s: &str) -> Result<String, ScenarioError> {
+    if jmb_obs::EventKind::NAMES.contains(&s) {
+        Ok(s.to_string())
+    } else {
+        Err(perr(line, format!("unknown event kind `{s}`")))
+    }
+}
+
+fn op(line: usize, s: &str) -> Result<Op, ScenarioError> {
+    Op::from_symbol(s).ok_or_else(|| perr(line, format!("unknown operator `{s}`")))
+}
+
+/// One `[assertions]` line: `form` is its first token, `rest` the others.
+pub(crate) fn parse_line(ln: usize, form: &str, rest: &[&str]) -> Result<Assertion, ScenarioError> {
+    match (form, rest) {
+        ("metric", [m, o, v]) => {
+            let common = COMMON_METRICS.iter().map(|row| &row.0);
+            if !common
+                .chain(SINGLE_METRICS)
+                .chain(CITY_METRICS)
+                .any(|n| n == m)
+            {
+                return Err(perr(ln, format!("unknown metric `{m}`")));
+            }
+            Ok(Assertion::Metric {
+                name: m.to_string(),
+                op: op(ln, o)?,
+                value: finite(ln, "metric bound", v)?,
+            })
+        }
+        ("metric", _) => Err(perr(ln, "metric needs `NAME OP VALUE`")),
+        ("count", [k, o, v, window @ ..]) => {
+            let window = match window {
+                [] => None,
+                ["in", range] => {
+                    let (t0, t1) = range.split_once("..").ok_or_else(|| {
+                        perr(ln, format!("count window needs T0..T1, got `{range}`"))
+                    })?;
+                    let t0 = finite(ln, "count window start", t0)?;
+                    let t1 = finite(ln, "count window end", t1)?;
+                    if t1 < t0 {
+                        return Err(perr(ln, "count window end before start"));
+                    }
+                    Some((t0, t1))
+                }
+                _ => return Err(perr(ln, "count needs `KIND OP N [in T0..T1]`")),
+            };
+            Ok(Assertion::Count {
+                kind: event_kind(ln, k)?,
+                op: op(ln, o)?,
+                value: v.parse().map_err(|_| {
+                    perr(
+                        ln,
+                        format!("count bound: `{v}` is not a non-negative integer"),
+                    )
+                })?,
+                window,
+            })
+        }
+        ("count", _) => Err(perr(ln, "count needs `KIND OP N [in T0..T1]`")),
+        ("respond", [from, "->", to, "within", s]) => {
+            let to = to.split('|').map(|kind| event_kind(ln, kind));
+            let within_s = finite(ln, "respond deadline", s)?;
+            if within_s <= 0.0 {
+                return Err(perr(ln, "respond deadline must be positive"));
+            }
+            Ok(Assertion::Respond {
+                from: event_kind(ln, from)?,
+                to: to.collect::<Result<_, _>>()?,
+                within_s,
+            })
+        }
+        ("respond", _) => {
+            let msg = "respond needs `FROM -> TO[|TO...] within SECONDS`";
+            Err(perr(ln, msg))
+        }
+        (other, _) => {
+            let msg = format!("unknown assertion form `{other}` (expected metric/count/respond)");
+            Err(perr(ln, msg))
+        }
+    }
+}
 
 /// One assertion's result: the manifest text, what was observed, and
 /// whether it held.
@@ -139,7 +340,6 @@ pub fn evaluate_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::Op;
     use jmb_obs::EventKind;
 
     fn ev(seq: u64, t: f64, kind: EventKind) -> Event {

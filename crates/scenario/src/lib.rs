@@ -36,12 +36,9 @@ pub mod manifest;
 pub mod report;
 pub mod runner;
 
-pub use assertion::AssertionOutcome;
+pub use assertion::{Assertion, AssertionOutcome, Op};
 pub use error::ScenarioError;
-pub use manifest::{
-    ArrivalSpec, Assertion, Backend, FaultKnobs, FaultSpec, Limits, Manifest, Op, OutageSpec,
-    PacketSpec, Topology, TrafficSpec, WindowSpec,
-};
+pub use manifest::{Backend, FaultSpec, Limits, Manifest, Topology, TrafficSpec};
 pub use report::{ScenarioReport, Verdict};
 pub use runner::{run_manifest, RunOptions, RunOutput};
 

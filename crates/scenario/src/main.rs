@@ -8,7 +8,9 @@
 //! `run` executes the manifest and writes `result.json` + `trace.jsonl`
 //! into the output directory (default `results/scenario/<name>`), then
 //! exits 0 (pass), 1 (assertion failed), 2 (invalid manifest/CLI), or 3
-//! (resource limit hit). `check` parses and validates only.
+//! (resource limit hit). `check` parses the manifest and plans its run —
+//! everything `run` does before it simulates — so a manifest `check`
+//! accepts is one `run` will start.
 
 use jmb_scenario::{
     run_manifest, Manifest, RunOptions, ScenarioError, ScenarioReport, EXIT_INVALID, EXIT_PASS,
@@ -95,17 +97,8 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 /// The artifact directory for a manifest: `--out` if given, else
 /// `results/scenario/<file stem>`.
 fn out_dir(args: &RunArgs) -> PathBuf {
-    match &args.out {
-        Some(d) => d.clone(),
-        None => {
-            let stem = args
-                .manifest
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "scenario".to_string());
-            Path::new("results").join("scenario").join(stem)
-        }
-    }
+    let default = || Path::new("results/scenario").join(stem_of(&args.manifest));
+    args.out.clone().unwrap_or_else(default)
 }
 
 fn load(path: &Path) -> Result<Manifest, ScenarioError> {
@@ -145,16 +138,17 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     };
     let dir = out_dir(&args);
+    // Even a manifest that never ran leaves a machine-readable record for
+    // CI to upload.
+    let refuse = |name: &str, e: ScenarioError| {
+        let report = ScenarioReport::invalid(name, &e);
+        let _ = write_artifacts(&dir, &report.to_json(), None);
+        eprintln!("error: {e}");
+        EXIT_INVALID
+    };
     let manifest = match load(&args.manifest) {
         Ok(m) => m,
-        Err(e) => {
-            // Even a manifest that never ran leaves a machine-readable
-            // record for CI to upload.
-            let report = ScenarioReport::invalid(&stem_of(&args.manifest), &e);
-            let _ = write_artifacts(&dir, &report.to_json(), None);
-            eprintln!("error: {e}");
-            return EXIT_INVALID;
-        }
+        Err(e) => return refuse(&stem_of(&args.manifest), e),
     };
     let opts = RunOptions {
         seed: args.seed,
@@ -187,12 +181,7 @@ fn cmd_run(args: &[String]) -> i32 {
             }
             r.verdict.exit_code()
         }
-        Err(e) => {
-            let report = ScenarioReport::invalid(&manifest.name, &e);
-            let _ = write_artifacts(&dir, &report.to_json(), None);
-            eprintln!("error: {e}");
-            EXIT_INVALID
-        }
+        Err(e) => refuse(&manifest.name, e),
     }
 }
 
@@ -248,6 +237,88 @@ mod tests {
             out_dir(&a),
             Path::new("results").join("scenario").join("stadium")
         );
+    }
+
+    /// What a `run` line is built from: the flags, flags that do not
+    /// exist, paths, and values on every edge `--seed`/`--threads` have.
+    const WORDS: &[&str] = &[
+        "--out",
+        "--seed",
+        "--threads",
+        "--bogus",
+        "-x",
+        "--help",
+        "--seed=3",
+        "a.scn",
+        "b.scn",
+        "0",
+        "1",
+        "4",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "NaN",
+        "",
+        "é",
+    ];
+
+    /// The grammar, restated the slow way: flags with their values in any
+    /// order around exactly one path.
+    fn well_formed(argv: &[String]) -> bool {
+        let (mut paths, mut i) = (0, 0);
+        while i < argv.len() {
+            let value = argv.get(i + 1);
+            i += match argv[i].as_str() {
+                "--out" if value.is_some() => 2,
+                "--seed" if value.is_some_and(|v| v.parse::<u64>().is_ok()) => 2,
+                "--threads" if value.is_some_and(|v| v.parse().is_ok_and(|t: usize| t > 0)) => 2,
+                word if word.starts_with('-') => return false,
+                _ => {
+                    paths += 1;
+                    1
+                }
+            };
+        }
+        paths == 1
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
+
+        /// No command line panics the parser; exactly the well-formed ones
+        /// are accepted; every other one is exit 2 with the offending
+        /// word, or the flag left without its value, named.
+        #[test]
+        fn random_argv_is_run_or_refused_by_name(
+            picks in proptest::collection::vec(0usize..WORDS.len(), 0..6),
+        ) {
+            let argv: Vec<String> = picks.iter().map(|&i| WORDS[i].to_string()).collect();
+            match parse_run_args(&argv) {
+                Ok(args) => {
+                    proptest::prop_assert!(well_formed(&argv), "accepted {argv:?}");
+                    proptest::prop_assert!(argv.contains(&args.manifest.display().to_string()));
+                }
+                Err(msg) => {
+                    proptest::prop_assert!(!well_formed(&argv), "refused {argv:?}: {msg}");
+                    let named = argv.iter().any(|w| !w.is_empty() && msg.contains(w.as_str()));
+                    let nothing_to_name = msg == "missing manifest path" || msg.ends_with("``");
+                    proptest::prop_assert!(named || nothing_to_name, "{argv:?}: {msg}");
+                    let mut line = vec!["run".to_string()];
+                    line.extend(argv.iter().cloned());
+                    proptest::prop_assert_eq!(real_main(&line), EXIT_INVALID);
+                }
+            }
+            // `check` takes one path and nothing else; a word that is no
+            // command is no command.
+            if argv.len() != 1 {
+                let mut line = vec!["check".to_string()];
+                line.extend(argv.iter().cloned());
+                proptest::prop_assert_eq!(real_main(&line), EXIT_INVALID);
+            }
+            if argv.first().is_some_and(|w| !["run", "check", "--help"].contains(&w.as_str())) {
+                proptest::prop_assert_eq!(real_main(&argv), EXIT_INVALID);
+            }
+        }
     }
 
     #[test]

@@ -1,120 +1,45 @@
-//! The manifest model and its hand-rolled parser/serializer.
+//! The manifest model, and the one key table that reads, bounds and prints it.
 //!
-//! A manifest is a line-oriented text format: a header (`version`, `name`,
-//! `seed`), then bracketed sections. `#` starts a comment, blank lines are
-//! ignored, keys and values are whitespace-separated. The parser reports
-//! every unknown section, unknown key, malformed value, out-of-range
-//! probability, and unknown metric/event-kind name with its 1-based line
-//! number — silent acceptance is a bug class this format refuses to have.
+//! A manifest is line-oriented text: header keys, then bracketed sections.
+//! `#` starts a comment, blank lines are ignored, and a line is a key
+//! followed by its whitespace-separated value tokens
+//! (`tests/fixtures/good.scn` uses every section). Every key is one row of
+//! [`KEYS`]: where it is legal (its section and, under `[topology]`, the
+//! `kind`), whether it is required, optional or repeatable, and its
+//! [`Slot`] — the field of the model it lands in, whose variant is the
+//! value grammar and carries the finite range a number must hold, each
+//! range with the reason for its edges. [`Manifest::parse`] is one loop
+//! over the text against that table: an unknown section or key (the
+//! message lists what the table has there), wrong arity, a value out of
+//! range and a key given twice are [`ScenarioError::Parse`] with the line
+//! number; a required key that never appears is
+//! [`ScenarioError::Invalid`]. [`Manifest::to_text`] walks the same rows
+//! in order, so a key cannot be read but not printed, and
+//! `parse(to_text(m)) == m`. Only `[assertions]` is not key/value: its
+//! lines are sentences of [`crate::assertion`].
 //!
-//! [`Manifest::to_text`] is the canonical serializer: parsing its output
-//! yields an equal [`Manifest`] (pinned by a property test), which is what
-//! makes manifests safe to generate, normalize, and diff.
-//!
-//! ```text
-//! version 1
-//! name example
-//! seed 1
-//!
-//! [topology]
-//! kind single
-//! aps 4
-//! clients 4
-//! snr_db 28
-//!
-//! [channel]
-//! backend fast
-//!
-//! [sync]
-//! strategy jmb-lead-slave
-//!
-//! [traffic]
-//! arrival poisson 2000
-//! packet fixed 1500
-//! duration_s 0.2
-//! drain_s 0.1
-//!
-//! [faults]
-//! sync_loss 0.05
-//! window 0.05 0.1 sync_loss=0.5 slave=1:0.9
-//! outage ap=0 from=0.08 until=0.12
-//!
-//! [limits]
-//! max_sim_time_s 5
-//! max_events 2000000
-//! wall_clock_s 60
-//!
-//! [assertions]
-//! metric delivery_ratio >= 0.75
-//! count ApDown == 1 in 0.0..0.5
-//! respond RemeasureScheduled -> RemeasureOk|RemeasureFailed within 0.1
-//! ```
+//! The model holds the simulator's own types, and [`Manifest::validate`]
+//! ends by building the run's [`crate::runner::plan`]: every rule a
+//! library constructor enforces is asked of the library, and a manifest
+//! that parses is one `run` will start.
 
-use crate::assertion::{CITY_METRICS, COMMON_METRICS, SINGLE_METRICS};
+use crate::assertion::{parse_line, Assertion, CITY_METRICS, SINGLE_METRICS};
 use crate::error::ScenarioError;
 use jmb_obs::SyncStrategyId;
-use std::fmt::Write as _;
-
-/// Comparison operator in an assertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// `>=`
-    Ge,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `<`
-    Lt,
-    /// `==`
-    Eq,
-}
-
-impl Op {
-    /// The operator's surface syntax.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            Op::Ge => ">=",
-            Op::Le => "<=",
-            Op::Gt => ">",
-            Op::Lt => "<",
-            Op::Eq => "==",
-        }
-    }
-
-    /// Parses the surface syntax.
-    pub fn from_symbol(s: &str) -> Option<Op> {
-        match s {
-            ">=" => Some(Op::Ge),
-            "<=" => Some(Op::Le),
-            ">" => Some(Op::Gt),
-            "<" => Some(Op::Lt),
-            "==" => Some(Op::Eq),
-            _ => None,
-        }
-    }
-
-    /// Applies the comparison.
-    pub fn holds(self, actual: f64, bound: f64) -> bool {
-        match self {
-            Op::Ge => actual >= bound,
-            Op::Le => actual <= bound,
-            Op::Gt => actual > bound,
-            Op::Lt => actual < bound,
-            Op::Eq => actual == bound,
-        }
-    }
-}
+use jmb_phy::frame::MAX_PSDU;
+use jmb_sim::{FaultConfig, FaultError, FaultSchedule, FaultWindow};
+use jmb_traffic::{ApOutage, ArrivalProcess, ClientLoad, PacketSizeDist};
+use std::any::Any;
+use std::mem::discriminant;
 
 /// Which PHY serves the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Per-subcarrier [`jmb_traffic::FastBackend`] — the default; supports
-    /// per-client SNR lists.
+    /// Per-subcarrier [`jmb_traffic::FastBackend`] — the default.
     #[default]
     Fast,
     /// Sample-level [`jmb_traffic::SampleBackend`] — full OFDM + CRC
-    /// validation; scalar SNR only.
+    /// validation.
     Sample,
 }
 
@@ -151,120 +76,29 @@ pub enum Topology {
     },
 }
 
-/// One client's arrival process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalSpec {
-    /// Memoryless arrivals.
-    Poisson {
-        /// Mean rate, packets/second.
-        rate_pps: f64,
-    },
-    /// Bursty on/off arrivals.
-    OnOff {
-        /// In-burst rate, packets/second.
-        burst_pps: f64,
-        /// Mean ON duration, seconds.
-        on_s: f64,
-        /// Mean OFF duration, seconds.
-        off_s: f64,
-    },
-}
-
-/// Packet-size distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PacketSpec {
-    /// Every packet the same size, bytes.
-    Fixed(usize),
-    /// Uniform in `[min, max]` bytes.
-    Uniform {
-        /// Smallest packet, bytes.
-        min: usize,
-        /// Largest packet, bytes.
-        max: usize,
-    },
-    /// Internet mix: small with probability `p_small`, else large.
-    Bimodal {
-        /// Small-packet size, bytes.
-        small: usize,
-        /// Large-packet size, bytes.
-        large: usize,
-        /// Probability of a small packet.
-        p_small: f64,
-    },
-}
-
 /// The offered load and run horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSpec {
-    /// Arrival process (same for every client).
-    pub arrival: ArrivalSpec,
-    /// Packet sizes.
-    pub packet: PacketSpec,
+    /// Arrival process and packet sizes (the same for every client).
+    pub load: ClientLoad,
     /// Load-generation horizon, seconds.
     pub duration_s: f64,
     /// Queue-drain grace after the horizon, seconds.
     pub drain_s: f64,
 }
 
-/// Fault probabilities for one config (the base, or one window's).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultKnobs {
-    /// Transmission drop probability.
-    pub drop: f64,
-    /// Payload corruption probability.
-    pub corrupt: f64,
-    /// Sync-header loss probability (every slave).
-    pub sync_loss: f64,
-    /// Measurement-frame loss probability.
-    pub meas_loss: f64,
-    /// Per-slave sync-loss overrides `(ap, probability)`; `ap` is a slave
-    /// index, `1..aps` (AP 0 leads and hears no header).
-    pub per_slave: Vec<(usize, f64)>,
-}
-
-impl FaultKnobs {
-    /// True when every probability is zero.
-    pub fn is_clean(&self) -> bool {
-        self.drop == 0.0
-            && self.corrupt == 0.0
-            && self.sync_loss == 0.0
-            && self.meas_loss == 0.0
-            && self.per_slave.iter().all(|&(_, p)| p == 0.0)
-    }
-}
-
-/// A fault storm window `[from_s, until_s)` (the schedule's half-open
-/// last-added-wins semantics — see `jmb_sim::FaultSchedule`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSpec {
-    /// Window start (inclusive), seconds.
-    pub from_s: f64,
-    /// Window end (exclusive), seconds.
-    pub until_s: f64,
-    /// The probabilities in effect inside the window.
-    pub knobs: FaultKnobs,
-}
-
-/// A scheduled AP outage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OutageSpec {
-    /// Which AP fails.
-    pub ap: usize,
-    /// Failure time, seconds.
-    pub from_s: f64,
-    /// Recovery time, seconds.
-    pub until_s: f64,
-}
-
-/// The whole `[faults]` section.
+/// The whole `[faults]` section. A per-slave override in a config names a
+/// slave index, `1..aps` (AP 0 leads and hears no header).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSpec {
     /// Probabilities outside every window.
-    pub base: FaultKnobs,
-    /// Storm windows, in declaration order (last added wins).
-    pub windows: Vec<WindowSpec>,
+    pub base: FaultConfig,
+    /// Storm windows `[from_s, until_s)`, in declaration order (the
+    /// schedule's half-open last-added-wins semantics — see
+    /// [`jmb_sim::FaultSchedule`]).
+    pub windows: Vec<FaultWindow>,
     /// AP outages.
-    pub outages: Vec<OutageSpec>,
+    pub outages: Vec<ApOutage>,
 }
 
 impl FaultSpec {
@@ -284,68 +118,6 @@ pub struct Limits {
     pub max_events: Option<u64>,
     /// Wall-clock budget, seconds (graceful early stop, not a kill).
     pub wall_clock_s: Option<f64>,
-}
-
-/// One pass/fail condition over the finished run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Assertion {
-    /// `metric NAME OP VALUE` — compare a named metric (see
-    /// [`COMMON_METRICS`], [`SINGLE_METRICS`], [`CITY_METRICS`]).
-    Metric {
-        /// Metric name.
-        name: String,
-        /// Comparison.
-        op: Op,
-        /// Bound.
-        value: f64,
-    },
-    /// `count KIND OP N [in T0..T1]` — compare the number of trace events
-    /// of one kind, optionally restricted to a time window.
-    Count {
-        /// Event-kind name (see [`jmb_obs::EventKind::NAMES`]).
-        kind: String,
-        /// Comparison.
-        op: Op,
-        /// Bound.
-        value: u64,
-        /// Optional `[t0, t1]` restriction, seconds.
-        window: Option<(f64, f64)>,
-    },
-    /// `respond FROM -> TO|TO2 within S` — every `FROM` event must be
-    /// followed by one of the `TO` kinds within `S` seconds (triggers too
-    /// close to the end of the trace to be judged are skipped).
-    Respond {
-        /// Triggering event kind.
-        from: String,
-        /// Acceptable responses (any one suffices).
-        to: Vec<String>,
-        /// Response deadline, seconds.
-        within_s: f64,
-    },
-}
-
-impl Assertion {
-    /// The assertion's canonical surface syntax (what `result.json` and
-    /// the serializer print).
-    pub fn text(&self) -> String {
-        match self {
-            Assertion::Metric { name, op, value } => {
-                format!("metric {name} {} {value}", op.symbol())
-            }
-            Assertion::Count {
-                kind,
-                op,
-                value,
-                window,
-            } => match window {
-                Some((t0, t1)) => format!("count {kind} {} {value} in {t0}..{t1}", op.symbol()),
-                None => format!("count {kind} {} {value}", op.symbol()),
-            },
-            Assertion::Respond { from, to, within_s } => {
-                format!("respond {from} -> {} within {within_s}", to.join("|"))
-            }
-        }
-    }
 }
 
 /// A parsed, validated scenario manifest.
@@ -373,18 +145,14 @@ pub struct Manifest {
     pub assertions: Vec<Assertion>,
 }
 
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-fn perr(line: usize, message: impl Into<String>) -> ScenarioError {
+pub(crate) fn perr(line: usize, message: impl Into<String>) -> ScenarioError {
     ScenarioError::Parse {
         line,
         message: message.into(),
     }
 }
 
-fn parse_f64(line: usize, what: &str, s: &str) -> Result<f64, ScenarioError> {
+pub(crate) fn finite(line: usize, what: &str, s: &str) -> Result<f64, ScenarioError> {
     let v: f64 = s
         .parse()
         .map_err(|_| perr(line, format!("{what}: `{s}` is not a number")))?;
@@ -394,600 +162,675 @@ fn parse_f64(line: usize, what: &str, s: &str) -> Result<f64, ScenarioError> {
     Ok(v)
 }
 
-fn parse_u64(line: usize, what: &str, s: &str) -> Result<u64, ScenarioError> {
-    s.parse()
-        .map_err(|_| perr(line, format!("{what}: `{s}` is not a non-negative integer")))
-}
+/// The closed range a number must lie in, and why its edges are there.
+#[derive(Clone, Copy)]
+struct Range(f64, f64, &'static str);
 
-fn parse_usize(line: usize, what: &str, s: &str) -> Result<usize, ScenarioError> {
-    s.parse()
-        .map_err(|_| perr(line, format!("{what}: `{s}` is not a non-negative integer")))
-}
-
-fn parse_prob(line: usize, what: &str, s: &str) -> Result<f64, ScenarioError> {
-    let p = parse_f64(line, what, s)?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(perr(line, format!("{what}: {p} outside [0, 1]")));
+impl Range {
+    fn num(&self, line: usize, what: &str, s: &str) -> Result<f64, ScenarioError> {
+        let (v, Range(lo, hi, why)) = (finite(line, what, s)?, *self);
+        if !(lo..=hi).contains(&v) {
+            let msg = format!("{what}: {s} outside [{lo}, {hi}] ({why})");
+            return Err(perr(line, msg));
+        }
+        Ok(v)
     }
-    Ok(p)
-}
 
-/// `ap=N`, `from=T` style pair.
-fn split_kv(line: usize, tok: &str) -> Result<(&str, &str), ScenarioError> {
-    tok.split_once('=')
-        .ok_or_else(|| perr(line, format!("expected key=value, got `{tok}`")))
-}
-
-/// `slave=N:P` payload.
-fn parse_slave(line: usize, v: &str) -> Result<(usize, f64), ScenarioError> {
-    let (ap, p) = v
-        .split_once(':')
-        .ok_or_else(|| perr(line, format!("slave override needs AP:PROB, got `{v}`")))?;
-    Ok((
-        parse_usize(line, "slave AP index", ap)?,
-        parse_prob(line, "slave sync-loss probability", p)?,
-    ))
-}
-
-fn parse_event_kind(line: usize, s: &str) -> Result<String, ScenarioError> {
-    if jmb_obs::EventKind::NAMES.contains(&s) {
-        Ok(s.to_string())
-    } else {
-        Err(perr(line, format!("unknown event kind `{s}`")))
+    /// An integer is read exactly and compared as the nearest f64, which
+    /// keeps its order against the edges.
+    fn int(&self, line: usize, what: &str, s: &str) -> Result<u64, ScenarioError> {
+        let v: u64 = s
+            .parse()
+            .map_err(|_| perr(line, format!("{what}: `{s}` is not a non-negative integer")))?;
+        self.num(line, what, s).map(|_| v)
     }
 }
 
-#[derive(Default)]
-struct SingleDraft {
-    aps: Option<usize>,
-    clients: Option<usize>,
-    snr_db: Option<Vec<f64>>,
+const ANY_U64: Range = Range(0.0, u64::MAX as f64, "any 64-bit value");
+/// The tops of the count ranges are sizes `tests/caps.rs` builds and runs
+/// (release): 10 × 512 on `backend fast` in 0.2 s; 10 × 10 on `backend
+/// sample`, where every AP is a rendered waveform per frame, at 0.6 s per
+/// ms of simulated time (16 × 16: 2.2 s); a 16 × 16 grid in 0.04 s.
+const APS: Range = Range(1.0, 10.0, "the paper's largest array has 10 APs");
+const AP_INDEX: Range = Range(0.0, APS.1 - 1.0, "an AP of the largest cell");
+const CLIENTS: Range = Range(1.0, 512.0, "city_sweep's densest cell has 400 clients");
+const GRID: Range = Range(1.0, 16.0, "city_sweep's full grid is 16 x 16");
+const BYTES: Range = Range(
+    1.0,
+    (MAX_PSDU - 4) as f64,
+    "payload + CRC-32 must fit the frame's 12-bit LENGTH field",
+);
+const PROB: Range = Range(0.0, 1.0, "a probability");
+/// Brackets the rate table (4 to 25 dB) with room on both sides; far
+/// outside it 10^(snr/10) overflows and zero-forcing meets a singular
+/// matrix (measured: past 3 080 dB).
+const SNR_DB: Range = Range(-20.0, 60.0, "link SNRs a calibrated cell can hold at once");
+const SPACING_M: Range = Range(1.0, 1e5, "cells one metre to 100 km apart");
+/// With [`RATE_PPS`]: rate × (duration + drain) ≤ 2 × 10¹² < 2⁵², so the
+/// mean inter-arrival gap stays above the f64 clock's resolution at the
+/// horizon and the arrival clock advances.
+const TIME_S: Range = Range(0.0, 1e5, "a run covers at most 10^5 simulated seconds");
+const SPAN_S: Range = Range(1e-6, TIME_S.1, "one microsecond to 10^5 seconds");
+const RATE_PPS: Range = Range(
+    1e-3,
+    1e7,
+    "rate x horizon must stay below 2^52 for the arrival clock to advance",
+);
+
+/// The field a key lands in. The variant is the value grammar; where the
+/// value is a number it carries the range the number must hold.
+enum Slot<'a> {
+    Count(&'a mut usize, Range),
+    Int(&'a mut u64, Range),
+    OptInt(&'a mut Option<u64>, Range),
+    Num(&'a mut f64, Range),
+    OptNum(&'a mut Option<f64>, Range),
+    /// 0 is the absence of the fault and is not printed.
+    Prob(&'a mut f64),
+    /// Comma-separated.
+    List(&'a mut Vec<f64>, Range),
+    /// `[A-Za-z0-9._-]+`.
+    Name(&'a mut String),
+    IntOf(&'a mut u32, &'static [(&'static str, u32)]),
+    /// The shape ([`KINDS`]), whose own keys then fill it in.
+    Kind(&'a mut Topology),
+    Backend(&'a mut Backend),
+    /// One strategy token; the default is not printed.
+    Sync(&'a mut SyncStrategyId),
+    /// `poisson RATE` or `onoff BURST ON OFF`.
+    Arrival(&'a mut ArrivalProcess),
+    /// `fixed N`, `uniform MIN MAX` or `bimodal SMALL LARGE P`.
+    Packet(&'a mut PacketSizeDist),
+    /// `AP:PROB`, one more per-slave sync-loss override.
+    Slaves(&'a mut Vec<(usize, f64)>),
+    /// `FROM UNTIL [k=v ...]`, one more window; the `k=v` are the
+    /// [`Scope::Knob`] rows.
+    Windows(&'a mut Vec<FaultWindow>),
+    /// `k=v ...`, one more outage; the `k=v` are the [`Scope::Outage`]
+    /// rows, all of them.
+    Outages(&'a mut Vec<ApOutage>),
 }
 
-#[derive(Default)]
-struct CityDraft {
-    cols: Option<usize>,
-    rows: Option<usize>,
-    reuse: Option<u32>,
-    aps_per_cell: Option<usize>,
-    clients_per_cell: Option<usize>,
-    spacing_m: Option<f64>,
-    snr_db: Option<f64>,
+const BACKENDS: [(&str, Backend); 2] = [("fast", Backend::Fast), ("sample", Backend::Sample)];
+const KINDS: [(&str, Topology); 2] = [
+    (
+        "single",
+        Topology::Single {
+            aps: 0,
+            clients: 0,
+            snr_db: Vec::new(),
+        },
+    ),
+    (
+        "city",
+        Topology::City {
+            cols: 0,
+            rows: 0,
+            reuse: 0,
+            aps_per_cell: 0,
+            clients_per_cell: 0,
+            spacing_m: 0.0,
+            snr_db: 0.0,
+        },
+    ),
+];
+
+fn strategies() -> [(&'static str, SyncStrategyId); 3] {
+    SyncStrategyId::ALL.map(|s| (s.token(), s))
 }
 
-enum TopoDraft {
-    Unset,
-    Single(SingleDraft),
-    City(CityDraft),
+/// The value `v` spells in `table`, or the error that lists the table.
+fn word<T: Clone>(ln: usize, key: &str, v: &str, table: &[(&str, T)]) -> Result<T, ScenarioError> {
+    let hit = table.iter().find(|(w, _)| *w == v);
+    hit.map(|(_, t)| t.clone()).ok_or_else(|| {
+        let words: Vec<&str> = table.iter().map(|(w, _)| *w).collect();
+        let list = match words.split_last() {
+            Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+            _ => words.concat(),
+        };
+        perr(ln, format!("{key} must be {list}, got `{v}`"))
+    })
 }
 
-#[derive(Default)]
-struct TrafficDraft {
-    arrival: Option<ArrivalSpec>,
-    packet: Option<PacketSpec>,
-    duration_s: Option<f64>,
-    drain_s: Option<f64>,
+/// How `table` spells the value `is` picks out.
+fn spelled<T>(table: &[(&str, T)], is: impl Fn(&T) -> bool) -> Vec<String> {
+    let hits = table.iter().filter(|(_, t)| is(t));
+    hits.map(|(w, _)| w.to_string()).collect()
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Section {
+impl Slot<'_> {
+    /// Reads the key's value tokens into the field.
+    fn read(self, ln: usize, key: &str, toks: &[&str]) -> Result<(), ScenarioError> {
+        let one = || match toks {
+            [v] => Ok(*v),
+            _ => Err(perr(ln, format!("`{key}` needs exactly one value"))),
+        };
+        let bytes = |what, s| BYTES.int(ln, what, s).map(|n| n as usize);
+        match self {
+            // `as`: the range of every count is far below `usize::MAX`.
+            Slot::Count(f, range) => *f = range.int(ln, key, one()?)? as usize,
+            Slot::Int(f, range) => *f = range.int(ln, key, one()?)?,
+            Slot::OptInt(f, range) => *f = Some(range.int(ln, key, one()?)?),
+            Slot::Num(f, range) => *f = range.num(ln, key, one()?)?,
+            Slot::OptNum(f, range) => *f = Some(range.num(ln, key, one()?)?),
+            Slot::Prob(f) => *f = PROB.num(ln, key, one()?)?,
+            Slot::List(f, range) => {
+                let parts = one()?.split(',');
+                *f = parts
+                    .map(|p| range.num(ln, key, p))
+                    .collect::<Result<_, _>>()?;
+            }
+            Slot::Name(f) => {
+                let v = one()?;
+                let ok = |b: u8| b.is_ascii_alphanumeric() || b"._-".contains(&b);
+                if !v.bytes().all(ok) {
+                    let msg = format!("name `{v}` must be [A-Za-z0-9._-]+ (it names artifacts)");
+                    return Err(perr(ln, msg));
+                }
+                *f = v.to_string();
+            }
+            Slot::IntOf(f, table) => *f = word(ln, key, one()?, table)?,
+            Slot::Kind(f) => *f = word(ln, key, one()?, &KINDS)?,
+            Slot::Backend(f) => *f = word(ln, key, one()?, &BACKENDS)?,
+            Slot::Sync(f) => *f = word(ln, key, one()?, &strategies())?,
+            Slot::Arrival(f) => {
+                *f = match toks {
+                    ["poisson", r] => ArrivalProcess::Poisson {
+                        rate_pps: RATE_PPS.num(ln, "poisson rate", r)?,
+                    },
+                    ["onoff", b, on, off] => ArrivalProcess::OnOff {
+                        burst_rate_pps: RATE_PPS.num(ln, "onoff burst rate", b)?,
+                        mean_on_s: SPAN_S.num(ln, "onoff ON mean", on)?,
+                        mean_off_s: SPAN_S.num(ln, "onoff OFF mean", off)?,
+                    },
+                    _ => {
+                        let msg = "arrival needs `poisson RATE` or `onoff BURST ON OFF`";
+                        return Err(perr(ln, msg));
+                    }
+                }
+            }
+            Slot::Packet(f) => {
+                *f = match toks {
+                    ["fixed", n] => PacketSizeDist::Fixed(bytes("packet size", n)?),
+                    ["uniform", lo, hi] => PacketSizeDist::Uniform {
+                        min: bytes("min packet size", lo)?,
+                        max: bytes("max packet size", hi)?,
+                    },
+                    ["bimodal", s, l, p] => PacketSizeDist::Bimodal {
+                        small: bytes("small packet size", s)?,
+                        large: bytes("large packet size", l)?,
+                        p_small: PROB.num(ln, "small-packet probability", p)?,
+                    },
+                    _ => {
+                        let msg = "packet needs `fixed N`, `uniform MIN MAX` or \
+                                   `bimodal SMALL LARGE P`";
+                        return Err(perr(ln, msg));
+                    }
+                }
+            }
+            Slot::Slaves(f) => {
+                let v = one()?;
+                let (ap, p) = v
+                    .split_once(':')
+                    .ok_or_else(|| perr(ln, format!("slave override needs AP:PROB, got `{v}`")))?;
+                f.push((
+                    AP_INDEX.int(ln, "slave AP index", ap)? as usize,
+                    PROB.num(ln, "slave sync-loss probability", p)?,
+                ));
+            }
+            Slot::Windows(f) => {
+                let [from, until, pairs @ ..] = toks else {
+                    return Err(perr(ln, "window needs `FROM UNTIL [k=v ...]`"));
+                };
+                let mut w = FaultWindow {
+                    from_s: TIME_S.num(ln, "window start", from)?,
+                    until_s: TIME_S.num(ln, "window end", until)?,
+                    config: FaultConfig::default(),
+                };
+                // The schedule owns the rule against an empty or inverted window.
+                FaultSchedule::none()
+                    .with_window(w.from_s, w.until_s, FaultConfig::default())
+                    .map_err(|e| perr(ln, e.to_string()))?;
+                read_pairs(Scope::Knob, &mut w.config, ln, pairs)?;
+                f.push(w);
+            }
+            Slot::Outages(f) => {
+                let mut o = ApOutage {
+                    ap: 0,
+                    down_at_s: 0.0,
+                    up_at_s: 0.0,
+                };
+                if let Some(k) = read_pairs(Scope::Outage, &mut o, ln, toks)? {
+                    let msg = format!("outage needs ap=N from=T until=T (no `{}`)", k.name);
+                    return Err(perr(ln, msg));
+                }
+                if o.up_at_s <= o.down_at_s {
+                    let (from, until) = (o.down_at_s, o.up_at_s);
+                    let msg = format!("outage [{from}, {until}) is empty or inverted");
+                    return Err(perr(ln, msg));
+                }
+                f.push(o);
+            }
+        }
+        Ok(())
+    }
+
+    /// The value tokens the field prints, one line (or `k=v`) each; none
+    /// omits the key.
+    fn show(self) -> Vec<String> {
+        match self {
+            Slot::Count(f, _) => vec![f.to_string()],
+            Slot::Int(f, _) => vec![f.to_string()],
+            Slot::OptInt(f, _) => f.iter().map(u64::to_string).collect(),
+            Slot::Num(f, _) => vec![f.to_string()],
+            Slot::OptNum(f, _) => f.iter().map(f64::to_string).collect(),
+            Slot::Prob(f) if *f == 0.0 => Vec::new(),
+            Slot::Prob(f) => vec![f.to_string()],
+            Slot::List(f, _) => {
+                let parts: Vec<String> = f.iter().map(f64::to_string).collect();
+                vec![parts.join(",")]
+            }
+            Slot::Name(f) => vec![f.clone()],
+            Slot::IntOf(f, _) => vec![f.to_string()],
+            Slot::Kind(f) => spelled(&KINDS, |t| discriminant(t) == discriminant(f)),
+            Slot::Backend(f) => spelled(&BACKENDS, |b| b == f),
+            Slot::Sync(f) if *f == SyncStrategyId::default() => Vec::new(),
+            Slot::Sync(f) => spelled(&strategies(), |s| s == f),
+            Slot::Arrival(f) => vec![match *f {
+                ArrivalProcess::Poisson { rate_pps } => format!("poisson {rate_pps}"),
+                ArrivalProcess::OnOff {
+                    burst_rate_pps,
+                    mean_on_s,
+                    mean_off_s,
+                } => format!("onoff {burst_rate_pps} {mean_on_s} {mean_off_s}"),
+            }],
+            Slot::Packet(f) => vec![match *f {
+                PacketSizeDist::Fixed(n) => format!("fixed {n}"),
+                PacketSizeDist::Uniform { min, max } => format!("uniform {min} {max}"),
+                PacketSizeDist::Bimodal {
+                    small,
+                    large,
+                    p_small,
+                } => format!("bimodal {small} {large} {p_small}"),
+            }],
+            Slot::Slaves(f) => f.iter().map(|(ap, p)| format!("{ap}:{p}")).collect(),
+            Slot::Windows(f) => {
+                let line = |w: &mut FaultWindow| {
+                    let pairs = pairs(Scope::Knob, &mut w.config);
+                    format!("{} {}{pairs}", w.from_s, w.until_s)
+                };
+                f.iter_mut().map(line).collect()
+            }
+            Slot::Outages(f) => {
+                let line = |o: &mut ApOutage| pairs(Scope::Outage, o).trim_start().to_string();
+                f.iter_mut().map(line).collect()
+            }
+        }
+    }
+}
+
+/// Where a key is legal. `Single` and `City` are the two shapes of
+/// `[topology]`, chosen by its `kind`; a `Knob` is a `[faults]` key that a
+/// `window` also takes as `k=v`; `Outage` keys exist only as the `k=v` of
+/// an `outage` line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
     Header,
     Topology,
+    Single,
+    City,
     Channel,
     Sync,
     Traffic,
+    Knob,
     Faults,
+    Outage,
     Limits,
     Assertions,
 }
 
+impl Scope {
+    /// The bracketed sections, in canonical order.
+    const SECTIONS: [Scope; 7] = [
+        Scope::Topology,
+        Scope::Channel,
+        Scope::Sync,
+        Scope::Traffic,
+        Scope::Faults,
+        Scope::Limits,
+        Scope::Assertions,
+    ];
+
+    /// The section a scope's keys sit in.
+    fn section(self) -> Scope {
+        match self {
+            Scope::Single | Scope::City => Scope::Topology,
+            Scope::Knob => Scope::Faults,
+            s => s,
+        }
+    }
+
+    /// A scope's name in `[brackets]` and in diagnostics.
+    fn label(self) -> String {
+        format!("{self:?}").to_lowercase()
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Need {
+    /// Exactly once.
+    Required,
+    /// At most once.
+    Optional,
+    /// Any number of times, each occurrence one more entry.
+    Repeatable,
+}
+
+/// One key: where it is legal, how often, and its field of the record
+/// handed in — the manifest, one `FaultConfig` or one `ApOutage`; `None`
+/// when the record is of another type or has no such field (a city key on
+/// a single-cell topology).
+struct Key {
+    scope: Scope,
+    name: &'static str,
+    need: Need,
+    at: fn(&mut dyn Any) -> Option<Slot<'_>>,
+}
+
+/// `key!(Scope, "name" => path.to.field, Need, Slot(range))`. The scope
+/// picks the record the path starts from: one `FaultConfig` for a knob,
+/// one `ApOutage` for an outage key, that variant of the manifest's
+/// `topology` for the two shapes, the manifest for the rest.
+macro_rules! key {
+    (@in $root:ty, $scope:ident, $name:literal => $($path:ident).+, $need:ident, $slot:ident $(($range:expr))?) => {
+        Key {
+            scope: Scope::$scope,
+            name: $name,
+            need: Need::$need,
+            at: |r| Some(Slot::$slot(&mut r.downcast_mut::<$root>()?.$($path).+ $(, $range)?)),
+        }
+    };
+    (@shape $shape:ident, $name:literal => $field:ident, $need:ident, $slot:ident $(($range:expr))?) => {
+        Key {
+            scope: Scope::$shape,
+            name: $name,
+            need: Need::$need,
+            at: |r| match &mut r.downcast_mut::<Manifest>()?.topology {
+                Topology::$shape { $field, .. } => Some(Slot::$slot($field $(, $range)?)),
+                _ => None,
+            },
+        }
+    };
+    (Single, $($row:tt)+) => { key!(@shape Single, $($row)+) };
+    (City, $($row:tt)+) => { key!(@shape City, $($row)+) };
+    (Knob, $($row:tt)+) => { key!(@in FaultConfig, Knob, $($row)+) };
+    (Outage, $($row:tt)+) => { key!(@in ApOutage, Outage, $($row)+) };
+    ($scope:ident, $($row:tt)+) => { key!(@in Manifest, $scope, $($row)+) };
+}
+
+/// Every key of the format, in canonical (printing) order.
+const KEYS: &[Key] = &[
+    key!(Header, "version" => version, Required, IntOf(&[("1", 1)])),
+    key!(Header, "name" => name, Required, Name),
+    key!(Header, "seed" => seed, Optional, Int(ANY_U64)),
+    key!(Topology, "kind" => topology, Required, Kind),
+    key!(Single, "aps" => aps, Required, Count(APS)),
+    key!(Single, "clients" => clients, Required, Count(CLIENTS)),
+    key!(Single, "snr_db" => snr_db, Required, List(SNR_DB)),
+    key!(City, "cols" => cols, Required, Count(GRID)),
+    key!(City, "rows" => rows, Required, Count(GRID)),
+    key!(City, "reuse" => reuse, Required, IntOf(&[("1", 1), ("3", 3), ("7", 7)])),
+    key!(City, "aps_per_cell" => aps_per_cell, Required, Count(APS)),
+    key!(City, "clients_per_cell" => clients_per_cell, Required, Count(CLIENTS)),
+    key!(City, "spacing_m" => spacing_m, Required, Num(SPACING_M)),
+    key!(City, "snr_db" => snr_db, Required, Num(SNR_DB)),
+    key!(Channel, "backend" => backend, Optional, Backend),
+    key!(Sync, "strategy" => sync, Optional, Sync),
+    key!(Traffic, "arrival" => traffic.load.arrival, Required, Arrival),
+    key!(Traffic, "packet" => traffic.load.size, Required, Packet),
+    key!(Traffic, "duration_s" => traffic.duration_s, Required, Num(SPAN_S)),
+    key!(Traffic, "drain_s" => traffic.drain_s, Optional, Num(TIME_S)),
+    key!(Knob, "drop" => drop_chance, Optional, Prob),
+    key!(Knob, "corrupt" => corrupt_chance, Optional, Prob),
+    key!(Knob, "sync_loss" => control.sync_loss_chance, Optional, Prob),
+    key!(Knob, "meas_loss" => control.meas_loss_chance, Optional, Prob),
+    key!(Knob, "slave" => control.per_slave_sync_loss, Repeatable, Slaves),
+    key!(Faults, "window" => faults.windows, Repeatable, Windows),
+    key!(Faults, "outage" => faults.outages, Repeatable, Outages),
+    key!(Outage, "ap" => ap, Required, Count(AP_INDEX)),
+    key!(Outage, "from" => down_at_s, Required, Num(TIME_S)),
+    key!(Outage, "until" => up_at_s, Required, Num(TIME_S)),
+    key!(Limits, "max_sim_time_s" => limits.max_sim_time_s, Optional, OptNum(SPAN_S)),
+    key!(Limits, "max_events" => limits.max_events, Optional, OptInt(ANY_U64)),
+    key!(Limits, "wall_clock_s" => limits.wall_clock_s, Optional, OptNum(SPAN_S)),
+];
+
+/// Looks `name` up among the rows of `scopes` — the error lists what they
+/// do have — and notes in `seen`, the line each row of [`KEYS`] was first
+/// given on, that it is on line `ln`, unless it may appear once and has.
+fn claim(
+    seen: &mut [Option<usize>],
+    scopes: &[Scope],
+    name: &str,
+    ln: usize,
+) -> Result<&'static Key, ScenarioError> {
+    let legal = || {
+        KEYS.iter()
+            .enumerate()
+            .filter(|(_, k)| scopes.contains(&k.scope))
+    };
+    let Some((i, k)) = legal().find(|(_, k)| k.name == name) else {
+        let label = scopes.last().map_or_else(String::new, |s| s.label());
+        let names: Vec<&str> = legal().map(|(_, k)| k.name).collect();
+        let msg = format!(
+            "unknown {label} key `{name}` (expected {})",
+            names.join("/")
+        );
+        return Err(perr(ln, msg));
+    };
+    match seen[i] {
+        Some(first) if k.need != Need::Repeatable => {
+            let msg = format!("duplicate `{name}` (first given on line {first})");
+            Err(perr(ln, msg))
+        }
+        _ => {
+            seen[i].get_or_insert(ln);
+            Ok(k)
+        }
+    }
+}
+
+/// The first required key of `scopes` that was never given.
+fn missing(seen: &[Option<usize>], scopes: &[Scope]) -> Option<&'static Key> {
+    let absent = KEYS.iter().zip(seen).filter(|(_, line)| line.is_none());
+    let mut required = absent.filter(|(k, _)| k.need == Need::Required);
+    required
+        .find(|(k, _)| scopes.contains(&k.scope))
+        .map(|(k, _)| k)
+}
+
+/// Reads `k=v` tokens into `rec` against the rows of `scope` — lookup,
+/// range and duplicates as for a key on a line of its own — and returns
+/// the first required key of the scope that was not among them.
+fn read_pairs(
+    scope: Scope,
+    rec: &mut dyn Any,
+    ln: usize,
+    toks: &[&str],
+) -> Result<Option<&'static Key>, ScenarioError> {
+    let mut seen = vec![None; KEYS.len()];
+    for tok in toks {
+        let (name, v) = tok
+            .split_once('=')
+            .ok_or_else(|| perr(ln, format!("expected key=value, got `{tok}`")))?;
+        let k = claim(&mut seen, &[scope], name, ln)?;
+        if let Some(slot) = (k.at)(rec) {
+            slot.read(ln, name, &[v])?;
+        }
+    }
+    Ok(missing(&seen, &[scope]))
+}
+
+/// `rec` as the ` k=v` tokens of `scope`'s rows.
+fn pairs(scope: Scope, rec: &mut dyn Any) -> String {
+    let mut out = String::new();
+    for k in KEYS.iter().filter(|k| k.scope == scope) {
+        for v in (k.at)(rec).map_or_else(Vec::new, Slot::show) {
+            out += &format!(" {}={v}", k.name);
+        }
+    }
+    out
+}
+
+/// The configs a schedule is built from go through
+/// [`jmb_sim::FaultConfigBuilder::build`], which owns the probability
+/// rules: a config that did not come from [`Manifest::parse`] is held to
+/// them here.
+pub(crate) fn rebuilt(c: &FaultConfig) -> Result<FaultConfig, FaultError> {
+    let mut b = FaultConfig::builder()
+        .drop_chance(c.drop_chance)
+        .corrupt_chance(c.corrupt_chance)
+        .sync_loss_chance(c.control.sync_loss_chance)
+        .meas_loss_chance(c.control.meas_loss_chance);
+    for &(ap, p) in &c.control.per_slave_sync_loss {
+        b = b.per_slave_sync_loss(ap, p);
+    }
+    b.build()
+}
+
 impl Manifest {
+    /// What the optional keys hold until the text says otherwise (the
+    /// required ones are overwritten before anyone reads them).
+    fn blank() -> Manifest {
+        Manifest {
+            version: 1,
+            name: String::new(),
+            seed: 1,
+            topology: KINDS[0].1.clone(),
+            backend: Backend::default(),
+            sync: SyncStrategyId::default(),
+            traffic: TrafficSpec {
+                load: ClientLoad::poisson(0.0, 0),
+                duration_s: 0.0,
+                drain_s: 0.0,
+            },
+            faults: FaultSpec::default(),
+            limits: Limits::default(),
+            assertions: Vec::new(),
+        }
+    }
+
+    /// The scope of the topology's own keys.
+    fn shape(&self) -> Scope {
+        match self.topology {
+            Topology::Single { .. } => Scope::Single,
+            Topology::City { .. } => Scope::City,
+        }
+    }
+
     /// Parses manifest text, reporting every problem with its line number.
     pub fn parse(text: &str) -> Result<Manifest, ScenarioError> {
-        let mut section = Section::Header;
-        let mut seen: Vec<&'static str> = Vec::new();
-
-        let mut version: Option<u32> = None;
-        let mut name: Option<String> = None;
-        let mut seed: u64 = 1;
-        let mut topo = TopoDraft::Unset;
-        let mut backend = Backend::Fast;
-        let mut sync = SyncStrategyId::default();
-        let mut traffic = TrafficDraft::default();
-        let mut faults = FaultSpec::default();
-        let mut limits = Limits::default();
-        let mut assertions: Vec<Assertion> = Vec::new();
+        let mut m = Manifest::blank();
+        let mut section = Scope::Header;
+        let mut opened: Vec<(Scope, usize)> = Vec::new();
+        let mut seen = vec![None; KEYS.len()];
 
         for (i, raw) in text.lines().enumerate() {
             let ln = i + 1;
-            let line = match raw.find('#') {
-                Some(p) => &raw[..p],
-                None => raw,
-            }
-            .trim();
+            let line = raw.split('#').next().unwrap_or_default().trim();
             if line.is_empty() {
                 continue;
             }
-
             if let Some(sec) = line.strip_prefix('[') {
                 let sec = sec
                     .strip_suffix(']')
                     .ok_or_else(|| perr(ln, format!("unterminated section header `{line}`")))?;
-                let (tag, next) = match sec {
-                    "topology" => ("topology", Section::Topology),
-                    "channel" => ("channel", Section::Channel),
-                    "sync" => ("sync", Section::Sync),
-                    "traffic" => ("traffic", Section::Traffic),
-                    "faults" => ("faults", Section::Faults),
-                    "limits" => ("limits", Section::Limits),
-                    "assertions" => ("assertions", Section::Assertions),
-                    other => return Err(perr(ln, format!("unknown section `[{other}]`"))),
-                };
-                if seen.contains(&tag) {
-                    return Err(perr(ln, format!("duplicate section `[{tag}]`")));
+                let known = Scope::SECTIONS.into_iter().find(|s| s.label() == sec);
+                section = known.ok_or_else(|| {
+                    let names = Scope::SECTIONS.map(Scope::label).join("/");
+                    perr(ln, format!("unknown section `[{sec}]` (expected {names})"))
+                })?;
+                if let Some(&(_, first)) = opened.iter().find(|o| o.0 == section) {
+                    let msg = format!("duplicate section `[{sec}]` (first opened on line {first})");
+                    return Err(perr(ln, msg));
                 }
-                seen.push(tag);
-                section = next;
+                opened.push((section, ln));
                 continue;
             }
 
             let mut toks = line.split_whitespace();
             // A non-empty line always has a first token.
-            let key = toks.next().unwrap_or_default();
+            let name = toks.next().unwrap_or_default();
             let rest: Vec<&str> = toks.collect();
-            let one = |what: &str| -> Result<&str, ScenarioError> {
-                match rest.as_slice() {
-                    [v] => Ok(v),
-                    _ => Err(perr(ln, format!("`{key}` needs exactly one {what}"))),
-                }
+            if section == Scope::Assertions {
+                m.assertions.push(parse_line(ln, name, &rest)?);
+                continue;
+            }
+            let kind_given = missing(&seen, &[Scope::Topology]).is_none();
+            let scopes = match section {
+                Scope::Topology if kind_given => vec![Scope::Topology, m.shape()],
+                Scope::Topology => vec![Scope::Topology, Scope::Single, Scope::City],
+                Scope::Faults => vec![Scope::Knob, Scope::Faults],
+                s => vec![s],
             };
-
-            match section {
-                Section::Header => match key {
-                    "version" => {
-                        let v = parse_u64(ln, "version", one("value")?)?;
-                        if v != 1 {
-                            return Err(perr(ln, format!("unsupported manifest version {v}")));
-                        }
-                        version = Some(1);
-                    }
-                    "name" => {
-                        let v = one("value")?;
-                        if !v
-                            .bytes()
-                            .all(|b| b.is_ascii_alphanumeric() || b"._-".contains(&b))
-                        {
-                            return Err(perr(
-                                ln,
-                                format!("name `{v}` must be [A-Za-z0-9._-]+ (it names artifacts)"),
-                            ));
-                        }
-                        name = Some(v.to_string());
-                    }
-                    "seed" => seed = parse_u64(ln, "seed", one("value")?)?,
-                    other => {
-                        return Err(perr(
-                            ln,
-                            format!("unknown header key `{other}` (expected version/name/seed)"),
-                        ))
-                    }
-                },
-                Section::Topology => match (key, &mut topo) {
-                    ("kind", TopoDraft::Unset) => match one("value")? {
-                        "single" => topo = TopoDraft::Single(SingleDraft::default()),
-                        "city" => topo = TopoDraft::City(CityDraft::default()),
-                        other => {
-                            return Err(perr(
-                                ln,
-                                format!("unknown topology kind `{other}` (single|city)"),
-                            ))
-                        }
-                    },
-                    ("kind", _) => return Err(perr(ln, "duplicate `kind`")),
-                    (_, TopoDraft::Unset) => {
-                        return Err(perr(ln, "`kind single|city` must come first in [topology]"))
-                    }
-                    (k, TopoDraft::Single(d)) => match k {
-                        "aps" => d.aps = Some(parse_usize(ln, "aps", one("value")?)?),
-                        "clients" => d.clients = Some(parse_usize(ln, "clients", one("value")?)?),
-                        "snr_db" => {
-                            let mut v = Vec::new();
-                            for part in one("value")?.split(',') {
-                                v.push(parse_f64(ln, "snr_db", part)?);
-                            }
-                            d.snr_db = Some(v);
-                        }
-                        other => {
-                            return Err(perr(ln, format!("unknown single-cell key `{other}`")))
-                        }
-                    },
-                    (k, TopoDraft::City(d)) => match k {
-                        "cols" => d.cols = Some(parse_usize(ln, "cols", one("value")?)?),
-                        "rows" => d.rows = Some(parse_usize(ln, "rows", one("value")?)?),
-                        "reuse" => {
-                            // Checked before narrowing: 2³² + 3 is not reuse 3.
-                            let r = parse_u64(ln, "reuse", one("value")?)?;
-                            if ![1, 3, 7].contains(&r) {
-                                return Err(perr(ln, format!("reuse must be 1, 3 or 7, got {r}")));
-                            }
-                            d.reuse = Some(r as u32);
-                        }
-                        "aps_per_cell" => {
-                            d.aps_per_cell = Some(parse_usize(ln, "aps_per_cell", one("value")?)?)
-                        }
-                        "clients_per_cell" => {
-                            d.clients_per_cell =
-                                Some(parse_usize(ln, "clients_per_cell", one("value")?)?)
-                        }
-                        "spacing_m" => {
-                            d.spacing_m = Some(parse_f64(ln, "spacing_m", one("value")?)?)
-                        }
-                        "snr_db" => d.snr_db = Some(parse_f64(ln, "snr_db", one("value")?)?),
-                        other => return Err(perr(ln, format!("unknown city key `{other}`"))),
-                    },
-                },
-                Section::Channel => match key {
-                    "backend" => match one("value")? {
-                        "fast" => backend = Backend::Fast,
-                        "sample" => backend = Backend::Sample,
-                        other => {
-                            return Err(perr(
-                                ln,
-                                format!("unknown backend `{other}` (fast|sample)"),
-                            ))
-                        }
-                    },
-                    other => return Err(perr(ln, format!("unknown channel key `{other}`"))),
-                },
-                Section::Sync => match key {
-                    "strategy" => {
-                        let v = one("value")?;
-                        sync = SyncStrategyId::from_token(v).ok_or_else(|| {
-                            let known: Vec<&str> =
-                                SyncStrategyId::ALL.iter().map(|s| s.token()).collect();
-                            perr(
-                                ln,
-                                format!("unknown sync strategy `{v}` ({})", known.join("|")),
-                            )
-                        })?;
-                    }
-                    other => return Err(perr(ln, format!("unknown sync key `{other}`"))),
-                },
-                Section::Traffic => match key {
-                    "arrival" => {
-                        traffic.arrival = Some(match rest.as_slice() {
-                            ["poisson", r] => ArrivalSpec::Poisson {
-                                rate_pps: parse_f64(ln, "poisson rate", r)?,
-                            },
-                            ["onoff", b, on, off] => ArrivalSpec::OnOff {
-                                burst_pps: parse_f64(ln, "burst rate", b)?,
-                                on_s: parse_f64(ln, "mean ON duration", on)?,
-                                off_s: parse_f64(ln, "mean OFF duration", off)?,
-                            },
-                            _ => {
-                                return Err(perr(
-                                    ln,
-                                    "arrival needs `poisson RATE` or `onoff BURST ON OFF`",
-                                ))
-                            }
-                        });
-                    }
-                    "packet" => {
-                        traffic.packet = Some(match rest.as_slice() {
-                            ["fixed", n] => PacketSpec::Fixed(parse_usize(ln, "packet size", n)?),
-                            ["uniform", lo, hi] => PacketSpec::Uniform {
-                                min: parse_usize(ln, "min packet size", lo)?,
-                                max: parse_usize(ln, "max packet size", hi)?,
-                            },
-                            ["bimodal", s, l, p] => PacketSpec::Bimodal {
-                                small: parse_usize(ln, "small packet size", s)?,
-                                large: parse_usize(ln, "large packet size", l)?,
-                                p_small: parse_prob(ln, "small-packet probability", p)?,
-                            },
-                            _ => {
-                                return Err(perr(
-                                    ln,
-                                    "packet needs `fixed N`, `uniform MIN MAX` or \
-                                     `bimodal SMALL LARGE P`",
-                                ))
-                            }
-                        });
-                    }
-                    "duration_s" => {
-                        traffic.duration_s = Some(parse_f64(ln, "duration_s", one("value")?)?)
-                    }
-                    "drain_s" => traffic.drain_s = Some(parse_f64(ln, "drain_s", one("value")?)?),
-                    other => return Err(perr(ln, format!("unknown traffic key `{other}`"))),
-                },
-                Section::Faults => match key {
-                    "drop" => faults.base.drop = parse_prob(ln, "drop", one("value")?)?,
-                    "corrupt" => faults.base.corrupt = parse_prob(ln, "corrupt", one("value")?)?,
-                    "sync_loss" => {
-                        faults.base.sync_loss = parse_prob(ln, "sync_loss", one("value")?)?
-                    }
-                    "meas_loss" => {
-                        faults.base.meas_loss = parse_prob(ln, "meas_loss", one("value")?)?
-                    }
-                    "slave" => faults.base.per_slave.push(parse_slave(ln, one("value")?)?),
-                    "window" => {
-                        if rest.len() < 2 {
-                            return Err(perr(ln, "window needs `FROM UNTIL [k=v ...]`"));
-                        }
-                        let from_s = parse_f64(ln, "window start", rest[0])?;
-                        let until_s = parse_f64(ln, "window end", rest[1])?;
-                        if until_s <= from_s {
-                            return Err(perr(
-                                ln,
-                                format!("window [{from_s}, {until_s}) is empty or inverted"),
-                            ));
-                        }
-                        let mut knobs = FaultKnobs::default();
-                        for tok in &rest[2..] {
-                            let (k, v) = split_kv(ln, tok)?;
-                            match k {
-                                "drop" => knobs.drop = parse_prob(ln, "drop", v)?,
-                                "corrupt" => knobs.corrupt = parse_prob(ln, "corrupt", v)?,
-                                "sync_loss" => knobs.sync_loss = parse_prob(ln, "sync_loss", v)?,
-                                "meas_loss" => knobs.meas_loss = parse_prob(ln, "meas_loss", v)?,
-                                "slave" => knobs.per_slave.push(parse_slave(ln, v)?),
-                                other => {
-                                    return Err(perr(ln, format!("unknown window knob `{other}`")))
-                                }
-                            }
-                        }
-                        faults.windows.push(WindowSpec {
-                            from_s,
-                            until_s,
-                            knobs,
-                        });
-                    }
-                    "outage" => {
-                        let (mut ap, mut from_s, mut until_s) = (None, None, None);
-                        for tok in &rest {
-                            let (k, v) = split_kv(ln, tok)?;
-                            match k {
-                                "ap" => ap = Some(parse_usize(ln, "outage AP", v)?),
-                                "from" => from_s = Some(parse_f64(ln, "outage start", v)?),
-                                "until" => until_s = Some(parse_f64(ln, "outage end", v)?),
-                                other => {
-                                    return Err(perr(ln, format!("unknown outage key `{other}`")))
-                                }
-                            }
-                        }
-                        match (ap, from_s, until_s) {
-                            (Some(ap), Some(from_s), Some(until_s)) => {
-                                if until_s <= from_s {
-                                    return Err(perr(
-                                        ln,
-                                        format!(
-                                            "outage [{from_s}, {until_s}) is empty or inverted"
-                                        ),
-                                    ));
-                                }
-                                faults.outages.push(OutageSpec {
-                                    ap,
-                                    from_s,
-                                    until_s,
-                                });
-                            }
-                            _ => return Err(perr(ln, "outage needs ap=N from=T until=T")),
-                        }
-                    }
-                    other => return Err(perr(ln, format!("unknown faults key `{other}`"))),
-                },
-                Section::Limits => match key {
-                    "max_sim_time_s" => {
-                        let v = parse_f64(ln, "max_sim_time_s", one("value")?)?;
-                        if v <= 0.0 {
-                            return Err(perr(ln, "max_sim_time_s must be positive"));
-                        }
-                        limits.max_sim_time_s = Some(v);
-                    }
-                    "max_events" => {
-                        limits.max_events = Some(parse_u64(ln, "max_events", one("value")?)?)
-                    }
-                    "wall_clock_s" => {
-                        let v = parse_f64(ln, "wall_clock_s", one("value")?)?;
-                        if v <= 0.0 {
-                            return Err(perr(ln, "wall_clock_s must be positive"));
-                        }
-                        limits.wall_clock_s = Some(v);
-                    }
-                    other => return Err(perr(ln, format!("unknown limits key `{other}`"))),
-                },
-                Section::Assertions => match key {
-                    "metric" => match rest.as_slice() {
-                        [m, op, v] => {
-                            if ![COMMON_METRICS, SINGLE_METRICS, CITY_METRICS]
-                                .iter()
-                                .any(|table| table.contains(m))
-                            {
-                                return Err(perr(ln, format!("unknown metric `{m}`")));
-                            }
-                            let op = Op::from_symbol(op)
-                                .ok_or_else(|| perr(ln, format!("unknown operator `{op}`")))?;
-                            assertions.push(Assertion::Metric {
-                                name: m.to_string(),
-                                op,
-                                value: parse_f64(ln, "metric bound", v)?,
-                            });
-                        }
-                        _ => return Err(perr(ln, "metric needs `NAME OP VALUE`")),
-                    },
-                    "count" => {
-                        let (head, window) = match rest.as_slice() {
-                            [k, op, v] => ((k, op, v), None),
-                            [k, op, v, "in", range] => {
-                                let (t0, t1) = range.split_once("..").ok_or_else(|| {
-                                    perr(ln, format!("count window needs T0..T1, got `{range}`"))
-                                })?;
-                                let t0 = parse_f64(ln, "count window start", t0)?;
-                                let t1 = parse_f64(ln, "count window end", t1)?;
-                                if t1 < t0 {
-                                    return Err(perr(ln, "count window end before start"));
-                                }
-                                ((k, op, v), Some((t0, t1)))
-                            }
-                            _ => return Err(perr(ln, "count needs `KIND OP N [in T0..T1]`")),
-                        };
-                        let (k, op, v) = head;
-                        let op = Op::from_symbol(op)
-                            .ok_or_else(|| perr(ln, format!("unknown operator `{op}`")))?;
-                        assertions.push(Assertion::Count {
-                            kind: parse_event_kind(ln, k)?,
-                            op,
-                            value: parse_u64(ln, "count bound", v)?,
-                            window,
-                        });
-                    }
-                    "respond" => match rest.as_slice() {
-                        [from, "->", to, "within", s] => {
-                            let mut kinds = Vec::new();
-                            for part in to.split('|') {
-                                kinds.push(parse_event_kind(ln, part)?);
-                            }
-                            let within_s = parse_f64(ln, "respond deadline", s)?;
-                            if within_s <= 0.0 {
-                                return Err(perr(ln, "respond deadline must be positive"));
-                            }
-                            assertions.push(Assertion::Respond {
-                                from: parse_event_kind(ln, from)?,
-                                to: kinds,
-                                within_s,
-                            });
-                        }
-                        _ => {
-                            return Err(perr(
-                                ln,
-                                "respond needs `FROM -> TO[|TO...] within SECONDS`",
-                            ))
-                        }
-                    },
-                    other => return Err(perr(ln, format!("unknown assertion form `{other}`"))),
-                },
+            let k = claim(&mut seen, &scopes, name, ln)?;
+            if matches!(k.scope, Scope::Single | Scope::City) && !kind_given {
+                return Err(perr(ln, "`kind single|city` must come first in [topology]"));
+            }
+            let rec: &mut dyn Any = match k.scope {
+                Scope::Knob => &mut m.faults.base,
+                _ => &mut m,
+            };
+            if let Some(slot) = (k.at)(rec) {
+                slot.read(ln, name, &rest)?;
             }
         }
 
-        let version = version.ok_or_else(|| missing("a `version 1` header line"))?;
-        let name = name.ok_or_else(|| missing("a `name` header line"))?;
-        let topology = match topo {
-            TopoDraft::Unset => return Err(missing("a [topology] section")),
-            TopoDraft::Single(d) => Topology::Single {
-                aps: d.aps.ok_or_else(|| missing("topology `aps`"))?,
-                clients: d.clients.ok_or_else(|| missing("topology `clients`"))?,
-                snr_db: d.snr_db.ok_or_else(|| missing("topology `snr_db`"))?,
-            },
-            TopoDraft::City(d) => Topology::City {
-                cols: d.cols.ok_or_else(|| missing("topology `cols`"))?,
-                rows: d.rows.ok_or_else(|| missing("topology `rows`"))?,
-                reuse: d.reuse.ok_or_else(|| missing("topology `reuse`"))?,
-                aps_per_cell: d
-                    .aps_per_cell
-                    .ok_or_else(|| missing("topology `aps_per_cell`"))?,
-                clients_per_cell: d
-                    .clients_per_cell
-                    .ok_or_else(|| missing("topology `clients_per_cell`"))?,
-                spacing_m: d.spacing_m.ok_or_else(|| missing("topology `spacing_m`"))?,
-                snr_db: d.snr_db.ok_or_else(|| missing("topology `snr_db`"))?,
-            },
-        };
-        let traffic = TrafficSpec {
-            arrival: traffic
-                .arrival
-                .ok_or_else(|| missing("traffic `arrival`"))?,
-            packet: traffic.packet.ok_or_else(|| missing("traffic `packet`"))?,
-            duration_s: traffic
-                .duration_s
-                .ok_or_else(|| missing("traffic `duration_s`"))?,
-            drain_s: traffic.drain_s.unwrap_or(0.0),
-        };
-
-        let m = Manifest {
-            version,
-            name,
-            seed,
-            topology,
-            backend,
-            sync,
-            traffic,
-            faults,
-            limits,
-            assertions,
-        };
+        let top = [Scope::Header, Scope::Topology, m.shape(), Scope::Traffic];
+        if let Some(k) = missing(&seen, &top) {
+            let msg = format!(
+                "manifest is missing the {} key `{}`",
+                k.scope.label(),
+                k.name
+            );
+            return Err(ScenarioError::Invalid(msg));
+        }
         m.validate()?;
         Ok(m)
     }
 
-    /// Cross-section semantic validation (everything the per-line parser
-    /// cannot see). Called by [`Manifest::parse`]; public so generated
-    /// manifests can be checked before serialization.
+    /// What the per-line parser cannot see: the rules that tie sections
+    /// together, then — by building the run's [`crate::runner::plan`] —
+    /// every rule a library config enforces on its own. Called by
+    /// [`Manifest::parse`]; public so generated manifests can be checked
+    /// before serialization.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let inv = |m: String| Err(ScenarioError::Invalid(m));
-        if self.traffic.duration_s <= 0.0 {
-            return inv("traffic duration_s must be positive".into());
-        }
-        if self.traffic.drain_s < 0.0 {
-            return inv("traffic drain_s must be non-negative".into());
-        }
-        // A non-positive rate or mean period runs arrival times backwards
-        // (the event loop never reaches the horizon) or offers nothing.
-        let positive: &[(&str, f64)] = match self.traffic.arrival {
-            ArrivalSpec::Poisson { rate_pps } => &[("poisson rate", rate_pps)],
-            ArrivalSpec::OnOff {
-                burst_pps,
-                on_s,
-                off_s,
-            } => &[
-                ("onoff burst rate", burst_pps),
-                ("onoff ON mean", on_s),
-                ("onoff OFF mean", off_s),
-            ],
-        };
-        if let Some((what, v)) = positive.iter().find(|(_, v)| *v <= 0.0) {
-            return inv(format!("traffic arrival {what} must be positive (got {v})"));
-        }
         match &self.topology {
             Topology::Single {
                 aps,
                 clients,
                 snr_db,
             } => {
-                if *aps == 0 || *clients == 0 {
-                    return inv("single topology needs at least one AP and one client".into());
-                }
                 if snr_db.len() != 1 && snr_db.len() != *clients {
                     return inv(format!(
                         "snr_db lists {} values for {clients} clients (need 1 or {clients})",
                         snr_db.len()
                     ));
                 }
-                if self.backend == Backend::Sample && snr_db.len() > 1 {
-                    return inv(
-                        "the sample backend models one scalar client SNR; per-client \
-                         lists need `backend fast`"
-                            .into(),
-                    );
-                }
-                for o in &self.faults.outages {
-                    if o.ap >= *aps {
-                        return inv(format!("outage names AP {} of {aps}", o.ap));
-                    }
-                }
                 // An override for an AP that never hears a sync header (the
                 // lead, or one past the array) would be looked up by nobody.
-                let windows = self.faults.windows.iter().map(|w| &w.knobs);
-                for k in std::iter::once(&self.faults.base).chain(windows) {
-                    if let Some(&(ap, _)) = k.per_slave.iter().find(|s| s.0 == 0 || s.0 >= *aps) {
+                let windows = self.faults.windows.iter().map(|w| &w.config);
+                for c in std::iter::once(&self.faults.base).chain(windows) {
+                    let overrides = &c.control.per_slave_sync_loss;
+                    if let Some(&(ap, _)) = overrides.iter().find(|s| s.0 == 0 || s.0 >= *aps) {
                         return inv(format!(
                             "slave override names AP {ap}; a {aps}-AP cell has slaves 1..{aps}"
                         ));
                     }
                 }
             }
-            Topology::City { cols, rows, .. } => {
-                if *cols == 0 || *rows == 0 {
-                    return inv("city topology needs at least one cell".into());
-                }
+            Topology::City { .. } => {
                 if self.backend == Backend::Sample {
                     return inv("city runs use the fast backend internally; \
                                 `backend sample` is not available"
@@ -1008,203 +851,57 @@ impl Manifest {
                                 (cells run as whole epochs)"
                         .into());
                 }
-                if !matches!(self.traffic.arrival, ArrivalSpec::Poisson { .. })
-                    || !matches!(self.traffic.packet, PacketSpec::Fixed(_))
-                {
-                    return inv("city traffic is `arrival poisson` + `packet fixed` \
-                                (the city layer owns per-cell load shaping)"
-                        .into());
-                }
             }
         }
-        if let PacketSpec::Uniform { min, max } = self.traffic.packet {
-            if min == 0 || min > max {
-                return inv(format!("uniform packet range [{min}, {max}] is invalid"));
-            }
-        }
-        if let PacketSpec::Fixed(0) = self.traffic.packet {
-            return inv("packets must be non-empty".into());
-        }
-        let city = matches!(self.topology, Topology::City { .. });
+        let city = self.shape() == Scope::City;
         for a in &self.assertions {
             if let Assertion::Metric { name, .. } = a {
-                let city_only = CITY_METRICS.contains(&name.as_str());
-                let single_only = SINGLE_METRICS.contains(&name.as_str());
-                if city && single_only {
+                if city && SINGLE_METRICS.contains(&name.as_str()) {
                     return inv(format!("metric `{name}` only exists in single-cell runs"));
                 }
-                if !city && city_only {
+                if !city && CITY_METRICS.contains(&name.as_str()) {
                     return inv(format!("metric `{name}` only exists in city runs"));
                 }
             }
         }
-        Ok(())
+        crate::runner::plan(self, self.seed, 1).map(drop)
     }
 
-    /// Canonical serialization: fixed section order, one key per line,
+    /// Canonical serialization: the table's order, one key per line,
     /// floats in shortest-roundtrip form. `parse(to_text(m)) == m`.
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        // Infallible: fmt::Write to String cannot fail.
-        let _ = writeln!(s, "version {}", self.version);
-        let _ = writeln!(s, "name {}", self.name);
-        let _ = writeln!(s, "seed {}", self.seed);
-        s.push_str("\n[topology]\n");
-        match &self.topology {
-            Topology::Single {
-                aps,
-                clients,
-                snr_db,
-            } => {
-                s.push_str("kind single\n");
-                let _ = writeln!(s, "aps {aps}");
-                let _ = writeln!(s, "clients {clients}");
-                let list: Vec<String> = snr_db.iter().map(|v| format!("{v}")).collect();
-                let _ = writeln!(s, "snr_db {}", list.join(","));
+        // Printing reads through the accessors parsing writes through, on a
+        // copy: a key cannot be read into one field and printed from another.
+        let mut m = self.clone();
+        let (mut text, mut section) = (String::new(), Scope::Header);
+        let mut line = |scope: Scope, body: String| {
+            if scope != section {
+                text += &format!("\n[{}]\n", scope.label());
+                section = scope;
             }
-            Topology::City {
-                cols,
-                rows,
-                reuse,
-                aps_per_cell,
-                clients_per_cell,
-                spacing_m,
-                snr_db,
-            } => {
-                s.push_str("kind city\n");
-                let _ = writeln!(s, "cols {cols}");
-                let _ = writeln!(s, "rows {rows}");
-                let _ = writeln!(s, "reuse {reuse}");
-                let _ = writeln!(s, "aps_per_cell {aps_per_cell}");
-                let _ = writeln!(s, "clients_per_cell {clients_per_cell}");
-                let _ = writeln!(s, "spacing_m {spacing_m}");
-                let _ = writeln!(s, "snr_db {snr_db}");
+            text += &body;
+            text.push('\n');
+        };
+        for k in KEYS {
+            let rec: &mut dyn Any = match k.scope {
+                Scope::Knob => &mut m.faults.base,
+                _ => &mut m,
+            };
+            for v in (k.at)(rec).map_or_else(Vec::new, Slot::show) {
+                line(k.scope.section(), format!("{} {v}", k.name));
             }
         }
-        s.push_str("\n[channel]\n");
-        let _ = writeln!(
-            s,
-            "backend {}",
-            match self.backend {
-                Backend::Fast => "fast",
-                Backend::Sample => "sample",
-            }
-        );
-        if self.sync != SyncStrategyId::default() {
-            s.push_str("\n[sync]\n");
-            let _ = writeln!(s, "strategy {}", self.sync.token());
+        for a in &self.assertions {
+            line(Scope::Assertions, a.text());
         }
-        s.push_str("\n[traffic]\n");
-        match self.traffic.arrival {
-            ArrivalSpec::Poisson { rate_pps } => {
-                let _ = writeln!(s, "arrival poisson {rate_pps}");
-            }
-            ArrivalSpec::OnOff {
-                burst_pps,
-                on_s,
-                off_s,
-            } => {
-                let _ = writeln!(s, "arrival onoff {burst_pps} {on_s} {off_s}");
-            }
-        }
-        match self.traffic.packet {
-            PacketSpec::Fixed(n) => {
-                let _ = writeln!(s, "packet fixed {n}");
-            }
-            PacketSpec::Uniform { min, max } => {
-                let _ = writeln!(s, "packet uniform {min} {max}");
-            }
-            PacketSpec::Bimodal {
-                small,
-                large,
-                p_small,
-            } => {
-                let _ = writeln!(s, "packet bimodal {small} {large} {p_small}");
-            }
-        }
-        let _ = writeln!(s, "duration_s {}", self.traffic.duration_s);
-        let _ = writeln!(s, "drain_s {}", self.traffic.drain_s);
-        if !self.faults.is_empty() {
-            s.push_str("\n[faults]\n");
-            push_knobs_lines(&mut s, &self.faults.base);
-            for w in &self.faults.windows {
-                let _ = write!(s, "window {} {}", w.from_s, w.until_s);
-                push_knobs_kv(&mut s, &w.knobs);
-                s.push('\n');
-            }
-            for o in &self.faults.outages {
-                let _ = writeln!(
-                    s,
-                    "outage ap={} from={} until={}",
-                    o.ap, o.from_s, o.until_s
-                );
-            }
-        }
-        if self.limits != Limits::default() {
-            s.push_str("\n[limits]\n");
-            if let Some(v) = self.limits.max_sim_time_s {
-                let _ = writeln!(s, "max_sim_time_s {v}");
-            }
-            if let Some(v) = self.limits.max_events {
-                let _ = writeln!(s, "max_events {v}");
-            }
-            if let Some(v) = self.limits.wall_clock_s {
-                let _ = writeln!(s, "wall_clock_s {v}");
-            }
-        }
-        if !self.assertions.is_empty() {
-            s.push_str("\n[assertions]\n");
-            for a in &self.assertions {
-                let _ = writeln!(s, "{}", a.text());
-            }
-        }
-        s
-    }
-}
-
-fn missing(what: &str) -> ScenarioError {
-    ScenarioError::Invalid(format!("manifest is missing {what}"))
-}
-
-fn push_knobs_lines(s: &mut String, k: &FaultKnobs) {
-    if k.drop != 0.0 {
-        let _ = writeln!(s, "drop {}", k.drop);
-    }
-    if k.corrupt != 0.0 {
-        let _ = writeln!(s, "corrupt {}", k.corrupt);
-    }
-    if k.sync_loss != 0.0 {
-        let _ = writeln!(s, "sync_loss {}", k.sync_loss);
-    }
-    if k.meas_loss != 0.0 {
-        let _ = writeln!(s, "meas_loss {}", k.meas_loss);
-    }
-    for &(ap, p) in &k.per_slave {
-        let _ = writeln!(s, "slave {ap}:{p}");
-    }
-}
-
-fn push_knobs_kv(s: &mut String, k: &FaultKnobs) {
-    if k.drop != 0.0 {
-        let _ = write!(s, " drop={}", k.drop);
-    }
-    if k.corrupt != 0.0 {
-        let _ = write!(s, " corrupt={}", k.corrupt);
-    }
-    if k.sync_loss != 0.0 {
-        let _ = write!(s, " sync_loss={}", k.sync_loss);
-    }
-    if k.meas_loss != 0.0 {
-        let _ = write!(s, " meas_loss={}", k.meas_loss);
-    }
-    for &(ap, p) in &k.per_slave {
-        let _ = write!(s, " slave={ap}:{p}");
+        text
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assertion::Op;
 
     const GOOD: &str = include_str!("../tests/fixtures/good.scn");
 
@@ -1223,10 +920,13 @@ mod tests {
                 snr_db: vec![28.0, 22.0, 16.0, 10.0],
             }
         );
-        assert_eq!(m.faults.base.sync_loss, 0.05);
-        assert_eq!(m.faults.base.per_slave, vec![(2, 0.2)]);
+        assert_eq!(m.faults.base.control.sync_loss_chance, 0.05);
+        assert_eq!(m.faults.base.control.per_slave_sync_loss, vec![(2, 0.2)]);
         assert_eq!(m.faults.windows.len(), 1);
-        assert_eq!(m.faults.windows[0].knobs.per_slave, vec![(1, 0.9)]);
+        assert_eq!(
+            m.faults.windows[0].config.control.per_slave_sync_loss,
+            vec![(1, 0.9)]
+        );
         assert_eq!(m.faults.outages.len(), 1);
         assert_eq!(m.limits.max_events, Some(2_000_000));
         assert_eq!(m.assertions.len(), 3);
@@ -1331,12 +1031,11 @@ mod tests {
 
     #[test]
     fn cross_section_rules() {
-        // Outage AP index must exist.
+        // Outage AP index must exist: the traffic config says so, via the plan.
         let bad = GOOD.replace("outage ap=0", "outage ap=9");
-        assert!(Manifest::parse(&bad)
-            .unwrap_err()
-            .to_string()
-            .contains("AP 9"));
+        let err = Manifest::parse(&bad).unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{err:?}");
+        assert!(err.to_string().contains("outage"), "{err}");
         // City topology rejects faults, extra limits, and fancy traffic.
         assert!(Manifest::parse(CITY).is_ok());
         let bad = format!("{CITY}[faults]\nsync_loss 0.1\n");
@@ -1387,6 +1086,56 @@ mod tests {
             assert!(err.to_string().contains("slave override names AP"), "{to}");
         }
         assert!(Manifest::parse(&GOOD.replace("slave 2:0.2", "slave 3:0.2")).is_ok());
+    }
+
+    #[test]
+    fn a_key_given_twice_is_a_parse_error_naming_both_lines() {
+        // Each used to be silently last-wins: `aps 4` then `aps 2` ran two
+        // APs. A repeatable key (`slave`, `window`, `outage`) still repeats.
+        for (once, again) in [
+            ("aps 4", "aps 2"),
+            ("duration_s 0.2", "duration_s 0.3"),
+            ("seed 7", "seed 8"),
+        ] {
+            let first = GOOD.lines().position(|l| l == once).unwrap() + 1;
+            let bad = GOOD.replace(once, &format!("{once}\n{again}"));
+            let err = Manifest::parse(&bad).unwrap_err();
+            assert_eq!(line_of(err.clone()), first + 1, "{again}: {err}");
+            let earlier = format!("(first given on line {first})");
+            assert!(err.to_string().contains(&earlier), "{again}: {err}");
+        }
+        // Inside one `window` both lines are the window's.
+        let at = GOOD.lines().position(|l| l.starts_with("window")).unwrap() + 1;
+        let bad = GOOD.replace("sync_loss=0.5", "sync_loss=0.5 sync_loss=0.6");
+        let err = Manifest::parse(&bad).unwrap_err();
+        assert_eq!(line_of(err.clone()), at, "{err}");
+        let earlier = format!("duplicate `sync_loss` (first given on line {at})");
+        assert!(err.to_string().contains(&earlier), "{err}");
+        let more = GOOD.replace("slave 2:0.2", "slave 2:0.2\nslave 3:0.1");
+        assert_eq!(
+            Manifest::parse(&more)
+                .unwrap()
+                .to_text()
+                .matches("slave ")
+                .count(),
+            2
+        );
+    }
+
+    #[test]
+    fn unknown_keys_list_what_the_table_has_there() {
+        let bad = GOOD.replace("backend fast", "bakend fast");
+        let msg = Manifest::parse(&bad).unwrap_err().to_string();
+        assert!(
+            msg.contains("unknown channel key `bakend` (expected backend)"),
+            "{msg}"
+        );
+        let bad = GOOD.replace("sync_loss=0.5", "sink_loss=0.5");
+        let msg = Manifest::parse(&bad).unwrap_err().to_string();
+        assert!(msg.contains("expected drop/corrupt/sync_loss/"), "{msg}");
+        let bad = GOOD.replace("kind single\n", "");
+        let msg = Manifest::parse(&bad).unwrap_err().to_string();
+        assert!(msg.contains("`kind single|city` must come first"), "{msg}");
     }
 
     #[test]
@@ -1443,7 +1192,7 @@ mod tests {
         ] {
             let bad = GOOD.replace("onoff 4000 0.02 0.03", arrival);
             let err = Manifest::parse(&bad).unwrap_err();
-            assert!(matches!(err, ScenarioError::Invalid(_)), "{arrival}: {err}");
+            assert_eq!(line_of(err.clone()), 15, "{arrival}: {err}");
             assert!(err.to_string().contains(names), "{arrival}: {err}");
         }
     }

@@ -1,31 +1,31 @@
-//! Executes a parsed manifest headless and produces the report + trace.
+//! Plans a parsed manifest, then executes the plan headless and produces
+//! the report + trace.
 //!
-//! The runner owns the bridge from manifest specs to simulator configs:
-//! fault knobs compile to a `jmb_sim::FaultSchedule`, traffic specs to
-//! `jmb_traffic::ClientLoad`s, limits to `jmb_traffic::RunLimits`, and
-//! the finished run is folded through [`crate::assertion::evaluate_all`]
-//! into a [`ScenarioReport`]. Nothing here panics: every failure is a
-//! typed [`ScenarioError`] (exit 2) or a [`Verdict`] (exit 0/1/3).
+//! [`plan`] is the one bridge from the manifest to the simulator: it maps a
+//! manifest (+ seed, threads) onto the configs a run is built from and has
+//! the library validate each. [`Manifest::validate`] calls it, so
+//! `jmb-scenario check` refuses exactly what `run` would refuse;
+//! [`run_manifest`] executes it, folding the finished run through
+//! [`crate::assertion::evaluate_all`] into a [`ScenarioReport`]. Nothing
+//! here panics: every failure is a typed [`ScenarioError`] (exit 2) or a
+//! [`Verdict`] (exit 0/1/3).
 //!
 //! Determinism: the only wall-clock read is the optional `wall_clock_s`
 //! budget, which can stop the run ([`jmb_obs::StopCause::Wallclock`]) but
 //! never contributes a value to `result.json` or the trace.
 
-use crate::assertion::{evaluate_all, AssertionOutcome};
+use crate::assertion::{evaluate_all, Assertion, ReadMetric, COMMON_METRICS};
 use crate::error::ScenarioError;
-use crate::manifest::{
-    ArrivalSpec, Assertion, Backend, FaultKnobs, FaultSpec, Manifest, PacketSpec, Topology,
-    TrafficSpec,
-};
+use crate::manifest::{rebuilt, Backend, Manifest, Topology};
 use crate::report::{ScenarioReport, Verdict};
 use jmb_city::{City, CityConfig, Reuse};
 use jmb_core::fastnet::FastConfig;
 use jmb_core::net::NetConfig;
 use jmb_obs::{EventKind, StopCause, Trace};
-use jmb_sim::{FaultConfig, FaultSchedule};
+use jmb_sim::FaultSchedule;
 use jmb_traffic::{
-    ApOutage, ArrivalProcess, ClientLoad, FastBackend, PacketSizeDist, RunLimits, SampleBackend,
-    TrafficConfig, TrafficMetrics, TrafficSim, TransmitBackend,
+    ArrivalProcess, FastBackend, PacketSizeDist, RunLimits, SampleBackend, TrafficConfig,
+    TrafficMetrics, TrafficSim, TransmitBackend,
 };
 
 /// Knobs the CLI may override without editing the manifest.
@@ -48,127 +48,142 @@ pub struct RunOutput {
     pub trace_jsonl: String,
 }
 
-/// Runs a validated manifest headless.
-pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunOutput, ScenarioError> {
-    let seed = opts.seed.unwrap_or(m.seed);
+/// The configs a run is built from, each already validated by its library.
+pub(crate) enum Plan {
+    Fast(FastConfig, TrafficConfig, FaultSchedule),
+    Sample(NetConfig, TrafficConfig, FaultSchedule),
+    City(CityConfig),
+}
+
+/// A library's refusal of a config, under the manifest keys that fed it.
+fn refused(keys: &str, e: impl std::fmt::Display) -> ScenarioError {
+    ScenarioError::Invalid(format!("{keys}: {e}"))
+}
+
+/// Maps a manifest onto the configs its run is built from and asks the
+/// library whether it will take them. The only such mapping: what
+/// `validate` accepts here is what `run_manifest` constructs.
+pub(crate) fn plan(m: &Manifest, seed: u64, threads: usize) -> Result<Plan, ScenarioError> {
+    let traffic_for = |clients: usize| {
+        let mut cfg = TrafficConfig::default_with(vec![m.traffic.load; clients], seed);
+        cfg.duration_s = m.traffic.duration_s;
+        cfg.drain_timeout_s = m.traffic.drain_s;
+        cfg.sync_strategy = m.sync;
+        cfg.outages = m.faults.outages.clone();
+        cfg
+    };
     match &m.topology {
         Topology::Single {
             aps,
             clients,
             snr_db,
         } => {
-            let snr: Vec<f64> = if snr_db.len() == 1 {
-                vec![snr_db[0]; *clients]
-            } else {
-                snr_db.clone()
+            let shape = "[topology] aps/clients/snr_db";
+            let snr = match snr_db.as_slice() {
+                [one] => vec![*one; *clients],
+                list => list.to_vec(),
             };
-            let schedule = schedule_from(&m.faults)?;
+            let traffic = traffic_for(*clients);
+            traffic
+                .validate(*aps, *clients)
+                .map_err(|e| refused("[traffic] arrival/packet/duration_s or an outage", e))?;
+            let knobs = |e| refused("[faults] probabilities or a window", e);
+            let mut faults = FaultSchedule::constant(rebuilt(&m.faults.base).map_err(knobs)?);
+            for w in &m.faults.windows {
+                let config = rebuilt(&w.config).map_err(knobs)?;
+                faults = faults
+                    .with_window(w.from_s, w.until_s, config)
+                    .map_err(knobs)?;
+            }
             match m.backend {
-                Backend::Fast => run_single(m, seed, |clean| {
-                    let mut cfg = FastConfig::default_with(*aps, *clients, snr.clone(), seed);
+                Backend::Fast => {
+                    let mut cfg = FastConfig::default_with(*aps, *clients, snr, seed);
                     cfg.sync = m.sync;
-                    let mut b =
-                        FastBackend::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))?;
-                    if !clean {
-                        b.net_mut().set_fault_schedule(schedule.clone());
-                    }
-                    Ok(b)
-                }),
-                Backend::Sample => run_single(m, seed, |clean| {
-                    let cfg = NetConfig::default_with(*aps, *clients, snr[0], seed);
-                    let mut b =
-                        SampleBackend::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))?;
-                    // Before the faults: the switch re-measures, and that
-                    // exchange is construction, not part of the run.
-                    if m.sync != b.sync_strategy() {
-                        b.set_sync_strategy(m.sync);
-                    }
-                    if !clean {
-                        b.net_mut().set_fault_schedule(schedule.clone());
-                    }
-                    Ok(b)
-                }),
+                    cfg.validate().map_err(|e| refused(shape, e))?;
+                    Ok(Plan::Fast(cfg, traffic, faults))
+                }
+                Backend::Sample => {
+                    let mut cfg = NetConfig::default_with(*aps, *clients, 0.0, seed);
+                    cfg.client_snr_db = snr;
+                    cfg.validate().map_err(|e| refused(shape, e))?;
+                    Ok(Plan::Sample(cfg, traffic, faults))
+                }
             }
         }
-        Topology::City { .. } => run_city(m, seed, opts),
+        Topology::City {
+            cols,
+            rows,
+            reuse,
+            aps_per_cell,
+            clients_per_cell,
+            spacing_m,
+            snr_db,
+        } => {
+            let load = m.traffic.load;
+            let (ArrivalProcess::Poisson { rate_pps }, PacketSizeDist::Fixed(packet_bytes)) =
+                (load.arrival, load.size)
+            else {
+                return Err(ScenarioError::Invalid(
+                    "city traffic is `arrival poisson` + `packet fixed` \
+                     (the city layer owns per-cell load shaping)"
+                        .into(),
+                ));
+            };
+            let reuse = Reuse::ALL
+                .into_iter()
+                .find(|r| r.factor() as u64 == u64::from(*reuse))
+                .ok_or_else(|| refused("[topology] reuse", "must be 1, 3 or 7"))?;
+            let mut cfg = CityConfig::default_with(*cols, *rows, reuse, seed);
+            cfg.aps_per_cell = *aps_per_cell;
+            cfg.clients_per_cell = *clients_per_cell;
+            cfg.spacing_m = *spacing_m;
+            cfg.client_snr_db = *snr_db;
+            cfg.rate_pps = rate_pps;
+            cfg.packet_bytes = packet_bytes;
+            cfg.duration_s = m.traffic.duration_s;
+            cfg.epochs = 1;
+            cfg.threads = threads;
+            cfg.validate()
+                .map_err(|e| refused("[topology] or [traffic] of a city", e))?;
+            // Every cell is a traffic run of its own: what `City::run` would
+            // hear from each of them is asked once, here.
+            traffic_for(*clients_per_cell)
+                .validate(*aps_per_cell, *clients_per_cell)
+                .map_err(|e| refused("[traffic] arrival/packet/duration_s", e))?;
+            Ok(Plan::City(cfg))
+        }
     }
 }
 
-/// Compiles one knob set into a validated `FaultConfig`. Probabilities
-/// were range-checked at parse time; the builder re-validates anyway so a
-/// hand-built manifest cannot sneak a bad value through.
-fn knobs_to_config(k: &FaultKnobs) -> Result<FaultConfig, ScenarioError> {
-    let mut b = FaultConfig::builder()
-        .drop_chance(k.drop)
-        .corrupt_chance(k.corrupt)
-        .sync_loss_chance(k.sync_loss)
-        .meas_loss_chance(k.meas_loss);
-    for &(ap, p) in &k.per_slave {
-        b = b.per_slave_sync_loss(ap, p);
-    }
-    b.build().map_err(|e| ScenarioError::Invalid(e.to_string()))
+fn sim_error(e: jmb_core::error::JmbError) -> ScenarioError {
+    ScenarioError::Sim(e.to_string())
 }
 
-/// Compiles the `[faults]` section into a schedule (base + windows).
-fn schedule_from(spec: &FaultSpec) -> Result<FaultSchedule, ScenarioError> {
-    let mut s = FaultSchedule::constant(knobs_to_config(&spec.base)?);
-    for w in &spec.windows {
-        s = s
-            .with_window(w.from_s, w.until_s, knobs_to_config(&w.knobs)?)
-            .map_err(|e| ScenarioError::Invalid(e.to_string()))?;
+/// Runs a manifest headless: plans it, then builds and runs the plan.
+pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunOutput, ScenarioError> {
+    let seed = opts.seed.unwrap_or(m.seed);
+    match plan(m, seed, opts.threads.unwrap_or(1).max(1))? {
+        Plan::Fast(cfg, traffic, faults) => run_single(m, seed, &traffic, |clean| {
+            let mut b = FastBackend::new(cfg.clone()).map_err(sim_error)?;
+            if !clean {
+                b.net_mut().set_fault_schedule(faults.clone());
+            }
+            Ok(b)
+        }),
+        Plan::Sample(cfg, traffic, faults) => run_single(m, seed, &traffic, |clean| {
+            let mut b = SampleBackend::new(cfg.clone()).map_err(sim_error)?;
+            // Before the faults: the switch re-measures, and that
+            // exchange is construction, not part of the run.
+            if m.sync != b.sync_strategy() {
+                b.set_sync_strategy(m.sync);
+            }
+            if !clean {
+                b.net_mut().set_fault_schedule(faults.clone());
+            }
+            Ok(b)
+        }),
+        Plan::City(cfg) => run_city(m, seed, cfg),
     }
-    Ok(s)
-}
-
-/// Maps the manifest traffic spec onto one client's load.
-fn load_from(t: &TrafficSpec) -> ClientLoad {
-    let arrival = match t.arrival {
-        ArrivalSpec::Poisson { rate_pps } => ArrivalProcess::Poisson { rate_pps },
-        ArrivalSpec::OnOff {
-            burst_pps,
-            on_s,
-            off_s,
-        } => ArrivalProcess::OnOff {
-            burst_rate_pps: burst_pps,
-            mean_on_s: on_s,
-            mean_off_s: off_s,
-        },
-    };
-    let size = match t.packet {
-        PacketSpec::Fixed(n) => PacketSizeDist::Fixed(n),
-        PacketSpec::Uniform { min, max } => PacketSizeDist::Uniform { min, max },
-        PacketSpec::Bimodal {
-            small,
-            large,
-            p_small,
-        } => PacketSizeDist::Bimodal {
-            small,
-            large,
-            p_small,
-        },
-    };
-    ClientLoad { arrival, size }
-}
-
-/// Builds the traffic config a single-cell scenario describes.
-fn traffic_config(m: &Manifest, seed: u64, clients: usize, with_outages: bool) -> TrafficConfig {
-    let mut cfg = TrafficConfig::default_with(vec![load_from(&m.traffic); clients], seed);
-    cfg.duration_s = m.traffic.duration_s;
-    cfg.drain_timeout_s = m.traffic.drain_s;
-    cfg.sync_strategy = m.sync;
-    if with_outages {
-        cfg.outages = m
-            .faults
-            .outages
-            .iter()
-            .map(|o| ApOutage {
-                ap: o.ap,
-                down_at_s: o.from_s,
-                up_at_s: o.until_s,
-            })
-            .collect();
-    }
-    cfg
 }
 
 /// Compiles the `[limits]` section into `RunLimits`. The wall-clock
@@ -191,62 +206,79 @@ fn run_limits(m: &Manifest) -> RunLimits {
     rl
 }
 
-/// The canonical metrics table for a traffic run, in
-/// [`crate::assertion::COMMON_METRICS`] order.
+/// The metrics every run reports, in canonical order.
 fn metrics_table(tm: &TrafficMetrics) -> Vec<(String, f64)> {
-    vec![
-        ("goodput_mbps".into(), tm.goodput_bps() / 1e6),
-        ("offered_mbps".into(), tm.offered_bps / 1e6),
-        ("generated".into(), tm.generated as f64),
-        ("delivered".into(), tm.delivered as f64),
-        ("dropped".into(), tm.dropped as f64),
-        ("retries".into(), tm.retries as f64),
-        ("queued_at_end".into(), tm.queued_at_end as f64),
-        ("median_latency_ms".into(), tm.median_latency_s() * 1e3),
-        ("p99_latency_ms".into(), tm.p99_latency_s() * 1e3),
-        ("jain".into(), tm.jain_fairness()),
-        ("delivery_ratio".into(), tm.delivery_ratio()),
-        ("sync_misses".into(), tm.sync_misses as f64),
-        ("remeasure_ok".into(), tm.remeasure_ok as f64),
-        ("remeasure_failed".into(), tm.remeasure_failed as f64),
-        ("aps_degraded".into(), tm.aps_degraded as f64),
-        ("aps_restored".into(), tm.aps_restored as f64),
-        ("csi_stale".into(), tm.csi_stale_events as f64),
-    ]
+    let row = |(name, get): &(&str, ReadMetric)| (name.to_string(), get(tm));
+    COMMON_METRICS.iter().map(row).collect()
 }
 
-/// Folds limit causes and assertion outcomes into the verdict. A limit
-/// stop trumps assertion results: the data is partial, so pass/fail over
-/// it would be misleading either way.
-fn verdict_of(cause: StopCause, outcomes: &[AssertionOutcome]) -> Verdict {
-    if cause != StopCause::Completed {
+/// Opens a run's trace.
+fn begin(trace: &mut Trace, m: &Manifest) {
+    trace.enable();
+    trace.emit(
+        0.0,
+        EventKind::ScenarioStarted {
+            assertions: m.assertions.len(),
+        },
+    );
+}
+
+/// Closes a run that stopped for `cause` after `events` events: judges
+/// `assertions` over the metrics and the trace up to `horizon`, records
+/// the outcomes and the stop on the trace, and folds both into the
+/// output. A limit stop trumps assertion results: the data is partial, so
+/// pass/fail over it would be misleading either way.
+fn conclude(
+    (m, seed): (&Manifest, u64),
+    trace: &mut Trace,
+    assertions: &[Assertion],
+    metrics: Vec<(String, f64)>,
+    (cause, events): (StopCause, u64),
+    horizon: f64,
+) -> RunOutput {
+    let outcomes = evaluate_all(assertions, &metrics, trace.events(), horizon);
+    for o in &outcomes {
+        let (index, passed) = (o.index, o.passed);
+        trace.emit(horizon, EventKind::ScenarioAssertion { index, passed });
+    }
+    trace.emit(horizon, EventKind::ScenarioStopped { cause, events });
+    let verdict = if cause != StopCause::Completed {
         Verdict::LimitExceeded
     } else if outcomes.iter().all(|o| o.passed) {
         Verdict::Pass
     } else {
         Verdict::AssertionFailed
+    };
+    RunOutput {
+        report: ScenarioReport {
+            name: m.name.clone(),
+            seed,
+            verdict,
+            stop_cause: cause,
+            events,
+            assertions: outcomes,
+            metrics,
+            error: None,
+        },
+        trace_jsonl: trace.to_jsonl(),
     }
 }
 
 /// Runs a single-cell scenario over any backend. `mk(true)` must build a
 /// fault-free twin of `mk(false)` (same topology, same seed) — used for
 /// the `goodput_vs_clean` degrade-not-stall metric.
-fn run_single<B, F>(m: &Manifest, seed: u64, mk: F) -> Result<RunOutput, ScenarioError>
+fn run_single<B, F>(
+    m: &Manifest,
+    seed: u64,
+    traffic: &TrafficConfig,
+    mk: F,
+) -> Result<RunOutput, ScenarioError>
 where
     B: TransmitBackend,
     F: Fn(bool) -> Result<B, ScenarioError>,
 {
-    let clients = m.traffic_clients();
-    let cfg = traffic_config(m, seed, clients, true);
-    let mut sim =
-        TrafficSim::new(cfg, mk(false)?).map_err(|e| ScenarioError::Sim(e.to_string()))?;
-    sim.trace.enable();
-    sim.trace.emit(
-        0.0,
-        EventKind::ScenarioStarted {
-            assertions: m.assertions.len(),
-        },
-    );
+    let mut sim = TrafficSim::new(traffic.clone(), mk(false)?).map_err(sim_error)?;
+    begin(&mut sim.trace, m);
     let bounded = sim.run_bounded(run_limits(m));
 
     let mut metrics = metrics_table(&bounded.metrics);
@@ -255,9 +287,11 @@ where
         .any(|a| matches!(a, Assertion::Metric { name, .. } if name == "goodput_vs_clean"))
     {
         // Reference run: same seed, same load, no faults, no outages.
-        let clean_cfg = traffic_config(m, seed, clients, false);
-        let mut clean_sim =
-            TrafficSim::new(clean_cfg, mk(true)?).map_err(|e| ScenarioError::Sim(e.to_string()))?;
+        let clean_cfg = TrafficConfig {
+            outages: Vec::new(),
+            ..traffic.clone()
+        };
+        let mut clean_sim = TrafficSim::new(clean_cfg, mk(true)?).map_err(sim_error)?;
         let clean = clean_sim.run();
         let ratio = if clean.goodput_bps() > 0.0 {
             bounded.metrics.goodput_bps() / clean.goodput_bps()
@@ -266,129 +300,39 @@ where
         };
         metrics.push(("goodput_vs_clean".into(), ratio));
     }
-
+    let stop = (bounded.cause, bounded.events);
     let horizon = bounded.metrics.elapsed_s;
-    let outcomes = evaluate_all(&m.assertions, &metrics, sim.trace.events(), horizon);
-    for o in &outcomes {
-        sim.trace.emit(
-            horizon,
-            EventKind::ScenarioAssertion {
-                index: o.index,
-                passed: o.passed,
-            },
-        );
-    }
-    sim.trace.emit(
+    let run = (m, seed);
+    Ok(conclude(
+        run,
+        &mut sim.trace,
+        &m.assertions,
+        metrics,
+        stop,
         horizon,
-        EventKind::ScenarioStopped {
-            cause: bounded.cause,
-            events: bounded.events,
-        },
-    );
-    let verdict = verdict_of(bounded.cause, &outcomes);
-    Ok(RunOutput {
-        report: ScenarioReport {
-            name: m.name.clone(),
-            seed,
-            verdict,
-            stop_cause: bounded.cause,
-            events: bounded.events,
-            assertions: outcomes,
-            metrics,
-            error: None,
-        },
-        trace_jsonl: sim.trace.to_jsonl(),
-    })
+    ))
 }
 
 /// Runs a city-grid scenario. Cells execute as whole epochs, so the only
 /// honourable limit is `max_sim_time_s`, enforced as a precheck: a grid
 /// whose epoch span exceeds the budget reports `limit-exceeded` without
-/// running at all.
-fn run_city(m: &Manifest, seed: u64, opts: &RunOptions) -> Result<RunOutput, ScenarioError> {
-    let Topology::City {
-        cols,
-        rows,
-        reuse,
-        aps_per_cell,
-        clients_per_cell,
-        spacing_m,
-        snr_db,
-    } = &m.topology
-    else {
-        return Err(ScenarioError::Invalid(
-            "run_city needs a city topology".into(),
-        ));
-    };
-    let reuse = match reuse {
-        1 => Reuse::One,
-        3 => Reuse::Three,
-        _ => Reuse::Seven,
-    };
-    let (rate_pps, packet_bytes) = match (m.traffic.arrival, m.traffic.packet) {
-        (ArrivalSpec::Poisson { rate_pps }, PacketSpec::Fixed(b)) => (rate_pps, b),
-        // validate() pins city traffic to poisson + fixed.
-        _ => {
-            return Err(ScenarioError::Invalid(
-                "city traffic must be poisson + fixed".into(),
-            ))
-        }
-    };
-    let mut cfg = CityConfig::default_with(*cols, *rows, reuse, seed);
-    cfg.aps_per_cell = *aps_per_cell;
-    cfg.clients_per_cell = *clients_per_cell;
-    cfg.spacing_m = *spacing_m;
-    cfg.client_snr_db = *snr_db;
-    cfg.rate_pps = rate_pps;
-    cfg.packet_bytes = packet_bytes;
-    cfg.duration_s = m.traffic.duration_s;
-    cfg.epochs = 1;
-    cfg.threads = opts.threads.unwrap_or(1).max(1);
-
+/// running at all, its assertions unjudged.
+fn run_city(m: &Manifest, seed: u64, cfg: CityConfig) -> Result<RunOutput, ScenarioError> {
     let span_s = cfg.epochs as f64 * cfg.epoch_span_s();
-    if let Some(budget) = m.limits.max_sim_time_s {
-        if span_s > budget {
-            // The grid cannot be stopped mid-epoch; refuse up front.
-            let mut trace = Trace::new();
-            trace.enable();
-            trace.emit(
-                0.0,
-                EventKind::ScenarioStarted {
-                    assertions: m.assertions.len(),
-                },
-            );
-            trace.emit(
-                0.0,
-                EventKind::ScenarioStopped {
-                    cause: StopCause::MaxSimTime,
-                    events: 0,
-                },
-            );
-            return Ok(RunOutput {
-                report: ScenarioReport {
-                    name: m.name.clone(),
-                    seed,
-                    verdict: Verdict::LimitExceeded,
-                    stop_cause: StopCause::MaxSimTime,
-                    events: 0,
-                    assertions: Vec::new(),
-                    metrics: Vec::new(),
-                    error: None,
-                },
-                trace_jsonl: trace.to_jsonl(),
-            });
-        }
+    if m.limits
+        .max_sim_time_s
+        .is_some_and(|budget| span_s > budget)
+    {
+        // The grid cannot be stopped mid-epoch; refuse up front.
+        let mut trace = Trace::new();
+        begin(&mut trace, m);
+        let stop = (StopCause::MaxSimTime, 0);
+        return Ok(conclude((m, seed), &mut trace, &[], Vec::new(), stop, 0.0));
     }
 
-    let mut city = City::new(cfg).map_err(|e| ScenarioError::Sim(e.to_string()))?;
-    city.trace.enable();
-    city.trace.emit(
-        0.0,
-        EventKind::ScenarioStarted {
-            assertions: m.assertions.len(),
-        },
-    );
-    let report = city.run().map_err(|e| ScenarioError::Sim(e.to_string()))?;
+    let mut city = City::new(cfg).map_err(sim_error)?;
+    begin(&mut city.trace, m);
+    let report = city.run().map_err(sim_error)?;
 
     let mut metrics = metrics_table(&report.pooled);
     metrics.push((
@@ -396,51 +340,16 @@ fn run_city(m: &Manifest, seed: u64, opts: &RunOptions) -> Result<RunOutput, Sce
         report.area_capacity_bps_per_km2() / 1e6,
     ));
     metrics.push(("mean_inr_db".into(), report.mean_inr_db()));
-
-    let events = city.trace.events().len() as u64;
-    let outcomes = evaluate_all(&m.assertions, &metrics, city.trace.events(), span_s);
-    for o in &outcomes {
-        city.trace.emit(
-            span_s,
-            EventKind::ScenarioAssertion {
-                index: o.index,
-                passed: o.passed,
-            },
-        );
-    }
-    city.trace.emit(
+    let stop = (StopCause::Completed, city.trace.events().len() as u64);
+    let run = (m, seed);
+    Ok(conclude(
+        run,
+        &mut city.trace,
+        &m.assertions,
+        metrics,
+        stop,
         span_s,
-        EventKind::ScenarioStopped {
-            cause: StopCause::Completed,
-            events,
-        },
-    );
-    let verdict = verdict_of(StopCause::Completed, &outcomes);
-    Ok(RunOutput {
-        report: ScenarioReport {
-            name: m.name.clone(),
-            seed,
-            verdict,
-            stop_cause: StopCause::Completed,
-            events,
-            assertions: outcomes,
-            metrics,
-            error: None,
-        },
-        trace_jsonl: city.trace.to_jsonl(),
-    })
-}
-
-impl Manifest {
-    /// Number of traffic clients a single-cell manifest drives.
-    fn traffic_clients(&self) -> usize {
-        match &self.topology {
-            Topology::Single { clients, .. } => *clients,
-            Topology::City {
-                clients_per_cell, ..
-            } => *clients_per_cell,
-        }
-    }
+    ))
 }
 
 #[cfg(test)]

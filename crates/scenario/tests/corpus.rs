@@ -37,8 +37,8 @@ fn manifests_in(dir: PathBuf) -> Vec<(String, String)> {
 fn every_corpus_manifest_parses_and_validates() {
     let corpus = corpus();
     assert!(
-        corpus.len() >= 6,
-        "expected the six-scenario corpus, found {}",
+        corpus.len() >= 8,
+        "expected the eight-scenario corpus, found {}",
         corpus.len()
     );
     for (name, text) in &corpus {
@@ -172,4 +172,40 @@ metric sync_misses > 0
         "report: {}",
         out.report.to_json()
     );
+}
+
+#[test]
+fn sample_backend_takes_one_snr_per_client() {
+    // `NetConfig::client_snr_db` was always a list; the manifest used to
+    // refuse one on `backend sample` and hand the network `snr[0]`.
+    let text = "\
+version 1
+name sample_mixed_snr
+[topology]
+kind single
+aps 2
+clients 2
+snr_db 24,18
+[channel]
+backend sample
+[traffic]
+arrival poisson 2000
+packet fixed 200
+duration_s 0.004
+drain_s 0.002
+[assertions]
+metric delivered > 0
+";
+    let m = Manifest::parse(text).expect("a per-client list parses on the sample backend");
+    let out = run_manifest(&m, &RunOptions::default()).expect("runs");
+    assert_eq!(
+        out.report.verdict,
+        Verdict::Pass,
+        "report: {}",
+        out.report.to_json()
+    );
+    // The second client's SNR is its own, not the first one's.
+    let same = Manifest::parse(&text.replace("24,18", "24")).unwrap();
+    let scalar = run_manifest(&same, &RunOptions::default()).expect("runs");
+    assert_ne!(out.trace_jsonl, scalar.trace_jsonl);
 }

@@ -3,9 +3,11 @@
 //! diagnostics for malformed input.
 
 use jmb_scenario::{
-    ArrivalSpec, Assertion, Backend, FaultKnobs, FaultSpec, Limits, Manifest, Op, OutageSpec,
-    PacketSpec, ScenarioError, SyncStrategyId, Topology, TrafficSpec, WindowSpec,
+    Assertion, Backend, FaultSpec, Limits, Manifest, Op, ScenarioError, SyncStrategyId, Topology,
+    TrafficSpec,
 };
+use jmb_sim::{ControlFaults, FaultConfig, FaultWindow};
+use jmb_traffic::{ApOutage, ArrivalProcess, ClientLoad, PacketSizeDist};
 use proptest::prelude::*;
 
 proptest! {
@@ -32,7 +34,7 @@ proptest! {
         sync_i in 0usize..3,
     ) {
         // The last AP is a slave unless it is also the lead.
-        let per_slave = if aps > 1 { vec![(aps - 1, p)] } else { Vec::new() };
+        let per_slave_sync_loss = if aps > 1 { vec![(aps - 1, p)] } else { Vec::new() };
         let m = Manifest {
             version: 1,
             name: "prop-single".into(),
@@ -41,19 +43,36 @@ proptest! {
             backend: Backend::Fast,
             sync: SyncStrategyId::ALL[sync_i],
             traffic: TrafficSpec {
-                arrival: ArrivalSpec::OnOff { burst_pps: rate, on_s: from, off_s: len },
-                packet: PacketSpec::Bimodal { small: 64, large: pkt, p_small: p },
+                load: ClientLoad {
+                    arrival: ArrivalProcess::OnOff {
+                        burst_rate_pps: rate,
+                        mean_on_s: from,
+                        mean_off_s: len,
+                    },
+                    size: PacketSizeDist::Bimodal { small: 64, large: pkt, p_small: p },
+                },
                 duration_s: duration,
                 drain_s: drain,
             },
             faults: FaultSpec {
-                base: FaultKnobs { drop: p, per_slave, ..Default::default() },
-                windows: vec![WindowSpec {
+                base: FaultConfig {
+                    drop_chance: p,
+                    control: ControlFaults { per_slave_sync_loss, ..Default::default() },
+                    ..Default::default()
+                },
+                windows: vec![FaultWindow {
                     from_s: from,
                     until_s: from + len,
-                    knobs: FaultKnobs { sync_loss: p, meas_loss: p, ..Default::default() },
+                    config: FaultConfig {
+                        control: ControlFaults {
+                            sync_loss_chance: p,
+                            meas_loss_chance: p,
+                            ..Default::default()
+                        },
+                        ..Default::default()
+                    },
                 }],
-                outages: vec![OutageSpec { ap: 0, from_s: from, until_s: from + len }],
+                outages: vec![ApOutage { ap: 0, down_at_s: from, up_at_s: from + len }],
             },
             limits: Limits { max_events: Some(budget), ..Default::default() },
             assertions: vec![
@@ -103,8 +122,7 @@ proptest! {
             backend: Backend::Fast,
             sync: SyncStrategyId::default(),
             traffic: TrafficSpec {
-                arrival: ArrivalSpec::Poisson { rate_pps: rate },
-                packet: PacketSpec::Fixed(pkt),
+                load: ClientLoad::poisson(rate, pkt),
                 duration_s: duration,
                 drain_s: 0.0,
             },
@@ -136,8 +154,10 @@ proptest! {
             backend: Backend::Fast,
             sync: SyncStrategyId::ALL[sync_i],
             traffic: TrafficSpec {
-                arrival: ArrivalSpec::Poisson { rate_pps: rate },
-                packet: PacketSpec::Uniform { min: 64, max: 1400 },
+                load: ClientLoad {
+                    arrival: ArrivalProcess::Poisson { rate_pps: rate },
+                    size: PacketSizeDist::Uniform { min: 64, max: 1400 },
+                },
                 duration_s: duration,
                 drain_s: 0.0,
             },
