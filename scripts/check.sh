@@ -2,13 +2,16 @@
 # Tier-1 gate: build, tests, lints, formatting, and the byte-level pins.
 #
 # `cargo build` / `cargo test` cover every jmb crate (the workspace's
-# default-members). On top of the debug suites, four release steps: the
+# default-members). On top of the debug suites, five release steps: the
 # `sync_equivalence` fixtures (the default sync path bit for bit: four
 # FastNet sweeps, release-only, and the `SampleBackend` cell golden that
 # pins `JmbNetwork::joint_transmit_masked`, which also runs in debug),
 # the sample medium's `render_equivalence` corpus (576 frames rendered by
 # `Medium::render_rx` and by the loop it replaced must decode to the same
 # bytes; ignored in debug, where the old per-tap kernel makes it slow),
+# the scenario manifest's count caps (`caps`: the top of every AP/client/
+# grid range is built and run on each backend; ignored in debug, where ten
+# rendered waveforms per frame take minutes),
 # the benchmark package's own tests (it is a workspace of its own), and
 # the figure CSVs — `jmb-bench all` regenerated into a temp dir must
 # `cmp`-equal every checked-in `results/*.csv` (fig06/07 and both
@@ -32,6 +35,7 @@ cargo build --release
 cargo test -q
 cargo test --release -q -p jmb-bench --test sync_equivalence
 cargo test --release -q -p jmb-sim --test render_equivalence
+cargo test --release -q -p jmb-scenario --test caps
 cargo test --release -q --manifest-path crates/bench/benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt "${JMB_PKGS[@]}" -- --check
