@@ -171,6 +171,7 @@ fn op(line: usize, s: &str) -> Result<Op, ScenarioError> {
 
 /// One `[assertions]` line: `form` is its first token, `rest` the others.
 pub(crate) fn parse_line(ln: usize, form: &str, rest: &[&str]) -> Result<Assertion, ScenarioError> {
+    let count_form = "count needs `KIND OP N [in T0..T1]`";
     match (form, rest) {
         ("metric", [m, o, v]) => {
             let common = COMMON_METRICS.iter().map(|row| &row.0);
@@ -202,7 +203,7 @@ pub(crate) fn parse_line(ln: usize, form: &str, rest: &[&str]) -> Result<Asserti
                     }
                     Some((t0, t1))
                 }
-                _ => return Err(perr(ln, "count needs `KIND OP N [in T0..T1]`")),
+                _ => return Err(perr(ln, count_form)),
             };
             Ok(Assertion::Count {
                 kind: event_kind(ln, k)?,
@@ -216,7 +217,7 @@ pub(crate) fn parse_line(ln: usize, form: &str, rest: &[&str]) -> Result<Asserti
                 window,
             })
         }
-        ("count", _) => Err(perr(ln, "count needs `KIND OP N [in T0..T1]`")),
+        ("count", _) => Err(perr(ln, count_form)),
         ("respond", [from, "->", to, "within", s]) => {
             let to = to.split('|').map(|kind| event_kind(ln, kind));
             let within_s = finite(ln, "respond deadline", s)?;

@@ -11,25 +11,27 @@ use std::fmt;
 /// Why a manifest could not be loaded or executed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
-    /// A syntax or per-line semantic problem, with its 1-based line
-    /// number: unknown section, unknown key, malformed value,
-    /// out-of-range probability, empty fault window, unknown metric or
-    /// event-kind name.
+    /// A problem with one line, with its 1-based line number: unknown
+    /// section or key, wrong arity, malformed value, a number outside its
+    /// key's range, a key given twice, empty fault window, unknown metric
+    /// or event-kind name.
     Parse {
         /// 1-based line number in the manifest text.
         line: usize,
         /// What is wrong with the line.
         message: String,
     },
-    /// A cross-section semantic problem with no single offending line
-    /// (missing required section, a fault schedule on a city grid, a city
-    /// grid with per-run limits it cannot honour).
+    /// A problem with no single offending line: a required key that never
+    /// appears, a rule that ties sections together (a fault schedule on a
+    /// city grid), or a config the run's plan built from the manifest that
+    /// its library refuses — under the keys that fed it.
     Invalid(String),
     /// The manifest file (or an output artifact) could not be read or
     /// written.
     Io(String),
-    /// The simulation itself refused to build or run (backend
-    /// construction, config validation below the manifest layer).
+    /// The simulation failed while it ran. Never a configuration problem:
+    /// the plan has every config validated by its library before anything
+    /// is built.
     Sim(String),
 }
 

@@ -201,10 +201,10 @@ const BYTES: Range = Range(
     "payload + CRC-32 must fit the frame's 12-bit LENGTH field",
 );
 const PROB: Range = Range(0.0, 1.0, "a probability");
-/// Brackets the rate table (4 to 25 dB) with room on both sides; far
-/// outside it 10^(snr/10) overflows and zero-forcing meets a singular
-/// matrix (measured: past 3 080 dB).
-const SNR_DB: Range = Range(-20.0, 60.0, "link SNRs a calibrated cell can hold at once");
+/// Room on both sides of the rate table; far outside it 10^(snr/10)
+/// overflows and zero-forcing meets a singular matrix (measured: past
+/// 3 080 dB).
+const SNR_DB: Range = Range(-20.0, 60.0, "the rate table spans 4 to 25 dB");
 const SPACING_M: Range = Range(1.0, 1e5, "cells one metre to 100 km apart");
 /// With [`RATE_PPS`]: rate × (duration + drain) ≤ 2 × 10¹² < 2⁵², so the
 /// mean inter-arrival gap stays above the f64 clock's resolution at the

@@ -78,7 +78,7 @@ pub(crate) fn plan(m: &Manifest, seed: u64, threads: usize) -> Result<Plan, Scen
             clients,
             snr_db,
         } => {
-            let shape = "[topology] aps/clients/snr_db";
+            let cell = "[topology] aps/clients/snr_db";
             let snr = match snr_db.as_slice() {
                 [one] => vec![*one; *clients],
                 list => list.to_vec(),
@@ -99,13 +99,13 @@ pub(crate) fn plan(m: &Manifest, seed: u64, threads: usize) -> Result<Plan, Scen
                 Backend::Fast => {
                     let mut cfg = FastConfig::default_with(*aps, *clients, snr, seed);
                     cfg.sync = m.sync;
-                    cfg.validate().map_err(|e| refused(shape, e))?;
+                    cfg.validate().map_err(|e| refused(cell, e))?;
                     Ok(Plan::Fast(cfg, traffic, faults))
                 }
                 Backend::Sample => {
                     let mut cfg = NetConfig::default_with(*aps, *clients, 0.0, seed);
                     cfg.client_snr_db = snr;
-                    cfg.validate().map_err(|e| refused(shape, e))?;
+                    cfg.validate().map_err(|e| refused(cell, e))?;
                     Ok(Plan::Sample(cfg, traffic, faults))
                 }
             }
