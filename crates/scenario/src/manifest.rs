@@ -4,9 +4,9 @@
 //! `#` starts a comment, blank lines are ignored, and a line is a key
 //! followed by its whitespace-separated value tokens
 //! (`tests/fixtures/good.scn` uses every section). Every key is one row of
-//! [`KEYS`]: where it is legal (its section and, under `[topology]`, the
+//! `KEYS`: where it is legal (its section and, under `[topology]`, the
 //! `kind`), whether it is required, optional or repeatable, and its
-//! [`Slot`] — the field of the model it lands in, whose variant is the
+//! `Slot` — the field of the model it lands in, whose variant is the
 //! value grammar and carries the finite range a number must hold, each
 //! range with the reason for its edges. [`Manifest::parse`] is one loop
 //! over the text against that table: an unknown section or key (the
@@ -19,7 +19,7 @@
 //! lines are sentences of [`crate::assertion`].
 //!
 //! The model holds the simulator's own types, and [`Manifest::validate`]
-//! ends by building the run's [`crate::runner::plan`]: every rule a
+//! ends by building the run's plan (`runner::plan`): every rule a
 //! library constructor enforces is asked of the library, and a manifest
 //! that parses is one `run` will start.
 
@@ -800,7 +800,7 @@ impl Manifest {
     }
 
     /// What the per-line parser cannot see: the rules that tie sections
-    /// together, then — by building the run's [`crate::runner::plan`] —
+    /// together, then — by building the run's plan (`runner::plan`) —
     /// every rule a library config enforces on its own. Called by
     /// [`Manifest::parse`]; public so generated manifests can be checked
     /// before serialization.

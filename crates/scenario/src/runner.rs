@@ -1,7 +1,7 @@
 //! Plans a parsed manifest, then executes the plan headless and produces
 //! the report + trace.
 //!
-//! [`plan`] is the one bridge from the manifest to the simulator: it maps a
+//! `plan` is the one bridge from the manifest to the simulator: it maps a
 //! manifest (+ seed, threads) onto the configs a run is built from and has
 //! the library validate each. [`Manifest::validate`] calls it, so
 //! `jmb-scenario check` refuses exactly what `run` would refuse;

@@ -9,10 +9,10 @@
 //! * a rejected mutant is `Parse` with a line inside the text, or
 //!   `Invalid` naming a key or section of the format;
 //! * an accepted mutant round-trips through `to_text`, whose output is a
-//!   fixpoint, plans without error and — with the event budget forced to
-//!   200, or for a city (which runs whole epochs) the simulated-time
-//!   budget to the corpus grid's — `run_manifest` returns `Ok`: never
-//!   `Err(Sim)`, never a panic. `check` means `run` will start.
+//!   fixpoint, plans without error and — with its horizon clamped to 20 ms
+//!   and, for a single cell, its event budget forced to 200 (10 on the
+//!   sample backend) — `run_manifest` returns `Ok`: never `Err(Sim)`,
+//!   never a panic. `check` means `run` will start.
 
 use jmb_scenario::{run_manifest, Backend, Manifest, RunOptions, ScenarioError, Topology};
 use proptest::test_runner::TestRng;
