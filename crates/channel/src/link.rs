@@ -100,8 +100,21 @@ impl Link {
 
     /// Frequency response at one baseband frequency (Hz).
     pub fn freq_response_at(&self, freq_hz: f64) -> Complex64 {
+        self.through(self.fading.freq_response_at(freq_hz), freq_hz)
+    }
+
+    /// [`Self::freq_response_at`] with the fading's tap rotations at
+    /// `freq_hz` already evaluated (see [`Multipath::freq_response_with`]):
+    /// bit-identical, `n_taps` multiply-adds and one `cis` instead of
+    /// `n_taps + 1` of them.
+    pub fn freq_response_with(&self, freq_hz: f64, tap_rotations: &[Complex64]) -> Complex64 {
+        self.through(self.fading.freq_response_with(tap_rotations), freq_hz)
+    }
+
+    /// Large-scale gain × `fading` × the delay's linear phase at `freq_hz`.
+    fn through(&self, fading: Complex64, freq_hz: f64) -> Complex64 {
         let delay_rot = Complex64::cis(-2.0 * std::f64::consts::PI * freq_hz * self.delay_s);
-        self.gain * self.fading.freq_response_at(freq_hz) * delay_rot
+        self.gain * fading * delay_rot
     }
 
     /// Advances the fading process by `dt` seconds.

@@ -62,6 +62,13 @@ impl MultipathSpec {
         }
     }
 
+    /// The rotation `e^{−j2π f τ_l}` tap `tap` contributes at baseband
+    /// frequency `freq_hz`, with `τ_l = tap · tap_spacing_s`.
+    pub fn tap_rotation(&self, tap: usize, freq_hz: f64) -> Complex64 {
+        let tau = tap as f64 * self.tap_spacing_s;
+        Complex64::cis(-2.0 * std::f64::consts::PI * freq_hz * tau)
+    }
+
     /// Normalised per-tap powers (sum to 1).
     pub fn tap_powers(&self) -> Vec<f64> {
         let mut p: Vec<f64> = (0..self.n_taps)
@@ -174,10 +181,25 @@ impl Multipath {
 
     /// Frequency response at a single baseband frequency offset (Hz).
     pub fn freq_response_at(&self, freq_hz: f64) -> Complex64 {
+        self.sum_taps(|l| self.spec.tap_rotation(l, freq_hz))
+    }
+
+    /// [`Self::freq_response_at`] with the rotations already evaluated:
+    /// `tap_rotations[l]` must be [`MultipathSpec::tap_rotation`] of tap `l`
+    /// at the frequency wanted, one per tap. They depend on the tap grid and
+    /// the frequency only, so a caller evaluating many channels of one
+    /// profile on one frequency list computes them once; the sum is the same
+    /// products in the same order.
+    pub fn freq_response_with(&self, tap_rotations: &[Complex64]) -> Complex64 {
+        debug_assert_eq!(tap_rotations.len(), self.taps.len());
+        self.sum_taps(|l| tap_rotations[l])
+    }
+
+    /// `Σ_l g_l · rotation(l)`, in tap order.
+    fn sum_taps(&self, rotation: impl Fn(usize) -> Complex64) -> Complex64 {
         let mut acc = Complex64::ZERO;
         for (l, &g) in self.taps.iter().enumerate() {
-            let tau = l as f64 * self.spec.tap_spacing_s;
-            acc += g * Complex64::cis(-2.0 * std::f64::consts::PI * freq_hz * tau);
+            acc += g * rotation(l);
         }
         acc
     }

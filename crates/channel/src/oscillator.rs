@@ -194,29 +194,123 @@ impl Oscillator {
 /// many interleaved timelines (one per link), so it needs `phase_at(t)` for
 /// arbitrary `t` — returning the *same* answer for the same `t` every time.
 ///
-/// `PhaseTrajectory` achieves that by materialising the stochastic part of
-/// the phase (Wiener phase noise + offset random walk) on a lazy fixed grid:
-/// queries extend the grid deterministically from a private RNG, then
-/// interpolate. Two queries of the same instant always agree.
+/// `PhaseTrajectory` achieves that by drawing the stochastic part of the
+/// phase (Wiener phase noise + offset random walk) on a lazy fixed grid from
+/// a private RNG, then interpolating. Only the most recent grid points stay
+/// in memory (a window of two to three blocks, ≥ 80 ms); at every block
+/// boundary the walk leaves a [`Mark`] from which an older block is redrawn
+/// on demand — same draws in the same order, so two queries of the same
+/// instant always agree, whatever was asked in between, and memory does not
+/// grow with simulated time beyond one mark per block.
 #[derive(Debug, Clone)]
 pub struct PhaseTrajectory {
     carrier_freq: f64,
     spec: OscillatorSpec,
     /// Grid spacing, seconds.
     grid_dt: f64,
-    /// Current frequency offset at each grid point, Hz.
-    freq: Vec<f64>,
-    /// Cumulative phase error at each grid point, radians.
-    cum_phase: Vec<f64>,
-    /// Wiener increment *within* each grid interval (applied linearly).
-    dw: Vec<f64>,
+    initial_offset_hz: f64,
+    /// `marks[b]` is the walk on arriving at grid point `b·BLOCK`, for every
+    /// block up to the head's.
+    marks: Vec<Mark>,
+    /// The block the walk's front is in, drawn as far as any query reached.
+    head: Block,
+    /// The complete blocks just behind the head, oldest first (at most
+    /// [`Self::KEPT_BEHIND`]).
+    behind: Vec<Block>,
+    /// The last block older than the window that a query asked for.
+    redrawn: Option<Block>,
+}
+
+/// One drawn grid point: the walk's state there and the Wiener increment
+/// over the interval that follows it.
+#[derive(Debug, Clone, Copy)]
+struct GridPoint {
+    /// Frequency offset, Hz.
+    freq: f64,
+    /// Cumulative phase error, radians.
+    cum_phase: f64,
+    /// Wiener increment *within* the following interval (applied linearly).
+    dw: f64,
+}
+
+/// The walk on arriving at a grid point, before that point's draws:
+/// everything after it follows from these three.
+#[derive(Debug, Clone)]
+struct Mark {
+    freq: f64,
+    cum_phase: f64,
     rng: JmbRng,
+}
+
+/// Consecutive grid points of one block, drawn front to back.
+#[derive(Debug, Clone)]
+struct Block {
+    /// Covers grid points `index·BLOCK .. (index + 1)·BLOCK`.
+    index: usize,
+    points: Vec<GridPoint>,
+    /// The walk at point `index·BLOCK + points.len()`: where drawing resumes.
+    next: Mark,
+}
+
+impl Block {
+    fn starting_at(index: usize, mark: &Mark) -> Self {
+        Block {
+            index,
+            points: Vec::new(),
+            next: mark.clone(),
+        }
+    }
+
+    /// Starts over as block `index`, keeping the storage.
+    fn restart(&mut self, index: usize, mark: &Mark) {
+        self.index = index;
+        self.points.clear();
+        self.next.clone_from(mark);
+    }
+
+    /// Draws grid points until the block's point `i` exists: per point the
+    /// Wiener increment, then the offset's random-walk step.
+    fn draw_through(&mut self, i: usize, spec: &OscillatorSpec, grid_dt: f64) {
+        while self.points.len() <= i {
+            let f_i = self.next.freq;
+            let dw = if spec.phase_noise_linewidth_hz > 0.0 {
+                normal(
+                    &mut self.next.rng,
+                    (2.0 * std::f64::consts::PI * spec.phase_noise_linewidth_hz * grid_dt).sqrt(),
+                )
+            } else {
+                0.0
+            };
+            self.points.push(GridPoint {
+                freq: f_i,
+                cum_phase: self.next.cum_phase,
+                dw,
+            });
+            self.next.cum_phase =
+                self.next.cum_phase + 2.0 * std::f64::consts::PI * f_i * grid_dt + dw;
+            if spec.drift_hz_per_sqrt_s > 0.0 {
+                self.next.freq = f_i
+                    + normal(
+                        &mut self.next.rng,
+                        spec.drift_hz_per_sqrt_s * grid_dt.sqrt(),
+                    );
+            }
+        }
+    }
 }
 
 impl PhaseTrajectory {
     /// Grid spacing used to materialise the stochastic phase (10 µs — far
     /// finer than any phase dynamics JMB cares about).
     pub const GRID_DT: f64 = 10e-6;
+
+    /// Grid points per block (≈ 41 ms).
+    const BLOCK: usize = 4096;
+
+    /// Complete blocks kept behind the head: with the head they make a dense
+    /// window of 82–123 ms, so the out-of-band sync rivals' look-back (three
+    /// updates of 25 ms) never leaves it.
+    const KEPT_BEHIND: usize = 2;
 
     /// Draws a trajectory: offset uniform in ±tolerance, noise per `spec`.
     pub fn new(spec: OscillatorSpec, carrier_freq: f64, rng: &mut JmbRng) -> Self {
@@ -230,14 +324,20 @@ impl PhaseTrajectory {
 
     /// Creates a trajectory with an explicit initial offset (Hz).
     pub fn with_offset(spec: OscillatorSpec, carrier_freq: f64, offset_hz: f64, seed: u64) -> Self {
+        let start = Mark {
+            freq: offset_hz,
+            cum_phase: 0.0,
+            rng: jmb_dsp::rng::derive_rng(seed, 0x7247),
+        };
         PhaseTrajectory {
             carrier_freq,
             spec,
             grid_dt: Self::GRID_DT,
-            freq: vec![offset_hz],
-            cum_phase: vec![0.0],
-            dw: Vec::new(),
-            rng: jmb_dsp::rng::derive_rng(seed, 0x7247),
+            initial_offset_hz: offset_hz,
+            head: Block::starting_at(0, &start),
+            marks: vec![start],
+            behind: Vec::new(),
+            redrawn: None,
         }
     }
 
@@ -248,19 +348,22 @@ impl PhaseTrajectory {
 
     /// Initial frequency offset in Hz.
     pub fn initial_cfo_hz(&self) -> f64 {
-        self.freq[0]
+        self.initial_offset_hz
     }
 
     /// Frequency offset at time `t` in Hz (includes the drift random walk).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is negative or non-finite.
     pub fn cfo_hz_at(&mut self, t: f64) -> f64 {
-        let idx = self.grid_index(t);
-        self.freq[idx]
+        self.point_at(t).1.freq
     }
 
     /// Sampling-clock ratio (ADC/DAC rate over nominal): locked to the same
     /// crystal, so `1 + initial offset / carrier`.
     pub fn sample_ratio(&self) -> f64 {
-        1.0 + self.freq[0] / self.carrier_freq
+        1.0 + self.initial_offset_hz / self.carrier_freq
     }
 
     /// Accumulated carrier phase error at global time `t` (radians,
@@ -270,18 +373,10 @@ impl PhaseTrajectory {
     ///
     /// Panics if `t` is negative or non-finite.
     pub fn phase_at(&mut self, t: f64) -> f64 {
-        assert!(t.is_finite() && t >= 0.0, "bad trajectory time {t}");
-        let idx = self.grid_index(t);
+        let (idx, p) = self.point_at(t);
         let t_i = idx as f64 * self.grid_dt;
         let frac = (t - t_i) / self.grid_dt;
-        let dw_next = if idx < self.dw.len() {
-            self.dw[idx]
-        } else {
-            0.0
-        };
-        self.cum_phase[idx]
-            + 2.0 * std::f64::consts::PI * self.freq[idx] * (t - t_i)
-            + dw_next * frac
+        p.cum_phase + 2.0 * std::f64::consts::PI * p.freq * (t - t_i) + p.dw * frac
     }
 
     /// Phasor `e^{jφ(t)}`.
@@ -289,39 +384,54 @@ impl PhaseTrajectory {
         jmb_dsp::Complex64::cis(self.phase_at(t))
     }
 
-    /// Extends the grid to cover `t` and returns its interval index.
-    fn grid_index(&mut self, t: f64) -> usize {
+    /// The grid interval `t` falls in and the point it starts from — the
+    /// one door from a time to the grid, so every accessor checks `t`.
+    fn point_at(&mut self, t: f64) -> (usize, GridPoint) {
+        assert!(t.is_finite() && t >= 0.0, "bad trajectory time {t}");
         let idx = (t / self.grid_dt).floor() as usize;
-        while self.freq.len() <= idx + 1 {
-            let i = self.freq.len() - 1;
-            let f_i = self.freq[i];
-            // Wiener increment over this interval.
-            let dw = if self.spec.phase_noise_linewidth_hz > 0.0 {
-                normal(
-                    &mut self.rng,
-                    (2.0 * std::f64::consts::PI
-                        * self.spec.phase_noise_linewidth_hz
-                        * self.grid_dt)
-                        .sqrt(),
-                )
-            } else {
-                0.0
-            };
-            self.dw.push(dw);
-            self.cum_phase
-                .push(self.cum_phase[i] + 2.0 * std::f64::consts::PI * f_i * self.grid_dt + dw);
-            // Offset random walk.
-            let f_next = if self.spec.drift_hz_per_sqrt_s > 0.0 {
-                f_i + normal(
-                    &mut self.rng,
-                    self.spec.drift_hz_per_sqrt_s * self.grid_dt.sqrt(),
-                )
-            } else {
-                f_i
-            };
-            self.freq.push(f_next);
+        let (b, i) = (idx / Self::BLOCK, idx % Self::BLOCK);
+        if b == self.head.index {
+            if let Some(&p) = self.head.points.get(i) {
+                return (idx, p);
+            }
         }
-        idx
+        (idx, self.point_outside_head(b, i))
+    }
+
+    /// Point `i` of block `b` when the head does not already hold it: draws
+    /// forward, reads the window, or redraws an older block from its mark.
+    fn point_outside_head(&mut self, b: usize, i: usize) -> GridPoint {
+        while self.head.index < b {
+            self.head
+                .draw_through(Self::BLOCK - 1, &self.spec, self.grid_dt);
+            self.marks.push(self.head.next.clone());
+            let next_index = self.head.index + 1;
+            let fresh = if self.behind.len() == Self::KEPT_BEHIND {
+                let mut oldest = self.behind.remove(0);
+                oldest.restart(next_index, &self.head.next);
+                oldest
+            } else {
+                Block::starting_at(next_index, &self.head.next)
+            };
+            self.behind.push(std::mem::replace(&mut self.head, fresh));
+        }
+        if b == self.head.index {
+            self.head.draw_through(i, &self.spec, self.grid_dt);
+            return self.head.points[i];
+        }
+        let back = self.head.index - b;
+        if back <= self.behind.len() {
+            return self.behind[self.behind.len() - back].points[i];
+        }
+        let mark = &self.marks[b];
+        let block = self
+            .redrawn
+            .get_or_insert_with(|| Block::starting_at(b, mark));
+        if block.index != b {
+            block.restart(b, mark);
+        }
+        block.draw_through(i, &self.spec, self.grid_dt);
+        block.points[i]
     }
 }
 
@@ -514,6 +624,61 @@ mod tests {
             (var / expected - 1.0).abs() < 0.2,
             "var {var} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn both_accessors_reject_bad_times() {
+        // `cfo_hz_at` used to skip the check: a negative or NaN time
+        // silently answered for t = 0 and an infinite one indexed out of
+        // bounds (`FastObserver::pilot` passes caller-supplied times).
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            for accessor in [PhaseTrajectory::cfo_hz_at, PhaseTrajectory::phase_at] {
+                let caught = std::panic::catch_unwind(|| {
+                    accessor(&mut PhaseTrajectory::fixed(FC, 250.0), bad)
+                });
+                let msg = *caught.unwrap_err().downcast::<String>().unwrap();
+                assert!(msg.contains("bad trajectory time"), "{bad}: {msg}");
+            }
+        }
+    }
+
+    impl PhaseTrajectory {
+        fn retained_points(&self) -> usize {
+            let blocks = self.behind.iter().chain(&self.redrawn).chain([&self.head]);
+            blocks.map(|b| b.points.len()).sum()
+        }
+    }
+
+    #[test]
+    fn retained_points_are_bounded() {
+        const BLOCK: usize = PhaseTrajectory::BLOCK;
+        let mut rng = rng_from_seed(13);
+        let mut t = PhaseTrajectory::new(OscillatorSpec::usrp2(), FC, &mut rng);
+        // Five simulated seconds the way a cell walks them: forward in
+        // packet-sized steps, each looking back up to 3 × 25 ms like the
+        // out-of-band sync rivals do. The look-back never leaves the window,
+        // so nothing is redrawn.
+        let mut now = 0.0;
+        while now < 5.0 {
+            t.phase_at(now);
+            for k in 1..=3 {
+                t.cfo_hz_at((now - k as f64 * 25e-3).max(0.0));
+            }
+            assert!(t.retained_points() <= 3 * BLOCK + 2, "at {now} s");
+            now += 1.3e-3;
+        }
+        assert!(t.redrawn.is_none(), "80 ms of look-back must stay dense");
+        // 500 000 grid points walked, one 48-byte mark per block kept.
+        assert_eq!(
+            t.marks.len(),
+            (5.0 / PhaseTrajectory::GRID_DT) as usize / BLOCK + 1
+        );
+        // Looking further back costs one more block, however often and
+        // wherever it lands.
+        for back in [4.9, 0.2, 2.5, 0.2] {
+            t.phase_at(5.0 - back);
+            assert!(t.retained_points() <= 4 * BLOCK + 2, "{back} s back");
+        }
     }
 
     #[test]

@@ -236,8 +236,6 @@ mod tests {
         }
         fn extrapolated(&self, _: usize) -> Option<(PhaseCorrection, f64)> {
             let pc = PhaseCorrection {
-                subcarriers: vec![1],
-                per_subcarrier: vec![Complex64::ONE],
                 common_phase: 0.0,
                 slope: 0.0,
                 cfo_hz: 0.0,

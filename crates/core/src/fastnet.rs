@@ -155,10 +155,7 @@ pub struct FastNet {
     occupied: Vec<i32>,
     now: f64,
     rng: JmbRng,
-    /// Cached static AP→client responses (the multipath tap sums, which are
-    /// the expensive part of every channel evaluation). Built lazily, and
-    /// invalidated whenever link fading evolves.
-    static_ap_client: Option<jmb_sim::StaticChannel>,
+    scratch: Scratch,
     /// Control-plane event trace. Events are stamped on the frame timeline
     /// (header at `now`, sync measurements at `t_meas`), which only moves
     /// forward — the stream is monotone in time by construction, and the
@@ -256,18 +253,13 @@ impl FastNet {
             let mut best = (0usize, f64::MIN);
             for (i, &a) in aps.iter().enumerate() {
                 let mean_db = {
-                    let link = medium
-                        .link(a, c)
+                    let row = medium
+                        .static_row(a, c, &occupied_list)
                         // jmb-allow(no-panic-hot-path): constructor-local — the loop above installed a link for every (ap, client) pair of this very medium
                         .expect("invariant: every (ap, client) link was installed above");
-                    let acc: f64 = occupied_list
+                    let acc: f64 = row
                         .iter()
-                        .map(|&k| {
-                            let f = k as f64 * cfg.params.subcarrier_spacing();
-                            jmb_dsp::stats::lin_to_db(
-                                link.freq_response_at(f).norm_sqr() / cfg.noise_var,
-                            )
-                        })
+                        .map(|h| jmb_dsp::stats::lin_to_db(h.norm_sqr() / cfg.noise_var))
                         .sum();
                     acc / occupied_list.len() as f64
                 };
@@ -299,7 +291,7 @@ impl FastNet {
             occupied,
             now: 1e-4,
             rng,
-            static_ap_client: None,
+            scratch: Scratch::new(),
             trace: Trace::new(),
             ext_intf: Vec::new(),
         })
@@ -344,12 +336,6 @@ impl FastNet {
     /// none is set).
     pub fn external_interference(&self) -> &[f64] {
         &self.ext_intf
-    }
-
-    /// External interference on subcarrier index `k_idx` (0 when unset).
-    #[inline]
-    fn ext_at(&self, k_idx: usize) -> f64 {
-        self.ext_intf.get(k_idx).copied().unwrap_or(0.0)
     }
 
     /// Band-mean external interference (0 when unset) — the flat value the
@@ -435,19 +421,6 @@ impl FastNet {
         self.strategy.take_control_airtime_s()
     }
 
-    /// Returns the cached static AP→client channel snapshot, building it on
-    /// first use after construction or fading evolution. Taken out of `self`
-    /// (and restored by the caller) so the medium can be borrowed mutably
-    /// alongside it.
-    fn take_ap_client_static(&mut self) -> jmb_sim::StaticChannel {
-        match self.static_ap_client.take() {
-            Some(snap) => snap,
-            None => self
-                .medium
-                .snapshot_static(&self.aps, &self.clients, &self.occupied),
-        }
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> f64 {
         self.now
@@ -469,7 +442,6 @@ impl FastNet {
     /// Ages every link's fading by `dt` seconds.
     pub fn evolve_fading(&mut self, dt: f64) {
         self.medium.evolve_fading(dt);
-        self.static_ap_client = None;
     }
 
     /// Ages only one client's AP→client links by `dt` seconds — the §7
@@ -484,7 +456,6 @@ impl FastNet {
                 link.evolve(dt, &mut rng);
             }
         }
-        self.static_ap_client = None;
     }
 
     /// The power normalisation of the current precoder.
@@ -556,25 +527,20 @@ impl FastNet {
         }
         let n_k = self.occupied.len();
         let mut h = vec![CMat::zeros(self.cfg.n_clients, self.cfg.n_aps); n_k];
-        // All estimates are taken at one instant, so the oscillator state
-        // and the static tap sums are evaluated once (cached snapshot)
-        // instead of once per (pair, subcarrier); only the per-round
-        // estimation noise is drawn per pair and subcarrier, in the same
-        // order as before.
-        let snap = self.take_ap_client_static();
-        let mut inst = jmb_sim::InstantPhasors::default();
-        self.medium.instant_phasors(&snap, t0, &mut inst);
+        // All estimates are taken at one instant, so each oscillator is
+        // read once and the static tap sums come from the medium's cached
+        // rows; only the per-round estimation noise is drawn per pair and
+        // subcarrier, client-major as the golden fixtures pin it.
+        let rows = &mut self.scratch.rows;
+        self.medium
+            .channel_rows_into(&self.aps, &self.clients, &self.occupied, t0, rows);
         let var = self.cfg.noise_var / self.cfg.rounds as f64;
-        let mut row = Vec::with_capacity(n_k);
-        for j in 0..self.cfg.n_clients {
-            for i in 0..self.cfg.n_aps {
-                snap.row_at(&inst, i, j, &mut row);
-                for (k_idx, &g) in row.iter().enumerate() {
-                    h[k_idx][(j, i)] = g + complex_gaussian(&mut self.rng, var);
-                }
+        for (pair, row) in rows.chunks_exact(n_k).enumerate() {
+            let (j, i) = (pair / self.cfg.n_aps, pair % self.cfg.n_aps);
+            for (k_idx, &g) in row.iter().enumerate() {
+                h[k_idx][(j, i)] = g + complex_gaussian(&mut self.rng, var);
             }
         }
-        self.static_ap_client = Some(snap);
         // Slave references + CFO seeds.
         let seed_sigma =
             crate::measure::seed_cfo_sigma_hz(&self.cfg.params, self.cfg.rounds, self.cfg.n_aps);
@@ -624,16 +590,18 @@ impl FastNet {
         let result = match self.last_sync().excluded.iter().min() {
             Some(&slave) => Err(JmbError::SyncHeaderMissed { slave }),
             None => {
-                let clients: Vec<usize> = (0..self.cfg.n_clients).collect();
-                let aps: Vec<usize> = (0..self.cfg.n_aps).collect();
-                let batch = Batch {
-                    clients: &clients,
-                    aps: &aps,
-                    precoder: &precoder,
+                let batch = &mut self.scratch;
+                batch.clients.clear();
+                batch.clients.extend(0..self.cfg.n_clients);
+                batch.aps.clear();
+                batch.aps.extend(0..self.cfg.n_aps);
+                let (sinr_db, interference) = self.probe_sinr(
+                    &precoder,
                     mute_streams,
-                };
-                let (sinr_db, interference) =
-                    self.probe_sinr(&batch, packet_duration_s, n_probes, apply_phase_sync);
+                    packet_duration_s,
+                    n_probes,
+                    apply_phase_sync,
+                );
                 Ok(JointOutcome {
                     sinr_db,
                     interference,
@@ -645,16 +613,20 @@ impl FastNet {
         result
     }
 
-    /// The probe/SINR kernel behind every joint transmission: batch `b`
-    /// goes out after the header at `self.now`, each AP applying the
-    /// correction [`FastNet::last_sync`] holds for it (none under the
-    /// `apply_phase_sync = false` ablation). Signal and interference power
-    /// are averaged over `n_probes` instants across the `duration_s` data
+    /// The probe/SINR kernel behind every joint transmission: `precoder`'s
+    /// streams go to the clients in `scratch.clients` from the APs in
+    /// `scratch.aps` (stream and precoder-row order; the caller fills both)
+    /// after the header at `self.now`, each AP applying the correction
+    /// [`FastNet::last_sync`] holds for it (none under the
+    /// `apply_phase_sync = false` ablation). `mute_streams` carry no data
+    /// (the Fig. 8 nulling probe). Signal and interference power are
+    /// averaged over `n_probes` instants across the `duration_s` data
     /// portion; returns per-client per-subcarrier `(SINR dB, interference)`
     /// and advances the clock past the frame.
     fn probe_sinr(
         &mut self,
-        b: &Batch<'_>,
+        precoder: &Precoder,
+        mute_streams: &[usize],
         duration_s: f64,
         n_probes: usize,
         apply_phase_sync: bool,
@@ -663,79 +635,90 @@ impl FastNet {
         let t_d = self.now + 320.0 * params.sample_period() + self.cfg.turnaround_s;
         let spacing = params.subcarrier_spacing();
         let carrier = params.carrier_freq;
-        let (nb, na, n_k) = (b.clients.len(), b.aps.len(), self.occupied.len());
-        let n_streams = b.precoder.n_streams();
+        let n_streams = precoder.n_streams();
         let nv = self.cfg.noise_var;
-        let probes: Vec<f64> = (0..n_probes.max(1))
-            .map(|p| t_d + duration_s * (p as f64 + 0.5) / n_probes.max(1) as f64)
-            .collect();
-
-        // Hot-loop scratch, reused across all (probe, subcarrier)
-        // iterations: zero allocations inside the loops. The static link
-        // responses (the multipath tap sums) come from the cached snapshot;
-        // each probe instant then only pays the oscillator phasors, and
-        // each subcarrier one rotation + one small mat-mul.
-        let snap = self.take_ap_client_static();
+        let n_k = self.occupied.len();
         let sync = self.control.last_sync();
-        let mut inst = jmb_sim::InstantPhasors::default();
-        let mut sig = vec![0.0f64; nb * n_k];
-        let mut intf = vec![0.0f64; nb * n_k];
-        // Channel rows for the (batch client × batch AP) pairs only —
-        // `nb·na` rows of `n_k` entries. A city-scale cell serves a few
-        // hundred clients from a handful of APs, so building the full
-        // `n_clients × n_aps` matrix per (probe, subcarrier) would dominate
-        // the sweep.
-        let mut pair_rows: Vec<Vec<Complex64>> = vec![Vec::new(); nb * na];
-        let mut eff = CMat::zeros(nb, na);
-        let mut g = CMat::zeros(nb, n_streams);
 
-        for &t in &probes {
-            self.medium.instant_phasors(&snap, t, &mut inst);
-            for (c, &i) in b.aps.iter().enumerate() {
-                for (r, &j) in b.clients.iter().enumerate() {
-                    snap.row_at(&inst, i, j, &mut pair_rows[r * na + c]);
-                }
-            }
+        // Everything the loops touch lives in the network's scratch, grown
+        // by the first packet of each shape: zero allocations inside the
+        // loops, and none around them but the two results. The channel rows
+        // are for the (batch client × batch AP) pairs only — a city-scale
+        // cell serves a few hundred clients from a handful of APs, so the
+        // full `n_clients × n_aps` matrix per (probe, subcarrier) would
+        // dominate the sweep. Their static link responses (the multipath
+        // tap sums) are the medium's cached rows; each probe instant then
+        // only pays the oscillator phasors, and each subcarrier one
+        // rotation + one small mat-mul.
+        let Scratch {
+            clients,
+            aps,
+            tx_nodes,
+            rx_nodes,
+            probes,
+            sig,
+            intf,
+            rows,
+            eff,
+            g,
+            ..
+        } = &mut self.scratch;
+        let (nb, na) = (clients.len(), aps.len());
+        tx_nodes.clear();
+        tx_nodes.extend(aps.iter().map(|&i| self.aps[i]));
+        rx_nodes.clear();
+        rx_nodes.extend(clients.iter().map(|&j| self.clients[j]));
+        let n_probes = n_probes.max(1);
+        probes.clear();
+        probes.extend((0..n_probes).map(|p| t_d + duration_s * (p as f64 + 0.5) / n_probes as f64));
+        for acc in [&mut *sig, &mut *intf] {
+            acc.clear();
+            acc.resize(nb * n_k, 0.0);
+        }
+
+        for &t in probes.iter() {
+            self.medium
+                .channel_rows_into(tx_nodes, rx_nodes, &self.occupied, t, rows);
             for k_idx in 0..n_k {
                 let k = self.occupied[k_idx];
-                let w = b.precoder.weights_at(k_idx);
+                let w = precoder.weights_at(k_idx);
                 // Effective channel at this instant: physical channel ×
                 // per-AP correction (phase sync) per column.
                 eff.reset(nb, na);
-                for (c, &i) in b.aps.iter().enumerate() {
+                for (c, &i) in aps.iter().enumerate() {
                     let corr = if apply_phase_sync {
                         sync.phasor_at(i, k, t, spacing, carrier)
                     } else {
                         Complex64::ONE
                     };
                     for r in 0..nb {
-                        eff[(r, c)] = pair_rows[r * na + c][k_idx] * corr;
+                        eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr;
                     }
                 }
-                eff.mul_into(w, &mut g)
+                eff.mul_into(w, g)
                     // jmb-allow(no-panic-hot-path): eff (nb x na), w (na x n_streams), g (nb x n_streams) are sized from the same dims a few lines up; mul_into only errors on shape mismatch
                     .expect("invariant: eff/w/g allocated with matching dims just above");
                 for r in 0..nb {
                     sig[r * n_k + k_idx] += g[(r, r)].norm_sqr();
                     for s in 0..n_streams {
-                        if s != r && !b.mute_streams.contains(&s) {
+                        if s != r && !mute_streams.contains(&s) {
                             intf[r * n_k + k_idx] += g[(r, s)].norm_sqr();
                         }
                     }
                 }
             }
         }
-        self.static_ap_client = Some(snap);
 
-        let np = probes.len() as f64;
+        let np = n_probes as f64;
         let mut sinr_db = vec![vec![0.0; n_k]; nb];
         let mut interference = vec![vec![0.0; n_k]; nb];
         for r in 0..nb {
             for k_idx in 0..n_k {
                 let s = sig[r * n_k + k_idx] / np;
                 let i = intf[r * n_k + k_idx] / np;
+                let ext = self.ext_intf.get(k_idx).copied().unwrap_or(0.0);
                 interference[r][k_idx] = i;
-                sinr_db[r][k_idx] = jmb_dsp::stats::lin_to_db(s / (nv + self.ext_at(k_idx) + i));
+                sinr_db[r][k_idx] = jmb_dsp::stats::lin_to_db(s / (nv + ext + i));
             }
         }
         self.now = t_d + duration_s + 50e-6;
@@ -774,26 +757,19 @@ impl FastNet {
         let nv = self.cfg.noise_var;
         let spacing = params.subcarrier_spacing();
         let carrier = params.carrier_freq;
-        // One row per AP at the single probe instant, so the static tap
-        // sums (cached snapshot) and the per-pair oscillator state are
-        // computed once instead of once per subcarrier.
-        let snap = self.take_ap_client_static();
-        let mut inst = jmb_sim::InstantPhasors::default();
-        self.medium.instant_phasors(&snap, t, &mut inst);
-        let mut rows: Vec<Vec<Complex64>> = Vec::with_capacity(self.cfg.n_aps);
-        for i in 0..self.cfg.n_aps {
-            let mut row = Vec::with_capacity(self.occupied.len());
-            snap.row_at(&inst, i, client, &mut row);
-            rows.push(row);
-        }
-        self.static_ap_client = Some(snap);
+        // One row per AP at the single probe instant.
+        let n_k = self.occupied.len();
+        let rows = &mut self.scratch.rows;
+        let to = [self.clients[client]];
+        self.medium
+            .channel_rows_into(&self.aps, &to, &self.occupied, t, rows);
         let sync = self.control.last_sync();
-        let mut out = Vec::with_capacity(self.occupied.len());
-        for k_idx in 0..self.occupied.len() {
+        let mut out = Vec::with_capacity(n_k);
+        for k_idx in 0..n_k {
             let k = self.occupied[k_idx];
             let w = mrt.weights_at(k_idx);
             let mut rx = Complex64::ZERO;
-            for (i, row) in rows.iter().enumerate() {
+            for (i, row) in rows.chunks_exact(n_k).enumerate() {
                 if sync.excluded.contains(&i) {
                     continue; // sits the packet out: one combining branch fewer
                 }
@@ -809,26 +785,23 @@ impl FastNet {
     /// The 802.11 baseline for one client: per-subcarrier SNR (dB) from its
     /// strongest (designated) AP transmitting alone at unit power.
     pub fn baseline_snr_db(&mut self, client: usize) -> Vec<f64> {
-        let t = self.now;
         let nv = self.cfg.noise_var;
-        let snap = self.take_ap_client_static();
-        let mut inst = jmb_sim::InstantPhasors::default();
-        self.medium.instant_phasors(&snap, t, &mut inst);
-        // Designated AP = strongest mean channel power.
-        let mut row = Vec::with_capacity(self.occupied.len());
-        let mut best_ap = 0;
+        // This client's row from every AP — nobody else's phasors.
+        let rows = &mut self.scratch.rows;
+        let to = [self.clients[client]];
+        self.medium
+            .channel_rows_into(&self.aps, &to, &self.occupied, self.now, rows);
+        // Designated AP = strongest mean channel power (the first, on a tie).
+        let mut best: &[Complex64] = &[];
         let mut best_pw = -1.0;
-        for i in 0..self.cfg.n_aps {
-            snap.row_at(&inst, i, client, &mut row);
+        for row in rows.chunks_exact(self.occupied.len()) {
             let pw: f64 = row.iter().map(|h| h.norm_sqr()).sum();
             if pw > best_pw {
                 best_pw = pw;
-                best_ap = i;
+                best = row;
             }
         }
-        snap.row_at(&inst, best_ap, client, &mut row);
-        self.static_ap_client = Some(snap);
-        row.iter()
+        best.iter()
             .map(|h| jmb_dsp::stats::lin_to_db(h.norm_sqr() / nv))
             .collect()
     }
@@ -855,7 +828,9 @@ impl FastNet {
         if client >= self.cfg.n_clients {
             return Err(JmbError::BadConfig("no such client"));
         }
-        let mut h = self.h_meas.clone().ok_or(JmbError::NoReference)?;
+        if self.h_meas.is_none() {
+            return Err(JmbError::NoReference);
+        }
         let t_j = self.now;
         if self.control.measurement_lost(&mut self.trace, t_j) {
             // The decoupled exchange is much shorter than a full measurement.
@@ -891,22 +866,37 @@ impl FastNet {
         let est: Vec<_> = (0..n_aps)
             .map(|i| obs.estimate(obs.aps[i], c, t_j, row_var))
             .collect();
+        // Spliced into the stored `H̃` in place; the row it replaces waits
+        // in the scratch in case the stitched matrix turns out singular.
+        let h = self.h_meas.as_mut().ok_or(JmbError::NoReference)?;
+        let old_row = &mut self.scratch.rows;
+        old_row.clear();
         for (k_idx, matrix) in h.iter_mut().enumerate() {
             let k = self.occupied[k_idx] as f64;
             for i in 0..self.cfg.n_aps {
                 let (common, slope) = rotations[i];
                 let rot = Complex64::cis(common + slope * k);
+                old_row.push(matrix[(client, i)]);
                 matrix[(client, i)] = est[i].gains[k_idx] * rot;
             }
         }
         // Same well-posedness gate as `run_measurement`: over-subscribed
         // cells keep the stitched `h_meas` and rebuild per-batch precoders.
         self.precoder = if self.cfg.n_clients <= self.cfg.n_aps {
-            Some(Precoder::zero_forcing(&h)?)
+            match Precoder::zero_forcing(h) {
+                Ok(p) => Some(p),
+                Err(e) => {
+                    for (matrix, old) in h.iter_mut().zip(old_row.chunks_exact(n_aps)) {
+                        for (i, &was) in old.iter().enumerate() {
+                            matrix[(client, i)] = was;
+                        }
+                    }
+                    return Err(e);
+                }
+            }
         } else {
             None
         };
-        self.h_meas = Some(h);
         self.now = t_j + 200e-6;
         Ok(())
     }
@@ -984,13 +974,15 @@ impl FastNet {
         // and the caller must shrink the batch or retry later.
         let t_meas = self.now + 240.0 * self.cfg.params.sample_period();
         self.sync_headers(t_meas, active_aps.iter().copied().filter(|&s| s != 0));
-        let excluded = &self.last_sync().excluded;
-        let eff_aps: Vec<usize> = active_aps
-            .iter()
-            .copied()
-            .filter(|i| !excluded.contains(i))
-            .collect();
-        let na_eff = eff_aps.len();
+        let excluded = &self.control.last_sync().excluded;
+        let batch = &mut self.scratch;
+        batch.clients.clear();
+        batch.clients.extend_from_slice(clients);
+        batch.aps.clear();
+        batch
+            .aps
+            .extend(active_aps.iter().filter(|i| !excluded.contains(i)));
+        let na_eff = batch.aps.len();
         if na_eff < nb {
             let slave = excluded.iter().min().copied().unwrap_or(0);
             return Err(JmbError::SyncHeaderMissed { slave });
@@ -999,16 +991,18 @@ impl FastNet {
         // ZF over the measured channel restricted to the batch and the
         // effective AP set.
         let h_meas = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
-        let n_k = self.occupied.len();
-        let mut h_sub = vec![CMat::zeros(nb, na_eff); n_k];
-        for k_idx in 0..n_k {
+        batch
+            .h_sub
+            .resize_with(self.occupied.len(), || CMat::zeros(0, 0));
+        for (sub, full) in batch.h_sub.iter_mut().zip(h_meas) {
+            sub.reset(nb, na_eff);
             for (r, &j) in clients.iter().enumerate() {
-                for (c, &i) in eff_aps.iter().enumerate() {
-                    h_sub[k_idx][(r, c)] = h_meas[k_idx][(j, i)];
+                for (c, &i) in batch.aps.iter().enumerate() {
+                    sub[(r, c)] = full[(j, i)];
                 }
             }
         }
-        let precoder = Precoder::zero_forcing(&h_sub)?;
+        let precoder = Precoder::zero_forcing(&batch.h_sub)?;
         let floor = self.cfg.noise_var + self.ext_mean();
         let snrs_db: Vec<f64> = precoder
             .k_hats()
@@ -1018,13 +1012,7 @@ impl FastNet {
         let mcs = jmb_phy::esnr::select_mcs(&snrs_db).unwrap_or(Mcs::BASE);
         let airtime_s = crate::baseline::frame_airtime(&self.cfg.params, mcs, payload_bytes);
 
-        let batch = Batch {
-            clients,
-            aps: &eff_aps,
-            precoder: &precoder,
-            mute_streams: &[],
-        };
-        let (sinr_db, _) = self.probe_sinr(&batch, airtime_s, n_probes, apply_phase_sync);
+        let (sinr_db, _) = self.probe_sinr(&precoder, &[], airtime_s, n_probes, apply_phase_sync);
         let eff_snr_db: Vec<f64> = sinr_db
             .iter()
             .map(|s| jmb_phy::esnr::effective_snr_db_eesm(mcs, s))
@@ -1055,15 +1043,50 @@ pub struct SubsetOutcome {
     pub sinr_db: Vec<Vec<f64>>,
 }
 
-/// Who transmits what to whom in one joint transmission.
-struct Batch<'a> {
-    /// Batch clients, in stream order.
-    clients: &'a [usize],
-    /// Transmitting APs, in precoder-row order.
-    aps: &'a [usize],
-    precoder: &'a Precoder,
-    /// Streams carrying no data (the Fig. 8 nulling probe).
-    mute_streams: &'a [usize],
+/// The buffers [`FastNet`]'s measurement and probe kernels work in, owned by
+/// the network and grown by the first call of each shape, so a steady-state
+/// joint transmission allocates for its results and its sync exchange only.
+struct Scratch {
+    /// Who the joint transmission under way serves, in stream order, and
+    /// from which APs, in precoder-row order: filled by the caller of
+    /// [`FastNet::probe_sinr`].
+    clients: Vec<usize>,
+    aps: Vec<usize>,
+    /// The medium's ids for `aps` and `clients`.
+    tx_nodes: Vec<NodeId>,
+    rx_nodes: Vec<NodeId>,
+    /// Probe instants across one packet.
+    probes: Vec<f64>,
+    /// Signal and interference power summed over the probes,
+    /// `[stream · n_k + k_idx]`.
+    sig: Vec<f64>,
+    intf: Vec<f64>,
+    /// Channel rows of one instant, `[(rx · n_tx + tx) · n_k + k_idx]`
+    /// ([`SubcarrierMedium::channel_rows_into`]).
+    rows: Vec<Complex64>,
+    /// Effective channel and post-precoding gains of one subcarrier.
+    eff: CMat,
+    g: CMat,
+    /// The measured channel restricted to a batch, per subcarrier.
+    h_sub: Vec<CMat>,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch {
+            clients: Vec::new(),
+            aps: Vec::new(),
+            tx_nodes: Vec::new(),
+            rx_nodes: Vec::new(),
+            probes: Vec::new(),
+            sig: Vec::new(),
+            intf: Vec::new(),
+            rows: Vec::new(),
+            eff: CMat::zeros(0, 0),
+            g: CMat::zeros(0, 0),
+            h_sub: Vec::new(),
+        }
+    }
 }
 
 /// [`FastNet`]'s [`LeadObserver`]: an observation is one channel-row

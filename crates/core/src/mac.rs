@@ -287,18 +287,25 @@ impl JmbMac {
     /// padded to a common length (every stream must span the same number of
     /// OFDM symbols). Removes the selected packets from the queue.
     pub fn select_batch(&mut self) -> Vec<MacPacket> {
-        let mut batch: Vec<MacPacket> = Vec::new();
-        let mut kept: VecDeque<MacPacket> = VecDeque::new();
-        while let Some(p) = self.queue.pop_front() {
-            let dest_taken = batch.iter().any(|b| b.dest == p.dest);
-            let excluded = self.blacklisted[p.dest];
-            if !dest_taken && !excluded && batch.len() < self.cfg.max_streams {
-                batch.push(p);
-            } else {
-                kept.push_back(p);
+        // Scan from the head until the batch is full; everything not picked
+        // stays where it is, so a saturated queue is not rebuilt per batch.
+        let mut picked: Vec<usize> = Vec::with_capacity(self.cfg.max_streams.min(self.queue.len()));
+        for (at, p) in self.queue.iter().enumerate() {
+            if picked.len() == self.cfg.max_streams {
+                break;
+            }
+            let dest_taken = picked.iter().any(|&b| self.queue[b].dest == p.dest);
+            if !dest_taken && !self.blacklisted[p.dest] {
+                picked.push(at);
             }
         }
-        self.queue = kept;
+        // Back to front, so the indices still to come stay valid.
+        let mut batch: Vec<MacPacket> = picked
+            .iter()
+            .rev()
+            .filter_map(|&at| self.queue.remove(at))
+            .collect();
+        batch.reverse();
         // Pad payloads to a common length.
         if let Some(max_len) = batch.iter().map(|p| p.payload.len()).max() {
             for p in batch.iter_mut() {
@@ -408,6 +415,66 @@ mod tests {
         assert_eq!(dests, vec![0, 1, 2]);
         // The second packet to client 0 stays queued.
         assert_eq!(m.queue_len(), 1);
+    }
+
+    /// `select_batch` as it was: drain the whole queue into the batch or
+    /// into a rebuilt queue. The reference the in-place scan is held to.
+    fn select_batch_by_rebuild(m: &mut JmbMac) -> Vec<MacPacket> {
+        let mut batch: Vec<MacPacket> = Vec::new();
+        let mut kept: VecDeque<MacPacket> = VecDeque::new();
+        while let Some(p) = m.queue.pop_front() {
+            let dest_taken = batch.iter().any(|b| b.dest == p.dest);
+            let excluded = m.blacklisted[p.dest];
+            if !dest_taken && !excluded && batch.len() < m.cfg.max_streams {
+                batch.push(p);
+            } else {
+                kept.push_back(p);
+            }
+        }
+        m.queue = kept;
+        if let Some(max_len) = batch.iter().map(|p| p.payload.len()).max() {
+            for p in batch.iter_mut() {
+                p.payload.resize(max_len, 0);
+            }
+        }
+        batch
+    }
+
+    mod in_place_scan {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Same batches, same queue left behind, batch after batch:
+            /// mixed destinations, blacklisted clients, queues shorter and
+            /// longer than `max_streams`, and (one client) a queue that is
+            /// all one destination.
+            #[test]
+            fn matches_the_drain_and_rebuild_version(
+                n_clients in 1usize..6,
+                max_streams in 1usize..7,
+                dests in proptest::collection::vec((0usize..6, 1usize..40), 0..60),
+                blacklist in proptest::collection::vec(any::<bool>(), 6),
+            ) {
+                let cfg = MacConfig { max_streams, ..Default::default() };
+                let mut a = JmbMac::new(cfg, (0..n_clients).collect());
+                for (dest, len) in dests {
+                    a.enqueue(dest % n_clients, vec![dest as u8; len]);
+                }
+                a.blacklisted.copy_from_slice(&blacklist[..n_clients]);
+                let mut b = JmbMac::new(cfg, (0..n_clients).collect());
+                b.queue = a.queue.clone();
+                b.blacklisted = a.blacklisted.clone();
+                loop {
+                    let got = a.select_batch();
+                    prop_assert_eq!(&got, &select_batch_by_rebuild(&mut b));
+                    prop_assert_eq!(&a.queue, &b.queue);
+                    if got.is_empty() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,17 +36,12 @@ use jmb_phy::chanest::ChannelEstimate;
 pub const DEFAULT_CFO_ALPHA: f64 = 0.1;
 
 /// The phase correction a slave applies to one joint transmission.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PhaseCorrection {
-    /// Occupied subcarrier indices (ascending).
-    pub subcarriers: Vec<i32>,
-    /// Unit phasor per occupied subcarrier: multiply the slave's transmit
-    /// signal by this (it equals the fitted `e^{j(ω_lead−ω_slave)t}` with a
-    /// per-subcarrier slope for sampling-offset slip).
-    pub per_subcarrier: Vec<Complex64>,
-    /// Fitted common phase (radians).
+    /// Fitted common phase (radians) of `e^{j(ω_lead−ω_slave)t}`.
     pub common_phase: f64,
-    /// Fitted per-subcarrier phase slope (radians per subcarrier index).
+    /// Fitted per-subcarrier phase slope (radians per subcarrier index):
+    /// the sampling-offset slip.
     pub slope: f64,
     /// CFO (Hz) to use for within-packet tracking (EWMA if available,
     /// otherwise the instantaneous header estimate).
@@ -54,7 +49,8 @@ pub struct PhaseCorrection {
 }
 
 impl PhaseCorrection {
-    /// The correction phasor at a logical subcarrier.
+    /// The correction phasor at a logical subcarrier: the slave multiplies
+    /// its transmit signal by it.
     pub fn phasor_at(&self, subcarrier: i32) -> Complex64 {
         Complex64::cis(self.common_phase + self.slope * subcarrier as f64)
     }
@@ -97,6 +93,8 @@ impl PhaseCorrection {
 #[derive(Debug, Clone)]
 pub struct PhaseSync {
     reference: Option<ChannelEstimate>,
+    /// The reference's subcarrier indices as the phase fit wants them.
+    reference_ks: Vec<f64>,
     /// Long-term CFO average relative to the lead (Hz).
     cfo_ewma: Ewma,
     /// First-ever CFO estimate and its time — the *naive* extrapolator's
@@ -145,6 +143,7 @@ impl PhaseSync {
     pub fn with_alpha(alpha: f64) -> Self {
         PhaseSync {
             reference: None,
+            reference_ks: Vec::new(),
             cfo_ewma: Ewma::new(alpha),
             first_cfo: None,
             last_header: None,
@@ -159,6 +158,9 @@ impl PhaseSync {
     /// Stores the reference channel `h_lead(0)` measured during the channel
     /// measurement phase (§5.1c).
     pub fn set_reference(&mut self, est: ChannelEstimate) {
+        self.reference_ks.clear();
+        self.reference_ks
+            .extend(est.subcarriers.iter().map(|&k| k as f64));
         self.reference = Some(est);
     }
 
@@ -243,8 +245,17 @@ impl PhaseSync {
         if self.first_cfo.is_none() {
             self.first_cfo = Some((raw_cfo_hz, t));
         }
-        self.last_header = Some((est.gains.clone(), t));
+        self.remember_header(&est.gains, t);
         self.observations += 1;
+    }
+
+    /// Keeps `gains` as the last header heard, in the buffer the previous
+    /// one leaves behind.
+    fn remember_header(&mut self, gains: &[Complex64], t: f64) {
+        let (kept, heard_at) = self.last_header.get_or_insert_with(|| (Vec::new(), t));
+        kept.clear();
+        kept.extend_from_slice(gains);
+        *heard_at = t;
     }
 
     /// Seeds the CFO estimate with an external measurement of known
@@ -255,7 +266,7 @@ impl PhaseSync {
         self.refined_cfo = None;
         self.cfo_sigma = sigma_hz;
         self.last_update_t = t;
-        self.last_header = Some((est.gains.clone(), t));
+        self.remember_header(&est.gains, t);
         if self.first_cfo.is_none() {
             self.first_cfo = Some((cfo_hz, t));
         }
@@ -312,16 +323,8 @@ impl PhaseSync {
         if ratios.iter().map(|r| r.abs()).sum::<f64>() <= 0.0 {
             return Err(JmbError::Precoding(jmb_dsp::matrix::MatError::Singular));
         }
-        let ks: Vec<f64> = now.subcarriers.iter().map(|&k| k as f64).collect();
-        let (common, slope) = jmb_dsp::complex::fit_linear_phase(&ks, &ratios);
-        let per_subcarrier = now
-            .subcarriers
-            .iter()
-            .map(|&k| Complex64::cis(common + slope * k as f64))
-            .collect();
+        let (common, slope) = jmb_dsp::complex::fit_linear_phase(&self.reference_ks, &ratios);
         Ok(PhaseCorrection {
-            subcarriers: now.subcarriers.clone(),
-            per_subcarrier,
             common_phase: common,
             slope,
             cfo_hz: self.tracking_cfo().unwrap_or(0.0),
@@ -412,8 +415,11 @@ mod tests {
             c.common_phase
         );
         assert!(c.slope.abs() < 1e-12);
-        for (&k, phasor) in c.subcarriers.iter().zip(&c.per_subcarrier) {
-            assert!((*phasor - Complex64::cis(theta)).abs() < 1e-9, "k={k}");
+        for &k in &reference.subcarriers {
+            assert!(
+                (c.phasor_at(k) - Complex64::cis(theta)).abs() < 1e-9,
+                "k={k}"
+            );
         }
     }
 

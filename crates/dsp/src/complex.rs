@@ -351,28 +351,28 @@ pub fn wrap_phase(theta: f64) -> f64 {
 pub fn fit_linear_phase(ks: &[f64], phasors: &[Complex64]) -> (f64, f64) {
     assert_eq!(ks.len(), phasors.len(), "fit_linear_phase: length mismatch");
     assert!(!ks.is_empty(), "fit_linear_phase: empty input");
-    let weights: Vec<f64> = phasors.iter().map(|p| p.abs()).collect();
-    let wsum: f64 = weights.iter().sum();
-    if wsum <= 0.0 {
-        return (0.0, 0.0);
-    }
-    // Sequential unwrap along the ordered positions.
-    let mut phases = Vec::with_capacity(phasors.len());
+    // Per point: its weight and its phase, sequentially unwrapped along the
+    // ordered positions.
+    let mut points: Vec<(f64, f64)> = Vec::with_capacity(phasors.len());
     let mut prev_raw = phasors[0].arg();
     let mut prev = prev_raw;
-    phases.push(prev);
+    points.push((phasors[0].abs(), prev));
     for p in &phasors[1..] {
         let raw = p.arg();
         prev += wrap_phase(raw - prev_raw);
         prev_raw = raw;
-        phases.push(prev);
+        points.push((p.abs(), prev));
+    }
+    let wsum: f64 = points.iter().map(|&(w, _)| w).sum();
+    if wsum <= 0.0 {
+        return (0.0, 0.0);
     }
     // Weighted least squares.
-    let kbar = ks.iter().zip(&weights).map(|(k, w)| k * w).sum::<f64>() / wsum;
-    let pbar = phases.iter().zip(&weights).map(|(p, w)| p * w).sum::<f64>() / wsum;
+    let kbar = ks.iter().zip(&points).map(|(k, (w, _))| k * w).sum::<f64>() / wsum;
+    let pbar = points.iter().map(|(w, p)| p * w).sum::<f64>() / wsum;
     let mut num = 0.0;
     let mut den = 0.0;
-    for ((&k, &p), &w) in ks.iter().zip(&phases).zip(&weights) {
+    for (&k, &(w, p)) in ks.iter().zip(&points) {
         num += w * (k - kbar) * (p - pbar);
         den += w * (k - kbar) * (k - kbar);
     }

@@ -108,14 +108,28 @@ pub const MCS_EESM_BETA: [f64; 8] = [1.5, 2.5, 3.0, 5.0, 8.0, 14.0, 28.0, 36.0];
 /// and the CSI-weighted Viterbi metric nulls them — rather than as a flood
 /// of bit errors, and EESM models exactly that.
 pub fn effective_snr_db_eesm(mcs: Mcs, snrs_db: &[f64]) -> f64 {
+    eesm_db_each(snrs_db, &MCS_EESM_BETA[mcs.index()..=mcs.index()])[0]
+}
+
+/// The EESM effective SNR (dB) under each of `betas` (at most one per MCS),
+/// in their order; the slots past `betas.len()` are unused. Every
+/// subcarrier's dB value is converted to linear once and the same value
+/// goes into every β's sum — the `powf` is most of the cost — while each sum
+/// still adds its terms in subcarrier order.
+fn eesm_db_each(snrs_db: &[f64], betas: &[f64]) -> [f64; 8] {
     assert!(!snrs_db.is_empty(), "effective SNR of no subcarriers");
-    let beta = MCS_EESM_BETA[mcs.index()];
-    let mean = snrs_db
-        .iter()
-        .map(|&s| (-db_to_lin(s) / beta).exp())
-        .sum::<f64>()
-        / snrs_db.len() as f64;
-    lin_to_db((-beta * mean.ln()).max(1e-9))
+    let mut sums = [0.0f64; 8];
+    for &s in snrs_db {
+        let lin = db_to_lin(s);
+        for (sum, &beta) in sums.iter_mut().zip(betas) {
+            *sum += (-lin / beta).exp();
+        }
+    }
+    for (sum, &beta) in sums.iter_mut().zip(betas) {
+        let mean = *sum / snrs_db.len() as f64;
+        *sum = lin_to_db((-beta * mean.ln()).max(1e-9));
+    }
+    sums
 }
 
 /// Picks the fastest MCS whose threshold the EESM effective SNR clears.
@@ -124,10 +138,10 @@ pub fn effective_snr_db_eesm(mcs: Mcs, snrs_db: &[f64]) -> f64 {
 /// fades differently), as \[13\] prescribes. Returns `None` if even BPSK 1/2
 /// is below threshold (no usable rate → defer).
 pub fn select_mcs(snrs_db: &[f64]) -> Option<Mcs> {
+    let effs = eesm_db_each(snrs_db, &MCS_EESM_BETA);
     let mut best = None;
     for (i, mcs) in Mcs::ALL.iter().enumerate() {
-        let eff = effective_snr_db_eesm(*mcs, snrs_db);
-        if eff >= MCS_THRESHOLD_DB[i] {
+        if effs[i] >= MCS_THRESHOLD_DB[i] {
             best = Some(*mcs);
         }
     }
@@ -146,9 +160,10 @@ pub fn achievable_rate(params: &OfdmParams, snrs_db: &[f64]) -> f64 {
 /// This is what the experiment harness uses to turn a channel + noise state
 /// into delivered throughput without running the full PHY on every packet.
 pub fn expected_throughput(params: &OfdmParams, snrs_db: &[f64], n_bits: usize) -> f64 {
+    let effs = eesm_db_each(snrs_db, &MCS_EESM_BETA);
     let mut best = 0.0f64;
     for (i, mcs) in Mcs::ALL.iter().enumerate() {
-        let eff = effective_snr_db_eesm(*mcs, snrs_db);
+        let eff = effs[i];
         if eff < MCS_THRESHOLD_DB[i] {
             continue;
         }
@@ -270,6 +285,29 @@ mod tests {
             let rate = achievable_rate(&p, &snrs);
             assert!(rate >= prev_rate, "rate dropped at {snr_db} dB");
             prev_rate = rate;
+        }
+    }
+
+    #[test]
+    fn shared_linear_snrs_leave_every_eesm_bit_alone() {
+        // One dB→linear conversion per subcarrier feeds all eight sums; each
+        // must still be the per-MCS formula's value to the bit, on a
+        // selective channel with a dead subcarrier and a saturated one.
+        let snrs: Vec<f64> = (0..52)
+            .map(|k| 14.0 + 9.0 * (k as f64 * 0.7).sin() - if k == 9 { 40.0 } else { 0.0 })
+            .chain([55.0])
+            .collect();
+        let all = eesm_db_each(&snrs, &MCS_EESM_BETA);
+        for (i, mcs) in Mcs::ALL.iter().enumerate() {
+            let beta = MCS_EESM_BETA[i];
+            let mean = snrs
+                .iter()
+                .map(|&s| (-db_to_lin(s) / beta).exp())
+                .sum::<f64>()
+                / snrs.len() as f64;
+            let want = lin_to_db((-beta * mean.ln()).max(1e-9));
+            assert_eq!(all[i].to_bits(), want.to_bits(), "{mcs}");
+            assert_eq!(effective_snr_db_eesm(*mcs, &snrs).to_bits(), want.to_bits());
         }
     }
 

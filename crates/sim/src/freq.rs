@@ -38,74 +38,74 @@ struct Node {
     noise_var: f64,
 }
 
-/// Time-invariant channel snapshot from [`SubcarrierMedium::snapshot_static`]:
-/// the static frequency responses of a fixed tx/rx node set on a subcarrier
-/// list. Combine with [`InstantPhasors`] via [`Self::matrix_at`].
-pub struct StaticChannel {
-    txs: Vec<NodeId>,
-    rxs: Vec<NodeId>,
+/// An installed link and its cached static response.
+#[derive(Clone)]
+struct LinkSlot {
+    link: Link,
+    /// `link.freq_response_at(f_k)` — gain × fading × delay rotation, the
+    /// time-invariant part of the channel — for every subcarrier of the
+    /// medium's [`TapTable`] list. Current while `row_generation` equals the
+    /// table's; whatever can change the link zeroes it.
+    static_row: Vec<Complex64>,
+    row_generation: u64,
+}
+
+/// The tap rotations `e^{−j2π f_k τ_l}` of one subcarrier list on one tap
+/// grid: they depend on neither the link nor its fading draw, so every link
+/// on that grid sums its taps against the same table.
+struct TapTable {
     ks: Vec<i32>,
-    spacing: f64,
-    /// `resp[k_idx][(j, i)]` = static response of `rx_j ← tx_i`.
-    resp: Vec<CMat>,
+    /// `(n_taps, tap_spacing_s)` of the first link evaluated on this list; a
+    /// link on another grid evaluates its rotations directly.
+    grid: Option<(usize, f64)>,
+    /// `rotations[k_idx · n_taps + l]`.
+    rotations: Vec<Complex64>,
+    /// Bumped whenever `ks` changes, which outdates every static row at once.
+    generation: u64,
 }
 
-/// Per-instant oscillator state for a [`StaticChannel`]'s node sets, filled
-/// by [`SubcarrierMedium::instant_phasors`]. Reusable scratch: both vectors
-/// are cleared and refilled on each call.
-#[derive(Default)]
-pub struct InstantPhasors {
-    /// `e^{j(φ_tx−φ_rx)}` per (rx, tx) pair, rx-major.
-    pair_phasor: Vec<Complex64>,
-    /// Sample-clock slip `(ratio_tx − ratio_rx)·t` per (rx, tx) pair.
-    slip_s: Vec<f64>,
-}
+impl TapTable {
+    /// Makes `ks` the list the table (and every static row) is for.
+    fn rekey(&mut self, ks: &[i32]) {
+        if self.ks != ks {
+            self.ks.clear();
+            self.ks.extend_from_slice(ks);
+            self.grid = None;
+            self.generation += 1;
+        }
+    }
 
-impl StaticChannel {
-    /// The instantaneous channel matrix on subcarrier index `k_idx` at the
-    /// instant captured by `inst`, into a reused matrix. Produces exactly
-    /// `static_resp × e^{j(φ_tx−φ_rx)} × e^{j2πf_k·slip}` per entry — the
-    /// same product, in the same order, as [`SubcarrierMedium::channel_at`].
-    pub fn matrix_at(&self, inst: &InstantPhasors, k_idx: usize, out: &mut CMat) {
-        let n_tx = self.txs.len();
-        let n_rx = self.rxs.len();
-        let f_k = self.ks[k_idx] as f64 * self.spacing;
-        let resp = &self.resp[k_idx];
-        out.reset(n_rx, n_tx);
-        for j in 0..n_rx {
-            for i in 0..n_tx {
-                let p = j * n_tx + i;
-                let sfo_rot = Complex64::cis(2.0 * std::f64::consts::PI * f_k * inst.slip_s[p]);
-                out[(j, i)] = resp[(j, i)] * inst.pair_phasor[p] * sfo_rot;
+    /// The static row of `slot`'s link on the table's list, computed if the
+    /// slot does not hold a current one.
+    fn static_row<'a>(&mut self, slot: &'a mut LinkSlot, spacing: f64) -> &'a [Complex64] {
+        if slot.row_generation != self.generation {
+            let spec = *slot.link.fading.spec();
+            let grid = (spec.n_taps, spec.tap_spacing_s);
+            if self.grid.is_none() {
+                self.grid = Some(grid);
+                self.rotations.clear();
+                for &k in &self.ks {
+                    let f_k = k as f64 * spacing;
+                    self.rotations
+                        .extend((0..spec.n_taps).map(|l| spec.tap_rotation(l, f_k)));
+                }
             }
+            let on_grid = self.grid == Some(grid);
+            let link = &slot.link;
+            slot.static_row.clear();
+            slot.static_row
+                .extend(self.ks.iter().enumerate().map(|(k_idx, &k)| {
+                    let f_k = k as f64 * spacing;
+                    if on_grid {
+                        let taps = k_idx * spec.n_taps..(k_idx + 1) * spec.n_taps;
+                        link.freq_response_with(f_k, &self.rotations[taps])
+                    } else {
+                        link.freq_response_at(f_k)
+                    }
+                }));
+            slot.row_generation = self.generation;
         }
-    }
-
-    /// One (tx, rx) pair's channel on every snapshotted subcarrier at the
-    /// instant captured by `inst`, into a reused buffer — the row-shaped
-    /// sibling of [`Self::matrix_at`], same per-entry arithmetic as
-    /// [`SubcarrierMedium::channel_row_into`].
-    pub fn row_at(
-        &self,
-        inst: &InstantPhasors,
-        tx_idx: usize,
-        rx_idx: usize,
-        out: &mut Vec<Complex64>,
-    ) {
-        let p = rx_idx * self.txs.len() + tx_idx;
-        let pair = inst.pair_phasor[p];
-        let slip_s = inst.slip_s[p];
-        out.clear();
-        for (k_idx, &k) in self.ks.iter().enumerate() {
-            let f_k = k as f64 * self.spacing;
-            let sfo_rot = Complex64::cis(2.0 * std::f64::consts::PI * f_k * slip_s);
-            out.push(self.resp[k_idx][(rx_idx, tx_idx)] * pair * sfo_rot);
-        }
-    }
-
-    /// Number of subcarriers in the snapshot.
-    pub fn n_subcarriers(&self) -> usize {
-        self.ks.len()
+        &slot.static_row
     }
 }
 
@@ -114,7 +114,11 @@ pub struct SubcarrierMedium {
     params: OfdmParams,
     nodes: Vec<Node>,
     /// `links[tx][rx]`.
-    links: Vec<Vec<Option<Link>>>,
+    links: Vec<Vec<Option<LinkSlot>>>,
+    table: TapTable,
+    /// `(phase, sample ratio)` of the nodes of one [`Self::channel_rows_into`]
+    /// call, transmitters first.
+    osc: Vec<(f64, f64)>,
     rng: JmbRng,
 }
 
@@ -125,6 +129,13 @@ impl SubcarrierMedium {
             params,
             nodes: Vec::new(),
             links: Vec::new(),
+            table: TapTable {
+                ks: Vec::new(),
+                grid: None,
+                rotations: Vec::new(),
+                generation: 1,
+            },
+            osc: Vec::new(),
             rng: jmb_dsp::rng::rng_from_seed(seed),
         }
     }
@@ -147,17 +158,25 @@ impl SubcarrierMedium {
 
     /// Installs the directional link `tx → rx`.
     pub fn set_link(&mut self, tx: NodeId, rx: NodeId, link: Link) {
-        self.links[tx.0][rx.0] = Some(link);
+        self.links[tx.0][rx.0] = Some(LinkSlot {
+            link,
+            static_row: Vec::new(),
+            row_generation: 0,
+        });
     }
 
-    /// Mutable link access (for fading evolution).
+    /// Mutable link access (for fading evolution and calibration). Drops the
+    /// link's cached static row: the caller may change anything.
     pub fn link_mut(&mut self, tx: NodeId, rx: NodeId) -> Option<&mut Link> {
-        self.links[tx.0][rx.0].as_mut()
+        self.links[tx.0][rx.0].as_mut().map(|slot| {
+            slot.row_generation = 0;
+            &mut slot.link
+        })
     }
 
     /// Shared link access.
     pub fn link(&self, tx: NodeId, rx: NodeId) -> Option<&Link> {
-        self.links[tx.0][rx.0].as_ref()
+        self.links[tx.0][rx.0].as_ref().map(|slot| &slot.link)
     }
 
     /// Mutable oscillator access.
@@ -175,11 +194,11 @@ impl SubcarrierMedium {
     /// oscillators' relative phasor. SFO contributes a time-growing
     /// per-subcarrier ramp.
     pub fn channel_at(&mut self, tx: NodeId, rx: NodeId, subcarrier: i32, t: f64) -> Complex64 {
-        let Some(link) = self.links[tx.0][rx.0].as_ref() else {
+        let Some(slot) = self.links[tx.0][rx.0].as_ref() else {
             return Complex64::ZERO;
         };
         let f_k = subcarrier as f64 * self.params.subcarrier_spacing();
-        let static_resp = link.freq_response_at(f_k);
+        let static_resp = slot.link.freq_response_at(f_k);
         let tx_phase = self.nodes[tx.0].traj.phase_at(t);
         let rx_phase = self.nodes[rx.0].traj.phase_at(t);
         // Sampling-offset-induced timing drift: the two sample clocks slip
@@ -209,8 +228,7 @@ impl SubcarrierMedium {
 
     /// Allocation-free variant of [`Self::channel_matrix`]: fills `out`
     /// (reshaped to `rxs.len() × txs.len()`, reusing its storage) instead of
-    /// returning a fresh matrix. This is the form the per-subcarrier hot
-    /// loops use so no matrix is allocated per (subcarrier, probe) pair.
+    /// returning a fresh matrix.
     pub fn channel_matrix_into(
         &mut self,
         txs: &[NodeId],
@@ -227,11 +245,25 @@ impl SubcarrierMedium {
         }
     }
 
+    /// The static response of the link `tx → rx` — large-scale gain ×
+    /// fading × delay rotation, everything of [`Self::channel_at`] that no
+    /// oscillator touches — on every subcarrier of `ks`; `None` without a
+    /// link. The multipath tap sum is the expensive term of a channel
+    /// evaluation and changes only when the link does, so the medium keeps
+    /// one such row per link — dropped by [`Self::set_link`],
+    /// [`Self::link_mut`] and [`Self::evolve_fading`], recomputed here on
+    /// the next use — and sums its taps against one table of rotations
+    /// shared by every link on the same tap grid. Rows and table are for one
+    /// subcarrier list at a time: asking with another list starts them over.
+    pub fn static_row(&mut self, tx: NodeId, rx: NodeId, ks: &[i32]) -> Option<&[Complex64]> {
+        self.table.rekey(ks);
+        let spacing = self.params.subcarrier_spacing();
+        let slot = self.links[tx.0][rx.0].as_mut()?;
+        Some(self.table.static_row(slot, spacing))
+    }
+
     /// One link's channel on every subcarrier of `ks` at a single instant,
-    /// into a reused buffer. Identical arithmetic to [`Self::channel_at`]
-    /// per entry, but the oscillator phases, the pair phasor, and the clock
-    /// slip — which do not depend on the subcarrier — are computed once
-    /// instead of `ks.len()` times.
+    /// into a reused buffer: [`Self::channel_rows_into`] for one pair.
     pub fn channel_row_into(
         &mut self,
         tx: NodeId,
@@ -240,90 +272,51 @@ impl SubcarrierMedium {
         t: f64,
         out: &mut Vec<Complex64>,
     ) {
+        self.channel_rows_into(&[tx], &[rx], ks, t, out);
+    }
+
+    /// The channels of every `(rx, tx)` pair on every subcarrier of `ks` at
+    /// a single instant, into a reused flat buffer: the entry for `rxs[j]`,
+    /// `txs[i]`, `ks[k_idx]` is `out[(j · txs.len() + i) · ks.len() + k_idx]`
+    /// (zero where there is no link). Identical arithmetic to
+    /// [`Self::channel_at`] per entry — static response × pair phasor × SFO
+    /// rotation, in that order — but the static response comes from the
+    /// link's cached row ([`Self::static_row`]), each node's oscillator is
+    /// read once, and each pair's phasor and clock slip once instead of
+    /// `ks.len()` times.
+    pub fn channel_rows_into(
+        &mut self,
+        txs: &[NodeId],
+        rxs: &[NodeId],
+        ks: &[i32],
+        t: f64,
+        out: &mut Vec<Complex64>,
+    ) {
         out.clear();
-        let Some(link) = self.links[tx.0][rx.0].as_ref() else {
-            out.resize(ks.len(), Complex64::ZERO);
-            return;
-        };
-        let tx_phase = self.nodes[tx.0].traj.phase_at(t);
-        let rx_phase = self.nodes[rx.0].traj.phase_at(t);
-        let pair = Complex64::cis(tx_phase - rx_phase);
-        let slip_s =
-            (self.nodes[tx.0].traj.sample_ratio() - self.nodes[rx.0].traj.sample_ratio()) * t;
-        let spacing = self.params.subcarrier_spacing();
-        for &k in ks {
-            let f_k = k as f64 * spacing;
-            let static_resp = link.freq_response_at(f_k);
-            let sfo_rot = Complex64::cis(2.0 * std::f64::consts::PI * f_k * slip_s);
-            out.push(static_resp * pair * sfo_rot);
+        self.table.rekey(ks);
+        self.osc.clear();
+        for &n in txs.iter().chain(rxs) {
+            let traj = &mut self.nodes[n.0].traj;
+            self.osc.push((traj.phase_at(t), traj.sample_ratio()));
         }
-    }
-
-    /// Snapshots the *static* part of the channels between a fixed
-    /// transmitter and receiver set on a subcarrier list: link gain ×
-    /// fading response × delay rotation, per (rx, tx, subcarrier). The
-    /// multipath tap sum is the expensive term of [`Self::channel_at`] and
-    /// is time-invariant between fading evolutions, so packet-length hot
-    /// loops build this once and then pay only the oscillator phasors per
-    /// probe instant (see [`InstantPhasors`] and [`StaticChannel::matrix_at`]).
-    ///
-    /// The snapshot is stale once any involved link evolves; rebuild it.
-    pub fn snapshot_static(&self, txs: &[NodeId], rxs: &[NodeId], ks: &[i32]) -> StaticChannel {
+        let (tx_osc, rx_osc) = self.osc.split_at(txs.len());
         let spacing = self.params.subcarrier_spacing();
-        let resp = ks
-            .iter()
-            .map(|&k| {
-                let f_k = k as f64 * spacing;
-                let mut m = CMat::zeros(rxs.len(), txs.len());
-                for (j, &rx) in rxs.iter().enumerate() {
-                    for (i, &tx) in txs.iter().enumerate() {
-                        if let Some(link) = self.links[tx.0][rx.0].as_ref() {
-                            m[(j, i)] = link.freq_response_at(f_k);
-                        }
-                    }
+        for (&rx, &(rx_phase, rx_ratio)) in rxs.iter().zip(rx_osc) {
+            for (&tx, &(tx_phase, tx_ratio)) in txs.iter().zip(tx_osc) {
+                let Some(slot) = self.links[tx.0][rx.0].as_mut() else {
+                    out.resize(out.len() + ks.len(), Complex64::ZERO);
+                    continue;
+                };
+                let static_row = self.table.static_row(slot, spacing);
+                let pair = Complex64::cis(tx_phase - rx_phase);
+                let slip_s = (tx_ratio - rx_ratio) * t;
+                for (&k, &static_resp) in ks.iter().zip(static_row) {
+                    let f_k = k as f64 * spacing;
+                    let sfo_rot = Complex64::cis(2.0 * std::f64::consts::PI * f_k * slip_s);
+                    out.push(static_resp * pair * sfo_rot);
                 }
-                m
-            })
-            .collect();
-        StaticChannel {
-            txs: txs.to_vec(),
-            rxs: rxs.to_vec(),
-            ks: ks.to_vec(),
-            spacing,
-            resp,
-        }
-    }
-
-    /// Evaluates the oscillator state of `snap`'s node sets at instant `t`:
-    /// pair phasors `e^{j(φ_tx−φ_rx)}` and per-pair sample-clock slips,
-    /// once per instant instead of once per (pair, subcarrier).
-    pub fn instant_phasors(&mut self, snap: &StaticChannel, t: f64, out: &mut InstantPhasors) {
-        let n_tx = snap.txs.len();
-        let tx_state: Vec<(f64, f64)> = snap
-            .txs
-            .iter()
-            .map(|&n| {
-                let traj = &mut self.nodes[n.0].traj;
-                (traj.phase_at(t), traj.sample_ratio())
-            })
-            .collect();
-        let rx_state: Vec<(f64, f64)> = snap
-            .rxs
-            .iter()
-            .map(|&n| {
-                let traj = &mut self.nodes[n.0].traj;
-                (traj.phase_at(t), traj.sample_ratio())
-            })
-            .collect();
-        out.pair_phasor.clear();
-        out.slip_s.clear();
-        for &(rx_phase, rx_ratio) in &rx_state {
-            for &(tx_phase, tx_ratio) in &tx_state {
-                out.pair_phasor.push(Complex64::cis(tx_phase - rx_phase));
-                out.slip_s.push((tx_ratio - rx_ratio) * t);
             }
         }
-        debug_assert_eq!(out.pair_phasor.len(), n_tx * snap.rxs.len());
     }
 
     /// Transports one OFDM symbol: each transmitter radiates its 64-bin
@@ -383,8 +376,9 @@ impl SubcarrierMedium {
         // noise stream (keeps experiments comparable across configurations).
         let mut rng = jmb_dsp::rng::derive_rng(self.rng.gen_seed(), 0xFAD);
         for row in self.links.iter_mut() {
-            for l in row.iter_mut().flatten() {
-                l.evolve(dt, &mut rng);
+            for slot in row.iter_mut().flatten() {
+                slot.link.evolve(dt, &mut rng);
+                slot.row_generation = 0;
             }
         }
     }
@@ -560,12 +554,20 @@ mod tests {
         }
     }
 
+    fn faded_link(spec: jmb_channel::MultipathSpec, rng: &mut JmbRng) -> Link {
+        Link::new(
+            Complex64::from_polar(0.8, 0.3),
+            25e-9,
+            jmb_channel::Multipath::new(spec, rng),
+        )
+    }
+
     #[test]
-    fn snapshot_paths_match_channel_at_exactly() {
-        // The hoisted fast paths (snapshot_static + instant_phasors →
-        // matrix_at / row_at, and channel_row_into) must produce
-        // bit-identical values to per-entry channel_at: same operands,
-        // same multiplication order.
+    fn row_paths_match_channel_at_exactly() {
+        // The hoisted paths (`channel_rows_into`, `channel_row_into`, and
+        // the cached `static_row` under both) must produce bit-identical
+        // values to per-entry channel_at: same operands, same
+        // multiplication order.
         let mut m = medium(21);
         let mut rng = jmb_dsp::rng::rng_from_seed(5);
         let txs: Vec<NodeId> = (0..3)
@@ -576,52 +578,145 @@ mod tests {
             .collect();
         for &tx in &txs {
             for &rx in &rxs {
-                let link = Link::new(
-                    Complex64::from_polar(0.8, 0.3),
-                    25e-9,
-                    jmb_channel::Multipath::new(
-                        jmb_channel::MultipathSpec::indoor_nlos(),
-                        &mut rng,
-                    ),
-                );
+                let link = faded_link(jmb_channel::MultipathSpec::indoor_nlos(), &mut rng);
                 m.set_link(tx, rx, link);
             }
         }
         let ks = [-26, -3, 1, 17, 26];
-        let snap = m.snapshot_static(&txs, &rxs, &ks);
-        let mut inst = InstantPhasors::default();
-        let mut got = CMat::zeros(1, 1);
+        let mut rows = Vec::new();
         let mut row = Vec::new();
         for t in [0.0, 1.3e-3, 7.7e-3] {
-            m.instant_phasors(&snap, t, &mut inst);
-            for (k_idx, &k) in ks.iter().enumerate() {
-                snap.matrix_at(&inst, k_idx, &mut got);
-                for (j, &rx) in rxs.iter().enumerate() {
-                    for (i, &tx) in txs.iter().enumerate() {
-                        let want = m.channel_at(tx, rx, k, t);
-                        assert_eq!(got[(j, i)], want, "matrix_at k={k} t={t}");
-                        snap.row_at(&inst, i, j, &mut row);
-                        assert_eq!(row[k_idx], want, "row_at k={k} t={t}");
-                    }
-                }
-            }
+            m.channel_rows_into(&txs, &rxs, &ks, t, &mut rows);
+            assert_eq!(rows.len(), rxs.len() * txs.len() * ks.len());
             for (j, &rx) in rxs.iter().enumerate() {
                 for (i, &tx) in txs.iter().enumerate() {
                     m.channel_row_into(tx, rx, &ks, t, &mut row);
                     for (k_idx, &k) in ks.iter().enumerate() {
-                        assert_eq!(
-                            row[k_idx],
-                            m.channel_at(tx, rx, k, t),
-                            "channel_row_into tx={i} rx={j} k={k}"
-                        );
+                        let want = m.channel_at(tx, rx, k, t);
+                        let flat = (j * txs.len() + i) * ks.len() + k_idx;
+                        assert_eq!(rows[flat], want, "rows tx={i} rx={j} k={k} t={t}");
+                        assert_eq!(row[k_idx], want, "row tx={i} rx={j} k={k} t={t}");
                     }
                 }
             }
         }
-        // Missing links are zero in every path.
+        // Missing links are zero in every path, and have no static row.
         let lonely = clean_node(&mut m);
         m.channel_row_into(lonely, rxs[0], &ks, 0.0, &mut row);
         assert!(row.iter().all(|&h| h == Complex64::ZERO));
+        m.channel_rows_into(&[txs[0], lonely], &rxs[..1], &ks, 1e-3, &mut rows);
+        assert_eq!(rows[0], m.channel_at(txs[0], rxs[0], ks[0], 1e-3));
+        assert!(rows[ks.len()..].iter().all(|&h| h == Complex64::ZERO));
+        assert!(m.static_row(lonely, rxs[0], &ks).is_none());
+    }
+
+    #[test]
+    fn tap_table_sums_equal_direct_sums_bit_for_bit() {
+        use jmb_channel::MultipathSpec;
+        let mut rng = jmb_dsp::rng::rng_from_seed(9);
+        let ks = medium(0).params().occupied_subcarriers();
+        let spacing = medium(0).params().subcarrier_spacing();
+        let other_grid = MultipathSpec {
+            n_taps: 4,
+            tap_spacing_s: 35e-9,
+            ..MultipathSpec::indoor_nlos()
+        };
+        // Each profile keys the table in a medium of its own; `flat()` has
+        // tap spacing 0, so every rotation is `cis(-0.0)`.
+        for spec in [
+            MultipathSpec::indoor_los(),
+            MultipathSpec::indoor_nlos(),
+            MultipathSpec::flat(),
+        ] {
+            let mut m = medium(1);
+            let nodes: Vec<NodeId> = (0..3).map(|_| clean_node(&mut m)).collect();
+            let on_table = faded_link(spec, &mut rng);
+            // A second draw of the profile shares the table; a link on
+            // another tap grid, evaluated after it, must bypass it.
+            let sibling = faded_link(spec, &mut rng);
+            let off_table = faded_link(other_grid, &mut rng);
+            m.set_link(nodes[0], nodes[1], on_table.clone());
+            m.set_link(nodes[1], nodes[2], sibling.clone());
+            m.set_link(nodes[0], nodes[2], off_table.clone());
+            for (tx, rx, link) in [
+                (nodes[0], nodes[1], &on_table),
+                (nodes[1], nodes[2], &sibling),
+                (nodes[0], nodes[2], &off_table),
+            ] {
+                let row = m.static_row(tx, rx, &ks).unwrap().to_vec();
+                assert_eq!(row.len(), ks.len());
+                for (&k, &got) in ks.iter().zip(&row) {
+                    let want = link.freq_response_at(k as f64 * spacing);
+                    assert_eq!(got, want, "{spec:?} k={k}");
+                }
+            }
+        }
+    }
+
+    /// Something a test does to the links of the medium it is handed.
+    type Change<'a> = &'a dyn Fn(&mut SubcarrierMedium, NodeId, NodeId);
+
+    #[test]
+    fn static_rows_follow_their_links() {
+        // A row cached before a link changed must not outlive the change:
+        // after each of the three ways a link can change, the medium that
+        // already served rows answers like one built that way from scratch.
+        let ks = medium(0).params().occupied_subcarriers();
+        let build = |warm: bool, change: Change| {
+            let mut m = medium(31);
+            let mut rng = jmb_dsp::rng::rng_from_seed(17);
+            let a = m.add_node(PhaseTrajectory::fixed(FC, 700.0), 0.0);
+            let b = m.add_node(PhaseTrajectory::fixed(FC, -90.0), 0.0);
+            let spec = jmb_channel::MultipathSpec::indoor_nlos();
+            m.set_link(a, b, faded_link(spec, &mut rng));
+            m.set_link(b, a, faded_link(spec, &mut rng));
+            let mut row = Vec::new();
+            if warm {
+                m.channel_row_into(a, b, &ks, 1e-3, &mut row);
+                m.channel_row_into(b, a, &ks, 1e-3, &mut row);
+            }
+            change(&mut m, a, b);
+            let mut back = Vec::new();
+            m.channel_row_into(a, b, &ks, 2e-3, &mut row);
+            m.channel_row_into(b, a, &ks, 2e-3, &mut back);
+            (row, back)
+        };
+        let replacement = faded_link(
+            jmb_channel::MultipathSpec::indoor_los(),
+            &mut jmb_dsp::rng::rng_from_seed(18),
+        );
+        let changes: [(&str, Change); 3] = [
+            ("evolve_fading", &|m, _, _| m.evolve_fading(0.2)),
+            ("link_mut", &|m, a, b| {
+                let link = m.link_mut(a, b).unwrap();
+                link.gain = link.gain * 0.5;
+            }),
+            ("set_link", &|m, a, b| m.set_link(a, b, replacement.clone())),
+        ];
+        let unchanged = build(true, &|_, _, _| {});
+        for (what, change) in changes {
+            let warm = build(true, change);
+            assert_eq!(warm, build(false, change), "{what}");
+            assert_ne!(warm.0, unchanged.0, "{what} changed nothing");
+        }
+        // Asking on another subcarrier list starts the rows over too.
+        let mut m = medium(32);
+        let a = clean_node(&mut m);
+        let b = clean_node(&mut m);
+        let mut rng = jmb_dsp::rng::rng_from_seed(19);
+        m.set_link(
+            a,
+            b,
+            faded_link(jmb_channel::MultipathSpec::indoor_nlos(), &mut rng),
+        );
+        let mut row = Vec::new();
+        m.channel_row_into(a, b, &ks, 0.0, &mut row);
+        for other in [&[-7, 9][..], &ks[..]] {
+            m.channel_row_into(a, b, other, 0.0, &mut row);
+            for (&k, &got) in other.iter().zip(&row) {
+                assert_eq!(got, m.channel_at(a, b, k, 0.0), "k={k}");
+            }
+        }
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub mod medium;
 pub use fault::{
     ControlFaults, FaultConfig, FaultConfigBuilder, FaultError, FaultSchedule, FaultWindow,
 };
-pub use freq::{InstantPhasors, StaticChannel, SubcarrierMedium};
+pub use freq::SubcarrierMedium;
 pub use medium::{Medium, NodeId, Transmission};
