@@ -24,15 +24,17 @@
 //! device share a crystal) and 2-antenna clients, reproducing the paper's
 //! "combine two 2×2 MIMO systems into a 4×4 MIMO system" testbed (§10b).
 
+use crate::control::ControlPlane;
 use crate::error::JmbError;
-use crate::phasesync::PhaseSync;
+use crate::fastnet::{FastObserver, ProbeFrame, Scratch};
 use crate::precoder::Precoder;
+use crate::sync::{strategy_for, SyncStrategy, SyncStrategyId};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
-use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
+use jmb_dsp::rng::{complex_gaussian, JmbRng};
 use jmb_dsp::{CMat, Complex64};
-use jmb_phy::chanest::ChannelEstimate;
+use jmb_obs::Trace;
 use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{NodeId, SubcarrierMedium};
@@ -92,21 +94,29 @@ impl CompatConfig {
     }
 }
 
-/// The compat-mode network.
+/// The compat-mode network: what §6 adds — antenna pairs on one crystal,
+/// the stitched sounding and the 802.11n baseline — on the fast fidelity's
+/// shared sync exchange ([`ControlPlane::sync_batch`]) and probe kernel
+/// ([`Scratch::probe_sinr`]).
 pub struct CompatNet {
     cfg: CompatConfig,
     medium: SubcarrierMedium,
-    /// `ap_ants[a][i]` = medium node of AP `a`'s antenna `i`.
-    ap_ants: Vec<[NodeId; ANTS]>,
-    /// `client_ants[c][i]`.
-    client_ants: Vec<[NodeId; ANTS]>,
-    /// Per-slave-AP phase sync (lead is AP 0).
-    sync: Vec<PhaseSync>,
+    /// Every AP antenna in precoder-column order (AP 0 ant 0, AP 0 ant 1,
+    /// …) and every client antenna in stream order; antenna `i` of device
+    /// `d` is entry `d · ANTS + i`.
+    txs: Vec<NodeId>,
+    rxs: Vec<NodeId>,
+    /// Each AP's first antenna: where the lead (AP 0) radiates the sounding
+    /// reference and the legacy preamble, and where a slave listens to it.
+    listen: Vec<NodeId>,
+    strategy: Box<dyn SyncStrategy>,
+    control: ControlPlane,
     /// Stitched channel at t₀: rows = client antennas, cols = AP antennas.
     h_meas: Option<Vec<CMat>>,
-    occupied: Vec<i32>,
     now: f64,
     rng: JmbRng,
+    scratch: Scratch,
+    trace: Trace,
 }
 
 impl CompatNet {
@@ -122,51 +132,52 @@ impl CompatNet {
         if cfg.client_snr_db.len() != cfg.n_clients {
             return Err(JmbError::BadConfig("client_snr_db length mismatch"));
         }
-        if cfg.n_aps * ANTS < cfg.n_clients * ANTS {
+        if cfg.n_aps < cfg.n_clients {
             return Err(JmbError::BadConfig("not enough AP antennas"));
         }
         let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
         let mut medium = SubcarrierMedium::new(cfg.params.clone(), rng.gen());
         let carrier = cfg.params.carrier_freq;
 
-        let mut ap_ants = Vec::with_capacity(cfg.n_aps);
-        for _ in 0..cfg.n_aps {
-            let traj = PhaseTrajectory::new(cfg.osc_spec, carrier, &mut rng);
-            let a0 = medium.add_node(traj.clone(), cfg.noise_var);
-            let a1 = medium.add_node(traj, cfg.noise_var);
-            ap_ants.push([a0, a1]);
-        }
-        let mut client_ants = Vec::with_capacity(cfg.n_clients);
-        for _ in 0..cfg.n_clients {
-            let traj = PhaseTrajectory::new(cfg.client_osc_spec, carrier, &mut rng);
-            let c0 = medium.add_node(traj.clone(), cfg.noise_var);
-            let c1 = medium.add_node(traj, cfg.noise_var);
-            client_ants.push([c0, c1]);
-        }
+        let mut antennas = |n_devices: usize, spec: OscillatorSpec| {
+            let mut nodes = Vec::with_capacity(n_devices * ANTS);
+            for _ in 0..n_devices {
+                let traj = PhaseTrajectory::new(spec, carrier, &mut rng);
+                nodes.push(medium.add_node(traj.clone(), cfg.noise_var));
+                nodes.push(medium.add_node(traj, cfg.noise_var));
+            }
+            nodes
+        };
+        let txs = antennas(cfg.n_aps, cfg.osc_spec);
+        let rxs = antennas(cfg.n_clients, cfg.client_osc_spec);
 
         // Links: AP antenna → everything. Antennas of one device get
         // independent fading (half-wavelength separation) but identical
         // large-scale SNR targets.
-        for a in 0..cfg.n_aps {
-            for b in 0..cfg.n_aps {
+        let link = |rng: &mut JmbRng, spec: MultipathSpec, max_delay_s: f64, snr_db: f64| {
+            let mut link = Link::new(
+                Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(rng)),
+                rng.gen::<f64>() * max_delay_s,
+                Multipath::new(spec, rng),
+            );
+            link.calibrate_snr(snr_db, cfg.noise_var);
+            link
+        };
+        for (a, from) in txs.chunks_exact(ANTS).enumerate() {
+            for (b, to) in txs.chunks_exact(ANTS).enumerate() {
                 if a == b {
                     continue;
                 }
-                for &tx in &ap_ants[a] {
-                    for &rx in &ap_ants[b] {
-                        let mut link = Link::new(
-                            Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
-                            rng.gen::<f64>() * 30e-9,
-                            Multipath::new(MultipathSpec::indoor_los(), &mut rng),
-                        );
-                        link.calibrate_snr(cfg.ap_ap_snr_db, cfg.noise_var);
-                        medium.set_link(tx, rx, link);
+                for &tx in from {
+                    for &rx in to {
+                        let los = MultipathSpec::indoor_los();
+                        medium.set_link(tx, rx, link(&mut rng, los, 30e-9, cfg.ap_ap_snr_db));
                     }
                 }
             }
         }
-        for (c, ants) in client_ants.iter().enumerate() {
-            for (a, ap) in ap_ants.iter().enumerate() {
+        for (c, ants) in rxs.chunks_exact(ANTS).enumerate() {
+            for (a, ap) in txs.chunks_exact(ANTS).enumerate() {
                 let snr = if a == c {
                     cfg.client_snr_db[c] // "its" AP is strongest
                 } else {
@@ -174,30 +185,31 @@ impl CompatNet {
                 };
                 for &tx in ap {
                     for &rx in ants {
-                        let mut link = Link::new(
-                            Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
-                            rng.gen::<f64>() * 60e-9,
-                            Multipath::new(MultipathSpec::indoor_nlos(), &mut rng),
-                        );
-                        link.calibrate_snr(snr, cfg.noise_var);
-                        medium.set_link(tx, rx, link);
+                        let nlos = MultipathSpec::indoor_nlos();
+                        medium.set_link(tx, rx, link(&mut rng, nlos, 60e-9, snr));
                     }
                 }
             }
         }
 
-        let sync = (1..cfg.n_aps).map(|_| PhaseSync::new()).collect();
-        let occupied = cfg.params.occupied_subcarriers();
+        // Every joint transmission is the whole array to every client.
+        let mut scratch = Scratch::default();
+        scratch.devices.extend((0..txs.len()).map(|i| i / ANTS));
+        scratch.tx_nodes.clone_from(&txs);
+        scratch.rx_nodes.clone_from(&rxs);
         Ok(CompatNet {
+            listen: txs.iter().copied().step_by(ANTS).collect(),
+            strategy: strategy_for(SyncStrategyId::default(), cfg.n_aps),
+            control: ControlPlane::new(cfg.seed, cfg.n_aps),
             cfg,
             medium,
-            ap_ants,
-            client_ants,
-            sync,
+            txs,
+            rxs,
             h_meas: None,
-            occupied,
             now: 1e-4,
             rng,
+            scratch,
+            trace: Trace::new(),
         })
     }
 
@@ -212,19 +224,23 @@ impl CompatNet {
         self.now += dt;
     }
 
-    /// All AP antenna nodes in column order (AP 0 ant 0, AP 0 ant 1, …).
-    fn tx_nodes(&self) -> Vec<NodeId> {
-        self.ap_ants.iter().flatten().copied().collect()
-    }
-
-    /// All client antenna nodes in row order.
-    fn rx_nodes(&self) -> Vec<NodeId> {
-        self.client_ants.iter().flatten().copied().collect()
-    }
-
-    fn noisy_channel(&mut self, tx: NodeId, rx: NodeId, k: i32, t: f64, n_avg: usize) -> Complex64 {
-        let var = self.cfg.noise_var / n_avg as f64;
+    fn noisy_channel(&mut self, tx: NodeId, rx: NodeId, k: i32, t: f64) -> Complex64 {
+        let var = self.cfg.noise_var / self.cfg.sounding_avg as f64;
         self.medium.channel_at(tx, rx, k, t) + complex_gaussian(&mut self.rng, var)
+    }
+
+    /// The slaves' view of the lead — each AP's first antenna, on the
+    /// legacy symbols at header quality (two LTF repetitions averaged) —
+    /// beside the sync backend and the control plane it feeds.
+    fn observer(&mut self) -> (FastObserver<'_>, &mut dyn SyncStrategy, &mut ControlPlane) {
+        let obs = FastObserver {
+            medium: &mut self.medium,
+            rng: &mut self.rng,
+            aps: &self.listen,
+            header_noise_var: self.cfg.noise_var / 2.0,
+            trace: &mut self.trace,
+        };
+        (obs, &mut *self.strategy, &mut self.control)
     }
 
     /// The §6.2 stitched channel measurement.
@@ -237,63 +253,53 @@ impl CompatNet {
     pub fn run_stitched_measurement(&mut self) -> Result<(), JmbError> {
         let t0 = self.now;
         let gap = self.cfg.sounding_gap_s;
-        let avg = self.cfg.sounding_avg;
-        let txs = self.tx_nodes();
-        let rxs = self.rx_nodes();
-        let l1 = txs[0];
-        let n_tx = txs.len();
-        let n_rx = rxs.len();
-        let n_k = self.occupied.len();
+        let l1 = self.txs[0];
+        let n_tx = self.txs.len();
+        let occupied = self.medium.occupied().to_vec();
+        let ks: Vec<f64> = occupied.iter().map(|&k| k as f64).collect();
 
-        // Sounding schedule: antenna index 1.. measured at sounding s =
-        // its position in the non-reference list; L1 measured at t0.
-        let mut h = vec![CMat::zeros(n_rx, n_tx); n_k];
-
-        // Per-receiver reference-channel observations of L1 at every
-        // sounding time (for Δφ(L1→R)). The accumulated rotation is a
-        // common phase plus a small sampling-offset slope across the band,
-        // so the per-subcarrier raw ratios are smoothed by a linear-phase
-        // fit before being applied — a raw per-subcarrier rotation would
-        // inject its full estimation noise into every stitched entry.
-        let occupied = self.occupied.clone();
+        // Sounding s measures antenna column s (s = 0 is the L1-only
+        // baseline sounding at t0).
+        let mut h = vec![CMat::zeros(self.rxs.len(), n_tx); occupied.len()];
+        let mut raw = Vec::with_capacity(occupied.len());
         for s in 0..n_tx {
-            // Sounding s measures antenna column s (s=0 is the L1-only
-            // baseline sounding).
             let t_s = t0 + s as f64 * gap;
-            let ap_of_x = s / ANTS;
-            for (r, &rx) in rxs.iter().enumerate() {
+            let (x, slave) = (self.txs[s], self.listen[s / ANTS]);
+            for r in 0..self.rxs.len() {
+                let rx = self.rxs[r];
                 if s == 0 {
                     for (k_idx, &k) in occupied.iter().enumerate() {
-                        h[k_idx][(r, 0)] = self.noisy_channel(l1, rx, k, t0, avg);
+                        h[k_idx][(r, 0)] = self.noisy_channel(l1, rx, k, t0);
                     }
                     continue;
                 }
-                // Raw per-subcarrier rotation phasors.
-                let mut raw = Vec::with_capacity(n_k);
+                // The rotation accumulated since t0, observed through L1 at
+                // both sounding times, per subcarrier.
+                raw.clear();
                 for &k in &occupied {
-                    let l1_now = self.noisy_channel(l1, rx, k, t_s, avg);
-                    let l1_ref = self.noisy_channel(l1, rx, k, t0, avg);
+                    let l1_now = self.noisy_channel(l1, rx, k, t_s);
+                    let l1_ref = self.noisy_channel(l1, rx, k, t0);
                     let dphi_l1_r = l1_now * l1_ref.conj();
-                    let rot = if ap_of_x == 0 {
+                    raw.push(if slave == l1 {
                         // Same device as L1: X shares L1's oscillator, so
                         // the accumulated offset vs this receiver is
                         // exactly Δφ(L1→R).
                         dphi_l1_r
                     } else {
                         // Slave AP: Δφ(X→R) = Δφ(L1→R) − Δφ(L1→S).
-                        let sap = self.ap_ants[ap_of_x][0];
-                        let l1_s_now = self.noisy_channel(l1, sap, k, t_s, avg);
-                        let l1_s_ref = self.noisy_channel(l1, sap, k, t0, avg);
-                        let dphi_l1_s = l1_s_now * l1_s_ref.conj();
-                        dphi_l1_r * dphi_l1_s.conj()
-                    };
-                    raw.push(rot);
+                        let l1_s_now = self.noisy_channel(l1, slave, k, t_s);
+                        let l1_s_ref = self.noisy_channel(l1, slave, k, t0);
+                        dphi_l1_r * (l1_s_now * l1_s_ref.conj()).conj()
+                    });
                 }
-                let ks: Vec<f64> = occupied.iter().map(|&k| k as f64).collect();
+                // It is a common phase plus a small sampling-offset slope
+                // across the band, so the raw ratios are smoothed by a
+                // linear-phase fit before being applied — a raw
+                // per-subcarrier rotation would inject its full estimation
+                // noise into every stitched entry.
                 let (common, slope) = jmb_dsp::complex::fit_linear_phase(&ks, &raw);
-                let x = txs[s];
                 for (k_idx, &k) in occupied.iter().enumerate() {
-                    let meas = self.noisy_channel(x, rx, k, t_s, avg);
+                    let meas = self.noisy_channel(x, rx, k, t_s);
                     let rot_back = Complex64::cis(-(common + slope * k as f64));
                     h[k_idx][(r, s)] = meas * rot_back;
                 }
@@ -304,25 +310,8 @@ impl CompatNet {
         // sounding series (span = (n_tx−1)·gap).
         let span = (n_tx - 1) as f64 * gap;
         let seed_sigma = (0.02 / (2.0 * std::f64::consts::PI * span)).max(5.0);
-        for a in 1..self.cfg.n_aps {
-            let sap = self.ap_ants[a][0];
-            let gains: Vec<Complex64> = occupied
-                .iter()
-                .map(|&k| self.noisy_channel(l1, sap, k, t0, 2))
-                .collect();
-            let est = ChannelEstimate {
-                subcarriers: occupied.clone(),
-                gains,
-            };
-            let true_cfo = {
-                let f_l = self.medium.trajectory_mut(l1).cfo_hz_at(t0);
-                let f_s = self.medium.trajectory_mut(sap).cfo_hz_at(t0);
-                f_l - f_s
-            };
-            let seed = true_cfo + normal(&mut self.rng, seed_sigma);
-            self.sync[a - 1].set_reference(est.clone());
-            self.sync[a - 1].seed_cfo(&est, seed, seed_sigma, t0);
-        }
+        let (mut obs, strategy, _) = self.observer();
+        strategy.on_measurement(&mut obs, t0, seed_sigma);
 
         self.h_meas = Some(h);
         self.now = t0 + n_tx as f64 * gap + 100e-6;
@@ -337,79 +326,33 @@ impl CompatNet {
     /// One virtual 4×4 joint transmission: returns per-*stream* SINR
     /// (dB) per subcarrier, streams ordered like client antennas.
     pub fn joint_sinr(&mut self, packet_duration_s: f64) -> Result<Vec<Vec<f64>>, JmbError> {
-        let h = self.h_meas.clone().ok_or(JmbError::NoReference)?;
-        let precoder = Precoder::zero_forcing(&h)?;
-        let t_h = self.now;
-        let t_meas = t_h + 20e-6;
-        let txs = self.tx_nodes();
-        let rxs = self.rx_nodes();
-        let l1 = txs[0];
-        let occupied = self.occupied.clone();
-
-        // Slave corrections from the legacy-symbol header (§6.1).
-        let mut corr: Vec<Option<crate::phasesync::PhaseCorrection>> = vec![None; self.cfg.n_aps];
-        for (a, slot) in corr.iter_mut().enumerate().skip(1) {
-            let sap = self.ap_ants[a][0];
-            let gains: Vec<Complex64> = occupied
-                .iter()
-                .map(|&k| self.noisy_channel(l1, sap, k, t_meas, 2))
-                .collect();
-            let est = ChannelEstimate {
-                subcarriers: occupied.clone(),
-                gains,
-            };
-            let raw = {
-                let f_l = self.medium.trajectory_mut(l1).cfo_hz_at(t_meas);
-                let f_s = self.medium.trajectory_mut(sap).cfo_hz_at(t_meas);
-                f_l - f_s + normal(&mut self.rng, 200.0)
-            };
-            self.sync[a - 1].observe_header(&est, raw, t_meas);
-            *slot = Some(self.sync[a - 1].correction(&est)?);
+        let h = self.h_meas.as_deref().ok_or(JmbError::NoReference)?;
+        let precoder = Precoder::zero_forcing(h)?;
+        // §6.1: the slaves take their corrections from the legacy symbols
+        // of the lead's mixed-mode packet, 20 µs in, and the joint data
+        // follows a 150 µs turnaround later.
+        let t_meas = self.now + 20e-6;
+        let n_aps = self.cfg.n_aps;
+        let (mut obs, strategy, control) = self.observer();
+        control.sync_batch(strategy, &mut obs, t_meas, 1..n_aps, true);
+        // The precoder spans the whole array: nobody can sit it out.
+        if let Some(&slave) = control.last_sync().excluded.iter().min() {
+            return Err(JmbError::SyncHeaderMissed { slave });
         }
-
-        let t_d = t_h + 20e-6 + 150e-6;
-        let probes = [
-            t_d + 0.25 * packet_duration_s,
-            t_d + 0.75 * packet_duration_s,
-        ];
-        let nv = self.cfg.noise_var;
-        let spacing = self.cfg.params.subcarrier_spacing();
-        let carrier = self.cfg.params.carrier_freq;
-        let n_streams = rxs.len();
-        let mut out = vec![vec![0.0; occupied.len()]; n_streams];
-        for (k_idx, &k) in occupied.iter().enumerate() {
-            let w = precoder.weights_at(k_idx).clone();
-            let mut sig = vec![0.0; n_streams];
-            let mut intf = vec![0.0; n_streams];
-            for &t in &probes {
-                let h_now = self.medium.channel_matrix(&txs, &rxs, k, t);
-                let mut eff = CMat::zeros(n_streams, txs.len());
-                for (i, _tx) in txs.iter().enumerate() {
-                    let ap = i / ANTS;
-                    let c = match &corr[ap] {
-                        Some(c) => c.correction_at(k, t - t_meas, spacing, carrier),
-                        None => Complex64::ONE,
-                    };
-                    for r in 0..n_streams {
-                        eff[(r, i)] = h_now[(r, i)] * c;
-                    }
-                }
-                let g = eff.mul_mat(&w).expect("shapes fixed");
-                for r in 0..n_streams {
-                    sig[r] += g[(r, r)].norm_sqr();
-                    for s in 0..n_streams {
-                        if s != r {
-                            intf[r] += g[(r, s)].norm_sqr();
-                        }
-                    }
-                }
-            }
-            for r in 0..n_streams {
-                out[r][k_idx] = jmb_dsp::stats::lin_to_db((sig[r] / 2.0) / (nv + intf[r] / 2.0));
-            }
-        }
+        let t_d = t_meas + 150e-6;
+        let frame = ProbeFrame {
+            sync: Some(self.control.last_sync()),
+            mute_streams: &[],
+            t_d,
+            duration_s: packet_duration_s,
+            n_probes: 2,
+        };
+        let floor = (self.cfg.noise_var, &[][..]);
+        let (sinr_db, _) = self
+            .scratch
+            .probe_sinr(&mut self.medium, &precoder, &frame, floor);
         self.now = t_d + packet_duration_s + 100e-6;
-        Ok(out)
+        Ok(sinr_db)
     }
 
     /// JMB throughput for each client: both its streams at the jointly
@@ -424,62 +367,60 @@ impl CompatNet {
         };
         let over =
             crate::baseline::JmbOverheads::new(&params, 150e-6, 1.5e-3, 0.25).with_aggregation(4);
-        let mut out = Vec::with_capacity(self.cfg.n_clients);
-        for c in 0..self.cfg.n_clients {
-            let mut total = 0.0;
-            for ant in 0..ANTS {
-                total += crate::baseline::jmb_client_throughput(
-                    &params,
-                    mcs,
-                    &per_stream[c * ANTS + ant],
-                    payload_bytes,
-                    &over,
-                );
-            }
-            out.push(total);
-        }
-        Ok(out)
+        Ok(per_stream
+            .chunks_exact(ANTS)
+            .map(|streams| {
+                let mut total = 0.0;
+                for sinr_db in streams {
+                    total += crate::baseline::jmb_client_throughput(
+                        &params,
+                        mcs,
+                        sinr_db,
+                        payload_bytes,
+                        &over,
+                    );
+                }
+                total
+            })
+            .collect())
     }
 
     /// 802.11n baseline throughput for each client: its own AP transmits a
     /// 2-stream MIMO packet (receiver-side zero forcing), and each
     /// transmitter gets an equal share of the medium (§11.5 methodology).
     pub fn dot11n_throughput(&mut self, payload_bytes: usize) -> Vec<f64> {
-        let t = self.now;
-        let params = self.cfg.params.clone();
         let nv = self.cfg.noise_var;
-        let occupied = self.occupied.clone();
+        let n_k = self.medium.occupied().len();
+        let rows = &mut self.scratch.rows;
+        let mut h = CMat::zeros(ANTS, ANTS);
         let mut out = Vec::with_capacity(self.cfg.n_clients);
-        for c in 0..self.cfg.n_clients {
+        for (c, rxs) in self.rxs.chunks_exact(ANTS).enumerate() {
             let ap = c.min(self.cfg.n_aps - 1); // its designated AP
-            let txs = self.ap_ants[ap].to_vec();
-            let rxs = self.client_ants[c].to_vec();
+            let txs = &self.txs[ap * ANTS..][..ANTS];
+            self.medium.channel_rows_into(txs, rxs, self.now, rows);
             // Per-stream post-ZF SNR: streams at half power each;
             // SNR_s = (1/2)/(nv·[(HᴴH)⁻¹]_ss).
-            let mut stream_snrs: Vec<Vec<f64>> = (0..ANTS)
-                .map(|_| Vec::with_capacity(occupied.len()))
-                .collect();
-            for &k in &occupied {
-                let h = self.medium.channel_matrix(&txs, &rxs, k, t);
-                let gram = h.hermitian().mul_mat(&h).expect("2x2");
-                match gram.inverse() {
-                    Ok(inv) => {
-                        for (s, snrs) in stream_snrs.iter_mut().enumerate() {
-                            let denom = inv[(s, s)].re.max(1e-12);
-                            snrs.push(jmb_dsp::stats::lin_to_db(0.5 / (nv * denom)));
-                        }
+            let mut stream_snrs = [(); ANTS].map(|_| Vec::with_capacity(n_k));
+            for k_idx in 0..n_k {
+                for j in 0..ANTS {
+                    for i in 0..ANTS {
+                        h[(j, i)] = rows[(j * ANTS + i) * n_k + k_idx];
                     }
-                    Err(_) => {
-                        for snrs in stream_snrs.iter_mut() {
-                            snrs.push(-30.0);
+                }
+                let inv = h.hermitian().mul_mat(&h).and_then(|gram| gram.inverse());
+                for (s, snrs) in stream_snrs.iter_mut().enumerate() {
+                    snrs.push(match &inv {
+                        Ok(inv) => {
+                            jmb_dsp::stats::lin_to_db(0.5 / (nv * inv[(s, s)].re.max(1e-12)))
                         }
-                    }
+                        Err(_) => -30.0,
+                    });
                 }
             }
             let mut rate = 0.0;
             for snrs in &stream_snrs {
                 rate += crate::baseline::dot11_client_throughput_with_mac(
-                    &params,
+                    &self.cfg.params,
                     snrs,
                     1,
                     payload_bytes,
@@ -505,22 +446,28 @@ mod tests {
         let mut net = CompatNet::new(CompatConfig::default_with(25.0, 1)).unwrap();
         let t0 = net.now();
         // Ground truth at t0 before the measurement advances time.
-        let txs = net.tx_nodes();
-        let rxs = net.rx_nodes();
-        let mut truth = vec![CMat::zeros(4, 4); net.occupied.len()];
-        let occ = net.occupied.clone();
-        for (k_idx, &k) in occ.iter().enumerate() {
-            truth[k_idx] = net.medium.channel_matrix(&txs, &rxs, k, t0);
-        }
+        let (txs, rxs) = (net.txs.clone(), net.rxs.clone());
+        let truth: Vec<CMat> = [-26, -1, 26]
+            .iter()
+            .map(|&k| {
+                let mut h = CMat::zeros(4, 4);
+                for (r, &rx) in rxs.iter().enumerate() {
+                    for (i, &tx) in txs.iter().enumerate() {
+                        h[(r, i)] = net.medium.channel_at(tx, rx, k, t0);
+                    }
+                }
+                h
+            })
+            .collect();
         net.run_stitched_measurement().unwrap();
         let h = net.measured_channel().unwrap();
         // Column-relative comparison per row (per-row phase is arbitrary).
         let mut worst: f64 = 0.0;
-        for k_idx in [0usize, 25, 51] {
+        for (truth, k_idx) in truth.iter().zip([0usize, 25, 51]) {
             for r in 0..4 {
                 for i in 1..4 {
                     let m_ratio = h[k_idx][(r, i)] / h[k_idx][(r, 0)];
-                    let t_ratio = truth[k_idx][(r, i)] / truth[k_idx][(r, 0)];
+                    let t_ratio = truth[(r, i)] / truth[(r, 0)];
                     let err = (m_ratio / t_ratio - Complex64::ONE).abs();
                     worst = worst.max(err);
                 }
@@ -573,7 +520,7 @@ mod tests {
     #[test]
     fn shared_crystal_antennas_rotate_together() {
         let mut net = CompatNet::new(CompatConfig::default_with(20.0, 3)).unwrap();
-        let [a0, a1] = net.ap_ants[0];
+        let (a0, a1) = (net.txs[0], net.txs[1]);
         let p0 = net.medium.trajectory_mut(a0).phase_at(1e-3);
         let p1 = net.medium.trajectory_mut(a1).phase_at(1e-3);
         assert_eq!(p0, p1, "antennas of one AP must share the oscillator");

@@ -152,7 +152,6 @@ pub struct FastNet {
     /// Measured joint channel per occupied subcarrier.
     h_meas: Option<Vec<CMat>>,
     precoder: Option<Precoder>,
-    occupied: Vec<i32>,
     now: f64,
     rng: JmbRng,
     scratch: Scratch,
@@ -243,7 +242,6 @@ impl FastNet {
         // effective SNR, fading included, not of the ensemble mean. Trim
         // every client's links so its designated link's mean (dB-domain,
         // across subcarriers) SNR equals its target.
-        let occupied_list = cfg.params.occupied_subcarriers();
         for (j, &c) in clients.iter().enumerate() {
             let target = match &cfg.link_snr_db {
                 Some(m) => m[j].iter().cloned().fold(f64::MIN, f64::max),
@@ -254,14 +252,14 @@ impl FastNet {
             for (i, &a) in aps.iter().enumerate() {
                 let mean_db = {
                     let row = medium
-                        .static_row(a, c, &occupied_list)
+                        .static_row(a, c)
                         // jmb-allow(no-panic-hot-path): constructor-local — the loop above installed a link for every (ap, client) pair of this very medium
                         .expect("invariant: every (ap, client) link was installed above");
                     let acc: f64 = row
                         .iter()
                         .map(|h| jmb_dsp::stats::lin_to_db(h.norm_sqr() / cfg.noise_var))
                         .sum();
-                    acc / occupied_list.len() as f64
+                    acc / row.len() as f64
                 };
                 if mean_db > best.1 {
                     best = (i, mean_db);
@@ -278,7 +276,6 @@ impl FastNet {
 
         let strategy = strategy_for(cfg.sync, cfg.n_aps);
         let control = ControlPlane::new(cfg.seed, cfg.n_aps);
-        let occupied = cfg.params.occupied_subcarriers();
         Ok(FastNet {
             cfg,
             medium,
@@ -288,10 +285,9 @@ impl FastNet {
             control,
             h_meas: None,
             precoder: None,
-            occupied,
             now: 1e-4,
             rng,
-            scratch: Scratch::new(),
+            scratch: Scratch::default(),
             trace: Trace::new(),
             ext_intf: Vec::new(),
         })
@@ -317,9 +313,9 @@ impl FastNet {
             0 => self.ext_intf.clear(),
             1 => {
                 self.ext_intf.clear();
-                self.ext_intf.resize(self.occupied.len(), per_bin[0]);
+                self.ext_intf.resize(self.medium.occupied().len(), per_bin[0]);
             }
-            n if n == self.occupied.len() => {
+            n if n == self.medium.occupied().len() => {
                 self.ext_intf.clear();
                 self.ext_intf.extend_from_slice(per_bin);
             }
@@ -336,16 +332,6 @@ impl FastNet {
     /// none is set).
     pub fn external_interference(&self) -> &[f64] {
         &self.ext_intf
-    }
-
-    /// Band-mean external interference (0 when unset) — the flat value the
-    /// `k̂²/(N+I)` rate selection uses.
-    fn ext_mean(&self) -> f64 {
-        if self.ext_intf.is_empty() {
-            0.0
-        } else {
-            self.ext_intf.iter().sum::<f64>() / self.ext_intf.len() as f64
-        }
     }
 
     /// Installs a constant control-plane fault config (applies from now on).
@@ -468,18 +454,6 @@ impl FastNet {
         self.h_meas.as_deref()
     }
 
-    /// Ground-truth channel matrix at one subcarrier and time (for
-    /// validation and ablation experiments).
-    pub fn medium_true_channel(
-        &mut self,
-        txs: &[NodeId],
-        rxs: &[NodeId],
-        subcarrier: i32,
-        t: f64,
-    ) -> CMat {
-        self.medium.channel_matrix(txs, rxs, subcarrier, t)
-    }
-
     /// Medium node ids of the APs (index 0 = lead).
     pub fn ap_nodes(&self) -> &[NodeId] {
         &self.aps
@@ -499,7 +473,6 @@ impl FastNet {
             medium: &mut self.medium,
             rng: &mut self.rng,
             aps: &self.aps,
-            occupied: &self.occupied,
             header_noise_var: self.cfg.noise_var / 2.0,
             trace: &mut self.trace,
         };
@@ -525,7 +498,7 @@ impl FastNet {
             self.now = t0 + self.measurement_airtime_s();
             return Err(JmbError::MeasurementLost);
         }
-        let n_k = self.occupied.len();
+        let n_k = self.medium.occupied().len();
         let mut h = vec![CMat::zeros(self.cfg.n_clients, self.cfg.n_aps); n_k];
         // All estimates are taken at one instant, so each oscillator is
         // read once and the static tap sums come from the medium's cached
@@ -533,7 +506,7 @@ impl FastNet {
         // subcarrier, client-major as the golden fixtures pin it.
         let rows = &mut self.scratch.rows;
         self.medium
-            .channel_rows_into(&self.aps, &self.clients, &self.occupied, t0, rows);
+            .channel_rows_into(&self.aps, &self.clients, t0, rows);
         let var = self.cfg.noise_var / self.cfg.rounds as f64;
         for (pair, row) in rows.chunks_exact(n_k).enumerate() {
             let (j, i) = (pair / self.cfg.n_aps, pair % self.cfg.n_aps);
@@ -591,10 +564,10 @@ impl FastNet {
             Some(&slave) => Err(JmbError::SyncHeaderMissed { slave }),
             None => {
                 let batch = &mut self.scratch;
-                batch.clients.clear();
-                batch.clients.extend(0..self.cfg.n_clients);
-                batch.aps.clear();
-                batch.aps.extend(0..self.cfg.n_aps);
+                batch.devices.clear();
+                batch.devices.extend(0..self.cfg.n_aps);
+                batch.tx_nodes.clone_from(&self.aps);
+                batch.rx_nodes.clone_from(&self.clients);
                 let (sinr_db, interference) = self.probe_sinr(
                     &precoder,
                     mute_streams,
@@ -613,16 +586,12 @@ impl FastNet {
         result
     }
 
-    /// The probe/SINR kernel behind every joint transmission: `precoder`'s
-    /// streams go to the clients in `scratch.clients` from the APs in
-    /// `scratch.aps` (stream and precoder-row order; the caller fills both)
-    /// after the header at `self.now`, each AP applying the correction
-    /// [`FastNet::last_sync`] holds for it (none under the
-    /// `apply_phase_sync = false` ablation). `mute_streams` carry no data
-    /// (the Fig. 8 nulling probe). Signal and interference power are
-    /// averaged over `n_probes` instants across the `duration_s` data
-    /// portion; returns per-client per-subcarrier `(SINR dB, interference)`
-    /// and advances the clock past the frame.
+    /// One frame through the probe kernel ([`Scratch::probe_sinr`]) on this
+    /// network's timeline: `precoder`'s streams go out after the header at
+    /// `self.now` between the antennas the caller left in the scratch, each
+    /// AP applying the correction [`FastNet::last_sync`] holds for it (none
+    /// under the `apply_phase_sync = false` ablation), and the clock moves
+    /// past the frame.
     fn probe_sinr(
         &mut self,
         precoder: &Precoder,
@@ -631,98 +600,20 @@ impl FastNet {
         n_probes: usize,
         apply_phase_sync: bool,
     ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let params = &self.cfg.params;
-        let t_d = self.now + 320.0 * params.sample_period() + self.cfg.turnaround_s;
-        let spacing = params.subcarrier_spacing();
-        let carrier = params.carrier_freq;
-        let n_streams = precoder.n_streams();
-        let nv = self.cfg.noise_var;
-        let n_k = self.occupied.len();
-        let sync = self.control.last_sync();
-
-        // Everything the loops touch lives in the network's scratch, grown
-        // by the first packet of each shape: zero allocations inside the
-        // loops, and none around them but the two results. The channel rows
-        // are for the (batch client × batch AP) pairs only — a city-scale
-        // cell serves a few hundred clients from a handful of APs, so the
-        // full `n_clients × n_aps` matrix per (probe, subcarrier) would
-        // dominate the sweep. Their static link responses (the multipath
-        // tap sums) are the medium's cached rows; each probe instant then
-        // only pays the oscillator phasors, and each subcarrier one
-        // rotation + one small mat-mul.
-        let Scratch {
-            clients,
-            aps,
-            tx_nodes,
-            rx_nodes,
-            probes,
-            sig,
-            intf,
-            rows,
-            eff,
-            g,
-            ..
-        } = &mut self.scratch;
-        let (nb, na) = (clients.len(), aps.len());
-        tx_nodes.clear();
-        tx_nodes.extend(aps.iter().map(|&i| self.aps[i]));
-        rx_nodes.clear();
-        rx_nodes.extend(clients.iter().map(|&j| self.clients[j]));
-        let n_probes = n_probes.max(1);
-        probes.clear();
-        probes.extend((0..n_probes).map(|p| t_d + duration_s * (p as f64 + 0.5) / n_probes as f64));
-        for acc in [&mut *sig, &mut *intf] {
-            acc.clear();
-            acc.resize(nb * n_k, 0.0);
-        }
-
-        for &t in probes.iter() {
-            self.medium
-                .channel_rows_into(tx_nodes, rx_nodes, &self.occupied, t, rows);
-            for k_idx in 0..n_k {
-                let k = self.occupied[k_idx];
-                let w = precoder.weights_at(k_idx);
-                // Effective channel at this instant: physical channel ×
-                // per-AP correction (phase sync) per column.
-                eff.reset(nb, na);
-                for (c, &i) in aps.iter().enumerate() {
-                    let corr = if apply_phase_sync {
-                        sync.phasor_at(i, k, t, spacing, carrier)
-                    } else {
-                        Complex64::ONE
-                    };
-                    for r in 0..nb {
-                        eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr;
-                    }
-                }
-                eff.mul_into(w, g)
-                    // jmb-allow(no-panic-hot-path): eff (nb x na), w (na x n_streams), g (nb x n_streams) are sized from the same dims a few lines up; mul_into only errors on shape mismatch
-                    .expect("invariant: eff/w/g allocated with matching dims just above");
-                for r in 0..nb {
-                    sig[r * n_k + k_idx] += g[(r, r)].norm_sqr();
-                    for s in 0..n_streams {
-                        if s != r && !mute_streams.contains(&s) {
-                            intf[r * n_k + k_idx] += g[(r, s)].norm_sqr();
-                        }
-                    }
-                }
-            }
-        }
-
-        let np = n_probes as f64;
-        let mut sinr_db = vec![vec![0.0; n_k]; nb];
-        let mut interference = vec![vec![0.0; n_k]; nb];
-        for r in 0..nb {
-            for k_idx in 0..n_k {
-                let s = sig[r * n_k + k_idx] / np;
-                let i = intf[r * n_k + k_idx] / np;
-                let ext = self.ext_intf.get(k_idx).copied().unwrap_or(0.0);
-                interference[r][k_idx] = i;
-                sinr_db[r][k_idx] = jmb_dsp::stats::lin_to_db(s / (nv + ext + i));
-            }
-        }
+        let t_d = self.now + 320.0 * self.cfg.params.sample_period() + self.cfg.turnaround_s;
+        let frame = ProbeFrame {
+            sync: apply_phase_sync.then(|| self.control.last_sync()),
+            mute_streams,
+            t_d,
+            duration_s,
+            n_probes,
+        };
+        let floor = (self.cfg.noise_var, self.ext_intf.as_slice());
+        let out = self
+            .scratch
+            .probe_sinr(&mut self.medium, precoder, &frame, floor);
         self.now = t_d + duration_s + 50e-6;
-        (sinr_db, interference)
+        out
     }
 
     /// The Fig. 8 nulling probe: the signal for `victim` is zero, so
@@ -758,15 +649,14 @@ impl FastNet {
         let spacing = params.subcarrier_spacing();
         let carrier = params.carrier_freq;
         // One row per AP at the single probe instant.
-        let n_k = self.occupied.len();
         let rows = &mut self.scratch.rows;
         let to = [self.clients[client]];
-        self.medium
-            .channel_rows_into(&self.aps, &to, &self.occupied, t, rows);
+        self.medium.channel_rows_into(&self.aps, &to, t, rows);
+        let occupied = self.medium.occupied();
+        let n_k = occupied.len();
         let sync = self.control.last_sync();
         let mut out = Vec::with_capacity(n_k);
-        for k_idx in 0..n_k {
-            let k = self.occupied[k_idx];
+        for (k_idx, &k) in occupied.iter().enumerate() {
             let w = mrt.weights_at(k_idx);
             let mut rx = Complex64::ZERO;
             for (i, row) in rows.chunks_exact(n_k).enumerate() {
@@ -790,11 +680,11 @@ impl FastNet {
         let rows = &mut self.scratch.rows;
         let to = [self.clients[client]];
         self.medium
-            .channel_rows_into(&self.aps, &to, &self.occupied, self.now, rows);
+            .channel_rows_into(&self.aps, &to, self.now, rows);
         // Designated AP = strongest mean channel power (the first, on a tie).
         let mut best: &[Complex64] = &[];
         let mut best_pw = -1.0;
-        for row in rows.chunks_exact(self.occupied.len()) {
+        for row in rows.chunks_exact(self.medium.occupied().len()) {
             let pw: f64 = row.iter().map(|h| h.norm_sqr()).sum();
             if pw > best_pw {
                 best_pw = pw;
@@ -845,7 +735,7 @@ impl FastNet {
         // many-ms gap carries a multi-radian sampling-offset ramp across
         // the band, so it is fitted (common phase + per-subcarrier slope,
         // with sequential unwrapping) rather than averaged flat.
-        let ks: Vec<f64> = self.occupied.iter().map(|&k| k as f64).collect();
+        let ks: Vec<f64> = self.medium.occupied().iter().map(|&k| k as f64).collect();
         let mut rotations: Vec<(f64, f64)> = vec![(0.0, 0.0)]; // lead: identity
         let (n_aps, c) = (self.cfg.n_aps, self.clients[client]);
         let row_var = self.cfg.noise_var / self.cfg.rounds as f64;
@@ -872,7 +762,7 @@ impl FastNet {
         let old_row = &mut self.scratch.rows;
         old_row.clear();
         for (k_idx, matrix) in h.iter_mut().enumerate() {
-            let k = self.occupied[k_idx] as f64;
+            let k = ks[k_idx];
             for i in 0..self.cfg.n_aps {
                 let (common, slope) = rotations[i];
                 let rot = Complex64::cis(common + slope * k);
@@ -901,17 +791,26 @@ impl FastNet {
         Ok(())
     }
 
-    /// Rate selected for the joint transmission (same for every client,
-    /// §9): from `k̂²/N`.
-    pub fn select_joint_rate(&self) -> Option<Mcs> {
-        let p = self.precoder.as_ref()?;
-        let floor = self.cfg.noise_var + self.ext_mean();
-        let snrs_db: Vec<f64> = p
+    /// The rate `precoder` supports for every client alike (§9): from its
+    /// `k̂²/(N+I)`, `I` the band-mean external interference.
+    fn joint_rate(&self, precoder: &Precoder) -> Option<Mcs> {
+        let ext = match self.ext_intf.len() {
+            0 => 0.0,
+            n => self.ext_intf.iter().sum::<f64>() / n as f64,
+        };
+        let floor = self.cfg.noise_var + ext;
+        let snrs_db: Vec<f64> = precoder
             .k_hats()
             .iter()
             .map(|&k| jmb_dsp::stats::lin_to_db(k * k / floor))
             .collect();
         jmb_phy::esnr::select_mcs(&snrs_db)
+    }
+
+    /// Rate selected for the joint transmission to every client ([`None`]
+    /// without a full-population precoder, or under the lowest MCS).
+    pub fn select_joint_rate(&self) -> Option<Mcs> {
+        self.joint_rate(self.precoder.as_ref()?)
     }
 
     /// One joint transmission to a *subset* of clients from a *subset* of
@@ -976,40 +875,36 @@ impl FastNet {
         self.sync_headers(t_meas, active_aps.iter().copied().filter(|&s| s != 0));
         let excluded = &self.control.last_sync().excluded;
         let batch = &mut self.scratch;
-        batch.clients.clear();
-        batch.clients.extend_from_slice(clients);
-        batch.aps.clear();
+        batch.devices.clear();
         batch
-            .aps
+            .devices
             .extend(active_aps.iter().filter(|i| !excluded.contains(i)));
-        let na_eff = batch.aps.len();
+        let na_eff = batch.devices.len();
         if na_eff < nb {
             let slave = excluded.iter().min().copied().unwrap_or(0);
             return Err(JmbError::SyncHeaderMissed { slave });
         }
+        batch.tx_nodes.clear();
+        batch.tx_nodes.extend(batch.devices.iter().map(|&i| self.aps[i]));
+        batch.rx_nodes.clear();
+        batch.rx_nodes.extend(clients.iter().map(|&j| self.clients[j]));
 
         // ZF over the measured channel restricted to the batch and the
         // effective AP set.
         let h_meas = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
         batch
             .h_sub
-            .resize_with(self.occupied.len(), || CMat::zeros(0, 0));
+            .resize_with(h_meas.len(), || CMat::zeros(0, 0));
         for (sub, full) in batch.h_sub.iter_mut().zip(h_meas) {
             sub.reset(nb, na_eff);
             for (r, &j) in clients.iter().enumerate() {
-                for (c, &i) in batch.aps.iter().enumerate() {
+                for (c, &i) in batch.devices.iter().enumerate() {
                     sub[(r, c)] = full[(j, i)];
                 }
             }
         }
         let precoder = Precoder::zero_forcing(&batch.h_sub)?;
-        let floor = self.cfg.noise_var + self.ext_mean();
-        let snrs_db: Vec<f64> = precoder
-            .k_hats()
-            .iter()
-            .map(|&k| jmb_dsp::stats::lin_to_db(k * k / floor))
-            .collect();
-        let mcs = jmb_phy::esnr::select_mcs(&snrs_db).unwrap_or(Mcs::BASE);
+        let mcs = self.joint_rate(&precoder).unwrap_or(Mcs::BASE);
         let airtime_s = crate::baseline::frame_airtime(&self.cfg.params, mcs, payload_bytes);
 
         let (sinr_db, _) = self.probe_sinr(&precoder, &[], airtime_s, n_probes, apply_phase_sync);
@@ -1043,27 +938,41 @@ pub struct SubsetOutcome {
     pub sinr_db: Vec<Vec<f64>>,
 }
 
-/// The buffers [`FastNet`]'s measurement and probe kernels work in, owned by
-/// the network and grown by the first call of each shape, so a steady-state
-/// joint transmission allocates for its results and its sync exchange only.
-struct Scratch {
-    /// Who the joint transmission under way serves, in stream order, and
-    /// from which APs, in precoder-row order: filled by the caller of
-    /// [`FastNet::probe_sinr`].
-    clients: Vec<usize>,
-    aps: Vec<usize>,
-    /// The medium's ids for `aps` and `clients`.
-    tx_nodes: Vec<NodeId>,
-    rx_nodes: Vec<NodeId>,
-    /// Probe instants across one packet.
-    probes: Vec<f64>,
+/// What one joint transmission puts on the air, as the probe kernel needs it.
+pub(crate) struct ProbeFrame<'a> {
+    /// The correction each device applies; `None` is the no-phase-sync
+    /// ablation (every device transmits uncorrected).
+    pub(crate) sync: Option<&'a BatchSync>,
+    /// Streams carrying no data (the Fig. 8 nulling probe).
+    pub(crate) mute_streams: &'a [usize],
+    /// Start and length of the data portion — the network's frame timeline
+    /// decides how long after the header that is.
+    pub(crate) t_d: f64,
+    pub(crate) duration_s: f64,
+    /// Instants across the data portion the powers are averaged over.
+    pub(crate) n_probes: usize,
+}
+
+/// The buffers the fast fidelity's measurement and probe kernels work in,
+/// owned by the network ([`FastNet`], [`crate::compat::CompatNet`]) and grown
+/// by the first call of each shape, so a steady-state joint transmission
+/// allocates for its results and its sync exchange only.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Who transmits in the joint transmission under way, in precoder-row
+    /// order — the device each antenna sits on (its index in the batch's
+    /// [`BatchSync`]) and the antenna's medium id — and the receive antennas
+    /// in stream order: filled by the caller of [`Scratch::probe_sinr`].
+    pub(crate) devices: Vec<usize>,
+    pub(crate) tx_nodes: Vec<NodeId>,
+    pub(crate) rx_nodes: Vec<NodeId>,
     /// Signal and interference power summed over the probes,
     /// `[stream · n_k + k_idx]`.
     sig: Vec<f64>,
     intf: Vec<f64>,
     /// Channel rows of one instant, `[(rx · n_tx + tx) · n_k + k_idx]`
     /// ([`SubcarrierMedium::channel_rows_into`]).
-    rows: Vec<Complex64>,
+    pub(crate) rows: Vec<Complex64>,
     /// Effective channel and post-precoding gains of one subcarrier.
     eff: CMat,
     g: CMat,
@@ -1072,34 +981,108 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn new() -> Self {
-        Scratch {
-            clients: Vec::new(),
-            aps: Vec::new(),
-            tx_nodes: Vec::new(),
-            rx_nodes: Vec::new(),
-            probes: Vec::new(),
-            sig: Vec::new(),
-            intf: Vec::new(),
-            rows: Vec::new(),
-            eff: CMat::zeros(0, 0),
-            g: CMat::zeros(0, 0),
-            h_sub: Vec::new(),
+    /// The probe/SINR kernel behind every joint transmission of the fast
+    /// fidelity: `precoder`'s streams go from `tx_nodes` to `rx_nodes`, the
+    /// antenna in column `c` rotated by the correction `frame.sync` holds
+    /// for `devices[c]`. Signal and interference power are averaged over
+    /// `frame.n_probes` instants across the data portion; returns
+    /// per-stream per-subcarrier `(SINR dB, interference)` against the
+    /// `(noise variance, external interference per subcarrier)` floor.
+    ///
+    /// Everything the loops touch lives here: zero allocations inside the
+    /// loops, and none around them but the two results. The channel rows
+    /// are for the (receive × transmit) antennas of this batch only — a
+    /// city-scale cell serves a few hundred clients from a handful of APs,
+    /// so the full matrix per (probe, subcarrier) would dominate the sweep.
+    /// Their static link responses (the multipath tap sums) are the medium's
+    /// cached rows; each probe instant then only pays the oscillator
+    /// phasors, and each subcarrier one rotation + one small mat-mul.
+    pub(crate) fn probe_sinr(
+        &mut self,
+        medium: &mut SubcarrierMedium,
+        precoder: &Precoder,
+        frame: &ProbeFrame,
+        (noise_var, ext_intf): (f64, &[f64]),
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let Scratch {
+            devices,
+            tx_nodes,
+            rx_nodes,
+            sig,
+            intf,
+            rows,
+            eff,
+            g,
+            ..
+        } = self;
+        let spacing = medium.params().subcarrier_spacing();
+        let carrier = medium.params().carrier_freq;
+        let n_streams = precoder.n_streams();
+        let n_k = medium.occupied().len();
+        let (nb, na) = (rx_nodes.len(), tx_nodes.len());
+        let n_probes = frame.n_probes.max(1);
+        for acc in [&mut *sig, &mut *intf] {
+            acc.clear();
+            acc.resize(nb * n_k, 0.0);
         }
+
+        for p in 0..n_probes {
+            let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
+            medium.channel_rows_into(tx_nodes, rx_nodes, t, rows);
+            for (k_idx, &k) in medium.occupied().iter().enumerate() {
+                let w = precoder.weights_at(k_idx);
+                // Effective channel at this instant: physical channel ×
+                // per-device correction (phase sync) per column.
+                eff.reset(nb, na);
+                for (c, &device) in devices.iter().enumerate() {
+                    let corr = match frame.sync {
+                        Some(sync) => sync.phasor_at(device, k, t, spacing, carrier),
+                        None => Complex64::ONE,
+                    };
+                    for r in 0..nb {
+                        eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr;
+                    }
+                }
+                eff.mul_into(w, g)
+                    // jmb-allow(no-panic-hot-path): eff (nb x na), w (na x n_streams), g (nb x n_streams) are sized from the same dims a few lines up; mul_into only errors on shape mismatch
+                    .expect("invariant: eff/w/g allocated with matching dims just above");
+                for r in 0..nb {
+                    sig[r * n_k + k_idx] += g[(r, r)].norm_sqr();
+                    for s in 0..n_streams {
+                        if s != r && !frame.mute_streams.contains(&s) {
+                            intf[r * n_k + k_idx] += g[(r, s)].norm_sqr();
+                        }
+                    }
+                }
+            }
+        }
+
+        let np = n_probes as f64;
+        let mut sinr_db = vec![vec![0.0; n_k]; nb];
+        let mut interference = vec![vec![0.0; n_k]; nb];
+        for r in 0..nb {
+            for k_idx in 0..n_k {
+                let s = sig[r * n_k + k_idx] / np;
+                let i = intf[r * n_k + k_idx] / np;
+                let ext = ext_intf.get(k_idx).copied().unwrap_or(0.0);
+                interference[r][k_idx] = i;
+                sinr_db[r][k_idx] = jmb_dsp::stats::lin_to_db(s / (noise_var + ext + i));
+            }
+        }
+        (sinr_db, interference)
     }
 }
 
-/// [`FastNet`]'s [`LeadObserver`]: an observation is one channel-row
+/// The fast fidelity's [`LeadObserver`]: an observation is one channel-row
 /// evaluation plus Gaussian estimation noise, and the true lead-relative
 /// CFO plus Gaussian error — drawn from the network's main RNG stream in
 /// that order, which is the draw sequence the golden fixtures pin.
 pub(crate) struct FastObserver<'a> {
     pub(crate) medium: &'a mut SubcarrierMedium,
     pub(crate) rng: &'a mut JmbRng,
-    /// AP node ids; index 0 is the lead.
+    /// The antenna each AP listens (and the lead transmits) on; index 0 is
+    /// the lead.
     pub(crate) aps: &'a [NodeId],
-    /// Occupied subcarrier indices (ascending).
-    pub(crate) occupied: &'a [i32],
     /// Estimation noise variance of one in-band sync-header measurement.
     pub(crate) header_noise_var: f64,
     pub(crate) trace: &'a mut Trace,
@@ -1110,16 +1093,13 @@ impl FastObserver<'_> {
     /// channel-row evaluation plus one complex-Gaussian draw of variance
     /// `var` per occupied subcarrier, in subcarrier order.
     fn estimate(&mut self, tx: NodeId, rx: NodeId, t: f64, var: f64) -> ChannelEstimate {
-        let mut gains = Vec::with_capacity(self.occupied.len());
-        self.medium
-            .channel_row_into(tx, rx, self.occupied, t, &mut gains);
+        let subcarriers = self.medium.occupied().to_vec();
+        let mut gains = Vec::with_capacity(subcarriers.len());
+        self.medium.channel_row_into(tx, rx, t, &mut gains);
         for g in gains.iter_mut() {
             *g += complex_gaussian(self.rng, var);
         }
-        ChannelEstimate {
-            subcarriers: self.occupied.to_vec(),
-            gains,
-        }
+        ChannelEstimate { subcarriers, gains }
     }
 }
 

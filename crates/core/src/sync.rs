@@ -420,7 +420,6 @@ mod tests {
         medium: SubcarrierMedium,
         rng: JmbRng,
         aps: Vec<NodeId>,
-        occupied: Vec<i32>,
         trace: Trace,
     }
 
@@ -452,12 +451,10 @@ mod tests {
                 medium.set_link(aps[i], aps[j], link);
             }
         }
-        let occupied = params.occupied_subcarriers();
         Rig {
             medium,
             rng,
             aps,
-            occupied,
             trace: Trace::new(),
         }
     }
@@ -468,7 +465,6 @@ mod tests {
                 medium: &mut self.medium,
                 rng: &mut self.rng,
                 aps: &self.aps,
-                occupied: &self.occupied,
                 header_noise_var: 0.5,
                 trace: &mut self.trace,
             }

@@ -58,7 +58,7 @@ impl std::error::Error for MatError {}
 /// let prod = h.mul_mat(&inv).unwrap();
 /// assert!(prod.is_identity(1e-10));
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct CMat {
     rows: usize,
     cols: usize,

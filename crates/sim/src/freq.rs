@@ -27,7 +27,7 @@
 
 use jmb_channel::{Link, PhaseTrajectory};
 use jmb_dsp::rng::{complex_gaussian, JmbRng};
-use jmb_dsp::{CMat, Complex64};
+use jmb_dsp::Complex64;
 use jmb_phy::params::OfdmParams;
 
 pub use crate::medium::NodeId;
@@ -43,47 +43,32 @@ struct Node {
 struct LinkSlot {
     link: Link,
     /// `link.freq_response_at(f_k)` — gain × fading × delay rotation, the
-    /// time-invariant part of the channel — for every subcarrier of the
-    /// medium's [`TapTable`] list. Current while `row_generation` equals the
-    /// table's; whatever can change the link zeroes it.
+    /// time-invariant part of the channel — on every occupied subcarrier.
+    /// Empty until first asked for; whatever can change the link clears it.
     static_row: Vec<Complex64>,
-    row_generation: u64,
 }
 
-/// The tap rotations `e^{−j2π f_k τ_l}` of one subcarrier list on one tap
-/// grid: they depend on neither the link nor its fading draw, so every link
-/// on that grid sums its taps against the same table.
+/// The tap rotations `e^{−j2π f_k τ_l}` of the occupied subcarriers on one
+/// tap grid: they depend on neither the link nor its fading draw, so every
+/// link on that grid sums its taps against the same table.
 struct TapTable {
+    /// The occupied subcarriers, ascending: what every row is indexed by.
     ks: Vec<i32>,
-    /// `(n_taps, tap_spacing_s)` of the first link evaluated on this list; a
-    /// link on another grid evaluates its rotations directly.
+    /// `(n_taps, tap_spacing_s)` of the first link evaluated; a link on
+    /// another grid evaluates its rotations directly.
     grid: Option<(usize, f64)>,
     /// `rotations[k_idx · n_taps + l]`.
     rotations: Vec<Complex64>,
-    /// Bumped whenever `ks` changes, which outdates every static row at once.
-    generation: u64,
 }
 
 impl TapTable {
-    /// Makes `ks` the list the table (and every static row) is for.
-    fn rekey(&mut self, ks: &[i32]) {
-        if self.ks != ks {
-            self.ks.clear();
-            self.ks.extend_from_slice(ks);
-            self.grid = None;
-            self.generation += 1;
-        }
-    }
-
-    /// The static row of `slot`'s link on the table's list, computed if the
-    /// slot does not hold a current one.
+    /// The static row of `slot`'s link, computed if the slot holds none.
     fn static_row<'a>(&mut self, slot: &'a mut LinkSlot, spacing: f64) -> &'a [Complex64] {
-        if slot.row_generation != self.generation {
+        if slot.static_row.is_empty() {
             let spec = *slot.link.fading.spec();
             let grid = (spec.n_taps, spec.tap_spacing_s);
             if self.grid.is_none() {
                 self.grid = Some(grid);
-                self.rotations.clear();
                 for &k in &self.ks {
                     let f_k = k as f64 * spacing;
                     self.rotations
@@ -92,7 +77,6 @@ impl TapTable {
             }
             let on_grid = self.grid == Some(grid);
             let link = &slot.link;
-            slot.static_row.clear();
             slot.static_row
                 .extend(self.ks.iter().enumerate().map(|(k_idx, &k)| {
                     let f_k = k as f64 * spacing;
@@ -103,7 +87,6 @@ impl TapTable {
                         link.freq_response_at(f_k)
                     }
                 }));
-            slot.row_generation = self.generation;
         }
         &slot.static_row
     }
@@ -125,16 +108,16 @@ pub struct SubcarrierMedium {
 impl SubcarrierMedium {
     /// Creates an empty medium.
     pub fn new(params: OfdmParams, seed: u64) -> Self {
+        let table = TapTable {
+            ks: params.occupied_subcarriers(),
+            grid: None,
+            rotations: Vec::new(),
+        };
         SubcarrierMedium {
             params,
             nodes: Vec::new(),
             links: Vec::new(),
-            table: TapTable {
-                ks: Vec::new(),
-                grid: None,
-                rotations: Vec::new(),
-                generation: 1,
-            },
+            table,
             osc: Vec::new(),
             rng: jmb_dsp::rng::rng_from_seed(seed),
         }
@@ -143,6 +126,12 @@ impl SubcarrierMedium {
     /// The numerology in use.
     pub fn params(&self) -> &OfdmParams {
         &self.params
+    }
+
+    /// The occupied subcarriers, ascending — the list every channel row
+    /// ([`Self::static_row`], [`Self::channel_rows_into`]) is indexed by.
+    pub fn occupied(&self) -> &[i32] {
+        &self.table.ks
     }
 
     /// Registers a node (oscillator + per-bin noise variance).
@@ -161,7 +150,6 @@ impl SubcarrierMedium {
         self.links[tx.0][rx.0] = Some(LinkSlot {
             link,
             static_row: Vec::new(),
-            row_generation: 0,
         });
     }
 
@@ -169,24 +157,14 @@ impl SubcarrierMedium {
     /// link's cached static row: the caller may change anything.
     pub fn link_mut(&mut self, tx: NodeId, rx: NodeId) -> Option<&mut Link> {
         self.links[tx.0][rx.0].as_mut().map(|slot| {
-            slot.row_generation = 0;
+            slot.static_row.clear();
             &mut slot.link
         })
-    }
-
-    /// Shared link access.
-    pub fn link(&self, tx: NodeId, rx: NodeId) -> Option<&Link> {
-        self.links[tx.0][rx.0].as_ref().map(|slot| &slot.link)
     }
 
     /// Mutable oscillator access.
     pub fn trajectory_mut(&mut self, node: NodeId) -> &mut PhaseTrajectory {
         &mut self.nodes[node.0].traj
-    }
-
-    /// Per-bin noise variance of a node.
-    pub fn noise_var(&self, node: NodeId) -> f64 {
-        self.nodes[node.0].noise_var
     }
 
     /// The *instantaneous physical* channel from `tx` to `rx` on one
@@ -211,89 +189,45 @@ impl SubcarrierMedium {
         static_resp * Complex64::cis(tx_phase - rx_phase) * sfo_rot
     }
 
-    /// The full channel matrix on one subcarrier at time `t`:
-    /// `H[(j, i)] = h(rx_j ← tx_i)` — rows are receivers, columns are
-    /// transmitters, matching the paper's `H` (§4).
-    pub fn channel_matrix(
-        &mut self,
-        txs: &[NodeId],
-        rxs: &[NodeId],
-        subcarrier: i32,
-        t: f64,
-    ) -> CMat {
-        let mut h = CMat::zeros(rxs.len(), txs.len());
-        self.channel_matrix_into(txs, rxs, subcarrier, t, &mut h);
-        h
-    }
-
-    /// Allocation-free variant of [`Self::channel_matrix`]: fills `out`
-    /// (reshaped to `rxs.len() × txs.len()`, reusing its storage) instead of
-    /// returning a fresh matrix.
-    pub fn channel_matrix_into(
-        &mut self,
-        txs: &[NodeId],
-        rxs: &[NodeId],
-        subcarrier: i32,
-        t: f64,
-        out: &mut CMat,
-    ) {
-        out.reset(rxs.len(), txs.len());
-        for (j, &rx) in rxs.iter().enumerate() {
-            for (i, &tx) in txs.iter().enumerate() {
-                out[(j, i)] = self.channel_at(tx, rx, subcarrier, t);
-            }
-        }
-    }
-
     /// The static response of the link `tx → rx` — large-scale gain ×
     /// fading × delay rotation, everything of [`Self::channel_at`] that no
-    /// oscillator touches — on every subcarrier of `ks`; `None` without a
+    /// oscillator touches — on every occupied subcarrier; `None` without a
     /// link. The multipath tap sum is the expensive term of a channel
     /// evaluation and changes only when the link does, so the medium keeps
     /// one such row per link — dropped by [`Self::set_link`],
     /// [`Self::link_mut`] and [`Self::evolve_fading`], recomputed here on
     /// the next use — and sums its taps against one table of rotations
-    /// shared by every link on the same tap grid. Rows and table are for one
-    /// subcarrier list at a time: asking with another list starts them over.
-    pub fn static_row(&mut self, tx: NodeId, rx: NodeId, ks: &[i32]) -> Option<&[Complex64]> {
-        self.table.rekey(ks);
+    /// shared by every link on the same tap grid.
+    pub fn static_row(&mut self, tx: NodeId, rx: NodeId) -> Option<&[Complex64]> {
         let spacing = self.params.subcarrier_spacing();
         let slot = self.links[tx.0][rx.0].as_mut()?;
         Some(self.table.static_row(slot, spacing))
     }
 
-    /// One link's channel on every subcarrier of `ks` at a single instant,
+    /// One link's channel on every occupied subcarrier at a single instant,
     /// into a reused buffer: [`Self::channel_rows_into`] for one pair.
-    pub fn channel_row_into(
-        &mut self,
-        tx: NodeId,
-        rx: NodeId,
-        ks: &[i32],
-        t: f64,
-        out: &mut Vec<Complex64>,
-    ) {
-        self.channel_rows_into(&[tx], &[rx], ks, t, out);
+    pub fn channel_row_into(&mut self, tx: NodeId, rx: NodeId, t: f64, out: &mut Vec<Complex64>) {
+        self.channel_rows_into(&[tx], &[rx], t, out);
     }
 
-    /// The channels of every `(rx, tx)` pair on every subcarrier of `ks` at
-    /// a single instant, into a reused flat buffer: the entry for `rxs[j]`,
-    /// `txs[i]`, `ks[k_idx]` is `out[(j · txs.len() + i) · ks.len() + k_idx]`
+    /// The channels of every `(rx, tx)` pair on every occupied subcarrier at
+    /// a single instant, into a reused flat buffer: with `n_k` the length of
+    /// [`Self::occupied`], the entry for `rxs[j]`, `txs[i]` and the
+    /// `k_idx`-th subcarrier is `out[(j · txs.len() + i) · n_k + k_idx]`
     /// (zero where there is no link). Identical arithmetic to
     /// [`Self::channel_at`] per entry — static response × pair phasor × SFO
     /// rotation, in that order — but the static response comes from the
     /// link's cached row ([`Self::static_row`]), each node's oscillator is
     /// read once, and each pair's phasor and clock slip once instead of
-    /// `ks.len()` times.
+    /// `n_k` times.
     pub fn channel_rows_into(
         &mut self,
         txs: &[NodeId],
         rxs: &[NodeId],
-        ks: &[i32],
         t: f64,
         out: &mut Vec<Complex64>,
     ) {
         out.clear();
-        self.table.rekey(ks);
         self.osc.clear();
         for &n in txs.iter().chain(rxs) {
             let traj = &mut self.nodes[n.0].traj;
@@ -304,13 +238,13 @@ impl SubcarrierMedium {
         for (&rx, &(rx_phase, rx_ratio)) in rxs.iter().zip(rx_osc) {
             for (&tx, &(tx_phase, tx_ratio)) in txs.iter().zip(tx_osc) {
                 let Some(slot) = self.links[tx.0][rx.0].as_mut() else {
-                    out.resize(out.len() + ks.len(), Complex64::ZERO);
+                    out.resize(out.len() + self.table.ks.len(), Complex64::ZERO);
                     continue;
                 };
                 let static_row = self.table.static_row(slot, spacing);
                 let pair = Complex64::cis(tx_phase - rx_phase);
                 let slip_s = (tx_ratio - rx_ratio) * t;
-                for (&k, &static_resp) in ks.iter().zip(static_row) {
+                for (&k, &static_resp) in self.table.ks.iter().zip(static_row) {
                     let f_k = k as f64 * spacing;
                     let sfo_rot = Complex64::cis(2.0 * std::f64::consts::PI * f_k * slip_s);
                     out.push(static_resp * pair * sfo_rot);
@@ -378,7 +312,7 @@ impl SubcarrierMedium {
         for row in self.links.iter_mut() {
             for slot in row.iter_mut().flatten() {
                 slot.link.evolve(dt, &mut rng);
-                slot.row_generation = 0;
+                slot.static_row.clear();
             }
         }
     }
@@ -461,13 +395,19 @@ mod tests {
         link.gain = Complex64::new(0.5, 0.0);
         m.set_link(t1, r1, Link::ideal());
         m.set_link(t2, r2, link);
-        let h = m.channel_matrix(&[t1, t2], &[r1, r2], 1, 0.0);
-        assert_eq!(h.rows(), 2);
-        assert_eq!(h.cols(), 2);
-        assert!((h[(0, 0)] - Complex64::ONE).abs() < 1e-12);
-        assert!((h[(1, 1)] - Complex64::new(0.5, 0.0)).abs() < 1e-12);
-        assert_eq!(h[(0, 1)], Complex64::ZERO);
-        assert_eq!(h[(1, 0)], Complex64::ZERO);
+        // Rows are receivers, columns transmitters, as in the paper's `H`
+        // (§4): entry `(j, i)` of every subcarrier's matrix is in row-block
+        // `j · n_tx + i`.
+        let n_k = m.occupied().len();
+        let mut rows = Vec::new();
+        m.channel_rows_into(&[t1, t2], &[r1, r2], 0.0, &mut rows);
+        assert_eq!(rows.len(), 2 * 2 * n_k);
+        let h = |j: usize, i: usize| &rows[(j * 2 + i) * n_k..][..n_k];
+        assert!(h(0, 0).iter().all(|&g| (g - Complex64::ONE).abs() < 1e-12));
+        assert!(h(1, 1)
+            .iter()
+            .all(|&g| (g - Complex64::new(0.5, 0.0)).abs() < 1e-12));
+        assert!(h(0, 1).iter().chain(h(1, 0)).all(|&g| g == Complex64::ZERO));
     }
 
     #[test]
@@ -582,15 +522,15 @@ mod tests {
                 m.set_link(tx, rx, link);
             }
         }
-        let ks = [-26, -3, 1, 17, 26];
+        let ks = m.occupied().to_vec();
         let mut rows = Vec::new();
         let mut row = Vec::new();
         for t in [0.0, 1.3e-3, 7.7e-3] {
-            m.channel_rows_into(&txs, &rxs, &ks, t, &mut rows);
+            m.channel_rows_into(&txs, &rxs, t, &mut rows);
             assert_eq!(rows.len(), rxs.len() * txs.len() * ks.len());
             for (j, &rx) in rxs.iter().enumerate() {
                 for (i, &tx) in txs.iter().enumerate() {
-                    m.channel_row_into(tx, rx, &ks, t, &mut row);
+                    m.channel_row_into(tx, rx, t, &mut row);
                     for (k_idx, &k) in ks.iter().enumerate() {
                         let want = m.channel_at(tx, rx, k, t);
                         let flat = (j * txs.len() + i) * ks.len() + k_idx;
@@ -602,12 +542,12 @@ mod tests {
         }
         // Missing links are zero in every path, and have no static row.
         let lonely = clean_node(&mut m);
-        m.channel_row_into(lonely, rxs[0], &ks, 0.0, &mut row);
+        m.channel_row_into(lonely, rxs[0], 0.0, &mut row);
         assert!(row.iter().all(|&h| h == Complex64::ZERO));
-        m.channel_rows_into(&[txs[0], lonely], &rxs[..1], &ks, 1e-3, &mut rows);
+        m.channel_rows_into(&[txs[0], lonely], &rxs[..1], 1e-3, &mut rows);
         assert_eq!(rows[0], m.channel_at(txs[0], rxs[0], ks[0], 1e-3));
         assert!(rows[ks.len()..].iter().all(|&h| h == Complex64::ZERO));
-        assert!(m.static_row(lonely, rxs[0], &ks).is_none());
+        assert!(m.static_row(lonely, rxs[0]).is_none());
     }
 
     #[test]
@@ -643,7 +583,7 @@ mod tests {
                 (nodes[1], nodes[2], &sibling),
                 (nodes[0], nodes[2], &off_table),
             ] {
-                let row = m.static_row(tx, rx, &ks).unwrap().to_vec();
+                let row = m.static_row(tx, rx).unwrap().to_vec();
                 assert_eq!(row.len(), ks.len());
                 for (&k, &got) in ks.iter().zip(&row) {
                     let want = link.freq_response_at(k as f64 * spacing);
@@ -661,7 +601,6 @@ mod tests {
         // A row cached before a link changed must not outlive the change:
         // after each of the three ways a link can change, the medium that
         // already served rows answers like one built that way from scratch.
-        let ks = medium(0).params().occupied_subcarriers();
         let build = |warm: bool, change: Change| {
             let mut m = medium(31);
             let mut rng = jmb_dsp::rng::rng_from_seed(17);
@@ -672,13 +611,13 @@ mod tests {
             m.set_link(b, a, faded_link(spec, &mut rng));
             let mut row = Vec::new();
             if warm {
-                m.channel_row_into(a, b, &ks, 1e-3, &mut row);
-                m.channel_row_into(b, a, &ks, 1e-3, &mut row);
+                m.channel_row_into(a, b, 1e-3, &mut row);
+                m.channel_row_into(b, a, 1e-3, &mut row);
             }
             change(&mut m, a, b);
             let mut back = Vec::new();
-            m.channel_row_into(a, b, &ks, 2e-3, &mut row);
-            m.channel_row_into(b, a, &ks, 2e-3, &mut back);
+            m.channel_row_into(a, b, 2e-3, &mut row);
+            m.channel_row_into(b, a, 2e-3, &mut back);
             (row, back)
         };
         let replacement = faded_link(
@@ -698,24 +637,6 @@ mod tests {
             let warm = build(true, change);
             assert_eq!(warm, build(false, change), "{what}");
             assert_ne!(warm.0, unchanged.0, "{what} changed nothing");
-        }
-        // Asking on another subcarrier list starts the rows over too.
-        let mut m = medium(32);
-        let a = clean_node(&mut m);
-        let b = clean_node(&mut m);
-        let mut rng = jmb_dsp::rng::rng_from_seed(19);
-        m.set_link(
-            a,
-            b,
-            faded_link(jmb_channel::MultipathSpec::indoor_nlos(), &mut rng),
-        );
-        let mut row = Vec::new();
-        m.channel_row_into(a, b, &ks, 0.0, &mut row);
-        for other in [&[-7, 9][..], &ks[..]] {
-            m.channel_row_into(a, b, other, 0.0, &mut row);
-            for (&k, &got) in other.iter().zip(&row) {
-                assert_eq!(got, m.channel_at(a, b, k, 0.0), "k={k}");
-            }
         }
     }
 
