@@ -58,7 +58,8 @@ pub struct BatchSync {
 impl BatchSync {
     /// The phasor AP `ap` multiplies onto subcarrier `k` at time `t`: its
     /// correction carried forward from its anchor, unity for an AP that
-    /// has none (the lead transmits the reference).
+    /// has none (the lead transmits the reference), zero for a slave that
+    /// sits the batch out.
     pub(crate) fn phasor_at(
         &self,
         ap: usize,
@@ -69,6 +70,7 @@ impl BatchSync {
     ) -> Complex64 {
         match &self.corrections[ap] {
             Some((pc, anchor)) => pc.correction_at(k, t - anchor, spacing, carrier),
+            None if self.excluded.contains(&ap) => Complex64::ZERO,
             None => Complex64::ONE,
         }
     }

@@ -642,34 +642,29 @@ impl FastNet {
             .collect();
         let mrt = Precoder::mrt(&rows)?;
         let t_h = self.now;
-        let params = self.cfg.params.clone();
-        self.sync_headers(t_h + 240.0 * params.sample_period(), 1..self.cfg.n_aps);
-        let t = t_h + 320.0 * params.sample_period() + self.cfg.turnaround_s + 200e-6;
-        let nv = self.cfg.noise_var;
-        let spacing = params.subcarrier_spacing();
-        let carrier = params.carrier_freq;
-        // One row per AP at the single probe instant.
-        let rows = &mut self.scratch.rows;
-        let to = [self.clients[client]];
-        self.medium.channel_rows_into(&self.aps, &to, t, rows);
-        let occupied = self.medium.occupied();
-        let n_k = occupied.len();
-        let sync = self.control.last_sync();
-        let mut out = Vec::with_capacity(n_k);
-        for (k_idx, &k) in occupied.iter().enumerate() {
-            let w = mrt.weights_at(k_idx);
-            let mut rx = Complex64::ZERO;
-            for (i, row) in rows.chunks_exact(n_k).enumerate() {
-                if sync.excluded.contains(&i) {
-                    continue; // sits the packet out: one combining branch fewer
-                }
-                let c = sync.phasor_at(i, k, t, spacing, carrier);
-                rx += row[k_idx] * c * w[(i, 0)];
-            }
-            out.push(jmb_dsp::stats::lin_to_db(rx.norm_sqr() / nv));
-        }
+        let ts = self.cfg.params.sample_period();
+        self.sync_headers(t_h + 240.0 * ts, 1..self.cfg.n_aps);
+        // One stream from every AP to one antenna, probed once 200 µs into
+        // the data; a slave that sits the packet out is one combining
+        // branch fewer ([`BatchSync::phasor_at`] is zero for it).
+        let batch = &mut self.scratch;
+        batch.devices.clear();
+        batch.devices.extend(0..self.cfg.n_aps);
+        batch.tx_nodes.clone_from(&self.aps);
+        batch.rx_nodes.clear();
+        batch.rx_nodes.push(self.clients[client]);
+        let t = t_h + 320.0 * ts + self.cfg.turnaround_s + 200e-6;
+        let frame = ProbeFrame {
+            sync: Some(self.control.last_sync()),
+            mute_streams: &[],
+            t_d: t,
+            duration_s: 0.0,
+            n_probes: 1,
+        };
+        let floor = (self.cfg.noise_var, &[][..]);
+        let (mut snr_db, _) = batch.probe_sinr(&mut self.medium, &mrt, &frame, floor);
         self.now = t + 300e-6;
-        Ok(out)
+        Ok(snr_db.swap_remove(0))
     }
 
     /// The 802.11 baseline for one client: per-subcarrier SNR (dB) from its
