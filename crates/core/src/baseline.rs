@@ -23,8 +23,7 @@ pub const EVAL_PAYLOAD_BYTES: usize = 1500;
 
 /// Airtime of one PHY frame (preamble + SIGNAL + data symbols), seconds.
 pub fn frame_airtime(params: &OfdmParams, mcs: Mcs, payload_bytes: usize) -> f64 {
-    let n_sym = 1 + mcs.symbols_for_psdu(params, payload_bytes + 4);
-    (320 + n_sym * params.symbol_len()) as f64 * params.sample_period()
+    jmb_phy::frame::frame_len(params, mcs, payload_bytes) as f64 * params.sample_period()
 }
 
 /// Overheads of the JMB data-transmission phase.

@@ -313,7 +313,8 @@ impl FastNet {
             0 => self.ext_intf.clear(),
             1 => {
                 self.ext_intf.clear();
-                self.ext_intf.resize(self.medium.occupied().len(), per_bin[0]);
+                self.ext_intf
+                    .resize(self.medium.occupied().len(), per_bin[0]);
             }
             n if n == self.medium.occupied().len() => {
                 self.ext_intf.clear();
@@ -880,16 +881,18 @@ impl FastNet {
             return Err(JmbError::SyncHeaderMissed { slave });
         }
         batch.tx_nodes.clear();
-        batch.tx_nodes.extend(batch.devices.iter().map(|&i| self.aps[i]));
+        batch
+            .tx_nodes
+            .extend(batch.devices.iter().map(|&i| self.aps[i]));
         batch.rx_nodes.clear();
-        batch.rx_nodes.extend(clients.iter().map(|&j| self.clients[j]));
+        batch
+            .rx_nodes
+            .extend(clients.iter().map(|&j| self.clients[j]));
 
         // ZF over the measured channel restricted to the batch and the
         // effective AP set.
         let h_meas = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
-        batch
-            .h_sub
-            .resize_with(h_meas.len(), || CMat::zeros(0, 0));
+        batch.h_sub.resize_with(h_meas.len(), || CMat::zeros(0, 0));
         for (sub, full) in batch.h_sub.iter_mut().zip(h_meas) {
             sub.reset(nb, na_eff);
             for (r, &j) in clients.iter().enumerate() {

@@ -34,7 +34,7 @@ impl ChannelEstimate {
     }
 
     /// Gains for the data subcarriers only, in `params.data_subcarriers`
-    /// order (the order [`crate::ofdm::Ofdm::extract_data`] produces).
+    /// order.
     pub fn data_gains(&self, params: &OfdmParams) -> Vec<Complex64> {
         params
             .data_subcarriers

@@ -90,20 +90,9 @@ pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 ///
 /// Panics if `soft.len()` does not equal the number of surviving positions
 /// for `n_coded` bits under this rate's pattern.
-pub fn depuncture(soft: &[f64], rate: CodeRate, n_coded: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    depuncture_into(soft, rate, n_coded, &mut out);
-    out
-}
-
-/// Allocation-free [`depuncture`]: clears `out` and fills it.
-///
-/// # Panics
-///
-/// As [`depuncture`].
 pub fn depuncture_into(soft: &[f64], rate: CodeRate, n_coded: usize, out: &mut Vec<f64>) {
     let pat = puncture_pattern(rate);
-    let expected = (0..n_coded).filter(|i| pat[i % pat.len()]).count();
+    let expected = punctured_len(n_coded, rate);
     // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the demap stage hands depuncture exactly the surviving soft bits
     assert_eq!(
         soft.len(),
@@ -124,10 +113,9 @@ pub fn depuncture_into(soft: &[f64], rate: CodeRate, n_coded: usize, out: &mut V
     }
 }
 
-/// Number of coded bits surviving puncturing for `n_data` input bits
-/// (including tail) at the given rate.
-pub fn punctured_len(n_data_with_tail: usize, rate: CodeRate) -> usize {
-    let n_coded = 2 * n_data_with_tail;
+/// Number of the `n_coded` rate-1/2 coded bits that survive puncturing at
+/// the given rate.
+fn punctured_len(n_coded: usize, rate: CodeRate) -> usize {
     let pat = puncture_pattern(rate);
     (0..n_coded).filter(|i| pat[i % pat.len()]).count()
 }
@@ -192,9 +180,9 @@ mod tests {
         assert_eq!(puncture(&coded, CodeRate::Half).len(), 48);
         assert_eq!(puncture(&coded, CodeRate::TwoThirds).len(), 36); // 48*3/4
         assert_eq!(puncture(&coded, CodeRate::ThreeQuarters).len(), 32); // 48*2/3
-        assert_eq!(punctured_len(n, CodeRate::Half), 48);
-        assert_eq!(punctured_len(n, CodeRate::TwoThirds), 36);
-        assert_eq!(punctured_len(n, CodeRate::ThreeQuarters), 32);
+        assert_eq!(punctured_len(2 * n, CodeRate::Half), 48);
+        assert_eq!(punctured_len(2 * n, CodeRate::TwoThirds), 36);
+        assert_eq!(punctured_len(2 * n, CodeRate::ThreeQuarters), 32);
     }
 
     #[test]
@@ -206,7 +194,7 @@ mod tests {
             (CodeRate::ThreeQuarters, 0.75),
         ] {
             let n = 1200;
-            let len = punctured_len(n, rate);
+            let len = punctured_len(2 * n, rate);
             let r = n as f64 / len as f64;
             assert!((r - expect).abs() < 1e-9, "{rate:?}: {r}");
         }
@@ -224,7 +212,8 @@ mod tests {
                 .iter()
                 .map(|&b| if b == 0 { 1.0 } else { -1.0 })
                 .collect();
-            let restored = depuncture(&soft, rate, n_coded);
+            let mut restored = Vec::new();
+            depuncture_into(&soft, rate, n_coded, &mut restored);
             assert_eq!(restored.len(), n_coded);
             let pat = puncture_pattern(rate);
             for (i, &s) in restored.iter().enumerate() {
@@ -241,6 +230,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "depuncture")]
     fn depuncture_length_mismatch_panics() {
-        depuncture(&[1.0; 10], CodeRate::ThreeQuarters, 48);
+        depuncture_into(&[1.0; 10], CodeRate::ThreeQuarters, 48, &mut Vec::new());
     }
 }

@@ -17,7 +17,7 @@
 //! * time domain ([`FrameTx::tx_frame`] / [`FrameRx::rx_frame`]) — full
 //!   waveforms for the sample-level simulator;
 //! * frequency domain ([`FrameTx::build_bins`] /
-//!   [`FrameRx::decode_stream_bins`]) — per-symbol 64-bin arrays, which is
+//!   [`FrameRx::decode_stream_bins_with`]) — per-symbol 64-bin arrays, which is
 //!   what JMB's joint beamformer manipulates (precoding is per subcarrier)
 //!   and what the fast per-subcarrier simulator transports.
 
@@ -26,8 +26,8 @@ use crate::convcode;
 use crate::crc;
 use crate::interleaver::Interleaver;
 use crate::modulation::Modulation;
+use crate::ofdm::equalize_into;
 use crate::ofdm::Ofdm;
-use crate::ofdm::{equalize, equalize_into};
 use crate::params::OfdmParams;
 use crate::preamble;
 use crate::rates::Mcs;
@@ -201,13 +201,6 @@ impl FrameTx {
         Ok(self.assemble_samples(&self.build_bins(mcs, payload)?))
     }
 
-    /// Total packet length in samples for a payload at an MCS.
-    pub fn frame_len(&self, mcs: Mcs, payload_len: usize) -> usize {
-        let params = self.ofdm.params();
-        let n_sym = 1 + mcs.symbols_for_psdu(params, payload_len + 4);
-        320 + n_sym * params.symbol_len()
-    }
-
     /// SIGNAL field bits: RATE(4) | reserved(1) | LENGTH(12, LSB first) |
     /// parity(1) | tail(6).
     fn signal_bits(mcs: Mcs, psdu_len: usize) -> Vec<u8> {
@@ -225,6 +218,13 @@ impl FrameTx {
         bits.extend_from_slice(&[0; 6]);
         bits
     }
+}
+
+/// Total packet length in samples — preamble, SIGNAL and the DATA symbols
+/// of the payload plus its CRC — at an MCS.
+pub fn frame_len(params: &OfdmParams, mcs: Mcs, payload_len: usize) -> usize {
+    let n_sym = 1 + mcs.symbols_for_psdu(params, payload_len + 4);
+    320 + n_sym * params.symbol_len()
 }
 
 /// Everything the receiver learned from one frame.
@@ -296,22 +296,13 @@ impl RxScratch {
     }
 }
 
-std::thread_local! {
-    /// Scratch used by the non-`_with` convenience entry points, so casual
-    /// callers get the same allocation-amortised fast path as sweeps that
-    /// thread their own [`RxScratch`].
-    static TLS_SCRATCH: std::cell::RefCell<RxScratch> =
-        std::cell::RefCell::new(RxScratch::new());
-}
-
-/// Runs `f` with the thread-local scratch, falling back to a fresh scratch
-/// if the thread-local one is already borrowed (a reentrant decode from a
-/// callback) rather than panicking.
-fn with_tls_scratch<R>(f: impl FnOnce(&mut RxScratch) -> R) -> R {
-    TLS_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut RxScratch::new()),
-    })
+/// What one frame's symbols are equalised and demapped against.
+struct ChannelView {
+    data_gains: Vec<Complex64>,
+    pilot_gains: [Complex64; 4],
+    /// `|gain|²` per data subcarrier: the LLR confidence weights.
+    csi: Vec<f64>,
+    noise_var: f64,
 }
 
 /// The receiver.
@@ -335,13 +326,14 @@ impl FrameRx {
         self.ofdm.params()
     }
 
-    /// Full receive chain: detect → sync → estimate → decode.
+    /// Full receive chain — detect → sync → estimate → decode — in a fresh
+    /// scratch: for a caller with one frame to decode.
     pub fn rx_frame(&self, samples: &[Complex64]) -> Result<RxResult, RxError> {
-        with_tls_scratch(|scratch| self.rx_frame_with(scratch, samples))
+        self.rx_frame_with(&mut RxScratch::new(), samples)
     }
 
-    /// [`FrameRx::rx_frame`] with caller-owned scratch buffers — the
-    /// allocation-amortised entry point for decode-heavy sweeps.
+    /// Full receive chain in the caller's scratch buffers, which a receiver
+    /// that decodes frame after frame keeps and hands back in.
     pub fn rx_frame_with(
         &self,
         scratch: &mut RxScratch,
@@ -352,20 +344,8 @@ impl FrameRx {
         self.rx_frame_at_with(scratch, samples, s.stf_start, s.cfo_hz)
     }
 
-    /// Receive chain with externally supplied timing and CFO (used when the
-    /// simulator's scheduling already pins the frame position, and by slave
-    /// APs that are triggered by the lead's header).
-    pub fn rx_frame_at(
-        &self,
-        samples: &[Complex64],
-        stf_start: usize,
-        cfo_hz: f64,
-    ) -> Result<RxResult, RxError> {
-        with_tls_scratch(|scratch| self.rx_frame_at_with(scratch, samples, stf_start, cfo_hz))
-    }
-
-    /// [`FrameRx::rx_frame_at`] with caller-owned scratch buffers.
-    pub fn rx_frame_at_with(
+    /// The receive chain from a known frame start and CFO on.
+    fn rx_frame_at_with(
         &self,
         scratch: &mut RxScratch,
         samples: &[Complex64],
@@ -409,17 +389,7 @@ impl FrameRx {
 
     /// Frequency-domain receive chain: `bins` holds one 64-bin vector per
     /// received OFDM symbol (SIGNAL first). Used directly by the
-    /// per-subcarrier fidelity simulator and by [`FrameRx::rx_frame_at`].
-    pub fn decode_stream_bins<S: AsRef<[Complex64]>>(
-        &self,
-        bins: &[S],
-        channel: &ChannelEstimate,
-        noise_var: f64,
-    ) -> Result<RxResult, RxError> {
-        with_tls_scratch(|scratch| self.decode_stream_bins_with(scratch, bins, channel, noise_var))
-    }
-
-    /// [`FrameRx::decode_stream_bins`] with caller-owned scratch buffers.
+    /// per-subcarrier fidelity simulator and by [`FrameRx::rx_frame_with`].
     ///
     /// The batched pipeline: per DATA symbol the pilot-corrected
     /// subcarriers, equalised values and LLRs are staged in preallocated
@@ -440,12 +410,15 @@ impl FrameRx {
         }
         let polarity = pilot_polarity_sequence();
         let data_gains = channel.data_gains(params);
-        let pilot_gains = channel.pilot_gains(params);
-        let csi: Vec<f64> = data_gains.iter().map(|g| g.norm_sqr()).collect();
+        let view = ChannelView {
+            csi: data_gains.iter().map(|g| g.norm_sqr()).collect(),
+            data_gains,
+            pilot_gains: channel.pilot_gains(params),
+            noise_var,
+        };
 
         // --- SIGNAL.
-        let (mcs, psdu_len) =
-            self.decode_signal(bins[0].as_ref(), channel, noise_var, polarity[0])?;
+        let (mcs, psdu_len) = self.decode_signal(scratch, &view, bins[0].as_ref(), polarity[0])?;
         let n_sym = mcs.symbols_for_psdu(params, psdu_len);
         if bins.len() < 1 + n_sym {
             return Err(RxError::Truncated);
@@ -457,28 +430,11 @@ impl FrameRx {
         scratch.soft.clear();
         scratch.soft.reserve(n_sym * ncbps);
         let mut evm_acc = 0.0f64;
-        let mut evm_n = 0usize;
         for n in 0..n_sym {
-            let b = bins[1 + n].as_ref();
             let p = polarity[(n + 1) % polarity.len()];
-            let pilots = self.ofdm.extract_pilots(b);
-            let track = chanest::track_pilots(params, &pilots, &pilot_gains, p);
-            scratch.data.clear();
-            for &k in &params.data_subcarriers {
-                scratch.data.push(b[params.bin(k)] * track.correction(k));
-            }
-            equalize_into(&scratch.data, &data_gains, &mut scratch.eq);
-            scratch.llrs.clear();
-            mcs.modulation.demap_soft_evm_into(
-                &scratch.eq,
-                noise_var,
-                &csi,
-                &mut scratch.llrs,
-                &mut evm_acc,
-            );
-            evm_n += scratch.eq.len();
-            il.deinterleave_into(&scratch.llrs, &mut scratch.soft);
+            self.soft_symbol(scratch, &view, bins[1 + n].as_ref(), p, &il, &mut evm_acc);
         }
+        let evm_n = n_sym * view.data_gains.len();
 
         // --- Decode: depuncture → Viterbi → descramble → CRC.
         let ndbps = mcs.data_bits_per_symbol(params);
@@ -522,28 +478,52 @@ impl FrameRx {
         })
     }
 
+    /// One symbol's bins → pilot-tracked, equalised, soft-demapped LLRs,
+    /// deinterleaved onto the end of `scratch.soft`; the squared distances
+    /// to the nearest constellation points add to `evm_acc`.
+    fn soft_symbol(
+        &self,
+        scratch: &mut RxScratch,
+        view: &ChannelView,
+        bins: &[Complex64],
+        polarity: f64,
+        il: &Interleaver,
+        evm_acc: &mut f64,
+    ) {
+        let params = self.ofdm.params();
+        let pilots = self.ofdm.extract_pilots(bins);
+        let track = chanest::track_pilots(params, &pilots, &view.pilot_gains, polarity);
+        scratch.data.clear();
+        for &k in &params.data_subcarriers {
+            scratch.data.push(bins[params.bin(k)] * track.correction(k));
+        }
+        equalize_into(&scratch.data, &view.data_gains, &mut scratch.eq);
+        scratch.llrs.clear();
+        il.modulation().demap_soft_evm_into(
+            &scratch.eq,
+            view.noise_var,
+            &view.csi,
+            &mut scratch.llrs,
+            evm_acc,
+        );
+        il.deinterleave_into(&scratch.llrs, &mut scratch.soft);
+    }
+
+    /// SIGNAL (one BPSK rate-1/2 symbol) through the staging buffers the
+    /// DATA symbols use next.
     fn decode_signal(
         &self,
+        scratch: &mut RxScratch,
+        view: &ChannelView,
         bins: &[Complex64],
-        channel: &ChannelEstimate,
-        noise_var: f64,
         polarity: f64,
     ) -> Result<(Mcs, usize), RxError> {
-        let params = self.ofdm.params();
-        let data_gains = channel.data_gains(params);
-        let pilot_gains = channel.pilot_gains(params);
-        let pilots = self.ofdm.extract_pilots(bins);
-        let track = chanest::track_pilots(params, &pilots, &pilot_gains, polarity);
-        let mut data = self.ofdm.extract_data(bins);
-        for (v, &k) in data.iter_mut().zip(&params.data_subcarriers) {
-            *v *= track.correction(k);
-        }
-        let eq = equalize(&data, &data_gains);
-        let csi: Vec<f64> = data_gains.iter().map(|g| g.norm_sqr()).collect();
-        let llrs = Modulation::Bpsk.demap_soft_stream(&eq, noise_var, &csi);
-        let il = Interleaver::new(params, Modulation::Bpsk);
-        let soft = il.deinterleave(&llrs);
-        let bits = viterbi::decode(&soft).map_err(|_| RxError::BadSignal)?;
+        let il = Interleaver::new(self.ofdm.params(), Modulation::Bpsk);
+        scratch.soft.clear();
+        self.soft_symbol(scratch, view, bins, polarity, &il, &mut 0.0);
+        viterbi::decode_with(&scratch.soft, &mut scratch.viterbi, &mut scratch.bits)
+            .map_err(|_| RxError::BadSignal)?;
+        let bits = &scratch.bits;
         debug_assert_eq!(bits.len(), 18);
 
         // Parity over the 17 info bits must match bit 17.
@@ -710,7 +690,7 @@ mod tests {
         for mcs in [Mcs::ALL[0], Mcs::ALL[3], Mcs::ALL[7]] {
             for n in [0usize, 1, 100, 1500] {
                 let samples = tx.tx_frame(mcs, &payload(n)).unwrap();
-                assert_eq!(samples.len(), tx.frame_len(mcs, n), "{mcs} n={n}");
+                assert_eq!(samples.len(), frame_len(tx.params(), mcs, n), "{mcs} n={n}");
             }
         }
     }
@@ -732,7 +712,7 @@ mod tests {
         let bins = tx.build_bins(Mcs::ALL[6], &data).unwrap();
         let channel = chanest::estimate_ideal(&p);
         let got = rx
-            .decode_stream_bins(&bins.symbols, &channel, 1e-6)
+            .decode_stream_bins_with(&mut RxScratch::new(), &bins.symbols, &channel, 1e-6)
             .expect("bins decode");
         assert_eq!(got.payload, data);
     }
@@ -762,7 +742,9 @@ mod tests {
             subcarriers: p.occupied_subcarriers(),
             gains: p.occupied_subcarriers().iter().map(|&k| gain(k)).collect(),
         };
-        let got = rx.decode_stream_bins(&rx_bins, &channel, 1e-6).unwrap();
+        let got = rx
+            .decode_stream_bins_with(&mut RxScratch::new(), &rx_bins, &channel, 1e-6)
+            .unwrap();
         assert_eq!(got.payload, data);
     }
 

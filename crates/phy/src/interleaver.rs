@@ -14,6 +14,7 @@ use crate::params::OfdmParams;
 /// OFDM symbol's worth of coded bits (`N_CBPS`).
 #[derive(Debug, Clone)]
 pub struct Interleaver {
+    modulation: Modulation,
     /// Permutation: interleaved position `j` holds input bit `perm[j]`.
     perm: Vec<usize>,
     /// Inverse permutation.
@@ -43,7 +44,16 @@ impl Interleaver {
         for (j, &k) in perm.iter().enumerate() {
             inv[k] = j;
         }
-        Interleaver { perm, inv }
+        Interleaver {
+            modulation,
+            perm,
+            inv,
+        }
+    }
+
+    /// The modulation whose symbol blocks this interleaves.
+    pub(crate) fn modulation(&self) -> Modulation {
+        self.modulation
     }
 
     /// Block size (`N_CBPS`).
@@ -66,23 +76,9 @@ impl Interleaver {
         self.perm.iter().map(|&k| bits[k]).collect()
     }
 
-    /// Deinterleaves one symbol block (works on soft values too).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != block_len()`.
-    pub fn deinterleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — block length is fixed by the MCS
-        assert_eq!(
-            bits.len(),
-            self.block_len(),
-            "deinterleave: block size mismatch"
-        );
-        self.inv.iter().map(|&j| bits[j]).collect()
-    }
-
-    /// Deinterleaves one symbol block, appending to `out` instead of
-    /// allocating (the batched receive path calls this once per symbol).
+    /// Deinterleaves one symbol block (soft values as well as bits) onto
+    /// the end of `out`: the receive path calls this once per symbol and
+    /// ends up with the whole frame's stream.
     ///
     /// # Panics
     ///
@@ -95,32 +91,6 @@ impl Interleaver {
             "deinterleave: block size mismatch"
         );
         out.extend(self.inv.iter().map(|&j| bits[j]));
-    }
-
-    /// Interleaves a multi-symbol stream block by block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is not a whole number of blocks.
-    pub fn interleave_stream<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — streams are produced whole-block by the encoder
-        assert_eq!(bits.len() % self.block_len(), 0, "stream not whole blocks");
-        bits.chunks(self.block_len())
-            .flat_map(|b| self.interleave(b))
-            .collect()
-    }
-
-    /// Deinterleaves a multi-symbol stream block by block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is not a whole number of blocks.
-    pub fn deinterleave_stream<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — streams are produced whole-block by the encoder
-        assert_eq!(bits.len() % self.block_len(), 0, "stream not whole blocks");
-        bits.chunks(self.block_len())
-            .flat_map(|b| self.deinterleave(b))
-            .collect()
     }
 }
 
@@ -163,8 +133,12 @@ mod tests {
         for m in ALL {
             let il = Interleaver::new(&p, m);
             let input: Vec<u16> = (0..il.block_len() as u16).collect();
-            assert_eq!(il.deinterleave(&il.interleave(&input)), input, "{m:?}");
-            assert_eq!(il.interleave(&il.deinterleave(&input)), input, "{m:?}");
+            let mut back = Vec::new();
+            il.deinterleave_into(&il.interleave(&input), &mut back);
+            assert_eq!(back, input, "{m:?}");
+            back.clear();
+            il.deinterleave_into(&input, &mut back);
+            assert_eq!(il.interleave(&back), input, "{m:?}");
         }
     }
 
@@ -211,18 +185,23 @@ mod tests {
         let p = OfdmParams::default();
         let il = Interleaver::new(&p, Modulation::Qpsk);
         let soft: Vec<f64> = (0..96).map(|i| i as f64 * 0.25 - 10.0).collect();
-        assert_eq!(il.deinterleave(&il.interleave(&soft)), soft);
+        let mut back = Vec::new();
+        il.deinterleave_into(&il.interleave(&soft), &mut back);
+        assert_eq!(back, soft);
     }
 
     #[test]
     fn stream_roundtrip() {
         let p = OfdmParams::default();
         let il = Interleaver::new(&p, Modulation::Qam16);
+        // Block after block onto one buffer, as the receiver deinterleaves
+        // a frame.
         let stream: Vec<u32> = (0..192 * 3).collect();
-        assert_eq!(
-            il.deinterleave_stream(&il.interleave_stream(&stream)),
-            stream
-        );
+        let mut back = Vec::new();
+        for block in stream.chunks(il.block_len()) {
+            il.deinterleave_into(&il.interleave(block), &mut back);
+        }
+        assert_eq!(back, stream);
     }
 
     #[test]

@@ -32,20 +32,13 @@ impl Ofdm {
         &self.params
     }
 
-    /// Modulates one OFDM symbol: 48 data values + pilot polarity →
-    /// 80 time-domain samples (CP + body).
-    ///
-    /// `polarity` is the 802.11 pilot polarity `p_n` (±1) for this symbol.
+    /// Places one symbol's 48 data values and its pilots into the 64 FFT
+    /// bins (frequency domain). `polarity` is the 802.11 pilot polarity
+    /// `p_n` (±1) for this symbol.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != 48`.
-    pub fn modulate_symbol(&self, data: &[Complex64], polarity: f64) -> Vec<Complex64> {
-        let bins = self.assemble_bins(data, polarity);
-        self.bins_to_samples(&bins)
-    }
-
-    /// Places data and pilots into the 64 FFT bins (frequency domain).
     pub fn assemble_bins(&self, data: &[Complex64], polarity: f64) -> Vec<Complex64> {
         // jmb-allow(no-panic-hot-path): documented precondition — the framer always supplies n_data_subcarriers symbols
         assert_eq!(
@@ -76,26 +69,8 @@ impl Ofdm {
         out
     }
 
-    /// Demodulates one 80-sample symbol into 64 frequency bins
-    /// (CP strip + FFT).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len() != 80`.
-    pub fn demodulate_symbol(&self, samples: &[Complex64]) -> Vec<Complex64> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the frame parser slices whole symbols
-        assert_eq!(
-            samples.len(),
-            self.params.symbol_len(),
-            "need one full symbol"
-        );
-        let mut bins = samples[self.params.cp_len..].to_vec();
-        self.plan.forward(&mut bins);
-        bins
-    }
-
-    /// Demodulates one symbol, appending its `fft_size` bins to `out` —
-    /// the allocation-free form of [`Ofdm::demodulate_symbol`].
+    /// Demodulates one 80-sample symbol (CP strip + FFT), appending its
+    /// `fft_size` frequency bins to `out`.
     ///
     /// # Panics
     ///
@@ -112,16 +87,6 @@ impl Ofdm {
         self.plan.forward(&mut out[start..]);
     }
 
-    /// Extracts the 48 data-subcarrier values from 64 bins, in the order of
-    /// `params.data_subcarriers`.
-    pub fn extract_data(&self, bins: &[Complex64]) -> Vec<Complex64> {
-        self.params
-            .data_subcarriers
-            .iter()
-            .map(|&k| bins[self.params.bin(k)])
-            .collect()
-    }
-
     /// Extracts the 4 pilot values from 64 bins.
     pub fn extract_pilots(&self, bins: &[Complex64]) -> [Complex64; 4] {
         let mut out = [Complex64::ZERO; 4];
@@ -130,15 +95,6 @@ impl Ofdm {
         }
         out
     }
-
-    /// Extracts all 52 occupied subcarrier values, ascending subcarrier order.
-    pub fn extract_occupied(&self, bins: &[Complex64]) -> Vec<Complex64> {
-        self.params
-            .occupied_subcarriers()
-            .iter()
-            .map(|&k| bins[self.params.bin(k)])
-            .collect()
-    }
 }
 
 /// Per-subcarrier single-tap equalizer: `x̂_k = y_k / h_k`.
@@ -146,14 +102,7 @@ impl Ofdm {
 /// `channel` is indexed like the slice being equalized. Subcarriers whose
 /// channel estimate is ~zero are zeroed (they carry no usable information and
 /// their LLR weight should be ~0 anyway).
-pub fn equalize(received: &[Complex64], channel: &[Complex64]) -> Vec<Complex64> {
-    let mut out = Vec::new();
-    equalize_into(received, channel, &mut out);
-    out
-}
-
-/// Allocation-free [`equalize`]: clears `out` and fills it with the
-/// equalized values (bitwise identical to what [`equalize`] returns).
+/// Clears `out` and fills it with the equalized values.
 pub fn equalize_into(received: &[Complex64], channel: &[Complex64], out: &mut Vec<Complex64>) {
     // jmb-allow(no-panic-hot-path): caller contract — symbols and channel gains are sliced from the same estimate
     assert_eq!(received.len(), channel.len(), "equalize: length mismatch");
@@ -176,6 +125,28 @@ mod tests {
         Ofdm::new(OfdmParams::default())
     }
 
+    fn modulate(m: &Ofdm, data: &[Complex64], polarity: f64) -> Vec<Complex64> {
+        m.bins_to_samples(&m.assemble_bins(data, polarity))
+    }
+
+    fn demodulate(m: &Ofdm, samples: &[Complex64]) -> Vec<Complex64> {
+        let mut bins = Vec::new();
+        m.demodulate_symbol_into(samples, &mut bins);
+        bins
+    }
+
+    /// The data-subcarrier values of `bins`, in `data_subcarriers` order.
+    fn data_of(m: &Ofdm, bins: &[Complex64]) -> Vec<Complex64> {
+        let p = m.params();
+        p.data_subcarriers.iter().map(|&k| bins[p.bin(k)]).collect()
+    }
+
+    fn equalize(received: &[Complex64], channel: &[Complex64]) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        equalize_into(received, channel, &mut out);
+        out
+    }
+
     fn test_data(seed: u64) -> Vec<Complex64> {
         // Deterministic QPSK-ish data.
         (0..48)
@@ -190,14 +161,14 @@ mod tests {
     #[test]
     fn symbol_length() {
         let m = modem();
-        let s = m.modulate_symbol(&test_data(0xABCD), 1.0);
+        let s = modulate(&m, &test_data(0xABCD), 1.0);
         assert_eq!(s.len(), 80);
     }
 
     #[test]
     fn cyclic_prefix_is_tail_copy() {
         let m = modem();
-        let s = m.modulate_symbol(&test_data(0x1234), 1.0);
+        let s = modulate(&m, &test_data(0x1234), 1.0);
         for i in 0..16 {
             assert!((s[i] - s[64 + i]).abs() < 1e-12, "CP mismatch at {i}");
         }
@@ -207,9 +178,9 @@ mod tests {
     fn modulate_demodulate_roundtrip() {
         let m = modem();
         let data = test_data(0xDEAD_BEEF);
-        let s = m.modulate_symbol(&data, -1.0);
-        let bins = m.demodulate_symbol(&s);
-        let got = m.extract_data(&bins);
+        let s = modulate(&m, &data, -1.0);
+        let bins = demodulate(&m, &s);
+        let got = data_of(&m, &bins);
         for (g, w) in got.iter().zip(&data) {
             assert!((*g - *w).abs() < 1e-10);
         }
@@ -238,14 +209,14 @@ mod tests {
         // the property the paper leans on for inter-AP delay spread (§5.2).
         let m = modem();
         let data = test_data(0x5555_AAAA);
-        let s = m.modulate_symbol(&data, 1.0);
+        let s = modulate(&m, &data, 1.0);
         // Receiver frame-start estimate 3 samples early (still inside the
         // CP): the FFT window then covers the last 3 CP samples plus the
         // first 61 body samples — a circular shift, i.e. pure rotation.
         let mut early = vec![Complex64::ZERO; 3];
         early.extend_from_slice(&s);
-        let bins = m.demodulate_symbol(&early[..80]);
-        let got = m.extract_data(&bins);
+        let bins = demodulate(&m, &early[..80]);
+        let got = data_of(&m, &bins);
         for (i, (&k, g)) in m.params().data_subcarriers.iter().zip(&got).enumerate() {
             // Body delayed by 3 samples in the window ⇒ e^{−j2πk·3/64}.
             let rot = Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 * 3.0 / 64.0);
@@ -259,10 +230,10 @@ mod tests {
         let m = modem();
         let data = test_data(0xFACE);
         let h = Complex64::from_polar(0.8, 1.1);
-        let s = m.modulate_symbol(&data, 1.0);
+        let s = modulate(&m, &data, 1.0);
         let rx: Vec<Complex64> = s.iter().map(|&x| x * h).collect();
-        let bins = m.demodulate_symbol(&rx);
-        let got = m.extract_data(&bins);
+        let bins = demodulate(&m, &rx);
+        let got = data_of(&m, &bins);
         let ch = vec![h; 48];
         let eq = equalize(&got, &ch);
         for (g, w) in eq.iter().zip(&data) {
@@ -279,8 +250,13 @@ mod tests {
     #[test]
     fn extract_occupied_count() {
         let m = modem();
+        // 48 data values and 4 pilots land on the 52 occupied subcarriers.
         let bins = m.assemble_bins(&test_data(3), 1.0);
-        assert_eq!(m.extract_occupied(&bins).len(), 52);
+        let p = m.params();
+        let occupied = p.occupied_subcarriers();
+        assert_eq!(occupied.len(), 52);
+        assert!(occupied.iter().all(|&k| bins[p.bin(k)] != Complex64::ZERO));
+        assert_eq!(bins.iter().filter(|&&b| b != Complex64::ZERO).count(), 52);
     }
 
     #[test]
@@ -291,7 +267,7 @@ mod tests {
         let mut acc = 0.0;
         let n_syms = 50;
         for i in 0..n_syms {
-            let s = m.modulate_symbol(&test_data(i as u64 * 997 + 13), 1.0);
+            let s = modulate(&m, &test_data(i as u64 * 997 + 13), 1.0);
             acc += jmb_dsp::complex::mean_power(&s);
         }
         let mean = acc / n_syms as f64;

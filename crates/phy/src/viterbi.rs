@@ -3,23 +3,22 @@
 //! Maximum-likelihood sequence decoding over the 64-state trellis of the
 //! rate-1/2 K=7 encoder in [`crate::convcode`]. The decoder consumes one
 //! soft value (LLR) per rate-1/2 coded bit — punctured positions are fed as
-//! `0.0` erasures by [`crate::convcode::depuncture`] — and exploits the
+//! `0.0` erasures by [`crate::convcode::depuncture_into`] — and exploits the
 //! 802.11 tail bits to terminate the trellis in state 0.
 //!
 //! LLR sign convention: **positive = bit 0 more likely** (matches
 //! [`crate::modulation::Modulation::demap_soft`]).
 //!
-//! Two implementations live here (DESIGN.md §3.11):
-//!
-//! * [`decode`] / [`decode_with`] — the throughput decoder. Path metrics are
-//!   held in a struct-of-arrays layout (one flat `[f64; 64]` per trellis
-//!   column), the add-compare-select step is branchless (clamped candidates,
-//!   select-by-comparison), and survivor decisions are one byte lane per
-//!   state per step in a flat buffer (the [`UNREACHED`] flag shares the
-//!   byte) instead of a per-step `Vec`.
-//! * [`decode_reference`] — the original scalar decoder, kept as the
-//!   executable specification. Property tests assert the fast decoder is
-//!   bit-exact against it, including NaN and ±∞ soft inputs.
+//! [`decode_with`] (and [`decode`], the same in a fresh scratch) holds path
+//! metrics in a struct-of-arrays layout (one flat `[f64; 64]` per trellis
+//! column), its add-compare-select step is branchless (clamped candidates,
+//! select-by-comparison), and survivor decisions are one byte lane per
+//! state per step in a flat buffer (the [`UNREACHED`] flag shares the byte)
+//! instead of a per-step `Vec` (DESIGN.md §3.11). The scalar decoder it
+//! replaced is the executable specification of its semantics — admission
+//! rules, tie-breaks, NaN handling, terminal-state fallback — and lives in
+//! `tests/viterbi_equivalence.rs`, where property tests hold the two
+//! bit-exact, NaN and ±∞ soft inputs included.
 
 use crate::convcode::{G0, G1, TAIL_BITS};
 
@@ -31,7 +30,7 @@ pub const NEG_INF: f64 = f64::NEG_INFINITY;
 /// Path metrics are shifted down when they exceed this bound so that long
 /// streams cannot overflow to `+∞`. The threshold is astronomically above
 /// anything reachable from physical LLRs, so renormalisation never fires on
-/// sane inputs and the decoder stays bit-exact with [`decode_reference`].
+/// sane inputs and the decoder stays bit-exact with the reference decoder.
 const RENORM_LIMIT: f64 = 1e250;
 
 /// How often (in trellis steps) the renormalisation check runs.
@@ -73,39 +72,6 @@ const fn build_signs(mask: u8) -> [f64; 32] {
         j += 1;
     }
     t
-}
-
-/// Precomputed trellis for [`decode_reference`]: for each `(state, input)`
-/// the next state and the two output bits.
-#[derive(Debug, Clone)]
-struct Trellis {
-    /// `next[state][input]`.
-    next: [[u8; 2]; N_STATES],
-    /// `out[state][input]` = 2-bit output, bit1 = g0 output, bit0 = g1 output.
-    out: [[u8; 2]; N_STATES],
-}
-
-impl Trellis {
-    fn new() -> Self {
-        let mut next = [[0u8; 2]; N_STATES];
-        let mut out = [[0u8; 2]; N_STATES];
-        for s in 0..N_STATES {
-            for b in 0..2usize {
-                let reg = ((b as u8) << 6) | s as u8;
-                let o0 = (reg & G0).count_ones() as u8 & 1;
-                let o1 = (reg & G1).count_ones() as u8 & 1;
-                next[s][b] = reg >> 1;
-                out[s][b] = (o0 << 1) | o1;
-            }
-        }
-        Trellis { next, out }
-    }
-
-    fn shared() -> &'static Trellis {
-        use std::sync::OnceLock;
-        static T: OnceLock<Trellis> = OnceLock::new();
-        T.get_or_init(Trellis::new)
-    }
 }
 
 /// Errors from Viterbi decoding.
@@ -167,7 +133,7 @@ impl ViterbiScratch {
 /// contiguous, and decisions land as byte lanes instead of a packed bitmask
 /// (a `|= … << j` chain would serialise the loop).
 ///
-/// Admission mirrors [`decode_reference`] exactly: a candidate that is NaN
+/// Admission mirrors the reference decoder exactly: a candidate that is NaN
 /// (a NaN LLR from equalising a spectral null) or −∞ (unreached predecessor)
 /// is clamped to −∞ and can never beat an admissible path; ties select the
 /// even predecessor, as the reference's ascending-state scan does.
@@ -244,8 +210,8 @@ fn acs_block(soft: &[f64], metric: &mut [f64; N_STATES], decision: &mut [u8]) ->
 /// `soft.len()` must be even and correspond to at least the 6 tail bits.
 /// Returns the decoded data bits **without** the tail.
 ///
-/// Allocation-free variant of [`decode`]: survivor masks live in `scratch`
-/// and the decoded bits are written into `out` (cleared first).
+/// Survivor masks live in `scratch` and the decoded bits are written into
+/// `out` (cleared first): no allocation once both have grown.
 pub fn decode_with(
     soft: &[f64],
     scratch: &mut ViterbiScratch,
@@ -277,7 +243,7 @@ pub fn decode_with(
         metric
             .iter()
             .enumerate()
-            // total_cmp for parity with decode_reference (the clamped
+            // total_cmp for parity with the reference decoder (the clamped
             // metrics are NaN-free, so this is a plain max, last-wins).
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
@@ -302,10 +268,8 @@ pub fn decode_with(
     Ok(())
 }
 
-/// Decodes a rate-1/2 soft stream (LLR per coded bit, erasures as 0.0).
-///
-/// `soft.len()` must be even and correspond to at least the 6 tail bits.
-/// Returns the decoded data bits **without** the tail.
+/// [`decode_with`] in a fresh scratch, for a caller with one stream to
+/// decode.
 ///
 /// # Examples
 ///
@@ -319,104 +283,15 @@ pub fn decode_with(
 /// assert_eq!(viterbi::decode(&soft).unwrap(), data);
 /// ```
 pub fn decode(soft: &[f64]) -> Result<Vec<u8>, ViterbiError> {
-    std::thread_local! {
-        /// Survivor storage reused across calls, so standalone `decode`
-        /// callers get the same allocation-amortised path as `decode_with`.
-        static TLS_SCRATCH: std::cell::RefCell<ViterbiScratch> =
-            std::cell::RefCell::new(ViterbiScratch::new());
-    }
     let mut out = Vec::new();
-    TLS_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => decode_with(soft, &mut scratch, &mut out),
-        Err(_) => decode_with(soft, &mut ViterbiScratch::new(), &mut out),
-    })?;
+    decode_with(soft, &mut ViterbiScratch::new(), &mut out)?;
     Ok(out)
-}
-
-/// The original scalar decoder, retained as the executable specification of
-/// [`decode`]'s exact semantics (admission rules, tie-breaks, NaN handling,
-/// terminal-state fallback). Differential tests assert bit-exact agreement;
-/// production paths use [`decode`] / [`decode_with`].
-pub fn decode_reference(soft: &[f64]) -> Result<Vec<u8>, ViterbiError> {
-    if !soft.len().is_multiple_of(2) || soft.len() / 2 < TAIL_BITS {
-        return Err(ViterbiError::BadInputLength(soft.len()));
-    }
-    let n_steps = soft.len() / 2;
-    let trellis = Trellis::shared();
-
-    let mut metric = [NEG_INF; N_STATES];
-    metric[0] = 0.0; // encoder starts in state 0
-    let mut new_metric = [NEG_INF; N_STATES];
-    // decisions[t][next_state] = (prev_state, input_bit) packed: bit7 = input,
-    // low 6 bits = prev state.
-    let mut decisions = vec![[0u8; N_STATES]; n_steps];
-
-    for t in 0..n_steps {
-        let l0 = soft[2 * t];
-        let l1 = soft[2 * t + 1];
-        // Per-output-bit metric contribution: bit value 0 earns +l, 1 earns −l.
-        let bm = |out: u8| -> f64 {
-            let m0 = if out & 0b10 == 0 { l0 } else { -l0 };
-            let m1 = if out & 0b01 == 0 { l1 } else { -l1 };
-            m0 + m1
-        };
-        new_metric.fill(NEG_INF);
-        for (s, &m) in metric.iter().enumerate() {
-            if m == NEG_INF {
-                continue;
-            }
-            for b in 0..2usize {
-                let ns = trellis.next[s][b] as usize;
-                let cand = m + bm(trellis.out[s][b]);
-                if cand > new_metric[ns] {
-                    new_metric[ns] = cand;
-                    decisions[t][ns] = ((b as u8) << 7) | s as u8;
-                }
-            }
-        }
-        metric.copy_from_slice(&new_metric);
-    }
-
-    // The tail flushes the encoder to state 0; terminate there. If state 0 is
-    // unreachable (severe erasures), fall back to the best surviving state.
-    let mut state = if metric[0] > NEG_INF {
-        0usize
-    } else {
-        metric
-            .iter()
-            .enumerate()
-            // total_cmp: a NaN metric (possible when upstream equalisation
-            // divides by a spectral null) must yield a wrong pick that the
-            // CRC rejects, never a decoder panic.
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    };
-
-    let mut bits = vec![0u8; n_steps];
-    for t in (0..n_steps).rev() {
-        let d = decisions[t][state];
-        bits[t] = d >> 7;
-        state = (d & 0x3F) as usize;
-    }
-    bits.truncate(n_steps - TAIL_BITS);
-    Ok(bits)
-}
-
-/// Hard-decision convenience wrapper: converts bits to ±1 soft values and
-/// decodes.
-pub fn decode_hard(coded: &[u8]) -> Result<Vec<u8>, ViterbiError> {
-    let soft: Vec<f64> = coded
-        .iter()
-        .map(|&b| if b == 0 { 1.0 } else { -1.0 })
-        .collect();
-    decode(&soft)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convcode::{depuncture, encode, puncture};
+    use crate::convcode::{depuncture_into, encode, puncture};
     use crate::rates::CodeRate;
 
     fn to_soft(coded: &[u8]) -> Vec<f64> {
@@ -437,7 +312,7 @@ mod tests {
     fn hard_decision_roundtrip() {
         let data: Vec<u8> = (0..64).map(|i| ((i >> 2) % 2) as u8).collect();
         let coded = encode(&data);
-        assert_eq!(decode_hard(&coded).unwrap(), data);
+        assert_eq!(decode(&to_soft(&coded)).unwrap(), data);
     }
 
     #[test]
@@ -471,7 +346,8 @@ mod tests {
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
             let punct = puncture(&coded, rate);
             let soft = to_soft(&punct);
-            let restored = depuncture(&soft, rate, coded.len());
+            let mut restored = Vec::new();
+            depuncture_into(&soft, rate, coded.len(), &mut restored);
             assert_eq!(decode(&restored).unwrap(), data, "rate {rate:?}");
         }
     }
@@ -484,7 +360,8 @@ mod tests {
         punct[40] ^= 1;
         punct[200] ^= 1;
         let soft = to_soft(&punct);
-        let restored = depuncture(&soft, CodeRate::ThreeQuarters, coded.len());
+        let mut restored = Vec::new();
+        depuncture_into(&soft, CodeRate::ThreeQuarters, coded.len(), &mut restored);
         assert_eq!(decode(&restored).unwrap(), data);
     }
 
@@ -505,10 +382,6 @@ mod tests {
             decode(&[1.0; 4]),
             Err(ViterbiError::BadInputLength(4))
         ));
-        assert!(matches!(
-            decode_reference(&[1.0; 7]),
-            Err(ViterbiError::BadInputLength(7))
-        ));
     }
 
     #[test]
@@ -521,67 +394,27 @@ mod tests {
         let out = decode(&soft).unwrap();
         assert_eq!(out.len(), n_data);
         assert!(out.iter().all(|&b| b <= 1));
-        assert_eq!(out, decode_reference(&soft).unwrap());
     }
 
     #[test]
     fn butterfly_tables_match_trellis() {
-        // The const butterfly tables must agree with the reference trellis:
+        // The const butterfly tables must agree with the encoder's trellis:
         // BFLY_CODE[j] is the output of (prev=2j, input=0), and the three
         // sibling transitions are its bitwise complements per the sign rule.
-        let tr = Trellis::shared();
-        for (j, &code) in BFLY_CODE.iter().enumerate() {
-            assert_eq!(code, tr.out[2 * j][0], "j={j} even/0");
-            assert_eq!(code ^ 0b11, tr.out[2 * j + 1][0], "j={j} odd/0");
-            assert_eq!(code ^ 0b11, tr.out[2 * j][1], "j={j} even/1");
-            assert_eq!(code, tr.out[2 * j + 1][1], "j={j} odd/1");
-            assert_eq!(tr.next[2 * j][0] as usize, j);
-            assert_eq!(tr.next[2 * j + 1][0] as usize, j);
-            assert_eq!(tr.next[2 * j][1] as usize, j + 32);
-            assert_eq!(tr.next[2 * j + 1][1] as usize, j + 32);
-        }
-    }
-
-    #[test]
-    fn fast_matches_reference_on_noisy_soft_values() {
-        // Deterministic LCG noise over several lengths; the fast decoder
-        // must agree bit-for-bit with the reference, errors and all.
-        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (lcg >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        // The encoder's transition out of `state` on input `b`, from the
+        // generator polynomials: (next state, 2-bit output).
+        let step = |state: usize, b: usize| {
+            let reg = ((b as u8) << 6) | state as u8;
+            let out =
+                (((reg & G0).count_ones() as u8 & 1) << 1) | ((reg & G1).count_ones() as u8 & 1);
+            ((reg >> 1) as usize, out)
         };
-        for n_data in [1usize, 7, 53, 200] {
-            let data: Vec<u8> = (0..n_data).map(|i| ((i * 29 + 3) % 2) as u8).collect();
-            let coded = encode(&data);
-            let soft: Vec<f64> = coded
-                .iter()
-                .map(|&b| {
-                    let tx = if b == 0 { 1.0 } else { -1.0 };
-                    tx + 3.0 * next()
-                })
-                .collect();
-            assert_eq!(
-                decode(&soft).unwrap(),
-                decode_reference(&soft).unwrap(),
-                "n_data={n_data}"
-            );
+        for (j, &code) in BFLY_CODE.iter().enumerate() {
+            assert_eq!(step(2 * j, 0), (j, code), "j={j} even/0");
+            assert_eq!(step(2 * j + 1, 0), (j, code ^ 0b11), "j={j} odd/0");
+            assert_eq!(step(2 * j, 1), (j + 32, code ^ 0b11), "j={j} even/1");
+            assert_eq!(step(2 * j + 1, 1), (j + 32, code), "j={j} odd/1");
         }
-    }
-
-    #[test]
-    fn fast_matches_reference_with_nan_and_inf() {
-        let data: Vec<u8> = (0..60).map(|i| ((i * 11 + 2) % 2) as u8).collect();
-        let coded = encode(&data);
-        let mut soft = to_soft(&coded);
-        soft[4] = f64::NAN;
-        soft[5] = f64::NAN;
-        soft[20] = f64::INFINITY;
-        soft[33] = f64::NEG_INFINITY;
-        soft[70] = f64::NAN;
-        assert_eq!(decode(&soft).unwrap(), decode_reference(&soft).unwrap());
     }
 
     #[test]

@@ -14,6 +14,14 @@ fn bits(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..2, n)
 }
 
+/// Certain soft values for hard bits: +1 for a 0, −1 for a 1.
+fn hard_llrs(coded: &[u8]) -> Vec<f64> {
+    coded
+        .iter()
+        .map(|&b| if b == 0 { 1.0 } else { -1.0 })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn scrambler_is_involution(data in bits(0..512), seed in 1u8..128) {
@@ -26,7 +34,7 @@ proptest! {
     #[test]
     fn viterbi_inverts_encoder(data in bits(1..300)) {
         let coded = convcode::encode(&data);
-        prop_assert_eq!(viterbi::decode_hard(&coded).unwrap(), data);
+        prop_assert_eq!(viterbi::decode(&hard_llrs(&coded)).unwrap(), data);
     }
 
     #[test]
@@ -37,8 +45,8 @@ proptest! {
         let rate = [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters][rate_idx];
         let coded = convcode::encode(&data);
         let punctured = convcode::puncture(&coded, rate);
-        let soft: Vec<f64> = punctured.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        let restored = convcode::depuncture(&soft, rate, coded.len());
+        let mut restored = Vec::new();
+        convcode::depuncture_into(&hard_llrs(&punctured), rate, coded.len(), &mut restored);
         prop_assert_eq!(viterbi::decode(&restored).unwrap(), data);
     }
 
@@ -47,7 +55,7 @@ proptest! {
         let mut coded = convcode::encode(&data);
         let pos = ((coded.len() - 1) as f64 * pos_frac) as usize;
         coded[pos] ^= 1;
-        prop_assert_eq!(viterbi::decode_hard(&coded).unwrap(), data);
+        prop_assert_eq!(viterbi::decode(&hard_llrs(&coded)).unwrap(), data);
     }
 
     #[test]
@@ -56,7 +64,9 @@ proptest! {
         let p = OfdmParams::default();
         let il = Interleaver::new(&p, m);
         let input: Vec<u32> = (0..il.block_len() as u32).collect();
-        prop_assert_eq!(il.deinterleave(&il.interleave(&input)), input);
+        let mut back = Vec::new();
+        il.deinterleave_into(&il.interleave(&input), &mut back);
+        prop_assert_eq!(back, input);
     }
 
     #[test]

@@ -56,7 +56,10 @@ proptest! {
             let block = il.block_len();
             let mut padded = punctured.clone();
             padded.resize(punctured.len().div_ceil(block) * block, 0);
-            let deinterleaved = il.deinterleave_stream(&il.interleave_stream(&padded));
+            let mut deinterleaved = Vec::new();
+            for symbol in padded.chunks(block) {
+                il.deinterleave_into(&il.interleave(symbol), &mut deinterleaved);
+            }
             prop_assert_eq!(&deinterleaved, &padded, "interleaver not bijective at {:?}", mcs);
 
             // Hard bits → soft LLRs → depuncture → Viterbi.
@@ -64,7 +67,8 @@ proptest! {
                 .iter()
                 .map(|&b| if b == 0 { 1.0 } else { -1.0 })
                 .collect();
-            let restored = convcode::depuncture(&soft, mcs.code_rate, coded.len());
+            let mut restored = Vec::new();
+            convcode::depuncture_into(&soft, mcs.code_rate, coded.len(), &mut restored);
             let decoded = viterbi::decode(&restored).unwrap();
             prop_assert_eq!(&decoded, &scrambled, "Viterbi mismatch at {:?}", mcs);
 

@@ -122,8 +122,9 @@ fn packet_decodes_identically_in_both_fidelities() {
         rx_bins.push(out.into_iter().next().unwrap());
     }
     let channel = jmb::phy::chanest::estimate_ideal(&params);
+    let mut scratch = jmb::phy::frame::RxScratch::new();
     let freq_result = rxr
-        .decode_stream_bins(&rx_bins, &channel, 1e-9)
+        .decode_stream_bins_with(&mut scratch, &rx_bins, &channel, 1e-9)
         .expect("frequency-domain decode");
     assert_eq!(freq_result.payload, payload);
     assert_eq!(freq_result.mcs, time_result.mcs);
