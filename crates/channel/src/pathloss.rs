@@ -157,7 +157,7 @@ mod tests {
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| m.sample_loss_db(5.0, &mut rng)).collect();
         let mean = jmb_dsp::stats::mean(&samples);
-        let sd = jmb_dsp::stats::std_dev(&samples);
+        let sd = jmb_dsp::stats::variance(&samples).sqrt();
         assert!((mean - m.mean_loss_db(5.0)).abs() < 0.1);
         assert!((sd - 4.0).abs() < 0.1, "σ {sd}");
     }

@@ -156,7 +156,7 @@ impl CompatNet {
         // large-scale SNR targets.
         let link = |rng: &mut JmbRng, spec: MultipathSpec, max_delay_s: f64, snr_db: f64| {
             let mut link = Link::new(
-                Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(rng)),
+                jmb_dsp::rng::random_phasor(rng),
                 rng.gen::<f64>() * max_delay_s,
                 Multipath::new(spec, rng),
             );

@@ -194,7 +194,7 @@ impl FastNet {
                     continue;
                 }
                 let mut link = Link::new(
-                    Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
+                    jmb_dsp::rng::random_phasor(&mut rng),
                     rng.gen::<f64>() * 30e-9,
                     Multipath::new(MultipathSpec::indoor_los(), &mut rng),
                 );
@@ -227,7 +227,7 @@ impl FastNet {
                     ..MultipathSpec::indoor_los()
                 };
                 let mut link = Link::new(
-                    Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
+                    jmb_dsp::rng::random_phasor(&mut rng),
                     rng.gen::<f64>() * 60e-9,
                     Multipath::new(spec, &mut rng),
                 );

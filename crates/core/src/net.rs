@@ -197,7 +197,7 @@ impl JmbNetwork {
         for i in 0..cfg.n_aps {
             for j in i + 1..cfg.n_aps {
                 let mut link = Link::new(
-                    Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
+                    jmb_dsp::rng::random_phasor(&mut rng),
                     rng.gen::<f64>() * 30e-9, // ≤ 30 ns of separation
                     Multipath::new(MultipathSpec::indoor_los(), &mut rng),
                 );
@@ -216,7 +216,7 @@ impl JmbNetwork {
                     cfg.client_snr_db[j] - rng.gen::<f64>() * 6.0
                 };
                 let mut link = Link::new(
-                    Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
+                    jmb_dsp::rng::random_phasor(&mut rng),
                     rng.gen::<f64>() * 60e-9, // ≤ 60 ns ≪ the 1.6 µs CP
                     Multipath::new(MultipathSpec::indoor_nlos(), &mut rng),
                 );
@@ -1026,13 +1026,13 @@ mod tests {
         // Slave AP 2 fails: the call still completes and returns per-client
         // results (decoding may degrade — the precoder is stale).
         net.advance(1e-3);
-        let n_before = net.medium_mut().trace.transmit_count();
+        let n_before = net.medium_mut().trace.query().kind("Transmit").count();
         net.medium_mut().trace.enable();
         let r = net
             .joint_transmit_masked(&data, Mcs::BASE, true, Some(&[true, true, false]))
             .unwrap();
         assert_eq!(r.len(), 2);
-        let n_tx = net.medium_mut().trace.transmit_count() - n_before;
+        let n_tx = net.medium_mut().trace.query().kind("Transmit").count() - n_before;
         assert_eq!(n_tx, 3, "header + 2 live AP waveforms, not 4");
         // Lead fails: no sync header, so both slaves miss it; the queue
         // still moves (no error).

@@ -440,7 +440,7 @@ mod tests {
                     continue;
                 }
                 let mut link = jmb_channel::Link::new(
-                    jmb_dsp::Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
+                    jmb_dsp::rng::random_phasor(&mut rng),
                     rng.gen::<f64>() * 30e-9,
                     jmb_channel::multipath::Multipath::new(
                         jmb_channel::multipath::MultipathSpec::indoor_los(),
@@ -654,7 +654,7 @@ mod tests {
             for i in 0..n_aps {
                 for j in i + 1..n_aps {
                     let mut link = jmb_channel::Link::new(
-                        jmb_dsp::Complex64::from_polar(1.0, jmb_dsp::rng::random_phase(&mut rng)),
+                        jmb_dsp::rng::random_phasor(&mut rng),
                         rng.gen::<f64>() * 30e-9,
                         jmb_channel::multipath::Multipath::new(
                             jmb_channel::multipath::MultipathSpec::indoor_los(),

@@ -301,7 +301,8 @@ fn jammed_sync_header_is_a_miss_not_an_abort() {
     let results = net.joint_transmit(&data, Mcs::BASE, true).unwrap();
     assert_eq!(results.len(), 2);
     assert!(net.now() > t0);
-    assert_eq!(net.medium_mut().trace.sync_missed_count(), 1);
+    let missed = net.medium_mut().trace.query().kind("SyncMissed").count();
+    assert_eq!(missed, 1);
     assert_eq!(net.last_sync().missed, vec![1]);
     // The burst has passed: the next header is heard again.
     net.advance(5e-4);

@@ -96,12 +96,6 @@ impl Complex64 {
         self.im.atan2(self.re)
     }
 
-    /// Returns `(magnitude, phase)`.
-    #[inline]
-    pub fn to_polar(self) -> (f64, f64) {
-        (self.abs(), self.arg())
-    }
-
     /// Complex exponential `e^z`.
     #[inline]
     pub fn exp(self) -> Self {
@@ -399,7 +393,7 @@ mod tests {
     #[test]
     fn polar_roundtrip() {
         let z = Complex64::from_polar(2.5, 0.7);
-        let (r, th) = z.to_polar();
+        let (r, th) = (z.abs(), z.arg());
         assert!(close(r, 2.5));
         assert!(close(th, 0.7));
     }

@@ -154,22 +154,6 @@ impl CMat {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns column `c` as a new vector.
-    pub fn col(&self, c: usize) -> Vec<Complex64> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Plain transpose (no conjugation).
-    pub fn transpose(&self) -> CMat {
-        let mut t = CMat::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
     /// Hermitian (conjugate) transpose `Aᴴ`.
     pub fn hermitian(&self) -> CMat {
         let mut t = CMat::zeros(self.cols, self.rows);
@@ -217,39 +201,6 @@ impl CMat {
         Ok(())
     }
 
-    /// Matrix–vector product `self · v` written into `out` (cleared and
-    /// refilled; allocation-free once `out`'s capacity suffices).
-    pub fn mul_vec_into(&self, v: &[Complex64], out: &mut Vec<Complex64>) -> Result<(), MatError> {
-        if self.cols != v.len() {
-            return Err(MatError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (v.len(), 1),
-            });
-        }
-        out.clear();
-        out.reserve(self.rows);
-        for r in 0..self.rows {
-            let mut acc = Complex64::ZERO;
-            for c in 0..self.cols {
-                acc = self[(r, c)].mul_add(v[c], acc);
-            }
-            out.push(acc);
-        }
-        Ok(())
-    }
-
-    /// Hermitian (conjugate) transpose written into `out`.
-    ///
-    /// `out` must not alias `self`.
-    pub fn hermitian_into(&self, out: &mut CMat) {
-        out.reset(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)].conj();
-            }
-        }
-    }
-
     /// Scales every entry in place.
     pub fn scale_in_place(&mut self, k: Complex64) {
         for x in &mut self.data {
@@ -257,26 +208,10 @@ impl CMat {
         }
     }
 
-    /// Matrix product `self · rhs`.
+    /// Matrix product `self · rhs` in a fresh matrix.
     pub fn mul_mat(&self, rhs: &CMat) -> Result<CMat, MatError> {
-        if self.cols != rhs.rows {
-            return Err(MatError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (rhs.rows, rhs.cols),
-            });
-        }
-        let mut out = CMat::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == Complex64::ZERO {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    out[(r, c)] = a.mul_add(rhs[(k, c)], out[(r, c)]);
-                }
-            }
-        }
+        let mut out = CMat::default();
+        self.mul_into(rhs, &mut out)?;
         Ok(out)
     }
 
@@ -306,11 +241,6 @@ impl CMat {
             cols: self.cols,
             data: self.data.iter().map(|&x| x * k).collect(),
         }
-    }
-
-    /// Frobenius norm `√Σ|a_ij|²`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x.norm_sqr()).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute row sum (induced ∞-norm).
@@ -415,11 +345,6 @@ impl CMat {
             }
         }
         Ok(inv)
-    }
-
-    /// Solves `self · x = b` via the inverse (adequate at JMB's matrix sizes).
-    pub fn solve(&self, b: &[Complex64]) -> Result<Vec<Complex64>, MatError> {
-        self.inverse()?.mul_vec(b)
     }
 
     /// Moore–Penrose pseudo-inverse.
@@ -879,7 +804,7 @@ mod tests {
         let a = CMat::from_rows(&[&[c(2.0, 0.0), c(1.0, 0.0)], &[c(1.0, 0.0), c(3.0, 0.0)]]);
         let x_true = vec![c(1.0, -1.0), c(0.5, 2.0)];
         let b = a.mul_vec(&x_true).unwrap();
-        let x = a.solve(&b).unwrap();
+        let x = a.inverse().unwrap().mul_vec(&b).unwrap();
         for (got, want) in x.iter().zip(&x_true) {
             assert!((*got - *want).abs() < 1e-10);
         }
@@ -920,7 +845,12 @@ mod tests {
     fn sigma_bounds_frobenius() {
         let a = random_like(4, 4, 5);
         let smax = a.sigma_max();
-        let fro = a.frobenius_norm();
+        let fro = a
+            .as_slice()
+            .iter()
+            .map(|x| x.norm_sqr())
+            .sum::<f64>()
+            .sqrt();
         assert!(smax <= fro + 1e-9);
         assert!(smax * 2.0 >= fro); // rank ≤ 4 ⇒ fro ≤ 2·σmax
     }
@@ -957,24 +887,6 @@ mod tests {
             a.mul_into(&d, &mut out),
             Err(MatError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn mul_vec_into_matches_mul_vec() {
-        let a = random_like(4, 3, 31);
-        let v = vec![c(1.0, 2.0), c(-0.5, 0.0), c(0.0, -3.0)];
-        let mut out = Vec::new();
-        a.mul_vec_into(&v, &mut out).unwrap();
-        assert_eq!(out, a.mul_vec(&v).unwrap());
-        assert!(a.mul_vec_into(&v[..2], &mut out).is_err());
-    }
-
-    #[test]
-    fn hermitian_into_matches_hermitian() {
-        let a = random_like(3, 4, 41);
-        let mut out = CMat::zeros(0, 0);
-        a.hermitian_into(&mut out);
-        assert_eq!(out, a.hermitian());
     }
 
     #[test]
@@ -1051,7 +963,7 @@ mod tests {
     fn rows_and_cols_access() {
         let a = CMat::from_rows(&[&[c(1.0, 0.0), c(2.0, 0.0)], &[c(3.0, 0.0), c(4.0, 0.0)]]);
         assert_eq!(a.row(1), &[c(3.0, 0.0), c(4.0, 0.0)]);
-        assert_eq!(a.col(0), vec![c(1.0, 0.0), c(3.0, 0.0)]);
-        assert_eq!(a.transpose()[(0, 1)], c(3.0, 0.0));
+        assert_eq!((a.rows(), a.cols()), (2, 2));
+        assert_eq!(a[(1, 0)], c(3.0, 0.0));
     }
 }

@@ -69,13 +69,6 @@ pub fn random_phasor<R: Rng + ?Sized>(rng: &mut R) -> Complex64 {
     Complex64::cis(random_phase(rng))
 }
 
-/// Fills a buffer with complex AWGN of total power `noise_power`.
-pub fn fill_awgn<R: Rng + ?Sized>(rng: &mut R, noise_power: f64, buf: &mut [Complex64]) {
-    for x in buf.iter_mut() {
-        *x = complex_gaussian(rng, noise_power);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,8 +165,9 @@ mod tests {
     #[test]
     fn fill_awgn_power() {
         let mut rng = rng_from_seed(6);
-        let mut buf = vec![Complex64::ZERO; 50_000];
-        fill_awgn(&mut rng, 0.3, &mut buf);
+        let buf: Vec<Complex64> = (0..50_000)
+            .map(|_| complex_gaussian(&mut rng, 0.3))
+            .collect();
         let p = crate::complex::mean_power(&buf);
         assert!((p - 0.3).abs() < 0.01, "power {p}");
     }

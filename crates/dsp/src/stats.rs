@@ -17,12 +17,6 @@ pub fn db_to_lin(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
-/// Converts a linear *amplitude* ratio to decibels (`20·log₁₀`).
-#[inline]
-pub fn amp_to_db(lin: f64) -> f64 {
-    20.0 * lin.log10()
-}
-
 /// Arithmetic mean. Returns `NaN` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -38,11 +32,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     }
     let m = mean(xs);
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
 }
 
 /// Median (50th percentile).
@@ -189,15 +178,6 @@ impl Welford {
             self.m2 / self.n as f64
         }
     }
-
-    /// Current sample variance (`NaN` with fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
 }
 
 /// Exponentially weighted moving average.
@@ -256,7 +236,6 @@ mod tests {
             assert!((lin_to_db(db_to_lin(db)) - db).abs() < 1e-12);
         }
         assert!((db_to_lin(10.0) - 10.0).abs() < 1e-12);
-        assert!((amp_to_db(10.0) - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -338,7 +317,6 @@ mod tests {
         assert_eq!(w.count(), 8);
         assert!((w.mean() - mean(&xs)).abs() < 1e-12);
         assert!((w.variance() - variance(&xs)).abs() < 1e-12);
-        assert!(w.sample_variance() > w.variance());
     }
 
     #[test]

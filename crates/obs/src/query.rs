@@ -72,11 +72,6 @@ impl<'a> TraceQuery<'a> {
         self.events.is_empty()
     }
 
-    /// Timestamps of the selected events, in stream order.
-    pub fn times(&self) -> Vec<f64> {
-        self.events.iter().map(|e| e.t).collect()
-    }
-
     /// First selected event, if any.
     pub fn first(&self) -> Option<&'a Event> {
         self.events.first().copied()
@@ -132,14 +127,6 @@ impl<'a> TraceQuery<'a> {
             "event count {n} outside [{lo}, {hi}]; first: {:?}",
             self.events.first()
         );
-        self
-    }
-
-    /// Asserts at least `lo` events matched. Returns `self` for chaining.
-    #[track_caller]
-    pub fn assert_count_at_least(self, lo: usize) -> Self {
-        let n = self.events.len();
-        assert!(n >= lo, "event count {n} < {lo}");
         self
     }
 
@@ -222,10 +209,8 @@ mod tests {
         assert_eq!(TraceQuery::new(&es).client(0).count(), 2);
         assert_eq!(TraceQuery::new(&es).between(0.15, 0.45).count(), 3);
         assert!(TraceQuery::new(&es).kind("Render").is_empty());
-        assert_eq!(
-            TraceQuery::new(&es).times(),
-            vec![0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
-        );
+        let times: Vec<f64> = TraceQuery::new(&es).events().iter().map(|e| e.t).collect();
+        assert_eq!(times, vec![0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]);
     }
 
     #[test]

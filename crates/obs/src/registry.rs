@@ -104,25 +104,6 @@ impl Histogram {
         self.max
     }
 
-    /// Smallest bucket upper bound at or above the `q`-quantile of the
-    /// recorded distribution (`+inf` for the overflow bucket), or 0 if
-    /// empty. Coarse by construction — use the raw series when exact
-    /// percentiles matter.
-    pub fn quantile_bound(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target.max(1) {
-                return self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
-
     fn merge(&mut self, other: &Histogram) {
         assert_eq!(
             self.bounds, other.bounds,
@@ -337,8 +318,6 @@ mod tests {
         assert!((h.sum() - 0.5525).abs() < 1e-12);
         assert_eq!(h.min(), 0.0005);
         assert_eq!(h.max(), 0.5);
-        assert_eq!(h.quantile_bound(0.5), 0.01);
-        assert_eq!(h.quantile_bound(1.0), f64::INFINITY);
     }
 
     #[test]

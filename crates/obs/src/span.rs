@@ -33,13 +33,6 @@ pub struct SpanStat {
     pub max_ns: u64,
 }
 
-impl SpanStat {
-    /// Mean nanoseconds per entry, or 0 if never entered.
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// Turns span recording on or off process-wide.
 pub fn set_spans_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
@@ -149,7 +142,6 @@ mod tests {
         assert_eq!(report[1].1.count, 2);
         assert!(report[1].1.total_ns >= 1_000_000);
         assert!(report[1].1.max_ns <= report[1].1.total_ns);
-        assert!(report[1].1.mean_ns() <= report[1].1.max_ns);
 
         reset_spans();
         assert!(span_report().is_empty());

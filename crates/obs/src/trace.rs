@@ -8,7 +8,7 @@
 //! clean runs stay byte-identical whether or not the binary was built with
 //! observability in mind.
 
-use crate::event::{DropCause, Event, EventKind};
+use crate::event::{Event, EventKind};
 use crate::query::TraceQuery;
 use crate::sink::TraceSink;
 
@@ -55,11 +55,6 @@ impl Trace {
     /// Stops recording (existing events are kept).
     pub fn disable(&mut self) {
         self.enabled = false;
-    }
-
-    /// Whether events are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Turns the in-memory buffer on/off (on by default). With buffering
@@ -135,61 +130,6 @@ impl Trace {
         self.events.iter().filter(|e| pred(&e.kind)).count()
     }
 
-    /// Number of transmissions recorded.
-    pub fn transmit_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::Transmit { .. }))
-    }
-
-    /// Number of drops recorded (any cause).
-    pub fn drop_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::Dropped { .. }))
-    }
-
-    /// Number of drops recorded with the given cause.
-    pub fn drop_count_by(&self, cause: DropCause) -> usize {
-        self.count(|k| matches!(k, EventKind::Dropped { cause: c, .. } if *c == cause))
-    }
-
-    /// Number of in-flight corruptions recorded.
-    pub fn corrupt_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::Corrupted { .. }))
-    }
-
-    /// Number of MAC acknowledgments recorded.
-    pub fn ack_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::Acked { .. }))
-    }
-
-    /// Number of MAC retries recorded.
-    pub fn retry_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::Retry { .. }))
-    }
-
-    /// Number of missed sync headers recorded.
-    pub fn sync_missed_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::SyncMissed { .. }))
-    }
-
-    /// Number of scheduled re-measurements recorded.
-    pub fn remeasure_scheduled_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::RemeasureScheduled { .. }))
-    }
-
-    /// Number of failed re-measurements recorded.
-    pub fn remeasure_failed_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::RemeasureFailed { .. }))
-    }
-
-    /// Number of AP degradations recorded.
-    pub fn degraded_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::ApDegraded { .. }))
-    }
-
-    /// Number of AP restorations recorded.
-    pub fn restored_count(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::ApRestored { .. }))
-    }
-
     /// Clears the buffered log (sequence numbering continues; sinks are
     /// untouched).
     pub fn clear(&mut self) {
@@ -200,6 +140,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::DropCause;
     use crate::sink::RingBufferSink;
 
     #[test]
@@ -213,7 +154,6 @@ mod tests {
             },
         );
         assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
     }
 
     #[test]
@@ -238,8 +178,8 @@ mod tests {
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.events()[0].seq, 0);
         assert_eq!(t.events()[1].seq, 1);
-        assert_eq!(t.transmit_count(), 1);
-        assert_eq!(t.drop_count(), 1);
+        assert_eq!(t.query().kind("Transmit").count(), 1);
+        assert_eq!(t.query().kind("Dropped").count(), 1);
     }
 
     #[test]
@@ -298,17 +238,23 @@ mod tests {
         t.emit(0.8, EventKind::RemeasureFailed { attempt: 1 });
         t.emit(0.9, EventKind::ApDegraded { ap: 2 });
         t.emit(1.0, EventKind::ApRestored { ap: 2 });
-        assert_eq!(t.sync_missed_count(), 1);
-        assert_eq!(t.remeasure_scheduled_count(), 1);
-        assert_eq!(t.remeasure_failed_count(), 1);
-        assert_eq!(t.degraded_count(), 1);
-        assert_eq!(t.restored_count(), 1);
-        assert_eq!(t.ack_count(), 1);
-        assert_eq!(t.retry_count(), 1);
-        assert_eq!(t.corrupt_count(), 1);
-        assert_eq!(t.drop_count_by(DropCause::RetryLimit), 1);
-        assert_eq!(t.drop_count_by(DropCause::Fault), 0);
-        assert_eq!(t.drop_count(), 1);
+        for kind in [
+            "SyncMissed",
+            "RemeasureScheduled",
+            "RemeasureFailed",
+            "ApDegraded",
+            "ApRestored",
+            "Acked",
+            "Retry",
+            "Corrupted",
+            "Dropped",
+        ] {
+            assert_eq!(t.query().kind(kind).count(), 1, "{kind}");
+        }
+        let dropped_by =
+            |cause| t.count(|k| matches!(k, EventKind::Dropped { cause: c, .. } if *c == cause));
+        assert_eq!(dropped_by(DropCause::RetryLimit), 1);
+        assert_eq!(dropped_by(DropCause::Fault), 0);
     }
 
     #[test]

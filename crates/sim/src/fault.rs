@@ -117,41 +117,10 @@ impl FaultConfig {
         Self::default()
     }
 
-    /// Starts a validated builder. Unlike the `with_*` single-fault
-    /// constructors, the builder composes any combination of faults and
-    /// checks all probabilities jointly at [`FaultConfigBuilder::build`].
+    /// Starts a validated builder: it composes any combination of faults
+    /// and checks all probabilities jointly at [`FaultConfigBuilder::build`].
     pub fn builder() -> FaultConfigBuilder {
         FaultConfigBuilder::default()
-    }
-
-    /// Drops transmissions with the given probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`. Prefer [`FaultConfig::builder`]
-    /// to combine faults and get a `Result` instead of a panic.
-    pub fn with_drop_chance(p: f64) -> Self {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the fallible path is FaultConfig::builder, which returns FaultError
-        assert!((0.0..=1.0).contains(&p), "drop chance {p} outside [0,1]");
-        FaultConfig {
-            drop_chance: p,
-            ..Self::none()
-        }
-    }
-
-    /// Corrupts transmission payloads with the given probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`. Prefer [`FaultConfig::builder`]
-    /// to combine faults and get a `Result` instead of a panic.
-    pub fn with_corrupt_chance(p: f64) -> Self {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the fallible path is FaultConfig::builder, which returns FaultError
-        assert!((0.0..=1.0).contains(&p), "corrupt chance {p} outside [0,1]");
-        FaultConfig {
-            corrupt_chance: p,
-            ..Self::none()
-        }
     }
 
     /// True when every probability (data and control plane) is zero.
@@ -328,25 +297,29 @@ mod tests {
 
     #[test]
     fn construction() {
-        let f = FaultConfig::with_drop_chance(0.25);
+        let f = FaultConfig::builder().drop_chance(0.25).build().unwrap();
         assert_eq!(f.drop_chance, 0.25);
         assert_eq!(f.corrupt_chance, 0.0);
-        let f = FaultConfig::with_corrupt_chance(0.5);
+        let f = FaultConfig::builder().corrupt_chance(0.5).build().unwrap();
         assert_eq!(f.corrupt_chance, 0.5);
         assert_eq!(f.drop_chance, 0.0);
         assert!(!f.is_clean());
     }
 
     #[test]
-    #[should_panic(expected = "outside")]
     fn rejects_bad_probability() {
-        FaultConfig::with_drop_chance(1.5);
+        assert_eq!(
+            FaultConfig::builder().drop_chance(1.5).build(),
+            Err(FaultError::Probability("drop_chance", 1.5))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "outside")]
     fn rejects_bad_corrupt_probability() {
-        FaultConfig::with_corrupt_chance(-0.1);
+        assert_eq!(
+            FaultConfig::builder().corrupt_chance(-0.1).build(),
+            Err(FaultError::Probability("corrupt_chance", -0.1))
+        );
     }
 
     #[test]

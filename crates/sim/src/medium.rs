@@ -15,7 +15,7 @@
 //!    are right.
 //! 6. **AWGN** — per-receiver noise floor.
 
-use crate::fault::{FaultConfig, FaultSchedule};
+use crate::fault::FaultSchedule;
 use jmb_channel::{Link, PhaseTrajectory};
 use jmb_dsp::delay::interpolate_at;
 use jmb_dsp::rng::{complex_gaussian, JmbRng};
@@ -177,11 +177,6 @@ impl Medium {
         id
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The receiver noise variance (per time-domain sample) at `node`.
     pub fn noise_var(&self, node: NodeId) -> f64 {
         self.nodes[node.0].noise_var
@@ -221,13 +216,9 @@ impl Medium {
         &mut self.nodes[node.0].traj
     }
 
-    /// Configures constant (time-invariant) fault injection: the waveform
-    /// faults (drop, corrupt) — control-frame faults are the network's.
-    pub fn set_fault(&mut self, fault: FaultConfig) {
-        self.fault = FaultSchedule::constant(fault);
-    }
-
-    /// Configures time-windowed fault injection (loss storms).
+    /// Configures fault injection — constant or time-windowed (loss
+    /// storms): the waveform faults (drop, corrupt); control-frame faults
+    /// are the network's.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.fault = schedule;
     }
@@ -388,21 +379,12 @@ impl Medium {
         self.bursts
             .retain(|&(_, start, dur, _)| start + dur >= before_s);
     }
-
-    /// Removes every scheduled transmission.
-    pub fn clear_transmissions(&mut self) {
-        self.transmissions.clear();
-    }
-
-    /// Number of transmissions currently on the air.
-    pub fn transmission_count(&self) -> usize {
-        self.transmissions.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, FaultConfigBuilder};
     use jmb_channel::multipath::{Multipath, MultipathSpec};
     use jmb_channel::oscillator::OscillatorSpec;
     use jmb_dsp::complex::mean_power;
@@ -416,6 +398,11 @@ mod tests {
 
     fn clean_node(m: &mut Medium) -> NodeId {
         m.add_node(PhaseTrajectory::fixed(FC, 0.0), 0.0)
+    }
+
+    /// The constant schedule of one builder setting.
+    fn constant(set: impl Fn(FaultConfigBuilder) -> FaultConfigBuilder) -> FaultSchedule {
+        FaultSchedule::constant(set(FaultConfig::builder()).build().unwrap())
     }
 
     #[test]
@@ -636,12 +623,20 @@ mod tests {
         let tx = clean_node(&mut m);
         let rx = clean_node(&mut m);
         m.set_link(tx, rx, Link::ideal());
-        m.set_fault(FaultConfig::with_drop_chance(1.0));
+        m.set_fault_schedule(constant(|f| f.drop_chance(1.0)));
         m.transmit(tx, 0.0, preamble::preamble(m.params()));
-        assert_eq!(m.transmission_count(), 0);
+        assert_eq!(m.transmissions.len(), 0);
         let out = m.render_rx(rx, 0.0, 320);
         assert!(mean_power(&out) < 1e-20);
-        assert_eq!(m.trace.drop_count_by(DropCause::Fault), 1);
+        let dropped = m.trace.query().kind("Dropped");
+        assert_eq!(dropped.count(), 1);
+        assert!(matches!(
+            dropped.events()[0].kind,
+            EventKind::Dropped {
+                cause: DropCause::Fault,
+                ..
+            }
+        ));
         m.trace.query().assert_monotone_time();
     }
 
@@ -652,12 +647,12 @@ mod tests {
         let tx = clean_node(&mut m);
         let rx = clean_node(&mut m);
         m.set_link(tx, rx, Link::ideal());
-        m.set_fault(FaultConfig::with_corrupt_chance(1.0));
+        m.set_fault_schedule(constant(|f| f.corrupt_chance(1.0)));
         // A constant-amplitude waveform long enough to have a payload region.
         let wave = vec![Complex64::ONE; 1_000];
         m.transmit(tx, 0.0, wave.clone());
-        assert_eq!(m.transmission_count(), 1);
-        assert_eq!(m.trace.corrupt_count(), 1);
+        assert_eq!(m.transmissions.len(), 1);
+        assert_eq!(m.trace.query().kind("Corrupted").count(), 1);
         let out = m.render_rx(rx, 0.0, wave.len());
         // Samples before CORRUPT_FROM are untouched (skip the interpolation
         // edge at the very start).
@@ -676,10 +671,10 @@ mod tests {
         let mut m = quiet_medium(15);
         m.trace.enable();
         let tx = clean_node(&mut m);
-        m.set_fault(FaultConfig::with_corrupt_chance(1.0));
+        m.set_fault_schedule(constant(|f| f.corrupt_chance(1.0)));
         // Sync headers (320-sample preamble) are shorter than CORRUPT_FROM.
         m.transmit(tx, 0.0, preamble::preamble(m.params()));
-        assert_eq!(m.trace.corrupt_count(), 0);
+        assert!(m.trace.query().kind("Corrupted").is_empty());
     }
 
     #[test]
@@ -703,8 +698,8 @@ mod tests {
         let wave = vec![Complex64::ONE; 100];
         m.transmit(tx, 0.0, wave.clone());
         m.transmit(tx, 1.0, wave);
-        assert_eq!(m.transmission_count(), 2);
+        assert_eq!(m.transmissions.len(), 2);
         m.expire(0.5);
-        assert_eq!(m.transmission_count(), 1);
+        assert_eq!(m.transmissions.len(), 1);
     }
 }

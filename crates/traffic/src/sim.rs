@@ -822,8 +822,17 @@ mod tests {
         let m = sim.run();
         assert!(m.retries > 0);
         assert!(m.dropped > 0);
-        assert!(sim.trace.retry_count() > 0);
-        assert!(sim.trace.drop_count_by(DropCause::RetryLimit) > 0);
+        assert!(!sim.trace.query().kind("Retry").is_empty());
+        let by_retry_limit = |k: &jmb_obs::EventKind| {
+            matches!(
+                k,
+                jmb_obs::EventKind::Dropped {
+                    cause: DropCause::RetryLimit,
+                    ..
+                }
+            )
+        };
+        assert!(sim.trace.count(by_retry_limit) > 0);
         // Client 0 still drains fine (decoupled losses).
         assert!(m.per_client_bits[0] > 0.0);
         assert_eq!(m.per_client_bits[1], 0.0);

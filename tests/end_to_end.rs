@@ -32,8 +32,9 @@ fn mac_driven_delivery_with_losses() {
     let cfg = NetConfig::default_with(2, 2, 22.0, 9);
     let mut net = JmbNetwork::new(cfg).unwrap();
     net.run_measurement().unwrap();
+    let drops = jmb::sim::FaultConfig::builder().drop_chance(0.2).build();
     net.medium_mut()
-        .set_fault(jmb::sim::FaultConfig::with_drop_chance(0.2));
+        .set_fault_schedule(jmb::sim::FaultSchedule::constant(drops.unwrap()));
 
     let mut mac = JmbMac::new(MacConfig::default(), vec![0, 1]);
     for round in 0..4 {

@@ -150,7 +150,7 @@ fn jsonl_dump_replays_losslessly() {
         .assert_monotone_seq();
     assert_eq!(
         q.kind("SyncMissed").count(),
-        sim.trace.sync_missed_count(),
+        sim.trace.query().kind("SyncMissed").count(),
         "replayed query disagrees with live counters"
     );
 }

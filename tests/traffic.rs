@@ -5,7 +5,7 @@
 use jmb::core::fastnet::FastConfig;
 use jmb::core::SyncStrategyId;
 use jmb::prelude::*;
-use jmb::sim::FaultConfig;
+use jmb::sim::{FaultConfig, FaultSchedule};
 use jmb::traffic::TrafficMetrics;
 
 fn fast_sim(
@@ -104,13 +104,15 @@ fn corruption_faults_surface_as_crc_retransmissions() {
     sim.backend_mut()
         .net_mut()
         .medium_mut()
-        .set_fault(FaultConfig::with_corrupt_chance(0.6));
+        .set_fault_schedule(FaultSchedule::constant(
+            FaultConfig::builder().corrupt_chance(0.6).build().unwrap(),
+        ));
     sim.backend_mut().net_mut().medium_mut().trace.enable();
     let m = sim.run();
     let medium = sim.backend_mut().net_mut().medium_mut();
     assert!(m.generated > 0);
     assert!(
-        medium.trace.corrupt_count() > 0,
+        !medium.trace.query().kind("Corrupted").is_empty(),
         "no corruption events fired"
     );
     assert!(
@@ -163,7 +165,8 @@ fn rival_sync_strategies_ride_out_a_header_storm_on_real_waveforms() {
         let m = sim.run();
         assert!(m.generated > 0, "{strategy:?}");
         assert!(m.delivered > 0, "{strategy:?}: nothing delivered");
-        assert_eq!(sim.trace.sync_missed_count(), 0, "{strategy:?}");
+        let missed = sim.trace.query().kind("SyncMissed").count();
+        assert_eq!(missed, 0, "{strategy:?}");
         assert_eq!(m.sync_misses, 0, "{strategy:?}");
         assert_eq!(
             m.control_airtime_s > 0.0,
