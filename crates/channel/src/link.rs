@@ -82,11 +82,6 @@ impl Link {
         self.gain = Complex64::from_polar(target_amp, phase);
     }
 
-    /// Expected per-subcarrier SNR in dB against `noise_var` per bin.
-    pub fn expected_snr_db(&self, noise_var: f64) -> f64 {
-        jmb_dsp::stats::lin_to_db(self.gain.norm_sqr() / noise_var)
-    }
-
     /// Full frequency response at every occupied subcarrier: large-scale
     /// gain × fading × delay-induced linear phase.
     pub fn freq_response(&self, params: &OfdmParams) -> Vec<Complex64> {
@@ -191,7 +186,8 @@ mod tests {
     fn calibrate_snr_hits_target() {
         let mut l = Link::ideal();
         l.calibrate_snr(15.0, 1e-3);
-        assert!((l.expected_snr_db(1e-3) - 15.0).abs() < 1e-9);
+        let snr_db = jmb_dsp::stats::lin_to_db(l.gain.norm_sqr() / 1e-3);
+        assert!((snr_db - 15.0).abs() < 1e-9);
         // Phase untouched by calibration.
         assert!((l.gain.arg()).abs() < 1e-12);
     }

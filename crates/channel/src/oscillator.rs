@@ -75,8 +75,6 @@ pub struct Oscillator {
     carrier_freq: f64,
     /// Current carrier offset from nominal, Hz.
     offset_hz: f64,
-    /// Initial offset (kept for reporting).
-    initial_offset_hz: f64,
     spec: OscillatorSpec,
     /// Last query time.
     t_last: f64,
@@ -101,7 +99,6 @@ impl Oscillator {
         Oscillator {
             carrier_freq,
             offset_hz,
-            initial_offset_hz: offset_hz,
             spec,
             t_last: 0.0,
             phase: 0.0,
@@ -115,7 +112,6 @@ impl Oscillator {
         Oscillator {
             carrier_freq,
             offset_hz,
-            initial_offset_hz: offset_hz,
             spec: OscillatorSpec::ideal(),
             t_last: 0.0,
             phase: 0.0,
@@ -126,11 +122,6 @@ impl Oscillator {
     /// Current carrier-frequency offset in Hz.
     pub fn cfo_hz(&self) -> f64 {
         self.offset_hz
-    }
-
-    /// Offset the device started with, in Hz.
-    pub fn initial_cfo_hz(&self) -> f64 {
-        self.initial_offset_hz
     }
 
     /// Current offset in ppm of the carrier.
@@ -344,11 +335,6 @@ impl PhaseTrajectory {
     /// A perfectly clean trajectory at a fixed offset (for tests).
     pub fn fixed(carrier_freq: f64, offset_hz: f64) -> Self {
         Self::with_offset(OscillatorSpec::ideal(), carrier_freq, offset_hz, 0)
-    }
-
-    /// Initial frequency offset in Hz.
-    pub fn initial_cfo_hz(&self) -> f64 {
-        self.initial_offset_hz
     }
 
     /// Frequency offset at time `t` in Hz (includes the drift random walk).

@@ -177,13 +177,6 @@ impl Topology {
             .collect()
     }
 
-    /// All pairwise AP–AP distances (for the lead→slave reference channels).
-    pub fn ap_distances(&self) -> Vec<Vec<f64>> {
-        self.aps
-            .iter()
-            .map(|a| self.aps.iter().map(|b| a.distance(b)).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -272,9 +265,6 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert!((d[0][0] - 0.0).abs() < 1e-12);
         assert!((d[0][1] - 5.0).abs() < 1e-12);
-        let dd = topo.ap_distances();
-        assert!((dd[0][1] - 5.0).abs() < 1e-12);
-        assert!((dd[1][0] - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -77,7 +77,9 @@ proptest! {
     fn link_calibration_hits_any_target(snr in -10.0..40.0f64, noise in 1e-9..1.0f64) {
         let mut link = Link::ideal();
         link.calibrate_snr(snr, noise);
-        prop_assert!((link.expected_snr_db(noise) - snr).abs() < 1e-9);
+        // The fading has unit mean power: E[|H_k|²]/noise = |gain|²/noise.
+        let got = jmb_dsp::stats::lin_to_db(link.gain.norm_sqr() / noise);
+        prop_assert!((got - snr).abs() < 1e-9);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use jmb_obs::{EventKind, Trace};
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
-use jmb_sim::{FaultConfig, FaultSchedule, NodeId, SubcarrierMedium};
+use jmb_sim::{FaultSchedule, NodeId, SubcarrierMedium};
 use rand::Rng;
 
 /// Configuration of a fast-path JMB network.
@@ -329,30 +329,9 @@ impl FastNet {
         Ok(())
     }
 
-    /// The external interference floor per occupied subcarrier (empty when
-    /// none is set).
-    pub fn external_interference(&self) -> &[f64] {
-        &self.ext_intf
-    }
-
-    /// Installs a constant control-plane fault config (applies from now on).
-    pub fn set_control_faults(&mut self, config: FaultConfig) {
-        self.set_fault_schedule(FaultSchedule::constant(config));
-    }
-
-    /// Installs a time-varying fault schedule (loss storms etc.).
+    /// Installs a fault schedule: constant, or time-varying (loss storms).
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.control.faults = schedule;
-    }
-
-    /// Sets the error budget (radians of predicted phase error) under which
-    /// a slave that missed the sync header may still transmit on a
-    /// CFO-extrapolated correction. Defaults to
-    /// [`crate::sync::SYNC_ERROR_BUDGET_RAD`] (≈ 20°: beyond that, the
-    /// paper's Fig. 6 shows the joint SNR loss exceeds ~1 dB and keeps
-    /// growing).
-    pub fn set_sync_error_budget(&mut self, rad: f64) {
-        self.control.budget_rad = rad;
     }
 
     /// Per-slave sync health; index 0 is slave AP 1.
@@ -1126,6 +1105,7 @@ impl LeadObserver for FastObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jmb_sim::FaultConfig;
 
     fn cfg(n: usize, snr: f64, seed: u64) -> FastConfig {
         FastConfig::default_with(n, n, vec![snr; n], seed)
@@ -1357,12 +1337,12 @@ mod tests {
         let mut net = FastNet::new(cfg(2, 20.0, 21)).unwrap();
         net.run_measurement().unwrap();
         net.advance(1e-3);
-        net.set_control_faults(
+        net.set_fault_schedule(FaultSchedule::constant(
             FaultConfig::builder()
                 .meas_loss_chance(1.0)
                 .build()
                 .unwrap(),
-        );
+        ));
         let t0 = net.now();
         assert_eq!(net.remeasure_client(0), Err(JmbError::MeasurementLost));
         assert!(net.now() > t0, "the lost exchange still costs airtime");
@@ -1454,9 +1434,7 @@ mod tests {
         assert!(net.set_external_interference(&[f64::NAN]).is_err());
         let n_k = net.config().params.occupied_subcarriers().len();
         assert!(net.set_external_interference(&vec![0.25; n_k]).is_ok());
-        assert_eq!(net.external_interference().len(), n_k);
         assert!(net.set_external_interference(&[]).is_ok());
-        assert!(net.external_interference().is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@ use jmb_phy::frame::{FrameRx, FrameTx, RxResult};
 use jmb_phy::params::OfdmParams;
 use jmb_phy::preamble;
 use jmb_phy::rates::Mcs;
-use jmb_sim::{FaultConfig, FaultSchedule, Medium, NodeId};
+use jmb_sim::{FaultSchedule, Medium, NodeId};
 use rand::Rng;
 
 /// Configuration of a sample-level JMB network.
@@ -256,24 +256,12 @@ impl JmbNetwork {
         })
     }
 
-    /// Installs a constant control-plane fault config (applies from now on).
-    pub fn set_control_faults(&mut self, config: FaultConfig) {
-        self.set_fault_schedule(FaultSchedule::constant(config));
-    }
-
-    /// Installs a time-varying fault schedule: its control faults (sync
+    /// Installs a fault schedule (constant, or time-varying): its control faults (sync
     /// header and measurement loss) here, its waveform faults (drop,
     /// corrupt) on the medium.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.medium.set_fault_schedule(schedule.clone());
         self.control.faults = schedule;
-    }
-
-    /// Sets the error budget (radians of predicted phase error) under which
-    /// a slave that missed the sync header may still transmit on a
-    /// CFO-extrapolated correction.
-    pub fn set_sync_error_budget(&mut self, rad: f64) {
-        self.control.budget_rad = rad;
     }
 
     /// Per-slave sync health; index 0 is slave AP 1.

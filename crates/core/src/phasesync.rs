@@ -164,11 +164,6 @@ impl PhaseSync {
         self.reference = Some(est);
     }
 
-    /// `true` once a reference channel has been recorded.
-    pub fn has_reference(&self) -> bool {
-        self.reference.is_some()
-    }
-
     /// The stored reference, if any.
     pub fn reference(&self) -> Option<&ChannelEstimate> {
         self.reference.as_ref()
@@ -282,11 +277,6 @@ impl PhaseSync {
     /// Current 1σ uncertainty of the tracking CFO, Hz.
     pub fn cfo_sigma(&self) -> f64 {
         self.cfo_sigma
-    }
-
-    /// The current long-term CFO estimate, if any header has been observed.
-    pub fn cfo_estimate(&self) -> Option<f64> {
-        self.cfo_ewma.value()
     }
 
     /// Number of headers observed so far.
@@ -566,14 +556,14 @@ mod tests {
     #[test]
     fn ewma_cfo_converges() {
         let mut ps = PhaseSync::new();
-        assert_eq!(ps.cfo_estimate(), None);
+        assert_eq!(ps.tracking_cfo(), None);
         // Noisy estimates around 440 Hz.
         let mut rng = rng_from_seed(3);
         for i in 0..200 {
             let noise = jmb_dsp::rng::normal(&mut rng, 30.0);
             ps.observe_header_cfo(440.0 + noise, i as f64 * 1e-3);
         }
-        let est = ps.cfo_estimate().unwrap();
+        let est = ps.tracking_cfo().unwrap();
         assert!((est - 440.0).abs() < 15.0, "est {est}");
         assert_eq!(ps.observations(), 200);
     }

@@ -196,20 +196,11 @@ impl Precoder {
         self.n_streams
     }
 
-    /// Number of subcarriers the precoder covers.
-    pub fn n_subcarriers(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// The RMS (across streams) received signal amplitude on subcarrier
-    /// `k_idx`: under zero-forcing with per-stream power normalisation the
-    /// effective channel is diagonal with per-stream gains whose RMS this
-    /// summarises — the `k̂(k)` of §9's `k²/N` rate-selection rule.
-    pub fn k_hat_at(&self, k_idx: usize) -> f64 {
-        self.k_hats[k_idx]
-    }
-
-    /// All per-subcarrier normalisations.
+    /// The per-subcarrier normalisations `k̂(k)` of §9's `k²/N`
+    /// rate-selection rule: the RMS (across streams) received signal
+    /// amplitude on each subcarrier — under zero-forcing with per-stream
+    /// power normalisation the effective channel is diagonal with
+    /// per-stream gains whose RMS this summarises.
     pub fn k_hats(&self) -> &[f64] {
         &self.k_hats
     }
@@ -293,9 +284,9 @@ mod tests {
             }
             let rms = (sq / 3.0).sqrt();
             assert!(
-                (rms - p.k_hat_at(k)).abs() < 1e-9,
+                (rms - p.k_hats()[k]).abs() < 1e-9,
                 "rms {rms} vs {}",
-                p.k_hat_at(k)
+                p.k_hats()[k]
             );
         }
     }

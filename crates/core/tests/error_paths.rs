@@ -10,7 +10,7 @@ use jmb_dsp::Complex64;
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::rates::Mcs;
-use jmb_sim::FaultConfig;
+use jmb_sim::{FaultConfig, FaultConfigBuilder, FaultSchedule};
 
 fn fast_cfg(n: usize, seed: u64) -> FastConfig {
     FastConfig::default_with(n, n, vec![20.0; n], seed)
@@ -90,7 +90,7 @@ struct Cell<N> {
     set_sync: fn(&mut N, SyncStrategyId),
     advance: fn(&mut N, f64),
     now: fn(&N) -> f64,
-    faults: fn(&mut N, FaultConfig),
+    faults: fn(&mut N, FaultSchedule),
     measure: fn(&mut N) -> Result<(), JmbError>,
     /// A 2-stream batch over all 3 APs.
     transmit: fn(&mut N) -> Result<(), JmbError>,
@@ -117,17 +117,15 @@ fn storm_script<N>(mut c: Cell<N>, strategy: SyncStrategyId) -> (Vec<Step>, Vec<
     (c.set_sync)(&mut c.net, strategy);
     (c.measure)(&mut c.net).unwrap();
     (c.trace)(&mut c.net).enable();
+    let constant = |f: FaultConfigBuilder| FaultSchedule::constant(f.build().unwrap());
     (c.faults)(
         &mut c.net,
-        FaultConfig::builder()
-            .per_slave_sync_loss(1, 1.0)
-            .build()
-            .unwrap(),
+        constant(FaultConfig::builder().per_slave_sync_loss(1, 1.0)),
     );
     let mut steps = Vec::new();
     for batch in 0..5 {
         if batch == 4 {
-            (c.faults)(&mut c.net, FaultConfig::none());
+            (c.faults)(&mut c.net, FaultSchedule::none());
         }
         (c.advance)(&mut c.net, 3e-4);
         let t0 = (c.now)(&c.net);
@@ -145,10 +143,7 @@ fn storm_script<N>(mut c: Cell<N>, strategy: SyncStrategyId) -> (Vec<Step>, Vec<
     }
     (c.faults)(
         &mut c.net,
-        FaultConfig::builder()
-            .meas_loss_chance(1.0)
-            .build()
-            .unwrap(),
+        constant(FaultConfig::builder().meas_loss_chance(1.0)),
     );
     let t0 = (c.now)(&c.net);
     let err = (c.measure)(&mut c.net).unwrap_err();
@@ -158,7 +153,7 @@ fn storm_script<N>(mut c: Cell<N>, strategy: SyncStrategyId) -> (Vec<Step>, Vec<
         (c.now)(&c.net) > t0,
         "the lost exchange still costs airtime"
     );
-    (c.faults)(&mut c.net, FaultConfig::none());
+    (c.faults)(&mut c.net, FaultSchedule::none());
     (c.measure)(&mut c.net).unwrap();
     let kinds = (c.trace)(&mut c.net)
         .events()
@@ -176,7 +171,7 @@ fn both_fidelities(strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
             set_sync: FastNet::set_sync_strategy,
             advance: FastNet::advance,
             now: FastNet::now,
-            faults: FastNet::set_control_faults,
+            faults: FastNet::set_fault_schedule,
             measure: FastNet::run_measurement,
             transmit: |n| {
                 n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
@@ -194,7 +189,7 @@ fn both_fidelities(strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
             set_sync: JmbNetwork::set_sync_strategy,
             advance: JmbNetwork::advance,
             now: JmbNetwork::now,
-            faults: JmbNetwork::set_control_faults,
+            faults: JmbNetwork::set_fault_schedule,
             measure: JmbNetwork::run_measurement,
             transmit: |n| {
                 n.joint_transmit(&vec![vec![0x5Au8; 40]; 2], Mcs::BASE, true)
@@ -259,12 +254,12 @@ fn control_faults_play_out_identically_on_both_fidelities() {
 fn sync_header_missed_when_too_few_slaves_stay_coherent() {
     let mut net = FastNet::new(fast_cfg(3, 7)).unwrap();
     net.run_measurement().unwrap();
-    net.set_control_faults(
+    net.set_fault_schedule(FaultSchedule::constant(
         FaultConfig::builder()
             .per_slave_sync_loss(1, 1.0)
             .build()
             .unwrap(),
-    );
+    ));
     // Drive the slave through its fallback window into degradation.
     for _ in 0..3 {
         net.advance(1e-3);

@@ -155,12 +155,10 @@ fn rival_sync_strategies_ride_out_a_header_storm_on_real_waveforms() {
         cfg.sync_strategy = strategy;
         let mut sim = TrafficSim::new(cfg, backend).unwrap();
         assert_eq!(sim.backend_mut().net_mut().sync_strategy(), strategy);
-        sim.backend_mut().net_mut().set_control_faults(
-            FaultConfig::builder()
-                .per_slave_sync_loss(1, 1.0)
-                .build()
-                .unwrap(),
-        );
+        let storm = FaultConfig::builder().per_slave_sync_loss(1, 1.0).build();
+        sim.backend_mut()
+            .net_mut()
+            .set_fault_schedule(FaultSchedule::constant(storm.unwrap()));
         sim.trace.enable();
         let m = sim.run();
         assert!(m.generated > 0, "{strategy:?}");
