@@ -176,7 +176,6 @@ impl Topology {
             .map(|c| self.aps.iter().map(|a| c.distance(a)).collect())
             .collect()
     }
-
 }
 
 #[cfg(test)]

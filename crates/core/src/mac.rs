@@ -119,26 +119,11 @@ impl MacStats {
         self.reg.gauge_vec("mac_delivered_bits", self.n_clients)
     }
 
-    /// Bits delivered to one client.
-    pub fn delivered_bits_for(&self, client: usize) -> f64 {
-        self.reg.gauge_at("mac_delivered_bits", client as u32)
-    }
-
     /// Packets dropped after exhausting retries, per client.
     pub fn dropped(&self) -> Vec<u64> {
         (0..self.n_clients)
             .map(|c| self.reg.counter_at("mac_dropped", c as u32))
             .collect()
-    }
-
-    /// Drops for one client.
-    pub fn dropped_for(&self, client: usize) -> u64 {
-        self.reg.counter_at("mac_dropped", client as u32)
-    }
-
-    /// Total drops across clients.
-    pub fn dropped_total(&self) -> u64 {
-        self.reg.counter_total("mac_dropped")
     }
 
     /// Joint transmissions performed.
@@ -230,11 +215,6 @@ impl JmbMac {
     /// APs, so ZF stays well-posed during an outage).
     pub fn set_max_streams(&mut self, n: usize) {
         self.cfg.max_streams = n.max(1);
-    }
-
-    /// Whether a client is currently excluded from joint transmissions.
-    pub fn is_blacklisted(&self, client: usize) -> bool {
-        self.blacklisted.get(client).copied().unwrap_or(false)
     }
 
     /// Clears a client's hidden-terminal blacklist entry (e.g. after its
@@ -559,13 +539,13 @@ mod tests {
             }]
         );
         assert_eq!(m.queue_len(), 1);
-        assert_eq!(m.stats.dropped_for(0), 0);
+        assert_eq!(m.stats.dropped()[0], 0);
         // Second attempt fails → dropped (retry_limit 2).
         let b = m.select_batch();
         let fates = m.complete_batch(b, &[false], 1e-3);
         assert_eq!(fates, vec![PacketFate::Dropped { dest: 0, id }]);
         assert_eq!(m.queue_len(), 0);
-        assert_eq!(m.stats.dropped_for(0), 1);
+        assert_eq!(m.stats.dropped()[0], 1);
     }
 
     #[test]
@@ -599,7 +579,7 @@ mod tests {
             }
         }
         assert_eq!(attempts, limit);
-        assert_eq!(m.stats.dropped_for(0), 1);
+        assert_eq!(m.stats.dropped()[0], 1);
         assert_eq!(m.queue_len(), 0);
     }
 
@@ -628,8 +608,8 @@ mod tests {
         m.enqueue(1, vec![2; 100]);
         let b = m.select_batch();
         m.complete_batch(b, &[true, false], 2e-3);
-        assert!(m.stats.delivered_bits_for(0) > 0.0);
-        assert_eq!(m.stats.delivered_bits_for(1), 0.0);
+        assert!(m.stats.delivered_bits()[0] > 0.0);
+        assert_eq!(m.stats.delivered_bits()[1], 0.0);
         assert_eq!(m.queue_len(), 1); // client 1's packet awaits retry
     }
 
@@ -725,8 +705,7 @@ mod tests {
             let acked: Vec<bool> = b.iter().map(|p| p.dest != 0).collect();
             m.complete_batch(b, &acked, 1e-3);
         }
-        assert!(m.is_blacklisted(0));
-        assert!(!m.is_blacklisted(1));
+        assert_eq!(m.blacklisted, [true, false]);
         // Client 0's packets stay queued but are not batched.
         let b = m.select_batch();
         assert!(b.iter().all(|p| p.dest != 0), "blacklisted client batched");

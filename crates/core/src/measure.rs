@@ -91,11 +91,6 @@ impl MeasurementPlan {
         }
     }
 
-    /// Offset (samples) of the lead preamble: always 0.
-    pub fn preamble_offset(&self) -> usize {
-        0
-    }
-
     /// Offset of slave `i`'s CFO field (its LTF); `i` is 1-based slave
     /// numbering (slave 1 is AP 1).
     pub fn cfo_field_offset(&self, slave: usize) -> usize {
@@ -363,7 +358,6 @@ mod tests {
     fn plan_offsets() {
         let p = params();
         let plan = MeasurementPlan::new(3, 2);
-        assert_eq!(plan.preamble_offset(), 0);
         assert_eq!(plan.cfo_field_offset(1), 320);
         assert_eq!(plan.cfo_field_offset(2), 480);
         assert_eq!(plan.rounds_offset(), 640);

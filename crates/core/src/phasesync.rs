@@ -55,18 +55,12 @@ impl PhaseCorrection {
         Complex64::cis(self.common_phase + self.slope * subcarrier as f64)
     }
 
-    /// Within-packet rotation `e^{j2π·f̂·dt}` at `dt` seconds after the
-    /// header measurement (§5.2b: "multiplying its transmitted signal by
-    /// e^{j(ωT1−ωT2)t} where t is the time since the initial phase
-    /// synchronization").
-    pub fn packet_rotation(&self, dt: f64) -> Complex64 {
-        Complex64::cis(2.0 * std::f64::consts::PI * self.cfo_hz * dt)
-    }
-
     /// The full correction phasor for one subcarrier at `dt` seconds after
     /// the header measurement: the measured per-subcarrier phase, the
-    /// within-packet CFO extrapolation, **and** the within-packet growth of
-    /// the sampling-offset slope. The sampling clock is locked to the same
+    /// within-packet CFO extrapolation `e^{j2π·f̂·dt}` (§5.2b: "multiplying
+    /// its transmitted signal by e^{j(ωT1−ωT2)t} where t is the time since
+    /// the initial phase synchronization"), **and** the within-packet growth
+    /// of the sampling-offset slope. The sampling clock is locked to the same
     /// crystal as the carrier (§5.2: "the MegaMIMO slave APs correct for
     /// the effect of sampling frequency offset during the packet by using a
     /// long-term averaged estimate, similar to the carrier frequency
@@ -575,7 +569,8 @@ mod tests {
         ps.set_reference(estimate_from(|_| Complex64::ONE));
         let c = ps.correction(&estimate_from(|_| Complex64::ONE)).unwrap();
         assert_eq!(c.cfo_hz, 1000.0);
-        let rot = c.packet_rotation(0.5e-3);
+        // At the band centre the slope terms vanish: pure CFO rotation.
+        let rot = c.correction_at(0, 0.5e-3, 156.25e3, 2.437e9);
         assert!((rot - Complex64::cis(std::f64::consts::PI)).abs() < 1e-9);
     }
 

@@ -172,15 +172,6 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// Sum of counter `name` over every label (including unlabeled).
-    pub fn counter_total(&self, name: &'static str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// Sets the unlabeled gauge `name`.
     pub fn gauge_set(&mut self, name: &'static str, v: f64) {
         self.gauges.insert((name, None), v);
@@ -289,7 +280,6 @@ mod tests {
         assert_eq!(r.counter("tx"), 5);
         assert_eq!(r.counter("drops"), 0);
         assert_eq!(r.counter_at("drops", 2), 2);
-        assert_eq!(r.counter_total("drops"), 3);
     }
 
     #[test]

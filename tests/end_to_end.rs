@@ -63,8 +63,8 @@ fn mac_driven_delivery_with_losses() {
         mac.complete_batch(batch, &acked, airtime);
     }
     assert_eq!(mac.queue_len(), 0, "queue should drain");
-    assert_eq!(mac.stats.dropped_total(), 0, "no packet abandoned");
-    assert!(mac.stats.delivered_bits_for(0) > 0.0 && mac.stats.delivered_bits_for(1) > 0.0);
+    assert_eq!(mac.stats.dropped(), [0, 0], "no packet abandoned");
+    assert!(mac.stats.delivered_bits().iter().all(|&bits| bits > 0.0));
     assert!(
         mac.stats.transmissions() >= 8,
         "with 20% drops, retransmissions must have happened ({} tx)",
