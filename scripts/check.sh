@@ -21,7 +21,10 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# The jmb-lint deny pass at the end includes the determinism lints
+# One grep beside the figure CSVs holds the scratch rule (DESIGN.md §7):
+# no `thread_local!` in a program crate other than jmb-dsp's FFT plan cache.
+#
+# The jmb-lint deny pass includes the determinism lints
 # (no-unordered-iteration, float-reduction-order, no-ambient-parallelism,
 # ordered-merge). Their dynamic counterpart — the schedule-perturbation
 # harness — is CI's det-matrix job; run it locally with
@@ -48,5 +51,11 @@ for csv in results/*.csv; do
   cmp "$csv" "$fresh/$(basename "$csv")"
 done
 echo "results/*.csv byte-identical to a fresh jmb-bench all"
+
+# Scratch is passed, not found: the FFT plan cache is the one thread-local.
+if grep -rn 'thread_local!' crates/*/src src | grep -v '^crates/dsp/src/fft.rs:'; then
+  echo "thread_local! outside jmb-dsp's FFT plan cache (pass the scratch down instead)" >&2
+  exit 1
+fi
 
 echo "tier-1 checks passed"
