@@ -194,9 +194,10 @@ impl CompatNet {
 
         // Every joint transmission is the whole array to every client.
         let mut scratch = Scratch::default();
-        scratch.devices.extend((0..txs.len()).map(|i| i / ANTS));
-        scratch.tx_nodes.clone_from(&txs);
-        scratch.rx_nodes.clone_from(&rxs);
+        scratch.set_batch(
+            txs.iter().enumerate().map(|(i, &tx)| (i / ANTS, tx)),
+            rxs.iter().copied(),
+        );
         Ok(CompatNet {
             listen: txs.iter().copied().step_by(ANTS).collect(),
             strategy: strategy_for(SyncStrategyId::default(), cfg.n_aps),

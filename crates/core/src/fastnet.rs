@@ -543,11 +543,10 @@ impl FastNet {
         let result = match self.last_sync().excluded.iter().min() {
             Some(&slave) => Err(JmbError::SyncHeaderMissed { slave }),
             None => {
-                let batch = &mut self.scratch;
-                batch.devices.clear();
-                batch.devices.extend(0..self.cfg.n_aps);
-                batch.tx_nodes.clone_from(&self.aps);
-                batch.rx_nodes.clone_from(&self.clients);
+                self.scratch.set_batch(
+                    self.aps.iter().copied().enumerate(),
+                    self.clients.iter().copied(),
+                );
                 let (sinr_db, interference) = self.probe_sinr(
                     &precoder,
                     mute_streams,
@@ -628,11 +627,7 @@ impl FastNet {
         // the data; a slave that sits the packet out is one combining
         // branch fewer ([`BatchSync::phasor_at`] is zero for it).
         let batch = &mut self.scratch;
-        batch.devices.clear();
-        batch.devices.extend(0..self.cfg.n_aps);
-        batch.tx_nodes.clone_from(&self.aps);
-        batch.rx_nodes.clear();
-        batch.rx_nodes.push(self.clients[client]);
+        batch.set_batch(self.aps.iter().copied().enumerate(), [self.clients[client]]);
         let t = t_h + 320.0 * ts + self.cfg.turnaround_s + 200e-6;
         let frame = ProbeFrame {
             sync: Some(self.control.last_sync()),
@@ -850,28 +845,23 @@ impl FastNet {
         self.sync_headers(t_meas, active_aps.iter().copied().filter(|&s| s != 0));
         let excluded = &self.control.last_sync().excluded;
         let batch = &mut self.scratch;
-        batch.devices.clear();
-        batch
-            .devices
-            .extend(active_aps.iter().filter(|i| !excluded.contains(i)));
+        batch.set_batch(
+            active_aps
+                .iter()
+                .filter(|i| !excluded.contains(i))
+                .map(|&i| (i, self.aps[i])),
+            clients.iter().map(|&j| self.clients[j]),
+        );
         let na_eff = batch.devices.len();
         if na_eff < nb {
             let slave = excluded.iter().min().copied().unwrap_or(0);
             return Err(JmbError::SyncHeaderMissed { slave });
         }
-        batch.tx_nodes.clear();
-        batch
-            .tx_nodes
-            .extend(batch.devices.iter().map(|&i| self.aps[i]));
-        batch.rx_nodes.clear();
-        batch
-            .rx_nodes
-            .extend(clients.iter().map(|&j| self.clients[j]));
 
         // ZF over the measured channel restricted to the batch and the
         // effective AP set.
         let h_meas = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
-        batch.h_sub.resize_with(h_meas.len(), || CMat::zeros(0, 0));
+        batch.h_sub.resize_with(h_meas.len(), CMat::default);
         for (sub, full) in batch.h_sub.iter_mut().zip(h_meas) {
             sub.reset(nb, na_eff);
             for (r, &j) in clients.iter().enumerate() {
@@ -939,10 +929,10 @@ pub(crate) struct Scratch {
     /// Who transmits in the joint transmission under way, in precoder-row
     /// order — the device each antenna sits on (its index in the batch's
     /// [`BatchSync`]) and the antenna's medium id — and the receive antennas
-    /// in stream order: filled by the caller of [`Scratch::probe_sinr`].
-    pub(crate) devices: Vec<usize>,
-    pub(crate) tx_nodes: Vec<NodeId>,
-    pub(crate) rx_nodes: Vec<NodeId>,
+    /// in stream order ([`Scratch::set_batch`]).
+    devices: Vec<usize>,
+    tx_nodes: Vec<NodeId>,
+    rx_nodes: Vec<NodeId>,
     /// Signal and interference power summed over the probes,
     /// `[stream · n_k + k_idx]`.
     sig: Vec<f64>,
@@ -958,6 +948,24 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
+    /// Names the antennas of the next joint transmission: `(device, medium
+    /// id)` per transmit antenna in precoder-row order, and the receive
+    /// antennas in stream order.
+    pub(crate) fn set_batch(
+        &mut self,
+        tx: impl IntoIterator<Item = (usize, NodeId)>,
+        rx: impl IntoIterator<Item = NodeId>,
+    ) {
+        self.devices.clear();
+        self.tx_nodes.clear();
+        for (device, node) in tx {
+            self.devices.push(device);
+            self.tx_nodes.push(node);
+        }
+        self.rx_nodes.clear();
+        self.rx_nodes.extend(rx);
+    }
+
     /// The probe/SINR kernel behind every joint transmission of the fast
     /// fidelity: `precoder`'s streams go from `tx_nodes` to `rx_nodes`, the
     /// antenna in column `c` rotated by the correction `frame.sync` holds

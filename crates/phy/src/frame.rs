@@ -340,19 +340,8 @@ impl FrameRx {
         samples: &[Complex64],
     ) -> Result<RxResult, RxError> {
         let params = self.ofdm.params();
-        let s = sync::synchronize(params, samples).ok_or(RxError::NoPreamble)?;
-        self.rx_frame_at_with(scratch, samples, s.stf_start, s.cfo_hz)
-    }
-
-    /// The receive chain from a known frame start and CFO on.
-    fn rx_frame_at_with(
-        &self,
-        scratch: &mut RxScratch,
-        samples: &[Complex64],
-        stf_start: usize,
-        cfo_hz: f64,
-    ) -> Result<RxResult, RxError> {
-        let params = self.ofdm.params();
+        let sync::SyncResult { stf_start, cfo_hz } =
+            sync::synchronize(params, samples).ok_or(RxError::NoPreamble)?;
         if stf_start + 320 + params.symbol_len() > samples.len() {
             return Err(RxError::Truncated);
         }
@@ -395,8 +384,7 @@ impl FrameRx {
     /// subcarriers, equalised values and LLRs are staged in preallocated
     /// buffers, and the deinterleaved soft bits accumulate into one
     /// contiguous whole-frame stream that feeds depuncture → Viterbi
-    /// without further copies. Decoded output is bitwise identical to the
-    /// historical per-symbol allocate-and-scatter flow.
+    /// without further copies.
     pub fn decode_stream_bins_with<S: AsRef<[Complex64]>>(
         &self,
         scratch: &mut RxScratch,
