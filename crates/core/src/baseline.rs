@@ -131,12 +131,18 @@ pub fn jmb_client_throughput(
 
 /// Selects the joint MCS for a set of clients (§9: one rate for all): the
 /// fastest MCS whose threshold *every* client's effective SNR clears.
-pub fn select_joint_mcs(per_client_sinr_db: &[Vec<f64>]) -> Option<Mcs> {
+///
+/// `per_client_sinr_db` yields one per-subcarrier row per client and is walked
+/// once per MCS: nested vectors by reference, or the rows of a flat table
+/// (`chunks_exact`).
+pub fn select_joint_mcs(
+    per_client_sinr_db: impl IntoIterator<Item = impl AsRef<[f64]>> + Clone,
+) -> Option<Mcs> {
     let mut best = None;
     for (i, mcs) in Mcs::ALL.iter().enumerate() {
-        let ok = per_client_sinr_db
-            .iter()
-            .all(|sinrs| esnr::effective_snr_db_eesm(*mcs, sinrs) >= esnr::MCS_THRESHOLD_DB[i]);
+        let ok = per_client_sinr_db.clone().into_iter().all(|sinrs| {
+            esnr::effective_snr_db_eesm(*mcs, sinrs.as_ref()) >= esnr::MCS_THRESHOLD_DB[i]
+        });
         if ok {
             best = Some(*mcs);
         }

@@ -240,6 +240,7 @@ impl CompatNet {
             aps: &self.listen,
             header_noise_var: self.cfg.noise_var / 2.0,
             trace: &mut self.trace,
+            est: &mut self.scratch.est,
         };
         (obs, &mut *self.strategy, &mut self.control)
     }
@@ -349,11 +350,14 @@ impl CompatNet {
             n_probes: 2,
         };
         let floor = (self.cfg.noise_var, &[][..]);
-        let (sinr_db, _) = self
-            .scratch
+        self.scratch
             .probe_sinr(&mut self.medium, &precoder, &frame, floor);
         self.now = t_d + packet_duration_s + 100e-6;
-        Ok(sinr_db)
+        let per_stream = self
+            .scratch
+            .sinr_db
+            .chunks_exact(self.medium.occupied().len());
+        Ok(per_stream.map(<[f64]>::to_vec).collect())
     }
 
     /// JMB throughput for each client: both its streams at the jointly

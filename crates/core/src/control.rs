@@ -207,7 +207,7 @@ mod tests {
         fn trace(&mut self) -> &mut Trace {
             &mut self.0
         }
-        fn pilot(&mut self, _: usize, _: f64, _: f64, _: f64) -> Option<(ChannelEstimate, f64)> {
+        fn pilot(&mut self, _: usize, _: f64, _: f64, _: f64) -> Option<(&ChannelEstimate, f64)> {
             None
         }
     }

@@ -550,19 +550,20 @@ pub fn throughput_scaling(
                 let outcome = net
                     .joint_transmit(duration, 4, &[], apply_phase_sync)
                     .ok()?;
-                let mcs = baseline::select_joint_mcs(&outcome.sinr_db);
+                let sinr_db = outcome.sinr_db.chunks_exact(outcome.n_k);
+                let mcs = baseline::select_joint_mcs(sinr_db.clone());
                 let meas_len =
                     (320 + rounds * n * params.symbol_len()) as f64 * params.sample_period();
                 let over = baseline::JmbOverheads::new(&params, turnaround, meas_len, 0.25)
                     .with_aggregation(4);
                 let jmb: Vec<f64> = match mcs {
                     None => vec![0.0; n],
-                    Some(mcs) => (0..n)
-                        .map(|j| {
+                    Some(mcs) => sinr_db
+                        .map(|sinrs| {
                             baseline::jmb_client_throughput(
                                 &params,
                                 mcs,
-                                &outcome.sinr_db[j],
+                                sinrs,
                                 baseline::EVAL_PAYLOAD_BYTES,
                                 &over,
                             )

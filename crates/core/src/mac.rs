@@ -24,8 +24,9 @@ pub struct MacPacket {
     pub id: u64,
     /// Destination client.
     pub dest: usize,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Payload length, bytes. The queue carries no payload bytes: a
+    /// backend is told the length to send and renders what it needs.
+    pub payload_len: usize,
     /// Transmission attempts so far.
     pub attempts: u32,
 }
@@ -237,7 +238,7 @@ impl JmbMac {
 
     /// Enqueues a downlink packet (distributed to all APs over the wired
     /// backend) and returns its queue-assigned id.
-    pub fn enqueue(&mut self, dest: usize, payload: Vec<u8>) -> u64 {
+    pub fn enqueue(&mut self, dest: usize, payload_len: usize) -> u64 {
         // jmb-allow(no-panic-hot-path): an unknown client index is a harness programming error — clients are fixed at MAC construction
         assert!(dest < self.designated_ap.len(), "unknown client {dest}");
         let id = self.next_id;
@@ -245,7 +246,7 @@ impl JmbMac {
         self.queue.push_back(MacPacket {
             id,
             dest,
-            payload,
+            payload_len,
             attempts: 0,
         });
         id
@@ -263,10 +264,11 @@ impl JmbMac {
     }
 
     /// Selects the next joint batch: the head of the queue plus the next
-    /// packets for *distinct* clients, up to `max_streams`. Payloads are
-    /// padded to a common length (every stream must span the same number of
-    /// OFDM symbols). Removes the selected packets from the queue.
-    pub fn select_batch(&mut self) -> Vec<MacPacket> {
+    /// packets for *distinct* clients, up to `max_streams`, removed from the
+    /// queue. Returns them with the length the batch goes out at: every
+    /// stream must span the same number of OFDM symbols, so shorter payloads
+    /// are padded to the longest.
+    pub fn select_batch(&mut self) -> (Vec<MacPacket>, usize) {
         // Scan from the head until the batch is full; everything not picked
         // stays where it is, so a saturated queue is not rebuilt per batch.
         let mut picked: Vec<usize> = Vec::with_capacity(self.cfg.max_streams.min(self.queue.len()));
@@ -286,13 +288,11 @@ impl JmbMac {
             .filter_map(|&at| self.queue.remove(at))
             .collect();
         batch.reverse();
-        // Pad payloads to a common length.
-        if let Some(max_len) = batch.iter().map(|p| p.payload.len()).max() {
-            for p in batch.iter_mut() {
-                p.payload.resize(max_len, 0);
-            }
+        let padded_len = batch.iter().map(|p| p.payload_len).max().unwrap_or(0);
+        for p in batch.iter_mut() {
+            p.payload_len = padded_len;
         }
-        batch
+        (batch, padded_len)
     }
 
     /// The contention window the lead uses: the base window grown by
@@ -342,7 +342,7 @@ impl JmbMac {
             self.stats.ensure(p.dest + 1);
             if ok {
                 self.stats
-                    .record_delivery(p.dest, 8.0 * p.payload.len() as f64);
+                    .record_delivery(p.dest, 8.0 * p.payload_len as f64);
                 self.consecutive_losses[p.dest] = 0;
                 fates.push(PacketFate::Acked {
                     dest: p.dest,
@@ -386,11 +386,11 @@ mod tests {
     #[test]
     fn batch_takes_distinct_destinations() {
         let mut m = mac(3);
-        m.enqueue(0, vec![1; 100]);
-        m.enqueue(0, vec![2; 100]);
-        m.enqueue(1, vec![3; 100]);
-        m.enqueue(2, vec![4; 100]);
-        let batch = m.select_batch();
+        m.enqueue(0, 100);
+        m.enqueue(0, 100);
+        m.enqueue(1, 100);
+        m.enqueue(2, 100);
+        let (batch, _) = m.select_batch();
         let dests: Vec<usize> = batch.iter().map(|p| p.dest).collect();
         assert_eq!(dests, vec![0, 1, 2]);
         // The second packet to client 0 stays queued.
@@ -412,9 +412,9 @@ mod tests {
             }
         }
         m.queue = kept;
-        if let Some(max_len) = batch.iter().map(|p| p.payload.len()).max() {
+        if let Some(max_len) = batch.iter().map(|p| p.payload_len).max() {
             for p in batch.iter_mut() {
-                p.payload.resize(max_len, 0);
+                p.payload_len = max_len;
             }
         }
         batch
@@ -439,15 +439,16 @@ mod tests {
                 let cfg = MacConfig { max_streams, ..Default::default() };
                 let mut a = JmbMac::new(cfg, (0..n_clients).collect());
                 for (dest, len) in dests {
-                    a.enqueue(dest % n_clients, vec![dest as u8; len]);
+                    a.enqueue(dest % n_clients, len);
                 }
                 a.blacklisted.copy_from_slice(&blacklist[..n_clients]);
                 let mut b = JmbMac::new(cfg, (0..n_clients).collect());
                 b.queue = a.queue.clone();
                 b.blacklisted = a.blacklisted.clone();
                 loop {
-                    let got = a.select_batch();
+                    let (got, padded_len) = a.select_batch();
                     prop_assert_eq!(&got, &select_batch_by_rebuild(&mut b));
+                    prop_assert_eq!(got.iter().map(|p| p.payload_len).max(), got.first().map(|_| padded_len));
                     prop_assert_eq!(&a.queue, &b.queue);
                     if got.is_empty() {
                         break;
@@ -460,13 +461,12 @@ mod tests {
     #[test]
     fn batch_pads_to_common_length() {
         let mut m = mac(2);
-        m.enqueue(0, vec![1; 50]);
-        m.enqueue(1, vec![2; 200]);
-        let batch = m.select_batch();
-        assert_eq!(batch[0].payload.len(), 200);
-        assert_eq!(batch[1].payload.len(), 200);
-        assert_eq!(&batch[0].payload[..50], &[1u8; 50][..]);
-        assert!(batch[0].payload[50..].iter().all(|&b| b == 0));
+        m.enqueue(0, 50);
+        m.enqueue(1, 200);
+        let (batch, padded_len) = m.select_batch();
+        assert_eq!(padded_len, 200);
+        assert_eq!(batch[0].payload_len, 200);
+        assert_eq!(batch[1].payload_len, 200);
     }
 
     #[test]
@@ -479,9 +479,9 @@ mod tests {
             (0..5).collect(),
         );
         for c in 0..5 {
-            m.enqueue(c, vec![0; 10]);
+            m.enqueue(c, 10);
         }
-        assert_eq!(m.select_batch().len(), 2);
+        assert_eq!(m.select_batch().0.len(), 2);
         assert_eq!(m.queue_len(), 3);
     }
 
@@ -489,15 +489,15 @@ mod tests {
     fn lead_is_designated_ap_of_head() {
         let mut m = JmbMac::new(MacConfig::default(), vec![3, 1, 4]);
         assert_eq!(m.next_lead(), None);
-        m.enqueue(2, vec![0; 10]);
-        m.enqueue(0, vec![0; 10]);
+        m.enqueue(2, 10);
+        m.enqueue(0, 10);
         assert_eq!(m.next_lead(), Some(4));
     }
 
     #[test]
     fn designated_ap_can_be_remapped() {
         let mut m = JmbMac::new(MacConfig::default(), vec![0, 1]);
-        m.enqueue(0, vec![0; 10]);
+        m.enqueue(0, 10);
         assert_eq!(m.next_lead(), Some(0));
         m.set_designated_ap(0, 1);
         assert_eq!(m.designated_ap(0), 1);
@@ -508,10 +508,10 @@ mod tests {
     fn max_streams_can_shrink_mid_run() {
         let mut m = mac(4);
         for c in 0..4 {
-            m.enqueue(c, vec![0; 10]);
+            m.enqueue(c, 10);
         }
         m.set_max_streams(2);
-        assert_eq!(m.select_batch().len(), 2);
+        assert_eq!(m.select_batch().0.len(), 2);
         // Never below one stream.
         m.set_max_streams(0);
         assert_eq!(m.config().max_streams, 1);
@@ -526,9 +526,9 @@ mod tests {
             },
             vec![0, 1],
         );
-        let id = m.enqueue(0, vec![9; 10]);
+        let id = m.enqueue(0, 10);
         // First attempt fails → requeued.
-        let b = m.select_batch();
+        let (b, _) = m.select_batch();
         let fates = m.complete_batch(b, &[false], 1e-3);
         assert_eq!(
             fates,
@@ -541,7 +541,7 @@ mod tests {
         assert_eq!(m.queue_len(), 1);
         assert_eq!(m.stats.dropped()[0], 0);
         // Second attempt fails → dropped (retry_limit 2).
-        let b = m.select_batch();
+        let (b, _) = m.select_batch();
         let fates = m.complete_batch(b, &[false], 1e-3);
         assert_eq!(fates, vec![PacketFate::Dropped { dest: 0, id }]);
         assert_eq!(m.queue_len(), 0);
@@ -562,10 +562,10 @@ mod tests {
             vec![0],
         );
         m.blacklist_threshold = u32::MAX; // keep it schedulable
-        let id = m.enqueue(0, vec![7; 10]);
+        let id = m.enqueue(0, 10);
         let mut attempts = 0;
         loop {
-            let b = m.select_batch();
+            let (b, _) = m.select_batch();
             assert_eq!(b.len(), 1, "packet must stay schedulable");
             attempts += 1;
             let fates = m.complete_batch(b, &[false], 1e-3);
@@ -588,14 +588,14 @@ mod tests {
         // Satellite: when every queued packet shares one destination, joint
         // batches degenerate to singletons — the rest stay queued in order.
         let mut m = mac(3);
-        let ids: Vec<u64> = (0..4).map(|i| m.enqueue(1, vec![i as u8; 10])).collect();
-        let b = m.select_batch();
+        let ids: Vec<u64> = (0..4).map(|_| m.enqueue(1, 10)).collect();
+        let (b, _) = m.select_batch();
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].id, ids[0]);
         assert_eq!(m.queue_len(), 3);
         m.complete_batch(b, &[true], 1e-3);
         // FIFO order is preserved for the remainder.
-        let b = m.select_batch();
+        let (b, _) = m.select_batch();
         assert_eq!(b[0].id, ids[1]);
     }
 
@@ -604,9 +604,9 @@ mod tests {
         // §9: "if APs have stale channel information to a client, only the
         // packet to that client is affected".
         let mut m = mac(2);
-        m.enqueue(0, vec![1; 100]);
-        m.enqueue(1, vec![2; 100]);
-        let b = m.select_batch();
+        m.enqueue(0, 100);
+        m.enqueue(1, 100);
+        let (b, _) = m.select_batch();
         m.complete_batch(b, &[true, false], 2e-3);
         assert!(m.stats.delivered_bits()[0] > 0.0);
         assert_eq!(m.stats.delivered_bits()[1], 0.0);
@@ -616,9 +616,9 @@ mod tests {
     #[test]
     fn stats_throughput() {
         let mut m = mac(2);
-        m.enqueue(0, vec![0; 1250]); // 10 000 bits
-        m.enqueue(1, vec![0; 1250]);
-        let b = m.select_batch();
+        m.enqueue(0, 1250); // 10 000 bits
+        m.enqueue(1, 1250);
+        let (b, _) = m.select_batch();
         m.complete_batch(b, &[true, true], 1e-3);
         let t = m.stats.throughput();
         assert!((t[0] - 1e7).abs() < 1.0);
@@ -650,14 +650,14 @@ mod tests {
         );
         m.blacklist_threshold = u32::MAX;
         assert_eq!(m.contention_window(1), 16);
-        m.enqueue(0, vec![0; 10]);
+        m.enqueue(0, 10);
         for want in [32, 64, 64] {
-            let b = m.select_batch();
+            let (b, _) = m.select_batch();
             m.complete_batch(b, &[false], 1e-3);
             assert_eq!(m.contention_window(1), want);
         }
         assert_eq!(m.backoff_stage(), 3);
-        let b = m.select_batch();
+        let (b, _) = m.select_batch();
         m.complete_batch(b, &[true], 1e-3);
         assert_eq!(m.backoff_stage(), 0);
         assert_eq!(m.contention_window(1), 16);
@@ -669,7 +669,7 @@ mod tests {
         // no-op completion that records no transmission.
         let mut m = mac(2);
         assert_eq!(m.next_lead(), None);
-        let b = m.select_batch();
+        let (b, _) = m.select_batch();
         assert!(b.is_empty());
         let fates = m.complete_batch(b, &[], 1e-3);
         assert!(fates.is_empty());
@@ -681,7 +681,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown client")]
     fn enqueue_validates_destination() {
-        mac(2).enqueue(5, vec![]);
+        mac(2).enqueue(5, 0);
     }
 
     #[test]
@@ -698,23 +698,23 @@ mod tests {
         );
         m.blacklist_threshold = 3;
         for _ in 0..3 {
-            m.enqueue(0, vec![1; 10]);
-            m.enqueue(1, vec![2; 10]);
-            let b = m.select_batch();
+            m.enqueue(0, 10);
+            m.enqueue(1, 10);
+            let (b, _) = m.select_batch();
             // Client 0 persistently fails; client 1 is fine.
             let acked: Vec<bool> = b.iter().map(|p| p.dest != 0).collect();
             m.complete_batch(b, &acked, 1e-3);
         }
         assert_eq!(m.blacklisted, [true, false]);
         // Client 0's packets stay queued but are not batched.
-        let b = m.select_batch();
+        let (b, _) = m.select_batch();
         assert!(b.iter().all(|p| p.dest != 0), "blacklisted client batched");
         assert!(m.queue_len() > 0, "its packets remain queued");
         let acks = vec![true; b.len()];
         m.complete_batch(b, &acks, 1e-3);
         // After re-admission it is scheduled again.
         m.clear_blacklist(0);
-        let b = m.select_batch();
+        let (b, _) = m.select_batch();
         assert!(b.iter().any(|p| p.dest == 0));
         let acks = vec![true; b.len()];
         m.complete_batch(b, &acks, 1e-3);

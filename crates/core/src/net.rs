@@ -395,6 +395,7 @@ impl JmbNetwork {
             t_h,
             plan,
             header_noise_var: 32.0 * self.cfg.ap_noise_var,
+            heard: None,
         };
         (obs, &mut *self.strategy, &mut self.control)
     }
@@ -763,6 +764,8 @@ pub(crate) struct SampleObserver<'a> {
     /// Estimation noise variance of one header measurement per subcarrier
     /// (64 samples' noise per bin, two LTF repetitions averaged).
     pub(crate) header_noise_var: f64,
+    /// The estimate of the last observation, lent to the strategy.
+    pub(crate) heard: Option<ChannelEstimate>,
 }
 
 impl SampleObserver<'_> {
@@ -781,9 +784,10 @@ impl LeadObserver for SampleObserver<'_> {
         &mut self.medium.trace
     }
 
-    fn header(&mut self, slave: usize, _t_meas: f64) -> Option<(ChannelEstimate, f64)> {
+    fn header(&mut self, slave: usize, _t_meas: f64) -> Option<(&ChannelEstimate, f64)> {
         let window = self.medium.render_rx(self.aps[slave], self.t_h, 320 + 8);
-        self.measure_header(&window)
+        let (est, cfo) = self.measure_header(&window)?;
+        Some((self.heard.insert(est), cfo))
     }
 
     fn pilot(
@@ -792,7 +796,7 @@ impl LeadObserver for SampleObserver<'_> {
         t: f64,
         noise_scale: f64,
         cfo_sigma_hz: f64,
-    ) -> Option<(ChannelEstimate, f64)> {
+    ) -> Option<(&ChannelEstimate, f64)> {
         // The pilot is a sync header on a side channel, timed so that its
         // LTF midpoint — where the estimate is anchored — falls at `t`. It
         // must not be summed with the in-band frames on the air.
@@ -819,7 +823,7 @@ impl LeadObserver for SampleObserver<'_> {
         if extra_sigma > 0.0 {
             cfo += normal(self.rng, extra_sigma);
         }
-        Some((est, cfo))
+        Some((self.heard.insert(est), cfo))
     }
 
     fn seed(
@@ -827,7 +831,7 @@ impl LeadObserver for SampleObserver<'_> {
         slave: usize,
         _t0: f64,
         sigma_hz: f64,
-    ) -> Option<(ChannelEstimate, f64, f64, f64)> {
+    ) -> Option<(&ChannelEstimate, f64, f64, f64)> {
         // Only a measurement packet carries a reference: a backend swapped
         // in after it stays unseeded until the next one.
         let plan = self.plan?;
@@ -843,7 +847,7 @@ impl LeadObserver for SampleObserver<'_> {
             Err(_) => (header_cfo, RAW_HEADER_CFO_SIGMA_HZ),
         };
         let anchor = self.t_h + REF_ANCHOR * self.params.sample_period();
-        Some((est, cfo, sigma, anchor))
+        Some((self.heard.insert(est), cfo, sigma, anchor))
     }
 }
 

@@ -15,7 +15,7 @@ use crate::error::JmbError;
 use jmb_dsp::{CMat, Complex64, ZfSolver};
 
 /// A per-subcarrier joint precoder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Precoder {
     /// Per-subcarrier weights, `W(k)`: `n_tx × n_streams`.
     weights: Vec<CMat>,
@@ -40,6 +40,18 @@ impl Precoder {
     /// transmitting alone, which is what makes throughput scale linearly
     /// with added APs: each new AP brings its own power budget.
     pub fn zero_forcing(h_per_subcarrier: &[CMat]) -> Result<Precoder, JmbError> {
+        let mut precoder = Precoder::default();
+        precoder.rebuild_zero_forcing(h_per_subcarrier)?;
+        Ok(precoder)
+    }
+
+    /// [`Precoder::zero_forcing`] into this precoder's storage: a network
+    /// that builds one per batch keeps the weight matrices between batches.
+    /// After an error the contents are unspecified until the next rebuild.
+    pub(crate) fn rebuild_zero_forcing(
+        &mut self,
+        h_per_subcarrier: &[CMat],
+    ) -> Result<(), JmbError> {
         let _span = jmb_obs::span("zf_precoder");
         if h_per_subcarrier.is_empty() {
             return Err(JmbError::BadConfig("no subcarriers"));
@@ -52,21 +64,24 @@ impl Precoder {
         if n_tx < n_streams {
             return Err(JmbError::BadConfig("fewer total AP antennas than streams"));
         }
-        let mut weights = Vec::with_capacity(h_per_subcarrier.len());
-        let mut k_hats = Vec::with_capacity(h_per_subcarrier.len());
+        let Precoder {
+            weights, k_hats, ..
+        } = self;
+        weights.resize_with(h_per_subcarrier.len(), CMat::default);
+        k_hats.clear();
         // One Gram+Cholesky solver reused across subcarriers: the per-loop
         // temporaries (Gram matrix, substitution scratch) are allocated once.
         let mut solver = ZfSolver::new(n_streams, n_tx);
         let mut col_gain = vec![0.0f64; n_streams];
-        for h in h_per_subcarrier {
+        for (h, w) in h_per_subcarrier.iter().zip(weights.iter_mut()) {
             if h.rows() != n_streams || h.cols() != n_tx {
                 return Err(JmbError::MeasurementShape {
                     expected: n_streams * n_tx,
                     got: h.rows() * h.cols(),
                 });
             }
-            let mut w = CMat::zeros(n_tx, n_streams);
-            solver.pinv_into(h, &mut w)?;
+            w.reset(n_tx, n_streams);
+            solver.pinv_into(h, w)?;
             // Per-stream power normalisation: every stream's precoding
             // column is scaled to unit power on each subcarrier, so client
             // j's received amplitude tracks the quality of its own channel
@@ -90,7 +105,6 @@ impl Precoder {
                     w[(m, j)] = w[(m, j)] * col_gain[j];
                 }
             }
-            weights.push(w);
             // Summary normalisation for this subcarrier: RMS of the
             // per-stream received amplitudes.
             let rms = (col_gain.iter().map(|g| g * g).sum::<f64>() / n_streams as f64).sqrt();
@@ -119,12 +133,9 @@ impl Precoder {
             w.scale_in_place(Complex64::real(gamma));
             *k *= gamma;
         }
-        Ok(Precoder {
-            weights,
-            k_hats,
-            n_tx,
-            n_streams,
-        })
+        self.n_tx = n_tx;
+        self.n_streams = n_streams;
+        Ok(())
     }
 
     /// The received signal amplitude of stream `j` on subcarrier `k_idx`

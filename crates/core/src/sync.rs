@@ -88,7 +88,9 @@ const MAX_CATCHUP_UPDATES: u64 = 3;
 /// What a slave can learn about the lead at one instant, at whatever
 /// fidelity the network runs: each observation is the lead→slave channel
 /// estimate plus the lead-minus-slave CFO (Hz) measured alongside it, or
-/// `None` when the slave could not make the waveform out.
+/// `None` when the slave could not make the waveform out. The estimate is
+/// lent from the observer's own buffer and lasts until the next
+/// observation; a strategy copies what it keeps.
 pub trait LeadObserver {
     /// Where the control plane records what this exchange did to the
     /// slaves (the observer holds the medium, and with it the trace).
@@ -104,12 +106,12 @@ pub trait LeadObserver {
         t: f64,
         noise_scale: f64,
         cfo_sigma_hz: f64,
-    ) -> Option<(ChannelEstimate, f64)>;
+    ) -> Option<(&ChannelEstimate, f64)>;
 
     /// The in-band sync header of the current joint transmission, measured
     /// at `t_meas`. Unless the fidelity tells the bands apart, a pilot of
     /// header quality.
-    fn header(&mut self, slave: usize, t_meas: f64) -> Option<(ChannelEstimate, f64)> {
+    fn header(&mut self, slave: usize, t_meas: f64) -> Option<(&ChannelEstimate, f64)> {
         self.pilot(slave, t_meas, 1.0, RAW_HEADER_CFO_SIGMA_HZ)
     }
 
@@ -124,7 +126,7 @@ pub trait LeadObserver {
         slave: usize,
         t0: f64,
         sigma_hz: f64,
-    ) -> Option<(ChannelEstimate, f64, f64, f64)> {
+    ) -> Option<(&ChannelEstimate, f64, f64, f64)> {
         let (est, cfo) = self.pilot(slave, t0, 1.0, sigma_hz)?;
         Some((est, cfo, sigma_hz, t0))
     }
@@ -222,7 +224,7 @@ fn seed_from_measurement(
     for (s, sync) in (1..).zip(sync) {
         if let Some((est, cfo, sigma, anchor)) = obs.seed(s, t0, seed_sigma_hz) {
             sync.set_reference(est.clone());
-            sync.seed_cfo(&est, cfo, sigma, anchor);
+            sync.seed_cfo(est, cfo, sigma, anchor);
         }
     }
 }
@@ -261,8 +263,8 @@ impl SyncStrategy for JmbLeadSlave {
         let (est, raw_cfo) = obs
             .header(slave, t_meas)
             .ok_or(JmbError::SyncHeaderMissed { slave })?;
-        self.sync[slave - 1].observe_header(&est, raw_cfo, t_meas);
-        Ok((self.sync[slave - 1].correction(&est)?, t_meas))
+        self.sync[slave - 1].observe_header(est, raw_cfo, t_meas);
+        Ok((self.sync[slave - 1].correction(est)?, t_meas))
     }
 
     fn extrapolated(&self, slave: usize) -> Option<(PhaseCorrection, f64)> {
@@ -354,7 +356,7 @@ impl OutOfBand {
             for (s, sync) in (1..).zip(&mut self.sync) {
                 // A pilot the slave could not make out refreshes nothing.
                 if let Some((est, cfo)) = obs.pilot(s, t_p, self.noise_scale, self.cfo_sigma_hz) {
-                    sync.observe_header(&est, cfo, t_p);
+                    sync.observe_header(est, cfo, t_p);
                 }
             }
         }
@@ -421,6 +423,7 @@ mod tests {
         rng: JmbRng,
         aps: Vec<NodeId>,
         trace: Trace,
+        est: Option<ChannelEstimate>,
     }
 
     fn rig(n_aps: usize, seed: u64) -> Rig {
@@ -456,6 +459,7 @@ mod tests {
             rng,
             aps,
             trace: Trace::new(),
+            est: None,
         }
     }
 
@@ -467,6 +471,7 @@ mod tests {
                 aps: &self.aps,
                 header_noise_var: 0.5,
                 trace: &mut self.trace,
+                est: &mut self.est,
             }
         }
     }
@@ -684,6 +689,7 @@ mod tests {
                     t_h: self.t_h,
                     plan,
                     header_noise_var: 32.0 * NOISE_VAR,
+                    heard: None,
                 }
             }
         }

@@ -33,15 +33,32 @@ pub fn derive_rng(master_seed: u64, stream: u64) -> JmbRng {
     JmbRng::seed_from_u64(z)
 }
 
-/// Samples a standard normal via Box–Muller.
+/// Samples two independent standard normals via Box–Muller: the radius
+/// `sqrt(-2 ln u1)` times the cosine and the sine of one uniform angle
+/// `2π·u2`, so two uniforms, one `ln`, one `sqrt` and one `sin_cos` buy two
+/// Gaussians.
 ///
 /// (`rand_distr` is outside the allowed dependency set, and Box–Muller is
 /// plenty for simulation noise.)
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+#[inline]
+pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     // Avoid ln(0) by sampling u1 from (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    let r = (-2.0 * u1.ln()).sqrt();
+    let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+    (r * cos, r * sin)
+}
+
+/// Samples a standard normal: the cosine half of
+/// [`standard_normal_pair`], the sine half unused.
+///
+/// Every *deployment* draw (placement, shadowing, fading taps, oscillator
+/// ppm) comes through here, one Gaussian per two uniforms; only noise
+/// processes that want Gaussians in bulk take the pair.
+#[inline]
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    standard_normal_pair(rng).0
 }
 
 /// Samples a zero-mean Gaussian with the given standard deviation.
@@ -106,6 +123,63 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
+    }
+
+    #[test]
+    fn standard_normal_is_the_literal_cosine_branch() {
+        // `standard_normal` went from computing the cosine branch alone to
+        // taking the first half of the pair: same bits, so every deployment
+        // draw keeps its value.
+        let mut a = rng_from_seed(8);
+        let mut b = rng_from_seed(8);
+        for i in 0..10_000 {
+            let u1: f64 = 1.0 - b.gen::<f64>();
+            let u2: f64 = b.gen();
+            let want = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            assert_eq!(
+                standard_normal(&mut a).to_bits(),
+                want.to_bits(),
+                "draw {i}"
+            );
+        }
+        // The pair consumes the same two uniforms, and its sine half is the
+        // other branch of the same radius and angle.
+        let mut c = rng_from_seed(8);
+        let mut d = rng_from_seed(8);
+        for i in 0..10_000 {
+            let (z0, z1) = standard_normal_pair(&mut c);
+            let u1: f64 = 1.0 - d.gen::<f64>();
+            let u2: f64 = d.gen();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let angle = 2.0 * std::f64::consts::PI * u2;
+            assert_eq!(z0.to_bits(), (r * angle.cos()).to_bits(), "pair {i}");
+            assert_eq!(z1.to_bits(), (r * angle.sin()).to_bits(), "pair {i}");
+        }
+    }
+
+    #[test]
+    fn pair_halves_are_standard_and_uncorrelated() {
+        let mut rng = rng_from_seed(9);
+        let n = 200_000;
+        let (mut s0, mut s1, mut q0, mut q1, mut cross) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        for _ in 0..n {
+            let (a, b) = standard_normal_pair(&mut rng);
+            s0 += a;
+            s1 += b;
+            q0 += a * a;
+            q1 += b * b;
+            cross += a * b;
+        }
+        let n = n as f64;
+        for (half, sum, sq) in [("cos", s0, q0), ("sin", s1, q1)] {
+            let mean = sum / n;
+            let var = sq / n - mean * mean;
+            assert!(mean.abs() < 0.01, "{half} mean {mean}");
+            assert!((var - 1.0).abs() < 0.02, "{half} var {var}");
+        }
+        let rho = (cross / n - (s0 / n) * (s1 / n))
+            / ((q0 / n - (s0 / n).powi(2)) * (q1 / n - (s1 / n).powi(2))).sqrt();
+        assert!(rho.abs() < 0.01, "correlation {rho}");
     }
 
     #[test]

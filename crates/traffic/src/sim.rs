@@ -447,13 +447,13 @@ impl<B: TransmitBackend> TrafficSim<B> {
         if let Some(lead) = self.mac.next_lead() {
             self.trace.emit(now, TraceKind::LeadElected { ap: lead });
         }
-        let mut batch = self.mac.select_batch();
+        let (mut batch, mut payload_len) = self.mac.select_batch();
         if batch.is_empty() {
             // Every queued destination is blacklisted: §9 re-admits after
             // re-measurement; model that as a reset so the queue never
             // starves.
             self.mac.clear_all_blacklists();
-            batch = self.mac.select_batch();
+            (batch, payload_len) = self.mac.select_batch();
         }
         if batch.is_empty() {
             return;
@@ -472,7 +472,6 @@ impl<B: TransmitBackend> TrafficSim<B> {
         let dt = (t_start - self.phy_t).max(0.0);
         self.backend.advance(dt);
         let dests: Vec<usize> = batch.iter().map(|p| p.dest).collect();
-        let payload_len = batch[0].payload.len();
         let report = self
             .backend
             .transmit_batch(&dests, payload_len, &live)
@@ -584,7 +583,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
                 EventKind::Arrival { client } => {
                     // jmb-allow(no-panic-hot-path): event-loop invariant — an Arrival is only scheduled after pending[client] is staged
                     let (_, size) = pending[client].take().expect("staged arrival");
-                    let id = self.mac.enqueue(client, vec![0u8; size]);
+                    let id = self.mac.enqueue(client, size);
                     self.meta.insert(id, (now, size));
                     self.reg.inc("traffic_generated");
                     self.trace.emit(now, TraceKind::Enqueued { client, id });

@@ -38,28 +38,25 @@ fn mac_driven_delivery_with_losses() {
 
     let mut mac = JmbMac::new(MacConfig::default(), vec![0, 1]);
     for round in 0..4 {
-        mac.enqueue(0, payloads(1, 60 + round).remove(0));
-        mac.enqueue(1, payloads(1, 90 + round).remove(0));
+        mac.enqueue(0, 60 + round);
+        mac.enqueue(1, 90 + round);
     }
     let mcs = net.select_rate().unwrap_or(Mcs::BASE);
     let mut guard = 0;
     while mac.queue_len() > 0 && guard < 60 {
         guard += 1;
         net.advance(1e-3);
-        let batch = mac.select_batch();
+        let (batch, padded_len) = mac.select_batch();
         if batch.is_empty() {
             break;
         }
-        // The joint transmission needs one payload per client; absent
-        // clients get a padding packet the MAC would normally skip.
-        let mut per_client = vec![vec![0u8; batch[0].payload.len()]; 2];
-        for p in &batch {
-            per_client[p.dest] = p.payload.clone();
-        }
+        // The queue carries lengths; the bytes are rendered here, one
+        // payload per client at the batch's padded length (an absent
+        // client gets a padding packet the MAC would normally skip).
+        let per_client = payloads(2, padded_len);
         let results = net.joint_transmit(&per_client, mcs, true).unwrap();
         let acked: Vec<bool> = batch.iter().map(|p| results[p.dest].is_ok()).collect();
-        let airtime =
-            jmb::core::baseline::frame_airtime(&OfdmParams::default(), mcs, batch[0].payload.len());
+        let airtime = jmb::core::baseline::frame_airtime(&OfdmParams::default(), mcs, padded_len);
         mac.complete_batch(batch, &acked, airtime);
     }
     assert_eq!(mac.queue_len(), 0, "queue should drain");
@@ -99,26 +96,30 @@ fn phase_sync_is_necessary() {
 #[test]
 fn measurement_amortised_across_coherence_time() {
     // One measurement, many packets over tens of milliseconds (§5: channels
-    // only need re-measuring on the order of the coherence time).
-    let cfg = NetConfig::default_with(2, 2, 20.0, 21);
-    let mut net = JmbNetwork::new(cfg).unwrap();
-    net.run_measurement().unwrap();
-    let data = payloads(2, 60);
-    let mcs = net.select_rate().unwrap_or(Mcs::BASE);
+    // only need re-measuring on the order of the coherence time). Stated
+    // over eight deployments: one cell's 16 packets sit within a packet of
+    // any bar worth setting, so a single seed tests the seed.
     let mut delivered = 0;
     let mut total = 0;
-    for _ in 0..8 {
-        net.advance(5e-3); // 40 ms total — many naive-extrapolation lifetimes
-        for r in net.joint_transmit(&data, mcs, true).unwrap() {
-            total += 1;
-            if r.is_ok() {
-                delivered += 1;
+    for seed in 1..=8 {
+        let cfg = NetConfig::default_with(2, 2, 20.0, seed);
+        let mut net = JmbNetwork::new(cfg).unwrap();
+        net.run_measurement().unwrap();
+        let data = payloads(2, 60);
+        let mcs = net.select_rate().unwrap_or(Mcs::BASE);
+        for _ in 0..8 {
+            net.advance(5e-3); // 40 ms total — many naive-extrapolation lifetimes
+            for r in net.joint_transmit(&data, mcs, true).unwrap() {
+                total += 1;
+                if r.is_ok() {
+                    delivered += 1;
+                }
             }
         }
     }
     assert!(
-        delivered * 10 >= total * 8,
-        "delivery {delivered}/{total} under one measurement"
+        delivered * 10 >= total * 9,
+        "delivery {delivered}/{total} under one measurement per cell"
     );
 }
 
