@@ -15,7 +15,7 @@
 //! The numbers in §1 fall straight out of this model: a 10 Hz error in a
 //! CFO estimate grows to `2π·10·5.5e-3 ≈ 0.35 rad` (20°) in 5.5 ms.
 
-use jmb_dsp::rng::{normal, JmbRng};
+use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
 use rand::Rng;
 
 /// Static description of an oscillator population.
@@ -196,9 +196,7 @@ impl Oscillator {
 #[derive(Debug, Clone)]
 pub struct PhaseTrajectory {
     carrier_freq: f64,
-    spec: OscillatorSpec,
-    /// Grid spacing, seconds.
-    grid_dt: f64,
+    step: GridStep,
     initial_offset_hz: f64,
     /// `marks[b]` is the walk on arriving at grid point `b·BLOCK`, for every
     /// block up to the head's.
@@ -233,6 +231,17 @@ struct Mark {
     rng: JmbRng,
 }
 
+/// What one grid step of a trajectory draws with, fixed at construction.
+#[derive(Debug, Clone, Copy)]
+struct GridStep {
+    /// Grid spacing, seconds.
+    dt: f64,
+    /// 1σ of the Wiener increment over one step, `√(2π·linewidth·dt)` rad.
+    sigma_w: f64,
+    /// 1σ of the offset's random-walk step, `drift·√dt` Hz.
+    sigma_f: f64,
+}
+
 /// Consecutive grid points of one block, drawn front to back.
 #[derive(Debug, Clone)]
 struct Block {
@@ -259,18 +268,18 @@ impl Block {
         self.next.clone_from(mark);
     }
 
-    /// Draws grid points until the block's point `i` exists: per point the
-    /// Wiener increment, then the offset's random-walk step.
-    fn draw_through(&mut self, i: usize, spec: &OscillatorSpec, grid_dt: f64) {
+    /// Draws grid points until the block's point `i` exists. A grid step is
+    /// one Box–Muller pair: the cosine half scaled to the Wiener increment,
+    /// the sine half to the offset's random-walk step (a noiseless walk
+    /// draws nothing).
+    fn draw_through(&mut self, i: usize, step: &GridStep) {
         while self.points.len() <= i {
             let f_i = self.next.freq;
-            let dw = if spec.phase_noise_linewidth_hz > 0.0 {
-                normal(
-                    &mut self.next.rng,
-                    (2.0 * std::f64::consts::PI * spec.phase_noise_linewidth_hz * grid_dt).sqrt(),
-                )
+            let (dw, df) = if step.sigma_w > 0.0 || step.sigma_f > 0.0 {
+                let (z_w, z_f) = standard_normal_pair(&mut self.next.rng);
+                (z_w * step.sigma_w, z_f * step.sigma_f)
             } else {
-                0.0
+                (0.0, 0.0)
             };
             self.points.push(GridPoint {
                 freq: f_i,
@@ -278,14 +287,8 @@ impl Block {
                 dw,
             });
             self.next.cum_phase =
-                self.next.cum_phase + 2.0 * std::f64::consts::PI * f_i * grid_dt + dw;
-            if spec.drift_hz_per_sqrt_s > 0.0 {
-                self.next.freq = f_i
-                    + normal(
-                        &mut self.next.rng,
-                        spec.drift_hz_per_sqrt_s * grid_dt.sqrt(),
-                    );
-            }
+                self.next.cum_phase + 2.0 * std::f64::consts::PI * f_i * step.dt + dw;
+            self.next.freq = f_i + df;
         }
     }
 }
@@ -320,10 +323,15 @@ impl PhaseTrajectory {
             cum_phase: 0.0,
             rng: jmb_dsp::rng::derive_rng(seed, 0x7247),
         };
+        let dt = Self::GRID_DT;
+        let linewidth = spec.phase_noise_linewidth_hz.max(0.0);
         PhaseTrajectory {
             carrier_freq,
-            spec,
-            grid_dt: Self::GRID_DT,
+            step: GridStep {
+                dt,
+                sigma_w: (2.0 * std::f64::consts::PI * linewidth * dt).sqrt(),
+                sigma_f: spec.drift_hz_per_sqrt_s.max(0.0) * dt.sqrt(),
+            },
             initial_offset_hz: offset_hz,
             head: Block::starting_at(0, &start),
             marks: vec![start],
@@ -360,8 +368,8 @@ impl PhaseTrajectory {
     /// Panics if `t` is negative or non-finite.
     pub fn phase_at(&mut self, t: f64) -> f64 {
         let (idx, p) = self.point_at(t);
-        let t_i = idx as f64 * self.grid_dt;
-        let frac = (t - t_i) / self.grid_dt;
+        let t_i = idx as f64 * self.step.dt;
+        let frac = (t - t_i) / self.step.dt;
         p.cum_phase + 2.0 * std::f64::consts::PI * p.freq * (t - t_i) + p.dw * frac
     }
 
@@ -374,7 +382,7 @@ impl PhaseTrajectory {
     /// one door from a time to the grid, so every accessor checks `t`.
     fn point_at(&mut self, t: f64) -> (usize, GridPoint) {
         assert!(t.is_finite() && t >= 0.0, "bad trajectory time {t}");
-        let idx = (t / self.grid_dt).floor() as usize;
+        let idx = (t / self.step.dt).floor() as usize;
         let (b, i) = (idx / Self::BLOCK, idx % Self::BLOCK);
         if b == self.head.index {
             if let Some(&p) = self.head.points.get(i) {
@@ -388,8 +396,7 @@ impl PhaseTrajectory {
     /// forward, reads the window, or redraws an older block from its mark.
     fn point_outside_head(&mut self, b: usize, i: usize) -> GridPoint {
         while self.head.index < b {
-            self.head
-                .draw_through(Self::BLOCK - 1, &self.spec, self.grid_dt);
+            self.head.draw_through(Self::BLOCK - 1, &self.step);
             self.marks.push(self.head.next.clone());
             let next_index = self.head.index + 1;
             let fresh = if self.behind.len() == Self::KEPT_BEHIND {
@@ -402,7 +409,7 @@ impl PhaseTrajectory {
             self.behind.push(std::mem::replace(&mut self.head, fresh));
         }
         if b == self.head.index {
-            self.head.draw_through(i, &self.spec, self.grid_dt);
+            self.head.draw_through(i, &self.step);
             return self.head.points[i];
         }
         let back = self.head.index - b;
@@ -416,7 +423,7 @@ impl PhaseTrajectory {
         if block.index != b {
             block.restart(b, mark);
         }
-        block.draw_through(i, &self.spec, self.grid_dt);
+        block.draw_through(i, &self.step);
         block.points[i]
     }
 }

@@ -2,13 +2,15 @@
 //! ones from per-block marks. This file holds it, bit for bit, to the
 //! implementation it replaced — every grid point in three `Vec`s for the
 //! whole simulated time — which lives on here as [`Dense`] and nowhere else.
+//! Both take a grid step's two Gaussians from one Box–Muller pair, cosine
+//! half first.
 //!
 //! The block length is private to the crate (≈ 41 ms at this writing, the
 //! window two to three of them); the spans below cross tens of blocks so the
 //! cases hold whatever it is set to.
 
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
-use jmb_dsp::rng::{normal, JmbRng};
+use jmb_dsp::rng::{standard_normal_pair, JmbRng};
 
 const FC: f64 = 2.437e9;
 
@@ -54,29 +56,22 @@ impl Dense {
         while self.freq.len() <= idx + 1 {
             let i = self.freq.len() - 1;
             let f_i = self.freq[i];
-            let dw = if self.spec.phase_noise_linewidth_hz > 0.0 {
-                normal(
-                    &mut self.rng,
-                    (2.0 * std::f64::consts::PI
-                        * self.spec.phase_noise_linewidth_hz
-                        * self.grid_dt)
-                        .sqrt(),
-                )
+            // One pair per grid step, in the windowed walk's order: the
+            // cosine half is the Wiener increment, the sine half the drift.
+            let sigma_w =
+                (2.0 * std::f64::consts::PI * self.spec.phase_noise_linewidth_hz * self.grid_dt)
+                    .sqrt();
+            let sigma_f = self.spec.drift_hz_per_sqrt_s * self.grid_dt.sqrt();
+            let (dw, df) = if sigma_w > 0.0 || sigma_f > 0.0 {
+                let (z_w, z_f) = standard_normal_pair(&mut self.rng);
+                (z_w * sigma_w, z_f * sigma_f)
             } else {
-                0.0
+                (0.0, 0.0)
             };
             self.dw.push(dw);
             self.cum_phase
                 .push(self.cum_phase[i] + 2.0 * std::f64::consts::PI * f_i * self.grid_dt + dw);
-            let f_next = if self.spec.drift_hz_per_sqrt_s > 0.0 {
-                f_i + normal(
-                    &mut self.rng,
-                    self.spec.drift_hz_per_sqrt_s * self.grid_dt.sqrt(),
-                )
-            } else {
-                f_i
-            };
-            self.freq.push(f_next);
+            self.freq.push(f_i + df);
         }
         idx
     }

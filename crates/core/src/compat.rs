@@ -26,13 +26,13 @@
 
 use crate::control::ControlPlane;
 use crate::error::JmbError;
-use crate::fastnet::{FastObserver, ProbeFrame, Scratch};
+use crate::fastnet::{estimation_noise, FastObserver, ProbeFrame, Scratch};
 use crate::precoder::Precoder;
 use crate::sync::{strategy_for, SyncStrategy, SyncStrategyId};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
-use jmb_dsp::rng::{complex_gaussian, JmbRng};
+use jmb_dsp::rng::JmbRng;
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::Trace;
 use jmb_phy::params::OfdmParams;
@@ -227,7 +227,7 @@ impl CompatNet {
 
     fn noisy_channel(&mut self, tx: NodeId, rx: NodeId, k: i32, t: f64) -> Complex64 {
         let var = self.cfg.noise_var / self.cfg.sounding_avg as f64;
-        self.medium.channel_at(tx, rx, k, t) + complex_gaussian(&mut self.rng, var)
+        self.medium.channel_at(tx, rx, k, t) + estimation_noise(&mut self.rng, var)
     }
 
     /// The slaves' view of the lead — each AP's first antenna, on the

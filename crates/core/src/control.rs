@@ -26,7 +26,6 @@ use crate::csi::SyncHealth;
 use crate::phasesync::PhaseCorrection;
 use crate::sync::{LeadObserver, SyncStrategy};
 use jmb_dsp::rng::JmbRng;
-use jmb_dsp::Complex64;
 use jmb_obs::{EventKind, Trace};
 use jmb_sim::FaultSchedule;
 use rand::Rng;
@@ -56,22 +55,22 @@ pub struct BatchSync {
 }
 
 impl BatchSync {
-    /// The phasor AP `ap` multiplies onto subcarrier `k` at time `t`: its
-    /// correction carried forward from its anchor, unity for an AP that
-    /// has none (the lead transmits the reference), zero for a slave that
-    /// sits the batch out.
-    pub(crate) fn phasor_at(
+    /// What AP `ap` multiplies onto the band at time `t`, as the `(θ₀, θ)`
+    /// of the phasors `e^{j(θ₀ + θ·k)}`: its correction carried forward from
+    /// its anchor ([`PhaseCorrection::ramp_at`]), unity — `(0, 0)` — for an
+    /// AP that has none (the lead transmits the reference), `None` for a
+    /// slave that sits the batch out and radiates nothing.
+    pub(crate) fn ramp_at(
         &self,
         ap: usize,
-        k: i32,
         t: f64,
         spacing: f64,
         carrier: f64,
-    ) -> Complex64 {
+    ) -> Option<(f64, f64)> {
         match &self.corrections[ap] {
-            Some((pc, anchor)) => pc.correction_at(k, t - anchor, spacing, carrier),
-            None if self.excluded.contains(&ap) => Complex64::ZERO,
-            None => Complex64::ONE,
+            Some((pc, anchor)) => Some(pc.ramp_at(t - anchor, spacing, carrier)),
+            None if self.excluded.contains(&ap) => None,
+            None => Some((0.0, 0.0)),
         }
     }
 }

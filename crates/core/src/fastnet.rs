@@ -22,7 +22,8 @@ use crate::sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
-use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
+use jmb_dsp::complex::phasor_ramp;
+use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::{EventKind, Trace};
 use jmb_phy::chanest::ChannelEstimate;
@@ -480,7 +481,7 @@ impl FastNet {
         for (pair, row) in rows.chunks_exact(n_k).enumerate() {
             let (j, i) = (pair / self.cfg.n_aps, pair % self.cfg.n_aps);
             for (k_idx, &g) in row.iter().enumerate() {
-                h[k_idx][(j, i)] = g + complex_gaussian(&mut self.rng, var);
+                h[k_idx][(j, i)] = g + estimation_noise(&mut self.rng, var);
             }
         }
         // Slave references + CFO seeds.
@@ -610,7 +611,7 @@ impl FastNet {
         self.sync_headers(t_h + 240.0 * ts, 1..self.cfg.n_aps);
         // One stream from every AP to one antenna, probed once 200 µs into
         // the data; a slave that sits the packet out is one combining
-        // branch fewer ([`BatchSync::phasor_at`] is zero for it).
+        // branch fewer ([`BatchSync::ramp_at`] has nothing for it).
         let batch = &mut self.scratch;
         batch.set_batch(self.aps.iter().copied().enumerate(), [self.clients[client]]);
         let t = t_h + 320.0 * ts + self.cfg.turnaround_s + 200e-6;
@@ -716,13 +717,17 @@ impl FastNet {
         let h = self.h_meas.as_mut().ok_or(JmbError::NoReference)?;
         let old_row = &mut self.scratch.rows;
         old_row.clear();
-        for (k_idx, matrix) in h.iter_mut().enumerate() {
-            let k = ks[k_idx];
-            for i in 0..self.cfg.n_aps {
-                let (common, slope) = rotations[i];
-                let rot = Complex64::cis(common + slope * k);
-                old_row.push(matrix[(client, i)]);
-                matrix[(client, i)] = fresh[i * ks.len() + k_idx] * rot;
+        for matrix in h.iter() {
+            old_row.extend((0..n_aps).map(|i| matrix[(client, i)]));
+        }
+        for ((i, &(common, slope)), row) in rotations
+            .iter()
+            .enumerate()
+            .zip(fresh.chunks_exact(ks.len()))
+        {
+            let rots = phasor_ramp(common, slope, self.medium.occupied());
+            for ((matrix, &g), rot) in h.iter_mut().zip(row).zip(rots) {
+                matrix[(client, i)] = g * rot;
             }
         }
         // Same well-posedness gate as `run_measurement`: over-subscribed
@@ -947,6 +952,9 @@ pub(crate) struct Scratch {
     /// Channel rows of one instant, `[(rx · n_tx + tx) · n_k + k_idx]`
     /// ([`SubcarrierMedium::channel_rows_into`]).
     pub(crate) rows: Vec<Complex64>,
+    /// The correction every transmit antenna applies at one instant,
+    /// `[antenna · n_k + k_idx]`.
+    corr: Vec<Complex64>,
     /// Effective channel and post-precoding gains of one subcarrier.
     eff: CMat,
     g: CMat,
@@ -993,7 +1001,10 @@ impl Scratch {
     /// so the full matrix per (probe, subcarrier) would dominate the sweep.
     /// Their static link responses (the multipath tap sums) are the medium's
     /// cached rows; each probe instant then only pays the oscillator
-    /// phasors, and each subcarrier one rotation + one small mat-mul.
+    /// phasors and, per transmit antenna, its correction — linear in the
+    /// subcarrier index, so walked across the band as a [`phasor_ramp`]
+    /// (two `sin_cos` per antenna and instant) — and each subcarrier one
+    /// rotation + one small mat-mul.
     pub(crate) fn probe_sinr(
         &mut self,
         medium: &mut SubcarrierMedium,
@@ -1008,6 +1019,7 @@ impl Scratch {
             sinr_db: sig,
             interference: intf,
             rows,
+            corr,
             eff,
             g,
             ..
@@ -1026,18 +1038,29 @@ impl Scratch {
         for p in 0..n_probes {
             let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
             medium.channel_rows_into(tx_nodes, rx_nodes, t, rows);
-            for (k_idx, &k) in medium.occupied().iter().enumerate() {
+            // Per-device correction (phase sync) of every column: unity
+            // under the ablation, nothing from a slave sitting out.
+            corr.clear();
+            for &device in devices.iter() {
+                let ramp = match frame.sync {
+                    Some(sync) => sync.ramp_at(device, t, spacing, carrier),
+                    None => Some((0.0, 0.0)),
+                };
+                match ramp {
+                    Some((theta0, theta)) => {
+                        corr.extend(phasor_ramp(theta0, theta, medium.occupied()))
+                    }
+                    None => corr.resize(corr.len() + n_k, Complex64::ZERO),
+                }
+            }
+            for k_idx in 0..n_k {
                 let w = precoder.weights_at(k_idx);
                 // Effective channel at this instant: physical channel ×
-                // per-device correction (phase sync) per column.
+                // correction per column.
                 eff.reset(nb, na);
-                for (c, &device) in devices.iter().enumerate() {
-                    let corr = match frame.sync {
-                        Some(sync) => sync.phasor_at(device, k, t, spacing, carrier),
-                        None => Complex64::ONE,
-                    };
+                for c in 0..na {
                     for r in 0..nb {
-                        eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr;
+                        eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr[c * n_k + k_idx];
                     }
                 }
                 eff.mul_into(w, g)
@@ -1062,6 +1085,14 @@ impl Scratch {
             *s = jmb_dsp::stats::lin_to_db(*s / np / (noise_var + ext + *i));
         }
     }
+}
+
+/// One complex sample `CN(0, var)` of the fast fidelity's estimation noise:
+/// both halves of one Box–Muller pair, so a sample costs two uniforms.
+pub(crate) fn estimation_noise(rng: &mut JmbRng, var: f64) -> Complex64 {
+    let s = (var / 2.0).sqrt();
+    let (re, im) = standard_normal_pair(rng);
+    Complex64::new(re * s, im * s)
 }
 
 /// The fast fidelity's [`LeadObserver`]: an observation is one channel-row
@@ -1095,7 +1126,7 @@ impl FastObserver<'_> {
         });
         medium.channel_row_into(tx, rx, t, &mut est.gains);
         for g in est.gains.iter_mut() {
-            *g += complex_gaussian(self.rng, var);
+            *g += estimation_noise(self.rng, var);
         }
         &est.gains
     }
@@ -1146,6 +1177,109 @@ mod tests {
             // the SINR must stay in the usable band.
             assert!(mean > 6.0, "client {j}: mean SINR {mean}");
         }
+    }
+
+    /// The correction AP `ap` applies on subcarrier `k`, one `cis` per
+    /// call: what the kernel asked `BatchSync` for before it walked ramps.
+    fn phasor_at(sync: &BatchSync, ap: usize, k: i32, t: f64, params: &OfdmParams) -> Complex64 {
+        let (spacing, carrier) = (params.subcarrier_spacing(), params.carrier_freq);
+        match &sync.corrections[ap] {
+            Some((pc, anchor)) => pc.correction_at(k, t - anchor, spacing, carrier),
+            None if sync.excluded.contains(&ap) => Complex64::ZERO,
+            None => Complex64::ONE,
+        }
+    }
+
+    /// `Scratch::probe_sinr` as it was: [`phasor_at`] per (probe,
+    /// subcarrier, device). Returns the SINR table.
+    fn probe_sinr_per_entry(
+        net: &mut FastNet,
+        precoder: &Precoder,
+        frame: &ProbeFrame,
+    ) -> Vec<f64> {
+        let params = net.cfg.params.clone();
+        let ks = net.medium.occupied().to_vec();
+        let (nb, na, n_k) = (net.clients.len(), net.aps.len(), ks.len());
+        let n_probes = frame.n_probes.max(1);
+        let (mut sig, mut intf) = (vec![0.0; nb * n_k], vec![0.0; nb * n_k]);
+        let (mut rows, mut g) = (Vec::new(), CMat::default());
+        for p in 0..n_probes {
+            let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
+            net.medium
+                .channel_rows_into(&net.aps, &net.clients, t, &mut rows);
+            for (k_idx, &k) in ks.iter().enumerate() {
+                let mut eff = CMat::zeros(nb, na);
+                for c in 0..na {
+                    let corr = match frame.sync {
+                        Some(sync) => phasor_at(sync, c, k, t, &params),
+                        None => Complex64::ONE,
+                    };
+                    for r in 0..nb {
+                        eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr;
+                    }
+                }
+                eff.mul_into(precoder.weights_at(k_idx), &mut g).unwrap();
+                for r in 0..nb {
+                    sig[r * n_k + k_idx] += g[(r, r)].norm_sqr();
+                    for s in 0..precoder.n_streams() {
+                        if s != r && !frame.mute_streams.contains(&s) {
+                            intf[r * n_k + k_idx] += g[(r, s)].norm_sqr();
+                        }
+                    }
+                }
+            }
+        }
+        let np = n_probes as f64;
+        (sig.iter().zip(&intf))
+            .map(|(s, i)| jmb_dsp::stats::lin_to_db(s / np / (net.cfg.noise_var + i / np)))
+            .collect()
+    }
+
+    #[test]
+    fn probe_kernel_matches_the_per_entry_corrections() {
+        // The kernel walks each device's correction across the band as a
+        // ramp; per entry it is `PhaseCorrection::correction_at`, which
+        // stays as the reference. Same SINR within 1e-9 dB with every slave
+        // corrected, with one sitting the batch out, under the no-sync
+        // ablation and with a muted stream.
+        let mut net = FastNet::new(cfg(4, 20.0, 17)).unwrap();
+        net.run_measurement().unwrap();
+        net.advance(3e-3);
+        let precoder = net.precoder.clone().unwrap();
+        let t_meas = net.now + 240.0 * net.cfg.params.sample_period();
+        net.sync_headers(t_meas, 1..4);
+        let heard = net.last_sync().clone();
+        assert!(heard.corrections[1..].iter().all(Option::is_some));
+        let mut one_out = heard.clone();
+        one_out.corrections[2] = None;
+        one_out.excluded.push(2);
+        let mut worst = 0.0f64;
+        for (sync, mute) in [
+            (Some(&heard), &[][..]),
+            (Some(&one_out), &[][..]),
+            (None, &[][..]),
+            (Some(&heard), &[1][..]),
+        ] {
+            let frame = ProbeFrame {
+                sync,
+                mute_streams: mute,
+                t_d: t_meas + 200e-6,
+                duration_s: 1.2e-3,
+                n_probes: 4,
+            };
+            let want = probe_sinr_per_entry(&mut net, &precoder, &frame);
+            let all = net.aps.clone().into_iter().enumerate();
+            net.scratch.set_batch(all, net.clients.iter().copied());
+            let floor = (net.cfg.noise_var, &[][..]);
+            net.scratch
+                .probe_sinr(&mut net.medium, &precoder, &frame, floor);
+            assert_eq!(net.scratch.sinr_db.len(), want.len());
+            for (got, want) in net.scratch.sinr_db.iter().zip(&want) {
+                worst = worst.max((got - want).abs());
+            }
+        }
+        assert!(worst <= 1e-9, "largest SINR difference {worst:e} dB");
+        assert!(worst > 0.0, "the ramp rounds differently somewhere");
     }
 
     #[test]

@@ -267,7 +267,9 @@ impl JmbMac {
     /// packets for *distinct* clients, up to `max_streams`, removed from the
     /// queue. Returns them with the length the batch goes out at: every
     /// stream must span the same number of OFDM symbols, so shorter payloads
-    /// are padded to the longest.
+    /// are padded to the longest — on the air and for this batch only: a
+    /// packet keeps its own length, which is what a retransmission is sized
+    /// by and what an ACK delivers.
     pub fn select_batch(&mut self) -> (Vec<MacPacket>, usize) {
         // Scan from the head until the batch is full; everything not picked
         // stays where it is, so a saturated queue is not rebuilt per batch.
@@ -289,9 +291,6 @@ impl JmbMac {
             .collect();
         batch.reverse();
         let padded_len = batch.iter().map(|p| p.payload_len).max().unwrap_or(0);
-        for p in batch.iter_mut() {
-            p.payload_len = padded_len;
-        }
         (batch, padded_len)
     }
 
@@ -378,6 +377,7 @@ impl JmbMac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn mac(n_clients: usize) -> JmbMac {
         JmbMac::new(MacConfig::default(), (0..n_clients).collect())
@@ -412,11 +412,6 @@ mod tests {
             }
         }
         m.queue = kept;
-        if let Some(max_len) = batch.iter().map(|p| p.payload_len).max() {
-            for p in batch.iter_mut() {
-                p.payload_len = max_len;
-            }
-        }
         batch
     }
 
@@ -465,8 +460,58 @@ mod tests {
         m.enqueue(1, 200);
         let (batch, padded_len) = m.select_batch();
         assert_eq!(padded_len, 200);
-        assert_eq!(batch[0].payload_len, 200);
+        assert_eq!(batch[0].payload_len, 50, "the padding is the batch's");
         assert_eq!(batch[1].payload_len, 200);
+    }
+
+    #[test]
+    fn a_requeued_packet_keeps_its_own_length() {
+        // The 50 B packet fails beside a 200 B one. Its retransmission is
+        // sized by its own length, not by the batch it failed in, and its
+        // ACK delivers 400 bits.
+        let mut m = mac(2);
+        m.enqueue(0, 50);
+        m.enqueue(1, 200);
+        let (batch, padded_len) = m.select_batch();
+        assert_eq!(padded_len, 200);
+        m.complete_batch(batch, &[false, true], 1e-3);
+        assert_eq!(m.stats.delivered_bits(), [0.0, 1600.0]);
+        let (batch, padded_len) = m.select_batch();
+        assert_eq!((batch.len(), padded_len), (1, 50));
+        m.complete_batch(batch, &[true], 1e-3);
+        assert_eq!(m.stats.delivered_bits(), [400.0, 1600.0]);
+    }
+
+    #[test]
+    fn delivered_never_exceeds_offered_on_a_bimodal_lossy_load() {
+        // Short and long packets to four clients, 30 % of transmissions
+        // lost: whatever the batches pad to, a client is never credited
+        // with more than was queued for it.
+        let mut m = JmbMac::new(
+            MacConfig {
+                retry_limit: 100,
+                ..Default::default()
+            },
+            (0..4).collect(),
+        );
+        m.blacklist_threshold = u32::MAX;
+        let mut rng = jmb_dsp::rng::rng_from_seed(6);
+        let mut offered_bits = [0.0; 4];
+        for i in 0..400 {
+            let len = if rng.gen::<f64>() < 0.5 { 60 } else { 1500 };
+            m.enqueue(i % 4, len);
+            offered_bits[i % 4] += 8.0 * len as f64;
+        }
+        let mut padded = 0;
+        while m.queue_len() > 0 {
+            let (batch, padded_len) = m.select_batch();
+            padded += batch.iter().filter(|p| p.payload_len < padded_len).count();
+            let acked: Vec<bool> = batch.iter().map(|_| rng.gen::<f64>() >= 0.3).collect();
+            m.complete_batch(batch, &acked, 1e-3);
+        }
+        assert!(padded > 100, "the load must mix lengths in its batches");
+        // Everything was delivered in the end, and not a bit more.
+        assert_eq!(m.stats.delivered_bits(), offered_bits);
     }
 
     #[test]

@@ -81,6 +81,24 @@ impl PhaseCorrection {
                 + 2.0 * std::f64::consts::PI * self.cfo_hz * dt,
         )
     }
+
+    /// [`PhaseCorrection::correction_at`] for the whole band at once: the
+    /// `(θ₀, θ)` of the phasors `e^{j(θ₀ + θ·k)}` it is on subcarrier `k` —
+    /// common phase plus CFO extrapolation, and slope plus its growth — for
+    /// a kernel that walks them as a `jmb_dsp::complex::phasor_ramp`.
+    pub(crate) fn ramp_at(
+        &self,
+        dt: f64,
+        subcarrier_spacing: f64,
+        carrier_freq: f64,
+    ) -> (f64, f64) {
+        let slope_growth =
+            2.0 * std::f64::consts::PI * subcarrier_spacing * (self.cfo_hz / carrier_freq) * dt;
+        (
+            self.common_phase + 2.0 * std::f64::consts::PI * self.cfo_hz * dt,
+            self.slope + slope_growth,
+        )
+    }
 }
 
 /// Slave-side phase synchronisation state.

@@ -26,6 +26,7 @@
 //! integration tests.
 
 use jmb_channel::{Link, PhaseTrajectory};
+use jmb_dsp::complex::phasor_ramp;
 use jmb_dsp::rng::{complex_gaussian, JmbRng};
 use jmb_dsp::Complex64;
 use jmb_phy::params::OfdmParams;
@@ -214,12 +215,15 @@ impl SubcarrierMedium {
     /// a single instant, into a reused flat buffer: with `n_k` the length of
     /// [`Self::occupied`], the entry for `rxs[j]`, `txs[i]` and the
     /// `k_idx`-th subcarrier is `out[(j · txs.len() + i) · n_k + k_idx]`
-    /// (zero where there is no link). Identical arithmetic to
-    /// [`Self::channel_at`] per entry — static response × pair phasor × SFO
-    /// rotation, in that order — but the static response comes from the
-    /// link's cached row ([`Self::static_row`]), each node's oscillator is
-    /// read once, and each pair's phasor and clock slip once instead of
-    /// `n_k` times.
+    /// (zero where there is no link). The product of [`Self::channel_at`]
+    /// per entry — static response × pair phasor × SFO rotation, in that
+    /// order — but the static response comes from the link's cached row
+    /// ([`Self::static_row`]), each node's oscillator is read once, each
+    /// pair's phasor and clock slip once instead of `n_k` times, and the SFO
+    /// rotation `e^{j2π f_k·slip}`, linear in `k`, is walked across the band
+    /// as a [`phasor_ramp`]: two `sin_cos` per pair instead of one per
+    /// subcarrier. `channel_at` is the reference; the two agree to the
+    /// ramp's rounding (`tests/rows_equivalence.rs` states the figure).
     pub fn channel_rows_into(
         &mut self,
         txs: &[NodeId],
@@ -244,11 +248,14 @@ impl SubcarrierMedium {
                 let static_row = self.table.static_row(slot, spacing);
                 let pair = Complex64::cis(tx_phase - rx_phase);
                 let slip_s = (tx_ratio - rx_ratio) * t;
-                for (&k, &static_resp) in self.table.ks.iter().zip(static_row) {
-                    let f_k = k as f64 * spacing;
-                    let sfo_rot = Complex64::cis(2.0 * std::f64::consts::PI * f_k * slip_s);
-                    out.push(static_resp * pair * sfo_rot);
-                }
+                let sfo_step = 2.0 * std::f64::consts::PI * spacing * slip_s;
+                let sfo = phasor_ramp(0.0, sfo_step, &self.table.ks);
+                out.extend(
+                    static_row
+                        .iter()
+                        .zip(sfo)
+                        .map(|(&static_resp, sfo_rot)| static_resp * pair * sfo_rot),
+                );
             }
         }
     }
@@ -503,11 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn row_paths_match_channel_at_exactly() {
+    fn row_paths_match_channel_at_within_rounding() {
         // The hoisted paths (`channel_rows_into`, `channel_row_into`, and
-        // the cached `static_row` under both) must produce bit-identical
-        // values to per-entry channel_at: same operands, same
-        // multiplication order.
+        // the cached `static_row` under both) multiply the same operands in
+        // the same order as per-entry `channel_at`, except that the SFO
+        // rotation is walked as a ramp: bit-identical to each other, and to
+        // `channel_at` within the ramp's rounding (a few 1e-15 at these
+        // instants; `tests/rows_equivalence.rs` has the corpus out to 5 s).
         let mut m = medium(21);
         let mut rng = jmb_dsp::rng::rng_from_seed(5);
         let txs: Vec<NodeId> = (0..3)
@@ -534,8 +543,9 @@ mod tests {
                     for (k_idx, &k) in ks.iter().enumerate() {
                         let want = m.channel_at(tx, rx, k, t);
                         let flat = (j * txs.len() + i) * ks.len() + k_idx;
-                        assert_eq!(rows[flat], want, "rows tx={i} rx={j} k={k} t={t}");
-                        assert_eq!(row[k_idx], want, "row tx={i} rx={j} k={k} t={t}");
+                        assert_eq!(rows[flat], row[k_idx], "tx={i} rx={j} k={k} t={t}");
+                        let rel = (rows[flat] - want).abs() / want.abs();
+                        assert!(rel <= 1e-14, "tx={i} rx={j} k={k} t={t}: {rel:e}");
                     }
                 }
             }
@@ -545,7 +555,8 @@ mod tests {
         m.channel_row_into(lonely, rxs[0], 0.0, &mut row);
         assert!(row.iter().all(|&h| h == Complex64::ZERO));
         m.channel_rows_into(&[txs[0], lonely], &rxs[..1], 1e-3, &mut rows);
-        assert_eq!(rows[0], m.channel_at(txs[0], rxs[0], ks[0], 1e-3));
+        let want = m.channel_at(txs[0], rxs[0], ks[0], 1e-3);
+        assert!((rows[0] - want).abs() <= 1e-14 * want.abs());
         assert!(rows[ks.len()..].iter().all(|&h| h == Complex64::ZERO));
         assert!(m.static_row(lonely, rxs[0]).is_none());
     }

@@ -21,8 +21,10 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# One grep beside the figure CSVs holds the scratch rule (DESIGN.md §7):
-# no `thread_local!` in a program crate other than jmb-dsp's FFT plan cache.
+# Two greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# `thread_local!` in a program crate other than jmb-dsp's FFT plan cache —
+# and the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
+# two kernels, `channel_rows_into` and `Scratch::probe_sinr`.
 #
 # The jmb-lint deny pass includes the determinism lints
 # (no-unordered-iteration, float-reduction-order, no-ambient-parallelism,
@@ -55,6 +57,18 @@ echo "results/*.csv byte-identical to a fresh jmb-bench all"
 # Scratch is passed, not found: the FFT plan cache is the one thread-local.
 if grep -rn 'thread_local!' crates/*/src src | grep -v '^crates/dsp/src/fft.rs:'; then
   echo "thread_local! outside jmb-dsp's FFT plan cache (pass the scratch down instead)" >&2
+  exit 1
+fi
+
+# The two kernels of the fast path walk linear phases as ramps
+# (jmb_dsp::complex::phasor_ramp): a `cis` per subcarrier creeping back into
+# either is the regression. The one `cis` allowed is each pair's phasor in
+# `channel_rows_into`, once per (tx, rx), outside the subcarrier walk.
+kernel() { sed -n "/$2/,/^    }\$/p" "$1"; }
+if { kernel crates/sim/src/freq.rs 'pub fn channel_rows_into(' | grep -v 'let pair = ';
+     kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
+   } | grep -n 'Complex64::cis('; then
+  echo "Complex64::cis( inside channel_rows_into or Scratch::probe_sinr (walk a phasor_ramp instead)" >&2
   exit 1
 fi
 
