@@ -312,20 +312,17 @@ impl PhaseSync {
                 got: now.subcarriers.len(),
             });
         }
-        let n = now.subcarriers.len();
         // Ratio phasors, weighted by the product of magnitudes: both
         // measurements must be strong for the ratio phase to be
         // trustworthy. The linear-phase fit unwraps sequentially across
         // subcarriers, so the (possibly multi-radian) sampling-offset ramp
-        // between the two measurements is fitted correctly.
-        let mut ratios = Vec::with_capacity(n);
-        for i in 0..n {
-            ratios.push(now.gains[i] * reference.gains[i].conj());
-        }
-        if ratios.iter().map(|r| r.abs()).sum::<f64>() <= 0.0 {
+        // between the two measurements is fitted correctly. The fit takes
+        // the ratios as they are computed: a header costs no buffer.
+        let ratios = (now.gains.iter().zip(&reference.gains)).map(|(now, then)| *now * then.conj());
+        if ratios.clone().all(|r| r == Complex64::ZERO) {
             return Err(JmbError::Precoding(jmb_dsp::matrix::MatError::Singular));
         }
-        let (common, slope) = jmb_dsp::complex::fit_linear_phase(&self.reference_ks, &ratios);
+        let (common, slope) = jmb_dsp::complex::fit_linear_phase(&self.reference_ks, ratios);
         Ok(PhaseCorrection {
             common_phase: common,
             slope,
