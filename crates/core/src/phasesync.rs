@@ -73,8 +73,7 @@ impl PhaseCorrection {
         subcarrier_spacing: f64,
         carrier_freq: f64,
     ) -> Complex64 {
-        let slope_growth =
-            2.0 * std::f64::consts::PI * subcarrier_spacing * (self.cfo_hz / carrier_freq) * dt;
+        let slope_growth = self.slope_growth(dt, subcarrier_spacing, carrier_freq);
         Complex64::cis(
             self.common_phase
                 + (self.slope + slope_growth) * subcarrier as f64
@@ -92,12 +91,16 @@ impl PhaseCorrection {
         subcarrier_spacing: f64,
         carrier_freq: f64,
     ) -> (f64, f64) {
-        let slope_growth =
-            2.0 * std::f64::consts::PI * subcarrier_spacing * (self.cfo_hz / carrier_freq) * dt;
         (
             self.common_phase + 2.0 * std::f64::consts::PI * self.cfo_hz * dt,
-            self.slope + slope_growth,
+            self.slope + self.slope_growth(dt, subcarrier_spacing, carrier_freq),
         )
+    }
+
+    /// How much the per-subcarrier slope has grown `dt` seconds after the
+    /// header: the sampling clock slips `f̂/f_c` seconds per second.
+    fn slope_growth(&self, dt: f64, subcarrier_spacing: f64, carrier_freq: f64) -> f64 {
+        2.0 * std::f64::consts::PI * subcarrier_spacing * (self.cfo_hz / carrier_freq) * dt
     }
 }
 
