@@ -27,11 +27,11 @@
 use crate::control::ControlPlane;
 use crate::error::JmbError;
 use crate::fastnet::{estimation_noise, FastObserver, ProbeFrame, Scratch};
+use crate::network::drawn_link;
 use crate::precoder::Precoder;
 use crate::sync::{strategy_for, SyncStrategy, SyncStrategyId};
-use jmb_channel::multipath::{Multipath, MultipathSpec};
+use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
-use jmb_channel::Link;
 use jmb_dsp::rng::JmbRng;
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::Trace;
@@ -154,15 +154,6 @@ impl CompatNet {
         // Links: AP antenna → everything. Antennas of one device get
         // independent fading (half-wavelength separation) but identical
         // large-scale SNR targets.
-        let link = |rng: &mut JmbRng, spec: MultipathSpec, max_delay_s: f64, snr_db: f64| {
-            let mut link = Link::new(
-                jmb_dsp::rng::random_phasor(rng),
-                rng.gen::<f64>() * max_delay_s,
-                Multipath::new(spec, rng),
-            );
-            link.calibrate_snr(snr_db, cfg.noise_var);
-            link
-        };
         for (a, from) in txs.chunks_exact(ANTS).enumerate() {
             for (b, to) in txs.chunks_exact(ANTS).enumerate() {
                 if a == b {
@@ -171,7 +162,8 @@ impl CompatNet {
                 for &tx in from {
                     for &rx in to {
                         let los = MultipathSpec::indoor_los();
-                        medium.set_link(tx, rx, link(&mut rng, los, 30e-9, cfg.ap_ap_snr_db));
+                        let target = (cfg.ap_ap_snr_db, cfg.noise_var);
+                        medium.set_link(tx, rx, drawn_link(&mut rng, los, 30e-9, target));
                     }
                 }
             }
@@ -186,7 +178,8 @@ impl CompatNet {
                 for &tx in ap {
                     for &rx in ants {
                         let nlos = MultipathSpec::indoor_nlos();
-                        medium.set_link(tx, rx, link(&mut rng, nlos, 60e-9, snr));
+                        let target = (snr, cfg.noise_var);
+                        medium.set_link(tx, rx, drawn_link(&mut rng, nlos, 60e-9, target));
                     }
                 }
             }
@@ -221,8 +214,7 @@ impl CompatNet {
 
     /// Advances time.
     pub fn advance(&mut self, dt: f64) {
-        assert!(dt >= 0.0);
-        self.now += dt;
+        self.now = crate::network::advanced(self.now, dt);
     }
 
     fn noisy_channel(&mut self, tx: NodeId, rx: NodeId, k: i32, t: f64) -> Complex64 {

@@ -7,29 +7,30 @@
 //! channels are per-subcarrier gains over a [`SubcarrierMedium`], and each
 //! protocol step — measurement with estimation noise, slave header
 //! re-measurement, direct phase correction, within-packet CFO tracking —
-//! is applied in the frequency domain.
+//! is applied in the frequency domain. [`FastEval`] is that model, as the
+//! fidelity under the protocol of [`crate::network`]; [`FastNet`] names the
+//! network over it.
 //!
 //! Every modelling constant (measurement noise per estimate, header
 //! estimation noise, seed CFO accuracy) is inherited from the behaviour of
 //! the sample-level chain in [`crate::net`], and the two are cross-validated
 //! in the workspace integration tests.
 
-use crate::control::{BatchSync, ControlPlane};
-use crate::csi::SyncHealth;
+use crate::control::BatchSync;
 use crate::error::JmbError;
+use crate::network::{drawn_link, validate_shape, Deployment, LinkEval, Network};
 use crate::precoder::Precoder;
-use crate::sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
-use jmb_channel::multipath::{Multipath, MultipathSpec};
+use crate::sync::{LeadObserver, SyncStrategyId};
+use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
-use jmb_channel::Link;
 use jmb_dsp::complex::phasor_ramp;
 use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
 use jmb_dsp::{CMat, Complex64};
-use jmb_obs::{EventKind, Trace};
+use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
-use jmb_sim::{FaultSchedule, NodeId, SubcarrierMedium};
+use jmb_sim::{NodeId, SubcarrierMedium};
 use rand::Rng;
 
 /// Configuration of a fast-path JMB network.
@@ -96,12 +97,7 @@ impl FastConfig {
     /// The shape rules [`FastNet::new`] starts with, without building
     /// anything: a caller that only plans a run asks here.
     pub fn validate(&self) -> Result<(), JmbError> {
-        if self.n_aps == 0 || self.n_clients == 0 {
-            return Err(JmbError::BadConfig("need at least one AP and one client"));
-        }
-        if self.client_snr_db.len() != self.n_clients {
-            return Err(JmbError::BadConfig("client_snr_db length mismatch"));
-        }
+        validate_shape(self.n_aps, self.n_clients, &self.client_snr_db)?;
         if let Some(matrix) = &self.link_snr_db {
             if matrix.len() != self.n_clients || matrix.iter().any(|r| r.len() != self.n_aps) {
                 return Err(JmbError::BadConfig("link_snr_db shape mismatch"));
@@ -127,28 +123,12 @@ pub struct JointOutcome<'a> {
     pub k_hat: f64,
 }
 
-/// The fast-path network.
-pub struct FastNet {
+/// The fast fidelity: per-subcarrier gains over a [`SubcarrierMedium`].
+pub struct FastEval {
     cfg: FastConfig,
     medium: SubcarrierMedium,
-    aps: Vec<NodeId>,
-    clients: Vec<NodeId>,
-    /// The pluggable synchronization backend ([`crate::sync`]). Owns the
-    /// per-slave phase state; the network keeps the protocol timeline.
-    strategy: Box<dyn SyncStrategy>,
-    /// Fault draws, sync health, the fallback policy and their events.
-    control: ControlPlane,
-    /// Measured joint channel per occupied subcarrier.
-    h_meas: Option<Vec<CMat>>,
-    precoder: Option<Precoder>,
-    now: f64,
-    rng: JmbRng,
     scratch: Scratch,
-    /// Control-plane event trace. Events are stamped on the frame timeline
-    /// (header at `now`, sync measurements at `t_meas`), which only moves
-    /// forward — the stream is monotone in time by construction, and the
-    /// integration tests assert it.
-    pub trace: Trace,
+    trace: Trace,
     /// External (out-of-cell) interference power per occupied subcarrier,
     /// linear, in the same normalised units as `cfg.noise_var`. Zero by
     /// default; a multi-cell deployment sets it to the aggregate co-channel
@@ -157,9 +137,13 @@ pub struct FastNet {
     ext_intf: Vec<f64>,
 }
 
-impl FastNet {
-    /// Builds the network and calibrates links.
-    pub fn new(cfg: FastConfig) -> Result<Self, JmbError> {
+/// The fast-path network.
+pub type FastNet = Network<FastEval>;
+
+impl LinkEval for FastEval {
+    type Config = FastConfig;
+
+    fn deploy(cfg: FastConfig) -> Result<Deployment<Self>, JmbError> {
         cfg.validate()?;
         let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
         let mut medium = SubcarrierMedium::new(cfg.params.clone(), rng.gen());
@@ -182,12 +166,8 @@ impl FastNet {
                 if i == j {
                     continue;
                 }
-                let mut link = Link::new(
-                    jmb_dsp::rng::random_phasor(&mut rng),
-                    rng.gen::<f64>() * 30e-9,
-                    Multipath::new(MultipathSpec::indoor_los(), &mut rng),
-                );
-                link.calibrate_snr(cfg.ap_ap_snr_db, cfg.noise_var);
+                let target = (cfg.ap_ap_snr_db, cfg.noise_var);
+                let link = drawn_link(&mut rng, MultipathSpec::indoor_los(), 30e-9, target);
                 medium.set_link(aps[i], aps[j], link);
             }
         }
@@ -215,12 +195,7 @@ impl FastNet {
                     rician_k_db: Some(10.0),
                     ..MultipathSpec::indoor_los()
                 };
-                let mut link = Link::new(
-                    jmb_dsp::rng::random_phasor(&mut rng),
-                    rng.gen::<f64>() * 60e-9,
-                    Multipath::new(spec, &mut rng),
-                );
-                link.calibrate_snr(snr, cfg.noise_var);
+                let link = drawn_link(&mut rng, spec, 60e-9, (snr, cfg.noise_var));
                 medium.set_link(a, c, link);
             }
         }
@@ -263,25 +238,95 @@ impl FastNet {
             }
         }
 
-        let strategy = strategy_for(cfg.sync, cfg.n_aps);
-        let control = ControlPlane::new(cfg.seed, cfg.n_aps);
-        Ok(FastNet {
-            cfg,
-            medium,
+        Ok(Deployment {
             aps,
             clients,
-            strategy,
-            control,
-            h_meas: None,
-            precoder: None,
-            now: 1e-4,
             rng,
-            scratch: Scratch::default(),
-            trace: Trace::new(),
-            ext_intf: Vec::new(),
+            seed: cfg.seed,
+            sync: cfg.sync,
+            params: cfg.params.clone(),
+            turnaround_s: cfg.turnaround_s,
+            rounds: cfg.rounds,
+            link: FastEval {
+                cfg,
+                medium,
+                scratch: Scratch::default(),
+                trace: Trace::new(),
+                ext_intf: Vec::new(),
+            },
         })
     }
 
+    fn config(&self) -> &FastConfig {
+        &self.cfg
+    }
+
+    fn trace(&mut self) -> &mut Trace {
+        &mut self.trace
+    }
+
+    fn measurement_len(&self) -> usize {
+        320 + self.cfg.rounds * self.cfg.n_aps * self.cfg.params.symbol_len()
+    }
+
+    /// Frequency-domain model: every client measures every AP, averaged
+    /// over `rounds`.
+    fn estimate_channel(
+        &mut self,
+        aps: &[NodeId],
+        clients: &[NodeId],
+        rng: &mut JmbRng,
+        t0: f64,
+    ) -> Result<Vec<CMat>, JmbError> {
+        let n_k = self.medium.occupied().len();
+        let mut h = vec![CMat::zeros(clients.len(), aps.len()); n_k];
+        // All estimates are taken at one instant, so each oscillator is
+        // read once and the static tap sums come from the medium's cached
+        // rows; only the per-round estimation noise is drawn per pair and
+        // subcarrier, client-major as the golden fixtures pin it.
+        let rows = &mut self.scratch.rows;
+        self.medium.channel_rows_into(aps, clients, t0, rows);
+        let var = self.cfg.noise_var / self.cfg.rounds as f64;
+        for (pair, row) in rows.chunks_exact(n_k).enumerate() {
+            let (j, i) = (pair / aps.len(), pair % aps.len());
+            for (k_idx, &g) in row.iter().enumerate() {
+                h[k_idx][(j, i)] = g + estimation_noise(rng, var);
+            }
+        }
+        Ok(h)
+    }
+
+    /// The fast fidelity has no packets: when the lead's waveform left and
+    /// what it was make no difference to what a slave learns.
+    fn observe<R>(
+        &mut self,
+        aps: &[NodeId],
+        rng: &mut JmbRng,
+        _t_h: f64,
+        _measurement: bool,
+        f: impl FnOnce(&mut dyn LeadObserver) -> R,
+    ) -> R {
+        f(&mut self.observer(aps, rng))
+    }
+}
+
+impl FastEval {
+    /// The slaves' view of the lead. The per-header estimation noise on the
+    /// lead→slave channel follows from the AP↔AP SNR (two LTF repetitions
+    /// averaged).
+    fn observer<'a>(&'a mut self, aps: &'a [NodeId], rng: &'a mut JmbRng) -> FastObserver<'a> {
+        FastObserver {
+            medium: &mut self.medium,
+            rng,
+            aps,
+            header_noise_var: self.cfg.noise_var / 2.0,
+            trace: &mut self.trace,
+            est: &mut self.scratch.est,
+        }
+    }
+}
+
+impl FastNet {
     /// Sets the external (out-of-cell) interference floor, linear power in
     /// the same normalised units as `cfg.noise_var`.
     ///
@@ -299,15 +344,15 @@ impl FastNet {
             ));
         }
         match per_bin.len() {
-            0 => self.ext_intf.clear(),
+            0 => self.link.ext_intf.clear(),
             1 => {
-                self.ext_intf.clear();
-                self.ext_intf
-                    .resize(self.medium.occupied().len(), per_bin[0]);
+                self.link.ext_intf.clear();
+                let n_k = self.link.medium.occupied().len();
+                self.link.ext_intf.resize(n_k, per_bin[0]);
             }
-            n if n == self.medium.occupied().len() => {
-                self.ext_intf.clear();
-                self.ext_intf.extend_from_slice(per_bin);
+            n if n == self.link.medium.occupied().len() => {
+                self.link.ext_intf.clear();
+                self.link.ext_intf.extend_from_slice(per_bin);
             }
             _ => {
                 return Err(JmbError::BadConfig(
@@ -318,85 +363,9 @@ impl FastNet {
         Ok(())
     }
 
-    /// Installs a fault schedule: constant, or time-varying (loss storms).
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.control.faults = schedule;
-    }
-
-    /// Per-slave sync health; index 0 is slave AP 1.
-    pub fn sync_health(&self) -> &[SyncHealth] {
-        self.control.sync_health()
-    }
-
-    /// The sync-header record of the most recent joint transmission —
-    /// readable also after one that failed with
-    /// [`JmbError::SyncHeaderMissed`].
-    pub fn last_sync(&self) -> &BatchSync {
-        self.control.last_sync()
-    }
-
-    /// Airtime of one full channel-measurement exchange, including the
-    /// post-packet turnaround — what a lost measurement still costs the air.
-    /// Scaled by the sync backend's measurement factor: implicit-CSI
-    /// strategies skip the explicit per-client measurement frames.
-    pub fn measurement_airtime_s(&self) -> f64 {
-        ((320 + self.cfg.rounds * self.cfg.n_aps * self.cfg.params.symbol_len()) as f64
-            * self.cfg.params.sample_period()
-            + 50e-6)
-            * self.strategy.measurement_airtime_factor()
-    }
-
-    /// The active synchronization backend.
-    pub fn sync_strategy(&self) -> SyncStrategyId {
-        self.strategy.kind()
-    }
-
-    /// Swaps the synchronization backend, discarding per-slave sync state
-    /// (the next [`FastNet::run_measurement`] re-seeds it). Emits
-    /// [`EventKind::SyncStrategySwitched`] on the trace.
-    pub fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
-        self.strategy = strategy_for(kind, self.cfg.n_aps);
-        self.trace
-            .emit(self.now, EventKind::SyncStrategySwitched { strategy: kind });
-    }
-
-    /// Worst-case predicted phase error (radians) across slaves at the
-    /// current time — the per-strategy gauge the traffic layer exports.
-    /// Infinite until the backend has references (before any measurement).
-    pub fn sync_phase_error_rad(&self) -> f64 {
-        (1..self.cfg.n_aps)
-            .map(|s| self.strategy.phase_error_rad(s, self.now))
-            .fold(0.0, f64::max)
-    }
-
-    /// Drains the out-of-band control airtime (seconds) the sync backend
-    /// accrued since the last call (pilot broadcasts; zero for the default
-    /// in-band strategy).
-    pub fn take_sync_control_airtime_s(&mut self) -> f64 {
-        self.strategy.take_control_airtime_s()
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FastConfig {
-        &self.cfg
-    }
-
-    /// Advances time (oscillators drift; call [`FastNet::evolve_fading`]
-    /// separately to age the channels).
-    pub fn advance(&mut self, dt: f64) {
-        // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller
-        assert!(dt >= 0.0, "cannot rewind simulation time (dt = {dt})");
-        self.now += dt;
-    }
-
     /// Ages every link's fading by `dt` seconds.
     pub fn evolve_fading(&mut self, dt: f64) {
-        self.medium.evolve_fading(dt);
+        self.link.medium.evolve_fading(dt);
     }
 
     /// Ages only one client's AP→client links by `dt` seconds — the §7
@@ -405,105 +374,12 @@ impl FastNet {
     /// reference channels, stay valid.
     pub fn evolve_client_links(&mut self, client: usize, dt: f64) {
         let c = self.clients[client];
-        let mut rng = jmb_dsp::rng::derive_rng(self.cfg.seed, 0xE70 ^ client as u64);
-        for i in 0..self.cfg.n_aps {
-            if let Some(link) = self.medium.link_mut(self.aps[i], c) {
+        let mut rng = jmb_dsp::rng::derive_rng(self.link.cfg.seed, 0xE70 ^ client as u64);
+        for &ap in &self.aps {
+            if let Some(link) = self.link.medium.link_mut(ap, c) {
                 link.evolve(dt, &mut rng);
             }
         }
-    }
-
-    /// The power normalisation of the current precoder.
-    pub fn k_hat(&self) -> Option<f64> {
-        self.precoder.as_ref().map(|p| p.k_hat())
-    }
-
-    /// The measured channel (after [`FastNet::run_measurement`]).
-    pub fn measured_channel(&self) -> Option<&[CMat]> {
-        self.h_meas.as_deref()
-    }
-
-    /// Medium node ids of the APs (index 0 = lead).
-    pub fn ap_nodes(&self) -> &[NodeId] {
-        &self.aps
-    }
-
-    /// Medium node ids of the clients.
-    pub fn client_nodes(&self) -> &[NodeId] {
-        &self.clients
-    }
-
-    /// The slaves' view of the lead, split off from the sync backend and
-    /// the control plane so the three can be borrowed side by side. The
-    /// per-header estimation noise on the lead→slave channel follows from
-    /// the AP↔AP SNR (two LTF repetitions averaged).
-    fn observer(&mut self) -> (FastObserver<'_>, &mut dyn SyncStrategy, &mut ControlPlane) {
-        let obs = FastObserver {
-            medium: &mut self.medium,
-            rng: &mut self.rng,
-            aps: &self.aps,
-            header_noise_var: self.cfg.noise_var / 2.0,
-            trace: &mut self.trace,
-            est: &mut self.scratch.est,
-        };
-        (obs, &mut *self.strategy, &mut self.control)
-    }
-
-    /// The sync-header exchange of one joint transmission for `slaves`,
-    /// left in [`FastNet::last_sync`]. The lead's oscillator is distributed
-    /// over the wired backplane (§6), so a header is always on the air.
-    fn sync_headers(&mut self, t_meas: f64, slaves: impl IntoIterator<Item = usize>) {
-        let (mut obs, strategy, control) = self.observer();
-        control.sync_batch(strategy, &mut obs, t_meas, slaves, true);
-    }
-
-    /// The channel-measurement phase (§5.1), frequency-domain model: every
-    /// client measures every AP (averaged over `rounds`), slaves store
-    /// their reference channel and a span-limited CFO seed.
-    pub fn run_measurement(&mut self) -> Result<(), JmbError> {
-        let t0 = self.now;
-        if self.control.measurement_lost(&mut self.trace, t0) {
-            // The exchange still occupied the air; CSI stays stale and the
-            // caller owns the backoff re-measurement schedule.
-            self.now = t0 + self.measurement_airtime_s();
-            return Err(JmbError::MeasurementLost);
-        }
-        let n_k = self.medium.occupied().len();
-        let mut h = vec![CMat::zeros(self.cfg.n_clients, self.cfg.n_aps); n_k];
-        // All estimates are taken at one instant, so each oscillator is
-        // read once and the static tap sums come from the medium's cached
-        // rows; only the per-round estimation noise is drawn per pair and
-        // subcarrier, client-major as the golden fixtures pin it.
-        let rows = &mut self.scratch.rows;
-        self.medium
-            .channel_rows_into(&self.aps, &self.clients, t0, rows);
-        let var = self.cfg.noise_var / self.cfg.rounds as f64;
-        for (pair, row) in rows.chunks_exact(n_k).enumerate() {
-            let (j, i) = (pair / self.cfg.n_aps, pair % self.cfg.n_aps);
-            for (k_idx, &g) in row.iter().enumerate() {
-                h[k_idx][(j, i)] = g + estimation_noise(&mut self.rng, var);
-            }
-        }
-        // Slave references + CFO seeds.
-        let seed_sigma =
-            crate::measure::seed_cfo_sigma_hz(&self.cfg.params, self.cfg.rounds, self.cfg.n_aps);
-        let (mut obs, strategy, _) = self.observer();
-        strategy.on_measurement(&mut obs, t0, seed_sigma);
-        // A full-population precoder only exists when ZF is well posed
-        // (clients ≤ AP antennas). An over-subscribed cell — the city-scale
-        // case, hundreds of clients behind a handful of APs — still gets a
-        // valid measurement: the MAC schedules ≤ n_aps clients per batch and
-        // [`FastNet::joint_transmit_subset`] builds its per-batch precoder
-        // from `h_meas` directly.
-        self.precoder = if self.cfg.n_clients <= self.cfg.n_aps {
-            Some(Precoder::zero_forcing(&h)?)
-        } else {
-            None
-        };
-        self.h_meas = Some(h);
-        // Advance past the measurement packet.
-        self.now = t0 + self.measurement_airtime_s();
-        Ok(())
     }
 
     /// One virtual joint transmission (§5.2): slaves re-measure the lead
@@ -523,43 +399,38 @@ impl FastNet {
         mute_streams: &[usize],
         apply_phase_sync: bool,
     ) -> Result<JointOutcome<'_>, JmbError> {
-        // Taken out of `self` so the kernel can borrow its weights without
-        // deep-cloning them; restored on every path below.
-        let precoder = self.precoder.take().ok_or(JmbError::NoReference)?;
-        let t_meas = self.now + 240.0 * self.cfg.params.sample_period();
-        self.sync_headers(t_meas, 1..self.cfg.n_aps);
-        // The stored precoder spans the whole array: it cannot go out with
-        // a slave sitting the batch out.
-        let result = match self.last_sync().excluded.iter().min() {
-            Some(&slave) => Err(JmbError::SyncHeaderMissed { slave }),
-            None => {
-                self.scratch.set_batch(
-                    self.aps.iter().copied().enumerate(),
-                    self.clients.iter().copied(),
-                );
-                self.probe_sinr(
-                    &precoder,
-                    mute_streams,
-                    packet_duration_s,
-                    n_probes,
-                    apply_phase_sync,
-                );
-                Ok(precoder.k_hat())
+        let k_hat = self.with_precoder(|net, precoder| {
+            net.sync_headers(1..net.aps.len(), true);
+            // The stored precoder spans the whole array: it cannot go out
+            // with a slave sitting the batch out.
+            if let Some(&slave) = net.last_sync().excluded.iter().min() {
+                return Err(JmbError::SyncHeaderMissed { slave });
             }
-        };
-        self.precoder = Some(precoder);
+            let all_aps = net.aps.iter().copied().enumerate();
+            net.link
+                .scratch
+                .set_batch(all_aps, net.clients.iter().copied());
+            net.probe_sinr(
+                precoder,
+                mute_streams,
+                packet_duration_s,
+                n_probes,
+                apply_phase_sync,
+            );
+            Ok(precoder.k_hat())
+        })?;
         Ok(JointOutcome {
-            k_hat: result?,
-            sinr_db: &self.scratch.sinr_db,
-            interference: &self.scratch.interference,
-            n_k: self.medium.occupied().len(),
+            k_hat,
+            sinr_db: &self.link.scratch.sinr_db,
+            interference: &self.link.scratch.interference,
+            n_k: self.link.medium.occupied().len(),
         })
     }
 
-    /// One frame through the probe kernel ([`Scratch::probe_sinr`]) on this
+    /// One frame through the probe kernel ([`Scratch::probe_sinr`]) on the
     /// network's timeline: `precoder`'s streams go out after the header at
-    /// `self.now` between the antennas the caller left in the scratch, each
-    /// AP applying the correction [`FastNet::last_sync`] holds for it (none
+    /// `now` between the antennas the caller left in the scratch, each AP
+    /// applying the correction [`FastNet::last_sync`] holds for it (none
     /// under the `apply_phase_sync = false` ablation), and the clock moves
     /// past the frame. The tables stay in the scratch.
     fn probe_sinr(
@@ -570,7 +441,7 @@ impl FastNet {
         n_probes: usize,
         apply_phase_sync: bool,
     ) {
-        let t_d = self.now + 320.0 * self.cfg.params.sample_period() + self.cfg.turnaround_s;
+        let t_d = self.frame().t_d;
         let frame = ProbeFrame {
             sync: apply_phase_sync.then(|| self.control.last_sync()),
             mute_streams,
@@ -578,10 +449,11 @@ impl FastNet {
             duration_s,
             n_probes,
         };
-        let floor = (self.cfg.noise_var, self.ext_intf.as_slice());
-        self.scratch
-            .probe_sinr(&mut self.medium, precoder, &frame, floor);
-        self.now = t_d + duration_s + 50e-6;
+        let link = &mut self.link;
+        let floor = (link.cfg.noise_var, link.ext_intf.as_slice());
+        link.scratch
+            .probe_sinr(&mut link.medium, precoder, &frame, floor);
+        self.end_frame(t_d, duration_s);
     }
 
     /// The Fig. 8 nulling probe: the signal for `victim` is zero, so
@@ -591,7 +463,7 @@ impl FastNet {
     /// ("the ratio of the received signal power to noise should be 0 dB",
     /// §11.1c).
     pub fn null_probe(&mut self, victim: usize, packet_duration_s: f64) -> Result<f64, JmbError> {
-        let nv = self.cfg.noise_var;
+        let nv = self.config().noise_var;
         let outcome = self.joint_transmit(packet_duration_s, 4, &[victim], true)?;
         let leakage = &outcome.interference[victim * outcome.n_k..][..outcome.n_k];
         let ratio = leakage.iter().map(|&i| (nv + i) / nv).sum::<f64>() / leakage.len() as f64;
@@ -601,20 +473,16 @@ impl FastNet {
     /// Diversity SNR (§8): all APs MRT-beamform to `client`; returns the
     /// per-subcarrier post-combining SNR in dB at one packet time.
     pub fn diversity_snr_db(&mut self, client: usize) -> Result<Vec<f64>, JmbError> {
-        let h = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
-        let rows: Vec<Vec<Complex64>> = (0..h.len())
-            .map(|k_idx| (0..self.cfg.n_aps).map(|i| h[k_idx][(client, i)]).collect())
-            .collect();
-        let mrt = Precoder::mrt(&rows)?;
-        let t_h = self.now;
-        let ts = self.cfg.params.sample_period();
-        self.sync_headers(t_h + 240.0 * ts, 1..self.cfg.n_aps);
+        let mrt = self.mrt_towards(client)?;
+        let t_d = self.frame().t_d;
+        self.sync_headers(1..self.aps.len(), true);
         // One stream from every AP to one antenna, probed once 200 µs into
         // the data; a slave that sits the packet out is one combining
         // branch fewer ([`BatchSync::ramp_at`] has nothing for it).
-        let batch = &mut self.scratch;
-        batch.set_batch(self.aps.iter().copied().enumerate(), [self.clients[client]]);
-        let t = t_h + 320.0 * ts + self.cfg.turnaround_s + 200e-6;
+        let link = &mut self.link;
+        let all_aps = self.aps.iter().copied().enumerate();
+        link.scratch.set_batch(all_aps, [self.clients[client]]);
+        let t = t_d + 200e-6;
         let frame = ProbeFrame {
             sync: Some(self.control.last_sync()),
             mute_streams: &[],
@@ -622,25 +490,33 @@ impl FastNet {
             duration_s: 0.0,
             n_probes: 1,
         };
-        let floor = (self.cfg.noise_var, &[][..]);
-        batch.probe_sinr(&mut self.medium, &mrt, &frame, floor);
-        self.now = t + 300e-6;
-        Ok(batch.sinr_db.clone())
+        let floor = (link.cfg.noise_var, &[][..]);
+        link.scratch
+            .probe_sinr(&mut link.medium, &mrt, &frame, floor);
+        let sinr_db = link.scratch.sinr_db.clone();
+        self.set_now(t + 300e-6);
+        Ok(sinr_db)
     }
 
     /// The 802.11 baseline for one client: per-subcarrier SNR (dB) from its
     /// strongest (designated) AP transmitting alone at unit power.
     pub fn baseline_snr_db(&mut self, client: usize) -> Vec<f64> {
-        let nv = self.cfg.noise_var;
+        let now = self.now();
+        let FastEval {
+            cfg,
+            medium,
+            scratch,
+            ..
+        } = &mut self.link;
+        let nv = cfg.noise_var;
         // This client's row from every AP — nobody else's phasors.
-        let rows = &mut self.scratch.rows;
+        let rows = &mut scratch.rows;
         let to = [self.clients[client]];
-        self.medium
-            .channel_rows_into(&self.aps, &to, self.now, rows);
+        medium.channel_rows_into(&self.aps, &to, now, rows);
         // Designated AP = strongest mean channel power (the first, on a tie).
         let mut best: &[Complex64] = &[];
         let mut best_pw = -1.0;
-        for row in rows.chunks_exact(self.medium.occupied().len()) {
+        for row in rows.chunks_exact(medium.occupied().len()) {
             let pw: f64 = row.iter().map(|h| h.norm_sqr()).sum();
             if pw > best_pw {
                 best_pw = pw;
@@ -671,16 +547,16 @@ impl FastNet {
     /// measurement, no frequency extrapolation. The rotated row is spliced
     /// into `H̃` and the precoder is rebuilt from the stitched matrix.
     pub fn remeasure_client(&mut self, client: usize) -> Result<(), JmbError> {
-        if client >= self.cfg.n_clients {
+        if client >= self.clients.len() {
             return Err(JmbError::BadConfig("no such client"));
         }
         if self.h_meas.is_none() {
             return Err(JmbError::NoReference);
         }
-        let t_j = self.now;
-        if self.control.measurement_lost(&mut self.trace, t_j) {
+        let t_j = self.now();
+        if self.control.measurement_lost(&mut self.link.trace, t_j) {
             // The decoupled exchange is much shorter than a full measurement.
-            self.now = t_j + 200e-6;
+            self.set_now(t_j + 200e-6);
             return Err(JmbError::MeasurementLost);
         }
         // Per-slave rotation from fresh reference observations vs the
@@ -691,14 +567,15 @@ impl FastNet {
         // many-ms gap carries a multi-radian sampling-offset ramp across
         // the band, so it is fitted (common phase + per-subcarrier slope,
         // with sequential unwrapping) rather than averaged flat.
-        let ks: Vec<f64> = self.medium.occupied().iter().map(|&k| k as f64).collect();
+        let occupied = self.link.medium.occupied();
+        let ks: Vec<f64> = occupied.iter().map(|&k| k as f64).collect();
         let mut rotations: Vec<(f64, f64)> = vec![(0.0, 0.0)]; // lead: identity
-        let (n_aps, c) = (self.cfg.n_aps, self.clients[client]);
-        let row_var = self.cfg.noise_var / self.cfg.rounds as f64;
-        let (mut obs, strategy, _) = self.observer();
+        let (n_aps, c) = (self.aps.len(), self.clients[client]);
+        let row_var = self.link.cfg.noise_var / self.link.cfg.rounds as f64;
+        let mut obs = self.link.observer(&self.aps, &mut self.rng);
         for s in 1..n_aps {
             let now_ref = obs.estimate(obs.aps[0], obs.aps[s], t_j, obs.header_noise_var);
-            let stored = strategy.reference(s).ok_or(JmbError::NoReference)?;
+            let stored = self.strategy.reference(s).ok_or(JmbError::NoReference)?;
             let ratios = now_ref
                 .iter()
                 .zip(&stored.gains)
@@ -715,7 +592,7 @@ impl FastNet {
         // `H̃` in place; the row it replaces waits in the scratch in case
         // the stitched matrix turns out singular.
         let h = self.h_meas.as_mut().ok_or(JmbError::NoReference)?;
-        let old_row = &mut self.scratch.rows;
+        let old_row = &mut self.link.scratch.rows;
         old_row.clear();
         for matrix in h.iter() {
             old_row.extend((0..n_aps).map(|i| matrix[(client, i)]));
@@ -725,14 +602,14 @@ impl FastNet {
             .enumerate()
             .zip(fresh.chunks_exact(ks.len()))
         {
-            let rots = phasor_ramp(common, slope, self.medium.occupied());
+            let rots = phasor_ramp(common, slope, self.link.medium.occupied());
             for ((matrix, &g), rot) in h.iter_mut().zip(row).zip(rots) {
                 matrix[(client, i)] = g * rot;
             }
         }
         // Same well-posedness gate as `run_measurement`: over-subscribed
         // cells keep the stitched `h_meas` and rebuild per-batch precoders.
-        self.precoder = if self.cfg.n_clients <= self.cfg.n_aps {
+        self.precoder = if self.clients.len() <= n_aps {
             match Precoder::zero_forcing(h) {
                 Ok(p) => Some(p),
                 Err(e) => {
@@ -747,18 +624,19 @@ impl FastNet {
         } else {
             None
         };
-        self.now = t_j + 200e-6;
+        self.set_now(t_j + 200e-6);
         Ok(())
     }
 
     /// The rate `precoder` supports for every client alike (§9): from its
     /// `k̂²/(N+I)`, `I` the band-mean external interference.
     fn joint_rate(&self, precoder: &Precoder) -> Option<Mcs> {
-        let ext = match self.ext_intf.len() {
+        let ext_intf = &self.link.ext_intf;
+        let ext = match ext_intf.len() {
             0 => 0.0,
-            n => self.ext_intf.iter().sum::<f64>() / n as f64,
+            n => ext_intf.iter().sum::<f64>() / n as f64,
         };
-        let floor = self.cfg.noise_var + ext;
+        let floor = self.link.cfg.noise_var + ext;
         let snrs_db: Vec<f64> = precoder
             .k_hats()
             .iter()
@@ -787,7 +665,7 @@ impl FastNet {
     /// deliberate simplification so a lead data-path failure does not also
     /// destroy the slaves' phase references).
     ///
-    /// Requires `run_measurement` first; `active_aps` must hold at least as
+    /// Requires [`FastNet::run_measurement`] first; `active_aps` must hold at least as
     /// many distinct APs as there are batch clients (ZF well-posedness) —
     /// also after the slaves that missed the sync header and cannot fall
     /// back ([`FastNet::last_sync`]) are left out, or the batch fails with
@@ -808,8 +686,8 @@ impl FastNet {
         if nb == 0 || na == 0 {
             return Err(JmbError::BadConfig("empty batch or AP set"));
         }
-        if clients.iter().any(|&j| j >= self.cfg.n_clients)
-            || active_aps.iter().any(|&i| i >= self.cfg.n_aps)
+        if clients.iter().any(|&j| j >= self.clients.len())
+            || active_aps.iter().any(|&i| i >= self.aps.len())
         {
             return Err(JmbError::BadConfig("client or AP index out of range"));
         }
@@ -831,10 +709,9 @@ impl FastNet {
         // batch? The effective AP set is everyone still able to; if too few
         // remain for the batch's streams, the transmission cannot go out
         // and the caller must shrink the batch or retry later.
-        let t_meas = self.now + 240.0 * self.cfg.params.sample_period();
-        self.sync_headers(t_meas, active_aps.iter().copied().filter(|&s| s != 0));
+        self.sync_headers(active_aps.iter().copied().filter(|&s| s != 0), true);
         let excluded = &self.control.last_sync().excluded;
-        let batch = &mut self.scratch;
+        let batch = &mut self.link.scratch;
         batch.set_batch(
             active_aps
                 .iter()
@@ -865,19 +742,20 @@ impl FastNet {
         let mut precoder = std::mem::take(&mut batch.precoder);
         let sent = precoder.rebuild_zero_forcing(&batch.h_sub).map(|()| {
             let mcs = self.joint_rate(&precoder).unwrap_or(Mcs::BASE);
-            let airtime_s = crate::baseline::frame_airtime(&self.cfg.params, mcs, payload_bytes);
+            let params = &self.link.cfg.params;
+            let airtime_s = crate::baseline::frame_airtime(params, mcs, payload_bytes);
             self.probe_sinr(&precoder, &[], airtime_s, n_probes, apply_phase_sync);
             (mcs, airtime_s)
         });
-        self.scratch.precoder = precoder;
+        self.link.scratch.precoder = precoder;
         let (mcs, airtime_s) = sent?;
 
-        let n_k = self.medium.occupied().len();
+        let n_k = self.link.medium.occupied().len();
         let Scratch {
             sinr_db,
             eff_snr_db,
             ..
-        } = &mut self.scratch;
+        } = &mut self.link.scratch;
         eff_snr_db.clear();
         eff_snr_db.extend(
             sinr_db
@@ -1158,7 +1036,7 @@ impl LeadObserver for FastObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmb_sim::FaultConfig;
+    use jmb_sim::{FaultConfig, FaultSchedule};
 
     fn cfg(n: usize, snr: f64, seed: u64) -> FastConfig {
         FastConfig::default_with(n, n, vec![snr; n], seed)
@@ -1197,15 +1075,16 @@ mod tests {
         precoder: &Precoder,
         frame: &ProbeFrame,
     ) -> Vec<f64> {
-        let params = net.cfg.params.clone();
-        let ks = net.medium.occupied().to_vec();
+        let params = net.link.cfg.params.clone();
+        let ks = net.link.medium.occupied().to_vec();
         let (nb, na, n_k) = (net.clients.len(), net.aps.len(), ks.len());
         let n_probes = frame.n_probes.max(1);
         let (mut sig, mut intf) = (vec![0.0; nb * n_k], vec![0.0; nb * n_k]);
         let (mut rows, mut g) = (Vec::new(), CMat::default());
         for p in 0..n_probes {
             let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
-            net.medium
+            net.link
+                .medium
                 .channel_rows_into(&net.aps, &net.clients, t, &mut rows);
             for (k_idx, &k) in ks.iter().enumerate() {
                 let mut eff = CMat::zeros(nb, na);
@@ -1231,7 +1110,7 @@ mod tests {
         }
         let np = n_probes as f64;
         (sig.iter().zip(&intf))
-            .map(|(s, i)| jmb_dsp::stats::lin_to_db(s / np / (net.cfg.noise_var + i / np)))
+            .map(|(s, i)| jmb_dsp::stats::lin_to_db(s / np / (net.link.cfg.noise_var + i / np)))
             .collect()
     }
 
@@ -1246,8 +1125,8 @@ mod tests {
         net.run_measurement().unwrap();
         net.advance(3e-3);
         let precoder = net.precoder.clone().unwrap();
-        let t_meas = net.now + 240.0 * net.cfg.params.sample_period();
-        net.sync_headers(t_meas, 1..4);
+        let t_meas = net.frame().t_meas;
+        net.sync_headers(1..4, true);
         let heard = net.last_sync().clone();
         assert!(heard.corrections[1..].iter().all(Option::is_some));
         let mut one_out = heard.clone();
@@ -1269,12 +1148,13 @@ mod tests {
             };
             let want = probe_sinr_per_entry(&mut net, &precoder, &frame);
             let all = net.aps.clone().into_iter().enumerate();
-            net.scratch.set_batch(all, net.clients.iter().copied());
-            let floor = (net.cfg.noise_var, &[][..]);
-            net.scratch
-                .probe_sinr(&mut net.medium, &precoder, &frame, floor);
-            assert_eq!(net.scratch.sinr_db.len(), want.len());
-            for (got, want) in net.scratch.sinr_db.iter().zip(&want) {
+            net.link.scratch.set_batch(all, net.clients.iter().copied());
+            let floor = (net.link.cfg.noise_var, &[][..]);
+            net.link
+                .scratch
+                .probe_sinr(&mut net.link.medium, &precoder, &frame, floor);
+            assert_eq!(net.link.scratch.sinr_db.len(), want.len());
+            for (got, want) in net.link.scratch.sinr_db.iter().zip(&want) {
                 worst = worst.max((got - want).abs());
             }
         }
@@ -1351,15 +1231,6 @@ mod tests {
     fn config_validation() {
         assert!(FastNet::new(FastConfig::default_with(0, 1, vec![10.0], 1)).is_err());
         assert!(FastNet::new(FastConfig::default_with(2, 2, vec![10.0], 1)).is_err());
-    }
-
-    #[test]
-    fn joint_requires_measurement() {
-        let mut net = FastNet::new(cfg(2, 20.0, 7)).unwrap();
-        assert!(matches!(
-            net.joint_transmit(1e-3, 2, &[], true),
-            Err(JmbError::NoReference)
-        ));
     }
 
     #[test]

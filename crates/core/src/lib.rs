@@ -35,6 +35,7 @@ pub mod fastnet;
 pub mod mac;
 pub mod measure;
 pub mod net;
+pub mod network;
 pub mod phasesync;
 pub mod precoder;
 pub mod sync;

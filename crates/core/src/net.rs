@@ -1,12 +1,13 @@
 //! The sample-level JMB protocol testbench.
 //!
-//! This module wires the whole system together over the physical
+//! This module is the protocol of [`crate::network`] over the physical
 //! ([`jmb_sim::Medium`]) simulator: a lead AP, slave APs, and clients, each
 //! with a free-running oscillator, exchanging real OFDM waveforms.
+//! [`SampleEval`] is the fidelity; [`JmbNetwork`] names the network over it.
 //!
 //! A [`JmbNetwork`] runs the paper's two protocol phases:
 //!
-//! * [`JmbNetwork::run_measurement`] — the channel-measurement phase
+//! * [`Network::run_measurement`] — the channel-measurement phase
 //!   (§5.1): the interleaved measurement packet of [`crate::measure`] is
 //!   transmitted; every client estimates per-AP channels referred to one
 //!   reference time and "feeds them back" (returned as data — the paper's
@@ -20,8 +21,8 @@
 //!
 //! How a slave turns what it hears of the lead into a correction is the
 //! network's [`SyncStrategy`] — the same three backends, and the same
-//! [`ControlPlane`], that `FastNet` runs. This module supplies only the
-//! sample-level [`LeadObserver`]: a receive window rendered through the
+//! [`crate::control::ControlPlane`], that `FastNet` runs. This module
+//! supplies only the sample-level [`LeadObserver`]: a receive window rendered through the
 //! medium and run through the real estimator, with out-of-band pilots on
 //! the medium's side channel.
 //!
@@ -29,20 +30,16 @@
 //! lead and one slave alternate OFDM symbols and the receiver tracks the
 //! deviation of their relative phase from its first observation.
 
-use crate::control::{BatchSync, ControlPlane};
-use crate::csi::SyncHealth;
 use crate::error::JmbError;
 use crate::measure::{self, MeasurementPlan, REF_ANCHOR};
+use crate::network::{drawn_link, validate_shape, Deployment, LinkEval, Network};
 use crate::precoder::Precoder;
-use crate::sync::{
-    strategy_for, JmbLeadSlave, LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ,
-};
-use jmb_channel::multipath::{Multipath, MultipathSpec};
+use crate::sync::{LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ};
+use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
-use jmb_channel::Link;
 use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
 use jmb_dsp::{fft, CMat, Complex64};
-use jmb_obs::{EventKind, Trace};
+use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::frame::{FrameRx, FrameTx, RxResult};
 use jmb_phy::params::OfdmParams;
@@ -122,12 +119,7 @@ impl NetConfig {
     /// The shape rules [`JmbNetwork::new`] starts with, without building
     /// anything: a caller that only plans a run asks here.
     pub fn validate(&self) -> Result<(), JmbError> {
-        if self.n_aps == 0 || self.n_clients == 0 {
-            return Err(JmbError::BadConfig("need at least one AP and one client"));
-        }
-        if self.client_snr_db.len() != self.n_clients {
-            return Err(JmbError::BadConfig("client_snr_db length mismatch"));
-        }
+        validate_shape(self.n_aps, self.n_clients, &self.client_snr_db)?;
         if self.n_aps < self.n_clients {
             return Err(JmbError::BadConfig(
                 "need at least as many AP antennas as clients",
@@ -137,40 +129,45 @@ impl NetConfig {
     }
 }
 
-/// The sample-level network.
-pub struct JmbNetwork {
+/// The sample fidelity: real OFDM waveforms over a [`Medium`].
+pub struct SampleEval {
     cfg: NetConfig,
     medium: Medium,
-    aps: Vec<NodeId>,
-    clients: Vec<NodeId>,
-    /// The pluggable synchronization backend ([`crate::sync`]), the paper's
-    /// lead/slave resync by default. Owns the per-slave phase state.
-    strategy: Box<dyn SyncStrategy>,
-    /// Measured joint channel, one matrix per occupied subcarrier
-    /// (rows = clients, cols = APs).
-    h: Option<Vec<CMat>>,
     /// Per-client noise estimate (per bin), from the measurement phase.
     client_noise_bins: Vec<f64>,
     /// Static per-AP trigger offsets (index 0 = lead = 0).
     trigger_offsets: Vec<f64>,
-    /// Fault draws, sync health, the fallback policy and their events
-    /// (emitted on the medium's trace).
-    control: ControlPlane,
-    precoder: Option<Precoder>,
     ftx: FrameTx,
     frx: FrameRx,
     /// Receive-path scratch reused across every client decode: equalised
     /// symbols, LLR/depuncture buffers and the Viterbi decision lanes are
     /// allocated once per network, not once per frame.
     rx_scratch: jmb_phy::frame::RxScratch,
-    now: f64,
-    rng: JmbRng,
 }
 
-impl JmbNetwork {
-    /// Builds the network: places nodes, draws oscillators, calibrates
-    /// links to the configured SNR targets.
-    pub fn new(cfg: NetConfig) -> Result<Self, JmbError> {
+/// The sample-level network.
+pub type JmbNetwork = Network<SampleEval>;
+
+impl SampleEval {
+    fn plan(&self) -> MeasurementPlan {
+        MeasurementPlan::with_order(self.cfg.n_aps, self.cfg.rounds, self.cfg.slot_order)
+    }
+
+    /// What slave `ap` adds to a nominal transmit instant: its static
+    /// trigger offset plus this transmission's jitter (none for the lead).
+    fn trigger_jitter(&self, ap: usize, rng: &mut JmbRng) -> f64 {
+        if ap == 0 {
+            0.0
+        } else {
+            self.trigger_offsets[ap] + normal(rng, self.cfg.trigger_jitter_s)
+        }
+    }
+}
+
+impl LinkEval for SampleEval {
+    type Config = NetConfig;
+
+    fn deploy(cfg: NetConfig) -> Result<Deployment<Self>, JmbError> {
         cfg.validate()?;
         let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
         let mut medium = Medium::new(cfg.params.clone(), rng.gen());
@@ -196,12 +193,9 @@ impl JmbNetwork {
         // AP ↔ AP links: strong, mildly dispersive, reciprocal.
         for i in 0..cfg.n_aps {
             for j in i + 1..cfg.n_aps {
-                let mut link = Link::new(
-                    jmb_dsp::rng::random_phasor(&mut rng),
-                    rng.gen::<f64>() * 30e-9, // ≤ 30 ns of separation
-                    Multipath::new(MultipathSpec::indoor_los(), &mut rng),
-                );
-                link.calibrate_snr(cfg.ap_ap_snr_db, ap_bin_noise);
+                // ≤ 30 ns of separation.
+                let target = (cfg.ap_ap_snr_db, ap_bin_noise);
+                let link = drawn_link(&mut rng, MultipathSpec::indoor_los(), 30e-9, target);
                 medium.set_reciprocal_link(aps[i], aps[j], link);
             }
         }
@@ -215,18 +209,13 @@ impl JmbNetwork {
                 } else {
                     cfg.client_snr_db[j] - rng.gen::<f64>() * 6.0
                 };
-                let mut link = Link::new(
-                    jmb_dsp::rng::random_phasor(&mut rng),
-                    rng.gen::<f64>() * 60e-9, // ≤ 60 ns ≪ the 1.6 µs CP
-                    Multipath::new(MultipathSpec::indoor_nlos(), &mut rng),
-                );
-                link.calibrate_snr(snr, client_bin_noise);
+                // ≤ 60 ns ≪ the 1.6 µs CP.
+                let target = (snr, client_bin_noise);
+                let link = drawn_link(&mut rng, MultipathSpec::indoor_nlos(), 60e-9, target);
                 medium.set_reciprocal_link(a, c, link);
             }
         }
 
-        let strategy = Box::new(JmbLeadSlave::new(cfg.n_aps));
-        let control = ControlPlane::new(cfg.seed, cfg.n_aps);
         let trigger_offsets: Vec<f64> = (0..cfg.n_aps)
             .map(|i| {
                 if i == 0 {
@@ -237,121 +226,122 @@ impl JmbNetwork {
             })
             .collect();
         let params = cfg.params.clone();
-        Ok(JmbNetwork {
-            cfg,
-            medium,
+        Ok(Deployment {
             aps,
             clients,
-            strategy,
-            h: None,
-            client_noise_bins: Vec::new(),
-            trigger_offsets,
-            control,
-            precoder: None,
-            ftx: FrameTx::new(params.clone()),
-            frx: FrameRx::new(params),
-            rx_scratch: jmb_phy::frame::RxScratch::new(),
-            now: 1e-4,
             rng,
+            seed: cfg.seed,
+            sync: SyncStrategyId::default(),
+            params: params.clone(),
+            turnaround_s: cfg.turnaround_s,
+            rounds: cfg.rounds,
+            link: SampleEval {
+                cfg,
+                medium,
+                client_noise_bins: Vec::new(),
+                trigger_offsets,
+                ftx: FrameTx::new(params.clone()),
+                frx: FrameRx::new(params),
+                rx_scratch: jmb_phy::frame::RxScratch::new(),
+            },
         })
     }
 
-    /// Installs a fault schedule (constant, or time-varying): its control faults (sync
-    /// header and measurement loss) here, its waveform faults (drop,
-    /// corrupt) on the medium.
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.medium.set_fault_schedule(schedule.clone());
-        self.control.faults = schedule;
-    }
-
-    /// Per-slave sync health; index 0 is slave AP 1.
-    pub fn sync_health(&self) -> &[SyncHealth] {
-        self.control.sync_health()
-    }
-
-    /// The sync-header record of the most recent joint transmission: the
-    /// corrections applied, and who missed, fell back or sat out.
-    pub fn last_sync(&self) -> &BatchSync {
-        self.control.last_sync()
-    }
-
-    /// The active synchronization backend.
-    pub fn sync_strategy(&self) -> SyncStrategyId {
-        self.strategy.kind()
-    }
-
-    /// Swaps the synchronization backend, discarding per-slave sync state
-    /// (the next [`JmbNetwork::run_measurement`] re-seeds it). Emits
-    /// [`EventKind::SyncStrategySwitched`] on the medium's trace.
-    pub fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
-        self.strategy = strategy_for(kind, self.cfg.n_aps);
-        self.medium
-            .trace
-            .emit(self.now, EventKind::SyncStrategySwitched { strategy: kind });
-    }
-
-    /// Worst-case predicted phase error (radians) across slaves at the
-    /// current time. Infinite until the backend has references.
-    pub fn sync_phase_error_rad(&self) -> f64 {
-        (1..self.cfg.n_aps)
-            .map(|s| self.strategy.phase_error_rad(s, self.now))
-            .fold(0.0, f64::max)
-    }
-
-    /// Drains the out-of-band control airtime (seconds) the sync backend
-    /// accrued since the last call (pilot broadcasts; zero for the default
-    /// in-band strategy).
-    pub fn take_sync_control_airtime_s(&mut self) -> f64 {
-        self.strategy.take_control_airtime_s()
-    }
-
-    /// Current simulation time, seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// The configuration the network was built with.
-    pub fn config(&self) -> &NetConfig {
+    fn config(&self) -> &NetConfig {
         &self.cfg
     }
 
-    /// Advances time without any transmissions (e.g. to let oscillators
-    /// drift between the measurement and the data phases).
-    pub fn advance(&mut self, dt: f64) {
-        // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error; simulated time only flows forward
-        assert!(dt >= 0.0, "cannot rewind time");
-        self.now += dt;
-        self.medium.expire(self.now - 0.05);
+    /// The medium's own trace: control events land between the waveforms
+    /// they are about.
+    fn trace(&mut self) -> &mut Trace {
+        &mut self.medium.trace
     }
 
+    fn set_waveform_faults(&mut self, schedule: &FaultSchedule) {
+        self.medium.set_fault_schedule(schedule.clone());
+    }
+
+    fn clock_moved(&mut self, now: f64) {
+        self.medium.expire(now - 1e-3);
+    }
+
+    fn measurement_len(&self) -> usize {
+        self.plan().total_len(&self.cfg.params)
+    }
+
+    /// The packet is rendered whole, whatever a strategy could do without.
+    fn measurement_share(&self, _strategy: &dyn SyncStrategy) -> f64 {
+        1.0
+    }
+
+    /// The interleaved measurement packet of [`crate::measure`] goes on the
+    /// air; every client estimates per-AP channels referred to one
+    /// reference time and feeds them back (modelled as reliable).
+    fn estimate_channel(
+        &mut self,
+        aps: &[NodeId],
+        clients: &[NodeId],
+        rng: &mut JmbRng,
+        t0: f64,
+    ) -> Result<Vec<CMat>, JmbError> {
+        let params = self.cfg.params.clone();
+        let plan = self.plan();
+        let ts = params.sample_period();
+        // Schedule every AP's segments (slaves add trigger jitter).
+        for (i, &ap) in aps.iter().enumerate() {
+            for (off, seg) in plan.ap_segments(&params, i) {
+                let jitter = self.trigger_jitter(i, rng);
+                self.medium.transmit(ap, t0 + off as f64 * ts + jitter, seg);
+            }
+        }
+        // Clients estimate.
+        let total = plan.total_len(&params);
+        let n_k = params.occupied_subcarriers().len();
+        let mut h = vec![CMat::zeros(clients.len(), aps.len()); n_k];
+        self.client_noise_bins.clear();
+        for (j, &c) in clients.iter().enumerate() {
+            let window = self.medium.render_rx(c, t0, total + 8);
+            let m = measure::client_estimate(&params, &plan, &window)?;
+            for (i, est) in m.per_ap.iter().enumerate() {
+                for (k_idx, g) in est.gains.iter().enumerate() {
+                    h[k_idx][(j, i)] = *g;
+                }
+            }
+            self.client_noise_bins.push(m.noise_var);
+        }
+        Ok(h)
+    }
+
+    fn observe<R>(
+        &mut self,
+        aps: &[NodeId],
+        rng: &mut JmbRng,
+        t_h: f64,
+        measurement: bool,
+        f: impl FnOnce(&mut dyn LeadObserver) -> R,
+    ) -> R {
+        f(&mut SampleObserver {
+            plan: measurement.then(|| self.plan()),
+            medium: &mut self.medium,
+            rng,
+            aps,
+            params: &self.cfg.params,
+            t_h,
+            header_noise_var: 32.0 * self.cfg.ap_noise_var,
+            heard: None,
+        })
+    }
+}
+
+impl JmbNetwork {
     /// Direct access to the medium (fault injection, traces).
     pub fn medium_mut(&mut self) -> &mut Medium {
-        &mut self.medium
-    }
-
-    /// The measured joint channel (after [`JmbNetwork::run_measurement`]).
-    pub fn measured_channel(&self) -> Option<&[CMat]> {
-        self.h.as_deref()
-    }
-
-    /// The power-normalisation `k̂` of the current precoder.
-    pub fn k_hat(&self) -> Option<f64> {
-        self.precoder.as_ref().map(|p| p.k_hat())
+        &mut self.link.medium
     }
 
     /// The current zero-forcing precoder, for inspection.
     pub fn precoder(&self) -> Option<&Precoder> {
         self.precoder.as_ref()
-    }
-
-    /// Medium node ids of the APs (index 0 = lead).
-    pub fn ap_nodes(&self) -> &[NodeId] {
-        &self.aps
-    }
-
-    /// Medium node ids of the clients.
-    pub fn client_nodes(&self) -> &[NodeId] {
-        &self.clients
     }
 
     /// Raises every client's effective noise floor by `extra_var` (per
@@ -365,100 +355,10 @@ impl JmbNetwork {
                 "external interference must be finite and non-negative",
             ));
         }
-        let floor = self.cfg.client_noise_var + extra_var;
-        for i in 0..self.clients.len() {
-            let node = self.clients[i];
-            self.medium.set_noise_var(node, floor);
+        let floor = self.link.cfg.client_noise_var + extra_var;
+        for &node in &self.clients {
+            self.link.medium.set_noise_var(node, floor);
         }
-        Ok(())
-    }
-
-    /// The slaves' view of the lead whose in-band waveform — a sync header,
-    /// or the measurement packet `plan` — left the antenna at `t_h`, split
-    /// off from the sync backend and the control plane so the three can be
-    /// borrowed side by side.
-    fn observer<'a>(
-        &'a mut self,
-        params: &'a OfdmParams,
-        t_h: f64,
-        plan: Option<&'a MeasurementPlan>,
-    ) -> (
-        SampleObserver<'a>,
-        &'a mut dyn SyncStrategy,
-        &'a mut ControlPlane,
-    ) {
-        let obs = SampleObserver {
-            medium: &mut self.medium,
-            rng: &mut self.rng,
-            aps: &self.aps,
-            params,
-            t_h,
-            plan,
-            header_noise_var: 32.0 * self.cfg.ap_noise_var,
-            heard: None,
-        };
-        (obs, &mut *self.strategy, &mut self.control)
-    }
-
-    /// Runs the channel-measurement phase (§5.1) at the current time.
-    ///
-    /// On return, the joint channel matrix is stored (feedback modelled as
-    /// reliable), every slave holds its reference channel, and the
-    /// zero-forcing precoder is (re)computed.
-    pub fn run_measurement(&mut self) -> Result<(), JmbError> {
-        let params = self.cfg.params.clone();
-        let plan =
-            MeasurementPlan::with_order(self.cfg.n_aps, self.cfg.rounds, self.cfg.slot_order);
-        let ts = params.sample_period();
-        let t0 = self.now;
-
-        // Control-plane fault injection: a lost measurement exchange still
-        // occupies the air, but no CSI is produced and every stored state
-        // (references, precoder) stays as it was — stale.
-        if self.control.measurement_lost(&mut self.medium.trace, t0) {
-            let total = plan.total_len(&params);
-            self.now = t0 + total as f64 * ts + 50e-6;
-            self.medium.expire(self.now);
-            return Err(JmbError::MeasurementLost);
-        }
-
-        // Schedule every AP's segments (slaves add trigger jitter).
-        for (i, &ap) in self.aps.iter().enumerate() {
-            for (off, seg) in plan.ap_segments(&params, i) {
-                let jitter = if i == 0 {
-                    0.0
-                } else {
-                    self.trigger_offsets[i] + normal(&mut self.rng, self.cfg.trigger_jitter_s)
-                };
-                self.medium.transmit(ap, t0 + off as f64 * ts + jitter, seg);
-            }
-        }
-
-        // Clients estimate.
-        let total = plan.total_len(&params);
-        let occupied = params.occupied_subcarriers();
-        let mut h = vec![CMat::zeros(self.cfg.n_clients, self.cfg.n_aps); occupied.len()];
-        self.client_noise_bins.clear();
-        for (j, &c) in self.clients.iter().enumerate() {
-            let window = self.medium.render_rx(c, t0, total + 8);
-            let m = measure::client_estimate(&params, &plan, &window)?;
-            for (i, est) in m.per_ap.iter().enumerate() {
-                for (k_idx, g) in est.gains.iter().enumerate() {
-                    h[k_idx][(j, i)] = *g;
-                }
-            }
-            self.client_noise_bins.push(m.noise_var);
-        }
-
-        // Slaves store their reference channel + a refined CFO seed.
-        let seed_sigma = measure::seed_cfo_sigma_hz(&params, plan.rounds, plan.n_aps);
-        let (mut obs, strategy, _) = self.observer(&params, t0, Some(&plan));
-        strategy.on_measurement(&mut obs, t0, seed_sigma);
-
-        self.precoder = Some(Precoder::zero_forcing(&h)?);
-        self.h = Some(h);
-        self.now = t0 + total as f64 * ts + 50e-6;
-        self.medium.expire(self.now);
         Ok(())
     }
 
@@ -467,13 +367,14 @@ impl JmbNetwork {
     /// selects from it.
     pub fn select_rate(&self) -> Option<Mcs> {
         let p = self.precoder.as_ref()?;
-        let h = self.h.as_ref()?;
+        let h = self.h_meas.as_ref()?;
         // Per-client per-subcarrier received amplitude under the precoder
         // (the diagonal of H·W), against that client's fed-back noise; the
         // joint rate must clear every client (§9: same rate for all).
-        let per_client: Vec<Vec<f64>> = (0..self.cfg.n_clients)
+        let noise_bins = &self.link.client_noise_bins;
+        let per_client: Vec<Vec<f64>> = (0..self.clients.len())
             .map(|j| {
-                let noise = self.client_noise_bins.get(j).copied().unwrap_or(1e-12);
+                let noise = noise_bins.get(j).copied().unwrap_or(1e-12);
                 (0..h.len())
                     .map(|k_idx| {
                         let g = p.stream_gain(k_idx, &h[k_idx], j);
@@ -520,50 +421,63 @@ impl JmbNetwork {
         apply_phase_sync: bool,
         active_aps: Option<&[bool]>,
     ) -> Result<Vec<Result<RxResult, JmbError>>, JmbError> {
-        if payloads.len() != self.cfg.n_clients {
+        if payloads.len() != self.clients.len() {
             return Err(JmbError::BadConfig("one payload per client required"));
         }
         if payloads.windows(2).any(|w| w[0].len() != w[1].len()) {
             return Err(JmbError::BadConfig("payloads must have equal length"));
         }
         if let Some(mask) = active_aps {
-            if mask.len() != self.cfg.n_aps {
+            if mask.len() != self.aps.len() {
                 return Err(JmbError::BadConfig("one mask entry per AP required"));
             }
             if mask.iter().all(|&a| !a) {
                 return Err(JmbError::BadConfig("every AP masked out"));
             }
         }
+        self.with_precoder(|net, precoder| {
+            net.transmit_streams(precoder, payloads, mcs, apply_phase_sync, active_aps)
+        })
+    }
+
+    /// One frame on the air: `precoder`'s streams carry `payloads` (one
+    /// each, equal lengths) from the APs the mask `active_aps` (one entry
+    /// per AP, not all down) leaves up, after the lead's header and the
+    /// slaves' corrections; every client decodes.
+    fn transmit_streams(
+        &mut self,
+        precoder: &Precoder,
+        payloads: &[Vec<u8>],
+        mcs: Mcs,
+        apply_phase_sync: bool,
+        active_aps: Option<&[bool]>,
+    ) -> Result<Vec<Result<RxResult, JmbError>>, JmbError> {
         let is_active = |i: usize| active_aps.is_none_or(|m| m[i]);
-        let precoder = self.precoder.clone().ok_or(JmbError::NoReference)?;
-        let params = self.cfg.params.clone();
+        let params = self.link.cfg.params.clone();
         let ts = params.sample_period();
-        let t_h = self.now;
+        let t_d = self.frame().t_d;
 
         // 1. Lead sync header (only if the lead's data path is up).
         if is_active(0) {
-            self.medium
-                .transmit(self.aps[0], t_h, preamble::preamble(&params));
+            let header = preamble::preamble(&params);
+            self.link.medium.transmit(self.aps[0], self.now(), header);
         }
 
-        // 2. Slaves measure and compute corrections. The measurement anchor
-        //    is the LTF midpoint: t_h + 240 samples. A downed slave measures
-        //    nothing.
-        let t_meas = t_h + 240.0 * ts;
-        let slaves = (1..self.cfg.n_aps).filter(|&s| is_active(s));
-        let (mut obs, strategy, control) = self.observer(&params, t_h, None);
-        control.sync_batch(strategy, &mut obs, t_meas, slaves, is_active(0));
+        // 2. Slaves measure and compute corrections, anchored at the LTF
+        //    midpoint. A downed slave measures nothing.
+        let slaves = (1..self.aps.len()).filter(|&s| is_active(s));
+        self.sync_headers(slaves, is_active(0));
         let sync = self.control.last_sync();
+        let link = &mut self.link;
 
         // 3. Build per-AP precoded waveforms.
         let streams: Vec<jmb_phy::frame::StreamBins> = payloads
             .iter()
-            .map(|p| self.ftx.build_bins(mcs, p))
+            .map(|p| link.ftx.build_bins(mcs, p))
             .collect::<Result<_, _>>()?;
         let n_sym = streams[0].symbols.len();
         debug_assert!(streams.iter().all(|s| s.symbols.len() == n_sym));
 
-        let t_d = t_h + 320.0 * ts + self.cfg.turnaround_s;
         let occupied = params.occupied_subcarriers();
         let ofdm = jmb_phy::ofdm::Ofdm::new(params.clone());
 
@@ -617,56 +531,40 @@ impl JmbNetwork {
                     }
                 }
             }
-            let jitter = if m_idx == 0 {
-                0.0
-            } else {
-                self.trigger_offsets[m_idx] + normal(&mut self.rng, self.cfg.trigger_jitter_s)
-            };
-            self.medium.transmit(ap, t_d + jitter, wave);
+            let jitter = link.trigger_jitter(m_idx, &mut self.rng);
+            link.medium.transmit(ap, t_d + jitter, wave);
         }
 
         // 4. Clients decode.
         let pkt_len = 320 + n_sym * params.symbol_len();
-        let mut results = Vec::with_capacity(self.cfg.n_clients);
+        let mut results = Vec::with_capacity(self.clients.len());
         for &c in &self.clients {
             let pad = 64usize;
-            let window = self
+            let window = link
                 .medium
                 .render_rx(c, t_d - pad as f64 * ts, pkt_len + 2 * pad);
             results.push(
-                self.frx
-                    .rx_frame_with(&mut self.rx_scratch, &window)
+                link.frx
+                    .rx_frame_with(&mut link.rx_scratch, &window)
                     .map_err(JmbError::Rx),
             );
         }
 
-        self.now = t_d + pkt_len as f64 * ts + 50e-6;
-        self.medium.expire(self.now - 1e-3);
+        self.end_frame(t_d, pkt_len as f64 * ts);
         Ok(results)
     }
 
     /// Diversity transmission (§8): every AP beamforms the *same* payload
-    /// to client 0 with maximum-ratio weights.
+    /// to client 0 with maximum-ratio weights — the joint pipeline with a
+    /// single stream.
     pub fn diversity_transmit(
         &mut self,
         payload: &[u8],
         mcs: Mcs,
     ) -> Result<Result<RxResult, JmbError>, JmbError> {
-        let h = self.h.as_ref().ok_or(JmbError::NoReference)?;
-        // MRT rows: channel from each AP to client 0 per subcarrier.
-        let rows: Vec<Vec<Complex64>> = (0..h.len())
-            .map(|k_idx| (0..self.cfg.n_aps).map(|i| h[k_idx][(0, i)]).collect())
-            .collect();
-        let mrt = Precoder::mrt(&rows)?;
-        // Temporarily swap the precoder and client count, reuse the joint
-        // pipeline with a single stream.
-        let saved = self.precoder.replace(mrt);
-        let saved_clients = self.cfg.n_clients;
-        self.cfg.n_clients = 1;
-        let out = self.joint_transmit(&[payload.to_vec()], mcs, true);
-        self.cfg.n_clients = saved_clients;
-        self.precoder = saved;
-        Ok(out?.remove(0))
+        let mrt = self.mrt_towards(0)?;
+        let mut out = self.transmit_streams(&mrt, &[payload.to_vec()], mcs, true, None)?;
+        Ok(out.remove(0))
     }
 
     /// The Fig. 7 probe: lead and slave 1 alternate channel-estimation
@@ -681,13 +579,13 @@ impl JmbNetwork {
         n_rounds: usize,
         inter_round_gap_s: f64,
     ) -> Result<Vec<f64>, JmbError> {
-        if self.cfg.n_aps < 2 {
+        if self.aps.len() < 2 {
             return Err(JmbError::BadConfig("probe needs a lead and a slave"));
         }
         if self.strategy.reference(1).is_none() {
             return Err(JmbError::NoReference);
         }
-        let params = self.cfg.params.clone();
+        let params = self.link.cfg.params.clone();
         let ts = params.sample_period();
         let sym = measure::chanest_symbol(&params);
         let sym_len = params.symbol_len();
@@ -696,18 +594,21 @@ impl JmbNetwork {
         let mut out = Vec::with_capacity(n_rounds.saturating_sub(1));
 
         for _ in 0..n_rounds {
-            let t_h = self.now;
+            let t_h = self.now();
+            let frame = self.frame();
+            let link = &mut self.link;
             // Lead header; the slave's sync backend turns what it learns
             // of the lead into this round's correction.
-            self.medium
-                .transmit(self.aps[0], t_h, preamble::preamble(&params));
-            let t_meas = t_h + REF_ANCHOR * ts;
-            let (mut obs, strategy, _) = self.observer(&params, t_h, None);
-            let (corr, t_anchor) = strategy.on_header(&mut obs, 1, t_meas)?;
+            let header = preamble::preamble(&params);
+            link.medium.transmit(self.aps[0], t_h, header);
+            let strategy = &mut self.strategy;
+            let (corr, t_anchor) = link.observe(&self.aps, &mut self.rng, t_h, false, |obs| {
+                strategy.on_header(obs, 1, frame.t_meas)
+            })?;
 
             // Alternating symbols: lead at t_d, slave at t_d + 80·Ts.
-            let t_d = t_h + 320.0 * ts + self.cfg.turnaround_s;
-            self.medium.transmit(self.aps[0], t_d, sym.clone());
+            let t_d = frame.t_d;
+            link.medium.transmit(self.aps[0], t_d, sym.clone());
             // Slave applies per-subcarrier correction + within-packet CFO.
             let mut slave_bins = preamble::ltf_bins(&params);
             for &k in &params.occupied_subcarriers() {
@@ -720,13 +621,13 @@ impl JmbNetwork {
                 let t = t_slave + n as f64 * ts - t_anchor;
                 *x *= Complex64::cis(2.0 * std::f64::consts::PI * corr.cfo_hz * t);
             }
-            let jitter = self.trigger_offsets[1] + normal(&mut self.rng, self.cfg.trigger_jitter_s);
-            self.medium
+            let jitter = link.trigger_jitter(1, &mut self.rng);
+            link.medium
                 .transmit(self.aps[1], t_slave + jitter, slave_sym);
 
             // Client: estimate both slots and compare their relative phase.
             let c = self.clients[0];
-            let window = self.medium.render_rx(c, t_d, 2 * sym_len + 8);
+            let window = link.medium.render_rx(c, t_d, 2 * sym_len + 8);
             let lead_est = estimate_slot(&params, &window[..sym_len]);
             let slave_est = estimate_slot(&params, &window[sym_len..2 * sym_len]);
             let mut rel = Complex64::ZERO;
@@ -739,14 +640,13 @@ impl JmbNetwork {
                 Some(r) => out.push(measure::misalignment(rel, r)),
             }
 
-            self.now = t_d + 2.0 * sym_len as f64 * ts + inter_round_gap_s;
-            self.medium.expire(self.now - 1e-3);
+            self.set_now(t_d + 2.0 * sym_len as f64 * ts + inter_round_gap_s);
         }
         Ok(out)
     }
 }
 
-/// [`JmbNetwork`]'s [`LeadObserver`]: an observation is the slave's receive
+/// [`SampleEval`]'s [`LeadObserver`]: an observation is the slave's receive
 /// window rendered through the medium and run through the real estimator.
 pub(crate) struct SampleObserver<'a> {
     pub(crate) medium: &'a mut Medium,
@@ -760,7 +660,7 @@ pub(crate) struct SampleObserver<'a> {
     /// than recomputed from `t_meas`: the subtraction is not bit-exact.
     pub(crate) t_h: f64,
     /// The measurement packet, when that is what the lead sent at `t_h`.
-    pub(crate) plan: Option<&'a MeasurementPlan>,
+    pub(crate) plan: Option<MeasurementPlan>,
     /// Estimation noise variance of one header measurement per subcarrier
     /// (64 samples' noise per bin, two LTF repetitions averaged).
     pub(crate) header_noise_var: f64,
@@ -834,7 +734,7 @@ impl LeadObserver for SampleObserver<'_> {
     ) -> Option<(&ChannelEstimate, f64, f64, f64)> {
         // Only a measurement packet carries a reference: a backend swapped
         // in after it stays unseeded until the next one.
-        let plan = self.plan?;
+        let plan = &self.plan?;
         let total = plan.total_len(self.params);
         let window = self.medium.render_rx(self.aps[slave], self.t_h, total + 8);
         let (est, header_cfo) = measure::slave_header_measurement(self.params, &window).ok()?;
@@ -992,17 +892,6 @@ mod tests {
         let mut cfg = NetConfig::default_with(2, 2, 20.0, 1);
         cfg.client_snr_db.pop();
         assert!(JmbNetwork::new(cfg).is_err());
-    }
-
-    #[test]
-    fn joint_transmit_requires_measurement() {
-        let cfg = NetConfig::default_with(2, 2, 20.0, 48);
-        let mut net = JmbNetwork::new(cfg).unwrap();
-        let data = payloads(2, 10);
-        assert!(matches!(
-            net.joint_transmit(&data, Mcs::ALL[0], true),
-            Err(JmbError::NoReference)
-        ));
     }
 
     #[test]

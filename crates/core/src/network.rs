@@ -1,0 +1,410 @@
+//! The JMB protocol, written once for every fidelity.
+//!
+//! The paper describes one protocol — measure once (§5.1), then per packet:
+//! lead header → slaves' direct phase measurement → turnaround `t_Δ` →
+//! joint transmission (§5.2), re-measuring when the channel has gone stale
+//! (§7). [`Network`] is that protocol: it owns what the protocol owns — who
+//! the APs and clients are, the [`SyncStrategy`], the [`ControlPlane`], the
+//! measured channel and its precoder, the main RNG stream, the clock and the
+//! frame timeline — and knows nothing about how a channel is evaluated.
+//!
+//! That is [`LinkEval`], the fidelity and nothing else: build the medium and
+//! its links from a config, estimate the joint channel at one instant, lend
+//! the slaves' [`LeadObserver`].
+//! [`crate::fastnet::FastEval`] does it per subcarrier,
+//! [`crate::net::SampleEval`] with real waveforms; `FastNet` and
+//! `JmbNetwork` name the two instantiations, and what only one fidelity can
+//! do (a nulling probe, a masked transmission, …) is an inherent method of
+//! that instantiation, beside its `LinkEval` impl.
+//!
+//! The frame timeline lives here and only here: the slaves measure the
+//! header at its LTF midpoint ([`REF_ANCHOR`] samples in), the data starts
+//! `t_Δ` after the header's 320 samples, and the air is free 50 µs after
+//! any frame's last sample.
+
+use crate::control::{BatchSync, ControlPlane};
+use crate::csi::SyncHealth;
+use crate::error::JmbError;
+use crate::measure::REF_ANCHOR;
+use crate::precoder::Precoder;
+use crate::sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
+use jmb_channel::multipath::{Multipath, MultipathSpec};
+use jmb_channel::Link;
+use jmb_dsp::rng::JmbRng;
+use jmb_dsp::{CMat, Complex64};
+use jmb_obs::{EventKind, Trace};
+use jmb_phy::params::OfdmParams;
+use jmb_sim::{FaultSchedule, NodeId};
+use rand::Rng;
+
+/// Idle air after a frame — data or measurement — before the next may start.
+const GUARD_S: f64 = 50e-6;
+
+/// One fidelity of the channel under a [`Network`]: the medium, its links,
+/// and the kernels that evaluate them.
+pub trait LinkEval: Sized {
+    /// What a network of this fidelity is built from.
+    type Config;
+
+    /// Checks `cfg`, then places the nodes, draws their oscillators and
+    /// calibrates the links — in this fidelity's own draw order from the
+    /// master seed, which the golden fixtures pin.
+    fn deploy(cfg: Self::Config) -> Result<Deployment<Self>, JmbError>;
+
+    /// The configuration the links were built from.
+    fn config(&self) -> &Self::Config;
+
+    /// Where the control plane's events go.
+    fn trace(&mut self) -> &mut Trace;
+
+    /// The waveform faults of `schedule` (drop, corrupt), for a fidelity
+    /// that has waveforms; the control faults are the network's.
+    fn set_waveform_faults(&mut self, _schedule: &FaultSchedule) {}
+
+    /// The clock moved to `now`: whatever was on the air and can no longer
+    /// be heard may be forgotten.
+    fn clock_moved(&mut self, _now: f64) {}
+
+    /// Samples in one measurement packet.
+    fn measurement_len(&self) -> usize;
+
+    /// Share of the measurement exchange that goes on the air under
+    /// `strategy`: an implicit-CSI strategy skips the per-client frames,
+    /// unless the fidelity renders the whole packet regardless.
+    fn measurement_share(&self, strategy: &dyn SyncStrategy) -> f64 {
+        strategy.measurement_airtime_factor()
+    }
+
+    /// The channel-measurement packet (§5.1) sent at `t0`: every client's
+    /// estimate of every AP, one `clients × aps` matrix per occupied
+    /// subcarrier.
+    fn estimate_channel(
+        &mut self,
+        aps: &[NodeId],
+        clients: &[NodeId],
+        rng: &mut JmbRng,
+        t0: f64,
+    ) -> Result<Vec<CMat>, JmbError>;
+
+    /// Lends `f` what the slaves can learn of the lead whose in-band
+    /// waveform left the antenna at `t_h`: a sync header, or (`measurement`)
+    /// the measurement packet.
+    fn observe<R>(
+        &mut self,
+        aps: &[NodeId],
+        rng: &mut JmbRng,
+        t_h: f64,
+        measurement: bool,
+        f: impl FnOnce(&mut dyn LeadObserver) -> R,
+    ) -> R;
+}
+
+/// What [`LinkEval::deploy`] hands the protocol: the built links, who is on
+/// them, and the few numbers of the config the protocol itself runs on.
+pub struct Deployment<L> {
+    /// The fidelity, built.
+    pub link: L,
+    /// Medium ids of the APs (index 0 = lead) and of the clients.
+    pub aps: Vec<NodeId>,
+    /// See `aps`.
+    pub clients: Vec<NodeId>,
+    /// The main stream, in the state the deployment's draws left it.
+    pub rng: JmbRng,
+    /// Master seed (the control plane salts its fault stream off it).
+    pub seed: u64,
+    /// The synchronization backend to start with.
+    pub sync: SyncStrategyId,
+    /// OFDM numerology.
+    pub params: OfdmParams,
+    /// Turnaround `t_Δ` between header and joint transmission, seconds.
+    pub turnaround_s: f64,
+    /// Interleaved rounds of the measurement packet.
+    pub rounds: usize,
+}
+
+/// The shape rules every network config starts with.
+pub(crate) fn validate_shape(
+    n_aps: usize,
+    n_clients: usize,
+    client_snr_db: &[f64],
+) -> Result<(), JmbError> {
+    if n_aps == 0 || n_clients == 0 {
+        return Err(JmbError::BadConfig("need at least one AP and one client"));
+    }
+    if client_snr_db.len() != n_clients {
+        return Err(JmbError::BadConfig("client_snr_db length mismatch"));
+    }
+    Ok(())
+}
+
+/// One link of a deployment: a random phase, up to `max_delay_s` of path
+/// and a fading draw from `spec` — in that order from `rng` — calibrated to
+/// `snr_db` over `noise_var`.
+pub(crate) fn drawn_link(
+    rng: &mut JmbRng,
+    spec: MultipathSpec,
+    max_delay_s: f64,
+    (snr_db, noise_var): (f64, f64),
+) -> Link {
+    let phase = jmb_dsp::rng::random_phasor(rng);
+    let mut link = Link::new(
+        phase,
+        rng.gen::<f64>() * max_delay_s,
+        Multipath::new(spec, rng),
+    );
+    link.calibrate_snr(snr_db, noise_var);
+    link
+}
+
+/// A network clock `dt` seconds after `now`.
+pub(crate) fn advanced(now: f64, dt: f64) -> f64 {
+    // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller
+    assert!(dt >= 0.0, "cannot rewind simulation time (dt = {dt})");
+    now + dt
+}
+
+/// The instants of the frame whose header leaves the lead now.
+pub(crate) struct Frame {
+    /// When the slaves' header measurement is anchored.
+    pub(crate) t_meas: f64,
+    /// When the joint transmission starts.
+    pub(crate) t_d: f64,
+}
+
+/// A JMB network at fidelity `L`.
+pub struct Network<L: LinkEval> {
+    pub(crate) link: L,
+    pub(crate) aps: Vec<NodeId>,
+    pub(crate) clients: Vec<NodeId>,
+    /// The pluggable synchronization backend ([`crate::sync`]). Owns the
+    /// per-slave phase state; the network keeps the protocol timeline.
+    pub(crate) strategy: Box<dyn SyncStrategy>,
+    /// Fault draws, sync health, the fallback policy and their events.
+    pub(crate) control: ControlPlane,
+    /// Measured joint channel, one matrix per occupied subcarrier
+    /// (rows = clients, cols = APs).
+    pub(crate) h_meas: Option<Vec<CMat>>,
+    pub(crate) precoder: Option<Precoder>,
+    pub(crate) rng: JmbRng,
+    /// Events are stamped on the frame timeline (header at `now`, sync
+    /// measurements at `t_meas`), which only moves forward — the stream is
+    /// monotone in time by construction, and the integration tests assert it.
+    now: f64,
+    sample_period_s: f64,
+    turnaround_s: f64,
+    /// 1σ accuracy of the CFO seed the measurement packet's span supports.
+    seed_cfo_sigma_hz: f64,
+}
+
+impl<L: LinkEval> Network<L> {
+    /// Builds the network: places nodes, draws oscillators, calibrates
+    /// links to the configured SNR targets.
+    pub fn new(cfg: L::Config) -> Result<Self, JmbError> {
+        let d = L::deploy(cfg)?;
+        let n_aps = d.aps.len();
+        Ok(Network {
+            link: d.link,
+            strategy: strategy_for(d.sync, n_aps),
+            control: ControlPlane::new(d.seed, n_aps),
+            h_meas: None,
+            precoder: None,
+            rng: d.rng,
+            now: 1e-4,
+            sample_period_s: d.params.sample_period(),
+            turnaround_s: d.turnaround_s,
+            seed_cfo_sigma_hz: crate::measure::seed_cfo_sigma_hz(&d.params, d.rounds, n_aps),
+            aps: d.aps,
+            clients: d.clients,
+        })
+    }
+
+    /// The configuration the network was built with.
+    pub fn config(&self) -> &L::Config {
+        self.link.config()
+    }
+
+    /// The control-plane event trace (disabled until enabled).
+    pub fn trace(&mut self) -> &mut Trace {
+        self.link.trace()
+    }
+
+    /// Installs a fault schedule (constant, or time-varying): its control
+    /// faults (sync header and measurement loss) here, its waveform faults
+    /// (drop, corrupt) on a medium that carries waveforms.
+    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
+        self.link.set_waveform_faults(&schedule);
+        self.control.faults = schedule;
+    }
+
+    /// Per-slave sync health; index 0 is slave AP 1.
+    pub fn sync_health(&self) -> &[SyncHealth] {
+        self.control.sync_health()
+    }
+
+    /// The sync-header record of the most recent joint transmission: the
+    /// corrections applied, and who missed, fell back or sat out — readable
+    /// also after one that failed with [`JmbError::SyncHeaderMissed`].
+    pub fn last_sync(&self) -> &BatchSync {
+        self.control.last_sync()
+    }
+
+    /// The active synchronization backend.
+    pub fn sync_strategy(&self) -> SyncStrategyId {
+        self.strategy.kind()
+    }
+
+    /// Swaps the synchronization backend, discarding per-slave sync state
+    /// (the next [`Network::run_measurement`] re-seeds it). Emits
+    /// [`EventKind::SyncStrategySwitched`] on the trace.
+    pub fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
+        self.strategy = strategy_for(kind, self.aps.len());
+        let switched = EventKind::SyncStrategySwitched { strategy: kind };
+        self.link.trace().emit(self.now, switched);
+    }
+
+    /// Worst-case predicted phase error (radians) across slaves at the
+    /// current time — the per-strategy gauge the traffic layer exports.
+    /// Infinite until the backend has references (before any measurement).
+    pub fn sync_phase_error_rad(&self) -> f64 {
+        (1..self.aps.len())
+            .map(|s| self.strategy.phase_error_rad(s, self.now))
+            .fold(0.0, f64::max)
+    }
+
+    /// Drains the out-of-band control airtime (seconds) the sync backend
+    /// accrued since the last call (pilot broadcasts; zero for the default
+    /// in-band strategy).
+    pub fn take_sync_control_airtime_s(&mut self) -> f64 {
+        self.strategy.take_control_airtime_s()
+    }
+
+    /// Current simulation time, seconds.
+    pub fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// Advances time without any transmission: oscillators drift (fading is
+    /// aged separately, where the fidelity models it).
+    pub fn advance(&mut self, dt: f64) {
+        self.set_now(advanced(self.now, dt));
+    }
+
+    /// The measured joint channel (after [`Network::run_measurement`]).
+    pub fn measured_channel(&self) -> Option<&[CMat]> {
+        self.h_meas.as_deref()
+    }
+
+    /// The power normalisation `k̂` of the current precoder.
+    pub fn k_hat(&self) -> Option<f64> {
+        self.precoder.as_ref().map(|p| p.k_hat())
+    }
+
+    /// Medium node ids of the APs (index 0 = lead).
+    pub fn ap_nodes(&self) -> &[NodeId] {
+        &self.aps
+    }
+
+    /// Medium node ids of the clients.
+    pub fn client_nodes(&self) -> &[NodeId] {
+        &self.clients
+    }
+
+    /// Airtime of one full channel-measurement exchange, including the
+    /// guard after it — what a lost measurement still costs the air.
+    pub fn measurement_airtime_s(&self) -> f64 {
+        (self.link.measurement_len() as f64 * self.sample_period_s + GUARD_S)
+            * self.link.measurement_share(&*self.strategy)
+    }
+
+    /// The channel-measurement phase (§5.1) at the current time.
+    ///
+    /// On return the joint channel is stored (feedback modelled as
+    /// reliable), every slave holds its reference channel and a CFO seed,
+    /// and the zero-forcing precoder is (re)computed. A lost exchange
+    /// ([`JmbError::MeasurementLost`]) still occupies the air, but produces
+    /// no CSI: every stored state stays as it was — stale — and the caller
+    /// owns the backoff re-measurement schedule.
+    pub fn run_measurement(&mut self) -> Result<(), JmbError> {
+        let t0 = self.now;
+        if self.control.measurement_lost(self.link.trace(), t0) {
+            self.set_now(t0 + self.measurement_airtime_s());
+            return Err(JmbError::MeasurementLost);
+        }
+        let h = self
+            .link
+            .estimate_channel(&self.aps, &self.clients, &mut self.rng, t0)?;
+        let (strategy, sigma_hz) = (&mut self.strategy, self.seed_cfo_sigma_hz);
+        self.link
+            .observe(&self.aps, &mut self.rng, t0, true, |obs| {
+                strategy.on_measurement(obs, t0, sigma_hz)
+            });
+        // A full-population precoder only exists when ZF is well posed
+        // (clients ≤ AP antennas). An over-subscribed cell — the city-scale
+        // case, hundreds of clients behind a handful of APs — still gets a
+        // valid measurement: the MAC schedules ≤ n_aps clients per batch and
+        // a per-batch precoder is built from `h_meas` directly.
+        self.precoder = if self.clients.len() <= self.aps.len() {
+            Some(Precoder::zero_forcing(&h)?)
+        } else {
+            None
+        };
+        self.h_meas = Some(h);
+        self.set_now(t0 + self.measurement_airtime_s());
+        Ok(())
+    }
+
+    /// The one place the clock is written.
+    pub(crate) fn set_now(&mut self, now: f64) {
+        self.now = now;
+        self.link.clock_moved(now);
+    }
+
+    /// The timeline of the frame whose header leaves the lead now.
+    pub(crate) fn frame(&self) -> Frame {
+        let ts = self.sample_period_s;
+        Frame {
+            t_meas: self.now + REF_ANCHOR * ts,
+            t_d: self.now + 320.0 * ts + self.turnaround_s,
+        }
+    }
+
+    /// Moves the clock past a frame whose data went out at `t_d` for
+    /// `duration_s`.
+    pub(crate) fn end_frame(&mut self, t_d: f64, duration_s: f64) {
+        self.set_now(t_d + duration_s + GUARD_S);
+    }
+
+    /// The sync-header exchange of the frame under way for `slaves`, left
+    /// in [`Network::last_sync`]; `lead_up = false` means no header is on
+    /// the air.
+    pub(crate) fn sync_headers(&mut self, slaves: impl IntoIterator<Item = usize>, lead_up: bool) {
+        let t_meas = self.frame().t_meas;
+        let (strategy, control) = (&mut *self.strategy, &mut self.control);
+        self.link
+            .observe(&self.aps, &mut self.rng, self.now, false, |obs| {
+                control.sync_batch(strategy, obs, t_meas, slaves, lead_up)
+            });
+    }
+
+    /// The maximum-ratio precoder towards `client` alone (§8), from its row
+    /// of the measured channel.
+    pub(crate) fn mrt_towards(&self, client: usize) -> Result<Precoder, JmbError> {
+        let h = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
+        let n_aps = self.aps.len();
+        let row = |m: &CMat| -> Vec<Complex64> { (0..n_aps).map(|i| m[(client, i)]).collect() };
+        Precoder::mrt(&h.iter().map(row).collect::<Vec<_>>())
+    }
+
+    /// Lends the stored precoder to `f` beside the rest of the network:
+    /// taken out for the call, so nothing is cloned, and put back on every
+    /// path. [`JmbError::NoReference`] before the first measurement.
+    pub(crate) fn with_precoder<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &Precoder) -> Result<R, JmbError>,
+    ) -> Result<R, JmbError> {
+        let precoder = self.precoder.take().ok_or(JmbError::NoReference)?;
+        let out = f(self, &precoder);
+        self.precoder = Some(precoder);
+        out
+    }
+}

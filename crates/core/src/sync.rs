@@ -680,7 +680,7 @@ mod tests {
         }
 
         impl SampleRig {
-            fn obs<'a>(&'a mut self, plan: Option<&'a MeasurementPlan>) -> SampleObserver<'a> {
+            fn obs(&mut self, plan: Option<MeasurementPlan>) -> SampleObserver<'_> {
                 SampleObserver {
                     medium: &mut self.medium,
                     rng: &mut self.rng,
@@ -704,7 +704,7 @@ mod tests {
                     }
                 }
                 self.t_h = t0;
-                s.on_measurement(&mut self.obs(Some(&plan)), t0, 10.0);
+                s.on_measurement(&mut self.obs(Some(plan)), t0, 10.0);
             }
             fn header(
                 &mut self,

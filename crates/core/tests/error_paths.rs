@@ -84,7 +84,7 @@ fn measurement_shape_on_mismatched_estimates() {
 }
 
 /// One network of either fidelity behind the control-plane surface both
-/// expose; only how a batch is sent and where the trace lives differ.
+/// expose; only how a batch is sent differs.
 struct Cell<N> {
     net: N,
     set_sync: fn(&mut N, SyncStrategyId),
@@ -179,7 +179,7 @@ fn both_fidelities(strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
             },
             health: FastNet::sync_health,
             last_sync: FastNet::last_sync,
-            trace: |n| &mut n.trace,
+            trace: FastNet::trace,
         },
         strategy,
     );
@@ -197,7 +197,7 @@ fn both_fidelities(strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
             },
             health: JmbNetwork::sync_health,
             last_sync: JmbNetwork::last_sync,
-            trace: |n| &mut n.medium_mut().trace,
+            trace: JmbNetwork::trace,
         },
         strategy,
     );

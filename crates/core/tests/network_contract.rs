@@ -7,120 +7,17 @@
 //! later, and 50 µs after its last sample the air is free again.
 
 use jmb_core::baseline::frame_airtime;
-use jmb_core::fastnet::{FastConfig, FastNet};
-use jmb_core::measure::MeasurementPlan;
-use jmb_core::net::{JmbNetwork, NetConfig};
+use jmb_core::fastnet::{FastConfig, FastEval};
+use jmb_core::net::{NetConfig, SampleEval};
+use jmb_core::network::{LinkEval, Network};
 use jmb_core::{JmbError, SyncStrategyId};
 use jmb_dsp::CMat;
-use jmb_obs::Trace;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultConfig, FaultSchedule};
 
-/// The surface the contract is written against.
-trait Net: Sized {
-    type Config: Clone;
-    fn new(cfg: Self::Config) -> Result<Self, JmbError>;
-    fn now(&self) -> f64;
-    fn advance(&mut self, dt: f64);
-    fn run_measurement(&mut self) -> Result<(), JmbError>;
-    fn measurement_airtime_s(&self) -> f64;
-    fn measured_channel(&self) -> Option<&[CMat]>;
-    fn k_hat(&self) -> Option<f64>;
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule);
-    fn set_sync_strategy(&mut self, kind: SyncStrategyId);
-    fn trace(&mut self) -> &mut Trace;
-    /// Sample period and turnaround `t_Δ`, seconds.
-    fn timeline(&self) -> (f64, f64);
-    /// One joint transmission to every client; returns the airtime of its
-    /// data frame.
-    fn transmit(&mut self) -> Result<f64, JmbError>;
-}
-
-impl Net for FastNet {
-    type Config = FastConfig;
-    fn new(cfg: FastConfig) -> Result<Self, JmbError> {
-        FastNet::new(cfg)
-    }
-    fn now(&self) -> f64 {
-        self.now()
-    }
-    fn advance(&mut self, dt: f64) {
-        self.advance(dt)
-    }
-    fn run_measurement(&mut self) -> Result<(), JmbError> {
-        self.run_measurement()
-    }
-    fn measurement_airtime_s(&self) -> f64 {
-        self.measurement_airtime_s()
-    }
-    fn measured_channel(&self) -> Option<&[CMat]> {
-        self.measured_channel()
-    }
-    fn k_hat(&self) -> Option<f64> {
-        self.k_hat()
-    }
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.set_fault_schedule(schedule)
-    }
-    fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
-        self.set_sync_strategy(kind)
-    }
-    fn trace(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-    fn timeline(&self) -> (f64, f64) {
-        let cfg = self.config();
-        (cfg.params.sample_period(), cfg.turnaround_s)
-    }
-    fn transmit(&mut self) -> Result<f64, JmbError> {
-        self.joint_transmit(7e-4, 2, &[], true).map(|_| 7e-4)
-    }
-}
-
-impl Net for JmbNetwork {
-    type Config = NetConfig;
-    fn new(cfg: NetConfig) -> Result<Self, JmbError> {
-        JmbNetwork::new(cfg)
-    }
-    fn now(&self) -> f64 {
-        self.now()
-    }
-    fn advance(&mut self, dt: f64) {
-        self.advance(dt)
-    }
-    fn run_measurement(&mut self) -> Result<(), JmbError> {
-        self.run_measurement()
-    }
-    fn measurement_airtime_s(&self) -> f64 {
-        let cfg = self.config();
-        let plan = MeasurementPlan::with_order(cfg.n_aps, cfg.rounds, cfg.slot_order);
-        plan.total_len(&cfg.params) as f64 * cfg.params.sample_period() + 50e-6
-    }
-    fn measured_channel(&self) -> Option<&[CMat]> {
-        self.measured_channel()
-    }
-    fn k_hat(&self) -> Option<f64> {
-        self.k_hat()
-    }
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.set_fault_schedule(schedule)
-    }
-    fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
-        self.set_sync_strategy(kind)
-    }
-    fn trace(&mut self) -> &mut Trace {
-        &mut self.medium_mut().trace
-    }
-    fn timeline(&self) -> (f64, f64) {
-        let cfg = self.config();
-        (cfg.params.sample_period(), cfg.turnaround_s)
-    }
-    fn transmit(&mut self) -> Result<f64, JmbError> {
-        let payloads = vec![vec![0x5Au8; 40]; self.config().n_clients];
-        self.joint_transmit(&payloads, Mcs::BASE, true)?;
-        Ok(frame_airtime(&self.config().params, Mcs::BASE, 40))
-    }
-}
+/// One joint transmission to every client; returns the airtime of its data
+/// frame.
+type Transmit<L> = fn(&mut Network<L>) -> Result<f64, JmbError>;
 
 fn bits(h: Option<&[CMat]>) -> Vec<(u64, u64)> {
     let cell = |m: &CMat, r, c| (m[(r, c)].re.to_bits(), m[(r, c)].im.to_bits());
@@ -130,42 +27,36 @@ fn bits(h: Option<&[CMat]>) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn network_contract<N: Net>(cfg: N::Config) {
+/// `timeline` is the config's sample period and turnaround `t_Δ`, seconds.
+fn network_contract<L: LinkEval>(cfg: L::Config, timeline: (f64, f64), transmit: Transmit<L>)
+where
+    L::Config: Clone,
+{
     let lossy = |p: f64| {
         let faults = FaultConfig::builder().meas_loss_chance(p).build();
         FaultSchedule::constant(faults.expect("valid"))
     };
-    // `JmbNetwork` adds the packet and the 50 µs to the clock one after the
-    // other, `FastNet` their sum: the same instant to within a rounding.
-    let elapsed = |net: &N, t0: f64| {
-        let want = t0 + net.measurement_airtime_s();
-        assert!(
-            (net.now() - want).abs() <= f64::EPSILON * want,
-            "{} vs {want}",
-            net.now()
-        );
-    };
-    let mut net = N::new(cfg.clone()).expect("valid config");
+    let mut net = Network::<L>::new(cfg.clone()).expect("valid config");
 
     // Nothing goes out, and nothing is known, before the first measurement:
     // not after a lost one either, which still costs its airtime.
-    assert_eq!(net.transmit().unwrap_err(), JmbError::NoReference);
+    assert_eq!(transmit(&mut net).unwrap_err(), JmbError::NoReference);
     net.set_fault_schedule(lossy(1.0));
     let t0 = net.now();
     assert_eq!(net.run_measurement(), Err(JmbError::MeasurementLost));
-    elapsed(&net, t0);
+    assert_eq!(net.now(), t0 + net.measurement_airtime_s());
     assert!(net.measured_channel().is_none() && net.k_hat().is_none());
-    assert_eq!(net.transmit().unwrap_err(), JmbError::NoReference);
+    assert_eq!(transmit(&mut net).unwrap_err(), JmbError::NoReference);
 
     net.set_fault_schedule(lossy(0.0));
     let t0 = net.now();
     net.run_measurement().expect("clean measurement");
-    elapsed(&net, t0);
+    assert_eq!(net.now(), t0 + net.measurement_airtime_s());
     let (h, k_hat) = (bits(net.measured_channel()), net.k_hat());
     assert!(k_hat.is_some());
 
     // The same seed measures the same channel, bit for bit.
-    let mut twin = N::new(cfg).expect("valid config");
+    let mut twin = Network::<L>::new(cfg).expect("valid config");
     twin.advance(net.measurement_airtime_s());
     twin.run_measurement().expect("clean measurement");
     assert_eq!(bits(twin.measured_channel()), h);
@@ -173,19 +64,19 @@ fn network_contract<N: Net>(cfg: N::Config) {
     // One frame: header at `now`, data a turnaround after the header's
     // last sample, the air free 50 µs after the data's.
     net.advance(1e-3);
-    let (ts, turnaround_s) = net.timeline();
+    let (ts, turnaround_s) = timeline;
     let t_d = net.now() + 320.0 * ts + turnaround_s;
-    let duration_s = net.transmit().expect("joint transmission");
+    let duration_s = transmit(&mut net).expect("joint transmission");
     assert_eq!(net.now(), t_d + duration_s + 50e-6);
 
     // A measurement lost later leaves what the last good one stored.
     net.set_fault_schedule(lossy(1.0));
     let t0 = net.now();
     assert_eq!(net.run_measurement(), Err(JmbError::MeasurementLost));
-    elapsed(&net, t0);
+    assert_eq!(net.now(), t0 + net.measurement_airtime_s());
     assert_eq!(bits(net.measured_channel()), h);
     assert_eq!(net.k_hat(), k_hat);
-    net.transmit().expect("the slaves kept their references");
+    transmit(&mut net).expect("the slaves kept their references");
 
     // Time only moves forward.
     let t0 = net.now();
@@ -202,10 +93,20 @@ fn network_contract<N: Net>(cfg: N::Config) {
 
 #[test]
 fn fast_network_keeps_the_contract() {
-    network_contract::<FastNet>(FastConfig::default_with(3, 2, vec![20.0; 2], 7));
+    let cfg = FastConfig::default_with(3, 2, vec![20.0; 2], 7);
+    let timeline = (cfg.params.sample_period(), cfg.turnaround_s);
+    let transmit: Transmit<FastEval> = |net| net.joint_transmit(7e-4, 2, &[], true).map(|_| 7e-4);
+    network_contract(cfg, timeline, transmit);
 }
 
 #[test]
 fn sample_network_keeps_the_contract() {
-    network_contract::<JmbNetwork>(NetConfig::default_with(3, 2, 22.0, 48));
+    let cfg = NetConfig::default_with(3, 2, 22.0, 48);
+    let timeline = (cfg.params.sample_period(), cfg.turnaround_s);
+    let transmit: Transmit<SampleEval> = |net| {
+        let payloads = vec![vec![0x5Au8; 40]; net.config().n_clients];
+        net.joint_transmit(&payloads, Mcs::BASE, true)?;
+        Ok(frame_airtime(&net.config().params, Mcs::BASE, 40))
+    };
+    network_contract(cfg, timeline, transmit);
 }

@@ -28,7 +28,7 @@ pub const LINTS: &[LintInfo] = &[
         name: "no-panic-hot-path",
         severity: Severity::Deny,
         description: "forbid unwrap/expect/panic!/unreachable!/todo!/unimplemented!/assert! in \
-                      non-test hot-path code (fastnet, net, precoder, mac, csi, jmb-sim, \
+                      non-test hot-path code (fastnet, net, network, precoder, mac, csi, jmb-sim, \
                       jmb-traffic, jmb-scenario, phy decode chain); steer toward JmbError",
     },
     LintInfo {
@@ -122,6 +122,7 @@ fn is_hot_path(rel: &str) -> bool {
     const CORE_HOT: &[&str] = &[
         "crates/core/src/fastnet.rs",
         "crates/core/src/net.rs",
+        "crates/core/src/network.rs",
         "crates/core/src/control.rs",
         "crates/core/src/precoder.rs",
         "crates/core/src/mac.rs",

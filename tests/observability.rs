@@ -112,7 +112,7 @@ fn sinks_do_not_perturb_simulation_results() {
 fn fastbackend_trace_times_are_monotone() {
     let mut sim = storm_sim(21);
     sim.trace.enable();
-    sim.backend_mut().net_mut().trace.enable();
+    sim.backend_mut().net_mut().trace().enable();
     sim.run();
     sim.trace
         .query()
@@ -120,10 +120,10 @@ fn fastbackend_trace_times_are_monotone() {
         .assert_monotone_seq();
     let net = sim.backend_mut().net_mut();
     assert!(
-        !net.trace.events().is_empty(),
+        !net.trace().events().is_empty(),
         "storm produced no FastNet events"
     );
-    net.trace
+    net.trace()
         .query()
         .assert_monotone_time()
         .assert_monotone_seq();
