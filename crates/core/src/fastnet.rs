@@ -18,7 +18,7 @@
 
 use crate::control::BatchSync;
 use crate::error::JmbError;
-use crate::network::{drawn_link, validate_shape, Deployment, LinkEval, Network};
+use crate::network::{drawn_link, validate_shape, Deployment, LinkEval, Network, Served};
 use crate::precoder::Precoder;
 use crate::sync::{LeadObserver, SyncStrategyId};
 use jmb_channel::multipath::MultipathSpec;
@@ -28,6 +28,7 @@ use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
+use jmb_phy::esnr::MCS_THRESHOLD_DB;
 use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{NodeId, SubcarrierMedium};
@@ -308,6 +309,27 @@ impl LinkEval for FastEval {
     ) -> R {
         f(&mut self.observer(aps, rng))
     }
+
+    /// A [`FastNet::joint_transmit_subset`], each stream's EESM effective
+    /// SNR held against the threshold of the rate it went out at.
+    fn serve<'a>(
+        net: &'a mut FastNet,
+        dests: &[usize],
+        payload_len: usize,
+        active_aps: &[usize],
+    ) -> Result<Served<'a>, JmbError> {
+        let out = net.joint_transmit_subset(dests, active_aps, payload_len, 2, true)?;
+        let (mcs, airtime_s) = (out.mcs, out.airtime_s);
+        let margin_db = &mut net.link.scratch.eff_snr_db;
+        for snr_db in margin_db.iter_mut() {
+            *snr_db -= MCS_THRESHOLD_DB[mcs.index()];
+        }
+        Ok(Served {
+            mcs,
+            airtime_s,
+            margin_db,
+        })
+    }
 }
 
 impl FastEval {
@@ -374,7 +396,7 @@ impl FastNet {
     /// reference channels, stay valid.
     pub fn evolve_client_links(&mut self, client: usize, dt: f64) {
         let c = self.clients[client];
-        let mut rng = jmb_dsp::rng::derive_rng(self.link.cfg.seed, 0xE70 ^ client as u64);
+        let mut rng = jmb_dsp::rng::derive_rng(self.seed(), 0xE70 ^ client as u64);
         for &ap in &self.aps {
             if let Some(link) = self.link.medium.link_mut(ap, c) {
                 link.evolve(dt, &mut rng);

@@ -32,7 +32,7 @@
 
 use crate::error::JmbError;
 use crate::measure::{self, MeasurementPlan, REF_ANCHOR};
-use crate::network::{drawn_link, validate_shape, Deployment, LinkEval, Network};
+use crate::network::{drawn_link, validate_shape, Deployment, LinkEval, Network, Served};
 use crate::precoder::Precoder;
 use crate::sync::{LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ};
 use jmb_channel::multipath::MultipathSpec;
@@ -143,6 +143,8 @@ pub struct SampleEval {
     /// symbols, LLR/depuncture buffers and the Viterbi decision lanes are
     /// allocated once per network, not once per frame.
     rx_scratch: jmb_phy::frame::RxScratch,
+    /// The CRC verdicts of the last served batch, as [`Served::margin_db`].
+    verdicts: Vec<f64>,
 }
 
 /// The sample-level network.
@@ -243,6 +245,7 @@ impl LinkEval for SampleEval {
                 ftx: FrameTx::new(params.clone()),
                 frx: FrameRx::new(params),
                 rx_scratch: jmb_phy::frame::RxScratch::new(),
+                verdicts: Vec::new(),
             },
         })
     }
@@ -329,6 +332,41 @@ impl LinkEval for SampleEval {
             t_h,
             header_noise_var: 32.0 * self.cfg.ap_noise_var,
             heard: None,
+        })
+    }
+
+    /// A [`JmbNetwork::joint_transmit_masked`] at the rate §9 selects (the
+    /// base rate if none clears): one payload per client — the network
+    /// transmits one stream each, clients outside the batch get a zero
+    /// payload of the same length — and an ACK is a CRC that checked out.
+    fn serve<'a>(
+        net: &'a mut JmbNetwork,
+        dests: &[usize],
+        payload_len: usize,
+        active_aps: &[usize],
+    ) -> Result<Served<'a>, JmbError> {
+        let mcs = net.select_rate().unwrap_or(Mcs::BASE);
+        let mut payloads = vec![vec![0u8; payload_len.max(1)]; net.clients.len()];
+        for (s, &d) in dests.iter().enumerate() {
+            for (i, b) in payloads[d].iter_mut().enumerate() {
+                *b = (i as u8).wrapping_mul(7).wrapping_add(s as u8);
+            }
+        }
+        let mask: Vec<bool> = (0..net.aps.len())
+            .map(|i| active_aps.contains(&i))
+            .collect();
+        let results = net.joint_transmit_masked(&payloads, mcs, true, Some(&mask))?;
+        let link = &mut net.link;
+        link.verdicts.clear();
+        link.verdicts
+            .extend(dests.iter().map(|&d| match results[d] {
+                Ok(_) => f64::INFINITY,
+                Err(_) => f64::NEG_INFINITY,
+            }));
+        Ok(Served {
+            mcs,
+            airtime_s: crate::baseline::frame_airtime(&link.cfg.params, mcs, payload_len),
+            margin_db: &link.verdicts,
         })
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! That is [`LinkEval`], the fidelity and nothing else: build the medium and
 //! its links from a config, estimate the joint channel at one instant, lend
-//! the slaves' [`LeadObserver`].
+//! the slaves' [`LeadObserver`], and serve one MAC batch.
 //! [`crate::fastnet::FastEval`] does it per subcarrier,
 //! [`crate::net::SampleEval`] with real waveforms; `FastNet` and
 //! `JmbNetwork` name the two instantiations, and what only one fidelity can
@@ -34,6 +34,7 @@ use jmb_dsp::rng::JmbRng;
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::{EventKind, Trace};
 use jmb_phy::params::OfdmParams;
+use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultSchedule, NodeId};
 use rand::Rng;
 
@@ -97,6 +98,16 @@ pub trait LinkEval: Sized {
         measurement: bool,
         f: impl FnOnce(&mut dyn LeadObserver) -> R,
     ) -> R;
+
+    /// Serves one MAC batch: one stream per entry of `dests` (distinct
+    /// clients), every payload `payload_len` bytes, from the APs in
+    /// `active_aps`, at the rate the measured channel supports.
+    fn serve<'a>(
+        net: &'a mut Network<Self>,
+        dests: &[usize],
+        payload_len: usize,
+        active_aps: &[usize],
+    ) -> Result<Served<'a>, JmbError>;
 }
 
 /// What [`LinkEval::deploy`] hands the protocol: the built links, who is on
@@ -120,6 +131,19 @@ pub struct Deployment<L> {
     pub turnaround_s: f64,
     /// Interleaved rounds of the measurement packet.
     pub rounds: usize,
+}
+
+/// How one MAC batch fared ([`LinkEval::serve`]), lent from the network.
+#[derive(Debug, Clone, Copy)]
+pub struct Served<'a> {
+    /// The rate of the joint transmission (shared by every stream, §9).
+    pub mcs: Mcs,
+    /// Airtime of the data frame, seconds.
+    pub airtime_s: f64,
+    /// Per stream, how far (dB) it cleared the rate's threshold: an
+    /// effective-SNR margin where reception is modelled, `±∞` where a real
+    /// receiver's CRC already said yes or no.
+    pub margin_db: &'a [f64],
 }
 
 /// The shape rules every network config starts with.
@@ -186,6 +210,7 @@ pub struct Network<L: LinkEval> {
     pub(crate) h_meas: Option<Vec<CMat>>,
     pub(crate) precoder: Option<Precoder>,
     pub(crate) rng: JmbRng,
+    seed: u64,
     /// Events are stamped on the frame timeline (header at `now`, sync
     /// measurements at `t_meas`), which only moves forward — the stream is
     /// monotone in time by construction, and the integration tests assert it.
@@ -209,6 +234,7 @@ impl<L: LinkEval> Network<L> {
             h_meas: None,
             precoder: None,
             rng: d.rng,
+            seed: d.seed,
             now: 1e-4,
             sample_period_s: d.params.sample_period(),
             turnaround_s: d.turnaround_s,
@@ -221,6 +247,11 @@ impl<L: LinkEval> Network<L> {
     /// The configuration the network was built with.
     pub fn config(&self) -> &L::Config {
         self.link.config()
+    }
+
+    /// Master seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// The control-plane event trace (disabled until enabled).

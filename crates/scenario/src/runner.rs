@@ -19,13 +19,14 @@ use crate::error::ScenarioError;
 use crate::manifest::{rebuilt, Backend, Manifest, Topology};
 use crate::report::{ScenarioReport, Verdict};
 use jmb_city::{City, CityConfig, Reuse};
-use jmb_core::fastnet::FastConfig;
-use jmb_core::net::NetConfig;
-use jmb_obs::{EventKind, StopCause, Trace};
+use jmb_core::fastnet::{FastConfig, FastEval};
+use jmb_core::net::{NetConfig, SampleEval};
+use jmb_core::network::LinkEval;
+use jmb_obs::{EventKind, StopCause, SyncStrategyId, Trace};
 use jmb_sim::FaultSchedule;
 use jmb_traffic::{
-    ArrivalProcess, FastBackend, PacketSizeDist, RunLimits, SampleBackend, TrafficConfig,
-    TrafficMetrics, TrafficSim, TransmitBackend,
+    ArrivalProcess, PacketSizeDist, RunLimits, TrafficConfig, TrafficMetrics, TrafficSim,
+    TransmitBackend,
 };
 
 /// Knobs the CLI may override without editing the manifest.
@@ -164,26 +165,32 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunOutput, Scenar
     let seed = opts.seed.unwrap_or(m.seed);
     match plan(m, seed, opts.threads.unwrap_or(1).max(1))? {
         Plan::Fast(cfg, traffic, faults) => run_single(m, seed, &traffic, |clean| {
-            let mut b = FastBackend::new(cfg.clone()).map_err(sim_error)?;
-            if !clean {
-                b.net_mut().set_fault_schedule(faults.clone());
-            }
-            Ok(b)
+            cell::<FastEval>(cfg.clone(), m.sync, (!clean).then_some(&faults))
         }),
         Plan::Sample(cfg, traffic, faults) => run_single(m, seed, &traffic, |clean| {
-            let mut b = SampleBackend::new(cfg.clone()).map_err(sim_error)?;
-            // Before the faults: the switch re-measures, and that
-            // exchange is construction, not part of the run.
-            if m.sync != b.sync_strategy() {
-                b.set_sync_strategy(m.sync);
-            }
-            if !clean {
-                b.net_mut().set_fault_schedule(faults.clone());
-            }
-            Ok(b)
+            cell::<SampleEval>(cfg.clone(), m.sync, (!clean).then_some(&faults))
         }),
         Plan::City(cfg) => run_city(m, seed, cfg),
     }
+}
+
+/// Builds a single cell's backend at either fidelity, on `sync` and under
+/// `faults`.
+fn cell<L: LinkEval>(
+    cfg: L::Config,
+    sync: SyncStrategyId,
+    faults: Option<&FaultSchedule>,
+) -> Result<jmb_traffic::Backend<L>, ScenarioError> {
+    let mut b = jmb_traffic::Backend::new(cfg).map_err(sim_error)?;
+    // Before the faults: a switch re-measures, and that exchange is
+    // construction, not part of the run.
+    if sync != b.sync_strategy() {
+        b.set_sync_strategy(sync);
+    }
+    if let Some(faults) = faults {
+        b.net_mut().set_fault_schedule(faults.clone());
+    }
+    Ok(b)
 }
 
 /// Compiles the `[limits]` section into `RunLimits`. The wall-clock

@@ -2,20 +2,19 @@
 //!
 //! The event loop only needs one thing from the physical layer: "serve this
 //! joint batch from these live APs, tell me how long it took and who
-//! ACKed". [`TransmitBackend`] captures exactly that, so the same traffic
-//! simulation runs over the per-subcarrier [`FastNet`] (large sweeps) or
-//! the sample-level [`JmbNetwork`] (full-PHY validation, fault injection
-//! through the real CRC path).
+//! ACKed". [`TransmitBackend`] captures exactly that, and [`Backend`]
+//! implements it once over a [`Network`] of either fidelity: per-subcarrier
+//! ([`FastBackend`], large sweeps) or sample-level ([`SampleBackend`],
+//! full-PHY validation, fault injection through the real CRC path).
 
-use jmb_core::baseline;
 use jmb_core::control::BatchSync;
 use jmb_core::csi::{BackoffPolicy, CsiTracker};
 use jmb_core::error::JmbError;
-use jmb_core::fastnet::{FastConfig, FastNet};
-use jmb_core::net::{JmbNetwork, NetConfig};
+use jmb_core::fastnet::FastEval;
+use jmb_core::net::SampleEval;
+use jmb_core::network::{LinkEval, Network};
 use jmb_core::sync::SyncStrategyId;
 use jmb_dsp::rng::JmbRng;
-use jmb_phy::esnr::MCS_THRESHOLD_DB;
 use jmb_phy::rates::Mcs;
 use rand::Rng;
 
@@ -105,15 +104,20 @@ pub trait TransmitBackend {
     fn set_sync_strategy(&mut self, kind: SyncStrategyId);
 }
 
-/// Per-subcarrier backend over [`FastNet`]: SINR → packet success through
-/// an EESM-margin error model. Fast enough for load sweeps.
-pub struct FastBackend {
-    net: FastNet,
+/// A [`Network`] of either fidelity under the event loop.
+///
+/// Keeps the network's clock on the event loop's, re-measures a channel
+/// that has gone stale (§5.1, §7) and reports what the control plane did;
+/// who ACKed is the fidelity's [`LinkEval::serve`] held against one error
+/// model.
+pub struct Backend<L: LinkEval> {
+    net: Network<L>,
+    /// The ACK stream (`0x7AFF`), one draw per stream served.
     rng: JmbRng,
     /// CSI age / re-measurement scheduler. The precoder is computed from
-    /// `h_meas`, so under fading it goes stale; JMB re-measures on demand
-    /// (§5.1), and when the measurement frame itself is lost the tracker
-    /// backs off exponentially before retrying (§7 robustness).
+    /// the measured channel, so under fading it goes stale; JMB re-measures
+    /// on demand (§5.1), and when the measurement frame itself is lost the
+    /// tracker backs off exponentially before retrying (§7 robustness).
     tracker: CsiTracker,
     /// Backend-local clock, seconds of `advance` accumulated since `new`.
     clock_s: f64,
@@ -125,22 +129,33 @@ pub struct FastBackend {
     debt_s: f64,
 }
 
-impl FastBackend {
+/// Per-subcarrier backend over [`FastNet`]: SINR → packet success through
+/// an EESM-margin error model. Fast enough for load sweeps.
+///
+/// [`FastNet`]: jmb_core::fastnet::FastNet
+pub type FastBackend = Backend<FastEval>;
+
+/// Sample-level backend over [`JmbNetwork`]: every batch is a real OFDM
+/// joint transmission and an ACK is a real CRC-checked decode. Orders of
+/// magnitude slower — use for validation and fault-injection runs.
+///
+/// [`JmbNetwork`]: jmb_core::net::JmbNetwork
+pub type SampleBackend = Backend<SampleEval>;
+
+impl<L: LinkEval> Backend<L> {
     /// Channel age after which the next batch triggers re-measurement,
-    /// seconds. Default for [`FastBackend::new`].
+    /// seconds.
     pub const DEFAULT_STALE_AFTER_S: f64 = 50e-3;
 
     /// Builds the network, runs the measurement phase, and derives the
     /// ACK-model RNG from the config seed.
-    pub fn new(cfg: FastConfig) -> Result<Self, JmbError> {
-        let rng = jmb_dsp::rng::derive_rng(cfg.seed, 0x7AFF);
-        let n_aps = cfg.n_aps;
-        let n_clients = cfg.n_clients;
-        let mut net = FastNet::new(cfg)?;
+    pub fn new(cfg: L::Config) -> Result<Self, JmbError> {
+        let mut net = Network::new(cfg)?;
+        let rng = jmb_dsp::rng::derive_rng(net.seed(), 0x7AFF);
         net.run_measurement()?;
         let mut tracker = CsiTracker::new(
-            n_aps,
-            n_clients,
+            net.ap_nodes().len(),
+            net.client_nodes().len(),
             Self::DEFAULT_STALE_AFTER_S,
             BackoffPolicy::default(),
         )?;
@@ -149,7 +164,7 @@ impl FastBackend {
         // clock; the traffic simulation starts at t = 0. Book the offset as
         // debt so `net.now()` converges onto sim time.
         let debt_s = net.now();
-        Ok(FastBackend {
+        Ok(Backend {
             net,
             rng,
             tracker,
@@ -159,8 +174,8 @@ impl FastBackend {
     }
 
     /// Access to the wrapped network (e.g. to evolve fading between runs,
-    /// or to inject control-frame faults).
-    pub fn net_mut(&mut self) -> &mut FastNet {
+    /// or to inject faults).
+    pub fn net_mut(&mut self) -> &mut Network<L> {
         &mut self.net
     }
 
@@ -169,23 +184,31 @@ impl FastBackend {
         &self.tracker
     }
 
-    /// Packet error rate from the EESM margin above the MCS threshold.
+    /// Packet error rate from a stream's margin above the MCS threshold.
     ///
     /// Calibrated to the rate table's design point: ~10% PER right at
     /// threshold, an order of magnitude per ~2.3 dB of margin, saturating
-    /// at 1 below threshold.
+    /// at 1 below threshold — and at the `±∞` a real decode reports, 0 or 1.
     pub fn per_from_margin(margin_db: f64) -> f64 {
         (0.1 * (-margin_db).exp()).min(1.0)
     }
 }
 
-impl TransmitBackend for FastBackend {
+impl SampleBackend {
+    /// The MCS every batch goes out at until the next measurement: the
+    /// network's own §9 rate selection (base rate if none clears).
+    pub fn mcs(&self) -> Mcs {
+        self.net.select_rate().unwrap_or(Mcs::BASE)
+    }
+}
+
+impl<L: LinkEval> TransmitBackend for Backend<L> {
     fn n_aps(&self) -> usize {
-        self.net.config().n_aps
+        self.net.ap_nodes().len()
     }
 
     fn n_clients(&self) -> usize {
-        self.net.config().n_clients
+        self.net.client_nodes().len()
     }
 
     fn advance(&mut self, dt: f64) {
@@ -225,26 +248,23 @@ impl TransmitBackend for FastBackend {
                 Err(e) => return Err(e),
             }
         }
-        let result = self
-            .net
-            .joint_transmit_subset(dests, active_aps, payload_len, 2, true);
-        let (airtime_s, mcs_index, acked) = match result {
-            Ok(out) => {
-                let threshold = MCS_THRESHOLD_DB[out.mcs.index()];
-                let acked = out
-                    .eff_snr_db
-                    .iter()
-                    .map(|&snr| self.rng.gen::<f64>() >= Self::per_from_margin(snr - threshold))
-                    .collect();
-                (out.airtime_s, out.mcs.index(), acked)
-            }
-            // Not enough sync'd slaves for this batch width: the joint
-            // transmission never launched. Nobody ACKs and the MAC retry
-            // path takes over, but the misses and degradations happened —
-            // the sync record below still reaches the traffic layer.
-            Err(JmbError::SyncHeaderMissed { .. }) => (0.0, 0, vec![false; dests.len()]),
-            Err(e) => return Err(e),
-        };
+        let (airtime_s, mcs_index, acked) =
+            match L::serve(&mut self.net, dests, payload_len, active_aps) {
+                Ok(out) => {
+                    let acked = out
+                        .margin_db
+                        .iter()
+                        .map(|&margin| self.rng.gen::<f64>() >= Self::per_from_margin(margin))
+                        .collect();
+                    (out.airtime_s, out.mcs.index(), acked)
+                }
+                // Not enough sync'd slaves for this batch width: the joint
+                // transmission never launched. Nobody ACKs and the MAC retry
+                // path takes over, but the misses and degradations happened —
+                // the sync record below still reaches the traffic layer.
+                Err(JmbError::SyncHeaderMissed { .. }) => (0.0, 0, vec![false; dests.len()]),
+                Err(e) => return Err(e),
+            };
         let pilots_s = self.net.take_sync_control_airtime_s();
         let phase_err = self.net.sync_phase_error_rad();
         control.record_sync(self.net.last_sync(), pilots_s, phase_err);
@@ -269,106 +289,25 @@ impl TransmitBackend for FastBackend {
         self.net.sync_strategy()
     }
 
+    /// The new strategy holds no references: the channel is measured again
+    /// so the slaves are seeded. That exchange is construction, like the
+    /// one in `new` — booked as debt, not charged to the run. A lost one
+    /// leaves the slaves unseeded, every batch a miss, until the tracker's
+    /// next measurement.
     fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
+        let net_t_before = self.net.now();
         self.net.set_sync_strategy(kind);
-    }
-}
-
-/// Sample-level backend over [`JmbNetwork`]: every batch is a real OFDM
-/// joint transmission and an ACK is a real CRC-checked decode. Orders of
-/// magnitude slower — use for validation and fault-injection runs.
-pub struct SampleBackend {
-    net: JmbNetwork,
-    mcs: Mcs,
-}
-
-impl SampleBackend {
-    /// Builds the network and runs the measurement phase. The MCS comes
-    /// from the network's own §9 rate selection (base rate if none
-    /// clears).
-    pub fn new(cfg: NetConfig) -> Result<Self, JmbError> {
-        let mut net = JmbNetwork::new(cfg)?;
-        net.run_measurement()?;
-        let mcs = net.select_rate().unwrap_or(Mcs::BASE);
-        Ok(SampleBackend { net, mcs })
-    }
-
-    /// Access to the wrapped network (fault injection, traces).
-    pub fn net_mut(&mut self) -> &mut JmbNetwork {
-        &mut self.net
-    }
-
-    /// The MCS used for every batch.
-    pub fn mcs(&self) -> Mcs {
-        self.mcs
-    }
-}
-
-impl TransmitBackend for SampleBackend {
-    fn n_aps(&self) -> usize {
-        self.net.config().n_aps
-    }
-
-    fn n_clients(&self) -> usize {
-        self.net.config().n_clients
-    }
-
-    fn advance(&mut self, dt: f64) {
-        self.net.advance(dt);
-    }
-
-    fn transmit_batch(
-        &mut self,
-        dests: &[usize],
-        payload_len: usize,
-        active_aps: &[usize],
-    ) -> Result<TxReport, JmbError> {
-        let n_clients = self.net.config().n_clients;
-        let n_aps = self.net.config().n_aps;
-        // One payload per client (the network transmits one stream each);
-        // clients outside the batch get a zero payload of the same length.
-        let mut payloads = vec![vec![0u8; payload_len.max(1)]; n_clients];
-        for (s, &d) in dests.iter().enumerate() {
-            for (i, b) in payloads[d].iter_mut().enumerate() {
-                *b = (i as u8).wrapping_mul(7).wrapping_add(s as u8);
-            }
-        }
-        let mask: Vec<bool> = (0..n_aps).map(|i| active_aps.contains(&i)).collect();
-        let results = self
-            .net
-            .joint_transmit_masked(&payloads, self.mcs, true, Some(&mask))?;
-        let acked = dests.iter().map(|&d| results[d].is_ok()).collect();
-        let mut control = ControlInfo::default();
-        let pilots_s = self.net.take_sync_control_airtime_s();
-        let phase_err = self.net.sync_phase_error_rad();
-        control.record_sync(self.net.last_sync(), pilots_s, phase_err);
-        Ok(TxReport {
-            airtime_s: baseline::frame_airtime(&self.net.config().params, self.mcs, payload_len),
-            acked,
-            mcs_index: self.mcs.index(),
-            control,
-        })
-    }
-
-    fn sync_strategy(&self) -> SyncStrategyId {
-        self.net.sync_strategy()
-    }
-
-    fn set_sync_strategy(&mut self, kind: SyncStrategyId) {
-        self.net.set_sync_strategy(kind);
-        // The new backend holds no references, and this PHY measures only
-        // at construction: measure again so the slaves are seeded. A lost
-        // exchange leaves them unseeded — every batch a miss — and the rate
-        // as it was.
         if self.net.run_measurement().is_ok() {
-            self.mcs = self.net.select_rate().unwrap_or(Mcs::BASE);
+            self.tracker.record_success(self.clock_s);
         }
+        self.debt_s += self.net.now() - net_t_before;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jmb_core::fastnet::FastConfig;
 
     #[test]
     fn per_model_shape() {

@@ -19,6 +19,6 @@ pub mod metrics;
 pub mod sim;
 
 pub use arrival::{ArrivalGen, ArrivalProcess, PacketSizeDist};
-pub use backend::{ControlInfo, FastBackend, SampleBackend, TransmitBackend, TxReport};
+pub use backend::{Backend, ControlInfo, FastBackend, SampleBackend, TransmitBackend, TxReport};
 pub use metrics::{TimelineBin, TrafficMetrics};
 pub use sim::{ApOutage, BoundedRun, ClientLoad, RunLimits, TrafficConfig, TrafficSim};

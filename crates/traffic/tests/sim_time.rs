@@ -4,39 +4,23 @@
 //! either fidelity.
 
 use jmb_core::error::JmbError;
-use jmb_core::fastnet::FastConfig;
-use jmb_core::net::NetConfig;
+use jmb_core::fastnet::{FastConfig, FastEval};
+use jmb_core::net::{NetConfig, SampleEval};
+use jmb_core::network::LinkEval;
 use jmb_core::sync::SyncStrategyId;
 use jmb_sim::{FaultConfig, FaultSchedule};
-use jmb_traffic::{
-    ClientLoad, FastBackend, SampleBackend, TrafficConfig, TrafficSim, TransmitBackend, TxReport,
-};
+use jmb_traffic::{Backend, ClientLoad, TrafficConfig, TrafficSim, TransmitBackend, TxReport};
 
 /// How far a window edge may sit from where the schedule puts it: one
 /// header stretch (header + turnaround + SIFS, 216–232 µs) and a little.
 const EDGE_TOLERANCE_S: f64 = 250e-6;
 
-/// What the backend under test lets the test reach of its network.
-struct Reach<B> {
-    now: fn(&mut B) -> f64,
-    faults: fn(&mut B, FaultSchedule),
+fn fast() -> FastConfig {
+    FastConfig::default_with(2, 2, vec![22.0; 2], 1)
 }
 
-const FAST: Reach<FastBackend> = Reach {
-    now: |b| b.net_mut().now(),
-    faults: |b, f| b.net_mut().set_fault_schedule(f),
-};
-const SAMPLE: Reach<SampleBackend> = Reach {
-    now: |b| b.net_mut().now(),
-    faults: |b, f| b.net_mut().set_fault_schedule(f),
-};
-
-fn fast() -> FastBackend {
-    FastBackend::new(FastConfig::default_with(2, 2, vec![22.0; 2], 1)).expect("backend")
-}
-
-fn sample() -> SampleBackend {
-    SampleBackend::new(NetConfig::default_with(2, 2, 22.0, 1)).expect("backend")
+fn sample() -> NetConfig {
+    NetConfig::default_with(2, 2, 22.0, 1)
 }
 
 /// One served batch, as the event loop saw it.
@@ -50,14 +34,13 @@ struct Served {
 
 /// Keeps the event loop's clock beside the backend's, the way `TrafficSim`
 /// keeps its `phy_t`: idle time it advances through plus airtime charged.
-struct Clocked<B> {
-    inner: B,
-    reach: Reach<B>,
+struct Clocked<L: LinkEval> {
+    inner: Backend<L>,
     t: f64,
     served: Vec<Served>,
 }
 
-impl<B: TransmitBackend> TransmitBackend for Clocked<B> {
+impl<L: LinkEval> TransmitBackend for Clocked<L> {
     fn n_aps(&self) -> usize {
         self.inner.n_aps()
     }
@@ -80,7 +63,7 @@ impl<B: TransmitBackend> TransmitBackend for Clocked<B> {
         self.served.push(Served {
             start_s,
             missed: report.control.missed_slaves.clone(),
-            lead_s: (self.reach.now)(&mut self.inner) - self.t,
+            lead_s: self.inner.net_mut().now() - self.t,
         });
         Ok(report)
     }
@@ -97,18 +80,19 @@ impl<B: TransmitBackend> TransmitBackend for Clocked<B> {
 /// saturated from then on: the batches that report the miss are the ones
 /// the event loop starts inside the window, and the network clock never
 /// strays a millisecond from the event loop's.
-fn fault_window_edges_land_in_sim_time<B: TransmitBackend>(mut inner: B, reach: Reach<B>) {
+fn fault_window_edges_land_in_sim_time<L: LinkEval>(cfg: L::Config) {
+    let mut inner = Backend::<L>::new(cfg).expect("backend");
     let (from_s, until_s) = (6e-3, 14e-3);
     let storm = FaultConfig::builder().per_slave_sync_loss(1, 1.0).build();
     let window = FaultSchedule::none().with_window(from_s, until_s, storm.expect("valid"));
-    (reach.faults)(&mut inner, window.expect("valid window"));
+    let window = window.expect("valid window");
+    inner.net_mut().set_fault_schedule(window);
     let mut cfg = TrafficConfig::default_with(vec![ClientLoad::poisson(4000.0, 300); 2], 1);
     cfg.start_s = 2e-3;
     cfg.duration_s = 16e-3;
     cfg.drain_timeout_s = 0.0;
     let mut clocked = Clocked {
         inner,
-        reach,
         t: 0.0,
         served: Vec::new(),
     };
@@ -140,9 +124,11 @@ fn fault_window_edges_land_in_sim_time<B: TransmitBackend>(mut inner: B, reach: 
 
 /// Every measurement frame is lost: the exchange that falls due once the
 /// channel is 50 ms old is attempted, charged and rescheduled.
-fn lost_measurement_is_retried_and_charged<B: TransmitBackend>(mut b: B, reach: Reach<B>) {
+fn lost_measurement_is_retried_and_charged<L: LinkEval>(cfg: L::Config) {
+    let mut b = Backend::<L>::new(cfg).expect("backend");
     let lossy = FaultConfig::builder().meas_loss_chance(1.0).build();
-    (reach.faults)(&mut b, FaultSchedule::constant(lossy.expect("valid")));
+    b.net_mut()
+        .set_fault_schedule(FaultSchedule::constant(lossy.expect("valid")));
     b.advance(60e-3);
     let report = b.transmit_batch(&[0, 1], 300, &[0, 1]).expect("batch");
     let control = report.control;
@@ -156,22 +142,20 @@ fn lost_measurement_is_retried_and_charged<B: TransmitBackend>(mut b: B, reach: 
 
 #[test]
 fn fault_window_edges_land_in_sim_time_on_the_fast_backend() {
-    fault_window_edges_land_in_sim_time(fast(), FAST);
+    fault_window_edges_land_in_sim_time::<FastEval>(fast());
 }
 
 #[test]
-#[ignore = "SampleBackend's clock gains 232 us a batch (+6.5 ms by 18 ms): the 6-14 ms window is live from sim 4.8 to 9.2 ms"]
 fn fault_window_edges_land_in_sim_time_on_the_sample_backend() {
-    fault_window_edges_land_in_sim_time(sample(), SAMPLE);
+    fault_window_edges_land_in_sim_time::<SampleEval>(sample());
 }
 
 #[test]
 fn lost_measurement_is_retried_and_charged_on_the_fast_backend() {
-    lost_measurement_is_retried_and_charged(fast(), FAST);
+    lost_measurement_is_retried_and_charged::<FastEval>(fast());
 }
 
 #[test]
-#[ignore = "SampleBackend measures once, at construction: no attempt, no retry, no charge"]
 fn lost_measurement_is_retried_and_charged_on_the_sample_backend() {
-    lost_measurement_is_retried_and_charged(sample(), SAMPLE);
+    lost_measurement_is_retried_and_charged::<SampleEval>(sample());
 }
