@@ -6,7 +6,8 @@
 //! failure/recovery schedules ([`ApOutage`]), and the resulting
 //! goodput/latency/fairness record ([`TrafficMetrics`]).
 //!
-//! The PHY plugs in through [`TransmitBackend`]: [`FastBackend`] for
+//! The PHY plugs in through [`TransmitBackend`], which [`Backend`]
+//! implements once over either fidelity: [`FastBackend`] for
 //! per-subcarrier sweeps, [`SampleBackend`] for full sample-level
 //! validation (real OFDM frames, real CRCs, fault injection).
 

@@ -21,10 +21,14 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Two greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Three greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate other than jmb-dsp's FFT plan cache —
-# and the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
-# two kernels, `channel_rows_into` and `Scratch::probe_sinr`.
+# the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
+# two kernels, `channel_rows_into` and `Scratch::probe_sinr` — and the
+# written-once rule (DESIGN.md §3.5, §3.6): each method of the networks'
+# shared surface has one `pub fn` under crates/core/src (CompatNet aside),
+# and one struct in crates/traffic/src carries a clock debt. The script ends
+# by printing (not gating) the size scan simplicity PRs quote.
 #
 # The jmb-lint deny pass includes the determinism lints
 # (no-unordered-iteration, float-reduction-order, no-ambient-parallelism,
@@ -71,5 +75,30 @@ if { kernel crates/sim/src/freq.rs 'pub fn channel_rows_into(' | grep -v 'let pa
   echo "Complex64::cis( inside channel_rows_into or Scratch::probe_sinr (walk a phasor_ramp instead)" >&2
   exit 1
 fi
+
+# The protocol is written once: a second `pub fn` of the shared surface
+# under crates/core/src, or a second struct with a `debt_s`, is a fork of
+# `Network<L>` / `Backend<L>` creeping back. (CompatNet keeps its own clock
+# and measurement on §6's timeline; `Precoder::k_hat` is the number itself.)
+shared=$(ls crates/core/src/*.rs | grep -v '/compat.rs$\|/precoder.rs$')
+for name in now advance sync_health last_sync sync_strategy set_sync_strategy \
+    sync_phase_error_rad take_sync_control_airtime_s set_fault_schedule \
+    measured_channel k_hat ap_nodes client_nodes run_measurement; do
+  # shellcheck disable=SC2086
+  n=$(cat $shared | grep -c 'pub fn '"$name"'(' || true)
+  if [ "$n" -ne 1 ]; then
+    echo "pub fn $name( is defined $n times under crates/core/src outside compat.rs and precoder.rs (once, in network.rs)" >&2
+    exit 1
+  fi
+done
+if [ "$(grep -rn '^ *debt_s: f64,' crates/traffic/src | wc -l)" -ne 1 ]; then
+  echo "debt_s must be a field of exactly one struct in crates/traffic/src (Backend<L>)" >&2
+  exit 1
+fi
+
+# Size, above the first #[cfg(test)] of each file, per program crate.
+for crate in crates/*/; do
+  find "$crate"src -name '*.rs' | sort | xargs awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { lines++; if (/pub fn/) fns++ } END { printf "%-18s %6d lines %4d pub fn\n", crate, lines, fns }' crate="$crate"
+done
 
 echo "tier-1 checks passed"
