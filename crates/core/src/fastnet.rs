@@ -245,9 +245,13 @@ impl LinkEval for FastEval {
             rng,
             seed: cfg.seed,
             sync: cfg.sync,
-            params: cfg.params.clone(),
+            sample_period_s: cfg.params.sample_period(),
             turnaround_s: cfg.turnaround_s,
-            rounds: cfg.rounds,
+            seed_cfo_sigma_hz: crate::measure::seed_cfo_sigma_hz(
+                &cfg.params,
+                cfg.rounds,
+                cfg.n_aps,
+            ),
             link: FastEval {
                 cfg,
                 medium,

@@ -234,9 +234,9 @@ impl LinkEval for SampleEval {
             rng,
             seed: cfg.seed,
             sync: SyncStrategyId::default(),
-            params: params.clone(),
+            sample_period_s: params.sample_period(),
             turnaround_s: cfg.turnaround_s,
-            rounds: cfg.rounds,
+            seed_cfo_sigma_hz: measure::seed_cfo_sigma_hz(&params, cfg.rounds, cfg.n_aps),
             link: SampleEval {
                 cfg,
                 medium,

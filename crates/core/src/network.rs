@@ -33,7 +33,6 @@ use jmb_channel::Link;
 use jmb_dsp::rng::JmbRng;
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::{EventKind, Trace};
-use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultSchedule, NodeId};
 use rand::Rng;
@@ -125,12 +124,13 @@ pub struct Deployment<L> {
     pub seed: u64,
     /// The synchronization backend to start with.
     pub sync: SyncStrategyId,
-    /// OFDM numerology.
-    pub params: OfdmParams,
+    /// Sample period `Ts`, seconds.
+    pub sample_period_s: f64,
     /// Turnaround `t_Δ` between header and joint transmission, seconds.
     pub turnaround_s: f64,
-    /// Interleaved rounds of the measurement packet.
-    pub rounds: usize,
+    /// 1σ accuracy (Hz) of the CFO seed the measurement packet's span
+    /// supports ([`crate::measure::seed_cfo_sigma_hz`]).
+    pub seed_cfo_sigma_hz: f64,
 }
 
 /// How one MAC batch fared ([`LinkEval::serve`]), lent from the network.
@@ -217,7 +217,6 @@ pub struct Network<L: LinkEval> {
     now: f64,
     sample_period_s: f64,
     turnaround_s: f64,
-    /// 1σ accuracy of the CFO seed the measurement packet's span supports.
     seed_cfo_sigma_hz: f64,
 }
 
@@ -236,9 +235,9 @@ impl<L: LinkEval> Network<L> {
             rng: d.rng,
             seed: d.seed,
             now: 1e-4,
-            sample_period_s: d.params.sample_period(),
+            sample_period_s: d.sample_period_s,
             turnaround_s: d.turnaround_s,
-            seed_cfo_sigma_hz: crate::measure::seed_cfo_sigma_hz(&d.params, d.rounds, n_aps),
+            seed_cfo_sigma_hz: d.seed_cfo_sigma_hz,
             aps: d.aps,
             clients: d.clients,
         })

@@ -2,12 +2,11 @@
 //! useful `Display` message. The control plane degrades with typed errors
 //! — it never panics on a lost control frame or a misconfigured network.
 
-use jmb_core::control::BatchSync;
-use jmb_core::fastnet::{FastConfig, FastNet};
-use jmb_core::net::{JmbNetwork, NetConfig};
+use jmb_core::fastnet::{FastConfig, FastEval, FastNet};
+use jmb_core::net::{JmbNetwork, NetConfig, SampleEval};
+use jmb_core::network::{LinkEval, Network};
 use jmb_core::{BackoffPolicy, CsiTracker, JmbError, PhaseSync, SyncHealth, SyncStrategyId};
 use jmb_dsp::Complex64;
-use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultConfig, FaultConfigBuilder, FaultSchedule};
@@ -83,21 +82,8 @@ fn measurement_shape_on_mismatched_estimates() {
     assert!(msg.contains("expected 4") && msg.contains("got 2"), "{msg}");
 }
 
-/// One network of either fidelity behind the control-plane surface both
-/// expose; only how a batch is sent differs.
-struct Cell<N> {
-    net: N,
-    set_sync: fn(&mut N, SyncStrategyId),
-    advance: fn(&mut N, f64),
-    now: fn(&N) -> f64,
-    faults: fn(&mut N, FaultSchedule),
-    measure: fn(&mut N) -> Result<(), JmbError>,
-    /// A 2-stream batch over all 3 APs.
-    transmit: fn(&mut N) -> Result<(), JmbError>,
-    health: fn(&N) -> &[SyncHealth],
-    last_sync: fn(&N) -> &BatchSync,
-    trace: fn(&mut N) -> &mut Trace,
-}
+/// A 2-stream batch over all 3 APs, however the fidelity sends one.
+type Transmit<L> = fn(&mut Network<L>) -> Result<(), JmbError>;
 
 /// What the control plane reported for one scripted step.
 #[derive(Debug, PartialEq)]
@@ -113,49 +99,45 @@ struct Step {
 /// Under `strategy`, slave 1 loses every header, then the storm clears,
 /// then every measurement frame is lost. Returns the per-batch control
 /// record and the control-event kinds the run left on the trace.
-fn storm_script<N>(mut c: Cell<N>, strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
-    (c.set_sync)(&mut c.net, strategy);
-    (c.measure)(&mut c.net).unwrap();
-    (c.trace)(&mut c.net).enable();
+fn storm_script<L: LinkEval>(
+    mut net: Network<L>,
+    transmit: Transmit<L>,
+    strategy: SyncStrategyId,
+) -> (Vec<Step>, Vec<&'static str>) {
+    net.set_sync_strategy(strategy);
+    net.run_measurement().unwrap();
+    net.trace().enable();
     let constant = |f: FaultConfigBuilder| FaultSchedule::constant(f.build().unwrap());
-    (c.faults)(
-        &mut c.net,
-        constant(FaultConfig::builder().per_slave_sync_loss(1, 1.0)),
-    );
+    net.set_fault_schedule(constant(FaultConfig::builder().per_slave_sync_loss(1, 1.0)));
     let mut steps = Vec::new();
     for batch in 0..5 {
         if batch == 4 {
-            (c.faults)(&mut c.net, FaultSchedule::none());
+            net.set_fault_schedule(FaultSchedule::none());
         }
-        (c.advance)(&mut c.net, 3e-4);
-        let t0 = (c.now)(&c.net);
-        (c.transmit)(&mut c.net).unwrap();
-        assert!((c.now)(&c.net) > t0, "batch {batch} must advance the clock");
-        let s = (c.last_sync)(&c.net);
+        net.advance(3e-4);
+        let t0 = net.now();
+        transmit(&mut net).unwrap();
+        assert!(net.now() > t0, "batch {batch} must advance the clock");
+        let s = net.last_sync();
         steps.push(Step {
             missed: s.missed.clone(),
             fallback: s.fallback.clone(),
             excluded: s.excluded.clone(),
             newly_degraded: s.newly_degraded.clone(),
             newly_restored: s.newly_restored.clone(),
-            health: (c.health)(&c.net).to_vec(),
+            health: net.sync_health().to_vec(),
         });
     }
-    (c.faults)(
-        &mut c.net,
-        constant(FaultConfig::builder().meas_loss_chance(1.0)),
-    );
-    let t0 = (c.now)(&c.net);
-    let err = (c.measure)(&mut c.net).unwrap_err();
+    net.set_fault_schedule(constant(FaultConfig::builder().meas_loss_chance(1.0)));
+    let t0 = net.now();
+    let err = net.run_measurement().unwrap_err();
     assert_eq!(err, JmbError::MeasurementLost);
     assert!(err.to_string().contains("lost"), "{err}");
-    assert!(
-        (c.now)(&c.net) > t0,
-        "the lost exchange still costs airtime"
-    );
-    (c.faults)(&mut c.net, FaultSchedule::none());
-    (c.measure)(&mut c.net).unwrap();
-    let kinds = (c.trace)(&mut c.net)
+    assert!(net.now() > t0, "the lost exchange still costs airtime");
+    net.set_fault_schedule(FaultSchedule::none());
+    net.run_measurement().unwrap();
+    let kinds = net
+        .trace()
         .events()
         .iter()
         .map(|e| e.kind.name())
@@ -165,42 +147,17 @@ fn storm_script<N>(mut c: Cell<N>, strategy: SyncStrategyId) -> (Vec<Step>, Vec<
 }
 
 fn both_fidelities(strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
-    let fast = storm_script(
-        Cell {
-            net: FastNet::new(fast_cfg(3, 22)).unwrap(),
-            set_sync: FastNet::set_sync_strategy,
-            advance: FastNet::advance,
-            now: FastNet::now,
-            faults: FastNet::set_fault_schedule,
-            measure: FastNet::run_measurement,
-            transmit: |n| {
-                n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
-                    .map(drop)
-            },
-            health: FastNet::sync_health,
-            last_sync: FastNet::last_sync,
-            trace: FastNet::trace,
-        },
-        strategy,
-    );
-    let sample = storm_script(
-        Cell {
-            net: JmbNetwork::new(NetConfig::default_with(3, 2, 22.0, 52)).unwrap(),
-            set_sync: JmbNetwork::set_sync_strategy,
-            advance: JmbNetwork::advance,
-            now: JmbNetwork::now,
-            faults: JmbNetwork::set_fault_schedule,
-            measure: JmbNetwork::run_measurement,
-            transmit: |n| {
-                n.joint_transmit(&vec![vec![0x5Au8; 40]; 2], Mcs::BASE, true)
-                    .map(drop)
-            },
-            health: JmbNetwork::sync_health,
-            last_sync: JmbNetwork::last_sync,
-            trace: JmbNetwork::trace,
-        },
-        strategy,
-    );
+    let fast: Transmit<FastEval> = |n| {
+        n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
+            .map(drop)
+    };
+    let fast = storm_script(FastNet::new(fast_cfg(3, 22)).unwrap(), fast, strategy);
+    let sample: Transmit<SampleEval> = |n| {
+        n.joint_transmit(&vec![vec![0x5Au8; 40]; 2], Mcs::BASE, true)
+            .map(drop)
+    };
+    let net = JmbNetwork::new(NetConfig::default_with(3, 2, 22.0, 52)).unwrap();
+    let sample = storm_script(net, sample, strategy);
     assert_eq!(fast, sample, "{strategy:?}");
     fast
 }
