@@ -95,6 +95,16 @@ impl RxWindow {
         self.start_s + m as f64 * self.ts_rx
     }
 
+    /// The output indices, of `n`, whose instants can fall between `from_s`
+    /// and `until_s`: a sample wider on either side than the estimate, so
+    /// that rounding here drops nothing — the caller still tests each
+    /// instant exactly. Empty for an interval the window does not meet.
+    fn span(&self, from_s: f64, until_s: f64, n: usize) -> std::ops::Range<usize> {
+        let end = ((until_s - self.start_s) / self.ts_rx + 2.0).min(n as f64) as usize;
+        let first = (((from_s - self.start_s) / self.ts_rx - 1.0).max(0.0) as usize).min(end);
+        first..end
+    }
+
     /// Adds to `out` what the receiver hears of `wave` — `(start_s,
     /// samples)` on the transmitter's clock, `fs_tx` its sample rate —
     /// through `link`; `rx_phases` is the receiver's carrier phase at each
@@ -314,7 +324,8 @@ impl Medium {
             if brx != rx {
                 continue;
             }
-            for (m, out) in out.iter_mut().enumerate() {
+            let span = win.span(bstart, bstart + bdur, n);
+            for (m, out) in (span.start..).zip(&mut out[span]) {
                 let t = win.time_of(m);
                 if t >= bstart && t < bstart + bdur {
                     *out += complex_gaussian(&mut self.rng, bvar);
@@ -689,6 +700,46 @@ mod tests {
         let after = mean_power(&out[210..]);
         assert!(during > before * 100.0, "burst {during} vs {before}");
         assert!(after < during / 100.0);
+    }
+
+    #[test]
+    fn noise_bursts_draw_once_per_instant_inside_them() {
+        // Bursts before, across the start of, inside, across the end of and
+        // after the window: the render is the AWGN draws followed by one draw
+        // per (burst, instant inside it), in schedule order, bit for bit.
+        let seed = 21;
+        let mut m = quiet_medium(seed);
+        let rx = m.add_node(PhaseTrajectory::fixed(FC, 12_000.0), 1e-3);
+        let ts = 1.0 / (m.params().sample_rate() * m.nodes[rx.0].traj.sample_ratio());
+        let (start_s, n) = (1e-3 + 0.3 * ts, 200);
+        let at = |sample: f64| start_s + sample * ts;
+        let bursts = [
+            (at(-80.0), 40.0 * ts),
+            (at(-10.5), 25.0 * ts),
+            (at(60.0), 1.0 * ts),
+            (at(90.25), 30.5 * ts),
+            (at(190.0), 50.0 * ts),
+            (at(230.0), 10.0 * ts),
+        ];
+        for &(from, dur) in &bursts {
+            m.inject_noise_burst(rx, from, dur, 0.5);
+        }
+        let got = m.render_rx(rx, start_s, n);
+
+        let mut rng = jmb_dsp::rng::rng_from_seed(seed);
+        let mut want: Vec<Complex64> = (0..n).map(|_| complex_gaussian(&mut rng, 1e-3)).collect();
+        let mut hit = 0;
+        for &(from, dur) in &bursts {
+            for (i, w) in want.iter_mut().enumerate() {
+                let t = start_s + i as f64 * ts;
+                if t >= from && t < from + dur {
+                    *w += complex_gaussian(&mut rng, 0.5);
+                    hit += 1;
+                }
+            }
+        }
+        assert_eq!(hit, 15 + 1 + 30 + 10);
+        assert_eq!(got, want);
     }
 
     #[test]
