@@ -33,6 +33,19 @@
 //! `tests/interp_equivalence.rs`, which holds [`interpolate_at`] to it within
 //! 1e-12 on unit-power inputs; `jmb-sim`'s `tests/render_equivalence.rs` does
 //! the same for decoded frames.
+//!
+//! # The kernel as a FIR
+//!
+//! A delay that is the same for every output sample — a multipath tap
+//! `τ·fs` samples late — puts every output at the same fractional position,
+//! so its 49 weights need computing once, not once per sample.
+//! [`kernel_at`] hands them out with the offsets they apply at:
+//! `interpolate_at(x, k + pos) = Σ w·x[k + o]` over its `(o, w)` pairs, for
+//! every integer `k`. A caller with several such delays sums their kernels,
+//! each times its gain, into one FIR on the input's own grid
+//! (`Medium::render_rx`'s tapped delay line). A position on a sample instant
+//! is the one pair `(pos, 1)`, the unit impulse [`interpolate_at`] returns
+//! the sample for.
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
@@ -110,6 +123,29 @@ fn kernel_weights(frac: f64) -> Option<[f64; TAPS]> {
         *w = t.scale[j] * s * hann2 / (t.offset[j] - frac);
     }
     Some(w)
+}
+
+/// The interpolator at a fixed position `pos` off the sample grid, as FIR
+/// taps: the `(o, w)` for which `interpolate_at(x, k + pos)` is `Σ w·x[k + o]`
+/// at every integer `k` (`x` zero outside its support), in the order
+/// [`interpolate_at`] sums them. 49 pairs; one, `(pos, 1.0)`, when `pos` is a
+/// sample instant; none for a non-finite `pos`.
+pub fn kernel_at(pos: f64) -> impl Iterator<Item = (isize, f64)> {
+    let base = pos.floor();
+    let frac = pos - base;
+    let (first, weights, len) = if !pos.is_finite() {
+        (0, [0.0; TAPS], 0)
+    } else if let Some(w) = kernel_weights(frac) {
+        (base as isize - HALF_TAPS as isize, w, TAPS)
+    } else {
+        // As in `interpolate_at`: `frac` rounds to 1 for a tiny negative
+        // `pos`.
+        let mut w = [0.0; TAPS];
+        w[0] = 1.0;
+        (base as isize + (frac > 0.5) as isize, w, 1)
+    };
+    let taps = weights.into_iter().enumerate().take(len);
+    taps.map(move |(j, w)| (first + j as isize, w))
 }
 
 /// Applies a (possibly fractional) delay of `delay_samples ≥ 0` to `input`.
@@ -365,6 +401,32 @@ mod tests {
         assert_eq!(interpolate_at(&x, -60.0), Complex64::ZERO);
         assert_eq!(interpolate_at(&x, 100.0), Complex64::ZERO);
         assert_eq!(interpolate_at(&x, f64::NAN), Complex64::ZERO);
+    }
+
+    #[test]
+    fn kernel_at_is_the_interpolator_at_a_fixed_offset() {
+        let x: Vec<Complex64> = (0..40)
+            .map(|i| Complex64::new((0.37 * i as f64).sin(), (0.11 * i as f64).cos()))
+            .collect();
+        let at = |i: isize| usize::try_from(i).ok().and_then(|i| x.get(i)).copied();
+        for pos in [0.0, -0.5, -2.500_05, 3.25, -1e-20, 7.0, -30.75, 1e300] {
+            for k in -30..70isize {
+                let via_fir: Complex64 = kernel_at(pos)
+                    .filter_map(|(o, w)| Some(at(k.checked_add(o)?)?.scale(w)))
+                    .sum();
+                let direct = interpolate_at(&x, k as f64 + pos);
+                assert!(
+                    (via_fir - direct).abs() < 1e-12,
+                    "pos {pos}, k {k}: {via_fir} vs {direct}"
+                );
+            }
+        }
+        // A sample instant is the unit impulse, exactly.
+        assert_eq!(kernel_at(-3.0).collect::<Vec<_>>(), [(-3, 1.0)]);
+        assert_eq!(kernel_at(-1e-20).collect::<Vec<_>>(), [(0, 1.0)]);
+        assert_eq!(kernel_at(0.25).count(), TAPS);
+        assert_eq!(kernel_at(f64::NAN).count(), 0);
+        assert_eq!(kernel_at(f64::NEG_INFINITY).count(), 0);
     }
 
     #[test]

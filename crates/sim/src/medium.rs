@@ -6,7 +6,12 @@
 //!    `fs·(1+ppm)` of their own crystals, so the waveform is resampled at
 //!    ratio `rate_tx/rate_rx` (sampling-frequency offset).
 //! 2. **Propagation delay** — fractional-sample delay per the link geometry.
-//! 3. **Multipath** — tapped-delay-line convolution.
+//! 3. **Multipath** — tapped-delay-line convolution, on the transmitter's
+//!    own sample grid: a tap's delay is the same at every output instant, so
+//!    the taps' interpolation kernels, each times its gain, fold into one
+//!    FIR per (transmission, receiver), and the line it yields is what 1–2
+//!    resample, once per output sample (two passes of the kernel per path;
+//!    DESIGN §3.16 states what that costs in fidelity).
 //! 4. **Carrier offset & phase noise** — rotation by
 //!    `e^{j(φ_tx(t) − φ_rx(t))}` at every output sample, with φ from each
 //!    node's [`PhaseTrajectory`].
@@ -17,7 +22,7 @@
 
 use crate::fault::FaultSchedule;
 use jmb_channel::{Link, PhaseTrajectory};
-use jmb_dsp::delay::interpolate_at;
+use jmb_dsp::delay::{interpolate_at, kernel_at};
 use jmb_dsp::rng::{complex_gaussian, JmbRng};
 use jmb_dsp::Complex64;
 use jmb_obs::{DropCause, EventKind, Trace};
@@ -58,28 +63,89 @@ pub struct Medium {
     /// Event trace.
     pub trace: Trace,
     rng: JmbRng,
-    /// `render_rx` scratch, kept between calls so that a render allocates
-    /// only its output: the receiver's carrier phase at each sample instant.
-    rx_phases: Vec<f64>,
+    scratch: Scratch,
 }
 
-/// How far, in transmitter samples, a waveform reaches beyond its first and
-/// last sample through [`interpolate_at`]'s kernel (24 taps a side), rounded
-/// up with room to spare; `kernel_reach_covers_the_interpolator` pins it.
-const KERNEL_REACH: f64 = 32.0;
+/// `render_rx` scratch, kept between calls so that a render allocates only
+/// its output.
+#[derive(Default)]
+struct Scratch {
+    /// The receiver's carrier phase at each sample instant of the window.
+    rx_phases: Vec<f64>,
+    /// The link of the transmission being rendered, as one FIR on the
+    /// transmitter's sample grid ([`tapped_delay_line`]).
+    fir: Vec<Complex64>,
+    /// That transmission through the FIR, over the stretch the window hears.
+    line: Vec<Complex64>,
+}
 
-/// The interval of `base_pos` — the position on the transmitter's sample
-/// grid that an output instant maps to through the link's first tap — outside
-/// which a transmission of `tx_len` samples contributes exactly nothing:
-/// the waveform, the kernel's reach on either side, and the delay of the
-/// link's last tap (`fs_tx` converts it to transmitter samples). The one
-/// support rule of every render: it bounds the output range a transmission
-/// is evaluated on, and a transmission whose range is empty is skipped.
+/// How far, in samples, one pass of [`interpolate_at`]'s kernel (24 taps a
+/// side) reaches to either side of a position, rounded up with room to
+/// spare; `kernel_reach_covers_the_interpolator` pins it.
+const KERNEL_REACH: isize = 32;
+
+/// The interval of `pos` — the position on the transmitter's sample grid
+/// that an output instant maps to through the link's first tap — outside
+/// which a transmission of `tx_len` samples contributes exactly nothing: the
+/// waveform, the kernel's reach on either side twice over (once for the
+/// delay line, once for the resampling), and the delay of the link's last
+/// tap (`fs_tx` converts it to transmitter samples). The one support rule of
+/// every render: it bounds the output range a transmission is evaluated on,
+/// and a transmission whose range is empty is skipped.
 fn support(link: &Link, tx_len: usize, fs_tx: f64) -> (f64, f64) {
+    let reach = 2.0 * KERNEL_REACH as f64;
     (
-        -KERNEL_REACH,
-        tx_len as f64 + KERNEL_REACH + link.fading.max_delay_s() * fs_tx,
+        -reach,
+        tx_len as f64 + reach + link.fading.max_delay_s() * fs_tx,
     )
+}
+
+/// Stage 1 of a render: `samples` through `link`'s tapped delay line, on the
+/// transmitter's own grid. Tap `l` is `τ_l·fs_tx` samples late whatever the
+/// output instant, so its kernel is computed once per render
+/// ([`kernel_at`]), and the taps' kernels, each times its gain, add up to one
+/// FIR. Leaves in `line` the entries `from..=to` of
+/// `line[k] = Σ_l g_l·samples(k − τ_l·fs_tx)`, clipped to where that is not
+/// identically zero, and returns the index of the first one kept.
+fn tapped_delay_line(
+    samples: &[Complex64],
+    link: &Link,
+    fs_tx: f64,
+    (from, to): (isize, isize),
+    fir: &mut Vec<Complex64>,
+    line: &mut Vec<Complex64>,
+) -> isize {
+    // `fir[j]` weighs the sample `lowest + j` away.
+    let lowest = -((link.fading.max_delay_s() * fs_tx).ceil() as isize) - KERNEL_REACH;
+    fir.clear();
+    fir.resize((KERNEL_REACH - lowest + 1) as usize, Complex64::ZERO);
+    for (tau, g) in link.fading.tap_iter() {
+        for (offset, w) in kernel_at(-tau * fs_tx) {
+            fir[(offset - lowest) as usize] += g.scale(w);
+        }
+    }
+
+    let len = samples.len() as isize;
+    let from = from.max(-KERNEL_REACH);
+    let to = to.min(len - 1 - lowest);
+    line.clear();
+    line.resize((to - from + 1).max(0) as usize, Complex64::ZERO);
+    // One pass over the stretch per FIR entry, in entry order: each
+    // `line[k]` is summed as the dot product would sum it, and the inner
+    // loop has no dependence between its iterations.
+    for (offset, &c) in (lowest..).zip(&*fir) {
+        // `line[k] += c·samples[k + offset]` for the `k` where both exist.
+        let (k0, k1) = (from.max(-offset), (to + 1).min(len - offset));
+        if c == Complex64::ZERO || k0 >= k1 {
+            continue;
+        }
+        let dst = &mut line[(k0 - from) as usize..(k1 - from) as usize];
+        let src = &samples[(k0 + offset) as usize..(k1 + offset) as usize];
+        for (acc, &x) in dst.iter_mut().zip(src) {
+            *acc = c.mul_add(x, *acc);
+        }
+    }
+    from
 }
 
 /// The output instants of one render, on the receiver's clock.
@@ -107,48 +173,53 @@ impl RxWindow {
 
     /// Adds to `out` what the receiver hears of `wave` — `(start_s,
     /// samples)` on the transmitter's clock, `fs_tx` its sample rate —
-    /// through `link`; `rx_phases` is the receiver's carrier phase at each
-    /// output instant.
+    /// through `link`; `scratch.rx_phases` is the receiver's carrier phase
+    /// at each output instant.
     fn superpose(
         &self,
         (sent_start_s, samples): (f64, &[Complex64]),
         link: &Link,
         tx_traj: &mut PhaseTrajectory,
         fs_tx: f64,
-        rx_phases: &[f64],
+        scratch: &mut Scratch,
         out: &mut [Complex64],
     ) {
-        let n = out.len();
-        // Output sample m sits at `base_pos ≈ pos0 + m·step` on the
-        // transmitter's grid, so the samples inside the support are one
-        // contiguous range — empty for a transmission out of earshot. It
-        // is taken a sample wide on either side so that rounding in this
-        // estimate can drop nothing; positions past the kernel's reach
-        // interpolate to exactly zero anyway.
+        let Scratch {
+            rx_phases,
+            fir,
+            line,
+        } = scratch;
+        // Positions on the transmitter's grid are affine in the output
+        // instant, so the instants inside the support are one contiguous
+        // range of output samples — empty for a transmission out of
+        // earshot; past either stage's reach a position interpolates to
+        // exactly zero anyway.
         let (lo, hi) = support(link, samples.len(), fs_tx);
-        let pos0 = (self.start_s - sent_start_s - link.delay_s) * fs_tx;
-        let step = self.ts_rx * fs_tx;
-        let end = ((hi - pos0) / step + 2.0).min(n as f64) as usize;
-        let first = (((lo - pos0) / step - 1.0).max(0.0) as usize).min(end);
-        let heard = rx_phases[first..end].iter().zip(&mut out[first..end]);
-        for (m, (&rx_phase, out)) in (first..).zip(heard) {
+        let arrives_s = sent_start_s + link.delay_s;
+        let heard = self.span(arrives_s + lo / fs_tx, arrives_s + hi / fs_tx, out.len());
+        if heard.is_empty() {
+            return;
+        }
+        // Input-sample position (transmitter clock) of an output instant,
+        // before tap delays.
+        let pos_at = |time: f64| (time - sent_start_s - link.delay_s) * fs_tx;
+
+        // Stage 1 covers what stage 2's kernel can touch from the first
+        // heard instant to the last.
+        let stretch = (
+            pos_at(self.time_of(heard.start)).floor() as isize - KERNEL_REACH,
+            pos_at(self.time_of(heard.end - 1)).floor() as isize + KERNEL_REACH,
+        );
+        let origin = tapped_delay_line(samples, link, fs_tx, stretch, fir, line) as f64;
+
+        // Stage 2: one resampling per output sample, then the carriers.
+        let rx_phases = &rx_phases[heard.clone()];
+        for (m, (&rx_phase, out)) in (heard.start..).zip(rx_phases.iter().zip(&mut out[heard])) {
             let time = self.time_of(m);
-            // Input-sample position (transmitter clock) for this output
-            // instant, before tap delays.
-            let base_pos = (time - sent_start_s - link.delay_s) * fs_tx;
-            let mut acc = Complex64::ZERO;
-            for (tau, g) in link.fading.tap_iter() {
-                if g == Complex64::ZERO {
-                    continue;
-                }
-                let v = interpolate_at(samples, base_pos - tau * fs_tx);
-                if v != Complex64::ZERO {
-                    acc = g.mul_add(v, acc);
-                }
-            }
-            if acc != Complex64::ZERO {
+            let v = interpolate_at(line, pos_at(time) - origin);
+            if v != Complex64::ZERO {
                 let rot = Complex64::cis(tx_traj.phase_at(time) - rx_phase);
-                *out = (link.gain * rot).mul_add(acc, *out);
+                *out = (link.gain * rot).mul_add(v, *out);
             }
         }
     }
@@ -166,7 +237,7 @@ impl Medium {
             fault: FaultSchedule::none(),
             trace: Trace::new(),
             rng: jmb_dsp::rng::rng_from_seed(seed),
-            rx_phases: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -300,9 +371,9 @@ impl Medium {
             ts_rx: 1.0 / (self.params.sample_rate() * ratio_rx),
         };
         let rx_traj = &mut self.nodes[rx.0].traj;
-        self.rx_phases.clear();
-        self.rx_phases
-            .extend((0..n).map(|m| rx_traj.phase_at(win.time_of(m))));
+        let rx_phases = &mut self.scratch.rx_phases;
+        rx_phases.clear();
+        rx_phases.extend((0..n).map(|m| rx_traj.phase_at(win.time_of(m))));
         let noise_var = self.nodes[rx.0].noise_var;
         let out = (0..n)
             .map(|_| complex_gaussian(&mut self.rng, noise_var))
@@ -344,7 +415,7 @@ impl Medium {
             let tx_traj = &mut self.nodes[sent.tx.0].traj;
             let fs_tx = fs * tx_traj.sample_ratio();
             let wave = (sent.start_s, &sent.samples[..]);
-            win.superpose(wave, link, tx_traj, fs_tx, &self.rx_phases, &mut out);
+            win.superpose(wave, link, tx_traj, fs_tx, &mut self.scratch, &mut out);
         }
         self.trace
             .emit(start_s, EventKind::Render { node: rx.0, len: n });
@@ -374,7 +445,7 @@ impl Medium {
                 link,
                 tx_traj,
                 fs_tx,
-                &self.rx_phases,
+                &mut self.scratch,
                 &mut out,
             );
         }
@@ -418,22 +489,46 @@ mod tests {
 
     #[test]
     fn kernel_reach_covers_the_interpolator() {
-        // A lone sample is heard nowhere beyond KERNEL_REACH — and is heard
-        // well inside it, so the constant is not vacuous.
+        // One pass: a lone sample is heard nowhere beyond KERNEL_REACH — and
+        // is heard well inside it, so the constant is not vacuous.
+        let reach = KERNEL_REACH as f64;
         let x = [Complex64::ONE];
         for k in 0..=100 {
-            let beyond = KERNEL_REACH + k as f64 * 0.37;
+            let beyond = reach + k as f64 * 0.37;
             assert_eq!(interpolate_at(&x, -beyond), Complex64::ZERO);
             assert_eq!(interpolate_at(&x, beyond), Complex64::ZERO);
         }
-        assert_ne!(
-            interpolate_at(&x, 0.5 - KERNEL_REACH / 2.0),
-            Complex64::ZERO
-        );
-        assert_ne!(
-            interpolate_at(&x, KERNEL_REACH / 2.0 - 0.5),
-            Complex64::ZERO
-        );
+        assert_ne!(interpolate_at(&x, 0.5 - reach / 2.0), Complex64::ZERO);
+        assert_ne!(interpolate_at(&x, reach / 2.0 - 0.5), Complex64::ZERO);
+        // The same kernel as a FIR: a tap `d` samples late weighs nothing
+        // outside the entries `tapped_delay_line` keeps for it.
+        for d in [0.0, 0.5, 1.0, 2.500_05, 7.25] {
+            for (offset, _) in kernel_at(-d) {
+                let lowest = -(d.ceil() as isize) - KERNEL_REACH;
+                assert!((lowest..=KERNEL_REACH).contains(&offset), "{d}: {offset}");
+            }
+        }
+
+        // The cascade: a lone sample through a six-tap link, the transmitter
+        // 20 ppm fast, is exactly silent outside `support` and audible 40
+        // samples out on either side, where one pass does not reach.
+        let fs_tx = OfdmParams::default().sample_rate() * (1.0 + 20e-6);
+        let mut rng = jmb_dsp::rng::rng_from_seed(16);
+        let fading = Multipath::new(MultipathSpec::indoor_nlos(), &mut rng);
+        assert_eq!(fading.tap_iter().count(), 6);
+        let link = Link::new(Complex64::ONE, 0.0, fading);
+        let (lo, hi) = support(&link, x.len(), fs_tx);
+        let (mut fir, mut line) = (Vec::new(), Vec::new());
+        let origin = tapped_delay_line(&x, &link, fs_tx, (-500, 500), &mut fir, &mut line);
+        let heard = |pos: f64| interpolate_at(&line, pos - origin as f64);
+        for k in 0..=100 {
+            let beyond = k as f64 * 0.37;
+            assert_eq!(heard(lo - beyond), Complex64::ZERO);
+            assert_eq!(heard(hi + beyond), Complex64::ZERO);
+        }
+        assert!(lo < -40.3 && hi > 43.8);
+        assert_ne!(heard(-40.3), Complex64::ZERO);
+        assert_ne!(heard(43.8), Complex64::ZERO);
     }
 
     #[test]

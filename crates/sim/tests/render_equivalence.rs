@@ -1,15 +1,29 @@
 //! Equivalence gate for `Medium::render_rx`.
 //!
-//! The render loop was rewritten around a faster interpolation kernel
-//! (`jmb_dsp::delay`, identity-based weights), a borrowed link, one clipped
-//! output range per transmission and scratch buffers owned by the medium.
-//! Sample values move by ulps, so the pin is behavioural: over a seeded corpus
-//! of frames × all eight MCS × SNR × CFO/ppm × {ideal, NLOS, LOS} links — two
-//! transmitters with trigger jitter, and bursts straddling both edges of the
-//! window — the production renderer and the loop it replaced (kept here, and
-//! only here, with the per-tap kernel it called) must agree per sample to
-//! 1e-10 of the signal RMS, and `FrameRx::rx_frame` must return the same
-//! payload bytes, MCS and CRC verdict on both.
+//! The render is two stages (DESIGN §3.16): a transmission goes through its
+//! link's tapped delay line on the transmitter's own sample grid, and the
+//! receiver resamples that line once per output sample. Production folds the
+//! taps into one FIR, clips both stages to what the window hears and keeps
+//! its buffers; this file holds it to two references, kept here and only
+//! here, over a seeded corpus of frames × all eight MCS × SNR × CFO/ppm ×
+//! {ideal, NLOS, LOS} links — two transmitters with trigger jitter, and
+//! bursts straddling both edges of the window:
+//!
+//! * **The same render written naively** ([`Model::TwoStage`]): the per-tap
+//!   kernel formula for both stages, tap by tap, no FIR, no clipping.
+//!   Production must agree per sample to 1e-10 of the signal RMS, and
+//!   `FrameRx::rx_frame` must return the same payload bytes, MCS and CRC
+//!   verdict on both.
+//! * **The loop the two stages replaced** ([`Model::PerPath`]): one
+//!   interpolation of the transmitted waveform per output sample *and per
+//!   tap*. That is a different model, not a different rounding — each path
+//!   now passes the 49-tap kernel twice — so the pin is its stated size: on
+//!   an ideal link (one tap at zero delay, the unit impulse) the two are the
+//!   same to 1e-10; on NLOS/LOS links they differ by at most −60 dB over the
+//!   occupied band of the whole record (measured: −63.3 dB at worst, −78 dB
+//!   in the median; the difference lives in the guard band, where the kernel
+//!   is in its transition band, and on the single samples next to a burst's
+//!   abrupt edge), and at most 2 of the 576 verdicts flip (measured: 1).
 
 use jmb_channel::oscillator::OscillatorSpec;
 use jmb_channel::{Link, Multipath, MultipathSpec, PhaseTrajectory};
@@ -25,7 +39,7 @@ use std::f64::consts::PI;
 
 const FC: f64 = 2.437e9;
 
-// --- The renderer as it stood before the rewrite ---------------------------
+// --- The two reference renders ----------------------------------------------
 
 const HALF_TAPS: isize = 24;
 
@@ -57,7 +71,14 @@ struct Sent {
     samples: Vec<Complex64>,
 }
 
-/// The air of one test case, as both renderers see it.
+/// Which reference render: see the file header.
+#[derive(Clone, Copy)]
+enum Model {
+    TwoStage,
+    PerPath,
+}
+
+/// The air of one test case, as every renderer sees it.
 struct Scene {
     params: OfdmParams,
     seed: u64,
@@ -68,11 +89,31 @@ struct Scene {
     sent: Vec<Sent>,
 }
 
+/// `samples` through `link`'s taps on the transmitter's grid, one kernel
+/// evaluation per (entry, tap): entry `j` is `Σ_l g_l·samples(j − PAD −
+/// τ_l·fs_tx)`, `PAD` entries of lead-in and as many past the last tap's
+/// tail, beyond which the sum is exactly zero.
+fn reference_delay_line(samples: &[Complex64], link: &Link, fs_tx: f64) -> Vec<Complex64> {
+    let taps = link.fading.taps();
+    let tail = (link.fading.max_delay_s() * fs_tx).ceil() as usize;
+    (0..samples.len() + tail + 2 * PAD)
+        .map(|j| {
+            let k = j as f64 - PAD as f64;
+            taps.iter()
+                .map(|&(tau, g)| g * reference_interpolate_at(samples, k - tau * fs_tx))
+                .sum()
+        })
+        .collect()
+}
+
+/// Lead-in of [`reference_delay_line`]: past one kernel's reach (25).
+const PAD: usize = 40;
+
 impl Scene {
-    /// `Medium::render_rx` for node 0 as it was before the rewrite: the
-    /// per-transmission quick rejection, the per-sample `base_pos` window,
-    /// phases for every output instant, and the per-tap kernel.
-    fn render_reference(&self, start_s: f64, n: usize) -> Vec<Complex64> {
+    /// Node 0's window rendered by one of the two references. Both draw the
+    /// AWGN first, as production does, and evaluate each transmitter's phase
+    /// at every output instant.
+    fn render_reference(&self, model: Model, start_s: f64, n: usize) -> Vec<Complex64> {
         let mut nodes = self.nodes.clone();
         let mut rng: JmbRng = rng_from_seed(self.seed);
         let fs = self.params.sample_rate();
@@ -90,31 +131,50 @@ impl Scene {
             };
             let (tx_start, tx_len) = (sent.start_s, sent.samples.len());
             let fs_tx = fs * nodes[sent.tx].0.sample_ratio();
-            let tx_dur = tx_len as f64 / fs_tx;
-            let slack = link.delay_s + link.fading.max_delay_s() + 32.0 / fs;
-            if tx_start > end_s || tx_start + tx_dur + slack < start_s {
-                continue;
-            }
             let tx_phases: Vec<f64> = times
                 .iter()
                 .map(|&t| nodes[sent.tx].0.phase_at(t))
                 .collect();
-            let taps = link.fading.taps();
-            for (m, &t) in times.iter().enumerate() {
-                let base_pos = (t - tx_start - link.delay_s) * fs_tx;
-                if base_pos < -(taps.len() as f64 * 8.0) - 32.0 || base_pos > tx_len as f64 + 32.0 {
-                    continue;
+            // What the receiver hears of this transmission at `base_pos`,
+            // before the carriers and the link's gain.
+            let heard: Box<dyn Fn(f64) -> Complex64> = match model {
+                Model::TwoStage => {
+                    let line = reference_delay_line(&sent.samples, &link, fs_tx);
+                    Box::new(move |base_pos| reference_interpolate_at(&line, base_pos + PAD as f64))
                 }
-                let mut acc = Complex64::ZERO;
-                for &(tau, g) in &taps {
-                    if g == Complex64::ZERO {
+                // The loop as it stood: a per-transmission rejection in
+                // seconds, a per-sample window on the first tap's grid, and
+                // one kernel per tap.
+                Model::PerPath => {
+                    let tx_dur = tx_len as f64 / fs_tx;
+                    let slack = link.delay_s + link.fading.max_delay_s() + 32.0 / fs;
+                    if tx_start > end_s || tx_start + tx_dur + slack < start_s {
                         continue;
                     }
-                    let v = reference_interpolate_at(&sent.samples, base_pos - tau * fs_tx);
-                    if v != Complex64::ZERO {
-                        acc = g.mul_add(v, acc);
-                    }
+                    let taps = link.fading.taps();
+                    let samples = &sent.samples;
+                    Box::new(move |base_pos| {
+                        if base_pos < -(taps.len() as f64 * 8.0) - 32.0
+                            || base_pos > tx_len as f64 + 32.0
+                        {
+                            return Complex64::ZERO;
+                        }
+                        let mut acc = Complex64::ZERO;
+                        for &(tau, g) in &taps {
+                            if g == Complex64::ZERO {
+                                continue;
+                            }
+                            let v = reference_interpolate_at(samples, base_pos - tau * fs_tx);
+                            if v != Complex64::ZERO {
+                                acc = g.mul_add(v, acc);
+                            }
+                        }
+                        acc
+                    })
                 }
+            };
+            for (m, &t) in times.iter().enumerate() {
+                let acc = heard((t - tx_start - link.delay_s) * fs_tx);
                 if acc != Complex64::ZERO {
                     let rot = Complex64::cis(tx_phases[m] - rx_phases[m]);
                     out[m] = (link.gain * rot).mul_add(acc, out[m]);
@@ -296,31 +356,89 @@ fn corpus(seeds_per_shape: u64) -> Vec<Case> {
     cases
 }
 
-/// Renders `case` both ways and checks the two pins. Returns whether the
-/// frame decoded (the same on both, by then).
-fn check(case: Case) -> bool {
+/// What [`check`] saw of one case.
+struct Outcome {
+    /// The frame decoded from the production render (and, by then, from the
+    /// naive two-stage render).
+    decoded: bool,
+    /// The per-path render's verdict is the other one.
+    flipped: bool,
+    /// Production − per-path over the occupied band of the whole record,
+    /// relative to the per-path render there, dB.
+    model_gap_db: f64,
+}
+
+/// The energy of `record` in the occupied band, |f| ≤ 26.5 subcarriers: the
+/// record zero-padded to a power of two, so the bins interpolate its
+/// spectrum.
+fn occupied_band_energy(params: &OfdmParams, record: &[Complex64]) -> f64 {
+    let mut spectrum = record.to_vec();
+    spectrum.resize(record.len().next_power_of_two(), Complex64::ZERO);
+    jmb_dsp::fft::fft_in_place(&mut spectrum);
+    let n = spectrum.len() as f64;
+    let edge = 26.5 / params.fft_size as f64;
+    (spectrum.iter().enumerate())
+        .filter(|&(bin, _)| (bin as f64 / n).min(1.0 - bin as f64 / n) <= edge)
+        .map(|(_, v)| v.norm_sqr())
+        .sum()
+}
+
+/// Renders `case` all three ways and checks the pins of the file header,
+/// except the count of flipped verdicts, which is the caller's.
+fn check(case: Case) -> Outcome {
     let (scene, start_s, n, payload) = scene(case);
-    let want = scene.render_reference(start_s, n);
+    let want = scene.render_reference(Model::TwoStage, start_s, n);
     let got = scene.render_production(start_s, n);
-    assert_eq!(got.len(), want.len());
+    let old = scene.render_reference(Model::PerPath, start_s, n);
+    assert_eq!((got.len(), old.len()), (want.len(), want.len()));
 
     let rms = jmb_dsp::complex::mean_power(&want).sqrt();
-    for (m, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert!(
-            (*g - *w).abs() <= 1e-10 * rms,
-            "{case:?}: sample {m} differs by {:e} of the signal RMS",
-            (*g - *w).abs() / rms
-        );
+    let assert_same = |other: &[Complex64], name: &str| {
+        for (m, (g, w)) in got.iter().zip(other).enumerate() {
+            assert!(
+                (*g - *w).abs() <= 1e-10 * rms,
+                "{case:?}: sample {m} differs from the {name} render by {:e} of the signal RMS",
+                (*g - *w).abs() / rms
+            );
+        }
+    };
+    assert_same(&want, "naive two-stage");
+
+    // Both renders drew the same noise, so their difference is the models'.
+    let gap: Vec<Complex64> = got.iter().zip(&old).map(|(g, o)| *g - *o).collect();
+    let model_gap_db = 10.0
+        * (occupied_band_energy(&scene.params, &gap) / occupied_band_energy(&scene.params, &old))
+            .log10();
+    match case.link {
+        LinkKind::Ideal => assert_same(&old, "per-path"),
+        LinkKind::Nlos | LinkKind::Los => assert!(
+            model_gap_db <= -60.0,
+            "{case:?}: {model_gap_db:.1} dB between the models in the occupied band"
+        ),
     }
 
     let rx = FrameRx::new(scene.params.clone());
     let verdict = |samples: &[Complex64]| rx.rx_frame(samples).map(|r| (r.payload, r.mcs));
-    let (got, want) = (verdict(&got), verdict(&want));
+    let (got, want, old) = (verdict(&got), verdict(&want), verdict(&old));
     assert_eq!(got, want, "{case:?}: decodes differ");
     if let Ok((bytes, mcs)) = &got {
         assert_eq!((bytes, *mcs), (&payload, case.mcs), "{case:?}");
     }
-    got.is_ok()
+    let flipped = got.is_ok() != old.is_ok();
+    if flipped {
+        let now = if got.is_ok() { "decodes" } else { "fails" };
+        eprintln!("{case:?}: {now} on two stages, the other verdict per path");
+    } else {
+        assert_eq!(
+            got, old,
+            "{case:?}: both models decode, to different frames"
+        );
+    }
+    Outcome {
+        decoded: got.is_ok(),
+        flipped,
+        model_gap_db,
+    }
 }
 
 /// Every MCS and link kind once; cheap enough for a debug `cargo test`.
@@ -330,7 +448,7 @@ fn render_matches_reference_smoke() {
     let picked: Vec<Case> = all.iter().copied().step_by(37).collect();
     assert!(picked.len() >= 7);
     for case in picked {
-        check(case);
+        assert!(!check(case).flipped, "{case:?}");
     }
 }
 
@@ -339,17 +457,22 @@ fn render_matches_reference_smoke() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "576 frames through the old kernel; run in release"
+    ignore = "576 frames through the per-tap kernel, three renders each; run in release"
 )]
 fn render_matches_reference_corpus() {
     let cases = corpus(2);
-    let decoded = cases.iter().filter(|&&case| check(case)).count();
+    let seen: Vec<Outcome> = cases.iter().map(|&case| check(case)).collect();
+    let decoded = seen.iter().filter(|o| o.decoded).count();
     // The gate is only worth its name if it sees both verdicts.
     assert!(
         decoded * 2 > cases.len() && decoded < cases.len(),
         "{decoded} of {} frames decoded",
         cases.len()
     );
+    let flipped = seen.iter().filter(|o| o.flipped).count();
+    let worst_gap_db = seen.iter().map(|o| o.model_gap_db).fold(f64::MIN, f64::max);
+    eprintln!("{decoded} decoded, {flipped} flipped, models within {worst_gap_db:.1} dB");
+    assert!(flipped <= 2, "{flipped} verdicts differ between the models");
 }
 
 // --- The support rule --------------------------------------------------------
@@ -397,7 +520,7 @@ fn split_window_hears_the_precursor() {
     }
     // The old quick rejection heard nothing in the first half.
     assert!(scene
-        .render_reference(0.0, 100)
+        .render_reference(Model::PerPath, 0.0, 100)
         .iter()
         .all(|&v| v == Complex64::ZERO));
 }
@@ -437,7 +560,7 @@ fn long_delay_spread_keeps_its_tail() {
         }],
     };
     let got = scene.render_production(0.0, 120);
-    let old = scene.render_reference(0.0, 120);
+    let old = scene.render_reference(Model::PerPath, 0.0, 120);
     // Output sample 84 is position 83.5 on the first tap's grid — past the
     // old window's 50 + 32 — but 73.5 and 68.5 on the last two taps', whose
     // kernels still reach the waveform's last sample at 49.
