@@ -7,8 +7,10 @@
 # FastNet sweeps, release-only, and the `SampleBackend` cell golden that
 # pins `JmbNetwork::joint_transmit_masked`, which also runs in debug),
 # the sample medium's `render_equivalence` corpus (576 frames rendered by
-# `Medium::render_rx` and by the loop it replaced must decode to the same
-# bytes; ignored in debug, where the old per-tap kernel makes it slow),
+# `Medium::render_rx` and by its two test-local references: the same bytes
+# as the naive two-stage render, within the stated model gap of the per-path
+# loop it replaced; ignored in debug, where the per-tap kernel makes it slow;
+# with it the tone test that ties the medium to `Link::freq_response_at`),
 # the scenario manifest's count caps (`caps`: the top of every AP/client/
 # grid range is built and run on each backend; ignored in debug, where ten
 # rendered waveforms per frame take minutes),
@@ -21,10 +23,12 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Three greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Four greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate other than jmb-dsp's FFT plan cache —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
-# two kernels, `channel_rows_into` and `Scratch::probe_sinr` — and the
+# two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
+# taps-plus-kernel rule (DESIGN.md §3.16) — `RxWindow::superpose` calls
+# `interpolate_at(` once and never walks the taps — and the
 # written-once rule (DESIGN.md §3.5, §3.6): each method of the networks'
 # shared surface has one `pub fn` under crates/core/src (CompatNet aside),
 # and one struct in crates/traffic/src carries a clock debt. The script ends
@@ -43,7 +47,7 @@ JMB_PKGS=(-p jmb -p jmb-bench -p jmb-channel -p jmb-city -p jmb-core -p jmb-dsp 
 cargo build --release
 cargo test -q
 cargo test --release -q -p jmb-bench --test sync_equivalence
-cargo test --release -q -p jmb-sim --test render_equivalence
+cargo test --release -q -p jmb-sim --test render_equivalence --test tone_response
 cargo test --release -q -p jmb-scenario --test caps
 cargo test --release -q --manifest-path crates/bench/benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
@@ -73,6 +77,20 @@ if { kernel crates/sim/src/freq.rs 'pub fn channel_rows_into(' | grep -v 'let pa
      kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
    } | grep -n 'Complex64::cis('; then
   echo "Complex64::cis( inside channel_rows_into or Scratch::probe_sinr (walk a phasor_ramp instead)" >&2
+  exit 1
+fi
+
+# The sample medium pays taps + kernel, not taps × kernel (DESIGN.md §3.16):
+# the link's taps are walked once per (transmission, receiver), in stage 1
+# (`tapped_delay_line`), and `superpose` resamples once per output sample. A
+# `tap_iter()` inside `superpose`, or a second `interpolate_at(` there, is the
+# per-tap kernel creeping back.
+superpose() { kernel crates/sim/src/medium.rs 'fn superpose('; }
+live_medium() { sed '/#\[cfg(test)\]/q' crates/sim/src/medium.rs; }
+if superpose | grep -n 'tap_iter()' \
+   || [ "$(superpose | grep -o 'interpolate_at(' | wc -l)" -ne 1 ] \
+   || [ "$(live_medium | grep -o 'tap_iter()' | wc -l)" -ne 1 ]; then
+  echo "RxWindow::superpose must call interpolate_at( once and never tap_iter(); the taps belong to tapped_delay_line alone" >&2
   exit 1
 fi
 
