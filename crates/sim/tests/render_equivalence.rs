@@ -89,6 +89,9 @@ struct Scene {
     sent: Vec<Sent>,
 }
 
+/// Lead-in of [`reference_delay_line`]: past one kernel's reach (25).
+const PAD: usize = 40;
+
 /// `samples` through `link`'s taps on the transmitter's grid, one kernel
 /// evaluation per (entry, tap): entry `j` is `Σ_l g_l·samples(j − PAD −
 /// τ_l·fs_tx)`, `PAD` entries of lead-in and as many past the last tap's
@@ -105,9 +108,6 @@ fn reference_delay_line(samples: &[Complex64], link: &Link, fs_tx: f64) -> Vec<C
         })
         .collect()
 }
-
-/// Lead-in of [`reference_delay_line`]: past one kernel's reach (25).
-const PAD: usize = 40;
 
 impl Scene {
     /// Node 0's window rendered by one of the two references. Both draw the
@@ -377,8 +377,8 @@ fn occupied_band_energy(params: &OfdmParams, record: &[Complex64]) -> f64 {
     jmb_dsp::fft::fft_in_place(&mut spectrum);
     let n = spectrum.len() as f64;
     let edge = 26.5 / params.fft_size as f64;
-    (spectrum.iter().enumerate())
-        .filter(|&(bin, _)| (bin as f64 / n).min(1.0 - bin as f64 / n) <= edge)
+    let bins = spectrum.iter().enumerate();
+    bins.filter(|&(bin, _)| (bin as f64 / n).min(1.0 - bin as f64 / n) <= edge)
         .map(|(_, v)| v.norm_sqr())
         .sum()
 }
