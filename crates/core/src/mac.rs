@@ -383,6 +383,65 @@ mod tests {
         JmbMac::new(MacConfig::default(), (0..n_clients).collect())
     }
 
+    /// The ledger a caller keeps from the fates `complete_batch` returns:
+    /// bits delivered and packets dropped per client, and the airtime of
+    /// the transmissions that carried something.
+    struct Tally {
+        delivered_bits: Vec<f64>,
+        dropped: Vec<u64>,
+        transmissions: u64,
+        airtime_s: f64,
+    }
+
+    impl Tally {
+        fn new(n_clients: usize) -> Self {
+            Tally {
+                delivered_bits: vec![0.0; n_clients],
+                dropped: vec![0; n_clients],
+                transmissions: 0,
+                airtime_s: 0.0,
+            }
+        }
+
+        /// Completes `batch` on `m` and books what became of each packet.
+        fn complete(
+            &mut self,
+            m: &mut JmbMac,
+            batch: Vec<MacPacket>,
+            acked: &[bool],
+            airtime_s: f64,
+        ) -> Vec<PacketFate> {
+            let bits: Vec<(u64, f64)> = batch
+                .iter()
+                .map(|p| (p.id, 8.0 * p.payload_len as f64))
+                .collect();
+            let fates = m.complete_batch(batch, acked, airtime_s);
+            if !fates.is_empty() {
+                self.transmissions += 1;
+                self.airtime_s += airtime_s;
+            }
+            for (fate, (id, bits)) in fates.iter().zip(bits) {
+                match *fate {
+                    PacketFate::Acked { dest, id: acked } => {
+                        assert_eq!(acked, id, "fates come in batch order");
+                        self.delivered_bits[dest] += bits;
+                    }
+                    PacketFate::Dropped { dest, .. } => self.dropped[dest] += 1,
+                    PacketFate::Requeued { .. } => {}
+                }
+            }
+            fates
+        }
+
+        /// Per-client throughput over the booked airtime, bits/second.
+        fn throughput(&self) -> Vec<f64> {
+            self.delivered_bits
+                .iter()
+                .map(|&b| b / self.airtime_s)
+                .collect()
+        }
+    }
+
     #[test]
     fn batch_takes_distinct_destinations() {
         let mut m = mac(3);
@@ -469,17 +528,17 @@ mod tests {
         // The 50 B packet fails beside a 200 B one. Its retransmission is
         // sized by its own length, not by the batch it failed in, and its
         // ACK delivers 400 bits.
-        let mut m = mac(2);
+        let (mut m, mut tally) = (mac(2), Tally::new(2));
         m.enqueue(0, 50);
         m.enqueue(1, 200);
         let (batch, padded_len) = m.select_batch();
         assert_eq!(padded_len, 200);
-        m.complete_batch(batch, &[false, true], 1e-3);
-        assert_eq!(m.stats.delivered_bits(), [0.0, 1600.0]);
+        tally.complete(&mut m, batch, &[false, true], 1e-3);
+        assert_eq!(tally.delivered_bits, [0.0, 1600.0]);
         let (batch, padded_len) = m.select_batch();
         assert_eq!((batch.len(), padded_len), (1, 50));
-        m.complete_batch(batch, &[true], 1e-3);
-        assert_eq!(m.stats.delivered_bits(), [400.0, 1600.0]);
+        tally.complete(&mut m, batch, &[true], 1e-3);
+        assert_eq!(tally.delivered_bits, [400.0, 1600.0]);
     }
 
     #[test]
@@ -495,6 +554,7 @@ mod tests {
             (0..4).collect(),
         );
         m.blacklist_threshold = u32::MAX;
+        let mut tally = Tally::new(4);
         let mut rng = jmb_dsp::rng::rng_from_seed(6);
         let mut offered_bits = [0.0; 4];
         for i in 0..400 {
@@ -507,11 +567,11 @@ mod tests {
             let (batch, padded_len) = m.select_batch();
             padded += batch.iter().filter(|p| p.payload_len < padded_len).count();
             let acked: Vec<bool> = batch.iter().map(|_| rng.gen::<f64>() >= 0.3).collect();
-            m.complete_batch(batch, &acked, 1e-3);
+            tally.complete(&mut m, batch, &acked, 1e-3);
         }
         assert!(padded > 100, "the load must mix lengths in its batches");
         // Everything was delivered in the end, and not a bit more.
-        assert_eq!(m.stats.delivered_bits(), offered_bits);
+        assert_eq!(tally.delivered_bits, offered_bits);
     }
 
     #[test]
@@ -571,10 +631,11 @@ mod tests {
             },
             vec![0, 1],
         );
+        let mut tally = Tally::new(2);
         let id = m.enqueue(0, 10);
         // First attempt fails → requeued.
         let (b, _) = m.select_batch();
-        let fates = m.complete_batch(b, &[false], 1e-3);
+        let fates = tally.complete(&mut m, b, &[false], 1e-3);
         assert_eq!(
             fates,
             vec![PacketFate::Requeued {
@@ -584,13 +645,13 @@ mod tests {
             }]
         );
         assert_eq!(m.queue_len(), 1);
-        assert_eq!(m.stats.dropped()[0], 0);
+        assert_eq!(tally.dropped[0], 0);
         // Second attempt fails → dropped (retry_limit 2).
         let (b, _) = m.select_batch();
-        let fates = m.complete_batch(b, &[false], 1e-3);
+        let fates = tally.complete(&mut m, b, &[false], 1e-3);
         assert_eq!(fates, vec![PacketFate::Dropped { dest: 0, id }]);
         assert_eq!(m.queue_len(), 0);
-        assert_eq!(m.stats.dropped()[0], 1);
+        assert_eq!(tally.dropped[0], 1);
     }
 
     #[test]
@@ -607,13 +668,14 @@ mod tests {
             vec![0],
         );
         m.blacklist_threshold = u32::MAX; // keep it schedulable
+        let mut tally = Tally::new(1);
         let id = m.enqueue(0, 10);
         let mut attempts = 0;
         loop {
             let (b, _) = m.select_batch();
             assert_eq!(b.len(), 1, "packet must stay schedulable");
             attempts += 1;
-            let fates = m.complete_batch(b, &[false], 1e-3);
+            let fates = tally.complete(&mut m, b, &[false], 1e-3);
             match fates[0] {
                 PacketFate::Requeued { id: fid, .. } => assert_eq!(fid, id),
                 PacketFate::Dropped { id: fid, .. } => {
@@ -624,7 +686,7 @@ mod tests {
             }
         }
         assert_eq!(attempts, limit);
-        assert_eq!(m.stats.dropped()[0], 1);
+        assert_eq!(tally.dropped[0], 1);
         assert_eq!(m.queue_len(), 0);
     }
 
@@ -648,27 +710,27 @@ mod tests {
     fn losses_are_decoupled_between_clients() {
         // §9: "if APs have stale channel information to a client, only the
         // packet to that client is affected".
-        let mut m = mac(2);
+        let (mut m, mut tally) = (mac(2), Tally::new(2));
         m.enqueue(0, 100);
         m.enqueue(1, 100);
         let (b, _) = m.select_batch();
-        m.complete_batch(b, &[true, false], 2e-3);
-        assert!(m.stats.delivered_bits()[0] > 0.0);
-        assert_eq!(m.stats.delivered_bits()[1], 0.0);
+        tally.complete(&mut m, b, &[true, false], 2e-3);
+        assert!(tally.delivered_bits[0] > 0.0);
+        assert_eq!(tally.delivered_bits[1], 0.0);
         assert_eq!(m.queue_len(), 1); // client 1's packet awaits retry
     }
 
     #[test]
     fn stats_throughput() {
-        let mut m = mac(2);
+        let (mut m, mut tally) = (mac(2), Tally::new(2));
         m.enqueue(0, 1250); // 10 000 bits
         m.enqueue(1, 1250);
         let (b, _) = m.select_batch();
-        m.complete_batch(b, &[true, true], 1e-3);
-        let t = m.stats.throughput();
+        tally.complete(&mut m, b, &[true, true], 1e-3);
+        let t = tally.throughput();
         assert!((t[0] - 1e7).abs() < 1.0);
         assert!((t[1] - 1e7).abs() < 1.0);
-        assert_eq!(m.stats.transmissions(), 1);
+        assert_eq!(tally.transmissions, 1);
     }
 
     #[test]
@@ -712,14 +774,14 @@ mod tests {
     fn empty_queue_behaviour() {
         // Satellite: an empty queue yields no lead, an empty batch, and a
         // no-op completion that records no transmission.
-        let mut m = mac(2);
+        let (mut m, mut tally) = (mac(2), Tally::new(2));
         assert_eq!(m.next_lead(), None);
         let (b, _) = m.select_batch();
         assert!(b.is_empty());
-        let fates = m.complete_batch(b, &[], 1e-3);
+        let fates = tally.complete(&mut m, b, &[], 1e-3);
         assert!(fates.is_empty());
-        assert_eq!(m.stats.transmissions(), 0);
-        assert_eq!(m.stats.airtime_s(), 0.0);
+        assert_eq!(tally.transmissions, 0);
+        assert_eq!(tally.airtime_s, 0.0);
         assert_eq!(m.backoff_stage(), 0);
     }
 

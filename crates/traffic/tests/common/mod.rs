@@ -1,0 +1,27 @@
+//! What a [`ControlInfo`] says the control plane did while one batch was
+//! served, read in one place so the tests state facts ("slave 1 missed",
+//! "attempt 1 was lost") rather than the record's layout.
+#![allow(dead_code)] // each test crate uses its own subset
+
+use jmb_traffic::ControlInfo;
+
+/// Slaves that missed the batch's sync header, in the order reported.
+pub fn missed_slaves(c: &ControlInfo) -> Vec<usize> {
+    c.missed_slaves.clone()
+}
+
+/// Measurement attempts made for the batch: `(attempt, succeeded)`.
+pub fn remeasurements(c: &ControlInfo) -> Vec<(u32, bool)> {
+    c.remeasurements.clone()
+}
+
+/// The backoff retry a lost measurement scheduled:
+/// `(next attempt, earliest time in seconds)`.
+pub fn retry(c: &ControlInfo) -> Option<(u32, f64)> {
+    c.retry
+}
+
+/// Whether the batch was served on CSI past its staleness threshold.
+pub fn csi_stale(c: &ControlInfo) -> bool {
+    c.csi_stale
+}

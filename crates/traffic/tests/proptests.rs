@@ -2,6 +2,8 @@
 //! synchronization strategy charges to the air must surface as control
 //! overhead in some `TxReport`, exactly once.
 
+mod common;
+
 use jmb_core::fastnet::FastConfig;
 use jmb_core::sync::SyncStrategyId;
 use jmb_traffic::{FastBackend, TransmitBackend};
@@ -40,7 +42,7 @@ proptest! {
             prop_assert!(report.airtime_s.is_finite() && report.airtime_s >= 0.0);
             prop_assert!(report.control.overhead_s.is_finite());
             total_overhead += report.control.overhead_s;
-            n_meas += report.control.remeasurements.len();
+            n_meas += common::remeasurements(&report.control).len();
             elapsed += report.airtime_s + report.control.overhead_s;
         }
         let sync_part = total_overhead - n_meas as f64 * meas_s;

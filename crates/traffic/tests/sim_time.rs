@@ -3,6 +3,8 @@
 //! channel is re-measured (or the lost exchange retried and charged) at
 //! either fidelity.
 
+mod common;
+
 use jmb_core::error::JmbError;
 use jmb_core::fastnet::{FastConfig, FastEval};
 use jmb_core::net::{NetConfig, SampleEval};
@@ -62,7 +64,7 @@ impl<L: LinkEval> TransmitBackend for Clocked<L> {
         self.t += report.airtime_s + report.control.overhead_s;
         self.served.push(Served {
             start_s,
-            missed: report.control.missed_slaves.clone(),
+            missed: common::missed_slaves(&report.control),
             lead_s: self.inner.net_mut().now() - self.t,
         });
         Ok(report)
@@ -132,12 +134,12 @@ fn lost_measurement_is_retried_and_charged<L: LinkEval>(cfg: L::Config) {
     b.advance(60e-3);
     let report = b.transmit_batch(&[0, 1], 300, &[0, 1]).expect("batch");
     let control = report.control;
-    assert_eq!(control.remeasurements, [(1, false)]);
-    let (attempt, at_s) = control.retry.expect("a retry is scheduled");
+    assert_eq!(common::remeasurements(&control), [(1, false)]);
+    let (attempt, at_s) = common::retry(&control).expect("a retry is scheduled");
     assert_eq!(attempt, 2);
     assert!(at_s > 60e-3, "retry at {at_s} s");
     assert!(control.overhead_s > 0.0, "the lost exchange is charged");
-    assert!(control.csi_stale);
+    assert!(common::csi_stale(&control));
 }
 
 #[test]
