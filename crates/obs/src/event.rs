@@ -6,429 +6,385 @@
 //! misses, CSI staleness, re-measurement, degradation). Each recorded
 //! [`Event`] carries a global timestamp and a per-trace sequence number so
 //! simultaneous events keep a total order.
+//!
+//! A kind is declared once, as a variant of [`EventKind`] inside
+//! `event_kinds!`: its name, its place in [`EventKind::NAMES`] and its JSON
+//! fields — written and read in declaration order, each under its own name
+//! and by its type's `Field` impl — all come from that declaration.
 
-/// Why a transmission or packet was abandoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// Fault injection removed the waveform from the air (deep fade or an
-    /// un-modelled collision).
-    Fault,
-    /// The link layer exhausted the packet's retry budget (§9: packets stay
-    /// queued until ACKed — but not forever).
-    RetryLimit,
+use crate::json::{json_str, lookup, Field, Fields};
+
+/// An enum of unit variants whose JSON form is the variant's own name: the
+/// declaration is the one name table (`ALL`, `name`, `from_name`).
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident { $($(#[$vmeta:meta])* $variant:ident),* $(,)? }
+    ) => {
+        $(#[$meta])*
+        pub enum $name { $($(#[$vmeta])* $variant),* }
+
+        impl $name {
+            /// Every value, in declaration order.
+            pub const ALL: [$name; [$(stringify!($variant)),*].len()] = [$($name::$variant),*];
+
+            /// Stable name used in JSON output.
+            pub fn name(self) -> &'static str {
+                match self { $($name::$variant => stringify!($variant)),* }
+            }
+
+            /// Inverse of `name`.
+            pub fn from_name(s: &str) -> Option<$name> {
+                Self::ALL.into_iter().find(|v| v.name() == s)
+            }
+        }
+
+        impl Field for $name {
+            fn write(&self, out: &mut String) {
+                json_str(out, self.name());
+            }
+            fn read(fields: &Fields<'_>, key: &str) -> Option<Self> {
+                Self::from_name(lookup(&fields.strs, key)?)
+            }
+        }
+    };
 }
 
-impl DropCause {
-    /// Stable name used in JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            DropCause::Fault => "Fault",
-            DropCause::RetryLimit => "RetryLimit",
-        }
-    }
-
-    /// Inverse of [`DropCause::name`].
-    pub fn from_name(s: &str) -> Option<DropCause> {
-        match s {
-            "Fault" => Some(DropCause::Fault),
-            "RetryLimit" => Some(DropCause::RetryLimit),
-            _ => None,
-        }
-    }
-}
-
-/// Why a bounded run stopped (carried by [`EventKind::ScenarioStopped`]
-/// and returned by bounded event loops).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopCause {
-    /// The run drained its event queue and finished naturally.
-    Completed,
-    /// The processed-event budget (`max_events`) was exhausted first.
-    MaxEvents,
-    /// The simulated-time budget (`max_sim_time`) was exhausted first.
-    MaxSimTime,
-    /// An external stop predicate fired (in practice: the scenario
-    /// runner's wall-clock deadline). This is the one cause that is not
-    /// deterministic across machines, which is why wall-clock budgets are
-    /// safety nets, never part of a scenario's pass criteria.
-    Wallclock,
-}
-
-impl StopCause {
-    /// Stable name used in JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            StopCause::Completed => "Completed",
-            StopCause::MaxEvents => "MaxEvents",
-            StopCause::MaxSimTime => "MaxSimTime",
-            StopCause::Wallclock => "Wallclock",
-        }
-    }
-
-    /// Inverse of [`StopCause::name`].
-    pub fn from_name(s: &str) -> Option<StopCause> {
-        match s {
-            "Completed" => Some(StopCause::Completed),
-            "MaxEvents" => Some(StopCause::MaxEvents),
-            "MaxSimTime" => Some(StopCause::MaxSimTime),
-            "Wallclock" => Some(StopCause::Wallclock),
-            _ => None,
-        }
+named_enum! {
+    /// Why a transmission or packet was abandoned.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DropCause {
+        /// Fault injection removed the waveform from the air (deep fade or an
+        /// un-modelled collision).
+        Fault,
+        /// The link layer exhausted the packet's retry budget (§9: packets stay
+        /// queued until ACKed — but not forever).
+        RetryLimit,
     }
 }
 
-/// Which pluggable synchronization backend a network is running — carried
-/// by [`EventKind::SyncStrategySwitched`] and shared by every layer that
-/// names a strategy (the `[sync]` manifest section, the `JMB_SYNC` env,
-/// bench CLI flags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncStrategyId {
-    /// The paper's lead/slave resync: slaves re-measure the lead's channel
-    /// from the in-band sync header of every joint transmission (§5.2).
-    #[default]
-    JmbLeadSlave,
-    /// Continuous out-of-band pilot tracking: the lead broadcasts periodic
-    /// pilots on a side channel and slaves run a Kalman-style phase
-    /// predictor, so data frames need no in-band sync header.
-    AirSyncPilot,
-    /// Calibrated implicit CSI from uplink reciprocity: slaves refresh
-    /// their lead-relative phase from regular uplink traffic, with zero
-    /// dedicated per-client measurement frames.
-    ReciprocityImplicit,
+named_enum! {
+    /// Why a bounded run stopped (carried by [`EventKind::ScenarioStopped`]
+    /// and returned by bounded event loops).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum StopCause {
+        /// The run drained its event queue and finished naturally.
+        Completed,
+        /// The processed-event budget (`max_events`) was exhausted first.
+        MaxEvents,
+        /// The simulated-time budget (`max_sim_time`) was exhausted first.
+        MaxSimTime,
+        /// An external stop predicate fired (in practice: the scenario
+        /// runner's wall-clock deadline). This is the one cause that is not
+        /// deterministic across machines, which is why wall-clock budgets are
+        /// safety nets, never part of a scenario's pass criteria.
+        Wallclock,
+    }
+}
+
+named_enum! {
+    /// Which pluggable synchronization backend a network is running — carried
+    /// by [`EventKind::SyncStrategySwitched`] and shared by every layer that
+    /// names a strategy (the `[sync]` manifest section, the `JMB_SYNC` env,
+    /// bench CLI flags).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum SyncStrategyId {
+        /// The paper's lead/slave resync: slaves re-measure the lead's channel
+        /// from the in-band sync header of every joint transmission (§5.2).
+        #[default]
+        JmbLeadSlave,
+        /// Continuous out-of-band pilot tracking: the lead broadcasts periodic
+        /// pilots on a side channel and slaves run a Kalman-style phase
+        /// predictor, so data frames need no in-band sync header.
+        AirSyncPilot,
+        /// Calibrated implicit CSI from uplink reciprocity: slaves refresh
+        /// their lead-relative phase from regular uplink traffic, with zero
+        /// dedicated per-client measurement frames.
+        ReciprocityImplicit,
+    }
 }
 
 impl SyncStrategyId {
-    /// Every strategy, in declaration order.
-    pub const ALL: [SyncStrategyId; 3] = [
-        SyncStrategyId::JmbLeadSlave,
-        SyncStrategyId::AirSyncPilot,
-        SyncStrategyId::ReciprocityImplicit,
-    ];
-
-    /// Stable name used in JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            SyncStrategyId::JmbLeadSlave => "JmbLeadSlave",
-            SyncStrategyId::AirSyncPilot => "AirSyncPilot",
-            SyncStrategyId::ReciprocityImplicit => "ReciprocityImplicit",
-        }
-    }
-
-    /// Inverse of [`SyncStrategyId::name`].
-    pub fn from_name(s: &str) -> Option<SyncStrategyId> {
-        match s {
-            "JmbLeadSlave" => Some(SyncStrategyId::JmbLeadSlave),
-            "AirSyncPilot" => Some(SyncStrategyId::AirSyncPilot),
-            "ReciprocityImplicit" => Some(SyncStrategyId::ReciprocityImplicit),
-            _ => None,
-        }
-    }
+    /// [`SyncStrategyId::token`] of each strategy, in declaration order.
+    const TOKENS: [&'static str; 3] = ["jmb-lead-slave", "airsync-pilot", "reciprocity-implicit"];
 
     /// Stable kebab-case token used by manifests, CLI flags and the
     /// `JMB_SYNC` env.
     pub fn token(self) -> &'static str {
-        match self {
-            SyncStrategyId::JmbLeadSlave => "jmb-lead-slave",
-            SyncStrategyId::AirSyncPilot => "airsync-pilot",
-            SyncStrategyId::ReciprocityImplicit => "reciprocity-implicit",
-        }
+        Self::TOKENS[self as usize]
     }
 
     /// Inverse of [`SyncStrategyId::token`].
     pub fn from_token(s: &str) -> Option<SyncStrategyId> {
-        match s {
-            "jmb-lead-slave" => Some(SyncStrategyId::JmbLeadSlave),
-            "airsync-pilot" => Some(SyncStrategyId::AirSyncPilot),
-            "reciprocity-implicit" => Some(SyncStrategyId::ReciprocityImplicit),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|id| id.token() == s)
     }
 }
 
-/// What happened (the payload of an [`Event`]; the *when* lives on the
-/// event itself).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
-    /// Medium: a waveform was scheduled.
-    Transmit {
-        /// Node index.
-        node: usize,
-        /// Length in samples.
-        len: usize,
-        /// Mean sample power.
-        power: f64,
-    },
-    /// Medium: a receive window was rendered.
-    Render {
-        /// Node index.
-        node: usize,
-        /// Length in samples.
-        len: usize,
-    },
-    /// A transmission or packet was dropped.
-    Dropped {
-        /// Node index (transmitter for [`DropCause::Fault`], destination
-        /// client for [`DropCause::RetryLimit`]).
-        node: usize,
-        /// Why it was dropped.
-        cause: DropCause,
-    },
-    /// Medium: a scheduled waveform had its payload samples corrupted in
-    /// flight by fault injection (pre-CRC, so receivers see a CRC
-    /// rejection).
-    Corrupted {
-        /// Transmitting node index.
-        node: usize,
-    },
-    /// MAC: a downlink packet entered the shared queue.
-    Enqueued {
-        /// Destination client.
-        client: usize,
-        /// Queue-assigned packet id.
-        id: u64,
-    },
-    /// MAC: the designated AP of the head-of-queue packet was elected lead
-    /// for a joint transmission (§9).
-    LeadElected {
-        /// Lead AP index.
-        ap: usize,
-    },
-    /// MAC: a joint batch was selected from the shared queue.
-    BatchSelected {
-        /// Number of packets (= concurrent streams) in the batch.
-        n_packets: usize,
-    },
-    /// MAC: a packet was acknowledged (asynchronously, §9).
-    Acked {
-        /// Destination client.
-        client: usize,
-        /// Queue-assigned packet id.
-        id: u64,
-    },
-    /// MAC: a packet was not acknowledged and returned to the queue for a
-    /// future joint transmission.
-    Retry {
-        /// Destination client.
-        client: usize,
-        /// Queue-assigned packet id.
-        id: u64,
-        /// Attempts made so far.
-        attempt: u32,
-    },
-    /// An AP went down (fault schedule).
-    ApDown {
-        /// AP index.
-        ap: usize,
-    },
-    /// An AP recovered.
-    ApUp {
-        /// AP index.
-        ap: usize,
-    },
-    /// Control plane: a slave AP missed the lead's sync header for a joint
-    /// transmission (fault injection or a physically failed measurement).
-    SyncMissed {
-        /// Slave AP index.
-        slave: usize,
-    },
-    /// Control plane: CSI age exceeded the staleness threshold and a
-    /// re-measurement became due.
-    CsiStale {
-        /// Age of the oldest CSI entry, seconds.
-        age_s: f64,
-    },
-    /// Control plane: a re-measurement was scheduled (initial attempt or a
-    /// backoff retry after a lost measurement frame).
-    RemeasureScheduled {
-        /// Earliest time the attempt may run, seconds.
-        at: f64,
-        /// Attempt number (1 = first retry after a failure).
-        attempt: u32,
-    },
-    /// Control plane: a measurement frame was lost and the re-measurement
-    /// attempt failed.
-    RemeasureFailed {
-        /// Attempt number that failed.
-        attempt: u32,
-    },
-    /// Control plane: a re-measurement succeeded and refreshed the CSI.
-    RemeasureOk {
-        /// Attempt number that succeeded (1 = first try).
-        attempt: u32,
-    },
-    /// PHY control plane: a measurement frame was lost in flight (the
-    /// attempt-numbered [`EventKind::RemeasureFailed`] view of the same
-    /// loss is emitted by the layer that owns the backoff tracker).
-    MeasurementLost,
-    /// Control plane: a slave AP accumulated enough consecutive sync-header
-    /// misses to be marked degraded (excluded from joint batches until it
-    /// re-syncs).
-    ApDegraded {
-        /// Slave AP index.
-        ap: usize,
-    },
-    /// Control plane: a degraded slave AP heard a sync header again and was
-    /// restored to service.
-    ApRestored {
-        /// Slave AP index.
-        ap: usize,
-    },
-    /// Control plane: the network switched its synchronization backend (or
-    /// a run started on a non-default one).
-    SyncStrategySwitched {
-        /// The strategy now in effect.
-        strategy: SyncStrategyId,
-    },
-    /// City: a cell's event loop started an epoch of its shard.
-    CellStarted {
-        /// Cell index (row-major in the grid).
-        cell: usize,
-        /// Frequency-reuse color assigned to the cell.
-        color: usize,
-    },
-    /// City: the aggregate out-of-cell interference applied to a cell for
-    /// the current epoch.
-    CellInterference {
-        /// Cell index (row-major in the grid).
-        cell: usize,
-        /// Interference-to-noise ratio folded into the cell's floor, dB.
-        inr_db: f64,
-    },
-    /// City: a cell's event loop finished its shard for an epoch.
-    CellFinished {
-        /// Cell index (row-major in the grid).
-        cell: usize,
-        /// Packets the cell delivered this epoch.
-        delivered: u64,
-    },
-    /// Scenario: a declarative manifest run began.
-    ScenarioStarted {
-        /// Number of assertions the manifest declares.
-        assertions: usize,
-    },
-    /// Scenario: one assertion of the manifest was evaluated.
-    ScenarioAssertion {
-        /// Assertion index in manifest order.
-        index: usize,
-        /// Whether the assertion held.
-        passed: bool,
-    },
-    /// Scenario: the run ended (naturally or at a resource limit).
-    ScenarioStopped {
-        /// Why the run stopped.
-        cause: StopCause,
-        /// Simulation events processed before stopping.
-        events: u64,
-    },
+/// Declares [`EventKind`] and, from the same text, everything that is one
+/// entry per kind: `NAMES`, `name`, and the JSON field writer and reader.
+macro_rules! event_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $({ $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $field: $ty),* })?),*
+        }
+
+        impl $name {
+            /// Every kind's [`EventKind::name`], in declaration order: what a
+            /// manifest assertion may name and what [`Event::from_json`]
+            /// accepts.
+            pub const NAMES: [&'static str; [$(stringify!($variant)),*].len()] =
+                [$(stringify!($variant)),*];
+
+            /// Stable kind name (used by [`crate::TraceQuery::kind`] and JSON
+            /// output).
+            pub fn name(&self) -> &'static str {
+                match self { $($name::$variant { .. } => stringify!($variant)),* }
+            }
+
+            /// Appends `,"field":value` for each field, in declaration order.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $($name::$variant { $($($field),*)? } => {
+                        $($(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write(out);
+                        )*)?
+                    })*
+                }
+            }
+
+            /// The index stored in the field named `key`, if this kind has one.
+            fn index(&self, key: &str) -> Option<usize> {
+                match self {
+                    $($name::$variant { $($($field),*)? } => {
+                        $($(if stringify!($field) == key {
+                            return ($field as &dyn std::any::Any).downcast_ref().copied();
+                        })*)?
+                        None
+                    })*
+                }
+            }
+
+            /// The kind named `kind` with its fields read out of `fields`.
+            fn read(kind: &str, fields: &Fields<'_>) -> Option<$name> {
+                $(if kind == stringify!($variant) {
+                    return Some($name::$variant {
+                        $($($field: Field::read(fields, stringify!($field))?),*)?
+                    });
+                })*
+                None
+            }
+        }
+    };
+}
+
+event_kinds! {
+    /// What happened (the payload of an [`Event`]; the *when* lives on the
+    /// event itself).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum EventKind {
+        /// Medium: a waveform was scheduled.
+        Transmit {
+            /// Node index.
+            node: usize,
+            /// Length in samples.
+            len: usize,
+            /// Mean sample power.
+            power: f64,
+        },
+        /// Medium: a receive window was rendered.
+        Render {
+            /// Node index.
+            node: usize,
+            /// Length in samples.
+            len: usize,
+        },
+        /// A transmission or packet was dropped.
+        Dropped {
+            /// Node index (transmitter for [`DropCause::Fault`], destination
+            /// client for [`DropCause::RetryLimit`]).
+            node: usize,
+            /// Why it was dropped.
+            cause: DropCause,
+        },
+        /// Medium: a scheduled waveform had its payload samples corrupted in
+        /// flight by fault injection (pre-CRC, so receivers see a CRC
+        /// rejection).
+        Corrupted {
+            /// Transmitting node index.
+            node: usize,
+        },
+        /// MAC: a downlink packet entered the shared queue.
+        Enqueued {
+            /// Destination client.
+            client: usize,
+            /// Queue-assigned packet id.
+            id: u64,
+        },
+        /// MAC: the designated AP of the head-of-queue packet was elected lead
+        /// for a joint transmission (§9).
+        LeadElected {
+            /// Lead AP index.
+            ap: usize,
+        },
+        /// MAC: a joint batch was selected from the shared queue.
+        BatchSelected {
+            /// Number of packets (= concurrent streams) in the batch.
+            n_packets: usize,
+        },
+        /// MAC: a packet was acknowledged (asynchronously, §9).
+        Acked {
+            /// Destination client.
+            client: usize,
+            /// Queue-assigned packet id.
+            id: u64,
+        },
+        /// MAC: a packet was not acknowledged and returned to the queue for a
+        /// future joint transmission.
+        Retry {
+            /// Destination client.
+            client: usize,
+            /// Queue-assigned packet id.
+            id: u64,
+            /// Attempts made so far.
+            attempt: u32,
+        },
+        /// An AP went down (fault schedule).
+        ApDown {
+            /// AP index.
+            ap: usize,
+        },
+        /// An AP recovered.
+        ApUp {
+            /// AP index.
+            ap: usize,
+        },
+        /// Control plane: a slave AP missed the lead's sync header for a joint
+        /// transmission (fault injection or a physically failed measurement).
+        SyncMissed {
+            /// Slave AP index.
+            slave: usize,
+        },
+        /// Control plane: CSI age exceeded the staleness threshold and a
+        /// re-measurement became due.
+        CsiStale {
+            /// Age of the oldest CSI entry, seconds.
+            age_s: f64,
+        },
+        /// Control plane: a re-measurement was scheduled (initial attempt or a
+        /// backoff retry after a lost measurement frame).
+        RemeasureScheduled {
+            /// Earliest time the attempt may run, seconds.
+            at: f64,
+            /// Attempt number (1 = first retry after a failure).
+            attempt: u32,
+        },
+        /// Control plane: a measurement frame was lost and the re-measurement
+        /// attempt failed.
+        RemeasureFailed {
+            /// Attempt number that failed.
+            attempt: u32,
+        },
+        /// Control plane: a re-measurement succeeded and refreshed the CSI.
+        RemeasureOk {
+            /// Attempt number that succeeded (1 = first try).
+            attempt: u32,
+        },
+        /// PHY control plane: a measurement frame was lost in flight (the
+        /// attempt-numbered [`EventKind::RemeasureFailed`] view of the same
+        /// loss is emitted by the layer that owns the backoff tracker).
+        MeasurementLost,
+        /// Control plane: a slave AP accumulated enough consecutive sync-header
+        /// misses to be marked degraded (excluded from joint batches until it
+        /// re-syncs).
+        ApDegraded {
+            /// Slave AP index.
+            ap: usize,
+        },
+        /// Control plane: a degraded slave AP heard a sync header again and was
+        /// restored to service.
+        ApRestored {
+            /// Slave AP index.
+            ap: usize,
+        },
+        /// Control plane: the network switched its synchronization backend (or
+        /// a run started on a non-default one).
+        SyncStrategySwitched {
+            /// The strategy now in effect.
+            strategy: SyncStrategyId,
+        },
+        /// City: a cell's event loop started an epoch of its shard.
+        CellStarted {
+            /// Cell index (row-major in the grid).
+            cell: usize,
+            /// Frequency-reuse color assigned to the cell.
+            color: usize,
+        },
+        /// City: the aggregate out-of-cell interference applied to a cell for
+        /// the current epoch.
+        CellInterference {
+            /// Cell index (row-major in the grid).
+            cell: usize,
+            /// Interference-to-noise ratio folded into the cell's floor, dB.
+            inr_db: f64,
+        },
+        /// City: a cell's event loop finished its shard for an epoch.
+        CellFinished {
+            /// Cell index (row-major in the grid).
+            cell: usize,
+            /// Packets the cell delivered this epoch.
+            delivered: u64,
+        },
+        /// Scenario: a declarative manifest run began.
+        ScenarioStarted {
+            /// Number of assertions the manifest declares.
+            assertions: usize,
+        },
+        /// Scenario: one assertion of the manifest was evaluated.
+        ScenarioAssertion {
+            /// Assertion index in manifest order.
+            index: usize,
+            /// Whether the assertion held.
+            passed: bool,
+        },
+        /// Scenario: the run ended (naturally or at a resource limit).
+        ScenarioStopped {
+            /// Why the run stopped.
+            cause: StopCause,
+            /// Simulation events processed before stopping.
+            events: u64,
+        },
+    }
 }
 
 impl EventKind {
-    /// Every kind's [`EventKind::name`], in declaration order: what a
-    /// manifest assertion may name and what [`Event::from_json`] accepts.
-    pub const NAMES: [&'static str; 26] = [
-        "Transmit",
-        "Render",
-        "Dropped",
-        "Corrupted",
-        "Enqueued",
-        "LeadElected",
-        "BatchSelected",
-        "Acked",
-        "Retry",
-        "ApDown",
-        "ApUp",
-        "SyncMissed",
-        "CsiStale",
-        "RemeasureScheduled",
-        "RemeasureFailed",
-        "RemeasureOk",
-        "MeasurementLost",
-        "ApDegraded",
-        "ApRestored",
-        "SyncStrategySwitched",
-        "CellStarted",
-        "CellInterference",
-        "CellFinished",
-        "ScenarioStarted",
-        "ScenarioAssertion",
-        "ScenarioStopped",
-    ];
-
-    /// Stable kind name (used by [`crate::TraceQuery::kind`] and JSON
-    /// output).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Transmit { .. } => "Transmit",
-            EventKind::Render { .. } => "Render",
-            EventKind::Dropped { .. } => "Dropped",
-            EventKind::Corrupted { .. } => "Corrupted",
-            EventKind::Enqueued { .. } => "Enqueued",
-            EventKind::LeadElected { .. } => "LeadElected",
-            EventKind::BatchSelected { .. } => "BatchSelected",
-            EventKind::Acked { .. } => "Acked",
-            EventKind::Retry { .. } => "Retry",
-            EventKind::ApDown { .. } => "ApDown",
-            EventKind::ApUp { .. } => "ApUp",
-            EventKind::SyncMissed { .. } => "SyncMissed",
-            EventKind::CsiStale { .. } => "CsiStale",
-            EventKind::RemeasureScheduled { .. } => "RemeasureScheduled",
-            EventKind::RemeasureFailed { .. } => "RemeasureFailed",
-            EventKind::RemeasureOk { .. } => "RemeasureOk",
-            EventKind::MeasurementLost => "MeasurementLost",
-            EventKind::ApDegraded { .. } => "ApDegraded",
-            EventKind::ApRestored { .. } => "ApRestored",
-            EventKind::SyncStrategySwitched { .. } => "SyncStrategySwitched",
-            EventKind::CellStarted { .. } => "CellStarted",
-            EventKind::CellInterference { .. } => "CellInterference",
-            EventKind::CellFinished { .. } => "CellFinished",
-            EventKind::ScenarioStarted { .. } => "ScenarioStarted",
-            EventKind::ScenarioAssertion { .. } => "ScenarioAssertion",
-            EventKind::ScenarioStopped { .. } => "ScenarioStopped",
-        }
-    }
-
     /// The city cell index this event concerns, if any.
     pub fn cell(&self) -> Option<usize> {
-        match *self {
-            EventKind::CellStarted { cell, .. }
-            | EventKind::CellInterference { cell, .. }
-            | EventKind::CellFinished { cell, .. } => Some(cell),
-            _ => None,
-        }
+        self.index("cell")
     }
 
     /// The AP index this event concerns, if any (slaves count as APs).
     pub fn ap(&self) -> Option<usize> {
-        match *self {
-            EventKind::LeadElected { ap }
-            | EventKind::ApDown { ap }
-            | EventKind::ApUp { ap }
-            | EventKind::ApDegraded { ap }
-            | EventKind::ApRestored { ap } => Some(ap),
-            EventKind::SyncMissed { slave } => Some(slave),
-            _ => None,
-        }
+        self.index("ap").or_else(|| self.index("slave"))
     }
 
     /// The client index this event concerns, if any.
     pub fn client(&self) -> Option<usize> {
-        match *self {
-            EventKind::Enqueued { client, .. }
-            | EventKind::Acked { client, .. }
-            | EventKind::Retry { client, .. } => Some(client),
-            _ => None,
-        }
+        self.index("client")
     }
 
     /// The medium node index this event concerns, if any.
     pub fn node(&self) -> Option<usize> {
-        match *self {
-            EventKind::Transmit { node, .. }
-            | EventKind::Render { node, .. }
-            | EventKind::Dropped { node, .. }
-            | EventKind::Corrupted { node } => Some(node),
-            _ => None,
-        }
+        self.index("node")
     }
 }
 
@@ -452,87 +408,21 @@ impl Event {
     /// serialize to equal bytes and [`Event::from_json`] recovers them
     /// exactly.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"seq\":{},\"t\":{},\"kind\":\"{}\"",
-            self.seq,
-            self.t,
-            self.kind.name()
-        );
-        match &self.kind {
-            EventKind::Transmit { node, len, power } => {
-                push_field(&mut s, "node", *node as u64);
-                push_field(&mut s, "len", *len as u64);
-                s.push_str(&format!(",\"power\":{power}"));
-            }
-            EventKind::Render { node, len } => {
-                push_field(&mut s, "node", *node as u64);
-                push_field(&mut s, "len", *len as u64);
-            }
-            EventKind::Dropped { node, cause } => {
-                push_field(&mut s, "node", *node as u64);
-                s.push_str(&format!(",\"cause\":\"{}\"", cause.name()));
-            }
-            EventKind::Corrupted { node } => push_field(&mut s, "node", *node as u64),
-            EventKind::Enqueued { client, id } | EventKind::Acked { client, id } => {
-                push_field(&mut s, "client", *client as u64);
-                push_field(&mut s, "id", *id);
-            }
-            EventKind::LeadElected { ap }
-            | EventKind::ApDown { ap }
-            | EventKind::ApUp { ap }
-            | EventKind::ApDegraded { ap }
-            | EventKind::ApRestored { ap } => push_field(&mut s, "ap", *ap as u64),
-            EventKind::BatchSelected { n_packets } => {
-                push_field(&mut s, "n_packets", *n_packets as u64)
-            }
-            EventKind::Retry {
-                client,
-                id,
-                attempt,
-            } => {
-                push_field(&mut s, "client", *client as u64);
-                push_field(&mut s, "id", *id);
-                push_field(&mut s, "attempt", *attempt as u64);
-            }
-            EventKind::SyncMissed { slave } => push_field(&mut s, "slave", *slave as u64),
-            EventKind::CsiStale { age_s } => s.push_str(&format!(",\"age_s\":{age_s}")),
-            EventKind::RemeasureScheduled { at, attempt } => {
-                s.push_str(&format!(",\"at\":{at}"));
-                push_field(&mut s, "attempt", *attempt as u64);
-            }
-            EventKind::RemeasureFailed { attempt } | EventKind::RemeasureOk { attempt } => {
-                push_field(&mut s, "attempt", *attempt as u64)
-            }
-            EventKind::MeasurementLost => {}
-            EventKind::SyncStrategySwitched { strategy } => {
-                s.push_str(&format!(",\"strategy\":\"{}\"", strategy.name()));
-            }
-            EventKind::CellStarted { cell, color } => {
-                push_field(&mut s, "cell", *cell as u64);
-                push_field(&mut s, "color", *color as u64);
-            }
-            EventKind::CellInterference { cell, inr_db } => {
-                push_field(&mut s, "cell", *cell as u64);
-                s.push_str(&format!(",\"inr_db\":{inr_db}"));
-            }
-            EventKind::CellFinished { cell, delivered } => {
-                push_field(&mut s, "cell", *cell as u64);
-                push_field(&mut s, "delivered", *delivered);
-            }
-            EventKind::ScenarioStarted { assertions } => {
-                push_field(&mut s, "assertions", *assertions as u64);
-            }
-            EventKind::ScenarioAssertion { index, passed } => {
-                push_field(&mut s, "index", *index as u64);
-                push_field(&mut s, "passed", u64::from(*passed));
-            }
-            EventKind::ScenarioStopped { cause, events } => {
-                s.push_str(&format!(",\"cause\":\"{}\"", cause.name()));
-                push_field(&mut s, "events", *events);
-            }
-        }
-        s.push('}');
-        s
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
+    }
+
+    /// Appends the [`Event::to_json`] line to a buffer the caller reuses.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        self.seq.write(out);
+        out.push_str(",\"t\":");
+        self.t.write(out);
+        out.push_str(",\"kind\":");
+        json_str(out, self.kind.name());
+        self.kind.write_fields(out);
+        out.push('}');
     }
 
     /// Parses one line produced by [`Event::to_json`]. Returns `None` on
@@ -541,137 +431,13 @@ impl Event {
     /// integers of their own width: a negative, fractional or out-of-range
     /// value is malformed, not rounded into some other valid event.
     pub fn from_json(line: &str) -> Option<Event> {
-        /// Field `k` of `num`, parsed as the type the event stores.
-        fn field<T: std::str::FromStr>(
-            num: &std::collections::BTreeMap<&str, &str>,
-            k: &str,
-        ) -> Option<T> {
-            num.get(k)?.parse().ok()
-        }
-        let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut num = std::collections::BTreeMap::new();
-        let mut strs = std::collections::BTreeMap::new();
-        for part in body.split(',') {
-            let (k, v) = part.split_once(':')?;
-            let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let v = v.trim();
-            if let Some(sv) = v.strip_prefix('"').and_then(|x| x.strip_suffix('"')) {
-                strs.insert(k, sv);
-            } else {
-                v.parse::<f64>().ok()?;
-                num.insert(k, v);
-            }
-        }
-        let num = &num;
-        let kind = match *strs.get("kind")? {
-            "Transmit" => EventKind::Transmit {
-                node: field(num, "node")?,
-                len: field(num, "len")?,
-                power: field(num, "power")?,
-            },
-            "Render" => EventKind::Render {
-                node: field(num, "node")?,
-                len: field(num, "len")?,
-            },
-            "Dropped" => EventKind::Dropped {
-                node: field(num, "node")?,
-                cause: DropCause::from_name(strs.get("cause")?)?,
-            },
-            "Corrupted" => EventKind::Corrupted {
-                node: field(num, "node")?,
-            },
-            "Enqueued" => EventKind::Enqueued {
-                client: field(num, "client")?,
-                id: field(num, "id")?,
-            },
-            "LeadElected" => EventKind::LeadElected {
-                ap: field(num, "ap")?,
-            },
-            "BatchSelected" => EventKind::BatchSelected {
-                n_packets: field(num, "n_packets")?,
-            },
-            "Acked" => EventKind::Acked {
-                client: field(num, "client")?,
-                id: field(num, "id")?,
-            },
-            "Retry" => EventKind::Retry {
-                client: field(num, "client")?,
-                id: field(num, "id")?,
-                attempt: field(num, "attempt")?,
-            },
-            "ApDown" => EventKind::ApDown {
-                ap: field(num, "ap")?,
-            },
-            "ApUp" => EventKind::ApUp {
-                ap: field(num, "ap")?,
-            },
-            "SyncMissed" => EventKind::SyncMissed {
-                slave: field(num, "slave")?,
-            },
-            "CsiStale" => EventKind::CsiStale {
-                age_s: field(num, "age_s")?,
-            },
-            "RemeasureScheduled" => EventKind::RemeasureScheduled {
-                at: field(num, "at")?,
-                attempt: field(num, "attempt")?,
-            },
-            "RemeasureFailed" => EventKind::RemeasureFailed {
-                attempt: field(num, "attempt")?,
-            },
-            "RemeasureOk" => EventKind::RemeasureOk {
-                attempt: field(num, "attempt")?,
-            },
-            "MeasurementLost" => EventKind::MeasurementLost,
-            "ApDegraded" => EventKind::ApDegraded {
-                ap: field(num, "ap")?,
-            },
-            "SyncStrategySwitched" => EventKind::SyncStrategySwitched {
-                strategy: SyncStrategyId::from_name(strs.get("strategy")?)?,
-            },
-            "ApRestored" => EventKind::ApRestored {
-                ap: field(num, "ap")?,
-            },
-            "CellStarted" => EventKind::CellStarted {
-                cell: field(num, "cell")?,
-                color: field(num, "color")?,
-            },
-            "CellInterference" => EventKind::CellInterference {
-                cell: field(num, "cell")?,
-                inr_db: field(num, "inr_db")?,
-            },
-            "CellFinished" => EventKind::CellFinished {
-                cell: field(num, "cell")?,
-                delivered: field(num, "delivered")?,
-            },
-            "ScenarioStarted" => EventKind::ScenarioStarted {
-                assertions: field(num, "assertions")?,
-            },
-            "ScenarioAssertion" => EventKind::ScenarioAssertion {
-                index: field(num, "index")?,
-                passed: match field(num, "passed")? {
-                    0u8 => false,
-                    1 => true,
-                    _ => return None,
-                },
-            },
-            "ScenarioStopped" => EventKind::ScenarioStopped {
-                cause: StopCause::from_name(strs.get("cause")?)?,
-                events: field(num, "events")?,
-            },
-            _ => return None,
-        };
+        let fields = Fields::parse(line)?;
         Some(Event {
-            seq: field(num, "seq")?,
-            t: field(num, "t")?,
-            kind,
+            seq: Field::read(&fields, "seq")?,
+            t: Field::read(&fields, "t")?,
+            kind: EventKind::read(lookup(&fields.strs, "kind")?, &fields)?,
         })
     }
-}
-
-/// Appends `,"name":V` with integer formatting (all our integer fields —
-/// indices, ids, attempts — fit u64).
-fn push_field(s: &mut String, name: &str, v: u64) {
-    s.push_str(&format!(",\"{name}\":{v}"));
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod query;
 pub mod registry;
 pub mod sink;
@@ -36,6 +37,7 @@ pub mod span;
 pub mod trace;
 
 pub use event::{DropCause, Event, EventKind, StopCause, SyncStrategyId};
+pub use json::{json_f64, json_str};
 pub use query::{read_jsonl, TraceQuery};
 pub use registry::{Histogram, Registry};
 pub use sink::{FilterSink, JsonLinesSink, RingBufferSink, TraceSink};

@@ -64,21 +64,26 @@ impl TraceSink for RingBufferSink {
 /// format [`crate::query::read_jsonl`] replays).
 pub struct JsonLinesSink<W: Write> {
     w: W,
+    /// The line being written, reused from event to event.
+    line: String,
 }
 
 impl JsonLinesSink<BufWriter<std::fs::File>> {
     /// Creates (truncating) a JSONL file sink.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonLinesSink {
-            w: BufWriter::new(std::fs::File::create(path)?),
-        })
+        Ok(JsonLinesSink::new(BufWriter::new(std::fs::File::create(
+            path,
+        )?)))
     }
 }
 
 impl<W: Write> JsonLinesSink<W> {
     /// Wraps an arbitrary writer (e.g. a `Vec<u8>` in tests).
     pub fn new(w: W) -> Self {
-        JsonLinesSink { w }
+        JsonLinesSink {
+            w,
+            line: String::new(),
+        }
     }
 
     /// Consumes the sink and returns the writer (flushed).
@@ -92,7 +97,10 @@ impl<W: Write> TraceSink for JsonLinesSink<W> {
     fn record(&mut self, e: &Event) {
         // An I/O error must never abort a simulation mid-run; the flush at
         // the end surfaces persistent failures soon enough for tooling.
-        let _ = writeln!(self.w, "{}", e.to_json());
+        self.line.clear();
+        e.write_json(&mut self.line);
+        self.line.push('\n');
+        let _ = self.w.write_all(self.line.as_bytes());
     }
 
     fn flush(&mut self) {

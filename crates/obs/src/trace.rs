@@ -119,7 +119,7 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut s = String::new();
         for e in &self.events {
-            s.push_str(&e.to_json());
+            e.write_json(&mut s);
             s.push('\n');
         }
         s

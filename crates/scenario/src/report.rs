@@ -6,7 +6,8 @@
 //! and `--threads` settings — CI byte-compares these files.
 
 use crate::assertion::AssertionOutcome;
-use jmb_obs::StopCause;
+use jmb_obs::{json_f64, json_str, StopCause};
+use std::fmt::Write;
 
 /// The overall outcome of a scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,84 +85,55 @@ impl ScenarioReport {
     /// Serializes the report with a stable field order.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str("  \"schema_version\": 1,\n");
-        s.push_str(&format!("  \"name\": {},\n", json_str(&self.name)));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"verdict\": \"{}\",\n", self.verdict.name()));
-        s.push_str(&format!("  \"exit_code\": {},\n", self.verdict.exit_code()));
-        s.push_str(&format!(
-            "  \"stop_cause\": \"{}\",\n",
-            self.stop_cause.name()
-        ));
-        s.push_str(&format!("  \"events\": {},\n", self.events));
-        s.push_str("  \"assertions\": [");
+        s.push_str("{\n  \"schema_version\": 1,\n  \"name\": ");
+        json_str(&mut s, &self.name);
+        let _ = write!(
+            s,
+            ",\n  \"seed\": {},\n  \"verdict\": \"{}\",\n  \"exit_code\": {},\n  \
+             \"stop_cause\": \"{}\",\n  \"events\": {},\n  \"assertions\": [",
+            self.seed,
+            self.verdict.name(),
+            self.verdict.exit_code(),
+            self.stop_cause.name(),
+            self.events
+        );
         for (i, a) in self.assertions.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
-                "\n    {{\"index\": {}, \"text\": {}, \"passed\": {}, \"actual\": {}}}",
-                a.index,
-                json_str(&a.text),
-                a.passed,
-                json_f64(a.actual)
-            ));
+            let _ = write!(s, "\n    {{\"index\": {}, \"text\": ", a.index);
+            json_str(&mut s, &a.text);
+            let _ = write!(s, ", \"passed\": {}, \"actual\": ", a.passed);
+            json_f64(&mut s, a.actual);
+            s.push('}');
         }
-        if self.assertions.is_empty() {
-            s.push_str("],\n");
+        s.push_str(if self.assertions.is_empty() {
+            "],\n"
         } else {
-            s.push_str("\n  ],\n");
-        }
+            "\n  ],\n"
+        });
         s.push_str("  \"metrics\": {");
         for (i, (k, v)) in self.metrics.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("\n    {}: {}", json_str(k), json_f64(*v)));
+            s.push_str("\n    ");
+            json_str(&mut s, k);
+            s.push_str(": ");
+            json_f64(&mut s, *v);
         }
-        if self.metrics.is_empty() {
-            s.push_str("},\n");
+        s.push_str(if self.metrics.is_empty() {
+            "},\n"
         } else {
-            s.push_str("\n  },\n");
-        }
+            "\n  },\n"
+        });
+        s.push_str("  \"error\": ");
         match &self.error {
-            Some(e) => s.push_str(&format!("  \"error\": {}\n", json_str(e))),
-            None => s.push_str("  \"error\": null\n"),
+            Some(e) => json_str(&mut s, e),
+            None => s.push_str("null"),
         }
-        s.push_str("}\n");
+        s.push_str("\n}\n");
         s
-    }
-}
-
-/// JSON string escaping (quotes, backslashes, control chars).
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Floats in shortest-roundtrip form; non-finite values become `null`
-/// (JSON has no NaN) — deterministically.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Integral values print as integers either way ("3"), which is
-        // valid JSON and stable.
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -204,7 +176,12 @@ mod tests {
         assert!(j.contains("\"exit_code\": 1"));
         assert!(j.contains("\"passed\": false"));
         assert!(j.contains("\"weird\": null"), "NaN must serialize as null");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let escaped = ScenarioReport {
+            name: "a\"b\\c\nd".into(),
+            ..r
+        };
+        let j = escaped.to_json();
+        assert!(j.contains("\"name\": \"a\\\"b\\\\c\\nd\",\n"), "{j}");
     }
 
     #[test]
