@@ -14,7 +14,6 @@
 //! are ACKed. If a packet is not ACKed, they can be combined with other
 //! packets in the queue for future concurrent transmissions").
 
-use jmb_obs::Registry;
 use std::collections::VecDeque;
 
 /// One downlink packet in the shared queue.
@@ -85,73 +84,6 @@ pub enum PacketFate {
     },
 }
 
-/// Per-client delivery statistics, kept in a [`jmb_obs::Registry`].
-///
-/// Metric names: `mac_delivered_bits{client}` (gauge),
-/// `mac_dropped{client}` (counter), `mac_transmissions` (counter),
-/// `mac_airtime_s` (gauge).
-#[derive(Debug, Clone, Default)]
-pub struct MacStats {
-    reg: Registry,
-    n_clients: usize,
-}
-
-impl MacStats {
-    fn ensure(&mut self, n: usize) {
-        self.n_clients = self.n_clients.max(n);
-    }
-
-    fn record_transmission(&mut self, airtime_s: f64) {
-        self.reg.inc("mac_transmissions");
-        self.reg.gauge_add("mac_airtime_s", airtime_s);
-    }
-
-    fn record_delivery(&mut self, client: usize, bits: f64) {
-        self.reg
-            .gauge_add_at("mac_delivered_bits", client as u32, bits);
-    }
-
-    fn record_drop(&mut self, client: usize) {
-        self.reg.inc_at("mac_dropped", client as u32);
-    }
-
-    /// Bits delivered (ACKed) per client.
-    pub fn delivered_bits(&self) -> Vec<f64> {
-        self.reg.gauge_vec("mac_delivered_bits", self.n_clients)
-    }
-
-    /// Packets dropped after exhausting retries, per client.
-    pub fn dropped(&self) -> Vec<u64> {
-        (0..self.n_clients)
-            .map(|c| self.reg.counter_at("mac_dropped", c as u32))
-            .collect()
-    }
-
-    /// Joint transmissions performed.
-    pub fn transmissions(&self) -> u64 {
-        self.reg.counter("mac_transmissions")
-    }
-
-    /// Total airtime spent, seconds.
-    pub fn airtime_s(&self) -> f64 {
-        self.reg.gauge("mac_airtime_s")
-    }
-
-    /// The underlying registry (for merging into run-level metrics).
-    pub fn registry(&self) -> &Registry {
-        &self.reg
-    }
-
-    /// Per-client throughput over the recorded airtime, bits/second.
-    pub fn throughput(&self) -> Vec<f64> {
-        let airtime = self.airtime_s();
-        if airtime <= 0.0 {
-            return vec![0.0; self.n_clients];
-        }
-        self.delivered_bits().iter().map(|&b| b / airtime).collect()
-    }
-}
-
 /// The shared downlink queue and scheduler.
 #[derive(Debug)]
 pub struct JmbMac {
@@ -174,16 +106,12 @@ pub struct JmbMac {
     blacklisted: Vec<bool>,
     /// Consecutive losses before a client's packets are excluded.
     pub blacklist_threshold: u32,
-    /// Statistics.
-    pub stats: MacStats,
 }
 
 impl JmbMac {
     /// Creates a MAC with the designated-AP map (index = client).
     pub fn new(cfg: MacConfig, designated_ap: Vec<usize>) -> Self {
-        let mut stats = MacStats::default();
         let n = designated_ap.len();
-        stats.ensure(n);
         JmbMac {
             cfg,
             queue: VecDeque::new(),
@@ -193,7 +121,6 @@ impl JmbMac {
             consecutive_losses: vec![0; n],
             blacklisted: vec![false; n],
             blacklist_threshold: 6,
-            stats,
         }
     }
 
@@ -316,21 +243,15 @@ impl JmbMac {
 
     /// Completes a batch: `acked[i]` says whether client `batch[i].dest`
     /// acknowledged (asynchronously, §9). Failed packets return to the
-    /// queue unless their retry budget is spent. `airtime_s` is the airtime
-    /// the whole joint transmission consumed. Returns the fate of each
-    /// packet, in batch order.
-    pub fn complete_batch(
-        &mut self,
-        batch: Vec<MacPacket>,
-        acked: &[bool],
-        airtime_s: f64,
-    ) -> Vec<PacketFate> {
+    /// queue unless their retry budget is spent. Returns the fate of each
+    /// packet, in batch order: the MAC keeps no tally of its own, the
+    /// caller's ledger is these fates.
+    pub fn complete_batch(&mut self, batch: Vec<MacPacket>, acked: &[bool]) -> Vec<PacketFate> {
         // jmb-allow(no-panic-hot-path): caller contract — the batch and its ack vector are built together by the traffic backend
         assert_eq!(batch.len(), acked.len(), "one ack per batch packet");
         if batch.is_empty() {
             return Vec::new();
         }
-        self.stats.record_transmission(airtime_s);
         if acked.iter().all(|&ok| ok) {
             self.backoff_stage = 0;
         } else {
@@ -338,10 +259,7 @@ impl JmbMac {
         }
         let mut fates = Vec::with_capacity(batch.len());
         for (mut p, &ok) in batch.into_iter().zip(acked) {
-            self.stats.ensure(p.dest + 1);
             if ok {
-                self.stats
-                    .record_delivery(p.dest, 8.0 * p.payload_len as f64);
                 self.consecutive_losses[p.dest] = 0;
                 fates.push(PacketFate::Acked {
                     dest: p.dest,
@@ -354,7 +272,6 @@ impl JmbMac {
                 }
                 p.attempts += 1;
                 if p.attempts >= self.cfg.retry_limit {
-                    self.stats.record_drop(p.dest);
                     fates.push(PacketFate::Dropped {
                         dest: p.dest,
                         id: p.id,
@@ -415,7 +332,7 @@ mod tests {
                 .iter()
                 .map(|p| (p.id, 8.0 * p.payload_len as f64))
                 .collect();
-            let fates = m.complete_batch(batch, acked, airtime_s);
+            let fates = m.complete_batch(batch, acked);
             if !fates.is_empty() {
                 self.transmissions += 1;
                 self.airtime_s += airtime_s;
@@ -700,7 +617,7 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].id, ids[0]);
         assert_eq!(m.queue_len(), 3);
-        m.complete_batch(b, &[true], 1e-3);
+        m.complete_batch(b, &[true]);
         // FIFO order is preserved for the remainder.
         let (b, _) = m.select_batch();
         assert_eq!(b[0].id, ids[1]);
@@ -760,12 +677,12 @@ mod tests {
         m.enqueue(0, 10);
         for want in [32, 64, 64] {
             let (b, _) = m.select_batch();
-            m.complete_batch(b, &[false], 1e-3);
+            m.complete_batch(b, &[false]);
             assert_eq!(m.contention_window(1), want);
         }
         assert_eq!(m.backoff_stage(), 3);
         let (b, _) = m.select_batch();
-        m.complete_batch(b, &[true], 1e-3);
+        m.complete_batch(b, &[true]);
         assert_eq!(m.backoff_stage(), 0);
         assert_eq!(m.contention_window(1), 16);
     }
@@ -810,7 +727,7 @@ mod tests {
             let (b, _) = m.select_batch();
             // Client 0 persistently fails; client 1 is fine.
             let acked: Vec<bool> = b.iter().map(|p| p.dest != 0).collect();
-            m.complete_batch(b, &acked, 1e-3);
+            m.complete_batch(b, &acked);
         }
         assert_eq!(m.blacklisted, [true, false]);
         // Client 0's packets stay queued but are not batched.
@@ -818,12 +735,12 @@ mod tests {
         assert!(b.iter().all(|p| p.dest != 0), "blacklisted client batched");
         assert!(m.queue_len() > 0, "its packets remain queued");
         let acks = vec![true; b.len()];
-        m.complete_batch(b, &acks, 1e-3);
+        m.complete_batch(b, &acks);
         // After re-admission it is scheduled again.
         m.clear_blacklist(0);
         let (b, _) = m.select_batch();
         assert!(b.iter().any(|p| p.dest == 0));
         let acks = vec![true; b.len()];
-        m.complete_batch(b, &acks, 1e-3);
+        m.complete_batch(b, &acks);
     }
 }

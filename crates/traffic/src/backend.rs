@@ -7,7 +7,6 @@
 //! ([`FastBackend`], large sweeps) or sample-level ([`SampleBackend`],
 //! full-PHY validation, fault injection through the real CRC path).
 
-use jmb_core::control::BatchSync;
 use jmb_core::csi::{BackoffPolicy, CsiTracker};
 use jmb_core::error::JmbError;
 use jmb_core::fastnet::FastEval;
@@ -15,56 +14,29 @@ use jmb_core::net::SampleEval;
 use jmb_core::network::{LinkEval, Network};
 use jmb_core::sync::SyncStrategyId;
 use jmb_dsp::rng::JmbRng;
+use jmb_obs::EventKind;
 use jmb_phy::rates::Mcs;
 use rand::Rng;
 
 /// Control-plane activity that happened while serving one batch: what the
-/// traffic layer needs to charge overhead airtime and emit trace events /
-/// metrics, without reaching into the PHY.
+/// traffic layer needs to charge overhead airtime and record on its trace,
+/// without reaching into the PHY.
 #[derive(Debug, Clone, Default)]
 pub struct ControlInfo {
     /// Airtime consumed by control exchanges (measurement frames — lost or
-    /// not, they occupy the channel), seconds. Charged on top of the data
-    /// frame's airtime.
+    /// not, they occupy the channel — and a sync backend's out-of-band
+    /// pilots), seconds. Charged on top of the data frame's airtime.
     pub overhead_s: f64,
-    /// Slave APs that missed the lead's sync header for this batch.
-    pub missed_slaves: Vec<usize>,
-    /// Slaves newly marked degraded (K consecutive misses).
-    pub newly_degraded: Vec<usize>,
-    /// Degraded slaves restored to service by this batch.
-    pub newly_restored: Vec<usize>,
-    /// Measurement attempts made while serving this batch:
-    /// `(attempt_number, succeeded)`.
-    pub remeasurements: Vec<(u32, bool)>,
-    /// When a measurement was lost: the backoff retry that was scheduled,
-    /// `(next_attempt_number, earliest_time_s)`.
-    pub retry: Option<(u32, f64)>,
-    /// Age of the oldest CSI entry when the batch was served, seconds.
-    pub csi_age_s: f64,
-    /// Whether the CSI was past its staleness threshold at serve time.
-    pub csi_stale: bool,
+    /// What the CSI tracker and the control plane did, as the events the
+    /// traffic layer records, in the order it records them: CSI found
+    /// stale, the measurement attempt and the retry a lost one scheduled,
+    /// then the sync header's misses, degradations and restorations.
+    pub events: Vec<EventKind>,
     /// Worst-case predicted phase error (radians) across slaves after the
     /// batch, as reported by the sync backend — the traffic layer exports
     /// it as the per-strategy phase-error gauge. Zero before any reference
     /// exists.
     pub sync_phase_err_rad: f64,
-}
-
-impl ControlInfo {
-    /// Records what serving the batch did on the sync plane: what the
-    /// header exchange did to the slaves, the out-of-band control airtime
-    /// (pilot broadcasts) the backend accrued — charged as control overhead;
-    /// zero for the in-band JMB strategy, which keeps its accounting
-    /// byte-exact — and its predicted phase error afterwards.
-    fn record_sync(&mut self, sync: &BatchSync, control_airtime_s: f64, phase_err_rad: f64) {
-        self.missed_slaves.clone_from(&sync.missed);
-        self.newly_degraded.clone_from(&sync.newly_degraded);
-        self.newly_restored.clone_from(&sync.newly_restored);
-        self.overhead_s += control_airtime_s;
-        if phase_err_rad.is_finite() {
-            self.sync_phase_err_rad = phase_err_rad;
-        }
-    }
 }
 
 /// Outcome of serving one joint batch.
@@ -225,11 +197,11 @@ impl<L: LinkEval> TransmitBackend for Backend<L> {
         active_aps: &[usize],
     ) -> Result<TxReport, JmbError> {
         let net_t_before = self.net.now();
-        let mut control = ControlInfo {
-            csi_age_s: self.tracker.oldest_age(self.clock_s),
-            csi_stale: self.tracker.is_stale(self.clock_s),
-            ..ControlInfo::default()
-        };
+        let mut control = ControlInfo::default();
+        if self.tracker.is_stale(self.clock_s) {
+            let age_s = self.tracker.oldest_age(self.clock_s);
+            control.events.push(EventKind::CsiStale { age_s });
+        }
         if self.tracker.due(self.clock_s) {
             let attempt = self.tracker.failures() + 1;
             // A measurement frame occupies the channel whether or not the
@@ -238,12 +210,17 @@ impl<L: LinkEval> TransmitBackend for Backend<L> {
             match self.net.run_measurement() {
                 Ok(()) => {
                     self.tracker.record_success(self.clock_s);
-                    control.remeasurements.push((attempt, true));
+                    control.events.push(EventKind::RemeasureOk { attempt });
                 }
                 Err(JmbError::MeasurementLost) => {
-                    let (att, next) = self.tracker.record_loss(self.clock_s);
-                    control.remeasurements.push((att, false));
-                    control.retry = Some((att + 1, next));
+                    let (attempt, at) = self.tracker.record_loss(self.clock_s);
+                    control.events.extend([
+                        EventKind::RemeasureFailed { attempt },
+                        EventKind::RemeasureScheduled {
+                            at,
+                            attempt: attempt + 1,
+                        },
+                    ]);
                 }
                 Err(e) => return Err(e),
             }
@@ -265,9 +242,32 @@ impl<L: LinkEval> TransmitBackend for Backend<L> {
                 Err(JmbError::SyncHeaderMissed { .. }) => (0.0, 0, vec![false; dests.len()]),
                 Err(e) => return Err(e),
             };
-        let pilots_s = self.net.take_sync_control_airtime_s();
+        // What the header exchange did to the slaves, the out-of-band control
+        // airtime (pilot broadcasts) the sync backend accrued — zero for the
+        // in-band JMB strategy, which keeps its accounting byte-exact — and
+        // its predicted phase error afterwards.
+        let sync = self.net.last_sync();
+        let events = &mut control.events;
+        events.extend(
+            sync.missed
+                .iter()
+                .map(|&slave| EventKind::SyncMissed { slave }),
+        );
+        events.extend(
+            sync.newly_degraded
+                .iter()
+                .map(|&ap| EventKind::ApDegraded { ap }),
+        );
+        events.extend(
+            sync.newly_restored
+                .iter()
+                .map(|&ap| EventKind::ApRestored { ap }),
+        );
+        control.overhead_s += self.net.take_sync_control_airtime_s();
         let phase_err = self.net.sync_phase_error_rad();
-        control.record_sync(self.net.last_sync(), pilots_s, phase_err);
+        if phase_err.is_finite() {
+            control.sync_phase_err_rad = phase_err;
+        }
         // The network advances its own oscillators through the frame and
         // the measurement exchange; mirror that here so CSI ages in sim
         // time (the caller's `advance` only covers idle/contention gaps).

@@ -393,46 +393,28 @@ impl<B: TransmitBackend> TrafficSim<B> {
             .set_max_streams(self.cfg.mac.max_streams.min(live.len()));
     }
 
-    /// Translates the backend's control-plane report into trace events and
-    /// metrics counters, at sim time `now`.
-    fn record_control(&mut self, c: &crate::backend::ControlInfo, now: f64) {
-        if c.csi_stale {
-            self.reg.inc("traffic_csi_stale");
-            self.trace
-                .emit(now, TraceKind::CsiStale { age_s: c.csi_age_s });
+    /// Records what happened at `now`: the event goes on the trace, and a
+    /// kind the run counts bumps its counter. Every packet and control-plane
+    /// count a run reports is a count of these events.
+    fn note(&mut self, now: f64, kind: TraceKind) {
+        let counter = match kind {
+            TraceKind::Enqueued { .. } => Some("traffic_generated"),
+            TraceKind::Acked { .. } => Some("traffic_delivered"),
+            TraceKind::Retry { .. } => Some("traffic_retries"),
+            TraceKind::Dropped { .. } => Some("traffic_dropped"),
+            TraceKind::CsiStale { .. } => Some("traffic_csi_stale"),
+            TraceKind::RemeasureOk { .. } => Some("traffic_remeasure_ok"),
+            TraceKind::RemeasureFailed { .. } => Some("traffic_remeasure_failed"),
+            TraceKind::RemeasureScheduled { .. } => Some("traffic_remeasure_scheduled"),
+            TraceKind::SyncMissed { .. } => Some("traffic_sync_misses"),
+            TraceKind::ApDegraded { .. } => Some("traffic_aps_degraded"),
+            TraceKind::ApRestored { .. } => Some("traffic_aps_restored"),
+            _ => None,
+        };
+        if let Some(counter) = counter {
+            self.reg.inc(counter);
         }
-        for &(attempt, ok) in &c.remeasurements {
-            if ok {
-                self.reg.inc("traffic_remeasure_ok");
-                self.trace.emit(now, TraceKind::RemeasureOk { attempt });
-            } else {
-                self.reg.inc("traffic_remeasure_failed");
-                self.trace.emit(now, TraceKind::RemeasureFailed { attempt });
-            }
-        }
-        if let Some((attempt, at)) = c.retry {
-            self.reg.inc("traffic_remeasure_scheduled");
-            self.trace
-                .emit(now, TraceKind::RemeasureScheduled { at, attempt });
-        }
-        for &slave in &c.missed_slaves {
-            self.reg.inc("traffic_sync_misses");
-            self.trace.emit(now, TraceKind::SyncMissed { slave });
-        }
-        for &ap in &c.newly_degraded {
-            self.reg.inc("traffic_aps_degraded");
-            self.trace.emit(now, TraceKind::ApDegraded { ap });
-        }
-        for &ap in &c.newly_restored {
-            self.reg.inc("traffic_aps_restored");
-            self.trace.emit(now, TraceKind::ApRestored { ap });
-        }
-        self.reg
-            .gauge_add("traffic_control_airtime_s", c.overhead_s);
-        if c.sync_phase_err_rad > 0.0 {
-            self.reg
-                .gauge_set("traffic_sync_phase_err_rad", c.sync_phase_err_rad);
-        }
+        self.trace.emit(now, kind);
     }
 
     /// Starts a joint transmission if the medium is idle and work exists.
@@ -445,7 +427,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
             return;
         }
         if let Some(lead) = self.mac.next_lead() {
-            self.trace.emit(now, TraceKind::LeadElected { ap: lead });
+            self.note(now, TraceKind::LeadElected { ap: lead });
         }
         let (mut batch, mut payload_len) = self.mac.select_batch();
         if batch.is_empty() {
@@ -458,12 +440,8 @@ impl<B: TransmitBackend> TrafficSim<B> {
         if batch.is_empty() {
             return;
         }
-        self.trace.emit(
-            now,
-            TraceKind::BatchSelected {
-                n_packets: batch.len(),
-            },
-        );
+        let n_packets = batch.len();
+        self.note(now, TraceKind::BatchSelected { n_packets });
         let cw = self.mac.contention_window(batch.len());
         let backoff_s = self.backoff_rng.gen_range(0..cw) as f64 * SLOT_S;
         let t_start = now + backoff_s + HEADER_OVERHEAD_S;
@@ -485,11 +463,19 @@ impl<B: TransmitBackend> TrafficSim<B> {
                 mcs_index: 0,
                 control: Default::default(),
             });
-        self.record_control(&report.control, now);
-        let airtime_s =
-            HEADER_OVERHEAD_S + backoff_s + report.airtime_s + report.control.overhead_s;
+        let control = report.control;
+        for kind in control.events {
+            self.note(now, kind);
+        }
+        self.reg
+            .gauge_add("traffic_control_airtime_s", control.overhead_s);
+        if control.sync_phase_err_rad > 0.0 {
+            self.reg
+                .gauge_set("traffic_sync_phase_err_rad", control.sync_phase_err_rad);
+        }
+        let airtime_s = HEADER_OVERHEAD_S + backoff_s + report.airtime_s + control.overhead_s;
         let t_done = now + airtime_s;
-        self.phy_t = t_start + report.airtime_s + report.control.overhead_s;
+        self.phy_t = t_start + report.airtime_s + control.overhead_s;
         self.in_flight = Some(InFlight {
             batch,
             acked: report.acked,
@@ -518,7 +504,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
         // would otherwise be invisible to headless assertion checks.
         let strategy = self.backend.sync_strategy();
         if strategy != SyncStrategyId::default() {
-            self.trace.emit(
+            self.note(
                 self.cfg.start_s,
                 TraceKind::SyncStrategySwitched { strategy },
             );
@@ -585,8 +571,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
                     let (_, size) = pending[client].take().expect("staged arrival");
                     let id = self.mac.enqueue(client, size);
                     self.meta.insert(id, (now, size));
-                    self.reg.inc("traffic_generated");
-                    self.trace.emit(now, TraceKind::Enqueued { client, id });
+                    self.note(now, TraceKind::Enqueued { client, id });
                     let (t_next, s_next) = self.arrivals[client].next_arrival();
                     if t_next < t_end {
                         pending[client] = Some((t_next, s_next));
@@ -595,12 +580,12 @@ impl<B: TransmitBackend> TrafficSim<B> {
                 }
                 EventKind::ApDown { ap } => {
                     self.active[ap] = false;
-                    self.trace.emit(now, TraceKind::ApDown { ap });
+                    self.note(now, TraceKind::ApDown { ap });
                     self.apply_liveness();
                 }
                 EventKind::ApUp { ap } => {
                     self.active[ap] = true;
-                    self.trace.emit(now, TraceKind::ApUp { ap });
+                    self.note(now, TraceKind::ApUp { ap });
                     self.apply_liveness();
                 }
                 EventKind::TxDone => {
@@ -608,16 +593,13 @@ impl<B: TransmitBackend> TrafficSim<B> {
                     let inf = self.in_flight.take().expect("tx completion without tx");
                     self.reg.inc("traffic_transmissions");
                     self.reg.gauge_add("traffic_airtime_s", inf.airtime_s);
-                    let fates = self
-                        .mac
-                        .complete_batch(inf.batch, &inf.acked, inf.airtime_s);
+                    let fates = self.mac.complete_batch(inf.batch, &inf.acked);
                     for fate in fates {
                         match fate {
                             PacketFate::Acked { dest, id } => {
                                 let (t_in, size) =
                                     // jmb-allow(no-panic-hot-path): event-loop invariant — meta gains an entry at enqueue for every id the MAC can ack
                                     self.meta.remove(&id).expect("acked unknown packet");
-                                self.reg.inc("traffic_delivered");
                                 self.reg.observe("traffic_latency_s", now - t_in);
                                 m.latencies_s.push(now - t_in);
                                 let bits = 8.0 * size as f64;
@@ -630,29 +612,23 @@ impl<B: TransmitBackend> TrafficSim<B> {
                                     bits,
                                     self.mac.queue_len(),
                                 );
-                                self.trace.emit(now, TraceKind::Acked { client: dest, id });
+                                self.note(now, TraceKind::Acked { client: dest, id });
                             }
                             PacketFate::Requeued { dest, id, attempts } => {
-                                self.reg.inc("traffic_retries");
-                                self.trace.emit(
+                                let (client, attempt) = (dest, attempts);
+                                self.note(
                                     now,
                                     TraceKind::Retry {
-                                        client: dest,
+                                        client,
                                         id,
-                                        attempt: attempts,
+                                        attempt,
                                     },
                                 );
                             }
                             PacketFate::Dropped { dest, id } => {
                                 self.meta.remove(&id);
-                                self.reg.inc("traffic_dropped");
-                                self.trace.emit(
-                                    now,
-                                    TraceKind::Dropped {
-                                        node: dest,
-                                        cause: DropCause::RetryLimit,
-                                    },
-                                );
+                                let cause = DropCause::RetryLimit;
+                                self.note(now, TraceKind::Dropped { node: dest, cause });
                             }
                         }
                     }

@@ -59,10 +59,9 @@ fn mac_driven_delivery_with_losses() {
         let per_client = payloads(2, padded_len);
         let results = net.joint_transmit(&per_client, mcs, true).unwrap();
         let acked: Vec<bool> = batch.iter().map(|p| results[p.dest].is_ok()).collect();
-        let airtime = jmb::core::baseline::frame_airtime(&OfdmParams::default(), mcs, padded_len);
         let lens: Vec<usize> = batch.iter().map(|p| p.payload_len).collect();
         transmissions += 1;
-        for (fate, len) in mac.complete_batch(batch, &acked, airtime).iter().zip(lens) {
+        for (fate, len) in mac.complete_batch(batch, &acked).iter().zip(lens) {
             match *fate {
                 PacketFate::Acked { dest, .. } => delivered_bits[dest] += 8.0 * len as f64,
                 PacketFate::Dropped { dest, .. } => dropped[dest] += 1,
