@@ -13,6 +13,10 @@ use jmb_traffic::{ClientLoad, FastBackend, TrafficConfig, TrafficMetrics, Traffi
 /// cells with no co-channel neighbours, so trace events stay JSON-clean.
 const INR_FLOOR_LIN: f64 = 1e-12;
 
+/// Reference distance at which a neighbour's signal would arrive at
+/// [`CityConfig::client_snr_db`], metres.
+const REF_DIST_M: f64 = 10.0;
+
 /// Configuration of one city run.
 #[derive(Debug, Clone)]
 pub struct CityConfig {
@@ -31,7 +35,7 @@ pub struct CityConfig {
     pub clients_per_cell: usize,
     /// Per-client target SNR at the strongest in-cell AP, dB. Also the
     /// calibration anchor for inter-cell coupling: a neighbour cell's
-    /// signal arrives at this SNR from `ref_dist_m` away and decays with
+    /// signal arrives at this SNR from 10 m (`REF_DIST_M`) away and decays with
     /// [`PathLossModel::inter_cell`] beyond it.
     pub client_snr_db: f64,
     /// Per-client Poisson arrival rate, packets/second.
@@ -47,9 +51,6 @@ pub struct CityConfig {
     /// one-step coupling: measure activity, then measure capacity under
     /// that activity.
     pub epochs: usize,
-    /// Reference distance at which a neighbour's signal would arrive at
-    /// `client_snr_db`, metres.
-    pub ref_dist_m: f64,
     /// Master seed. Every cell derives its own streams from
     /// `(seed, cell)`.
     pub seed: u64,
@@ -79,7 +80,6 @@ impl CityConfig {
             packet_bytes: 700,
             duration_s: 0.1,
             epochs: 2,
-            ref_dist_m: 10.0,
             seed,
             threads: 1,
             schedule: SchedulePolicy::Natural,
@@ -94,12 +94,8 @@ impl CityConfig {
         if self.aps_per_cell == 0 || self.clients_per_cell == 0 {
             return Err(JmbError::BadConfig("cells need APs and clients"));
         }
-        if !(self.spacing_m.is_finite()
-            && self.spacing_m > 0.0
-            && self.ref_dist_m.is_finite()
-            && self.ref_dist_m > 0.0)
-        {
-            return Err(JmbError::BadConfig("distances must be positive"));
+        if !(self.spacing_m.is_finite() && self.spacing_m > 0.0) {
+            return Err(JmbError::BadConfig("cell spacing must be positive"));
         }
         if !(self.duration_s.is_finite()
             && self.duration_s > 0.0
@@ -258,7 +254,7 @@ impl City {
                     .map(|j| {
                         (
                             j,
-                            plm.relative_power_gain(grid.distance_m(i, j), self.cfg.ref_dist_m),
+                            plm.relative_power_gain(grid.distance_m(i, j), REF_DIST_M),
                         )
                     })
                     .collect()

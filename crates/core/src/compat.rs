@@ -43,6 +43,12 @@ use rand::Rng;
 /// Antennas per AP and per client in the 802.11n testbed (§10b).
 pub const ANTS: usize = 2;
 
+/// Gap between consecutive soundings, seconds (a packet + SIFS-ish).
+const SOUNDING_GAP_S: f64 = 300e-6;
+
+/// Number of repeated sounding rounds averaged per antenna.
+const SOUNDING_AVG: f64 = 8.0;
+
 /// Configuration of the 802.11n-compat network: 2 two-antenna APs serving
 /// 2 two-antenna clients.
 #[derive(Debug, Clone)]
@@ -57,20 +63,12 @@ pub struct CompatConfig {
     /// compat testbed still uses USRP2 APs (§10b) — only the clients are
     /// off-the-shelf cards.
     pub osc_spec: OscillatorSpec,
-    /// Client oscillator population (Intel 5300-class, ±20 ppm worst case).
-    /// Client crystals never enter the inter-AP phase synchronisation; they
-    /// are tracked by the clients' own pilot processing.
-    pub client_osc_spec: OscillatorSpec,
     /// Per-bin noise variance.
     pub noise_var: f64,
     /// AP↔AP link SNR, dB.
     pub ap_ap_snr_db: f64,
     /// Per-client target SNR, dB.
     pub client_snr_db: Vec<f64>,
-    /// Gap between consecutive soundings, seconds (a packet + SIFS-ish).
-    pub sounding_gap_s: f64,
-    /// Number of repeated sounding rounds averaged per antenna.
-    pub sounding_avg: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -83,12 +81,9 @@ impl CompatConfig {
             n_aps: 2,
             n_clients: 2,
             osc_spec: OscillatorSpec::usrp2(),
-            client_osc_spec: OscillatorSpec::wifi_worst_case(),
             noise_var: 1.0,
             ap_ap_snr_db: 30.0,
             client_snr_db: vec![client_snr_db; 2],
-            sounding_gap_s: 300e-6,
-            sounding_avg: 8,
             seed,
         }
     }
@@ -149,7 +144,10 @@ impl CompatNet {
             nodes
         };
         let txs = antennas(cfg.n_aps, cfg.osc_spec);
-        let rxs = antennas(cfg.n_clients, cfg.client_osc_spec);
+        // Client crystals (Intel 5300-class, ±20 ppm worst case) never enter
+        // the inter-AP phase synchronisation; they are tracked by the
+        // clients' own pilot processing.
+        let rxs = antennas(cfg.n_clients, OscillatorSpec::wifi_worst_case());
 
         // Links: AP antenna → everything. Antennas of one device get
         // independent fading (half-wavelength separation) but identical
@@ -218,7 +216,7 @@ impl CompatNet {
     }
 
     fn noisy_channel(&mut self, tx: NodeId, rx: NodeId, k: i32, t: f64) -> Complex64 {
-        let var = self.cfg.noise_var / self.cfg.sounding_avg as f64;
+        let var = self.cfg.noise_var / SOUNDING_AVG;
         self.medium.channel_at(tx, rx, k, t) + estimation_noise(&mut self.rng, var)
     }
 
@@ -246,7 +244,6 @@ impl CompatNet {
     /// by `Δφ(L1→R) − Δφ(L1→X's AP)`.
     pub fn run_stitched_measurement(&mut self) -> Result<(), JmbError> {
         let t0 = self.now;
-        let gap = self.cfg.sounding_gap_s;
         let l1 = self.txs[0];
         let n_tx = self.txs.len();
         let occupied = self.medium.occupied().to_vec();
@@ -257,7 +254,7 @@ impl CompatNet {
         let mut h = vec![CMat::zeros(self.rxs.len(), n_tx); occupied.len()];
         let mut raw = Vec::with_capacity(occupied.len());
         for s in 0..n_tx {
-            let t_s = t0 + s as f64 * gap;
+            let t_s = t0 + s as f64 * SOUNDING_GAP_S;
             let (x, slave) = (self.txs[s], self.listen[s / ANTS]);
             for r in 0..self.rxs.len() {
                 let rx = self.rxs[r];
@@ -302,13 +299,13 @@ impl CompatNet {
 
         // Slave phase-sync references (anchored at t0) + CFO seeds from the
         // sounding series (span = (n_tx−1)·gap).
-        let span = (n_tx - 1) as f64 * gap;
+        let span = (n_tx - 1) as f64 * SOUNDING_GAP_S;
         let seed_sigma = (0.02 / (2.0 * std::f64::consts::PI * span)).max(5.0);
         let (mut obs, strategy, _) = self.observer();
         strategy.on_measurement(&mut obs, t0, seed_sigma);
 
         self.h_meas = Some(h);
-        self.now = t0 + n_tx as f64 * gap + 100e-6;
+        self.now = t0 + n_tx as f64 * SOUNDING_GAP_S + 100e-6;
         Ok(())
     }
 

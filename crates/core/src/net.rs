@@ -48,6 +48,23 @@ use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultSchedule, Medium, NodeId};
 use rand::Rng;
 
+/// Per-sample noise variance at clients.
+const CLIENT_NOISE_VAR: f64 = 1e-6;
+
+/// Per-sample noise variance at APs (infrastructure RX chains).
+const AP_NOISE_VAR: f64 = 1e-6;
+
+/// Static per-slave trigger-timing offset, RMS seconds (\[30\] synchronises
+/// APs "up to a few nanoseconds"; the error is a slowly varying clock
+/// offset). Being quasi-constant, it is captured by channel measurement and
+/// inverted by beamforming — exactly as §5.2 argues for propagation delays.
+const TRIGGER_OFFSET_S: f64 = 5e-9;
+
+/// Packet-to-packet *innovation* of the trigger timing (sub-ns), seconds:
+/// the part of the timing error that changes between transmissions and
+/// therefore cannot be absorbed into the measured channel.
+const TRIGGER_JITTER_S: f64 = 0.5e-9;
+
 /// Configuration of a sample-level JMB network.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -59,10 +76,6 @@ pub struct NetConfig {
     pub n_clients: usize,
     /// Oscillator population for every node.
     pub osc_spec: OscillatorSpec,
-    /// Per-sample noise variance at clients.
-    pub client_noise_var: f64,
-    /// Per-sample noise variance at APs (infrastructure RX chains).
-    pub ap_noise_var: f64,
     /// Target per-subcarrier SNR of the AP↔AP links, dB (APs are mounted on
     /// ledges with line of sight to each other — a strong link).
     pub ap_ap_snr_db: f64,
@@ -71,16 +84,6 @@ pub struct NetConfig {
     /// Software turnaround between the lead header and the joint
     /// transmission (the paper's `t_Δ` = 150 µs).
     pub turnaround_s: f64,
-    /// Static per-slave trigger-timing offset, RMS (\[30\] synchronises APs
-    /// "up to a few nanoseconds"; the error is a slowly varying clock
-    /// offset). Being quasi-constant, it is captured by channel measurement
-    /// and inverted by beamforming — exactly as §5.2 argues for propagation
-    /// delays.
-    pub trigger_offset_s: f64,
-    /// Packet-to-packet *innovation* of the trigger timing (sub-ns): the
-    /// part of the timing error that changes between transmissions and
-    /// therefore cannot be absorbed into the measured channel.
-    pub trigger_jitter_s: f64,
     /// Interleaved rounds in the measurement packet.
     pub rounds: usize,
     /// Slot ordering of the measurement packet (the paper's interleaving,
@@ -103,13 +106,9 @@ impl NetConfig {
             n_aps,
             n_clients,
             osc_spec: OscillatorSpec::usrp2(),
-            client_noise_var: 1e-6,
-            ap_noise_var: 1e-6,
             ap_ap_snr_db: 30.0,
             client_snr_db: vec![client_snr_db; n_clients],
             turnaround_s: 150e-6,
-            trigger_offset_s: 5e-9,
-            trigger_jitter_s: 0.5e-9,
             rounds: 4.max(32usize.div_ceil(n_aps.max(1))),
             slot_order: crate::measure::SlotOrder::Interleaved,
             seed,
@@ -161,7 +160,7 @@ impl SampleEval {
         if ap == 0 {
             0.0
         } else {
-            self.trigger_offsets[ap] + normal(rng, self.cfg.trigger_jitter_s)
+            self.trigger_offsets[ap] + normal(rng, TRIGGER_JITTER_S)
         }
     }
 }
@@ -178,19 +177,19 @@ impl LinkEval for SampleEval {
         let aps: Vec<NodeId> = (0..cfg.n_aps)
             .map(|_| {
                 let traj = PhaseTrajectory::new(cfg.osc_spec, carrier, &mut rng);
-                medium.add_node(traj, cfg.ap_noise_var)
+                medium.add_node(traj, AP_NOISE_VAR)
             })
             .collect();
         let clients: Vec<NodeId> = (0..cfg.n_clients)
             .map(|_| {
                 let traj = PhaseTrajectory::new(cfg.osc_spec, carrier, &mut rng);
-                medium.add_node(traj, cfg.client_noise_var)
+                medium.add_node(traj, CLIENT_NOISE_VAR)
             })
             .collect();
 
         // Per-bin noise (a 64-point FFT sums 64 samples' noise variance).
-        let ap_bin_noise = 64.0 * cfg.ap_noise_var;
-        let client_bin_noise = 64.0 * cfg.client_noise_var;
+        let ap_bin_noise = 64.0 * AP_NOISE_VAR;
+        let client_bin_noise = 64.0 * CLIENT_NOISE_VAR;
 
         // AP ↔ AP links: strong, mildly dispersive, reciprocal.
         for i in 0..cfg.n_aps {
@@ -223,7 +222,7 @@ impl LinkEval for SampleEval {
                 if i == 0 {
                     0.0
                 } else {
-                    normal(&mut rng, cfg.trigger_offset_s)
+                    normal(&mut rng, TRIGGER_OFFSET_S)
                 }
             })
             .collect();
@@ -330,7 +329,7 @@ impl LinkEval for SampleEval {
             aps,
             params: &self.cfg.params,
             t_h,
-            header_noise_var: 32.0 * self.cfg.ap_noise_var,
+            header_noise_var: 32.0 * AP_NOISE_VAR,
             heard: None,
         })
     }
@@ -384,7 +383,7 @@ impl JmbNetwork {
 
     /// Raises every client's effective noise floor by `extra_var` (per
     /// time-domain sample, same normalised units as
-    /// [`NetConfig::client_noise_var`]) to model aggregate out-of-cell
+    /// `CLIENT_NOISE_VAR`) to model aggregate out-of-cell
     /// interference as Gaussian noise. Takes effect at the next
     /// measurement/transmission; pass `0.0` to restore the clean floor.
     pub fn set_external_interference(&mut self, extra_var: f64) -> Result<(), JmbError> {
@@ -393,7 +392,7 @@ impl JmbNetwork {
                 "external interference must be finite and non-negative",
             ));
         }
-        let floor = self.link.cfg.client_noise_var + extra_var;
+        let floor = CLIENT_NOISE_VAR + extra_var;
         for &node in &self.clients {
             self.link.medium.set_noise_var(node, floor);
         }
@@ -989,7 +988,7 @@ mod tests {
         // the received window, so rate selection backs off automatically.
         let run = |extra_var: f64| {
             let cfg = NetConfig::default_with(2, 2, 25.0, 54);
-            let clean_floor = cfg.client_noise_var;
+            let clean_floor = CLIENT_NOISE_VAR;
             let mut net = JmbNetwork::new(cfg).unwrap();
             net.set_external_interference(extra_var).unwrap();
             let clients = net.client_nodes().to_vec();

@@ -41,7 +41,9 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Percentile with linear interpolation between closest ranks.
 ///
-/// `p` is in percent (0–100). Returns `NaN` for an empty slice.
+/// `p` is in percent (0–100). Returns `NaN` for an empty slice. NaN samples
+/// (of either sign) sort after every number, so they surface in the top
+/// percentiles instead of aborting the run that produced them.
 ///
 /// # Examples
 ///
@@ -57,7 +59,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         return f64::NAN;
     }
     let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    v.sort_by(|a, b| a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(b)));
     let p = p.clamp(0.0, 100.0);
     let rank = p / 100.0 * (v.len() - 1) as f64;
     let lo = rank.floor() as usize;
@@ -261,6 +263,21 @@ mod tests {
     fn percentile_unsorted_input() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(median(&xs), 3.0);
+    }
+
+    #[test]
+    fn percentile_sorts_nan_last_instead_of_aborting() {
+        // A NaN of either sign (x86's 0.0/0.0 carries the sign bit) sorts
+        // after every number: the low percentiles stay what they were, the
+        // top reports the NaN.
+        let xs = [5.0, f64::NAN, 1.0, -f64::NAN, 3.0];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 25.0), 3.0);
+        assert_eq!(median(&xs), 5.0);
+        assert!(percentile(&xs, 100.0).is_nan());
+        // Finite samples sort as before.
+        let finite = [0.1 + 0.2, -1.5, 2.0, 0.3];
+        assert_eq!(percentile(&finite, 50.0), 0.3 * 0.5 + (0.1 + 0.2) * 0.5);
     }
 
     #[test]

@@ -472,13 +472,30 @@ fn check_pub_item(file: &SourceFile, pub_idx: usize, item_kws: &[&str], out: &mu
 /// of `crates/obs/src/event.rs`, then require each variant to (a) be
 /// constructed at least once outside `jmb-obs` in non-test code, and
 /// (b) appear in at least one test (as an identifier or a string literal
-/// — `TraceQuery::kind` matches by name string).
+/// — `TraceQuery::kind` matches by name string). An `event.rs` the enum
+/// cannot be parsed out of is itself a finding: with no variants the check
+/// would hold nothing and still pass.
 pub fn trace_taxonomy_complete(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     const EVENT_RS: &str = "crates/obs/src/event.rs";
     let Some(event_file) = files.iter().find(|f| f.rel == EVENT_RS) else {
         return; // not linting the full workspace (e.g. a fixture subset)
     };
     let variants = parse_event_kind_variants(event_file);
+    if variants.is_empty() {
+        out.push(Diagnostic {
+            lint: "trace-taxonomy-complete",
+            severity: severity_of("trace-taxonomy-complete"),
+            file: EVENT_RS.into(),
+            line: 1,
+            col: 1,
+            message: "no `enum EventKind { … }` with variants found — the taxonomy check \
+                      has nothing to hold and would pass vacuously"
+                .into(),
+            suggestion: "keep the enum's own text (`enum EventKind { Variant { .. }, … }`) in \
+                         event.rs — inside a macro invocation if the kinds are declared by one"
+                .into(),
+        });
+    }
     for (variant, line, col) in &variants {
         let emitted = files.iter().any(|f| {
             !f.rel.starts_with("crates/obs/")
@@ -1122,6 +1139,47 @@ mod tests {
         // `Used` is emitted and tested; `Orphan` is neither → 2 findings.
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|d| d.message.contains("Orphan")));
+    }
+
+    #[test]
+    fn taxonomy_with_no_parsable_enum_is_a_finding() {
+        // The enum moved into a table the parser cannot see: not a pass.
+        for src in [
+            "kinds! { Used { n: usize }, Orphan }",
+            "pub enum EventKind {}",
+        ] {
+            let event = SourceFile::new("crates/obs/src/event.rs".into(), src.into());
+            let mut out = Vec::new();
+            trace_taxonomy_complete(&[event], &mut out);
+            assert_eq!(out.len(), 1, "{src}");
+            assert!(out[0].message.contains("vacuously"), "{}", out[0].message);
+        }
+    }
+
+    #[test]
+    fn taxonomy_parser_reads_the_real_event_rs() {
+        // The kinds the parser finds in the workspace's own event.rs are the
+        // kinds the trace format's golden fixture carries, in declaration
+        // order (`EventKind::NAMES` is generated from the declaration, so
+        // the fixture — one line per kind, written in that order and held to
+        // `NAMES` by jmb-obs' `event_golden` test — is the text to read).
+        let obs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../obs");
+        let read = |rel: &str| std::fs::read_to_string(obs.join(rel)).expect(rel);
+        let event = SourceFile::new("crates/obs/src/event.rs".into(), read("src/event.rs"));
+        let parsed: Vec<String> = parse_event_kind_variants(&event)
+            .into_iter()
+            .map(|(name, _, _)| name)
+            .collect();
+        let mut in_fixture: Vec<String> = Vec::new();
+        for line in read("tests/fixtures/event_golden.jsonl").lines() {
+            let (_, rest) = line.split_once("\"kind\":\"").expect("a kind per line");
+            let kind = rest.split('"').next().unwrap_or_default().to_string();
+            if in_fixture.last() != Some(&kind) {
+                in_fixture.push(kind);
+            }
+        }
+        assert_eq!(parsed.len(), 26);
+        assert_eq!(parsed, in_fixture);
     }
 
     fn container_diags(rel: &str, src: &str) -> Vec<Diagnostic> {

@@ -156,13 +156,12 @@ impl<L: LinkEval> Backend<L> {
         &self.tracker
     }
 
-    /// Packet error rate from a stream's margin above the MCS threshold.
-    ///
-    /// Calibrated to the rate table's design point: ~10% PER right at
-    /// threshold, an order of magnitude per ~2.3 dB of margin, saturating
-    /// at 1 below threshold — and at the `±∞` a real decode reports, 0 or 1.
+    /// Packet error rate from a stream's margin above the MCS threshold:
+    /// [`jmb_phy::esnr::per_at_margin`], ~10% PER right at threshold, an
+    /// order of magnitude per ~2.3 dB of margin, saturating at 1 below
+    /// threshold — and at the `±∞` a real decode reports, 0 or 1.
     pub fn per_from_margin(margin_db: f64) -> f64 {
-        (0.1 * (-margin_db).exp()).min(1.0)
+        jmb_phy::esnr::per_at_margin(margin_db)
     }
 }
 
@@ -247,22 +246,15 @@ impl<L: LinkEval> TransmitBackend for Backend<L> {
         // in-band JMB strategy, which keeps its accounting byte-exact — and
         // its predicted phase error afterwards.
         let sync = self.net.last_sync();
-        let events = &mut control.events;
-        events.extend(
-            sync.missed
-                .iter()
-                .map(|&slave| EventKind::SyncMissed { slave }),
-        );
-        events.extend(
-            sync.newly_degraded
-                .iter()
-                .map(|&ap| EventKind::ApDegraded { ap }),
-        );
-        events.extend(
-            sync.newly_restored
-                .iter()
-                .map(|&ap| EventKind::ApRestored { ap }),
-        );
+        for &slave in &sync.missed {
+            control.events.push(EventKind::SyncMissed { slave });
+        }
+        for &ap in &sync.newly_degraded {
+            control.events.push(EventKind::ApDegraded { ap });
+        }
+        for &ap in &sync.newly_restored {
+            control.events.push(EventKind::ApRestored { ap });
+        }
         control.overhead_s += self.net.take_sync_control_airtime_s();
         let phase_err = self.net.sync_phase_error_rad();
         if phase_err.is_finite() {

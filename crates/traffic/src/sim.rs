@@ -199,6 +199,7 @@ impl Ord for Event {
 /// does partial work past its budget; the drain deadline (`duration_s +
 /// drain_timeout_s`) still applies on top of these. [`RunLimits::none`]
 /// makes `run_bounded` behave exactly like [`TrafficSim::run`].
+#[derive(Default)]
 pub struct RunLimits {
     /// Stop after this many processed events ([`StopCause::MaxEvents`]).
     pub max_events: Option<u64>,
@@ -208,25 +209,15 @@ pub struct RunLimits {
     /// fault windows, seen from the other side).
     pub max_sim_time_s: Option<f64>,
     /// External stop predicate, called with `(events_processed, sim_time)`
-    /// every [`RunLimits::stop_poll_events`] events; returning `true`
-    /// stops the run with [`StopCause::Wallclock`]. This is the scenario
-    /// runner's wall-clock deadline hook — the predicate owns the clock so
-    /// the simulation itself stays free of wall-time reads.
+    /// every 1024 events (`STOP_POLL_EVENTS`); returning `true` stops the
+    /// run with [`StopCause::Wallclock`]. This is the scenario runner's
+    /// wall-clock deadline hook — the predicate owns the clock so the
+    /// simulation itself stays free of wall-time reads.
     pub stop: Option<Box<dyn FnMut(u64, f64) -> bool>>,
-    /// Poll period for [`RunLimits::stop`], in events (0 is treated as 1).
-    pub stop_poll_events: u64,
 }
 
-impl Default for RunLimits {
-    fn default() -> Self {
-        RunLimits {
-            max_events: None,
-            max_sim_time_s: None,
-            stop: None,
-            stop_poll_events: 1024,
-        }
-    }
-}
+/// Poll period of [`RunLimits::stop`], in processed events.
+const STOP_POLL_EVENTS: u64 = 1024;
 
 impl RunLimits {
     /// No limits: `run_bounded` completes naturally, like `run`.
@@ -241,7 +232,6 @@ impl std::fmt::Debug for RunLimits {
             .field("max_events", &self.max_events)
             .field("max_sim_time_s", &self.max_sim_time_s)
             .field("stop", &self.stop.as_ref().map(|_| "<fn>"))
-            .field("stop_poll_events", &self.stop_poll_events)
             .finish()
     }
 }
@@ -539,7 +529,6 @@ impl<B: TransmitBackend> TrafficSim<B> {
         }
 
         let sim_deadline = limits.max_sim_time_s.map(|d| self.cfg.start_s + d);
-        let poll = limits.stop_poll_events.max(1);
         let mut processed: u64 = 0;
         let mut cause = StopCause::Completed;
         let mut now = self.cfg.start_s;
@@ -555,7 +544,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
                 cause = StopCause::MaxEvents;
                 break;
             }
-            if processed.is_multiple_of(poll) {
+            if processed.is_multiple_of(STOP_POLL_EVENTS) {
                 if let Some(stop) = limits.stop.as_mut() {
                     if stop(processed, ev.t) {
                         cause = StopCause::Wallclock;
@@ -614,17 +603,18 @@ impl<B: TransmitBackend> TrafficSim<B> {
                                 );
                                 self.note(now, TraceKind::Acked { client: dest, id });
                             }
-                            PacketFate::Requeued { dest, id, attempts } => {
-                                let (client, attempt) = (dest, attempts);
-                                self.note(
-                                    now,
-                                    TraceKind::Retry {
-                                        client,
-                                        id,
-                                        attempt,
-                                    },
-                                );
-                            }
+                            PacketFate::Requeued {
+                                dest: client,
+                                id,
+                                attempts: attempt,
+                            } => self.note(
+                                now,
+                                TraceKind::Retry {
+                                    client,
+                                    id,
+                                    attempt,
+                                },
+                            ),
                             PacketFate::Dropped { dest, id } => {
                                 self.meta.remove(&id);
                                 let cause = DropCause::RetryLimit;
@@ -1068,20 +1058,29 @@ mod tests {
 
     #[test]
     fn run_bounded_stop_predicate_fires_wallclock() {
-        let mut sim = TrafficSim::new(light_cfg(3, 9), StubBackend::perfect(3, 3)).unwrap();
-        // Fire as soon as any sim time has elapsed; polled every event.
-        let out = sim.run_bounded(RunLimits {
-            stop: Some(Box::new(|_events, t| t > 0.1)),
-            stop_poll_events: 1,
+        // Busy enough that the predicate is polled many times within the
+        // horizon: it fires at the first poll past 0.1 s.
+        let busy = || {
+            let mut cfg = light_cfg(3, 9);
+            cfg.loads = vec![ClientLoad::poisson(3000.0, 700); 3];
+            TrafficSim::new(cfg, StubBackend::perfect(3, 3)).unwrap()
+        };
+        let polls = std::rc::Rc::new(std::cell::Cell::new(0u64));
+        let seen = polls.clone();
+        let out = busy().run_bounded(RunLimits {
+            stop: Some(Box::new(move |events, t| {
+                assert_eq!(events % STOP_POLL_EVENTS, 0, "polled off period");
+                seen.set(seen.get() + 1);
+                t > 0.1
+            })),
             ..RunLimits::none()
         });
         assert_eq!(out.cause, StopCause::Wallclock);
+        assert!(polls.get() >= 2, "fired at the first poll");
         assert!(out.metrics.elapsed_s < 1.0);
         // A predicate that never fires leaves the run untouched.
-        let mut sim = TrafficSim::new(light_cfg(3, 9), StubBackend::perfect(3, 3)).unwrap();
-        let out = sim.run_bounded(RunLimits {
+        let out = busy().run_bounded(RunLimits {
             stop: Some(Box::new(|_, _| false)),
-            stop_poll_events: 0, // treated as 1, not a division by zero
             ..RunLimits::none()
         });
         assert_eq!(out.cause, StopCause::Completed);

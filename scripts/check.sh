@@ -23,16 +23,18 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Four greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Six greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate other than jmb-dsp's FFT plan cache —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
 # taps-plus-kernel rule (DESIGN.md §3.16) — `RxWindow::superpose` calls
-# `interpolate_at(` once and never walks the taps — and the
-# written-once rule (DESIGN.md §3.5, §3.6): each method of the networks'
-# shared surface has one `pub fn` under crates/core/src (CompatNet aside),
-# and one struct in crates/traffic/src carries a clock debt. The script ends
-# by printing (not gating) the size scan simplicity PRs quote.
+# `interpolate_at(` once and never walks the taps — the written-once rule
+# (DESIGN.md §3.5, §3.6), which is two: each method of the networks' shared
+# surface has one `pub fn` under crates/core/src (CompatNet aside), and one
+# struct in crates/traffic/src carries a clock debt — and the one-ledger rule
+# (DESIGN.md §3.9): `Registry` is not named under crates/core/src, where
+# what happened is returned or put on a trace and never counted. The script
+# ends by printing (not gating) the size scan simplicity PRs quote.
 #
 # The jmb-lint deny pass includes the determinism lints
 # (no-unordered-iteration, float-reduction-order, no-ambient-parallelism,
@@ -111,6 +113,15 @@ for name in now advance sync_health last_sync sync_strategy set_sync_strategy \
 done
 if [ "$(grep -rn '^ *debt_s: f64,' crates/traffic/src | wc -l)" -ne 1 ]; then
   echo "debt_s must be a field of exactly one struct in crates/traffic/src (Backend<L>)" >&2
+  exit 1
+fi
+
+# What happened is recorded once: the MAC returns every packet's fate and
+# the networks put control events on their trace; counting them is the
+# traffic layer's registry (`TrafficSim::note`). A `Registry` under
+# crates/core/src is a second ledger creeping back.
+if grep -n 'Registry' crates/core/src/*.rs; then
+  echo "Registry named under crates/core/src (return the event; jmb-traffic counts it)" >&2
   exit 1
 fi
 
