@@ -35,8 +35,8 @@ pub struct CityConfig {
     pub clients_per_cell: usize,
     /// Per-client target SNR at the strongest in-cell AP, dB. Also the
     /// calibration anchor for inter-cell coupling: a neighbour cell's
-    /// signal arrives at this SNR from 10 m (`REF_DIST_M`) away and decays with
-    /// [`PathLossModel::inter_cell`] beyond it.
+    /// signal arrives at this SNR from 10 m (`REF_DIST_M`) away and decays
+    /// with [`PathLossModel::inter_cell`] beyond it.
     pub client_snr_db: f64,
     /// Per-client Poisson arrival rate, packets/second.
     pub rate_pps: f64,

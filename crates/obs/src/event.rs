@@ -467,14 +467,9 @@ mod tests {
             power: 0.012345,
         });
         roundtrip(EventKind::Render { node: 1, len: 80 });
-        roundtrip(EventKind::Dropped {
-            node: 2,
-            cause: DropCause::Fault,
-        });
-        roundtrip(EventKind::Dropped {
-            node: 2,
-            cause: DropCause::RetryLimit,
-        });
+        for cause in DropCause::ALL {
+            roundtrip(EventKind::Dropped { node: 2, cause });
+        }
         roundtrip(EventKind::Corrupted { node: 0 });
         roundtrip(EventKind::Enqueued { client: 5, id: 77 });
         roundtrip(EventKind::LeadElected { ap: 2 });
@@ -519,12 +514,7 @@ mod tests {
             index: 3,
             passed: false,
         });
-        for cause in [
-            StopCause::Completed,
-            StopCause::MaxEvents,
-            StopCause::MaxSimTime,
-            StopCause::Wallclock,
-        ] {
+        for cause in StopCause::ALL {
             roundtrip(EventKind::ScenarioStopped { cause, events: 99 });
         }
         let listed: std::collections::BTreeSet<_> = EventKind::NAMES.into_iter().collect();
@@ -545,12 +535,7 @@ mod tests {
 
     #[test]
     fn stop_cause_names_roundtrip() {
-        for cause in [
-            StopCause::Completed,
-            StopCause::MaxEvents,
-            StopCause::MaxSimTime,
-            StopCause::Wallclock,
-        ] {
+        for cause in StopCause::ALL {
             assert_eq!(StopCause::from_name(cause.name()), Some(cause));
         }
         assert_eq!(StopCause::from_name("Nope"), None);

@@ -71,9 +71,8 @@ pub struct JsonLinesSink<W: Write> {
 impl JsonLinesSink<BufWriter<std::fs::File>> {
     /// Creates (truncating) a JSONL file sink.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonLinesSink::new(BufWriter::new(std::fs::File::create(
-            path,
-        )?)))
+        let file = std::fs::File::create(path)?;
+        Ok(JsonLinesSink::new(BufWriter::new(file)))
     }
 }
 

@@ -48,14 +48,9 @@ fn kinds() -> Vec<EventKind> {
             node: 1,
             len: usize::MAX,
         },
-        EventKind::Dropped {
-            node: 2,
-            cause: DropCause::Fault,
-        },
-        EventKind::Dropped {
-            node: 2,
-            cause: DropCause::RetryLimit,
-        },
+    ];
+    kinds.extend(DropCause::ALL.map(|cause| EventKind::Dropped { node: 2, cause }));
+    kinds.extend([
         EventKind::Corrupted { node: 0 },
         EventKind::Enqueued {
             client: 5,
@@ -85,7 +80,7 @@ fn kinds() -> Vec<EventKind> {
         EventKind::MeasurementLost,
         EventKind::ApDegraded { ap: 2 },
         EventKind::ApRestored { ap: 2 },
-    ];
+    ]);
     kinds.extend(SyncStrategyId::ALL.map(|strategy| EventKind::SyncStrategySwitched { strategy }));
     kinds.extend([
         EventKind::CellStarted { cell: 37, color: 2 },
@@ -111,18 +106,10 @@ fn kinds() -> Vec<EventKind> {
             passed: false,
         },
     ]);
-    kinds.extend(
-        [
-            StopCause::Completed,
-            StopCause::MaxEvents,
-            StopCause::MaxSimTime,
-            StopCause::Wallclock,
-        ]
-        .map(|cause| EventKind::ScenarioStopped {
-            cause,
-            events: u64::MAX,
-        }),
-    );
+    kinds.extend(StopCause::ALL.map(|cause| EventKind::ScenarioStopped {
+        cause,
+        events: u64::MAX,
+    }));
     kinds
 }
 

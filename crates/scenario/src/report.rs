@@ -87,16 +87,12 @@ impl ScenarioReport {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n  \"schema_version\": 1,\n  \"name\": ");
         json_str(&mut s, &self.name);
-        let _ = write!(
-            s,
-            ",\n  \"seed\": {},\n  \"verdict\": \"{}\",\n  \"exit_code\": {},\n  \
-             \"stop_cause\": \"{}\",\n  \"events\": {},\n  \"assertions\": [",
-            self.seed,
-            self.verdict.name(),
-            self.verdict.exit_code(),
-            self.stop_cause.name(),
-            self.events
-        );
+        let _ = writeln!(s, ",\n  \"seed\": {},", self.seed);
+        let _ = writeln!(s, "  \"verdict\": \"{}\",", self.verdict.name());
+        let _ = writeln!(s, "  \"exit_code\": {},", self.verdict.exit_code());
+        let _ = writeln!(s, "  \"stop_cause\": \"{}\",", self.stop_cause.name());
+        let _ = writeln!(s, "  \"events\": {},", self.events);
+        s.push_str("  \"assertions\": [");
         for (i, a) in self.assertions.iter().enumerate() {
             if i > 0 {
                 s.push(',');
