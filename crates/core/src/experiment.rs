@@ -740,7 +740,7 @@ pub fn compat_runs(bands: &[SnrBand], sweep: &SweepConfig) -> Vec<CompatRun> {
             let mut cfg = crate::compat::CompatConfig::default_with(target, rng.gen());
             cfg.client_snr_db = vec![band.sample_db(&mut rng), band.sample_db(&mut rng)];
             let mut net = crate::compat::CompatNet::new(cfg).ok()?;
-            net.run_stitched_measurement().ok()?;
+            net.run_measurement().ok()?;
             net.advance(2e-3);
             let jmb: f64 = net.jmb_throughput(1500).ok()?.iter().sum();
             let dot: f64 = net.dot11n_throughput(1500).iter().sum();

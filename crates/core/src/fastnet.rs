@@ -19,7 +19,8 @@
 use crate::control::BatchSync;
 use crate::error::JmbError;
 use crate::network::{
-    drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network, Served,
+    drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network, Serve,
+    Served,
 };
 use crate::precoder::Precoder;
 use crate::sync::{LeadObserver, SyncStrategyId};
@@ -334,7 +335,9 @@ impl LinkEval for FastEval {
     ) -> R {
         f(&mut self.observer(aps, rng))
     }
+}
 
+impl Serve for FastEval {
     /// A [`FastNet::joint_transmit_subset`], each stream's EESM effective
     /// SNR held against the threshold of the rate it went out at.
     fn serve<'a>(
@@ -855,7 +858,7 @@ pub(crate) struct ProbeFrame<'a> {
 }
 
 /// The buffers the fast fidelity's measurement and probe kernels work in,
-/// owned by the network ([`FastNet`], [`crate::compat::CompatNet`]) and grown
+/// owned by the fidelity ([`FastEval`], [`crate::compat::CompatEval`]) and grown
 /// by the first call of each shape, so a steady-state joint transmission
 /// allocates for its sync exchange only: its results are lent from here.
 #[derive(Default)]

@@ -33,7 +33,8 @@
 use crate::error::JmbError;
 use crate::measure::{self, MeasurementPlan, REF_ANCHOR};
 use crate::network::{
-    drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network, Served,
+    drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network, Serve,
+    Served,
 };
 use crate::precoder::Precoder;
 use crate::sync::{LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ};
@@ -342,7 +343,9 @@ impl LinkEval for SampleEval {
             heard: None,
         })
     }
+}
 
+impl Serve for SampleEval {
     /// A [`JmbNetwork::joint_transmit_masked`] at the rate §9 selects (the
     /// base rate if none clears): one payload per client — the network
     /// transmits one stream each, clients outside the batch get a zero

@@ -9,13 +9,13 @@
 //! frame timeline — and knows nothing about how a channel is evaluated.
 //!
 //! That is [`LinkEval`], the fidelity and nothing else: build the medium and
-//! its links from a config, estimate the joint channel at one instant, lend
-//! the slaves' [`LeadObserver`], and serve one MAC batch.
-//! [`crate::fastnet::FastEval`] does it per subcarrier,
-//! [`crate::net::SampleEval`] with real waveforms; `FastNet` and
-//! `JmbNetwork` name the two instantiations, and what only one fidelity can
-//! do (a nulling probe, a masked transmission, …) is an inherent method of
-//! that instantiation, beside its `LinkEval` impl.
+//! its links from a config, measure the joint channel, and lend the slaves'
+//! [`LeadObserver`] — per subcarrier ([`crate::fastnet::FastEval`]), with
+//! real waveforms ([`crate::net::SampleEval`]) or with §6's antenna pairs
+//! ([`crate::compat::CompatEval`]). `FastNet`, `JmbNetwork` and `CompatNet`
+//! name the instantiations; what only one fidelity can do (a nulling probe,
+//! the 802.11n baseline, …) is an inherent method of its instantiation, and
+//! a fidelity the MAC puts batches through is also a [`Serve`].
 //!
 //! The frame timeline lives here and only here: the slaves measure the
 //! header at its LTF midpoint ([`REF_ANCHOR`] samples in), the data starts
@@ -98,7 +98,10 @@ pub trait LinkEval: Sized {
         measurement: bool,
         f: impl FnOnce(&mut dyn LeadObserver) -> R,
     ) -> R;
+}
 
+/// A fidelity the MAC can put batches through.
+pub trait Serve: LinkEval {
     /// Serves one MAC batch: one stream per entry of `dests` (distinct
     /// clients), every payload `payload_len` bytes, from the APs in
     /// `active_aps`, at the rate the measured channel supports.
@@ -115,7 +118,8 @@ pub trait LinkEval: Sized {
 pub struct Deployment<L> {
     /// The fidelity, built.
     pub link: L,
-    /// Medium ids of the APs (index 0 = lead) and of the clients.
+    /// Medium ids of the APs (index 0 = lead) and of the clients; of a
+    /// multi-antenna device, the antenna it listens on.
     pub aps: Vec<NodeId>,
     /// See `aps`.
     pub clients: Vec<NodeId>,
@@ -134,7 +138,7 @@ pub struct Deployment<L> {
     pub seed_cfo_sigma_hz: f64,
 }
 
-/// How one MAC batch fared ([`LinkEval::serve`]), lent from the network.
+/// How one MAC batch fared ([`Serve::serve`]), lent from the network.
 #[derive(Debug, Clone, Copy)]
 pub struct Served<'a> {
     /// The rate of the joint transmission (shared by every stream, §9).
@@ -154,7 +158,7 @@ pub(crate) fn validate_shape(
     client_snr_db: &[f64],
 ) -> Result<(), JmbError> {
     if n_aps == 0 || n_clients == 0 {
-        return Err(JmbError::BadConfig("need at least one AP and one client"));
+        return Err(JmbError::BadConfig("need n_aps ≥ 1 and n_clients ≥ 1"));
     }
     if client_snr_db.len() != n_clients {
         return Err(JmbError::BadConfig("client_snr_db length mismatch"));
@@ -234,13 +238,6 @@ pub(crate) fn drawn_link(
     link
 }
 
-/// A network clock `dt` seconds after `now`.
-pub(crate) fn advanced(now: f64, dt: f64) -> f64 {
-    // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller
-    assert!(dt >= 0.0, "cannot rewind simulation time (dt = {dt})");
-    now + dt
-}
-
 /// The instants of the frame whose header leaves the lead now.
 pub(crate) struct Frame {
     /// When the slaves' header measurement is anchored.
@@ -260,7 +257,7 @@ pub struct Network<L: LinkEval> {
     /// Fault draws, sync health, the fallback policy and their events.
     pub(crate) control: ControlPlane,
     /// Measured joint channel, one matrix per occupied subcarrier
-    /// (rows = clients, cols = APs).
+    /// (rows = clients, cols = APs; antennas, where devices have several).
     pub(crate) h_meas: Option<Vec<CMat>>,
     pub(crate) precoder: Option<Precoder>,
     pub(crate) rng: JmbRng,
@@ -370,7 +367,9 @@ impl<L: LinkEval> Network<L> {
     /// Advances time without any transmission: oscillators drift (fading is
     /// aged separately, where the fidelity models it).
     pub fn advance(&mut self, dt: f64) {
-        self.set_now(advanced(self.now, dt));
+        // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller
+        assert!(dt >= 0.0, "cannot rewind simulation time (dt = {dt})");
+        self.set_now(self.now + dt);
     }
 
     /// The measured joint channel (after [`Network::run_measurement`]).

@@ -7,6 +7,7 @@
 //! later, and 50 µs after its last sample the air is free again.
 
 use jmb_core::baseline::frame_airtime;
+use jmb_core::compat::{CompatConfig, CompatEval};
 use jmb_core::fastnet::{FastConfig, FastEval};
 use jmb_core::net::{NetConfig, SampleEval};
 use jmb_core::network::{LinkEval, Network};
@@ -96,6 +97,16 @@ fn fast_network_keeps_the_contract() {
     let cfg = FastConfig::default_with(3, 2, vec![20.0; 2], 7);
     let timeline = (cfg.params.sample_period(), cfg.turnaround_s);
     let transmit: Transmit<FastEval> = |net| net.joint_transmit(7e-4, 2, &[], true).map(|_| 7e-4);
+    network_contract(cfg, timeline, transmit);
+}
+
+#[test]
+fn compat_network_keeps_the_contract() {
+    // §6.1: the legacy preamble is the sync header, so the timeline is the
+    // same 320 samples and 150 µs turnaround, here at 20 MHz.
+    let cfg = CompatConfig::default_with(22.0, 9);
+    let timeline = (cfg.params.sample_period(), 150e-6);
+    let transmit: Transmit<CompatEval> = |net| net.joint_sinr(3e-4).map(|_| 3e-4);
     network_contract(cfg, timeline, transmit);
 }
 

@@ -21,7 +21,7 @@ use crate::report::{ScenarioReport, Verdict};
 use jmb_city::{City, CityConfig, Reuse};
 use jmb_core::fastnet::{FastConfig, FastEval};
 use jmb_core::net::{NetConfig, SampleEval};
-use jmb_core::network::LinkEval;
+use jmb_core::network::Serve;
 use jmb_obs::{EventKind, StopCause, SyncStrategyId, Trace};
 use jmb_sim::FaultSchedule;
 use jmb_traffic::{
@@ -176,7 +176,7 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunOutput, Scenar
 
 /// Builds a single cell's backend at either fidelity, on `sync` and under
 /// `faults`.
-fn cell<L: LinkEval>(
+fn cell<L: Serve>(
     cfg: L::Config,
     sync: SyncStrategyId,
     faults: Option<&FaultSchedule>,

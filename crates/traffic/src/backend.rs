@@ -11,7 +11,7 @@ use jmb_core::csi::{BackoffPolicy, CsiTracker};
 use jmb_core::error::JmbError;
 use jmb_core::fastnet::FastEval;
 use jmb_core::net::SampleEval;
-use jmb_core::network::{LinkEval, Network};
+use jmb_core::network::{Network, Serve};
 use jmb_core::sync::SyncStrategyId;
 use jmb_dsp::rng::JmbRng;
 use jmb_obs::EventKind;
@@ -80,9 +80,9 @@ pub trait TransmitBackend {
 ///
 /// Keeps the network's clock on the event loop's, re-measures a channel
 /// that has gone stale (§5.1, §7) and reports what the control plane did;
-/// who ACKed is the fidelity's [`LinkEval::serve`] held against one error
+/// who ACKed is the fidelity's [`Serve::serve`] held against one error
 /// model.
-pub struct Backend<L: LinkEval> {
+pub struct Backend<L: Serve> {
     net: Network<L>,
     /// The ACK stream (`0x7AFF`), one draw per stream served.
     rng: JmbRng,
@@ -114,7 +114,7 @@ pub type FastBackend = Backend<FastEval>;
 /// [`JmbNetwork`]: jmb_core::net::JmbNetwork
 pub type SampleBackend = Backend<SampleEval>;
 
-impl<L: LinkEval> Backend<L> {
+impl<L: Serve> Backend<L> {
     /// Channel age after which the next batch triggers re-measurement,
     /// seconds.
     pub const DEFAULT_STALE_AFTER_S: f64 = 50e-3;
@@ -173,7 +173,7 @@ impl SampleBackend {
     }
 }
 
-impl<L: LinkEval> TransmitBackend for Backend<L> {
+impl<L: Serve> TransmitBackend for Backend<L> {
     fn n_aps(&self) -> usize {
         self.net.ap_nodes().len()
     }

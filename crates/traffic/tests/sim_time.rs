@@ -8,7 +8,7 @@ mod common;
 use jmb_core::error::JmbError;
 use jmb_core::fastnet::{FastConfig, FastEval};
 use jmb_core::net::{NetConfig, SampleEval};
-use jmb_core::network::LinkEval;
+use jmb_core::network::Serve;
 use jmb_core::sync::SyncStrategyId;
 use jmb_sim::{FaultConfig, FaultSchedule};
 use jmb_traffic::{Backend, ClientLoad, TrafficConfig, TrafficSim, TransmitBackend, TxReport};
@@ -36,13 +36,13 @@ struct Served {
 
 /// Keeps the event loop's clock beside the backend's, the way `TrafficSim`
 /// keeps its `phy_t`: idle time it advances through plus airtime charged.
-struct Clocked<L: LinkEval> {
+struct Clocked<L: Serve> {
     inner: Backend<L>,
     t: f64,
     served: Vec<Served>,
 }
 
-impl<L: LinkEval> TransmitBackend for Clocked<L> {
+impl<L: Serve> TransmitBackend for Clocked<L> {
     fn n_aps(&self) -> usize {
         self.inner.n_aps()
     }
@@ -82,7 +82,7 @@ impl<L: LinkEval> TransmitBackend for Clocked<L> {
 /// saturated from then on: the batches that report the miss are the ones
 /// the event loop starts inside the window, and the network clock never
 /// strays a millisecond from the event loop's.
-fn fault_window_edges_land_in_sim_time<L: LinkEval>(cfg: L::Config) {
+fn fault_window_edges_land_in_sim_time<L: Serve>(cfg: L::Config) {
     let mut inner = Backend::<L>::new(cfg).expect("backend");
     let (from_s, until_s) = (6e-3, 14e-3);
     let storm = FaultConfig::builder().per_slave_sync_loss(1, 1.0).build();
@@ -126,7 +126,7 @@ fn fault_window_edges_land_in_sim_time<L: LinkEval>(cfg: L::Config) {
 
 /// Every measurement frame is lost: the exchange that falls due once the
 /// channel is 50 ms old is attempted, charged and rescheduled.
-fn lost_measurement_is_retried_and_charged<L: LinkEval>(cfg: L::Config) {
+fn lost_measurement_is_retried_and_charged<L: Serve>(cfg: L::Config) {
     let mut b = Backend::<L>::new(cfg).expect("backend");
     let lossy = FaultConfig::builder().meas_loss_chance(1.0).build();
     b.net_mut()

@@ -1,7 +1,8 @@
 //! Off-the-shelf 802.11n compatibility (§6): two 2-antenna APs combine into
 //! a distributed 4×4 MIMO system serving two unmodified 2-antenna clients,
 //! using the legacy-preamble sync header and the reference-antenna channel
-//! stitching of §6.2.
+//! stitching of §6.2. `CompatNet` is the same protocol network as the other
+//! fidelities, so its measurement is the ordinary `run_measurement`.
 //!
 //! Run with: `cargo run --release --example n80211_compat`
 
@@ -15,7 +16,7 @@ fn main() {
         let mut net = CompatNet::new(cfg).expect("valid");
         // §6.2: a series of two-stream soundings, each containing the
         // reference antenna, stitched to one common-time 4×4 snapshot.
-        net.run_stitched_measurement().expect("stitching");
+        net.run_measurement().expect("stitching");
         net.advance(2e-3);
         let jmb: f64 = net.jmb_throughput(1500).expect("joint").iter().sum();
         let dot: f64 = net.dot11n_throughput(1500).iter().sum();
