@@ -31,5 +31,5 @@ pub mod topology;
 
 pub use link::Link;
 pub use multipath::{Multipath, MultipathSpec};
-pub use oscillator::{Oscillator, OscillatorSpec, PhaseTrajectory};
+pub use oscillator::{OscillatorSpec, PhaseTrajectory};
 pub use topology::{Position, SnrBand, Topology};

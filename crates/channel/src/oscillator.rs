@@ -15,7 +15,7 @@
 //! The numbers in §1 fall straight out of this model: a 10 Hz error in a
 //! CFO estimate grows to `2π·10·5.5e-3 ≈ 0.35 rad` (20°) in 5.5 ms.
 
-use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
+use jmb_dsp::rng::{standard_normal_pair, JmbRng};
 use rand::Rng;
 
 /// Static description of an oscillator population.
@@ -65,125 +65,11 @@ impl OscillatorSpec {
     }
 }
 
-/// One device's oscillator state.
+/// One device's oscillator, as a *random-access* phase trajectory.
 ///
-/// Time is the *simulation's* global time in seconds; the oscillator answers
-/// "what is your accumulated carrier phase error at global time t". Queries
-/// must be non-decreasing in `t` (the state random-walks forward).
-#[derive(Debug, Clone)]
-pub struct Oscillator {
-    carrier_freq: f64,
-    /// Current carrier offset from nominal, Hz.
-    offset_hz: f64,
-    spec: OscillatorSpec,
-    /// Last query time.
-    t_last: f64,
-    /// Accumulated phase error (rad) at `t_last`, beyond nominal.
-    phase: f64,
-    /// Per-device RNG for phase noise and drift.
-    rng: JmbRng,
-}
-
-impl Oscillator {
-    /// Draws a new oscillator for a device.
-    ///
-    /// `carrier_freq` is the nominal RF carrier (used to tie SFO to CFO).
-    pub fn new(spec: OscillatorSpec, carrier_freq: f64, rng: &mut JmbRng) -> Self {
-        let ppm = if spec.tolerance_ppm > 0.0 {
-            (rng.gen::<f64>() * 2.0 - 1.0) * spec.tolerance_ppm
-        } else {
-            0.0
-        };
-        let offset_hz = ppm * 1e-6 * carrier_freq;
-        let child = jmb_dsp::rng::derive_rng(rng.gen(), 0x05C1);
-        Oscillator {
-            carrier_freq,
-            offset_hz,
-            spec,
-            t_last: 0.0,
-            phase: 0.0,
-            rng: child,
-        }
-    }
-
-    /// An exact, noiseless oscillator at a given offset — for unit tests and
-    /// analytic cross-checks.
-    pub fn fixed(carrier_freq: f64, offset_hz: f64) -> Self {
-        Oscillator {
-            carrier_freq,
-            offset_hz,
-            spec: OscillatorSpec::ideal(),
-            t_last: 0.0,
-            phase: 0.0,
-            rng: jmb_dsp::rng::rng_from_seed(0),
-        }
-    }
-
-    /// Current carrier-frequency offset in Hz.
-    pub fn cfo_hz(&self) -> f64 {
-        self.offset_hz
-    }
-
-    /// Current offset in ppm of the carrier.
-    pub fn ppm(&self) -> f64 {
-        self.offset_hz / self.carrier_freq * 1e6
-    }
-
-    /// Sampling-clock ratio relative to nominal: the DAC/ADC runs at
-    /// `nominal_rate · sample_ratio()`. Locked to the same crystal, so
-    /// equal to `1 + ppm·1e-6`.
-    pub fn sample_ratio(&self) -> f64 {
-        1.0 + self.offset_hz / self.carrier_freq
-    }
-
-    /// Advances the oscillator to global time `t` and returns the
-    /// accumulated carrier phase error (radians, unwrapped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` moves backwards.
-    pub fn phase_at(&mut self, t: f64) -> f64 {
-        assert!(
-            t >= self.t_last - 1e-15,
-            "oscillator time must be monotonic: {t} < {}",
-            self.t_last
-        );
-        let dt = (t - self.t_last).max(0.0);
-        if dt > 0.0 {
-            // Deterministic rotation at the current offset…
-            self.phase += 2.0 * std::f64::consts::PI * self.offset_hz * dt;
-            // …Wiener phase noise…
-            if self.spec.phase_noise_linewidth_hz > 0.0 {
-                let sigma =
-                    (2.0 * std::f64::consts::PI * self.spec.phase_noise_linewidth_hz * dt).sqrt();
-                self.phase += normal(&mut self.rng, sigma);
-            }
-            // …and slow drift of the offset itself.
-            if self.spec.drift_hz_per_sqrt_s > 0.0 {
-                self.offset_hz += normal(&mut self.rng, self.spec.drift_hz_per_sqrt_s * dt.sqrt());
-            }
-            self.t_last = t;
-        }
-        self.phase
-    }
-
-    /// The unit phasor `e^{jφ(t)}` at global time `t` (advances state).
-    pub fn phasor_at(&mut self, t: f64) -> jmb_dsp::Complex64 {
-        jmb_dsp::Complex64::cis(self.phase_at(t))
-    }
-
-    /// Nominal carrier frequency this oscillator multiplies up to.
-    pub fn carrier_freq(&self) -> f64 {
-        self.carrier_freq
-    }
-}
-
-/// A *random-access* oscillator phase trajectory.
-///
-/// [`Oscillator`] only answers monotonic time queries, which is fine for a
-/// single observer. The radio medium, however, evaluates a node's phase on
-/// many interleaved timelines (one per link), so it needs `phase_at(t)` for
-/// arbitrary `t` — returning the *same* answer for the same `t` every time.
+/// The radio medium evaluates a node's phase on many interleaved timelines
+/// (one per link), so it needs `phase_at(t)` for arbitrary `t` — returning
+/// the *same* answer for the same `t` every time.
 ///
 /// `PhaseTrajectory` achieves that by drawing the stochastic part of the
 /// phase (Wiener phase noise + offset random walk) on a lazy fixed grid from
@@ -437,39 +323,41 @@ mod tests {
 
     const FC: f64 = 2.437e9;
 
+    /// The ppm offset a trajectory was drawn with, from its sample ratio.
+    fn ppm(t: &PhaseTrajectory) -> f64 {
+        (t.sample_ratio() - 1.0) * 1e6
+    }
+
     #[test]
     fn ppm_draw_within_tolerance() {
         let mut rng = rng_from_seed(1);
         for _ in 0..100 {
-            let o = Oscillator::new(OscillatorSpec::usrp2(), FC, &mut rng);
-            assert!(o.ppm().abs() <= 2.5, "ppm {}", o.ppm());
-            assert!(o.cfo_hz().abs() <= 2.5e-6 * FC + 1e-6);
+            let mut t = PhaseTrajectory::new(OscillatorSpec::usrp2(), FC, &mut rng);
+            assert!(ppm(&t).abs() <= 2.5, "ppm {}", ppm(&t));
+            assert!(t.cfo_hz_at(0.0).abs() <= 2.5e-6 * FC + 1e-6);
         }
     }
 
     #[test]
     fn draws_are_diverse() {
         let mut rng = rng_from_seed(2);
-        let a = Oscillator::new(OscillatorSpec::usrp2(), FC, &mut rng);
-        let b = Oscillator::new(OscillatorSpec::usrp2(), FC, &mut rng);
-        assert_ne!(a.cfo_hz(), b.cfo_hz());
+        let mut a = PhaseTrajectory::new(OscillatorSpec::usrp2(), FC, &mut rng);
+        let mut b = PhaseTrajectory::new(OscillatorSpec::usrp2(), FC, &mut rng);
+        assert_ne!(a.cfo_hz_at(0.0), b.cfo_hz_at(0.0));
     }
 
     #[test]
     fn fixed_oscillator_phase_is_linear() {
-        let mut o = Oscillator::fixed(FC, 100.0);
-        let p1 = o.phase_at(1e-3);
-        let p2 = o.phase_at(2e-3);
+        let mut t = PhaseTrajectory::fixed(FC, 100.0);
         let expected = 2.0 * std::f64::consts::PI * 100.0 * 1e-3;
-        assert!((p1 - expected).abs() < 1e-12);
-        assert!((p2 - 2.0 * expected).abs() < 1e-12);
+        assert!((t.phase_at(1e-3) - expected).abs() < 1e-12);
+        assert!((t.phase_at(2e-3) - 2.0 * expected).abs() < 1e-12);
     }
 
     #[test]
     fn paper_numbers_ten_hz_error() {
         // §1: a 10 Hz frequency error accumulates 0.35 rad (20°) in 5.5 ms.
-        let mut o = Oscillator::fixed(FC, 10.0);
-        let phase = o.phase_at(5.5e-3);
+        let phase = PhaseTrajectory::fixed(FC, 10.0).phase_at(5.5e-3);
         assert!((phase - 0.3456).abs() < 1e-3, "phase {phase}");
     }
 
@@ -477,41 +365,15 @@ mod tests {
     fn paper_numbers_hundred_hz_error() {
         // §5.2: a 100 Hz error in the initial frequency-offset estimate
         // accumulates a beamforming-fatal phase error (≥ π rad) within 20 ms.
-        let mut o = Oscillator::fixed(FC, 100.0);
-        let phase = o.phase_at(20e-3);
+        let phase = PhaseTrajectory::fixed(FC, 100.0).phase_at(20e-3);
         assert!(phase > std::f64::consts::PI, "phase {phase}");
     }
 
     #[test]
     fn sample_ratio_tracks_ppm() {
-        let o = Oscillator::fixed(FC, 2.437e9 * 5e-6); // +5 ppm
-        assert!((o.sample_ratio() - 1.000005).abs() < 1e-12);
-        assert!((o.ppm() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn phase_noise_grows_with_time() {
-        // Variance of the Wiener process after T should be ≈ 2π·β·T.
-        let spec = OscillatorSpec {
-            tolerance_ppm: 0.0,
-            phase_noise_linewidth_hz: 1.0,
-            drift_hz_per_sqrt_s: 0.0,
-        };
-        let mut rng = rng_from_seed(3);
-        let t = 0.1;
-        let n = 2000;
-        let mut acc = 0.0;
-        for _ in 0..n {
-            let mut o = Oscillator::new(spec, FC, &mut rng);
-            let p = o.phase_at(t);
-            acc += p * p;
-        }
-        let var = acc / n as f64;
-        let expected = 2.0 * std::f64::consts::PI * 1.0 * t;
-        assert!(
-            (var / expected - 1.0).abs() < 0.15,
-            "var {var} vs {expected}"
-        );
+        let t = PhaseTrajectory::fixed(FC, 2.437e9 * 5e-6); // +5 ppm
+        assert!((t.sample_ratio() - 1.000005).abs() < 1e-12);
+        assert!((ppm(&t) - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -522,28 +384,18 @@ mod tests {
             drift_hz_per_sqrt_s: 2.0,
         };
         let mut rng = rng_from_seed(4);
-        let mut o = Oscillator::new(spec, FC, &mut rng);
-        let f0 = o.cfo_hz();
-        o.phase_at(1.0);
-        let f1 = o.cfo_hz();
+        let mut t = PhaseTrajectory::new(spec, FC, &mut rng);
+        let (f0, f1) = (t.cfo_hz_at(0.0), t.cfo_hz_at(1.0));
         assert_ne!(f0, f1);
         assert!((f1 - f0).abs() < 20.0, "drift too fast: {} Hz", f1 - f0);
     }
 
     #[test]
-    #[should_panic(expected = "monotonic")]
-    fn rejects_time_reversal() {
-        let mut o = Oscillator::fixed(FC, 0.0);
-        o.phase_at(1.0);
-        o.phase_at(0.5);
-    }
-
-    #[test]
     fn phasor_is_unit() {
         let mut rng = rng_from_seed(5);
-        let mut o = Oscillator::new(OscillatorSpec::wifi_worst_case(), FC, &mut rng);
+        let mut t = PhaseTrajectory::new(OscillatorSpec::wifi_worst_case(), FC, &mut rng);
         for i in 1..10 {
-            let z = o.phasor_at(i as f64 * 1e-3);
+            let z = t.phasor_at(i as f64 * 1e-3);
             assert!((z.abs() - 1.0).abs() < 1e-12);
         }
     }
@@ -582,18 +434,6 @@ mod tests {
                 (below - above).abs() < 1e-2,
                 "discontinuity at grid point {i}: {below} vs {above}"
             );
-        }
-    }
-
-    #[test]
-    fn trajectory_matches_oscillator_statistics() {
-        // The trajectory and the monotonic Oscillator are two views of the
-        // same model: for a fixed offset and no noise they agree exactly.
-        let mut o = Oscillator::fixed(FC, 1234.0);
-        let mut t = PhaseTrajectory::fixed(FC, 1234.0);
-        for i in 1..10 {
-            let tt = i as f64 * 1e-3;
-            assert!((o.phase_at(tt) - t.phase_at(tt)).abs() < 1e-9);
         }
     }
 
@@ -680,8 +520,8 @@ mod tests {
     fn two_oscillators_relative_rotation() {
         // The quantity JMB actually fights: relative phase between lead and
         // slave after time t is 2π·Δf·t.
-        let mut lead = Oscillator::fixed(FC, 300.0);
-        let mut slave = Oscillator::fixed(FC, -150.0);
+        let mut lead = PhaseTrajectory::fixed(FC, 300.0);
+        let mut slave = PhaseTrajectory::fixed(FC, -150.0);
         let t = 2e-3;
         let rel = lead.phase_at(t) - slave.phase_at(t);
         let expected = 2.0 * std::f64::consts::PI * 450.0 * t;

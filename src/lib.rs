@@ -74,7 +74,7 @@ pub use jmb_traffic as traffic;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use jmb_channel::{Link, Multipath, MultipathSpec, Oscillator, OscillatorSpec, SnrBand};
+    pub use jmb_channel::{Link, Multipath, MultipathSpec, OscillatorSpec, SnrBand};
     pub use jmb_city::{City, CityConfig, CityReport, Grid, Reuse};
     pub use jmb_core::baseline;
     pub use jmb_core::compat::{CompatConfig, CompatNet};
