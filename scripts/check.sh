@@ -30,7 +30,7 @@
 # taps-plus-kernel rule (DESIGN.md §3.16) — `RxWindow::superpose` calls
 # `interpolate_at(` once and never walks the taps — the written-once rule
 # (DESIGN.md §3.5, §3.6), which is two: each method of the networks' shared
-# surface has one `pub fn` under crates/core/src (CompatNet aside), and one
+# surface has one `pub fn` under crates/core/src, and one
 # struct in crates/traffic/src carries a clock debt — and the one-ledger rule
 # (DESIGN.md §3.9): `Registry` is not named under crates/core/src, where
 # what happened is returned or put on a trace and never counted — and the
@@ -101,16 +101,16 @@ fi
 
 # The protocol is written once: a second `pub fn` of the shared surface
 # under crates/core/src, or a second struct with a `debt_s`, is a fork of
-# `Network<L>` / `Backend<L>` creeping back. (CompatNet keeps its own clock
-# and measurement on §6's timeline; `Precoder::k_hat` is the number itself.)
-shared=$(ls crates/core/src/*.rs | grep -v '/compat.rs$\|/precoder.rs$')
+# `Network<L>` / `Backend<L>` creeping back. (`Precoder::k_hat` is the
+# number itself.)
+shared=$(ls crates/core/src/*.rs | grep -v '/precoder.rs$')
 for name in now advance sync_health last_sync sync_strategy set_sync_strategy \
     sync_phase_error_rad take_sync_control_airtime_s set_fault_schedule \
     measured_channel k_hat ap_nodes client_nodes run_measurement; do
   # shellcheck disable=SC2086
   n=$(cat $shared | grep -c 'pub fn '"$name"'(' || true)
   if [ "$n" -ne 1 ]; then
-    echo "pub fn $name( is defined $n times under crates/core/src outside compat.rs and precoder.rs (once, in network.rs)" >&2
+    echo "pub fn $name( is defined $n times under crates/core/src outside precoder.rs (once, in network.rs)" >&2
     exit 1
   fi
 done
