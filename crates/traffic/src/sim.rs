@@ -135,8 +135,18 @@ impl TrafficConfig {
         {
             return Err(JmbError::BadConfig("bad outage schedule"));
         }
-        if self.duration_s <= 0.0 {
-            return Err(JmbError::BadConfig("duration must be positive"));
+        // An infinite horizon never ends, a NaN one schedules nothing, and a
+        // negative drain ends the run before its horizon while reporting it
+        // completed.
+        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(JmbError::BadConfig(
+                "duration_s must be finite and positive",
+            ));
+        }
+        if !(self.drain_timeout_s.is_finite() && self.drain_timeout_s >= 0.0) {
+            return Err(JmbError::BadConfig(
+                "drain_timeout_s must be finite and non-negative",
+            ));
         }
         if !self.start_s.is_finite() || self.start_s < 0.0 {
             return Err(JmbError::BadConfig(
@@ -895,9 +905,43 @@ mod tests {
             up_at_s: 0.1,
         }];
         assert!(TrafficSim::new(cfg, StubBackend::perfect(2, 2)).is_err());
-        let mut cfg = light_cfg(2, 1);
-        cfg.duration_s = 0.0;
-        assert!(TrafficSim::new(cfg, StubBackend::perfect(2, 2)).is_err());
+    }
+
+    #[test]
+    fn horizon_and_drain_are_range_checked() {
+        // One row per rule: the field, values it refuses, and the value at
+        // its edge it takes. Let through, an infinite horizon would hang
+        // `run()`, a NaN one run empty, and a negative drain cut the run
+        // short as `Completed`.
+        type Set = fn(&mut TrafficConfig, f64);
+        let duration: Set = |c, v| c.duration_s = v;
+        let drain: Set = |c, v| c.drain_timeout_s = v;
+        for (field, set, bad, edge) in [
+            (
+                "duration_s",
+                duration,
+                [f64::INFINITY, f64::NAN, 0.0, -1.0],
+                1e-9,
+            ),
+            (
+                "drain_timeout_s",
+                drain,
+                [f64::INFINITY, f64::NAN, -1e-9, -1.0],
+                0.0,
+            ),
+        ] {
+            for v in bad {
+                let mut cfg = light_cfg(2, 1);
+                set(&mut cfg, v);
+                match cfg.validate(2, 2) {
+                    Err(JmbError::BadConfig(msg)) => assert!(msg.starts_with(field), "{msg}"),
+                    other => panic!("{field} = {v}: {other:?}"),
+                }
+            }
+            let mut cfg = light_cfg(2, 1);
+            set(&mut cfg, edge);
+            assert_eq!(cfg.validate(2, 2), Ok(()), "{field} = {edge}");
+        }
     }
 
     #[test]
