@@ -23,7 +23,6 @@
 //! | [`baseline`] | §11 | the comparison systems: 802.11 TDMA equal-share and single-AP MU-MIMO |
 //! | [`experiment`] | §11 | the harness that regenerates every figure of the evaluation |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
@@ -41,7 +40,7 @@ pub mod phasesync;
 pub mod precoder;
 pub mod sync;
 
-pub use csi::{BackoffPolicy, CsiTracker, SyncHealth};
+pub use csi::{CsiTracker, SyncHealth};
 pub use error::JmbError;
 pub use phasesync::PhaseSync;
 pub use precoder::Precoder;

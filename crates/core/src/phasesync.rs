@@ -27,6 +27,7 @@
 //! reproduced as an ablation.
 
 use crate::error::JmbError;
+use crate::sync::RAW_HEADER_CFO_SIGMA_HZ;
 use jmb_dsp::complex::wrap_phase;
 use jmb_dsp::stats::Ewma;
 use jmb_dsp::Complex64;
@@ -136,9 +137,6 @@ pub struct PhaseSync {
 /// unwrapping is even considered (beyond this, phase noise and oscillator
 /// drift make the comparison meaningless).
 const MAX_UNWRAP_DT: f64 = 0.05;
-/// 1σ accuracy of a single raw per-header CFO estimate (Hz), at typical
-/// AP↔AP SNRs.
-const RAW_HEADER_SIGMA: f64 = 200.0;
 /// 1σ phase-comparison noise between two headers (radians): estimation
 /// noise plus oscillator phase noise over millisecond gaps.
 const PHASE_SIGMA: f64 = 0.02;
@@ -163,7 +161,7 @@ impl PhaseSync {
             first_cfo: None,
             last_header: None,
             refined_cfo: None,
-            cfo_sigma: RAW_HEADER_SIGMA,
+            cfo_sigma: RAW_HEADER_CFO_SIGMA_HZ,
             last_update_t: 0.0,
             raw_count: 0,
             observations: 0,
@@ -248,7 +246,7 @@ impl PhaseSync {
             // shrinks like 1/√n until unwrapping becomes safe.
             self.raw_count += 1;
             self.cfo_ewma.update(raw_cfo_hz);
-            let avg_sigma = RAW_HEADER_SIGMA / (self.raw_count as f64).sqrt();
+            let avg_sigma = RAW_HEADER_CFO_SIGMA_HZ / (self.raw_count as f64).sqrt();
             self.cfo_sigma = sigma_now.min(avg_sigma);
         }
         self.last_update_t = t;

@@ -49,7 +49,7 @@ use jmb_phy::chanest::ChannelEstimate;
 pub use jmb_obs::SyncStrategyId;
 
 /// 1σ accuracy (Hz) of a single raw per-header CFO estimate at typical
-/// AP↔AP SNRs — the same constant the pre-extraction network used inline.
+/// AP↔AP SNRs.
 pub(crate) const RAW_HEADER_CFO_SIGMA_HZ: f64 = 200.0;
 
 /// The paper's phase-error budget (§5.2): a slave whose extrapolated

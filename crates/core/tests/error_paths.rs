@@ -5,7 +5,7 @@
 use jmb_core::fastnet::{FastConfig, FastEval, FastNet};
 use jmb_core::net::{JmbNetwork, NetConfig, SampleEval};
 use jmb_core::network::{LinkEval, Network};
-use jmb_core::{BackoffPolicy, CsiTracker, JmbError, PhaseSync, SyncHealth, SyncStrategyId};
+use jmb_core::{JmbError, PhaseSync, SyncHealth, SyncStrategyId};
 use jmb_dsp::Complex64;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::rates::Mcs;
@@ -33,14 +33,6 @@ fn bad_config_from_empty_network() {
     let err = FastNet::new(FastConfig::default_with(2, 2, vec![20.0], 1))
         .err()
         .expect("SNR length mismatch must be rejected");
-    assert!(matches!(err, JmbError::BadConfig(_)));
-}
-
-#[test]
-fn bad_config_from_csi_tracker() {
-    let err = CsiTracker::new(0, 1, 50e-3, BackoffPolicy::default()).unwrap_err();
-    assert!(matches!(err, JmbError::BadConfig(_)));
-    let err = CsiTracker::new(1, 1, 0.0, BackoffPolicy::default()).unwrap_err();
     assert!(matches!(err, JmbError::BadConfig(_)));
 }
 

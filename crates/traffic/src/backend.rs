@@ -7,7 +7,7 @@
 //! ([`FastBackend`], large sweeps) or sample-level ([`SampleBackend`],
 //! full-PHY validation, fault injection through the real CRC path).
 
-use jmb_core::csi::{BackoffPolicy, CsiTracker};
+use jmb_core::csi::CsiTracker;
 use jmb_core::error::JmbError;
 use jmb_core::fastnet::FastEval;
 use jmb_core::net::SampleEval;
@@ -115,22 +115,13 @@ pub type FastBackend = Backend<FastEval>;
 pub type SampleBackend = Backend<SampleEval>;
 
 impl<L: Serve> Backend<L> {
-    /// Channel age after which the next batch triggers re-measurement,
-    /// seconds.
-    pub const DEFAULT_STALE_AFTER_S: f64 = 50e-3;
-
     /// Builds the network, runs the measurement phase, and derives the
     /// ACK-model RNG from the config seed.
     pub fn new(cfg: L::Config) -> Result<Self, JmbError> {
         let mut net = Network::new(cfg)?;
         let rng = jmb_dsp::rng::derive_rng(net.seed(), 0x7AFF);
         net.run_measurement()?;
-        let mut tracker = CsiTracker::new(
-            net.ap_nodes().len(),
-            net.client_nodes().len(),
-            Self::DEFAULT_STALE_AFTER_S,
-            BackoffPolicy::default(),
-        )?;
+        let mut tracker = CsiTracker::default();
         tracker.record_success(0.0);
         // The construction-time measurement already advanced the network
         // clock; the traffic simulation starts at t = 0. Book the offset as
@@ -149,11 +140,6 @@ impl<L: Serve> Backend<L> {
     /// or to inject faults).
     pub fn net_mut(&mut self) -> &mut Network<L> {
         &mut self.net
-    }
-
-    /// The CSI tracker driving re-measurement (age, backoff state).
-    pub fn csi(&self) -> &CsiTracker {
-        &self.tracker
     }
 
     /// Packet error rate from a stream's margin above the MCS threshold:
