@@ -46,7 +46,6 @@
 //! line. Every artifact is written *before* a failed property is reported,
 //! so a failing run leaves its CSVs behind to inspect.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiments;

@@ -476,6 +476,10 @@ pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
 }
 
 /// The city configuration for one reuse point of the sweep.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "without --threads the host's core count picks the worker count; the city report is identical at every count"
+)]
 pub fn city_config(quick: bool, reuse: Reuse, seed: u64, threads: Option<usize>) -> CityConfig {
     let mut cfg = if quick {
         // 8×8 grid of small cells: 128 APs, 512 clients.

@@ -20,7 +20,6 @@
 //! All randomness flows through explicit RNGs (see [`jmb_dsp::rng`]), so a
 //! topology draw or a fading realisation is reproducible from its seed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod link;

@@ -34,8 +34,6 @@
 //! protocol with its 0.35 rad budget; cells only couple through
 //! interference power, never through phase).
 
-#![forbid(unsafe_code)]
-
 pub mod city;
 pub mod grid;
 

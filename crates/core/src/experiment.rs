@@ -39,6 +39,10 @@ pub struct SweepConfig {
 }
 
 impl Default for SweepConfig {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the host's core count picks the default worker count; results are identical at every parallelism"
+    )]
     fn default() -> Self {
         SweepConfig {
             n_topologies: 20,
@@ -1159,6 +1163,10 @@ mod tests {
             parallelism: 4,
             ..Default::default()
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "slow early items make the workers steal"
+        )]
         let out = parallel_map(&sweep, |i| {
             if i < 3 {
                 std::thread::sleep(std::time::Duration::from_millis(20));

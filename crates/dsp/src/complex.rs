@@ -229,9 +229,10 @@ impl Mul<Complex64> for f64 {
 
 impl Div for Complex64 {
     type Output = Complex64;
-    // Complex division is multiplication by the reciprocal; the `*` here
-    // is the intended arithmetic, not a typo.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[allow(
+        clippy::suspicious_arithmetic_impl,
+        reason = "complex division is multiplication by the reciprocal; the `*` is the intended arithmetic"
+    )]
     #[inline]
     fn div(self, rhs: Complex64) -> Complex64 {
         self * rhs.inv()

@@ -7,7 +7,7 @@
 //! allocation.
 //!
 //! Hot paths should not build plans at all: [`plan`] returns a process-wide
-//! cached [`FftPlan`] per size (thread-local fast path, `OnceLock`-backed
+//! cached [`FftPlan`] per size (thread-local fast path, mutex-guarded
 //! global table), and [`fft_in_place`] / [`ifft_in_place`] wrap it for
 //! one-line call sites.
 //!
@@ -17,9 +17,9 @@
 
 use crate::complex::Complex64;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A reusable FFT plan for a fixed power-of-two size.
 ///
@@ -146,11 +146,10 @@ impl FftPlan {
 
 /// Process-wide plan cache: one [`FftPlan`] per size, shared across threads.
 ///
-/// Determinism audit (`no-unordered-iteration`): this `HashMap` is only
-/// ever accessed by key (`entry(n)`) — it is never iterated, drained, or
-/// collected from — so its nondeterministic bucket order cannot reach any
-/// emitted value. The plans themselves are pure functions of `n`.
-static GLOBAL_PLANS: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
+/// Only ever accessed by key (`entry(n)`), and the plans are pure functions
+/// of `n`, so no order reaches an emitted value; a `BTreeMap` because the
+/// workspace names no unordered container (`clippy.toml`).
+static GLOBAL_PLANS: Mutex<BTreeMap<usize, Arc<FftPlan>>> = Mutex::new(BTreeMap::new());
 
 thread_local! {
     /// Per-thread fast path: plans indexed by `log2(n)` so the steady-state
@@ -159,8 +158,7 @@ thread_local! {
 }
 
 fn global_plan(n: usize) -> Arc<FftPlan> {
-    let map = GLOBAL_PLANS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = map.lock().unwrap_or_else(|e| e.into_inner());
+    let mut guard = GLOBAL_PLANS.lock().unwrap_or_else(|e| e.into_inner());
     Arc::clone(guard.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
 }
 

@@ -17,7 +17,6 @@
 //! Everything here is deterministic: all randomness flows through
 //! caller-provided RNGs so experiments are reproducible bit-for-bit.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod complex;

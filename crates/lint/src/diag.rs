@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn json_escaping() {
         let d = Diagnostic {
-            lint: "safety-comment",
+            lint: "no-panic-hot-path",
             severity: Severity::Deny,
             file: "crates/x/src/a.rs".into(),
             line: 3,

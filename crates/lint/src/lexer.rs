@@ -534,9 +534,9 @@ mod tests {
 
     #[test]
     fn turbofish_lexes_as_colon_colon_angle_sequence() {
-        // The chain analysis in `symbols` back-walks `.sum::<f64>()`
-        // expecting exactly `sum : : < f64 > ( )` — `::` is two single
-        // colons, never a fused token, and `<`/`>` stay plain puncts.
+        // `.sum::<f64>()` lexes as exactly `sum : : < f64 > ( )`: `::` is
+        // two single colons, never a fused token, and `<`/`>` stay plain
+        // puncts, so a lint walking a path sees every segment.
         let toks = kinds("xs.iter().sum::<f64>()");
         let tail: Vec<&str> = toks.iter().map(|(_, s)| s.as_str()).collect();
         let sum_at = tail.iter().position(|&s| s == "sum").unwrap();

@@ -1,16 +1,14 @@
-//! The lint registry: every repo invariant `jmb-lint` enforces.
+//! The lint registry: the repo invariants no compiler lint expresses.
 //!
 //! Each lint is a pure function from lexed sources to diagnostics. The
 //! catalogue ([`LINTS`]) is the single source of truth for names,
 //! default severities, and one-line descriptions (`--list` prints it;
-//! DESIGN.md §3.10 documents the rationale for each entry).
+//! DESIGN.md §3.10 documents the rationale for each entry, and which
+//! invariants rustc and the root `clippy.toml` hold instead).
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
-use crate::symbols::{
-    analyze_chain, forward_ordering_adapter, local_unordered_bindings, SymbolIndex,
-};
 
 /// Catalogue entry for one lint.
 pub struct LintInfo {
@@ -32,55 +30,10 @@ pub const LINTS: &[LintInfo] = &[
                       jmb-traffic, jmb-scenario, phy decode chain); steer toward JmbError",
     },
     LintInfo {
-        name: "no-wallclock-in-sim",
-        severity: Severity::Deny,
-        description: "forbid std::time::{SystemTime, Instant} and thread::sleep outside \
-                      jmb-obs::span and crates/bench — simulated time must come from the \
-                      event loop, never the host clock",
-    },
-    LintInfo {
-        name: "seeded-rng-only",
-        severity: Severity::Deny,
-        description: "forbid rand::thread_rng/from_entropy/OsRng everywhere (tests included): \
-                      all randomness flows from salted, seeded constructors",
-    },
-    LintInfo {
-        name: "safety-comment",
-        severity: Severity::Deny,
-        description: "every `unsafe` block or fn must carry a `// SAFETY:` comment \
-                      explaining why the contract holds",
-    },
-    LintInfo {
         name: "trace-taxonomy-complete",
         severity: Severity::Deny,
         description: "every EventKind variant must have an emission site outside jmb-obs \
                       and appear in at least one test",
-    },
-    LintInfo {
-        name: "doc-public-items",
-        severity: Severity::Deny,
-        description: "every public item in jmb-core and jmb-obs must have a doc comment",
-    },
-    LintInfo {
-        name: "no-unordered-iteration",
-        severity: Severity::Deny,
-        description: "forbid iterating/draining/collecting-from HashMap/HashSet (including \
-                      re-exports, aliases, and fields resolved cross-file) in result-producing \
-                      code of jmb-core/sim/traffic/city/obs/dsp unless routed through a sorted \
-                      adapter or key-sorted loop",
-    },
-    LintInfo {
-        name: "float-reduction-order",
-        severity: Severity::Deny,
-        description: "forbid .sum()/.product()/.fold() over unordered containers — \
-                      floating-point reduction order must be pinned for byte-identical CSVs",
-    },
-    LintInfo {
-        name: "no-ambient-parallelism",
-        severity: Severity::Deny,
-        description: "available_parallelism/JMB_THREADS may steer scheduling (SweepConfig \
-                      defaults, bench CLIs) but must not flow into emitted values — forbidden \
-                      outside crates/bench and the SweepConfig default",
     },
     LintInfo {
         name: "ordered-merge",
@@ -205,267 +158,6 @@ pub fn no_panic_hot_path(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             });
         }
     }
-}
-
-/// `no-wallclock-in-sim`: the host clock must never influence simulated
-/// behaviour. Only `jmb-obs::span` (explicitly wall-clock, kept out of
-/// the event stream) and the `crates/bench` timing harnesses may read it.
-/// Test code is exempt: a test that times itself cannot perturb results.
-pub fn no_wallclock_in_sim(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if file.rel == "crates/obs/src/span.rs" || file.rel.starts_with("crates/bench/") {
-        return;
-    }
-    let test_file = file.is_test_file();
-    for (i, tok) in file.tokens.iter().enumerate() {
-        if test_file || file.in_test[i] || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = file.text(tok);
-        let flagged = match name {
-            "SystemTime" | "Instant" => true,
-            "sleep" => {
-                // Only `thread::sleep` — a local fn named `sleep` would
-                // need the `thread ::` path prefix to be flagged.
-                let p1 = file.prev_significant(i);
-                let p0 = p1.and_then(|j| file.prev_significant(j));
-                let p_1 = p0.and_then(|j| file.prev_significant(j));
-                matches!((p_1, p0, p1), (Some(a), Some(b), Some(c))
-                    if file.tokens[a].is_ident(&file.src, "thread")
-                        && file.tokens[b].is_punct(b':')
-                        && file.tokens[c].is_punct(b':'))
-            }
-            _ => false,
-        };
-        if flagged {
-            out.push(Diagnostic {
-                lint: "no-wallclock-in-sim",
-                severity: severity_of("no-wallclock-in-sim"),
-                file: file.rel.clone(),
-                line: tok.line,
-                col: tok.col,
-                message: format!(
-                    "`{name}` reads the host clock — simulation results must not depend on \
-                     wall-clock time"
-                ),
-                suggestion: "drive time from the event loop (`advance`/simulated seconds); \
-                             for kernel timing use `jmb_obs::span`, which never enters the \
-                             event stream"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// `seeded-rng-only`: every random draw must come from a salted, seeded
-/// generator so runs replay byte-identically. Applies to tests too —
-/// flaky tests are how determinism regressions slip in.
-pub fn seeded_rng_only(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    const ENTROPY_SOURCES: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
-    for tok in &file.tokens {
-        if tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = file.text(tok);
-        if ENTROPY_SOURCES.contains(&name) {
-            out.push(Diagnostic {
-                lint: "seeded-rng-only",
-                severity: severity_of("seeded-rng-only"),
-                file: file.rel.clone(),
-                line: tok.line,
-                col: tok.col,
-                message: format!("`{name}` draws OS entropy — runs would no longer replay"),
-                suggestion: "construct the generator from the experiment seed via the salted \
-                             constructors (e.g. `SmallRng::seed_from_u64(salt(seed, …))`)"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// `safety-comment`: an `unsafe` block or fn must justify itself with a
-/// `// SAFETY:` comment immediately above or trailing on the same line.
-pub fn safety_comment(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (i, tok) in file.tokens.iter().enumerate() {
-        if !tok.is_ident(&file.src, "unsafe") {
-            continue;
-        }
-        // Comments directly above the `unsafe` token (walk back through
-        // a contiguous comment run).
-        let mut justified = (0..i)
-            .rev()
-            .take_while(|&j| matches!(file.tokens[j].kind, TokenKind::Comment { .. }))
-            .any(|j| file.text(&file.tokens[j]).contains("SAFETY:"));
-        // Or a trailing comment on the same source line.
-        justified |= file.tokens[i + 1..]
-            .iter()
-            .take_while(|t| t.line == tok.line)
-            .any(|t| {
-                matches!(t.kind, TokenKind::Comment { .. }) && t.text(&file.src).contains("SAFETY:")
-            });
-        if !justified {
-            out.push(Diagnostic {
-                lint: "safety-comment",
-                severity: severity_of("safety-comment"),
-                file: file.rel.clone(),
-                line: tok.line,
-                col: tok.col,
-                message: "`unsafe` without a `// SAFETY:` comment".into(),
-                suggestion: "state the specific contract being upheld (aliasing, bounds, \
-                             initialization, …) in a `// SAFETY:` comment directly above \
-                             the `unsafe` keyword"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// `doc-public-items`: every `pub` item at module level (or in an
-/// inherent impl) in `jmb-core` and `jmb-obs` needs a doc comment.
-/// `pub(crate)` and friends are not public API; trait-impl items inherit
-/// the trait's docs and are skipped.
-pub fn doc_public_items(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !(file.rel.starts_with("crates/core/src/") || file.rel.starts_with("crates/obs/src/")) {
-        return;
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    enum Block {
-        Mod,
-        InherentImpl,
-        Other,
-    }
-    let mut stack: Vec<Block> = vec![Block::Mod]; // file root behaves like a module
-    let mut last_kw: Option<&str> = None;
-    let mut impl_saw_for = false;
-    const ITEM_KWS: &[&str] = &[
-        "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union", "async",
-        "unsafe", "extern",
-    ];
-    for (i, tok) in file.tokens.iter().enumerate() {
-        match tok.kind {
-            TokenKind::Punct(b'{') => {
-                let block = match last_kw {
-                    Some("mod") => Block::Mod,
-                    Some("impl") if !impl_saw_for => Block::InherentImpl,
-                    _ => Block::Other,
-                };
-                stack.push(block);
-                last_kw = None;
-                impl_saw_for = false;
-            }
-            TokenKind::Punct(b'}') => {
-                if stack.len() > 1 {
-                    stack.pop();
-                }
-                last_kw = None;
-            }
-            TokenKind::Punct(b';') | TokenKind::Punct(b'=') => last_kw = None,
-            TokenKind::Ident => {
-                let name = file.text(tok);
-                match name {
-                    "impl" => {
-                        last_kw = Some("impl");
-                        impl_saw_for = false;
-                    }
-                    "for" if last_kw == Some("impl") => impl_saw_for = true,
-                    "mod" if last_kw != Some("impl") => last_kw = Some("mod"),
-                    "fn" | "struct" | "enum" | "trait" | "match" | "if" | "while" | "loop"
-                    | "move"
-                        if last_kw != Some("impl") =>
-                    {
-                        last_kw = Some("");
-                    }
-                    "pub"
-                        if !file.in_test[i]
-                            && *stack.last().unwrap_or(&Block::Other) != Block::Other =>
-                    {
-                        check_pub_item(file, i, ITEM_KWS, out);
-                    }
-                    _ => {}
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Shared tail of `doc_public_items`: given the index of a `pub` token in
-/// item position, require a doc comment (or `#[doc…]` attribute) above it.
-fn check_pub_item(file: &SourceFile, pub_idx: usize, item_kws: &[&str], out: &mut Vec<Diagnostic>) {
-    let Some(next) = file.next_significant(pub_idx) else {
-        return;
-    };
-    // `pub(crate)` / `pub(super)` — restricted visibility, not public API.
-    if file.tokens[next].is_punct(b'(') {
-        return;
-    }
-    let item_kw = file.text(&file.tokens[next]);
-    if !item_kws.contains(&item_kw) {
-        return; // `pub use` re-exports and anything unrecognised
-    }
-    if item_kw == "mod" {
-        // `pub mod name;` (out-of-line): the module's documentation is the
-        // `//!` header of its own file, which rustc's `missing_docs`
-        // already attributes correctly — only inline `pub mod name { … }`
-        // needs a doc comment at the declaration.
-        let name = file.next_significant(next);
-        let after = name.and_then(|j| file.next_significant(j));
-        if after.is_some_and(|j| file.tokens[j].is_punct(b';')) {
-            return;
-        }
-    }
-    // Walk backwards over attributes and comments looking for a doc.
-    let mut j = pub_idx;
-    while let Some(prev) = j.checked_sub(1) {
-        match file.tokens[prev].kind {
-            TokenKind::Comment { doc: true, .. } => return, // documented
-            TokenKind::Comment { doc: false, .. } => j = prev,
-            TokenKind::Punct(b']') => {
-                // Skip the attribute `#[ … ]` backwards; `#[doc = …]` or
-                // `#[doc(hidden)]` counts as documentation.
-                let mut depth = 0i32;
-                let mut k = prev;
-                let mut has_doc_attr = false;
-                loop {
-                    match file.tokens[k].kind {
-                        TokenKind::Punct(b']') => depth += 1,
-                        TokenKind::Punct(b'[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        TokenKind::Ident if file.text(&file.tokens[k]) == "doc" => {
-                            has_doc_attr = true;
-                        }
-                        _ => {}
-                    }
-                    let Some(k2) = k.checked_sub(1) else { break };
-                    k = k2;
-                }
-                if has_doc_attr {
-                    return;
-                }
-                // Step over the leading `#` of the attribute.
-                j = k.saturating_sub(1);
-                if !file.tokens.get(j).is_some_and(|t| t.is_punct(b'#')) {
-                    j = k;
-                }
-            }
-            _ => break,
-        }
-    }
-    let tok = &file.tokens[pub_idx];
-    out.push(Diagnostic {
-        lint: "doc-public-items",
-        severity: severity_of("doc-public-items"),
-        file: file.rel.clone(),
-        line: tok.line,
-        col: tok.col,
-        message: format!("public `{item_kw}` has no doc comment"),
-        suggestion: "add a `///` doc comment — state what the item does and, for fallible \
-                     APIs, when it errors"
-            .into(),
-    });
 }
 
 /// `trace-taxonomy-complete`: cross-file. Parse the `EventKind` enum out
@@ -633,250 +325,6 @@ fn has_eventkind_ref(file: &SourceFile, variant: &str, include_test: bool) -> bo
     })
 }
 
-/// Files whose computation can reach emitted results (CSVs, traces,
-/// registries): the container-determinism lints apply here and nowhere
-/// else. Bench harnesses format results but draw them from these crates.
-fn is_result_producing(rel: &str) -> bool {
-    const SCOPES: &[&str] = &[
-        "crates/core/src/",
-        "crates/sim/src/",
-        "crates/traffic/src/",
-        "crates/city/src/",
-        "crates/obs/src/",
-        "crates/dsp/src/",
-    ];
-    SCOPES.iter().any(|s| rel.starts_with(s))
-}
-
-/// Methods that observe a container in iteration order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-];
-
-/// `no-unordered-iteration`: iterating a `HashMap`/`HashSet` (resolved
-/// through the cross-file [`SymbolIndex`] — re-exports, type aliases, and
-/// struct fields included) in result-producing code is a finding unless
-/// the values are routed through an ordering adapter (`sort*`,
-/// `collect::<BTree…>`) within the same expression.
-pub fn no_unordered_iteration(file: &SourceFile, index: &SymbolIndex, out: &mut Vec<Diagnostic>) {
-    if !is_result_producing(&file.rel) || file.is_test_file() {
-        return;
-    }
-    let locals = local_unordered_bindings(file, index);
-    let toks = &file.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if file.in_test[i] || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = file.text(tok);
-        // Method-call form: `<chain>.iter()` / `.drain(..)` / `.keys()`.
-        if ITER_METHODS.contains(&name) {
-            let called = file
-                .next_significant(i)
-                .is_some_and(|j| toks[j].is_punct(b'(') || toks[j].is_punct(b':'));
-            let dotted = file
-                .prev_significant(i)
-                .is_some_and(|j| toks[j].is_punct(b'.'));
-            if !(called && dotted) {
-                continue;
-            }
-            let info = analyze_chain(file, i, index, &locals);
-            if info.unordered && !info.ordered_adapter && !forward_ordering_adapter(file, i) {
-                out.push(Diagnostic {
-                    lint: "no-unordered-iteration",
-                    severity: severity_of("no-unordered-iteration"),
-                    file: file.rel.clone(),
-                    line: tok.line,
-                    col: tok.col,
-                    message: format!(
-                        "`.{name}()` on an unordered container — iteration order can reach \
-                         emitted results"
-                    ),
-                    suggestion: "switch the container to BTreeMap/BTreeSet, sort the keys \
-                                 before iterating, or — if order provably never reaches \
-                                 output — annotate with \
-                                 `// jmb-allow(no-unordered-iteration): <why>`"
-                        .into(),
-                });
-            }
-            continue;
-        }
-        // `for pat in <field path>` loop form (method-call receivers are
-        // caught above; this covers bare `for k in self.index` sugar).
-        if name == "for" {
-            // `impl Trait for Type` and `for<'a>` are not loops.
-            if file
-                .next_significant(i)
-                .is_some_and(|j| toks[j].is_punct(b'<'))
-            {
-                continue;
-            }
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            let mut in_idx = None;
-            while j < toks.len() {
-                match toks[j].kind {
-                    TokenKind::Punct(b'(') | TokenKind::Punct(b'[') => depth += 1,
-                    TokenKind::Punct(b')') | TokenKind::Punct(b']') => depth -= 1,
-                    TokenKind::Punct(b'{') | TokenKind::Punct(b';') if depth == 0 => break,
-                    TokenKind::Ident if depth == 0 && toks[j].is_ident(&file.src, "in") => {
-                        in_idx = Some(j);
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            let Some(in_idx) = in_idx else { continue };
-            // Iterated expression: tokens to the loop-body `{`. Only the
-            // bare path form (`&map`, `self.field`) is handled here.
-            let mut expr: Vec<usize> = Vec::new();
-            let mut k = in_idx + 1;
-            let mut bare = true;
-            while k < toks.len() {
-                match toks[k].kind {
-                    TokenKind::Punct(b'{') => break,
-                    TokenKind::Punct(b'&') | TokenKind::Comment { .. } => {}
-                    TokenKind::Ident if file.text(&toks[k]) == "mut" => {}
-                    TokenKind::Ident => expr.push(k),
-                    TokenKind::Punct(b'.') => {}
-                    _ => {
-                        bare = false;
-                        break;
-                    }
-                }
-                k += 1;
-            }
-            if !bare || expr.is_empty() {
-                continue;
-            }
-            let hit = expr.iter().any(|&e| {
-                let n = file.text(&toks[e]);
-                n != "self" && (locals.contains(n) || index.unordered_fields.contains(n))
-            });
-            if hit {
-                let t0 = &toks[in_idx];
-                out.push(Diagnostic {
-                    lint: "no-unordered-iteration",
-                    severity: severity_of("no-unordered-iteration"),
-                    file: file.rel.clone(),
-                    line: t0.line,
-                    col: t0.col,
-                    message: "`for` loop over an unordered container — iteration order can \
-                              reach emitted results"
-                        .into(),
-                    suggestion: "iterate a sorted key list (`let mut ks: Vec<_> = …; \
-                                 ks.sort();`), switch to BTreeMap/BTreeSet, or annotate with \
-                                 `// jmb-allow(no-unordered-iteration): <why>`"
-                        .into(),
-                });
-            }
-        }
-    }
-}
-
-/// `float-reduction-order`: a floating-point `.sum()` / `.product()` /
-/// `.fold()` whose chain originates in an unordered container accumulates
-/// in nondeterministic order — the one FP hazard CSV byte-compares only
-/// catch probabilistically.
-pub fn float_reduction_order(file: &SourceFile, index: &SymbolIndex, out: &mut Vec<Diagnostic>) {
-    if !is_result_producing(&file.rel) || file.is_test_file() {
-        return;
-    }
-    const REDUCERS: &[&str] = &["sum", "product", "fold"];
-    let locals = local_unordered_bindings(file, index);
-    let toks = &file.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if file.in_test[i] || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = file.text(tok);
-        if !REDUCERS.contains(&name) {
-            continue;
-        }
-        let called = file
-            .next_significant(i)
-            .is_some_and(|j| toks[j].is_punct(b'(') || toks[j].is_punct(b':'));
-        let dotted = file
-            .prev_significant(i)
-            .is_some_and(|j| toks[j].is_punct(b'.'));
-        if !(called && dotted) {
-            continue;
-        }
-        let info = analyze_chain(file, i, index, &locals);
-        if info.unordered && !info.ordered_adapter {
-            out.push(Diagnostic {
-                lint: "float-reduction-order",
-                severity: severity_of("float-reduction-order"),
-                file: file.rel.clone(),
-                line: tok.line,
-                col: tok.col,
-                message: format!(
-                    "`.{name}()` over an unordered container — floating-point accumulation \
-                     order is nondeterministic"
-                ),
-                suggestion: "collect into a sorted container first (or sort a key list and \
-                             index), so the reduction visits values in a pinned order"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// `no-ambient-parallelism`: host parallelism may pick worker counts (the
-/// `SweepConfig` default, bench CLIs) but must never flow into emitted
-/// values. Everywhere else, reading `available_parallelism` or a
-/// `JMB_THREADS`-style env knob is a finding.
-pub fn no_ambient_parallelism(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    // crates/bench: CLIs may default worker counts from the host.
-    // experiment.rs: the one sanctioned `SweepConfig` default.
-    // crates/lint: this tool necessarily spells the banned tokens.
-    if file.rel.starts_with("crates/bench/")
-        || file.rel.starts_with("crates/lint/")
-        || file.rel == "crates/core/src/experiment.rs"
-    {
-        return;
-    }
-    if file.is_test_file() {
-        return;
-    }
-    for (i, tok) in file.tokens.iter().enumerate() {
-        if file.in_test[i] {
-            continue;
-        }
-        let flagged = match tok.kind {
-            TokenKind::Ident => file.text(tok) == "available_parallelism",
-            TokenKind::StrLit => file.text(tok).contains("JMB_THREADS"),
-            _ => false,
-        };
-        if flagged {
-            out.push(Diagnostic {
-                lint: "no-ambient-parallelism",
-                severity: severity_of("no-ambient-parallelism"),
-                file: file.rel.clone(),
-                line: tok.line,
-                col: tok.col,
-                message: "ambient parallelism read outside the scheduling layer — host core \
-                          counts must not influence emitted values"
-                    .into(),
-                suggestion: "take the worker count from `SweepConfig.parallelism` (or a CLI \
-                             `--threads` flag plumbed through it); results must be identical \
-                             at every parallelism level"
-                    .into(),
-            });
-        }
-    }
-}
-
 /// `ordered-merge` (cross-file): every public `merge` fn on the
 /// report/registry crates must say in its doc comment what order it
 /// combines shards in, and be exercised by at least one test in its own
@@ -1025,10 +473,6 @@ mod tests {
         let f = SourceFile::new(rel.into(), src.into());
         let mut out = Vec::new();
         no_panic_hot_path(&f, &mut out);
-        no_wallclock_in_sim(&f, &mut out);
-        seeded_rng_only(&f, &mut out);
-        safety_comment(&f, &mut out);
-        doc_public_items(&f, &mut out);
         out
     }
 
@@ -1060,63 +504,6 @@ mod tests {
         // `expect` not preceded by `.` or not followed by `(` must not fire.
         let src = "struct S { expect: u8 }\nfn f(s: S) -> u8 { s.expect }";
         assert!(diags_for("crates/core/src/mac.rs", src).is_empty());
-    }
-
-    #[test]
-    fn wallclock_flagged_outside_span_and_bench() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert_eq!(diags_for("crates/sim/src/medium.rs", src).len(), 1);
-        assert!(diags_for("crates/bench/benchmark/src/probes.rs", src).is_empty());
-        assert!(diags_for("crates/obs/src/span.rs", src).is_empty());
-    }
-
-    #[test]
-    fn thread_sleep_flagged_but_other_sleep_not() {
-        let src = "fn f() { std::thread::sleep(d); }";
-        assert_eq!(diags_for("crates/traffic/src/sim.rs", src).len(), 1);
-        let ok = "fn f(radio: &mut Radio) { radio.sleep(); }";
-        assert!(diags_for("crates/traffic/src/sim.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn entropy_rng_flagged_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { let mut r = rand::thread_rng(); }\n}";
-        assert_eq!(diags_for("crates/dsp/src/rng.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        let bad = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
-        assert_eq!(diags_for("crates/dsp/src/fft.rs", bad).len(), 1);
-        let good = "fn f(p: *const u8) -> u8 {\n // SAFETY: p is valid for reads; caller contract\n unsafe { *p }\n}";
-        assert!(diags_for("crates/dsp/src/fft.rs", good).is_empty());
-        let trailing = "fn f(p: *const u8) -> u8 { unsafe { *p } // SAFETY: caller contract\n}";
-        assert!(diags_for("crates/dsp/src/fft.rs", trailing).is_empty());
-    }
-
-    #[test]
-    fn pub_item_without_doc_flagged_in_core_only() {
-        let src = "pub fn undocumented() {}";
-        assert_eq!(diags_for("crates/core/src/csi.rs", src).len(), 1);
-        assert!(diags_for("crates/phy/src/ofdm.rs", src).is_empty());
-        let documented = "/// Does the thing.\npub fn documented() {}";
-        assert!(diags_for("crates/core/src/csi.rs", documented).is_empty());
-        let derived = "/// Doc.\n#[derive(Clone)]\npub struct S;";
-        assert!(diags_for("crates/core/src/csi.rs", derived).is_empty());
-    }
-
-    #[test]
-    fn pub_crate_and_trait_impls_are_exempt() {
-        let src = "pub(crate) fn internal() {}\nimpl std::fmt::Display for S {\n    pub fn weird() {}\n    fn fmt(&self) {}\n}";
-        assert!(diags_for("crates/obs/src/event.rs", src).is_empty());
-    }
-
-    #[test]
-    fn inherent_impl_pub_fn_needs_doc() {
-        let src = "/// S.\npub struct S;\nimpl S {\n    pub fn no_doc(&self) {}\n}";
-        let d = diags_for("crates/obs/src/registry.rs", src);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("fn"));
     }
 
     #[test]
@@ -1180,87 +567,6 @@ mod tests {
         }
         assert_eq!(parsed.len(), 26);
         assert_eq!(parsed, in_fixture);
-    }
-
-    fn container_diags(rel: &str, src: &str) -> Vec<Diagnostic> {
-        let f = SourceFile::new(rel.into(), src.into());
-        let idx = SymbolIndex::build(std::slice::from_ref(&f));
-        let mut out = Vec::new();
-        no_unordered_iteration(&f, &idx, &mut out);
-        float_reduction_order(&f, &idx, &mut out);
-        out
-    }
-
-    #[test]
-    fn hashmap_iteration_flagged_in_result_scope_only() {
-        let src = "fn f(m: &HashMap<u32, f64>) { for (k, v) in m.iter() { emit(*k, *v); } }";
-        assert_eq!(container_diags("crates/traffic/src/sim.rs", src).len(), 1);
-        assert!(container_diags("crates/bench/src/sweeps.rs", src).is_empty());
-        assert!(container_diags("crates/traffic/tests/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn sorted_adapter_and_btreemap_are_clean() {
-        let sorted = "fn f(m: &HashMap<u32, f64>) -> Vec<u32> { let mut ks: Vec<u32> = \
-                      m.keys().copied().collect::<BTreeSet<_>>().into_iter().collect(); ks }";
-        assert!(container_diags("crates/core/src/net.rs", sorted).is_empty());
-        let btree = "fn f(m: &BTreeMap<u32, f64>) -> f64 { m.values().sum() }";
-        assert!(container_diags("crates/core/src/net.rs", btree).is_empty());
-    }
-
-    #[test]
-    fn float_sum_over_hashset_flagged_with_turbofish() {
-        let src = "fn f(s: &HashSet<u64>) -> f64 { s.iter().map(|x| *x as f64).sum::<f64>() }";
-        let d = container_diags("crates/city/src/city.rs", src);
-        // `.iter()` and `.sum::<f64>()` both fire.
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().any(|d| d.lint == "float-reduction-order"));
-    }
-
-    #[test]
-    fn for_loop_over_unordered_field_flagged() {
-        let src = "struct S { idx: HashMap<u32, u32> }\n\
-                   impl S { fn f(&self) { for k in &self.idx { emit(k); } } }";
-        let d = container_diags("crates/obs/src/registry.rs", src);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("for"));
-    }
-
-    #[test]
-    fn keyed_access_without_iteration_is_clean() {
-        let src = "fn f(m: &mut HashMap<u64, f64>, k: u64) -> Option<f64> { \
-                   m.insert(k, 1.0); m.remove(&k) }";
-        assert!(container_diags("crates/traffic/src/sim.rs", src).is_empty());
-    }
-
-    #[test]
-    fn ambient_parallelism_flagged_outside_scheduling_layer() {
-        let src = "fn f() -> usize { std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) }";
-        let mut out = Vec::new();
-        no_ambient_parallelism(
-            &SourceFile::new("crates/traffic/src/sim.rs".into(), src.into()),
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
-        out.clear();
-        no_ambient_parallelism(
-            &SourceFile::new("crates/core/src/experiment.rs".into(), src.into()),
-            &mut out,
-        );
-        assert!(out.is_empty());
-        out.clear();
-        no_ambient_parallelism(
-            &SourceFile::new("crates/bench/src/sweeps.rs".into(), src.into()),
-            &mut out,
-        );
-        assert!(out.is_empty());
-        let env = "fn f() -> String { std::env::var(\"JMB_THREADS\").unwrap_or_default() }";
-        out.clear();
-        no_ambient_parallelism(
-            &SourceFile::new("crates/city/src/city.rs".into(), env.into()),
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -17,6 +17,6 @@ fn stale_allow(v: Vec<u8>) -> usize {
 }
 
 fn wrong_lint_name(v: Vec<u8>) -> u8 {
-    // jmb-allow(no-wallclock-in-sim): names the wrong lint, so the unwrap still fires
+    // jmb-allow(ordered-merge): names the wrong lint, so the unwrap still fires
     *v.first().unwrap()
 }

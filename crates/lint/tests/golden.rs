@@ -68,46 +68,12 @@ fn golden_panic_hot_path() {
 }
 
 #[test]
-fn golden_wallclock() {
-    check_golden("wallclock.expected", &render(&run_single("wallclock.rs")));
-}
-
-#[test]
-fn golden_rng_entropy() {
-    check_golden(
-        "rng_entropy.expected",
-        &render(&run_single("rng_entropy.rs")),
-    );
-}
-
-#[test]
-fn golden_safety() {
-    check_golden("safety.expected", &render(&run_single("safety.rs")));
-}
-
-#[test]
 fn golden_allows() {
     check_golden("allows.expected", &render(&run_single("allows.rs")));
 }
 
-#[test]
-fn golden_docs() {
-    check_golden("docs.expected", &render(&run_single("docs.rs")));
-}
-
-#[test]
-fn golden_taxonomy_cross_file() {
-    let dir = fixtures_dir().join("taxonomy");
-    let mut files: Vec<SourceFile> = ["event.rs", "emitter.rs", "tests.rs"]
-        .iter()
-        .map(|n| load_fixture(&dir.join(n)))
-        .collect();
-    files.sort_by(|a, b| a.rel.cmp(&b.rel));
-    check_golden("taxonomy.expected", &render(&engine::run(&files)));
-}
-
 /// Load every fixture in a subdirectory, sorted by pretend path — the
-/// shape cross-file lints (symbol resolution, ordered-merge) need.
+/// shape the cross-file lints (taxonomy, ordered-merge) need.
 fn run_dir(sub: &str, names: &[&str]) -> Vec<Diagnostic> {
     let dir = fixtures_dir().join(sub);
     let mut files: Vec<SourceFile> = names.iter().map(|n| load_fixture(&dir.join(n))).collect();
@@ -116,30 +82,13 @@ fn run_dir(sub: &str, names: &[&str]) -> Vec<Diagnostic> {
 }
 
 #[test]
-fn golden_unordered_iteration_cross_file() {
-    // The unordered types reach consumer.rs only through a `pub use … as`
-    // rename and a `type` alias — exercises SymbolIndex's fixpoint closure.
+fn golden_taxonomy_cross_file() {
     check_golden(
-        "unordered.expected",
-        &render(&run_dir("unordered", &["types.rs", "consumer.rs"])),
-    );
-}
-
-#[test]
-fn golden_float_reduction() {
-    check_golden(
-        "float_reduction.expected",
-        &render(&run_single("float_reduction.rs")),
-    );
-}
-
-#[test]
-fn golden_ambient_parallelism() {
-    // bad.rs (crates/traffic) is flagged; ok.rs (crates/bench) makes the
-    // same calls from the scheduling layer and stays clean.
-    check_golden(
-        "ambient.expected",
-        &render(&run_dir("ambient", &["bad.rs", "ok.rs"])),
+        "taxonomy.expected",
+        &render(&run_dir(
+            "taxonomy",
+            &["event.rs", "emitter.rs", "tests.rs"],
+        )),
     );
 }
 
@@ -160,7 +109,7 @@ fn golden_fix_allow() {
     // suppression line per finding, hygiene lints skipped.
     check_golden(
         "fix_allow.expected",
-        &render_fix_allow(&run_dir("ambient", &["bad.rs", "ok.rs"])),
+        &render_fix_allow(&run_single("panic_hot_path.rs")),
     );
 }
 

@@ -25,7 +25,6 @@
 //!   and therefore *never* enter the event trace — traces must stay
 //!   byte-identical across machines and thread counts.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

@@ -14,9 +14,8 @@ use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-// Determinism audit (`no-unordered-iteration`): the span table is a
-// `BTreeMap` so `snapshot()` reports in name order — already-ordered, and
-// wall-clock data never reaches traces/CSVs regardless.
+// The span table is a `BTreeMap`, so `span_report()` lists spans in name
+// order; wall-clock data never reaches traces or CSVs regardless.
 fn table() -> &'static Mutex<BTreeMap<&'static str, SpanStat>> {
     static TABLE: OnceLock<Mutex<BTreeMap<&'static str, SpanStat>>> = OnceLock::new();
     TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
@@ -74,6 +73,10 @@ pub fn span_report() -> Vec<(&'static str, SpanStat)> {
 /// # jmb_obs::set_spans_enabled(false);
 /// # jmb_obs::reset_spans();
 /// ```
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a span is the one sanctioned wall-clock read: it times kernels and never enters the event stream"
+)]
 pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard {
         start: if spans_enabled() {
@@ -111,6 +114,10 @@ mod tests {
     // so separate #[test] fns would race each other under the parallel
     // test runner.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test sleeps so the span has measurable wall time"
+    )]
     fn span_lifecycle() {
         reset_spans();
 

@@ -28,7 +28,6 @@
 //! esnr     — effective SNR and rate selection
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chanest;

@@ -27,7 +27,6 @@
 //! [`report::Verdict`] values — the runner never panics, so the repo's
 //! hot-path lint covers this crate too.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assertion;

@@ -204,7 +204,10 @@ fn run_limits(m: &Manifest) -> RunLimits {
         ..RunLimits::none()
     };
     if let Some(budget_s) = m.limits.wall_clock_s {
-        // jmb-allow(no-wallclock-in-sim): the wall-clock limit is a harness budget — it stops the run early but never alters simulated behaviour, and no wall-time value reaches result.json or the trace
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the wall-clock limit is a harness budget: it stops the run early but never alters simulated behaviour, and no wall-time value reaches result.json or the trace"
+        )]
         let t0 = std::time::Instant::now();
         rl.stop = Some(Box::new(move |_events, _t| {
             t0.elapsed().as_secs_f64() > budget_s

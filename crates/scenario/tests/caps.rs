@@ -66,6 +66,10 @@ fn each_cap_is_a_size_the_runner_builds_and_runs() {
         ("city cell 10 x 512", city(1, 1, 10, 512), 10.0),
     ] {
         let m = Manifest::parse(&text).unwrap_or_else(|e| panic!("{what}: {e}"));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test holds each run to a wall-time budget"
+        )]
         let t0 = Instant::now();
         let out = run_manifest(&m, &RunOptions::default());
         let took = t0.elapsed().as_secs_f64();

@@ -20,6 +20,10 @@ fn corpus(name: &str) -> String {
 /// Runs `jmb-scenario <cmd> <manifest>` and returns its exit code and
 /// stderr; a process still alive after 20 s is killed and reported as a
 /// hang (the runner used to have inputs that never ended).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the child process runs in real time, so the hang watchdog polls the host clock"
+)]
 fn scenario(cmd: &str, tag: &str, manifest: &str) -> (i32, String) {
     let dir = scratch(tag);
     std::fs::create_dir_all(&dir).expect("scratch dir");

@@ -22,7 +22,6 @@
 //! Determinism: the medium owns one RNG (for noise and faults); node
 //! oscillators own theirs. Same seeds ⇒ same waveforms, bit for bit.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;

@@ -11,7 +11,6 @@
 //! per-subcarrier sweeps, [`SampleBackend`] for full sample-level
 //! validation (real OFDM frames, real CRCs, fault injection).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

@@ -1,7 +1,7 @@
 //! What a [`ControlInfo`] says the control plane did while one batch was
 //! served, read in one place so the tests state facts ("slave 1 missed",
 //! "attempt 1 was lost") rather than the record's layout.
-#![allow(dead_code)] // each test crate uses its own subset
+#![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use jmb_obs::EventKind;
 use jmb_traffic::ControlInfo;

@@ -39,10 +39,19 @@
 # (oscillator.rs) and estimation noise (fastnet.rs). The script ends by
 # printing (not gating) the size scan simplicity PRs quote.
 #
-# The jmb-lint deny pass includes the determinism lints
-# (no-unordered-iteration, float-reduction-order, no-ambient-parallelism,
-# ordered-merge). Their dynamic counterpart — the schedule-perturbation
-# harness — is CI's det-matrix job; run it locally with
+# Each repo invariant has one mechanism. rustc: `unsafe_code` is forbidden
+# in `[workspace.lints.rust]` (every package, tests and binaries included),
+# and `#![warn(missing_docs)]` under `-D warnings` gates the documented
+# crates. clippy, through the root clippy.toml: HashMap/HashSet are
+# disallowed types (iteration order, float reduction order), and the host
+# clock (`Instant::now`, `SystemTime::now`, `thread::sleep`) and
+# `available_parallelism` are disallowed methods. A sanctioned read carries
+# `#[expect(clippy::disallowed_methods, reason = …)]`, and every allow or
+# expect must give a reason. A canary crate proves each clippy.toml entry
+# still bites. jmb-lint keeps what no compiler lint expresses:
+# no-panic-hot-path, trace-taxonomy-complete, ordered-merge and the
+# jmb-allow hygiene. The determinism contract's dynamic counterpart — the
+# schedule-perturbation harness — is CI's det-matrix job; run it locally with
 #   cargo run --release -p jmb-bench -- det_harness --quick
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,12 +64,44 @@ cargo test --release -q -p jmb-bench --test sync_equivalence
 cargo test --release -q -p jmb-sim --test render_equivalence --test tone_response
 cargo test --release -q -p jmb-scenario --test caps
 cargo test --release -q --manifest-path crates/bench/benchmark/Cargo.toml
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason
 cargo fmt "${JMB_PKGS[@]}" -- --check
 cargo run --release -p jmb-lint -- --deny
 
-fresh="$(mktemp -d)"
-trap 'rm -rf "$fresh"' EXIT
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
+# clippy.toml bites: a throwaway crate with one use per disallowed path,
+# linted against the root config, is refused exactly once per path. This
+# stands in for golden fixtures: deleting an entry fails here.
+canary="$scratch/canary"
+mkdir -p "$canary/src"
+printf '[package]\nname = "clippy-canary"\nversion = "0.0.0"\nedition = "2021"\n\n[workspace]\n' \
+  > "$canary/Cargo.toml"
+cat > "$canary/src/lib.rs" <<'RS'
+pub fn hash_map() -> usize { std::collections::HashMap::<u8, u8>::new().len() }
+pub fn hash_set() -> usize { std::collections::HashSet::<u8>::new().len() }
+pub fn instant() -> std::time::Instant { std::time::Instant::now() }
+pub fn system_time() -> std::time::SystemTime { std::time::SystemTime::now() }
+pub fn sleep() { std::thread::sleep(std::time::Duration::ZERO) }
+pub fn cores() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }
+RS
+if report=$(CLIPPY_CONF_DIR="$PWD" cargo clippy --offline --quiet --message-format=short \
+    --manifest-path "$canary/Cargo.toml" -- -D warnings 2>&1); then
+  echo "clippy accepted the canary crate: clippy.toml disallows nothing" >&2
+  exit 1
+fi
+for path in std::collections::HashMap std::collections::HashSet std::time::Instant::now \
+    std::time::SystemTime::now std::thread::sleep std::thread::available_parallelism; do
+  if [ "$(grep -c "disallowed [a-z]* \`$path\`" <<< "$report")" -ne 1 ]; then
+    printf 'clippy.toml does not refuse %s exactly once in the canary crate:\n%s\n' "$path" "$report" >&2
+    exit 1
+  fi
+done
+echo "clippy.toml refuses each of its six paths"
+
+fresh="$scratch/results"
+mkdir "$fresh"
 ./target/release/jmb-bench all --out "$fresh" > /dev/null
 for csv in results/*.csv; do
   cmp "$csv" "$fresh/$(basename "$csv")"

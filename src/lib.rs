@@ -60,7 +60,6 @@
 //! See `examples/` for richer scenarios and `crates/bench` for the figure
 //! regeneration harness; DESIGN.md maps every paper experiment to code.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use jmb_channel as channel;
