@@ -118,19 +118,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     tool(
         "robustness_sweep",
         "goodput vs control-frame loss (graceful degradation)",
-        &[
-            TRACE_OUT,
-            Flag {
-                name: "--sync-loss",
-                arg: "P",
-                help: "single-cell mode: sync-header loss probability",
-            },
-            Flag {
-                name: "--meas-loss",
-                arg: "P",
-                help: "single-cell mode: measurement-frame loss probability",
-            },
-        ],
+        &[TRACE_OUT],
         sweep_runs::robustness_sweep,
     ),
     tool(

@@ -85,7 +85,9 @@ pub fn det_harness(opts: &Opts) -> Result<Report, BenchError> {
             SchedulePolicy::RandomPermutation(0x5EED),
         ]
     });
-    let threads = opts.list("--threads-list", |t| t.parse::<usize>().ok())?;
+    let threads = opts.list("--threads-list", |t| {
+        t.parse::<usize>().ok().filter(|&n| n > 0)
+    })?;
     let threads = threads.unwrap_or_else(|| vec![1, 4]);
     let root = opts.out_dir.join("det_harness");
 

@@ -4,10 +4,9 @@
 //! states the acceptance properties.
 
 use crate::sweeps;
-use crate::{bad, ctx, BenchError, Opts, Report};
+use crate::{ctx, BenchError, Opts, Report};
 use jmb_city::Reuse;
 use jmb_core::sync::{SyncStrategyId, SYNC_ERROR_BUDGET_RAD};
-use jmb_sim::FaultConfig;
 use jmb_traffic::TrafficMetrics;
 
 /// Traffic sweep: goodput and latency vs offered load and AP count, plus
@@ -124,40 +123,10 @@ fn print_robustness_row(loss: f64, m: &TrafficMetrics) {
 ///   header: it degrades out of the array (K consecutive misses), the rest
 ///   keep serving, and it is restored when the storm passes.
 ///
-/// `--sync-loss P` / `--meas-loss P` switch to single-cell mode (used by
-/// the CI fault matrix): one pooled operating point at those
-/// probabilities, written to `robustness_cell.csv`. Out-of-range
-/// probabilities are an invalid command line, reported with `FaultError`'s
-/// field-name message. Every simulation is seeded; rows are byte-identical
-/// across runs and `--threads` settings.
+/// Every simulation is seeded; rows are byte-identical across runs and
+/// `--threads` settings. A single faulted cell is a scenario manifest
+/// (`jmb-scenario`, `[faults]`).
 pub fn robustness_sweep(opts: &Opts) -> Result<Report, BenchError> {
-    let sync_loss = opts.number("--sync-loss")?;
-    let meas_loss = opts.number("--meas-loss")?;
-
-    // --- Single-cell mode for the CI fault matrix. ---
-    if sync_loss.is_some() || meas_loss.is_some() {
-        if opts.trace_out().is_some() {
-            return Err(bad("--trace-out traces the storm cell of the full sweep"));
-        }
-        let (sync_loss, meas_loss) = (sync_loss.unwrap_or(0.0), meas_loss.unwrap_or(0.0));
-        let fault = FaultConfig::builder()
-            .sync_loss_chance(sync_loss)
-            .meas_loss_chance(meas_loss)
-            .build()
-            .map_err(|e| bad(e.to_string()))?;
-        let (m, header, rows) = sweeps::robustness_cell(&opts.set, fault);
-        println!(
-            "cell: sync-loss {:.0}%, meas-loss {:.0}%",
-            sync_loss * 100.0,
-            meas_loss * 100.0
-        );
-        print_robustness_header();
-        print_robustness_row(sync_loss.max(meas_loss), &m);
-        let mut report = Report::csv("robustness_cell.csv", header, rows);
-        report.accept(m.delivered > 0, || "faulted cell stalled".into());
-        return Ok(report);
-    }
-
     let out = sweeps::robustness_sweep(&opts.set);
     let mut report = Report::csv("robustness_sweep.csv", out.header, out.rows);
 

@@ -25,8 +25,6 @@
 //!       --trace-out F  dump the structured event trace of one cell to F (.jsonl)
 //!   robustness_sweep          goodput vs control-frame loss (graceful degradation)
 //!       --trace-out F  dump the structured event trace of one cell to F (.jsonl)
-//!       --sync-loss P  single-cell mode: sync-header loss probability
-//!       --meas-loss P  single-cell mode: measurement-frame loss probability
 //!   city_sweep                area capacity vs frequency-reuse factor
 //!       --trace-out F  dump the structured event trace of one cell to F (.jsonl)
 //!       --reuse LIST  comma-separated reuse factors from {1,3,7} (default 1,3,7)
@@ -228,15 +226,6 @@ impl Opts {
             Some(list) if !list.is_empty() => Ok(Some(list)),
             _ => Err(bad(format!("{name} cannot take `{spec}`"))),
         }
-    }
-
-    /// A flag's value as a finite number, or `None` if the flag is absent.
-    pub fn number(&self, name: &str) -> Result<Option<f64>, BenchError> {
-        let parse = |s: &str| {
-            let v = s.parse::<f64>().ok().filter(|v| v.is_finite());
-            v.ok_or_else(|| bad(format!("{name} cannot take `{s}`")))
-        };
-        self.flag(name).map(parse).transpose()
     }
 
     /// Sweep size scaled by quick mode.

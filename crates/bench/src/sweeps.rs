@@ -15,6 +15,7 @@ use jmb_core::fastnet::FastConfig;
 use jmb_core::sync::SyncStrategyId;
 use jmb_obs::JsonLinesSink;
 use jmb_sim::{FaultConfig, FaultSchedule};
+use jmb_traffic::metrics::percentile;
 use jmb_traffic::{ApOutage, ClientLoad, FastBackend, TrafficConfig, TrafficMetrics, TrafficSim};
 use std::fs::File;
 use std::io::BufWriter;
@@ -343,36 +344,12 @@ pub fn robustness_sweep(set: &SweepSettings) -> RobustnessSweep {
     }
 }
 
-/// The single-cell robustness mode the CI fault matrix drives: one pooled
-/// operating point at the given loss probabilities. Returns the merged
-/// metrics and the one-row CSV (header, rows).
-pub fn robustness_cell(
-    set: &SweepSettings,
-    fault: FaultConfig,
-) -> (TrafficMetrics, String, Vec<Vec<String>>) {
-    let faults = FaultSchedule::constant(fault);
-    let mut merged = merged_points(set, 1, |_| Cell::faulted(faults.clone()));
-    let m = merged.pop().expect("one point");
-    let header = format!("section,{}", TrafficMetrics::csv_header());
-    let rows = vec![metrics_row(&["cell"], &m)];
-    (m, header, rows)
-}
-
 /// Dedicated re-run of the storm cell (seed = master seed) with a
 /// JSON-lines trace attached.
 pub fn robustness_storm_trace(set: &SweepSettings, path: &Path) -> std::io::Result<()> {
     let duration_s = set.duration_s();
     let cell = Cell::faulted(robustness_storm(duration_s));
     run_traced(cell.sim(duration_s, set.seed), path)
-}
-
-/// Percentile of an already-sorted sample set (`p` in `[0, 1]`).
-fn pct(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// Everything the `sync_shootout` experiment prints and writes: per-strategy
@@ -412,9 +389,9 @@ pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite misalignment"));
         phase_rows.push(vec![
             strategy.token().to_string(),
-            format!("{:.6}", pct(&samples, 0.5)),
-            format!("{:.6}", pct(&samples, 0.9)),
-            format!("{:.6}", pct(&samples, 0.99)),
+            format!("{:.6}", percentile(&samples, 0.5)),
+            format!("{:.6}", percentile(&samples, 0.9)),
+            format!("{:.6}", percentile(&samples, 0.99)),
             format!("{:.6}", samples.last().copied().unwrap_or(0.0)),
             samples.len().to_string(),
         ]);
@@ -561,5 +538,24 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, "a,b\n1,2\n3,4\n");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn the_largest_seed_runs_and_reruns_identically() {
+        // `seed + topology index` overflowed: a panic in a debug build (which
+        // is what this test runs), a silent wrap in release.
+        let set = SweepSettings {
+            seed: u64::MAX,
+            quick: true,
+            threads: Some(1),
+            schedule: SchedulePolicy::Natural,
+        };
+        let rows = || {
+            let merged = merged_points(&set, 1, |_| Cell::new(1, SATURATING_PPS));
+            merged.iter().map(|m| m.csv_row()).collect::<Vec<_>>()
+        };
+        let first = rows();
+        assert_eq!(first.len(), 1);
+        assert_eq!(first, rows());
     }
 }

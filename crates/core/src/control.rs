@@ -22,6 +22,19 @@
 //! (what hearing a header means at that fidelity — a noisy per-subcarrier
 //! estimate, or a rendered waveform through the real estimator).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::csi::SyncHealth;
 use crate::phasesync::PhaseCorrection;
 use crate::sync::{LeadObserver, SyncStrategy};

@@ -12,6 +12,19 @@
 //! misses the lead's header K times in a row is marked degraded and
 //! excluded from joint batches until it hears a header again.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 /// Tracks the CSI's age and schedules backoff re-measurement.
 ///
 /// A joint measurement refreshes every (AP, client) entry at once, so one

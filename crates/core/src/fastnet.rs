@@ -16,6 +16,19 @@
 //! the sample-level chain in [`crate::net`], and the two are cross-validated
 //! in the workspace integration tests.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::control::BatchSync;
 use crate::error::JmbError;
 use crate::network::{
@@ -238,9 +251,12 @@ impl LinkEval for FastEval {
             let mut best = (0usize, f64::MIN);
             for (i, &a) in aps.iter().enumerate() {
                 let mean_db = {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "constructor-local — the loop above installed a link for every (ap, client) pair of this very medium"
+                    )]
                     let row = medium
                         .static_row(a, c)
-                        // jmb-allow(no-panic-hot-path): constructor-local — the loop above installed a link for every (ap, client) pair of this very medium
                         .expect("invariant: every (ap, client) link was installed above");
                     let acc: f64 = row
                         .iter()
@@ -991,8 +1007,11 @@ impl Scratch {
                         eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr[c * n_k + k_idx];
                     }
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "eff (nb x na), w (na x n_streams), g (nb x n_streams) are sized from the same dims a few lines up; mul_into only errors on shape mismatch"
+                )]
                 eff.mul_into(w, g)
-                    // jmb-allow(no-panic-hot-path): eff (nb x na), w (na x n_streams), g (nb x n_streams) are sized from the same dims a few lines up; mul_into only errors on shape mismatch
                     .expect("invariant: eff/w/g allocated with matching dims just above");
                 for r in 0..nb {
                     sig[r * n_k + k_idx] += g[(r, r)].norm_sqr();

@@ -14,6 +14,19 @@
 //! are ACKed. If a packet is not ACKed, they can be combined with other
 //! packets in the queue for future concurrent transmissions").
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::collections::VecDeque;
 
 /// One downlink packet in the shared queue.
@@ -166,8 +179,13 @@ impl JmbMac {
     /// Enqueues a downlink packet (distributed to all APs over the wired
     /// backend) and returns its queue-assigned id.
     pub fn enqueue(&mut self, dest: usize, payload_len: usize) -> u64 {
-        // jmb-allow(no-panic-hot-path): an unknown client index is a harness programming error — clients are fixed at MAC construction
-        assert!(dest < self.designated_ap.len(), "unknown client {dest}");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "an unknown client index is a harness programming error — clients are fixed at MAC construction"
+        )]
+        {
+            assert!(dest < self.designated_ap.len(), "unknown client {dest}");
+        }
         let id = self.next_id;
         self.next_id += 1;
         self.queue.push_back(MacPacket {
@@ -247,8 +265,13 @@ impl JmbMac {
     /// packet, in batch order: the MAC keeps no tally of its own, the
     /// caller's ledger is these fates.
     pub fn complete_batch(&mut self, batch: Vec<MacPacket>, acked: &[bool]) -> Vec<PacketFate> {
-        // jmb-allow(no-panic-hot-path): caller contract — the batch and its ack vector are built together by the traffic backend
-        assert_eq!(batch.len(), acked.len(), "one ack per batch packet");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "caller contract — the batch and its ack vector are built together by the traffic backend"
+        )]
+        {
+            assert_eq!(batch.len(), acked.len(), "one ack per batch packet");
+        }
         if batch.is_empty() {
             return Vec::new();
         }

@@ -30,6 +30,19 @@
 //! lead and one slave alternate OFDM symbols and the receiver tracks the
 //! deviation of their relative phase from its first observation.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::error::JmbError;
 use crate::measure::{self, MeasurementPlan, REF_ANCHOR};
 use crate::network::{
@@ -525,7 +538,13 @@ impl JmbNetwork {
             .map(|p| link.ftx.build_bins(mcs, p))
             .collect::<Result<_, _>>()?;
         let n_sym = streams[0].symbols.len();
-        debug_assert!(streams.iter().all(|s| s.symbols.len() == n_sym));
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert!: compiled out of release builds"
+        )]
+        {
+            debug_assert!(streams.iter().all(|s| s.symbols.len() == n_sym));
+        }
 
         let occupied = params.occupied_subcarriers();
         let ofdm = jmb_phy::ofdm::Ofdm::new(params.clone());

@@ -22,6 +22,19 @@
 //! `t_Δ` after the header's 320 samples, and the air is free 50 µs after
 //! any frame's last sample.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::control::{BatchSync, ControlPlane};
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
@@ -367,8 +380,13 @@ impl<L: LinkEval> Network<L> {
     /// Advances time without any transmission: oscillators drift (fading is
     /// aged separately, where the fidelity models it).
     pub fn advance(&mut self, dt: f64) {
-        // jmb-allow(no-panic-hot-path): a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller
-        assert!(dt >= 0.0, "cannot rewind simulation time (dt = {dt})");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "a negative dt is a harness programming error, not a runtime condition — time only flows forward in every caller"
+        )]
+        {
+            assert!(dt >= 0.0, "cannot rewind simulation time (dt = {dt})");
+        }
         self.set_now(self.now + dt);
     }
 

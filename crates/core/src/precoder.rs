@@ -11,6 +11,19 @@
 //! transmits the *same* stream weighted by `h*/‖h‖`, adding coherently at
 //! the single client for an up-to-`N²` SNR gain.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::error::JmbError;
 use jmb_dsp::{CMat, Complex64, ZfSolver};
 
@@ -233,19 +246,28 @@ impl Precoder {
     /// # Panics
     ///
     /// Panics if `x.len() != n_streams`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — stream count is part of the API contract"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "weights[k] is n_tx x n_streams by construction and x.len() was just asserted — mul_vec cannot fail"
+    )]
     pub fn apply(&self, k_idx: usize, x: &[Complex64]) -> Vec<Complex64> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — stream count is part of the API contract
         assert_eq!(x.len(), self.n_streams, "stream vector length");
         self.weights[k_idx]
             .mul_vec(x)
-            // jmb-allow(no-panic-hot-path): weights[k] is n_tx x n_streams by construction and x.len() was just asserted — mul_vec cannot fail
             .expect("dimensions fixed at construction")
     }
 
     /// The effective channel `H(k)·W(k)` a set of clients would see.
+    #[expect(
+        clippy::expect_used,
+        reason = "caller contract — h spans the same antennas that built this precoder; mul_mat only errors on shape mismatch"
+    )]
     pub fn effective_channel(&self, k_idx: usize, h: &CMat) -> CMat {
         h.mul_mat(&self.weights[k_idx])
-            // jmb-allow(no-panic-hot-path): caller contract — h spans the same antennas that built this precoder; mul_mat only errors on shape mismatch
             .expect("dimensions fixed at construction")
     }
 

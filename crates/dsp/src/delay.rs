@@ -47,6 +47,19 @@
 //! is the one pair `(pos, 1)`, the unit impulse [`interpolate_at`] returns
 //! the sample for.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::complex::Complex64;
 use std::f64::consts::PI;
 use std::sync::LazyLock;
@@ -163,8 +176,11 @@ pub fn kernel_at(pos: f64) -> impl Iterator<Item = (isize, f64)> {
 /// # Panics
 ///
 /// Panics if `delay_samples` is negative or non-finite.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented `# Panics` contract on a caller-chosen delay; the simulator's render path goes through `interpolate_at`, which has no panic"
+)]
 pub fn fractional_delay(input: &[Complex64], delay_samples: f64) -> Vec<Complex64> {
-    // jmb-allow(no-panic-hot-path): documented `# Panics` contract on a caller-chosen delay; the simulator's render path goes through `interpolate_at`, which has no panic
     assert!(
         delay_samples.is_finite() && delay_samples >= 0.0,
         "delay must be finite and non-negative, got {delay_samples}"
@@ -215,10 +231,20 @@ pub fn fractional_delay(input: &[Complex64], delay_samples: f64) -> Vec<Complex6
 ///
 /// Panics if `ratio` or `offset` is non-finite, `ratio ≤ 0`, or `offset < 0`.
 pub fn resample(input: &[Complex64], ratio: f64, offset: f64, out_len: usize) -> Vec<Complex64> {
-    // jmb-allow(no-panic-hot-path): documented `# Panics` contract on caller-chosen clock parameters; the simulator's render path goes through `interpolate_at`, which has no panic
-    assert!(ratio.is_finite() && ratio > 0.0, "bad ratio {ratio}");
-    // jmb-allow(no-panic-hot-path): the same documented `# Panics` contract, for the caller-chosen offset
-    assert!(offset.is_finite() && offset >= 0.0, "bad offset {offset}");
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract on caller-chosen clock parameters; the simulator's render path goes through `interpolate_at`, which has no panic"
+    )]
+    {
+        assert!(ratio.is_finite() && ratio > 0.0, "bad ratio {ratio}");
+    }
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the same documented `# Panics` contract, for the caller-chosen offset"
+    )]
+    {
+        assert!(offset.is_finite() && offset >= 0.0, "bad offset {offset}");
+    }
     (0..out_len)
         .map(|n| interpolate_at(input, n as f64 * ratio - offset))
         .collect()

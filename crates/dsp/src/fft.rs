@@ -6,9 +6,9 @@
 //! an [`FftPlan`], so per-symbol transforms do no trigonometry and no
 //! allocation.
 //!
-//! Hot paths should not build plans at all: [`plan`] returns a process-wide
-//! cached [`FftPlan`] per size (thread-local fast path, mutex-guarded
-//! global table), and [`fft_in_place`] / [`ifft_in_place`] wrap it for
+//! Hot paths should not build plans at all: [`plan`] returns the
+//! process-wide [`FftPlan`] for a size (one `OnceLock` per power of two,
+//! built on first use), and [`fft_in_place`] / [`ifft_in_place`] wrap it for
 //! one-line call sites.
 //!
 //! Conventions: `forward` computes `X[k] = Σ_n x[n]·e^{-j2πkn/N}` (no scaling)
@@ -16,10 +16,8 @@
 //! `inverse(forward(x)) == x`.
 
 use crate::complex::Complex64;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 
 /// A reusable FFT plan for a fixed power-of-two size.
 ///
@@ -144,27 +142,15 @@ impl FftPlan {
     }
 }
 
-/// Process-wide plan cache: one [`FftPlan`] per size, shared across threads.
-///
-/// Only ever accessed by key (`entry(n)`), and the plans are pure functions
-/// of `n`, so no order reaches an emitted value; a `BTreeMap` because the
-/// workspace names no unordered container (`clippy.toml`).
-static GLOBAL_PLANS: Mutex<BTreeMap<usize, Arc<FftPlan>>> = Mutex::new(BTreeMap::new());
-
-thread_local! {
-    /// Per-thread fast path: plans indexed by `log2(n)` so the steady-state
-    /// lookup is a vector index, no locking and no hashing.
-    static LOCAL_PLANS: RefCell<Vec<Option<Arc<FftPlan>>>> = const { RefCell::new(Vec::new()) };
-}
-
-fn global_plan(n: usize) -> Arc<FftPlan> {
-    let mut guard = GLOBAL_PLANS.lock().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(guard.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
-}
+/// Process-wide plan cache: slot `k` holds the plan for `n = 2^k`. Plans are
+/// pure functions of `n`, so which thread builds one reaches no emitted
+/// value.
+static PLANS: [OnceLock<FftPlan>; usize::BITS as usize] =
+    [const { OnceLock::new() }; usize::BITS as usize];
 
 /// Returns the shared plan for transforms of length `n`, building it on
-/// first use. Subsequent calls from the same thread are a vector lookup;
-/// the twiddle/permutation tables are computed once per process.
+/// first use: the twiddle/permutation tables are computed once per process,
+/// and every later call is an index and an atomic load.
 ///
 /// This is the entry point every per-packet / per-symbol path should use —
 /// `FftPlan::new` is for one-off construction in tests and offline tools.
@@ -172,24 +158,12 @@ fn global_plan(n: usize) -> Arc<FftPlan> {
 /// # Panics
 ///
 /// Panics if `n` is zero or not a power of two.
-pub fn plan(n: usize) -> Arc<FftPlan> {
+pub fn plan(n: usize) -> &'static FftPlan {
     assert!(
         n.is_power_of_two() && n > 0,
         "FFT size must be a power of two, got {n}"
     );
-    let slot = n.trailing_zeros() as usize;
-    LOCAL_PLANS.with(|cell| {
-        let mut local = cell.borrow_mut();
-        if local.len() <= slot {
-            local.resize(slot + 1, None);
-        }
-        if let Some(p) = &local[slot] {
-            return Arc::clone(p);
-        }
-        let p = global_plan(n);
-        local[slot] = Some(Arc::clone(&p));
-        p
-    })
+    PLANS[n.trailing_zeros() as usize].get_or_init(|| FftPlan::new(n))
 }
 
 /// In-place forward DFT of `buf` using the cached plan for its length.
@@ -329,11 +303,7 @@ mod tests {
     #[test]
     fn cached_plan_is_shared_and_matches_fresh() {
         let a = plan(64);
-        let b = plan(64);
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "same thread must reuse the cached plan"
-        );
+        assert!(std::ptr::eq(a, plan(64)), "the cached plan is reused");
         let input: Vec<Complex64> = (0..64)
             .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.2).cos()))
             .collect();
@@ -349,9 +319,9 @@ mod tests {
     fn cache_is_consistent_across_threads() {
         let from_main = plan(128);
         let from_thread = std::thread::spawn(|| plan(128)).join().unwrap();
-        // Different threads go through the same global table, so the plans
-        // are the same allocation, not merely equal.
-        assert!(Arc::ptr_eq(&from_main, &from_thread));
+        // Every thread reads the same slot, so the plans are the same
+        // allocation, not merely equal.
+        assert!(std::ptr::eq(from_main, from_thread));
     }
 
     #[test]

@@ -9,6 +9,19 @@
 //! receiver never needs an explicit CFO estimate of any slave AP — the
 //! slaves have already aligned themselves to the lead.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::ofdm::PILOT_BASE;
 use crate::params::OfdmParams;
 use crate::preamble::ltf_freq;
@@ -35,11 +48,14 @@ impl ChannelEstimate {
 
     /// Gains for the data subcarriers only, in `params.data_subcarriers`
     /// order.
+    #[expect(
+        clippy::expect_used,
+        reason = "the workspace runs one OFDM numerology — the estimate covers every occupied bin of the same params"
+    )]
     pub fn data_gains(&self, params: &OfdmParams) -> Vec<Complex64> {
         params
             .data_subcarriers
             .iter()
-            // jmb-allow(no-panic-hot-path): the workspace runs one OFDM numerology — the estimate covers every occupied bin of the same params
             .map(|&k| self.gain_at(k).expect("data subcarrier occupied"))
             .collect()
     }
@@ -48,8 +64,13 @@ impl ChannelEstimate {
     pub fn pilot_gains(&self, params: &OfdmParams) -> [Complex64; 4] {
         let mut out = [Complex64::ZERO; 4];
         for (i, &k) in params.pilot_subcarriers.iter().enumerate() {
-            // jmb-allow(no-panic-hot-path): the workspace runs one OFDM numerology — the estimate covers every occupied bin of the same params
-            out[i] = self.gain_at(k).expect("pilot subcarrier occupied");
+            #[expect(
+                clippy::expect_used,
+                reason = "the workspace runs one OFDM numerology — the estimate covers every occupied bin of the same params"
+            )]
+            {
+                out[i] = self.gain_at(k).expect("pilot subcarrier occupied");
+            }
         }
         out
     }
@@ -78,8 +99,11 @@ impl ChannelEstimate {
 /// # Panics
 ///
 /// Panics if `ltf_samples.len() != 160`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented precondition (# Panics) — the frame parser slices exactly one LTF window"
+)]
 pub fn estimate_from_ltf(params: &OfdmParams, ltf_samples: &[Complex64]) -> ChannelEstimate {
-    // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the frame parser slices exactly one LTF window
     assert_eq!(ltf_samples.len(), crate::preamble::LTF_LEN, "need full LTF");
     let plan = jmb_dsp::fft::plan(params.fft_size);
     let l = ltf_freq();

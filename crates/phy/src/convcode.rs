@@ -4,6 +4,19 @@
 //! polynomials g₀ = 133₈ and g₁ = 171₈, punctured to rates 2/3 and 3/4 as in
 //! 802.11a/g. The matching soft-decision decoder lives in [`crate::viterbi`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::rates::CodeRate;
 
 /// Generator polynomial g0 = 133 octal (LSB = newest bit).
@@ -48,7 +61,13 @@ pub fn encode_raw(data: &[u8]) -> Vec<u8> {
 fn encode_into<'a>(data: impl Iterator<Item = &'a u8>, out: &mut Vec<u8>) {
     let mut state: u8 = 0; // 6 previous bits
     for &bit in data {
-        debug_assert!(bit <= 1, "input bits must be 0/1");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert!: compiled out of release builds"
+        )]
+        {
+            debug_assert!(bit <= 1, "input bits must be 0/1");
+        }
         // Shift register contents: current bit followed by 6 previous bits.
         let reg = (bit << 6) | state;
         out.push(parity(reg & G0));
@@ -90,10 +109,13 @@ pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 ///
 /// Panics if `soft.len()` does not equal the number of surviving positions
 /// for `n_coded` bits under this rate's pattern.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented precondition (# Panics) — the demap stage hands depuncture exactly the surviving soft bits"
+)]
 pub fn depuncture_into(soft: &[f64], rate: CodeRate, n_coded: usize, out: &mut Vec<f64>) {
     let pat = puncture_pattern(rate);
     let expected = punctured_len(n_coded, rate);
-    // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the demap stage hands depuncture exactly the surviving soft bits
     assert_eq!(
         soft.len(),
         expected,
@@ -105,7 +127,10 @@ pub fn depuncture_into(soft: &[f64], rate: CodeRate, n_coded: usize, out: &mut V
     let mut it = soft.iter();
     for i in 0..n_coded {
         if pat[i % pat.len()] {
-            // jmb-allow(no-panic-hot-path): the assert above pins soft.len() to the pattern's surviving count — the iterator cannot run dry
+            #[expect(
+                clippy::expect_used,
+                reason = "the assert above pins soft.len() to the pattern's surviving count — the iterator cannot run dry"
+            )]
             out.push(*it.next().expect("length checked above"));
         } else {
             out.push(0.0); // erasure: no information about this bit

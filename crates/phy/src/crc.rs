@@ -5,6 +5,19 @@
 //! success/failure signal that throughput measurements and the MAC's
 //! retransmission logic are built on.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 /// Polynomial 0x04C11DB7, reflected form.
 const POLY: u32 = 0xEDB8_8320;
 

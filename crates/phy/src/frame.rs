@@ -21,6 +21,19 @@
 //!   what JMB's joint beamformer manipulates (precoding is per subcarrier)
 //!   and what the fast per-subcarrier simulator transports.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::chanest::{self, ChannelEstimate};
 use crate::convcode;
 use crate::crc;
@@ -167,7 +180,13 @@ impl FrameTx {
 
         let coded = convcode::encode_raw(&bits);
         let punctured = convcode::puncture(&coded, mcs.code_rate);
-        debug_assert_eq!(punctured.len(), n_sym * ncbps);
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert!: compiled out of release builds"
+        )]
+        {
+            debug_assert_eq!(punctured.len(), n_sym * ncbps);
+        }
 
         let il = Interleaver::new(params, mcs.modulation);
         for (n, block) in punctured.chunks(ncbps).enumerate() {
@@ -512,7 +531,13 @@ impl FrameRx {
         viterbi::decode_with(&scratch.soft, &mut scratch.viterbi, &mut scratch.bits)
             .map_err(|_| RxError::BadSignal)?;
         let bits = &scratch.bits;
-        debug_assert_eq!(bits.len(), 18);
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert!: compiled out of release builds"
+        )]
+        {
+            debug_assert_eq!(bits.len(), 18);
+        }
 
         // Parity over the 17 info bits must match bit 17.
         let parity = bits[..17].iter().fold(0u8, |a, &b| a ^ b);
@@ -541,8 +566,11 @@ impl FrameRx {
 /// # Panics
 ///
 /// Panics if `ltf_samples.len() != 160`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented precondition (# Panics) — decode slices exactly one LTF window"
+)]
 pub fn noise_from_ltf(params: &OfdmParams, ltf_samples: &[Complex64]) -> f64 {
-    // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — decode slices exactly one LTF window
     assert_eq!(ltf_samples.len(), preamble::LTF_LEN);
     let plan = jmb_dsp::fft::plan(params.fft_size);
     let mut sym1 = ltf_samples[32..96].to_vec();

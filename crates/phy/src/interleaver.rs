@@ -7,6 +7,19 @@
 //! constellation bit positions (so no coded bit is stuck in the
 //! low-reliability LSBs of a QAM symbol).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::modulation::Modulation;
 use crate::params::OfdmParams;
 
@@ -66,8 +79,11 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `bits.len() != block_len()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — block length is fixed by the MCS"
+    )]
     pub fn interleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — block length is fixed by the MCS
         assert_eq!(
             bits.len(),
             self.block_len(),
@@ -83,8 +99,11 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `bits.len() != block_len()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — block length is fixed by the MCS"
+    )]
     pub fn deinterleave_into<T: Copy>(&self, bits: &[T], out: &mut Vec<T>) {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — block length is fixed by the MCS
         assert_eq!(
             bits.len(),
             self.block_len(),

@@ -5,6 +5,19 @@
 //! average energy. The soft demapper produces max-log LLRs per coded bit for
 //! the Viterbi decoder; its sign convention is **positive = bit 0**.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use jmb_dsp::Complex64;
 
 /// Flat constellation lookup shared by the batched demap path: points in
@@ -70,7 +83,10 @@ impl Modulation {
                 let idx = (bits[0] << 2 | bits[1] << 1 | bits[2]) as usize;
                 [-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0][idx]
             }
-            // jmb-allow(no-panic-hot-path): axis widths are 1-3 bits (BPSK..64-QAM) — the Mcs table admits no other constellation
+            #[expect(
+                clippy::unreachable,
+                reason = "axis widths are 1-3 bits (BPSK..64-QAM) — the Mcs table admits no other constellation"
+            )]
             n => unreachable!("axis width {n}"),
         }
     }
@@ -81,15 +97,24 @@ impl Modulation {
     /// # Panics
     ///
     /// Panics if `bits.len() != self.bits_per_symbol()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — bits per symbol is part of the API contract"
+    )]
     pub fn map(self, bits: &[u8]) -> Complex64 {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — bits per symbol is part of the API contract
         assert_eq!(
             bits.len(),
             self.bits_per_symbol(),
             "{self:?} needs {} bits",
             self.bits_per_symbol()
         );
-        debug_assert!(bits.iter().all(|&b| b <= 1));
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert!: compiled out of release builds"
+        )]
+        {
+            debug_assert!(bits.iter().all(|&b| b <= 1));
+        }
         let k = self.kmod();
         match self {
             Modulation::Bpsk => Complex64::new(Self::gray_axis(&bits[..1]), 0.0) * k,
@@ -110,9 +135,12 @@ impl Modulation {
     /// # Panics
     ///
     /// Panics if `bits.len()` is not a multiple of `bits_per_symbol()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — bit streams are produced whole-symbol by the encoder"
+    )]
     pub fn map_stream(self, bits: &[u8]) -> Vec<Complex64> {
         let bps = self.bits_per_symbol();
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — bit streams are produced whole-symbol by the encoder
         assert_eq!(
             bits.len() % bps,
             0,
@@ -133,6 +161,10 @@ impl Modulation {
     }
 
     /// Hard demap: nearest constellation point's bits.
+    #[expect(
+        clippy::expect_used,
+        reason = "constellation() yields 2^bits_per_symbol points — never empty for any Modulation variant"
+    )]
     pub fn demap_hard(self, y: Complex64) -> Vec<u8> {
         self.constellation()
             .into_iter()
@@ -141,7 +173,6 @@ impl Modulation {
             // panic the decode path.
             .min_by(|(a, _), (b, _)| (*a - y).norm_sqr().total_cmp(&(*b - y).norm_sqr()))
             .map(|(_, bits)| bits)
-            // jmb-allow(no-panic-hot-path): constellation() yields 2^bits_per_symbol points — never empty for any Modulation variant
             .expect("non-empty constellation")
     }
 
@@ -177,8 +208,13 @@ impl Modulation {
 
     /// Soft-demaps a symbol stream into one flat LLR vector.
     pub fn demap_soft_stream(self, ys: &[Complex64], noise_var: f64, csi: &[f64]) -> Vec<f64> {
-        // jmb-allow(no-panic-hot-path): documented precondition — one CSI weight per symbol, produced by the same channel estimate
-        assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "documented precondition — one CSI weight per symbol, produced by the same channel estimate"
+        )]
+        {
+            assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
+        }
         let mut out = Vec::with_capacity(ys.len() * self.bits_per_symbol());
         for (y, &w) in ys.iter().zip(csi) {
             out.extend(self.demap_soft(*y, noise_var, w));
@@ -232,8 +268,13 @@ impl Modulation {
         llrs: &mut Vec<f64>,
         evm_acc: &mut f64,
     ) {
-        // jmb-allow(no-panic-hot-path): documented precondition — one CSI weight per symbol, produced by the same channel estimate
-        assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "documented precondition — one CSI weight per symbol, produced by the same channel estimate"
+        )]
+        {
+            assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
+        }
         let bps = self.bits_per_symbol();
         let t = self.table();
         let n_pts = t.pts.len();

@@ -6,9 +6,21 @@
 //! each client is a diagonal (single-tap) channel per subcarrier (paper
 //! Eq. 1/4), so this equalizer is all a client needs.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::params::OfdmParams;
 use jmb_dsp::{fft, Complex64, FftPlan};
-use std::sync::Arc;
 
 /// Base pilot values before polarity: `P(−21)=1, P(−7)=1, P(+7)=1, P(+21)=−1`.
 pub const PILOT_BASE: [f64; 4] = [1.0, 1.0, 1.0, -1.0];
@@ -17,7 +29,7 @@ pub const PILOT_BASE: [f64; 4] = [1.0, 1.0, 1.0, -1.0];
 #[derive(Debug, Clone)]
 pub struct Ofdm {
     params: OfdmParams,
-    plan: Arc<FftPlan>,
+    plan: &'static FftPlan,
 }
 
 impl Ofdm {
@@ -39,8 +51,11 @@ impl Ofdm {
     /// # Panics
     ///
     /// Panics if `data.len() != 48`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition — the framer always supplies n_data_subcarriers symbols"
+    )]
     pub fn assemble_bins(&self, data: &[Complex64], polarity: f64) -> Vec<Complex64> {
-        // jmb-allow(no-panic-hot-path): documented precondition — the framer always supplies n_data_subcarriers symbols
         assert_eq!(
             data.len(),
             self.params.n_data_subcarriers(),
@@ -59,8 +74,13 @@ impl Ofdm {
 
     /// Converts 64 frequency bins into 80 samples (IFFT + cyclic prefix).
     pub fn bins_to_samples(&self, bins: &[Complex64]) -> Vec<Complex64> {
-        // jmb-allow(no-panic-hot-path): caller contract — bins come from assemble_bins of the same numerology
-        assert_eq!(bins.len(), self.params.fft_size);
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "caller contract — bins come from assemble_bins of the same numerology"
+        )]
+        {
+            assert_eq!(bins.len(), self.params.fft_size);
+        }
         let mut body = bins.to_vec();
         self.plan.inverse(&mut body);
         let mut out = Vec::with_capacity(self.params.symbol_len());
@@ -75,8 +95,11 @@ impl Ofdm {
     /// # Panics
     ///
     /// Panics if `samples.len() != 80`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — the frame parser slices whole symbols"
+    )]
     pub fn demodulate_symbol_into(&self, samples: &[Complex64], out: &mut Vec<Complex64>) {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — the frame parser slices whole symbols
         assert_eq!(
             samples.len(),
             self.params.symbol_len(),
@@ -104,8 +127,13 @@ impl Ofdm {
 /// their LLR weight should be ~0 anyway).
 /// Clears `out` and fills it with the equalized values.
 pub fn equalize_into(received: &[Complex64], channel: &[Complex64], out: &mut Vec<Complex64>) {
-    // jmb-allow(no-panic-hot-path): caller contract — symbols and channel gains are sliced from the same estimate
-    assert_eq!(received.len(), channel.len(), "equalize: length mismatch");
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "caller contract — symbols and channel gains are sliced from the same estimate"
+    )]
+    {
+        assert_eq!(received.len(), channel.len(), "equalize: length mismatch");
+    }
     out.clear();
     out.extend(received.iter().zip(channel).map(|(&y, &h)| {
         if h.norm_sqr() < 1e-18 {

@@ -6,6 +6,19 @@
 //! is pseudo-random. Scrambling is an involution: applying the same seed
 //! twice restores the data.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 /// The 7-bit LFSR scrambler (x⁷ + x⁴ + 1).
 #[derive(Debug, Clone)]
 pub struct Scrambler {
@@ -19,8 +32,11 @@ impl Scrambler {
     ///
     /// Panics if `seed` is zero (an all-zero LFSR never advances) or wider
     /// than 7 bits.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition (# Panics) — seeds come from the fixed 7-bit service field"
+    )]
     pub fn new(seed: u8) -> Self {
-        // jmb-allow(no-panic-hot-path): documented precondition (# Panics) — seeds come from the fixed 7-bit service field
         assert!(
             seed != 0 && seed < 0x80,
             "scrambler seed must be 1..=127, got {seed}"
@@ -41,7 +57,13 @@ impl Scrambler {
     /// Scrambles (or descrambles) a bit slice in place.
     pub fn scramble_in_place(&mut self, bits: &mut [u8]) {
         for b in bits.iter_mut() {
-            debug_assert!(*b <= 1, "bits must be 0/1");
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "debug_assert!: compiled out of release builds"
+            )]
+            {
+                debug_assert!(*b <= 1, "bits must be 0/1");
+            }
             *b ^= self.next_bit();
         }
     }

@@ -14,6 +14,19 @@
 //! (10 Hz error → 20° in 5.5 ms, §1). JMB only ever extrapolates within one
 //! packet.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::params::OfdmParams;
 use crate::preamble::{ltf_symbol, LTF_LEN, STF_LEN};
 use jmb_dsp::Complex64;
@@ -95,8 +108,13 @@ pub fn fine_cfo(params: &OfdmParams, ltf: &[Complex64]) -> f64 {
 }
 
 fn lagged_cfo(params: &OfdmParams, region: &[Complex64], lag: usize) -> f64 {
-    // jmb-allow(no-panic-hot-path): internal helper — both call sites pass preamble windows longer than the fixed lag
-    assert!(region.len() > lag, "region shorter than lag");
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "internal helper — both call sites pass preamble windows longer than the fixed lag"
+    )]
+    {
+        assert!(region.len() > lag, "region shorter than lag");
+    }
     let mut acc = Complex64::ZERO;
     for n in 0..region.len() - lag {
         acc += region[n].conj() * region[n + lag];

@@ -20,6 +20,19 @@
 //! `tests/viterbi_equivalence.rs`, where property tests hold the two
 //! bit-exact, NaN and ±∞ soft inputs included.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::convcode::{G0, G1, TAIL_BITS};
 
 /// Number of trellis states (`2^(K-1)` for the constraint-length-7 code).

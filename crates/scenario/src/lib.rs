@@ -24,10 +24,22 @@
 //! | [`EXIT_LIMIT`] (3) | a resource limit stopped the run early |
 //!
 //! All limit and fault terminations flow through typed errors and
-//! [`report::Verdict`] values — the runner never panics, so the repo's
-//! hot-path lint covers this crate too.
+//! [`report::Verdict`] values — the runner never panics, and the attribute
+//! below denies every panicking construct outside tests, crate-wide.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod assertion;
 pub mod error;

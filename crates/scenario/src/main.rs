@@ -12,6 +12,19 @@
 //! everything `run` does before it simulates — so a manifest `check`
 //! accepts is one `run` will start.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use jmb_scenario::{
     run_manifest, Manifest, RunOptions, ScenarioError, ScenarioReport, EXIT_INVALID, EXIT_PASS,
 };

@@ -269,6 +269,10 @@ impl SubcarrierMedium {
     /// # Panics
     ///
     /// Panics if any transmit vector is not `fft_size` long.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "caller contract — every transmitter renders bins with the medium's own fft_size"
+    )]
     pub fn transmit_symbol(
         &mut self,
         txs: &[(NodeId, &[Complex64])],
@@ -277,7 +281,6 @@ impl SubcarrierMedium {
     ) -> Vec<Vec<Complex64>> {
         let n = self.params.fft_size;
         for (_, bins) in txs {
-            // jmb-allow(no-panic-hot-path): caller contract — every transmitter renders bins with the medium's own fft_size
             assert_eq!(bins.len(), n, "tx bins must be fft_size long");
         }
         let occupied = self.params.occupied_subcarriers();

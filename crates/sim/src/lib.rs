@@ -23,6 +23,18 @@
 //! oscillators own theirs. Same seeds ⇒ same waveforms, bit for bit.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod fault;
 pub mod freq;

@@ -39,7 +39,13 @@ impl PacketSizeDist {
         match *self {
             PacketSizeDist::Fixed(n) => n,
             PacketSizeDist::Uniform { min, max } => {
-                debug_assert!(min <= max);
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "debug_assert!: compiled out of release builds"
+                )]
+                {
+                    debug_assert!(min <= max);
+                }
                 rng.gen_range(min..=max)
             }
             PacketSizeDist::Bimodal {
@@ -141,7 +147,13 @@ impl ArrivalProcess {
 
 /// Exponential draw with the given mean (inverse-CDF of `U(0,1)`).
 fn exp_sample(rng: &mut JmbRng, mean: f64) -> f64 {
-    debug_assert!(mean > 0.0);
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert!: compiled out of release builds"
+    )]
+    {
+        debug_assert!(mean > 0.0);
+    }
     let u: f64 = rng.gen();
     -mean * (1.0 - u).max(1e-300).ln()
 }

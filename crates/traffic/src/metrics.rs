@@ -165,12 +165,17 @@ impl TrafficMetrics {
         out.offered_bps = first.offered_bps;
         out.per_client_bits = vec![0.0; first.per_client_bits.len()];
         for r in runs {
-            // jmb-allow(no-panic-hot-path): merge pools runs of one sweep cell — differing client counts is a harness programming error
-            assert_eq!(
-                r.per_client_bits.len(),
-                out.per_client_bits.len(),
-                "merging runs with different client counts"
-            );
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "merge pools runs of one sweep cell — differing client counts is a harness programming error"
+            )]
+            {
+                assert_eq!(
+                    r.per_client_bits.len(),
+                    out.per_client_bits.len(),
+                    "merging runs with different client counts"
+                );
+            }
             out.elapsed_s += r.elapsed_s;
             out.queued_at_end += r.queued_at_end;
             out.add_scalars(r);

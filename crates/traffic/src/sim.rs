@@ -566,7 +566,10 @@ impl<B: TransmitBackend> TrafficSim<B> {
             now = ev.t;
             match ev.kind {
                 EventKind::Arrival { client } => {
-                    // jmb-allow(no-panic-hot-path): event-loop invariant — an Arrival is only scheduled after pending[client] is staged
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "event-loop invariant — an Arrival is only scheduled after pending[client] is staged"
+                    )]
                     let (_, size) = pending[client].take().expect("staged arrival");
                     let id = self.mac.enqueue(client, size);
                     self.meta.insert(id, (now, size));
@@ -588,7 +591,10 @@ impl<B: TransmitBackend> TrafficSim<B> {
                     self.apply_liveness();
                 }
                 EventKind::TxDone => {
-                    // jmb-allow(no-panic-hot-path): event-loop invariant — exactly one TxDone is scheduled per in-flight transmission
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "event-loop invariant — exactly one TxDone is scheduled per in-flight transmission"
+                    )]
                     let inf = self.in_flight.take().expect("tx completion without tx");
                     self.reg.inc("traffic_transmissions");
                     self.reg.gauge_add("traffic_airtime_s", inf.airtime_s);
@@ -596,8 +602,11 @@ impl<B: TransmitBackend> TrafficSim<B> {
                     for fate in fates {
                         match fate {
                             PacketFate::Acked { dest, id } => {
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "event-loop invariant — meta gains an entry at enqueue for every id the MAC can ack"
+                                )]
                                 let (t_in, size) =
-                                    // jmb-allow(no-panic-hot-path): event-loop invariant — meta gains an entry at enqueue for every id the MAC can ack
                                     self.meta.remove(&id).expect("acked unknown packet");
                                 self.reg.observe("traffic_latency_s", now - t_in);
                                 m.latencies_s.push(now - t_in);

@@ -24,7 +24,7 @@
 # byte-comparable to their upstreams and are exempt from formatting.
 #
 # Seven greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
-# `thread_local!` in a program crate other than jmb-dsp's FFT plan cache —
+# `thread_local!` in a program crate —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
 # taps-plus-kernel rule (DESIGN.md §3.16) — `RxWindow::superpose` calls
@@ -45,18 +45,21 @@
 # crates. clippy, through the root clippy.toml: HashMap/HashSet are
 # disallowed types (iteration order, float reduction order), and the host
 # clock (`Instant::now`, `SystemTime::now`, `thread::sleep`) and
-# `available_parallelism` are disallowed methods. A sanctioned read carries
-# `#[expect(clippy::disallowed_methods, reason = …)]`, and every allow or
-# expect must give a reason. A canary crate proves each clippy.toml entry
-# still bites. jmb-lint keeps what no compiler lint expresses:
-# no-panic-hot-path, trace-taxonomy-complete, ordered-merge and the
-# jmb-allow hygiene. The determinism contract's dynamic counterpart — the
+# `available_parallelism` are disallowed methods. The hot modules deny
+# unwrap/expect/panic!/unreachable!/todo!/unimplemented! and the assert
+# family (clippy.toml's disallowed macros) outside tests. A sanctioned site
+# carries `#[expect(clippy::…, reason = …)]`, every allow or expect must give
+# a reason, and a stale expect fails `-D warnings`. A canary crate proves
+# each clippy.toml entry and the hot-module attribute still bite. The
+# cross-file rules (every trace kind emitted, every public merge ordered and
+# tested, the hot set itself) are `tests/repo_rules.rs`, part of `cargo
+# test`. The determinism contract's dynamic counterpart — the
 # schedule-perturbation harness — is CI's det-matrix job; run it locally with
 #   cargo run --release -p jmb-bench -- det_harness --quick
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-JMB_PKGS=(-p jmb -p jmb-bench -p jmb-channel -p jmb-city -p jmb-core -p jmb-dsp -p jmb-lint -p jmb-obs -p jmb-phy -p jmb-scenario -p jmb-sim -p jmb-traffic)
+JMB_PKGS=(-p jmb -p jmb-bench -p jmb-channel -p jmb-city -p jmb-core -p jmb-dsp -p jmb-obs -p jmb-phy -p jmb-scenario -p jmb-sim -p jmb-traffic)
 
 cargo build --release
 cargo test -q
@@ -66,39 +69,59 @@ cargo test --release -q -p jmb-scenario --test caps
 cargo test --release -q --manifest-path crates/bench/benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason
 cargo fmt "${JMB_PKGS[@]}" -- --check
-cargo run --release -p jmb-lint -- --deny
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
-# clippy.toml bites: a throwaway crate with one use per disallowed path,
-# linted against the root config, is refused exactly once per path. This
-# stands in for golden fixtures: deleting an entry fails here.
+# clippy.toml and the hot-module attribute bite: a throwaway crate with one
+# use per disallowed path, and a `hot` module (the attribute the hot modules
+# carry) with one fn per panicking construct, linted against the root config,
+# is refused exactly once per path and per construct; the `assert!` outside
+# `hot` is not refused. This stands in for golden fixtures: deleting an
+# entry, or a lint from the attribute, fails here.
 canary="$scratch/canary"
 mkdir -p "$canary/src"
-printf '[package]\nname = "clippy-canary"\nversion = "0.0.0"\nedition = "2021"\n\n[workspace]\n' \
+printf '[package]\nname = "clippy-canary"\nversion = "0.0.0"\nedition = "2021"\n\n[workspace]\n\n[lints.clippy]\ndisallowed_macros = "allow"\n' \
   > "$canary/Cargo.toml"
-cat > "$canary/src/lib.rs" <<'RS'
+hot_attr=$(sed -n '/^#!\[cfg_attr(/,/^)\]/p' crates/core/src/mac.rs)
+cat > "$canary/src/lib.rs" <<RS
 pub fn hash_map() -> usize { std::collections::HashMap::<u8, u8>::new().len() }
 pub fn hash_set() -> usize { std::collections::HashSet::<u8>::new().len() }
 pub fn instant() -> std::time::Instant { std::time::Instant::now() }
 pub fn system_time() -> std::time::SystemTime { std::time::SystemTime::now() }
 pub fn sleep() { std::thread::sleep(std::time::Duration::ZERO) }
 pub fn cores() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }
+pub fn cold(n: u8) { assert!(n > 0) }
+pub mod hot {
+$hot_attr
+pub fn options(a: Option<u8>, b: Option<u8>) -> u8 { a.unwrap() + b.expect("b") }
+pub fn panics(n: u8) -> u8 { match n { 0 => panic!(), 1 => unreachable!(), 2 => todo!(), _ => unimplemented!() } }
+pub fn asserts(n: u8) { assert!(n > 0); assert_eq!(n, 1); assert_ne!(n, 2) }
+}
 RS
 if report=$(CLIPPY_CONF_DIR="$PWD" cargo clippy --offline --quiet --message-format=short \
     --manifest-path "$canary/Cargo.toml" -- -D warnings 2>&1); then
   echo "clippy accepted the canary crate: clippy.toml disallows nothing" >&2
   exit 1
 fi
+refused() { grep -c "$1" <<< "$report" || true; }
 for path in std::collections::HashMap std::collections::HashSet std::time::Instant::now \
-    std::time::SystemTime::now std::thread::sleep std::thread::available_parallelism; do
-  if [ "$(grep -c "disallowed [a-z]* \`$path\`" <<< "$report")" -ne 1 ]; then
+    std::time::SystemTime::now std::thread::sleep std::thread::available_parallelism \
+    std::assert std::assert_eq std::assert_ne; do
+  if [ "$(refused "disallowed [a-z]* \`$path\`")" -ne 1 ]; then
     printf 'clippy.toml does not refuse %s exactly once in the canary crate:\n%s\n' "$path" "$report" >&2
     exit 1
   fi
 done
-echo "clippy.toml refuses each of its six paths"
+for construct in 'used `unwrap()`' 'used `expect()`' '`panic` should not be present' \
+    'usage of the `unreachable!` macro' '`todo` should not be present' \
+    '`unimplemented` should not be present'; do
+  if [ "$(refused "$construct")" -ne 1 ]; then
+    printf 'the hot-module attribute does not refuse %s exactly once in the canary crate:\n%s\n' "$construct" "$report" >&2
+    exit 1
+  fi
+done
+echo "clippy.toml refuses each of its nine paths; the hot-module attribute each panicking construct"
 
 fresh="$scratch/results"
 mkdir "$fresh"
@@ -108,9 +131,9 @@ for csv in results/*.csv; do
 done
 echo "results/*.csv byte-identical to a fresh jmb-bench all"
 
-# Scratch is passed, not found: the FFT plan cache is the one thread-local.
-if grep -rn 'thread_local!' crates/*/src src | grep -v '^crates/dsp/src/fft.rs:'; then
-  echo "thread_local! outside jmb-dsp's FFT plan cache (pass the scratch down instead)" >&2
+# Scratch is passed, not found: no thread-locals.
+if grep -rn 'thread_local!' crates/*/src src; then
+  echo "thread_local! in a program crate (pass the scratch down instead)" >&2
   exit 1
 fi
 
