@@ -544,17 +544,17 @@ pub fn throughput_scaling(
                 net.advance(2e-3);
 
                 // 802.11 baseline: designated-AP SNRs per client.
-                let dot11: Vec<f64> = (0..n)
+                let dot11 = (0..n)
                     .map(|j| {
-                        let snrs = net.baseline_snr_db(j);
-                        baseline::dot11_client_throughput(
+                        let snrs = net.baseline_snr_db(j).ok()?;
+                        Some(baseline::dot11_client_throughput(
                             &params,
                             &snrs,
                             n,
                             baseline::EVAL_PAYLOAD_BYTES,
-                        )
+                        ))
                     })
-                    .collect();
+                    .collect::<Option<Vec<f64>>>()?;
 
                 // JMB: joint transmission outcome → joint rate → goodput.
                 let duration = baseline::frame_airtime(&params, jmb_phy::rates::Mcs::ALL[4], 1500);
@@ -691,7 +691,7 @@ pub fn diversity_sweep(
                     ),
                     None => 0.0,
                 };
-                let base_snrs = net.baseline_snr_db(0);
+                let base_snrs = net.baseline_snr_db(0).ok()?;
                 let dot11 = baseline::dot11_client_throughput(
                     &params,
                     &base_snrs,

@@ -488,8 +488,12 @@ impl<L: LinkEval> Network<L> {
     }
 
     /// The maximum-ratio precoder towards `client` alone (§8), from its row
-    /// of the measured channel.
+    /// of the measured channel. [`JmbError::BadConfig`] for a client index
+    /// out of range.
     pub(crate) fn mrt_towards(&self, client: usize) -> Result<Precoder, JmbError> {
+        if client >= self.clients.len() {
+            return Err(JmbError::BadConfig("no such client"));
+        }
         let h = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
         let n_aps = self.aps.len();
         let row = |m: &CMat| -> Vec<Complex64> { (0..n_aps).map(|i| m[(client, i)]).collect() };

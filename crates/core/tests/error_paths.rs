@@ -58,6 +58,29 @@ fn no_reference_before_measurement() {
     );
 }
 
+const NO_SUCH_CLIENT: JmbError = JmbError::BadConfig("no such client");
+
+#[test]
+fn diversity_to_an_unknown_client_is_bad_config() {
+    // The MRT precoder (`mrt_towards`) checks the index before it asks for
+    // the measurement, like `remeasure_client`.
+    let mut net = FastNet::new(fast_cfg(2, 4)).unwrap();
+    assert_eq!(net.diversity_snr_db(2), Err(NO_SUCH_CLIENT));
+    assert_eq!(net.diversity_snr_db(0), Err(JmbError::NoReference));
+    net.run_measurement().unwrap();
+    assert_eq!(net.diversity_snr_db(usize::MAX), Err(NO_SUCH_CLIENT));
+    assert!(net.diversity_snr_db(1).is_ok());
+}
+
+#[test]
+fn baseline_of_an_unknown_client_is_bad_config() {
+    let mut net = FastNet::new(fast_cfg(2, 4)).unwrap();
+    assert_eq!(net.baseline_snr_db(2), Err(NO_SUCH_CLIENT));
+    assert_eq!(net.baseline_snr_db(usize::MAX), Err(NO_SUCH_CLIENT));
+    let n_k = net.config().params.occupied_subcarriers().len();
+    assert_eq!(net.baseline_snr_db(1).map(|snrs| snrs.len()), Ok(n_k));
+}
+
 #[test]
 fn measurement_shape_on_mismatched_estimates() {
     let mut sync = PhaseSync::new();

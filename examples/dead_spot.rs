@@ -20,7 +20,7 @@ fn main() {
         net.run_measurement().expect("measurement");
         net.advance(1e-3);
 
-        let base_snrs = net.baseline_snr_db(0);
+        let base_snrs = net.baseline_snr_db(0).expect("baseline");
         let dot11 = baseline::dot11_client_throughput(&params, &base_snrs, 1, 1500);
 
         let div_snrs = net.diversity_snr_db(0).expect("diversity");

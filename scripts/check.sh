@@ -23,10 +23,13 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Seven greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Eight greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
+# factorisation rule (DESIGN.md §3.5) — neither `Scratch::probe_sinr` nor
+# `FastNet::baseline_snr_db` calls `channel_rows_into(`: both read the
+# static rows, since `|g|²` drops every receive oscillator — the
 # taps-plus-kernel rule (DESIGN.md §3.16) — `RxWindow::superpose` calls
 # `interpolate_at(` once and never walks the taps — the written-once rule
 # (DESIGN.md §3.5, §3.6), which is two: each method of the networks' shared
@@ -139,13 +142,26 @@ fi
 
 # The two kernels of the fast path walk linear phases as ramps
 # (jmb_dsp::complex::phasor_ramp): a `cis` per subcarrier creeping back into
-# either is the regression. The one `cis` allowed is each pair's phasor in
-# `channel_rows_into`, once per (tx, rx), outside the subcarrier walk.
+# either is the regression. The one sanctioned `cis` is still each pair's
+# phasor in `channel_rows_into`, once per (tx, rx), outside the subcarrier
+# walk — and the probe kernel no longer calls `channel_rows_into`.
 kernel() { sed -n "/$2/,/^    }\$/p" "$1"; }
 if { kernel crates/sim/src/freq.rs 'pub fn channel_rows_into(' | grep -v 'let pair = ';
      kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
    } | grep -n 'Complex64::cis('; then
   echo "Complex64::cis( inside channel_rows_into or Scratch::probe_sinr (walk a phasor_ramp instead)" >&2
+  exit 1
+fi
+
+# The probe and the 802.11 baseline work on the factorisation (DESIGN.md
+# §3.5): a receive antenna's oscillator turns its whole row by a unit
+# phasor, which `|g|²` drops, so both read the medium's static rows. A
+# `channel_rows_into(` in either rebuilds every row and walks every client's
+# oscillator again.
+if { kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
+     kernel crates/core/src/fastnet.rs 'pub fn baseline_snr_db(';
+   } | grep -n 'channel_rows_into('; then
+  echo "channel_rows_into( inside Scratch::probe_sinr or FastNet::baseline_snr_db (read static_row instead)" >&2
   exit 1
 fi
 

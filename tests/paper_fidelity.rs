@@ -154,7 +154,7 @@ fn fig11_joint_snr_within_array_gain_window_of_baseline() {
     cfg.sync = strategy;
     let mut net = FastNet::new(cfg).expect("fastnet");
     net.run_measurement().expect("measurement");
-    let baseline = mean(&net.baseline_snr_db(0));
+    let baseline = mean(&net.baseline_snr_db(0).expect("baseline"));
     let joint = mean(&net.diversity_snr_db(0).expect("diversity probe"));
     let gain_db = joint - baseline;
     let ideal_db = 20.0 * (n_aps as f64).log10(); // ≈ 12 dB for N = 4
