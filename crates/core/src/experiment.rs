@@ -358,7 +358,7 @@ pub fn snr_reduction_vs_misalignment(
                     for j in 0..2 {
                         eff[(j, 1)] *= Complex64::cis(phase);
                     }
-                    let g = eff.mul_mat(p.weights_at(0)).expect("2x2");
+                    let g = p.effective_channel(0, &eff);
                     let mut s = [0.0; 2];
                     for j in 0..2 {
                         let sig = g[(j, j)].norm_sqr();

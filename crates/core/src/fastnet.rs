@@ -41,7 +41,7 @@ use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_dsp::complex::phasor_ramp;
 use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
-use jmb_dsp::{CMat, Complex64};
+use jmb_dsp::{CMat, Complex64, Planar};
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::esnr::MCS_THRESHOLD_DB;
@@ -528,7 +528,13 @@ impl FastNet {
     /// noise, `10·log₁₀(1 + I/N)` — which is 0 dB under perfect alignment
     /// ("the ratio of the received signal power to noise should be 0 dB",
     /// §11.1c).
+    ///
+    /// [`JmbError::BadConfig`] for a victim index out of range, before
+    /// anything goes on the air.
     pub fn null_probe(&mut self, victim: usize, packet_duration_s: f64) -> Result<f64, JmbError> {
+        if victim >= self.clients.len() {
+            return Err(JmbError::BadConfig("no such client"));
+        }
         let nv = self.config().noise_var;
         let outcome = self.joint_transmit(packet_duration_s, 4, &[victim], true)?;
         let leakage = &outcome.interference[victim * outcome.n_k..][..outcome.n_k];
@@ -720,9 +726,11 @@ impl FastNet {
 
     /// One joint transmission to a *subset* of clients from a *subset* of
     /// APs — the MAC-driven case: a batch is rarely the full client
-    /// population, and during an AP outage the array shrinks. A fresh
+    /// population, and during an AP outage the array shrinks. A
     /// zero-forcing precoder is built from the stored measurement `H̃`
-    /// restricted to `(clients × active_aps)`, the MCS is selected from its
+    /// restricted to `(clients × active_aps)` — or the last batch's kept,
+    /// if that restriction has not changed a bit since it was built — the
+    /// MCS is selected from its
     /// `k̂²/N` (falling back to the base rate when even that is below
     /// threshold — the MAC's retry policy handles the resulting losses),
     /// and the airtime follows from MCS and `payload_bytes`.
@@ -793,31 +801,44 @@ impl FastNet {
         }
 
         // ZF over the measured channel restricted to the batch and the
-        // effective AP set.
+        // effective AP set. Its output depends on that restriction alone, so
+        // the last batch's precoder stands if it was built and the
+        // restriction gathered now equals, bit for bit and in shape, the
+        // one it was built from.
         let h_meas = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
-        batch.h_sub.resize_with(h_meas.len(), CMat::default);
-        for (sub, full) in batch.h_sub.iter_mut().zip(h_meas) {
-            sub.reset(nb, na_eff);
+        let Scratch {
+            devices,
+            h_sub,
+            precoder,
+            zf_built,
+            ..
+        } = batch;
+        let n_k = h_meas.len();
+        let shape = (precoder.n_streams(), precoder.n_tx(), h_sub.width());
+        let mut stale = !*zf_built || shape != (nb, na_eff, n_k);
+        if stale {
+            h_sub.zeroed(nb * na_eff, n_k);
+        }
+        for (k_idx, full) in h_meas.iter().enumerate() {
             for (r, &j) in clients.iter().enumerate() {
-                for (c, &i) in batch.devices.iter().enumerate() {
-                    sub[(r, c)] = full[(j, i)];
+                for (c, &i) in devices.iter().enumerate() {
+                    stale |= h_sub.replace(r * na_eff + c, k_idx, full[(j, i)]);
                 }
             }
         }
-        // The batch's precoder is rebuilt in the storage the last batch
-        // left; taken out of the scratch so the kernel can borrow both.
-        let mut precoder = std::mem::take(&mut batch.precoder);
-        let sent = precoder.rebuild_zero_forcing(&batch.h_sub).map(|()| {
-            let mcs = self.joint_rate(&precoder).unwrap_or(Mcs::BASE);
-            let params = &self.link.cfg.params;
-            let airtime_s = crate::baseline::frame_airtime(params, mcs, payload_bytes);
-            self.probe_sinr(&precoder, &[], airtime_s, n_probes, apply_phase_sync);
-            (mcs, airtime_s)
-        });
+        if stale {
+            let built = precoder.rebuild_zero_forcing(h_sub, nb, na_eff);
+            *zf_built = built.is_ok();
+            built?;
+        }
+        // Taken out of the scratch so the kernel can borrow both.
+        let precoder = std::mem::take(precoder);
+        let mcs = self.joint_rate(&precoder).unwrap_or(Mcs::BASE);
+        let params = &self.link.cfg.params;
+        let airtime_s = crate::baseline::frame_airtime(params, mcs, payload_bytes);
+        self.probe_sinr(&precoder, &[], airtime_s, n_probes, apply_phase_sync);
         self.link.scratch.precoder = precoder;
-        let (mcs, airtime_s) = sent?;
 
-        let n_k = self.link.medium.occupied().len();
         let Scratch {
             sinr_db,
             eff_snr_db,
@@ -898,20 +919,21 @@ pub(crate) struct Scratch {
     /// ([`SubcarrierMedium::channel_rows_into`]): the measurement's.
     pub(crate) rows: Vec<Complex64>,
     /// The probe kernel's tables, planar, one row of `n_k` subcarriers
-    /// each: the batch's static rows `[rx · n_tx + tx]` and precoder
-    /// `[tx · n_streams + stream]`, gathered once per transmission; each
-    /// transmit antenna's phasor ramp `[tx]` at one instant; and, for one
-    /// receive antenna, its channel from one transmit antenna and its
-    /// post-precoding gains `[stream]`.
+    /// each: the batch's static rows `[rx · n_tx + tx]`, gathered once per
+    /// transmission; each transmit antenna's phasor ramp `[tx]` at one
+    /// instant; and, for one receive antenna, its channel from one transmit
+    /// antenna and its post-precoding gains `[stream]`. The precoder's
+    /// weights are read from its own lanes.
     h_s: Planar,
-    w: Planar,
     ramp: Planar,
     hd: Planar,
     g: Planar,
-    /// The measured channel restricted to a batch, per subcarrier, and the
-    /// zero-forcing precoder built from it.
-    h_sub: Vec<CMat>,
+    /// The measured channel restricted to the last subset batch, planar
+    /// `[stream · n_tx + tx]`, the zero-forcing precoder built from it, and
+    /// whether that build succeeded — a failed one is never reused.
+    h_sub: Planar,
     precoder: Precoder,
+    zf_built: bool,
     /// The lead→slave estimate of one observation ([`FastObserver`]).
     pub(crate) est: Option<ChannelEstimate>,
 }
@@ -955,9 +977,9 @@ impl Scratch {
     /// antenna and instant — zero for a slave that sits the batch out. Each
     /// probe instant is then `g[r][s] = Σ_c (H_s[r][c] ∘ d_c) ∘ W[c][s]`
     /// over the band, with `H_s` the medium's cached static rows (the
-    /// multipath tap sums) and `W` the precoder, both gathered once per
-    /// call into planar tables so every product runs across the subcarriers
-    /// as `f64` lanes.
+    /// multipath tap sums), gathered once per call into a planar table, and
+    /// `W` the precoder's own lanes, so every product runs across the
+    /// subcarriers as `f64` lanes.
     ///
     /// Everything the loops touch lives here, results included: the kernel
     /// allocates nothing once the buffers have grown. The tables are for the
@@ -977,7 +999,6 @@ impl Scratch {
             sinr_db: sig,
             interference: intf,
             h_s,
-            w,
             ramp,
             hd,
             g,
@@ -994,32 +1015,24 @@ impl Scratch {
             acc.resize(nb * n_k, 0.0);
         }
 
-        // Once per transmission: the static rows (zero without a link) and
-        // the precoder, planar.
-        h_s.zeroed(nb * na * n_k);
+        // Once per transmission: the static rows (zero without a link),
+        // planar.
+        h_s.zeroed(nb * na, n_k);
         for (r, &rx) in rx_nodes.iter().enumerate() {
             for (c, &tx) in tx_nodes.iter().enumerate() {
                 if let Some(row) = medium.static_row(tx, rx) {
-                    h_s.set_row(r * na + c, n_k, row.iter().copied());
+                    h_s.set_row(r * na + c, row.iter().copied());
                 }
             }
         }
-        w.zeroed(na * n_streams * n_k);
-        for k_idx in 0..n_k {
-            // `W(k)` is row-major, `[tx · n_streams + stream]`.
-            let weights = precoder.weights_at(k_idx).as_slice();
-            for (row, &z) in weights.iter().enumerate() {
-                w.set(row * n_k + k_idx, z);
-            }
-        }
-        hd.zeroed(n_k);
+        hd.zeroed(1, n_k);
 
         for p in 0..n_probes {
             let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
             // One ramp per transmit antenna: its oscillator read once, and
             // its correction — unity under the ablation, nothing from a
             // slave sitting out.
-            ramp.zeroed(na * n_k);
+            ramp.zeroed(na, n_k);
             for (c, (&device, &node)) in devices.iter().zip(tx_nodes.iter()).enumerate() {
                 let correction = match frame.sync {
                     Some(sync) => sync.ramp_at(device, t, spacing, carrier),
@@ -1033,16 +1046,15 @@ impl Scratch {
                 let slip = 2.0 * std::f64::consts::PI * spacing * (traj.sample_ratio() - 1.0) * t;
                 ramp.set_row(
                     c,
-                    n_k,
                     phasor_ramp(phase + theta0, theta + slip, medium.occupied()),
                 );
             }
             for r in 0..nb {
-                g.zeroed(n_streams * n_k);
+                g.zeroed(n_streams, n_k);
                 for c in 0..na {
-                    hd.set_product(0, h_s.row(r * na + c, n_k), ramp.row(c, n_k));
+                    hd.set_product(0, h_s.row(r * na + c), ramp.row(c));
                     for s in 0..n_streams {
-                        g.add_product(s, hd.row(0, n_k), w.row(c * n_streams + s, n_k));
+                        g.add_product(s, hd.row(0), precoder.lanes(c, s));
                     }
                 }
                 let (sig_r, intf_r) = (&mut sig[r * n_k..][..n_k], &mut intf[r * n_k..][..n_k]);
@@ -1054,7 +1066,7 @@ impl Scratch {
                     } else {
                         &mut *intf_r
                     };
-                    let (re, im) = g.row(s, n_k);
+                    let (re, im) = g.row(s);
                     for ((a, re), im) in acc.iter_mut().zip(re).zip(im) {
                         *a += re * re + im * im;
                     }
@@ -1068,80 +1080,6 @@ impl Scratch {
             let ext = ext_intf.get(at % n_k).copied().unwrap_or(0.0);
             *i /= np;
             *s = jmb_dsp::stats::lin_to_db(*s / np / (noise_var + ext + *i));
-        }
-    }
-}
-
-/// A complex table kept planar — real and imaginary parts in two `f64`
-/// vectors — read and written a row of `n` subcarriers at a time, so a loop
-/// over the band is plain lanes that LLVM vectorises.
-#[derive(Default)]
-struct Planar {
-    re: Vec<f64>,
-    im: Vec<f64>,
-}
-
-/// One row of a [`Planar`] table: its real and its imaginary lanes.
-type Lanes<'a> = (&'a [f64], &'a [f64]);
-
-impl Planar {
-    /// The table becomes `len` zeros; it grows once per batch shape.
-    fn zeroed(&mut self, len: usize) {
-        for lanes in [&mut self.re, &mut self.im] {
-            lanes.clear();
-            lanes.resize(len, 0.0);
-        }
-    }
-
-    fn set(&mut self, at: usize, z: Complex64) {
-        self.re[at] = z.re;
-        self.im[at] = z.im;
-    }
-
-    /// Row `i` becomes the first `n` of `zs`, rows `n` long.
-    fn set_row(&mut self, i: usize, n: usize, zs: impl IntoIterator<Item = Complex64>) {
-        let (re, im) = self.row_mut(i, n);
-        for ((re, im), z) in re.iter_mut().zip(im).zip(zs) {
-            *re = z.re;
-            *im = z.im;
-        }
-    }
-
-    /// Row `i`, rows `n` long.
-    fn row(&self, i: usize, n: usize) -> Lanes<'_> {
-        (&self.re[i * n..][..n], &self.im[i * n..][..n])
-    }
-
-    fn row_mut(&mut self, i: usize, n: usize) -> (&mut [f64], &mut [f64]) {
-        (&mut self.re[i * n..][..n], &mut self.im[i * n..][..n])
-    }
-
-    /// Row `i` becomes `a ∘ b`, lane by lane.
-    fn set_product(&mut self, i: usize, (ar, ai): Lanes, (br, bi): Lanes) {
-        let (or, oi) = self.row_mut(i, ar.len());
-        let lanes = or
-            .iter_mut()
-            .zip(oi)
-            .zip(ar.iter().zip(ai))
-            .zip(br.iter().zip(bi));
-        for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes {
-            *or = ar * br - ai * bi;
-            *oi = ar * bi + ai * br;
-        }
-    }
-
-    /// Row `i` gains `a ∘ b`, lane by lane (each lane as
-    /// [`Complex64::mul_add`]).
-    fn add_product(&mut self, i: usize, (ar, ai): Lanes, (br, bi): Lanes) {
-        let (or, oi) = self.row_mut(i, ar.len());
-        let lanes = or
-            .iter_mut()
-            .zip(oi)
-            .zip(ar.iter().zip(ai))
-            .zip(br.iter().zip(bi));
-        for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes {
-            *or += ar * br - ai * bi;
-            *oi += ar * bi + ai * br;
         }
     }
 }
@@ -1275,7 +1213,7 @@ mod tests {
         let rxs: Vec<NodeId> = batch.clients.iter().map(|&j| net.clients[j]).collect();
         let n_probes = frame.n_probes.max(1);
         let (mut sig, mut intf) = (vec![0.0; nb * n_k], vec![0.0; nb * n_k]);
-        let (mut rows, mut g) = (Vec::new(), CMat::default());
+        let mut rows = Vec::new();
         for p in 0..n_probes {
             let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
             net.link.medium.channel_rows_into(&txs, &rxs, t, &mut rows);
@@ -1290,7 +1228,7 @@ mod tests {
                         eff[(r, c)] = rows[(r * na + c) * n_k + k_idx] * corr;
                     }
                 }
-                eff.mul_into(precoder.weights_at(k_idx), &mut g).unwrap();
+                let g = precoder.effective_channel(k_idx, &eff);
                 for r in 0..nb {
                     sig[r * n_k + k_idx] += g[(r, r)].norm_sqr();
                     for s in 0..precoder.n_streams() {
@@ -1724,6 +1662,102 @@ mod tests {
         for (r, &e) in out.eff_snr_db.iter().enumerate() {
             assert!(e > 3.0, "stream {r} without AP 0: eff SNR {e} dB");
         }
+    }
+
+    /// Asserts that the subset precoder left in the scratch is, bit for
+    /// bit, a fresh `Precoder::zero_forcing` of the measured channel
+    /// restricted to `clients` and the antennas that went out — or that
+    /// both fail. Returns whether they succeeded.
+    fn scratch_precoder_is_fresh(net: &FastNet, clients: &[usize]) -> bool {
+        let scratch = &net.link.scratch;
+        let h_sub: Vec<CMat> = (net.h_meas.as_ref().unwrap().iter())
+            .map(|full| {
+                let mut sub = CMat::zeros(clients.len(), scratch.devices.len());
+                for (r, &j) in clients.iter().enumerate() {
+                    for (c, &i) in scratch.devices.iter().enumerate() {
+                        sub[(r, c)] = full[(j, i)];
+                    }
+                }
+                sub
+            })
+            .collect();
+        let Ok(fresh) = Precoder::zero_forcing(&h_sub) else {
+            assert!(!scratch.zf_built, "a failed build must not be reused");
+            return false;
+        };
+        let kept = &scratch.precoder;
+        assert!(scratch.zf_built);
+        assert_eq!(
+            (kept.n_streams(), kept.n_tx()),
+            (fresh.n_streams(), fresh.n_tx())
+        );
+        let bits = |p: &Precoder| {
+            let mut out: Vec<u64> = p.k_hats().iter().map(|k| k.to_bits()).collect();
+            for m in 0..p.n_tx() {
+                for j in 0..p.n_streams() {
+                    let (re, im) = p.lanes(m, j);
+                    out.extend(re.iter().chain(im).map(|x| x.to_bits()));
+                }
+            }
+            out
+        };
+        assert_eq!(bits(kept), bits(&fresh), "stale precoder for {clients:?}");
+        true
+    }
+
+    #[test]
+    fn a_reused_precoder_is_never_stale() {
+        // The subset precoder is rebuilt only when the restricted channel
+        // changes; whatever writes `H̃` or changes the antennas, the kept
+        // one must be what a fresh build would give.
+        let mut net = FastNet::new(cfg(4, 20.0, 29)).unwrap();
+        net.run_measurement().unwrap();
+        net.advance(1e-3);
+        let all = [0, 1, 2, 3];
+        let send = |net: &mut FastNet, clients: &[usize]| {
+            let sent = net.joint_transmit_subset(clients, &all, 1500, 2, true);
+            let ok = sent.is_ok();
+            assert_eq!(scratch_precoder_is_fresh(net, clients), ok, "{clients:?}");
+            ok
+        };
+        // The same batch twice, then its clients permuted.
+        assert!(send(&mut net, &[0, 2]));
+        assert!(send(&mut net, &[0, 2]));
+        assert!(send(&mut net, &[2, 0]));
+        // Slave 2 misses every header until it sits the batch out.
+        let deaf = FaultConfig::builder()
+            .per_slave_sync_loss(2, 1.0)
+            .build()
+            .unwrap();
+        net.set_fault_schedule(FaultSchedule::constant(deaf));
+        let mut rounds = 0;
+        while !net.last_sync().excluded.contains(&2) {
+            assert!(send(&mut net, &[0, 2]));
+            rounds += 1;
+            assert!(rounds < 20, "slave 2 never excluded");
+        }
+        assert_eq!(net.link.scratch.devices, [0, 1, 3]);
+        assert!(send(&mut net, &[0, 2]));
+        net.set_fault_schedule(FaultSchedule::none());
+        assert!(send(&mut net, &[0, 2]));
+        // §7: client 0's row re-measured and spliced into `H̃`.
+        net.advance(1e-3);
+        net.remeasure_client(0).unwrap();
+        assert!(send(&mut net, &[0, 2]));
+        // A whole new measurement.
+        net.run_measurement().unwrap();
+        assert!(send(&mut net, &[0, 2]));
+        // Client 2's row made a copy of client 0's: the batch is singular,
+        // and stays so on the same batch again — never served from the
+        // last good precoder.
+        for matrix in net.h_meas.as_mut().unwrap() {
+            for i in 0..4 {
+                matrix[(2, i)] = matrix[(0, i)];
+            }
+        }
+        assert!(!send(&mut net, &[0, 2]));
+        assert!(!send(&mut net, &[0, 2]));
+        assert!(send(&mut net, &[0, 1]));
     }
 
     #[test]

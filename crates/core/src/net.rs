@@ -562,8 +562,8 @@ impl JmbNetwork {
                 vec![vec![Complex64::ZERO; params.fft_size]; n_sym];
             for (k_idx, &k) in occupied.iter().enumerate() {
                 let b = params.bin(k);
-                let w = precoder.weights_at(k_idx);
-                let wsum: Complex64 = (0..precoder.n_streams()).map(|j| w[(m_idx, j)]).sum();
+                let w = |j| precoder.weight(k_idx, m_idx, j);
+                let wsum: Complex64 = (0..precoder.n_streams()).map(w).sum();
                 // Per-subcarrier phase-sync correction.
                 let corr = if apply_phase_sync {
                     sync.corrections[m_idx]
@@ -577,7 +577,7 @@ impl JmbNetwork {
                 for (s_idx, sym) in sym_bins.iter_mut().enumerate() {
                     let mut acc = Complex64::ZERO;
                     for (j, stream) in streams.iter().enumerate() {
-                        acc = w[(m_idx, j)].mul_add(stream.symbols[s_idx][b], acc);
+                        acc = w(j).mul_add(stream.symbols[s_idx][b], acc);
                     }
                     sym[b] = acc * corr;
                 }

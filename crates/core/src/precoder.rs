@@ -25,13 +25,16 @@
 )]
 
 use crate::error::JmbError;
+use jmb_dsp::matrix::{Lanes, MatError, Planar};
 use jmb_dsp::{CMat, Complex64, ZfSolver};
 
 /// A per-subcarrier joint precoder.
 #[derive(Debug, Clone, Default)]
 pub struct Precoder {
-    /// Per-subcarrier weights, `W(k)`: `n_tx × n_streams`.
-    weights: Vec<CMat>,
+    /// The weights `W(k)` (`n_tx × n_streams` per subcarrier), planar: entry
+    /// `(tx, stream)` in row `tx · n_streams + stream`, one lane per
+    /// subcarrier — the layout the probe kernel multiplies in.
+    weights: Planar,
     /// Per-subcarrier power normalisation `k̂(k)` (§9 speaks of "the signal
     /// strength, k², in each subcarrier": normalisation is per subcarrier,
     /// so an ill-conditioned subcarrier costs only itself — the effective-
@@ -40,6 +43,17 @@ pub struct Precoder {
     k_hats: Vec<f64>,
     n_tx: usize,
     n_streams: usize,
+}
+
+/// The shape rules of a zero-forcing precoder: every stream needs an antenna.
+fn zf_shape(n_streams: usize, n_tx: usize) -> Result<(), JmbError> {
+    if n_streams == 0 || n_tx == 0 {
+        return Err(JmbError::BadConfig("empty channel matrix"));
+    }
+    if n_tx < n_streams {
+        return Err(JmbError::BadConfig("fewer total AP antennas than streams"));
+    }
+    Ok(())
 }
 
 impl Precoder {
@@ -52,98 +66,128 @@ impl Precoder {
     /// (footnote 2). Every AP may radiate up to the same power it would use
     /// transmitting alone, which is what makes throughput scale linearly
     /// with added APs: each new AP brings its own power budget.
+    ///
+    /// Every matrix's shape is checked before any arithmetic: a band with a
+    /// mismatched subcarrier is [`JmbError::MeasurementShape`] even if an
+    /// earlier subcarrier is singular.
     pub fn zero_forcing(h_per_subcarrier: &[CMat]) -> Result<Precoder, JmbError> {
+        let first = h_per_subcarrier
+            .first()
+            .ok_or(JmbError::BadConfig("no subcarriers"))?;
+        let (n_streams, n_tx) = (first.rows(), first.cols());
+        zf_shape(n_streams, n_tx)?;
+        let entries = n_streams * n_tx;
+        if let Some(h) = h_per_subcarrier
+            .iter()
+            .find(|h| h.rows() != n_streams || h.cols() != n_tx)
+        {
+            return Err(JmbError::MeasurementShape {
+                expected: entries,
+                got: h.rows() * h.cols(),
+            });
+        }
+        let mut h = Planar::default();
+        h.zeroed(entries, h_per_subcarrier.len());
+        for (k_idx, matrix) in h_per_subcarrier.iter().enumerate() {
+            for (row, &z) in matrix.as_slice().iter().enumerate() {
+                h.set(row, k_idx, z);
+            }
+        }
         let mut precoder = Precoder::default();
-        precoder.rebuild_zero_forcing(h_per_subcarrier)?;
+        precoder.rebuild_zero_forcing(&h, n_streams, n_tx)?;
         Ok(precoder)
     }
 
-    /// [`Precoder::zero_forcing`] into this precoder's storage: a network
-    /// that builds one per batch keeps the weight matrices between batches.
-    /// After an error the contents are unspecified until the next rebuild.
+    /// [`Precoder::zero_forcing`] from the channel as lanes — entry
+    /// `(stream, tx)` of `H` in row `stream · n_tx + tx`, one lane per
+    /// subcarrier — into this precoder's own lanes: a network that builds
+    /// one per batch keeps the storage between batches. After an error the
+    /// contents are unspecified until the next rebuild.
+    ///
+    /// Every stage runs across the subcarriers as lanes, each lane
+    /// operation for operation the per-subcarrier build: the
+    /// [`ZfSolver`] pseudo-inverse, then per stream its column power and
+    /// gain, per subcarrier `k̂`, and the per-antenna power pass.
     pub(crate) fn rebuild_zero_forcing(
         &mut self,
-        h_per_subcarrier: &[CMat],
+        h: &Planar,
+        n_streams: usize,
+        n_tx: usize,
     ) -> Result<(), JmbError> {
         let _span = jmb_obs::span("zf_precoder");
-        if h_per_subcarrier.is_empty() {
+        let n_k = h.width();
+        if n_k == 0 {
             return Err(JmbError::BadConfig("no subcarriers"));
         }
-        let n_streams = h_per_subcarrier[0].rows();
-        let n_tx = h_per_subcarrier[0].cols();
-        if n_streams == 0 || n_tx == 0 {
-            return Err(JmbError::BadConfig("empty channel matrix"));
-        }
-        if n_tx < n_streams {
-            return Err(JmbError::BadConfig("fewer total AP antennas than streams"));
-        }
+        zf_shape(n_streams, n_tx)?;
         let Precoder {
             weights, k_hats, ..
         } = self;
-        weights.resize_with(h_per_subcarrier.len(), CMat::default);
+        ZfSolver::new(n_streams, n_tx).solve(h, weights)?;
+        // Per-stream power normalisation: every stream's precoding column
+        // is scaled to unit power on each subcarrier, so client j's
+        // received amplitude tracks the quality of its own channel
+        // (`g_j(k) = 1/‖W col_j(k)‖`), exactly like ordinary fading its
+        // receiver already equalises. Normalising the whole subcarrier to a
+        // common `k·I` would instead force full amplitude through *faded*
+        // directions — one AP's faded diagonal would blow up the weights
+        // and drag every client on that subcarrier.
+        let mut power = vec![0.0f64; n_k];
         k_hats.clear();
-        // One Gram+Cholesky solver reused across subcarriers: the per-loop
-        // temporaries (Gram matrix, substitution scratch) are allocated once.
-        let mut solver = ZfSolver::new(n_streams, n_tx);
-        let mut col_gain = vec![0.0f64; n_streams];
-        for (h, w) in h_per_subcarrier.iter().zip(weights.iter_mut()) {
-            if h.rows() != n_streams || h.cols() != n_tx {
-                return Err(JmbError::MeasurementShape {
-                    expected: n_streams * n_tx,
-                    got: h.rows() * h.cols(),
-                });
-            }
-            w.reset(n_tx, n_streams);
-            solver.pinv_into(h, w)?;
-            // Per-stream power normalisation: every stream's precoding
-            // column is scaled to unit power on each subcarrier, so client
-            // j's received amplitude tracks the quality of its own channel
-            // (`g_j(k) = 1/‖W col_j(k)‖`), exactly like ordinary fading its
-            // receiver already equalises. Normalising the whole subcarrier
-            // to a common `k·I` would instead force full amplitude through
-            // *faded* directions — one AP's faded diagonal would blow up
-            // the weights and drag every client on that subcarrier.
-            for (j, g) in col_gain.iter_mut().enumerate() {
-                // Column power read from the solver's contiguous scratch
-                // (same ascending-antenna summation order as scanning the
-                // strided column of `w`, so the gains are bit-identical).
-                let p = solver.col_power(j);
-                if p <= 0.0 || !p.is_finite() {
-                    return Err(JmbError::Precoding(jmb_dsp::matrix::MatError::Singular));
+        k_hats.resize(n_k, 0.0);
+        for j in 0..n_streams {
+            // Column power in ascending-antenna order, then its gain.
+            power.fill(0.0);
+            for m in 0..n_tx {
+                let (re, im) = weights.row(m * n_streams + j);
+                for ((p, &re), &im) in power.iter_mut().zip(re).zip(im) {
+                    *p += re * re + im * im;
                 }
-                *g = 1.0 / p.sqrt();
+            }
+            if power.iter().any(|&p| p <= 0.0 || !p.is_finite()) {
+                return Err(JmbError::Precoding(MatError::Singular));
+            }
+            for g in power.iter_mut() {
+                *g = 1.0 / g.sqrt();
             }
             for m in 0..n_tx {
-                for j in 0..n_streams {
-                    w[(m, j)] = w[(m, j)] * col_gain[j];
+                let (re, im) = weights.row_mut(m * n_streams + j);
+                for ((re, im), &g) in re.iter_mut().zip(im).zip(&power) {
+                    *re *= g;
+                    *im *= g;
                 }
             }
-            // Summary normalisation for this subcarrier: RMS of the
-            // per-stream received amplitudes.
-            let rms = (col_gain.iter().map(|g| g * g).sum::<f64>() / n_streams as f64).sqrt();
-            k_hats.push(rms);
+            for (k, &g) in k_hats.iter_mut().zip(&power) {
+                *k += g * g;
+            }
+        }
+        // Summary normalisation per subcarrier: RMS of the per-stream
+        // received amplitudes.
+        for k in k_hats.iter_mut() {
+            *k = (*k / n_streams as f64).sqrt();
         }
         // Global pass: enforce the per-AP maximum-power constraint
         // (footnote 2) on each antenna's power *summed over the symbol*:
         // the busiest antenna's mean (across subcarriers) power is pinned
         // to the unit budget. Instantaneous per-subcarrier overshoot is a
         // PAPR-like effect absorbed by amplifier backoff.
-        let n_k = weights.len() as f64;
         let mut busiest = 0.0f64;
         for m in 0..n_tx {
-            let p: f64 = weights
-                .iter()
-                .map(|w| (0..n_streams).map(|j| w[(m, j)].norm_sqr()).sum::<f64>())
-                .sum::<f64>()
-                / n_k;
-            busiest = busiest.max(p);
+            power.fill(0.0);
+            for j in 0..n_streams {
+                let (re, im) = weights.row(m * n_streams + j);
+                for ((p, &re), &im) in power.iter_mut().zip(re).zip(im) {
+                    *p += re * re + im * im;
+                }
+            }
+            busiest = busiest.max(power.iter().sum::<f64>() / n_k as f64);
         }
         if busiest <= 0.0 || !busiest.is_finite() {
-            return Err(JmbError::Precoding(jmb_dsp::matrix::MatError::Singular));
+            return Err(JmbError::Precoding(MatError::Singular));
         }
         let gamma = (1.0 / busiest).sqrt();
-        for (w, k) in weights.iter_mut().zip(k_hats.iter_mut()) {
-            w.scale_in_place(Complex64::real(gamma));
+        scale_by_real(weights, gamma);
+        for k in k_hats.iter_mut() {
             *k *= gamma;
         }
         self.n_tx = n_tx;
@@ -167,39 +211,34 @@ impl Precoder {
     /// power budget is respected (the limiting antenna is the strongest
     /// one).
     pub fn mrt(h_rows: &[Vec<Complex64>]) -> Result<Precoder, JmbError> {
-        if h_rows.is_empty() || h_rows[0].is_empty() {
-            return Err(JmbError::BadConfig("empty diversity channel"));
+        let n_tx = match h_rows.first() {
+            Some(row) if !row.is_empty() => row.len(),
+            _ => return Err(JmbError::BadConfig("empty diversity channel")),
+        };
+        if let Some(row) = h_rows.iter().find(|row| row.len() != n_tx) {
+            return Err(JmbError::MeasurementShape {
+                expected: n_tx,
+                got: row.len(),
+            });
         }
-        let n_tx = h_rows[0].len();
-        let mut weights = Vec::with_capacity(h_rows.len());
-        for row in h_rows {
-            if row.len() != n_tx {
-                return Err(JmbError::MeasurementShape {
-                    expected: n_tx,
-                    got: row.len(),
-                });
-            }
+        let mut weights = Planar::default();
+        weights.zeroed(n_tx, h_rows.len());
+        let mut k_hats = Vec::with_capacity(h_rows.len());
+        for (k_idx, row) in h_rows.iter().enumerate() {
             let norm = row.iter().map(|h| h.norm_sqr()).sum::<f64>().sqrt();
-            let mut w = CMat::zeros(n_tx, 1);
-            if norm > 0.0 {
-                for (m, h) in row.iter().enumerate() {
-                    w[(m, 0)] = h.conj() / norm;
-                }
-            }
-            weights.push(w);
-        }
-        // Normalise each subcarrier to the per-antenna budget.
-        let mut k_hats = Vec::with_capacity(weights.len());
-        for w in weights.iter_mut() {
-            let mut worst = 0.0f64;
-            for m in 0..n_tx {
-                worst = worst.max(w[(m, 0)].norm_sqr());
-            }
+            let w = |h: &Complex64| match norm > 0.0 {
+                true => h.conj() / norm,
+                false => Complex64::ZERO,
+            };
+            // Normalise each subcarrier to the per-antenna budget.
+            let worst = row.iter().map(|h| w(h).norm_sqr()).fold(0.0, f64::max);
             if worst <= 0.0 {
-                return Err(JmbError::Precoding(jmb_dsp::matrix::MatError::Singular));
+                return Err(JmbError::Precoding(MatError::Singular));
             }
             let k_hat = (1.0 / worst).sqrt();
-            w.scale_in_place(Complex64::real(k_hat));
+            for (m, h) in row.iter().enumerate() {
+                weights.set(m, k_idx, w(h) * Complex64::real(k_hat));
+            }
             k_hats.push(k_hat);
         }
         Ok(Precoder {
@@ -235,9 +274,16 @@ impl Precoder {
         (self.k_hats.iter().map(|k| k * k).sum::<f64>() / self.k_hats.len() as f64).sqrt()
     }
 
-    /// The weight matrix at subcarrier index `k_idx`.
-    pub fn weights_at(&self, k_idx: usize) -> &CMat {
-        &self.weights[k_idx]
+    /// The weight of antenna `tx` for stream `stream` on subcarrier `k_idx`:
+    /// entry `(tx, stream)` of `W(k)`.
+    pub fn weight(&self, k_idx: usize, tx: usize, stream: usize) -> Complex64 {
+        self.weights.get(tx * self.n_streams + stream, k_idx)
+    }
+
+    /// Antenna `tx`'s weight for stream `stream` across the band, one lane
+    /// per subcarrier.
+    pub fn lanes(&self, tx: usize, stream: usize) -> Lanes<'_> {
+        self.weights.row(tx * self.n_streams + stream)
     }
 
     /// Applies the precoder at one subcarrier: stream vector `x` →
@@ -250,15 +296,15 @@ impl Precoder {
         clippy::disallowed_macros,
         reason = "documented precondition (# Panics) — stream count is part of the API contract"
     )]
-    #[expect(
-        clippy::expect_used,
-        reason = "weights[k] is n_tx x n_streams by construction and x.len() was just asserted — mul_vec cannot fail"
-    )]
     pub fn apply(&self, k_idx: usize, x: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(x.len(), self.n_streams, "stream vector length");
-        self.weights[k_idx]
-            .mul_vec(x)
-            .expect("dimensions fixed at construction")
+        (0..self.n_tx)
+            .map(|m| {
+                x.iter().enumerate().fold(Complex64::ZERO, |acc, (j, &x)| {
+                    self.weight(k_idx, m, j).mul_add(x, acc)
+                })
+            })
+            .collect()
     }
 
     /// The effective channel `H(k)·W(k)` a set of clients would see.
@@ -267,22 +313,36 @@ impl Precoder {
         reason = "caller contract — h spans the same antennas that built this precoder; mul_mat only errors on shape mismatch"
     )]
     pub fn effective_channel(&self, k_idx: usize, h: &CMat) -> CMat {
-        h.mul_mat(&self.weights[k_idx])
+        let rows = 0..self.n_tx * self.n_streams;
+        let w = rows.map(|row| self.weights.get(row, k_idx)).collect();
+        h.mul_mat(&CMat::from_vec(self.n_tx, self.n_streams, w))
             .expect("dimensions fixed at construction")
     }
 
     /// Mean transmit power of antenna `m`, averaged over subcarriers,
     /// assuming unit-power streams.
     pub fn antenna_power(&self, m: usize) -> f64 {
-        self.weights
-            .iter()
-            .map(|w| {
+        let n_k = self.k_hats.len();
+        (0..n_k)
+            .map(|k| {
                 (0..self.n_streams)
-                    .map(|j| w[(m, j)].norm_sqr())
+                    .map(|j| self.weight(k, m, j).norm_sqr())
                     .sum::<f64>()
             })
             .sum::<f64>()
-            / self.weights.len() as f64
+            / n_k as f64
+    }
+}
+
+/// Every entry of `w` times the complex `γ + 0j`, as the full complex
+/// multiply `z * Complex64::real(γ)`: `im · 0` keeps its sign.
+fn scale_by_real(w: &mut Planar, gamma: f64) {
+    for row in 0..w.rows() {
+        let (re, im) = w.row_mut(row);
+        for (re, im) in re.iter_mut().zip(im) {
+            let z = Complex64::new(*re, *im) * Complex64::real(gamma);
+            (*re, *im) = (z.re, z.im);
+        }
     }
 }
 
@@ -388,7 +448,11 @@ mod tests {
         let x = vec![Complex64::new(1.0, 0.5), Complex64::new(-0.3, 0.2)];
         let tx = p.apply(0, &x);
         assert_eq!(tx.len(), 3);
-        let manual = p.weights_at(0).mul_vec(&x).unwrap();
+        let w: Vec<Complex64> = (0..3)
+            .flat_map(|m| (0..2).map(move |j| (m, j)))
+            .map(|(m, j)| p.weight(0, m, j))
+            .collect();
+        let manual = CMat::from_vec(3, 2, w).mul_vec(&x).unwrap();
         for (a, b) in tx.iter().zip(&manual) {
             assert_eq!(a, b);
         }
@@ -445,10 +509,9 @@ mod tests {
             .collect();
         let p = Precoder::mrt(&rows).unwrap();
         for (k, row) in rows.iter().enumerate() {
-            let w = p.weights_at(k);
             let mut received = Complex64::ZERO;
             for (m, h) in row.iter().enumerate() {
-                received += *h * w[(m, 0)];
+                received += *h * p.weight(k, m, 0);
             }
             // h·w = k̂·‖h‖ = k̂·√N, real positive.
             assert!(received.im.abs() < 1e-12);
@@ -478,6 +541,221 @@ mod tests {
         for m in 0..5 {
             assert!(p.antenna_power(m) <= 1.0 + 1e-12, "antenna {m}");
         }
+    }
+
+    /// The per-subcarrier build the lanes replaced, kept as the reference:
+    /// `ZfSolver::pinv_into` (Gram matrix over `Hᴴ` staged once, in-place
+    /// Cholesky, both substitutions in AXPY form) on one `CMat` at a time,
+    /// then each stream's column power and gain, `k̂`, and the per-antenna
+    /// power pass over the `CMat`s.
+    fn per_subcarrier_zf(hs: &[CMat]) -> Result<(Vec<CMat>, Vec<f64>), JmbError> {
+        let (n, m) = (hs[0].rows(), hs[0].cols());
+        let mut weights = Vec::new();
+        let mut k_hats = Vec::new();
+        for h in hs {
+            if h.rows() != n || h.cols() != m {
+                return Err(JmbError::MeasurementShape {
+                    expected: n * m,
+                    got: h.rows() * h.cols(),
+                });
+            }
+            let mut ht = vec![Complex64::ZERO; n * m];
+            for j in 0..n {
+                for (k, &hjk) in h.row(j).iter().enumerate() {
+                    ht[k * n + j] = hjk.conj();
+                }
+            }
+            let mut gram = vec![Complex64::ZERO; n * n];
+            let mut max_diag = 0.0f64;
+            for i in 0..n {
+                let row = &mut gram[i * n..i * n + i + 1];
+                for (&a, ht_row) in h.row(i).iter().zip(ht.chunks_exact(n)) {
+                    for (g, &t) in row.iter_mut().zip(&ht_row[..i + 1]) {
+                        *g = a.mul_add(t, *g);
+                    }
+                }
+                max_diag = max_diag.max(row[i].re);
+            }
+            if max_diag <= 0.0 || !max_diag.is_finite() {
+                return Err(JmbError::Precoding(MatError::Singular));
+            }
+            let eps = 1e-13 * max_diag;
+            for j in 0..n {
+                let mut d = gram[j * n + j].re;
+                for k in 0..j {
+                    d -= gram[j * n + k].norm_sqr();
+                }
+                if d <= eps {
+                    return Err(JmbError::Precoding(MatError::Singular));
+                }
+                let ljj = d.sqrt();
+                gram[j * n + j] = Complex64::real(ljj);
+                for i in j + 1..n {
+                    let mut s = gram[i * n + j];
+                    for k in 0..j {
+                        s -= gram[i * n + k] * gram[j * n + k].conj();
+                    }
+                    gram[i * n + j] = s.scale(1.0 / ljj);
+                }
+            }
+            let mut work = vec![Complex64::ZERO; n * m];
+            for i in 0..n {
+                let (prev, rest) = work.split_at_mut(i * m);
+                let row_i = &mut rest[..m];
+                row_i.copy_from_slice(h.row(i));
+                for (k, w_k) in prev.chunks_exact(m).enumerate() {
+                    let l = gram[i * n + k];
+                    for (r, &w) in row_i.iter_mut().zip(w_k) {
+                        *r -= l * w;
+                    }
+                }
+                let inv = 1.0 / gram[i * n + i].re;
+                for r in row_i.iter_mut() {
+                    *r = r.scale(inv);
+                }
+            }
+            for i in (0..n).rev() {
+                let (head, rest) = work.split_at_mut((i + 1) * m);
+                let row_i = &mut head[i * m..];
+                for (k, w_k) in (i + 1..n).zip(rest.chunks_exact(m)) {
+                    let l = gram[k * n + i].conj();
+                    for (r, &w) in row_i.iter_mut().zip(w_k) {
+                        *r -= l * w;
+                    }
+                }
+                let inv = 1.0 / gram[i * n + i].re;
+                for r in row_i.iter_mut() {
+                    *r = r.scale(inv);
+                }
+            }
+            let mut w = CMat::zeros(m, n);
+            for i in 0..n {
+                for c in 0..m {
+                    w[(c, i)] = work[i * m + c].conj();
+                }
+            }
+            let mut col_gain = vec![0.0f64; n];
+            for (j, g) in col_gain.iter_mut().enumerate() {
+                let p = work[j * m..(j + 1) * m]
+                    .iter()
+                    .fold(0.0, |p, w| p + w.norm_sqr());
+                if p <= 0.0 || !p.is_finite() {
+                    return Err(JmbError::Precoding(MatError::Singular));
+                }
+                *g = 1.0 / p.sqrt();
+            }
+            for a in 0..m {
+                for j in 0..n {
+                    w[(a, j)] = w[(a, j)] * col_gain[j];
+                }
+            }
+            k_hats.push((col_gain.iter().map(|g| g * g).sum::<f64>() / n as f64).sqrt());
+            weights.push(w);
+        }
+        let n_k = weights.len() as f64;
+        let mut busiest = 0.0f64;
+        for a in 0..m {
+            let p: f64 = weights
+                .iter()
+                .map(|w| (0..n).map(|j| w[(a, j)].norm_sqr()).sum::<f64>())
+                .sum::<f64>()
+                / n_k;
+            busiest = busiest.max(p);
+        }
+        if busiest <= 0.0 || !busiest.is_finite() {
+            return Err(JmbError::Precoding(MatError::Singular));
+        }
+        let gamma = (1.0 / busiest).sqrt();
+        for (w, k) in weights.iter_mut().zip(k_hats.iter_mut()) {
+            w.scale_in_place(Complex64::real(gamma));
+            *k *= gamma;
+        }
+        Ok((weights, k_hats))
+    }
+
+    /// Every weight and `k̂` of `p` as bits, subcarrier-major.
+    fn bits(p: &Precoder) -> Vec<u64> {
+        let mut out: Vec<u64> = p.k_hats().iter().map(|k| k.to_bits()).collect();
+        for k in 0..p.k_hats().len() {
+            for m in 0..p.n_tx() {
+                for j in 0..p.n_streams() {
+                    let w = p.weight(k, m, j);
+                    out.extend([w.re.to_bits(), w.im.to_bits()]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The reference's output in [`bits`]' order.
+    fn reference_bits((weights, k_hats): (Vec<CMat>, Vec<f64>)) -> Vec<u64> {
+        let mut out: Vec<u64> = k_hats.iter().map(|k| k.to_bits()).collect();
+        for w in &weights {
+            out.extend(
+                w.as_slice()
+                    .iter()
+                    .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+            );
+        }
+        out
+    }
+
+    mod lanes_match_the_per_subcarrier_build {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Every shape `n ≤ m ≤ 10` on bands of 1, 3, 52 (the occupied
+            /// subcarriers) and 57 lanes: the same weights and `k̂`, bit for
+            /// bit.
+            #[test]
+            fn bit_for_bit(
+                n in 1usize..11,
+                extra in 0usize..10,
+                band in 0usize..4,
+                seed in 0u64..1_000_000,
+            ) {
+                let m = (n + extra).min(10);
+                let n_k = [1, 3, 52, 57][band];
+                let hs: Vec<CMat> = (0..n_k).map(|k| random_h(n, m, seed * 64 + k as u64)).collect();
+                let want = per_subcarrier_zf(&hs).map(reference_bits);
+                let got = Precoder::zero_forcing(&hs).map(|p| bits(&p));
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn a_singular_subcarrier_mid_band_fails_the_band() {
+        let mut hs: Vec<CMat> = (0..52).map(|k| random_h(3, 4, 900 + k)).collect();
+        // Subcarrier 26: the third client's row repeats the first's.
+        for c in 0..4 {
+            hs[26][(2, c)] = hs[26][(0, c)];
+        }
+        let want = Err(JmbError::Precoding(MatError::Singular));
+        assert_eq!(per_subcarrier_zf(&hs).map(|_| ()), want);
+        assert_eq!(Precoder::zero_forcing(&hs).map(|_| ()), want);
+    }
+
+    #[test]
+    fn shapes_are_checked_before_any_arithmetic() {
+        // A singular subcarrier ahead of a mismatched one: the shape error
+        // wins, since every shape is checked before the solve starts (the
+        // per-subcarrier build reported the singular one).
+        let mut hs: Vec<CMat> = (0..4).map(|k| random_h(2, 3, 40 + k)).collect();
+        hs[1] = CMat::zeros(2, 3);
+        hs[3] = random_h(3, 3, 44);
+        let shape = JmbError::MeasurementShape {
+            expected: 6,
+            got: 9,
+        };
+        assert_eq!(Precoder::zero_forcing(&hs).map(|_| ()), Err(shape));
+        assert_eq!(
+            per_subcarrier_zf(&hs).map(|_| ()),
+            Err(JmbError::Precoding(MatError::Singular))
+        );
     }
 
     #[test]

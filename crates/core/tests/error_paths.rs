@@ -73,6 +73,30 @@ fn diversity_to_an_unknown_client_is_bad_config() {
 }
 
 #[test]
+fn null_probe_of_an_unknown_victim_is_bad_config() {
+    // Refused before the joint transmission: no clock moved, no header
+    // exchanged (under a header storm a real probe leaves a trace).
+    let mut net = FastNet::new(fast_cfg(2, 4)).unwrap();
+    net.run_measurement().unwrap();
+    let storm = FaultConfig::builder()
+        .sync_loss_chance(1.0)
+        .build()
+        .unwrap();
+    net.set_fault_schedule(FaultSchedule::constant(storm));
+    net.trace().enable();
+    let (t0, events) = (net.now(), net.trace().events().len());
+    assert_eq!(net.null_probe(2, 1e-3), Err(NO_SUCH_CLIENT));
+    assert_eq!(net.null_probe(usize::MAX, 1e-3), Err(NO_SUCH_CLIENT));
+    assert_eq!(net.now(), t0);
+    assert_eq!(net.trace().events().len(), events);
+    let _ = net.null_probe(1, 1e-3);
+    assert!(
+        net.trace().events().len() > events,
+        "a real probe exchanges headers"
+    );
+}
+
+#[test]
 fn baseline_of_an_unknown_client_is_bad_config() {
     let mut net = FastNet::new(fast_cfg(2, 4)).unwrap();
     assert_eq!(net.baseline_snr_db(2), Err(NO_SUCH_CLIENT));

@@ -8,7 +8,8 @@
 //! * [`fft`] — radix-2 FFT/IFFT with precomputed twiddle tables,
 //! * [`matrix`] — dense complex linear algebra (inverse, pseudo-inverse,
 //!   solve, condition estimation) sized for the small channel matrices JMB
-//!   inverts when beamforming,
+//!   inverts when beamforming, and the subcarrier-lane [`Planar`] tables
+//!   the zero-forcing solver and the fast path's kernels work in,
 //! * [`stats`] — percentiles, CDFs, running statistics, dB conversions,
 //! * [`delay`] — fractional-sample delay for modelling propagation delays,
 //! * [`rng`] — deterministic Gaussian / circularly-symmetric complex Gaussian
@@ -28,4 +29,4 @@ pub mod stats;
 
 pub use complex::Complex64;
 pub use fft::{fft_in_place, ifft_in_place, FftPlan};
-pub use matrix::{CMat, ZfSolver};
+pub use matrix::{CMat, Planar, ZfSolver};

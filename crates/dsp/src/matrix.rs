@@ -5,7 +5,8 @@
 //! when the APs collectively have more antennas than there are clients. The
 //! matrices involved are small (at most ~20×20 in the paper's testbed), so a
 //! straightforward Gauss–Jordan with partial pivoting is both adequate and
-//! easy to verify.
+//! easy to verify. The zero-forcing precoder is solved by [`ZfSolver`] for
+//! a whole band at once, the subcarriers as [`Planar`] lanes.
 
 use crate::complex::Complex64;
 use std::fmt;
@@ -440,31 +441,178 @@ impl CMat {
     }
 }
 
-/// Allocation-free right pseudo-inverse solver for the zero-forcing case:
-/// `H` is `n_streams × n_tx` with `n_streams ≤ n_tx` (every stream needs at
-/// least one antenna), and the minimum-power ZF precoder is
-/// `W = Hᴴ(HHᴴ)⁻¹`.
+/// A complex table kept planar — real and imaginary parts in two `f64`
+/// vectors — as rows of `width` lanes, read and written a row at a time, so
+/// a loop over the lanes is plain `f64` arithmetic that LLVM vectorises.
+/// The fast path's lanes are the occupied subcarriers: row `i` of a table
+/// holds one matrix entry (or one antenna's ramp) across the band.
+#[derive(Debug, Clone, Default)]
+pub struct Planar {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    width: usize,
+}
+
+/// One row of a [`Planar`] table: its real and its imaginary lanes.
+pub type Lanes<'a> = (&'a [f64], &'a [f64]);
+
+impl Planar {
+    /// The table becomes `rows` rows of `width` zeros, reallocating only to
+    /// grow.
+    pub fn zeroed(&mut self, rows: usize, width: usize) {
+        self.width = width;
+        for lanes in [&mut self.re, &mut self.im] {
+            lanes.clear();
+            lanes.resize(rows * width, 0.0);
+        }
+    }
+
+    /// Lanes per row.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.re.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    /// The entry in lane `lane` of row `row`.
+    #[inline]
+    pub fn get(&self, row: usize, lane: usize) -> Complex64 {
+        let at = row * self.width + lane;
+        Complex64::new(self.re[at], self.im[at])
+    }
+
+    /// Writes `z` to lane `lane` of row `row`.
+    #[inline]
+    pub fn set(&mut self, row: usize, lane: usize, z: Complex64) {
+        let at = row * self.width + lane;
+        self.re[at] = z.re;
+        self.im[at] = z.im;
+    }
+
+    /// Writes `z` to lane `lane` of row `row` and tells whether that changed
+    /// the table: whether either part's bits differ from what was there.
+    #[inline]
+    pub fn replace(&mut self, row: usize, lane: usize, z: Complex64) -> bool {
+        let at = row * self.width + lane;
+        let (re, im) = (&mut self.re[at], &mut self.im[at]);
+        let changed = re.to_bits() != z.re.to_bits() || im.to_bits() != z.im.to_bits();
+        (*re, *im) = (z.re, z.im);
+        changed
+    }
+
+    /// Row `i` becomes the first `width` of `zs`.
+    pub fn set_row(&mut self, i: usize, zs: impl IntoIterator<Item = Complex64>) {
+        let (re, im) = self.row_mut(i);
+        for ((re, im), z) in re.iter_mut().zip(im).zip(zs) {
+            *re = z.re;
+            *im = z.im;
+        }
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> Lanes<'_> {
+        let n = self.width;
+        (&self.re[i * n..][..n], &self.im[i * n..][..n])
+    }
+
+    /// The `count` rows from row `first` on, back to back.
+    #[inline]
+    pub fn rows_from(&self, first: usize, count: usize) -> Lanes<'_> {
+        let (at, len) = (first * self.width, count * self.width);
+        (&self.re[at..][..len], &self.im[at..][..len])
+    }
+
+    /// Row `i`, to write.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> (&mut [f64], &mut [f64]) {
+        let n = self.width;
+        (&mut self.re[i * n..][..n], &mut self.im[i * n..][..n])
+    }
+
+    /// Row `dst`, to write, beside row `src` (another row), to read.
+    fn row_beside(&mut self, dst: usize, src: usize) -> ((&mut [f64], &mut [f64]), Lanes<'_>) {
+        let n = self.width;
+        let (dst_re, src_re) = two_rows(&mut self.re, dst, src, n);
+        let (dst_im, src_im) = two_rows(&mut self.im, dst, src, n);
+        ((dst_re, dst_im), (src_re, src_im))
+    }
+
+    /// Row `i` becomes `a ∘ b`, lane by lane.
+    pub fn set_product(&mut self, i: usize, (ar, ai): Lanes, (br, bi): Lanes) {
+        let (or, oi) = self.row_mut(i);
+        let lanes = or
+            .iter_mut()
+            .zip(oi)
+            .zip(ar.iter().zip(ai))
+            .zip(br.iter().zip(bi));
+        for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes {
+            *or = ar * br - ai * bi;
+            *oi = ar * bi + ai * br;
+        }
+    }
+
+    /// Row `i` gains `a ∘ b`, lane by lane (each lane as
+    /// [`Complex64::mul_add`]).
+    pub fn add_product(&mut self, i: usize, (ar, ai): Lanes, (br, bi): Lanes) {
+        let (or, oi) = self.row_mut(i);
+        let lanes = or
+            .iter_mut()
+            .zip(oi)
+            .zip(ar.iter().zip(ai))
+            .zip(br.iter().zip(bi));
+        for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes {
+            *or += ar * br - ai * bi;
+            *oi += ar * bi + ai * br;
+        }
+    }
+}
+
+/// Rows `dst` (to write) and `src` (to read) of a table `n` lanes wide.
+fn two_rows(v: &mut [f64], dst: usize, src: usize, n: usize) -> (&mut [f64], &[f64]) {
+    if dst < src {
+        let (head, tail) = v.split_at_mut(src * n);
+        (&mut head[dst * n..][..n], &tail[..n])
+    } else {
+        let (head, tail) = v.split_at_mut(dst * n);
+        (&mut tail[..n], &head[src * n..][..n])
+    }
+}
+
+/// Right pseudo-inverse solver for zero-forcing, with the subcarriers as
+/// lanes: `H` is `n_streams × n_tx` with `n_streams ≤ n_tx` (every stream
+/// needs at least one antenna) on each of a band of subcarriers, and the
+/// minimum-power ZF precoder is `W = Hᴴ(HHᴴ)⁻¹` on each.
 ///
-/// Instead of forming `(HHᴴ)⁻¹` explicitly (a Gauss–Jordan per subcarrier
-/// plus three temporary matrices), the solver computes the Gram matrix
-/// `G = HHᴴ` (Hermitian positive definite for full-rank `H`), factors it as
-/// `G = LLᴴ` (Cholesky), solves `L·Y = H` and `Lᴴ·X = Y` by substitution,
-/// and writes `W = Xᴴ` into the caller's output matrix. All intermediates
-/// live in scratch buffers owned by the solver, so a per-subcarrier loop
-/// does zero allocations after the first iteration.
+/// Instead of forming `(HHᴴ)⁻¹` explicitly, the solver computes the Gram
+/// matrix `G = HHᴴ` (Hermitian positive definite for full-rank `H`), factors
+/// it as `G = LLᴴ` (Cholesky), solves `L·Y = H` and `Lᴴ·X = Y` by
+/// substitution, and writes `W = Xᴴ` into the caller's table. Every stage
+/// runs entry by entry with the subcarriers as [`Planar`] lanes, so each
+/// inner loop is a contiguous `f64` row; per lane, the arithmetic is the
+/// per-subcarrier solve's, operation for operation (Rust contracts nothing
+/// into FMAs), so the weights are those of solving one subcarrier at a time,
+/// bit for bit. The intermediates live in the solver, reused across calls.
 #[derive(Debug, Clone)]
 pub struct ZfSolver {
     n_streams: usize,
     n_tx: usize,
-    /// `n_streams × n_streams` Gram matrix, overwritten by its Cholesky
-    /// factor `L` (lower triangle; strict upper triangle is garbage).
-    gram: Vec<Complex64>,
-    /// `n_streams × n_tx` substitution scratch (`Y`, then `X`).
-    work: Vec<Complex64>,
-    /// `n_tx × n_streams` conjugate transpose of the current channel:
-    /// `ht[k*n + j] = h[j][k]*`. Staged once per solve so the Gram
-    /// assembly's inner loop runs over contiguous memory.
-    ht: Vec<Complex64>,
+    /// The Gram matrix, then its Cholesky factor `L` in place: entry
+    /// `(i, j)`, `j ≤ i`, in row `i · n_streams + j` (the strict upper
+    /// triangle is unused).
+    gram: Planar,
+    /// Per lane: the largest Gram diagonal, then the Cholesky pivot floor.
+    floor: Vec<f64>,
+    /// Per lane: the pivot of the Cholesky column under way.
+    pivot: Vec<f64>,
+    /// One Cholesky entry being reduced, before its scaling.
+    entry: Planar,
+    /// [`ZfSolver::gram_assembly`]'s channel, as one lane.
+    one_lane: Planar,
 }
 
 impl ZfSolver {
@@ -482,24 +630,20 @@ impl ZfSolver {
         ZfSolver {
             n_streams,
             n_tx,
-            gram: vec![Complex64::ZERO; n_streams * n_streams],
-            work: vec![Complex64::ZERO; n_streams * n_tx],
-            ht: vec![Complex64::ZERO; n_streams * n_tx],
+            gram: Planar::default(),
+            floor: Vec::new(),
+            pivot: Vec::new(),
+            entry: Planar::default(),
+            one_lane: Planar::default(),
         }
     }
 
-    /// Assembles the Gram matrix `G = H·Hᴴ` (lower triangle + diagonal;
-    /// Hermitian) into the solver's scratch and returns the largest diagonal
-    /// entry.
+    /// Assembles the Gram matrix `G = H·Hᴴ` of one channel matrix (lower
+    /// triangle + diagonal; Hermitian) into the solver's scratch and returns
+    /// the largest diagonal entry.
     ///
-    /// This is the first stage of [`ZfSolver::pinv_into`], split out so the
-    /// benchmark suite can measure it in isolation. `H`'s conjugate transpose
-    /// is staged once into a `n_tx × n_streams` scratch so the accumulation
-    /// inner loop runs over contiguous rows (one broadcast element times one
-    /// contiguous row per step), which LLVM vectorises; per output cell the
-    /// summation order is ascending `k`, identical to a direct dot-product
-    /// scan, so the assembled Gram matrix is bitwise identical to the naive
-    /// triple loop.
+    /// This is the first stage of [`ZfSolver::solve`] on a single lane,
+    /// split out so the benchmark suite can measure it in isolation.
     ///
     /// Returns [`MatError::Singular`] when the largest diagonal entry is not
     /// a positive finite number, and [`MatError::DimensionMismatch`] when
@@ -512,127 +656,210 @@ impl ZfSolver {
                 right: (h.rows(), h.cols()),
             });
         }
-
-        // Stage Hᴴ so the k-outer accumulation below reads contiguous rows.
-        for j in 0..n {
-            let hj = h.row(j);
-            for (k, &hjk) in hj.iter().enumerate() {
-                self.ht[k * n + j] = hjk.conj();
-            }
+        let mut one_lane = std::mem::take(&mut self.one_lane);
+        one_lane.zeroed(n * m, 1);
+        for (row, &z) in h.as_slice().iter().enumerate() {
+            one_lane.set(row, 0, z);
         }
-
-        // G = H·Hᴴ, lower triangle + diagonal only. Row i of G accumulates
-        // rank-1 updates `hi[k] * ht[k][..=i]` for ascending k: per cell this
-        // is the same ascending-k multiply-accumulate chain as the reference
-        // dot product, just with the j loop innermost (contiguous).
-        let mut max_diag = 0.0f64;
-        for i in 0..n {
-            let hi = h.row(i);
-            let row = &mut self.gram[i * n..i * n + i + 1];
-            row.fill(Complex64::ZERO);
-            for (&a, ht_row) in hi.iter().zip(self.ht.chunks_exact(n)) {
-                for (g, &t) in row.iter_mut().zip(&ht_row[..i + 1]) {
-                    *g = a.mul_add(t, *g);
-                }
-            }
-            max_diag = max_diag.max(row[i].re);
-        }
-        if max_diag <= 0.0 || !max_diag.is_finite() {
-            return Err(MatError::Singular);
-        }
-        Ok(max_diag)
+        let assembled = self.assemble(&one_lane);
+        self.one_lane = one_lane;
+        assembled.map(|()| self.floor[0])
     }
 
-    /// Squared 2-norm of column `j` of the precoder `W` computed by the last
-    /// successful [`ZfSolver::pinv_into`], summed in ascending-antenna order
-    /// (bitwise identical to scanning `W`'s column directly — conjugation
-    /// does not change `|·|²`). Reads the solver's contiguous substitution
-    /// scratch instead of striding down the output matrix.
-    pub fn col_power(&self, j: usize) -> f64 {
-        let m = self.n_tx;
-        self.work[j * m..(j + 1) * m]
-            .iter()
-            .fold(0.0, |p, w| p + w.norm_sqr())
-    }
-
-    /// Computes `W = H⁺ = Hᴴ(HHᴴ)⁻¹` into `out` (`n_tx × n_streams`).
+    /// Computes `W = H⁺ = Hᴴ(HHᴴ)⁻¹` on every lane: `h` holds entry
+    /// `(stream, tx)` of `H` in row `stream · n_tx + tx`, and `w` becomes
+    /// `n_tx · n_streams` rows as wide, entry `(tx, stream)` of `W` in row
+    /// `tx · n_streams + stream`.
     ///
     /// Returns [`MatError::Singular`] when `H` is (numerically) rank
-    /// deficient, and [`MatError::DimensionMismatch`] when `h`'s shape does
-    /// not match the solver's.
-    pub fn pinv_into(&mut self, h: &CMat, out: &mut CMat) -> Result<(), MatError> {
+    /// deficient on some lane — `w` is then unspecified — and
+    /// [`MatError::DimensionMismatch`] when `h` does not have the solver's
+    /// `n_streams · n_tx` rows.
+    pub fn solve(&mut self, h: &Planar, w: &mut Planar) -> Result<(), MatError> {
         let (n, m) = (self.n_streams, self.n_tx);
-        let max_diag = self.gram_assembly(h)?;
+        self.assemble(h)?;
+        self.factor()?;
+        let gram = &self.gram;
+        let lanes = h.width();
+        // `X`'s entry `(i, c)` lives in row `c · n + i`, where `W`'s
+        // `(c, i)` will be: the conjugation at the end is exact.
+        w.zeroed(m * n, lanes);
 
-        // In-place Cholesky G → L. The pivot threshold is relative to the
-        // largest diagonal (the pivots are squared singular values, so this
-        // rejects channels with 2-norm condition number ≳ 3·10⁶ — far past
-        // anything beamforming could use).
-        let eps = 1e-13 * max_diag;
-        for j in 0..n {
-            let mut d = self.gram[j * n + j].re;
-            for k in 0..j {
-                d -= self.gram[j * n + k].norm_sqr();
-            }
-            if d <= eps {
-                return Err(MatError::Singular);
-            }
-            let ljj = d.sqrt();
-            self.gram[j * n + j] = Complex64::real(ljj);
-            for i in j + 1..n {
-                let mut s = self.gram[i * n + j];
-                for k in 0..j {
-                    s -= self.gram[i * n + k] * self.gram[j * n + k].conj();
-                }
-                self.gram[i * n + j] = s.scale(1.0 / ljj);
-            }
-        }
-
-        // Forward substitution L·Y = H (Y is n × m, row i depends on rows < i).
-        // AXPY form: row i starts as H's row i and subtracts `l_ik · row_k`
-        // for ascending k, so each cell sees the same ascending-k chain of
-        // unfused `s - l·w` updates as a per-cell scan (bitwise identical),
-        // while the inner loop walks two contiguous rows.
-        for i in 0..n {
-            let (prev, rest) = self.work.split_at_mut(i * m);
-            let row_i = &mut rest[..m];
-            row_i.copy_from_slice(h.row(i));
-            for (k, w_k) in prev.chunks_exact(m).enumerate() {
-                let l = self.gram[i * n + k];
-                for (r, &w) in row_i.iter_mut().zip(w_k) {
-                    *r -= l * w;
-                }
-            }
-            let inv = 1.0 / self.gram[i * n + i].re;
-            for r in row_i.iter_mut() {
-                *r = r.scale(inv);
-            }
-        }
-        // Back substitution Lᴴ·X = Y in place (row i depends on rows > i),
-        // same AXPY restructuring with ascending k in `i+1..n`.
-        for i in (0..n).rev() {
-            let (head, rest) = self.work.split_at_mut((i + 1) * m);
-            let row_i = &mut head[i * m..];
-            for (k, w_k) in (i + 1..n).zip(rest.chunks_exact(m)) {
-                let l = self.gram[k * n + i].conj();
-                for (r, &w) in row_i.iter_mut().zip(w_k) {
-                    *r -= l * w;
-                }
-            }
-            let inv = 1.0 / self.gram[i * n + i].re;
-            for r in row_i.iter_mut() {
-                *r = r.scale(inv);
-            }
-        }
-
-        // W = Xᴴ (n_tx × n_streams).
-        out.reset(m, n);
+        // Forward substitution L·Y = H (row i of Y depends on rows < i):
+        // each entry of row i starts as H's and subtracts `l_ik · y_k` for
+        // ascending k, then scales by `1/l_ii`.
         for i in 0..n {
             for c in 0..m {
-                out[(c, i)] = self.work[i * m + c].conj();
+                let (yr, yi) = w.row_mut(c * n + i);
+                let (hr, hi) = h.row(i * m + c);
+                yr.copy_from_slice(hr);
+                yi.copy_from_slice(hi);
+            }
+            for k in 0..i {
+                let l = gram.row(i * n + k);
+                for c in 0..m {
+                    let (y, y_k) = w.row_beside(c * n + i, c * n + k);
+                    sub_product(y, l, y_k, [false, false]);
+                }
+            }
+            scale_by_inverse(w, (0..m).map(|c| c * n + i), gram.row(i * n + i).0);
+        }
+        // Back substitution Lᴴ·X = Y in place (row i depends on rows > i),
+        // the same with `conj(l_ki)` over ascending k in `i+1..n`.
+        for i in (0..n).rev() {
+            for k in i + 1..n {
+                let l = gram.row(k * n + i);
+                for c in 0..m {
+                    let (x, x_k) = w.row_beside(c * n + i, c * n + k);
+                    sub_product(x, l, x_k, [true, false]);
+                }
+            }
+            scale_by_inverse(w, (0..m).map(|c| c * n + i), gram.row(i * n + i).0);
+        }
+
+        // W = Xᴴ.
+        for im in &mut w.im {
+            *im = -*im;
+        }
+        Ok(())
+    }
+
+    /// Stage one: `G = H·Hᴴ` per lane, lower triangle + diagonal, each cell
+    /// the ascending-tx chain `g = h_ik · conj(h_jk) + g` of
+    /// [`Complex64::mul_add`]; leaves each lane's largest diagonal in
+    /// `floor`.
+    fn assemble(&mut self, h: &Planar) -> Result<(), MatError> {
+        let (n, m) = (self.n_streams, self.n_tx);
+        if h.rows() != n * m {
+            return Err(MatError::DimensionMismatch {
+                left: (n * m, h.width()),
+                right: (h.rows(), h.width()),
+            });
+        }
+        let lanes = h.width();
+        self.gram.zeroed(n * n, lanes);
+        self.floor.clear();
+        self.floor.resize(lanes, 0.0);
+        for i in 0..n {
+            let (hi_re, hi_im) = h.rows_from(i * m, m);
+            for j in 0..=i {
+                let (hj_re, hj_im) = h.rows_from(j * m, m);
+                let (gr, gi) = self.gram.row_mut(i * n + j);
+                let tx = (hi_re.chunks_exact(lanes).zip(hi_im.chunks_exact(lanes)))
+                    .zip(hj_re.chunks_exact(lanes).zip(hj_im.chunks_exact(lanes)));
+                for ((ar, ai), (br, bi)) in tx {
+                    let cells = gr.iter_mut().zip(gi.iter_mut());
+                    for (((gr, gi), (&ar, &ai)), (&br, &bi)) in
+                        cells.zip(ar.iter().zip(ai)).zip(br.iter().zip(bi))
+                    {
+                        let (tr, ti) = (br, -bi);
+                        *gr += ar * tr - ai * ti;
+                        *gi += ar * ti + ai * tr;
+                    }
+                }
+            }
+            let (diag, _) = self.gram.row(i * n + i);
+            for (f, &d) in self.floor.iter_mut().zip(diag) {
+                *f = f.max(d);
+            }
+        }
+        if self.floor.iter().any(|&f| f <= 0.0 || !f.is_finite()) {
+            return Err(MatError::Singular);
+        }
+        Ok(())
+    }
+
+    /// Stage two: the in-place Cholesky `G → L` per lane. The pivot
+    /// threshold is relative to the lane's largest diagonal (the pivots are
+    /// squared singular values, so this rejects channels with 2-norm
+    /// condition number ≳ 3·10⁶ — far past anything beamforming could use).
+    fn factor(&mut self) -> Result<(), MatError> {
+        let n = self.n_streams;
+        let ZfSolver {
+            gram,
+            floor,
+            pivot,
+            entry,
+            ..
+        } = self;
+        let lanes = gram.width();
+        for f in floor.iter_mut() {
+            *f *= 1e-13;
+        }
+        entry.zeroed(1, lanes);
+        for j in 0..n {
+            pivot.clear();
+            pivot.extend_from_slice(gram.row(j * n + j).0);
+            for k in 0..j {
+                let (lr, li) = gram.row(j * n + k);
+                for ((d, &r), &i) in pivot.iter_mut().zip(lr).zip(li) {
+                    *d -= r * r + i * i;
+                }
+            }
+            if pivot.iter().zip(floor.iter()).any(|(d, eps)| d <= eps) {
+                return Err(MatError::Singular);
+            }
+            let (dr, di) = gram.row_mut(j * n + j);
+            for ((dr, di), &d) in dr.iter_mut().zip(di).zip(pivot.iter()) {
+                *dr = d.sqrt();
+                *di = 0.0;
+            }
+            for i in j + 1..n {
+                {
+                    let (sr, si) = entry.row_mut(0);
+                    let (gr, gi) = gram.row(i * n + j);
+                    sr.copy_from_slice(gr);
+                    si.copy_from_slice(gi);
+                }
+                for k in 0..j {
+                    let (l_ik, l_jk) = (gram.row(i * n + k), gram.row(j * n + k));
+                    sub_product(entry.row_mut(0), l_ik, l_jk, [false, true]);
+                }
+                // `s.scale(1/l_jj)`.
+                let ((gr, gi), (ljj, _)) = gram.row_beside(i * n + j, j * n + j);
+                let (sr, si) = entry.row(0);
+                let lanes = gr.iter_mut().zip(gi).zip(sr.iter().zip(si)).zip(ljj);
+                for (((gr, gi), (&sr, &si)), &ljj) in lanes {
+                    let inv = 1.0 / ljj;
+                    *gr = sr * inv;
+                    *gi = si * inv;
+                }
             }
         }
         Ok(())
+    }
+}
+
+/// `x -= a · b` lane by lane, each lane the complex `x -= a * b` it stands
+/// for, with `a` and `b` conjugated as `conj` says.
+fn sub_product(
+    (xr, xi): (&mut [f64], &mut [f64]),
+    (ar, ai): Lanes,
+    (br, bi): Lanes,
+    [conj_a, conj_b]: [bool; 2],
+) {
+    let lanes = xr
+        .iter_mut()
+        .zip(xi)
+        .zip(ar.iter().zip(ai))
+        .zip(br.iter().zip(bi));
+    for (((xr, xi), (&ar, &ai)), (&br, &bi)) in lanes {
+        let ai = if conj_a { -ai } else { ai };
+        let bi = if conj_b { -bi } else { bi };
+        *xr -= ar * br - ai * bi;
+        *xi -= ar * bi + ai * br;
+    }
+}
+
+/// Rows `rows` of `x` scaled lane by lane as `z.scale(1.0 / d)`.
+fn scale_by_inverse(x: &mut Planar, rows: impl Iterator<Item = usize>, d: &[f64]) {
+    for row in rows {
+        let (xr, xi) = x.row_mut(row);
+        for ((xr, xi), &d) in xr.iter_mut().zip(xi).zip(d) {
+            let inv = 1.0 / d;
+            *xr *= inv;
+            *xi *= inv;
+        }
     }
 }
 
@@ -898,59 +1125,116 @@ mod tests {
         assert_eq!(b, a.scale(k));
     }
 
+    /// `hs`, one matrix per lane, as the solver's input table.
+    fn stage(hs: &[CMat]) -> Planar {
+        let mut h = Planar::default();
+        h.zeroed(hs[0].rows() * hs[0].cols(), hs.len());
+        for (lane, m) in hs.iter().enumerate() {
+            for (row, &z) in m.as_slice().iter().enumerate() {
+                h.set(row, lane, z);
+            }
+        }
+        h
+    }
+
+    /// Lane `lane` of the solver's output as the `n_tx × n_streams` matrix.
+    fn unstage(w: &Planar, lane: usize, n_tx: usize, n_streams: usize) -> CMat {
+        let data = (0..n_tx * n_streams).map(|row| w.get(row, lane)).collect();
+        CMat::from_vec(n_tx, n_streams, data)
+    }
+
     #[test]
     fn zf_solver_matches_pseudo_inverse() {
         for seed in 1..8u64 {
             for &(rows, cols) in &[(2usize, 4usize), (3, 3), (4, 10), (1, 2)] {
-                let h = random_like(rows, cols, seed * 100 + rows as u64 * 10 + cols as u64);
+                let hs: Vec<CMat> = (0..3)
+                    .map(|lane| {
+                        random_like(
+                            rows,
+                            cols,
+                            seed * 100 + lane * 7 + rows as u64 * 10 + cols as u64,
+                        )
+                    })
+                    .collect();
                 let mut solver = ZfSolver::new(rows, cols);
-                let mut w = CMat::zeros(0, 0);
-                solver.pinv_into(&h, &mut w).expect("full-rank random");
-                let reference = h.pseudo_inverse().unwrap();
-                assert_eq!(w.rows(), cols);
-                assert_eq!(w.cols(), rows);
-                for (x, y) in w.as_slice().iter().zip(reference.as_slice()) {
-                    assert!((*x - *y).abs() < 1e-9, "{rows}x{cols} seed {seed}");
+                let mut w = Planar::default();
+                solver.solve(&stage(&hs), &mut w).expect("full-rank random");
+                assert_eq!((w.rows(), w.width()), (cols * rows, 3));
+                for (lane, h) in hs.iter().enumerate() {
+                    let w = unstage(&w, lane, cols, rows);
+                    let reference = h.pseudo_inverse().unwrap();
+                    for (x, y) in w.as_slice().iter().zip(reference.as_slice()) {
+                        assert!((*x - *y).abs() < 1e-9, "{rows}x{cols} seed {seed}");
+                    }
+                    // And it is a true right inverse.
+                    assert!(h.mul_mat(&w).unwrap().is_identity(1e-9));
                 }
-                // And it is a true right inverse.
-                assert!(h.mul_mat(&w).unwrap().is_identity(1e-9));
             }
         }
     }
 
     #[test]
     fn zf_solver_reuse_across_calls() {
+        // One solver, bands of 1 to 19 lanes: nothing of an earlier call
+        // leaks into a later one.
         let mut solver = ZfSolver::new(3, 6);
-        let mut w = CMat::zeros(0, 0);
+        let mut w = Planar::default();
         for seed in 1..20u64 {
-            let h = random_like(3, 6, 1000 + seed);
-            solver.pinv_into(&h, &mut w).unwrap();
-            assert!(h.mul_mat(&w).unwrap().is_identity(1e-9), "seed {seed}");
+            let hs: Vec<CMat> = (0..seed)
+                .map(|lane| random_like(3, 6, 1000 * seed + lane))
+                .collect();
+            solver.solve(&stage(&hs), &mut w).unwrap();
+            for (lane, h) in hs.iter().enumerate() {
+                let w = unstage(&w, lane, 6, 3);
+                assert!(h.mul_mat(&w).unwrap().is_identity(1e-9), "seed {seed}");
+            }
         }
     }
 
     #[test]
     fn zf_solver_rejects_rank_deficient() {
-        // Rank-1 2×2 (the channel two co-located clients would produce).
-        let h = CMat::from_rows(&[&[c(1.0, 0.0), c(1.0, 0.0)], &[c(1.0, 0.0), c(1.0, 0.0)]]);
+        // Rank-1 2×2 (the channel two co-located clients would produce),
+        // on the middle lane of three.
+        let rank1 = CMat::from_rows(&[&[c(1.0, 0.0), c(1.0, 0.0)], &[c(1.0, 0.0), c(1.0, 0.0)]]);
+        let band = [random_like(2, 2, 1), rank1, random_like(2, 2, 2)];
         let mut solver = ZfSolver::new(2, 2);
-        let mut w = CMat::zeros(0, 0);
-        assert_eq!(solver.pinv_into(&h, &mut w), Err(MatError::Singular));
+        let mut w = Planar::default();
+        assert_eq!(solver.solve(&stage(&band), &mut w), Err(MatError::Singular));
         // All-zero channel.
         let z = CMat::zeros(2, 3);
         let mut solver = ZfSolver::new(2, 3);
-        assert_eq!(solver.pinv_into(&z, &mut w), Err(MatError::Singular));
+        assert_eq!(
+            solver.solve(&stage(std::slice::from_ref(&z)), &mut w),
+            Err(MatError::Singular)
+        );
+        assert_eq!(solver.gram_assembly(&z), Err(MatError::Singular));
     }
 
     #[test]
     fn zf_solver_shape_mismatch() {
         let mut solver = ZfSolver::new(2, 4);
-        let mut w = CMat::zeros(0, 0);
+        let mut w = Planar::default();
         let h = random_like(3, 4, 1);
         assert!(matches!(
-            solver.pinv_into(&h, &mut w),
+            solver.solve(&stage(std::slice::from_ref(&h)), &mut w),
             Err(MatError::DimensionMismatch { .. })
         ));
+        assert!(matches!(
+            solver.gram_assembly(&h),
+            Err(MatError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn gram_assembly_returns_the_largest_diagonal() {
+        // The benchmark's one-lane probe: max_i Σ_k |h_ik|², summed in
+        // ascending k as the naive triple loop does.
+        let h = random_like(10, 10, 77);
+        let naive = (0..10)
+            .map(|i| h.row(i).iter().fold(0.0, |acc, z| z.norm_sqr() + acc))
+            .fold(0.0, f64::max);
+        let mut solver = ZfSolver::new(10, 10);
+        assert_eq!(solver.gram_assembly(&h).unwrap().to_bits(), naive.to_bits());
     }
 
     #[test]
