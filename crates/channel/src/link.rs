@@ -95,20 +95,22 @@ impl Link {
 
     /// Frequency response at one baseband frequency (Hz).
     pub fn freq_response_at(&self, freq_hz: f64) -> Complex64 {
-        self.through(self.fading.freq_response_at(freq_hz), freq_hz)
+        let fading = self.fading.freq_response_at(freq_hz);
+        self.through(fading, self.delay_rotation(freq_hz))
     }
 
-    /// [`Self::freq_response_at`] with the fading's tap rotations at
-    /// `freq_hz` already evaluated (see [`Multipath::freq_response_with`]):
-    /// bit-identical, `n_taps` multiply-adds and one `cis` instead of
-    /// `n_taps + 1` of them.
-    pub fn freq_response_with(&self, freq_hz: f64, tap_rotations: &[Complex64]) -> Complex64 {
-        self.through(self.fading.freq_response_with(tap_rotations), freq_hz)
+    /// The delay's linear phase `e^{−j2π f·τ}` at `freq_hz`.
+    pub fn delay_rotation(&self, freq_hz: f64) -> Complex64 {
+        Complex64::cis(-2.0 * std::f64::consts::PI * freq_hz * self.delay_s)
     }
 
-    /// Large-scale gain × `fading` × the delay's linear phase at `freq_hz`.
-    fn through(&self, fading: Complex64, freq_hz: f64) -> Complex64 {
-        let delay_rot = Complex64::cis(-2.0 * std::f64::consts::PI * freq_hz * self.delay_s);
+    /// The response from its two frequency-dependent factors: large-scale
+    /// gain × `fading` × `delay_rot`, in that order. With the fading's tap
+    /// sum at `f` (e.g. [`Multipath::freq_response_with`]) and
+    /// [`Self::delay_rotation`] at `f`, bit-identical to
+    /// [`Self::freq_response_at`]; a caller that keeps the two factors can
+    /// re-evaluate the response after a change of gain alone.
+    pub fn through(&self, fading: Complex64, delay_rot: Complex64) -> Complex64 {
         self.gain * fading * delay_rot
     }
 

@@ -35,7 +35,7 @@ use crate::network::{
     drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network, Serve,
     Served,
 };
-use crate::precoder::Precoder;
+use crate::precoder::{Precoder, ZfWork};
 use crate::sync::{LeadObserver, SyncStrategyId};
 use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
@@ -270,10 +270,9 @@ impl LinkEval for FastEval {
             }
             let delta_db = target - best.1;
             let scale = jmb_dsp::stats::db_to_lin(delta_db).sqrt();
+            // The rows just summed stay: each is rewritten for its new gain.
             for &a in &aps {
-                if let Some(link) = medium.link_mut(a, c) {
-                    link.gain = link.gain * scale;
-                }
+                medium.scale_gain(a, c, scale);
             }
         }
 
@@ -811,6 +810,7 @@ impl FastNet {
             h_sub,
             precoder,
             zf_built,
+            zf_work,
             ..
         } = batch;
         let n_k = h_meas.len();
@@ -827,7 +827,7 @@ impl FastNet {
             }
         }
         if stale {
-            let built = precoder.rebuild_zero_forcing(h_sub, nb, na_eff);
+            let built = precoder.rebuild_zero_forcing(h_sub, nb, na_eff, zf_work);
             *zf_built = built.is_ok();
             built?;
         }
@@ -930,10 +930,12 @@ pub(crate) struct Scratch {
     g: Planar,
     /// The measured channel restricted to the last subset batch, planar
     /// `[stream · n_tx + tx]`, the zero-forcing precoder built from it, and
-    /// whether that build succeeded — a failed one is never reused.
+    /// whether that build succeeded — a failed one is never reused — and
+    /// what the build works in.
     h_sub: Planar,
     precoder: Precoder,
     zf_built: bool,
+    zf_work: ZfWork,
     /// The lead→slave estimate of one observation ([`FastObserver`]).
     pub(crate) est: Option<ChannelEstimate>,
 }

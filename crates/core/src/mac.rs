@@ -30,7 +30,7 @@
 use std::collections::VecDeque;
 
 /// One downlink packet in the shared queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MacPacket {
     /// Queue-assigned id, unique per [`JmbMac`] instance.
     pub id: u64,
@@ -39,6 +39,9 @@ pub struct MacPacket {
     /// Payload length, bytes. The queue carries no payload bytes: a
     /// backend is told the length to send and renders what it needs.
     pub payload_len: usize,
+    /// When the packet was enqueued, seconds of the caller's clock: what
+    /// its delivery latency is measured from.
+    pub enqueued_at_s: f64,
     /// Transmission attempts so far.
     pub attempts: u32,
 }
@@ -69,7 +72,7 @@ impl Default for MacConfig {
 }
 
 /// What happened to one packet when its batch completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PacketFate {
     /// The client acknowledged; the packet leaves the queue for good.
     Acked {
@@ -77,6 +80,11 @@ pub enum PacketFate {
         dest: usize,
         /// Packet id.
         id: u64,
+        /// The packet's own length, bytes: what the ACK delivers, whatever
+        /// its batch was padded to.
+        payload_len: usize,
+        /// When the packet was enqueued ([`MacPacket::enqueued_at_s`]).
+        enqueued_at_s: f64,
     },
     /// No ACK; the packet returned to the queue for a future joint
     /// transmission.
@@ -98,10 +106,19 @@ pub enum PacketFate {
 }
 
 /// The shared downlink queue and scheduler.
+///
+/// The shared queue is kept as one FIFO per client. Every packet carries its
+/// place in the shared order — a counter that goes up on every enqueue and
+/// every requeue — and the shared queue is the merge of the clients' FIFOs
+/// by place. A client's FIFO is in place order, so its head is its oldest
+/// packet, and a batch is picked from the heads alone.
 #[derive(Debug)]
 pub struct JmbMac {
     cfg: MacConfig,
-    queue: VecDeque<MacPacket>,
+    /// `queues[client]`: `(place, packet)`, oldest first.
+    queues: Vec<VecDeque<(u64, MacPacket)>>,
+    /// The place the next packet into the shared queue takes.
+    next_place: u64,
     next_id: u64,
     /// Designated AP per client ("the AP with the strongest SNR to the
     /// client to which that packet is destined").
@@ -119,6 +136,9 @@ pub struct JmbMac {
     blacklisted: Vec<bool>,
     /// Consecutive losses before a client's packets are excluded.
     pub blacklist_threshold: u32,
+    /// `(place, client)` of the schedulable heads, reused by
+    /// [`JmbMac::select_batch`].
+    heads: Vec<(u64, usize)>,
 }
 
 impl JmbMac {
@@ -127,13 +147,15 @@ impl JmbMac {
         let n = designated_ap.len();
         JmbMac {
             cfg,
-            queue: VecDeque::new(),
+            queues: vec![VecDeque::new(); n],
+            next_place: 0,
             next_id: 0,
             designated_ap,
             backoff_stage: 0,
             consecutive_losses: vec![0; n],
             blacklisted: vec![false; n],
             blacklist_threshold: 6,
+            heads: Vec::with_capacity(n),
         }
     }
 
@@ -176,9 +198,17 @@ impl JmbMac {
         }
     }
 
+    /// Puts `packet` at the back of the shared queue.
+    fn push_back(&mut self, packet: MacPacket) {
+        let place = self.next_place;
+        self.next_place += 1;
+        self.queues[packet.dest].push_back((place, packet));
+    }
+
     /// Enqueues a downlink packet (distributed to all APs over the wired
-    /// backend) and returns its queue-assigned id.
-    pub fn enqueue(&mut self, dest: usize, payload_len: usize) -> u64 {
+    /// backend) at `at_s` on the caller's clock and returns its
+    /// queue-assigned id.
+    pub fn enqueue(&mut self, dest: usize, payload_len: usize, at_s: f64) -> u64 {
         #[expect(
             clippy::disallowed_macros,
             reason = "an unknown client index is a harness programming error — clients are fixed at MAC construction"
@@ -188,10 +218,11 @@ impl JmbMac {
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.queue.push_back(MacPacket {
+        self.push_back(MacPacket {
             id,
             dest,
             payload_len,
+            enqueued_at_s: at_s,
             attempts: 0,
         });
         id
@@ -199,13 +230,18 @@ impl JmbMac {
 
     /// Packets waiting.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// The lead AP for the next transmission: the designated AP of the
-    /// head-of-queue packet.
+    /// head-of-queue packet, blacklisted or not.
     pub fn next_lead(&self) -> Option<usize> {
-        self.queue.front().map(|p| self.designated_ap[p.dest])
+        let oldest = self
+            .queues
+            .iter()
+            .filter_map(VecDeque::front)
+            .min_by_key(|(place, _)| *place);
+        oldest.map(|(_, p)| self.designated_ap[p.dest])
     }
 
     /// Selects the next joint batch: the head of the queue plus the next
@@ -215,26 +251,27 @@ impl JmbMac {
     /// are padded to the longest — on the air and for this batch only: a
     /// packet keeps its own length, which is what a retransmission is sized
     /// by and what an ACK delivers.
+    ///
+    /// A scan of the shared queue from its head meets each client's oldest
+    /// packet first, and meets those in place order; so the batch is the
+    /// heads of the clients not blacklisted, in place order, cut at
+    /// `max_streams`.
     pub fn select_batch(&mut self) -> (Vec<MacPacket>, usize) {
-        // Scan from the head until the batch is full; everything not picked
-        // stays where it is, so a saturated queue is not rebuilt per batch.
-        let mut picked: Vec<usize> = Vec::with_capacity(self.cfg.max_streams.min(self.queue.len()));
-        for (at, p) in self.queue.iter().enumerate() {
-            if picked.len() == self.cfg.max_streams {
-                break;
-            }
-            let dest_taken = picked.iter().any(|&b| self.queue[b].dest == p.dest);
-            if !dest_taken && !self.blacklisted[p.dest] {
-                picked.push(at);
+        self.heads.clear();
+        for (c, q) in self.queues.iter().enumerate() {
+            if let Some(&(place, _)) = q.front() {
+                if !self.blacklisted[c] {
+                    self.heads.push((place, c));
+                }
             }
         }
-        // Back to front, so the indices still to come stay valid.
-        let mut batch: Vec<MacPacket> = picked
+        self.heads.sort_unstable();
+        self.heads.truncate(self.cfg.max_streams);
+        let batch: Vec<MacPacket> = self
+            .heads
             .iter()
-            .rev()
-            .filter_map(|&at| self.queue.remove(at))
+            .filter_map(|&(_, c)| self.queues[c].pop_front().map(|(_, p)| p))
             .collect();
-        batch.reverse();
         let padded_len = batch.iter().map(|p| p.payload_len).max().unwrap_or(0);
         (batch, padded_len)
     }
@@ -287,6 +324,8 @@ impl JmbMac {
                 fates.push(PacketFate::Acked {
                     dest: p.dest,
                     id: p.id,
+                    payload_len: p.payload_len,
+                    enqueued_at_s: p.enqueued_at_s,
                 });
             } else {
                 self.consecutive_losses[p.dest] += 1;
@@ -306,7 +345,7 @@ impl JmbMac {
                         attempts: p.attempts,
                     });
                     // Re-queue for a future joint transmission.
-                    self.queue.push_back(p);
+                    self.push_back(p);
                 }
             }
         }
@@ -351,20 +390,22 @@ mod tests {
             acked: &[bool],
             airtime_s: f64,
         ) -> Vec<PacketFate> {
-            let bits: Vec<(u64, f64)> = batch
-                .iter()
-                .map(|p| (p.id, 8.0 * p.payload_len as f64))
-                .collect();
+            let ids: Vec<u64> = batch.iter().map(|p| p.id).collect();
             let fates = m.complete_batch(batch, acked);
             if !fates.is_empty() {
                 self.transmissions += 1;
                 self.airtime_s += airtime_s;
             }
-            for (fate, (id, bits)) in fates.iter().zip(bits) {
+            for (fate, id) in fates.iter().zip(ids) {
                 match *fate {
-                    PacketFate::Acked { dest, id: acked } => {
+                    PacketFate::Acked {
+                        dest,
+                        id: acked,
+                        payload_len,
+                        ..
+                    } => {
                         assert_eq!(acked, id, "fates come in batch order");
-                        self.delivered_bits[dest] += bits;
+                        self.delivered_bits[dest] += 8.0 * payload_len as f64;
                     }
                     PacketFate::Dropped { dest, .. } => self.dropped[dest] += 1,
                     PacketFate::Requeued { .. } => {}
@@ -385,10 +426,10 @@ mod tests {
     #[test]
     fn batch_takes_distinct_destinations() {
         let mut m = mac(3);
-        m.enqueue(0, 100);
-        m.enqueue(0, 100);
-        m.enqueue(1, 100);
-        m.enqueue(2, 100);
+        m.enqueue(0, 100, 0.0);
+        m.enqueue(0, 100, 0.0);
+        m.enqueue(1, 100, 0.0);
+        m.enqueue(2, 100, 0.0);
         let (batch, _) = m.select_batch();
         let dests: Vec<usize> = batch.iter().map(|p| p.dest).collect();
         assert_eq!(dests, vec![0, 1, 2]);
@@ -396,57 +437,105 @@ mod tests {
         assert_eq!(m.queue_len(), 1);
     }
 
-    /// `select_batch` as it was: drain the whole queue into the batch or
-    /// into a rebuilt queue. The reference the in-place scan is held to.
-    fn select_batch_by_rebuild(m: &mut JmbMac) -> Vec<MacPacket> {
-        let mut batch: Vec<MacPacket> = Vec::new();
-        let mut kept: VecDeque<MacPacket> = VecDeque::new();
-        while let Some(p) = m.queue.pop_front() {
-            let dest_taken = batch.iter().any(|b| b.dest == p.dest);
-            let excluded = m.blacklisted[p.dest];
-            if !dest_taken && !excluded && batch.len() < m.cfg.max_streams {
-                batch.push(p);
-            } else {
-                kept.push_back(p);
+    /// The shared queue as one `VecDeque`, scanned from the head for each
+    /// batch and each pick removed where it stands: the MAC as it was, and
+    /// the reference its per-client queues are held to. The blacklists and
+    /// the stream cap are read from the MAC under test; their bookkeeping
+    /// did not change.
+    #[derive(Default)]
+    struct SharedQueueScan(VecDeque<MacPacket>);
+
+    impl SharedQueueScan {
+        fn select_batch(
+            &mut self,
+            blacklisted: &[bool],
+            max_streams: usize,
+        ) -> (Vec<MacPacket>, usize) {
+            let mut picked: Vec<usize> = Vec::new();
+            for (at, p) in self.0.iter().enumerate() {
+                if picked.len() == max_streams {
+                    break;
+                }
+                let dest_taken = picked.iter().any(|&b| self.0[b].dest == p.dest);
+                if !dest_taken && !blacklisted[p.dest] {
+                    picked.push(at);
+                }
+            }
+            let mut batch: Vec<MacPacket> = picked
+                .iter()
+                .rev()
+                .filter_map(|&at| self.0.remove(at))
+                .collect();
+            batch.reverse();
+            let padded_len = batch.iter().map(|p| p.payload_len).max().unwrap_or(0);
+            (batch, padded_len)
+        }
+
+        /// A failed packet with retries left goes to the back, in batch
+        /// order.
+        fn complete_batch(&mut self, batch: Vec<MacPacket>, acked: &[bool], retry_limit: u32) {
+            for (mut p, &ok) in batch.into_iter().zip(acked) {
+                if !ok {
+                    p.attempts += 1;
+                    if p.attempts < retry_limit {
+                        self.0.push_back(p);
+                    }
+                }
             }
         }
-        m.queue = kept;
-        batch
     }
 
-    mod in_place_scan {
+    /// The MAC's shared queue: its per-client queues merged by place.
+    fn shared_order(m: &JmbMac) -> Vec<MacPacket> {
+        let mut queued: Vec<&(u64, MacPacket)> = m.queues.iter().flatten().collect();
+        queued.sort_by_key(|(place, _)| *place);
+        queued.into_iter().map(|(_, p)| p.clone()).collect()
+    }
+
+    mod per_client_queues {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            /// Same batches, same queue left behind, batch after batch:
-            /// mixed destinations, blacklisted clients, queues shorter and
-            /// longer than `max_streams`, and (one client) a queue that is
-            /// all one destination.
+            /// The same batches, padded lengths, leads, queue lengths and
+            /// shared order as the scan, step after step: arrivals, batches
+            /// completed under random ACK patterns (so a failed packet goes
+            /// to the back, or is dropped, or blacklists its client),
+            /// blacklists set and cleared, and the stream cap moved.
             #[test]
-            fn matches_the_drain_and_rebuild_version(
-                n_clients in 1usize..6,
-                max_streams in 1usize..7,
-                dests in proptest::collection::vec((0usize..6, 1usize..40), 0..60),
-                blacklist in proptest::collection::vec(any::<bool>(), 6),
+            fn matches_the_shared_queue_scan(
+                n_clients in 1usize..7,
+                retry_limit in 1u32..5,
+                steps in proptest::collection::vec((0u8..6, 0usize..8, 1usize..40, any::<u8>()), 0..160),
             ) {
-                let cfg = MacConfig { max_streams, ..Default::default() };
-                let mut a = JmbMac::new(cfg, (0..n_clients).collect());
-                for (dest, len) in dests {
-                    a.enqueue(dest % n_clients, len);
-                }
-                a.blacklisted.copy_from_slice(&blacklist[..n_clients]);
-                let mut b = JmbMac::new(cfg, (0..n_clients).collect());
-                b.queue = a.queue.clone();
-                b.blacklisted = a.blacklisted.clone();
-                loop {
-                    let (got, padded_len) = a.select_batch();
-                    prop_assert_eq!(&got, &select_batch_by_rebuild(&mut b));
-                    prop_assert_eq!(got.iter().map(|p| p.payload_len).max(), got.first().map(|_| padded_len));
-                    prop_assert_eq!(&a.queue, &b.queue);
-                    if got.is_empty() {
-                        break;
+                let cfg = MacConfig { retry_limit, max_streams: 3, ..Default::default() };
+                let designated: Vec<usize> = (0..n_clients).map(|c| (5 * c + 1) % 4).collect();
+                let mut m = JmbMac::new(cfg, designated.clone());
+                m.blacklist_threshold = 2;
+                let mut scan = SharedQueueScan::default();
+                for (i, (op, a, len, acks)) in steps.into_iter().enumerate() {
+                    match op {
+                        0..=2 => {
+                            let (dest, at_s) = (a % n_clients, i as f64 * 1e-3);
+                            let id = m.enqueue(dest, len, at_s);
+                            scan.0.push_back(MacPacket { id, dest, payload_len: len, enqueued_at_s: at_s, attempts: 0 });
+                        }
+                        3 => {
+                            let (batch, padded_len) = m.select_batch();
+                            let want = scan.select_batch(&m.blacklisted, m.config().max_streams);
+                            prop_assert_eq!(&batch, &want.0);
+                            prop_assert_eq!(padded_len, want.1);
+                            let acked: Vec<bool> = (0..batch.len()).map(|k| acks >> k & 1 == 1).collect();
+                            scan.complete_batch(batch.clone(), &acked, retry_limit);
+                            m.complete_batch(batch, &acked);
+                        }
+                        4 if len % 2 == 0 => m.clear_blacklist(a % n_clients),
+                        4 => m.blacklisted[a % n_clients] = true,
+                        _ => m.set_max_streams(a),
                     }
+                    prop_assert_eq!(m.next_lead(), scan.0.front().map(|p| designated[p.dest]));
+                    prop_assert_eq!(m.queue_len(), scan.0.len());
+                    prop_assert_eq!(shared_order(&m), Vec::from(scan.0.clone()));
                 }
             }
         }
@@ -455,8 +544,8 @@ mod tests {
     #[test]
     fn batch_pads_to_common_length() {
         let mut m = mac(2);
-        m.enqueue(0, 50);
-        m.enqueue(1, 200);
+        m.enqueue(0, 50, 0.0);
+        m.enqueue(1, 200, 0.0);
         let (batch, padded_len) = m.select_batch();
         assert_eq!(padded_len, 200);
         assert_eq!(batch[0].payload_len, 50, "the padding is the batch's");
@@ -469,8 +558,8 @@ mod tests {
         // sized by its own length, not by the batch it failed in, and its
         // ACK delivers 400 bits.
         let (mut m, mut tally) = (mac(2), Tally::new(2));
-        m.enqueue(0, 50);
-        m.enqueue(1, 200);
+        m.enqueue(0, 50, 0.0);
+        m.enqueue(1, 200, 0.0);
         let (batch, padded_len) = m.select_batch();
         assert_eq!(padded_len, 200);
         tally.complete(&mut m, batch, &[false, true], 1e-3);
@@ -499,7 +588,7 @@ mod tests {
         let mut offered_bits = [0.0; 4];
         for i in 0..400 {
             let len = if rng.gen::<f64>() < 0.5 { 60 } else { 1500 };
-            m.enqueue(i % 4, len);
+            m.enqueue(i % 4, len, 0.0);
             offered_bits[i % 4] += 8.0 * len as f64;
         }
         let mut padded = 0;
@@ -524,7 +613,7 @@ mod tests {
             (0..5).collect(),
         );
         for c in 0..5 {
-            m.enqueue(c, 10);
+            m.enqueue(c, 10, 0.0);
         }
         assert_eq!(m.select_batch().0.len(), 2);
         assert_eq!(m.queue_len(), 3);
@@ -534,15 +623,15 @@ mod tests {
     fn lead_is_designated_ap_of_head() {
         let mut m = JmbMac::new(MacConfig::default(), vec![3, 1, 4]);
         assert_eq!(m.next_lead(), None);
-        m.enqueue(2, 10);
-        m.enqueue(0, 10);
+        m.enqueue(2, 10, 0.0);
+        m.enqueue(0, 10, 0.0);
         assert_eq!(m.next_lead(), Some(4));
     }
 
     #[test]
     fn designated_ap_can_be_remapped() {
         let mut m = JmbMac::new(MacConfig::default(), vec![0, 1]);
-        m.enqueue(0, 10);
+        m.enqueue(0, 10, 0.0);
         assert_eq!(m.next_lead(), Some(0));
         m.set_designated_ap(0, 1);
         assert_eq!(m.designated_ap(0), 1);
@@ -553,7 +642,7 @@ mod tests {
     fn max_streams_can_shrink_mid_run() {
         let mut m = mac(4);
         for c in 0..4 {
-            m.enqueue(c, 10);
+            m.enqueue(c, 10, 0.0);
         }
         m.set_max_streams(2);
         assert_eq!(m.select_batch().0.len(), 2);
@@ -572,7 +661,7 @@ mod tests {
             vec![0, 1],
         );
         let mut tally = Tally::new(2);
-        let id = m.enqueue(0, 10);
+        let id = m.enqueue(0, 10, 0.0);
         // First attempt fails → requeued.
         let (b, _) = m.select_batch();
         let fates = tally.complete(&mut m, b, &[false], 1e-3);
@@ -609,7 +698,7 @@ mod tests {
         );
         m.blacklist_threshold = u32::MAX; // keep it schedulable
         let mut tally = Tally::new(1);
-        let id = m.enqueue(0, 10);
+        let id = m.enqueue(0, 10, 0.0);
         let mut attempts = 0;
         loop {
             let (b, _) = m.select_batch();
@@ -635,7 +724,7 @@ mod tests {
         // Satellite: when every queued packet shares one destination, joint
         // batches degenerate to singletons — the rest stay queued in order.
         let mut m = mac(3);
-        let ids: Vec<u64> = (0..4).map(|_| m.enqueue(1, 10)).collect();
+        let ids: Vec<u64> = (0..4).map(|_| m.enqueue(1, 10, 0.0)).collect();
         let (b, _) = m.select_batch();
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].id, ids[0]);
@@ -651,8 +740,8 @@ mod tests {
         // §9: "if APs have stale channel information to a client, only the
         // packet to that client is affected".
         let (mut m, mut tally) = (mac(2), Tally::new(2));
-        m.enqueue(0, 100);
-        m.enqueue(1, 100);
+        m.enqueue(0, 100, 0.0);
+        m.enqueue(1, 100, 0.0);
         let (b, _) = m.select_batch();
         tally.complete(&mut m, b, &[true, false], 2e-3);
         assert!(tally.delivered_bits[0] > 0.0);
@@ -663,8 +752,8 @@ mod tests {
     #[test]
     fn stats_throughput() {
         let (mut m, mut tally) = (mac(2), Tally::new(2));
-        m.enqueue(0, 1250); // 10 000 bits
-        m.enqueue(1, 1250);
+        m.enqueue(0, 1250, 0.0); // 10 000 bits
+        m.enqueue(1, 1250, 0.0);
         let (b, _) = m.select_batch();
         tally.complete(&mut m, b, &[true, true], 1e-3);
         let t = tally.throughput();
@@ -697,7 +786,7 @@ mod tests {
         );
         m.blacklist_threshold = u32::MAX;
         assert_eq!(m.contention_window(1), 16);
-        m.enqueue(0, 10);
+        m.enqueue(0, 10, 0.0);
         for want in [32, 64, 64] {
             let (b, _) = m.select_batch();
             m.complete_batch(b, &[false]);
@@ -728,7 +817,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown client")]
     fn enqueue_validates_destination() {
-        mac(2).enqueue(5, 0);
+        mac(2).enqueue(5, 0, 0.0);
     }
 
     #[test]
@@ -745,8 +834,8 @@ mod tests {
         );
         m.blacklist_threshold = 3;
         for _ in 0..3 {
-            m.enqueue(0, 10);
-            m.enqueue(1, 10);
+            m.enqueue(0, 10, 0.0);
+            m.enqueue(1, 10, 0.0);
             let (b, _) = m.select_batch();
             // Client 0 persistently fails; client 1 is fine.
             let acked: Vec<bool> = b.iter().map(|p| p.dest != 0).collect();

@@ -45,6 +45,16 @@ pub struct Precoder {
     n_streams: usize,
 }
 
+/// What a zero-forcing build works in: the solver and one row of power
+/// lanes. A network that rebuilds one precoder keeps one beside it, so a
+/// rebuild of the same shape allocates nothing; the solver is replaced only
+/// when the shape changes.
+#[derive(Debug, Default)]
+pub(crate) struct ZfWork {
+    solver: Option<ZfSolver>,
+    power: Vec<f64>,
+}
+
 /// The shape rules of a zero-forcing precoder: every stream needs an antenna.
 fn zf_shape(n_streams: usize, n_tx: usize) -> Result<(), JmbError> {
     if n_streams == 0 || n_tx == 0 {
@@ -94,15 +104,15 @@ impl Precoder {
             }
         }
         let mut precoder = Precoder::default();
-        precoder.rebuild_zero_forcing(&h, n_streams, n_tx)?;
+        precoder.rebuild_zero_forcing(&h, n_streams, n_tx, &mut ZfWork::default())?;
         Ok(precoder)
     }
 
     /// [`Precoder::zero_forcing`] from the channel as lanes — entry
     /// `(stream, tx)` of `H` in row `stream · n_tx + tx`, one lane per
     /// subcarrier — into this precoder's own lanes: a network that builds
-    /// one per batch keeps the storage between batches. After an error the
-    /// contents are unspecified until the next rebuild.
+    /// one per batch keeps the storage between batches, and `work` with it.
+    /// After an error the contents are unspecified until the next rebuild.
     ///
     /// Every stage runs across the subcarriers as lanes, each lane
     /// operation for operation the per-subcarrier build: the
@@ -113,6 +123,7 @@ impl Precoder {
         h: &Planar,
         n_streams: usize,
         n_tx: usize,
+        work: &mut ZfWork,
     ) -> Result<(), JmbError> {
         let _span = jmb_obs::span("zf_precoder");
         let n_k = h.width();
@@ -123,7 +134,17 @@ impl Precoder {
         let Precoder {
             weights, k_hats, ..
         } = self;
-        ZfSolver::new(n_streams, n_tx).solve(h, weights)?;
+        if work
+            .solver
+            .as_ref()
+            .is_some_and(|s| s.shape() != (n_streams, n_tx))
+        {
+            work.solver = None;
+        }
+        let solver = work
+            .solver
+            .get_or_insert_with(|| ZfSolver::new(n_streams, n_tx));
+        solver.solve(h, weights)?;
         // Per-stream power normalisation: every stream's precoding column
         // is scaled to unit power on each subcarrier, so client j's
         // received amplitude tracks the quality of its own channel
@@ -132,7 +153,9 @@ impl Precoder {
         // common `k·I` would instead force full amplitude through *faded*
         // directions — one AP's faded diagonal would blow up the weights
         // and drag every client on that subcarrier.
-        let mut power = vec![0.0f64; n_k];
+        let power = &mut work.power;
+        power.clear();
+        power.resize(n_k, 0.0);
         k_hats.clear();
         k_hats.resize(n_k, 0.0);
         for j in 0..n_streams {
@@ -152,12 +175,12 @@ impl Precoder {
             }
             for m in 0..n_tx {
                 let (re, im) = weights.row_mut(m * n_streams + j);
-                for ((re, im), &g) in re.iter_mut().zip(im).zip(&power) {
+                for ((re, im), &g) in re.iter_mut().zip(im).zip(power.iter()) {
                     *re *= g;
                     *im *= g;
                 }
             }
-            for (k, &g) in k_hats.iter_mut().zip(&power) {
+            for (k, &g) in k_hats.iter_mut().zip(power.iter()) {
                 *k += g * g;
             }
         }

@@ -638,6 +638,11 @@ impl ZfSolver {
         }
     }
 
+    /// The `(n_streams, n_tx)` this solver was created for.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.n_streams, self.n_tx)
+    }
+
     /// Assembles the Gram matrix `G = H·Hᴴ` of one channel matrix (lower
     /// triangle + diagonal; Hermitian) into the solver's scratch and returns
     /// the largest diagonal entry.

@@ -43,10 +43,28 @@ struct Node {
 #[derive(Clone)]
 struct LinkSlot {
     link: Link,
+    /// Empty until first asked for; then three rows over the occupied
+    /// subcarriers, in one allocation: the static row
     /// `link.freq_response_at(f_k)` — gain × fading × delay rotation, the
-    /// time-invariant part of the channel — on every occupied subcarrier.
-    /// Empty until first asked for; whatever can change the link clears it.
-    static_row: Vec<Complex64>,
+    /// time-invariant part of the channel — then its two factors, the
+    /// fading's tap sums `F_k` and the delay rotations `d_k`. A change of
+    /// gain alone rewrites the row from the factors
+    /// ([`SubcarrierMedium::scale_gain`]); whatever else can change the
+    /// link clears all three.
+    cached: Vec<Complex64>,
+}
+
+impl LinkSlot {
+    /// Writes the static row from the cached factors and the link's gain:
+    /// the products, in the order, of [`Link::through`].
+    fn rewrite_row(&mut self, n_k: usize) {
+        let link = &self.link;
+        let (row, factors) = self.cached.split_at_mut(n_k);
+        let (fading, delay) = factors.split_at(n_k);
+        for ((h, &f), &d) in row.iter_mut().zip(fading.iter()).zip(delay) {
+            *h = link.through(f, d);
+        }
+    }
 }
 
 /// The tap rotations `e^{−j2π f_k τ_l}` of the occupied subcarriers on one
@@ -63,9 +81,11 @@ struct TapTable {
 }
 
 impl TapTable {
-    /// The static row of `slot`'s link, computed if the slot holds none.
+    /// The static row of `slot`'s link, computed with its factors if the
+    /// slot holds none.
     fn static_row<'a>(&mut self, slot: &'a mut LinkSlot, spacing: f64) -> &'a [Complex64] {
-        if slot.static_row.is_empty() {
+        let n_k = self.ks.len();
+        if slot.cached.is_empty() {
             let spec = *slot.link.fading.spec();
             let grid = (spec.n_taps, spec.tap_spacing_s);
             if self.grid.is_none() {
@@ -77,19 +97,22 @@ impl TapTable {
                 }
             }
             let on_grid = self.grid == Some(grid);
-            let link = &slot.link;
-            slot.static_row
-                .extend(self.ks.iter().enumerate().map(|(k_idx, &k)| {
-                    let f_k = k as f64 * spacing;
-                    if on_grid {
-                        let taps = k_idx * spec.n_taps..(k_idx + 1) * spec.n_taps;
-                        link.freq_response_with(f_k, &self.rotations[taps])
-                    } else {
-                        link.freq_response_at(f_k)
-                    }
-                }));
+            let LinkSlot { link, cached } = &mut *slot;
+            cached.resize(3 * n_k, Complex64::ZERO);
+            let (fadings, delays) = cached[n_k..].split_at_mut(n_k);
+            for (k_idx, &k) in self.ks.iter().enumerate() {
+                let f_k = k as f64 * spacing;
+                fadings[k_idx] = if on_grid {
+                    let taps = k_idx * spec.n_taps..(k_idx + 1) * spec.n_taps;
+                    link.fading.freq_response_with(&self.rotations[taps])
+                } else {
+                    link.fading.freq_response_at(f_k)
+                };
+                delays[k_idx] = link.delay_rotation(f_k);
+            }
+            slot.rewrite_row(n_k);
         }
-        &slot.static_row
+        &slot.cached[..n_k]
     }
 }
 
@@ -150,17 +173,33 @@ impl SubcarrierMedium {
     pub fn set_link(&mut self, tx: NodeId, rx: NodeId, link: Link) {
         self.links[tx.0][rx.0] = Some(LinkSlot {
             link,
-            static_row: Vec::new(),
+            cached: Vec::new(),
         });
     }
 
-    /// Mutable link access (for fading evolution and calibration). Drops the
-    /// link's cached static row: the caller may change anything.
+    /// Mutable link access (e.g. fading evolution). Drops the link's cached
+    /// static row and its factors: the caller may change anything.
     pub fn link_mut(&mut self, tx: NodeId, rx: NodeId) -> Option<&mut Link> {
         self.links[tx.0][rx.0].as_mut().map(|slot| {
-            slot.static_row.clear();
+            slot.cached.clear();
             &mut slot.link
         })
+    }
+
+    /// Scales the large-scale gain of the link `tx → rx` by `s` (calibration)
+    /// — `gain = gain · s` — and keeps its static row: a row cached before
+    /// is rewritten from its cached factors as `gain · F_k · d_k`, the
+    /// products and order of [`Link::through`], so it is bit for bit the
+    /// row a fresh tap sum with the new gain gives, without summing a tap.
+    /// The one change to a link that keeps its row. No-op without a link.
+    pub fn scale_gain(&mut self, tx: NodeId, rx: NodeId, s: f64) {
+        let n_k = self.table.ks.len();
+        if let Some(slot) = self.links[tx.0][rx.0].as_mut() {
+            slot.link.gain = slot.link.gain * s;
+            if !slot.cached.is_empty() {
+                slot.rewrite_row(n_k);
+            }
+        }
     }
 
     /// Mutable oscillator access.
@@ -195,10 +234,11 @@ impl SubcarrierMedium {
     /// oscillator touches — on every occupied subcarrier; `None` without a
     /// link. The multipath tap sum is the expensive term of a channel
     /// evaluation and changes only when the link does, so the medium keeps
-    /// one such row per link — dropped by [`Self::set_link`],
-    /// [`Self::link_mut`] and [`Self::evolve_fading`], recomputed here on
-    /// the next use — and sums its taps against one table of rotations
-    /// shared by every link on the same tap grid.
+    /// one such row per link, beside its two factors — dropped by
+    /// [`Self::set_link`], [`Self::link_mut`] and [`Self::evolve_fading`],
+    /// recomputed here on the next use, rewritten from the factors by
+    /// [`Self::scale_gain`] — and sums its taps against one table of
+    /// rotations shared by every link on the same tap grid.
     pub fn static_row(&mut self, tx: NodeId, rx: NodeId) -> Option<&[Complex64]> {
         let spacing = self.params.subcarrier_spacing();
         let slot = self.links[tx.0][rx.0].as_mut()?;
@@ -322,7 +362,7 @@ impl SubcarrierMedium {
         for row in self.links.iter_mut() {
             for slot in row.iter_mut().flatten() {
                 slot.link.evolve(dt, &mut rng);
-                slot.static_row.clear();
+                slot.cached.clear();
             }
         }
     }
@@ -607,13 +647,64 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_rescaled_row_is_a_fresh_row_bit_for_bit() {
+        // `scale_gain` rewrites a cached row from its two factors; a fresh
+        // slot holding the scaled link sums its taps again, and the link
+        // evaluates its own response. The bits must agree, for a link on
+        // the tap table's grid (the first one summed keys it) and for a
+        // flat link off it.
+        use jmb_channel::MultipathSpec;
+        let mut rng = jmb_dsp::rng::rng_from_seed(41);
+        let mut m = medium(2);
+        let nodes: Vec<NodeId> = (0..4).map(|_| clean_node(&mut m)).collect();
+        let nlos = MultipathSpec::indoor_nlos();
+        let on_grid = faded_link(nlos, &mut rng);
+        let off_grid = faded_link(MultipathSpec::flat(), &mut rng);
+        let s = 0.7317;
+        let bits = |row: &[Complex64]| -> Vec<(u64, u64)> {
+            row.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        for (rx, link) in [(nodes[1], on_grid), (nodes[2], off_grid)] {
+            m.set_link(nodes[0], rx, link.clone());
+            let before = bits(m.static_row(nodes[0], rx).unwrap());
+            m.scale_gain(nodes[0], rx, s);
+            let rescaled = bits(m.static_row(nodes[0], rx).unwrap());
+            let mut scaled = link;
+            scaled.gain = scaled.gain * s;
+            let spacing = m.params().subcarrier_spacing();
+            let direct: Vec<Complex64> = m
+                .occupied()
+                .iter()
+                .map(|&k| scaled.freq_response_at(k as f64 * spacing))
+                .collect();
+            m.set_link(nodes[3], rx, scaled);
+            let fresh = bits(m.static_row(nodes[3], rx).unwrap());
+            assert_eq!(rescaled, fresh);
+            assert_eq!(rescaled, bits(&direct));
+            assert_ne!(rescaled, before, "the gain changed nothing");
+        }
+        assert_eq!(m.table.grid, Some((nlos.n_taps, nlos.tap_spacing_s)));
+        // Every other change to a link drops the row and its factors.
+        let (a, b) = (nodes[0], nodes[1]);
+        let cached = |m: &SubcarrierMedium| m.links[a.0][b.0].as_ref().unwrap().cached.len();
+        assert_eq!(cached(&m), 3 * m.occupied().len());
+        m.link_mut(a, b);
+        assert_eq!(cached(&m), 0, "link_mut");
+        m.static_row(a, b);
+        m.evolve_fading(1e-3);
+        assert_eq!(cached(&m), 0, "evolve_fading");
+    }
+
     /// Something a test does to the links of the medium it is handed.
     type Change<'a> = &'a dyn Fn(&mut SubcarrierMedium, NodeId, NodeId);
 
     #[test]
     fn static_rows_follow_their_links() {
         // A row cached before a link changed must not outlive the change:
-        // after each of the three ways a link can change, the medium that
+        // after each of the four ways a link can change, the medium that
         // already served rows answers like one built that way from scratch.
         let build = |warm: bool, change: Change| {
             let mut m = medium(31);
@@ -638,8 +729,9 @@ mod tests {
             jmb_channel::MultipathSpec::indoor_los(),
             &mut jmb_dsp::rng::rng_from_seed(18),
         );
-        let changes: [(&str, Change); 3] = [
+        let changes: [(&str, Change); 4] = [
             ("evolve_fading", &|m, _, _| m.evolve_fading(0.2)),
+            ("scale_gain", &|m, a, b| m.scale_gain(a, b, 0.5)),
             ("link_mut", &|m, a, b| {
                 let link = m.link_mut(a, b).unwrap();
                 link.gain = link.gain * 0.5;

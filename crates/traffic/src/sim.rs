@@ -28,7 +28,7 @@ use jmb_dsp::rng::JmbRng;
 use jmb_obs::{DropCause, EventKind as TraceKind, Registry, StopCause, Trace};
 use rand::Rng;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One client's offered load.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -282,13 +282,6 @@ pub struct TrafficSim<B: TransmitBackend> {
     seq: u64,
     arrivals: Vec<ArrivalGen>,
     backoff_rng: JmbRng,
-    /// Enqueue time + true (unpadded) size per in-queue packet id.
-    ///
-    /// `BTreeMap` by the determinism contract (DESIGN.md §3.15): access is
-    /// keyed-only today, but an ordered map keeps any future iteration
-    /// (queue inspection, draining on teardown) deterministic by
-    /// construction instead of by audit.
-    meta: BTreeMap<u64, (f64, usize)>,
     in_flight: Option<InFlight>,
     /// Sim time up to which the backend clock has been advanced.
     phy_t: f64,
@@ -343,7 +336,6 @@ impl<B: TransmitBackend> TrafficSim<B> {
             seq: 0,
             arrivals,
             backoff_rng,
-            meta: BTreeMap::new(),
             in_flight: None,
             phy_t: cfg.start_s,
             trace: Trace::new(),
@@ -433,7 +425,8 @@ impl<B: TransmitBackend> TrafficSim<B> {
         if batch.is_empty() {
             // Every queued destination is blacklisted: §9 re-admits after
             // re-measurement; model that as a reset so the queue never
-            // starves.
+            // stalls. This is the only re-admission: a blacklisted client
+            // queued beside a schedulable one waits (DESIGN.md §3.5).
             self.mac.clear_all_blacklists();
             (batch, payload_len) = self.mac.select_batch();
         }
@@ -571,8 +564,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
                         reason = "event-loop invariant — an Arrival is only scheduled after pending[client] is staged"
                     )]
                     let (_, size) = pending[client].take().expect("staged arrival");
-                    let id = self.mac.enqueue(client, size);
-                    self.meta.insert(id, (now, size));
+                    let id = self.mac.enqueue(client, size, now);
                     self.note(now, TraceKind::Enqueued { client, id });
                     let (t_next, s_next) = self.arrivals[client].next_arrival();
                     if t_next < t_end {
@@ -601,16 +593,15 @@ impl<B: TransmitBackend> TrafficSim<B> {
                     let fates = self.mac.complete_batch(inf.batch, &inf.acked);
                     for fate in fates {
                         match fate {
-                            PacketFate::Acked { dest, id } => {
-                                #[expect(
-                                    clippy::expect_used,
-                                    reason = "event-loop invariant — meta gains an entry at enqueue for every id the MAC can ack"
-                                )]
-                                let (t_in, size) =
-                                    self.meta.remove(&id).expect("acked unknown packet");
+                            PacketFate::Acked {
+                                dest,
+                                id,
+                                payload_len,
+                                enqueued_at_s: t_in,
+                            } => {
                                 self.reg.observe("traffic_latency_s", now - t_in);
                                 m.latencies_s.push(now - t_in);
-                                let bits = 8.0 * size as f64;
+                                let bits = 8.0 * payload_len as f64;
                                 self.reg
                                     .gauge_add_at("traffic_client_bits", dest as u32, bits);
                                 record_timeline(
@@ -634,8 +625,7 @@ impl<B: TransmitBackend> TrafficSim<B> {
                                     attempt,
                                 },
                             ),
-                            PacketFate::Dropped { dest, id } => {
-                                self.meta.remove(&id);
+                            PacketFate::Dropped { dest, .. } => {
                                 let cause = DropCause::RetryLimit;
                                 self.note(now, TraceKind::Dropped { node: dest, cause });
                             }

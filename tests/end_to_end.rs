@@ -39,8 +39,8 @@ fn mac_driven_delivery_with_losses() {
 
     let mut mac = JmbMac::new(MacConfig::default(), vec![0, 1]);
     for round in 0..4 {
-        mac.enqueue(0, 60 + round);
-        mac.enqueue(1, 90 + round);
+        mac.enqueue(0, 60 + round, 0.0);
+        mac.enqueue(1, 90 + round, 0.0);
     }
     let mcs = net.select_rate().unwrap_or(Mcs::BASE);
     // The caller's ledger, from the fates each completed batch returns.
@@ -59,11 +59,12 @@ fn mac_driven_delivery_with_losses() {
         let per_client = payloads(2, padded_len);
         let results = net.joint_transmit(&per_client, mcs, true).unwrap();
         let acked: Vec<bool> = batch.iter().map(|p| results[p.dest].is_ok()).collect();
-        let lens: Vec<usize> = batch.iter().map(|p| p.payload_len).collect();
         transmissions += 1;
-        for (fate, len) in mac.complete_batch(batch, &acked).iter().zip(lens) {
-            match *fate {
-                PacketFate::Acked { dest, .. } => delivered_bits[dest] += 8.0 * len as f64,
+        for fate in mac.complete_batch(batch, &acked) {
+            match fate {
+                PacketFate::Acked {
+                    dest, payload_len, ..
+                } => delivered_bits[dest] += 8.0 * payload_len as f64,
                 PacketFate::Dropped { dest, .. } => dropped[dest] += 1,
                 PacketFate::Requeued { .. } => {}
             }
