@@ -23,7 +23,7 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Eight greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Ten greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
@@ -39,8 +39,12 @@
 # what happened is returned or put on a trace and never counted — and the
 # sampler split (DESIGN.md §3.1): `standard_normal_pair`, the ziggurat, is
 # named only by the two noise processes it serves, the oscillator grid walk
-# (oscillator.rs) and estimation noise (fastnet.rs). The script ends by
-# printing (not gating) the size scan simplicity PRs quote.
+# (oscillator.rs) and estimation noise (fastnet.rs) — the kept-row rule
+# (DESIGN.md §3.4): `FastEval::deploy` calibrates through `scale_gain`, never
+# `link_mut(`, which would drop the rows calibration just summed — and the
+# head-pick rule (DESIGN.md §3.5): `JmbMac::select_batch` pops client queue
+# heads and calls no `.remove(`. The script ends by printing (not gating)
+# the size scan simplicity PRs quote.
 #
 # Each repo invariant has one mechanism. rustc: `unsafe_code` is forbidden
 # in `[workspace.lints.rust]` (every package, tests and binaries included),
@@ -214,6 +218,23 @@ fi
 if grep -rl 'standard_normal_pair' crates/*/src crates/bench/benchmark/src src examples \
    | grep -v '^crates/dsp/src/rng\.rs$\|^crates/channel/src/oscillator\.rs$\|^crates/core/src/fastnet\.rs$'; then
   echo "standard_normal_pair named outside rng.rs, oscillator.rs and fastnet.rs (deployment draws take standard_normal)" >&2
+  exit 1
+fi
+
+# Calibration rescales the rows it summed (DESIGN.md §3.4): a row is
+# `gain · F_k · d_k`, and `scale_gain` rewrites it from the kept factors. A
+# `link_mut(` in `FastEval::deploy` drops them, and every calibrated link is
+# summed twice.
+if kernel crates/core/src/fastnet.rs 'fn deploy(' | grep -n 'link_mut('; then
+  echo "link_mut( inside FastEval::deploy (calibrate with SubcarrierMedium::scale_gain, which keeps the row)" >&2
+  exit 1
+fi
+
+# A batch is picked from the client queues' heads (DESIGN.md §3.5): a
+# `.remove(` in `JmbMac::select_batch` is the scan of the shared backlog,
+# with its mid-queue removals, creeping back.
+if kernel crates/core/src/mac.rs 'pub fn select_batch(' | grep -n '\.remove('; then
+  echo ".remove( inside JmbMac::select_batch (pop the heads of the per-client queues)" >&2
   exit 1
 fi
 
