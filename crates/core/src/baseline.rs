@@ -133,24 +133,21 @@ pub fn jmb_client_throughput(
 }
 
 /// Selects the joint MCS for a set of clients (§9: one rate for all): the
-/// fastest MCS whose threshold *every* client's effective SNR clears.
+/// fastest MCS whose threshold *every* client's effective SNR clears —
+/// the first from MCS 7 down, so a scan stops at the rate it picks and at
+/// the first client that misses a rate.
 ///
 /// `per_client_sinr_db` yields one per-subcarrier row per client and is walked
-/// once per MCS: nested vectors by reference, or the rows of a flat table
-/// (`chunks_exact`).
+/// once per MCS tried: nested vectors by reference, or the rows of a flat
+/// table (`chunks_exact`).
 pub fn select_joint_mcs(
     per_client_sinr_db: impl IntoIterator<Item = impl AsRef<[f64]>> + Clone,
 ) -> Option<Mcs> {
-    let mut best = None;
-    for (i, mcs) in Mcs::ALL.iter().enumerate() {
-        let ok = per_client_sinr_db.clone().into_iter().all(|sinrs| {
-            esnr::effective_snr_db_eesm(*mcs, sinrs.as_ref()) >= esnr::MCS_THRESHOLD_DB[i]
-        });
-        if ok {
-            best = Some(*mcs);
-        }
-    }
-    best
+    Mcs::ALL.iter().rev().copied().find(|&mcs| {
+        per_client_sinr_db.clone().into_iter().all(|sinrs| {
+            esnr::effective_snr_db_eesm(mcs, sinrs.as_ref()) >= esnr::MCS_THRESHOLD_DB[mcs.index()]
+        })
+    })
 }
 
 /// Single-AP MU-MIMO reference (what a traditional multi-user beamforming
@@ -258,6 +255,75 @@ mod tests {
         let alone = select_joint_mcs(&[strong]).unwrap();
         assert!(joint.index() < alone.index());
         assert_eq!(select_joint_mcs(&[vec![-5.0; 52]]), None);
+    }
+
+    mod from_the_top {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The scan `select_joint_mcs` replaced: every MCS from BPSK 1/2 up,
+        /// the last that every client clears.
+        fn select_joint_mcs_ascending(per_client: &[Vec<f64>]) -> Option<Mcs> {
+            let mut best = None;
+            for (i, mcs) in Mcs::ALL.iter().enumerate() {
+                let ok = per_client.iter().all(|sinrs| {
+                    esnr::effective_snr_db_eesm(*mcs, sinrs) >= esnr::MCS_THRESHOLD_DB[i]
+                });
+                if ok {
+                    best = Some(*mcs);
+                }
+            }
+            best
+        }
+
+        /// A subcarrier SINR (dB): anywhere in the rate table's range, just
+        /// either side of one MCS threshold, or NaN / ±∞.
+        fn sinr_db() -> impl Strategy<Value = f64> {
+            let parts = (0u8..11, 0usize..8, -10.0..40.0f64, -1e-9..1e-9f64);
+            parts.prop_map(|(kind, i, anywhere, near)| match kind {
+                0..=3 => anywhere,
+                4..=7 => esnr::MCS_THRESHOLD_DB[i] + near,
+                8 => f64::NAN,
+                9 => f64::INFINITY,
+                _ => f64::NEG_INFINITY,
+            })
+        }
+
+        /// Up to four clients on a band of 1 to 64 subcarriers; a client
+        /// is either flat on one drawn value (a threshold straddled whole)
+        /// or selective.
+        fn clients() -> impl Strategy<Value = Vec<Vec<f64>>> {
+            let client = (
+                1usize..65,
+                any::<bool>(),
+                sinr_db(),
+                prop::collection::vec(sinr_db(), 64),
+            );
+            let client = client.prop_map(|(n_k, flat, level, mut row)| {
+                if flat {
+                    row.fill(level);
+                }
+                row.truncate(n_k);
+                row
+            });
+            prop::collection::vec(client, 0..5)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn select_joint_mcs_matches_the_ascending_scan(per_client in clients()) {
+                let want = select_joint_mcs_ascending(&per_client);
+                prop_assert_eq!(select_joint_mcs(&per_client), want);
+                let flat: Vec<f64> = per_client.concat();
+                if let Some(first) = per_client.first() {
+                    if per_client.iter().all(|r| r.len() == first.len()) {
+                        prop_assert_eq!(select_joint_mcs(flat.chunks_exact(first.len())), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
