@@ -312,7 +312,7 @@ impl LinkEval for FastEval {
     }
 
     /// Frequency-domain model: every client measures every AP, averaged
-    /// over `rounds`.
+    /// over `rounds` ([`FastEval::measured_rows`]).
     fn estimate_channel(
         &mut self,
         aps: &[NodeId],
@@ -322,17 +322,13 @@ impl LinkEval for FastEval {
     ) -> Result<Vec<CMat>, JmbError> {
         let n_k = self.medium.occupied().len();
         let mut h = vec![CMat::zeros(clients.len(), aps.len()); n_k];
-        // All estimates are taken at one instant, so each oscillator is
-        // read once and the static tap sums come from the medium's cached
-        // rows; only the per-round estimation noise is drawn per pair and
-        // subcarrier, client-major as the golden fixtures pin it.
         let rows = &mut self.scratch.rows;
-        self.medium.channel_rows_into(aps, clients, t0, rows);
         let var = self.cfg.noise_var / self.cfg.rounds as f64;
+        Self::measured_rows(&mut self.medium, aps, clients, t0, rng, var, rows);
         for (pair, row) in rows.chunks_exact(n_k).enumerate() {
             let (j, i) = (pair / aps.len(), pair % aps.len());
             for (k_idx, &g) in row.iter().enumerate() {
-                h[k_idx][(j, i)] = g + estimation_noise(rng, var);
+                h[k_idx][(j, i)] = g;
             }
         }
         Ok(h)
@@ -376,6 +372,35 @@ impl Serve for FastEval {
 }
 
 impl FastEval {
+    /// What `clients` feed back of the `aps` at `t`, into `out` laid out as
+    /// [`SubcarrierMedium::transmit_rows_into`]: every client's row of
+    /// `H_s ∘ T(t)` plus one complex-Gaussian draw of variance `var` per
+    /// entry, client-major then AP then subcarrier — the order the golden
+    /// fixtures pin. All estimates are taken at one instant, so each AP's
+    /// oscillator is read once and the static tap sums come from the
+    /// medium's cached rows.
+    ///
+    /// No client's oscillator is read (DESIGN.md §3.5): its factor `R(t)`
+    /// turns its whole row by one unit phasor per subcarrier, and
+    /// zero-forcing on `R₀·H̃` gives `W(H̃)·R₀⁻¹` — the same column norms,
+    /// per-antenna power and `k̂`, so the same `|g|²` — while `R₀⁻¹N` has
+    /// the law of the estimation noise `N`. So a client's trajectory is
+    /// never walked.
+    fn measured_rows(
+        medium: &mut SubcarrierMedium,
+        aps: &[NodeId],
+        clients: &[NodeId],
+        t: f64,
+        rng: &mut JmbRng,
+        var: f64,
+        out: &mut Vec<Complex64>,
+    ) {
+        medium.transmit_rows_into(aps, clients, t, out);
+        for g in out.iter_mut() {
+            *g += estimation_noise(rng, var);
+        }
+    }
+
     /// The slaves' view of the lead. The per-header estimation noise on the
     /// lead→slave channel follows from the AP↔AP SNR (two LTF repetitions
     /// averaged).
@@ -655,11 +680,18 @@ impl FastNet {
             rotations.push(jmb_dsp::complex::fit_linear_phase(&ks, ratios));
         }
         // Fresh row for this client (averaged over the measurement rounds),
-        // AP-major.
+        // AP-major, fed back like the measurement's.
         let mut fresh = Vec::with_capacity(n_aps * ks.len());
-        for i in 0..n_aps {
-            fresh.extend_from_slice(obs.estimate(obs.aps[i], c, t_j, row_var));
-        }
+        let medium = &mut self.link.medium;
+        FastEval::measured_rows(
+            medium,
+            &self.aps,
+            &[c],
+            t_j,
+            &mut self.rng,
+            row_var,
+            &mut fresh,
+        );
         // Rotated back to the reference time and spliced into the stored
         // `H̃` in place; the row it replaces waits in the scratch in case
         // the stitched matrix turns out singular.
@@ -916,7 +948,7 @@ pub(crate) struct Scratch {
     /// EESM effective SNR (dB) per stream of the last subset transmission.
     eff_snr_db: Vec<f64>,
     /// Channel rows of one instant, `[(rx · n_tx + tx) · n_k + k_idx]`
-    /// ([`SubcarrierMedium::channel_rows_into`]): the measurement's.
+    /// ([`SubcarrierMedium::transmit_rows_into`]): the measurement's.
     pub(crate) rows: Vec<Complex64>,
     /// The probe kernel's tables, planar, one row of `n_k` subcarriers
     /// each: the batch's static rows `[rx · n_tx + tx]`, gathered once per
@@ -1398,6 +1430,63 @@ mod tests {
         assert_eq!(before.len(), after.len());
         let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
         assert_eq!(moved, 0, "{moved} of {} table entries moved", before.len());
+    }
+
+    #[test]
+    fn client_oscillators_reach_no_output() {
+        // The measurement feeds back `H_s ∘ T(t₀)` and reads no client's
+        // oscillator, and neither does anything after it: a twin whose
+        // every client sits on another crystal — another offset, so another
+        // sample ratio, and another phase-noise walk — measures the same
+        // `H̃`, and every table, `k̂`, rate, re-measured row and MRT SNR
+        // after it is the same, bit for bit.
+        fn outputs(net: &mut FastNet) -> Vec<u64> {
+            fn eat(bits: &mut Vec<u64>, xs: impl IntoIterator<Item = f64>) {
+                bits.extend(xs.into_iter().map(f64::to_bits));
+            }
+            fn eat_h(bits: &mut Vec<u64>, h: &[CMat]) {
+                let entries = h.iter().flat_map(|m| m.as_slice().iter());
+                eat(bits, entries.flat_map(|z| [z.re, z.im]));
+            }
+            let mut bits = Vec::new();
+            net.run_measurement().unwrap();
+            eat_h(&mut bits, net.measured_channel().unwrap());
+            eat(&mut bits, [net.k_hat().unwrap()]);
+            let mcs = net.select_joint_rate().map(|m| m.index());
+            eat(&mut bits, [mcs.map_or(-1.0, |i| i as f64)]);
+            net.advance(3e-3);
+            let out = net.joint_transmit(1.2e-3, 4, &[], true).unwrap();
+            eat(
+                &mut bits,
+                out.sinr_db.iter().chain(out.interference).copied(),
+            );
+            eat(&mut bits, [out.k_hat]);
+            let sub = net
+                .joint_transmit_subset(&[0, 2], &[0, 1, 2, 3], 1500, 2, true)
+                .unwrap();
+            eat(&mut bits, [sub.mcs.index() as f64, sub.airtime_s]);
+            eat(&mut bits, sub.eff_snr_db.iter().chain(sub.sinr_db).copied());
+            net.advance(4e-3);
+            net.remeasure_client(1).unwrap();
+            eat_h(&mut bits, net.measured_channel().unwrap());
+            eat(&mut bits, [net.k_hat().unwrap()]);
+            eat(&mut bits, net.diversity_snr_db(2).unwrap());
+            bits
+        }
+        let mut twin = FastNet::new(cfg(4, 20.0, 23)).unwrap();
+        let mut net = FastNet::new(cfg(4, 20.0, 23)).unwrap();
+        let (spec, carrier) = (net.link.cfg.osc_spec, net.link.cfg.params.carrier_freq);
+        for (j, &c) in net.clients.iter().enumerate() {
+            let traj = net.link.medium.trajectory_mut(c);
+            let was = traj.sample_ratio();
+            let offset_hz = (j as f64 - 1.5) * 3.7e3;
+            *traj = PhaseTrajectory::with_offset(spec, carrier, offset_hz, 0xC11E + j as u64);
+            assert_ne!(traj.sample_ratio(), was, "client {j}");
+        }
+        let (want, got) = (outputs(&mut twin), outputs(&mut net));
+        assert_eq!(want.len(), got.len());
+        let moved = want.iter().zip(&got).filter(|(a, b)| a != b).count();
+        assert_eq!(moved, 0, "{moved} of {} outputs moved", want.len());
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub struct SubcarrierMedium {
     links: Vec<Vec<Option<LinkSlot>>>,
     table: TapTable,
     /// `(phase, sample ratio)` of the nodes of one [`Self::channel_rows_into`]
-    /// call, transmitters first.
+    /// or [`Self::transmit_rows_into`] call, transmitters first.
     osc: Vec<(f64, f64)>,
     rng: JmbRng,
 }
@@ -271,11 +271,52 @@ impl SubcarrierMedium {
         t: f64,
         out: &mut Vec<Complex64>,
     ) {
+        self.rows_into(txs, rxs, t, true, out);
+    }
+
+    /// [`Self::channel_rows_into`] with the transmit factor only, `H_s ∘
+    /// T(t)`: each entry is the static response times its transmitter's
+    /// carrier phasor and the transmitter's half of the sampling-clock
+    /// slip, `e^{j(φ_tx(t) + 2π f_k (r_tx − 1) t)}`. No receiver's
+    /// oscillator is read, so its trajectory is never walked. A receiver's
+    /// factor `R(t)` turns its whole row by one unit phasor per subcarrier,
+    /// which zero-forcing absorbs into the precoder's column phases: what a
+    /// client feeds back for the fast fidelity's `H̃` needs none of it.
+    pub fn transmit_rows_into(
+        &mut self,
+        txs: &[NodeId],
+        rxs: &[NodeId],
+        t: f64,
+        out: &mut Vec<Complex64>,
+    ) {
+        self.rows_into(txs, rxs, t, false, out);
+    }
+
+    /// The one row loop behind [`Self::channel_rows_into`] and
+    /// [`Self::transmit_rows_into`]: a receiver whose oscillator is not
+    /// read stands at `(phase, ratio) = (0, 1)`, so its pair phasor is
+    /// `cis(φ_tx − 0)` and its slip `(r_tx − 1)·t`.
+    fn rows_into(
+        &mut self,
+        txs: &[NodeId],
+        rxs: &[NodeId],
+        t: f64,
+        read_rx: bool,
+        out: &mut Vec<Complex64>,
+    ) {
         out.clear();
         self.osc.clear();
-        for &n in txs.iter().chain(rxs) {
+        for &n in txs {
             let traj = &mut self.nodes[n.0].traj;
             self.osc.push((traj.phase_at(t), traj.sample_ratio()));
+        }
+        for &n in rxs {
+            self.osc.push(if read_rx {
+                let traj = &mut self.nodes[n.0].traj;
+                (traj.phase_at(t), traj.sample_ratio())
+            } else {
+                (0.0, 1.0)
+            });
         }
         let (tx_osc, rx_osc) = self.osc.split_at(txs.len());
         let spacing = self.params.subcarrier_spacing();
@@ -602,6 +643,49 @@ mod tests {
         assert!((rows[0] - want).abs() <= 1e-14 * want.abs());
         assert!(rows[ks.len()..].iter().all(|&h| h == Complex64::ZERO));
         assert!(m.static_row(lonely, rxs[0]).is_none());
+    }
+
+    #[test]
+    fn transmit_rows_are_full_rows_at_a_clean_receiver() {
+        // `transmit_rows_into` stands each receiver at phase 0 and sample
+        // ratio 1: bit for bit the full rows once every receiver really is a
+        // clean oscillator at zero offset, and untouched by what the
+        // receivers' oscillators were before.
+        let mut m = medium(23);
+        let mut rng = jmb_dsp::rng::rng_from_seed(6);
+        let txs: Vec<NodeId> = (0..3)
+            .map(|i| m.add_node(PhaseTrajectory::fixed(FC, 300.0 * i as f64 - 200.0), 0.0))
+            .collect();
+        let rxs: Vec<NodeId> = (0..2)
+            .map(|j| m.add_node(PhaseTrajectory::fixed(FC, -150.0 * j as f64 + 80.0), 0.0))
+            .collect();
+        for &tx in &txs {
+            for &rx in &rxs[..1] {
+                let link = faded_link(jmb_channel::MultipathSpec::indoor_nlos(), &mut rng);
+                m.set_link(tx, rx, link);
+            }
+        }
+        let (mut before, mut after, mut full) = (Vec::new(), Vec::new(), Vec::new());
+        for t in [0.0, 1.3e-3, 7.7e-3] {
+            m.transmit_rows_into(&txs, &rxs, t, &mut before);
+            let n_k = m.occupied().len();
+            assert_eq!(before.len(), rxs.len() * txs.len() * n_k);
+            assert!(before[txs.len() * n_k..]
+                .iter()
+                .all(|&h| h == Complex64::ZERO));
+            let saved: Vec<PhaseTrajectory> =
+                rxs.iter().map(|&rx| m.trajectory_mut(rx).clone()).collect();
+            for &rx in &rxs {
+                *m.trajectory_mut(rx) = PhaseTrajectory::fixed(FC, 0.0);
+            }
+            m.transmit_rows_into(&txs, &rxs, t, &mut after);
+            m.channel_rows_into(&txs, &rxs, t, &mut full);
+            assert_eq!(before, after, "t={t}");
+            assert_eq!(before, full, "t={t}");
+            for (&rx, traj) in rxs.iter().zip(saved) {
+                *m.trajectory_mut(rx) = traj;
+            }
+        }
     }
 
     #[test]
