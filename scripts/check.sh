@@ -23,13 +23,16 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Ten greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Eleven greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
 # factorisation rule (DESIGN.md §3.5) — neither `Scratch::probe_sinr` nor
 # `FastNet::baseline_snr_db` calls `channel_rows_into(`: both read the
 # static rows, since `|g|²` drops every receive oscillator — the
+# transmit-factor rule (DESIGN.md §3.5): neither does the fast measurement
+# (`estimate_channel`, `measured_rows`, `remeasure_client`), whose rows are
+# `H_s ∘ T(t0)` — the
 # taps-plus-kernel rule (DESIGN.md §3.16) — `RxWindow::superpose` calls
 # `interpolate_at(` once and never walks the taps — the written-once rule
 # (DESIGN.md §3.5, §3.6), which is two: each method of the networks' shared
@@ -147,13 +150,14 @@ fi
 # The two kernels of the fast path walk linear phases as ramps
 # (jmb_dsp::complex::phasor_ramp): a `cis` per subcarrier creeping back into
 # either is the regression. The one sanctioned `cis` is still each pair's
-# phasor in `channel_rows_into`, once per (tx, rx), outside the subcarrier
+# phasor in the row loop behind `channel_rows_into` and `transmit_rows_into`
+# (`SubcarrierMedium::rows_into`), once per (tx, rx), outside the subcarrier
 # walk — and the probe kernel no longer calls `channel_rows_into`.
 kernel() { sed -n "/$2/,/^    }\$/p" "$1"; }
-if { kernel crates/sim/src/freq.rs 'pub fn channel_rows_into(' | grep -v 'let pair = ';
+if { kernel crates/sim/src/freq.rs 'fn rows_into(' | grep -v 'let pair = ';
      kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
    } | grep -n 'Complex64::cis('; then
-  echo "Complex64::cis( inside channel_rows_into or Scratch::probe_sinr (walk a phasor_ramp instead)" >&2
+  echo "Complex64::cis( inside SubcarrierMedium::rows_into or Scratch::probe_sinr (walk a phasor_ramp instead)" >&2
   exit 1
 fi
 
@@ -166,6 +170,21 @@ if { kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
      kernel crates/core/src/fastnet.rs 'pub fn baseline_snr_db(';
    } | grep -n 'channel_rows_into('; then
   echo "channel_rows_into( inside Scratch::probe_sinr or FastNet::baseline_snr_db (read static_row instead)" >&2
+  exit 1
+fi
+
+# What a client feeds back is `H_s ∘ T(t0)` (DESIGN.md §3.5): its own
+# oscillator turns its whole row, which zero-forcing absorbs into a column
+# phase, so the fast measurement reads no client oscillator and walks no
+# client trajectory. A `channel_rows_into(` or `channel_row_into(` in
+# `FastEval::estimate_channel`, `FastEval::measured_rows` or
+# `FastNet::remeasure_client` is the full row, receive oscillator included,
+# creeping back.
+if { kernel crates/core/src/fastnet.rs 'fn estimate_channel(';
+     kernel crates/core/src/fastnet.rs 'fn measured_rows(';
+     kernel crates/core/src/fastnet.rs 'pub fn remeasure_client(';
+   } | grep -n 'channel_rows\?_into('; then
+  echo "channel_rows_into( in FastNet's measurement (feed back transmit_rows_into: no client oscillator)" >&2
   exit 1
 fi
 
