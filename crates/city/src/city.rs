@@ -4,7 +4,7 @@ use crate::grid::{Grid, Reuse};
 use jmb_channel::pathloss::PathLossModel;
 use jmb_core::error::JmbError;
 use jmb_core::experiment::{parallel_map, SchedulePolicy, SweepConfig};
-use jmb_core::fastnet::FastConfig;
+use jmb_core::fastnet::{FastConfig, NOISE_VAR};
 use jmb_dsp::stats::{db_to_lin, lin_to_db};
 use jmb_obs::{EventKind, Registry, Trace};
 use jmb_traffic::{ClientLoad, FastBackend, TrafficConfig, TrafficMetrics, TrafficSim};
@@ -354,11 +354,10 @@ fn run_cell(
     let phy_seed: u64 = rng.gen();
     let mac_seed: u64 = rng.gen();
     let fc = FastConfig::default_with(cfg.aps_per_cell, nc, vec![cfg.client_snr_db; nc], phy_seed);
-    let noise_var = fc.noise_var;
     let mut backend = FastBackend::new(fc)?;
     backend
         .net_mut()
-        .set_external_interference(&[ext_inr_lin * noise_var])?;
+        .set_external_interference(&[ext_inr_lin * NOISE_VAR])?;
     let loads = vec![ClientLoad::poisson(cfg.rate_pps, cfg.packet_bytes); nc];
     let mut tc = TrafficConfig::default_with(loads, mac_seed);
     tc.duration_s = cfg.duration_s;

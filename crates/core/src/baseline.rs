@@ -41,15 +41,11 @@ impl JmbOverheads {
     /// Computes overheads for a deployment: `measurement_len_s` is the
     /// measurement packet's airtime and `coherence_s` how often it must be
     /// repeated ("on the order of the coherence time of the channel…
-    /// several hundreds of milliseconds", §5).
-    pub fn new(
-        params: &OfdmParams,
-        turnaround_s: f64,
-        measurement_len_s: f64,
-        coherence_s: f64,
-    ) -> Self {
+    /// several hundreds of milliseconds", §5). Each header costs its 320
+    /// samples and the turnaround [`crate::network::TURNAROUND_S`].
+    pub fn new(params: &OfdmParams, measurement_len_s: f64, coherence_s: f64) -> Self {
         JmbOverheads {
-            per_packet_s: 320.0 * params.sample_period() + turnaround_s,
+            per_packet_s: 320.0 * params.sample_period() + crate::network::TURNAROUND_S,
             measurement_fraction: (measurement_len_s / coherence_s).min(1.0),
         }
     }
@@ -214,7 +210,7 @@ mod tests {
     #[test]
     fn jmb_overheads_reasonable() {
         let p = params();
-        let o = JmbOverheads::new(&p, 150e-6, 700e-6, 0.25);
+        let o = JmbOverheads::new(&p, 700e-6, 0.25);
         // Header 32 µs + 150 µs turnaround.
         assert!((o.per_packet_s - 182e-6).abs() < 1e-9);
         assert!((o.measurement_fraction - 0.0028).abs() < 0.001);
@@ -225,7 +221,7 @@ mod tests {
         // The essence of Fig. 9: at the same per-client rate, JMB serves
         // everyone concurrently while 802.11 splits the medium N ways.
         let p = params();
-        let o = JmbOverheads::new(&p, 150e-6, 700e-6, 0.25);
+        let o = JmbOverheads::new(&p, 700e-6, 0.25);
         let sinrs = vec![20.0; 52];
         let mcs = select_joint_mcs(std::slice::from_ref(&sinrs)).unwrap();
         let jmb = jmb_client_throughput(&p, mcs, &sinrs, 1500, &o);
@@ -241,7 +237,7 @@ mod tests {
     #[test]
     fn jmb_per_climbs_below_threshold() {
         let p = params();
-        let o = JmbOverheads::new(&p, 150e-6, 700e-6, 0.25);
+        let o = JmbOverheads::new(&p, 700e-6, 0.25);
         let good = jmb_client_throughput(&p, Mcs::ALL[4], &vec![18.0; 52], 1500, &o);
         let bad = jmb_client_throughput(&p, Mcs::ALL[4], &vec![8.0; 52], 1500, &o);
         assert!(bad < good * 0.6, "good {good}, bad {bad}");

@@ -26,9 +26,10 @@
 
 use crate::baseline;
 use crate::error::JmbError;
-use crate::fastnet::{estimation_noise, FastObserver, ProbeFrame, Scratch};
+use crate::fastnet::{estimation_noise, FastObserver, ProbeFrame, Scratch, NOISE_VAR};
 use crate::network::{
-    drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network,
+    client_snr_rule, drawn_link, first_broken, validate_shape, Deployment, LinkEval, Network,
+    AP_AP_SNR_DB,
 };
 use crate::sync::{LeadObserver, SyncStrategyId};
 use jmb_channel::multipath::MultipathSpec;
@@ -36,7 +37,7 @@ use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_dsp::rng::JmbRng;
 use jmb_dsp::{CMat, Complex64};
 use jmb_obs::Trace;
-use jmb_phy::params::OfdmParams;
+use jmb_phy::params::{ChannelProfile, OfdmParams};
 use jmb_phy::rates::Mcs;
 use jmb_sim::{NodeId, SubcarrierMedium};
 use rand::Rng;
@@ -44,33 +45,23 @@ use rand::Rng;
 /// Antennas per AP and per client in the 802.11n testbed (§10b).
 pub const ANTS: usize = 2;
 
+/// APs, and clients, in the 802.11n testbed: "two 2×2 MIMO systems"
+/// combined into one 4×4 (§10b).
+pub(crate) const DEVICES: usize = 2;
+
 /// Gap between consecutive soundings, seconds (a packet + SIFS-ish).
 const SOUNDING_GAP_S: f64 = 300e-6;
 
 /// Number of repeated sounding rounds averaged per antenna.
 const SOUNDING_ROUNDS: usize = 8;
 
-/// Software turnaround `t_Δ` between the legacy preamble and the data (§10a).
-const TURNAROUND_S: f64 = 150e-6;
-
 /// Configuration of the 802.11n-compat network: 2 two-antenna APs serving
-/// 2 two-antenna clients.
+/// 2 two-antenna clients, on the 20 MHz profile. The APs run
+/// USRP2 oscillators, one crystal per device: the paper's compat testbed
+/// still uses USRP2 APs (§10b), and only the clients are off-the-shelf
+/// cards.
 #[derive(Debug, Clone)]
 pub struct CompatConfig {
-    /// OFDM numerology (the paper uses the 20 MHz profile here).
-    pub params: OfdmParams,
-    /// Number of 2-antenna APs.
-    pub n_aps: usize,
-    /// Number of 2-antenna clients.
-    pub n_clients: usize,
-    /// AP oscillator population (one crystal per device). The paper's
-    /// compat testbed still uses USRP2 APs (§10b) — only the clients are
-    /// off-the-shelf cards.
-    pub osc_spec: OscillatorSpec,
-    /// Per-bin noise variance.
-    pub noise_var: f64,
-    /// AP↔AP link SNR, dB.
-    pub ap_ap_snr_db: f64,
     /// Per-client target SNR, dB.
     pub client_snr_db: Vec<f64>,
     /// Master seed.
@@ -81,13 +72,7 @@ impl CompatConfig {
     /// The paper's §10b arrangement at a given SNR band target.
     pub fn default_with(client_snr_db: f64, seed: u64) -> Self {
         CompatConfig {
-            params: OfdmParams::new(jmb_phy::params::ChannelProfile::Wifi20MHz),
-            n_aps: 2,
-            n_clients: 2,
-            osc_spec: OscillatorSpec::usrp2(),
-            noise_var: 1.0,
-            ap_ap_snr_db: 30.0,
-            client_snr_db: vec![client_snr_db; 2],
+            client_snr_db: vec![client_snr_db; DEVICES],
             seed,
         }
     }
@@ -95,23 +80,8 @@ impl CompatConfig {
     /// The shape and range rules [`Network::new`] starts with, without
     /// building anything.
     pub fn validate(&self) -> Result<(), JmbError> {
-        validate_shape(self.n_aps, self.n_clients, &self.client_snr_db)?;
-        if self.n_aps < self.n_clients.max(2) {
-            return Err(JmbError::BadConfig("need n_aps ≥ max(2, n_clients)"));
-        }
-        // The turnaround and the sounding rounds are compat's own constants.
-        let common = number_rules(
-            self.params.carrier_freq,
-            self.osc_spec,
-            self.ap_ap_snr_db,
-            &self.client_snr_db,
-            TURNAROUND_S,
-            SOUNDING_ROUNDS,
-        );
-        first_broken(common.into_iter().chain([(
-            "noise_var must be finite and positive",
-            self.noise_var.is_finite() && self.noise_var > 0.0,
-        )]))
+        validate_shape(DEVICES, DEVICES, &self.client_snr_db)?;
+        first_broken([client_snr_rule(&self.client_snr_db)])
     }
 }
 
@@ -144,23 +114,27 @@ impl LinkEval for CompatEval {
     fn deploy(cfg: CompatConfig) -> Result<Deployment<Self>, JmbError> {
         cfg.validate()?;
         let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
-        let mut medium = SubcarrierMedium::new(cfg.params.clone(), rng.gen());
-        let carrier = cfg.params.carrier_freq;
+        // The medium's noise seed once came first; the draw stays so every
+        // deployment after it does.
+        let _: u64 = rng.gen();
+        let params = OfdmParams::new(ChannelProfile::Wifi20MHz);
+        let carrier = params.carrier_freq;
+        let mut medium = SubcarrierMedium::new(params);
 
-        let mut antennas = |n_devices: usize, spec: OscillatorSpec| {
-            let mut nodes = Vec::with_capacity(n_devices * ANTS);
-            for _ in 0..n_devices {
+        let mut antennas = |spec: OscillatorSpec| {
+            let mut nodes = Vec::with_capacity(DEVICES * ANTS);
+            for _ in 0..DEVICES {
                 let traj = PhaseTrajectory::new(spec, carrier, &mut rng);
-                nodes.push(medium.add_node(traj.clone(), cfg.noise_var));
-                nodes.push(medium.add_node(traj, cfg.noise_var));
+                nodes.push(medium.add_node(traj.clone()));
+                nodes.push(medium.add_node(traj));
             }
             nodes
         };
-        let txs = antennas(cfg.n_aps, cfg.osc_spec);
+        let txs = antennas(OscillatorSpec::usrp2());
         // Client crystals (Intel 5300-class, ±20 ppm worst case) never enter
         // the inter-AP phase synchronisation; they are tracked by the
         // clients' own pilot processing.
-        let rxs = antennas(cfg.n_clients, OscillatorSpec::wifi_worst_case());
+        let rxs = antennas(OscillatorSpec::wifi_worst_case());
 
         // Links: AP antenna → everything. Antennas of one device get
         // independent fading (half-wavelength separation) but identical
@@ -173,7 +147,7 @@ impl LinkEval for CompatEval {
                 for &tx in from {
                     for &rx in to {
                         let los = MultipathSpec::indoor_los();
-                        let target = (cfg.ap_ap_snr_db, cfg.noise_var);
+                        let target = (AP_AP_SNR_DB, NOISE_VAR);
                         medium.set_link(tx, rx, drawn_link(&mut rng, los, 30e-9, target));
                     }
                 }
@@ -189,7 +163,7 @@ impl LinkEval for CompatEval {
                 for &tx in ap {
                     for &rx in ants {
                         let nlos = MultipathSpec::indoor_nlos();
-                        let target = (snr, cfg.noise_var);
+                        let target = (snr, NOISE_VAR);
                         medium.set_link(tx, rx, drawn_link(&mut rng, nlos, 60e-9, target));
                     }
                 }
@@ -210,8 +184,7 @@ impl LinkEval for CompatEval {
             rng,
             seed: cfg.seed,
             sync: SyncStrategyId::default(),
-            sample_period_s: cfg.params.sample_period(),
-            turnaround_s: TURNAROUND_S,
+            sample_period_s: medium.params().sample_period(),
             seed_cfo_sigma_hz: (0.02 / (2.0 * std::f64::consts::PI * span)).max(5.0),
             link: CompatEval {
                 cfg,
@@ -234,7 +207,8 @@ impl LinkEval for CompatEval {
 
     /// One sounding per AP antenna, `SOUNDING_GAP_S` apart.
     fn measurement_len(&self) -> usize {
-        self.txs.len() * (SOUNDING_GAP_S / self.cfg.params.sample_period()).round() as usize
+        let ts = self.medium.params().sample_period();
+        self.txs.len() * (SOUNDING_GAP_S / ts).round() as usize
     }
 
     /// The §6.2 stitched soundings.
@@ -252,7 +226,7 @@ impl LinkEval for CompatEval {
         t0: f64,
     ) -> Result<Vec<CMat>, JmbError> {
         let (txs, rxs, medium) = (&self.txs, &self.rxs, &mut self.medium);
-        let var = self.cfg.noise_var / SOUNDING_ROUNDS as f64;
+        let var = NOISE_VAR / SOUNDING_ROUNDS as f64;
         let (l1, n_tx) = (txs[0], txs.len());
         let occupied = medium.occupied().to_vec();
         let ks: Vec<f64> = occupied.iter().map(|&k| k as f64).collect();
@@ -321,7 +295,7 @@ impl LinkEval for CompatEval {
             medium: &mut self.medium,
             rng,
             aps,
-            header_noise_var: self.cfg.noise_var / 2.0,
+            header_noise_var: NOISE_VAR / 2.0,
             trace: &mut self.trace,
             est: &mut self.scratch.est,
         })
@@ -347,7 +321,7 @@ impl CompatNet {
                 duration_s: packet_duration_s,
                 n_probes: 2,
             };
-            let floor = (net.link.cfg.noise_var, &[][..]);
+            let floor = (NOISE_VAR, &[][..]);
             net.link
                 .scratch
                 .probe_sinr(&mut net.link.medium, precoder, &frame, floor);
@@ -361,13 +335,13 @@ impl CompatNet {
     /// JMB throughput for each client: both its streams at the jointly
     /// selected rate, served concurrently.
     pub fn jmb_throughput(&mut self, payload_bytes: usize) -> Result<Vec<f64>, JmbError> {
-        let params = self.config().params.clone();
+        let params = self.link.medium.params().clone();
         let duration = baseline::frame_airtime(&params, Mcs::ALL[4], payload_bytes);
         let per_stream = self.joint_sinr(duration)?;
         let Some(mcs) = baseline::select_joint_mcs(&per_stream) else {
-            return Ok(vec![0.0; self.config().n_clients]);
+            return Ok(vec![0.0; DEVICES]);
         };
-        let over = baseline::JmbOverheads::new(&params, TURNAROUND_S, 1.5e-3, 0.25);
+        let over = baseline::JmbOverheads::new(&params, 1.5e-3, 0.25);
         let over = over.with_aggregation(4);
         let rate =
             |s: &[f64]| baseline::jmb_client_throughput(&params, mcs, s, payload_bytes, &over);
@@ -381,13 +355,12 @@ impl CompatNet {
     pub fn dot11n_throughput(&mut self, payload_bytes: usize) -> Vec<f64> {
         let now = self.now();
         let link = &mut self.link;
-        let (cfg, nv, n_k) = (&link.cfg, link.cfg.noise_var, link.medium.occupied().len());
+        let n_k = link.medium.occupied().len();
         let rows = &mut link.scratch.rows;
         let mut h = CMat::zeros(ANTS, ANTS);
-        let mut out = Vec::with_capacity(cfg.n_clients);
-        for (c, rxs) in link.rxs.chunks_exact(ANTS).enumerate() {
-            let ap = c.min(cfg.n_aps - 1); // its designated AP
-            let txs = &link.txs[ap * ANTS..][..ANTS];
+        let mut out = Vec::with_capacity(DEVICES);
+        // Client c's designated AP is AP c.
+        for (rxs, txs) in link.rxs.chunks_exact(ANTS).zip(link.txs.chunks_exact(ANTS)) {
             link.medium.channel_rows_into(txs, rxs, now, rows);
             // Per-stream post-ZF SNR: streams at half power each;
             // SNR_s = (1/2)/(nv·[(HᴴH)⁻¹]_ss).
@@ -402,18 +375,18 @@ impl CompatNet {
                 for (s, snrs) in stream_snrs.iter_mut().enumerate() {
                     snrs.push(match &inv {
                         Ok(inv) => {
-                            jmb_dsp::stats::lin_to_db(0.5 / (nv * inv[(s, s)].re.max(1e-12)))
+                            jmb_dsp::stats::lin_to_db(0.5 / (NOISE_VAR * inv[(s, s)].re.max(1e-12)))
                         }
                         Err(_) => -30.0,
                     });
                 }
             }
-            let (params, mac_s) = (&cfg.params, baseline::DOT11_MAC_OVERHEAD_S);
+            let (params, mac_s) = (link.medium.params(), baseline::DOT11_MAC_OVERHEAD_S);
             let rate = |s: &Vec<f64>| {
                 baseline::dot11_client_throughput_with_mac(params, s, 1, payload_bytes, mac_s)
             };
             // Equal share of the medium between the transmitters.
-            out.push(stream_snrs.iter().map(rate).sum::<f64>() / cfg.n_aps as f64);
+            out.push(stream_snrs.iter().map(rate).sum::<f64>() / DEVICES as f64);
         }
         out
     }
@@ -451,7 +424,7 @@ mod tests {
         // whose entry sits in a deep fade (below 20 dB over that noise) is
         // noise, not stitching, and is skipped: on this seed the one below
         // is column 1 of row 2 at the top subcarrier (18.6 dB, error 0.28).
-        let fade = 100.0 * net.config().noise_var / SOUNDING_ROUNDS as f64;
+        let fade = 100.0 * NOISE_VAR / SOUNDING_ROUNDS as f64;
         let (mut worst, mut checked): (f64, usize) = (0.0, 0);
         for (truth, k_idx) in truth.iter().zip([0usize, 25, 51]) {
             for r in 0..4 {
@@ -538,35 +511,13 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        // One row per rule, each refused by the field's name. Without the
-        // range rules a broken number built and measured, then failed at
-        // `joint_sinr` on a singular matrix — or, a NaN linewidth, ran as 0.
+        // One row per rule, each refused by the field's name.
         type Edit = (&'static str, fn(&mut CompatConfig));
-        let edits: [Edit; 12] = [
-            ("n_aps", |c| c.n_aps = 1),
-            ("n_clients", |c| {
-                c.n_clients = 0;
-                c.client_snr_db.clear();
-            }),
+        let edits: [Edit; 2] = [
             ("client_snr_db", |c| {
                 c.client_snr_db.pop();
             }),
-            ("n_aps", |c| {
-                c.n_clients = 3;
-                c.client_snr_db.push(22.0);
-            }),
-            ("carrier_freq", |c| c.params.carrier_freq = f64::NAN),
-            ("tolerance_ppm", |c| {
-                c.osc_spec.tolerance_ppm = f64::INFINITY
-            }),
-            ("linewidth", |c| {
-                c.osc_spec.phase_noise_linewidth_hz = f64::NAN
-            }),
-            ("drift", |c| c.osc_spec.drift_hz_per_sqrt_s = f64::NAN),
-            ("ap_ap_snr_db", |c| c.ap_ap_snr_db = f64::NAN),
             ("client_snr_db", |c| c.client_snr_db[0] = f64::NAN),
-            ("noise_var", |c| c.noise_var = 0.0),
-            ("noise_var", |c| c.noise_var = f64::NAN),
         ];
         for (field, edit) in edits {
             let mut c = CompatConfig::default_with(22.0, 5);

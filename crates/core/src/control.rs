@@ -335,8 +335,7 @@ mod tests {
                     .with_window(0.0, until_of(t_meas), storm.clone())
                     .unwrap(),
             );
-            net.joint_transmit_subset(&[0, 1], &[0, 1], 1500, 1, true)
-                .unwrap();
+            net.joint_transmit_subset(&[0, 1], &[0, 1], 1500).unwrap();
             net.last_sync().missed.clone()
         };
         // Boundary tick: `t_meas == until_s` sits outside the window.

@@ -12,6 +12,7 @@ use crate::baseline;
 use crate::error::JmbError;
 use crate::fastnet::{FastConfig, FastNet};
 use crate::net::{JmbNetwork, NetConfig};
+use crate::network::LinkEval;
 use crate::precoder::Precoder;
 use jmb_channel::oscillator::PhaseTrajectory;
 use jmb_channel::SnrBand;
@@ -519,6 +520,15 @@ pub(crate) fn scaling_draw(band: SnrBand, n: usize, seed: u64, topo: usize) -> F
     cfg
 }
 
+/// JMB's overheads on `net` in Figs. 9–11: its own measurement packet once
+/// per 250 ms of channel coherence, and one sync header per four
+/// aggregated frames.
+fn jmb_overheads(net: &FastNet) -> baseline::JmbOverheads {
+    let params = &net.config().params;
+    let meas_len = net.link.measurement_len() as f64 * params.sample_period();
+    baseline::JmbOverheads::new(params, meas_len, 0.25).with_aggregation(4)
+}
+
 /// Figs. 9/10 core: per band and AP count, draw topologies, measure, run a
 /// joint transmission, select the joint rate, and account throughput for
 /// JMB and the 802.11 equal-share baseline.
@@ -537,8 +547,6 @@ pub fn throughput_scaling(
             let runs = parallel_map(sweep, |topo| -> Option<ScalingRun> {
                 let cfg = scaling_draw(band, n, sweep.seed, topo);
                 let params = cfg.params.clone();
-                let rounds = cfg.rounds;
-                let turnaround = cfg.turnaround_s;
                 let mut net = FastNet::new(cfg).ok()?;
                 net.run_measurement().ok()?;
                 net.advance(2e-3);
@@ -557,16 +565,13 @@ pub fn throughput_scaling(
                     .collect::<Option<Vec<f64>>>()?;
 
                 // JMB: joint transmission outcome → joint rate → goodput.
+                let over = jmb_overheads(&net);
                 let duration = baseline::frame_airtime(&params, jmb_phy::rates::Mcs::ALL[4], 1500);
                 let outcome = net
                     .joint_transmit(duration, 4, &[], apply_phase_sync)
                     .ok()?;
                 let sinr_db = outcome.sinr_db.chunks_exact(outcome.n_k);
                 let mcs = baseline::select_joint_mcs(sinr_db.clone());
-                let meas_len =
-                    (320 + rounds * n * params.symbol_len()) as f64 * params.sample_period();
-                let over = baseline::JmbOverheads::new(&params, turnaround, meas_len, 0.25)
-                    .with_aggregation(4);
                 let jmb: Vec<f64> = match mcs {
                     None => vec![0.0; n],
                     Some(mcs) => sinr_db
@@ -671,16 +676,11 @@ pub fn diversity_sweep(
                 let mut cfg = FastConfig::default_with(n, 1, vec![snr], rng.gen());
                 cfg.ap_spread_db = 2.0; // "roughly similar SNRs to all APs"
                 let params = cfg.params.clone();
-                let turnaround = cfg.turnaround_s;
-                let rounds = cfg.rounds;
                 let mut net = FastNet::new(cfg).ok()?;
                 net.run_measurement().ok()?;
                 net.advance(1e-3);
                 let div_snrs = net.diversity_snr_db(0).ok()?;
-                let meas_len =
-                    (320 + rounds * n * params.symbol_len()) as f64 * params.sample_period();
-                let over = baseline::JmbOverheads::new(&params, turnaround, meas_len, 0.25)
-                    .with_aggregation(4);
+                let over = jmb_overheads(&net);
                 let jmb = match jmb_phy::esnr::select_mcs(&div_snrs) {
                     Some(mcs) => baseline::jmb_client_throughput(
                         &params,
@@ -964,6 +964,26 @@ mod tests {
             (agg[1].dot11_mean / agg[0].dot11_mean - 1.0).abs() < 0.5,
             "baseline should not scale"
         );
+    }
+
+    #[test]
+    fn fig9_overheads_charge_the_network_measurement() {
+        // The measurement packet Figs. 9–11 amortise is the one the network
+        // puts on the air: a 320-sample preamble, then max(32, ⌈128/n⌉)
+        // interleaved rounds of one 80-sample symbol per AP.
+        for n in 2..=10 {
+            let net = FastNet::new(scaling_draw(SnrBand::High, n, 1, 0)).unwrap();
+            let len = net.link.measurement_len();
+            assert_eq!(
+                len,
+                320 + 32.max(128usize.div_ceil(n)) * n * 80,
+                "n_aps {n}"
+            );
+            let airtime = len as f64 * net.config().params.sample_period();
+            let want = baseline::JmbOverheads::new(&net.config().params, airtime, 0.25);
+            let got = jmb_overheads(&net).measurement_fraction;
+            assert_eq!(got, want.measurement_fraction, "n_aps {n}");
+        }
     }
 
     #[test]

@@ -180,8 +180,10 @@ impl JmbMac {
         self.cfg.max_streams = n.max(1);
     }
 
-    /// Clears a client's hidden-terminal blacklist entry (e.g. after its
-    /// channels were re-measured).
+    /// Clears a client's hidden-terminal blacklist entry. Nothing calls it
+    /// when the client's channels are re-measured: the one re-admission is
+    /// [`JmbMac::clear_all_blacklists`], which the traffic layer calls when
+    /// every queued destination is blacklisted.
     pub fn clear_blacklist(&mut self, client: usize) {
         if let Some(b) = self.blacklisted.get_mut(client) {
             *b = false;

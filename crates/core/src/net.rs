@@ -47,7 +47,7 @@ use crate::error::JmbError;
 use crate::measure::{self, MeasurementPlan, REF_ANCHOR};
 use crate::network::{
     drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network, Serve,
-    Served,
+    Served, AP_AP_SNR_DB,
 };
 use crate::precoder::Precoder;
 use crate::sync::{LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ};
@@ -81,6 +81,15 @@ const TRIGGER_OFFSET_S: f64 = 5e-9;
 /// therefore cannot be absorbed into the measured channel.
 const TRIGGER_JITTER_S: f64 = 0.5e-9;
 
+/// Interleaved rounds in the measurement packet for `n_aps` APs: enough
+/// that the rounds section spans ≥ 32 symbol slots (~256 µs), and never
+/// fewer than 4. The slave's initial CFO estimate is phase-limited by that
+/// span, and it must be good enough (σ ≈ 10–15 Hz) to carry within-packet
+/// tracking until cross-header refinement takes over.
+fn rounds(n_aps: usize) -> usize {
+    4.max(32usize.div_ceil(n_aps.max(1)))
+}
+
 /// Configuration of a sample-level JMB network.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -92,16 +101,8 @@ pub struct NetConfig {
     pub n_clients: usize,
     /// Oscillator population for every node.
     pub osc_spec: OscillatorSpec,
-    /// Target per-subcarrier SNR of the AP↔AP links, dB (APs are mounted on
-    /// ledges with line of sight to each other — a strong link).
-    pub ap_ap_snr_db: f64,
     /// Target per-subcarrier SNR (dB) of each client's *strongest* AP link.
     pub client_snr_db: Vec<f64>,
-    /// Software turnaround between the lead header and the joint
-    /// transmission (the paper's `t_Δ` = 150 µs).
-    pub turnaround_s: f64,
-    /// Interleaved rounds in the measurement packet.
-    pub rounds: usize,
     /// Slot ordering of the measurement packet (the paper's interleaving,
     /// or the sequential ablation of §5.1a's design rationale).
     pub slot_order: crate::measure::SlotOrder,
@@ -110,22 +111,15 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// A conference-room default: USRP profile, 150 µs turnaround, 30 dB
-    /// AP↔AP links. The number of interleaved measurement rounds adapts so
-    /// the rounds section spans ≥ 32 symbol slots (~256 µs): the slave's
-    /// initial CFO estimate is phase-limited by that span, and it must be
-    /// good enough (σ ≈ 10–15 Hz) to carry within-packet tracking until
-    /// cross-header refinement takes over.
+    /// A conference-room default: USRP profile and USRP2 oscillators, the
+    /// paper's interleaved measurement packet.
     pub fn default_with(n_aps: usize, n_clients: usize, client_snr_db: f64, seed: u64) -> Self {
         NetConfig {
             params: OfdmParams::default(),
             n_aps,
             n_clients,
             osc_spec: OscillatorSpec::usrp2(),
-            ap_ap_snr_db: 30.0,
             client_snr_db: vec![client_snr_db; n_clients],
-            turnaround_s: 150e-6,
-            rounds: 4.max(32usize.div_ceil(n_aps.max(1))),
             slot_order: crate::measure::SlotOrder::Interleaved,
             seed,
         }
@@ -140,14 +134,23 @@ impl NetConfig {
                 "need at least as many AP antennas as clients",
             ));
         }
-        first_broken(number_rules(
-            self.params.carrier_freq,
-            self.osc_spec,
-            self.ap_ap_snr_db,
-            &self.client_snr_db,
-            self.turnaround_s,
-            self.rounds,
-        ))
+        let osc = self.osc_spec;
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let common = number_rules(self.params.carrier_freq, &self.client_snr_db);
+        first_broken(common.into_iter().chain([
+            (
+                "osc_spec.tolerance_ppm must be in [0, 1e6)",
+                (0.0..1e6).contains(&osc.tolerance_ppm),
+            ),
+            (
+                "osc_spec.phase_noise_linewidth_hz must be finite and non-negative",
+                non_negative(osc.phase_noise_linewidth_hz),
+            ),
+            (
+                "osc_spec.drift_hz_per_sqrt_s must be finite and non-negative",
+                non_negative(osc.drift_hz_per_sqrt_s),
+            ),
+        ]))
     }
 }
 
@@ -174,7 +177,8 @@ pub type JmbNetwork = Network<SampleEval>;
 
 impl SampleEval {
     fn plan(&self) -> MeasurementPlan {
-        MeasurementPlan::with_order(self.cfg.n_aps, self.cfg.rounds, self.cfg.slot_order)
+        let n_aps = self.cfg.n_aps;
+        MeasurementPlan::with_order(n_aps, rounds(n_aps), self.cfg.slot_order)
     }
 
     /// What slave `ap` adds to a nominal transmit instant: its static
@@ -218,7 +222,7 @@ impl LinkEval for SampleEval {
         for i in 0..cfg.n_aps {
             for j in i + 1..cfg.n_aps {
                 // ≤ 30 ns of separation.
-                let target = (cfg.ap_ap_snr_db, ap_bin_noise);
+                let target = (AP_AP_SNR_DB, ap_bin_noise);
                 let link = drawn_link(&mut rng, MultipathSpec::indoor_los(), 30e-9, target);
                 medium.set_reciprocal_link(aps[i], aps[j], link);
             }
@@ -257,8 +261,7 @@ impl LinkEval for SampleEval {
             seed: cfg.seed,
             sync: SyncStrategyId::default(),
             sample_period_s: params.sample_period(),
-            turnaround_s: cfg.turnaround_s,
-            seed_cfo_sigma_hz: measure::seed_cfo_sigma_hz(&params, cfg.rounds, cfg.n_aps),
+            seed_cfo_sigma_hz: measure::seed_cfo_sigma_hz(&params, rounds(cfg.n_aps), cfg.n_aps),
             link: SampleEval {
                 cfg,
                 medium,
@@ -965,7 +968,7 @@ mod tests {
     #[test]
     fn every_number_is_range_checked_by_name() {
         type Edit = (&'static str, fn(&mut NetConfig));
-        let edits: [Edit; 9] = [
+        let edits: [Edit; 5] = [
             ("carrier_freq", |c| c.params.carrier_freq = 0.0),
             ("tolerance_ppm", |c| {
                 c.osc_spec.tolerance_ppm = f64::INFINITY
@@ -974,11 +977,7 @@ mod tests {
                 c.osc_spec.phase_noise_linewidth_hz = f64::NAN
             }),
             ("drift", |c| c.osc_spec.drift_hz_per_sqrt_s = -1.0),
-            ("ap_ap_snr_db", |c| c.ap_ap_snr_db = f64::NAN),
             ("client_snr_db", |c| c.client_snr_db[1] = f64::NAN),
-            ("turnaround_s", |c| c.turnaround_s = -1e-6),
-            ("turnaround_s", |c| c.turnaround_s = f64::NAN),
-            ("rounds", |c| c.rounds = 0),
         ];
         for (field, edit) in edits {
             let mut cfg = NetConfig::default_with(2, 2, 20.0, 1);

@@ -149,15 +149,10 @@ const GATE: f64 = 3.0;
 impl PhaseSync {
     /// Creates an empty synchroniser with the default EWMA constant.
     pub fn new() -> Self {
-        Self::with_alpha(DEFAULT_CFO_ALPHA)
-    }
-
-    /// Creates a synchroniser with a custom EWMA smoothing factor.
-    pub fn with_alpha(alpha: f64) -> Self {
         PhaseSync {
             reference: None,
             reference_ks: Vec::new(),
-            cfo_ewma: Ewma::new(alpha),
+            cfo_ewma: Ewma::new(DEFAULT_CFO_ALPHA),
             first_cfo: None,
             last_header: None,
             refined_cfo: None,

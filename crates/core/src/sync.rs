@@ -429,12 +429,14 @@ mod tests {
     fn rig(n_aps: usize, seed: u64) -> Rig {
         let params = OfdmParams::default();
         let mut rng = jmb_dsp::rng::rng_from_seed(seed);
-        let mut medium = SubcarrierMedium::new(params.clone(), rng.gen());
+        // The draw the medium's noise seed took, kept so the rig's links stay.
+        let _: u64 = rng.gen();
+        let mut medium = SubcarrierMedium::new(params.clone());
         let carrier = params.carrier_freq;
         let aps: Vec<NodeId> = (0..n_aps)
             .map(|_| {
                 let traj = PhaseTrajectory::new(OscillatorSpec::usrp2(), carrier, &mut rng);
-                medium.add_node(traj, 1.0)
+                medium.add_node(traj)
             })
             .collect();
         for i in 0..n_aps {

@@ -41,7 +41,7 @@ fn no_reference_before_measurement() {
     // A network that never measured cannot joint-transmit.
     let mut net = FastNet::new(fast_cfg(2, 3)).unwrap();
     let err = net
-        .joint_transmit_subset(&[0, 1], &[0, 1], 1500, 1, true)
+        .joint_transmit_subset(&[0, 1], &[0, 1], 1500)
         .unwrap_err();
     assert_eq!(err, JmbError::NoReference);
     assert!(err.to_string().contains("no reference"), "{err}");
@@ -186,10 +186,7 @@ fn storm_script<L: LinkEval>(
 }
 
 fn both_fidelities(strategy: SyncStrategyId) -> (Vec<Step>, Vec<&'static str>) {
-    let fast: Transmit<FastEval> = |n| {
-        n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
-            .map(drop)
-    };
+    let fast: Transmit<FastEval> = |n| n.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500).map(drop);
     let fast = storm_script(FastNet::new(fast_cfg(3, 22)).unwrap(), fast, strategy);
     let sample: Transmit<SampleEval> = |n| {
         n.joint_transmit(&vec![vec![0x5Au8; 40]; 2], Mcs::BASE, true)
@@ -259,14 +256,14 @@ fn sync_header_missed_when_too_few_slaves_stay_coherent() {
     // Drive the slave through its fallback window into degradation.
     for _ in 0..3 {
         net.advance(1e-3);
-        net.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500, 1, true)
+        net.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500)
             .unwrap();
     }
     assert!(net.sync_health()[0].is_degraded());
     // A full-width batch no longer fits the coherent APs: typed error, and
     // the sync record of the batch that never went out stays readable.
     let err = net
-        .joint_transmit_subset(&[0, 1, 2], &[0, 1, 2], 1500, 1, true)
+        .joint_transmit_subset(&[0, 1, 2], &[0, 1, 2], 1500)
         .unwrap_err();
     assert_eq!(err, JmbError::SyncHeaderMissed { slave: 1 });
     assert!(err.to_string().contains("slave 1"), "{err}");

@@ -28,8 +28,11 @@ fn bits(h: Option<&[CMat]>) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// `timeline` is the config's sample period and turnaround `t_Δ`, seconds.
-fn network_contract<L: LinkEval>(cfg: L::Config, timeline: (f64, f64), transmit: Transmit<L>)
+/// The paper's software turnaround `t_Δ`, seconds: 150 µs (§5.2).
+const TURNAROUND_S: f64 = 150e-6;
+
+/// `ts` is the config's sample period, seconds.
+fn network_contract<L: LinkEval>(cfg: L::Config, ts: f64, transmit: Transmit<L>)
 where
     L::Config: Clone,
 {
@@ -65,8 +68,7 @@ where
     // One frame: header at `now`, data a turnaround after the header's
     // last sample, the air free 50 µs after the data's.
     net.advance(1e-3);
-    let (ts, turnaround_s) = timeline;
-    let t_d = net.now() + 320.0 * ts + turnaround_s;
+    let t_d = net.now() + 320.0 * ts + TURNAROUND_S;
     let duration_s = transmit(&mut net).expect("joint transmission");
     assert_eq!(net.now(), t_d + duration_s + 50e-6);
 
@@ -95,29 +97,28 @@ where
 #[test]
 fn fast_network_keeps_the_contract() {
     let cfg = FastConfig::default_with(3, 2, vec![20.0; 2], 7);
-    let timeline = (cfg.params.sample_period(), cfg.turnaround_s);
+    let ts = cfg.params.sample_period();
     let transmit: Transmit<FastEval> = |net| net.joint_transmit(7e-4, 2, &[], true).map(|_| 7e-4);
-    network_contract(cfg, timeline, transmit);
+    network_contract(cfg, ts, transmit);
 }
 
 #[test]
 fn compat_network_keeps_the_contract() {
     // §6.1: the legacy preamble is the sync header, so the timeline is the
-    // same 320 samples and 150 µs turnaround, here at 20 MHz.
+    // same 320 samples and 150 µs turnaround, here at 20 MHz (§10b).
     let cfg = CompatConfig::default_with(22.0, 9);
-    let timeline = (cfg.params.sample_period(), 150e-6);
     let transmit: Transmit<CompatEval> = |net| net.joint_sinr(3e-4).map(|_| 3e-4);
-    network_contract(cfg, timeline, transmit);
+    network_contract(cfg, 1.0 / 20e6, transmit);
 }
 
 #[test]
 fn sample_network_keeps_the_contract() {
     let cfg = NetConfig::default_with(3, 2, 22.0, 48);
-    let timeline = (cfg.params.sample_period(), cfg.turnaround_s);
+    let ts = cfg.params.sample_period();
     let transmit: Transmit<SampleEval> = |net| {
         let payloads = vec![vec![0x5Au8; 40]; net.config().n_clients];
         net.joint_transmit(&payloads, Mcs::BASE, true)?;
         Ok(frame_airtime(&net.config().params, Mcs::BASE, 40))
     };
-    network_contract(cfg, timeline, transmit);
+    network_contract(cfg, ts, transmit);
 }

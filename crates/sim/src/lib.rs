@@ -11,16 +11,17 @@
 //!   why decoding success here is evidence the protocol works.
 //! * [`freq::SubcarrierMedium`] — **per-subcarrier**: channels are complex
 //!   gains per occupied subcarrier and oscillator phases advance per OFDM
-//!   symbol. It transports 64-bin symbol vectors directly. Orders of
-//!   magnitude faster; used for the large throughput sweeps (Figs. 8–13)
-//!   and cross-validated against the sample-level medium in tests.
+//!   symbol. It keeps channel rows and transports nothing: no symbols, no
+//!   noise. Orders of magnitude faster; used for the large throughput
+//!   sweeps (Figs. 8–13) and cross-validated against the sample-level
+//!   medium in tests.
 //!
 //! Fault injection (packet drops, noise bursts — in the spirit of smoltcp's
 //! example fault options) lives in [`fault`]; events go to the
 //! workspace-wide [`jmb_obs`] trace.
 //!
-//! Determinism: the medium owns one RNG (for noise and faults); node
-//! oscillators own theirs. Same seeds ⇒ same waveforms, bit for bit.
+//! Determinism: the sample-level medium owns one RNG (for noise and
+//! faults); node oscillators own theirs. Same seeds ⇒ same waveforms, bit for bit.
 
 #![warn(missing_docs)]
 #![cfg_attr(

@@ -48,11 +48,11 @@ fn cell(
     seed: u64,
 ) -> (SubcarrierMedium, Vec<NodeId>, Vec<NodeId>) {
     let mut rng = rng_from_seed(seed);
-    let mut m = SubcarrierMedium::new(OfdmParams::new(ChannelProfile::Usrp10MHz), seed);
+    let mut m = SubcarrierMedium::new(OfdmParams::new(ChannelProfile::Usrp10MHz));
     let nodes: Vec<NodeId> = (0..5)
         .map(|n| {
             let traj = crystal(n, &mut rng);
-            m.add_node(traj, 0.0)
+            m.add_node(traj)
         })
         .collect();
     let (txs, rxs) = (nodes[..3].to_vec(), nodes[3..].to_vec());

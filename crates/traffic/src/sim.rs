@@ -161,9 +161,10 @@ impl TrafficConfig {
 const SLOT_S: f64 = 9e-6;
 
 /// Fixed per-transmission overhead, seconds: lead sync header + software
-/// turnaround (§5.2) + post-frame SIFS, 16 + 150 + 50 µs. Not free: it must
-/// equal the fast PHY's internal timing model, or `FastBackend`'s clock
-/// debt never drains and its clock stops tracking sim time.
+/// turnaround (§5.2) + post-frame SIFS, 16 + 150 + 50 µs. The network's
+/// frame timeline spends more: its header is 320 samples, 32 µs at 10 MHz.
+/// So each batch leaves the backend 16 µs of clock debt, which only idle
+/// time drains: with zero backoff the network's clock gains 16 µs a batch.
 const HEADER_OVERHEAD_S: f64 = 216e-6;
 
 /// Timeline bin width, seconds.

@@ -24,7 +24,7 @@ fn main() {
         let dot11 = baseline::dot11_client_throughput(&params, &base_snrs, 1, 1500);
 
         let div_snrs = net.diversity_snr_db(0).expect("diversity");
-        let over = baseline::JmbOverheads::new(&params, 150e-6, 1e-3, 0.25).with_aggregation(4);
+        let over = baseline::JmbOverheads::new(&params, 1e-3, 0.25).with_aggregation(4);
         let jmb = match jmb::phy::esnr::select_mcs(&div_snrs) {
             Some(mcs) => baseline::jmb_client_throughput(&params, mcs, &div_snrs, 1500, &over),
             None => 0.0,

@@ -44,9 +44,9 @@ fn sample_level_channel_matches_subcarrier_model() {
     let est = jmb::phy::chanest::estimate_from_ltf(&params, &derotated);
 
     // Frequency domain: same link and oscillators.
-    let mut fm = SubcarrierMedium::new(params.clone(), 2);
-    let ftx = fm.add_node(PhaseTrajectory::fixed(FC, cfo), 0.0);
-    let frx = fm.add_node(PhaseTrajectory::fixed(FC, 0.0), 0.0);
+    let mut fm = SubcarrierMedium::new(params.clone());
+    let ftx = fm.add_node(PhaseTrajectory::fixed(FC, cfo));
+    let frx = fm.add_node(PhaseTrajectory::fixed(FC, 0.0));
     fm.set_link(ftx, frx, link);
 
     let mut worst = 0.0f64;
@@ -69,9 +69,9 @@ fn sample_level_channel_matches_subcarrier_model() {
 fn oscillator_rotation_agrees_across_fidelities() {
     let params = OfdmParams::default();
     let cfo = -3_456.0;
-    let mut fm = SubcarrierMedium::new(params.clone(), 3);
-    let a = fm.add_node(PhaseTrajectory::fixed(FC, cfo), 0.0);
-    let b = fm.add_node(PhaseTrajectory::fixed(FC, 0.0), 0.0);
+    let mut fm = SubcarrierMedium::new(params.clone());
+    let a = fm.add_node(PhaseTrajectory::fixed(FC, cfo));
+    let b = fm.add_node(PhaseTrajectory::fixed(FC, 0.0));
     fm.set_link(a, b, Link::ideal());
     let dt = 2.5e-3;
     let h0 = fm.channel_at(a, b, 1, 0.1);
@@ -86,9 +86,9 @@ fn oscillator_rotation_agrees_across_fidelities() {
     );
 }
 
-/// A full packet decoded through both fidelities: the frequency-domain
-/// transport of a frame's bins must decode exactly like the time-domain
-/// waveform through an equivalent clean channel.
+/// A full packet decoded through both fidelities: a frame's bins carried
+/// through the frequency-domain channel rows must decode exactly like the
+/// time-domain waveform through an equivalent clean channel.
 #[test]
 fn packet_decodes_identically_in_both_fidelities() {
     let params = OfdmParams::default();
@@ -109,17 +109,24 @@ fn packet_decodes_identically_in_both_fidelities() {
     let time_result = rxr.rx_frame(&window).expect("time-domain decode");
     assert_eq!(time_result.payload, payload);
 
-    // Frequency domain through the subcarrier medium.
-    let mut fm = SubcarrierMedium::new(params.clone(), 5);
-    let fa = fm.add_node(PhaseTrajectory::fixed(FC, 0.0), 1e-9);
-    let fb = fm.add_node(PhaseTrajectory::fixed(FC, 0.0), 1e-9);
+    // Frequency domain through the subcarrier medium: each occupied bin
+    // times its channel at the symbol's time, the rest left empty.
+    let mut fm = SubcarrierMedium::new(params.clone());
+    let fa = fm.add_node(PhaseTrajectory::fixed(FC, 0.0));
+    let fb = fm.add_node(PhaseTrajectory::fixed(FC, 0.0));
     fm.set_link(fa, fb, Link::ideal());
     let bins = tx.build_bins(mcs, &payload).unwrap();
+    let ks = fm.occupied().to_vec();
+    let mut row = Vec::new();
     let mut rx_bins = Vec::new();
     for (s, sym) in bins.symbols.iter().enumerate() {
         let t = s as f64 * params.symbol_duration();
-        let out = fm.transmit_symbol(&[(fa, sym.as_slice())], &[fb], t);
-        rx_bins.push(out.into_iter().next().unwrap());
+        fm.channel_row_into(fa, fb, t, &mut row);
+        let mut out = vec![Complex64::ZERO; params.fft_size];
+        for (&k, &h) in ks.iter().zip(&row) {
+            out[params.bin(k)] = h * sym[params.bin(k)];
+        }
+        rx_bins.push(out);
     }
     let channel = jmb::phy::chanest::estimate_ideal(&params);
     let mut scratch = jmb::phy::frame::RxScratch::new();
