@@ -47,7 +47,8 @@
 # `link_mut(`, which would drop the rows calibration just summed — and the
 # head-pick rule (DESIGN.md §3.5): `JmbMac::select_batch` pops client queue
 # heads and calls no `.remove(`. The script ends by printing (not gating)
-# the size scan simplicity PRs quote.
+# the size scan simplicity PRs quote: live lines, `pub fn`s and the
+# settable fields of every `pub struct *Config`, per program crate.
 #
 # Each repo invariant has one mechanism. rustc: `unsafe_code` is forbidden
 # in `[workspace.lints.rust]` (every package, tests and binaries included),
@@ -257,9 +258,16 @@ if kernel crates/core/src/mac.rs 'pub fn select_batch(' | grep -n '\.remove('; t
   exit 1
 fi
 
-# Size, above the first #[cfg(test)] of each file, per program crate.
+# Size, above the first #[cfg(test)] of each file, per program crate: lines,
+# `pub fn`s, and the settable (`pub`) fields of each `pub struct *Config`.
 for crate in crates/*/; do
-  find "$crate"src -name '*.rs' | sort | xargs awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { lines++; if (/pub fn/) fns++ } END { printf "%-18s %6d lines %4d pub fn\n", crate, lines, fns }' crate="$crate"
+  find "$crate"src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 }
+    live { lines++; if (/pub fn/) fns++ }
+    live && /^pub struct [A-Za-z]*Config \{/ { cfg = $3; configs = configs "  " cfg; fields[cfg] = 0; next }
+    cfg != "" && /^}/ { configs = configs " " fields[cfg]; cfg = "" }
+    cfg != "" && /^    pub [a-z_0-9]+:/ { fields[cfg]++ }
+    END { printf "%-18s %6d lines %4d pub fn%s\n", crate, lines, fns, configs }' crate="$crate"
 done
 
 echo "tier-1 checks passed"
