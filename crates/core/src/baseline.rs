@@ -69,26 +69,27 @@ impl JmbOverheads {
 pub const DOT11_MAC_OVERHEAD_S: f64 = 120e-6;
 
 /// Throughput of the 802.11 TDMA baseline for one client: designated-AP
-/// rate × equal medium share × frame efficiency.
+/// rate × equal medium share × frame efficiency, from the link's linear
+/// per-subcarrier SNRs.
 pub fn dot11_client_throughput(
     params: &OfdmParams,
-    snr_db_per_subcarrier: &[f64],
+    snr_per_subcarrier: &[f64],
     n_clients: usize,
     payload_bytes: usize,
 ) -> f64 {
-    dot11_client_throughput_with_mac(params, snr_db_per_subcarrier, n_clients, payload_bytes, 0.0)
+    dot11_client_throughput_with_mac(params, snr_per_subcarrier, n_clients, payload_bytes, 0.0)
 }
 
 /// [`dot11_client_throughput`] with an explicit per-frame MAC overhead
 /// (contention + acknowledgment airtime).
 pub fn dot11_client_throughput_with_mac(
     params: &OfdmParams,
-    snr_db_per_subcarrier: &[f64],
+    snr_per_subcarrier: &[f64],
     n_clients: usize,
     payload_bytes: usize,
     mac_overhead_s: f64,
 ) -> f64 {
-    let Some(mcs) = esnr::select_mcs(snr_db_per_subcarrier) else {
+    let Some(mcs) = esnr::select_mcs(snr_per_subcarrier) else {
         return 0.0;
     };
     let airtime = frame_airtime(params, mcs, payload_bytes) + mac_overhead_s;
@@ -98,14 +99,14 @@ pub fn dot11_client_throughput_with_mac(
 
 /// Throughput of one JMB client in a joint transmission.
 ///
-/// `sinr_db_per_subcarrier` is the client's post-beamforming SINR; the rate
+/// `sinr_per_subcarrier` is the client's post-beamforming SINR (linear); the rate
 /// is selected *jointly* (same MCS for every client, §9), so the caller
 /// passes the already-chosen `mcs`. Returns goodput including the
 /// per-packet sync overhead and amortised measurement.
 pub fn jmb_client_throughput(
     params: &OfdmParams,
     mcs: Mcs,
-    sinr_db_per_subcarrier: &[f64],
+    sinr_per_subcarrier: &[f64],
     payload_bytes: usize,
     overheads: &JmbOverheads,
 ) -> f64 {
@@ -118,7 +119,7 @@ pub fn jmb_client_throughput(
     // `per_at_margin` up to PER 1 at 2.3 dB under. Every fig09–13 CSV is
     // pinned to this clamp, so folding it into the curve is a change that
     // regenerates results, not a refactor.
-    let eff = esnr::effective_snr_db_eesm(mcs, sinr_db_per_subcarrier);
+    let eff = esnr::effective_snr_db_eesm(mcs, sinr_per_subcarrier);
     let margin = eff - esnr::MCS_THRESHOLD_DB[mcs.index()];
     let per = if margin < 0.0 {
         (1.0 - (margin / 3.0).exp()).clamp(0.0, 1.0).max(0.5)
@@ -133,14 +134,23 @@ pub fn jmb_client_throughput(
 /// the first from MCS 7 down, so a scan stops at the rate it picks and at
 /// the first client that misses a rate.
 ///
-/// `per_client_sinr_db` yields one per-subcarrier row per client and is walked
-/// once per MCS tried: nested vectors by reference, or the rows of a flat
-/// table (`chunks_exact`).
+/// `per_client_sinr` yields one row of linear per-subcarrier SINRs per
+/// client: nested vectors by reference, or the rows of a flat table
+/// (`chunks_exact`). It is walked once for the rows' mean SINRs, then once
+/// per MCS tried. The scan starts at the fastest rate the lowest mean
+/// reaches ([`esnr::from_the_mean`]): a rate over any client's mean SINR
+/// is over that client's effective SNR too, so no rate it skips could
+/// have been picked.
 pub fn select_joint_mcs(
-    per_client_sinr_db: impl IntoIterator<Item = impl AsRef<[f64]>> + Clone,
+    per_client_sinr: impl IntoIterator<Item = impl AsRef<[f64]>> + Clone,
 ) -> Option<Mcs> {
-    Mcs::ALL.iter().rev().copied().find(|&mcs| {
-        per_client_sinr_db.clone().into_iter().all(|sinrs| {
+    let lowest_mean_db = per_client_sinr
+        .clone()
+        .into_iter()
+        .map(|sinrs| esnr::mean_snr_db(sinrs.as_ref()))
+        .fold(f64::INFINITY, f64::min);
+    esnr::from_the_mean(lowest_mean_db).find(|&mcs| {
+        per_client_sinr.clone().into_iter().all(|sinrs| {
             esnr::effective_snr_db_eesm(mcs, sinrs.as_ref()) >= esnr::MCS_THRESHOLD_DB[mcs.index()]
         })
     })
@@ -156,10 +166,16 @@ pub fn single_ap_mu_mimo_streams(n_antennas_per_ap: usize, n_clients: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jmb_dsp::stats::db_to_lin;
     use jmb_phy::params::ChannelProfile;
 
     fn params() -> OfdmParams {
         OfdmParams::new(ChannelProfile::Usrp10MHz)
+    }
+
+    /// A row of `n` subcarriers flat at `snr_db`, linear.
+    fn flat(snr_db: f64, n: usize) -> Vec<f64> {
+        vec![db_to_lin(snr_db); n]
     }
 
     #[test]
@@ -183,7 +199,7 @@ mod tests {
         // detail from theirs).
         let p = params();
         for (snr, paper) in [(9.0, 7.75e6), (15.0, 14.9e6), (21.5, 23.6e6)] {
-            let t = dot11_client_throughput(&p, &vec![snr; 48], 1, 1500);
+            let t = dot11_client_throughput(&p, &flat(snr, 48), 1, 1500);
             assert!(
                 (t / paper - 1.0).abs() < 0.4,
                 "band {snr} dB: {:.2} Mbps vs paper {:.2}",
@@ -196,15 +212,15 @@ mod tests {
     #[test]
     fn dot11_share_splits_medium() {
         let p = params();
-        let one = dot11_client_throughput(&p, &vec![20.0; 48], 1, 1500);
-        let ten = dot11_client_throughput(&p, &vec![20.0; 48], 10, 1500);
+        let one = dot11_client_throughput(&p, &flat(20.0, 48), 1, 1500);
+        let ten = dot11_client_throughput(&p, &flat(20.0, 48), 10, 1500);
         assert!((one / ten - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn dot11_zero_below_floor() {
         let p = params();
-        assert_eq!(dot11_client_throughput(&p, &vec![-3.0; 48], 2, 1500), 0.0);
+        assert_eq!(dot11_client_throughput(&p, &flat(-3.0, 48), 2, 1500), 0.0);
     }
 
     #[test]
@@ -222,10 +238,10 @@ mod tests {
         // everyone concurrently while 802.11 splits the medium N ways.
         let p = params();
         let o = JmbOverheads::new(&p, 700e-6, 0.25);
-        let sinrs = vec![20.0; 52];
+        let sinrs = flat(20.0, 52);
         let mcs = select_joint_mcs(std::slice::from_ref(&sinrs)).unwrap();
         let jmb = jmb_client_throughput(&p, mcs, &sinrs, 1500, &o);
-        let dot11 = dot11_client_throughput(&p, &vec![20.0; 48], 10, 1500);
+        let dot11 = dot11_client_throughput(&p, &flat(20.0, 48), 10, 1500);
         assert!(
             jmb > 5.0 * dot11,
             "jmb {:.2} Mbps vs 802.11 share {:.2} Mbps",
@@ -238,19 +254,19 @@ mod tests {
     fn jmb_per_climbs_below_threshold() {
         let p = params();
         let o = JmbOverheads::new(&p, 700e-6, 0.25);
-        let good = jmb_client_throughput(&p, Mcs::ALL[4], &vec![18.0; 52], 1500, &o);
-        let bad = jmb_client_throughput(&p, Mcs::ALL[4], &vec![8.0; 52], 1500, &o);
+        let good = jmb_client_throughput(&p, Mcs::ALL[4], &flat(18.0, 52), 1500, &o);
+        let bad = jmb_client_throughput(&p, Mcs::ALL[4], &flat(8.0, 52), 1500, &o);
         assert!(bad < good * 0.6, "good {good}, bad {bad}");
     }
 
     #[test]
     fn joint_mcs_limited_by_weakest_client() {
-        let strong = vec![25.0; 52];
-        let weak = vec![7.0; 52];
+        let strong = flat(25.0, 52);
+        let weak = flat(7.0, 52);
         let joint = select_joint_mcs(&[strong.clone(), weak.clone()]).unwrap();
         let alone = select_joint_mcs(&[strong]).unwrap();
         assert!(joint.index() < alone.index());
-        assert_eq!(select_joint_mcs(&[vec![-5.0; 52]]), None);
+        assert_eq!(select_joint_mcs(&[flat(-5.0, 52)]), None);
     }
 
     mod from_the_top {
@@ -258,7 +274,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// The scan `select_joint_mcs` replaced: every MCS from BPSK 1/2 up,
-        /// the last that every client clears.
+        /// the last that every client clears — no screen.
         fn select_joint_mcs_ascending(per_client: &[Vec<f64>]) -> Option<Mcs> {
             let mut best = None;
             for (i, mcs) in Mcs::ALL.iter().enumerate() {
@@ -272,34 +288,46 @@ mod tests {
             best
         }
 
-        /// A subcarrier SINR (dB): anywhere in the rate table's range, just
-        /// either side of one MCS threshold, or NaN / ±∞.
-        fn sinr_db() -> impl Strategy<Value = f64> {
-            let parts = (0u8..11, 0usize..8, -10.0..40.0f64, -1e-9..1e-9f64);
-            parts.prop_map(|(kind, i, anywhere, near)| match kind {
-                0..=3 => anywhere,
-                4..=7 => esnr::MCS_THRESHOLD_DB[i] + near,
+        /// A subcarrier SINR (linear): anywhere in the rate table's range,
+        /// just either side of one MCS threshold, exactly on one, dead (0 or
+        /// 1e-300), so strong every `exp` underflows (≥ 1e6), or NaN / +∞.
+        fn sinr() -> impl Strategy<Value = f64> {
+            let parts = (
+                (0u8..14, 0usize..8),
+                -10.0..40.0f64,
+                -1e-9..1e-9f64,
+                6.0..300.0f64,
+            );
+            parts.prop_map(|((kind, i), anywhere, near, huge)| match kind {
+                0..=3 => db_to_lin(anywhere),
+                4..=7 => db_to_lin(esnr::MCS_THRESHOLD_DB[i] + near),
                 8 => f64::NAN,
                 9 => f64::INFINITY,
-                _ => f64::NEG_INFINITY,
+                10 => 0.0,
+                11 => 1e-300,
+                12 => 10f64.powf(huge),
+                _ => db_to_lin(esnr::MCS_THRESHOLD_DB[i]),
             })
         }
 
         /// Up to four clients on a band of 1 to 64 subcarriers; a client
-        /// is either flat on one drawn value (a threshold straddled whole)
-        /// or selective.
+        /// is selective, flat on one drawn value (a threshold straddled
+        /// whole), or flat with one dead subcarrier.
         fn clients() -> impl Strategy<Value = Vec<Vec<f64>>> {
             let client = (
-                1usize..65,
-                any::<bool>(),
-                sinr_db(),
-                prop::collection::vec(sinr_db(), 64),
+                (1usize..65, 0u8..3),
+                sinr(),
+                prop::collection::vec(sinr(), 64),
+                0usize..64,
             );
-            let client = client.prop_map(|(n_k, flat, level, mut row)| {
-                if flat {
+            let client = client.prop_map(|((n_k, shape), level, mut row, dead)| {
+                if shape > 0 {
                     row.fill(level);
                 }
                 row.truncate(n_k);
+                if shape == 2 {
+                    row[dead % n_k] = 0.0;
+                }
                 row
             });
             prop::collection::vec(client, 0..5)

@@ -304,8 +304,8 @@ impl LinkEval for CompatEval {
 
 impl CompatNet {
     /// One virtual 4×4 joint transmission on the network's frame timeline:
-    /// returns per-*stream* SINR (dB) per subcarrier, streams ordered like
-    /// client antennas.
+    /// returns per-*stream* SINR (linear) per subcarrier, streams ordered
+    /// like client antennas.
     pub fn joint_sinr(&mut self, packet_duration_s: f64) -> Result<Vec<Vec<f64>>, JmbError> {
         self.with_precoder(|net, precoder| {
             let t_d = net.frame().t_d;
@@ -327,7 +327,7 @@ impl CompatNet {
                 .probe_sinr(&mut net.link.medium, precoder, &frame, floor);
             net.end_frame(t_d, packet_duration_s);
             let n_k = net.link.medium.occupied().len();
-            let per_stream = net.link.scratch.sinr_db.chunks_exact(n_k);
+            let per_stream = net.link.scratch.sinr.chunks_exact(n_k);
             Ok(per_stream.map(<[f64]>::to_vec).collect())
         })
     }
@@ -374,10 +374,9 @@ impl CompatNet {
                 let inv = h.hermitian().mul_mat(&h).and_then(|gram| gram.inverse());
                 for (s, snrs) in stream_snrs.iter_mut().enumerate() {
                     snrs.push(match &inv {
-                        Ok(inv) => {
-                            jmb_dsp::stats::lin_to_db(0.5 / (NOISE_VAR * inv[(s, s)].re.max(1e-12)))
-                        }
-                        Err(_) => -30.0,
+                        Ok(inv) => 0.5 / (NOISE_VAR * inv[(s, s)].re.max(1e-12)),
+                        // −30 dB: a singular subcarrier is a dead one.
+                        Err(_) => 1e-3,
                     });
                 }
             }
@@ -395,6 +394,15 @@ impl CompatNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The mean of a row of linear SINRs taken in dB.
+    fn mean_db(sinrs: &[f64]) -> f64 {
+        let db: Vec<f64> = sinrs
+            .iter()
+            .map(|&s| jmb_dsp::stats::lin_to_db(s))
+            .collect();
+        jmb_dsp::stats::mean(&db)
+    }
 
     #[test]
     fn stitched_measurement_matches_truth() {
@@ -452,7 +460,7 @@ mod tests {
         let sinrs = net.joint_sinr(300e-6).unwrap();
         assert_eq!(sinrs.len(), 4);
         for (s, per_k) in sinrs.iter().enumerate() {
-            let mean = jmb_dsp::stats::mean(per_k);
+            let mean = mean_db(per_k);
             assert!(mean > 3.0, "stream {s}: mean SINR {mean}");
         }
     }
@@ -467,7 +475,7 @@ mod tests {
             net.run_measurement().unwrap();
             net.advance(2e-3);
             let sinrs = net.joint_sinr(300e-6).unwrap();
-            let means: Vec<f64> = sinrs.iter().map(|s| jmb_dsp::stats::mean(s)).collect();
+            let means: Vec<f64> = sinrs.iter().map(|s| mean_db(s)).collect();
             assert!(means.iter().all(|&m| m > 10.0), "{kind:?}: {means:?}");
         }
     }

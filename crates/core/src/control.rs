@@ -155,10 +155,20 @@ impl ControlPlane {
         lead_up: bool,
     ) {
         let inband = strategy.uses_inband_header();
-        let mut b = BatchSync {
-            corrections: vec![None; self.health.len() + 1],
-            ..BatchSync::default()
-        };
+        // The last batch's buffers, cleared and resized in place: a frame's
+        // exchange allocates nothing once they have grown.
+        let mut b = std::mem::take(&mut self.last);
+        b.corrections.clear();
+        b.corrections.resize(self.health.len() + 1, None);
+        for list in [
+            &mut b.excluded,
+            &mut b.missed,
+            &mut b.fallback,
+            &mut b.newly_degraded,
+            &mut b.newly_restored,
+        ] {
+            list.clear();
+        }
         for s in slaves {
             let p = self.faults.config_at(t_meas).control.sync_loss_for(s);
             let lost = !lead_up || (inband && self.draw(p));

@@ -554,7 +554,7 @@ pub fn throughput_scaling(
                 // 802.11 baseline: designated-AP SNRs per client.
                 let dot11 = (0..n)
                     .map(|j| {
-                        let snrs = net.baseline_snr_db(j).ok()?;
+                        let snrs = net.baseline_snr(j).ok()?;
                         Some(baseline::dot11_client_throughput(
                             &params,
                             &snrs,
@@ -570,11 +570,11 @@ pub fn throughput_scaling(
                 let outcome = net
                     .joint_transmit(duration, 4, &[], apply_phase_sync)
                     .ok()?;
-                let sinr_db = outcome.sinr_db.chunks_exact(outcome.n_k);
-                let mcs = baseline::select_joint_mcs(sinr_db.clone());
+                let sinr = outcome.sinr.chunks_exact(outcome.n_k);
+                let mcs = baseline::select_joint_mcs(sinr.clone());
                 let jmb: Vec<f64> = match mcs {
                     None => vec![0.0; n],
-                    Some(mcs) => sinr_db
+                    Some(mcs) => sinr
                         .map(|sinrs| {
                             baseline::jmb_client_throughput(
                                 &params,
@@ -679,7 +679,7 @@ pub fn diversity_sweep(
                 let mut net = FastNet::new(cfg).ok()?;
                 net.run_measurement().ok()?;
                 net.advance(1e-3);
-                let div_snrs = net.diversity_snr_db(0).ok()?;
+                let div_snrs = net.diversity_snr(0).ok()?;
                 let over = jmb_overheads(&net);
                 let jmb = match jmb_phy::esnr::select_mcs(&div_snrs) {
                     Some(mcs) => baseline::jmb_client_throughput(
@@ -691,7 +691,7 @@ pub fn diversity_sweep(
                     ),
                     None => 0.0,
                 };
-                let base_snrs = net.baseline_snr_db(0).ok()?;
+                let base_snrs = net.baseline_snr(0).ok()?;
                 let dot11 = baseline::dot11_client_throughput(
                     &params,
                     &base_snrs,

@@ -133,8 +133,9 @@ impl FastConfig {
 /// client (`table.chunks_exact(n_k)`), good until the network's next call.
 #[derive(Debug, Clone, Copy)]
 pub struct JointOutcome<'a> {
-    /// Per-subcarrier SINR (dB) for each client, `[client · n_k + subcarrier]`.
-    pub sinr_db: &'a [f64],
+    /// Per-subcarrier SINR (linear) for each client,
+    /// `[client · n_k + subcarrier]`.
+    pub sinr: &'a [f64],
     /// Per-subcarrier interference-plus-leakage power for each client
     /// (linear, relative to the noise floor), `[client · n_k + subcarrier]`.
     pub interference: &'a [f64],
@@ -487,7 +488,7 @@ impl FastNet {
         })?;
         Ok(JointOutcome {
             k_hat,
-            sinr_db: &self.link.scratch.sinr_db,
+            sinr: &self.link.scratch.sinr,
             interference: &self.link.scratch.interference,
             n_k: self.link.medium.occupied().len(),
         })
@@ -546,10 +547,10 @@ impl FastNet {
     }
 
     /// Diversity SNR (§8): all APs MRT-beamform to `client`; returns the
-    /// per-subcarrier post-combining SNR in dB at one packet time.
+    /// per-subcarrier post-combining SNR (linear) at one packet time.
     /// [`JmbError::BadConfig`] for a client index out of range, before
     /// anything else: the MRT precoder checks it.
-    pub fn diversity_snr_db(&mut self, client: usize) -> Result<Vec<f64>, JmbError> {
+    pub fn diversity_snr(&mut self, client: usize) -> Result<Vec<f64>, JmbError> {
         let mrt = self.mrt_towards(client)?;
         let t_d = self.frame().t_d;
         self.sync_headers(1..self.aps.len(), true);
@@ -570,15 +571,20 @@ impl FastNet {
         let floor = (NOISE_VAR, &[][..]);
         link.scratch
             .probe_sinr(&mut link.medium, &mrt, &frame, floor);
-        let sinr_db = link.scratch.sinr_db.clone();
+        let sinr = link.scratch.sinr.clone();
         self.set_now(t + 300e-6);
-        Ok(sinr_db)
+        Ok(sinr)
     }
 
-    /// The 802.11 baseline for one client: per-subcarrier SNR (dB) from its
-    /// strongest (designated) AP transmitting alone at unit power.
+    /// [`FastNet::diversity_snr`] in dB, for a caller that reports it.
+    pub fn diversity_snr_db(&mut self, client: usize) -> Result<Vec<f64>, JmbError> {
+        Ok(to_db(self.diversity_snr(client)?))
+    }
+
+    /// The 802.11 baseline for one client: per-subcarrier SNR (linear) from
+    /// its strongest (designated) AP transmitting alone at unit power.
     /// [`JmbError::BadConfig`] for a client index out of range.
-    pub fn baseline_snr_db(&mut self, client: usize) -> Result<Vec<f64>, JmbError> {
+    pub fn baseline_snr(&mut self, client: usize) -> Result<Vec<f64>, JmbError> {
         let &to = self
             .clients
             .get(client)
@@ -599,8 +605,13 @@ impl FastNet {
         Ok(row
             .unwrap_or_default()
             .iter()
-            .map(|h| jmb_dsp::stats::lin_to_db(h.norm_sqr() / NOISE_VAR))
+            .map(|h| h.norm_sqr() / NOISE_VAR)
             .collect())
+    }
+
+    /// [`FastNet::baseline_snr`] in dB, for a caller that reports it.
+    pub fn baseline_snr_db(&mut self, client: usize) -> Result<Vec<f64>, JmbError> {
+        Ok(to_db(self.baseline_snr(client)?))
     }
 
     /// Re-measures the channel rows of a *single* client (§7: decoupled
@@ -711,7 +722,12 @@ impl FastNet {
     }
 
     /// The rate `precoder` supports for every client alike (§9): from its
-    /// `k̂²/(N+I)`, `I` the band-mean external interference.
+    /// `k̂²/(N+I)`, `I` the band-mean external interference, built in a
+    /// stack buffer sized to the 64-bin FFT.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a precoder over more than 64 subcarriers.
     fn joint_rate(&self, precoder: &Precoder) -> Option<Mcs> {
         let ext_intf = &self.link.ext_intf;
         let ext = match ext_intf.len() {
@@ -719,12 +735,13 @@ impl FastNet {
             n => ext_intf.iter().sum::<f64>() / n as f64,
         };
         let floor = NOISE_VAR + ext;
-        let snrs_db: Vec<f64> = precoder
-            .k_hats()
-            .iter()
-            .map(|&k| jmb_dsp::stats::lin_to_db(k * k / floor))
-            .collect();
-        jmb_phy::esnr::select_mcs(&snrs_db)
+        let k_hats = precoder.k_hats();
+        let mut buf = [0.0f64; 64];
+        let snrs = &mut buf[..k_hats.len()];
+        for (s, &k) in snrs.iter_mut().zip(k_hats) {
+            *s = k * k / floor;
+        }
+        jmb_phy::esnr::select_mcs(snrs)
     }
 
     /// Rate selected for the joint transmission to every client ([`None`]
@@ -850,14 +867,11 @@ impl FastNet {
         self.link.scratch.precoder = precoder;
 
         let Scratch {
-            sinr_db,
-            eff_snr_db,
-            ..
+            sinr, eff_snr_db, ..
         } = &mut self.link.scratch;
         eff_snr_db.clear();
         eff_snr_db.extend(
-            sinr_db
-                .chunks_exact(n_k)
+            sinr.chunks_exact(n_k)
                 .map(|s| jmb_phy::esnr::effective_snr_db_eesm(mcs, s)),
         );
         Ok(SubsetOutcome {
@@ -865,7 +879,7 @@ impl FastNet {
             mcs,
             airtime_s,
             eff_snr_db,
-            sinr_db,
+            sinr,
             n_k,
         })
     }
@@ -883,9 +897,9 @@ pub struct SubsetOutcome<'a> {
     pub airtime_s: f64,
     /// Per-batch-client EESM effective SNR (dB) at the selected MCS.
     pub eff_snr_db: &'a [f64],
-    /// Per-batch-client per-subcarrier SINR (dB),
+    /// Per-batch-client per-subcarrier SINR (linear),
     /// `[stream · n_k + subcarrier]`.
-    pub sinr_db: &'a [f64],
+    pub sinr: &'a [f64],
     /// Occupied subcarriers per stream row.
     pub n_k: usize,
 }
@@ -919,9 +933,9 @@ pub(crate) struct Scratch {
     tx_nodes: Vec<NodeId>,
     rx_nodes: Vec<NodeId>,
     /// The tables of the last probe, `[stream · n_k + k_idx]`: signal and
-    /// interference power summed while the probes run, SINR (dB) and mean
-    /// interference power once they are done.
-    pub(crate) sinr_db: Vec<f64>,
+    /// interference power summed while the probes run, SINR and mean
+    /// interference power (both linear) once they are done.
+    pub(crate) sinr: Vec<f64>,
     interference: Vec<f64>,
     /// EESM effective SNR (dB) per stream of the last subset transmission.
     eff_snr_db: Vec<f64>,
@@ -974,9 +988,9 @@ impl Scratch {
     /// antenna in column `c` rotated by the correction `frame.sync` holds
     /// for `devices[c]`. Signal and interference power are averaged over
     /// `frame.n_probes` instants across the data portion; leaves
-    /// per-stream per-subcarrier SINR (dB) and interference against the
-    /// `(noise variance, external interference per subcarrier)` floor in
-    /// [`Scratch::sinr_db`] and `interference`.
+    /// per-stream per-subcarrier SINR and interference, both linear, against
+    /// the `(noise variance, external interference per subcarrier)` floor in
+    /// [`Scratch::sinr`] and `interference`.
     ///
     /// The kernel works on the paper's factorisation `H(t) = R(t)·H·T(t)`
     /// (§4). A receive antenna's factor — its oscillator phase and its half
@@ -1008,7 +1022,7 @@ impl Scratch {
             devices,
             tx_nodes,
             rx_nodes,
-            sinr_db: sig,
+            sinr: sig,
             interference: intf,
             h_s,
             ramp,
@@ -1091,9 +1105,17 @@ impl Scratch {
         for (at, (s, i)) in sig.iter_mut().zip(intf.iter_mut()).enumerate() {
             let ext = ext_intf.get(at % n_k).copied().unwrap_or(0.0);
             *i /= np;
-            *s = jmb_dsp::stats::lin_to_db(*s / np / (noise_var + ext + *i));
+            *s = *s / np / (noise_var + ext + *i);
         }
     }
+}
+
+/// A row of linear powers in dB, in place: the views the figures report.
+fn to_db(mut row: Vec<f64>) -> Vec<f64> {
+    for x in &mut row {
+        *x = jmb_dsp::stats::lin_to_db(*x);
+    }
+    row
 }
 
 /// One complex sample `CN(0, var)` of the fast fidelity's estimation noise
@@ -1175,14 +1197,19 @@ mod tests {
         FastConfig::default_with(n, n, vec![snr; n], seed)
     }
 
+    /// The mean of a row of linear SINRs taken in dB, as the figures read it.
+    fn mean_db(sinrs: &[f64]) -> f64 {
+        jmb_dsp::stats::mean(&to_db(sinrs.to_vec()))
+    }
+
     #[test]
     fn joint_sinr_approaches_snr_with_sync() {
         let mut net = FastNet::new(cfg(4, 20.0, 1)).unwrap();
         net.run_measurement().unwrap();
         net.advance(5e-3);
         let out = net.joint_transmit(1e-3, 4, &[], true).unwrap();
-        for (j, sinrs) in out.sinr_db.chunks_exact(out.n_k).enumerate() {
-            let mean = jmb_dsp::stats::mean(sinrs);
+        for (j, sinrs) in out.sinr.chunks_exact(out.n_k).enumerate() {
+            let mean = mean_db(sinrs);
             // ZF costs a few dB relative to the single-link SNR (channel
             // conditioning, per-client fairness through the shared k̂), but
             // the SINR must stay in the usable band.
@@ -1270,7 +1297,7 @@ mod tests {
         let floor = (NOISE_VAR, &[][..]);
         let scratch = &mut net.link.scratch;
         scratch.probe_sinr(&mut net.link.medium, precoder, frame, floor);
-        (scratch.sinr_db.clone(), scratch.interference.clone())
+        (scratch.sinr.clone(), scratch.interference.clone())
     }
 
     #[test]
@@ -1282,7 +1309,7 @@ mod tests {
         // 1e-9 dB with every slave corrected, with one sitting the batch
         // out, under the no-sync ablation, with a muted stream, for a
         // subset batch with more APs than clients that leaves an excluded
-        // slave out, and for the one-stream MRT frame of `diversity_snr_db`.
+        // slave out, and for the one-stream MRT frame of `diversity_snr`.
         let mut net = FastNet::new(cfg(4, 20.0, 17)).unwrap();
         net.run_measurement().unwrap();
         net.advance(3e-3);
@@ -1359,8 +1386,8 @@ mod tests {
             let want = probe_sinr_per_entry(&mut net, batch, precoder, frame);
             let (got, _) = probe_sinr_kernel(&mut net, batch, precoder, frame);
             assert_eq!(got.len(), want.len());
-            for (got, want) in got.iter().zip(&want) {
-                worst = worst.max((got - want).abs());
+            for (&got, want) in got.iter().zip(&want) {
+                worst = worst.max((jmb_dsp::stats::lin_to_db(got) - want).abs());
             }
         }
         assert!(worst <= 1e-9, "largest SINR difference {worst:e} dB");
@@ -1434,21 +1461,18 @@ mod tests {
             eat(&mut bits, [mcs.map_or(-1.0, |i| i as f64)]);
             net.advance(3e-3);
             let out = net.joint_transmit(1.2e-3, 4, &[], true).unwrap();
-            eat(
-                &mut bits,
-                out.sinr_db.iter().chain(out.interference).copied(),
-            );
+            eat(&mut bits, out.sinr.iter().chain(out.interference).copied());
             eat(&mut bits, [out.k_hat]);
             let sub = net
                 .joint_transmit_subset(&[0, 2], &[0, 1, 2, 3], 1500)
                 .unwrap();
             eat(&mut bits, [sub.mcs.index() as f64, sub.airtime_s]);
-            eat(&mut bits, sub.eff_snr_db.iter().chain(sub.sinr_db).copied());
+            eat(&mut bits, sub.eff_snr_db.iter().chain(sub.sinr).copied());
             net.advance(4e-3);
             net.remeasure_client(1).unwrap();
             eat_h(&mut bits, net.measured_channel().unwrap());
             eat(&mut bits, [net.k_hat().unwrap()]);
-            eat(&mut bits, net.diversity_snr_db(2).unwrap());
+            eat(&mut bits, net.diversity_snr(2).unwrap());
             bits
         }
         let mut twin = FastNet::new(cfg(4, 20.0, 23)).unwrap();
@@ -1472,13 +1496,13 @@ mod tests {
         let mut net = FastNet::new(cfg(4, 20.0, 2)).unwrap();
         net.run_measurement().unwrap();
         net.advance(5e-3);
-        let m_with = jmb_dsp::stats::mean(net.joint_transmit(1e-3, 4, &[], true).unwrap().sinr_db);
+        let m_with = mean_db(net.joint_transmit(1e-3, 4, &[], true).unwrap().sinr);
         // Rebuild identically and disable sync.
         let mut net2 = FastNet::new(cfg(4, 20.0, 2)).unwrap();
         net2.run_measurement().unwrap();
         net2.advance(5e-3);
         let without = net2.joint_transmit(1e-3, 4, &[], false).unwrap();
-        let m_without = jmb_dsp::stats::mean(without.sinr_db);
+        let m_without = mean_db(without.sinr);
         assert!(
             m_with > m_without + 8.0,
             "sync {m_with} dB vs no-sync {m_without} dB"
@@ -1626,14 +1650,14 @@ mod tests {
         net.run_measurement().unwrap();
         net.advance(2e-3);
         let before = net.joint_transmit(5e-4, 2, &[], true).unwrap();
-        let base = jmb_dsp::stats::mean(&before.sinr_db[..before.n_k]);
+        let base = mean_db(&before.sinr[..before.n_k]);
         // Client 0's channels change drastically (its user walked across
         // the room); the stored H is stale for its row only, and the
         // lead→slave reference channels (static infrastructure) are intact.
         net.advance(10e-3);
         net.evolve_client_links(0, 60.0); // many coherence times
         let stale = net.joint_transmit(5e-4, 2, &[], true).unwrap();
-        let stale_sinr = jmb_dsp::stats::mean(&stale.sinr_db[..stale.n_k]);
+        let stale_sinr = mean_db(&stale.sinr[..stale.n_k]);
         assert!(stale_sinr < base - 6.0, "stale {stale_sinr} vs base {base}");
         // Re-measure only client 0, at a different time than the original
         // measurement, stitched via the lead→slave references (§7).
@@ -1641,14 +1665,14 @@ mod tests {
         net.remeasure_client(0).unwrap();
         net.advance(1e-3);
         let fixed = net.joint_transmit(5e-4, 2, &[], true).unwrap();
-        let fixed_sinr = jmb_dsp::stats::mean(&fixed.sinr_db[..fixed.n_k]);
+        let fixed_sinr = mean_db(&fixed.sinr[..fixed.n_k]);
         assert!(
             fixed_sinr > stale_sinr + 5.0,
             "decoupled remeasure must recover: stale {stale_sinr} → {fixed_sinr}"
         );
         // The other clients kept working throughout (their rows are valid).
-        for (j, sinrs) in fixed.sinr_db.chunks_exact(fixed.n_k).enumerate().skip(1) {
-            let s = jmb_dsp::stats::mean(sinrs);
+        for (j, sinrs) in fixed.sinr.chunks_exact(fixed.n_k).enumerate().skip(1) {
+            let s = mean_db(sinrs);
             assert!(s > 8.0, "client {j} SINR {s}");
         }
     }
@@ -1675,7 +1699,7 @@ mod tests {
             net.run_measurement().unwrap();
             net.advance(1e-3);
             let out = net.joint_transmit(5e-4, 2, &[], true).unwrap();
-            out.sinr_db.to_vec()
+            out.sinr.to_vec()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -1859,7 +1883,7 @@ mod tests {
             net.run_measurement().unwrap();
             net.advance(1e-3);
             let out = net.joint_transmit_subset(&[0, 1], &[0, 1, 2], 1500);
-            out.unwrap().sinr_db.to_vec()
+            out.unwrap().sinr.to_vec()
         };
         assert_eq!(run(false), run(true));
     }
@@ -1899,7 +1923,7 @@ mod tests {
             let out = net
                 .joint_transmit_subset(&[0, 1], &[0, 1, 2, 3], 1500)
                 .unwrap();
-            (out.sinr_db.to_vec(), out.mcs)
+            (to_db(out.sinr.to_vec()), out.mcs)
         };
         let (clean, mcs_clean) = run(None);
         // Interference equal to 9x the noise floor: the denominator grows

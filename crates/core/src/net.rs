@@ -427,7 +427,7 @@ impl JmbNetwork {
         Ok(())
     }
 
-    /// Per-subcarrier SNR (dB) every client will see under the current
+    /// Per-subcarrier SNR (linear) every client will see under the current
     /// precoder — `k̂²/N` per §9 — and the rate the effective-SNR algorithm
     /// selects from it.
     pub fn select_rate(&self) -> Option<Mcs> {
@@ -443,7 +443,7 @@ impl JmbNetwork {
                 (0..h.len())
                     .map(|k_idx| {
                         let g = p.stream_gain(k_idx, &h[k_idx], j);
-                        jmb_dsp::stats::lin_to_db(g * g / noise)
+                        g * g / noise
                     })
                     .collect()
             })

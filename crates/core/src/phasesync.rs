@@ -300,6 +300,10 @@ impl PhaseSync {
     /// power) with a common phase plus a linear slope — the slope captures
     /// sampling-offset slip; the fit rejects per-subcarrier estimation
     /// noise that a raw division would pass through.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than the 64 subcarriers of the FFT.
     pub fn correction(&self, now: &ChannelEstimate) -> Result<PhaseCorrection, JmbError> {
         let reference = self.reference.as_ref().ok_or(JmbError::NoReference)?;
         if reference.subcarriers != now.subcarriers {
@@ -312,10 +316,17 @@ impl PhaseSync {
         // measurements must be strong for the ratio phase to be
         // trustworthy. The linear-phase fit unwraps sequentially across
         // subcarriers, so the (possibly multi-radian) sampling-offset ramp
-        // between the two measurements is fitted correctly. The fit takes
-        // the ratios as they are computed: a header costs no buffer.
-        let ratios = (now.gains.iter().zip(&reference.gains)).map(|(now, then)| *now * then.conj());
-        if ratios.clone().all(|r| r == Complex64::ZERO) {
+        // between the two measurements is fitted correctly. The ratios are
+        // computed once, into a stack array sized to the 64-bin FFT: a
+        // header costs no heap buffer.
+        let mut buf = [Complex64::ZERO; 64];
+        let mut n = 0;
+        for (now, then) in now.gains.iter().zip(&reference.gains) {
+            buf[n] = *now * then.conj();
+            n += 1;
+        }
+        let ratios = &buf[..n];
+        if ratios.iter().all(|&r| r == Complex64::ZERO) {
             return Err(JmbError::Precoding(jmb_dsp::matrix::MatError::Singular));
         }
         let (common, slope) = jmb_dsp::complex::fit_linear_phase(&self.reference_ks, ratios);

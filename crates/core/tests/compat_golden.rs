@@ -20,8 +20,12 @@
 //! held. Figs. 12/13
 //! are otherwise byte-checked only by `scripts/check.sh`'s release
 //! `jmb-bench all`; this runs in debug tier-1.
+//!
+//! `joint_sinr` returns linear SINRs; its digest is taken over their
+//! `lin_to_db`, the dB table it returned when the digests were recorded.
 
 use jmb_core::compat::{CompatConfig, CompatNet};
+use jmb_dsp::stats::lin_to_db;
 use jmb_dsp::CMat;
 
 /// FNV-1a over the bit patterns, row by row.
@@ -50,10 +54,14 @@ fn run(snr_db: f64, seed: u64) -> (u64, u64, Vec<u64>, Vec<u64>) {
     let h = digest(&unpacked(net.measured_channel().unwrap()));
     net.advance(2e-3);
     let sinr = net.joint_sinr(300e-6).unwrap();
+    let sinr_db: Vec<Vec<f64>> = sinr
+        .iter()
+        .map(|row| row.iter().map(|&s| lin_to_db(s)).collect())
+        .collect();
     let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
     let jmb = bits(net.jmb_throughput(1500).unwrap());
     let dot = bits(net.dot11n_throughput(1500));
-    (h, digest(&sinr), jmb, dot)
+    (h, digest(&sinr_db), jmb, dot)
 }
 
 #[test]

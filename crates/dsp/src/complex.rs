@@ -341,33 +341,39 @@ pub fn wrap_phase(theta: f64) -> f64 {
 ///
 /// `phasors` is anything that yields one phasor per position, by value or
 /// by reference — a slice, or the products of two estimates computed on
-/// the fly.
+/// the fly. The points are kept in a stack array sized to the 64-bin FFT,
+/// so a fit allocates nothing.
 ///
 /// Returns `(0, 0)` when the total weight is zero.
 ///
 /// # Panics
 ///
-/// Panics if `phasors` does not yield exactly `ks.len()` items, or none.
+/// Panics if `phasors` does not yield exactly `ks.len()` items, or none,
+/// or more than 64.
 pub fn fit_linear_phase(
     ks: &[f64],
     phasors: impl IntoIterator<Item = impl Borrow<Complex64>>,
 ) -> (f64, f64) {
     // Per point: its weight and its phase, sequentially unwrapped along the
     // ordered positions.
-    let mut points: Vec<(f64, f64)> = Vec::with_capacity(ks.len());
+    let mut buf = [(0.0f64, 0.0f64); 64];
+    let mut n = 0;
     let mut prev_raw = 0.0;
     let mut prev = 0.0;
     for p in phasors {
+        assert!(n < buf.len(), "fit_linear_phase: more than 64 points");
         let p = p.borrow();
         let raw = p.arg();
-        prev = if points.is_empty() {
+        prev = if n == 0 {
             raw
         } else {
             prev + wrap_phase(raw - prev_raw)
         };
         prev_raw = raw;
-        points.push((p.abs(), prev));
+        buf[n] = (p.abs(), prev);
+        n += 1;
     }
+    let points = &buf[..n];
     assert_eq!(ks.len(), points.len(), "fit_linear_phase: length mismatch");
     assert!(!ks.is_empty(), "fit_linear_phase: empty input");
     let wsum: f64 = points.iter().map(|&(w, _)| w).sum();
@@ -375,11 +381,11 @@ pub fn fit_linear_phase(
         return (0.0, 0.0);
     }
     // Weighted least squares.
-    let kbar = ks.iter().zip(&points).map(|(k, (w, _))| k * w).sum::<f64>() / wsum;
+    let kbar = ks.iter().zip(points).map(|(k, (w, _))| k * w).sum::<f64>() / wsum;
     let pbar = points.iter().map(|(w, p)| p * w).sum::<f64>() / wsum;
     let mut num = 0.0;
     let mut den = 0.0;
-    for (&k, &(w, p)) in ks.iter().zip(&points) {
+    for (&k, &(w, p)) in ks.iter().zip(points) {
         num += w * (k - kbar) * (p - pbar);
         den += w * (k - kbar) * (k - kbar);
     }
@@ -601,6 +607,24 @@ mod tests {
     fn linear_phase_fit_zero_weight() {
         let (c, s) = fit_linear_phase(&[0.0, 1.0], [Complex64::ZERO, Complex64::ZERO]);
         assert_eq!((c, s), (0.0, 0.0));
+    }
+
+    #[test]
+    fn linear_phase_fit_takes_the_64_bins() {
+        let ks: Vec<f64> = (0..64).map(f64::from).collect();
+        let phasors = ks.iter().map(|&k| Complex64::cis(0.2 + 0.01 * k));
+        let (c, s) = fit_linear_phase(&ks, phasors);
+        assert!(
+            (c - 0.2).abs() < 1e-9 && (s - 0.01).abs() < 1e-12,
+            "{c}, {s}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 points")]
+    fn linear_phase_fit_refuses_more_than_64_points() {
+        let ks: Vec<f64> = (0..65).map(f64::from).collect();
+        fit_linear_phase(&ks, ks.iter().map(|_| Complex64::ONE));
     }
 
     #[test]

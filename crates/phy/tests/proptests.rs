@@ -140,7 +140,8 @@ proptest! {
     #[test]
     fn effective_snr_flat_identity(snr in 3.0..25.0f64, mcs_idx in 0usize..8) {
         let mcs = Mcs::ALL[mcs_idx];
-        let eff = jmb_phy::esnr::effective_snr_db_eesm(mcs, &vec![snr; 48]);
+        let flat = vec![jmb_dsp::stats::db_to_lin(snr); 48];
+        let eff = jmb_phy::esnr::effective_snr_db_eesm(mcs, &flat);
         prop_assert!((eff - snr).abs() < 1e-6, "flat channel: {} vs {}", eff, snr);
     }
 
@@ -150,7 +151,8 @@ proptest! {
         mcs_idx in 0usize..8,
     ) {
         let mcs = Mcs::ALL[mcs_idx];
-        let eff = jmb_phy::esnr::effective_snr_db_eesm(mcs, &snrs);
+        let lin: Vec<f64> = snrs.iter().map(|&s| jmb_dsp::stats::db_to_lin(s)).collect();
+        let eff = jmb_phy::esnr::effective_snr_db_eesm(mcs, &lin);
         let max = snrs.iter().cloned().fold(f64::MIN, f64::max);
         let min = snrs.iter().cloned().fold(f64::MAX, f64::min);
         prop_assert!(eff <= max + 1e-6, "eff {} above max {}", eff, max);

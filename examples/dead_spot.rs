@@ -20,10 +20,10 @@ fn main() {
         net.run_measurement().expect("measurement");
         net.advance(1e-3);
 
-        let base_snrs = net.baseline_snr_db(0).expect("baseline");
+        let base_snrs = net.baseline_snr(0).expect("baseline");
         let dot11 = baseline::dot11_client_throughput(&params, &base_snrs, 1, 1500);
 
-        let div_snrs = net.diversity_snr_db(0).expect("diversity");
+        let div_snrs = net.diversity_snr(0).expect("diversity");
         let over = baseline::JmbOverheads::new(&params, 1e-3, 0.25).with_aggregation(4);
         let jmb = match jmb::phy::esnr::select_mcs(&div_snrs) {
             Some(mcs) => baseline::jmb_client_throughput(&params, mcs, &div_snrs, 1500, &over),

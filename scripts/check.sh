@@ -23,13 +23,16 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Eleven greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Twelve greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
 # factorisation rule (DESIGN.md §3.5) — neither `Scratch::probe_sinr` nor
-# `FastNet::baseline_snr_db` calls `channel_rows_into(`: both read the
-# static rows, since `|g|²` drops every receive oscillator — the
+# `FastNet::baseline_snr` (whose dB view is `baseline_snr_db`) calls
+# `channel_rows_into(`: both read the static rows, since `|g|²` drops every
+# receive oscillator — the linear-power rule (DESIGN.md §3.2, §3.5): no
+# `lin_to_db(` or `db_to_lin(` on the rate path, from the probe kernel to
+# the MCS scans — the
 # transmit-factor rule (DESIGN.md §3.5): neither does the fast measurement
 # (`estimate_channel`, `measured_rows`, `remeasure_client`), whose rows are
 # `H_s ∘ T(t0)` — the
@@ -168,9 +171,25 @@ fi
 # `channel_rows_into(` in either rebuilds every row and walks every client's
 # oscillator again.
 if { kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
-     kernel crates/core/src/fastnet.rs 'pub fn baseline_snr_db(';
+     kernel crates/core/src/fastnet.rs 'pub fn baseline_snr(';
    } | grep -n 'channel_rows_into('; then
-  echo "channel_rows_into( inside Scratch::probe_sinr or FastNet::baseline_snr_db (read static_row instead)" >&2
+  echo "channel_rows_into( inside Scratch::probe_sinr or FastNet::baseline_snr (read static_row instead)" >&2
+  exit 1
+fi
+
+# SNR is linear power from the probe kernel to the rate decision (DESIGN.md
+# §3.2, §3.5): the EESM works on linear SNRs, so a `lin_to_db(` or
+# `db_to_lin(` in the kernel, the joint rate, the subset transmit or either
+# MCS scan is a per-subcarrier dB round trip creeping back. dB is for what
+# leaves the program, one conversion per stream or row.
+top_fn() { sed -n "/$2/,/^}\$/p" "$1"; }
+if { kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
+     kernel crates/core/src/fastnet.rs 'fn joint_rate(';
+     kernel crates/core/src/fastnet.rs 'pub fn joint_transmit_subset<';
+     top_fn crates/phy/src/esnr.rs '^pub fn select_mcs(';
+     top_fn crates/core/src/baseline.rs '^pub fn select_joint_mcs(';
+   } | grep -n 'lin_to_db(\|db_to_lin('; then
+  echo "lin_to_db( or db_to_lin( on the rate path (probe_sinr, joint_rate, joint_transmit_subset, select_mcs, select_joint_mcs): keep SNR linear" >&2
   exit 1
 fi
 
