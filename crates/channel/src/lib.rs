@@ -30,5 +30,5 @@ pub mod topology;
 
 pub use link::Link;
 pub use multipath::{Multipath, MultipathSpec};
-pub use oscillator::{OscillatorSpec, PhaseTrajectory};
+pub use oscillator::{OscillatorSpec, PhaseInterval, PhaseTrajectory};
 pub use topology::{Position, SnrBand, Topology};

@@ -108,6 +108,45 @@ struct GridPoint {
     dw: f64,
 }
 
+/// One grid interval of a [`PhaseTrajectory`]: `[start, start + GRID_DT)`,
+/// inside which the phase is the grid point's phase plus a constant rate
+/// times the time since the point — the grid walk is interpolated linearly.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseInterval {
+    index: usize,
+    start_s: f64,
+    dt: f64,
+    point: GridPoint,
+}
+
+impl PhaseInterval {
+    /// The interval's index on the grid (`⌊t / GRID_DT⌋` of any `t` in it).
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Whether `t` falls in this interval, by the rule
+    /// [`PhaseTrajectory::phase_at`] picks an interval with.
+    pub fn contains(&self, t: f64) -> bool {
+        t >= 0.0 && (t / self.dt).floor() as usize == self.index
+    }
+
+    /// The phase at `t`, radians — [`PhaseTrajectory::phase_at`] bit for
+    /// bit for any `t` inside the interval, and the interval's affine
+    /// phase extended beyond it.
+    pub fn phase_at(&self, t: f64) -> f64 {
+        let p = &self.point;
+        let frac = (t - self.start_s) / self.dt;
+        p.cum_phase + 2.0 * std::f64::consts::PI * p.freq * (t - self.start_s) + p.dw * frac
+    }
+
+    /// The phase rate inside the interval, rad/s: the carrier offset's
+    /// `2π·f` plus the Wiener increment spread over the interval.
+    pub fn rate(&self) -> f64 {
+        2.0 * std::f64::consts::PI * self.point.freq + self.point.dw / self.dt
+    }
+}
+
 /// The walk on arriving at a grid point, before that point's draws:
 /// everything after it follows from these three.
 #[derive(Debug, Clone)]
@@ -255,10 +294,24 @@ impl PhaseTrajectory {
     ///
     /// Panics if `t` is negative or non-finite.
     pub fn phase_at(&mut self, t: f64) -> f64 {
+        self.interval_at(t).phase_at(t)
+    }
+
+    /// The grid interval `t` falls in, inside which the phase is exactly
+    /// affine in time ([`PhaseInterval`]): what a caller walking the phase
+    /// sample by sample anchors its rotator on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is negative or non-finite.
+    pub fn interval_at(&mut self, t: f64) -> PhaseInterval {
         let (idx, p) = self.point_at(t);
-        let t_i = idx as f64 * self.step.dt;
-        let frac = (t - t_i) / self.step.dt;
-        p.cum_phase + 2.0 * std::f64::consts::PI * p.freq * (t - t_i) + p.dw * frac
+        PhaseInterval {
+            index: idx,
+            start_s: idx as f64 * self.step.dt,
+            dt: self.step.dt,
+            point: p,
+        }
     }
 
     /// Phasor `e^{jφ(t)}`.
@@ -513,6 +566,39 @@ mod tests {
         for back in [4.9, 0.2, 2.5, 0.2] {
             t.phase_at(5.0 - back);
             assert!(t.retained_points() <= 4 * BLOCK + 2, "{back} s back");
+        }
+    }
+
+    #[test]
+    fn phase_is_affine_within_an_interval() {
+        let mut rng = rng_from_seed(14);
+        let mut t = PhaseTrajectory::new(OscillatorSpec::wifi_worst_case(), FC, &mut rng);
+        let g = PhaseTrajectory::GRID_DT;
+        for i in [0usize, 1, 17, 4095, 4096, 9000] {
+            let start = i as f64 * g;
+            let iv = t.interval_at(start + 0.5 * g);
+            assert_eq!(iv.index(), i);
+            // The interval's phase is the trajectory's, bit for bit.
+            for u in [0.01, 0.13, 0.5, 0.999] {
+                let at = start + u * g;
+                assert_eq!(iv.phase_at(at).to_bits(), t.phase_at(at).to_bits());
+            }
+            // Affine: equal steps in time are equal steps in phase, and the
+            // rate matches the finite differences.
+            let h = g / 8.0;
+            let at = |k: usize| start + (k as f64 + 0.5) * h;
+            for k in 0..7 {
+                let d = t.phase_at(at(k + 1)) - t.phase_at(at(k));
+                let rel = (d / h - iv.rate()).abs() / iv.rate().abs();
+                assert!(rel < 1e-9, "interval {i}: {} vs {}", d / h, iv.rate());
+            }
+            // At the next grid point the interval's line meets the next
+            // interval's start: the walk is continuous.
+            let next = t.interval_at(start + 1.5 * g);
+            assert_eq!(next.index(), i + 1);
+            let edge = (i + 1) as f64 * g;
+            let gap = iv.phase_at(edge) - next.phase_at(edge);
+            assert!(gap.abs() < 1e-9, "interval {i}: jump {gap}");
         }
     }
 

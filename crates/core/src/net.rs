@@ -53,6 +53,7 @@ use crate::precoder::Precoder;
 use crate::sync::{LeadObserver, SyncStrategy, SyncStrategyId, RAW_HEADER_CFO_SIGMA_HZ};
 use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
+use jmb_dsp::complex::rotate_ramp;
 use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
 use jmb_dsp::{fft, CMat, Complex64};
 use jmb_obs::Trace;
@@ -596,10 +597,8 @@ impl JmbNetwork {
             // last heard one for a fallback (§5.2b).
             if apply_phase_sync {
                 if let Some((c, anchor)) = &sync.corrections[m_idx] {
-                    for (n, x) in wave.iter_mut().enumerate() {
-                        let t = t_d + n as f64 * ts - anchor;
-                        *x *= Complex64::cis(2.0 * std::f64::consts::PI * c.cfo_hz * t);
-                    }
+                    let w = 2.0 * std::f64::consts::PI * c.cfo_hz;
+                    rotate_ramp(&mut wave, w * (t_d - anchor), w * ts);
                 }
             }
             let jitter = link.trigger_jitter(m_idx, &mut self.rng);
@@ -688,10 +687,8 @@ impl JmbNetwork {
             }
             let mut slave_sym = ofdm.bins_to_samples(&slave_bins);
             let t_slave = t_d + sym_len as f64 * ts;
-            for (n, x) in slave_sym.iter_mut().enumerate() {
-                let t = t_slave + n as f64 * ts - t_anchor;
-                *x *= Complex64::cis(2.0 * std::f64::consts::PI * corr.cfo_hz * t);
-            }
+            let w = 2.0 * std::f64::consts::PI * corr.cfo_hz;
+            rotate_ramp(&mut slave_sym, w * (t_slave - t_anchor), w * ts);
             let jitter = link.trigger_jitter(1, &mut self.rng);
             link.medium
                 .transmit(self.aps[1], t_slave + jitter, slave_sym);

@@ -434,6 +434,33 @@ pub fn phasor_ramp(theta0: f64, theta: f64, ks: &[i32]) -> impl Iterator<Item = 
     })
 }
 
+/// Samples [`rotate_ramp`] walks between two exact anchors.
+const RAMP_ANCHOR_EVERY: usize = 64;
+
+/// Multiplies `xs[n]` by `e^{j(θ₀ + θ·n)}` in place: a rotation whose phase
+/// is affine in the sample index — a carrier offset, a CFO correction, a
+/// slave's within-packet tracking — walked the way a hardware NCO walks it,
+/// one complex multiplication by the step `e^{jθ}` per sample, and
+/// re-anchored with an exact `cis(θ₀ + θ·n)` every 64 samples. The anchors
+/// sit at fixed multiples of 64 from `xs[0]`, so the factor applied to
+/// `xs[n]` depends on `n` alone, not on how long `xs` is.
+///
+/// Between anchors each step rounds once (relative error below `√5·2⁻⁵³`)
+/// and the step carries the one rounding of its own sine and cosine, so the
+/// walk stays within `64·2⁻⁵¹ ≈ 2.8e-14` of the exact phasor in value and
+/// modulus, against `2⁻⁵³·|θ₀ + θ·n|` for rounding the angle of a
+/// per-sample `cis`.
+pub fn rotate_ramp(xs: &mut [Complex64], theta0: f64, theta: f64) {
+    let step = Complex64::cis(theta);
+    for (i, chunk) in xs.chunks_mut(RAMP_ANCHOR_EVERY).enumerate() {
+        let mut z = Complex64::cis(theta0 + theta * (i * RAMP_ANCHOR_EVERY) as f64);
+        for x in chunk {
+            *x *= z;
+            z *= step;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,5 +717,52 @@ mod tests {
         // Repeated positions stand still.
         let rep: Vec<Complex64> = phasor_ramp(0.2, 0.1, &[3, 3, 4]).collect();
         assert_eq!(rep[0], rep[1]);
+    }
+
+    #[test]
+    fn rotate_ramp_tracks_a_per_sample_cis() {
+        // 10⁵ samples at the rotations the sample path sees: a CFO
+        // correction (1.2 kHz at 10 MHz), a carrier difference between
+        // ±20 ppm crystals, a large θ₀, and a step near π.
+        let n = 100_000;
+        let mut worst_modulus = 0.0f64;
+        for (theta0, theta) in [
+            (0.0, -7.5398e-4),
+            (1.3, 0.061_25),
+            (-4.0e3, 2.5e-3),
+            (0.4, 3.1),
+        ] {
+            let mut xs = vec![Complex64::ONE; n];
+            rotate_ramp(&mut xs, theta0, theta);
+            let mut worst = 0.0f64;
+            for (i, &z) in xs.iter().enumerate() {
+                let want = Complex64::cis(theta0 + theta * i as f64);
+                worst = worst.max((z - want).abs());
+                worst_modulus = worst_modulus.max((z.abs() - 1.0).abs());
+            }
+            // Either path rounds an angle as large as |θ₀| + |θ|·n to within
+            // an ulp (2⁻⁵² of it) at an anchor or per sample; the walk adds
+            // at most 64 steps of 2⁻⁵¹.
+            let angle = theta0.abs() + theta.abs() * n as f64;
+            let bound = 2.0 * f64::EPSILON * angle + 64.0 * 2.0 * f64::EPSILON;
+            assert!(worst <= bound, "θ {theta}: {worst:e} over {bound:e}");
+        }
+        assert!(
+            worst_modulus <= 3e-14,
+            "largest modulus drift {worst_modulus:e}"
+        );
+        // The factor on xs[n] depends on n alone: a prefix rotated on its
+        // own is the prefix of the whole, bit for bit.
+        let x: Vec<Complex64> = (0..300).map(|i| Complex64::cis(0.37 * i as f64)).collect();
+        let mut whole = x.clone();
+        rotate_ramp(&mut whole, 0.2, 0.013);
+        let mut prefix = x[..200].to_vec();
+        rotate_ramp(&mut prefix, 0.2, 0.013);
+        assert_eq!(prefix, whole[..200]);
+        // Empty input, and θ = 0: every factor is the anchor's.
+        rotate_ramp(&mut [], 0.2, 0.013);
+        let mut flat = vec![Complex64::ONE; 130];
+        rotate_ramp(&mut flat, 1.1, 0.0);
+        assert!(flat.iter().all(|&z| z == Complex64::cis(1.1)));
     }
 }

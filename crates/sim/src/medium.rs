@@ -10,19 +10,23 @@
 //!    own sample grid: a tap's delay is the same at every output instant, so
 //!    the taps' interpolation kernels, each times its gain, fold into one
 //!    FIR per (transmission, receiver), and the line it yields is what 1–2
-//!    resample, once per output sample (two passes of the kernel per path;
-//!    DESIGN §3.16 states what that costs in fidelity).
+//!    resample, in one sweep over the output samples that hear it
+//!    ([`resample`]; two passes of the kernel per path; DESIGN §3.16 states
+//!    what that costs in fidelity).
 //! 4. **Carrier offset & phase noise** — rotation by
 //!    `e^{j(φ_tx(t) − φ_rx(t))}` at every output sample, with φ from each
-//!    node's [`PhaseTrajectory`].
+//!    node's [`PhaseTrajectory`]. Both phases are affine inside each grid
+//!    interval of the oscillators' shared grid, so the rotation is walked
+//!    as a rotator per interval ([`rotate_ramp`]).
 //! 5. **Superposition** — concurrent transmissions simply add. This is what
 //!    makes *joint* beamforming meaningful: nulls only form if the phases
 //!    are right.
 //! 6. **AWGN** — per-receiver noise floor.
 
 use crate::fault::FaultSchedule;
-use jmb_channel::{Link, PhaseTrajectory};
-use jmb_dsp::delay::{interpolate_at, kernel_at};
+use jmb_channel::{Link, PhaseInterval, PhaseTrajectory};
+use jmb_dsp::complex::rotate_ramp;
+use jmb_dsp::delay::{kernel_at, resample};
 use jmb_dsp::rng::{complex_gaussian, JmbRng};
 use jmb_dsp::Complex64;
 use jmb_obs::{DropCause, EventKind, Trace};
@@ -70,18 +74,24 @@ pub struct Medium {
 /// its output.
 #[derive(Default)]
 struct Scratch {
-    /// The receiver's carrier phase at each sample instant of the window.
-    rx_phases: Vec<f64>,
+    /// The receiver's carrier phase over the window, one entry per
+    /// oscillator grid interval it spans: the first output index inside the
+    /// interval, and the interval, in which the phase is affine.
+    rx_intervals: Vec<(usize, PhaseInterval)>,
     /// The link of the transmission being rendered, as one FIR on the
     /// transmitter's sample grid ([`tapped_delay_line`]).
     fir: Vec<Complex64>,
     /// That transmission through the FIR, over the stretch the window hears.
     line: Vec<Complex64>,
+    /// Stage 2: the line resampled at the instants that hear it, then
+    /// turned by the carriers.
+    resampled: Vec<Complex64>,
 }
 
-/// How far, in samples, one pass of [`interpolate_at`]'s kernel (24 taps a
-/// side) reaches to either side of a position, rounded up with room to
-/// spare; `kernel_reach_covers_the_interpolator` pins it.
+/// How far, in samples, one pass of the interpolation kernel
+/// ([`jmb_dsp::delay::interpolate_at`], 24 taps a side) reaches to either
+/// side of a position, rounded up with room to spare;
+/// `kernel_reach_covers_the_interpolator` pins it.
 const KERNEL_REACH: isize = 32;
 
 /// The interval of `pos` — the position on the transmitter's sample grid
@@ -171,10 +181,27 @@ impl RxWindow {
         first..end
     }
 
+    /// The first output index, of `n`, past `from` whose instant lies
+    /// beyond `interval` — the rule [`PhaseTrajectory`] applies,
+    /// `⌊t / GRID_DT⌋`, tested at the estimate and its neighbours.
+    fn end_of(&self, interval: &PhaseInterval, from: usize, n: usize) -> usize {
+        let inside = |m: usize| interval.contains(self.time_of(m));
+        let end_s = (interval.index() + 1) as f64 * PhaseTrajectory::GRID_DT;
+        let estimate = ((end_s - self.start_s) / self.ts_rx).ceil().max(0.0) as usize;
+        let mut end = estimate.clamp(from + 1, n);
+        while end > from + 1 && !inside(end - 1) {
+            end -= 1;
+        }
+        while end < n && inside(end) {
+            end += 1;
+        }
+        end
+    }
+
     /// Adds to `out` what the receiver hears of `wave` — `(start_s,
     /// samples)` on the transmitter's clock, `fs_tx` its sample rate —
-    /// through `link`; `scratch.rx_phases` is the receiver's carrier phase
-    /// at each output instant.
+    /// through `link`; `scratch.rx_intervals` holds the receiver's carrier
+    /// phase over the window.
     fn superpose(
         &self,
         (sent_start_s, samples): (f64, &[Complex64]),
@@ -185,9 +212,10 @@ impl RxWindow {
         out: &mut [Complex64],
     ) {
         let Scratch {
-            rx_phases,
+            rx_intervals,
             fir,
             line,
+            resampled,
         } = scratch;
         // Positions on the transmitter's grid are affine in the output
         // instant, so the instants inside the support are one contiguous
@@ -203,23 +231,45 @@ impl RxWindow {
         // Input-sample position (transmitter clock) of an output instant,
         // before tap delays.
         let pos_at = |time: f64| (time - sent_start_s - link.delay_s) * fs_tx;
+        let first = pos_at(self.time_of(heard.start));
 
         // Stage 1 covers what stage 2's kernel can touch from the first
         // heard instant to the last.
         let stretch = (
-            pos_at(self.time_of(heard.start)).floor() as isize - KERNEL_REACH,
+            first.floor() as isize - KERNEL_REACH,
             pos_at(self.time_of(heard.end - 1)).floor() as isize + KERNEL_REACH,
         );
         let origin = tapped_delay_line(samples, link, fs_tx, stretch, fir, line) as f64;
 
-        // Stage 2: one resampling per output sample, then the carriers.
-        let rx_phases = &rx_phases[heard.clone()];
-        for (m, (&rx_phase, out)) in (heard.start..).zip(rx_phases.iter().zip(&mut out[heard])) {
-            let time = self.time_of(m);
-            let v = interpolate_at(line, pos_at(time) - origin);
+        // Stage 2: one sweep over the heard instants, whose positions on
+        // the line are `first − origin` on, `fs_tx·ts_rx` apart.
+        resampled.clear();
+        resampled.resize(heard.len(), Complex64::ZERO);
+        resample(line, fs_tx * self.ts_rx, origin - first, resampled);
+
+        // The carriers: transmitter minus receiver phase is affine inside
+        // each grid interval of the (shared) oscillator grid, so it is one
+        // rotator per interval, anchored at its first heard instant and
+        // advanced on every instant, heard or not.
+        for (i, &(m0, rx)) in rx_intervals.iter().enumerate() {
+            let m1 = rx_intervals.get(i + 1).map_or(out.len(), |&(m, _)| m);
+            let (from, to) = (m0.max(heard.start), m1.min(heard.end));
+            if from >= to {
+                continue;
+            }
+            let t = self.time_of(from);
+            let tx = tx_traj.interval_at(t);
+            let theta0 = tx.phase_at(t) - rx.phase_at(t);
+            let theta = (tx.rate() - rx.rate()) * self.ts_rx;
+            rotate_ramp(
+                &mut resampled[from - heard.start..to - heard.start],
+                theta0,
+                theta,
+            );
+        }
+        for (&v, out) in resampled.iter().zip(&mut out[heard]) {
             if v != Complex64::ZERO {
-                let rot = Complex64::cis(tx_traj.phase_at(time) - rx_phase);
-                *out = (link.gain * rot).mul_add(v, *out);
+                *out = link.gain.mul_add(v, *out);
             }
         }
     }
@@ -362,8 +412,9 @@ impl Medium {
     }
 
     /// Opens a receive window of `n` samples at `rx` from `start_s`: fills
-    /// the scratch with the receiver's carrier phase at each output instant
-    /// and returns the window (on the receiver's clock) with its AWGN.
+    /// the scratch with the receiver's carrier phase over the window, one
+    /// grid interval at a time, and returns the window (on the receiver's
+    /// clock) with its AWGN.
     fn open_window(&mut self, rx: NodeId, start_s: f64, n: usize) -> (RxWindow, Vec<Complex64>) {
         let ratio_rx = self.nodes[rx.0].traj.sample_ratio();
         let win = RxWindow {
@@ -371,9 +422,14 @@ impl Medium {
             ts_rx: 1.0 / (self.params.sample_rate() * ratio_rx),
         };
         let rx_traj = &mut self.nodes[rx.0].traj;
-        let rx_phases = &mut self.scratch.rx_phases;
-        rx_phases.clear();
-        rx_phases.extend((0..n).map(|m| rx_traj.phase_at(win.time_of(m))));
+        let rx_intervals = &mut self.scratch.rx_intervals;
+        rx_intervals.clear();
+        let mut m = 0;
+        while m < n {
+            let interval = rx_traj.interval_at(win.time_of(m));
+            rx_intervals.push((m, interval));
+            m = win.end_of(&interval, m, n);
+        }
         let noise_var = self.nodes[rx.0].noise_var;
         let out = (0..n)
             .map(|_| complex_gaussian(&mut self.rng, noise_var))
@@ -470,6 +526,7 @@ mod tests {
     use jmb_channel::multipath::{Multipath, MultipathSpec};
     use jmb_channel::oscillator::OscillatorSpec;
     use jmb_dsp::complex::mean_power;
+    use jmb_dsp::delay::interpolate_at;
     use jmb_phy::preamble;
 
     const FC: f64 = 2.437e9;
