@@ -210,11 +210,14 @@ pub fn fig10_fairness(opts: &Opts) -> Result<Report, BenchError> {
     let sweep = opts.sweep(20);
     let mut rows = Vec::new();
     println!("band              n_aps  p10_gain  median_gain  p90_gain");
+    // One sweep, so each topology draw's bands share its room.
+    let counts = [2usize, 6, 10];
+    let runs = throughput_scaling(&SnrBand::ALL, &counts, &sweep, true);
     for band in SnrBand::ALL {
-        for n in [2usize, 6, 10] {
-            let runs = throughput_scaling(&[band], &[n], &sweep, true);
+        for n in counts {
             let gains: Vec<f64> = runs
                 .iter()
+                .filter(|r| r.band == band && r.n_aps == n)
                 .flat_map(|r| r.per_client_gain.iter().copied())
                 .filter(|g| g.is_finite())
                 .collect();

@@ -77,9 +77,14 @@ impl Link {
     /// bands (§11): the fading has unit average power, so
     /// `E[|H_k|²]/noise_var = |gain|²/noise_var`.
     pub fn calibrate_snr(&mut self, snr_db: f64, noise_var: f64) {
+        self.gain = Self::gain_at_snr(self.gain, snr_db, noise_var);
+    }
+
+    /// The gain [`Self::calibrate_snr`] gives a link whose gain is `gain`:
+    /// `gain`'s phase at the amplitude of `snr_db` over `noise_var`.
+    pub fn gain_at_snr(gain: Complex64, snr_db: f64, noise_var: f64) -> Complex64 {
         let target_amp = (db_to_lin(snr_db) * noise_var).sqrt();
-        let phase = self.gain.arg();
-        self.gain = Complex64::from_polar(target_amp, phase);
+        Complex64::from_polar(target_amp, gain.arg())
     }
 
     /// Full frequency response at every occupied subcarrier: large-scale

@@ -97,3 +97,48 @@ proptest! {
         prop_assert!((jmb_dsp::complex::wrap_phase(slope - expected)).abs() < 1e-9);
     }
 }
+
+proptest! {
+    // Each case walks two trajectories over up to 0.6 s of grid.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_walked_trajectory_answers_like_a_fresh_one(
+        seed in 0u64..1000,
+        worst_case in any::<bool>(),
+        walk in prop::collection::vec((0.0..0.6f64, any::<bool>()), 1..12),
+    ) {
+        // What lending a walked oscillator to the next network relies on:
+        // whatever a trajectory was asked before, earlier or later, in any
+        // order and through either accessor, it answers a fixed list of
+        // queries bit for bit like a fresh draw from the same seed. The
+        // list starts at the network clock's origin, steps forward like a
+        // frame sequence, looks back, and straddles the block boundaries
+        // (4 096 grid points, ≈ 41 ms, at this writing) and times beyond the
+        // kept window, which the walk may have left behind.
+        let spec = if worst_case {
+            OscillatorSpec::wifi_worst_case()
+        } else {
+            OscillatorSpec::usrp2()
+        };
+        let draw = || PhaseTrajectory::new(spec, 2.437e9, &mut rng_from_seed(seed));
+        let (mut walked, mut fresh) = (draw(), draw());
+        for &(t, phase) in &walk {
+            if phase {
+                walked.phase_at(t);
+            } else {
+                walked.cfo_hz_at(t);
+            }
+        }
+        let block = 4096.0 * PhaseTrajectory::GRID_DT;
+        let mut queries = vec![0.0, 1e-4, 2.3e-3, 7.9e-3, 1e-4, 0.05, 0.021, 0.31, 0.0, 0.58];
+        for k in 1..14 {
+            let edge = k as f64 * block;
+            queries.extend([edge, edge - 1e-9, edge + 1e-9, edge - 0.5 * block]);
+        }
+        for &t in &queries {
+            prop_assert_eq!(walked.phase_at(t).to_bits(), fresh.phase_at(t).to_bits(), "phase at {}", t);
+            prop_assert_eq!(walked.cfo_hz_at(t).to_bits(), fresh.cfo_hz_at(t).to_bits(), "cfo at {}", t);
+        }
+    }
+}

@@ -26,7 +26,7 @@
 
 use crate::baseline;
 use crate::error::JmbError;
-use crate::fastnet::{estimation_noise, FastObserver, ProbeFrame, Scratch, NOISE_VAR};
+use crate::fastnet::{axis_sigma, estimation_noise, FastObserver, ProbeFrame, Scratch, NOISE_VAR};
 use crate::network::{
     client_snr_rule, drawn_link, first_broken, validate_shape, Deployment, LinkEval, Network,
     AP_AP_SNR_DB,
@@ -226,11 +226,12 @@ impl LinkEval for CompatEval {
         t0: f64,
     ) -> Result<Vec<CMat>, JmbError> {
         let (txs, rxs, medium) = (&self.txs, &self.rxs, &mut self.medium);
-        let var = NOISE_VAR / SOUNDING_ROUNDS as f64;
+        let sigma = axis_sigma(NOISE_VAR / SOUNDING_ROUNDS as f64);
         let (l1, n_tx) = (txs[0], txs.len());
         let occupied = medium.occupied().to_vec();
         let ks: Vec<f64> = occupied.iter().map(|&k| k as f64).collect();
-        let mut noisy = |tx, rx, k, t| medium.channel_at(tx, rx, k, t) + estimation_noise(rng, var);
+        let mut noisy =
+            |tx, rx, k, t| medium.channel_at(tx, rx, k, t) + estimation_noise(rng, sigma);
 
         // Sounding s measures antenna column s (s = 0 is the L1-only
         // baseline sounding at t0).

@@ -10,7 +10,7 @@
 
 use crate::baseline;
 use crate::error::JmbError;
-use crate::fastnet::{FastConfig, FastNet};
+use crate::fastnet::{FastConfig, FastNet, FastRoom};
 use crate::net::{JmbNetwork, NetConfig};
 use crate::network::LinkEval;
 use crate::precoder::Precoder;
@@ -531,7 +531,15 @@ fn jmb_overheads(net: &FastNet) -> baseline::JmbOverheads {
 
 /// Figs. 9/10 core: per band and AP count, draw topologies, measure, run a
 /// joint transmission, select the joint rate, and account throughput for
-/// JMB and the 802.11 equal-share baseline.
+/// JMB and the 802.11 equal-share baseline. Runs come band-major, then by
+/// AP count, then by topology; a draw whose network fails is left out.
+///
+/// A topology draw's bands share its room ([`scaling_draw`] labels its
+/// stream by topology and AP count alone): one task per (AP count,
+/// topology) draws the room once and builds each band's network in it
+/// ([`FastNet::in_room`]), bit for bit the network [`FastNet::new`] would
+/// build. A band whose config misfits the room, or after a network that
+/// failed, draws a fresh one.
 ///
 /// `apply_phase_sync = false` is the ablation (every slave transmits
 /// uncorrected).
@@ -541,69 +549,97 @@ pub fn throughput_scaling(
     sweep: &SweepConfig,
     apply_phase_sync: bool,
 ) -> Vec<ScalingRun> {
-    let mut out = Vec::new();
-    for &band in bands {
-        for &n in ap_counts {
-            let runs = parallel_map(sweep, |topo| -> Option<ScalingRun> {
-                let cfg = scaling_draw(band, n, sweep.seed, topo);
-                let params = cfg.params.clone();
-                let mut net = FastNet::new(cfg).ok()?;
-                net.run_measurement().ok()?;
-                net.advance(2e-3);
-
-                // 802.11 baseline: designated-AP SNRs per client.
-                let dot11 = (0..n)
-                    .map(|j| {
-                        let snrs = net.baseline_snr(j).ok()?;
-                        Some(baseline::dot11_client_throughput(
-                            &params,
-                            &snrs,
-                            n,
-                            baseline::EVAL_PAYLOAD_BYTES,
-                        ))
+    // `per_n[n][topo][band]`.
+    let mut per_n: Vec<Vec<Vec<Option<ScalingRun>>>> = ap_counts
+        .iter()
+        .map(|&n| {
+            parallel_map(sweep, |topo| {
+                let mut room = None;
+                (bands.iter())
+                    .map(|&band| {
+                        let cfg = scaling_draw(band, n, sweep.seed, topo);
+                        scaling_run(&mut room, cfg, band, apply_phase_sync)
                     })
-                    .collect::<Option<Vec<f64>>>()?;
-
-                // JMB: joint transmission outcome → joint rate → goodput.
-                let over = jmb_overheads(&net);
-                let duration = baseline::frame_airtime(&params, jmb_phy::rates::Mcs::ALL[4], 1500);
-                let outcome = net
-                    .joint_transmit(duration, 4, &[], apply_phase_sync)
-                    .ok()?;
-                let sinr = outcome.sinr.chunks_exact(outcome.n_k);
-                let mcs = baseline::select_joint_mcs(sinr.clone());
-                let jmb: Vec<f64> = match mcs {
-                    None => vec![0.0; n],
-                    Some(mcs) => sinr
-                        .map(|sinrs| {
-                            baseline::jmb_client_throughput(
-                                &params,
-                                mcs,
-                                sinrs,
-                                baseline::EVAL_PAYLOAD_BYTES,
-                                &over,
-                            )
-                        })
-                        .collect(),
-                };
-
-                let per_client_gain = jmb
-                    .iter()
-                    .zip(&dot11)
-                    .map(|(&a, &b)| if b > 0.0 { a / b } else { f64::NAN })
-                    .collect();
-                Some(ScalingRun {
-                    band,
-                    n_aps: n,
-                    jmb_total: jmb.iter().sum(),
-                    dot11_total: dot11.iter().sum(),
-                    per_client_gain,
-                })
-            });
-            out.extend(runs.into_iter().flatten());
+                    .collect()
+            })
+        })
+        .collect();
+    let mut out = Vec::new();
+    for b in 0..bands.len() {
+        for topos in &mut per_n {
+            out.extend(topos.iter_mut().filter_map(|runs| runs[b].take()));
         }
     }
     out
+}
+
+/// One topology draw of Figs. 9/10 at `band`, its network built in `room`
+/// — drawn first if `cfg` does not fit it — and the medium handed back
+/// after a run that succeeded.
+fn scaling_run(
+    room: &mut Option<FastRoom>,
+    cfg: FastConfig,
+    band: SnrBand,
+    apply_phase_sync: bool,
+) -> Option<ScalingRun> {
+    if !room.as_ref().is_some_and(|r| r.fits(&cfg)) {
+        *room = FastRoom::draw(&cfg).ok();
+    }
+    let room = room.as_mut()?;
+    let (n, params) = (cfg.n_aps, cfg.params.clone());
+    let mut net = FastNet::in_room(room, cfg).ok()?;
+    net.run_measurement().ok()?;
+    net.advance(2e-3);
+
+    // 802.11 baseline: designated-AP SNRs per client.
+    let dot11 = (0..n)
+        .map(|j| {
+            let snrs = net.baseline_snr(j).ok()?;
+            Some(baseline::dot11_client_throughput(
+                &params,
+                &snrs,
+                n,
+                baseline::EVAL_PAYLOAD_BYTES,
+            ))
+        })
+        .collect::<Option<Vec<f64>>>()?;
+
+    // JMB: joint transmission outcome → joint rate → goodput.
+    let over = jmb_overheads(&net);
+    let duration = baseline::frame_airtime(&params, jmb_phy::rates::Mcs::ALL[4], 1500);
+    let outcome = net
+        .joint_transmit(duration, 4, &[], apply_phase_sync)
+        .ok()?;
+    let sinr = outcome.sinr.chunks_exact(outcome.n_k);
+    let mcs = baseline::select_joint_mcs(sinr.clone());
+    let jmb: Vec<f64> = match mcs {
+        None => vec![0.0; n],
+        Some(mcs) => sinr
+            .map(|sinrs| {
+                baseline::jmb_client_throughput(
+                    &params,
+                    mcs,
+                    sinrs,
+                    baseline::EVAL_PAYLOAD_BYTES,
+                    &over,
+                )
+            })
+            .collect(),
+    };
+    room.reclaim(net);
+
+    let per_client_gain = jmb
+        .iter()
+        .zip(&dot11)
+        .map(|(&a, &b)| if b > 0.0 { a / b } else { f64::NAN })
+        .collect();
+    Some(ScalingRun {
+        band,
+        n_aps: n,
+        jmb_total: jmb.iter().sum(),
+        dot11_total: dot11.iter().sum(),
+        per_client_gain,
+    })
 }
 
 /// Aggregates [`ScalingRun`]s into Fig. 9's series.
@@ -983,6 +1019,25 @@ mod tests {
             let want = baseline::JmbOverheads::new(&net.config().params, airtime, 0.25);
             let got = jmb_overheads(&net).measurement_fraction;
             assert_eq!(got, want.measurement_fraction, "n_aps {n}");
+        }
+    }
+
+    #[test]
+    fn fig9_bands_of_a_draw_share_one_room() {
+        // `throughput_scaling` draws one room per (topology, AP count) for
+        // all three bands: `scaling_draw` must keep giving the bands one
+        // seed and shape, or every band draws its room again.
+        for seed in [1, 2, 7] {
+            for n in 2..=10 {
+                for topo in 0..4 {
+                    let room = FastRoom::draw(&scaling_draw(SnrBand::High, n, seed, topo));
+                    let room = room.unwrap();
+                    for band in SnrBand::ALL {
+                        let cfg = scaling_draw(band, n, seed, topo);
+                        assert!(room.fits(&cfg), "{band} n {n} topology {topo} seed {seed}");
+                    }
+                }
+            }
         }
     }
 

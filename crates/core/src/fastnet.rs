@@ -32,13 +32,14 @@
 use crate::control::BatchSync;
 use crate::error::JmbError;
 use crate::network::{
-    drawn_link, first_broken, number_rules, validate_shape, Deployment, LinkEval, Network, Serve,
-    Served, AP_AP_SNR_DB,
+    drawn_link, first_broken, number_rules, raw_link, validate_shape, Deployment, LinkEval,
+    Network, Serve, Served, AP_AP_SNR_DB,
 };
 use crate::precoder::{Precoder, ZfWork};
 use crate::sync::{LeadObserver, SyncStrategyId};
 use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
+use jmb_channel::Link;
 use jmb_dsp::complex::phasor_ramp;
 use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
 use jmb_dsp::{CMat, Complex64, Planar};
@@ -165,119 +166,12 @@ pub type FastNet = Network<FastEval>;
 impl LinkEval for FastEval {
     type Config = FastConfig;
 
+    /// Draws the room ([`FastRoom::draw`]) and calibrates `cfg` in it; a
+    /// room no other config will use hands its nodes and stream over.
     fn deploy(cfg: FastConfig) -> Result<Deployment<Self>, JmbError> {
-        cfg.validate()?;
-        let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
-        // The medium's noise seed once came first; the draw stays so every
-        // deployment after it does.
-        let _: u64 = rng.gen();
-        let mut medium = SubcarrierMedium::new(cfg.params.clone());
-        let carrier = cfg.params.carrier_freq;
-        let mut node = |rng: &mut JmbRng| {
-            medium.add_node(PhaseTrajectory::new(OscillatorSpec::usrp2(), carrier, rng))
-        };
-        let aps: Vec<NodeId> = (0..cfg.n_aps).map(|_| node(&mut rng)).collect();
-        let clients: Vec<NodeId> = (0..cfg.n_clients).map(|_| node(&mut rng)).collect();
-
-        for i in 0..cfg.n_aps {
-            for j in 0..cfg.n_aps {
-                if i == j {
-                    continue;
-                }
-                let target = (AP_AP_SNR_DB, NOISE_VAR);
-                let link = drawn_link(&mut rng, MultipathSpec::indoor_los(), 30e-9, target);
-                medium.set_link(aps[i], aps[j], link);
-            }
-        }
-        for (j, &c) in clients.iter().enumerate() {
-            // Without an explicit link matrix, each client's strongest AP is
-            // distinct (in a dense room with as many APs as clients, every
-            // client is closest to a different AP almost surely) — this is
-            // what keeps the joint channel well conditioned, as the paper
-            // observes ("natural channel matrices can be considered random
-            // and well conditioned", §11.2).
-            let strongest = j % cfg.n_aps;
-            for (i, &a) in aps.iter().enumerate() {
-                let snr = match &cfg.link_snr_db {
-                    Some(m) => m[j][i],
-                    None if i == strongest => cfg.client_snr_db[j],
-                    None => cfg.client_snr_db[j] - 3.0 - rng.gen::<f64>() * cfg.ap_spread_db,
-                };
-                // AP→client links are Rician (6 dB K): APs mounted on
-                // ledges near the ceiling have a dominant path to most of
-                // the room, so per-subcarrier fades are shallower than
-                // Rayleigh. This matters for zero-forcing: Rayleigh-faded
-                // diagonals produce deep per-subcarrier inversion wells
-                // that the paper's testbed does not exhibit.
-                let spec = MultipathSpec {
-                    rician_k_db: Some(10.0),
-                    ..MultipathSpec::indoor_los()
-                };
-                let link = drawn_link(&mut rng, spec, 60e-9, (snr, NOISE_VAR));
-                medium.set_link(a, c, link);
-            }
-        }
-
-        // Band calibration against the *realized* fading draw: the paper
-        // places clients "such that all clients obtain an effective SNR in
-        // the desired range" — the band is a property of the measured
-        // effective SNR, fading included, not of the ensemble mean. Trim
-        // every client's links so its designated link's mean (dB-domain,
-        // across subcarriers) SNR equals its target.
-        for (j, &c) in clients.iter().enumerate() {
-            let target = match &cfg.link_snr_db {
-                Some(m) => m[j].iter().cloned().fold(f64::MIN, f64::max),
-                None => cfg.client_snr_db[j],
-            };
-            // Designated = strongest realized link.
-            let mut best = (0usize, f64::MIN);
-            for (i, &a) in aps.iter().enumerate() {
-                let mean_db = {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "constructor-local — the loop above installed a link for every (ap, client) pair of this very medium"
-                    )]
-                    let row = medium
-                        .static_row(a, c)
-                        .expect("invariant: every (ap, client) link was installed above");
-                    let acc: f64 = row
-                        .iter()
-                        .map(|h| jmb_dsp::stats::lin_to_db(h.norm_sqr() / NOISE_VAR))
-                        .sum();
-                    acc / row.len() as f64
-                };
-                if mean_db > best.1 {
-                    best = (i, mean_db);
-                }
-            }
-            let delta_db = target - best.1;
-            let scale = jmb_dsp::stats::db_to_lin(delta_db).sqrt();
-            // The rows just summed stay: each is rewritten for its new gain.
-            for &a in &aps {
-                medium.scale_gain(a, c, scale);
-            }
-        }
-
-        Ok(Deployment {
-            aps,
-            clients,
-            rng,
-            seed: cfg.seed,
-            sync: cfg.sync,
-            sample_period_s: cfg.params.sample_period(),
-            seed_cfo_sigma_hz: crate::measure::seed_cfo_sigma_hz(
-                &cfg.params,
-                rounds(cfg.n_aps),
-                cfg.n_aps,
-            ),
-            link: FastEval {
-                cfg,
-                medium,
-                scratch: Scratch::default(),
-                trace: Trace::new(),
-                ext_intf: Vec::new(),
-            },
-        })
+        let mut room = FastRoom::draw(&cfg)?;
+        let medium = room.calibrate(&cfg)?;
+        Ok(deployment(cfg, medium, room.aps, room.clients, room.rng))
     }
 
     fn config(&self) -> &FastConfig {
@@ -378,8 +272,9 @@ impl FastEval {
         out: &mut Vec<Complex64>,
     ) {
         medium.transmit_rows_into(aps, clients, t, out);
+        let sigma = axis_sigma(var);
         for g in out.iter_mut() {
-            *g += estimation_noise(rng, var);
+            *g += estimation_noise(rng, sigma);
         }
     }
 
@@ -398,7 +293,280 @@ impl FastEval {
     }
 }
 
+/// Everything a fast deployment draws before it reads an SNR target: the
+/// room a [`FastConfig`] is calibrated in ([`FastRoom::deploy`]).
+///
+/// A seed's draws do not depend on the targets — the oscillators, every
+/// link's phase, delay and fading, and the synthetic placement's spread
+/// uniforms come off the main stream in one order whatever the SNRs — so
+/// configs that share the seed, the shape, the numerology and whether their
+/// links are set explicitly ([`FastRoom::fits`]) share a room. Fig. 9's three
+/// bands of one topology draw are such configs ([`crate::experiment`]): one
+/// room serves all three, and each builds its network in it as
+/// [`FastNet::new`] would have built it, bit for bit.
+///
+/// The network borrows the room's medium and hands it back
+/// ([`FastRoom::reclaim`]) with its oscillators walked as far as it asked.
+/// A trajectory answers every instant the same whatever it was asked before
+/// ([`PhaseTrajectory`]), so a walked one serves the next network like a
+/// fresh one — and saves it the walk.
+pub(crate) struct FastRoom {
+    /// Master seed and the shape, and whether the links are set explicitly
+    /// (the synthetic placement draws a spread uniform per link that an
+    /// explicit matrix does not): with the medium's numerology, what a
+    /// config must share with the room.
+    seed: u64,
+    explicit_links: bool,
+    aps: Vec<NodeId>,
+    clients: Vec<NodeId>,
+    /// The oscillators and every link, each AP→client link's tap sums kept
+    /// once the first calibration has summed them; `None` while a network
+    /// holds it.
+    medium: Option<SubcarrierMedium>,
+    /// [`SubcarrierMedium::link_writes`] as the draws left it: a medium
+    /// that comes back with another count had a link changed in more than
+    /// its gain, and is not taken back.
+    link_writes: u64,
+    /// Per AP→client link, `[client · n_aps + ap]`: its random phasor (the
+    /// gain before calibration) and the spread uniform a non-strongest link
+    /// of the synthetic placement draws (zero where none is drawn).
+    draws: Vec<(Complex64, f64)>,
+    /// The main stream as the draws left it; every network starts on a copy.
+    rng: JmbRng,
+}
+
+impl FastRoom {
+    /// Checks `cfg`, then draws its room from the master seed: the medium's
+    /// old noise seed, the APs' then the clients' oscillators, the AP↔AP
+    /// links, and each client's links from every AP — in the order the
+    /// golden fixtures pin.
+    pub(crate) fn draw(cfg: &FastConfig) -> Result<FastRoom, JmbError> {
+        cfg.validate()?;
+        let mut rng = jmb_dsp::rng::rng_from_seed(cfg.seed);
+        // The medium's noise seed once came first; the draw stays so every
+        // deployment after it does.
+        let _: u64 = rng.gen();
+        let mut medium = SubcarrierMedium::new(cfg.params.clone());
+        let carrier = cfg.params.carrier_freq;
+        let mut node = |rng: &mut JmbRng| {
+            medium.add_node(PhaseTrajectory::new(OscillatorSpec::usrp2(), carrier, rng))
+        };
+        let aps: Vec<NodeId> = (0..cfg.n_aps).map(|_| node(&mut rng)).collect();
+        let clients: Vec<NodeId> = (0..cfg.n_clients).map(|_| node(&mut rng)).collect();
+
+        for i in 0..cfg.n_aps {
+            for j in 0..cfg.n_aps {
+                if i == j {
+                    continue;
+                }
+                let target = (AP_AP_SNR_DB, NOISE_VAR);
+                let link = drawn_link(&mut rng, MultipathSpec::indoor_los(), 30e-9, target);
+                medium.set_link(aps[i], aps[j], link);
+            }
+        }
+        let explicit_links = cfg.link_snr_db.is_some();
+        let mut draws = Vec::with_capacity(cfg.n_aps * cfg.n_clients);
+        for (j, &c) in clients.iter().enumerate() {
+            // Without an explicit link matrix, each client's strongest AP is
+            // distinct (in a dense room with as many APs as clients, every
+            // client is closest to a different AP almost surely) — this is
+            // what keeps the joint channel well conditioned, as the paper
+            // observes ("natural channel matrices can be considered random
+            // and well conditioned", §11.2). Every other AP falls a spread
+            // below it, drawn before the link.
+            let strongest = j % cfg.n_aps;
+            for (i, &a) in aps.iter().enumerate() {
+                let spread = if explicit_links || i == strongest {
+                    0.0
+                } else {
+                    rng.gen::<f64>()
+                };
+                // AP→client links are Rician (6 dB K): APs mounted on
+                // ledges near the ceiling have a dominant path to most of
+                // the room, so per-subcarrier fades are shallower than
+                // Rayleigh. This matters for zero-forcing: Rayleigh-faded
+                // diagonals produce deep per-subcarrier inversion wells
+                // that the paper's testbed does not exhibit.
+                let spec = MultipathSpec {
+                    rician_k_db: Some(10.0),
+                    ..MultipathSpec::indoor_los()
+                };
+                let link = raw_link(&mut rng, spec, 60e-9);
+                draws.push((link.gain, spread));
+                medium.set_link(a, c, link);
+            }
+        }
+        Ok(FastRoom {
+            seed: cfg.seed,
+            explicit_links,
+            aps,
+            clients,
+            link_writes: medium.link_writes(),
+            medium: Some(medium),
+            draws,
+            rng,
+        })
+    }
+
+    /// Whether `cfg` can be built in the room now: its medium is home, and
+    /// `cfg` has the room's seed, AP and client counts, numerology, and
+    /// explicit links or not.
+    pub(crate) fn fits(&self, cfg: &FastConfig) -> bool {
+        let home = self.medium.as_ref();
+        home.is_some_and(|medium| medium.params() == &cfg.params) && self.shares_key(cfg)
+    }
+
+    /// `cfg` has the room's seed, AP and client counts, and explicit links
+    /// or not.
+    fn shares_key(&self, cfg: &FastConfig) -> bool {
+        (
+            self.seed,
+            self.aps.len(),
+            self.clients.len(),
+            self.explicit_links,
+        ) == (
+            cfg.seed,
+            cfg.n_aps,
+            cfg.n_clients,
+            cfg.link_snr_db.is_some(),
+        )
+    }
+
+    /// Checks `cfg`, then calibrates it in the room ([`FastRoom::calibrate`])
+    /// and lends the medium to its deployment, which starts on a copy of the
+    /// room's stream.
+    pub(crate) fn deploy(&mut self, cfg: FastConfig) -> Result<Deployment<FastEval>, JmbError> {
+        cfg.validate()?;
+        let medium = self.calibrate(&cfg)?;
+        let (aps, clients) = (self.aps.clone(), self.clients.clone());
+        Ok(deployment(cfg, medium, aps, clients, self.rng.clone()))
+    }
+
+    /// Takes the medium out and calibrates `cfg` in it: every AP→client
+    /// link's gain is its phasor at the link's SNR target
+    /// ([`Link::gain_at_snr`], as [`drawn_link`] does), then each client's
+    /// band calibration. A config that does not fit is
+    /// [`JmbError::BadConfig`]; nothing is redrawn.
+    fn calibrate(&mut self, cfg: &FastConfig) -> Result<SubcarrierMedium, JmbError> {
+        let mut medium = match self.medium.take() {
+            Some(medium) if medium.params() == &cfg.params && self.shares_key(cfg) => medium,
+            other => {
+                self.medium = other;
+                return Err(JmbError::BadConfig(
+                    "the config does not fit the room, or its medium is lent out",
+                ));
+            }
+        };
+        let n_aps = self.aps.len();
+        for (j, &c) in self.clients.iter().enumerate() {
+            let strongest = j % n_aps;
+            for (i, &a) in self.aps.iter().enumerate() {
+                let (phasor, spread) = self.draws[j * n_aps + i];
+                let snr = match &cfg.link_snr_db {
+                    Some(m) => m[j][i],
+                    None if i == strongest => cfg.client_snr_db[j],
+                    None => cfg.client_snr_db[j] - 3.0 - spread * cfg.ap_spread_db,
+                };
+                let gain = Link::gain_at_snr(phasor, snr, NOISE_VAR);
+                medium.set_gain(a, c, gain);
+            }
+        }
+
+        // Band calibration against the *realized* fading draw: the paper
+        // places clients "such that all clients obtain an effective SNR in
+        // the desired range" — the band is a property of the measured
+        // effective SNR, fading included, not of the ensemble mean. Trim
+        // every client's links so its designated link's mean (dB-domain,
+        // across subcarriers) SNR equals its target.
+        for (j, &c) in self.clients.iter().enumerate() {
+            let target = match &cfg.link_snr_db {
+                Some(m) => m[j].iter().cloned().fold(f64::MIN, f64::max),
+                None => cfg.client_snr_db[j],
+            };
+            // Designated = strongest realized link.
+            let mut best = (0usize, f64::MIN);
+            for (i, &a) in self.aps.iter().enumerate() {
+                let mean_db = {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "room-local — the room installed a link for every (ap, client) pair of this very medium"
+                    )]
+                    let row = medium
+                        .static_row(a, c)
+                        .expect("invariant: every (ap, client) link was installed by the room");
+                    let acc: f64 = row
+                        .iter()
+                        .map(|h| jmb_dsp::stats::lin_to_db(h.norm_sqr() / NOISE_VAR))
+                        .sum();
+                    acc / row.len() as f64
+                };
+                if mean_db > best.1 {
+                    best = (i, mean_db);
+                }
+            }
+            let delta_db = target - best.1;
+            let scale = jmb_dsp::stats::db_to_lin(delta_db).sqrt();
+            // The rows just summed stay: each is rewritten for its new gain,
+            // and its factors serve the room's next calibration.
+            for &a in &self.aps {
+                medium.scale_gain(a, c, scale);
+            }
+        }
+        Ok(medium)
+    }
+
+    /// Takes the medium back from `net`, a network built in this room —
+    /// unless one of its links changed in more than its gain
+    /// ([`SubcarrierMedium::link_writes`]: [`FastNet::evolve_client_links`],
+    /// say), which the next network must not inherit. A medium not taken
+    /// back leaves the room empty: the next config draws a fresh one.
+    pub(crate) fn reclaim(&mut self, net: FastNet) {
+        let ours = self.shares_key(&net.link.cfg);
+        let medium = net.link.medium;
+        if self.medium.is_none() && ours && medium.link_writes() == self.link_writes {
+            self.medium = Some(medium);
+        }
+    }
+}
+
+/// The deployment of `cfg`, calibrated in `medium`, over the room's nodes
+/// and main stream.
+fn deployment(
+    cfg: FastConfig,
+    medium: SubcarrierMedium,
+    aps: Vec<NodeId>,
+    clients: Vec<NodeId>,
+    rng: JmbRng,
+) -> Deployment<FastEval> {
+    Deployment {
+        aps,
+        clients,
+        rng,
+        seed: cfg.seed,
+        sync: cfg.sync,
+        sample_period_s: cfg.params.sample_period(),
+        seed_cfo_sigma_hz: crate::measure::seed_cfo_sigma_hz(
+            &cfg.params,
+            rounds(cfg.n_aps),
+            cfg.n_aps,
+        ),
+        link: FastEval {
+            cfg,
+            medium,
+            scratch: Scratch::default(),
+            trace: Trace::new(),
+            ext_intf: Vec::new(),
+        },
+    }
+}
+
 impl FastNet {
+    /// Builds `cfg`'s network in `room` ([`FastRoom::deploy`]): bit for bit
+    /// the network [`FastNet::new`] builds, without drawing the room again.
+    pub(crate) fn in_room(room: &mut FastRoom, cfg: FastConfig) -> Result<FastNet, JmbError> {
+        Ok(Network::from_deployment(room.deploy(cfg)?))
+    }
+
     /// Sets the external (out-of-cell) interference floor, linear power in
     /// the same normalised units as [`NOISE_VAR`].
     ///
@@ -1119,13 +1287,19 @@ fn to_db(mut row: Vec<f64>) -> Vec<f64> {
 }
 
 /// One complex sample `CN(0, var)` of the fast fidelity's estimation noise
-/// (the measurement, a slave's header estimate, §6.2's soundings): two
-/// ziggurat normals ([`standard_normal_pair`]), I then Q. Noise, not
-/// deployment: no draw that places a node or fades a link comes here.
-pub(crate) fn estimation_noise(rng: &mut JmbRng, var: f64) -> Complex64 {
-    let s = (var / 2.0).sqrt();
+/// (the measurement, a slave's header estimate, §6.2's soundings), given
+/// its per-axis deviation `sigma` = [`axis_sigma`]`(var)`, which a caller
+/// drawing a row of them takes once: two ziggurat normals
+/// ([`standard_normal_pair`]), I then Q. Noise, not deployment: no draw
+/// that places a node or fades a link comes here.
+pub(crate) fn estimation_noise(rng: &mut JmbRng, sigma: f64) -> Complex64 {
     let (re, im) = standard_normal_pair(rng);
-    Complex64::new(re * s, im * s)
+    Complex64::new(re * sigma, im * sigma)
+}
+
+/// The per-axis deviation `√(var/2)` of complex noise of variance `var`.
+pub(crate) fn axis_sigma(var: f64) -> f64 {
+    (var / 2.0).sqrt()
 }
 
 /// The fast fidelity's [`LeadObserver`]: an observation is one channel-row
@@ -1158,8 +1332,9 @@ impl FastObserver<'_> {
             gains: Vec::new(),
         });
         medium.channel_row_into(tx, rx, t, &mut est.gains);
+        let sigma = axis_sigma(var);
         for g in est.gains.iter_mut() {
-            *g += estimation_noise(self.rng, var);
+            *g += estimation_noise(self.rng, sigma);
         }
         &est.gains
     }
@@ -1605,6 +1780,143 @@ mod tests {
             0xd03d_4e8f_a928_3d56,
         ];
         assert_eq!(got, want, "{got:#018x?}");
+    }
+
+    /// What a network built from `cfg` answers, as `f64` bits: the measured
+    /// channel, every client's `baseline_snr`, and the SINR and
+    /// interference tables and `k̂` of one joint transmission, after the
+    /// network's clock has gone `lead_s` further than the measurement.
+    fn room_outputs(net: &mut FastNet, lead_s: f64) -> Vec<u64> {
+        let mut bits = Vec::new();
+        net.run_measurement().unwrap();
+        let h = net.measured_channel().unwrap();
+        let entries = h.iter().flat_map(|m| m.as_slice().iter());
+        bits.extend(entries.flat_map(|z| [z.re.to_bits(), z.im.to_bits()]));
+        for j in 0..net.clients.len() {
+            bits.extend(net.baseline_snr(j).unwrap().iter().map(|x| x.to_bits()));
+        }
+        net.advance(2e-3 + lead_s);
+        let out = net.joint_transmit(1.2e-3, 4, &[], true).unwrap();
+        let tables = out.sinr.iter().chain(out.interference);
+        bits.extend(tables.chain([&out.k_hat]).map(|x| x.to_bits()));
+        bits
+    }
+
+    /// The configs that share seed `seed`'s room at `n_aps` × `n_clients`:
+    /// other targets, spreads, link matrices and sync strategies.
+    fn room_mates(n_aps: usize, n_clients: usize, seed: u64, explicit: bool) -> Vec<FastConfig> {
+        (0..3)
+            .map(|v| {
+                let x = v as f64;
+                let snrs = (0..n_clients).map(|j| 8.0 + 7.0 * x + j as f64).collect();
+                let mut c = FastConfig::default_with(n_aps, n_clients, snrs, seed);
+                c.ap_spread_db = 2.0 + 3.0 * x;
+                c.sync = [
+                    SyncStrategyId::JmbLeadSlave,
+                    SyncStrategyId::AirSyncPilot,
+                    SyncStrategyId::JmbLeadSlave,
+                ][v];
+                if explicit {
+                    let row = |j: usize| -> Vec<f64> {
+                        let db = |i: usize| 25.0 - 6.0 * x - 2.5 * ((i + 3 * j) % n_aps) as f64;
+                        (0..n_aps).map(db).collect()
+                    };
+                    c.link_snr_db = Some((0..n_clients).map(row).collect());
+                }
+                c
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_network_in_a_shared_room_is_a_fresh_network() {
+        // Configs that fit one room build, one after another in it, the
+        // networks `FastNet::new` builds from them — with explicit links
+        // and with the synthetic placement, over seeds and shapes — though
+        // each borrows the oscillators the last walked. One network's clock
+        // runs 0.4 s past the measurement, beyond the trajectories' kept
+        // window, so the next one's reads come from redrawn blocks.
+        for (n_aps, n_clients, seed) in [(2, 2, 3), (4, 3, 8), (6, 6, 21)] {
+            for explicit in [true, false] {
+                let mates = room_mates(n_aps, n_clients, seed, explicit);
+                let mut room = FastRoom::draw(&mates[0]).unwrap();
+                for (v, cfg) in mates.iter().enumerate() {
+                    let lead_s = if v == 1 { 0.4 } else { 0.0 };
+                    let want = room_outputs(&mut FastNet::new(cfg.clone()).unwrap(), lead_s);
+                    assert!(room.fits(cfg));
+                    let mut net = FastNet::in_room(&mut room, cfg.clone()).unwrap();
+                    assert!(!room.fits(cfg), "the medium is lent out");
+                    let got = room_outputs(&mut net, lead_s);
+                    let case = (n_aps, n_clients, seed, explicit, v);
+                    assert_eq!(got, want, "{case:?}");
+                    room.reclaim(net);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_config_that_misfits_the_room_is_refused() {
+        // Seed, shape, numerology and explicit links or not: each misfit is
+        // refused, nothing is redrawn, and the room serves a fitting config
+        // afterwards as before.
+        let base = room_mates(3, 3, 5, true).remove(0);
+        let mut room = FastRoom::draw(&base).unwrap();
+        type Edit = fn(&mut FastConfig);
+        let edits: [(&str, Edit); 5] = [
+            ("seed", |c| c.seed += 1),
+            ("n_aps", |c| {
+                c.n_aps = 4;
+                c.link_snr_db = Some(vec![vec![20.0; 4]; 3]);
+            }),
+            ("n_clients", |c| {
+                c.n_clients = 2;
+                c.client_snr_db.pop();
+                c.link_snr_db.as_mut().unwrap().pop();
+            }),
+            ("params", |c| c.params.carrier_freq = 5.2e9),
+            ("link_snr_db", |c| c.link_snr_db = None),
+        ];
+        for (what, edit) in edits {
+            let mut c = base.clone();
+            edit(&mut c);
+            assert_eq!(c.validate(), Ok(()), "{what}");
+            assert!(!room.fits(&c), "{what}");
+            match FastNet::in_room(&mut room, c) {
+                Err(JmbError::BadConfig(why)) => assert!(why.contains("fit"), "{what}: {why}"),
+                Err(other) => panic!("{what}: {other}"),
+                Ok(_) => panic!("{what}: built in a room it does not fit"),
+            }
+        }
+        // A config that fails its own checks is refused before the fit.
+        let mut broken = base.clone();
+        broken.client_snr_db[0] = f64::NAN;
+        assert!(FastNet::in_room(&mut room, broken).is_err());
+        let want = room_outputs(&mut FastNet::new(base.clone()).unwrap(), 0.0);
+        let mut net = FastNet::in_room(&mut room, base).unwrap();
+        assert_eq!(room_outputs(&mut net, 0.0), want);
+    }
+
+    #[test]
+    fn changed_links_never_reach_the_next_network() {
+        // `evolve_client_links` rewrites a client's fading: the room refuses
+        // the medium it comes back in, so the next config draws a fresh
+        // room and gets `FastNet::new`'s network; an untouched medium is
+        // taken back.
+        let mates = room_mates(3, 3, 13, false);
+        let mut room = FastRoom::draw(&mates[0]).unwrap();
+        let mut net = FastNet::in_room(&mut room, mates[0].clone()).unwrap();
+        room_outputs(&mut net, 0.0);
+        net.evolve_client_links(1, 60.0);
+        room.reclaim(net);
+        assert!(!room.fits(&mates[1]), "an evolved medium was taken back");
+        assert!(FastNet::in_room(&mut room, mates[1].clone()).is_err());
+        let mut room = FastRoom::draw(&mates[1]).unwrap();
+        let mut net = FastNet::in_room(&mut room, mates[1].clone()).unwrap();
+        let want = room_outputs(&mut FastNet::new(mates[1].clone()).unwrap(), 0.0);
+        assert_eq!(room_outputs(&mut net, 0.0), want);
+        room.reclaim(net);
+        assert!(room.fits(&mates[2]), "an untouched medium was refused");
     }
 
     #[test]

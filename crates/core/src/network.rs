@@ -224,14 +224,20 @@ pub(crate) fn drawn_link(
     max_delay_s: f64,
     (snr_db, noise_var): (f64, f64),
 ) -> Link {
+    let mut link = raw_link(rng, spec, max_delay_s);
+    link.calibrate_snr(snr_db, noise_var);
+    link
+}
+
+/// [`drawn_link`]'s draws, uncalibrated: the link's gain is its random
+/// phasor.
+pub(crate) fn raw_link(rng: &mut JmbRng, spec: MultipathSpec, max_delay_s: f64) -> Link {
     let phase = jmb_dsp::rng::random_phasor(rng);
-    let mut link = Link::new(
+    Link::new(
         phase,
         rng.gen::<f64>() * max_delay_s,
         Multipath::new(spec, rng),
-    );
-    link.calibrate_snr(snr_db, noise_var);
-    link
+    )
 }
 
 /// The instants of the frame whose header leaves the lead now.
@@ -270,9 +276,14 @@ impl<L: LinkEval> Network<L> {
     /// Builds the network: places nodes, draws oscillators, calibrates
     /// links to the configured SNR targets.
     pub fn new(cfg: L::Config) -> Result<Self, JmbError> {
-        let d = L::deploy(cfg)?;
+        Ok(Self::from_deployment(L::deploy(cfg)?))
+    }
+
+    /// The network over a deployment: the protocol's state starts afresh
+    /// on the built links.
+    pub(crate) fn from_deployment(d: Deployment<L>) -> Self {
         let n_aps = d.aps.len();
-        Ok(Network {
+        Network {
             link: d.link,
             strategy: strategy_for(d.sync, n_aps),
             control: ControlPlane::new(d.seed, n_aps),
@@ -285,7 +296,7 @@ impl<L: LinkEval> Network<L> {
             seed_cfo_sigma_hz: d.seed_cfo_sigma_hz,
             aps: d.aps,
             clients: d.clients,
-        })
+        }
     }
 
     /// The configuration the network was built with.

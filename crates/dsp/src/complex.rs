@@ -319,9 +319,18 @@ pub fn inner_product(a: &[Complex64], b: &[Complex64]) -> Complex64 {
 ///
 /// Phase differences measured by JMB (misalignment, CFO-induced rotation) are
 /// only meaningful modulo 2π; this puts them in the principal branch.
+///
+/// `θ % 2π` is exact, and is `θ` itself — `−0.0` included — whenever
+/// `|θ| < 2π`, so that range skips the division: bit for bit the same
+/// result, and the common case of a phase difference.
 #[inline]
 pub fn wrap_phase(theta: f64) -> f64 {
-    let mut t = theta % (2.0 * std::f64::consts::PI);
+    const TAU: f64 = 2.0 * std::f64::consts::PI;
+    let mut t = if theta.abs() < TAU {
+        theta
+    } else {
+        theta % TAU
+    };
     if t > std::f64::consts::PI {
         t -= 2.0 * std::f64::consts::PI;
     } else if t <= -std::f64::consts::PI {
@@ -578,6 +587,57 @@ mod tests {
         assert!(ip.abs() < 1e-10);
         let self_ip = inner_product(&tone(3), &tone(3));
         assert!(close(self_ip.re, n as f64));
+    }
+
+    #[test]
+    fn wrap_phase_skips_only_the_identity() {
+        // `wrap_phase` skips `%` where `fmod` returns its argument: bit for
+        // bit the full form on both sides of ±2π and at every edge value.
+        fn reference(theta: f64) -> f64 {
+            let mut t = theta % (2.0 * PI);
+            if t > PI {
+                t -= 2.0 * PI;
+            } else if t <= -PI {
+                t += 2.0 * PI;
+            }
+            t
+        }
+        let tau = 2.0 * PI;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            tau,
+            -tau,
+            tau.next_down(),
+            tau.next_up(),
+            (-tau).next_up(),
+            (-tau).next_down(),
+            PI.next_up(),
+            (-PI).next_down(),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        inputs.extend((-400..=400).map(|k| k as f64 * 0.0625));
+        for theta in inputs {
+            let (got, want) = (wrap_phase(theta), reference(theta));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "θ = {theta:e}: {got:e} vs {want:e}"
+            );
+        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ struct LinkSlot {
     /// time-invariant part of the channel — then its two factors, the
     /// fading's tap sums `F_k` and the delay rotations `d_k`. A change of
     /// gain alone rewrites the row from the factors
-    /// ([`SubcarrierMedium::scale_gain`]); whatever else can change the
-    /// link clears all three.
+    /// ([`SubcarrierMedium::scale_gain`], [`SubcarrierMedium::set_gain`]);
+    /// whatever else can change the link clears all three.
     cached: Vec<Complex64>,
 }
 
@@ -121,6 +121,8 @@ pub struct SubcarrierMedium {
     /// `(phase, sample ratio)` of the nodes of one [`Self::channel_rows_into`]
     /// or [`Self::transmit_rows_into`] call, transmitters first.
     osc: Vec<(f64, f64)>,
+    /// [`Self::link_writes`].
+    link_writes: u64,
 }
 
 impl SubcarrierMedium {
@@ -137,6 +139,7 @@ impl SubcarrierMedium {
             links: Vec::new(),
             table,
             osc: Vec::new(),
+            link_writes: 0,
         }
     }
 
@@ -164,6 +167,7 @@ impl SubcarrierMedium {
 
     /// Installs the directional link `tx → rx`.
     pub fn set_link(&mut self, tx: NodeId, rx: NodeId, link: Link) {
+        self.link_writes += 1;
         self.links[tx.0][rx.0] = Some(LinkSlot {
             link,
             cached: Vec::new(),
@@ -174,10 +178,19 @@ impl SubcarrierMedium {
     /// link's cached static row and its factors: the caller may change
     /// anything.
     pub fn link_mut(&mut self, tx: NodeId, rx: NodeId) -> Option<&mut Link> {
+        self.link_writes += 1;
         self.links[tx.0][rx.0].as_mut().map(|slot| {
             slot.cached.clear();
             &mut slot.link
         })
+    }
+
+    /// How many times a link was installed ([`Self::set_link`]) or lent
+    /// out mutably ([`Self::link_mut`]) since the medium was created: while
+    /// the count stands still, every link is the one it was, up to its gain
+    /// ([`Self::scale_gain`], [`Self::set_gain`]).
+    pub fn link_writes(&self) -> u64 {
+        self.link_writes
     }
 
     /// Scales the large-scale gain of the link `tx → rx` by `s` (calibration)
@@ -185,11 +198,25 @@ impl SubcarrierMedium {
     /// is rewritten from its cached factors as `gain · F_k · d_k`, the
     /// products and order of [`Link::through`], so it is bit for bit the
     /// row a fresh tap sum with the new gain gives, without summing a tap.
-    /// The one change to a link that keeps its row. No-op without a link.
+    /// With [`Self::set_gain`], the one change to a link that keeps its row.
+    /// No-op without a link.
     pub fn scale_gain(&mut self, tx: NodeId, rx: NodeId, s: f64) {
+        self.regain(tx, rx, |gain| gain * s);
+    }
+
+    /// Sets the large-scale gain of the link `tx → rx` to `gain` and keeps
+    /// its static row, rewritten from the cached factors like
+    /// [`Self::scale_gain`]'s. No-op without a link.
+    pub fn set_gain(&mut self, tx: NodeId, rx: NodeId, gain: Complex64) {
+        self.regain(tx, rx, |_| gain);
+    }
+
+    /// The gain of `tx → rx` becomes `f` of itself, and a cached row is
+    /// rewritten for it.
+    fn regain(&mut self, tx: NodeId, rx: NodeId, f: impl FnOnce(Complex64) -> Complex64) {
         let n_k = self.table.ks.len();
         if let Some(slot) = self.links[tx.0][rx.0].as_mut() {
-            slot.link.gain = slot.link.gain * s;
+            slot.link.gain = f(slot.link.gain);
             if !slot.cached.is_empty() {
                 slot.rewrite_row(n_k);
             }
@@ -229,7 +256,8 @@ impl SubcarrierMedium {
     /// evaluation and changes only when the link does, so the medium keeps
     /// one such row per link, beside its two factors — dropped by
     /// [`Self::set_link`] and [`Self::link_mut`], recomputed here on the next
-    /// use, rewritten from the factors by [`Self::scale_gain`] — and sums its
+    /// use, rewritten from the factors by [`Self::scale_gain`] and
+    /// [`Self::set_gain`] — and sums its
     /// taps against one table of rotations shared by every link on the same
     /// tap grid.
     pub fn static_row(&mut self, tx: NodeId, rx: NodeId) -> Option<&[Complex64]> {
@@ -611,11 +639,11 @@ mod tests {
 
     #[test]
     fn a_rescaled_row_is_a_fresh_row_bit_for_bit() {
-        // `scale_gain` rewrites a cached row from its two factors; a fresh
-        // slot holding the scaled link sums its taps again, and the link
-        // evaluates its own response. The bits must agree, for a link on
-        // the tap table's grid (the first one summed keys it) and for a
-        // flat link off it.
+        // `scale_gain` and `set_gain` rewrite a cached row from its two
+        // factors; a fresh slot holding the new link sums its taps again,
+        // and the link evaluates its own response. The bits must agree, for
+        // a link on the tap table's grid (the first one summed keys it) and
+        // for a flat link off it.
         use jmb_channel::MultipathSpec;
         let mut rng = jmb_dsp::rng::rng_from_seed(41);
         let mut m = medium();
@@ -634,7 +662,7 @@ mod tests {
             let before = bits(m.static_row(nodes[0], rx).unwrap());
             m.scale_gain(nodes[0], rx, s);
             let rescaled = bits(m.static_row(nodes[0], rx).unwrap());
-            let mut scaled = link;
+            let mut scaled = link.clone();
             scaled.gain = scaled.gain * s;
             let spacing = m.params().subcarrier_spacing();
             let direct: Vec<Complex64> = m
@@ -647,6 +675,9 @@ mod tests {
             assert_eq!(rescaled, fresh);
             assert_eq!(rescaled, bits(&direct));
             assert_ne!(rescaled, before, "the gain changed nothing");
+            // Set back to the drawn gain, the row is the drawn row again.
+            m.set_gain(nodes[0], rx, link.gain);
+            assert_eq!(bits(m.static_row(nodes[0], rx).unwrap()), before);
         }
         assert_eq!(m.table.grid, Some((nlos.n_taps, nlos.tap_spacing_s)));
         // Every other change to a link drops the row and its factors.
@@ -688,8 +719,11 @@ mod tests {
             jmb_channel::MultipathSpec::indoor_los(),
             &mut jmb_dsp::rng::rng_from_seed(18),
         );
-        let changes: [(&str, Change); 3] = [
+        let changes: [(&str, Change); 4] = [
             ("scale_gain", &|m, a, b| m.scale_gain(a, b, 0.5)),
+            ("set_gain", &|m, a, b| {
+                m.set_gain(a, b, Complex64::new(0.1, -0.2))
+            }),
             ("link_mut", &|m, a, b| {
                 let link = m.link_mut(a, b).unwrap();
                 link.gain = link.gain * 0.5;
@@ -702,5 +736,26 @@ mod tests {
             assert_eq!(warm, build(false, change), "{what}");
             assert_ne!(warm.0, unchanged.0, "{what} changed nothing");
         }
+    }
+
+    #[test]
+    fn link_writes_count_every_change_but_a_gain() {
+        // A medium whose count stands still holds the links it had, up to
+        // their gains: `set_link` and `link_mut` move it, a gain does not,
+        // and neither does anything that only reads.
+        let mut m = medium();
+        let (a, b) = (clean_node(&mut m), clean_node(&mut m));
+        assert_eq!(m.link_writes(), 0);
+        m.set_link(a, b, Link::ideal());
+        assert_eq!(m.link_writes(), 1);
+        let mut row = Vec::new();
+        m.channel_row_into(a, b, 1e-3, &mut row);
+        m.static_row(a, b);
+        m.scale_gain(a, b, 0.5);
+        m.set_gain(a, b, Complex64::ONE);
+        m.trajectory_mut(a).phase_at(2e-3);
+        assert_eq!(m.link_writes(), 1);
+        m.link_mut(a, b);
+        assert_eq!(m.link_writes(), 2);
     }
 }

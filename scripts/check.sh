@@ -53,8 +53,9 @@
 # sampler split (DESIGN.md §3.1): `standard_normal_pair`, the ziggurat, is
 # named only by the two noise processes it serves, the oscillator grid walk
 # (oscillator.rs) and estimation noise (fastnet.rs) — the kept-row rule
-# (DESIGN.md §3.4): `FastEval::deploy` calibrates through `scale_gain`, never
-# `link_mut(`, which would drop the rows calibration just summed — and the
+# (DESIGN.md §3.4): the fast deployment calibrates through `set_gain` and
+# `scale_gain`, never `link_mut(`, which would drop the rows calibration
+# just summed — and the
 # head-pick rule (DESIGN.md §3.5): `JmbMac::select_batch` pops client queue
 # heads and calls no `.remove(`. The script ends by printing (not gating)
 # the size scan simplicity PRs quote: live lines, `pub fn`s and the
@@ -292,12 +293,16 @@ if grep -rl 'standard_normal_pair' crates/*/src crates/bench/benchmark/src src e
   exit 1
 fi
 
-# Calibration rescales the rows it summed (DESIGN.md §3.4): a row is
-# `gain · F_k · d_k`, and `scale_gain` rewrites it from the kept factors. A
-# `link_mut(` in `FastEval::deploy` drops them, and every calibrated link is
-# summed twice.
-if kernel crates/core/src/fastnet.rs 'fn deploy(' | grep -n 'link_mut('; then
-  echo "link_mut( inside FastEval::deploy (calibrate with SubcarrierMedium::scale_gain, which keeps the row)" >&2
+# Calibration rescales the rows it summed (DESIGN.md §3.4, §3.5): a row is
+# `gain · F_k · d_k`, and `set_gain` / `scale_gain` rewrite it from the kept
+# factors. A `link_mut(` in the fast deployment — `FastEval::deploy` and
+# `FastRoom::{draw, deploy, calibrate}` — drops them, every calibrated link
+# is summed twice, and the room refuses the medium it lent.
+if { kernel crates/core/src/fastnet.rs 'fn deploy(';
+     kernel crates/core/src/fastnet.rs 'fn draw(';
+     kernel crates/core/src/fastnet.rs 'fn calibrate(';
+   } | grep -n 'link_mut('; then
+  echo "link_mut( inside the fast deployment (FastEval::deploy, FastRoom::draw/deploy/calibrate): calibrate with SubcarrierMedium::set_gain/scale_gain, which keep the row" >&2
   exit 1
 fi
 
