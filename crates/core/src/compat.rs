@@ -513,8 +513,8 @@ mod tests {
     fn shared_crystal_antennas_rotate_together() {
         let mut net = CompatNet::new(CompatConfig::default_with(20.0, 3)).unwrap();
         let (a0, a1) = (net.link.txs[0], net.link.txs[1]);
-        let p0 = net.link.medium.trajectory_mut(a0).phase_at(1e-3);
-        let p1 = net.link.medium.trajectory_mut(a1).phase_at(1e-3);
+        let p0 = net.link.medium.phase_at(a0, 1e-3);
+        let p1 = net.link.medium.phase_at(a1, 1e-3);
         assert_eq!(p0, p1, "antennas of one AP must share the oscillator");
     }
 

@@ -516,10 +516,11 @@ impl FastRoom {
     }
 
     /// Takes the medium back from `net`, a network built in this room —
-    /// unless one of its links changed in more than its gain
-    /// ([`SubcarrierMedium::link_writes`]: [`FastNet::evolve_client_links`],
-    /// say), which the next network must not inherit. A medium not taken
-    /// back leaves the room empty: the next config draws a fresh one.
+    /// unless one of its links changed in more than its gain or one of its
+    /// oscillators was replaced ([`SubcarrierMedium::link_writes`]:
+    /// [`FastNet::evolve_client_links`], say), which the next network must
+    /// not inherit. A medium not taken back leaves the room empty: the next
+    /// config draws a fresh one.
     pub(crate) fn reclaim(&mut self, net: FastNet) {
         let ours = self.shares_key(&net.link.cfg);
         let medium = net.link.medium;
@@ -1235,9 +1236,9 @@ impl Scratch {
                 let Some((theta0, theta)) = correction else {
                     continue;
                 };
-                let traj = medium.trajectory_mut(node);
-                let phase = traj.phase_at(t);
-                let slip = 2.0 * std::f64::consts::PI * spacing * (traj.sample_ratio() - 1.0) * t;
+                let phase = medium.phase_at(node, t);
+                let slip =
+                    2.0 * std::f64::consts::PI * spacing * (medium.sample_ratio(node) - 1.0) * t;
                 ramp.set_row(
                     c,
                     phasor_ramp(phase + theta0, theta + slip, medium.occupied()),
@@ -1356,8 +1357,8 @@ impl LeadObserver for FastObserver<'_> {
     ) -> Option<(&ChannelEstimate, f64)> {
         let var = noise_scale * self.header_noise_var;
         self.estimate(self.aps[0], self.aps[slave], t, var);
-        let f_lead = self.medium.trajectory_mut(self.aps[0]).cfo_hz_at(t);
-        let f_slave = self.medium.trajectory_mut(self.aps[slave]).cfo_hz_at(t);
+        let f_lead = self.medium.cfo_hz_at(self.aps[0], t);
+        let f_slave = self.medium.cfo_hz_at(self.aps[slave], t);
         let cfo = f_lead - f_slave + normal(self.rng, cfo_sigma_hz);
         Some((self.est.as_ref()?, cfo))
     }
@@ -1600,11 +1601,12 @@ mod tests {
         let before = bits(probe_sinr_kernel(&mut net, &batch, &precoder, &frame));
         let (spec, carrier) = (OscillatorSpec::usrp2(), net.link.cfg.params.carrier_freq);
         for (j, &c) in net.clients.iter().enumerate() {
-            let traj = net.link.medium.trajectory_mut(c);
-            let was = traj.sample_ratio();
+            let medium = &mut net.link.medium;
+            let was = medium.sample_ratio(c);
             let offset_hz = (j as f64 - 1.5) * 2.9e3;
-            *traj = PhaseTrajectory::with_offset(spec, carrier, offset_hz, 0x5EED + j as u64);
-            assert_ne!(traj.sample_ratio(), was, "client {j}");
+            let traj = PhaseTrajectory::with_offset(spec, carrier, offset_hz, 0x5EED + j as u64);
+            medium.set_trajectory(c, traj);
+            assert_ne!(medium.sample_ratio(c), was, "client {j}");
         }
         let after = bits(probe_sinr_kernel(&mut net, &batch, &precoder, &frame));
         assert_eq!(before.len(), after.len());
@@ -1654,11 +1656,12 @@ mod tests {
         let mut net = FastNet::new(cfg(4, 20.0, 23)).unwrap();
         let (spec, carrier) = (OscillatorSpec::usrp2(), net.link.cfg.params.carrier_freq);
         for (j, &c) in net.clients.iter().enumerate() {
-            let traj = net.link.medium.trajectory_mut(c);
-            let was = traj.sample_ratio();
+            let medium = &mut net.link.medium;
+            let was = medium.sample_ratio(c);
             let offset_hz = (j as f64 - 1.5) * 3.7e3;
-            *traj = PhaseTrajectory::with_offset(spec, carrier, offset_hz, 0xC11E + j as u64);
-            assert_ne!(traj.sample_ratio(), was, "client {j}");
+            let traj = PhaseTrajectory::with_offset(spec, carrier, offset_hz, 0xC11E + j as u64);
+            medium.set_trajectory(c, traj);
+            assert_ne!(medium.sample_ratio(c), was, "client {j}");
         }
         let (want, got) = (outputs(&mut twin), outputs(&mut net));
         assert_eq!(want.len(), got.len());
@@ -1745,7 +1748,7 @@ mod tests {
             }
         };
         for &n in &nodes {
-            eat(medium.trajectory_mut(n).sample_ratio());
+            eat(medium.sample_ratio(n));
         }
         for &tx in &nodes {
             for &rx in &nodes {
@@ -1917,6 +1920,26 @@ mod tests {
         assert_eq!(room_outputs(&mut net, 0.0), want);
         room.reclaim(net);
         assert!(room.fits(&mates[2]), "an untouched medium was refused");
+    }
+
+    #[test]
+    fn a_replaced_oscillator_never_reaches_the_next_network() {
+        // A medium whose links are untouched but one of whose oscillators
+        // was replaced is refused like one whose links changed.
+        let mates = room_mates(3, 3, 13, false);
+        let mut room = FastRoom::draw(&mates[0]).unwrap();
+        let mut net = FastNet::in_room(&mut room, mates[0].clone()).unwrap();
+        room_outputs(&mut net, 0.0);
+        let carrier = net.link.cfg.params.carrier_freq;
+        let client = net.clients[1];
+        let traj = PhaseTrajectory::with_offset(OscillatorSpec::usrp2(), carrier, 2.5e3, 0x05C);
+        net.link.medium.set_trajectory(client, traj);
+        room.reclaim(net);
+        assert!(
+            !room.fits(&mates[1]),
+            "a re-crystalled medium was taken back"
+        );
+        assert!(FastNet::in_room(&mut room, mates[1].clone()).is_err());
     }
 
     #[test]

@@ -169,6 +169,9 @@ pub struct SampleEval {
     /// symbols, LLR/depuncture buffers and the Viterbi decision lanes are
     /// allocated once per network, not once per frame.
     rx_scratch: jmb_phy::frame::RxScratch,
+    /// Transmit-path scratch: one AP's precoded frame as FFT bins, kept
+    /// across frames like `rx_scratch`.
+    tx_bins: Vec<Complex64>,
     /// The CRC verdicts of the last served batch, as [`Served::margin_db`].
     verdicts: Vec<f64>,
 }
@@ -271,6 +274,7 @@ impl LinkEval for SampleEval {
                 ftx: FrameTx::new(params.clone()),
                 frx: FrameRx::new(params),
                 rx_scratch: jmb_phy::frame::RxScratch::new(),
+                tx_bins: Vec::new(),
                 verdicts: Vec::new(),
             },
         })
@@ -552,6 +556,16 @@ impl JmbNetwork {
 
         let occupied = params.occupied_subcarriers();
         let ofdm = jmb_phy::ofdm::Ofdm::new(params.clone());
+        // One AP's frame as FFT bins, reused by every AP: the STF, the LTF,
+        // then each data/SIGNAL symbol. A bin outside the occupied
+        // subcarriers keeps what it gets here: the training sequence's
+        // value in the preamble, zero in a symbol.
+        let fft = params.fft_size;
+        let (stf_seq, ltf_seq) = (preamble::stf_bins(&params), preamble::ltf_bins(&params));
+        let pkt_len = 320 + n_sym * params.symbol_len();
+        let mut bins = std::mem::take(&mut link.tx_bins);
+        bins.clear();
+        bins.resize((2 + n_sym) * fft, Complex64::ZERO);
 
         for (m_idx, &ap) in self.aps.iter().enumerate() {
             if !is_active(m_idx) || sync.excluded.contains(&m_idx) {
@@ -559,11 +573,10 @@ impl JmbNetwork {
             }
             // Preamble bins: the same training sequence on every stream ⇒
             // this AP radiates seq × Σ_j W[m][j].
-            let mut stf_b = preamble::stf_bins(&params);
-            let mut ltf_b = preamble::ltf_bins(&params);
-            // Data/SIGNAL symbol bins.
-            let mut sym_bins: Vec<Vec<Complex64>> =
-                vec![vec![Complex64::ZERO; params.fft_size]; n_sym];
+            let (preamble_bins, sym_bins) = bins.split_at_mut(2 * fft);
+            let (stf_b, ltf_b) = preamble_bins.split_at_mut(fft);
+            stf_b.copy_from_slice(&stf_seq);
+            ltf_b.copy_from_slice(&ltf_seq);
             for (k_idx, &k) in occupied.iter().enumerate() {
                 let b = params.bin(k);
                 let w = |j| precoder.weight(k_idx, m_idx, j);
@@ -578,7 +591,7 @@ impl JmbNetwork {
                 };
                 stf_b[b] *= wsum * corr;
                 ltf_b[b] *= wsum * corr;
-                for (s_idx, sym) in sym_bins.iter_mut().enumerate() {
+                for (s_idx, sym) in sym_bins.chunks_exact_mut(fft).enumerate() {
                     let mut acc = Complex64::ZERO;
                     for (j, stream) in streams.iter().enumerate() {
                         acc = w(j).mul_add(stream.symbols[s_idx][b], acc);
@@ -586,11 +599,12 @@ impl JmbNetwork {
                     sym[b] = acc * corr;
                 }
             }
-            // Assemble the waveform.
-            let mut wave = preamble::stf_from_bins(&params, &stf_b);
-            wave.extend(preamble::ltf_from_bins(&params, &ltf_b));
-            for sym in &sym_bins {
-                wave.extend(ofdm.bins_to_samples(sym));
+            // Assemble the waveform, each symbol transformed in place.
+            let mut wave = Vec::with_capacity(pkt_len);
+            preamble::stf_from_bins_into(&params, stf_b, &mut wave);
+            preamble::ltf_from_bins_into(&params, ltf_b, &mut wave);
+            for sym in sym_bins.chunks_exact(fft) {
+                ofdm.bins_to_samples_into(sym, &mut wave);
             }
             // Within-packet tracking (slaves only): rotate by the EWMA CFO
             // continuing from the correction's anchor — this header, or the
@@ -605,8 +619,9 @@ impl JmbNetwork {
             link.medium.transmit(ap, t_d + jitter, wave);
         }
 
+        link.tx_bins = bins;
+
         // 4. Clients decode.
-        let pkt_len = 320 + n_sym * params.symbol_len();
         let mut results = Vec::with_capacity(self.clients.len());
         for &c in &self.clients {
             let pad = 64usize;

@@ -210,7 +210,7 @@ impl FrameTx {
         let mut out = preamble::preamble(params);
         out.reserve(bins.symbols.len() * params.symbol_len());
         for sym in &bins.symbols {
-            out.extend(self.ofdm.bins_to_samples(sym));
+            self.ofdm.bins_to_samples_into(sym, &mut out);
         }
         out
     }

@@ -29,12 +29,13 @@ struct ConstTable {
     axes: [Axis; 2],
 }
 
-/// One PAM axis: its coordinates in axis-label order, as the constellation
-/// points carry them, and per bit position of the axis label (MSB first) a
-/// mask over the levels whose label has that bit set.
+/// One PAM axis of at most 8 levels: its coordinates in axis-label order,
+/// as the constellation points carry them, and per bit position of the
+/// axis label (MSB first) a mask over the levels whose label has that bit
+/// set. Entries past the axis's level count are unused.
 struct Axis {
-    levels: Vec<f64>,
-    bit1: Vec<u8>,
+    levels: [f64; 8],
+    bit1: [u8; 3],
 }
 
 /// What one received coordinate says about one axis: the smallest squared
@@ -49,16 +50,19 @@ struct AxisDistances {
 }
 
 impl Axis {
-    fn distances(&self, y: f64) -> AxisDistances {
-        let mut d = [0.0f64; 8];
-        let d = &mut d[..self.levels.len()];
-        for (d, &s) in d.iter_mut().zip(&self.levels) {
-            let e = y - s;
-            *d = e * e;
-        }
+    /// The distances of `y` to the axis's `L` levels (1, 2, 4 or 8), which
+    /// carry `log2 L` label bits. Each bit's two minima take every level,
+    /// the other side's as `∞`: a minimum starts at `∞` and `f64::min`
+    /// passes NaN over, so it is never NaN and `min(∞)` leaves it as it is
+    /// — the values of a scan that took each level into one minimum only.
+    fn distances<const L: usize>(&self, y: f64) -> AxisDistances {
+        let d: [f64; L] = std::array::from_fn(|i| {
+            let e = y - self.levels[i];
+            e * e
+        });
         let mut nearest = d[0];
         let mut min = f64::INFINITY;
-        for &v in d.iter() {
+        for &v in &d {
             if v.total_cmp(&nearest) == std::cmp::Ordering::Less {
                 nearest = v;
             }
@@ -70,13 +74,12 @@ impl Axis {
             min,
             nearest,
         };
-        for (b, &mask) in self.bit1.iter().enumerate() {
+        for b in 0..L.trailing_zeros() as usize {
+            let mask = self.bit1[b];
             for (i, &v) in d.iter().enumerate() {
-                if (mask >> i) & 1 == 1 {
-                    out.min1[b] = out.min1[b].min(v);
-                } else {
-                    out.min0[b] = out.min0[b].min(v);
-                }
+                let set = (mask >> i) & 1 == 1;
+                out.min1[b] = out.min1[b].min(if set { v } else { f64::INFINITY });
+                out.min0[b] = out.min0[b].min(if set { f64::INFINITY } else { v });
             }
         }
         out
@@ -303,15 +306,19 @@ impl Modulation {
             let bits_q = self.bits_per_symbol() / 2;
             let bits_i = self.bits_per_symbol() - bits_q;
             let axis = |bits: usize, coordinate: &dyn Fn(usize) -> f64| {
-                let levels = (0..1usize << bits).map(coordinate).collect();
-                let bit1 = (0..bits)
-                    .map(|b| {
-                        (0..1usize << bits)
-                            .filter(|u| (u >> (bits - 1 - b)) & 1 == 1)
-                            .fold(0u8, |m, u| m | 1 << u)
-                    })
-                    .collect();
-                Axis { levels, bit1 }
+                let mut axis = Axis {
+                    levels: [0.0; 8],
+                    bit1: [0; 3],
+                };
+                for u in 0..1usize << bits {
+                    axis.levels[u] = coordinate(u);
+                    for b in 0..bits {
+                        if (u >> (bits - 1 - b)) & 1 == 1 {
+                            axis.bit1[b] |= 1 << u;
+                        }
+                    }
+                }
+                axis
             };
             ConstTable {
                 axes: [
@@ -356,17 +363,39 @@ impl Modulation {
         {
             assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
         }
-        let [axis_i, axis_q] = &self.table().axes;
+        let table = self.table();
         let nv = noise_var.max(1e-12);
         llrs.reserve(ys.len() * self.bits_per_symbol());
+        let demap = match self {
+            Modulation::Bpsk => ConstTable::demap::<2, 1>,
+            Modulation::Qpsk => ConstTable::demap::<2, 2>,
+            Modulation::Qam16 => ConstTable::demap::<4, 4>,
+            Modulation::Qam64 => ConstTable::demap::<8, 8>,
+        };
+        demap(table, ys, nv, csi, llrs, evm_acc);
+    }
+}
+
+impl ConstTable {
+    /// [`Modulation::demap_soft_evm_into`]'s loop for an I axis of `LI`
+    /// levels and a Q axis of `LQ`.
+    fn demap<const LI: usize, const LQ: usize>(
+        &self,
+        ys: &[Complex64],
+        nv: f64,
+        csi: &[f64],
+        llrs: &mut Vec<f64>,
+        evm_acc: &mut f64,
+    ) {
+        let [axis_i, axis_q] = &self.axes;
         for (y, &w) in ys.iter().zip(csi) {
-            let i = axis_i.distances(y.re);
-            let q = axis_q.distances(y.im);
+            let i = axis_i.distances::<LI>(y.re);
+            let q = axis_q.distances::<LQ>(y.im);
             *evm_acc += i.nearest + q.nearest;
-            for b in 0..axis_i.bit1.len() {
+            for b in 0..LI.trailing_zeros() as usize {
                 llrs.push(((i.min1[b] + q.min) - (i.min0[b] + q.min)) / nv * w);
             }
-            for b in 0..axis_q.bit1.len() {
+            for b in 0..LQ.trailing_zeros() as usize {
                 llrs.push(((i.min + q.min1[b]) - (i.min + q.min0[b])) / nv * w);
             }
         }

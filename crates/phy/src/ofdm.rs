@@ -74,19 +74,28 @@ impl Ofdm {
 
     /// Converts 64 frequency bins into 80 samples (IFFT + cyclic prefix).
     pub fn bins_to_samples(&self, bins: &[Complex64]) -> Vec<Complex64> {
+        let mut out = Vec::with_capacity(self.params.symbol_len());
+        self.bins_to_samples_into(bins, &mut out);
+        out
+    }
+
+    /// [`Self::bins_to_samples`], appending the 80 samples to `out`: the
+    /// inverse FFT runs in place in `out`'s tail, and the cyclic prefix is
+    /// copied down in front of it.
+    pub fn bins_to_samples_into(&self, bins: &[Complex64], out: &mut Vec<Complex64>) {
+        let (n, cp) = (self.params.fft_size, self.params.cp_len);
         #[expect(
             clippy::disallowed_macros,
             reason = "caller contract — bins come from assemble_bins of the same numerology"
         )]
         {
-            assert_eq!(bins.len(), self.params.fft_size);
+            assert_eq!(bins.len(), n);
         }
-        let mut body = bins.to_vec();
-        self.plan.inverse(&mut body);
-        let mut out = Vec::with_capacity(self.params.symbol_len());
-        out.extend_from_slice(&body[self.params.fft_size - self.params.cp_len..]);
-        out.extend_from_slice(&body);
-        out
+        let start = out.len();
+        out.resize(start + cp, Complex64::ZERO);
+        out.extend_from_slice(bins);
+        self.plan.inverse(&mut out[start + cp..]);
+        out.copy_within(start + n..start + n + cp, start);
     }
 
     /// Demodulates one 80-sample symbol (CP strip + FFT), appending its
@@ -200,6 +209,26 @@ mod tests {
         for i in 0..16 {
             assert!((s[i] - s[64 + i]).abs() < 1e-12, "CP mismatch at {i}");
         }
+    }
+
+    #[test]
+    fn symbols_append_in_place_bit_for_bit() {
+        // Two symbols appended behind other samples: each is the IFFT of
+        // its bins with the body's last 16 samples in front.
+        let m = modem();
+        let syms = [0x1234, 0xBEEF].map(|seed| m.assemble_bins(&test_data(seed), -1.0));
+        let mut wave = vec![Complex64::ONE; 5];
+        for bins in &syms {
+            m.bins_to_samples_into(bins, &mut wave);
+        }
+        let mut want = vec![Complex64::ONE; 5];
+        for bins in &syms {
+            let mut body = bins.clone();
+            fft::ifft_in_place(&mut body);
+            want.extend_from_slice(&body[48..]);
+            want.extend_from_slice(&body);
+        }
+        assert_eq!(wave, want);
     }
 
     #[test]

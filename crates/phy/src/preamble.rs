@@ -112,8 +112,9 @@ pub fn ltf(params: &OfdmParams) -> Vec<Complex64> {
     out
 }
 
-/// Builds a 160-sample STF from arbitrary 64 frequency bins (IFFT, first 16
-/// samples repeated 10×).
+/// Appends to `out` a 160-sample STF built from arbitrary 64 frequency bins
+/// (IFFT, first 16 samples repeated 10×); the IFFT runs in place in `out`'s
+/// tail.
 ///
 /// Used by joint transmissions: each AP's precoded STF is the per-subcarrier
 /// beamforming weight applied to [`stf_freq`], rendered through this helper.
@@ -121,33 +122,33 @@ pub fn ltf(params: &OfdmParams) -> Vec<Complex64> {
 /// # Panics
 ///
 /// Panics if `bins.len() != fft_size`.
-pub fn stf_from_bins(params: &OfdmParams, bins: &[Complex64]) -> Vec<Complex64> {
+pub fn stf_from_bins_into(params: &OfdmParams, bins: &[Complex64], out: &mut Vec<Complex64>) {
     assert_eq!(bins.len(), params.fft_size);
-    let mut body = bins.to_vec();
-    fft::ifft_in_place(&mut body);
-    let period = &body[..16];
-    let mut out = Vec::with_capacity(STF_LEN);
-    for _ in 0..10 {
-        out.extend_from_slice(period);
+    let start = out.len();
+    out.extend_from_slice(bins);
+    fft::ifft_in_place(&mut out[start..]);
+    out.resize(start + STF_LEN, Complex64::ZERO);
+    for rep in 1..STF_LEN / 16 {
+        out.copy_within(start..start + 16, start + 16 * rep);
     }
-    out
 }
 
-/// Builds a 160-sample LTF (32-sample guard + 2×64) from arbitrary 64
-/// frequency bins. The precoded analogue of [`ltf`].
+/// Appends to `out` a 160-sample LTF (32-sample guard + 2×64) built from
+/// arbitrary 64 frequency bins, the IFFT in place in `out`'s tail. The
+/// precoded analogue of [`ltf`].
 ///
 /// # Panics
 ///
 /// Panics if `bins.len() != fft_size`.
-pub fn ltf_from_bins(params: &OfdmParams, bins: &[Complex64]) -> Vec<Complex64> {
-    assert_eq!(bins.len(), params.fft_size);
-    let mut sym = bins.to_vec();
-    fft::ifft_in_place(&mut sym);
-    let mut out = Vec::with_capacity(LTF_LEN);
-    out.extend_from_slice(&sym[sym.len() - 32..]);
-    out.extend_from_slice(&sym);
-    out.extend_from_slice(&sym);
-    out
+pub fn ltf_from_bins_into(params: &OfdmParams, bins: &[Complex64], out: &mut Vec<Complex64>) {
+    let n = params.fft_size;
+    assert_eq!(bins.len(), n);
+    let start = out.len();
+    out.resize(start + 32, Complex64::ZERO);
+    out.extend_from_slice(bins);
+    fft::ifft_in_place(&mut out[start + 32..]);
+    out.extend_from_within(start + 32..start + 32 + n);
+    out.copy_within(start + n..start + n + 32, start);
 }
 
 /// The STF frequency sequence placed into 64 FFT bins.
@@ -280,8 +281,12 @@ mod tests {
     #[test]
     fn from_bins_matches_direct_construction() {
         let p = OfdmParams::default();
-        assert_eq!(stf_from_bins(&p, &stf_bins(&p)), stf(&p));
-        assert_eq!(ltf_from_bins(&p, &ltf_bins(&p)), ltf(&p));
+        let mut wave = vec![Complex64::ONE; 3];
+        stf_from_bins_into(&p, &stf_bins(&p), &mut wave);
+        ltf_from_bins_into(&p, &ltf_bins(&p), &mut wave);
+        assert_eq!(wave[..3], [Complex64::ONE; 3]);
+        assert_eq!(wave[3..3 + STF_LEN], stf(&p));
+        assert_eq!(wave[3 + STF_LEN..], ltf(&p));
     }
 
     #[test]
@@ -291,7 +296,8 @@ mod tests {
         let p = OfdmParams::default();
         let w = Complex64::from_polar(0.6, 1.2);
         let scaled: Vec<Complex64> = ltf_bins(&p).iter().map(|&b| b * w).collect();
-        let got = ltf_from_bins(&p, &scaled);
+        let mut got = Vec::new();
+        ltf_from_bins_into(&p, &scaled, &mut got);
         for (g, base) in got.iter().zip(ltf(&p)) {
             assert!((*g - base * w).abs() < 1e-12);
         }

@@ -11,8 +11,9 @@
 //!
 //! [`decode_with`] (and [`decode`], the same in a fresh scratch) holds path
 //! metrics in a struct-of-arrays layout (one flat `[f64; 64]` per trellis
-//! column), its add-compare-select step is branchless (clamped candidates,
-//! select-by-comparison), and survivor decisions are one byte lane per
+//! column), its add-compare-select step is branchless (candidates clamped
+//! only on a stream where NaN or ±∞ can reach them, select-by-comparison),
+//! and survivor decisions are one byte lane per
 //! state per step in a flat buffer (the [`UNREACHED`] flag shares the byte)
 //! instead of a per-step `Vec` (DESIGN.md §3.11). The scalar decoder it
 //! replaced is the executable specification of its semantics — admission
@@ -138,7 +139,8 @@ impl ViterbiScratch {
 /// `metric` in place and recording 64 decision bytes per step into
 /// `decision` (bit 0 = odd predecessor won, bit 1 = [`UNREACHED`]).
 /// Processes as many steps as the shorter of the two buffers allows and
-/// returns that count.
+/// returns that count; `step0` is how many steps the stream had taken
+/// before, so that renormalisation keeps its cadence across blocks.
 ///
 /// The loop body is written as pure vertical lane arithmetic so LLVM can
 /// auto-vectorise it: predecessor metrics are deinterleaved into even/odd
@@ -146,17 +148,36 @@ impl ViterbiScratch {
 /// contiguous, and decisions land as byte lanes instead of a packed bitmask
 /// (a `|= … << j` chain would serialise the loop).
 ///
-/// Admission mirrors the reference decoder exactly: a candidate that is NaN
-/// (a NaN LLR from equalising a spectral null) or −∞ (unreached predecessor)
-/// is clamped to −∞ and can never beat an admissible path; ties select the
-/// even predecessor, as the reference's ascending-state scan does.
-fn acs_block(soft: &[f64], metric: &mut [f64; N_STATES], decision: &mut [u8]) -> usize {
+/// With `ADMIT`, admission mirrors the reference decoder exactly: a
+/// candidate that is NaN (a NaN LLR from equalising a spectral null) or −∞
+/// (unreached predecessor) is clamped to −∞ and can never beat an
+/// admissible path, and a state whose winner is −∞ is flagged
+/// [`UNREACHED`]. Without it, the clamp and the flag are left out, which
+/// is the same arithmetic wherever every metric is finite and every
+/// candidate NaN-free — [`admits_unclamped`] says when that holds. Ties
+/// select the even predecessor either way, as the reference's
+/// ascending-state scan does.
+fn acs_block<const ADMIT: bool>(
+    soft: &[f64],
+    step0: usize,
+    metric: &mut [f64; N_STATES],
+    decision: &mut [u8],
+) -> usize {
     const HALF: usize = N_STATES / 2;
     let mut cur = *metric;
     // Even/odd predecessor metrics: `even[j] = cur[2j]`, `odd[j] = cur[2j+1]`.
     let mut even = [NEG_INF; HALF];
     let mut odd = [NEG_INF; HALF];
     let mut n_steps = 0usize;
+    // `max(NEG_INF)` turns NaN into −∞ and is the identity otherwise.
+    let admit = |c: f64| if ADMIT { c.max(NEG_INF) } else { c };
+    let flag = |m: f64| {
+        if ADMIT {
+            ((m == NEG_INF) as u8) << 1
+        } else {
+            0
+        }
+    };
     for (pair, dec) in soft
         .chunks_exact(2)
         .zip(decision.chunks_exact_mut(N_STATES))
@@ -179,33 +200,34 @@ fn acs_block(soft: &[f64], metric: &mut [f64; N_STATES], decision: &mut [u8]) ->
         // the 2j→j transition (see BFLY_CODE). Exact sign symmetry keeps
         // every candidate bitwise identical to the reference's. The winner
         // select reuses the `c1 > c0` mask: candidates are NaN-free after
-        // the clamp, and path metrics are never −0.0 (they start at +0.0 and
-        // a round-to-nearest sum of a non-negative-zero value is never −0.0),
-        // so select-by-comparison equals the reference's scan bitwise.
+        // admission, and path metrics are never −0.0 (they start at +0.0
+        // and a round-to-nearest sum of a non-negative-zero value is never
+        // −0.0), so select-by-comparison equals the reference's scan
+        // bitwise.
         let (lo, hi) = cur.split_at_mut(HALF);
         let (dec_lo, dec_hi) = dec.split_at_mut(HALF);
         for j in 0..HALF {
             let g = SIGN0[j] * l0 + SIGN1[j] * l1;
             let m0 = even[j];
             let m1 = odd[j];
-            // New state j (input bit 0): branches +g / −g. The clamped
+            // New state j (input bit 0): branches +g / −g. The admitted
             // metric is NaN-free, so `m == NEG_INF` is exactly "unreached".
-            let c0 = (m0 + g).max(NEG_INF);
-            let c1 = (m1 - g).max(NEG_INF);
+            let c0 = admit(m0 + g);
+            let c1 = admit(m1 - g);
             let take1 = c1 > c0;
             let m = if take1 { c1 } else { c0 };
             lo[j] = m;
-            dec_lo[j] = take1 as u8 | (((m == NEG_INF) as u8) << 1);
+            dec_lo[j] = take1 as u8 | flag(m);
             // New state j+32 (input bit 1): signs flipped.
-            let c0 = (m0 - g).max(NEG_INF);
-            let c1 = (m1 + g).max(NEG_INF);
+            let c0 = admit(m0 - g);
+            let c1 = admit(m1 + g);
             let take1 = c1 > c0;
             let m = if take1 { c1 } else { c0 };
             hi[j] = m;
-            dec_hi[j] = take1 as u8 | (((m == NEG_INF) as u8) << 1);
+            dec_hi[j] = take1 as u8 | flag(m);
         }
         n_steps += 1;
-        if n_steps.is_multiple_of(RENORM_INTERVAL) {
+        if (step0 + n_steps).is_multiple_of(RENORM_INTERVAL) {
             let mx = cur.iter().fold(NEG_INF, |a, &b| a.max(b));
             if mx > RENORM_LIMIT && mx.is_finite() {
                 for m in cur.iter_mut() {
@@ -216,6 +238,33 @@ fn acs_block(soft: &[f64], metric: &mut [f64; N_STATES], decision: &mut [u8]) ->
     }
     *metric = cur;
     n_steps
+}
+
+/// Trellis steps from state 0 until every state is reached: a state is the
+/// last `K − 1` input bits, as many as the tail has, so every stream is at
+/// least this long.
+const WARM_UP: usize = TAIL_BITS;
+
+/// Whether [`acs_block`] may leave out admission after the [`WARM_UP`]
+/// steps of a stream of `n_steps` steps: every soft value is finite and
+/// `2·n_steps·|l| ≤ RENORM_LIMIT`.
+///
+/// Then admission is an identity. A branch metric is `±l0 ± l1`, so
+/// `|g| ≤ 2·max|l|`, and a path metric is a sum of at most `n_steps` of
+/// them: whatever the rounding (a round-to-nearest sum is monotone, and
+/// `n_steps·ε` is negligible), `|m| ≤ 2·n_steps·max|l| ≤ RENORM_LIMIT`, to
+/// within that rounding. So renormalisation never fires (it would anyway
+/// fire alike with and without admission), and no metric comes near
+/// `f64::MAX ≈ 1.8e308`: none overflows to ±∞, so no sum of a metric and a
+/// finite branch metric is −∞ or NaN. After the warm-up every state holds a
+/// finite metric (each is some 6-bit input sequence away from state 0, and
+/// the warm-up admits), so every candidate is a finite number: `max(NEG_INF)`
+/// returns it unchanged and no winner is −∞, so no [`UNREACHED`] flag is
+/// set. The decisions and metrics are those of the admitting loop, bit for
+/// bit.
+fn admits_unclamped(soft: &[f64], n_steps: usize) -> bool {
+    let bound = RENORM_LIMIT / (2 * n_steps) as f64;
+    soft.iter().all(|l| l.abs() <= bound)
 }
 
 /// Decodes a rate-1/2 soft stream (LLR per coded bit, erasures as 0.0).
@@ -242,11 +291,18 @@ pub fn decode_with(
 
     let mut metric = [NEG_INF; N_STATES];
     metric[0] = 0.0; // encoder starts in state 0
-    acs_block(
-        soft,
-        &mut metric,
-        &mut scratch.decision[..n_steps * N_STATES],
-    );
+
+    // The warm-up admits; the rest leaves admission out where that is an
+    // identity.
+    let (warm, rest) = soft.split_at(2 * WARM_UP);
+    let (warm_dec, rest_dec) =
+        scratch.decision[..n_steps * N_STATES].split_at_mut(WARM_UP * N_STATES);
+    acs_block::<true>(warm, 0, &mut metric, warm_dec);
+    if admits_unclamped(soft, n_steps) {
+        acs_block::<false>(rest, WARM_UP, &mut metric, rest_dec);
+    } else {
+        acs_block::<true>(rest, WARM_UP, &mut metric, rest_dec);
+    }
 
     // The tail flushes the encoder to state 0; terminate there. If state 0 is
     // unreachable (severe erasures), fall back to the best surviving state.

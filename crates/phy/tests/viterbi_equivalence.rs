@@ -245,3 +245,109 @@ fn fast_matches_reference_with_nan_and_inf() {
         Err(ViterbiError::BadInputLength(7))
     );
 }
+
+/// The decoder's renormalisation threshold (`viterbi.rs`): past its warm-up,
+/// a stream whose soft values are finite with `2·n_steps·|l|` at most this
+/// is decoded without admission, any other stream admitting throughout.
+const RENORM_LIMIT: f64 = 1e250;
+
+/// Deterministic noisy soft values for `data`, ±1 per coded bit plus up to
+/// ±0.9 of LCG noise.
+fn lcg_stream(data: &[u8], seed: u64) -> Vec<f64> {
+    let mut lcg = seed;
+    convcode::encode(data)
+        .iter()
+        .map(|&b| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let noise = 1.8 * ((lcg >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+            (if b == 0 { 1.0 } else { -1.0 }) + noise
+        })
+        .collect()
+}
+
+fn assert_matches_reference(soft: &[f64], what: &str) {
+    assert_eq!(
+        viterbi::decode(soft).unwrap(),
+        decode_reference(soft).unwrap(),
+        "{what}"
+    );
+}
+
+#[test]
+fn soft_values_either_side_of_the_unclamped_bound() {
+    for n_data in [0usize, 1, 40, 300] {
+        let data: Vec<u8> = (0..n_data).map(|i| ((i * 19 + 5) % 2) as u8).collect();
+        let soft = lcg_stream(&data, 0xB0_0D + n_data as u64);
+        let n_steps = soft.len() / 2;
+        let bound = RENORM_LIMIT / (2 * n_steps) as f64;
+        let peak = soft.iter().fold(0.0f64, |a, l| a.max(l.abs()));
+        // Just under: the largest value sits on the bound. Just over: one
+        // ulp past it, everything else as before.
+        let under: Vec<f64> = soft.iter().map(|l| l / peak * bound).collect();
+        let top = under.iter().fold(0.0f64, |a, l| a.max(l.abs()));
+        assert!(
+            top <= bound && top > bound * (1.0 - 1e-12),
+            "n_data={n_data}"
+        );
+        assert_matches_reference(&under, &format!("under, n_data={n_data}"));
+        let over: Vec<f64> = under
+            .iter()
+            .map(|&l| {
+                if l.abs() == top {
+                    l.signum() * bound.next_up()
+                } else {
+                    l
+                }
+            })
+            .collect();
+        assert_matches_reference(&over, &format!("over, n_data={n_data}"));
+    }
+}
+
+#[test]
+fn nan_and_infinities_past_the_warm_up() {
+    let data: Vec<u8> = (0..90).map(|i| ((i * 7 + 3) % 2) as u8).collect();
+    let soft = lcg_stream(&data, 0xFA11);
+    // The warm-up is the first 6 steps, 12 soft values.
+    for at in [12, 13, 14, 101, soft.len() - 13, soft.len() - 1] {
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = soft.clone();
+            s[at] = poison;
+            assert_matches_reference(&s, &format!("{poison} at {at}"));
+        }
+    }
+}
+
+#[test]
+fn a_tail_only_stream_is_all_warm_up() {
+    let soft = lcg_stream(&[], 0x7A11);
+    assert_eq!(soft.len(), 2 * TAIL_BITS);
+    assert_matches_reference(&soft, "clean");
+    for at in [0, 5, 11] {
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0] {
+            let mut s = soft.clone();
+            s[at] = poison;
+            assert_matches_reference(&s, &format!("{poison} at {at}"));
+        }
+    }
+    assert_matches_reference(&[RENORM_LIMIT; 2 * TAIL_BITS], "at the limit");
+}
+
+#[test]
+fn renormalisation_at_1e250_scale() {
+    // 1e250-scale values are far past the unclamped bound: the stream is
+    // decoded admitting, and its path metrics cross RENORM_LIMIT within
+    // the first 64-step interval, so every renormalisation fires.
+    let data: Vec<u8> = (0..400).map(|i| ((i * 13 + 1) % 2) as u8).collect();
+    let soft: Vec<f64> = lcg_stream(&data, 0x1E25)
+        .iter()
+        .map(|l| l * 1e250)
+        .collect();
+    assert!(soft.len() / 2 > 6 * 64);
+    assert_matches_reference(&soft, "1e250");
+    let mut poisoned = soft.clone();
+    poisoned[200] = f64::NAN;
+    assert_matches_reference(&poisoned, "1e250 with a NaN");
+}

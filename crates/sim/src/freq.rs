@@ -186,9 +186,11 @@ impl SubcarrierMedium {
     }
 
     /// How many times a link was installed ([`Self::set_link`]) or lent
-    /// out mutably ([`Self::link_mut`]) since the medium was created: while
-    /// the count stands still, every link is the one it was, up to its gain
-    /// ([`Self::scale_gain`], [`Self::set_gain`]).
+    /// out mutably ([`Self::link_mut`]), or an oscillator replaced
+    /// ([`Self::set_trajectory`]), since the medium was created: while the
+    /// count stands still, every link is the one it was, up to its gain
+    /// ([`Self::scale_gain`], [`Self::set_gain`]), and every oscillator the
+    /// one it was, walked further at most.
     pub fn link_writes(&self) -> u64 {
         self.link_writes
     }
@@ -223,9 +225,32 @@ impl SubcarrierMedium {
         }
     }
 
-    /// Mutable oscillator access.
-    pub fn trajectory_mut(&mut self, node: NodeId) -> &mut PhaseTrajectory {
-        &mut self.nodes[node.0]
+    /// The carrier phase of `node`'s oscillator at `t`, radians; walks its
+    /// trajectory's window to `t` and changes nothing else.
+    #[inline]
+    pub fn phase_at(&mut self, node: NodeId, t: f64) -> f64 {
+        self.nodes[node.0].phase_at(t)
+    }
+
+    /// The carrier offset of `node`'s oscillator at `t`, Hz; walks like
+    /// [`Self::phase_at`].
+    #[inline]
+    pub fn cfo_hz_at(&mut self, node: NodeId, t: f64) -> f64 {
+        self.nodes[node.0].cfo_hz_at(t)
+    }
+
+    /// The sample-clock ratio of `node`'s crystal (ADC/DAC rate over
+    /// nominal).
+    #[inline]
+    pub fn sample_ratio(&self, node: NodeId) -> f64 {
+        self.nodes[node.0].sample_ratio()
+    }
+
+    /// Replaces `node`'s oscillator with `traj`: a write, like
+    /// [`Self::set_link`] ([`Self::link_writes`]).
+    pub fn set_trajectory(&mut self, node: NodeId, traj: PhaseTrajectory) {
+        self.link_writes += 1;
+        self.nodes[node.0] = traj;
     }
 
     /// The *instantaneous physical* channel from `tx` to `rx` on one
@@ -579,17 +604,16 @@ mod tests {
             assert!(before[txs.len() * n_k..]
                 .iter()
                 .all(|&h| h == Complex64::ZERO));
-            let saved: Vec<PhaseTrajectory> =
-                rxs.iter().map(|&rx| m.trajectory_mut(rx).clone()).collect();
+            let saved: Vec<PhaseTrajectory> = rxs.iter().map(|&rx| m.nodes[rx.0].clone()).collect();
             for &rx in &rxs {
-                *m.trajectory_mut(rx) = PhaseTrajectory::fixed(FC, 0.0);
+                m.set_trajectory(rx, PhaseTrajectory::fixed(FC, 0.0));
             }
             m.transmit_rows_into(&txs, &rxs, t, &mut after);
             m.channel_rows_into(&txs, &rxs, t, &mut full);
             assert_eq!(before, after, "t={t}");
             assert_eq!(before, full, "t={t}");
             for (&rx, traj) in rxs.iter().zip(saved) {
-                *m.trajectory_mut(rx) = traj;
+                m.set_trajectory(rx, traj);
             }
         }
     }
@@ -740,9 +764,10 @@ mod tests {
 
     #[test]
     fn link_writes_count_every_change_but_a_gain() {
-        // A medium whose count stands still holds the links it had, up to
-        // their gains: `set_link` and `link_mut` move it, a gain does not,
-        // and neither does anything that only reads.
+        // A medium whose count stands still holds the links and oscillators
+        // it had, up to the links' gains: `set_link`, `link_mut` and
+        // `set_trajectory` move it, a gain does not, and neither does
+        // anything that only reads or walks.
         let mut m = medium();
         let (a, b) = (clean_node(&mut m), clean_node(&mut m));
         assert_eq!(m.link_writes(), 0);
@@ -753,9 +778,13 @@ mod tests {
         m.static_row(a, b);
         m.scale_gain(a, b, 0.5);
         m.set_gain(a, b, Complex64::ONE);
-        m.trajectory_mut(a).phase_at(2e-3);
+        m.phase_at(a, 2e-3);
+        m.cfo_hz_at(b, 3e-3);
+        m.sample_ratio(a);
         assert_eq!(m.link_writes(), 1);
         m.link_mut(a, b);
         assert_eq!(m.link_writes(), 2);
+        m.set_trajectory(b, PhaseTrajectory::fixed(FC, 1e3));
+        assert_eq!(m.link_writes(), 3);
     }
 }

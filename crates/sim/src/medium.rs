@@ -27,7 +27,7 @@ use crate::fault::FaultSchedule;
 use jmb_channel::{Link, PhaseInterval, PhaseTrajectory};
 use jmb_dsp::complex::rotate_ramp;
 use jmb_dsp::delay::{kernel_at, resample};
-use jmb_dsp::rng::{complex_gaussian, JmbRng};
+use jmb_dsp::rng::{normal, JmbRng};
 use jmb_dsp::Complex64;
 use jmb_obs::{DropCause, EventKind, Trace};
 use jmb_phy::params::OfdmParams;
@@ -134,29 +134,90 @@ fn tapped_delay_line(
             fir[(offset - lowest) as usize] += g.scale(w);
         }
     }
+    fir_filter(samples, (lowest, fir), (from, to), line)
+}
 
+/// Leaves in `line` the entries `from..=to` of `line[k] = Σ_j fir[j]·
+/// samples[k + lowest + j]`, clipped to where some product exists, and
+/// returns the index of the first one kept: `fir[j]` weighs the sample
+/// `lowest + j` away.
+fn fir_filter(
+    samples: &[Complex64],
+    (lowest, fir): (isize, &[Complex64]),
+    (from, to): (isize, isize),
+    line: &mut Vec<Complex64>,
+) -> isize {
     let len = samples.len() as isize;
-    let from = from.max(-KERNEL_REACH);
+    let from = from.max(1 - lowest - fir.len() as isize);
     let to = to.min(len - 1 - lowest);
     line.clear();
     line.resize((to - from + 1).max(0) as usize, Complex64::ZERO);
-    // One pass over the stretch per FIR entry, in entry order: each
-    // `line[k]` is summed as the dot product would sum it, and the inner
-    // loop has no dependence between its iterations.
-    for (offset, &c) in (lowest..).zip(&*fir) {
-        // `line[k] += c·samples[k + offset]` for the `k` where both exist.
-        let (k0, k1) = (from.max(-offset), (to + 1).min(len - offset));
-        if c == Complex64::ZERO || k0 >= k1 {
-            continue;
+    // `line[k] += c·samples[k + offset]` for `k` in `k0..k1`.
+    let entry_pass = |line: &mut [Complex64], (offset, c): (isize, Complex64), (k0, k1)| {
+        if k0 >= k1 {
+            return;
         }
         let dst = &mut line[(k0 - from) as usize..(k1 - from) as usize];
         let src = &samples[(k0 + offset) as usize..(k1 + offset) as usize];
         for (acc, &x) in dst.iter_mut().zip(src) {
             *acc = c.mul_add(x, *acc);
         }
+    };
+    // The `k` of the stretch for which the entry at `offset` has a sample.
+    let reach = |offset: isize| (from.max(-offset), (to + 1).min(len - offset));
+    // The non-zero entries that reach the stretch, FIR_BLOCK at a time, in
+    // entry order. One pass over the line per block: each `line[k]` adds the
+    // block's products innermost first, `c₃x₃ + (c₂x₂ + (c₁x₁ + (c₀x₀ +
+    // acc)))`, which is the order one pass per entry sums them in, so every
+    // `line[k]` is the same sum to the bit (DESIGN §3.16). Offsets grow along
+    // the FIR, so a block's first entry starts its reach last and its last
+    // entry ends it first: between the two, every entry reaches; below and
+    // above, the entries pass one at a time, in entry order, before the body
+    // and after it, which keeps each `k`'s order too.
+    let mut block = [(0isize, Complex64::ZERO); FIR_BLOCK];
+    let mut filled = 0;
+    for (offset, &c) in (lowest..).zip(fir) {
+        let (k0, k1) = reach(offset);
+        if c == Complex64::ZERO || k0 >= k1 {
+            continue;
+        }
+        block[filled] = (offset, c);
+        filled += 1;
+        if filled < FIR_BLOCK {
+            continue;
+        }
+        filled = 0;
+        // The body `lo..hi`, empty on a stretch shorter than the block's
+        // overlap.
+        let lo = reach(block[0].0).0;
+        let hi = reach(block[FIR_BLOCK - 1].0).1.max(lo);
+        for &entry in &block {
+            let (k0, k1) = reach(entry.0);
+            entry_pass(line, entry, (k0, k1.min(lo)));
+        }
+        if lo < hi {
+            let [(o0, c0), (o1, c1), (o2, c2), (o3, c3)] = block;
+            let n = (hi - lo) as usize;
+            let src = |o: isize| &samples[(lo + o) as usize..][..n];
+            let dst = &mut line[(lo - from) as usize..][..n];
+            let (x0, x1, x2, x3) = (src(o0), src(o1), src(o2), src(o3));
+            for k in 0..n {
+                let acc = c0.mul_add(x0[k], dst[k]);
+                dst[k] = c3.mul_add(x3[k], c2.mul_add(x2[k], c1.mul_add(x1[k], acc)));
+            }
+        }
+        for &entry in &block {
+            entry_pass(line, entry, (hi, reach(entry.0).1));
+        }
+    }
+    for &entry in &block[..filled] {
+        entry_pass(line, entry, reach(entry.0));
     }
     from
 }
+
+/// How many FIR entries [`fir_filter`] adds per pass over the line.
+const FIR_BLOCK: usize = 4;
 
 /// The output instants of one render, on the receiver's clock.
 #[derive(Clone, Copy)]
@@ -430,9 +491,12 @@ impl Medium {
             rx_intervals.push((m, interval));
             m = win.end_of(&interval, m, n);
         }
-        let noise_var = self.nodes[rx.0].noise_var;
+        // `complex_gaussian(rng, σ²)`'s draws, I then Q, with its per-axis
+        // `σ` taken once per window rather than once per sample.
+        let sigma = (self.nodes[rx.0].noise_var / 2.0).sqrt();
+        let rng = &mut self.rng;
         let out = (0..n)
-            .map(|_| complex_gaussian(&mut self.rng, noise_var))
+            .map(|_| Complex64::new(normal(rng, sigma), normal(rng, sigma)))
             .collect();
         (win, out)
     }
@@ -452,10 +516,12 @@ impl Medium {
                 continue;
             }
             let span = win.span(bstart, bstart + bdur, n);
+            let sigma = (bvar / 2.0).sqrt();
             for (m, out) in (span.start..).zip(&mut out[span]) {
                 let t = win.time_of(m);
                 if t >= bstart && t < bstart + bdur {
-                    *out += complex_gaussian(&mut self.rng, bvar);
+                    *out +=
+                        Complex64::new(normal(&mut self.rng, sigma), normal(&mut self.rng, sigma));
                 }
             }
         }
@@ -527,6 +593,7 @@ mod tests {
     use jmb_channel::oscillator::OscillatorSpec;
     use jmb_dsp::complex::mean_power;
     use jmb_dsp::delay::interpolate_at;
+    use jmb_dsp::rng::complex_gaussian;
     use jmb_phy::preamble;
 
     const FC: f64 = 2.437e9;
@@ -586,6 +653,96 @@ mod tests {
         assert!(lo < -40.3 && hi > 43.8);
         assert_ne!(heard(-40.3), Complex64::ZERO);
         assert_ne!(heard(43.8), Complex64::ZERO);
+    }
+
+    /// Stage 1 as one pass over the line per FIR entry, in entry order:
+    /// what [`fir_filter`]'s blocks must sum to, bit for bit.
+    fn per_entry_filter(
+        samples: &[Complex64],
+        (lowest, fir): (isize, &[Complex64]),
+        (from, to): (isize, isize),
+    ) -> (isize, Vec<Complex64>) {
+        let len = samples.len() as isize;
+        let from = from.max(1 - lowest - fir.len() as isize);
+        let to = to.min(len - 1 - lowest);
+        let mut line = vec![Complex64::ZERO; (to - from + 1).max(0) as usize];
+        for (offset, &c) in (lowest..).zip(fir) {
+            if c == Complex64::ZERO {
+                continue;
+            }
+            for k in from.max(-offset)..(to + 1).min(len - offset) {
+                let acc = &mut line[(k - from) as usize];
+                *acc = c.mul_add(samples[(k + offset) as usize], *acc);
+            }
+        }
+        (from, line)
+    }
+
+    #[test]
+    fn blocked_fir_matches_the_per_entry_passes_bit_for_bit() {
+        let bits = |line: &[Complex64]| -> Vec<(u64, u64)> {
+            line.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let mut rng = jmb_dsp::rng::rng_from_seed(40);
+        let mut draw = |n: usize, zeros: f64| -> Vec<Complex64> {
+            (0..n)
+                .map(|_| {
+                    if rng.gen::<f64>() < zeros {
+                        Complex64::ZERO
+                    } else {
+                        complex_gaussian(&mut rng, 1.0)
+                    }
+                })
+                .collect()
+        };
+        let mut line = Vec::new();
+        let mut cases = 0;
+        // FIR lengths on either side of every multiple of the block, with
+        // zero entries inside blocks; waveforms shorter and longer than the
+        // FIR; stretches from empty through shorter than a block's overlap
+        // to past both ends of the waveform.
+        for fir_len in 1..=13 {
+            for zeros in [0.0, 0.35] {
+                let fir = draw(fir_len, zeros);
+                for n in [1, 5, 40] {
+                    let samples = draw(n, 0.0);
+                    for lowest in [-9, -2, 0, 3] {
+                        for from in [-25, -4, 0, 2, 17] {
+                            for width in [-1, 0, 1, 2, 3, 6, 60] {
+                                let stretch = (from, from + width);
+                                let want = per_entry_filter(&samples, (lowest, &fir), stretch);
+                                let origin =
+                                    fir_filter(&samples, (lowest, &fir), stretch, &mut line);
+                                assert_eq!(origin, want.0);
+                                assert_eq!(bits(&line), bits(&want.1), "{fir_len} {n} {stretch:?}");
+                                cases += usize::from(!line.is_empty());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 3_000, "{cases}");
+
+        // A link's own FIR, as the render builds it.
+        let fs_tx = OfdmParams::default().sample_rate() * (1.0 - 13e-6);
+        let samples = draw(700, 0.0);
+        let mut rng = jmb_dsp::rng::rng_from_seed(41);
+        let fading = Multipath::new(MultipathSpec::indoor_nlos(), &mut rng);
+        let link = Link::new(Complex64::ONE, 0.0, fading);
+        let mut fir = Vec::new();
+        for stretch in [(-80, 800), (300, 302), (650, 760)] {
+            let origin = tapped_delay_line(&samples, &link, fs_tx, stretch, &mut fir, &mut line);
+            let lowest = KERNEL_REACH + 1 - fir.len() as isize;
+            let want = per_entry_filter(&samples, (lowest, &fir), stretch);
+            assert_eq!(
+                (origin, bits(&line)),
+                (want.0, bits(&want.1)),
+                "{stretch:?}"
+            );
+        }
     }
 
     #[test]

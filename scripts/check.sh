@@ -23,7 +23,7 @@
 # stand-in crates under vendor/ (rand, proptest) are kept
 # byte-comparable to their upstreams and are exempt from formatting.
 #
-# Thirteen greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Fourteen greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
@@ -44,7 +44,9 @@
 # `PilotTrack::corrections`, whose phases are affine in the sample or
 # subcarrier index and are walked by `rotate_ramp`, `phasor_ramp` or the
 # sweep, and `soft_symbol` takes its pilot correction from
-# `PilotTrack::corrections` alone — the written-once rule
+# `PilotTrack::corrections` alone — the one-kernel rule (DESIGN.md §3.11):
+# viterbi.rs has one add-compare-select loop, generic over admission, and
+# the demapper's `Axis::distances` one fixed-width body — the written-once rule
 # (DESIGN.md §3.5, §3.6), which is two: each method of the networks' shared
 # surface has one `pub fn` under crates/core/src, and one
 # struct in crates/traffic/src carries a clock debt — and the one-ledger rule
@@ -229,6 +231,24 @@ if superpose | grep -n 'tap_iter()\|interpolate_at(' \
    || [ "$(superpose | grep -o 'resample(' | wc -l)" -ne 1 ] \
    || [ "$(live_medium | grep -o 'tap_iter()' | wc -l)" -ne 1 ]; then
   echo "RxWindow::superpose must call resample( once and never interpolate_at( or tap_iter(); the taps belong to tapped_delay_line alone" >&2
+  exit 1
+fi
+
+# The receive chain's kernels are written once (DESIGN.md §3.11): the
+# Viterbi add-compare-select is `acs_block::<ADMIT>`, one loop instantiated
+# with and without admission, and `Axis::distances` takes its level count
+# as a const parameter. A second `fn acs…` or a second branch-metric line
+# (`SIGN0[j]`) in viterbi.rs, or a `distances` over a run-time level count,
+# is the fork creeping back.
+live() { sed '/#\[cfg(test)\]/q' "$1"; }
+count() { live "$1" | grep -c -- "$2" || true; }
+if [ "$(count crates/phy/src/viterbi.rs 'fn acs')" -ne 1 ] \
+   || [ "$(count crates/phy/src/viterbi.rs 'fn acs_block<const ADMIT: bool>(')" -ne 1 ] \
+   || [ "$(count crates/phy/src/viterbi.rs 'SIGN0\[j\]')" -ne 1 ] \
+   || [ "$(count crates/phy/src/modulation.rs 'fn distances')" -ne 1 ] \
+   || [ "$(count crates/phy/src/modulation.rs 'fn distances<const L: usize>(')" -ne 1 ] \
+   || [ "$(count crates/phy/src/modulation.rs 'levels: Vec')" -ne 0 ]; then
+  echo "viterbi.rs must define one ACS loop (acs_block<const ADMIT: bool>) and Axis one distances<const L: usize> over fixed-width levels" >&2
   exit 1
 fi
 
