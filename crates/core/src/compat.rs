@@ -35,7 +35,7 @@ use crate::sync::{LeadObserver, SyncStrategyId};
 use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_dsp::rng::JmbRng;
-use jmb_dsp::{CMat, Complex64};
+use jmb_dsp::{CMat, Complex64, Planar};
 use jmb_obs::Trace;
 use jmb_phy::params::{ChannelProfile, OfdmParams};
 use jmb_phy::rates::Mcs;
@@ -224,7 +224,8 @@ impl LinkEval for CompatEval {
         _clients: &[NodeId],
         rng: &mut JmbRng,
         t0: f64,
-    ) -> Result<Vec<CMat>, JmbError> {
+        h: &mut Planar,
+    ) -> Result<(usize, usize), JmbError> {
         let (txs, rxs, medium) = (&self.txs, &self.rxs, &mut self.medium);
         let sigma = axis_sigma(NOISE_VAR / SOUNDING_ROUNDS as f64);
         let (l1, n_tx) = (txs[0], txs.len());
@@ -235,7 +236,7 @@ impl LinkEval for CompatEval {
 
         // Sounding s measures antenna column s (s = 0 is the L1-only
         // baseline sounding at t0).
-        let mut h = vec![CMat::zeros(rxs.len(), n_tx); occupied.len()];
+        h.zeroed(rxs.len() * n_tx, occupied.len());
         let mut raw = Vec::with_capacity(occupied.len());
         for s in 0..n_tx {
             let t_s = t0 + s as f64 * SOUNDING_GAP_S;
@@ -243,7 +244,7 @@ impl LinkEval for CompatEval {
             for (r, &rx) in rxs.iter().enumerate() {
                 if s == 0 {
                     for (k_idx, &k) in occupied.iter().enumerate() {
-                        h[k_idx][(r, 0)] = noisy(l1, rx, k, t0);
+                        h.set(r * n_tx, k_idx, noisy(l1, rx, k, t0));
                     }
                     continue;
                 }
@@ -275,11 +276,11 @@ impl LinkEval for CompatEval {
                 for (k_idx, &k) in occupied.iter().enumerate() {
                     let meas = noisy(x, rx, k, t_s);
                     let rot_back = Complex64::cis(-(common + slope * k as f64));
-                    h[k_idx][(r, s)] = meas * rot_back;
+                    h.set(r * n_tx + s, k_idx, meas * rot_back);
                 }
             }
         }
-        Ok(h)
+        Ok((rxs.len(), n_tx))
     }
 
     /// The slaves' view of the lead on the legacy symbols, at header
@@ -441,7 +442,7 @@ mod tests {
                     if truth[(r, 0)].norm_sqr() < fade || truth[(r, i)].norm_sqr() < fade {
                         continue;
                     }
-                    let m_ratio = h[k_idx][(r, i)] / h[k_idx][(r, 0)];
+                    let m_ratio = h.get(r * 4 + i, k_idx) / h.get(r * 4, k_idx);
                     let t_ratio = truth[(r, i)] / truth[(r, 0)];
                     let err = (m_ratio / t_ratio - Complex64::ONE).abs();
                     worst = worst.max(err);

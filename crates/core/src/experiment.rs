@@ -897,7 +897,7 @@ pub fn measurement_interleaving_ablation(
             net.run_measurement()?;
             let aps = net.ap_nodes().to_vec();
             let clients = net.client_nodes().to_vec();
-            let h_meas = net.measured_channel().unwrap().to_vec();
+            let h_meas = net.measured_channel().unwrap().clone();
             let occupied = params.occupied_subcarriers();
             for (k_idx, &k) in occupied.iter().enumerate() {
                 let fk = k as f64 * params.subcarrier_spacing();
@@ -910,7 +910,8 @@ pub fn measurement_interleaving_ablation(
                         truth.push(link.freq_response_at(fk) * Complex64::cis(phi_i - phi_rj));
                     }
                     for i in 1..aps.len() {
-                        let m_ratio = h_meas[k_idx][(j, i)] / h_meas[k_idx][(j, 0)];
+                        let at = |i| h_meas.get(j * aps.len() + i, k_idx);
+                        let m_ratio = at(i) / at(0);
                         let t_ratio = truth[i] / truth[0];
                         let err = (m_ratio / t_ratio - Complex64::ONE).norm_sqr();
                         sq_err += err;

@@ -41,8 +41,9 @@ use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
 use jmb_dsp::complex::phasor_ramp;
+use jmb_dsp::matrix::Lanes;
 use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
-use jmb_dsp::{CMat, Complex64, Planar};
+use jmb_dsp::{Complex64, Planar};
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::esnr::MCS_THRESHOLD_DB;
@@ -50,6 +51,8 @@ use jmb_phy::params::OfdmParams;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{NodeId, SubcarrierMedium};
 use rand::Rng;
+use std::iter::Zip;
+use std::slice::ChunksExact;
 
 /// Per-bin noise variance at every node: the unit every link of the fast
 /// fidelity is calibrated against, and every SINR is over.
@@ -195,19 +198,11 @@ impl LinkEval for FastEval {
         clients: &[NodeId],
         rng: &mut JmbRng,
         t0: f64,
-    ) -> Result<Vec<CMat>, JmbError> {
-        let n_k = self.medium.occupied().len();
-        let mut h = vec![CMat::zeros(clients.len(), aps.len()); n_k];
-        let rows = &mut self.scratch.rows;
-        let var = NOISE_VAR / rounds(self.cfg.n_aps) as f64;
-        Self::measured_rows(&mut self.medium, aps, clients, t0, rng, var, rows);
-        for (pair, row) in rows.chunks_exact(n_k).enumerate() {
-            let (j, i) = (pair / aps.len(), pair % aps.len());
-            for (k_idx, &g) in row.iter().enumerate() {
-                h[k_idx][(j, i)] = g;
-            }
-        }
-        Ok(h)
+        h: &mut Planar,
+    ) -> Result<(usize, usize), JmbError> {
+        let (medium, rows) = (&mut self.medium, &mut self.scratch.rows);
+        Self::measured_rows(medium, aps, clients, t0, rng, rows, h);
+        Ok((clients.len(), aps.len()))
     }
 
     /// The fast fidelity has no packets: when the lead's waveform left and
@@ -248,13 +243,14 @@ impl Serve for FastEval {
 }
 
 impl FastEval {
-    /// What `clients` feed back of the `aps` at `t`, into `out` laid out as
-    /// [`SubcarrierMedium::transmit_rows_into`]: every client's row of
-    /// `H_s ∘ T(t)` plus one complex-Gaussian draw of variance `var` per
-    /// entry, client-major then AP then subcarrier — the order the golden
-    /// fixtures pin. All estimates are taken at one instant, so each AP's
-    /// oscillator is read once and the static tap sums come from the
-    /// medium's cached rows.
+    /// What `clients` feed back of the `aps` at `t`, into `out`, one row
+    /// per (client, AP) pair as [`SubcarrierMedium::transmit_rows_into`]
+    /// writes them into `stage`: every client's row of `H_s ∘ T(t)` plus
+    /// one complex-Gaussian draw per entry, of the variance the
+    /// measurement's rounds average the noise floor down to, client-major
+    /// then AP then subcarrier — the order the golden fixtures pin. All
+    /// estimates are taken at one instant, so each AP's oscillator is read
+    /// once and the static tap sums come from the medium's cached rows.
     ///
     /// No client's oscillator is read (DESIGN.md §3.5): its factor `R(t)`
     /// turns its whole row by one unit phasor per subcarrier, and
@@ -268,13 +264,15 @@ impl FastEval {
         clients: &[NodeId],
         t: f64,
         rng: &mut JmbRng,
-        var: f64,
-        out: &mut Vec<Complex64>,
+        stage: &mut Vec<Complex64>,
+        out: &mut Planar,
     ) {
-        medium.transmit_rows_into(aps, clients, t, out);
-        let sigma = axis_sigma(var);
-        for g in out.iter_mut() {
-            *g += estimation_noise(rng, sigma);
+        medium.transmit_rows_into(aps, clients, t, stage);
+        let n_k = medium.occupied().len();
+        let sigma = axis_sigma(NOISE_VAR / rounds(aps.len()) as f64);
+        out.zeroed(clients.len() * aps.len(), n_k);
+        for (i, row) in stage.chunks_exact(n_k).enumerate() {
+            out.set_row(i, row.iter().map(|&g| g + estimation_noise(rng, sigma)));
         }
     }
 
@@ -826,7 +824,6 @@ impl FastNet {
         let ks: Vec<f64> = occupied.iter().map(|&k| k as f64).collect();
         let mut rotations: Vec<(f64, f64)> = vec![(0.0, 0.0)]; // lead: identity
         let (n_aps, c) = (self.aps.len(), self.clients[client]);
-        let row_var = NOISE_VAR / rounds(n_aps) as f64;
         let mut obs = self.link.observer(&self.aps, &mut self.rng);
         for s in 1..n_aps {
             let now_ref = obs.estimate(obs.aps[0], obs.aps[s], t_j, obs.header_noise_var);
@@ -837,49 +834,40 @@ impl FastNet {
                 .map(|(a, b)| *a * b.conj());
             rotations.push(jmb_dsp::complex::fit_linear_phase(&ks, ratios));
         }
-        // Fresh row for this client (averaged over the measurement rounds),
-        // AP-major, fed back like the measurement's.
-        let mut fresh = Vec::with_capacity(n_aps * ks.len());
-        let medium = &mut self.link.medium;
-        FastEval::measured_rows(
-            medium,
-            &self.aps,
-            &[c],
-            t_j,
-            &mut self.rng,
-            row_var,
-            &mut fresh,
-        );
-        // Rotated back to the reference time and spliced into the stored
-        // `H̃` in place; the row it replaces waits in the scratch in case
-        // the stitched matrix turns out singular.
-        let h = self.h_meas.as_mut().ok_or(JmbError::NoReference)?;
-        let old_row = &mut self.link.scratch.rows;
-        old_row.clear();
-        for matrix in h.iter() {
-            old_row.extend((0..n_aps).map(|i| matrix[(client, i)]));
-        }
-        for ((i, &(common, slope)), row) in rotations
-            .iter()
-            .enumerate()
-            .zip(fresh.chunks_exact(ks.len()))
-        {
+        // Fresh rows for this client (averaged over the measurement rounds),
+        // one per AP, fed back like the measurement's, and rotated back to
+        // the reference time.
+        let mut fresh = Planar::default();
+        let (medium, stage) = (&mut self.link.medium, &mut self.link.scratch.rows);
+        let rng = &mut self.rng;
+        FastEval::measured_rows(medium, &self.aps, &[c], t_j, rng, stage, &mut fresh);
+        for (i, &(common, slope)) in rotations.iter().enumerate() {
             let rots = phasor_ramp(common, slope, self.link.medium.occupied());
-            for ((matrix, &g), rot) in h.iter_mut().zip(row).zip(rots) {
-                matrix[(client, i)] = g * rot;
+            let (re, im) = fresh.row_mut(i);
+            for ((re, im), rot) in re.iter_mut().zip(im).zip(rots) {
+                let z = Complex64::new(*re, *im) * rot;
+                (*re, *im) = (z.re, z.im);
             }
         }
+        // Spliced into the stored `H̃` in place; the rows it replaces wait
+        // in `fresh` in case the stitched matrix turns out singular.
+        let h = self.h_meas.as_mut().ok_or(JmbError::NoReference)?;
+        let swap = |h: &mut Planar, fresh: &mut Planar| {
+            for i in 0..n_aps {
+                let ((hr, hi), (fr, fi)) = (h.row_mut(client * n_aps + i), fresh.row_mut(i));
+                hr.swap_with_slice(fr);
+                hi.swap_with_slice(fi);
+            }
+        };
+        swap(h, &mut fresh);
         // Same well-posedness gate as `run_measurement`: over-subscribed
         // cells keep the stitched `h_meas` and rebuild per-batch precoders.
-        self.precoder = if self.clients.len() <= n_aps {
-            match Precoder::zero_forcing(h) {
+        let n_clients = self.clients.len();
+        self.precoder = if n_clients <= n_aps {
+            match Precoder::from_lanes(h, n_clients, n_aps) {
                 Ok(p) => Some(p),
                 Err(e) => {
-                    for (matrix, old) in h.iter_mut().zip(old_row.chunks_exact(n_aps)) {
-                        for (i, &was) in old.iter().enumerate() {
-                            matrix[(client, i)] = was;
-                        }
-                    }
+                    swap(h, &mut fresh);
                     return Err(e);
                 }
             }
@@ -1009,17 +997,15 @@ impl FastNet {
             zf_work,
             ..
         } = batch;
-        let n_k = h_meas.len();
+        let (n_aps, n_k) = (self.aps.len(), h_meas.width());
         let shape = (precoder.n_streams(), precoder.n_tx(), h_sub.width());
         let mut stale = !*zf_built || shape != (nb, na_eff, n_k);
         if stale {
             h_sub.zeroed(nb * na_eff, n_k);
         }
-        for (k_idx, full) in h_meas.iter().enumerate() {
-            for (r, &j) in clients.iter().enumerate() {
-                for (c, &i) in devices.iter().enumerate() {
-                    stale |= h_sub.replace(r * na_eff + c, k_idx, full[(j, i)]);
-                }
+        for (r, &j) in clients.iter().enumerate() {
+            for (c, &i) in devices.iter().enumerate() {
+                stale |= h_sub.replace_row(r * na_eff + c, h_meas.row(j * n_aps + i));
             }
         }
         if stale {
@@ -1113,14 +1099,14 @@ pub(crate) struct Scratch {
     pub(crate) rows: Vec<Complex64>,
     /// The probe kernel's tables, planar, one row of `n_k` subcarriers
     /// each: the batch's static rows `[rx · n_tx + tx]`, gathered once per
-    /// transmission; each transmit antenna's phasor ramp `[tx]` at one
-    /// instant; and, for one receive antenna, its channel from one transmit
-    /// antenna and its post-precoding gains `[stream]`. The precoder's
-    /// weights are read from its own lanes.
+    /// transmission, and each transmit antenna's phasor ramp `[tx]` at one
+    /// instant. The precoder's weights are read from its own lanes.
     h_s: Planar,
     ramp: Planar,
-    hd: Planar,
-    g: Planar,
+    /// One receive antenna's channel `h_s ∘ d` from each transmit antenna
+    /// `[tx]` on the chunk of subcarriers under way (the gains it feeds
+    /// live in registers).
+    hd_chunk: Vec<Chunk>,
     /// The measured channel restricted to the last subset batch, planar
     /// `[stream · n_tx + tx]`, the zero-forcing precoder built from it, and
     /// whether that build succeeded — a failed one is never reused — and
@@ -1195,15 +1181,15 @@ impl Scratch {
             interference: intf,
             h_s,
             ramp,
-            hd,
-            g,
+            hd_chunk: hd,
             ..
         } = self;
         let spacing = medium.params().subcarrier_spacing();
         let carrier = medium.params().carrier_freq;
-        let n_streams = precoder.n_streams();
         let n_k = medium.occupied().len();
         let (nb, na) = (rx_nodes.len(), tx_nodes.len());
+        let n_streams = precoder.n_streams();
+        let weights = rows(precoder.weight_rows(), n_streams * n_k);
         let n_probes = frame.n_probes.max(1);
         for acc in [&mut *sig, &mut *intf] {
             acc.clear();
@@ -1220,7 +1206,8 @@ impl Scratch {
                 }
             }
         }
-        hd.zeroed(1, n_k);
+        hd.clear();
+        hd.resize(na, [[0.0; LANES]; 2]);
 
         for p in 0..n_probes {
             let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
@@ -1244,27 +1231,24 @@ impl Scratch {
                     phasor_ramp(phase + theta0, theta + slip, medium.occupied()),
                 );
             }
+            let ramp = rows(ramp.rows_from(0, na), n_k);
             for r in 0..nb {
-                g.zeroed(n_streams, n_k);
-                for c in 0..na {
-                    hd.set_product(0, h_s.row(r * na + c), ramp.row(c));
-                    for s in 0..n_streams {
-                        g.add_product(s, hd.row(0), precoder.lanes(c, s));
-                    }
-                }
+                let row = ProbeRow {
+                    r,
+                    h_s: rows(h_s.rows_from(r * na, na), n_k),
+                    ramp: ramp.clone(),
+                    weights: weights.clone(),
+                    n_k,
+                    n_streams,
+                    mute_streams: frame.mute_streams,
+                };
                 let (sig_r, intf_r) = (&mut sig[r * n_k..][..n_k], &mut intf[r * n_k..][..n_k]);
-                for s in 0..n_streams {
-                    let acc = if s == r {
-                        &mut *sig_r
-                    } else if frame.mute_streams.contains(&s) {
-                        continue;
-                    } else {
-                        &mut *intf_r
-                    };
-                    let (re, im) = g.row(s);
-                    for ((a, re), im) in acc.iter_mut().zip(re).zip(im) {
-                        *a += re * re + im * im;
-                    }
+                let full = n_k - n_k % LANES;
+                for k0 in (0..full).step_by(LANES) {
+                    row.chunk::<true>(k0, hd, sig_r, intf_r);
+                }
+                if full < n_k {
+                    row.chunk::<false>(full, hd, sig_r, intf_r);
                 }
             }
         }
@@ -1276,6 +1260,140 @@ impl Scratch {
             *i /= np;
             *s = *s / np / (noise_var + ext + *i);
         }
+    }
+}
+
+/// Subcarriers the probe kernel carries at once: one AVX2 register of `f64`s
+/// per part. Both numerologies occupy 52, so only a hand-made one leaves a
+/// tail.
+const LANES: usize = 4;
+
+/// Streams whose gains the probe kernel keeps in registers across the
+/// transmit antennas.
+const BLOCK: usize = 4;
+
+/// [`LANES`] subcarriers of one complex row: real parts, then imaginary.
+type Chunk = [[f64; LANES]; 2];
+
+/// Consecutive rows of a planar table, real and imaginary parts side by
+/// side; cloned per chunk, which walks them again without dividing.
+type Rows<'a> = Zip<ChunksExact<'a, f64>, ChunksExact<'a, f64>>;
+
+/// The rows of `width` lanes of a run of rows ([`Planar::rows_from`]).
+fn rows((re, im): Lanes<'_>, width: usize) -> Rows<'_> {
+    re.chunks_exact(width.max(1))
+        .zip(im.chunks_exact(width.max(1)))
+}
+
+/// The first [`LANES`] lanes of `(re, im)` — of a tail (`FULL = false`),
+/// those there are, zero-padded.
+#[inline(always)]
+fn chunk_at<const FULL: bool>(re: &[f64], im: &[f64]) -> Chunk {
+    let mut z = [[0.0; LANES]; 2];
+    if FULL {
+        z[0].copy_from_slice(&re[..LANES]);
+        z[1].copy_from_slice(&im[..LANES]);
+    } else {
+        for (z, &x) in z[0].iter_mut().zip(re) {
+            *z = x;
+        }
+        for (z, &x) in z[1].iter_mut().zip(im) {
+            *z = x;
+        }
+    }
+    z
+}
+
+/// One receive antenna at one probe instant, as [`Scratch::probe_sinr`]
+/// walks it: a chunk of subcarriers at a time, a block of streams at a time.
+struct ProbeRow<'a> {
+    /// The receive antenna: its own stream's power is signal, every other
+    /// unmuted stream's is interference.
+    r: usize,
+    /// Its static rows `[tx]`, the ramps `[tx]`, and the precoder's weights
+    /// per transmit antenna, every stream's lanes back to back.
+    h_s: Rows<'a>,
+    ramp: Rows<'a>,
+    weights: Rows<'a>,
+    n_k: usize,
+    n_streams: usize,
+    mute_streams: &'a [usize],
+}
+
+impl ProbeRow<'_> {
+    /// Adds lanes `k0 ..` (as many as a chunk holds, or the tail's) of
+    /// every stream's power to `sig` or `intf`: `h_s ∘ d_c` formed once per
+    /// transmit antenna into `hd`, then the streams [`BLOCK`] at a time in
+    /// ascending order.
+    #[inline(always)]
+    fn chunk<const FULL: bool>(
+        &self,
+        k0: usize,
+        hd: &mut [Chunk],
+        sig: &mut [f64],
+        intf: &mut [f64],
+    ) {
+        let tx = self.h_s.clone().zip(self.ramp.clone());
+        for ([or, oi], ((hr, hi), (dr, di))) in hd.iter_mut().zip(tx) {
+            let [ar, ai] = chunk_at::<FULL>(&hr[k0..], &hi[k0..]);
+            let [br, bi] = chunk_at::<FULL>(&dr[k0..], &di[k0..]);
+            let lanes = or.iter_mut().zip(oi).zip(ar.iter().zip(&ai));
+            for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes.zip(br.iter().zip(&bi)) {
+                *or = ar * br - ai * bi;
+                *oi = ar * bi + ai * br;
+            }
+        }
+        let mut s0 = 0;
+        while s0 < self.n_streams {
+            s0 += match self.n_streams - s0 {
+                1 => self.streams::<1, FULL>(s0, k0, hd, sig, intf),
+                2 => self.streams::<2, FULL>(s0, k0, hd, sig, intf),
+                3 => self.streams::<3, FULL>(s0, k0, hd, sig, intf),
+                _ => self.streams::<BLOCK, FULL>(s0, k0, hd, sig, intf),
+            };
+        }
+    }
+
+    /// Streams `s0 .. s0 + NB` on the chunk at `k0`: each one's gain
+    /// `g = Σ_c hd_c ∘ W[c][s]` summed in registers in ascending `c`, then
+    /// its power added to `sig` or `intf` in ascending `s`. Returns `NB`.
+    #[inline(always)]
+    fn streams<const NB: usize, const FULL: bool>(
+        &self,
+        s0: usize,
+        k0: usize,
+        hd: &[Chunk],
+        sig: &mut [f64],
+        intf: &mut [f64],
+    ) -> usize {
+        let n_k = self.n_k;
+        let mut g = [[[0.0; LANES]; 2]; NB];
+        let at = s0 * n_k + k0;
+        for ([ar, ai], (wr, wi)) in hd.iter().zip(self.weights.clone()) {
+            let (wr, wi) = (&wr[at..], &wi[at..]);
+            for (b, [or, oi]) in g.iter_mut().enumerate() {
+                let [br, bi] = chunk_at::<FULL>(&wr[b * n_k..], &wi[b * n_k..]);
+                let lanes = or.iter_mut().zip(oi).zip(ar.iter().zip(ai));
+                for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes.zip(br.iter().zip(&bi)) {
+                    *or += ar * br - ai * bi;
+                    *oi += ar * bi + ai * br;
+                }
+            }
+        }
+        let width = if FULL { LANES } else { n_k - k0 };
+        for (s, [re, im]) in (s0..).zip(&g) {
+            let acc = if s == self.r {
+                &mut *sig
+            } else if self.mute_streams.contains(&s) {
+                continue;
+            } else {
+                &mut *intf
+            };
+            for ((a, re), im) in acc[k0..][..width].iter_mut().zip(re).zip(im) {
+                *a += re * re + im * im;
+            }
+        }
+        NB
     }
 }
 
@@ -1367,6 +1485,7 @@ impl LeadObserver for FastObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jmb_dsp::CMat;
     use jmb_sim::{FaultConfig, FaultSchedule};
 
     fn cfg(n: usize, snr: f64, seed: u64) -> FastConfig {
@@ -1460,6 +1579,24 @@ mod tests {
             .collect()
     }
 
+    /// The measured channel restricted to `clients × aps`, one matrix per
+    /// subcarrier.
+    fn restricted(net: &FastNet, clients: &[usize], aps: &[usize]) -> Vec<CMat> {
+        let h = net.measured_channel().unwrap();
+        let n_aps = net.aps.len();
+        (0..h.width())
+            .map(|k_idx| {
+                let mut sub = CMat::zeros(clients.len(), aps.len());
+                for (r, &j) in clients.iter().enumerate() {
+                    for (c, &i) in aps.iter().enumerate() {
+                        sub[(r, c)] = h.get(j * n_aps + i, k_idx);
+                    }
+                }
+                sub
+            })
+            .collect()
+    }
+
     /// The kernel itself on `batch`: its SINR and interference tables.
     fn probe_sinr_kernel(
         net: &mut FastNet,
@@ -1507,17 +1644,7 @@ mod tests {
             aps: &[0, 1, 3],
             clients: &[0, 2],
         };
-        let h_sub: Vec<CMat> = (net.h_meas.as_ref().unwrap().iter())
-            .map(|full| {
-                let mut sub = CMat::zeros(subset.clients.len(), subset.aps.len());
-                for (r, &j) in subset.clients.iter().enumerate() {
-                    for (c, &i) in subset.aps.iter().enumerate() {
-                        sub[(r, c)] = full[(j, i)];
-                    }
-                }
-                sub
-            })
-            .collect();
+        let h_sub = restricted(&net, subset.clients, subset.aps);
         let zf_subset = Precoder::zero_forcing(&h_sub).unwrap();
         let mrt = Batch {
             aps: &[0, 1, 2, 3],
@@ -1568,6 +1695,173 @@ mod tests {
         }
         assert!(worst <= 1e-9, "largest SINR difference {worst:e} dB");
         assert!(worst > 0.0, "the ramp rounds differently somewhere");
+    }
+
+    /// `Scratch::probe_sinr` as it was before the register blocking: per
+    /// receive antenna, each transmit antenna's `h_s ∘ d` into one planar
+    /// row `hd`, then every stream's `g += hd ∘ W` across the whole band
+    /// into a second table `g`, whose powers are then added in stream
+    /// order. Returns the SINR and interference tables.
+    fn probe_sinr_two_tables(
+        net: &mut FastNet,
+        batch: &Batch,
+        precoder: &Precoder,
+        frame: &ProbeFrame,
+    ) -> (Vec<f64>, Vec<f64>) {
+        fn set_product((or, oi): (&mut [f64], &mut [f64]), (ar, ai): Lanes, (br, bi): Lanes) {
+            let lanes = or.iter_mut().zip(oi).zip(ar.iter().zip(ai));
+            for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes.zip(br.iter().zip(bi)) {
+                *or = ar * br - ai * bi;
+                *oi = ar * bi + ai * br;
+            }
+        }
+        fn add_product((or, oi): (&mut [f64], &mut [f64]), (ar, ai): Lanes, (br, bi): Lanes) {
+            let lanes = or.iter_mut().zip(oi).zip(ar.iter().zip(ai));
+            for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes.zip(br.iter().zip(bi)) {
+                *or += ar * br - ai * bi;
+                *oi += ar * bi + ai * br;
+            }
+        }
+        let medium = &mut net.link.medium;
+        let spacing = medium.params().subcarrier_spacing();
+        let carrier = medium.params().carrier_freq;
+        let n_streams = precoder.n_streams();
+        let n_k = medium.occupied().len();
+        let txs: Vec<NodeId> = batch.aps.iter().map(|&i| net.aps[i]).collect();
+        let rxs: Vec<NodeId> = batch.clients.iter().map(|&j| net.clients[j]).collect();
+        let (nb, na) = (rxs.len(), txs.len());
+        let n_probes = frame.n_probes.max(1);
+        let (mut sig, mut intf) = (vec![0.0; nb * n_k], vec![0.0; nb * n_k]);
+        let [mut h_s, mut ramp, mut hd, mut g] = <[Planar; 4]>::default();
+        h_s.zeroed(nb * na, n_k);
+        for (r, &rx) in rxs.iter().enumerate() {
+            for (c, &tx) in txs.iter().enumerate() {
+                if let Some(row) = medium.static_row(tx, rx) {
+                    h_s.set_row(r * na + c, row.iter().copied());
+                }
+            }
+        }
+        hd.zeroed(1, n_k);
+        for p in 0..n_probes {
+            let t = frame.t_d + frame.duration_s * (p as f64 + 0.5) / n_probes as f64;
+            ramp.zeroed(na, n_k);
+            for (c, (&device, &node)) in batch.aps.iter().zip(&txs).enumerate() {
+                let correction = match frame.sync {
+                    Some(sync) => sync.ramp_at(device, t, spacing, carrier),
+                    None => Some((0.0, 0.0)),
+                };
+                let Some((theta0, theta)) = correction else {
+                    continue;
+                };
+                let phase = medium.phase_at(node, t);
+                let slip =
+                    2.0 * std::f64::consts::PI * spacing * (medium.sample_ratio(node) - 1.0) * t;
+                ramp.set_row(
+                    c,
+                    phasor_ramp(phase + theta0, theta + slip, medium.occupied()),
+                );
+            }
+            for r in 0..nb {
+                g.zeroed(n_streams, n_k);
+                for c in 0..na {
+                    set_product(hd.row_mut(0), h_s.row(r * na + c), ramp.row(c));
+                    for s in 0..n_streams {
+                        add_product(g.row_mut(s), hd.row(0), precoder.lanes(c, s));
+                    }
+                }
+                let (sig_r, intf_r) = (&mut sig[r * n_k..][..n_k], &mut intf[r * n_k..][..n_k]);
+                for s in 0..n_streams {
+                    let acc = if s == r {
+                        &mut *sig_r
+                    } else if frame.mute_streams.contains(&s) {
+                        continue;
+                    } else {
+                        &mut *intf_r
+                    };
+                    let (re, im) = g.row(s);
+                    for ((a, re), im) in acc.iter_mut().zip(re).zip(im) {
+                        *a += re * re + im * im;
+                    }
+                }
+            }
+        }
+        let np = n_probes as f64;
+        for (s, i) in sig.iter_mut().zip(intf.iter_mut()) {
+            *i /= np;
+            *s = *s / np / (NOISE_VAR + *i);
+        }
+        (sig, intf)
+    }
+
+    #[test]
+    fn blocked_kernel_matches_the_two_table_loop_bit_for_bit() {
+        // Every shape of 1..=10 transmit antennas and 1..=`na` streams (so
+        // stream counts off the block's multiple), on bands of 52 occupied
+        // subcarriers and of 49–51, whose tails run the padded chunk; each
+        // with every slave corrected, with slave 1 sitting the frame out (a
+        // zero ramp row), under the no-sync ablation, and with stream 0
+        // muted: both tables equal the two-table loop's, bit for bit.
+        let bits = |(sinr, intf): (Vec<f64>, Vec<f64>)| {
+            let all = sinr.iter().chain(&intf);
+            all.map(|x| x.to_bits()).collect::<Vec<u64>>()
+        };
+        let mut cases = 0;
+        for na in 1..=10usize {
+            for nb in 1..=na {
+                let mut c =
+                    FastConfig::default_with(na, nb, vec![20.0; nb], 40 + (na * 11 + nb) as u64);
+                let drop = (na + nb) % 4;
+                let keep = c.params.data_subcarriers.len() - drop;
+                c.params.data_subcarriers.truncate(keep);
+                let mut net = FastNet::new(c).unwrap();
+                net.run_measurement().unwrap();
+                net.advance(2e-3);
+                let precoder = net.precoder.clone().unwrap();
+                let t_d = net.frame().t_d;
+                net.sync_headers(1..na, true);
+                let heard = net.last_sync().clone();
+                let mut one_out = heard.clone();
+                if na > 1 {
+                    one_out.corrections[1] = None;
+                    one_out.excluded.push(1);
+                }
+                let heard = ProbeFrame {
+                    sync: Some(&heard),
+                    mute_streams: &[],
+                    t_d,
+                    duration_s: 1.2e-3,
+                    n_probes: 3,
+                };
+                let frames = [
+                    ProbeFrame {
+                        sync: Some(&one_out),
+                        ..heard
+                    },
+                    ProbeFrame {
+                        sync: None,
+                        ..heard
+                    },
+                    ProbeFrame {
+                        mute_streams: &[0],
+                        ..heard
+                    },
+                    heard,
+                ];
+                let aps: Vec<usize> = (0..na).collect();
+                let clients: Vec<usize> = (0..nb).collect();
+                let batch = Batch {
+                    aps: &aps,
+                    clients: &clients,
+                };
+                for frame in &frames {
+                    let want = bits(probe_sinr_two_tables(&mut net, &batch, &precoder, frame));
+                    let got = bits(probe_sinr_kernel(&mut net, &batch, &precoder, frame));
+                    assert_eq!(got, want, "{na} antennas, {nb} streams");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 55 * 4);
     }
 
     #[test]
@@ -1626,9 +1920,9 @@ mod tests {
             fn eat(bits: &mut Vec<u64>, xs: impl IntoIterator<Item = f64>) {
                 bits.extend(xs.into_iter().map(f64::to_bits));
             }
-            fn eat_h(bits: &mut Vec<u64>, h: &[CMat]) {
-                let entries = h.iter().flat_map(|m| m.as_slice().iter());
-                eat(bits, entries.flat_map(|z| [z.re, z.im]));
+            fn eat_h(bits: &mut Vec<u64>, h: &Planar) {
+                let (re, im) = h.rows_from(0, h.rows());
+                eat(bits, re.iter().chain(im).copied());
             }
             let mut bits = Vec::new();
             net.run_measurement().unwrap();
@@ -1793,8 +2087,8 @@ mod tests {
         let mut bits = Vec::new();
         net.run_measurement().unwrap();
         let h = net.measured_channel().unwrap();
-        let entries = h.iter().flat_map(|m| m.as_slice().iter());
-        bits.extend(entries.flat_map(|z| [z.re.to_bits(), z.im.to_bits()]));
+        let (re, im) = h.rows_from(0, h.rows());
+        bits.extend(re.iter().chain(im).map(|x| x.to_bits()));
         for j in 0..net.clients.len() {
             bits.extend(net.baseline_snr(j).unwrap().iter().map(|x| x.to_bits()));
         }
@@ -2084,17 +2378,7 @@ mod tests {
     /// both fail. Returns whether they succeeded.
     fn scratch_precoder_is_fresh(net: &FastNet, clients: &[usize]) -> bool {
         let scratch = &net.link.scratch;
-        let h_sub: Vec<CMat> = (net.h_meas.as_ref().unwrap().iter())
-            .map(|full| {
-                let mut sub = CMat::zeros(clients.len(), scratch.devices.len());
-                for (r, &j) in clients.iter().enumerate() {
-                    for (c, &i) in scratch.devices.iter().enumerate() {
-                        sub[(r, c)] = full[(j, i)];
-                    }
-                }
-                sub
-            })
-            .collect();
+        let h_sub = restricted(net, clients, &scratch.devices);
         let Ok(fresh) = Precoder::zero_forcing(&h_sub) else {
             assert!(!scratch.zf_built, "a failed build must not be reused");
             return false;
@@ -2164,10 +2448,10 @@ mod tests {
         // Client 2's row made a copy of client 0's: the batch is singular,
         // and stays so on the same batch again — never served from the
         // last good precoder.
-        for matrix in net.h_meas.as_mut().unwrap() {
-            for i in 0..4 {
-                matrix[(2, i)] = matrix[(0, i)];
-            }
+        let h = net.h_meas.as_mut().unwrap();
+        for i in 0..4 {
+            let row: Vec<Complex64> = (0..h.width()).map(|k_idx| h.get(i, k_idx)).collect();
+            h.set_row(2 * 4 + i, row);
         }
         assert!(!send(&mut net, &[0, 2]));
         assert!(!send(&mut net, &[0, 2]));

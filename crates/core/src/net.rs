@@ -55,7 +55,7 @@ use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_dsp::complex::rotate_ramp;
 use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
-use jmb_dsp::{fft, CMat, Complex64};
+use jmb_dsp::{fft, Complex64, Planar};
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
 use jmb_phy::frame::{FrameRx, FrameTx, RxResult};
@@ -316,7 +316,8 @@ impl LinkEval for SampleEval {
         clients: &[NodeId],
         rng: &mut JmbRng,
         t0: f64,
-    ) -> Result<Vec<CMat>, JmbError> {
+        h: &mut Planar,
+    ) -> Result<(usize, usize), JmbError> {
         let params = self.cfg.params.clone();
         let plan = self.plan();
         let ts = params.sample_period();
@@ -330,19 +331,17 @@ impl LinkEval for SampleEval {
         // Clients estimate.
         let total = plan.total_len(&params);
         let n_k = params.occupied_subcarriers().len();
-        let mut h = vec![CMat::zeros(clients.len(), aps.len()); n_k];
+        h.zeroed(clients.len() * aps.len(), n_k);
         self.client_noise_bins.clear();
         for (j, &c) in clients.iter().enumerate() {
             let window = self.medium.render_rx(c, t0, total + 8);
             let m = measure::client_estimate(&params, &plan, &window)?;
             for (i, est) in m.per_ap.iter().enumerate() {
-                for (k_idx, g) in est.gains.iter().enumerate() {
-                    h[k_idx][(j, i)] = *g;
-                }
+                h.set_row(j * aps.len() + i, est.gains.iter().copied());
             }
             self.client_noise_bins.push(m.noise_var);
         }
-        Ok(h)
+        Ok((clients.len(), aps.len()))
     }
 
     fn observe<R>(
@@ -442,12 +441,14 @@ impl JmbNetwork {
         // (the diagonal of H·W), against that client's fed-back noise; the
         // joint rate must clear every client (§9: same rate for all).
         let noise_bins = &self.link.client_noise_bins;
+        let n_aps = self.aps.len();
         let per_client: Vec<Vec<f64>> = (0..self.clients.len())
             .map(|j| {
                 let noise = noise_bins.get(j).copied().unwrap_or(1e-12);
-                (0..h.len())
+                (0..h.width())
                     .map(|k_idx| {
-                        let g = p.stream_gain(k_idx, &h[k_idx], j);
+                        let row = (0..n_aps).map(|i| h.get(j * n_aps + i, k_idx));
+                        let g = p.stream_gain(k_idx, row, j);
                         g * g / noise
                     })
                     .collect()

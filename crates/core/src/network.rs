@@ -44,7 +44,7 @@ use crate::sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::Link;
 use jmb_dsp::rng::JmbRng;
-use jmb_dsp::{CMat, Complex64};
+use jmb_dsp::{Complex64, Planar};
 use jmb_obs::{EventKind, Trace};
 use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultSchedule, NodeId};
@@ -96,16 +96,18 @@ pub trait LinkEval: Sized {
         strategy.measurement_airtime_factor()
     }
 
-    /// The channel-measurement packet (§5.1) sent at `t0`: every client's
-    /// estimate of every AP, one `clients × aps` matrix per occupied
-    /// subcarrier.
+    /// The channel-measurement packet (§5.1) sent at `t0`: every client
+    /// antenna's estimate of every AP antenna, written into `h` as
+    /// [`Network::measured_channel`] lays it out. Returns its shape,
+    /// `(client antennas, AP antennas)`.
     fn estimate_channel(
         &mut self,
         aps: &[NodeId],
         clients: &[NodeId],
         rng: &mut JmbRng,
         t0: f64,
-    ) -> Result<Vec<CMat>, JmbError>;
+        h: &mut Planar,
+    ) -> Result<(usize, usize), JmbError>;
 
     /// Lends `f` what the slaves can learn of the lead whose in-band
     /// waveform left the antenna at `t_h`: a sync header, or (`measurement`)
@@ -258,9 +260,8 @@ pub struct Network<L: LinkEval> {
     pub(crate) strategy: Box<dyn SyncStrategy>,
     /// Fault draws, sync health, the fallback policy and their events.
     pub(crate) control: ControlPlane,
-    /// Measured joint channel, one matrix per occupied subcarrier
-    /// (rows = clients, cols = APs; antennas, where devices have several).
-    pub(crate) h_meas: Option<Vec<CMat>>,
+    /// Measured joint channel `H̃` ([`Network::measured_channel`]).
+    pub(crate) h_meas: Option<Planar>,
     pub(crate) precoder: Option<Precoder>,
     pub(crate) rng: JmbRng,
     seed: u64,
@@ -382,9 +383,13 @@ impl<L: LinkEval> Network<L> {
         self.set_now(self.now + dt);
     }
 
-    /// The measured joint channel (after [`Network::run_measurement`]).
-    pub fn measured_channel(&self) -> Option<&[CMat]> {
-        self.h_meas.as_deref()
+    /// The measured joint channel `H̃` (after [`Network::run_measurement`]),
+    /// planar: entry (client antenna `j`, AP antenna `i`) in row
+    /// `j · n_tx + i`, one lane per occupied subcarrier — the order
+    /// [`jmb_sim::SubcarrierMedium::transmit_rows_into`] writes and the
+    /// zero-forcing build reads.
+    pub fn measured_channel(&self) -> Option<&Planar> {
+        self.h_meas.as_ref()
     }
 
     /// The power normalisation `k̂` of the current precoder.
@@ -423,9 +428,10 @@ impl<L: LinkEval> Network<L> {
             self.set_now(t0 + self.measurement_airtime_s());
             return Err(JmbError::MeasurementLost);
         }
-        let h = self
-            .link
-            .estimate_channel(&self.aps, &self.clients, &mut self.rng, t0)?;
+        let mut h = Planar::default();
+        let (n_rx, n_tx) =
+            self.link
+                .estimate_channel(&self.aps, &self.clients, &mut self.rng, t0, &mut h)?;
         let (strategy, sigma_hz) = (&mut self.strategy, self.seed_cfo_sigma_hz);
         self.link
             .observe(&self.aps, &mut self.rng, t0, true, |obs| {
@@ -437,7 +443,7 @@ impl<L: LinkEval> Network<L> {
         // valid measurement: the MAC schedules ≤ n_aps clients per batch and
         // a per-batch precoder is built from `h_meas` directly.
         self.precoder = if self.clients.len() <= self.aps.len() {
-            Some(Precoder::zero_forcing(&h)?)
+            Some(Precoder::from_lanes(&h, n_rx, n_tx)?)
         } else {
             None
         };
@@ -488,8 +494,12 @@ impl<L: LinkEval> Network<L> {
         }
         let h = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
         let n_aps = self.aps.len();
-        let row = |m: &CMat| -> Vec<Complex64> { (0..n_aps).map(|i| m[(client, i)]).collect() };
-        Precoder::mrt(&h.iter().map(row).collect::<Vec<_>>())
+        let at = |k_idx| -> Vec<Complex64> {
+            (0..n_aps)
+                .map(|i| h.get(client * n_aps + i, k_idx))
+                .collect()
+        };
+        Precoder::mrt(&(0..h.width()).map(at).collect::<Vec<_>>())
     }
 
     /// Lends the stored precoder to `f` beside the rest of the network:

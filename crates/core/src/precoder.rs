@@ -68,7 +68,9 @@ fn zf_shape(n_streams: usize, n_tx: usize) -> Result<(), JmbError> {
 
 impl Precoder {
     /// Builds the zero-forcing precoder from per-subcarrier channel
-    /// matrices (`n_streams × n_tx` each, rows = clients).
+    /// matrices (`n_streams × n_tx` each, rows = clients): the constructor
+    /// for a caller that holds one matrix per subcarrier; a network's
+    /// measured channel is built from its lanes.
     ///
     /// `W(k) = H(k)⁺`, scaled per subcarrier by `k̂(k)` so that the busiest
     /// AP antenna's transmit power on that subcarrier equals the unit
@@ -103,8 +105,19 @@ impl Precoder {
                 h.set(row, k_idx, z);
             }
         }
+        Precoder::from_lanes(&h, n_streams, n_tx)
+    }
+
+    /// [`Precoder::zero_forcing`] from the channel as lanes, laid out as
+    /// [`Precoder::rebuild_zero_forcing`] reads it — the measured channel's
+    /// own layout ([`crate::network::Network::measured_channel`]).
+    pub(crate) fn from_lanes(
+        h: &Planar,
+        n_streams: usize,
+        n_tx: usize,
+    ) -> Result<Precoder, JmbError> {
         let mut precoder = Precoder::default();
-        precoder.rebuild_zero_forcing(&h, n_streams, n_tx, &mut ZfWork::default())?;
+        precoder.rebuild_zero_forcing(h, n_streams, n_tx, &mut ZfWork::default())?;
         Ok(precoder)
     }
 
@@ -220,11 +233,23 @@ impl Precoder {
 
     /// The received signal amplitude of stream `j` on subcarrier `k_idx`
     /// under this precoder and the channel it was built from:
-    /// `g_j(k) = [H·W]_{jj}`. Returns the diagonal entry magnitude given
-    /// the stored weights applied to `h`.
-    pub fn stream_gain(&self, k_idx: usize, h: &CMat, stream: usize) -> f64 {
-        let g = self.effective_channel(k_idx, h);
-        g[(stream, stream)].abs()
+    /// `|g_j(k)| = |[H·W]_{jj}|`, from `h_row`, row `j` of `H(k)` (the
+    /// stream's channel from each antenna in turn). The entry is summed as
+    /// [`Precoder::effective_channel`] sums it.
+    pub fn stream_gain(
+        &self,
+        k_idx: usize,
+        h_row: impl IntoIterator<Item = Complex64>,
+        stream: usize,
+    ) -> f64 {
+        let mut g = Complex64::ZERO;
+        for (m, h) in h_row.into_iter().enumerate() {
+            // `CMat::mul_into` skips a zero entry.
+            if h != Complex64::ZERO {
+                g = h.mul_add(self.weight(k_idx, m, stream), g);
+            }
+        }
+        g.abs()
     }
 
     /// Builds the MRT diversity precoder from the per-subcarrier channel
@@ -307,6 +332,13 @@ impl Precoder {
     /// per subcarrier.
     pub fn lanes(&self, tx: usize, stream: usize) -> Lanes<'_> {
         self.weights.row(tx * self.n_streams + stream)
+    }
+
+    /// Every weight across the band, antenna-major: antenna `tx`'s lanes
+    /// for all the streams back to back, stream `stream`'s
+    /// `(tx · n_streams + stream) · n_k` in.
+    pub(crate) fn weight_rows(&self) -> Lanes<'_> {
+        self.weights.rows_from(0, self.n_tx * self.n_streams)
     }
 
     /// Applies the precoder at one subcarrier: stream vector `x` →
@@ -396,7 +428,7 @@ mod tests {
                 let g = eff[(j, j)];
                 assert!(g.re > 0.0 && g.im.abs() < 1e-9, "({j},{j}) = {g}");
                 sq += g.re * g.re;
-                assert!((p.stream_gain(k, h, j) - g.re).abs() < 1e-12);
+                assert!((p.stream_gain(k, h.row(j).iter().copied(), j) - g.re).abs() < 1e-12);
             }
             let rms = (sq / 3.0).sqrt();
             assert!(
@@ -460,8 +492,9 @@ mod tests {
         let good_h = CMat::identity(2);
         let mut bad_h = CMat::identity(2);
         bad_h[(1, 1)] = Complex64::new(0.05, 0.0);
-        assert!((p_bad.stream_gain(0, &bad_h, 0) - p_good.stream_gain(0, &good_h, 0)).abs() < 1e-9);
-        assert!(p_bad.stream_gain(0, &bad_h, 1) < 0.1);
+        let gain = |p: &Precoder, h: &CMat, j: usize| p.stream_gain(0, h.row(j).iter().copied(), j);
+        assert!((gain(&p_bad, &bad_h, 0) - gain(&p_good, &good_h, 0)).abs() < 1e-9);
+        assert!(gain(&p_bad, &bad_h, 1) < 0.1);
     }
 
     #[test]

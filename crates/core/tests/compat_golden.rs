@@ -26,7 +26,7 @@
 
 use jmb_core::compat::{CompatConfig, CompatNet};
 use jmb_dsp::stats::lin_to_db;
-use jmb_dsp::CMat;
+use jmb_dsp::Planar;
 
 /// FNV-1a over the bit patterns, row by row.
 fn digest(rows: &[Vec<f64>]) -> u64 {
@@ -39,11 +39,14 @@ fn digest(rows: &[Vec<f64>]) -> u64 {
     h
 }
 
-/// The stitched channel as one row per subcarrier: every entry, row-major,
-/// real part then imaginary.
-fn unpacked(h: &[CMat]) -> Vec<Vec<f64>> {
-    let entries = |m: &CMat| m.as_slice().iter().flat_map(|z| [z.re, z.im]).collect();
-    h.iter().map(entries).collect()
+/// The stitched channel as one row per subcarrier: every entry of its
+/// matrix, row-major, real part then imaginary.
+fn unpacked(h: &Planar) -> Vec<Vec<f64>> {
+    let entries = |k_idx| {
+        let z = (0..h.rows()).map(|row| h.get(row, k_idx));
+        z.flat_map(|z| [z.re, z.im]).collect()
+    };
+    (0..h.width()).map(entries).collect()
 }
 
 /// `(client SNR dB, seed)` → `(measured-channel digest, joint_sinr digest,

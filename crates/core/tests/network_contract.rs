@@ -12,7 +12,7 @@ use jmb_core::fastnet::{FastConfig, FastEval};
 use jmb_core::net::{NetConfig, SampleEval};
 use jmb_core::network::{LinkEval, Network};
 use jmb_core::{JmbError, SyncStrategyId};
-use jmb_dsp::CMat;
+use jmb_dsp::Planar;
 use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultConfig, FaultSchedule};
 
@@ -20,11 +20,12 @@ use jmb_sim::{FaultConfig, FaultSchedule};
 /// frame.
 type Transmit<L> = fn(&mut Network<L>) -> Result<f64, JmbError>;
 
-fn bits(h: Option<&[CMat]>) -> Vec<(u64, u64)> {
-    let cell = |m: &CMat, r, c| (m[(r, c)].re.to_bits(), m[(r, c)].im.to_bits());
-    h.expect("measured")
-        .iter()
-        .flat_map(|m| (0..m.rows()).flat_map(move |r| (0..m.cols()).map(move |c| cell(m, r, c))))
+fn bits(h: Option<&Planar>) -> Vec<(u64, u64)> {
+    let h = h.expect("measured");
+    let (re, im) = h.rows_from(0, h.rows());
+    re.iter()
+        .zip(im)
+        .map(|(re, im)| (re.to_bits(), im.to_bits()))
         .collect()
 }
 

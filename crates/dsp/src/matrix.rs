@@ -115,16 +115,6 @@ impl CMat {
         CMat { rows, cols, data }
     }
 
-    /// Creates an `n × n` diagonal matrix from the given diagonal entries.
-    pub fn diag(entries: &[Complex64]) -> Self {
-        let n = entries.len();
-        let mut m = CMat::zeros(n, n);
-        for (i, &e) in entries.iter().enumerate() {
-            m[(i, i)] = e;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -348,29 +338,6 @@ impl CMat {
         Ok(inv)
     }
 
-    /// Moore–Penrose pseudo-inverse.
-    ///
-    /// * Square: plain inverse.
-    /// * Fat (`rows < cols`, more total AP antennas than clients): right
-    ///   pseudo-inverse `Aᴴ(AAᴴ)⁻¹`, the minimum-power zero-forcing precoder.
-    /// * Tall (`rows > cols`): left pseudo-inverse `(AᴴA)⁻¹Aᴴ`.
-    pub fn pseudo_inverse(&self) -> Result<CMat, MatError> {
-        use std::cmp::Ordering;
-        match self.rows.cmp(&self.cols) {
-            Ordering::Equal => self.inverse(),
-            Ordering::Less => {
-                let ah = self.hermitian();
-                let gram = self.mul_mat(&ah)?; // rows × rows
-                ah.mul_mat(&gram.inverse()?)
-            }
-            Ordering::Greater => {
-                let ah = self.hermitian();
-                let gram = ah.mul_mat(self)?; // cols × cols
-                gram.inverse()?.mul_mat(&ah)
-            }
-        }
-    }
-
     /// Largest singular value, by power iteration on `AᴴA`.
     pub fn sigma_max(&self) -> f64 {
         self.extreme_singular_value(false)
@@ -493,14 +460,18 @@ impl Planar {
         self.im[at] = z.im;
     }
 
-    /// Writes `z` to lane `lane` of row `row` and tells whether that changed
-    /// the table: whether either part's bits differ from what was there.
-    #[inline]
-    pub fn replace(&mut self, row: usize, lane: usize, z: Complex64) -> bool {
-        let at = row * self.width + lane;
-        let (re, im) = (&mut self.re[at], &mut self.im[at]);
-        let changed = re.to_bits() != z.re.to_bits() || im.to_bits() != z.im.to_bits();
-        (*re, *im) = (z.re, z.im);
+    /// Row `i` becomes a copy of `src` (as wide as the table) and tells
+    /// whether that changed the table: whether any lane's bits differ from
+    /// what was there, compared without a branch per lane.
+    pub fn replace_row(&mut self, i: usize, (sr, si): Lanes) -> bool {
+        let diff = |a: &[f64], b: &[f64]| {
+            let lanes = a.iter().zip(b);
+            lanes.fold(0u64, |d, (a, b)| d | (a.to_bits() ^ b.to_bits()))
+        };
+        let (re, im) = self.row_mut(i);
+        let changed = (diff(re, sr) | diff(im, si)) != 0;
+        re.copy_from_slice(sr);
+        im.copy_from_slice(si);
         changed
     }
 
@@ -540,35 +511,6 @@ impl Planar {
         let (dst_re, src_re) = two_rows(&mut self.re, dst, src, n);
         let (dst_im, src_im) = two_rows(&mut self.im, dst, src, n);
         ((dst_re, dst_im), (src_re, src_im))
-    }
-
-    /// Row `i` becomes `a ∘ b`, lane by lane.
-    pub fn set_product(&mut self, i: usize, (ar, ai): Lanes, (br, bi): Lanes) {
-        let (or, oi) = self.row_mut(i);
-        let lanes = or
-            .iter_mut()
-            .zip(oi)
-            .zip(ar.iter().zip(ai))
-            .zip(br.iter().zip(bi));
-        for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes {
-            *or = ar * br - ai * bi;
-            *oi = ar * bi + ai * br;
-        }
-    }
-
-    /// Row `i` gains `a ∘ b`, lane by lane (each lane as
-    /// [`Complex64::mul_add`]).
-    pub fn add_product(&mut self, i: usize, (ar, ai): Lanes, (br, bi): Lanes) {
-        let (or, oi) = self.row_mut(i);
-        let lanes = or
-            .iter_mut()
-            .zip(oi)
-            .zip(ar.iter().zip(ai))
-            .zip(br.iter().zip(bi));
-        for (((or, oi), (&ar, &ai)), (&br, &bi)) in lanes {
-            *or += ar * br - ai * bi;
-            *oi += ar * bi + ai * br;
-        }
     }
 }
 
@@ -948,6 +890,45 @@ impl fmt::Debug for CMat {
     }
 }
 
+/// The reference constructions the tests check against: no program code
+/// builds a diagonal matrix or forms a pseudo-inverse explicitly
+/// ([`ZfSolver`] solves for the precoder instead).
+#[cfg(test)]
+impl CMat {
+    /// Creates an `n × n` diagonal matrix from the given diagonal entries.
+    pub fn diag(entries: &[Complex64]) -> Self {
+        let n = entries.len();
+        let mut m = CMat::zeros(n, n);
+        for (i, &e) in entries.iter().enumerate() {
+            m[(i, i)] = e;
+        }
+        m
+    }
+
+    /// Moore–Penrose pseudo-inverse.
+    ///
+    /// * Square: plain inverse.
+    /// * Fat (`rows < cols`, more total AP antennas than clients): right
+    ///   pseudo-inverse `Aᴴ(AAᴴ)⁻¹`, the minimum-power zero-forcing precoder.
+    /// * Tall (`rows > cols`): left pseudo-inverse `(AᴴA)⁻¹Aᴴ`.
+    pub fn pseudo_inverse(&self) -> Result<CMat, MatError> {
+        use std::cmp::Ordering;
+        match self.rows.cmp(&self.cols) {
+            Ordering::Equal => self.inverse(),
+            Ordering::Less => {
+                let ah = self.hermitian();
+                let gram = self.mul_mat(&ah)?; // rows × rows
+                ah.mul_mat(&gram.inverse()?)
+            }
+            Ordering::Greater => {
+                let ah = self.hermitian();
+                let gram = ah.mul_mat(self)?; // cols × cols
+                gram.inverse()?.mul_mat(&ah)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1254,5 +1235,25 @@ mod tests {
         assert_eq!(a.row(1), &[c(3.0, 0.0), c(4.0, 0.0)]);
         assert_eq!((a.rows(), a.cols()), (2, 2));
         assert_eq!(a[(1, 0)], c(3.0, 0.0));
+    }
+
+    #[test]
+    fn replace_row_copies_and_tells_whether_a_bit_moved() {
+        let mut t = Planar::default();
+        t.zeroed(2, 3);
+        t.set_row(1, [c(1.0, -2.0), c(0.0, f64::NAN), c(3.0, 0.5)]);
+        let same = (vec![1.0, 0.0, 3.0], vec![-2.0, f64::NAN, 0.5]);
+        assert!(
+            !t.replace_row(1, (&same.0, &same.1)),
+            "NaN bits equal NaN bits"
+        );
+        // -0.0 == 0.0, but not bit for bit; and one lane of the last part.
+        let signed = (vec![1.0, -0.0, 3.0], vec![-2.0, f64::NAN, 0.5]);
+        assert!(t.replace_row(1, (&signed.0, &signed.1)));
+        assert_eq!(t.get(1, 1).re.to_bits(), (-0.0f64).to_bits());
+        let last = (vec![1.0, -0.0, 3.0], vec![-2.0, f64::NAN, 0.25]);
+        assert!(t.replace_row(1, (&last.0, &last.1)));
+        assert_eq!(t.get(1, 2), c(3.0, 0.25));
+        assert_eq!(t.row(0), (&[0.0; 3][..], &[0.0; 3][..]), "row 0 untouched");
     }
 }

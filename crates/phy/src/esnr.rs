@@ -92,9 +92,10 @@ pub const MCS_THRESHOLD_DB: [f64; 8] = [2.5, 5.0, 5.5, 8.5, 11.5, 15.0, 18.5, 20
 /// Roughly 2× the LTE-calibrated values: our receiver feeds CSI-weighted
 /// soft LLRs to a full-traceback Viterbi decoder over a 48-subcarrier
 /// interleaver, which rides through deep per-subcarrier fades noticeably
-/// better than the hard-combining LTE link models those β's were fit to
-/// (see the workspace integration tests cross-validating rate selection
-/// against the sample-level PHY).
+/// better than the hard-combining LTE link models those β's were fit to.
+/// The values are set by hand: no test holds them against a decode by the
+/// sample-level PHY, and none will until ROADMAP item 10 fits them (with
+/// [`MCS_THRESHOLD_DB`]) to this repo's own decoder.
 pub const MCS_EESM_BETA: [f64; 8] = [1.5, 2.5, 3.0, 5.0, 8.0, 14.0, 28.0, 36.0];
 
 /// Exponential effective-SNR mapping (EESM) for one MCS:
