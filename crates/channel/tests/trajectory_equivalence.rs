@@ -2,10 +2,13 @@
 //! ones from per-block marks. This file holds it, bit for bit, to the
 //! implementation it replaced — every grid point in three `Vec`s for the
 //! whole simulated time — which lives on here as [`Dense`] and nowhere else.
-//! Both take a grid step's two Gaussians from one
+//! [`Dense`] takes a grid step's two Gaussians from one
 //! `standard_normal_pair` (two ziggurat normals), the Wiener increment
-//! first — so the comparison holds whatever that sampler is, and a change
-//! to it moves both sides together.
+//! first, one step at a time; the windowed walk draws the same normals a
+//! chunk of steps at a time (`fill_standard_normals`, the pairs' order) —
+//! so the comparison holds whatever that sampler is, a change to it moves
+//! both sides together, and the chunked walk must land on every point the
+//! step-by-step one does.
 //!
 //! The block length is private to the crate (≈ 41 ms at this writing, the
 //! window two to three of them); the spans below cross tens of blocks so the
@@ -208,5 +211,51 @@ fn five_seconds_with_the_sync_rivals_look_back() {
             t += 4.1e-3;
             k += 1;
         }
+    }
+}
+
+#[test]
+fn stretches_of_every_length_around_the_chunk_and_the_block_edge() {
+    // Each query asks for a stretch of new grid points ending at its own
+    // point: lengths around the walk's chunk (a few dozen steps) and the
+    // block (≈ 4 096), so stretches end mid-chunk, on a chunk edge and
+    // across a block edge; then the look-back redraws old blocks in the
+    // same stretches. A drift-only and a phase-noise-only walk draw both
+    // normals of a step and scale one by zero.
+    let specs = [
+        OscillatorSpec::usrp2(),
+        OscillatorSpec::wifi_worst_case(),
+        OscillatorSpec::ideal(),
+        OscillatorSpec {
+            phase_noise_linewidth_hz: 0.0,
+            ..OscillatorSpec::usrp2()
+        },
+        OscillatorSpec {
+            drift_hz_per_sqrt_s: 0.0,
+            ..OscillatorSpec::wifi_worst_case()
+        },
+    ];
+    let stretches = [
+        1, 2, 31, 32, 33, 63, 64, 65, 127, 1000, 4095, 4096, 4097, 9000,
+    ];
+    let g = PhaseTrajectory::GRID_DT;
+    for (n, spec) in specs.into_iter().enumerate() {
+        let mut p = Pair {
+            windowed: PhaseTrajectory::with_offset(spec, FC, -812.25, 6 + n as u64),
+            dense: Dense::with_offset(spec, -812.25, 6 + n as u64),
+        };
+        let mut idx = 0usize;
+        for &stretch in stretches.iter().cycle().take(3 * stretches.len()) {
+            idx += stretch;
+            p.check((idx as f64 + 0.5) * g);
+        }
+        // Out of the window: every old block is redrawn from its mark, a
+        // stretch at a time, and the front moves on again.
+        let mut back = 0usize;
+        for &stretch in &stretches {
+            back += stretch;
+            p.check((back as f64 + 0.25) * g);
+        }
+        p.check((idx as f64 + 40_000.5) * g);
     }
 }

@@ -42,7 +42,7 @@ use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
 use jmb_channel::Link;
 use jmb_dsp::complex::phasor_ramp;
 use jmb_dsp::matrix::Lanes;
-use jmb_dsp::rng::{normal, standard_normal_pair, JmbRng};
+use jmb_dsp::rng::{fill_standard_normals, normal, standard_normal_pair, JmbRng};
 use jmb_dsp::{Complex64, Planar};
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
@@ -271,8 +271,9 @@ impl FastEval {
         let n_k = medium.occupied().len();
         let sigma = axis_sigma(NOISE_VAR / rounds(aps.len()) as f64);
         out.zeroed(clients.len() * aps.len(), n_k);
-        for (i, row) in stage.chunks_exact(n_k).enumerate() {
-            out.set_row(i, row.iter().map(|&g| g + estimation_noise(rng, sigma)));
+        for (i, row) in stage.chunks_exact_mut(n_k).enumerate() {
+            add_estimation_noise(rng, sigma, row);
+            out.set_row(i, row.iter().copied());
         }
     }
 
@@ -1416,6 +1417,22 @@ pub(crate) fn estimation_noise(rng: &mut JmbRng, sigma: f64) -> Complex64 {
     Complex64::new(re * sigma, im * sigma)
 }
 
+/// Adds [`estimation_noise`] to every entry of `row`, in order: bit for
+/// bit the per-entry draws, with the normals drawn by one
+/// [`fill_standard_normals`] call per row (per 64 entries, more than a
+/// 64-bin band occupies), I then Q per entry as the pairs come.
+pub(crate) fn add_estimation_noise(rng: &mut JmbRng, sigma: f64, row: &mut [Complex64]) {
+    const ENTRIES: usize = 64;
+    let mut z = [0.0; 2 * ENTRIES];
+    for row in row.chunks_mut(ENTRIES) {
+        let z = &mut z[..2 * row.len()];
+        fill_standard_normals(rng, z);
+        for (g, z) in row.iter_mut().zip(z.chunks_exact(2)) {
+            *g += Complex64::new(z[0] * sigma, z[1] * sigma);
+        }
+    }
+}
+
 /// The per-axis deviation `√(var/2)` of complex noise of variance `var`.
 pub(crate) fn axis_sigma(var: f64) -> f64 {
     (var / 2.0).sqrt()
@@ -1451,10 +1468,7 @@ impl FastObserver<'_> {
             gains: Vec::new(),
         });
         medium.channel_row_into(tx, rx, t, &mut est.gains);
-        let sigma = axis_sigma(var);
-        for g in est.gains.iter_mut() {
-            *g += estimation_noise(self.rng, sigma);
-        }
+        add_estimation_noise(self.rng, axis_sigma(var), &mut est.gains);
         &est.gains
     }
 }
@@ -1487,6 +1501,83 @@ mod tests {
     use super::*;
     use jmb_dsp::CMat;
     use jmb_sim::{FaultConfig, FaultSchedule};
+
+    #[test]
+    fn diversity_snr_is_the_per_subcarrier_mrt_bit_for_bit() {
+        // The old path: `mrt_towards` gathering one `Vec` of the client's
+        // AP channels per subcarrier for `Precoder::mrt` over those rows,
+        // then `diversity_snr`'s probe; its twin takes the planar rows.
+        for (seed, n_aps) in [(31, 4), (32, 1), (33, 6)] {
+            let mut net = FastNet::new(cfg(n_aps, 18.0, seed)).unwrap();
+            let mut twin = FastNet::new(cfg(n_aps, 18.0, seed)).unwrap();
+            net.run_measurement().unwrap();
+            twin.run_measurement().unwrap();
+            for client in 0..n_aps {
+                let got = net.diversity_snr(client).unwrap();
+                let h = twin.measured_channel().unwrap();
+                let rows: Vec<Vec<Complex64>> = (0..h.width())
+                    .map(|k| (0..n_aps).map(|i| h.get(client * n_aps + i, k)).collect())
+                    .collect();
+                let mrt = crate::precoder::tests::mrt_from_rows(&rows);
+                let t_d = twin.frame().t_d;
+                twin.sync_headers(1..twin.aps.len(), true);
+                let link = &mut twin.link;
+                link.scratch
+                    .set_batch(twin.aps.iter().copied().enumerate(), [twin.clients[client]]);
+                let t = t_d + 200e-6;
+                let frame = ProbeFrame {
+                    sync: Some(twin.control.last_sync()),
+                    mute_streams: &[],
+                    t_d: t,
+                    duration_s: 0.0,
+                    n_probes: 1,
+                };
+                link.scratch
+                    .probe_sinr(&mut link.medium, &mrt, &frame, (NOISE_VAR, &[][..]));
+                let want = link.scratch.sinr.clone();
+                twin.set_now(t + 300e-6);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "seed {seed}, client {client}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_of_noise_is_the_per_entry_draws_bit_for_bit() {
+        // Rows as long as a band, longer than one fill and of one entry,
+        // from one stream, against `estimation_noise` entry by entry from
+        // its twin: enough of them that the ziggurat's tail (|z| beyond
+        // 3.654) and its wedge are hit many times over.
+        let (mut batched, mut single) = (
+            jmb_dsp::rng::rng_from_seed(21),
+            jmb_dsp::rng::rng_from_seed(21),
+        );
+        let sigma = axis_sigma(0.37);
+        let base = |i: usize| Complex64::new(i as f64 * 0.25 - 3.0, 1.0 / (1.0 + i as f64));
+        let mut tails = 0;
+        for (r, len) in [52, 1, 64, 65, 130, 48]
+            .into_iter()
+            .cycle()
+            .take(6_000)
+            .enumerate()
+        {
+            let mut row: Vec<Complex64> = (0..len).map(|i| base(i + r)).collect();
+            add_estimation_noise(&mut batched, sigma, &mut row);
+            for (i, got) in row.iter().enumerate() {
+                let want = base(i + r) + estimation_noise(&mut single, sigma);
+                assert_eq!(got.re.to_bits(), want.re.to_bits(), "row {r}, entry {i}, I");
+                assert_eq!(got.im.to_bits(), want.im.to_bits(), "row {r}, entry {i}, Q");
+                let z = (*got - base(i + r)) / sigma;
+                tails += usize::from(z.re.abs() > 3.66) + usize::from(z.im.abs() > 3.66);
+            }
+        }
+        assert!(tails > 20, "{tails} tail draws");
+        assert_eq!(
+            batched.gen::<u64>(),
+            single.gen::<u64>(),
+            "the streams part"
+        );
+    }
 
     fn cfg(n: usize, snr: f64, seed: u64) -> FastConfig {
         FastConfig::default_with(n, n, vec![snr; n], seed)

@@ -44,7 +44,7 @@ use crate::sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::Link;
 use jmb_dsp::rng::JmbRng;
-use jmb_dsp::{Complex64, Planar};
+use jmb_dsp::Planar;
 use jmb_obs::{EventKind, Trace};
 use jmb_phy::rates::Mcs;
 use jmb_sim::{FaultSchedule, NodeId};
@@ -494,12 +494,7 @@ impl<L: LinkEval> Network<L> {
         }
         let h = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
         let n_aps = self.aps.len();
-        let at = |k_idx| -> Vec<Complex64> {
-            (0..n_aps)
-                .map(|i| h.get(client * n_aps + i, k_idx))
-                .collect()
-        };
-        Precoder::mrt(&(0..h.width()).map(at).collect::<Vec<_>>())
+        Precoder::mrt(h.rows_from(client * n_aps, n_aps), n_aps)
     }
 
     /// Lends the stored precoder to `f` beside the rest of the network:

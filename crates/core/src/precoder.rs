@@ -252,40 +252,47 @@ impl Precoder {
         g.abs()
     }
 
-    /// Builds the MRT diversity precoder from the per-subcarrier channel
-    /// *vector* to a single client (`1 × n_tx` matrices or a vec of rows).
+    /// Builds the MRT diversity precoder from the channel to a single
+    /// client: `rows` holds its `n_tx` rows of the measured channel back to
+    /// back, one per antenna, each across the band's subcarrier lanes — what
+    /// [`Planar::rows_from`] lends of a network's `H̃`.
     ///
     /// Weight for antenna m: `h_m*/‖h‖`, scaled so the per-antenna unit
     /// power budget is respected (the limiting antenna is the strongest
     /// one).
-    pub fn mrt(h_rows: &[Vec<Complex64>]) -> Result<Precoder, JmbError> {
-        let n_tx = match h_rows.first() {
-            Some(row) if !row.is_empty() => row.len(),
-            _ => return Err(JmbError::BadConfig("empty diversity channel")),
-        };
-        if let Some(row) = h_rows.iter().find(|row| row.len() != n_tx) {
+    pub fn mrt((re, im): Lanes<'_>, n_tx: usize) -> Result<Precoder, JmbError> {
+        if n_tx == 0 || re.is_empty() {
+            return Err(JmbError::BadConfig("empty diversity channel"));
+        }
+        let width = re.len() / n_tx;
+        if width * n_tx != re.len() || im.len() != re.len() {
             return Err(JmbError::MeasurementShape {
-                expected: n_tx,
-                got: row.len(),
+                expected: width * n_tx,
+                got: if im.len() != re.len() {
+                    im.len()
+                } else {
+                    re.len()
+                },
             });
         }
         let mut weights = Planar::default();
-        weights.zeroed(n_tx, h_rows.len());
-        let mut k_hats = Vec::with_capacity(h_rows.len());
-        for (k_idx, row) in h_rows.iter().enumerate() {
-            let norm = row.iter().map(|h| h.norm_sqr()).sum::<f64>().sqrt();
-            let w = |h: &Complex64| match norm > 0.0 {
-                true => h.conj() / norm,
+        weights.zeroed(n_tx, width);
+        let mut k_hats = Vec::with_capacity(width);
+        for k_idx in 0..width {
+            let h = |m: usize| Complex64::new(re[m * width + k_idx], im[m * width + k_idx]);
+            let norm = (0..n_tx).map(|m| h(m).norm_sqr()).sum::<f64>().sqrt();
+            let w = |m: usize| match norm > 0.0 {
+                true => h(m).conj() / norm,
                 false => Complex64::ZERO,
             };
             // Normalise each subcarrier to the per-antenna budget.
-            let worst = row.iter().map(|h| w(h).norm_sqr()).fold(0.0, f64::max);
+            let worst = (0..n_tx).map(|m| w(m).norm_sqr()).fold(0.0, f64::max);
             if worst <= 0.0 {
                 return Err(JmbError::Precoding(MatError::Singular));
             }
             let k_hat = (1.0 / worst).sqrt();
-            for (m, h) in row.iter().enumerate() {
-                weights.set(m, k_idx, w(h) * Complex64::real(k_hat));
+            for m in 0..n_tx {
+                weights.set(m, k_idx, w(m) * Complex64::real(k_hat));
             }
             k_hats.push(k_hat);
         }
@@ -402,7 +409,7 @@ fn scale_by_real(w: &mut Planar, gamma: f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use jmb_dsp::rng::{complex_gaussian, rng_from_seed};
 
@@ -563,7 +570,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let p = Precoder::mrt(&rows).unwrap();
+        let p = Precoder::mrt(planar_rows(&rows).rows_from(0, n), n).unwrap();
         for (k, row) in rows.iter().enumerate() {
             let mut received = Complex64::ZERO;
             for (m, h) in row.iter().enumerate() {
@@ -593,7 +600,7 @@ mod tests {
         let rows: Vec<Vec<Complex64>> = (0..8)
             .map(|_| (0..5).map(|_| complex_gaussian(&mut rng, 1.0)).collect())
             .collect();
-        let p = Precoder::mrt(&rows).unwrap();
+        let p = Precoder::mrt(planar_rows(&rows).rows_from(0, 5), 5).unwrap();
         for m in 0..5 {
             assert!(p.antenna_power(m) <= 1.0 + 1e-12, "antenna {m}");
         }
@@ -874,7 +881,78 @@ mod tests {
 
     #[test]
     fn mrt_empty_rejected() {
-        assert!(Precoder::mrt(&[]).is_err());
-        assert!(Precoder::mrt(&[vec![]]).is_err());
+        assert!(Precoder::mrt((&[], &[]), 3).is_err());
+        assert!(Precoder::mrt((&[1.0], &[0.0]), 0).is_err());
+        // Ragged: seven lanes are not rows of three antennas.
+        assert!(matches!(
+            Precoder::mrt((&[1.0; 7], &[0.0; 7]), 3),
+            Err(JmbError::MeasurementShape {
+                expected: 6,
+                got: 7
+            })
+        ));
+    }
+
+    /// Per-subcarrier rows (`n_tx` channels each) as a planar table of
+    /// `n_tx` rows across the subcarrier lanes, as a network keeps `H̃`.
+    fn planar_rows(rows: &[Vec<Complex64>]) -> Planar {
+        let mut h = Planar::default();
+        h.zeroed(rows[0].len(), rows.len());
+        for (k, row) in rows.iter().enumerate() {
+            for (m, &z) in row.iter().enumerate() {
+                h.set(m, k, z);
+            }
+        }
+        h
+    }
+
+    /// `Precoder::mrt` as it was, over one `Vec` of antenna channels per
+    /// subcarrier: the reference the lanes are held to.
+    pub(crate) fn mrt_from_rows(h_rows: &[Vec<Complex64>]) -> Precoder {
+        let n_tx = h_rows[0].len();
+        let mut weights = Planar::default();
+        weights.zeroed(n_tx, h_rows.len());
+        let mut k_hats = Vec::with_capacity(h_rows.len());
+        for (k_idx, row) in h_rows.iter().enumerate() {
+            let norm = row.iter().map(|h| h.norm_sqr()).sum::<f64>().sqrt();
+            let w = |h: &Complex64| match norm > 0.0 {
+                true => h.conj() / norm,
+                false => Complex64::ZERO,
+            };
+            let worst = row.iter().map(|h| w(h).norm_sqr()).fold(0.0, f64::max);
+            let k_hat = (1.0 / worst).sqrt();
+            for (m, h) in row.iter().enumerate() {
+                weights.set(m, k_idx, w(h) * Complex64::real(k_hat));
+            }
+            k_hats.push(k_hat);
+        }
+        Precoder {
+            weights,
+            k_hats,
+            n_tx,
+            n_streams: 1,
+        }
+    }
+
+    #[test]
+    fn mrt_lanes_match_the_per_subcarrier_rows() {
+        let mut rng = rng_from_seed(5);
+        for n_tx in 1..=6 {
+            let rows: Vec<Vec<Complex64>> = (0..52)
+                .map(|_| (0..n_tx).map(|_| complex_gaussian(&mut rng, 1.0)).collect())
+                .collect();
+            let got = Precoder::mrt(planar_rows(&rows).rows_from(0, n_tx), n_tx).unwrap();
+            let want = mrt_from_rows(&rows);
+            assert_eq!(got.k_hats, want.k_hats.clone());
+            for k in 0..52 {
+                for m in 0..n_tx {
+                    let (a, b) = (got.weight(k, m, 0), want.weight(k, m, 0));
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits())
+                    );
+                }
+            }
+        }
     }
 }

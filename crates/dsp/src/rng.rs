@@ -50,6 +50,24 @@ pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     (zig.sample(rng), zig.sample(rng))
 }
 
+/// Fills `out` with standard normals from the ziggurat behind
+/// [`standard_normal_pair`], in its order: `out[2i]` and `out[2i + 1]` are
+/// the `i`-th pair's halves, so a stretch drawn here is bit for bit the
+/// same stretch drawn pair by pair, and leaves `rng` where those pairs
+/// would. An odd length draws the first half of one more pair.
+///
+/// For a caller that wants many at once — a walk's grid steps, a row of
+/// estimation noise: one call, the table lookup hoisted, the common draw
+/// (one `u64`, one multiply, one compare) inline in the loop and the rare
+/// wedge and tail out of line. The same noise-only rule as the pair's
+/// holds: `scripts/check.sh` keeps deployment draws away from both.
+pub fn fill_standard_normals<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    let zig = ziggurat();
+    for z in out {
+        *z = zig.sample(rng);
+    }
+}
+
 /// Samples a standard normal by Box–Muller: the cosine branch
 /// `sqrt(-2 ln u1)·cos(2π·u2)` of two uniforms.
 ///
@@ -103,29 +121,52 @@ fn gauss(x: f64) -> f64 {
     (-0.5 * x * x).exp()
 }
 
+/// `x` with the sign bit (bit 63) of the draw `bits`.
+#[inline(always)]
+fn signed(x: f64, bits: u64) -> f64 {
+    f64::from_bits(x.to_bits() | (bits & (1 << 63)))
+}
+
 impl Ziggurat {
     /// One standard normal. A `u64` gives the layer (low 8 bits), the sign
     /// (bit 63) and a magnitude in `(0, 1)` (bits 11–62), disjoint bits.
+    /// The box test — about 99 % of draws — is inline; a draw that lands
+    /// outside its layer's box goes to [`Self::outside_box`].
+    #[inline(always)]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         loop {
             let bits = rng.next_u64();
             let layer = (bits & 0xff) as usize;
-            let signed = |x: f64| f64::from_bits(x.to_bits() | (bits & (1 << 63)));
             let u = (((bits >> 11) & ((1 << 52) - 1)) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64);
             let x = u * self.x[layer];
             // Inside the box's part that lies wholly under the curve.
             if x < self.x[layer + 1] {
-                return signed(x);
+                return signed(x, bits);
             }
-            if layer == 0 {
-                return signed(Self::tail(rng));
-            }
-            // The wedge: a uniform height in the box, under the curve or not.
-            let y = self.f[layer] + rng.gen::<f64>() * (self.f[layer + 1] - self.f[layer]);
-            if y < gauss(x) {
-                return signed(x);
+            if let Some(z) = self.outside_box(rng, bits, layer, x) {
+                return z;
             }
         }
+    }
+
+    /// A draw `x` from layer `layer` that missed the box's inner part: the
+    /// base layer's tail, or the wedge's accept test; `None` rejects the
+    /// draw and [`Self::sample`] starts over with a fresh `u64`.
+    #[cold]
+    #[inline(never)]
+    fn outside_box<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        bits: u64,
+        layer: usize,
+        x: f64,
+    ) -> Option<f64> {
+        if layer == 0 {
+            return Some(signed(Self::tail(rng), bits));
+        }
+        // The wedge: a uniform height in the box, under the curve or not.
+        let y = self.f[layer] + rng.gen::<f64>() * (self.f[layer + 1] - self.f[layer]);
+        (y < gauss(x)).then(|| signed(x, bits))
     }
 
     /// Marsaglia's tail method: `R + a` with `a` exponential at rate `R`,
@@ -244,6 +285,55 @@ mod tests {
         }
         let want = std::fs::read_to_string(path).expect("fixture readable; bless with JMB_BLESS=1");
         assert!(got == want, "pairs from seed 8 moved:\n{got}");
+    }
+
+    use rand::RngCore;
+
+    /// Counts the `u64`s a generator hands out.
+    struct Counting(JmbRng, u64);
+
+    impl rand::RngCore for Counting {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn a_fill_is_the_pairs_bit_for_bit() {
+        // Two streams from one seed, one filled in uneven stretches (odd
+        // lengths included: a stretch may end halfway through a pair), one
+        // drawn pair by pair; long enough that the tail and the wedge's
+        // accept and reject all happen.
+        let (mut filled, mut paired) = (Counting(rng_from_seed(11), 0), rng_from_seed(11));
+        let mut got = Vec::new();
+        let mut buf = [0.0; 97];
+        let mut k = 0;
+        while got.len() < 400_000 {
+            let len = [97, 1, 64, 2, 33, 128 % 97][k % 6];
+            fill_standard_normals(&mut filled, &mut buf[..len]);
+            got.extend_from_slice(&buf[..len]);
+            k += 1;
+        }
+        if got.len() % 2 == 1 {
+            fill_standard_normals(&mut filled, &mut buf[..1]);
+            got.push(buf[0]);
+        }
+        for (i, pair) in got.chunks_exact(2).enumerate() {
+            let (a, b) = standard_normal_pair(&mut paired);
+            assert_eq!(pair[0].to_bits(), a.to_bits(), "pair {i}, first half");
+            assert_eq!(pair[1].to_bits(), b.to_bits(), "pair {i}, second half");
+        }
+        assert_eq!(filled.0.next_u64(), paired.next_u64(), "the streams part");
+        // A tail draw lies beyond R and takes at least two `u64`s more; a
+        // wedge test takes one more, and a rejection one more again.
+        let tails = got.iter().filter(|z| z.abs() > ZIG_R).count() as u64;
+        let extra = filled.1 - got.len() as u64;
+        assert!(tails > 10, "{tails} tail draws");
+        assert!(extra > 2 * tails + 1000, "{extra} draws beyond the box");
     }
 
     #[test]

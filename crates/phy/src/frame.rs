@@ -138,13 +138,33 @@ impl FrameTx {
 
     /// Builds the frequency-domain symbols (SIGNAL + DATA) for a payload.
     pub fn build_bins(&self, mcs: Mcs, payload: &[u8]) -> Result<StreamBins, TxError> {
+        let mut bins = Vec::new();
+        self.build_bins_into(mcs, payload, &mut bins)?;
+        Ok(StreamBins {
+            mcs,
+            psdu_len: payload.len() + 4,
+            symbols: bins
+                .chunks_exact(self.ofdm.params().fft_size)
+                .map(<[Complex64]>::to_vec)
+                .collect(),
+        })
+    }
+
+    /// [`FrameTx::build_bins`] into a caller's buffer: the symbols (SIGNAL
+    /// first, then DATA) appended to `bins` back to back, `fft_size` bins
+    /// each; returns how many symbols that is.
+    pub fn build_bins_into(
+        &self,
+        mcs: Mcs,
+        payload: &[u8],
+        bins: &mut Vec<Complex64>,
+    ) -> Result<usize, TxError> {
         let params = self.ofdm.params();
         let psdu = crc::append_crc(payload);
         if psdu.len() > MAX_PSDU {
             return Err(TxError::PayloadTooLarge(psdu.len()));
         }
         let polarity = pilot_polarity_sequence();
-        let mut symbols = Vec::new();
 
         // --- SIGNAL: 24 bits → rate-1/2 → 48 coded bits → BPSK, polarity p0.
         let signal_bits = Self::signal_bits(mcs, psdu.len());
@@ -152,7 +172,7 @@ impl FrameTx {
         let il_bpsk = Interleaver::new(params, Modulation::Bpsk);
         let interleaved = il_bpsk.interleave(&coded);
         let syms = Modulation::Bpsk.map_stream(&interleaved);
-        symbols.push(self.ofdm.assemble_bins(&syms, polarity[0]));
+        self.ofdm.assemble_bins_into(&syms, polarity[0], bins);
 
         // --- DATA.
         let ndbps = mcs.data_bits_per_symbol(params);
@@ -193,14 +213,9 @@ impl FrameTx {
             let interleaved = il.interleave(block);
             let syms = mcs.modulation.map_stream(&interleaved);
             let p = polarity[(n + 1) % polarity.len()];
-            symbols.push(self.ofdm.assemble_bins(&syms, p));
+            self.ofdm.assemble_bins_into(&syms, p, bins);
         }
-
-        Ok(StreamBins {
-            mcs,
-            psdu_len: psdu.len(),
-            symbols,
-        })
+        Ok(1 + n_sym)
     }
 
     /// Renders frequency-domain symbols into the full time-domain packet

@@ -52,9 +52,10 @@
 # struct in crates/traffic/src carries a clock debt — and the one-ledger rule
 # (DESIGN.md §3.9): `Registry` is not named under crates/core/src, where
 # what happened is returned or put on a trace and never counted — and the
-# sampler split (DESIGN.md §3.1): `standard_normal_pair`, the ziggurat, is
-# named only by the two noise processes it serves, the oscillator grid walk
-# (oscillator.rs) and estimation noise (fastnet.rs) — the kept-row rule
+# sampler split (DESIGN.md §3.1): the ziggurat — `standard_normal_pair` and
+# its batch fill `fill_standard_normals` — is named only by the two noise
+# processes it serves, the oscillator grid walk (oscillator.rs) and
+# estimation noise (fastnet.rs) — the kept-row rule
 # (DESIGN.md §3.4): the fast deployment calibrates through `set_gain` and
 # `scale_gain`, never `link_mut(`, which would drop the rows calibration
 # just summed — and the
@@ -305,11 +306,12 @@ if grep -n 'Registry' crates/core/src/*.rs; then
 fi
 
 # Noise draws may move with their sampler; deployments may not. Any third
-# caller of the ziggurat pair would redraw a deployment — placement, fading,
-# ppm, AWGN — and with it every cell a seed names.
-if grep -rl 'standard_normal_pair' crates/*/src crates/bench/benchmark/src src examples \
+# caller of the ziggurat — the pair or its batch fill — would redraw a
+# deployment — placement, fading, ppm, AWGN — and with it every cell a seed
+# names.
+if grep -rlE 'standard_normal_pair|fill_standard_normals' crates/*/src crates/bench/benchmark/src src examples \
    | grep -v '^crates/dsp/src/rng\.rs$\|^crates/channel/src/oscillator\.rs$\|^crates/core/src/fastnet\.rs$'; then
-  echo "standard_normal_pair named outside rng.rs, oscillator.rs and fastnet.rs (deployment draws take standard_normal)" >&2
+  echo "standard_normal_pair or fill_standard_normals named outside rng.rs, oscillator.rs and fastnet.rs (deployment draws take standard_normal)" >&2
   exit 1
 fi
 
