@@ -8,6 +8,7 @@
 //! We implement this ourselves (instead of depending on `num-complex`) so the
 //! DSP substrate stays dependency-free and the operations stay transparent.
 
+use crate::elementary::polar_into;
 use std::borrow::Borrow;
 use std::fmt;
 use std::iter::Sum;
@@ -350,8 +351,11 @@ pub fn wrap_phase(theta: f64) -> f64 {
 ///
 /// `phasors` is anything that yields one phasor per position, by value or
 /// by reference — a slice, or the products of two estimates computed on
-/// the fly. The points are kept in a stack array sized to the 64-bin FFT,
-/// so a fit allocates nothing.
+/// the fly. The points are kept in stack arrays sized to the 64-bin FFT,
+/// so a fit allocates nothing; every point's raw phase and weight come
+/// from one lane pass of the [`elementary`](crate::elementary) kernels
+/// ([`polar_into`]), within 2 ulp of glibc's `atan2` and `hypot`, and the
+/// unwrap and the sums then run in position order.
 ///
 /// Returns `(0, 0)` when the total weight is zero.
 ///
@@ -363,38 +367,38 @@ pub fn fit_linear_phase(
     ks: &[f64],
     phasors: impl IntoIterator<Item = impl Borrow<Complex64>>,
 ) -> (f64, f64) {
-    // Per point: its weight and its phase, sequentially unwrapped along the
-    // ordered positions.
-    let mut buf = [(0.0f64, 0.0f64); 64];
+    const MAX: usize = 64;
+    let (mut re, mut im) = ([0.0f64; MAX], [0.0f64; MAX]);
     let mut n = 0;
-    let mut prev_raw = 0.0;
-    let mut prev = 0.0;
     for p in phasors {
-        assert!(n < buf.len(), "fit_linear_phase: more than 64 points");
+        assert!(n < MAX, "fit_linear_phase: more than 64 points");
         let p = p.borrow();
-        let raw = p.arg();
-        prev = if n == 0 {
-            raw
-        } else {
-            prev + wrap_phase(raw - prev_raw)
-        };
-        prev_raw = raw;
-        buf[n] = (p.abs(), prev);
+        (re[n], im[n]) = (p.re, p.im);
         n += 1;
     }
-    let points = &buf[..n];
-    assert_eq!(ks.len(), points.len(), "fit_linear_phase: length mismatch");
+    assert_eq!(ks.len(), n, "fit_linear_phase: length mismatch");
     assert!(!ks.is_empty(), "fit_linear_phase: empty input");
-    let wsum: f64 = points.iter().map(|&(w, _)| w).sum();
+    let (mut raw, mut weights) = ([0.0f64; MAX], [0.0f64; MAX]);
+    polar_into(&re[..n], &im[..n], &mut raw[..n], &mut weights[..n]);
+    let weights = &weights[..n];
+    // Each point's phase, sequentially unwrapped along the ordered
+    // positions.
+    let mut phases = [0.0f64; MAX];
+    phases[0] = raw[0];
+    for i in 1..n {
+        phases[i] = phases[i - 1] + wrap_phase(raw[i] - raw[i - 1]);
+    }
+    let phases = &phases[..n];
+    let wsum: f64 = weights.iter().sum();
     if wsum <= 0.0 {
         return (0.0, 0.0);
     }
     // Weighted least squares.
-    let kbar = ks.iter().zip(points).map(|(k, (w, _))| k * w).sum::<f64>() / wsum;
-    let pbar = points.iter().map(|(w, p)| p * w).sum::<f64>() / wsum;
+    let kbar = ks.iter().zip(weights).map(|(k, w)| k * w).sum::<f64>() / wsum;
+    let pbar = phases.iter().zip(weights).map(|(p, w)| p * w).sum::<f64>() / wsum;
     let mut num = 0.0;
     let mut den = 0.0;
-    for (&k, &(w, p)) in ks.iter().zip(points) {
+    for ((&k, &w), &p) in ks.iter().zip(weights).zip(phases) {
         num += w * (k - kbar) * (p - pbar);
         den += w * (k - kbar) * (k - kbar);
     }

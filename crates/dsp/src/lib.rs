@@ -12,6 +12,8 @@
 //!   the zero-forcing solver and the fast path's kernels work in,
 //! * [`stats`] — percentiles, CDFs, running statistics, dB conversions,
 //! * [`delay`] — fractional-sample delay for modelling propagation delays,
+//! * [`elementary`] — branch-free `atan2`, `hypot` and `exp` kernels for the
+//!   fast path's per-subcarrier loops,
 //! * [`rng`] — deterministic Gaussian / circularly-symmetric complex Gaussian
 //!   sampling helpers.
 //!
@@ -22,6 +24,7 @@
 
 pub mod complex;
 pub mod delay;
+pub mod elementary;
 pub mod fft;
 pub mod matrix;
 pub mod rng;

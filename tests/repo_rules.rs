@@ -20,9 +20,10 @@ use std::path::{Path, PathBuf};
 
 /// The modules that deny panics outside tests: the §5.2 sync exchange, the
 /// ZF precoder and the §9 MAC, the receive chain (everything `frame::decode`
-/// touches), the resampler every sample-level render leans on, and the
+/// touches), the resampler every sample-level render leans on, the
+/// elementary-function kernels the phase fit and the EESM run on, and the
 /// simulator, traffic and scenario crates whole (their roots).
-const HOT: [&str; 22] = [
+const HOT: [&str; 23] = [
     "crates/core/src/control.rs",
     "crates/core/src/csi.rs",
     "crates/core/src/fastnet.rs",
@@ -31,6 +32,7 @@ const HOT: [&str; 22] = [
     "crates/core/src/network.rs",
     "crates/core/src/precoder.rs",
     "crates/dsp/src/delay.rs",
+    "crates/dsp/src/elementary.rs",
     "crates/phy/src/chanest.rs",
     "crates/phy/src/convcode.rs",
     "crates/phy/src/crc.rs",
