@@ -15,8 +15,22 @@
 //! The numbers in §1 fall straight out of this model: a 10 Hz error in a
 //! CFO estimate grows to `2π·10·5.5e-3 ≈ 0.35 rad` (20°) in 5.5 ms.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use jmb_dsp::rng::{fill_standard_normals, JmbRng};
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// Static description of an oscillator population.
 #[derive(Debug, Clone, Copy)]
@@ -73,32 +87,33 @@ impl OscillatorSpec {
 ///
 /// `PhaseTrajectory` achieves that by drawing the stochastic part of the
 /// phase (Wiener phase noise + offset random walk) on a lazy fixed grid from
-/// a private RNG, then interpolating. Only the most recent grid points stay
-/// in memory (a window of two to three blocks, ≥ 80 ms); at every block
-/// boundary the walk leaves a [`Mark`] from which an older block is redrawn
-/// on demand — same draws in the same order, so two queries of the same
-/// instant always agree, whatever was asked in between, and memory does not
-/// grow with simulated time beyond one mark per block.
+/// a private RNG, then interpolating. It keeps no grid, only the last eight
+/// points it answered: a front cursor walks as far as any query reached,
+/// leaving a [`Mark`] every [`Self::STRIDE`] steps over the last
+/// [`Self::RECENT`] (≥ 80 ms) and one every [`Self::COARSE`] before that. A
+/// query behind the front that is not one just answered resumes a back
+/// cursor, or restarts it from the nearest mark — same draws in the same
+/// order, so two queries of the same instant always agree, whatever was
+/// asked in between, and memory grows with simulated time by one 48-byte
+/// mark per 41 ms.
 #[derive(Debug, Clone)]
 pub struct PhaseTrajectory {
     carrier_freq: f64,
     step: GridStep,
     initial_offset_hz: f64,
-    /// `marks[b]` is the walk on arriving at grid point `b·BLOCK`, for every
-    /// block up to the head's.
-    marks: Vec<Mark>,
-    /// The block the walk's front is in, drawn as far as any query reached.
-    head: Block,
-    /// The complete blocks just behind the head, oldest first (at most
-    /// [`Self::KEPT_BEHIND`]).
-    behind: Vec<Block>,
-    /// The last block older than the window that a query asked for.
-    redrawn: Option<Block>,
+    /// The walk as far as any query reached.
+    front: Cursor,
+    /// The walk behind the front, where the last query behind it left it.
+    back: Cursor,
+    /// Where the back cursor restarts from.
+    marks: Marks,
+    /// The points the walks answered last.
+    answered: Answered,
 }
 
 /// One drawn grid point: the walk's state there and the Wiener increment
 /// over the interval that follows it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct GridPoint {
     /// Frequency offset, Hz.
     freq: f64,
@@ -167,85 +182,163 @@ struct GridStep {
     sigma_f: f64,
 }
 
-/// Consecutive grid points of one block, drawn front to back.
+/// A walker on the grid: the walk on arriving at point `next`.
 #[derive(Debug, Clone)]
-struct Block {
-    /// Covers grid points `index·BLOCK .. (index + 1)·BLOCK`.
-    index: usize,
-    points: Vec<GridPoint>,
-    /// The walk at point `index·BLOCK + points.len()`: where drawing resumes.
-    next: Mark,
+struct Cursor {
+    at: Mark,
+    next: usize,
+    /// Grid steps drawn so far.
+    #[cfg(test)]
+    drawn: usize,
 }
 
-impl Block {
-    fn starting_at(index: usize, mark: &Mark) -> Self {
-        Block {
-            index,
-            points: Vec::new(),
-            next: mark.clone(),
+impl Cursor {
+    fn starting_at(next: usize, mark: &Mark) -> Self {
+        Cursor {
+            at: mark.clone(),
+            next,
+            #[cfg(test)]
+            drawn: 0,
         }
     }
 
-    /// Starts over as block `index`, keeping the storage.
-    fn restart(&mut self, index: usize, mark: &Mark) {
-        self.index = index;
-        self.points.clear();
-        self.next.clone_from(mark);
-    }
-
-    /// Draws grid points until the block's point `i` exists. A grid step is
-    /// two ziggurat normals, one
+    /// Walks through grid point `i` (at or past `next`) and returns it. A
+    /// grid step is two ziggurat normals, one
     /// [`standard_normal_pair`](jmb_dsp::rng::standard_normal_pair): the
     /// first scaled to the Wiener increment, the second to the offset's
     /// random-walk step (a noiseless walk draws nothing and steps by
     /// `0 · 0`). The walk is noise, not deployment: the trajectory's offset
     /// is drawn by [`PhaseTrajectory::new`] before any of it.
     ///
-    /// The normals come [`Self::CHUNK`] steps at a time from
-    /// [`fill_standard_normals`], in the pairs' order, and the walk is
-    /// carried in locals across a chunk: bit for bit the step-by-step walk,
-    /// and never a draw past point `i`, so every [`Mark`] stays where that
-    /// walk leaves it.
-    fn draw_through(&mut self, i: usize, step: &GridStep) {
-        let Some(mut left) = (i + 1).checked_sub(self.points.len()) else {
-            return;
-        };
+    /// The normals come up to [`PhaseTrajectory::CHUNK`] steps at a time
+    /// from [`fill_standard_normals`], in the pairs' order: bit for bit the
+    /// step-by-step walk, and never a draw past point `i`. With `marks`
+    /// (the front's walk) it leaves a mark on every multiple of
+    /// [`PhaseTrajectory::STRIDE`] it draws from.
+    fn walk_through(
+        &mut self,
+        i: usize,
+        step: &GridStep,
+        mut marks: Option<&mut Marks>,
+    ) -> GridPoint {
+        const STRIDE: usize = PhaseTrajectory::STRIDE;
         let noisy = step.sigma_w > 0.0 || step.sigma_f > 0.0;
-        let two_pi_dt = |f: f64| 2.0 * std::f64::consts::PI * f * step.dt;
-        let (mut freq, mut cum_phase) = (self.next.freq, self.next.cum_phase);
-        // Room for the stretch, grown the way one `push` a point grows it
-        // (doubling from 4), so a block's storage keeps the sizes it had.
-        let mut cap = self.points.capacity();
-        while cap < i + 1 {
-            cap = (cap * 2).max(4);
-        }
-        self.points.reserve_exact(cap - self.points.len());
-        let mut z = [0.0; 2 * Self::CHUNK];
-        while left > 0 {
-            let n = left.min(Self::CHUNK);
+        let mut z = [0.0; 2 * PhaseTrajectory::CHUNK];
+        let mut last = GridPoint::default();
+        while self.next <= i {
+            let into_stride = self.next % STRIDE;
+            if into_stride == 0 {
+                if let Some(marks) = marks.as_deref_mut() {
+                    marks.leave(self.next, &self.at);
+                }
+            }
+            let n = (i + 1 - self.next)
+                .min(PhaseTrajectory::CHUNK)
+                .min(STRIDE - into_stride);
             let z = &mut z[..2 * n];
             if noisy {
-                fill_standard_normals(&mut self.next.rng, z);
+                fill_standard_normals(&mut self.at.rng, z);
             }
-            self.points.extend(z.chunks_exact(2).map(|z| {
+            let at = &mut self.at;
+            for z in z.chunks_exact(2) {
                 let (dw, df) = (z[0] * step.sigma_w, z[1] * step.sigma_f);
-                let point = GridPoint {
-                    freq,
-                    cum_phase,
+                last = GridPoint {
+                    freq: at.freq,
+                    cum_phase: at.cum_phase,
                     dw,
                 };
-                cum_phase = cum_phase + two_pi_dt(freq) + dw;
-                freq += df;
-                point
-            }));
-            left -= n;
+                at.cum_phase = at.cum_phase + 2.0 * std::f64::consts::PI * at.freq * step.dt + dw;
+                at.freq += df;
+            }
+            self.next += n;
+            #[cfg(test)]
+            {
+                self.drawn += n;
+            }
         }
-        self.next.freq = freq;
-        self.next.cum_phase = cum_phase;
+        last
+    }
+}
+
+/// The last [`Answered::LEN`] points the walks answered, by grid index: a
+/// query that repeats one — a second read of an instant, a room's next
+/// band asking what the first asked — walks nothing.
+#[derive(Debug, Clone)]
+struct Answered {
+    /// `(index, point)`; an index of `usize::MAX` is an empty slot, which
+    /// no query behind the front can ask for.
+    points: [(usize, GridPoint); Answered::LEN],
+    /// The slot the next answer takes.
+    oldest: usize,
+}
+
+impl Answered {
+    const LEN: usize = 8;
+
+    fn get(&self, i: usize) -> Option<GridPoint> {
+        self.points.iter().find(|p| p.0 == i).map(|p| p.1)
     }
 
-    /// Grid steps drawn per [`fill_standard_normals`] call.
-    const CHUNK: usize = 32;
+    /// Keeps `point` as grid point `i`, in place of the oldest, and hands it
+    /// back.
+    fn put(&mut self, i: usize, point: GridPoint) -> GridPoint {
+        self.points[self.oldest] = (i, point);
+        self.oldest = (self.oldest + 1) % Self::LEN;
+        point
+    }
+}
+
+/// The front's marks: the walk at every multiple of
+/// [`PhaseTrajectory::STRIDE`] over the recent span, and at every multiple
+/// of [`PhaseTrajectory::COARSE`] since the start.
+#[derive(Debug, Clone)]
+struct Marks {
+    /// The walk at grid point 0.
+    origin: Mark,
+    /// `coarse[b]` is the walk at grid point `(b + 1)·COARSE`.
+    coarse: Vec<Mark>,
+    /// `fine[k]` is the walk at grid point `(first_fine + k)·STRIDE`, the
+    /// back one at the last such point the front drew from.
+    fine: VecDeque<Mark>,
+    first_fine: usize,
+}
+
+impl Marks {
+    /// Fine marks kept: the newest and the [`PhaseTrajectory::RECENT`]
+    /// steps behind it.
+    const FINE_KEPT: usize = PhaseTrajectory::RECENT / PhaseTrajectory::STRIDE + 1;
+
+    /// The front leaves its mark at grid point `index`, a multiple of
+    /// [`PhaseTrajectory::STRIDE`]; a fine mark past the recent span goes.
+    fn leave(&mut self, index: usize, mark: &Mark) {
+        if index > 0 && index.is_multiple_of(PhaseTrajectory::COARSE) {
+            self.coarse.push(mark.clone());
+        }
+        if self.fine.len() == Self::FINE_KEPT {
+            self.fine.pop_front();
+            self.first_fine += 1;
+        } else if self.fine.is_empty() {
+            self.fine.reserve_exact(Self::FINE_KEPT);
+        }
+        self.fine.push_back(mark.clone());
+    }
+
+    /// The nearest mark at or before grid point `i`, which the front has
+    /// drawn, and the point it is at. Every such multiple of `STRIDE` in
+    /// the recent span and of `COARSE` before it was left; failing that,
+    /// the walk restarts from the origin, which is slower but the same.
+    fn at_or_before(&self, i: usize) -> (usize, &Mark) {
+        const STRIDE: usize = PhaseTrajectory::STRIDE;
+        const COARSE: usize = PhaseTrajectory::COARSE;
+        let fine = (i / STRIDE).checked_sub(self.first_fine);
+        if let Some(mark) = fine.and_then(|k| self.fine.get(k)) {
+            return (i / STRIDE * STRIDE, mark);
+        }
+        match (i / COARSE).checked_sub(1).and_then(|b| self.coarse.get(b)) {
+            Some(mark) => (i / COARSE * COARSE, mark),
+            None => (0, &self.origin),
+        }
+    }
 }
 
 impl PhaseTrajectory {
@@ -253,13 +346,20 @@ impl PhaseTrajectory {
     /// finer than any phase dynamics JMB cares about).
     pub const GRID_DT: f64 = 10e-6;
 
-    /// Grid points per block (≈ 41 ms).
-    const BLOCK: usize = 4096;
+    /// Grid steps drawn per [`fill_standard_normals`] call, at most.
+    const CHUNK: usize = 32;
 
-    /// Complete blocks kept behind the head: with the head they make a dense
-    /// window of 82–123 ms, so the out-of-band sync rivals' look-back (three
-    /// updates of 25 ms) never leaves it.
-    const KEPT_BEHIND: usize = 2;
+    /// Grid steps between the front's marks over the recent span (2.56
+    /// ms): the most a query inside that span walks from a mark.
+    const STRIDE: usize = 256;
+
+    /// Grid steps behind the newest mark that the fine marks cover
+    /// (81.92 ms), so that the out-of-band sync rivals' look-back (three
+    /// updates of 25 ms) restarts at most [`Self::STRIDE`] steps back.
+    const RECENT: usize = 8192;
+
+    /// Grid steps between the marks kept since the start (≈ 41 ms).
+    const COARSE: usize = 4096;
 
     /// Draws a trajectory: offset uniform in ±tolerance, noise per `spec`.
     pub fn new(spec: OscillatorSpec, carrier_freq: f64, rng: &mut JmbRng) -> Self {
@@ -273,7 +373,7 @@ impl PhaseTrajectory {
 
     /// Creates a trajectory with an explicit initial offset (Hz).
     pub fn with_offset(spec: OscillatorSpec, carrier_freq: f64, offset_hz: f64, seed: u64) -> Self {
-        let start = Mark {
+        let origin = Mark {
             freq: offset_hz,
             cum_phase: 0.0,
             rng: jmb_dsp::rng::derive_rng(seed, 0x7247),
@@ -288,10 +388,18 @@ impl PhaseTrajectory {
                 sigma_f: spec.drift_hz_per_sqrt_s.max(0.0) * dt.sqrt(),
             },
             initial_offset_hz: offset_hz,
-            head: Block::starting_at(0, &start),
-            marks: vec![start],
-            behind: Vec::new(),
-            redrawn: None,
+            front: Cursor::starting_at(0, &origin),
+            back: Cursor::starting_at(0, &origin),
+            marks: Marks {
+                origin,
+                coarse: Vec::new(),
+                fine: VecDeque::new(),
+                first_fine: 0,
+            },
+            answered: Answered {
+                points: [(usize::MAX, GridPoint::default()); Answered::LEN],
+                oldest: 0,
+            },
         }
     }
 
@@ -348,52 +456,34 @@ impl PhaseTrajectory {
     }
 
     /// The grid interval `t` falls in and the point it starts from — the
-    /// one door from a time to the grid, so every accessor checks `t`.
+    /// one door from a time to the grid, so every accessor checks `t`. A
+    /// point at or past the front moves the front; one behind it is one
+    /// just answered, or the back cursor walks to it, from where it stands
+    /// if that is no further back than the nearest mark.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract of every public accessor: a time no grid point answers for"
+    )]
     fn point_at(&mut self, t: f64) -> (usize, GridPoint) {
         assert!(t.is_finite() && t >= 0.0, "bad trajectory time {t}");
         let idx = (t / self.step.dt).floor() as usize;
-        let (b, i) = (idx / Self::BLOCK, idx % Self::BLOCK);
-        if b == self.head.index {
-            if let Some(&p) = self.head.points.get(i) {
-                return (idx, p);
+        let point = if idx >= self.front.next {
+            let point = self
+                .front
+                .walk_through(idx, &self.step, Some(&mut self.marks));
+            self.answered.put(idx, point)
+        } else if let Some(point) = self.answered.get(idx) {
+            point
+        } else {
+            let (from, mark) = self.marks.at_or_before(idx);
+            if !(from..=idx).contains(&self.back.next) {
+                self.back.at.clone_from(mark);
+                self.back.next = from;
             }
-        }
-        (idx, self.point_outside_head(b, i))
-    }
-
-    /// Point `i` of block `b` when the head does not already hold it: draws
-    /// forward, reads the window, or redraws an older block from its mark.
-    fn point_outside_head(&mut self, b: usize, i: usize) -> GridPoint {
-        while self.head.index < b {
-            self.head.draw_through(Self::BLOCK - 1, &self.step);
-            self.marks.push(self.head.next.clone());
-            let next_index = self.head.index + 1;
-            let fresh = if self.behind.len() == Self::KEPT_BEHIND {
-                let mut oldest = self.behind.remove(0);
-                oldest.restart(next_index, &self.head.next);
-                oldest
-            } else {
-                Block::starting_at(next_index, &self.head.next)
-            };
-            self.behind.push(std::mem::replace(&mut self.head, fresh));
-        }
-        if b == self.head.index {
-            self.head.draw_through(i, &self.step);
-            return self.head.points[i];
-        }
-        let back = self.head.index - b;
-        if back <= self.behind.len() {
-            return self.behind[self.behind.len() - back].points[i];
-        }
-        let mark = &self.marks[b];
-        let block = self
-            .redrawn
-            .get_or_insert_with(|| Block::starting_at(b, mark));
-        if block.index != b {
-            block.restart(b, mark);
-        }
-        block.draw_through(i, &self.step);
-        block.points[i]
+            let point = self.back.walk_through(idx, &self.step, None);
+            self.answered.put(idx, point)
+        };
+        (idx, point)
     }
 }
 
@@ -559,42 +649,81 @@ mod tests {
     }
 
     impl PhaseTrajectory {
-        fn retained_points(&self) -> usize {
-            let blocks = self.behind.iter().chain(&self.redrawn).chain([&self.head]);
-            blocks.map(|b| b.points.len()).sum()
+        /// Answers `t` and returns the grid steps the back cursor drew for
+        /// it, and how far it walked forward of where it stood.
+        fn back_walk(&mut self, t: f64) -> (usize, usize) {
+            let (drawn, next) = (self.back.drawn, self.back.next);
+            let idx = (t / Self::GRID_DT).floor() as usize;
+            self.phase_at(t);
+            (self.back.drawn - drawn, (idx + 1).saturating_sub(next))
+        }
+
+        /// Bytes the trajectory holds, inline and on the heap.
+        fn footprint(&self) -> usize {
+            let marks = self.marks.coarse.capacity() + self.marks.fine.capacity();
+            std::mem::size_of::<Self>() + marks * std::mem::size_of::<Mark>()
         }
     }
 
     #[test]
     fn retained_points_are_bounded() {
-        const BLOCK: usize = PhaseTrajectory::BLOCK;
+        const STRIDE: usize = PhaseTrajectory::STRIDE;
+        const COARSE: usize = PhaseTrajectory::COARSE;
+        assert_eq!(std::mem::size_of::<Mark>(), 48);
         let mut rng = rng_from_seed(13);
         let mut t = PhaseTrajectory::new(OscillatorSpec::usrp2(), FC, &mut rng);
         // Five simulated seconds the way a cell walks them: forward in
         // packet-sized steps, each looking back up to 3 × 25 ms like the
-        // out-of-band sync rivals do. The look-back never leaves the window,
-        // so nothing is redrawn.
+        // out-of-band sync rivals do. Every look-back lies in the recent
+        // span, so it walks at most one stride from a fine mark, and asked
+        // again it is one of the points kept and walks nothing (until the
+        // look-backs stop piling up at t = 0).
         let mut now = 0.0;
         while now < 5.0 {
             t.phase_at(now);
-            for k in 1..=3 {
-                t.cfo_hz_at((now - k as f64 * 25e-3).max(0.0));
+            let look_back = |k: i32| (now - k as f64 * 25e-3).max(0.0);
+            for k in (1..=3).rev() {
+                let (drawn, gap) = t.back_walk(look_back(k));
+                assert!(drawn <= STRIDE, "{drawn} steps for a look-back at {now} s");
+                assert!(drawn <= gap + STRIDE);
             }
-            assert!(t.retained_points() <= 3 * BLOCK + 2, "at {now} s");
+            for k in 1..=3 {
+                let again = t.back_walk(look_back(k)).0;
+                assert!(
+                    now < 75e-3 || again == 0,
+                    "a repeat walked {again} at {now} s"
+                );
+            }
+            assert_eq!(t.front.drawn, t.front.next, "the front drew a step twice");
+            assert!(t.marks.fine.len() <= Marks::FINE_KEPT, "at {now} s");
+            assert_eq!(t.marks.coarse.len(), (t.front.next - 1) / COARSE);
             now += 1.3e-3;
         }
-        assert!(t.redrawn.is_none(), "80 ms of look-back must stay dense");
-        // 500 000 grid points walked, one 48-byte mark per block kept.
-        assert_eq!(
-            t.marks.len(),
-            (5.0 / PhaseTrajectory::GRID_DT) as usize / BLOCK + 1
-        );
-        // Looking further back costs one more block, however often and
-        // wherever it lands.
+        t.phase_at(500_000.5 * PhaseTrajectory::GRID_DT);
+        // 500 000 grid points walked (12 MB as points, 295 KB as the window
+        // of three 4 096-point blocks this replaced); kept are a 48-byte
+        // mark per 4 096 steps, the fine marks of the recent span and the
+        // eight points answered last, inline.
+        assert_eq!(t.front.next, 500_001);
+        assert_eq!(t.marks.coarse.len(), 500_000 / COARSE);
+        assert!(t.footprint() < 10 << 10, "{} bytes", t.footprint());
+        // Looking further back walks from a coarse mark, at most one
+        // coarse spacing, and leaves no mark; a sweep forward from there
+        // walks no more than its gap.
+        let kept = (t.marks.coarse.len(), t.marks.fine.len());
         for back in [4.9, 0.2, 2.5, 0.2] {
-            t.phase_at(5.0 - back);
-            assert!(t.retained_points() <= 4 * BLOCK + 2, "{back} s back");
+            let (drawn, _) = t.back_walk(5.0 - back);
+            assert!(drawn <= COARSE, "{drawn} steps {back} s back");
         }
+        for k in 1..200 {
+            let (drawn, gap) = t.back_walk(4.8 + k as f64 * 0.37e-3);
+            assert!(
+                drawn <= gap,
+                "sweep step {k}: {drawn} steps for a gap of {gap}"
+            );
+        }
+        assert_eq!((t.marks.coarse.len(), t.marks.fine.len()), kept);
+        assert_eq!(t.front.drawn, t.front.next);
     }
 
     #[test]

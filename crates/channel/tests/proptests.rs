@@ -113,9 +113,9 @@ proptest! {
         // order and through either accessor, it answers a fixed list of
         // queries bit for bit like a fresh draw from the same seed. The
         // list starts at the network clock's origin, steps forward like a
-        // frame sequence, looks back, and straddles the block boundaries
-        // (4 096 grid points, ≈ 41 ms, at this writing) and times beyond the
-        // kept window, which the walk may have left behind.
+        // frame sequence, looks back, and straddles the coarse marks (4 096
+        // grid points, ≈ 41 ms, at this writing) and times beyond the span
+        // of fine marks, which the walk may have left behind.
         let spec = if worst_case {
             OscillatorSpec::wifi_worst_case()
         } else {

@@ -2222,8 +2222,9 @@ mod tests {
         // networks `FastNet::new` builds from them — with explicit links
         // and with the synthetic placement, over seeds and shapes — though
         // each borrows the oscillators the last walked. One network's clock
-        // runs 0.4 s past the measurement, beyond the trajectories' kept
-        // window, so the next one's reads come from redrawn blocks.
+        // runs 0.4 s past the measurement, beyond the span of the
+        // trajectories' fine marks, so the next one's reads are walked again
+        // from coarse marks.
         for (n_aps, n_clients, seed) in [(2, 2, 3), (4, 3, 8), (6, 6, 21)] {
             for explicit in [true, false] {
                 let mates = room_mates(n_aps, n_clients, seed, explicit);

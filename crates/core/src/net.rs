@@ -58,7 +58,7 @@ use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
 use jmb_dsp::{fft, Complex64, Planar};
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
-use jmb_phy::frame::{FrameRx, FrameTx, RxResult};
+use jmb_phy::frame::{FrameRx, FrameTx, RxResult, TxScratch};
 use jmb_phy::ofdm::Ofdm;
 use jmb_phy::params::OfdmParams;
 use jmb_phy::preamble;
@@ -195,6 +195,8 @@ struct TxAssembly {
     /// Every stream's SIGNAL and DATA symbols as FFT bins, stream after
     /// stream, symbol after symbol.
     streams: Vec<Complex64>,
+    /// The framer's staging buffers, from the PSDU to one symbol's points.
+    framer: TxScratch,
     /// One AP's precoded frame as FFT bins: the STF, the LTF, then each
     /// symbol.
     ap_bins: Vec<Complex64>,
@@ -209,6 +211,7 @@ impl TxAssembly {
             ltf_bins: preamble::ltf_bins(params),
             header: preamble::preamble(params),
             streams: Vec::new(),
+            framer: TxScratch::new(),
             ap_bins: Vec::new(),
         }
     }
@@ -582,7 +585,9 @@ impl JmbNetwork {
         link.tx.streams.clear();
         let mut n_sym = 0;
         for p in payloads {
-            n_sym = link.ftx.build_bins_into(mcs, p, &mut link.tx.streams)?;
+            n_sym = link
+                .ftx
+                .build_bins_with(&mut link.tx.framer, mcs, p, &mut link.tx.streams)?;
         }
         let streams = &link.tx.streams;
         #[expect(

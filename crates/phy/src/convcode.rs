@@ -54,8 +54,13 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// field (whose tail sits between the PSDU and the pad bits).
 pub fn encode_raw(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 * data.len());
-    encode_into(data.iter(), &mut out);
+    encode_raw_into(data, &mut out);
     out
+}
+
+/// [`encode_raw`] onto the end of `out`.
+pub fn encode_raw_into(data: &[u8], out: &mut Vec<u8>) {
+    encode_into(data.iter(), out);
 }
 
 fn encode_into<'a>(data: impl Iterator<Item = &'a u8>, out: &mut Vec<u8>) {
@@ -92,12 +97,20 @@ pub fn puncture_pattern(rate: CodeRate) -> &'static [bool] {
 
 /// Punctures a rate-1/2 coded stream to the given rate.
 pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
+    let mut out = Vec::new();
+    puncture_into(coded, rate, &mut out);
+    out
+}
+
+/// [`puncture`] onto the end of `out`.
+pub fn puncture_into(coded: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
     let pat = puncture_pattern(rate);
-    coded
-        .iter()
-        .zip(pat.iter().cycle())
-        .filter_map(|(&b, &keep)| keep.then_some(b))
-        .collect()
+    out.extend(
+        coded
+            .iter()
+            .zip(pat.iter().cycle())
+            .filter_map(|(&b, &keep)| keep.then_some(b)),
+    );
 }
 
 /// Re-inserts erasures (LLR 0.0) at punctured positions of a soft stream,

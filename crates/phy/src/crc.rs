@@ -58,9 +58,14 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Appends the 4-byte little-endian CRC to a payload.
 pub fn append_crc(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 4);
+    append_crc_into(payload, &mut out);
+    out
+}
+
+/// [`append_crc`] onto the end of `out`: the payload, then its CRC.
+pub fn append_crc_into(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
 }
 
 /// Verifies and strips a trailing CRC. Returns the payload on success.

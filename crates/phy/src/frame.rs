@@ -122,6 +122,34 @@ pub struct FrameTx {
     seed: u8,
 }
 
+/// The transmitter's staging buffers, one per stage of the chain: a caller
+/// that builds frame after frame keeps one and hands it to
+/// [`FrameTx::build_bins_with`], so buffers grow to the largest frame seen
+/// and are recycled. Like [`RxScratch`] it carries nothing from one frame
+/// to the next: a recycled scratch builds the same bins as a fresh one.
+#[derive(Debug, Clone, Default)]
+pub struct TxScratch {
+    /// The payload and its CRC.
+    psdu: Vec<u8>,
+    /// The SIGNAL field's bits, then the DATA field's (scrambled).
+    bits: Vec<u8>,
+    /// Their rate-1/2 code.
+    coded: Vec<u8>,
+    /// The DATA field's code, punctured to its rate.
+    punctured: Vec<u8>,
+    /// One symbol's coded bits, interleaved.
+    interleaved: Vec<u8>,
+    /// One symbol's constellation points.
+    syms: Vec<Complex64>,
+}
+
+impl TxScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 impl FrameTx {
     /// Creates a transmitter with the default scrambler seed.
     pub fn new(params: OfdmParams) -> Self {
@@ -139,7 +167,7 @@ impl FrameTx {
     /// Builds the frequency-domain symbols (SIGNAL + DATA) for a payload.
     pub fn build_bins(&self, mcs: Mcs, payload: &[u8]) -> Result<StreamBins, TxError> {
         let mut bins = Vec::new();
-        self.build_bins_into(mcs, payload, &mut bins)?;
+        self.build_bins_with(&mut TxScratch::new(), mcs, payload, &mut bins)?;
         Ok(StreamBins {
             mcs,
             psdu_len: payload.len() + 4,
@@ -150,29 +178,42 @@ impl FrameTx {
         })
     }
 
-    /// [`FrameTx::build_bins`] into a caller's buffer: the symbols (SIGNAL
-    /// first, then DATA) appended to `bins` back to back, `fft_size` bins
-    /// each; returns how many symbols that is.
-    pub fn build_bins_into(
+    /// [`FrameTx::build_bins`] into a caller's buffer, staged in the
+    /// caller's scratch: the symbols (SIGNAL first, then DATA) appended to
+    /// `bins` back to back, `fft_size` bins each; returns how many symbols
+    /// that is. A transmitter that builds frame after frame keeps the
+    /// scratch, and the framer allocates nothing once it has grown.
+    pub fn build_bins_with(
         &self,
+        scratch: &mut TxScratch,
         mcs: Mcs,
         payload: &[u8],
         bins: &mut Vec<Complex64>,
     ) -> Result<usize, TxError> {
         let params = self.ofdm.params();
-        let psdu = crc::append_crc(payload);
+        let TxScratch {
+            psdu,
+            bits,
+            coded,
+            punctured,
+            interleaved,
+            syms,
+        } = scratch;
+        psdu.clear();
+        crc::append_crc_into(payload, psdu);
         if psdu.len() > MAX_PSDU {
             return Err(TxError::PayloadTooLarge(psdu.len()));
         }
         let polarity = pilot_polarity_sequence();
 
         // --- SIGNAL: 24 bits → rate-1/2 → 48 coded bits → BPSK, polarity p0.
-        let signal_bits = Self::signal_bits(mcs, psdu.len());
-        let coded = convcode::encode_raw(&signal_bits);
+        bits.clear();
+        Self::signal_bits_into(mcs, psdu.len(), bits);
+        coded.clear();
+        convcode::encode_raw_into(bits, coded);
         let il_bpsk = Interleaver::new(params, Modulation::Bpsk);
-        let interleaved = il_bpsk.interleave(&coded);
-        let syms = Modulation::Bpsk.map_stream(&interleaved);
-        self.ofdm.assemble_bins_into(&syms, polarity[0], bins);
+        Self::map_symbol(&il_bpsk, coded, interleaved, syms);
+        self.ofdm.assemble_bins_into(syms, polarity[0], bins);
 
         // --- DATA.
         let ndbps = mcs.data_bits_per_symbol(params);
@@ -181,8 +222,9 @@ impl FrameTx {
         let n_bits = n_sym * ndbps;
 
         // SERVICE (16 zero bits) + PSDU bits (LSB-first per byte) + tail + pad.
-        let mut bits = vec![0u8; 16];
-        for &byte in &psdu {
+        bits.clear();
+        bits.resize(16, 0);
+        for &byte in psdu.iter() {
             for b in 0..8 {
                 bits.push((byte >> b) & 1);
             }
@@ -193,13 +235,15 @@ impl FrameTx {
                                 // flushed to state 0 at the end of the stream (pad content is
                                 // ignored by the receiver).
         let mut scr = Scrambler::new(self.seed);
-        scr.scramble_in_place(&mut bits);
+        scr.scramble_in_place(bits);
         for b in bits[tail_start..].iter_mut() {
             *b = 0;
         }
 
-        let coded = convcode::encode_raw(&bits);
-        let punctured = convcode::puncture(&coded, mcs.code_rate);
+        coded.clear();
+        convcode::encode_raw_into(bits, coded);
+        punctured.clear();
+        convcode::puncture_into(coded, mcs.code_rate, punctured);
         #[expect(
             clippy::disallowed_macros,
             reason = "debug_assert!: compiled out of release builds"
@@ -210,12 +254,25 @@ impl FrameTx {
 
         let il = Interleaver::new(params, mcs.modulation);
         for (n, block) in punctured.chunks(ncbps).enumerate() {
-            let interleaved = il.interleave(block);
-            let syms = mcs.modulation.map_stream(&interleaved);
+            Self::map_symbol(&il, block, interleaved, syms);
             let p = polarity[(n + 1) % polarity.len()];
-            self.ofdm.assemble_bins_into(&syms, p, bins);
+            self.ofdm.assemble_bins_into(syms, p, bins);
         }
         Ok(1 + n_sym)
+    }
+
+    /// One symbol's coded bits, interleaved into `interleaved` and mapped
+    /// into `syms` (both refilled).
+    fn map_symbol(
+        il: &Interleaver,
+        coded: &[u8],
+        interleaved: &mut Vec<u8>,
+        syms: &mut Vec<Complex64>,
+    ) {
+        interleaved.clear();
+        il.interleave_into(coded, interleaved);
+        syms.clear();
+        il.modulation().map_stream_into(interleaved, syms);
     }
 
     /// Renders frequency-domain symbols into the full time-domain packet
@@ -235,10 +292,10 @@ impl FrameTx {
         Ok(self.assemble_samples(&self.build_bins(mcs, payload)?))
     }
 
-    /// SIGNAL field bits: RATE(4) | reserved(1) | LENGTH(12, LSB first) |
-    /// parity(1) | tail(6).
-    fn signal_bits(mcs: Mcs, psdu_len: usize) -> Vec<u8> {
-        let mut bits = Vec::with_capacity(24);
+    /// SIGNAL field bits onto the end of `bits`: RATE(4) | reserved(1) |
+    /// LENGTH(12, LSB first) | parity(1) | tail(6).
+    fn signal_bits_into(mcs: Mcs, psdu_len: usize, bits: &mut Vec<u8>) {
+        let start = bits.len();
         let rate = RATE_BITS[mcs.index()];
         for b in (0..4).rev() {
             bits.push((rate >> b) & 1);
@@ -247,10 +304,9 @@ impl FrameTx {
         for b in 0..12 {
             bits.push(((psdu_len >> b) & 1) as u8);
         }
-        let parity = bits.iter().fold(0u8, |a, &b| a ^ b);
+        let parity = bits[start..].iter().fold(0u8, |a, &b| a ^ b);
         bits.push(parity);
         bits.extend_from_slice(&[0; 6]);
-        bits
     }
 }
 
@@ -783,6 +839,28 @@ mod tests {
     }
 
     #[test]
+    fn a_kept_tx_scratch_builds_what_a_fresh_one_does() {
+        // Frames of every MCS, long after short and short after long,
+        // appended to one buffer through one scratch.
+        let (tx, _) = chain();
+        let mut scratch = TxScratch::new();
+        let mut kept = Vec::new();
+        let mut fresh = Vec::new();
+        for (k, len) in [1500usize, 0, 40, 1200, 3].into_iter().enumerate() {
+            for mcs in Mcs::ALL {
+                let data = payload(len + k);
+                let n = tx
+                    .build_bins_with(&mut scratch, mcs, &data, &mut kept)
+                    .unwrap();
+                let bins = tx.build_bins(mcs, &data).unwrap();
+                assert_eq!(n, bins.symbols.len());
+                fresh.extend(bins.symbols.into_iter().flatten());
+            }
+        }
+        assert!(kept == fresh, "a kept scratch built other bins");
+    }
+
+    #[test]
     fn bins_roundtrip_without_time_domain() {
         // Frequency-domain path used by the fast simulator.
         let (tx, rx) = chain();
@@ -845,7 +923,10 @@ mod tests {
 
     #[test]
     fn signal_bits_layout() {
-        let bits = FrameTx::signal_bits(Mcs::ALL[0], 100);
+        // Appended after a bit already there, which the parity skips.
+        let mut bits = vec![1];
+        FrameTx::signal_bits_into(Mcs::ALL[0], 100, &mut bits);
+        let bits = &bits[1..];
         assert_eq!(bits.len(), 24);
         assert_eq!(&bits[..4], &[1, 1, 0, 1], "RATE for 6 Mbps class");
         assert_eq!(bits[4], 0, "reserved");

@@ -116,17 +116,29 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `bits.len() != block_len()`.
+    pub fn interleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
+        let mut out = Vec::with_capacity(bits.len());
+        self.interleave_into(bits, &mut out);
+        out
+    }
+
+    /// [`Self::interleave`] onto the end of `out`: the transmit path calls
+    /// this once per symbol into a buffer it keeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len() != block_len()`.
     #[expect(
         clippy::disallowed_macros,
         reason = "documented precondition (# Panics) — block length is fixed by the MCS"
     )]
-    pub fn interleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
+    pub fn interleave_into<T: Copy>(&self, bits: &[T], out: &mut Vec<T>) {
         assert_eq!(
             bits.len(),
             self.block_len(),
             "interleave: block size mismatch"
         );
-        self.tables.perm.iter().map(|&k| bits[k]).collect()
+        out.extend(self.tables.perm.iter().map(|&k| bits[k]));
     }
 
     /// Deinterleaves one symbol block (soft values as well as bits) onto

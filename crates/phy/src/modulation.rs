@@ -203,18 +203,29 @@ impl Modulation {
     /// # Panics
     ///
     /// Panics if `bits.len()` is not a multiple of `bits_per_symbol()`.
+    pub fn map_stream(self, bits: &[u8]) -> Vec<Complex64> {
+        let mut out = Vec::with_capacity(bits.len() / self.bits_per_symbol());
+        self.map_stream_into(bits, &mut out);
+        out
+    }
+
+    /// [`Self::map_stream`] onto the end of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len()` is not a multiple of `bits_per_symbol()`.
     #[expect(
         clippy::disallowed_macros,
         reason = "documented precondition (# Panics) — bit streams are produced whole-symbol by the encoder"
     )]
-    pub fn map_stream(self, bits: &[u8]) -> Vec<Complex64> {
+    pub fn map_stream_into(self, bits: &[u8], out: &mut Vec<Complex64>) {
         let bps = self.bits_per_symbol();
         assert_eq!(
             bits.len() % bps,
             0,
             "bit stream not a whole number of symbols"
         );
-        bits.chunks(bps).map(|c| self.map(c)).collect()
+        out.extend(bits.chunks(bps).map(|c| self.map(c)));
     }
 
     /// All constellation points with their bit labels, for exact demapping.

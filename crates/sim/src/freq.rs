@@ -226,7 +226,7 @@ impl SubcarrierMedium {
     }
 
     /// The carrier phase of `node`'s oscillator at `t`, radians; walks its
-    /// trajectory's window to `t` and changes nothing else.
+    /// trajectory to `t` and changes nothing else.
     #[inline]
     pub fn phase_at(&mut self, node: NodeId, t: f64) -> f64 {
         self.nodes[node.0].phase_at(t)

@@ -18,12 +18,14 @@ use jmb::obs::EventKind;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The modules that deny panics outside tests: the §5.2 sync exchange, the
-/// ZF precoder and the §9 MAC, the receive chain (everything `frame::decode`
-/// touches), the resampler every sample-level render leans on, the
-/// elementary-function kernels the phase fit and the EESM run on, and the
-/// simulator, traffic and scenario crates whole (their roots).
-const HOT: [&str; 23] = [
+/// The modules that deny panics outside tests: the oscillator walk every
+/// phase read goes through, the §5.2 sync exchange, the ZF precoder and the
+/// §9 MAC, the receive chain (everything `frame::decode` touches), the
+/// resampler every sample-level render leans on, the elementary-function
+/// kernels the phase fit and the EESM run on, and the simulator, traffic
+/// and scenario crates whole (their roots).
+const HOT: [&str; 24] = [
+    "crates/channel/src/oscillator.rs",
     "crates/core/src/control.rs",
     "crates/core/src/csi.rs",
     "crates/core/src/fastnet.rs",
