@@ -87,11 +87,11 @@ impl OscillatorSpec {
 ///
 /// `PhaseTrajectory` achieves that by drawing the stochastic part of the
 /// phase (Wiener phase noise + offset random walk) on a lazy fixed grid from
-/// a private RNG, then interpolating. It keeps no grid, only the last eight
-/// points it answered: a front cursor walks as far as any query reached,
-/// leaving a [`Mark`] every [`Self::STRIDE`] steps over the last
-/// [`Self::RECENT`] (≥ 80 ms) and one every [`Self::COARSE`] before that. A
-/// query behind the front that is not one just answered resumes a back
+/// a private RNG, then interpolating. It keeps no grid, only the eight
+/// points it answered that were read last: a front cursor walks as far as
+/// any query reached, leaving a [`Mark`] every [`Self::STRIDE`] steps over
+/// the last [`Self::RECENT`] (≥ 80 ms) and one every [`Self::COARSE`]
+/// before that. A query behind the front that is not one of those resumes a back
 /// cursor, or restarts it from the nearest mark — same draws in the same
 /// order, so two queries of the same instant always agree, whatever was
 /// asked in between, and memory grows with simulated time by one 48-byte
@@ -107,7 +107,7 @@ pub struct PhaseTrajectory {
     back: Cursor,
     /// Where the back cursor restarts from.
     marks: Marks,
-    /// The points the walks answered last.
+    /// The points the walks answered that were read last.
     answered: Answered,
 }
 
@@ -260,30 +260,33 @@ impl Cursor {
     }
 }
 
-/// The last [`Answered::LEN`] points the walks answered, by grid index: a
-/// query that repeats one — a second read of an instant, a room's next
-/// band asking what the first asked — walks nothing.
+/// The [`Answered::LEN`] points the walks answered that were read last, by
+/// grid index: a query that repeats one — a second read of an instant, a
+/// room's next band asking what the first asked, a look-back pinned at
+/// t = 0 — walks nothing.
 #[derive(Debug, Clone)]
 struct Answered {
-    /// `(index, point)`; an index of `usize::MAX` is an empty slot, which
-    /// no query behind the front can ask for.
+    /// `(index, point)`, the most recently read first; an index of
+    /// `usize::MAX` is an empty slot, which no query behind the front can
+    /// ask for.
     points: [(usize, GridPoint); Answered::LEN],
-    /// The slot the next answer takes.
-    oldest: usize,
 }
 
 impl Answered {
     const LEN: usize = 8;
 
-    fn get(&self, i: usize) -> Option<GridPoint> {
-        self.points.iter().find(|p| p.0 == i).map(|p| p.1)
+    /// Grid point `i`, if kept; a hit becomes the most recently read.
+    fn get(&mut self, i: usize) -> Option<GridPoint> {
+        let at = self.points.iter().position(|p| p.0 == i)?;
+        self.points[..=at].rotate_right(1);
+        Some(self.points[0].1)
     }
 
-    /// Keeps `point` as grid point `i`, in place of the oldest, and hands it
-    /// back.
+    /// Keeps `point` as grid point `i`, in place of the least recently read,
+    /// and hands it back.
     fn put(&mut self, i: usize, point: GridPoint) -> GridPoint {
-        self.points[self.oldest] = (i, point);
-        self.oldest = (self.oldest + 1) % Self::LEN;
+        self.points.rotate_right(1);
+        self.points[0] = (i, point);
         point
     }
 }
@@ -398,7 +401,6 @@ impl PhaseTrajectory {
             },
             answered: Answered {
                 points: [(usize::MAX, GridPoint::default()); Answered::LEN],
-                oldest: 0,
             },
         }
     }
@@ -676,8 +678,9 @@ mod tests {
         // packet-sized steps, each looking back up to 3 × 25 ms like the
         // out-of-band sync rivals do. Every look-back lies in the recent
         // span, so it walks at most one stride from a fine mark, and asked
-        // again it is one of the points kept and walks nothing (until the
-        // look-backs stop piling up at t = 0).
+        // again it is one of the points kept and walks nothing — the ones
+        // pinned at t = 0 over the first 75 ms too, read again and again
+        // while newer answers pass them.
         let mut now = 0.0;
         while now < 5.0 {
             t.phase_at(now);
@@ -689,10 +692,7 @@ mod tests {
             }
             for k in 1..=3 {
                 let again = t.back_walk(look_back(k)).0;
-                assert!(
-                    now < 75e-3 || again == 0,
-                    "a repeat walked {again} at {now} s"
-                );
+                assert_eq!(again, 0, "a repeat walked {again} at {now} s");
             }
             assert_eq!(t.front.drawn, t.front.next, "the front drew a step twice");
             assert!(t.marks.fine.len() <= Marks::FINE_KEPT, "at {now} s");

@@ -58,11 +58,12 @@ use jmb_dsp::rng::{complex_gaussian, normal, JmbRng};
 use jmb_dsp::{fft, Complex64, Planar};
 use jmb_obs::Trace;
 use jmb_phy::chanest::ChannelEstimate;
-use jmb_phy::frame::{FrameRx, FrameTx, RxResult, TxScratch};
+use jmb_phy::frame::{FrameRx, FrameTx, RxResult, RxScratch, TxScratch};
 use jmb_phy::ofdm::Ofdm;
 use jmb_phy::params::OfdmParams;
 use jmb_phy::preamble;
 use jmb_phy::rates::Mcs;
+use jmb_sim::medium::host_cores;
 use jmb_sim::{FaultSchedule, Medium, NodeId};
 use rand::Rng;
 
@@ -166,10 +167,12 @@ pub struct SampleEval {
     trigger_offsets: Vec<f64>,
     ftx: FrameTx,
     frx: FrameRx,
-    /// Receive-path scratch reused across every client decode: equalised
-    /// symbols, LLR/depuncture buffers and the Viterbi decision lanes are
-    /// allocated once per network, not once per frame.
-    rx_scratch: jmb_phy::frame::RxScratch,
+    /// Receive-path scratch reused across every client decode, one per
+    /// worker of [`Medium::render_each`] — `min(clients, host cores)` of
+    /// them: equalised symbols, LLR/depuncture buffers and the Viterbi
+    /// decisions are allocated once per network and worker, not once per
+    /// frame.
+    rx_scratch: Vec<RxScratch>,
     /// What a joint transmission assembles its waveforms from and in,
     /// kept across frames like `rx_scratch`.
     tx: TxAssembly,
@@ -296,6 +299,7 @@ impl LinkEval for SampleEval {
             })
             .collect();
         let params = cfg.params.clone();
+        let n_clients = cfg.n_clients;
         Ok(Deployment {
             aps,
             clients,
@@ -311,7 +315,7 @@ impl LinkEval for SampleEval {
                 trigger_offsets,
                 ftx: FrameTx::new(params.clone()),
                 frx: FrameRx::new(params.clone()),
-                rx_scratch: jmb_phy::frame::RxScratch::new(),
+                rx_scratch: vec![RxScratch::new(); host_cores().min(n_clients).max(1)],
                 tx: TxAssembly::new(&params),
                 verdicts: Vec::new(),
             },
@@ -371,9 +375,17 @@ impl LinkEval for SampleEval {
         let n_k = params.occupied_subcarriers().len();
         h.zeroed(clients.len() * aps.len(), n_k);
         self.client_noise_bins.clear();
-        for (j, &c) in clients.iter().enumerate() {
-            let window = self.medium.render_rx(c, t0, total + 8);
-            let m = measure::client_estimate(&params, &plan, &window)?;
+        // Every client's window, rendered and estimated at once, up to the
+        // first estimate that fails: the loop stops there.
+        let estimates = self.medium.render_each(
+            clients,
+            (t0, total + 8),
+            &mut self.rx_scratch,
+            |_, _, window| measure::client_estimate(&params, &plan, &window),
+            Result::is_err,
+        );
+        for (j, m) in estimates.into_iter().enumerate() {
+            let m = m?;
             for (i, est) in m.per_ap.iter().enumerate() {
                 h.set_row(j * aps.len() + i, est.gains.iter().copied());
             }
@@ -662,19 +674,21 @@ impl JmbNetwork {
 
         link.tx.ap_bins = bins;
 
-        // 4. Clients decode.
-        let mut results = Vec::with_capacity(self.clients.len());
-        for &c in &self.clients {
-            let pad = 64usize;
-            let window = link
-                .medium
-                .render_rx(c, t_d - pad as f64 * ts, pkt_len + 2 * pad);
-            results.push(
-                link.frx
-                    .rx_frame_with(&mut link.rx_scratch, &window)
-                    .map_err(JmbError::Rx),
-            );
-        }
+        // 4. Clients decode, every client's window rendered and decoded at
+        //    once (one worker per scratch).
+        let pad = 64usize;
+        let frx = &link.frx;
+        let results = link.medium.render_each(
+            &self.clients,
+            (t_d - pad as f64 * ts, pkt_len + 2 * pad),
+            &mut link.rx_scratch,
+            |scratch, _, mut window| {
+                let _span = jmb_obs::span("rx_frame");
+                frx.rx_frame_in_place(scratch, &mut window)
+                    .map_err(JmbError::Rx)
+            },
+            |_| false,
+        );
 
         self.end_frame(t_d, pkt_len as f64 * ts);
         Ok(results)
@@ -1007,6 +1021,124 @@ mod tests {
         assert_eq!(samples.len(), 19);
         let median = jmb_dsp::stats::median(&samples.iter().map(|s| s.abs()).collect::<Vec<_>>());
         assert!(median < 0.1, "median misalignment {median} rad");
+    }
+
+    /// A network of `n` APs and `n` clients, its trace on, whose client
+    /// windows render and decode on `workers` workers.
+    fn network_on(workers: usize, n: usize, seed: u64) -> JmbNetwork {
+        let mut net = JmbNetwork::new(NetConfig::default_with(n, n, 22.0, seed)).unwrap();
+        net.link.rx_scratch = vec![RxScratch::new(); workers];
+        net.medium_mut().trace.enable();
+        net
+    }
+
+    #[test]
+    fn one_worker_and_many_measure_and_decode_alike() {
+        // What a measurement and a joint transmission leave: the measured
+        // channel, the noise fed back, every client's decode, the next
+        // draws of the medium's stream and the trace.
+        let run = |workers| {
+            let mut net = network_on(workers, 4, 56);
+            net.run_measurement().unwrap();
+            let h = format!("{:?} {:?}", net.h_meas, net.link.client_noise_bins);
+            net.advance(1e-3);
+            let mcs = net.select_rate().unwrap_or(Mcs::BASE);
+            let results = net.joint_transmit(&payloads(4, 120), mcs, true).unwrap();
+            let decoded = results.iter().filter(|r| r.is_ok()).count();
+            let (c, now) = (net.clients[0], net.now());
+            let next = net.medium_mut().render_rx(c, now, 16);
+            let trace = net.medium_mut().trace.to_jsonl();
+            (
+                h,
+                format!("{results:?}"),
+                decoded,
+                format!("{next:?}"),
+                trace,
+            )
+        };
+        let serial = run(1);
+        assert!(serial.2 >= 3, "{} of 4 clients decoded", serial.2);
+        for workers in [2, 4] {
+            assert!(run(workers) == serial, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn client_windows_are_spanned_on_their_workers() {
+        // The span table is process-wide and other tests may add to it, so
+        // the counts are lower bounds: every client's render and decode.
+        let count = |name: &str| {
+            jmb_obs::span_report()
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, s)| s.count)
+        };
+        let mut net = network_on(2, 2, 58);
+        net.run_measurement().unwrap();
+        let before = (count("render_rx"), count("rx_frame"));
+        jmb_obs::set_spans_enabled(true);
+        let results = net.joint_transmit(&payloads(2, 60), Mcs::BASE, true);
+        jmb_obs::set_spans_enabled(false);
+        assert_eq!(results.unwrap().len(), 2);
+        assert!(count("render_rx") >= before.0 + 2);
+        assert!(count("rx_frame") >= before.1 + 2);
+    }
+
+    #[test]
+    fn a_failed_estimate_leaves_the_stream_and_trace_of_the_serial_loop() {
+        // The measurement packet on the air as `estimate_channel` sends it
+        // (without the trigger jitter); client 1's estimate fails, on a
+        // window cut short. The serial loop stops there, and so must the
+        // fan-out at any worker count.
+        let run = |workers: Option<usize>| {
+            let mut net = network_on(workers.unwrap_or(1), 4, 57);
+            let (t0, aps, clients) = (net.now(), net.aps.clone(), net.clients.clone());
+            let link = &mut net.link;
+            let (params, plan) = (link.cfg.params.clone(), link.plan());
+            let ts = params.sample_period();
+            for (i, &ap) in aps.iter().enumerate() {
+                for (off, seg) in plan.ap_segments(&params, i) {
+                    link.medium.transmit(ap, t0 + off as f64 * ts, seg);
+                }
+            }
+            let n = plan.total_len(&params) + 8;
+            let estimate = |j: usize, window: &[Complex64]| {
+                let window = if j == 1 { &window[..n / 2] } else { window };
+                measure::client_estimate(&params, &plan, window)
+            };
+            let verdicts: Vec<bool> = match workers {
+                None => {
+                    let mut verdicts = Vec::new();
+                    for (j, &c) in clients.iter().enumerate() {
+                        let window = link.medium.render_rx(c, t0, n);
+                        verdicts.push(estimate(j, &window).is_ok());
+                        if !verdicts[j] {
+                            break;
+                        }
+                    }
+                    verdicts
+                }
+                Some(_) => link
+                    .medium
+                    .render_each(
+                        &clients,
+                        (t0, n),
+                        &mut link.rx_scratch,
+                        |_, j, window| estimate(j, &window),
+                        Result::is_err,
+                    )
+                    .iter()
+                    .map(Result::is_ok)
+                    .collect(),
+            };
+            let next = link.medium.render_rx(clients[0], t0, 16);
+            (verdicts, format!("{next:?}"), link.medium.trace.to_jsonl())
+        };
+        let serial = run(None);
+        assert_eq!(serial.0, [true, false]);
+        for workers in [1, 2, 4] {
+            assert!(run(Some(workers)) == serial, "{workers} workers");
+        }
     }
 
     #[test]

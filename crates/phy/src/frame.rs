@@ -43,7 +43,7 @@ use crate::ofdm::equalize_into;
 use crate::ofdm::Ofdm;
 use crate::params::OfdmParams;
 use crate::preamble;
-use crate::rates::Mcs;
+use crate::rates::{CodeRate, Mcs};
 use crate::scrambler::{pilot_polarity_sequence, Scrambler};
 use crate::sync;
 use crate::viterbi;
@@ -352,15 +352,17 @@ impl RxResult {
 /// CFO-corrected sample window, the flattened demodulated bins, the channel
 /// view the symbols are equalised against, the per-symbol equalise/demap
 /// staging buffers, the whole-frame soft-bit stream, and the Viterbi
-/// survivor masks. Allocate one per receiver (or per thread — the receiver
-/// itself stays immutable and shareable) and pass it to the `*_with` entry
-/// points; buffers grow to the largest frame seen
+/// survivor masks. Allocate one per worker — the receiver itself stays
+/// immutable and shareable, so the workers that decode a frame's clients at
+/// once (`jmb_sim::Medium::render_each`) share it and each bring their
+/// own scratch — and pass it to the `*_with` entry points; buffers grow to
+/// the largest frame seen
 /// and are recycled across frames. The scratch carries no state between
 /// frames: decoding with a recycled scratch is byte-identical to decoding
 /// with a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
-    /// CFO-corrected time-domain window (time-domain entry points only).
+    /// CFO-corrected time-domain window ([`FrameRx::rx_frame_with`] only).
     work: Vec<Complex64>,
     /// Flattened demodulated bins, `n_symbols × fft_size`.
     bins: Vec<Complex64>,
@@ -374,7 +376,8 @@ pub struct RxScratch {
     llrs: Vec<f64>,
     /// Whole-frame deinterleaved soft bits.
     soft: Vec<f64>,
-    /// Whole-frame depunctured (rate-1/2) soft bits.
+    /// Whole-frame depunctured (rate-1/2) soft bits, of a frame coded at
+    /// rate 2/3 or 3/4.
     restored: Vec<f64>,
     /// Viterbi output bits.
     bits: Vec<u8>,
@@ -445,6 +448,22 @@ impl FrameRx {
         scratch: &mut RxScratch,
         samples: &[Complex64],
     ) -> Result<RxResult, RxError> {
+        let mut work = std::mem::take(&mut scratch.work);
+        work.clear();
+        work.extend_from_slice(samples);
+        let result = self.rx_frame_in_place(scratch, &mut work);
+        scratch.work = work;
+        result
+    }
+
+    /// [`FrameRx::rx_frame_with`] on a window the caller gives up: the
+    /// frame is CFO-corrected where it lies, so no copy of it is made and
+    /// the scratch keeps none.
+    pub fn rx_frame_in_place(
+        &self,
+        scratch: &mut RxScratch,
+        samples: &mut [Complex64],
+    ) -> Result<RxResult, RxError> {
         let params = self.ofdm.params();
         let sync::SyncResult { stf_start, cfo_hz } =
             sync::synchronize(params, samples).ok_or(RxError::NoPreamble)?;
@@ -452,12 +471,11 @@ impl FrameRx {
             return Err(RxError::Truncated);
         }
         // CFO-correct from the start of the frame.
-        scratch.work.clear();
-        scratch.work.extend_from_slice(&samples[stf_start..]);
-        sync::correct_cfo(params, &mut scratch.work, cfo_hz, 0.0);
+        let frame = &mut samples[stf_start..];
+        sync::correct_cfo(params, frame, cfo_hz, 0.0);
 
         // Channel + noise from LTF.
-        let ltf = &scratch.work[160..320];
+        let ltf = &frame[160..320];
         let channel = chanest::estimate_from_ltf(params, ltf);
         let noise_var = noise_from_ltf(params, ltf);
 
@@ -465,12 +483,12 @@ impl FrameRx {
         // (borrowed out of the scratch so the decode stage can reuse the
         // rest of it).
         let sym_len = params.symbol_len();
-        let n_avail = (scratch.work.len() - 320) / sym_len;
+        let n_avail = (frame.len() - 320) / sym_len;
         let mut flat = std::mem::take(&mut scratch.bins);
         flat.clear();
         flat.reserve(n_avail * params.fft_size);
         for i in 0..n_avail {
-            let sym = &scratch.work[320 + i * sym_len..320 + (i + 1) * sym_len];
+            let sym = &frame[320 + i * sym_len..320 + (i + 1) * sym_len];
             self.ofdm.demodulate_symbol_into(sym, &mut flat);
         }
         let fft = params.fft_size;
@@ -560,13 +578,20 @@ impl FrameRx {
         }
         let evm_n = n_sym * view.data_gains.len();
 
-        // --- Decode: depuncture → Viterbi → descramble → CRC.
+        // --- Decode: depuncture → Viterbi → descramble → CRC. A rate-1/2
+        // stream has no punctured positions: it is its own depunctured
+        // stream.
         let ndbps = mcs.data_bits_per_symbol(params);
         let n_coded = 2 * n_sym * ndbps;
-        convcode::depuncture_into(&scratch.soft, mcs.code_rate, n_coded, &mut scratch.restored);
+        let coded = if mcs.code_rate == CodeRate::Half {
+            &scratch.soft
+        } else {
+            convcode::depuncture_into(&scratch.soft, mcs.code_rate, n_coded, &mut scratch.restored);
+            &scratch.restored
+        };
         // Viterbi truncates 6 tail bits from the end of the stream; we only
         // need the SERVICE + PSDU prefix.
-        viterbi::decode_with(&scratch.restored, &mut scratch.viterbi, &mut scratch.bits)
+        viterbi::decode_with(coded, &mut scratch.viterbi, &mut scratch.bits)
             .map_err(|_| RxError::Truncated)?;
         let needed = 16 + 8 * psdu_len;
         if scratch.bits.len() < needed {

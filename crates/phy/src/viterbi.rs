@@ -13,9 +13,8 @@
 //! metrics in a struct-of-arrays layout (one flat `[f64; 64]` per trellis
 //! column), its add-compare-select step is branchless (candidates clamped
 //! only on a stream where NaN or ±∞ can reach them, select-by-comparison),
-//! and survivor decisions are one byte lane per
-//! state per step in a flat buffer (the [`UNREACHED`] flag shares the byte)
-//! instead of a per-step `Vec` (DESIGN.md §3.11). The scalar decoder it
+//! and survivor decisions are one bit per state, one `u64` per step, in a
+//! flat buffer instead of a per-step `Vec` (DESIGN.md §3.11). The scalar decoder it
 //! replaced is the executable specification of its semantics — admission
 //! rules, tie-breaks, NaN handling, terminal-state fallback — and lives in
 //! `tests/viterbi_equivalence.rs`, where property tests hold the two
@@ -107,23 +106,27 @@ impl std::fmt::Display for ViterbiError {
 
 impl std::error::Error for ViterbiError {}
 
-/// Survivor-decision byte for one `(step, state)` cell: bit 0 set ⇒ the
-/// survivor came from the odd predecessor (`(s<<1)&63 | 1`); bit
-/// [`UNREACHED`] set ⇒ no admissible (finite-metric) path reached this state
-/// and traceback restarts at `(state 0, bit 0)`, mirroring the reference
-/// decoder's zero-initialised decision bytes.
-pub const UNREACHED: u8 = 0b10;
-
-/// Reusable survivor storage for [`decode_with`]: one decision byte per
-/// `(step, state)`, stored as flat `n_steps × 64` lanes so the
-/// add-compare-select loop writes them with contiguous vector stores
-/// (packing them into per-step `u64` masks would serialise the loop on the
-/// shift-or chain). Allocate once per receiver and recycle across frames —
-/// `decode_with` grows it as needed and never shrinks it.
+/// Reusable survivor storage for [`decode_with`]: one decision bit per
+/// `(step, state)`, a `u64` per step — 20 KB for a 300-byte frame, where a
+/// byte per `(step, state)` took 160 KB. Allocate once per receiver and
+/// recycle across frames — `decode_with` grows it as needed and never
+/// shrinks it.
+///
+/// Traceback needs no flag for the states no admissible (finite-metric)
+/// path reached, which the reference decoder restarts from at `(state 0,
+/// bit 0)` (its zero-initialised decision bytes). A reached state's
+/// survivor came from a reached predecessor (its winning candidate is not
+/// −∞, so neither is that predecessor's metric), so traceback from a
+/// reached state meets only reached states; an unreached one can only be
+/// where it starts, which the final metrics say. And after a restart at
+/// state 0, following state 0's decision is the restart again when state
+/// 0 is unreached too: neither candidate beats −∞, so its bit is 0 —
+/// output 0, predecessor 0.
 #[derive(Debug, Clone, Default)]
 pub struct ViterbiScratch {
-    /// `decision[t * 64 + s]`: see [`UNREACHED`].
-    decision: Vec<u8>,
+    /// `decision[t]` bit `s` set ⇒ the survivor into state `s` at step `t`
+    /// came from the odd predecessor (`(s<<1)&63 | 1`).
+    decision: Vec<u64>,
 }
 
 impl ViterbiScratch {
@@ -136,8 +139,8 @@ impl ViterbiScratch {
 /// One block of add-compare-select steps over the 64-state trellis.
 ///
 /// Consumes `soft` two values (one trellis step) at a time, advancing
-/// `metric` in place and recording 64 decision bytes per step into
-/// `decision` (bit 0 = odd predecessor won, bit 1 = [`UNREACHED`]).
+/// `metric` in place and recording each step's 64 decision bits (bit `s`
+/// set = the odd predecessor won state `s`) as one word of `decision`.
 /// Processes as many steps as the shorter of the two buffers allows and
 /// returns that count; `step0` is how many steps the stream had taken
 /// before, so that renormalisation keeps its cadence across blocks.
@@ -145,23 +148,24 @@ impl ViterbiScratch {
 /// The loop body is written as pure vertical lane arithmetic so LLVM can
 /// auto-vectorise it: predecessor metrics are deinterleaved into even/odd
 /// lanes once per step, every load and store in the butterfly loop is then
-/// contiguous, and decisions land as byte lanes instead of a packed bitmask
-/// (a `|= … << j` chain would serialise the loop).
+/// contiguous, and decisions land as byte lanes on the stack (a `|= … << j`
+/// chain would serialise the loop), packed into the step's word eight lanes
+/// at a time afterwards ([`pack_lanes`]).
 ///
 /// With `ADMIT`, admission mirrors the reference decoder exactly: a
 /// candidate that is NaN (a NaN LLR from equalising a spectral null) or −∞
 /// (unreached predecessor) is clamped to −∞ and can never beat an
-/// admissible path, and a state whose winner is −∞ is flagged
-/// [`UNREACHED`]. Without it, the clamp and the flag are left out, which
-/// is the same arithmetic wherever every metric is finite and every
-/// candidate NaN-free — [`admits_unclamped`] says when that holds. Ties
+/// admissible path, so a state none reaches wins −∞ with the even
+/// predecessor's bit. Without it, the clamp is left out, which is the same
+/// arithmetic wherever every metric is finite and every candidate NaN-free
+/// — [`admits_unclamped`] says when that holds. Ties
 /// select the even predecessor either way, as the reference's
 /// ascending-state scan does.
 fn acs_block<const ADMIT: bool>(
     soft: &[f64],
     step0: usize,
     metric: &mut [f64; N_STATES],
-    decision: &mut [u8],
+    decision: &mut [u64],
 ) -> usize {
     const HALF: usize = N_STATES / 2;
     let mut cur = *metric;
@@ -171,17 +175,8 @@ fn acs_block<const ADMIT: bool>(
     let mut n_steps = 0usize;
     // `max(NEG_INF)` turns NaN into −∞ and is the identity otherwise.
     let admit = |c: f64| if ADMIT { c.max(NEG_INF) } else { c };
-    let flag = |m: f64| {
-        if ADMIT {
-            ((m == NEG_INF) as u8) << 1
-        } else {
-            0
-        }
-    };
-    for (pair, dec) in soft
-        .chunks_exact(2)
-        .zip(decision.chunks_exact_mut(N_STATES))
-    {
+    let mut lanes = [0u8; N_STATES];
+    for (pair, dec) in soft.chunks_exact(2).zip(decision.iter_mut()) {
         let (l0, l1) = (pair[0], pair[1]);
         // Deinterleave the trellis shuffle as explicit pair swaps so the
         // backend lowers it to packed shuffles rather than scalar moves.
@@ -205,27 +200,27 @@ fn acs_block<const ADMIT: bool>(
         // −0.0), so select-by-comparison equals the reference's scan
         // bitwise.
         let (lo, hi) = cur.split_at_mut(HALF);
-        let (dec_lo, dec_hi) = dec.split_at_mut(HALF);
+        let (dec_lo, dec_hi) = lanes.split_at_mut(HALF);
         for j in 0..HALF {
             let g = SIGN0[j] * l0 + SIGN1[j] * l1;
             let m0 = even[j];
             let m1 = odd[j];
-            // New state j (input bit 0): branches +g / −g. The admitted
-            // metric is NaN-free, so `m == NEG_INF` is exactly "unreached".
+            // New state j (input bit 0): branches +g / −g.
             let c0 = admit(m0 + g);
             let c1 = admit(m1 - g);
             let take1 = c1 > c0;
             let m = if take1 { c1 } else { c0 };
             lo[j] = m;
-            dec_lo[j] = take1 as u8 | flag(m);
+            dec_lo[j] = take1 as u8;
             // New state j+32 (input bit 1): signs flipped.
             let c0 = admit(m0 - g);
             let c1 = admit(m1 + g);
             let take1 = c1 > c0;
             let m = if take1 { c1 } else { c0 };
             hi[j] = m;
-            dec_hi[j] = take1 as u8 | flag(m);
+            dec_hi[j] = take1 as u8;
         }
+        *dec = pack_lanes(&lanes);
         n_steps += 1;
         if (step0 + n_steps).is_multiple_of(RENORM_INTERVAL) {
             let mx = cur.iter().fold(NEG_INF, |a, &b| a.max(b));
@@ -238,6 +233,21 @@ fn acs_block<const ADMIT: bool>(
     }
     *metric = cur;
     n_steps
+}
+
+/// The 64 decision lanes of one step (each 0 or 1) as one word, lane `s`
+/// at bit `s`: a byte lane at a time would serialise on the shift-or
+/// chain, so eight at a time, by one multiplication that gathers the low
+/// bit of every byte of a word into its top byte (the products' bits
+/// never meet, so nothing carries into it).
+fn pack_lanes(lanes: &[u8; N_STATES]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let (words, _) = lanes.as_chunks::<8>();
+    let mut packed = 0;
+    for (k, &word) in words.iter().enumerate() {
+        packed |= (u64::from_le_bytes(word).wrapping_mul(GATHER) >> 56) << (8 * k);
+    }
+    packed
 }
 
 /// Trellis steps from state 0 until every state is reached: a state is the
@@ -259,9 +269,8 @@ const WARM_UP: usize = TAIL_BITS;
 /// finite branch metric is −∞ or NaN. After the warm-up every state holds a
 /// finite metric (each is some 6-bit input sequence away from state 0, and
 /// the warm-up admits), so every candidate is a finite number: `max(NEG_INF)`
-/// returns it unchanged and no winner is −∞, so no [`UNREACHED`] flag is
-/// set. The decisions and metrics are those of the admitting loop, bit for
-/// bit.
+/// returns it unchanged and no winner is −∞. The decisions and metrics
+/// are those of the admitting loop, bit for bit.
 fn admits_unclamped(soft: &[f64], n_steps: usize) -> bool {
     let bound = RENORM_LIMIT / (2 * n_steps) as f64;
     soft.iter().all(|l| l.abs() <= bound)
@@ -283,10 +292,10 @@ pub fn decode_with(
         return Err(ViterbiError::BadInputLength(soft.len()));
     }
     let n_steps = soft.len() / 2;
-    // Grow-only, no re-zeroing: acs_block overwrites every byte of the
-    // first n_steps × 64 cells before traceback reads them.
-    if scratch.decision.len() < n_steps * N_STATES {
-        scratch.decision.resize(n_steps * N_STATES, 0);
+    // Grow-only, no re-zeroing: acs_block overwrites the first n_steps
+    // words before traceback reads them.
+    if scratch.decision.len() < n_steps {
+        scratch.decision.resize(n_steps, 0);
     }
 
     let mut metric = [NEG_INF; N_STATES];
@@ -295,8 +304,7 @@ pub fn decode_with(
     // The warm-up admits; the rest leaves admission out where that is an
     // identity.
     let (warm, rest) = soft.split_at(2 * WARM_UP);
-    let (warm_dec, rest_dec) =
-        scratch.decision[..n_steps * N_STATES].split_at_mut(WARM_UP * N_STATES);
+    let (warm_dec, rest_dec) = scratch.decision[..n_steps].split_at_mut(WARM_UP);
     acs_block::<true>(warm, 0, &mut metric, warm_dec);
     if admits_unclamped(soft, n_steps) {
         acs_block::<false>(rest, WARM_UP, &mut metric, rest_dec);
@@ -321,17 +329,17 @@ pub fn decode_with(
 
     out.clear();
     out.resize(n_steps, 0);
-    for t in (0..n_steps).rev() {
-        let d = scratch.decision[t * N_STATES + state];
-        if d & UNREACHED != 0 {
-            // Unreached state: the reference decoder's decision byte is the
-            // zero-initialised (prev 0, bit 0).
-            out[t] = 0;
-            state = 0;
-        } else {
-            out[t] = (state >> 5) as u8;
-            state = ((state << 1) & (N_STATES - 1)) | (d & 1) as usize;
-        }
+    // An unreached start is the reference's zero-initialised decision byte:
+    // output 0, predecessor state 0 (see [`ViterbiScratch`]).
+    let mut steps = n_steps;
+    if metric[state] == NEG_INF {
+        steps -= 1;
+        state = 0;
+    }
+    for t in (0..steps).rev() {
+        out[t] = (state >> 5) as u8;
+        let odd = (scratch.decision[t] >> state) & 1;
+        state = ((state << 1) & (N_STATES - 1)) | odd as usize;
     }
     out.truncate(n_steps - TAIL_BITS);
     Ok(())

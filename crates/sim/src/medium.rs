@@ -31,7 +31,9 @@ use jmb_dsp::rng::{normal, JmbRng};
 use jmb_dsp::Complex64;
 use jmb_obs::{DropCause, EventKind, Trace};
 use jmb_phy::params::OfdmParams;
-use rand::Rng;
+use rand::{Rng, RngCore};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Handle to a node registered with a [`Medium`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,17 +69,28 @@ pub struct Medium {
     /// Event trace.
     pub trace: Trace,
     rng: JmbRng,
-    scratch: Scratch,
+    plan: Plan,
+    /// One render scratch per worker; a lone window renders in the first.
+    scratch: Vec<Scratch>,
 }
 
-/// `render_rx` scratch, kept between calls so that a render allocates only
-/// its output.
+/// The host's cores, read once: the most workers a caller of
+/// [`Medium::render_each`] need lend scratch to. A core count picks how
+/// many windows render at once and nothing else — every window, the
+/// medium's stream and its trace are the same whatever it is.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the host's core count picks the render's worker count; windows, stream and trace are identical at every count"
+)]
+pub fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// A render's second-phase scratch, one per worker, kept between calls so
+/// that a render allocates only its output.
 #[derive(Default)]
 struct Scratch {
-    /// The receiver's carrier phase over the window, one entry per
-    /// oscillator grid interval it spans: the first output index inside the
-    /// interval, and the interval, in which the phase is affine.
-    rx_intervals: Vec<(usize, PhaseInterval)>,
     /// The link of the transmission being rendered, as one FIR on the
     /// transmitter's sample grid ([`tapped_delay_line`]).
     fir: Vec<Complex64>,
@@ -86,6 +99,63 @@ struct Scratch {
     /// Stage 2: the line resampled at the instants that hear it, then
     /// turned by the carriers.
     resampled: Vec<Complex64>,
+}
+
+/// A render's first phase: everything about its windows that reads or
+/// moves the medium's mutable state — the oscillators and the stream —
+/// fixed on the calling thread, in receiver order, so that the second
+/// phase only reads (DESIGN §3.16). Kept between calls.
+#[derive(Default)]
+struct Plan {
+    windows: Vec<PlannedWindow>,
+    /// What the windows hear, window after window.
+    heard: Vec<Heard>,
+    /// The carrier rotators of every heard transmission, one after another.
+    segments: Vec<Segment>,
+    /// The receiver's carrier phase over the window being planned, one
+    /// entry per oscillator grid interval it spans: the first output index
+    /// inside the interval, and the interval, in which the phase is affine.
+    rx_intervals: Vec<(usize, PhaseInterval)>,
+}
+
+/// One planned window.
+struct PlannedWindow {
+    rx: NodeId,
+    win: RxWindow,
+    n: usize,
+    /// The medium's stream where this window's AWGN starts, as a serial
+    /// render would find it.
+    rng: JmbRng,
+    /// Per-axis σ of the receiver's AWGN.
+    sigma: f64,
+    /// Whether the receiver's noise bursts are added (not on a side
+    /// channel).
+    bursts: bool,
+    /// The window's entries of [`Plan::heard`].
+    heard: Range<usize>,
+}
+
+/// One transmission a planned window hears.
+struct Heard {
+    /// Its index among the scheduled transmissions; `None` for the
+    /// side-channel waveform.
+    sent: Option<usize>,
+    tx: NodeId,
+    /// The transmitter's sample rate.
+    fs_tx: f64,
+    /// The output instants that can hear it: [`support`] on the window.
+    instants: Range<usize>,
+    /// Its entries of [`Plan::segments`].
+    segments: Range<usize>,
+}
+
+/// The carriers over the output instants `span` of one grid interval:
+/// transmitter minus receiver phase at the first, and its step per
+/// receiver sample.
+struct Segment {
+    span: Range<usize>,
+    theta0: f64,
+    theta: f64,
 }
 
 /// How far, in samples, one pass of the interpolation kernel
@@ -236,7 +306,7 @@ impl RxWindow {
     /// and `until_s`: a sample wider on either side than the estimate, so
     /// that rounding here drops nothing — the caller still tests each
     /// instant exactly. Empty for an interval the window does not meet.
-    fn span(&self, from_s: f64, until_s: f64, n: usize) -> std::ops::Range<usize> {
+    fn span(&self, from_s: f64, until_s: f64, n: usize) -> Range<usize> {
         let end = ((until_s - self.start_s) / self.ts_rx + 2.0).min(n as f64) as usize;
         let first = (((from_s - self.start_s) / self.ts_rx - 1.0).max(0.0) as usize).min(end);
         first..end
@@ -259,36 +329,94 @@ impl RxWindow {
         end
     }
 
-    /// Adds to `out` what the receiver hears of `wave` — `(start_s,
-    /// samples)` on the transmitter's clock, `fs_tx` its sample rate —
-    /// through `link`; `scratch.rx_intervals` holds the receiver's carrier
-    /// phase over the window.
-    fn superpose(
+    /// The noise bursts of `rx` among `bursts`: each one's σ per axis and
+    /// the output instants, of `n`, inside it.
+    fn bursts<'a>(
+        &'a self,
+        rx: NodeId,
+        bursts: &'a [(NodeId, f64, f64, f64)],
+        n: usize,
+    ) -> impl Iterator<Item = (f64, impl Iterator<Item = usize> + 'a)> + 'a {
+        bursts
+            .iter()
+            .filter(move |b| b.0 == rx)
+            .map(move |&(_, bstart, bdur, bvar)| {
+                let inside = move |&m: &usize| {
+                    let t = self.time_of(m);
+                    t >= bstart && t < bstart + bdur
+                };
+                (
+                    (bvar / 2.0).sqrt(),
+                    self.span(bstart, bstart + bdur, n).filter(inside),
+                )
+            })
+    }
+
+    /// The first phase of adding to the window's `n` instants what the
+    /// receiver hears of `wave` — `(start_s, length)` on the transmitter's
+    /// clock, `fs_tx` its sample rate — through `link`: the instants that
+    /// can hear it, returned, and the carriers over them, pushed onto
+    /// `segments`, one per grid interval of `rx_intervals`, the receiver's
+    /// carrier phase over the window.
+    fn plan_carriers(
         &self,
-        (sent_start_s, samples): (f64, &[Complex64]),
+        (sent_start_s, len): (f64, usize),
         link: &Link,
-        tx_traj: &mut PhaseTrajectory,
-        fs_tx: f64,
-        scratch: &mut Scratch,
-        out: &mut [Complex64],
-    ) {
-        let Scratch {
-            rx_intervals,
-            fir,
-            line,
-            resampled,
-        } = scratch;
+        (tx_traj, fs_tx): (&mut PhaseTrajectory, f64),
+        rx_intervals: &[(usize, PhaseInterval)],
+        n: usize,
+        segments: &mut Vec<Segment>,
+    ) -> Range<usize> {
         // Positions on the transmitter's grid are affine in the output
         // instant, so the instants inside the support are one contiguous
         // range of output samples — empty for a transmission out of
         // earshot; past either stage's reach a position interpolates to
         // exactly zero anyway.
-        let (lo, hi) = support(link, samples.len(), fs_tx);
+        let (lo, hi) = support(link, len, fs_tx);
         let arrives_s = sent_start_s + link.delay_s;
-        let heard = self.span(arrives_s + lo / fs_tx, arrives_s + hi / fs_tx, out.len());
+        let heard = self.span(arrives_s + lo / fs_tx, arrives_s + hi / fs_tx, n);
         if heard.is_empty() {
-            return;
+            return heard;
         }
+        // Transmitter minus receiver phase is affine inside each grid
+        // interval of the (shared) oscillator grid, so it is one rotator per
+        // interval, anchored at its first heard instant and advanced on
+        // every instant, heard or not.
+        for (i, &(m0, rx)) in rx_intervals.iter().enumerate() {
+            let m1 = rx_intervals.get(i + 1).map_or(n, |&(m, _)| m);
+            let (from, to) = (m0.max(heard.start), m1.min(heard.end));
+            if from >= to {
+                continue;
+            }
+            let t = self.time_of(from);
+            let tx = tx_traj.interval_at(t);
+            segments.push(Segment {
+                span: from..to,
+                theta0: tx.phase_at(t) - rx.phase_at(t),
+                theta: (tx.rate() - rx.rate()) * self.ts_rx,
+            });
+        }
+        heard
+    }
+
+    /// The second phase: adds to `out` what the receiver hears of `wave` —
+    /// `(start_s, samples)` on the transmitter's clock — through `link`, at
+    /// the instants `heard` and turned by `segments`, as
+    /// [`RxWindow::plan_carriers`] planned them.
+    fn superpose(
+        &self,
+        (sent_start_s, samples): (f64, &[Complex64]),
+        link: &Link,
+        (heard, fs_tx): (&Range<usize>, f64),
+        segments: &[Segment],
+        scratch: &mut Scratch,
+        out: &mut [Complex64],
+    ) {
+        let Scratch {
+            fir,
+            line,
+            resampled,
+        } = scratch;
         // Input-sample position (transmitter clock) of an output instant,
         // before tap delays.
         let pos_at = |time: f64| (time - sent_start_s - link.delay_s) * fs_tx;
@@ -308,31 +436,83 @@ impl RxWindow {
         resampled.resize(heard.len(), Complex64::ZERO);
         resample(line, fs_tx * self.ts_rx, origin - first, resampled);
 
-        // The carriers: transmitter minus receiver phase is affine inside
-        // each grid interval of the (shared) oscillator grid, so it is one
-        // rotator per interval, anchored at its first heard instant and
-        // advanced on every instant, heard or not.
-        for (i, &(m0, rx)) in rx_intervals.iter().enumerate() {
-            let m1 = rx_intervals.get(i + 1).map_or(out.len(), |&(m, _)| m);
-            let (from, to) = (m0.max(heard.start), m1.min(heard.end));
-            if from >= to {
-                continue;
-            }
-            let t = self.time_of(from);
-            let tx = tx_traj.interval_at(t);
-            let theta0 = tx.phase_at(t) - rx.phase_at(t);
-            let theta = (tx.rate() - rx.rate()) * self.ts_rx;
-            rotate_ramp(
-                &mut resampled[from - heard.start..to - heard.start],
-                theta0,
-                theta,
-            );
+        // The carriers, one rotator per grid interval.
+        for s in segments {
+            let span = s.span.start - heard.start..s.span.end - heard.start;
+            rotate_ramp(&mut resampled[span], s.theta0, s.theta);
         }
-        for (&v, out) in resampled.iter().zip(&mut out[heard]) {
+        for (&v, out) in resampled.iter().zip(&mut out[heard.clone()]) {
             if v != Complex64::ZERO {
                 *out = link.gain.mul_add(v, *out);
             }
         }
+    }
+}
+
+/// Steps `rng` past what `count` complex samples of AWGN draw from it: a
+/// Box–Muller normal ([`normal`]) takes two `u64`, so a complex sample
+/// takes four, whatever its variance.
+fn skip_complex_normals(rng: &mut JmbRng, count: usize) {
+    for _ in 0..4 * count {
+        rng.next_u64();
+    }
+}
+
+/// What a render's second phase reads of the medium: shared, so that
+/// workers read it at once.
+#[derive(Clone, Copy)]
+struct Air<'a> {
+    links: &'a [Vec<Option<Link>>],
+    transmissions: &'a [Transmission],
+    bursts: &'a [(NodeId, f64, f64, f64)],
+    plan: &'a Plan,
+    /// The side-channel waveform, sent at the window's start; empty when the
+    /// render is of the air.
+    side: &'a [Complex64],
+}
+
+impl Air<'_> {
+    /// Renders one planned window: its AWGN and then its noise bursts from
+    /// its own copy of the stream, in the serial render's order, and every
+    /// transmission it hears, in transmission order.
+    fn render(&self, w: &PlannedWindow, scratch: &mut Scratch) -> Vec<Complex64> {
+        let _span = jmb_obs::span("render_rx");
+        let mut rng = w.rng.clone();
+        let rng = &mut rng;
+        // `complex_gaussian(rng, σ²)`'s draws, I then Q, with its per-axis
+        // `σ` taken once per window rather than once per sample.
+        let sigma = w.sigma;
+        let mut out: Vec<Complex64> = (0..w.n)
+            .map(|_| Complex64::new(normal(rng, sigma), normal(rng, sigma)))
+            .collect();
+        if w.bursts {
+            for (sigma, inside) in w.win.bursts(w.rx, self.bursts, w.n) {
+                for m in inside {
+                    out[m] += Complex64::new(normal(rng, sigma), normal(rng, sigma));
+                }
+            }
+        }
+        for heard in &self.plan.heard[w.heard.clone()] {
+            let Some(link) = &self.links[heard.tx.0][w.rx.0] else {
+                continue;
+            };
+            let wave = match heard.sent {
+                Some(i) => {
+                    let sent = &self.transmissions[i];
+                    (sent.start_s, &sent.samples[..])
+                }
+                None => (w.win.start_s, self.side),
+            };
+            w.win.superpose(
+                wave,
+                link,
+                (&heard.instants, heard.fs_tx),
+                &self.plan.segments[heard.segments.clone()],
+                scratch,
+                &mut out,
+            );
+        }
+        out
     }
 }
 
@@ -348,7 +528,8 @@ impl Medium {
             fault: FaultSchedule::none(),
             trace: Trace::new(),
             rng: jmb_dsp::rng::rng_from_seed(seed),
-            scratch: Scratch::default(),
+            plan: Plan::default(),
+            scratch: vec![Scratch::default()],
         }
     }
 
@@ -472,33 +653,133 @@ impl Medium {
         self.bursts.push((rx, start_s, duration_s, var));
     }
 
-    /// Opens a receive window of `n` samples at `rx` from `start_s`: fills
-    /// the scratch with the receiver's carrier phase over the window, one
-    /// grid interval at a time, and returns the window (on the receiver's
-    /// clock) with its AWGN.
-    fn open_window(&mut self, rx: NodeId, start_s: f64, n: usize) -> (RxWindow, Vec<Complex64>) {
-        let ratio_rx = self.nodes[rx.0].traj.sample_ratio();
-        let win = RxWindow {
-            start_s,
-            ts_rx: 1.0 / (self.params.sample_rate() * ratio_rx),
-        };
-        let rx_traj = &mut self.nodes[rx.0].traj;
-        let rx_intervals = &mut self.scratch.rx_intervals;
-        rx_intervals.clear();
-        let mut m = 0;
-        while m < n {
-            let interval = rx_traj.interval_at(win.time_of(m));
-            rx_intervals.push((m, interval));
-            m = win.end_of(&interval, m, n);
+    /// The first phase of rendering, for each of `rxs` in turn, the window
+    /// of `n` samples from `start_s` on its clock: the receiver's carrier
+    /// phase over the window, a copy of the stream where the window's AWGN
+    /// (and then its noise bursts) start — the stream itself stepped past
+    /// them — and what it hears: every scheduled transmission but its own,
+    /// in transmission order, or, with `side`, only that waveform (its
+    /// transmitter and length), sent at `start_s` and summed with nothing,
+    /// and no bursts. The oscillators are asked what a serial render asks
+    /// them, in the same order.
+    fn plan(&mut self, rxs: &[NodeId], start_s: f64, n: usize, side: Option<(NodeId, usize)>) {
+        let Medium {
+            params,
+            nodes,
+            links,
+            transmissions,
+            bursts,
+            rng,
+            plan,
+            ..
+        } = self;
+        let fs = params.sample_rate();
+        plan.windows.clear();
+        plan.heard.clear();
+        plan.segments.clear();
+        for &rx in rxs {
+            let win = RxWindow {
+                start_s,
+                ts_rx: 1.0 / (fs * nodes[rx.0].traj.sample_ratio()),
+            };
+            let rx_traj = &mut nodes[rx.0].traj;
+            let rx_intervals = &mut plan.rx_intervals;
+            rx_intervals.clear();
+            let mut m = 0;
+            while m < n {
+                let interval = rx_traj.interval_at(win.time_of(m));
+                rx_intervals.push((m, interval));
+                m = win.end_of(&interval, m, n);
+            }
+
+            let drawn = n + match side {
+                None => win
+                    .bursts(rx, bursts, n)
+                    .map(|(_, m)| m.count())
+                    .sum::<usize>(),
+                Some(_) => 0,
+            };
+            let window_rng = rng.clone();
+            skip_complex_normals(rng, drawn);
+
+            let first_heard = plan.heard.len();
+            let mut hear = |sent: Option<usize>, tx: NodeId, wave: (f64, usize)| {
+                let Some(link) = &links[tx.0][rx.0] else {
+                    return;
+                };
+                let tx_traj = &mut nodes[tx.0].traj;
+                let fs_tx = fs * tx_traj.sample_ratio();
+                let first_segment = plan.segments.len();
+                let instants = win.plan_carriers(
+                    wave,
+                    link,
+                    (tx_traj, fs_tx),
+                    &plan.rx_intervals,
+                    n,
+                    &mut plan.segments,
+                );
+                if !instants.is_empty() {
+                    plan.heard.push(Heard {
+                        sent,
+                        tx,
+                        fs_tx,
+                        instants,
+                        segments: first_segment..plan.segments.len(),
+                    });
+                }
+            };
+            match side {
+                None => {
+                    for (i, sent) in transmissions.iter().enumerate() {
+                        if sent.tx != rx {
+                            hear(Some(i), sent.tx, (sent.start_s, sent.samples.len()));
+                        }
+                    }
+                }
+                Some((tx, len)) => hear(None, tx, (start_s, len)),
+            }
+            let heard = first_heard..plan.heard.len();
+            plan.windows.push(PlannedWindow {
+                rx,
+                win,
+                n,
+                rng: window_rng,
+                sigma: (nodes[rx.0].noise_var / 2.0).sqrt(),
+                bursts: side.is_none(),
+                heard,
+            });
         }
-        // `complex_gaussian(rng, σ²)`'s draws, I then Q, with its per-axis
-        // `σ` taken once per window rather than once per sample.
-        let sigma = (self.nodes[rx.0].noise_var / 2.0).sqrt();
-        let rng = &mut self.rng;
-        let out = (0..n)
-            .map(|_| Complex64::new(normal(rng, sigma), normal(rng, sigma)))
-            .collect();
-        (win, out)
+    }
+
+    /// The planned windows' second phase as [`Medium::plan`] left them,
+    /// with the render scratch of every worker.
+    fn air<'a>(&'a mut self, side: &'a [Complex64]) -> (Air<'a>, &'a mut [Scratch]) {
+        let air = Air {
+            links: &self.links,
+            transmissions: &self.transmissions,
+            bursts: &self.bursts,
+            plan: &self.plan,
+            side,
+        };
+        (air, &mut self.scratch)
+    }
+
+    /// Ends a render of the air whose first `rendered` planned windows
+    /// count: one `Render` event each, in receiver order, and the stream
+    /// where the last of them left it.
+    fn rendered(&mut self, rendered: usize) {
+        if let Some(next) = self.plan.windows.get(rendered) {
+            self.rng.clone_from(&next.rng);
+        }
+        for w in &self.plan.windows[..rendered] {
+            self.trace.emit(
+                w.win.start_s,
+                EventKind::Render {
+                    node: w.rx.0,
+                    len: w.n,
+                },
+            );
+        }
     }
 
     /// Renders what `rx` hears between `start_s` and
@@ -506,42 +787,96 @@ impl Medium {
     /// links, plus AWGN and any noise bursts.
     ///
     /// A node never hears its own transmissions (half-duplex front end).
+    /// [`Medium::render_each`] with one window, on the calling thread.
     pub fn render_rx(&mut self, rx: NodeId, start_s: f64, n: usize) -> Vec<Complex64> {
-        let fs = self.params.sample_rate();
-        let (win, mut out) = self.open_window(rx, start_s, n);
+        self.plan(&[rx], start_s, n, None);
+        let (air, scratch) = self.air(&[]);
+        let out = air.render(&air.plan.windows[0], &mut scratch[0]);
+        self.rendered(1);
+        out
+    }
 
-        // Noise bursts.
-        for &(brx, bstart, bdur, bvar) in &self.bursts {
-            if brx != rx {
-                continue;
-            }
-            let span = win.span(bstart, bstart + bdur, n);
-            let sigma = (bvar / 2.0).sqrt();
-            for (m, out) in (span.start..).zip(&mut out[span]) {
-                let t = win.time_of(m);
-                if t >= bstart && t < bstart + bdur {
-                    *out +=
-                        Complex64::new(normal(&mut self.rng, sigma), normal(&mut self.rng, sigma));
+    /// Renders the windows of `n` samples from `start_s` that each of
+    /// `rxs` hears, as [`Medium::render_rx`] renders each, and hands each to
+    /// `decode` with a scratch of `scratches` and its index in `rxs`; returns
+    /// what `decode` made of them, in receiver order, up to and including
+    /// the first that `stops` — as if the windows were rendered and decoded
+    /// one after another and the loop left at that one.
+    ///
+    /// The windows are rendered and decoded on as many workers as
+    /// `scratches` lends scratch to (one if it is empty), at most one per
+    /// window: the first on the calling thread, the rest on scoped threads.
+    /// Whatever the count, the windows, the medium's stream and its trace
+    /// (one `Render` per window kept) are those of the serial loop, bit for
+    /// bit (DESIGN §3.16). A panicking worker's panic is raised again here.
+    pub fn render_each<S, T>(
+        &mut self,
+        rxs: &[NodeId],
+        (start_s, n): (f64, usize),
+        scratches: &mut [S],
+        decode: impl Fn(&mut S, usize, Vec<Complex64>) -> T + Sync,
+        stops: impl Fn(&T) -> bool + Sync,
+    ) -> Vec<T>
+    where
+        S: Send + Default,
+        T: Send,
+    {
+        self.plan(rxs, start_s, n, None);
+        let mut spare = S::default();
+        let scratches = match scratches {
+            [] => std::slice::from_mut(&mut spare),
+            some => some,
+        };
+        let workers = scratches.len().min(rxs.len()).max(1);
+        if self.scratch.len() < workers {
+            self.scratch.resize_with(workers, Scratch::default);
+        }
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(rxs.len()).collect();
+        let per_worker = rxs.len().div_ceil(workers).max(1);
+        let (air, render_scratch) = self.air(&[]);
+        // One worker's contiguous share of the windows, from `first` on,
+        // until one stops: every window after it is discarded anyway.
+        let run = |first: usize, slots: &mut [Option<T>], render: &mut Scratch, s: &mut S| {
+            for (i, slot) in (first..).zip(slots) {
+                let window = air.render(&air.plan.windows[i], render);
+                let decoded = decode(s, i, window);
+                let stop = stops(&decoded);
+                *slot = Some(decoded);
+                if stop {
+                    break;
                 }
             }
-        }
-
-        // Superpose every transmission.
-        for sent in &self.transmissions {
-            if sent.tx == rx {
-                continue;
+        };
+        let mut shares = slots
+            .chunks_mut(per_worker)
+            .zip(render_scratch.iter_mut())
+            .zip(scratches.iter_mut())
+            .enumerate()
+            .map(|(w, ((slots, render), s))| (w * per_worker, slots, render, s));
+        let own = shares.next();
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = shares
+                .map(|(first, slots, render, s)| scope.spawn(move || run(first, slots, render, s)))
+                .collect();
+            if let Some((first, slots, render, s)) = own {
+                run(first, slots, render, s);
             }
-            let Some(link) = &self.links[sent.tx.0][rx.0] else {
-                continue;
-            };
-            let tx_traj = &mut self.nodes[sent.tx.0].traj;
-            let fs_tx = fs * tx_traj.sample_ratio();
-            let wave = (sent.start_s, &sent.samples[..]);
-            win.superpose(wave, link, tx_traj, fs_tx, &mut self.scratch, &mut out);
+            for worker in spawned {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
+        let mut kept = Vec::with_capacity(slots.len());
+        for decoded in slots.into_iter().map_while(|slot| slot) {
+            let stop = stops(&decoded);
+            kept.push(decoded);
+            if stop {
+                break;
+            }
         }
-        self.trace
-            .emit(start_s, EventKind::Render { node: rx.0, len: n });
-        out
+        self.rendered(kept.len());
+        kept
     }
 
     /// Renders what `rx` hears of one waveform that `tx` sends at `start_s`
@@ -557,21 +892,9 @@ impl Medium {
         samples: &[Complex64],
         n: usize,
     ) -> Vec<Complex64> {
-        let fs = self.params.sample_rate();
-        let (win, mut out) = self.open_window(rx, start_s, n);
-        if let Some(link) = &self.links[tx.0][rx.0] {
-            let tx_traj = &mut self.nodes[tx.0].traj;
-            let fs_tx = fs * tx_traj.sample_ratio();
-            win.superpose(
-                (start_s, samples),
-                link,
-                tx_traj,
-                fs_tx,
-                &mut self.scratch,
-                &mut out,
-            );
-        }
-        out
+        self.plan(&[rx], start_s, n, Some((tx, samples.len())));
+        let (air, scratch) = self.air(samples);
+        air.render(&air.plan.windows[0], &mut scratch[0])
     }
 
     /// Discards all scheduled transmissions and noise bursts that end before
@@ -1049,6 +1372,179 @@ mod tests {
         }
         assert_eq!(hit, 15 + 1 + 30 + 10);
         assert_eq!(got, want);
+        // And the medium's stream goes on from where those draws leave it.
+        assert_eq!(m.rng.next_u64(), rng.next_u64());
+    }
+
+    #[test]
+    fn skipping_the_stream_lands_where_box_muller_draws_leave_it() {
+        for n in [0, 1, 2, 7, 1_000] {
+            let mut drawn = jmb_dsp::rng::rng_from_seed(30 + n as u64);
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                complex_gaussian(&mut drawn, 0.37);
+            }
+            skip_complex_normals(&mut skipped, n);
+            assert_eq!(drawn.next_u64(), skipped.next_u64(), "{n} samples");
+        }
+        // Not a step fewer: a complex sample is four draws, not three.
+        let mut drawn = jmb_dsp::rng::rng_from_seed(31);
+        complex_gaussian(&mut drawn, 1.0);
+        let mut short = jmb_dsp::rng::rng_from_seed(31);
+        for _ in 0..3 {
+            short.next_u64();
+        }
+        assert_ne!(drawn.next_u64(), short.next_u64());
+    }
+
+    /// `(re, im)` bits of every sample of every window.
+    fn window_bits(windows: &[Vec<Complex64>]) -> Vec<Vec<(u64, u64)>> {
+        windows
+            .iter()
+            .map(|w| w.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect())
+            .collect()
+    }
+
+    /// The windows [`cell`] renders.
+    const CELL_START_S: f64 = 1e-3 - 5e-6;
+    const CELL_N: usize = 1_000;
+
+    /// One frame of a cell with two phase-noisy transmitters and
+    /// `receivers` receivers behind NLOS links: a waveform from each, a
+    /// third that a fault drops, and a noise burst across part of the first
+    /// receiver's window; in a cell of four, the last receiver has no link
+    /// and hears nothing.
+    fn cell(receivers: usize) -> (Medium, Vec<NodeId>) {
+        let mut m = quiet_medium(60);
+        m.trace.enable();
+        let mut rng = jmb_dsp::rng::rng_from_seed(61);
+        let spec = OscillatorSpec::wifi_worst_case();
+        let txs: Vec<NodeId> = (0..2)
+            .map(|_| m.add_node(PhaseTrajectory::new(spec, FC, &mut rng), 1e-4))
+            .collect();
+        let rxs: Vec<NodeId> = (0..receivers)
+            .map(|_| m.add_node(PhaseTrajectory::new(spec, FC, &mut rng), 1e-3))
+            .collect();
+        let deaf = (receivers == 4).then(|| rxs[3]);
+        for &tx in &txs {
+            for &rx in rxs.iter().filter(|&&rx| Some(rx) != deaf) {
+                let fading = Multipath::new(MultipathSpec::indoor_nlos(), &mut rng);
+                let delay_s = 40e-9 * rng.gen::<f64>();
+                let link = Link::new(complex_gaussian(&mut rng, 1.0), delay_s, fading);
+                m.set_link(tx, rx, link);
+            }
+        }
+        let t0 = 1e-3;
+        for (k, start_s) in [t0, t0 + 3e-7, t0 + 1e-5].into_iter().enumerate() {
+            let wave: Vec<Complex64> = (0..800).map(|_| complex_gaussian(&mut rng, 1.0)).collect();
+            if k == 2 {
+                m.set_fault_schedule(constant(|f| f.drop_chance(1.0)));
+            }
+            m.transmit(txs[k % 2], start_s, wave);
+        }
+        m.set_fault_schedule(FaultSchedule::none());
+        m.inject_noise_burst(rxs[0], t0 + 2e-5, 1e-5, 0.5);
+        (m, rxs)
+    }
+
+    #[test]
+    fn the_cell_has_what_it_says() {
+        let (mut m, rxs) = cell(4);
+        assert_eq!(m.trace.query().kind("Dropped").count(), 1);
+        assert_eq!(m.transmissions.len(), 2);
+        let windows: Vec<_> = rxs
+            .iter()
+            .map(|&rx| m.render_rx(rx, CELL_START_S, CELL_N))
+            .collect();
+        // The burst: without it, the first window differs at the 100
+        // instants inside it and nowhere else (its draws follow the AWGN's).
+        let (mut calm, _) = cell(4);
+        calm.bursts.clear();
+        let without = calm.render_rx(rxs[0], CELL_START_S, CELL_N);
+        let ts = 1.0 / (m.params().sample_rate() * m.nodes[rxs[0].0].traj.sample_ratio());
+        let (from, until) = (1e-3 + 2e-5, 1e-3 + 2e-5 + 1e-5);
+        let inside = |&i: &usize| (from..until).contains(&(CELL_START_S + i as f64 * ts));
+        let differ: Vec<usize> = (0..CELL_N)
+            .filter(|&i| windows[0][i] != without[i])
+            .collect();
+        assert_eq!(differ, (0..CELL_N).filter(inside).collect::<Vec<_>>());
+        assert_eq!(differ.len(), 100);
+        // The deaf receiver hears its noise floor; the others hear the air.
+        assert!((mean_power(&windows[3]) - 1e-3).abs() < 2e-4);
+        assert!(mean_power(&windows[1]) > 0.1);
+    }
+
+    #[test]
+    fn one_worker_and_many_render_the_same_windows_stream_and_trace() {
+        for receivers in [1, 2, 4] {
+            let (mut serial, rxs) = cell(receivers);
+            let want: Vec<_> = rxs
+                .iter()
+                .map(|&rx| serial.render_rx(rx, CELL_START_S, CELL_N))
+                .collect();
+            for workers in [0, 1, 2, 4] {
+                let (mut m, rxs) = cell(receivers);
+                let got = m.render_each(
+                    &rxs,
+                    (CELL_START_S, CELL_N),
+                    &mut vec![(); workers],
+                    |_, _, window| window,
+                    |_| false,
+                );
+                let case = format!("{receivers} receivers, {workers} workers");
+                assert!(window_bits(&got) == window_bits(&want), "{case}");
+                assert_eq!(m.rng.next_u64(), serial.rng.clone().next_u64(), "{case}");
+                assert_eq!(m.trace.to_jsonl(), serial.trace.to_jsonl(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stop_leaves_the_stream_and_trace_where_the_serial_loop_leaves_them() {
+        for stop_at in 0..4 {
+            let (mut serial, rxs) = cell(4);
+            let want: Vec<_> = rxs[..=stop_at]
+                .iter()
+                .map(|&rx| serial.render_rx(rx, CELL_START_S, CELL_N))
+                .collect();
+            for workers in [1, 2, 4] {
+                let (mut m, rxs) = cell(4);
+                let got = m.render_each(
+                    &rxs,
+                    (CELL_START_S, CELL_N),
+                    &mut vec![(); workers],
+                    |_, j, window| (j, window),
+                    |&(j, _)| j == stop_at,
+                );
+                let case = format!("stop at {stop_at}, {workers} workers");
+                let (order, got): (Vec<usize>, Vec<_>) = got.into_iter().unzip();
+                assert_eq!(order, (0..=stop_at).collect::<Vec<_>>(), "{case}");
+                assert!(window_bits(&got) == window_bits(&want), "{case}");
+                assert_eq!(m.rng.next_u64(), serial.rng.clone().next_u64(), "{case}");
+                assert_eq!(m.trace.to_jsonl(), serial.trace.to_jsonl(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_is_raised_again() {
+        let (mut m, rxs) = cell(4);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.render_each(
+                &rxs,
+                (CELL_START_S, CELL_N),
+                &mut [(); 4],
+                |_, j, window| {
+                    if j == 3 {
+                        panic!("worker {j} failed");
+                    }
+                    window
+                },
+                |_| false,
+            )
+        }));
+        let message = caught.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(*message, "worker 3 failed");
     }
 
     #[test]
