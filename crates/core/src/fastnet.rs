@@ -191,7 +191,8 @@ impl LinkEval for FastEval {
     }
 
     /// Frequency-domain model: every client measures every AP, averaged
-    /// over the measurement's rounds ([`FastEval::measured_rows`]).
+    /// over the measurement's rounds ([`FastEval::measured_rows`]). The
+    /// estimate becomes `H̃`, of which no kept precoder is ([`ZfStore`]).
     fn estimate_channel(
         &mut self,
         aps: &[NodeId],
@@ -200,6 +201,7 @@ impl LinkEval for FastEval {
         t0: f64,
         h: &mut Planar,
     ) -> Result<(usize, usize), JmbError> {
+        self.scratch.zf.clear();
         let (medium, rows) = (&mut self.medium, &mut self.scratch.rows);
         Self::measured_rows(medium, aps, clients, t0, rng, rows, h);
         Ok((clients.len(), aps.len()))
@@ -853,6 +855,7 @@ impl FastNet {
         // Spliced into the stored `H̃` in place; the rows it replaces wait
         // in `fresh` in case the stitched matrix turns out singular.
         let h = self.h_meas.as_mut().ok_or(JmbError::NoReference)?;
+        self.link.scratch.zf.clear();
         let swap = |h: &mut Planar, fresh: &mut Planar| {
             for i in 0..n_aps {
                 let ((hr, hi), (fr, fi)) = (h.row_mut(client * n_aps + i), fresh.row_mut(i));
@@ -912,9 +915,9 @@ impl FastNet {
     /// APs — the MAC-driven case: a batch is rarely the full client
     /// population, and during an AP outage the array shrinks. A
     /// zero-forcing precoder is built from the stored measurement `H̃`
-    /// restricted to `(clients × active_aps)` — or the last batch's kept,
-    /// if that restriction has not changed a bit since it was built — the
-    /// MCS is selected from its
+    /// restricted to `(clients × active_aps)` — or kept from a batch of the
+    /// same restriction since `H̃` was last written ([`ZfStore`]) — the MCS
+    /// is selected from its
     /// `k̂²/N` (falling back to the base rate when even that is below
     /// threshold — the MAC's retry policy handles the resulting losses),
     /// and the airtime follows from MCS and `payload_bytes`. Every active
@@ -985,46 +988,26 @@ impl FastNet {
         }
 
         // ZF over the measured channel restricted to the batch and the
-        // effective AP set. Its output depends on that restriction alone, so
-        // the last batch's precoder stands if it was built and the
-        // restriction gathered now equals, bit for bit and in shape, the
-        // one it was built from.
+        // effective AP set. Its output depends on that restriction and `H̃`
+        // alone, so the store answers a restriction served since `H̃` was
+        // last written without solving it again.
         let h_meas = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
-        let Scratch {
-            devices,
-            h_sub,
-            precoder,
-            zf_built,
-            zf_work,
-            ..
-        } = batch;
-        let (n_aps, n_k) = (self.aps.len(), h_meas.width());
-        let shape = (precoder.n_streams(), precoder.n_tx(), h_sub.width());
-        let mut stale = !*zf_built || shape != (nb, na_eff, n_k);
-        if stale {
-            h_sub.zeroed(nb * na_eff, n_k);
-        }
-        for (r, &j) in clients.iter().enumerate() {
-            for (c, &i) in devices.iter().enumerate() {
-                stale |= h_sub.replace_row(r * na_eff + c, h_meas.row(j * n_aps + i));
-            }
-        }
-        if stale {
-            let built = precoder.rebuild_zero_forcing(h_sub, nb, na_eff, zf_work);
-            *zf_built = built.is_ok();
-            built?;
-        }
-        // Taken out of the scratch so the kernel can borrow both.
-        let precoder = std::mem::take(precoder);
+        let at = batch
+            .zf
+            .precoder_for(clients, &batch.devices, h_meas, self.aps.len())?;
+        // Taken out of the store so the kernel can borrow both.
+        let precoder = std::mem::take(&mut batch.zf.entries[at].precoder);
         let mcs = self.joint_rate(&precoder).unwrap_or(Mcs::BASE);
         let params = &self.link.cfg.params;
         let airtime_s = crate::baseline::frame_airtime(params, mcs, payload_bytes);
         self.probe_sinr(&precoder, &[], airtime_s, 2, true);
-        self.link.scratch.precoder = precoder;
+        self.link.scratch.zf.entries[at].precoder = precoder;
 
+        let n_k = self.link.medium.occupied().len();
         let Scratch {
             sinr, eff_snr_db, ..
         } = &mut self.link.scratch;
+        let _span = jmb_obs::span("eesm");
         eff_snr_db.clear();
         eff_snr_db.extend(
             sinr.chunks_exact(n_k)
@@ -1099,23 +1082,22 @@ pub(crate) struct Scratch {
     /// ([`SubcarrierMedium::transmit_rows_into`]): the measurement's.
     pub(crate) rows: Vec<Complex64>,
     /// The probe kernel's tables, planar, one row of `n_k` subcarriers
-    /// each: the batch's static rows `[rx · n_tx + tx]`, gathered once per
-    /// transmission, and each transmit antenna's phasor ramp `[tx]` at one
-    /// instant. The precoder's weights are read from its own lanes.
+    /// each: the batch's static rows `[rx · n_tx + tx]`, gathered when the
+    /// antennas or the medium changed, and each transmit antenna's phasor
+    /// ramp `[tx]` at one instant. The precoder's weights are read from its own lanes.
     h_s: Planar,
+    /// The receive and transmit antennas `h_s` holds, and the medium's
+    /// [`SubcarrierMedium::writes`] when it was gathered: a call over the
+    /// same antennas of an unwritten medium reads it again as it is.
+    h_s_of: (Vec<NodeId>, Vec<NodeId>, Option<u64>),
     ramp: Planar,
     /// One receive antenna's channel `h_s ∘ d` from each transmit antenna
     /// `[tx]` on the chunk of subcarriers under way (the gains it feeds
     /// live in registers).
     hd_chunk: Vec<Chunk>,
-    /// The measured channel restricted to the last subset batch, planar
-    /// `[stream · n_tx + tx]`, the zero-forcing precoder built from it, and
-    /// whether that build succeeded — a failed one is never reused — and
-    /// what the build works in.
-    h_sub: Planar,
-    precoder: Precoder,
-    zf_built: bool,
-    zf_work: ZfWork,
+    /// The zero-forcing precoders of the subset batches served since `H̃`
+    /// was last written.
+    pub(crate) zf: ZfStore,
     /// The lead→slave estimate of one observation ([`FastObserver`]).
     pub(crate) est: Option<ChannelEstimate>,
 }
@@ -1159,9 +1141,12 @@ impl Scratch {
     /// antenna and instant — zero for a slave that sits the batch out. Each
     /// probe instant is then `g[r][s] = Σ_c (H_s[r][c] ∘ d_c) ∘ W[c][s]`
     /// over the band, with `H_s` the medium's cached static rows (the
-    /// multipath tap sums), gathered once per call into a planar table, and
-    /// `W` the precoder's own lanes, so every product runs across the
-    /// subcarriers as `f64` lanes.
+    /// multipath tap sums), gathered into a planar table that the next call
+    /// over the same antennas reads again unless the medium was written
+    /// since ([`SubcarrierMedium::writes`]: a link replaced or lent out, or
+    /// a gain changed), and `W` the precoder's own lanes, so every product
+    /// runs across the subcarriers as `f64` lanes. The scratch serves one
+    /// medium for its life.
     ///
     /// Everything the loops touch lives here, results included: the kernel
     /// allocates nothing once the buffers have grown. The tables are for the
@@ -1181,6 +1166,7 @@ impl Scratch {
             sinr: sig,
             interference: intf,
             h_s,
+            h_s_of,
             ramp,
             hd_chunk: hd,
             ..
@@ -1197,15 +1183,22 @@ impl Scratch {
             acc.resize(nb * n_k, 0.0);
         }
 
-        // Once per transmission: the static rows (zero without a link),
-        // planar.
-        h_s.zeroed(nb * na, n_k);
-        for (r, &rx) in rx_nodes.iter().enumerate() {
-            for (c, &tx) in tx_nodes.iter().enumerate() {
-                if let Some(row) = medium.static_row(tx, rx) {
-                    h_s.set_row(r * na + c, row.iter().copied());
+        // The static rows (zero without a link), planar: gathered unless
+        // the last call's stand.
+        let writes = Some(medium.writes());
+        if (&h_s_of.0, &h_s_of.1, h_s_of.2) != (rx_nodes, tx_nodes, writes) {
+            let _span = jmb_obs::span("probe_gather");
+            h_s.zeroed(nb * na, n_k);
+            for (r, &rx) in rx_nodes.iter().enumerate() {
+                for (c, &tx) in tx_nodes.iter().enumerate() {
+                    if let Some(row) = medium.static_row(tx, rx) {
+                        h_s.set_row(r * na + c, row.iter().copied());
+                    }
                 }
             }
+            h_s_of.0.clone_from(rx_nodes);
+            h_s_of.1.clone_from(tx_nodes);
+            h_s_of.2 = writes;
         }
         hd.clear();
         hd.resize(na, [[0.0; LANES]; 2]);
@@ -1215,6 +1208,7 @@ impl Scratch {
             // One ramp per transmit antenna: its oscillator read once, and
             // its correction — unity under the ablation, nothing from a
             // slave sitting out.
+            let ramps = jmb_obs::span("probe_ramps");
             ramp.zeroed(na, n_k);
             for (c, (&device, &node)) in devices.iter().zip(tx_nodes.iter()).enumerate() {
                 let correction = match frame.sync {
@@ -1232,6 +1226,8 @@ impl Scratch {
                     phasor_ramp(phase + theta0, theta + slip, medium.occupied()),
                 );
             }
+            drop(ramps);
+            let _kernel = jmb_obs::span("probe_kernel");
             let ramp = rows(ramp.rows_from(0, na), n_k);
             for r in 0..nb {
                 let row = ProbeRow {
@@ -1261,6 +1257,107 @@ impl Scratch {
             *i /= np;
             *s = *s / np / (noise_var + ext + *i);
         }
+    }
+}
+
+/// The most weight rows (`n_tx · n_streams`, summed over its precoders) a
+/// [`ZfStore`] keeps: four 8 × 8 precoders or sixteen 4 × 4 ones, 213 KB
+/// over 52 subcarriers. At seed 1 the benchmark's `traffic_storm` (one 8 × 8
+/// cell) then solves 123 restrictions a repetition (121 with room for
+/// sixteen 8 × 8, 136 at half this bound) and `city_grid` (4-AP cells)
+/// 3 376, as many as with room for sixty-four 4 × 4.
+const ZF_STORE_ROWS: usize = 256;
+
+/// The zero-forcing precoders of the subset batches served since the
+/// measured channel `H̃` was last written, keyed by the batch's restriction
+/// — its clients in stream order and its effective APs in precoder-row
+/// order — and searched linearly. A precoder is a function of `H̃` and its
+/// restriction alone, so a restriction served again is answered without a
+/// solve. Writing `H̃` ([`FastEval::estimate_channel`],
+/// [`FastNet::remeasure_client`]) empties the store; a full one makes room
+/// by dropping the restrictions served longest ago. A singular restriction
+/// is never kept.
+#[derive(Default)]
+pub(crate) struct ZfStore {
+    entries: Vec<ZfEntry>,
+    /// Lookups so far: each entry is stamped with the last that served it.
+    tick: u64,
+    /// The restriction being solved, planar `[stream · n_tx + tx]`, and
+    /// what the solve works in.
+    h_sub: Planar,
+    work: ZfWork,
+    /// Restrictions solved since the network was built.
+    pub(crate) solves: u64,
+}
+
+#[derive(Default)]
+struct ZfEntry {
+    clients: Vec<usize>,
+    aps: Vec<usize>,
+    precoder: Precoder,
+    served: u64,
+}
+
+impl ZfStore {
+    /// Forgets every kept precoder: `H̃` was written.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Index of the entry holding the precoder of `clients × aps` (indices
+    /// into the network's clients and APs) over `h_meas`, `n_aps` APs to a
+    /// client's row: a kept one, or one solved now.
+    fn precoder_for(
+        &mut self,
+        clients: &[usize],
+        aps: &[usize],
+        h_meas: &Planar,
+        n_aps: usize,
+    ) -> Result<usize, JmbError> {
+        self.tick += 1;
+        let found = self
+            .entries
+            .iter()
+            .position(|e| e.clients == clients && e.aps == aps);
+        if let Some(at) = found {
+            self.entries[at].served = self.tick;
+            return Ok(at);
+        }
+        let (nb, na) = (clients.len(), aps.len());
+        // Room for `nb · na` rows, an evicted entry's buffers reused.
+        let mut entry = ZfEntry::default();
+        let rows = |e: &ZfEntry| e.clients.len() * e.aps.len();
+        while !self.entries.is_empty()
+            && self.entries.iter().map(rows).sum::<usize>() + nb * na > ZF_STORE_ROWS
+        {
+            let oldest = (0..self.entries.len())
+                .min_by_key(|&at| self.entries[at].served)
+                .unwrap_or(0);
+            entry = self.entries.swap_remove(oldest);
+        }
+        {
+            let _span = jmb_obs::span("zf_gather");
+            self.h_sub.zeroed(nb * na, h_meas.width());
+            for (r, &j) in clients.iter().enumerate() {
+                for (c, &i) in aps.iter().enumerate() {
+                    let (src_re, src_im) = h_meas.row(j * n_aps + i);
+                    let (re, im) = self.h_sub.row_mut(r * na + c);
+                    re.copy_from_slice(src_re);
+                    im.copy_from_slice(src_im);
+                }
+            }
+        }
+        self.solves += 1;
+        entry
+            .precoder
+            .rebuild_zero_forcing(&self.h_sub, nb, na, &mut self.work)?;
+        entry.clients.clear();
+        entry.clients.extend_from_slice(clients);
+        entry.aps.clear();
+        entry.aps.extend_from_slice(aps);
+        entry.served = self.tick;
+        self.entries.push(entry);
+        Ok(self.entries.len() - 1)
     }
 }
 
@@ -1487,6 +1584,7 @@ impl LeadObserver for FastObserver<'_> {
         noise_scale: f64,
         cfo_sigma_hz: f64,
     ) -> Option<(&ChannelEstimate, f64)> {
+        let _span = jmb_obs::span("sync_pilot");
         let var = noise_scale * self.header_noise_var;
         self.estimate(self.aps[0], self.aps[slave], t, var);
         let f_lead = self.medium.cfo_hz_at(self.aps[0], t);
@@ -2464,90 +2562,257 @@ mod tests {
         }
     }
 
-    /// Asserts that the subset precoder left in the scratch is, bit for
-    /// bit, a fresh `Precoder::zero_forcing` of the measured channel
-    /// restricted to `clients` and the antennas that went out — or that
-    /// both fail. Returns whether they succeeded.
-    fn scratch_precoder_is_fresh(net: &FastNet, clients: &[usize]) -> bool {
-        let scratch = &net.link.scratch;
-        let h_sub = restricted(net, clients, &scratch.devices);
+    /// A precoder's bits: its `k̂` per subcarrier, then every weight.
+    fn precoder_bits(p: &Precoder) -> Vec<u64> {
+        let mut out: Vec<u64> = p.k_hats().iter().map(|k| k.to_bits()).collect();
+        for m in 0..p.n_tx() {
+            for j in 0..p.n_streams() {
+                let (re, im) = p.lanes(m, j);
+                out.extend(re.iter().chain(im).map(|x| x.to_bits()));
+            }
+        }
+        out
+    }
+
+    /// The precoder the store keeps for `clients` over the antennas that
+    /// went out last.
+    fn kept<'a>(net: &'a FastNet, clients: &[usize]) -> Option<&'a Precoder> {
+        let (zf, aps) = (&net.link.scratch.zf, &net.link.scratch.devices);
+        let entry = zf
+            .entries
+            .iter()
+            .find(|e| e.clients == clients && e.aps == *aps);
+        entry.map(|e| &e.precoder)
+    }
+
+    /// Asserts that the store keeps, for `clients` and the antennas that
+    /// went out, bit for bit a fresh `Precoder::zero_forcing` of the
+    /// measured channel restricted to them — or keeps nothing where that
+    /// fails. Returns whether it succeeded.
+    fn kept_precoder_is_fresh(net: &FastNet, clients: &[usize]) -> bool {
+        let h_sub = restricted(net, clients, &net.link.scratch.devices);
         let Ok(fresh) = Precoder::zero_forcing(&h_sub) else {
-            assert!(!scratch.zf_built, "a failed build must not be reused");
+            assert!(kept(net, clients).is_none(), "a failed build is kept");
             return false;
         };
-        let kept = &scratch.precoder;
-        assert!(scratch.zf_built);
+        let kept = kept(net, clients).expect("a built precoder is kept");
         assert_eq!(
-            (kept.n_streams(), kept.n_tx()),
-            (fresh.n_streams(), fresh.n_tx())
+            precoder_bits(kept),
+            precoder_bits(&fresh),
+            "stale precoder for {clients:?}"
         );
-        let bits = |p: &Precoder| {
-            let mut out: Vec<u64> = p.k_hats().iter().map(|k| k.to_bits()).collect();
-            for m in 0..p.n_tx() {
-                for j in 0..p.n_streams() {
-                    let (re, im) = p.lanes(m, j);
-                    out.extend(re.iter().chain(im).map(|x| x.to_bits()));
-                }
-            }
-            out
-        };
-        assert_eq!(bits(kept), bits(&fresh), "stale precoder for {clients:?}");
         true
+    }
+
+    /// What a subset batch hands its caller, as bits.
+    type SentBits = (Mcs, u64, Vec<u64>, Vec<u64>);
+
+    fn sent_bits(out: Result<SubsetOutcome<'_>, JmbError>) -> Result<SentBits, JmbError> {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+        out.map(|o| {
+            (
+                o.mcs,
+                o.airtime_s.to_bits(),
+                bits(o.sinr),
+                bits(o.eff_snr_db),
+            )
+        })
     }
 
     #[test]
     fn a_reused_precoder_is_never_stale() {
-        // The subset precoder is rebuilt only when the restricted channel
-        // changes; whatever writes `H̃` or changes the antennas, the kept
-        // one must be what a fresh build would give.
+        // A precoder is solved once per restriction and measured channel;
+        // whatever writes `H̃`, changes the antennas or ages a link, the
+        // kept one must be what a fresh build would give, and every batch
+        // what a twin that keeps nothing — no precoder, no static table —
+        // sends, bit for bit.
         let mut net = FastNet::new(cfg(4, 20.0, 29)).unwrap();
-        net.run_measurement().unwrap();
-        net.advance(1e-3);
+        let mut twin = FastNet::new(cfg(4, 20.0, 29)).unwrap();
+        let both = |net: &mut FastNet, twin: &mut FastNet, f: &dyn Fn(&mut FastNet)| {
+            f(net);
+            f(twin);
+        };
+        both(&mut net, &mut twin, &|n| {
+            n.run_measurement().unwrap();
+            n.advance(1e-3);
+        });
         let all = [0, 1, 2, 3];
-        let send = |net: &mut FastNet, clients: &[usize]| {
-            let sent = net.joint_transmit_subset(clients, &all, 1500);
-            let ok = sent.is_ok();
-            assert_eq!(scratch_precoder_is_fresh(net, clients), ok, "{clients:?}");
-            ok
+        let send = |net: &mut FastNet, twin: &mut FastNet, clients: &[usize]| {
+            twin.link.scratch.zf.clear();
+            twin.link.scratch.h_s_of.2 = None;
+            let got = sent_bits(net.joint_transmit_subset(clients, &all, 1500));
+            let want = sent_bits(twin.joint_transmit_subset(clients, &all, 1500));
+            assert_eq!(got, want, "{clients:?}");
+            assert_eq!(kept_precoder_is_fresh(net, clients), got.is_ok());
+            got.is_ok()
         };
         // The same batch twice, then its clients permuted.
-        assert!(send(&mut net, &[0, 2]));
-        assert!(send(&mut net, &[0, 2]));
-        assert!(send(&mut net, &[2, 0]));
+        assert!(send(&mut net, &mut twin, &[0, 2]));
+        assert!(send(&mut net, &mut twin, &[0, 2]));
+        assert!(send(&mut net, &mut twin, &[2, 0]));
         // Slave 2 misses every header until it sits the batch out.
         let deaf = FaultConfig::builder()
             .per_slave_sync_loss(2, 1.0)
             .build()
             .unwrap();
-        net.set_fault_schedule(FaultSchedule::constant(deaf));
+        both(&mut net, &mut twin, &|n| {
+            n.set_fault_schedule(FaultSchedule::constant(deaf.clone()))
+        });
         let mut rounds = 0;
         while !net.last_sync().excluded.contains(&2) {
-            assert!(send(&mut net, &[0, 2]));
+            assert!(send(&mut net, &mut twin, &[0, 2]));
             rounds += 1;
             assert!(rounds < 20, "slave 2 never excluded");
         }
         assert_eq!(net.link.scratch.devices, [0, 1, 3]);
-        assert!(send(&mut net, &[0, 2]));
-        net.set_fault_schedule(FaultSchedule::none());
-        assert!(send(&mut net, &[0, 2]));
+        assert!(send(&mut net, &mut twin, &[0, 2]));
+        both(&mut net, &mut twin, &|n| {
+            n.set_fault_schedule(FaultSchedule::none())
+        });
+        assert!(send(&mut net, &mut twin, &[0, 2]));
         // §7: client 0's row re-measured and spliced into `H̃`.
-        net.advance(1e-3);
-        net.remeasure_client(0).unwrap();
-        assert!(send(&mut net, &[0, 2]));
+        both(&mut net, &mut twin, &|n| {
+            n.advance(1e-3);
+            n.remeasure_client(0).unwrap();
+        });
+        assert!(send(&mut net, &mut twin, &[0, 2]));
+        // Client 2's links age: `H̃` stands, the static rows do not.
+        both(&mut net, &mut twin, &|n| n.evolve_client_links(2, 5e-3));
+        assert!(send(&mut net, &mut twin, &[0, 2]));
         // A whole new measurement.
+        both(&mut net, &mut twin, &|n| n.run_measurement().unwrap());
+        assert!(send(&mut net, &mut twin, &[0, 2]));
+        // Client 2's row made a copy of client 0's, emptying the store as
+        // every writer of `H̃` does: the batch is singular, and stays so on
+        // the same batch again — solved each time, never kept, never served
+        // from the last good precoder.
+        both(&mut net, &mut twin, &|n| {
+            let h = n.h_meas.as_mut().unwrap();
+            for i in 0..4 {
+                let row: Vec<Complex64> = (0..h.width()).map(|k_idx| h.get(i, k_idx)).collect();
+                h.set_row(2 * 4 + i, row);
+            }
+            n.link.scratch.zf.clear();
+        });
+        let solves = net.link.scratch.zf.solves;
+        assert!(!send(&mut net, &mut twin, &[0, 2]));
+        assert!(!send(&mut net, &mut twin, &[0, 2]));
+        assert_eq!(net.link.scratch.zf.solves, solves + 2);
+        assert!(send(&mut net, &mut twin, &[0, 1]));
+    }
+
+    #[test]
+    fn a_restriction_is_solved_once_per_measured_channel() {
+        let mut net = FastNet::new(cfg(4, 20.0, 31)).unwrap();
         net.run_measurement().unwrap();
-        assert!(send(&mut net, &[0, 2]));
-        // Client 2's row made a copy of client 0's: the batch is singular,
-        // and stays so on the same batch again — never served from the
-        // last good precoder.
-        let h = net.h_meas.as_mut().unwrap();
-        for i in 0..4 {
-            let row: Vec<Complex64> = (0..h.width()).map(|k_idx| h.get(i, k_idx)).collect();
-            h.set_row(2 * 4 + i, row);
+        let all = [0, 1, 2, 3];
+        let solved = |net: &mut FastNet, clients: &[usize]| {
+            let before = net.link.scratch.zf.solves;
+            net.joint_transmit_subset(clients, &all, 1500).unwrap();
+            net.link.scratch.zf.solves - before
+        };
+        // A, B, A: two solves.
+        assert_eq!(solved(&mut net, &[0, 2]), 1);
+        assert_eq!(solved(&mut net, &[1, 3]), 1);
+        assert_eq!(solved(&mut net, &[0, 2]), 0);
+        // The same clients in another order are another restriction.
+        assert_eq!(solved(&mut net, &[2, 0]), 1);
+        // A new `H̃` keeps nothing of the old.
+        net.run_measurement().unwrap();
+        assert_eq!(solved(&mut net, &[0, 2]), 1);
+        assert_eq!(solved(&mut net, &[1, 3]), 1);
+        net.remeasure_client(3).unwrap();
+        assert_eq!(solved(&mut net, &[0, 2]), 1);
+        // A full store drops the restriction served longest ago. Each order
+        // of all four clients takes 16 of its rows: of one more than fit,
+        // the first goes, the rest stay.
+        let fit = ZF_STORE_ROWS / 16;
+        let mut many: Vec<Vec<usize>> = Vec::new();
+        for a in 0..4 {
+            for b in (0..4).filter(|&b| b != a) {
+                for c in (0..4).filter(|&c| c != a && c != b) {
+                    many.push(vec![a, b, c, 6 - a - b - c]);
+                }
+            }
         }
-        assert!(!send(&mut net, &[0, 2]));
-        assert!(!send(&mut net, &[0, 2]));
-        assert!(send(&mut net, &[0, 1]));
+        many.truncate(fit + 1);
+        assert_eq!(many.len(), fit + 1);
+        net.run_measurement().unwrap();
+        for clients in &many {
+            assert_eq!(solved(&mut net, clients), 1, "{clients:?}");
+        }
+        assert_eq!(net.link.scratch.zf.entries.len(), fit);
+        for clients in &many[2..] {
+            assert_eq!(solved(&mut net, clients), 0, "{clients:?}");
+        }
+        assert_eq!(solved(&mut net, &many[0]), 1);
+        assert_eq!(solved(&mut net, &many[1]), 1, "served longest ago now");
+    }
+
+    #[test]
+    fn a_kept_static_table_is_gathered_again_after_a_write() {
+        // The probe keeps its gathered static rows while the antennas are
+        // the last call's and the medium is unwritten. A poisoned table
+        // shows whether a call read the kept one: it must after nothing,
+        // and must not after a link lent out or a gain changed, or for
+        // other antennas — then the result is a fresh scratch's, bit for
+        // bit.
+        let mut net = FastNet::new(cfg(4, 20.0, 37)).unwrap();
+        net.run_measurement().unwrap();
+        net.advance(1e-3);
+        let precoder = net.precoder.clone().unwrap();
+        let frame = ProbeFrame {
+            sync: None,
+            mute_streams: &[],
+            t_d: net.now() + 200e-6,
+            duration_s: 1e-3,
+            n_probes: 2,
+        };
+        let all = Batch {
+            aps: &[0, 1, 2, 3],
+            clients: &[0, 1, 2, 3],
+        };
+        let fresh = |net: &mut FastNet, batch: &Batch| {
+            let mut scratch = Scratch::default();
+            let txs = batch.aps.iter().map(|&i| (i, net.aps[i]));
+            scratch.set_batch(txs, batch.clients.iter().map(|&j| net.clients[j]));
+            let floor = (NOISE_VAR, &[][..]);
+            scratch.probe_sinr(&mut net.link.medium, &precoder, &frame, floor);
+            scratch.sinr
+        };
+        let poison = |net: &mut FastNet| {
+            let h_s = &mut net.link.scratch.h_s;
+            h_s.set_row(0, vec![Complex64::new(1e3, 0.0); h_s.width()]);
+        };
+        let kept = |net: &mut FastNet, batch: &Batch| {
+            probe_sinr_kernel(net, batch, &precoder, &frame).0 == fresh(net, batch)
+        };
+        assert!(kept(&mut net, &all), "the first call gathers");
+        poison(&mut net);
+        assert!(!kept(&mut net, &all), "nothing written: the table is kept");
+        let (ap, client) = (net.aps[0], net.clients[0]);
+        poison(&mut net);
+        let mut rng = jmb_dsp::rng::derive_rng(5, 5);
+        net.link
+            .medium
+            .link_mut(ap, client)
+            .unwrap()
+            .evolve(5e-3, &mut rng);
+        assert!(kept(&mut net, &all), "a link lent out");
+        poison(&mut net);
+        net.link.medium.scale_gain(ap, client, 0.5);
+        assert!(kept(&mut net, &all), "a gain scaled");
+        poison(&mut net);
+        net.link
+            .medium
+            .set_gain(ap, client, Complex64::new(0.0, 2.0));
+        assert!(kept(&mut net, &all), "a gain set");
+        poison(&mut net);
+        let fewer = Batch {
+            aps: &[0, 1, 2, 3],
+            clients: &[0, 1, 2],
+        };
+        assert!(kept(&mut net, &fewer), "other receive antennas");
     }
 
     #[test]

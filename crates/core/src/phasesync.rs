@@ -305,6 +305,7 @@ impl PhaseSync {
     ///
     /// Panics on more than the 64 subcarriers of the FFT.
     pub fn correction(&self, now: &ChannelEstimate) -> Result<PhaseCorrection, JmbError> {
+        let _span = jmb_obs::span("phase_correction");
         let reference = self.reference.as_ref().ok_or(JmbError::NoReference)?;
         if reference.subcarriers != now.subcarriers {
             return Err(JmbError::MeasurementShape {

@@ -46,9 +46,9 @@ pub struct Precoder {
 }
 
 /// What a zero-forcing build works in: the solver and one row of power
-/// lanes. A network that rebuilds one precoder keeps one beside it, so a
-/// rebuild of the same shape allocates nothing; the solver is replaced only
-/// when the shape changes.
+/// lanes. A network that builds precoders keeps one, so a build allocates
+/// nothing once the buffers have grown to the largest shape; the solver is
+/// reshaped, its storage kept, when the shape changes.
 #[derive(Debug, Default)]
 pub(crate) struct ZfWork {
     solver: Option<ZfSolver>,
@@ -147,16 +147,10 @@ impl Precoder {
         let Precoder {
             weights, k_hats, ..
         } = self;
-        if work
-            .solver
-            .as_ref()
-            .is_some_and(|s| s.shape() != (n_streams, n_tx))
-        {
-            work.solver = None;
-        }
         let solver = work
             .solver
             .get_or_insert_with(|| ZfSolver::new(n_streams, n_tx));
+        solver.reshape(n_streams, n_tx);
         solver.solve(h, weights)?;
         // Per-stream power normalisation: every stream's precoding column
         // is scaled to unit power on each subcarrier, so client j's

@@ -460,21 +460,6 @@ impl Planar {
         self.im[at] = z.im;
     }
 
-    /// Row `i` becomes a copy of `src` (as wide as the table) and tells
-    /// whether that changed the table: whether any lane's bits differ from
-    /// what was there, compared without a branch per lane.
-    pub fn replace_row(&mut self, i: usize, (sr, si): Lanes) -> bool {
-        let diff = |a: &[f64], b: &[f64]| {
-            let lanes = a.iter().zip(b);
-            lanes.fold(0u64, |d, (a, b)| d | (a.to_bits() ^ b.to_bits()))
-        };
-        let (re, im) = self.row_mut(i);
-        let changed = (diff(re, sr) | diff(im, si)) != 0;
-        re.copy_from_slice(sr);
-        im.copy_from_slice(si);
-        changed
-    }
-
     /// Row `i` becomes the first `width` of `zs`.
     pub fn set_row(&mut self, i: usize, zs: impl IntoIterator<Item = Complex64>) {
         let (re, im) = self.row_mut(i);
@@ -564,25 +549,34 @@ impl ZfSolver {
     ///
     /// Panics if `n_streams == 0`, `n_tx == 0`, or `n_streams > n_tx`.
     pub fn new(n_streams: usize, n_tx: usize) -> Self {
-        assert!(n_streams > 0 && n_tx > 0, "empty channel");
-        assert!(
-            n_streams <= n_tx,
-            "zero-forcing needs n_streams ({n_streams}) <= n_tx ({n_tx})"
-        );
-        ZfSolver {
-            n_streams,
-            n_tx,
+        let mut solver = ZfSolver {
+            n_streams: 0,
+            n_tx: 0,
             gram: Planar::default(),
             floor: Vec::new(),
             pivot: Vec::new(),
             entry: Planar::default(),
             one_lane: Planar::default(),
-        }
+        };
+        solver.reshape(n_streams, n_tx);
+        solver
     }
 
-    /// The `(n_streams, n_tx)` this solver was created for.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.n_streams, self.n_tx)
+    /// Makes this a solver for `n_streams × n_tx` channels, as
+    /// [`ZfSolver::new`] would, keeping the intermediates' storage: every
+    /// call sizes them afresh, so a reshaped solver solves bit for bit as a
+    /// new one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_streams == 0`, `n_tx == 0`, or `n_streams > n_tx`.
+    pub fn reshape(&mut self, n_streams: usize, n_tx: usize) {
+        assert!(n_streams > 0 && n_tx > 0, "empty channel");
+        assert!(
+            n_streams <= n_tx,
+            "zero-forcing needs n_streams ({n_streams}) <= n_tx ({n_tx})"
+        );
+        (self.n_streams, self.n_tx) = (n_streams, n_tx);
     }
 
     /// Assembles the Gram matrix `G = H·Hᴴ` of one channel matrix (lower
@@ -1235,25 +1229,5 @@ mod tests {
         assert_eq!(a.row(1), &[c(3.0, 0.0), c(4.0, 0.0)]);
         assert_eq!((a.rows(), a.cols()), (2, 2));
         assert_eq!(a[(1, 0)], c(3.0, 0.0));
-    }
-
-    #[test]
-    fn replace_row_copies_and_tells_whether_a_bit_moved() {
-        let mut t = Planar::default();
-        t.zeroed(2, 3);
-        t.set_row(1, [c(1.0, -2.0), c(0.0, f64::NAN), c(3.0, 0.5)]);
-        let same = (vec![1.0, 0.0, 3.0], vec![-2.0, f64::NAN, 0.5]);
-        assert!(
-            !t.replace_row(1, (&same.0, &same.1)),
-            "NaN bits equal NaN bits"
-        );
-        // -0.0 == 0.0, but not bit for bit; and one lane of the last part.
-        let signed = (vec![1.0, -0.0, 3.0], vec![-2.0, f64::NAN, 0.5]);
-        assert!(t.replace_row(1, (&signed.0, &signed.1)));
-        assert_eq!(t.get(1, 1).re.to_bits(), (-0.0f64).to_bits());
-        let last = (vec![1.0, -0.0, 3.0], vec![-2.0, f64::NAN, 0.25]);
-        assert!(t.replace_row(1, (&last.0, &last.1)));
-        assert_eq!(t.get(1, 2), c(3.0, 0.25));
-        assert_eq!(t.row(0), (&[0.0; 3][..], &[0.0; 3][..]), "row 0 untouched");
     }
 }

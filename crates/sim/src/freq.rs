@@ -123,6 +123,8 @@ pub struct SubcarrierMedium {
     osc: Vec<(f64, f64)>,
     /// [`Self::link_writes`].
     link_writes: u64,
+    /// The gain changes since the medium was created ([`Self::writes`]).
+    gain_writes: u64,
 }
 
 impl SubcarrierMedium {
@@ -140,6 +142,7 @@ impl SubcarrierMedium {
             table,
             osc: Vec::new(),
             link_writes: 0,
+            gain_writes: 0,
         }
     }
 
@@ -195,6 +198,13 @@ impl SubcarrierMedium {
         self.link_writes
     }
 
+    /// [`Self::link_writes`] plus the gain changes ([`Self::scale_gain`],
+    /// [`Self::set_gain`]): while this count stands still, every static row
+    /// ([`Self::static_row`]) is the one it was.
+    pub fn writes(&self) -> u64 {
+        self.link_writes + self.gain_writes
+    }
+
     /// Scales the large-scale gain of the link `tx → rx` by `s` (calibration)
     /// — `gain = gain · s` — and keeps its static row: a row cached before
     /// is rewritten from its cached factors as `gain · F_k · d_k`, the
@@ -217,6 +227,7 @@ impl SubcarrierMedium {
     /// rewritten for it.
     fn regain(&mut self, tx: NodeId, rx: NodeId, f: impl FnOnce(Complex64) -> Complex64) {
         let n_k = self.table.ks.len();
+        self.gain_writes += 1;
         if let Some(slot) = self.links[tx.0][rx.0].as_mut() {
             slot.link.gain = f(slot.link.gain);
             if !slot.cached.is_empty() {
@@ -782,9 +793,12 @@ mod tests {
         m.cfo_hz_at(b, 3e-3);
         m.sample_ratio(a);
         assert_eq!(m.link_writes(), 1);
+        // `writes` counts the two gains as well.
+        assert_eq!(m.writes(), 3);
         m.link_mut(a, b);
         assert_eq!(m.link_writes(), 2);
         m.set_trajectory(b, PhaseTrajectory::fixed(FC, 1e3));
         assert_eq!(m.link_writes(), 3);
+        assert_eq!(m.writes(), 5);
     }
 }
