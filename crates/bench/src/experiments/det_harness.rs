@@ -73,7 +73,7 @@ fn run_combo(set: &SweepSettings, dir: &Path) -> Result<Vec<(&'static str, Strin
 ///
 /// Every combo's artifacts land in `<--out>/det_harness/<policy>-t<N>/`
 /// for CI artifact upload; any mismatch is a failed acceptance property.
-pub fn det_harness(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn det_harness(opts: &Opts) -> Result<Report, BenchError> {
     if opts.set.threads.is_some() {
         return Err(bad("det_harness sweeps --threads-list, not --threads"));
     }

@@ -16,7 +16,7 @@ use jmb_dsp::stats::Cdf;
 ///
 /// Paper's numbers: a 10 Hz estimation error reaches 0.35 rad (20°) within
 /// 5.5 ms; 100 Hz reaches π within 20 ms. Direct measurement stays flat.
-pub fn fig00_drift_motivation(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig00_drift_motivation(opts: &Opts) -> Result<Report, BenchError> {
     let horizons: Vec<f64> = [0.5e-3, 1e-3, 2e-3, 5.5e-3, 10e-3, 20e-3, 50e-3].to_vec();
     let trials = if opts.set.quick { 100 } else { 1000 };
     let mut rows = Vec::new();
@@ -50,7 +50,7 @@ pub fn fig00_drift_motivation(opts: &Opts) -> Result<Report, BenchError> {
 /// 2×2 zero-forcing, 100 random channel matrices, misalignment 0–0.5 rad,
 /// at 10 and 20 dB. Paper: 0.35 rad costs ≈ 8 dB at 20 dB SNR, and the
 /// reduction is larger at higher SNR.
-pub fn fig06_misalignment(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig06_misalignment(opts: &Opts) -> Result<Report, BenchError> {
     let phis: Vec<f64> = (0..=10).map(|i| i as f64 * 0.05).collect();
     let n_mat = if opts.set.quick { 30 } else { 100 };
     let pts = snr_reduction_vs_misalignment(&phis, &[10.0, 20.0], n_mat, opts.set.seed);
@@ -90,7 +90,7 @@ pub fn fig06_misalignment(opts: &Opts) -> Result<Report, BenchError> {
 /// their relative phase from its first observation.
 ///
 /// Paper: median 0.017 rad, 95th percentile 0.05 rad.
-pub fn fig07_misalignment_cdf(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig07_misalignment_cdf(opts: &Opts) -> Result<Report, BenchError> {
     let (runs, rounds) = if opts.set.quick { (4, 15) } else { (12, 40) };
     let samples = ctx(
         misalignment_samples(runs, rounds, opts.set.seed, Default::default()),
@@ -126,7 +126,7 @@ fn cdf_rows(cdf: &Cdf) -> Vec<Vec<String>> {
 ///
 /// Paper: INR stays below 1.5 dB up to 10 pairs, growing ≈ 0.13 dB per
 /// added pair at high SNR.
-pub fn fig08_inr_scaling(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig08_inr_scaling(opts: &Opts) -> Result<Report, BenchError> {
     let pairs: Vec<usize> = (2..=10).collect();
     let pts = inr_scaling(&SnrBand::ALL, &pairs, &opts.sweep(12));
     println!("band              n_pairs  inr_db");
@@ -170,7 +170,7 @@ pub fn fig08_inr_scaling(opts: &Opts) -> Result<Report, BenchError> {
 /// on the same channel, while 802.11's stays flat. Paper: median gains of
 /// 9.4×/9.1×/8.1× at high/medium/low SNR with 10 APs; 802.11 totals
 /// ≈ 23.6/14.9/7.75 Mbps.
-pub fn fig09_throughput_scaling(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig09_throughput_scaling(opts: &Opts) -> Result<Report, BenchError> {
     let counts: Vec<usize> = (2..=10).collect();
     let runs = throughput_scaling(&SnrBand::ALL, &counts, &opts.sweep(20), true);
     let agg = aggregate_scaling(&runs);
@@ -206,7 +206,7 @@ pub fn fig09_throughput_scaling(opts: &Opts) -> Result<Report, BenchError> {
 ///
 /// Paper: all clients see roughly the same gain; the CDF is wider at low
 /// SNR (greater measurement noise).
-pub fn fig10_fairness(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig10_fairness(opts: &Opts) -> Result<Report, BenchError> {
     let sweep = opts.sweep(20);
     let mut rows = Vec::new();
     println!("band              n_aps  p10_gain  median_gain  p90_gain");
@@ -258,7 +258,7 @@ pub fn fig10_fairness(opts: &Opts) -> Result<Report, BenchError> {
 /// All APs beamform the *same* packet coherently to one client (§8).
 /// Paper: a client at 0 dB (no throughput under 802.11) reaches ≈ 21 Mbps
 /// with 10 APs.
-pub fn fig11_diversity(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig11_diversity(opts: &Opts) -> Result<Report, BenchError> {
     let ap_counts = [2usize, 4, 6, 8, 10];
     let snrs: Vec<f64> = (0..=25)
         .step_by(if opts.set.quick { 5 } else { 2 })
@@ -301,7 +301,7 @@ pub fn fig11_diversity(opts: &Opts) -> Result<Report, BenchError> {
 /// Two 2-antenna APs jointly serve two 2-antenna clients (a distributed
 /// 4×4) using the §6 compatibility flow, vs single-AP 802.11n with equal
 /// medium shares. Paper: average gain 1.67–1.83× across bands.
-pub fn fig12_compat_throughput(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig12_compat_throughput(opts: &Opts) -> Result<Report, BenchError> {
     let runs = compat_runs(&SnrBand::ALL, &opts.sweep(16));
     println!("band              jmb_mbps  dot11n_mbps  gain");
     for band in SnrBand::ALL {
@@ -341,7 +341,7 @@ pub fn fig12_compat_throughput(opts: &Opts) -> Result<Report, BenchError> {
 /// Fig. 13 — CDF of the 802.11n-compat network throughput gain.
 ///
 /// Paper: gains between 1.65× and 2× across all runs, median 1.8×.
-pub fn fig13_compat_fairness(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn fig13_compat_fairness(opts: &Opts) -> Result<Report, BenchError> {
     let runs = compat_runs(&SnrBand::ALL, &opts.sweep(24));
     let gains: Vec<f64> = runs.iter().map(|r| r.gain).collect();
     if gains.is_empty() {
@@ -369,7 +369,7 @@ pub fn fig13_compat_fairness(opts: &Opts) -> Result<Report, BenchError> {
 /// scheduling — is what makes the throughput scale: without it the
 /// oscillators drift apart within milliseconds and joint transmissions
 /// stop decoding.
-pub fn ablation_phase_sync(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn ablation_phase_sync(opts: &Opts) -> Result<Report, BenchError> {
     let counts = [2usize, 4, 6, 8, 10];
     let sweep = opts.sweep(8);
     println!("band              n_aps  with_sync_mbps  without_sync_mbps");
@@ -407,7 +407,7 @@ pub fn ablation_phase_sync(opts: &Opts) -> Result<Report, BenchError> {
 /// depend on. (Our client refines its per-AP CFO across rounds, which
 /// narrows the gap relative to the paper's single-shot estimation; the
 /// interleaved layout still wins.)
-pub fn ablation_interleaving(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn ablation_interleaving(opts: &Opts) -> Result<Report, BenchError> {
     let runs = if opts.set.quick { 2 } else { 6 };
     println!("n_aps  layout       h_error_db");
     let mut rows = Vec::new();

@@ -28,7 +28,7 @@ use jmb_traffic::TrafficMetrics;
 /// Every simulation is seeded; rows are byte-identical across runs and
 /// `--threads` settings (parallelism is across simulations, each of which
 /// is single-threaded).
-pub fn traffic_sweep(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn traffic_sweep(opts: &Opts) -> Result<Report, BenchError> {
     let out = sweeps::traffic_sweep(&opts.set);
 
     println!("n_aps  offered_mbps  goodput_mbps  p99_ms");
@@ -126,7 +126,7 @@ fn print_robustness_row(loss: f64, m: &TrafficMetrics) {
 /// Every simulation is seeded; rows are byte-identical across runs and
 /// `--threads` settings. A single faulted cell is a scenario manifest
 /// (`jmb-scenario`, `[faults]`).
-pub fn robustness_sweep(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn robustness_sweep(opts: &Opts) -> Result<Report, BenchError> {
     let out = sweeps::robustness_sweep(&opts.set);
     let mut report = Report::csv("robustness_sweep.csv", out.header, out.rows);
 
@@ -196,7 +196,7 @@ pub fn robustness_sweep(opts: &Opts) -> Result<Report, BenchError> {
 ///
 /// Every simulation is seeded; the CSV is byte-identical across runs and
 /// `--threads` settings.
-pub fn city_sweep(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn city_sweep(opts: &Opts) -> Result<Report, BenchError> {
     let reuses = opts.list("--reuse", Reuse::parse)?;
     let reuses = reuses.unwrap_or_else(|| Reuse::ALL.to_vec());
     let mut report = Report::default();
@@ -270,7 +270,7 @@ pub fn city_sweep(opts: &Opts) -> Result<Report, BenchError> {
 /// `sync_shootout_phase.csv` (per-strategy misalignment percentiles).
 /// Both are byte-identical across runs and `--threads` settings; the CI
 /// `det-matrix` job (`det_harness`) compares them.
-pub fn sync_shootout(opts: &Opts) -> Result<Report, BenchError> {
+pub(crate) fn sync_shootout(opts: &Opts) -> Result<Report, BenchError> {
     let out = ctx(sweeps::sync_shootout(&opts.set), "sync_shootout pipeline")?;
     let mut report = Report::default();
 

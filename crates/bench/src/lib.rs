@@ -93,7 +93,11 @@ pub struct Report {
 
 impl Report {
     /// A passing report that writes one CSV.
-    pub fn csv(name: &'static str, header: impl Into<String>, rows: Vec<Vec<String>>) -> Self {
+    pub(crate) fn csv(
+        name: &'static str,
+        header: impl Into<String>,
+        rows: Vec<Vec<String>>,
+    ) -> Self {
         Report {
             csvs: vec![(name, header.into(), rows)],
             failures: Vec::new(),
@@ -101,7 +105,7 @@ impl Report {
     }
 
     /// Records `msg` as a failed acceptance property unless `ok`.
-    pub fn accept(&mut self, ok: bool, msg: impl FnOnce() -> String) {
+    fn accept(&mut self, ok: bool, msg: impl FnOnce() -> String) {
         if !ok {
             self.failures.push(msg());
         }
@@ -149,7 +153,7 @@ impl Opts {
     /// `--quick`, `--seed N`, `--out DIR`, `--threads N`, plus whatever
     /// `flags` the experiment `name` declares. `Ok(None)` means help was
     /// requested; `Err` is a malformed invocation.
-    pub fn parse(
+    fn parse(
         name: &str,
         flags: &'static [Flag],
         args: impl IntoIterator<Item = String>,
@@ -201,19 +205,19 @@ impl Opts {
 
     /// The raw value of one of the experiment's own flags, if given (the
     /// last one wins).
-    pub fn flag(&self, name: &str) -> Option<&str> {
+    fn flag(&self, name: &str) -> Option<&str> {
         let found = self.extras.iter().rev().find(|(n, _)| *n == name);
         found.map(|(_, v)| v.as_str())
     }
 
     /// The `--trace-out` path, for the experiments that declare it.
-    pub fn trace_out(&self) -> Option<&Path> {
+    fn trace_out(&self) -> Option<&Path> {
         self.flag(TRACE_OUT.name).map(Path::new)
     }
 
     /// A flag's comma-separated value through `item`, or `None` if the flag
     /// is absent. An empty list or an item `item` rejects is a usage error.
-    pub fn list<T>(
+    fn list<T>(
         &self,
         name: &str,
         item: impl Fn(&str) -> Option<T>,
@@ -229,7 +233,7 @@ impl Opts {
     }
 
     /// Sweep size scaled by quick mode.
-    pub fn topologies(&self, full: usize) -> usize {
+    fn topologies(&self, full: usize) -> usize {
         if self.set.quick {
             (full / 4).max(2)
         } else {
@@ -238,12 +242,12 @@ impl Opts {
     }
 
     /// The experiment sweep config for this run.
-    pub fn sweep(&self, full_topologies: usize) -> jmb_core::experiment::SweepConfig {
+    fn sweep(&self, full_topologies: usize) -> jmb_core::experiment::SweepConfig {
         self.set.sweep(self.topologies(full_topologies))
     }
 
     /// CSV path under the output directory.
-    pub fn csv_path(&self, name: &str) -> PathBuf {
+    fn csv_path(&self, name: &str) -> PathBuf {
         self.out_dir.join(name)
     }
 }

@@ -63,7 +63,7 @@ impl SweepSettings {
 
     /// The `parallel_map` config for `points` work items under these
     /// settings.
-    pub fn sweep(&self, points: usize) -> SweepConfig {
+    pub(crate) fn sweep(&self, points: usize) -> SweepConfig {
         let mut s = SweepConfig {
             n_topologies: points,
             seed: self.seed,
@@ -90,7 +90,7 @@ pub fn csv_text(header: &str, rows: &[Vec<String>]) -> String {
 }
 
 /// Writes [`csv_text`] to `path`, creating its directory if need be.
-pub fn write_csv(path: &Path, header: &str, rows: &[Vec<String>]) -> std::io::Result<()> {
+pub(crate) fn write_csv(path: &Path, header: &str, rows: &[Vec<String>]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
@@ -284,7 +284,7 @@ fn fault_with(sync_loss: f64, meas_loss: f64) -> FaultSchedule {
 
 /// The storm schedule of the robustness sweep's third section: one slave
 /// misses every sync header for the middle third of the run.
-pub fn robustness_storm(duration_s: f64) -> FaultSchedule {
+fn robustness_storm(duration_s: f64) -> FaultSchedule {
     FaultSchedule::none()
         .with_window(
             duration_s / 3.0,
@@ -377,7 +377,7 @@ pub struct SyncShootout {
 
 /// The full `sync_shootout` pipeline: every strategy through the same
 /// probes and storms, rows byte-identical across runs and `--threads`.
-pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
+pub(crate) fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
     let strategies = SyncStrategyId::ALL;
 
     // --- Section 1: phase-error CDF from the sample-level probe. ---
@@ -457,7 +457,12 @@ pub fn sync_shootout(set: &SweepSettings) -> Result<SyncShootout, JmbError> {
     clippy::disallowed_methods,
     reason = "without --threads the host's core count picks the worker count; the city report is identical at every count"
 )]
-pub fn city_config(quick: bool, reuse: Reuse, seed: u64, threads: Option<usize>) -> CityConfig {
+pub(crate) fn city_config(
+    quick: bool,
+    reuse: Reuse,
+    seed: u64,
+    threads: Option<usize>,
+) -> CityConfig {
     let mut cfg = if quick {
         // 8×8 grid of small cells: 128 APs, 512 clients.
         let mut c = CityConfig::default_with(8, 8, reuse, seed);

@@ -6,9 +6,7 @@
 //! AP→AP links are the lead→slave reference channels (`h_lead_i`, §5.1c)
 //! that JMB's distributed phase synchronisation is built on.
 
-use crate::multipath::{Multipath, MultipathSpec};
-use crate::pathloss::PathLossModel;
-use crate::topology::Position;
+use crate::multipath::Multipath;
 use jmb_dsp::rng::JmbRng;
 use jmb_dsp::stats::db_to_lin;
 use jmb_dsp::Complex64;
@@ -45,28 +43,6 @@ impl Link {
             gain: Complex64::ONE,
             delay_s: 0.0,
             fading: Multipath::identity(),
-        }
-    }
-
-    /// Builds a link from room geometry: distance → delay + path loss +
-    /// carrier phase; fading drawn from `spec`.
-    pub fn from_geometry(
-        tx: Position,
-        rx: Position,
-        carrier_freq: f64,
-        plm: &PathLossModel,
-        spec: MultipathSpec,
-        rng: &mut JmbRng,
-    ) -> Self {
-        let d = tx.distance(&rx);
-        let delay_s = d / C;
-        let loss_db = plm.sample_loss_db(d, rng);
-        let amp = db_to_lin(-loss_db).sqrt();
-        let carrier_phase = -2.0 * std::f64::consts::PI * carrier_freq * delay_s;
-        Link {
-            gain: Complex64::from_polar(amp, jmb_dsp::complex::wrap_phase(carrier_phase)),
-            delay_s,
-            fading: Multipath::new(spec, rng),
         }
     }
 
@@ -123,16 +99,38 @@ impl Link {
     pub fn evolve(&mut self, dt: f64, rng: &mut JmbRng) {
         self.fading.evolve(dt, rng);
     }
+}
 
-    /// Propagation delay in (possibly fractional) samples.
-    pub fn delay_samples(&self, params: &OfdmParams) -> f64 {
-        self.delay_s * params.sample_rate()
+#[cfg(test)]
+impl Link {
+    /// Builds a link from room geometry: distance → delay + path loss +
+    /// carrier phase; fading drawn from `spec`.
+    pub fn from_geometry(
+        tx: crate::topology::Position,
+        rx: crate::topology::Position,
+        carrier_freq: f64,
+        plm: &crate::pathloss::PathLossModel,
+        spec: crate::multipath::MultipathSpec,
+        rng: &mut JmbRng,
+    ) -> Self {
+        let d = tx.distance(&rx);
+        let delay_s = d / C;
+        let loss_db = plm.sample_loss_db(d, rng);
+        let amp = db_to_lin(-loss_db).sqrt();
+        let carrier_phase = -2.0 * std::f64::consts::PI * carrier_freq * delay_s;
+        Link {
+            gain: Complex64::from_polar(amp, jmb_dsp::complex::wrap_phase(carrier_phase)),
+            delay_s,
+            fading: Multipath::new(spec, rng),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multipath::MultipathSpec;
+    use crate::pathloss::PathLossModel;
     use crate::topology::Position;
     use jmb_dsp::rng::rng_from_seed;
 
@@ -143,7 +141,7 @@ mod tests {
         for h in l.freq_response(&p) {
             assert!((h - Complex64::ONE).abs() < 1e-12);
         }
-        assert_eq!(l.delay_samples(&p), 0.0);
+        assert_eq!((l.delay_s * p.sample_rate()), 0.0);
     }
 
     #[test]
@@ -160,7 +158,7 @@ mod tests {
         // 15 m ≈ 50 ns ≈ 0.5 samples at 10 MHz.
         assert!((l.delay_s - 15.0 / C).abs() < 1e-15);
         let p = OfdmParams::default();
-        assert!((l.delay_samples(&p) - 15.0 / C * 10e6).abs() < 1e-9);
+        assert!(((l.delay_s * p.sample_rate()) - 15.0 / C * 10e6).abs() < 1e-9);
     }
 
     #[test]

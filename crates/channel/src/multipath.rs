@@ -70,7 +70,7 @@ impl MultipathSpec {
     }
 
     /// Normalised per-tap powers (sum to 1).
-    pub fn tap_powers(&self) -> Vec<f64> {
+    fn tap_powers(&self) -> Vec<f64> {
         let mut p: Vec<f64> = (0..self.n_taps)
             .map(|l| (-(l as f64) * self.tap_spacing_s / self.rms_delay_spread_s).exp())
             .collect();

@@ -89,8 +89,8 @@ impl OscillatorSpec {
 /// phase (Wiener phase noise + offset random walk) on a lazy fixed grid from
 /// a private RNG, then interpolating. It keeps no grid, only the eight
 /// points it answered that were read last: a front cursor walks as far as
-/// any query reached, leaving a [`Mark`] every [`Self::STRIDE`] steps over
-/// the last [`Self::RECENT`] (≥ 80 ms) and one every [`Self::COARSE`]
+/// any query reached, leaving a `Mark` every `Self::STRIDE` steps over
+/// the last `Self::RECENT` (≥ 80 ms) and one every `Self::COARSE`
 /// before that. A query behind the front that is not one of those resumes a back
 /// cursor, or restarts it from the nearest mark — same draws in the same
 /// order, so two queries of the same instant always agree, whatever was
@@ -452,11 +452,6 @@ impl PhaseTrajectory {
         }
     }
 
-    /// Phasor `e^{jφ(t)}`.
-    pub fn phasor_at(&mut self, t: f64) -> jmb_dsp::Complex64 {
-        jmb_dsp::Complex64::cis(self.phase_at(t))
-    }
-
     /// The grid interval `t` falls in and the point it starts from — the
     /// one door from a time to the grid, so every accessor checks `t`. A
     /// point at or past the front moves the front; one behind it is one
@@ -486,6 +481,14 @@ impl PhaseTrajectory {
             self.answered.put(idx, point)
         };
         (idx, point)
+    }
+}
+
+#[cfg(test)]
+impl PhaseTrajectory {
+    /// Phasor `e^{jφ(t)}`.
+    pub fn phasor_at(&mut self, t: f64) -> jmb_dsp::Complex64 {
+        jmb_dsp::Complex64::cis(self.phase_at(t))
     }
 }
 
@@ -561,16 +564,6 @@ mod tests {
         let (f0, f1) = (t.cfo_hz_at(0.0), t.cfo_hz_at(1.0));
         assert_ne!(f0, f1);
         assert!((f1 - f0).abs() < 20.0, "drift too fast: {} Hz", f1 - f0);
-    }
-
-    #[test]
-    fn phasor_is_unit() {
-        let mut rng = rng_from_seed(5);
-        let mut t = PhaseTrajectory::new(OscillatorSpec::wifi_worst_case(), FC, &mut rng);
-        for i in 1..10 {
-            let z = t.phasor_at(i as f64 * 1e-3);
-            assert!((z.abs() - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -769,5 +762,15 @@ mod tests {
         let rel = lead.phase_at(t) - slave.phase_at(t);
         let expected = 2.0 * std::f64::consts::PI * 450.0 * t;
         assert!((rel - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn phasor_is_unit() {
+        let mut rng = rng_from_seed(5);
+        let mut t = PhaseTrajectory::new(OscillatorSpec::wifi_worst_case(), FC, &mut rng);
+        for i in 1..10 {
+            let z = t.phasor_at(i as f64 * 1e-3);
+            assert!((z.abs() - 1.0).abs() < 1e-12);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Large-scale path loss, shadowing, and link-budget arithmetic.
+//! Large-scale path loss and shadowing.
 //!
 //! A log-distance model with log-normal shadowing — the standard indoor
 //! abstraction (Goldsmith \[9\], which the paper cites for channel behaviour).
@@ -64,7 +64,9 @@ impl PathLossModel {
     }
 }
 
-/// Radio link-budget constants.
+/// Radio link-budget constants: the tests' budget for turning a path loss
+/// into an SNR.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 pub struct LinkBudget {
     /// Transmit power, dBm.
@@ -75,6 +77,7 @@ pub struct LinkBudget {
     pub bandwidth_hz: f64,
 }
 
+#[cfg(test)]
 impl LinkBudget {
     /// USRP2-class defaults on a 10 MHz channel. Transmit power is kept low
     /// (0 dBm) so that conference-room distances actually span the paper's

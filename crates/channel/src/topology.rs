@@ -27,7 +27,7 @@ impl Position {
     }
 
     /// Euclidean distance to another position.
-    pub fn distance(&self, other: &Position) -> f64 {
+    pub(crate) fn distance(&self, other: &Position) -> f64 {
         (self.x - other.x).hypot(self.y - other.y)
     }
 }
@@ -46,7 +46,7 @@ pub enum SnrBand {
 
 impl SnrBand {
     /// The band's dB range `(lo, hi)`.
-    pub fn range_db(self) -> (f64, f64) {
+    fn range_db(self) -> (f64, f64) {
         match self {
             SnrBand::Low => (6.0, 12.0),
             SnrBand::Medium => (12.0, 18.0),

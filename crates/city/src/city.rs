@@ -120,7 +120,7 @@ impl CityConfig {
     }
 
     /// The plan this config describes.
-    pub fn grid(&self) -> Grid {
+    fn grid(&self) -> Grid {
         Grid::new(self.cols, self.rows, self.spacing_m)
     }
 
@@ -131,7 +131,7 @@ impl CityConfig {
     }
 
     /// Queue-drain allowance after each epoch's horizon, seconds.
-    pub fn drain_timeout_s(&self) -> f64 {
+    fn drain_timeout_s(&self) -> f64 {
         (0.5 * self.duration_s).min(0.25)
     }
 
@@ -146,7 +146,7 @@ impl CityConfig {
     }
 
     /// Deployment area, km².
-    pub fn area_km2(&self) -> f64 {
+    fn area_km2(&self) -> f64 {
         (self.cols as f64 * self.spacing_m) * (self.rows as f64 * self.spacing_m) / 1e6
     }
 }
@@ -229,11 +229,6 @@ impl City {
             cfg,
             trace: Trace::new(),
         })
-    }
-
-    /// The configuration under this runner.
-    pub fn config(&self) -> &CityConfig {
-        &self.cfg
     }
 
     /// Runs every epoch of every cell and pools the final epoch.

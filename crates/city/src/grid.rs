@@ -44,7 +44,7 @@ impl Reuse {
     /// Colors are linear-form sublattice colorings, so equal colors repeat
     /// on a translated sublattice exactly as in a classical cellular plan:
     /// `(x + 2y) mod 3` for reuse 3 and `(2x + 3y) mod 7` for reuse 7.
-    pub fn color_of(self, x: usize, y: usize) -> usize {
+    fn color_of(self, x: usize, y: usize) -> usize {
         match self {
             Reuse::One => 0,
             Reuse::Three => (x + 2 * y) % 3,
@@ -69,7 +69,7 @@ pub struct Grid {
 impl Grid {
     /// Builds a plan. Callers validate through [`crate::CityConfig`]; a
     /// degenerate grid here simply has zero cells.
-    pub fn new(cols: usize, rows: usize, spacing_m: f64) -> Self {
+    pub(crate) fn new(cols: usize, rows: usize, spacing_m: f64) -> Self {
         Grid {
             cols,
             rows,
@@ -78,46 +78,50 @@ impl Grid {
     }
 
     /// Total number of cells.
-    pub fn n_cells(&self) -> usize {
+    pub(crate) fn n_cells(&self) -> usize {
         self.cols * self.rows
     }
 
-    /// Row-major index of coordinate `(x, y)`.
-    pub fn index(&self, x: usize, y: usize) -> usize {
-        y * self.cols + x
-    }
-
     /// Coordinate `(x, y)` of a row-major cell index.
-    pub fn coords(&self, cell: usize) -> (usize, usize) {
+    fn coords(&self, cell: usize) -> (usize, usize) {
         (cell % self.cols, cell / self.cols)
     }
 
     /// Center of a cell in metres.
-    pub fn center_m(&self, cell: usize) -> (f64, f64) {
+    fn center_m(&self, cell: usize) -> (f64, f64) {
         let (x, y) = self.coords(cell);
         (x as f64 * self.spacing_m, y as f64 * self.spacing_m)
     }
 
     /// Distance between two cell centers, metres.
-    pub fn distance_m(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn distance_m(&self, a: usize, b: usize) -> f64 {
         let (ax, ay) = self.center_m(a);
         let (bx, by) = self.center_m(b);
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
     }
 
     /// The reuse color of a cell.
-    pub fn color(&self, reuse: Reuse, cell: usize) -> usize {
+    pub(crate) fn color(&self, reuse: Reuse, cell: usize) -> usize {
         let (x, y) = self.coords(cell);
         reuse.color_of(x, y)
     }
 
     /// Every *other* cell sharing `cell`'s color (its co-channel
     /// interferers), in index order.
-    pub fn co_channel(&self, reuse: Reuse, cell: usize) -> Vec<usize> {
+    pub(crate) fn co_channel(&self, reuse: Reuse, cell: usize) -> Vec<usize> {
         let color = self.color(reuse, cell);
         (0..self.n_cells())
             .filter(|&j| j != cell && self.color(reuse, j) == color)
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl Grid {
+    /// Row-major index of coordinate `(x, y)`: the inverse of
+    /// [`Grid::coords`].
+    pub fn index(&self, x: usize, y: usize) -> usize {
+        y * self.cols + x
     }
 }
 

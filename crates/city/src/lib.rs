@@ -8,8 +8,7 @@
 //! through distance-based path loss (each cell's aggregate out-of-cell
 //! leakage is folded into its per-subcarrier noise floor via
 //! `FastNet::set_external_interference`, so the EESM rate selection and
-//! SINRs honor it; the sample-accurate path has the matching
-//! `JmbNetwork::set_external_interference` hook), and runs every cell's
+//! SINRs honor it), and runs every cell's
 //! traffic event loop as an independent shard.
 //!
 //! # Determinism contract
@@ -33,6 +32,8 @@
 //! Rogalin-style hierarchy: intra-cell sync is the paper's lead/slave
 //! protocol with its 0.35 rad budget; cells only couple through
 //! interference power, never through phase).
+
+#![warn(missing_docs)]
 
 pub mod city;
 pub mod grid;

@@ -82,7 +82,7 @@ pub fn dot11_client_throughput(
 
 /// [`dot11_client_throughput`] with an explicit per-frame MAC overhead
 /// (contention + acknowledgment airtime).
-pub fn dot11_client_throughput_with_mac(
+pub(crate) fn dot11_client_throughput_with_mac(
     params: &OfdmParams,
     snr_per_subcarrier: &[f64],
     n_clients: usize,
@@ -141,7 +141,7 @@ pub fn jmb_client_throughput(
 /// reaches ([`esnr::from_the_mean`]): a rate over any client's mean SINR
 /// is over that client's effective SNR too, so no rate it skips could
 /// have been picked.
-pub fn select_joint_mcs(
+pub(crate) fn select_joint_mcs(
     per_client_sinr: impl IntoIterator<Item = impl AsRef<[f64]>> + Clone,
 ) -> Option<Mcs> {
     let lowest_mean_db = per_client_sinr
@@ -154,13 +154,6 @@ pub fn select_joint_mcs(
             esnr::effective_snr_db_eesm(mcs, sinrs.as_ref()) >= esnr::MCS_THRESHOLD_DB[mcs.index()]
         })
     })
-}
-
-/// Single-AP MU-MIMO reference (what a traditional multi-user beamforming
-/// AP with `n_antennas_per_ap` achieves, Fig. 1a): the number of concurrent
-/// streams is capped by one AP's antennas regardless of how many APs exist.
-pub fn single_ap_mu_mimo_streams(n_antennas_per_ap: usize, n_clients: usize) -> usize {
-    n_antennas_per_ap.min(n_clients)
 }
 
 #[cfg(test)]
@@ -348,11 +341,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mu_mimo_stream_cap() {
-        assert_eq!(single_ap_mu_mimo_streams(2, 10), 2);
-        assert_eq!(single_ap_mu_mimo_streams(4, 3), 3);
     }
 }

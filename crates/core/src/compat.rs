@@ -79,7 +79,7 @@ impl CompatConfig {
 
     /// The shape and range rules [`Network::new`] starts with, without
     /// building anything.
-    pub fn validate(&self) -> Result<(), JmbError> {
+    fn validate(&self) -> Result<(), JmbError> {
         validate_shape(DEVICES, DEVICES, &self.client_snr_db)?;
         first_broken([client_snr_rule(&self.client_snr_db)])
     }

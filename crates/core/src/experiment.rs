@@ -84,7 +84,7 @@ pub enum SchedulePolicy {
 
 impl SchedulePolicy {
     /// The claim-order permutation of `0..n` this policy induces.
-    pub fn claim_order(&self, n: usize) -> Vec<usize> {
+    fn claim_order(&self, n: usize) -> Vec<usize> {
         match *self {
             SchedulePolicy::Natural | SchedulePolicy::WorkerStarvation => (0..n).collect(),
             SchedulePolicy::Reversed => (0..n).rev().collect(),
@@ -534,10 +534,10 @@ fn jmb_overheads(net: &FastNet) -> baseline::JmbOverheads {
 /// JMB and the 802.11 equal-share baseline. Runs come band-major, then by
 /// AP count, then by topology; a draw whose network fails is left out.
 ///
-/// A topology draw's bands share its room ([`scaling_draw`] labels its
+/// A topology draw's bands share its room (`scaling_draw` labels its
 /// stream by topology and AP count alone): one task per (AP count,
 /// topology) draws the room once and builds each band's network in it
-/// ([`FastNet::in_room`]), bit for bit the network [`FastNet::new`] would
+/// (`FastNet::in_room`), bit for bit the network [`FastNet::new`] would
 /// build. A band whose config misfits the room, or after a network that
 /// failed, draws a fresh one.
 ///
@@ -672,7 +672,7 @@ pub fn aggregate_scaling(runs: &[ScalingRun]) -> Vec<ScalingPoint> {
 }
 
 /// Stable ordering for bands in outputs.
-pub fn band_index(band: SnrBand) -> usize {
+fn band_index(band: SnrBand) -> usize {
     match band {
         SnrBand::High => 0,
         SnrBand::Medium => 1,

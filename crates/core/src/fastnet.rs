@@ -169,7 +169,7 @@ pub type FastNet = Network<FastEval>;
 impl LinkEval for FastEval {
     type Config = FastConfig;
 
-    /// Draws the room ([`FastRoom::draw`]) and calibrates `cfg` in it; a
+    /// Draws the room (`FastRoom::draw`) and calibrates `cfg` in it; a
     /// room no other config will use hands its nodes and stream over.
     fn deploy(cfg: FastConfig) -> Result<Deployment<Self>, JmbError> {
         let mut room = FastRoom::draw(&cfg)?;
@@ -191,8 +191,8 @@ impl LinkEval for FastEval {
     }
 
     /// Frequency-domain model: every client measures every AP, averaged
-    /// over the measurement's rounds ([`FastEval::measured_rows`]). The
-    /// estimate becomes `H̃`, of which no kept precoder is ([`ZfStore`]).
+    /// over the measurement's rounds (`FastEval::measured_rows`). The
+    /// estimate becomes `H̃`, of which no kept precoder is (`ZfStore`).
     fn estimate_channel(
         &mut self,
         aps: &[NodeId],
@@ -905,18 +905,12 @@ impl FastNet {
         jmb_phy::esnr::select_mcs(snrs)
     }
 
-    /// Rate selected for the joint transmission to every client ([`None`]
-    /// without a full-population precoder, or under the lowest MCS).
-    pub fn select_joint_rate(&self) -> Option<Mcs> {
-        self.joint_rate(self.precoder.as_ref()?)
-    }
-
     /// One joint transmission to a *subset* of clients from a *subset* of
     /// APs — the MAC-driven case: a batch is rarely the full client
     /// population, and during an AP outage the array shrinks. A
     /// zero-forcing precoder is built from the stored measurement `H̃`
     /// restricted to `(clients × active_aps)` — or kept from a batch of the
-    /// same restriction since `H̃` was last written ([`ZfStore`]) — the MCS
+    /// same restriction since `H̃` was last written (`ZfStore`) — the MCS
     /// is selected from its
     /// `k̂²/N` (falling back to the base rate when even that is below
     /// threshold — the MAC's retry policy handles the resulting losses),
@@ -2117,7 +2111,11 @@ mod tests {
             net.run_measurement().unwrap();
             eat_h(&mut bits, net.measured_channel().unwrap());
             eat(&mut bits, [net.k_hat().unwrap()]);
-            let mcs = net.select_joint_rate().map(|m| m.index());
+            let mcs = net
+                .precoder
+                .as_ref()
+                .and_then(|p| net.joint_rate(p))
+                .map(|m| m.index());
             eat(&mut bits, [mcs.map_or(-1.0, |i| i as f64)]);
             net.advance(3e-3);
             let out = net.joint_transmit(1.2e-3, 4, &[], true).unwrap();
@@ -2214,7 +2212,11 @@ mod tests {
     fn rate_selection_present_at_good_snr() {
         let mut net = FastNet::new(cfg(2, 25.0, 6)).unwrap();
         net.run_measurement().unwrap();
-        assert!(net.select_joint_rate().is_some());
+        assert!(net
+            .precoder
+            .as_ref()
+            .and_then(|p| net.joint_rate(p))
+            .is_some());
     }
 
     /// FNV-1a over the `f64` bits of what `cfg` deploys: every node's
@@ -2943,7 +2945,13 @@ mod tests {
         let c = FastConfig::default_with(4, 12, vec![20.0; 12], 33);
         let mut net = FastNet::new(c).unwrap();
         net.run_measurement().unwrap();
-        assert!(net.select_joint_rate().is_none(), "no full-population rate");
+        assert!(
+            net.precoder
+                .as_ref()
+                .and_then(|p| net.joint_rate(p))
+                .is_none(),
+            "no full-population rate"
+        );
         assert!(matches!(
             net.joint_transmit(1e-3, 1, &[], true),
             Err(JmbError::NoReference)

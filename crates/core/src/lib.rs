@@ -44,4 +44,4 @@ pub use csi::{CsiTracker, SyncHealth};
 pub use error::JmbError;
 pub use phasesync::PhaseSync;
 pub use precoder::Precoder;
-pub use sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
+pub use sync::{LeadObserver, SyncStrategy, SyncStrategyId};

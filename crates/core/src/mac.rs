@@ -184,7 +184,7 @@ impl JmbMac {
     /// when the client's channels are re-measured: the one re-admission is
     /// [`JmbMac::clear_all_blacklists`], which the traffic layer calls when
     /// every queued destination is blacklisted.
-    pub fn clear_blacklist(&mut self, client: usize) {
+    fn clear_blacklist(&mut self, client: usize) {
         if let Some(b) = self.blacklisted.get_mut(client) {
             *b = false;
         }
@@ -291,11 +291,6 @@ impl JmbMac {
             .min(self.cfg.cw_max)
             .max(1);
         (grown / batch_size.max(1) as u32).max(1)
-    }
-
-    /// Current binary-exponential backoff stage.
-    pub fn backoff_stage(&self) -> u32 {
-        self.backoff_stage
     }
 
     /// Completes a batch: `acked[i]` says whether client `batch[i].dest`
@@ -794,10 +789,10 @@ mod tests {
             m.complete_batch(b, &[false]);
             assert_eq!(m.contention_window(1), want);
         }
-        assert_eq!(m.backoff_stage(), 3);
+        assert_eq!(m.backoff_stage, 3);
         let (b, _) = m.select_batch();
         m.complete_batch(b, &[true]);
-        assert_eq!(m.backoff_stage(), 0);
+        assert_eq!(m.backoff_stage, 0);
         assert_eq!(m.contention_window(1), 16);
     }
 
@@ -813,7 +808,7 @@ mod tests {
         assert!(fates.is_empty());
         assert_eq!(tally.transmissions, 0);
         assert_eq!(tally.airtime_s, 0.0);
-        assert_eq!(m.backoff_stage(), 0);
+        assert_eq!(m.backoff_stage, 0);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl MeasurementPlan {
     /// # Panics
     ///
     /// Panics if `n_aps == 0` or `rounds == 0`.
-    pub fn with_order(n_aps: usize, rounds: usize, order: SlotOrder) -> Self {
+    pub(crate) fn with_order(n_aps: usize, rounds: usize, order: SlotOrder) -> Self {
         assert!(
             n_aps > 0 && rounds > 0,
             "need at least one AP and one round"
@@ -93,19 +93,19 @@ impl MeasurementPlan {
 
     /// Offset of slave `i`'s CFO field (its LTF); `i` is 1-based slave
     /// numbering (slave 1 is AP 1).
-    pub fn cfo_field_offset(&self, slave: usize) -> usize {
+    fn cfo_field_offset(&self, slave: usize) -> usize {
         debug_assert!((1..self.n_aps).contains(&slave));
         320 + (slave - 1) * preamble::LTF_LEN
     }
 
     /// Offset where the interleaved rounds begin.
-    pub fn rounds_offset(&self) -> usize {
+    fn rounds_offset(&self) -> usize {
         320 + (self.n_aps - 1) * preamble::LTF_LEN
     }
 
     /// Offset of AP `ap`'s channel-estimation symbol in `round`
     /// (80 samples per slot).
-    pub fn slot_offset(&self, params: &OfdmParams, round: usize, ap: usize) -> usize {
+    fn slot_offset(&self, params: &OfdmParams, round: usize, ap: usize) -> usize {
         debug_assert!(round < self.rounds && ap < self.n_aps);
         let slot = match self.order {
             SlotOrder::Interleaved => round * self.n_aps + ap,
@@ -115,13 +115,17 @@ impl MeasurementPlan {
     }
 
     /// Total packet length in samples.
-    pub fn total_len(&self, params: &OfdmParams) -> usize {
+    pub(crate) fn total_len(&self, params: &OfdmParams) -> usize {
         self.rounds_offset() + self.rounds * self.n_aps * params.symbol_len()
     }
 
     /// The waveform segments AP `ap` transmits, as `(offset, samples)`
     /// pairs relative to the packet start.
-    pub fn ap_segments(&self, params: &OfdmParams, ap: usize) -> Vec<(usize, Vec<Complex64>)> {
+    pub(crate) fn ap_segments(
+        &self,
+        params: &OfdmParams,
+        ap: usize,
+    ) -> Vec<(usize, Vec<Complex64>)> {
         let mut segs = Vec::new();
         if ap == 0 {
             segs.push((0, preamble::preamble(params)));
@@ -138,7 +142,7 @@ impl MeasurementPlan {
 
 /// The channel-estimation symbol every AP repeats in its slots: the LTF
 /// sequence as one CP-prefixed OFDM symbol.
-pub fn chanest_symbol(params: &OfdmParams) -> Vec<Complex64> {
+pub(crate) fn chanest_symbol(params: &OfdmParams) -> Vec<Complex64> {
     let bins = preamble::ltf_bins(params);
     let mut body = bins;
     fft::ifft_in_place(&mut body);
@@ -153,7 +157,7 @@ pub fn chanest_symbol(params: &OfdmParams) -> Vec<Complex64> {
 /// phase-limited by the span of the rounds section (≈ 0.02 rad of phase
 /// noise over it) — ~12 Hz for the default 2-AP packet, better as packets
 /// grow, never trusted below 10 Hz. Both fidelities seed with it.
-pub fn seed_cfo_sigma_hz(params: &OfdmParams, rounds: usize, n_aps: usize) -> f64 {
+pub(crate) fn seed_cfo_sigma_hz(params: &OfdmParams, rounds: usize, n_aps: usize) -> f64 {
     let span_s = (rounds * n_aps) as f64 * params.symbol_len() as f64 * params.sample_period();
     (0.02 / (2.0 * std::f64::consts::PI * span_s)).max(10.0)
 }
@@ -173,7 +177,7 @@ pub struct ClientMeasurement {
 ///
 /// `window` must start exactly at the packet start (symbol-level timing is
 /// assumed from \[30\], as in the paper) and cover `plan.total_len()` samples.
-pub fn client_estimate(
+pub(crate) fn client_estimate(
     params: &OfdmParams,
     plan: &MeasurementPlan,
     window: &[Complex64],
@@ -292,7 +296,7 @@ pub fn client_estimate(
 /// the lead channel estimate (phase anchored at the LTF midpoint so that
 /// the ratio of two such estimates is exactly the accumulated oscillator
 /// rotation between the two headers) and the estimated lead-minus-slave CFO.
-pub fn slave_header_measurement(
+pub(crate) fn slave_header_measurement(
     params: &OfdmParams,
     window: &[Complex64],
 ) -> Result<(ChannelEstimate, f64), JmbError> {
@@ -322,7 +326,7 @@ pub fn slave_header_measurement(
 
 /// Relative misalignment between two phase observations (radians, wrapped):
 /// helper used by the Fig. 7 probe.
-pub fn misalignment(observed: Complex64, reference: Complex64) -> f64 {
+pub(crate) fn misalignment(observed: Complex64, reference: Complex64) -> f64 {
     wrap_phase((observed * reference.conj()).arg())
 }
 

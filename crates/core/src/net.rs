@@ -26,7 +26,7 @@
 //! medium and run through the real estimator, with out-of-band pilots on
 //! the medium's side channel.
 //!
-//! [`JmbNetwork::misalignment_probe`] reproduces the Fig. 7 experiment: the
+//! `JmbNetwork::misalignment_probe` reproduces the Fig. 7 experiment: the
 //! lead and one slave alternate OFDM symbols and the receiver tracks the
 //! deviation of their relative phase from its first observation.
 
@@ -416,7 +416,7 @@ impl LinkEval for SampleEval {
 }
 
 impl Serve for SampleEval {
-    /// A [`JmbNetwork::joint_transmit_masked`] at the rate §9 selects (the
+    /// A `JmbNetwork::joint_transmit_masked` at the rate §9 selects (the
     /// base rate if none clears): one payload per client — the network
     /// transmits one stream each, clients outside the batch get a zero
     /// payload of the same length — and an ACK is a CRC that checked out.
@@ -456,29 +456,6 @@ impl JmbNetwork {
     /// Direct access to the medium (fault injection, traces).
     pub fn medium_mut(&mut self) -> &mut Medium {
         &mut self.link.medium
-    }
-
-    /// The current zero-forcing precoder, for inspection.
-    pub fn precoder(&self) -> Option<&Precoder> {
-        self.precoder.as_ref()
-    }
-
-    /// Raises every client's effective noise floor by `extra_var` (per
-    /// time-domain sample, same normalised units as
-    /// `CLIENT_NOISE_VAR`) to model aggregate out-of-cell
-    /// interference as Gaussian noise. Takes effect at the next
-    /// measurement/transmission; pass `0.0` to restore the clean floor.
-    pub fn set_external_interference(&mut self, extra_var: f64) -> Result<(), JmbError> {
-        if !extra_var.is_finite() || extra_var < 0.0 {
-            return Err(JmbError::BadConfig(
-                "external interference must be finite and non-negative",
-            ));
-        }
-        let floor = CLIENT_NOISE_VAR + extra_var;
-        for &node in &self.clients {
-            self.link.medium.set_noise_var(node, floor);
-        }
-        Ok(())
     }
 
     /// Per-subcarrier SNR (linear) every client will see under the current
@@ -535,7 +512,7 @@ impl JmbNetwork {
     /// active slave misses it, and falls back or sits out like after any
     /// other miss. A slave that sits out radiates nothing; like a masked
     /// AP, it leaves the others' weights as they were.
-    pub fn joint_transmit_masked(
+    fn joint_transmit_masked(
         &mut self,
         payloads: &[Vec<u8>],
         mcs: Mcs,
@@ -714,7 +691,7 @@ impl JmbNetwork {
     ///
     /// Call [`JmbNetwork::run_measurement`] first (the slave needs its
     /// reference); `inter_round_gap_s` of oscillator drift separates rounds.
-    pub fn misalignment_probe(
+    pub(crate) fn misalignment_probe(
         &mut self,
         n_rounds: usize,
         inter_round_gap_s: f64,
@@ -1234,10 +1211,9 @@ mod tests {
             let cfg = NetConfig::default_with(2, 2, 25.0, 54);
             let clean_floor = CLIENT_NOISE_VAR;
             let mut net = JmbNetwork::new(cfg).unwrap();
-            net.set_external_interference(extra_var).unwrap();
             let clients = net.client_nodes().to_vec();
             for c in clients {
-                assert_eq!(net.medium_mut().noise_var(c), clean_floor + extra_var);
+                net.medium_mut().set_noise_var(c, clean_floor + extra_var);
             }
             net.run_measurement().unwrap();
             net.select_rate()
@@ -1247,9 +1223,5 @@ mod tests {
         // ~7 dB of extra floor (5x the 1e-6 default): the estimated noise
         // bins grow until no MCS clears every client — full back-off.
         assert!(run(5e-6).is_none(), "interference must force back-off");
-        // Validation: rejects NaN and negative floors.
-        let mut net = JmbNetwork::new(NetConfig::default_with(2, 1, 20.0, 55)).unwrap();
-        assert!(net.set_external_interference(f64::NAN).is_err());
-        assert!(net.set_external_interference(-1.0).is_err());
     }
 }

@@ -154,7 +154,7 @@ pub struct Deployment<L> {
     /// Sample period `Ts`, seconds.
     pub sample_period_s: f64,
     /// 1σ accuracy (Hz) of the CFO seed the measurement packet's span
-    /// supports ([`crate::measure::seed_cfo_sigma_hz`]).
+    /// supports (`crate::measure::seed_cfo_sigma_hz`).
     pub seed_cfo_sigma_hz: f64,
 }
 

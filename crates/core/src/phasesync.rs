@@ -21,10 +21,10 @@
 //! packet the slave extrapolates with the EWMA CFO, which only has to stay
 //! accurate for a few hundred microseconds (§5.3 first principle).
 //!
-//! The same machinery exposes the **naive** alternative (extrapolating the
-//! phase from the first CFO estimate and elapsed time) so the motivation
-//! experiment of §1 — 10 Hz of estimation error → 20° in 5.5 ms — can be
-//! reproduced as an ablation.
+//! The **naive** alternative — extrapolating the phase from one CFO
+//! estimate and the elapsed time — is the motivation experiment of §1 (10 Hz
+//! of estimation error → 20° in 5.5 ms); its error is linear in the elapsed
+//! time, so `experiment::drift_motivation` computes it in closed form.
 
 use crate::error::JmbError;
 use crate::sync::RAW_HEADER_CFO_SIGMA_HZ;
@@ -52,37 +52,11 @@ pub struct PhaseCorrection {
 impl PhaseCorrection {
     /// The correction phasor at a logical subcarrier: the slave multiplies
     /// its transmit signal by it.
-    pub fn phasor_at(&self, subcarrier: i32) -> Complex64 {
+    pub(crate) fn phasor_at(&self, subcarrier: i32) -> Complex64 {
         Complex64::cis(self.common_phase + self.slope * subcarrier as f64)
     }
 
-    /// The full correction phasor for one subcarrier at `dt` seconds after
-    /// the header measurement: the measured per-subcarrier phase, the
-    /// within-packet CFO extrapolation `e^{j2π·f̂·dt}` (§5.2b: "multiplying
-    /// its transmitted signal by e^{j(ωT1−ωT2)t} where t is the time since
-    /// the initial phase synchronization"), **and** the within-packet growth
-    /// of the sampling-offset slope. The sampling clock is locked to the same
-    /// crystal as the carrier (§5.2: "the MegaMIMO slave APs correct for
-    /// the effect of sampling frequency offset during the packet by using a
-    /// long-term averaged estimate, similar to the carrier frequency
-    /// offset"), so the slip rate is `f̂/f_c` seconds per second and the
-    /// per-subcarrier ramp grows at `2π·Δf_k·(f̂/f_c)` rad/s.
-    pub fn correction_at(
-        &self,
-        subcarrier: i32,
-        dt: f64,
-        subcarrier_spacing: f64,
-        carrier_freq: f64,
-    ) -> Complex64 {
-        let slope_growth = self.slope_growth(dt, subcarrier_spacing, carrier_freq);
-        Complex64::cis(
-            self.common_phase
-                + (self.slope + slope_growth) * subcarrier as f64
-                + 2.0 * std::f64::consts::PI * self.cfo_hz * dt,
-        )
-    }
-
-    /// [`PhaseCorrection::correction_at`] for the whole band at once: the
+    /// `PhaseCorrection::correction_at` for the whole band at once: the
     /// `(θ₀, θ)` of the phasors `e^{j(θ₀ + θ·k)}` it is on subcarrier `k` —
     /// common phase plus CFO extrapolation, and slope plus its growth — for
     /// a kernel that walks them as a `jmb_dsp::complex::phasor_ramp`.
@@ -113,9 +87,6 @@ pub struct PhaseSync {
     reference_ks: Vec<f64>,
     /// Long-term CFO average relative to the lead (Hz).
     cfo_ewma: Ewma,
-    /// First-ever CFO estimate and its time — the *naive* extrapolator's
-    /// whole state.
-    first_cfo: Option<(f64, f64)>,
     /// Previous header's channel gains and anchor time, for cross-header
     /// phase-unwrap CFO refinement.
     last_header: Option<(Vec<Complex64>, f64)>,
@@ -130,7 +101,6 @@ pub struct PhaseSync {
     last_update_t: f64,
     /// Number of raw per-header estimates averaged so far.
     raw_count: usize,
-    observations: usize,
 }
 
 /// Longest gap between consecutive headers over which cross-header phase
@@ -153,13 +123,11 @@ impl PhaseSync {
             reference: None,
             reference_ks: Vec::new(),
             cfo_ewma: Ewma::new(DEFAULT_CFO_ALPHA),
-            first_cfo: None,
             last_header: None,
             refined_cfo: None,
             cfo_sigma: RAW_HEADER_CFO_SIGMA_HZ,
             last_update_t: 0.0,
             raw_count: 0,
-            observations: 0,
         }
     }
 
@@ -173,19 +141,8 @@ impl PhaseSync {
     }
 
     /// The stored reference, if any.
-    pub fn reference(&self) -> Option<&ChannelEstimate> {
+    pub(crate) fn reference(&self) -> Option<&ChannelEstimate> {
         self.reference.as_ref()
-    }
-
-    /// Feeds one per-header CFO estimate (slave relative to lead, Hz) into
-    /// the long-term average. `t` is when the header was heard; the first
-    /// observation also seeds the naive extrapolator.
-    pub fn observe_header_cfo(&mut self, cfo_hz: f64, t: f64) {
-        self.cfo_ewma.update(cfo_hz);
-        if self.first_cfo.is_none() {
-            self.first_cfo = Some((cfo_hz, t));
-        }
-        self.observations += 1;
     }
 
     /// Feeds a full header observation: the lead-channel estimate (phase
@@ -199,7 +156,7 @@ impl PhaseSync {
     /// over a millisecond-scale baseline pins the frequency to ~1 Hz —
     /// this is how the "long term average … across multiple transmissions"
     /// (§5.2b) becomes accurate enough for within-packet tracking.
-    pub fn observe_header(&mut self, est: &ChannelEstimate, raw_cfo_hz: f64, t: f64) {
+    pub(crate) fn observe_header(&mut self, est: &ChannelEstimate, raw_cfo_hz: f64, t: f64) {
         // Uncertainty grows with oscillator drift since the last update.
         let stale = (t - self.last_update_t).max(0.0);
         let sigma_now = (self.cfo_sigma * self.cfo_sigma + DRIFT_RATE * DRIFT_RATE * stale).sqrt();
@@ -245,11 +202,7 @@ impl PhaseSync {
             self.cfo_sigma = sigma_now.min(avg_sigma);
         }
         self.last_update_t = t;
-        if self.first_cfo.is_none() {
-            self.first_cfo = Some((raw_cfo_hz, t));
-        }
         self.remember_header(&est.gains, t);
-        self.observations += 1;
     }
 
     /// Keeps `gains` as the last header heard, in the buffer the previous
@@ -264,32 +217,18 @@ impl PhaseSync {
     /// Seeds the CFO estimate with an external measurement of known
     /// accuracy (e.g. the slave's multi-slot refinement over the
     /// channel-measurement packet).
-    pub fn seed_cfo(&mut self, est: &ChannelEstimate, cfo_hz: f64, sigma_hz: f64, t: f64) {
+    pub(crate) fn seed_cfo(&mut self, est: &ChannelEstimate, cfo_hz: f64, sigma_hz: f64, t: f64) {
         self.cfo_ewma.update(cfo_hz);
         self.refined_cfo = None;
         self.cfo_sigma = sigma_hz;
         self.last_update_t = t;
         self.remember_header(&est.gains, t);
-        if self.first_cfo.is_none() {
-            self.first_cfo = Some((cfo_hz, t));
-        }
-        self.observations += 1;
     }
 
     /// The best CFO for within-packet tracking: the unwrap-refined value
     /// when available, otherwise the EWMA of per-header estimates.
-    pub fn tracking_cfo(&self) -> Option<f64> {
+    fn tracking_cfo(&self) -> Option<f64> {
         self.refined_cfo.or(self.cfo_ewma.value())
-    }
-
-    /// Current 1σ uncertainty of the tracking CFO, Hz.
-    pub fn cfo_sigma(&self) -> f64 {
-        self.cfo_sigma
-    }
-
-    /// Number of headers observed so far.
-    pub fn observations(&self) -> usize {
-        self.observations
     }
 
     /// Computes the phase correction from a fresh measurement of the lead's
@@ -343,7 +282,7 @@ impl PhaseSync {
     /// correction together with its anchor time (when that header was
     /// heard): within-packet tracking must extrapolate from the anchor, so
     /// the phase error grows with the anchor's age (see
-    /// [`PhaseSync::extrapolation_error_rad`] for the budget check).
+    /// `PhaseSync::extrapolation_error_rad` for the budget check).
     ///
     /// Errors with [`JmbError::NoReference`] if no header (or no reference
     /// channel) has been recorded yet.
@@ -367,29 +306,46 @@ impl PhaseSync {
     /// evaluated at time `t`: `2π · σ_f · (t − t_header)`. Infinite when no
     /// header has ever been heard. This is what a caller compares against
     /// its error budget before accepting the fallback.
-    pub fn extrapolation_error_rad(&self, t: f64) -> f64 {
+    pub(crate) fn extrapolation_error_rad(&self, t: f64) -> f64 {
         match &self.last_header {
             Some((_, t0)) => 2.0 * std::f64::consts::PI * self.cfo_sigma * (t - t0).max(0.0),
             None => f64::INFINITY,
         }
-    }
-
-    /// The **naive** correction of §1/§5.2: extrapolate the phase from the
-    /// *first* CFO estimate and the elapsed time, with no re-measurement.
-    /// Returns the predicted phasor `e^{j2π·f̂₀·(t−t₀)}`.
-    ///
-    /// Any error `δf` in `f̂₀` produces a phase error `2π·δf·(t−t₀)` that
-    /// grows without bound — this is the approach the paper shows cannot
-    /// work, reproduced here for the motivation/ablation experiments.
-    pub fn naive_correction(&self, t: f64) -> Result<Complex64, JmbError> {
-        let (f0, t0) = self.first_cfo.ok_or(JmbError::NoReference)?;
-        Ok(Complex64::cis(2.0 * std::f64::consts::PI * f0 * (t - t0)))
     }
 }
 
 impl Default for PhaseSync {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+impl PhaseCorrection {
+    /// The full correction phasor for one subcarrier at `dt` seconds after
+    /// the header measurement: the measured per-subcarrier phase, the
+    /// within-packet CFO extrapolation `e^{j2π·f̂·dt}` (§5.2b: "multiplying
+    /// its transmitted signal by e^{j(ωT1−ωT2)t} where t is the time since
+    /// the initial phase synchronization"), **and** the within-packet growth
+    /// of the sampling-offset slope. The sampling clock is locked to the same
+    /// crystal as the carrier (§5.2: "the MegaMIMO slave APs correct for
+    /// the effect of sampling frequency offset during the packet by using a
+    /// long-term averaged estimate, similar to the carrier frequency
+    /// offset"), so the slip rate is `f̂/f_c` seconds per second and the
+    /// per-subcarrier ramp grows at `2π·Δf_k·(f̂/f_c)` rad/s.
+    pub fn correction_at(
+        &self,
+        subcarrier: i32,
+        dt: f64,
+        subcarrier_spacing: f64,
+        carrier_freq: f64,
+    ) -> Complex64 {
+        let slope_growth = self.slope_growth(dt, subcarrier_spacing, carrier_freq);
+        Complex64::cis(
+            self.common_phase
+                + (self.slope + slope_growth) * subcarrier as f64
+                + 2.0 * std::f64::consts::PI * self.cfo_hz * dt,
+        )
     }
 }
 
@@ -553,7 +509,6 @@ mod tests {
         let ps = PhaseSync::new();
         let now = estimate_from(|_| Complex64::ONE);
         assert_eq!(ps.correction(&now).unwrap_err(), JmbError::NoReference);
-        assert_eq!(ps.naive_correction(1.0).unwrap_err(), JmbError::NoReference);
     }
 
     #[test]
@@ -576,19 +531,19 @@ mod tests {
         assert_eq!(ps.tracking_cfo(), None);
         // Noisy estimates around 440 Hz.
         let mut rng = rng_from_seed(3);
+        let header = estimate_from(|_| Complex64::ONE);
         for i in 0..200 {
             let noise = jmb_dsp::rng::normal(&mut rng, 30.0);
-            ps.observe_header_cfo(440.0 + noise, i as f64 * 1e-3);
+            ps.seed_cfo(&header, 440.0 + noise, 30.0, i as f64 * 1e-3);
         }
         let est = ps.tracking_cfo().unwrap();
         assert!((est - 440.0).abs() < 15.0, "est {est}");
-        assert_eq!(ps.observations(), 200);
     }
 
     #[test]
     fn within_packet_rotation() {
         let mut ps = PhaseSync::new();
-        ps.observe_header_cfo(1000.0, 0.0);
+        ps.seed_cfo(&estimate_from(|_| Complex64::ONE), 1000.0, 1.0, 0.0);
         ps.set_reference(estimate_from(|_| Complex64::ONE));
         let c = ps.correction(&estimate_from(|_| Complex64::ONE)).unwrap();
         assert_eq!(c.cfo_hz, 1000.0);
@@ -633,20 +588,6 @@ mod tests {
         assert!((e1 - 2.0 * std::f64::consts::PI * 5.0 * 1e-3).abs() < 1e-9);
         // Before the anchor the error clamps to zero, not negative.
         assert_eq!(ps.extrapolation_error_rad(0.5), 0.0);
-    }
-
-    #[test]
-    fn naive_extrapolation_drifts_as_paper_says() {
-        // §1: a 10 Hz error gives ~0.35 rad after 5.5 ms.
-        let mut ps = PhaseSync::new();
-        let true_cfo = 500.0;
-        let est_err = 10.0;
-        ps.observe_header_cfo(true_cfo + est_err, 0.0);
-        let t = 5.5e-3;
-        let predicted = ps.naive_correction(t).unwrap();
-        let actual = Complex64::cis(2.0 * std::f64::consts::PI * true_cfo * t);
-        let err = wrap_phase((predicted * actual.conj()).arg()).abs();
-        assert!((err - 0.3456).abs() < 1e-3, "drift {err}");
     }
 
     #[test]

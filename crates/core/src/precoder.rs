@@ -82,7 +82,7 @@ impl Precoder {
     /// Every matrix's shape is checked before any arithmetic: a band with a
     /// mismatched subcarrier is [`JmbError::MeasurementShape`] even if an
     /// earlier subcarrier is singular.
-    pub fn zero_forcing(h_per_subcarrier: &[CMat]) -> Result<Precoder, JmbError> {
+    pub(crate) fn zero_forcing(h_per_subcarrier: &[CMat]) -> Result<Precoder, JmbError> {
         let first = h_per_subcarrier
             .first()
             .ok_or(JmbError::BadConfig("no subcarriers"))?;
@@ -230,7 +230,7 @@ impl Precoder {
     /// `|g_j(k)| = |[H·W]_{jj}|`, from `h_row`, row `j` of `H(k)` (the
     /// stream's channel from each antenna in turn). The entry is summed as
     /// [`Precoder::effective_channel`] sums it.
-    pub fn stream_gain(
+    pub(crate) fn stream_gain(
         &self,
         k_idx: usize,
         h_row: impl IntoIterator<Item = Complex64>,
@@ -254,7 +254,7 @@ impl Precoder {
     /// Weight for antenna m: `h_m*/‖h‖`, scaled so the per-antenna unit
     /// power budget is respected (the limiting antenna is the strongest
     /// one).
-    pub fn mrt((re, im): Lanes<'_>, n_tx: usize) -> Result<Precoder, JmbError> {
+    pub(crate) fn mrt((re, im): Lanes<'_>, n_tx: usize) -> Result<Precoder, JmbError> {
         if n_tx == 0 || re.is_empty() {
             return Err(JmbError::BadConfig("empty diversity channel"));
         }
@@ -298,13 +298,8 @@ impl Precoder {
         })
     }
 
-    /// Number of transmit antennas.
-    pub fn n_tx(&self) -> usize {
-        self.n_tx
-    }
-
     /// Number of spatial streams.
-    pub fn n_streams(&self) -> usize {
+    pub(crate) fn n_streams(&self) -> usize {
         self.n_streams
     }
 
@@ -313,7 +308,7 @@ impl Precoder {
     /// amplitude on each subcarrier — under zero-forcing with per-stream
     /// power normalisation the effective channel is diagonal with
     /// per-stream gains whose RMS this summarises.
-    pub fn k_hats(&self) -> &[f64] {
+    pub(crate) fn k_hats(&self) -> &[f64] {
         &self.k_hats
     }
 
@@ -325,14 +320,8 @@ impl Precoder {
 
     /// The weight of antenna `tx` for stream `stream` on subcarrier `k_idx`:
     /// entry `(tx, stream)` of `W(k)`.
-    pub fn weight(&self, k_idx: usize, tx: usize, stream: usize) -> Complex64 {
+    pub(crate) fn weight(&self, k_idx: usize, tx: usize, stream: usize) -> Complex64 {
         self.weights.get(tx * self.n_streams + stream, k_idx)
-    }
-
-    /// Antenna `tx`'s weight for stream `stream` across the band, one lane
-    /// per subcarrier.
-    pub fn lanes(&self, tx: usize, stream: usize) -> Lanes<'_> {
-        self.weights.row(tx * self.n_streams + stream)
     }
 
     /// Every weight across the band, antenna-major: antenna `tx`'s lanes
@@ -342,51 +331,16 @@ impl Precoder {
         self.weights.rows_from(0, self.n_tx * self.n_streams)
     }
 
-    /// Applies the precoder at one subcarrier: stream vector `x` →
-    /// per-antenna transmit vector `W(k)·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n_streams`.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented precondition (# Panics) — stream count is part of the API contract"
-    )]
-    pub fn apply(&self, k_idx: usize, x: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(x.len(), self.n_streams, "stream vector length");
-        (0..self.n_tx)
-            .map(|m| {
-                x.iter().enumerate().fold(Complex64::ZERO, |acc, (j, &x)| {
-                    self.weight(k_idx, m, j).mul_add(x, acc)
-                })
-            })
-            .collect()
-    }
-
     /// The effective channel `H(k)·W(k)` a set of clients would see.
     #[expect(
         clippy::expect_used,
         reason = "caller contract — h spans the same antennas that built this precoder; mul_mat only errors on shape mismatch"
     )]
-    pub fn effective_channel(&self, k_idx: usize, h: &CMat) -> CMat {
+    pub(crate) fn effective_channel(&self, k_idx: usize, h: &CMat) -> CMat {
         let rows = 0..self.n_tx * self.n_streams;
         let w = rows.map(|row| self.weights.get(row, k_idx)).collect();
         h.mul_mat(&CMat::from_vec(self.n_tx, self.n_streams, w))
             .expect("dimensions fixed at construction")
-    }
-
-    /// Mean transmit power of antenna `m`, averaged over subcarriers,
-    /// assuming unit-power streams.
-    pub fn antenna_power(&self, m: usize) -> f64 {
-        let n_k = self.k_hats.len();
-        (0..n_k)
-            .map(|k| {
-                (0..self.n_streams)
-                    .map(|j| self.weight(k, m, j).norm_sqr())
-                    .sum::<f64>()
-            })
-            .sum::<f64>()
-            / n_k as f64
     }
 }
 
@@ -399,6 +353,51 @@ fn scale_by_real(w: &mut Planar, gamma: f64) {
             let z = Complex64::new(*re, *im) * Complex64::real(gamma);
             (*re, *im) = (z.re, z.im);
         }
+    }
+}
+
+#[cfg(test)]
+impl Precoder {
+    /// Number of transmit antennas.
+    pub(crate) fn n_tx(&self) -> usize {
+        self.n_tx
+    }
+
+    /// Antenna `tx`'s weight for stream `stream` across the band, one lane
+    /// per subcarrier.
+    pub(crate) fn lanes(&self, tx: usize, stream: usize) -> Lanes<'_> {
+        self.weights.row(tx * self.n_streams + stream)
+    }
+
+    /// Applies the precoder at one subcarrier: stream vector `x` →
+    /// per-antenna transmit vector `W(k)·x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n_streams`.
+    pub(crate) fn apply(&self, k_idx: usize, x: &[Complex64]) -> Vec<Complex64> {
+        assert_eq!(x.len(), self.n_streams, "stream vector length");
+        (0..self.n_tx)
+            .map(|m| {
+                x.iter().enumerate().fold(Complex64::ZERO, |acc, (j, &x)| {
+                    self.weight(k_idx, m, j).mul_add(x, acc)
+                })
+            })
+            .collect()
+    }
+
+    /// Mean transmit power of antenna `m`, averaged over subcarriers,
+    /// assuming unit-power streams.
+    fn antenna_power(&self, m: usize) -> f64 {
+        let n_k = self.k_hats.len();
+        (0..n_k)
+            .map(|k| {
+                (0..self.n_streams)
+                    .map(|j| self.weight(k, m, j).norm_sqr())
+                    .sum::<f64>()
+            })
+            .sum::<f64>()
+            / n_k as f64
     }
 }
 

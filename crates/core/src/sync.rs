@@ -12,7 +12,7 @@
 //!   transmission. This is the default, and the refactor's safety contract:
 //!   it reproduces the pre-extraction network **bit-exactly** (pinned by
 //!   the `sync_equivalence` fixture suite in `jmb-bench`).
-//! * [`OutOfBand::airsync`] — continuous out-of-band pilot tracking: the lead
+//! * `OutOfBand::airsync` — continuous out-of-band pilot tracking: the lead
 //!   broadcasts a short pilot every couple of milliseconds on a side
 //!   channel, and slaves run the same sigma-weighted predict/correct phase
 //!   tracker ([`PhaseSync`]'s unwrap-refined CFO filter — a steady-state
@@ -20,7 +20,7 @@
 //!   so in-band header loss cannot desynchronize the array; the price is a
 //!   standing pilot airtime tax, surfaced through
 //!   [`SyncStrategy::take_control_airtime_s`].
-//! * [`OutOfBand::reciprocity`] — calibrated implicit CSI in the spirit of
+//! * `OutOfBand::reciprocity` — calibrated implicit CSI in the spirit of
 //!   Rogalin et al.: slaves refresh their lead-relative phase from regular
 //!   uplink traffic (reciprocity calibration), with zero dedicated
 //!   per-client measurement frames. Updates are infrequent and noisier, so
@@ -204,7 +204,7 @@ pub trait SyncStrategy: Send {
 }
 
 /// Builds the strategy backend for `kind` in a network with `n_aps` APs.
-pub fn strategy_for(kind: SyncStrategyId, n_aps: usize) -> Box<dyn SyncStrategy> {
+pub(crate) fn strategy_for(kind: SyncStrategyId, n_aps: usize) -> Box<dyn SyncStrategy> {
     match kind {
         SyncStrategyId::JmbLeadSlave => Box::new(JmbLeadSlave::new(n_aps)),
         SyncStrategyId::AirSyncPilot => Box::new(OutOfBand::airsync(n_aps)),
@@ -286,11 +286,11 @@ impl SyncStrategy for JmbLeadSlave {
 /// extrapolated from the latest update. The two backends are two settings
 /// of it (see the module docs):
 ///
-/// * [`OutOfBand::airsync`] — continuous pilot tracking (AirSync-style).
+/// * `OutOfBand::airsync` — continuous pilot tracking (AirSync-style).
 ///   Header-quality estimates at a 2 ms cadence keep the predictor's
 ///   extrapolation error well inside the paper's 0.35 rad budget, at the
 ///   cost of a standing pilot airtime tax.
-/// * [`OutOfBand::reciprocity`] — calibrated implicit CSI from uplink
+/// * `OutOfBand::reciprocity` — calibrated implicit CSI from uplink
 ///   reciprocity (Rogalin et al.). Updates are free of dedicated airtime
 ///   but sparse and noisy — the widest phase-error envelope of the three —
 ///   and the measurement phase is far cheaper.
@@ -309,7 +309,7 @@ pub struct OutOfBand {
 
 impl OutOfBand {
     /// AirSync pilot tracking for a network with `n_aps` APs.
-    pub fn airsync(n_aps: usize) -> Self {
+    fn airsync(n_aps: usize) -> Self {
         OutOfBand {
             kind: SyncStrategyId::AirSyncPilot,
             sync: (1..n_aps).map(|_| PhaseSync::new()).collect(),
@@ -324,7 +324,7 @@ impl OutOfBand {
     }
 
     /// Reciprocity calibration for a network with `n_aps` APs.
-    pub fn reciprocity(n_aps: usize) -> Self {
+    fn reciprocity(n_aps: usize) -> Self {
         OutOfBand {
             kind: SyncStrategyId::ReciprocityImplicit,
             interval_s: RECIPROCITY_RECAL_INTERVAL_S,

@@ -110,7 +110,7 @@ impl Complex64 {
     /// semantics; callers inverting channel matrices must check conditioning
     /// first (see [`crate::matrix::CMat::inverse`]).
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let d = self.norm_sqr();
         Complex64::new(self.re / d, -self.im / d)
     }
@@ -134,12 +134,6 @@ impl Complex64 {
         } else {
             self.scale(1.0 / a)
         }
-    }
-
-    /// `true` if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
     }
 
     /// `true` if both components are finite.
@@ -300,20 +294,6 @@ pub fn mean_power(samples: &[Complex64]) -> f64 {
         return 0.0;
     }
     samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / samples.len() as f64
-}
-
-/// Inner product `Σ a_i · conj(b_i)` of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn inner_product(a: &[Complex64], b: &[Complex64]) -> Complex64 {
-    assert_eq!(a.len(), b.len(), "inner_product: length mismatch");
-    let mut acc = Complex64::ZERO;
-    for (&x, &y) in a.iter().zip(b) {
-        acc = x.mul_add(y.conj(), acc);
-    }
-    acc
 }
 
 /// Wraps an angle to `(-π, π]`.
@@ -586,6 +566,11 @@ mod tests {
             (0..n)
                 .map(|i| Complex64::cis(2.0 * PI * k as f64 * i as f64 / n as f64))
                 .collect()
+        };
+        let inner_product = |a: &[Complex64], b: &[Complex64]| {
+            a.iter()
+                .zip(b)
+                .fold(Complex64::ZERO, |acc, (&x, &y)| x.mul_add(y.conj(), acc))
         };
         let ip = inner_product(&tone(3), &tone(5));
         assert!(ip.abs() < 1e-10);

@@ -256,7 +256,7 @@ const SWEEP_EXACT_NEAR: f64 = 0.01;
 /// `sin(πf)` and `e^{jπf/25}` as rotators (steps `e^{jπε}`, `e^{jπε/25}`), so
 /// the kernel's sines and its 49 denominators see the same position. It
 /// evaluates exactly — libm's `sin` and `sin_cos`, as [`interpolate_at`]
-/// does — every [`SWEEP_ANCHOR_EVERY`] outputs, whenever the integer part
+/// does — every `SWEEP_ANCHOR_EVERY` outputs, whenever the integer part
 /// would step by anything but one, and at every output with
 /// `min(f, 1 − f) < 0.01`.
 ///

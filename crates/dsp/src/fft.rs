@@ -69,19 +69,6 @@ impl FftPlan {
         }
     }
 
-    /// Transform length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan is for length-zero transforms (never true; plans are
-    /// always non-empty). Provided for clippy-friendly API completeness.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     fn permute(&self, buf: &mut [Complex64]) {
         for (i, &r) in self.bitrev.iter().enumerate() {
             let r = r as usize;
@@ -117,7 +104,7 @@ impl FftPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `buf.len() != self.len()`.
+    /// Panics if `buf.len()` is not the plan's length.
     pub fn forward(&self, buf: &mut [Complex64]) {
         assert_eq!(buf.len(), self.n, "FFT buffer length mismatch");
         let _span = jmb_obs::span("fft_forward");
@@ -129,7 +116,7 @@ impl FftPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `buf.len() != self.len()`.
+    /// Panics if `buf.len()` is not the plan's length.
     pub fn inverse(&self, buf: &mut [Complex64]) {
         assert_eq!(buf.len(), self.n, "FFT buffer length mismatch");
         let _span = jmb_obs::span("fft_inverse");

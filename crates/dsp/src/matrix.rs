@@ -51,10 +51,16 @@ impl std::error::Error for MatError {}
 /// ```
 /// use jmb_dsp::{CMat, Complex64};
 ///
-/// let h = CMat::from_rows(&[
-///     &[Complex64::new(1.0, 0.0), Complex64::new(0.0, 1.0)],
-///     &[Complex64::new(0.0, -1.0), Complex64::new(2.0, 0.0)],
-/// ]);
+/// let h = CMat::from_vec(
+///     2,
+///     2,
+///     vec![
+///         Complex64::new(1.0, 0.0),
+///         Complex64::new(0.0, 1.0),
+///         Complex64::new(0.0, -1.0),
+///         Complex64::new(2.0, 0.0),
+///     ],
+/// );
 /// let inv = h.inverse().unwrap();
 /// let prod = h.mul_mat(&inv).unwrap();
 /// assert!(prod.is_identity(1e-10));
@@ -85,26 +91,6 @@ impl CMat {
         m
     }
 
-    /// Creates a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have inconsistent lengths or there are no rows.
-    pub fn from_rows(rows: &[&[Complex64]]) -> Self {
-        assert!(!rows.is_empty(), "from_rows: no rows");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "from_rows: ragged rows");
-            data.extend_from_slice(r);
-        }
-        CMat {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
     /// Creates a matrix from a flat row-major vector.
     ///
     /// # Panics
@@ -129,7 +115,7 @@ impl CMat {
 
     /// `true` if the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -159,7 +145,7 @@ impl CMat {
     /// Reshapes the matrix to `rows × cols`, zero-filled, reusing the
     /// existing allocation when it is large enough. Intended for scratch
     /// buffers that live across hot-loop iterations.
-    pub fn reset(&mut self, rows: usize, cols: usize) {
+    fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
@@ -235,7 +221,7 @@ impl CMat {
     }
 
     /// Maximum absolute row sum (induced ∞-norm).
-    pub fn inf_norm(&self) -> f64 {
+    fn inf_norm(&self) -> f64 {
         (0..self.rows)
             .map(|r| self.row(r).iter().map(|x| x.abs()).sum::<f64>())
             .fold(0.0, f64::max)
@@ -339,14 +325,14 @@ impl CMat {
     }
 
     /// Largest singular value, by power iteration on `AᴴA`.
-    pub fn sigma_max(&self) -> f64 {
+    fn sigma_max(&self) -> f64 {
         self.extreme_singular_value(false)
     }
 
     /// Smallest singular value, by inverse power iteration on `AᴴA`.
     ///
     /// Returns `0.0` if `AᴴA` is singular.
-    pub fn sigma_min(&self) -> f64 {
+    fn sigma_min(&self) -> f64 {
         self.extreme_singular_value(true)
     }
 
@@ -889,6 +875,26 @@ impl fmt::Debug for CMat {
 /// ([`ZfSolver`] solves for the precoder instead).
 #[cfg(test)]
 impl CMat {
+    /// Creates a matrix from row slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if rows have inconsistent lengths or there are no rows.
+    pub fn from_rows(rows: &[&[Complex64]]) -> Self {
+        assert!(!rows.is_empty(), "from_rows: no rows");
+        let cols = rows[0].len();
+        let mut data = Vec::with_capacity(rows.len() * cols);
+        for r in rows {
+            assert_eq!(r.len(), cols, "from_rows: ragged rows");
+            data.extend_from_slice(r);
+        }
+        CMat {
+            rows: rows.len(),
+            cols,
+            data,
+        }
+    }
+
     /// Creates an `n × n` diagonal matrix from the given diagonal entries.
     pub fn diag(entries: &[Complex64]) -> Self {
         let n = entries.len();

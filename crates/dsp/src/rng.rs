@@ -41,7 +41,7 @@ pub fn derive_rng(master_seed: u64, stream: u64) -> JmbRng {
 /// one `u64`, one multiply and one compare, where Box–Muller pays one `ln`,
 /// one `sqrt` and one `sin_cos` per pair.
 ///
-/// Not for deployment draws: those stay on [`standard_normal`], so a seed
+/// Not for deployment draws: those stay on `standard_normal`, so a seed
 /// keeps naming the same deployment (DESIGN §3.1). `scripts/check.sh`
 /// holds the callers to the two noise processes.
 #[inline]
@@ -75,7 +75,7 @@ pub fn fill_standard_normals<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
 /// ppm, the sample medium's AWGN) comes through here, bit for bit what it
 /// has always been. (`rand_distr` is outside the allowed dependency set.)
 #[inline]
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling u1 from (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

@@ -99,37 +99,9 @@ impl Cdf {
         Cdf { values, fractions }
     }
 
-    /// Fraction of samples ≤ `x`.
-    pub fn fraction_at(&self, x: f64) -> f64 {
-        match self
-            .values
-            .binary_search_by(|v| v.partial_cmp(&x).expect("NaN"))
-        {
-            Ok(mut i) => {
-                // Step to the last equal value so ties are fully counted.
-                while i + 1 < self.values.len() && self.values[i + 1] == x {
-                    i += 1;
-                }
-                self.fractions[i]
-            }
-            Err(0) => 0.0,
-            Err(i) => self.fractions[i - 1],
-        }
-    }
-
     /// Value at cumulative fraction `q` (0–1): the q-quantile.
     pub fn quantile(&self, q: f64) -> f64 {
         percentile(&self.values, q * 100.0)
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if the CDF holds no samples (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -156,11 +128,6 @@ impl Welford {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Current mean (`NaN` when empty).
@@ -221,10 +188,27 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
+}
 
-    /// Discards all history.
-    pub fn reset(&mut self) {
-        self.value = None;
+#[cfg(test)]
+impl Cdf {
+    /// Fraction of samples ≤ `x`: the tests' view of the CDF the quantile
+    /// inverts.
+    pub fn fraction_at(&self, x: f64) -> f64 {
+        match self
+            .values
+            .binary_search_by(|v| v.partial_cmp(&x).expect("NaN"))
+        {
+            Ok(mut i) => {
+                // Step to the last equal value so ties are fully counted.
+                while i + 1 < self.values.len() && self.values[i + 1] == x {
+                    i += 1;
+                }
+                self.fractions[i]
+            }
+            Err(0) => 0.0,
+            Err(i) => self.fractions[i - 1],
+        }
     }
 }
 
@@ -284,7 +268,7 @@ mod tests {
     fn cdf_fractions_monotone() {
         let xs = [0.3, 0.1, 0.2, 0.2];
         let cdf = Cdf::new(&xs);
-        assert_eq!(cdf.len(), 4);
+        assert_eq!(cdf.values.len(), 4);
         assert_eq!(*cdf.fractions.last().unwrap(), 1.0);
         for w in cdf.fractions.windows(2) {
             assert!(w[0] <= w[1]);
@@ -331,7 +315,7 @@ mod tests {
         for &x in &xs {
             w.push(x);
         }
-        assert_eq!(w.count(), 8);
+        assert_eq!(w.n, 8);
         assert!((w.mean() - mean(&xs)).abs() < 1e-12);
         assert!((w.variance() - variance(&xs)).abs() < 1e-12);
     }
@@ -359,8 +343,6 @@ mod tests {
         assert_eq!(e.update(5.0), 5.0);
         let v = e.update(6.0);
         assert!((v - 5.1).abs() < 1e-12);
-        e.reset();
-        assert_eq!(e.value(), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ macro_rules! named_enum {
             }
 
             /// Inverse of `name`.
-            pub fn from_name(s: &str) -> Option<$name> {
+            fn from_name(s: &str) -> Option<$name> {
                 Self::ALL.into_iter().find(|v| v.name() == s)
             }
         }
@@ -367,24 +367,9 @@ event_kinds! {
 }
 
 impl EventKind {
-    /// The city cell index this event concerns, if any.
-    pub fn cell(&self) -> Option<usize> {
-        self.index("cell")
-    }
-
     /// The AP index this event concerns, if any (slaves count as APs).
-    pub fn ap(&self) -> Option<usize> {
+    pub(crate) fn ap(&self) -> Option<usize> {
         self.index("ap").or_else(|| self.index("slave"))
-    }
-
-    /// The client index this event concerns, if any.
-    pub fn client(&self) -> Option<usize> {
-        self.index("client")
-    }
-
-    /// The medium node index this event concerns, if any.
-    pub fn node(&self) -> Option<usize> {
-        self.index("node")
     }
 }
 
@@ -545,20 +530,26 @@ mod tests {
     fn accessors_pick_the_right_index() {
         assert_eq!(EventKind::SyncMissed { slave: 3 }.ap(), Some(3));
         assert_eq!(EventKind::LeadElected { ap: 1 }.ap(), Some(1));
-        assert_eq!(EventKind::Acked { client: 2, id: 0 }.client(), Some(2));
-        assert_eq!(EventKind::Corrupted { node: 4 }.node(), Some(4));
+        assert_eq!(
+            EventKind::Acked { client: 2, id: 0 }.index("client"),
+            Some(2)
+        );
+        assert_eq!(EventKind::Corrupted { node: 4 }.index("node"), Some(4));
         assert_eq!(EventKind::MeasurementLost.ap(), None);
-        assert_eq!(EventKind::CsiStale { age_s: 0.1 }.client(), None);
-        assert_eq!(EventKind::CellStarted { cell: 9, color: 1 }.cell(), Some(9));
+        assert_eq!(EventKind::CsiStale { age_s: 0.1 }.index("client"), None);
+        assert_eq!(
+            EventKind::CellStarted { cell: 9, color: 1 }.index("cell"),
+            Some(9)
+        );
         assert_eq!(
             EventKind::CellFinished {
                 cell: 4,
                 delivered: 0
             }
-            .cell(),
+            .index("cell"),
             Some(4)
         );
-        assert_eq!(EventKind::ApDown { ap: 0 }.cell(), None);
+        assert_eq!(EventKind::ApDown { ap: 0 }.index("cell"), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   kind, AP, client, node, or time window, and assert ordering,
 //!   monotone timestamps, and count bounds. JSON-lines written by
 //!   [`sink::JsonLinesSink`] replay through [`query::read_jsonl`].
-//! * [`span`] — scoped wall-clock timers for hot kernels (FFT, precoder
+//! * [`span`](mod@span) — scoped wall-clock timers for hot kernels (FFT, precoder
 //!   synthesis, the traffic event loop). Span durations are wall-clock
 //!   and therefore *never* enter the event trace — traces must stay
 //!   byte-identical across machines and thread counts.
@@ -40,5 +40,5 @@ pub use json::{json_f64, json_str};
 pub use query::{read_jsonl, TraceQuery};
 pub use registry::{Histogram, Registry};
 pub use sink::{FilterSink, JsonLinesSink, RingBufferSink, TraceSink};
-pub use span::{reset_spans, set_spans_enabled, span, span_report, spans_enabled, SpanStat};
+pub use span::{reset_spans, set_spans_enabled, span, span_report, SpanStat};
 pub use trace::Trace;

@@ -1,9 +1,9 @@
 //! Trace replay and assertion API.
 //!
 //! [`TraceQuery`] is a small builder over a recorded (or replayed) event
-//! slice: narrow by kind / AP / client / node / time-window, then read
-//! counts and times or assert protocol properties — ordering, monotone
-//! timestamps, count bounds. Assertions panic with the offending events in
+//! slice: narrow by kind / AP / time-window, then read counts and times or
+//! assert protocol properties — monotone timestamps and sequence numbers.
+//! Assertions panic with the offending events in
 //! the message, so a failing integration test points straight at the
 //! stream.
 
@@ -39,18 +39,6 @@ impl<'a> TraceQuery<'a> {
         self
     }
 
-    /// Narrows to events concerning client `client`.
-    pub fn client(mut self, client: usize) -> Self {
-        self.events.retain(|e| e.kind.client() == Some(client));
-        self
-    }
-
-    /// Narrows to events concerning medium node `node`.
-    pub fn node(mut self, node: usize) -> Self {
-        self.events.retain(|e| e.kind.node() == Some(node));
-        self
-    }
-
     /// Narrows to the half-open time window `[t0, t1)`.
     pub fn between(mut self, t0: f64, t1: f64) -> Self {
         self.events.retain(|e| e.t >= t0 && e.t < t1);
@@ -77,11 +65,6 @@ impl<'a> TraceQuery<'a> {
         self.events.first().copied()
     }
 
-    /// Last selected event, if any.
-    pub fn last(&self) -> Option<&'a Event> {
-        self.events.last().copied()
-    }
-
     /// Asserts timestamps never decrease along the stream. Returns `self`
     /// for chaining.
     ///
@@ -102,7 +85,7 @@ impl<'a> TraceQuery<'a> {
     }
 
     /// Asserts sequence numbers strictly increase along the stream (always
-    /// true for a single un-cleared trace; catches splicing mistakes when
+    /// true for a single trace; catches splicing mistakes when
     /// streams are merged or replayed). Returns `self` for chaining.
     #[track_caller]
     pub fn assert_monotone_seq(self) -> Self {
@@ -114,41 +97,6 @@ impl<'a> TraceQuery<'a> {
                 w[1]
             );
         }
-        self
-    }
-
-    /// Asserts the selected count lies in `[lo, hi]` (inclusive). Returns
-    /// `self` for chaining.
-    #[track_caller]
-    pub fn assert_count_between(self, lo: usize, hi: usize) -> Self {
-        let n = self.events.len();
-        assert!(
-            n >= lo && n <= hi,
-            "event count {n} outside [{lo}, {hi}]; first: {:?}",
-            self.events.first()
-        );
-        self
-    }
-
-    /// Asserts the first `first`-kind event precedes the first
-    /// `second`-kind event (both must exist among the selected events).
-    /// Returns `self` for chaining.
-    #[track_caller]
-    pub fn assert_precedes(self, first: &str, second: &str) -> Self {
-        let a = self
-            .events
-            .iter()
-            .find(|e| e.kind.name() == first)
-            .unwrap_or_else(|| panic!("no {first} event in stream"));
-        let b = self
-            .events
-            .iter()
-            .find(|e| e.kind.name() == second)
-            .unwrap_or_else(|| panic!("no {second} event in stream"));
-        assert!(
-            (a.t, a.seq) <= (b.t, b.seq),
-            "{first} ({a:?}) does not precede {second} ({b:?})"
-        );
         self
     }
 }
@@ -206,7 +154,6 @@ mod tests {
         assert_eq!(TraceQuery::new(&es).kind("SyncMissed").count(), 1);
         assert_eq!(TraceQuery::new(&es).ap(2).count(), 3);
         assert_eq!(TraceQuery::new(&es).ap(2).kind("ApDegraded").count(), 1);
-        assert_eq!(TraceQuery::new(&es).client(0).count(), 2);
         assert_eq!(TraceQuery::new(&es).between(0.15, 0.45).count(), 3);
         assert!(TraceQuery::new(&es).kind("Render").is_empty());
         let times: Vec<f64> = TraceQuery::new(&es).events().iter().map(|e| e.t).collect();
@@ -218,10 +165,7 @@ mod tests {
         let es = stream();
         TraceQuery::new(&es)
             .assert_monotone_time()
-            .assert_monotone_seq()
-            .assert_count_between(6, 6)
-            .assert_precedes("ApDegraded", "ApRestored")
-            .assert_precedes("Enqueued", "Acked");
+            .assert_monotone_seq();
     }
 
     #[test]
@@ -230,30 +174,6 @@ mod tests {
         let mut es = stream();
         es[3].t = 0.05;
         let _ = TraceQuery::new(&es).assert_monotone_time();
-    }
-
-    #[test]
-    #[should_panic(expected = "does not precede")]
-    fn precedes_catches_inversion() {
-        let mut es = stream();
-        es.swap(3, 5); // restore now before degrade
-        let es: Vec<Event> = es
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut e)| {
-                e.seq = i as u64;
-                e.t = 0.1 * i as f64;
-                e
-            })
-            .collect();
-        let _ = TraceQuery::new(&es).assert_precedes("ApDegraded", "ApRestored");
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn count_bound_catches_excess() {
-        let es = stream();
-        let _ = TraceQuery::new(&es).assert_count_between(0, 2);
     }
 
     #[test]

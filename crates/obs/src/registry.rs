@@ -65,43 +65,9 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Upper bucket bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (`bounds().len() + 1` entries; last is overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean sample, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     fn merge(&mut self, other: &Histogram) {
@@ -164,14 +130,6 @@ impl Registry {
         self.counters.get(&(name, None)).copied().unwrap_or(0)
     }
 
-    /// Reads counter `name{label}` (0 if never touched).
-    pub fn counter_at(&self, name: &'static str, label: u32) -> u64 {
-        self.counters
-            .get(&(name, Some(label)))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Sets the unlabeled gauge `name`.
     pub fn gauge_set(&mut self, name: &'static str, v: f64) {
         self.gauges.insert((name, None), v);
@@ -193,7 +151,7 @@ impl Registry {
     }
 
     /// Reads gauge `name{label}` (0 if never touched).
-    pub fn gauge_at(&self, name: &'static str, label: u32) -> f64 {
+    fn gauge_at(&self, name: &'static str, label: u32) -> f64 {
         self.gauges
             .get(&(name, Some(label)))
             .copied()
@@ -279,7 +237,7 @@ mod tests {
         r.inc_at("drops", 2);
         assert_eq!(r.counter("tx"), 5);
         assert_eq!(r.counter("drops"), 0);
-        assert_eq!(r.counter_at("drops", 2), 2);
+        assert_eq!(r.counters.get(&("drops", Some(2))), Some(&2));
     }
 
     #[test]
@@ -303,11 +261,11 @@ mod tests {
             r.observe("lat", v);
         }
         let h = r.hist("lat").unwrap();
-        assert_eq!(h.counts(), &[1, 1, 1, 1]);
+        assert_eq!(h.counts, [1, 1, 1, 1]);
         assert_eq!(h.count(), 4);
-        assert!((h.sum() - 0.5525).abs() < 1e-12);
-        assert_eq!(h.min(), 0.0005);
-        assert_eq!(h.max(), 0.5);
+        assert!((h.sum - 0.5525).abs() < 1e-12);
+        assert_eq!(h.min, 0.0005);
+        assert_eq!(h.max, 0.5);
     }
 
     #[test]
@@ -340,7 +298,7 @@ mod tests {
         assert_eq!(merged.counter("drops"), 1);
         assert_eq!(merged.gauge_vec("bits", 2), vec![4.0, 4.0]);
         let h = merged.hist("lat").unwrap();
-        assert_eq!(h.counts(), &[1, 1, 0]);
+        assert_eq!(h.counts, [1, 1, 0]);
 
         // Same shards, same order, same bits.
         let mut again = Registry::new();

@@ -42,11 +42,6 @@ impl RingBufferSink {
         self.buf.iter()
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Whether nothing has been retained.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
@@ -257,11 +252,6 @@ impl<S: TraceSink> FilterSink<S> {
             inner,
         }
     }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: TraceSink> TraceSink for FilterSink<S> {
@@ -297,7 +287,7 @@ mod tests {
         for i in 0..5 {
             s.record(&ev(i, i as f64, 0));
         }
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.buf.len(), 3);
         let seqs: Vec<u64> = s.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
     }
@@ -417,7 +407,7 @@ mod tests {
         f.record(&ev(0, 0.0, 0));
         f.record(&ev(1, 0.1, 1));
         f.record(&ev(2, 0.2, 1));
-        let seqs: Vec<u64> = f.inner().events().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = f.inner.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2]);
     }
 }

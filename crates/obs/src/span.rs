@@ -38,7 +38,7 @@ pub fn set_spans_enabled(on: bool) {
 }
 
 /// Whether span recording is currently on.
-pub fn spans_enabled() -> bool {
+fn spans_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 

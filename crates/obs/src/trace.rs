@@ -52,11 +52,6 @@ impl Trace {
         self.enabled = true;
     }
 
-    /// Stops recording (existing events are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Turns the in-memory buffer on/off (on by default). With buffering
     /// off, events stream to sinks only — for long runs dumped straight to
     /// a JSONL file.
@@ -129,12 +124,6 @@ impl Trace {
     pub fn count(&self, pred: impl Fn(&EventKind) -> bool) -> usize {
         self.events.iter().filter(|e| pred(&e.kind)).count()
     }
-
-    /// Clears the buffered log (sequence numbering continues; sinks are
-    /// untouched).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +176,7 @@ mod tests {
         let mut t = Trace::new();
         t.enable();
         t.emit(0.0, EventKind::Render { node: 0, len: 10 });
-        t.disable();
+        t.enabled = false;
         t.emit(
             1.0,
             EventKind::Dropped {
@@ -196,8 +185,6 @@ mod tests {
             },
         );
         assert_eq!(t.events().len(), 1);
-        t.clear();
-        assert!(t.events().is_empty());
     }
 
     #[test]

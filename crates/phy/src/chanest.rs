@@ -53,7 +53,7 @@ impl ChannelEstimate {
         clippy::expect_used,
         reason = "the workspace runs one OFDM numerology — the estimate covers every occupied bin of the same params"
     )]
-    pub fn data_gains_into(&self, params: &OfdmParams, out: &mut Vec<Complex64>) {
+    pub(crate) fn data_gains_into(&self, params: &OfdmParams, out: &mut Vec<Complex64>) {
         out.clear();
         out.extend(
             params
@@ -64,7 +64,7 @@ impl ChannelEstimate {
     }
 
     /// Gains for the pilot subcarriers, in pilot order (−21, −7, +7, +21).
-    pub fn pilot_gains(&self, params: &OfdmParams) -> [Complex64; 4] {
+    pub(crate) fn pilot_gains(&self, params: &OfdmParams) -> [Complex64; 4] {
         let mut out = [Complex64::ZERO; 4];
         for (i, &k) in params.pilot_subcarriers.iter().enumerate() {
             #[expect(
@@ -81,15 +81,6 @@ impl ChannelEstimate {
     /// Average channel power across occupied subcarriers.
     pub fn mean_power(&self) -> f64 {
         self.gains.iter().map(|g| g.norm_sqr()).sum::<f64>() / self.gains.len() as f64
-    }
-
-    /// Rotates every subcarrier's gain by the phasor `rot` (used when
-    /// referring an estimate to a different reference time, §5.1b).
-    pub fn rotated(&self, rot: Complex64) -> ChannelEstimate {
-        ChannelEstimate {
-            subcarriers: self.subcarriers.clone(),
-            gains: self.gains.iter().map(|&g| g * rot).collect(),
-        }
     }
 }
 
@@ -144,7 +135,7 @@ impl PilotTrack {
     /// subcarriers `ks`: multiply each received value by its phasor to undo
     /// the tracked rotation. The phase is affine in `k`, so it is walked as
     /// a [`phasor_ramp`] (pilot and DC gaps are multiple steps).
-    pub fn corrections<'a>(&self, ks: &'a [i32]) -> impl Iterator<Item = Complex64> + 'a {
+    pub(crate) fn corrections<'a>(&self, ks: &'a [i32]) -> impl Iterator<Item = Complex64> + 'a {
         phasor_ramp(-self.common_phase, -self.slope, ks)
     }
 }
@@ -156,7 +147,7 @@ impl PilotTrack {
 /// `p_n` for this symbol. Returns the common phase and per-subcarrier slope
 /// fitted across the pilots (weighted least squares with channel-power
 /// weights, so faded pilots contribute less).
-pub fn track_pilots(
+pub(crate) fn track_pilots(
     params: &OfdmParams,
     pilot_rx: &[Complex64; 4],
     channel: &[Complex64; 4],
@@ -211,6 +202,18 @@ pub fn track_pilots(
 pub fn estimate_ideal(params: &OfdmParams) -> ChannelEstimate {
     let ltf = crate::preamble::ltf(params);
     estimate_from_ltf(params, &ltf)
+}
+
+#[cfg(test)]
+impl ChannelEstimate {
+    /// Rotates every subcarrier's gain by the phasor `rot`, as referring an
+    /// estimate to a different reference time does (§5.1b).
+    pub fn rotated(&self, rot: Complex64) -> ChannelEstimate {
+        ChannelEstimate {
+            subcarriers: self.subcarriers.clone(),
+            gains: self.gains.iter().map(|&g| g * rot).collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -300,17 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn rotation_applies_uniformly() {
-        let p = params();
-        let est = estimate_ideal(&p);
-        let rot = Complex64::cis(0.4);
-        let r = est.rotated(rot);
-        for (a, b) in est.gains.iter().zip(&r.gains) {
-            assert!((*a * rot - *b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn pilot_tracking_common_phase() {
         let p = params();
         let phase = 0.2;
@@ -384,5 +376,16 @@ mod tests {
         rx[2] = Complex64::from_polar(1.0, 2.9); // garbage on the dead pilot
         let t = track_pilots(&p, &rx, &channel, 1.0);
         assert!((t.common_phase - phase).abs() < 1e-6, "{}", t.common_phase);
+    }
+
+    #[test]
+    fn rotation_applies_uniformly() {
+        let p = params();
+        let est = estimate_ideal(&p);
+        let rot = Complex64::cis(0.4);
+        let r = est.rotated(rot);
+        for (a, b) in est.gains.iter().zip(&r.gains) {
+            assert!((*a * rot - *b).abs() < 1e-12);
+        }
     }
 }

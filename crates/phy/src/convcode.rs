@@ -47,19 +47,13 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encodes `data` bits at rate 1/2 **without** appending tail bits.
+/// Encodes `data` bits at rate 1/2 **without** appending tail bits, onto
+/// the end of `out`.
 ///
 /// Used for streams that already contain their tail in-band, such as the
 /// 802.11 SIGNAL field (whose 24 bits end in 6 zero tail bits) and the DATA
 /// field (whose tail sits between the PSDU and the pad bits).
-pub fn encode_raw(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 * data.len());
-    encode_raw_into(data, &mut out);
-    out
-}
-
-/// [`encode_raw`] onto the end of `out`.
-pub fn encode_raw_into(data: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn encode_raw_into(data: &[u8], out: &mut Vec<u8>) {
     encode_into(data.iter(), out);
 }
 
@@ -87,7 +81,7 @@ fn encode_into<'a>(data: impl Iterator<Item = &'a u8>, out: &mut Vec<u8>) {
 /// encoder output stream (A₀B₀A₁B₁… order):
 /// * 2/3 — period 4: keep A₀ B₀ A₁, drop B₁.
 /// * 3/4 — period 6: keep A₀ B₀ A₁, drop B₁, drop A₂, keep B₂.
-pub fn puncture_pattern(rate: CodeRate) -> &'static [bool] {
+fn puncture_pattern(rate: CodeRate) -> &'static [bool] {
     match rate {
         CodeRate::Half => &[true],
         CodeRate::TwoThirds => &[true, true, true, false],
@@ -103,7 +97,7 @@ pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 }
 
 /// [`puncture`] onto the end of `out`.
-pub fn puncture_into(coded: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
+pub(crate) fn puncture_into(coded: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
     let pat = puncture_pattern(rate);
     out.extend(
         coded
@@ -167,8 +161,12 @@ mod tests {
         let data = [1u8, 0, 1, 1, 0, 0, 1];
         let mut with_tail = data.to_vec();
         with_tail.extend_from_slice(&[0; TAIL_BITS]);
-        assert_eq!(encode_raw(&with_tail), encode(&data));
-        assert_eq!(encode_raw(&data).len(), 2 * data.len());
+        let mut raw = Vec::new();
+        encode_raw_into(&with_tail, &mut raw);
+        assert_eq!(raw, encode(&data));
+        raw.clear();
+        encode_raw_into(&data, &mut raw);
+        assert_eq!(raw.len(), 2 * data.len());
     }
 
     #[test]

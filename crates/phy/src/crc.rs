@@ -43,10 +43,12 @@ fn table() -> &'static [u32; 256] {
 /// # Examples
 ///
 /// ```
-/// // The canonical check value for "123456789".
-/// assert_eq!(jmb_phy::crc::crc32(b"123456789"), 0xCBF4_3926);
+/// // The canonical check value for "123456789", as the FCS
+/// // `append_crc` puts after it.
+/// let frame = jmb_phy::crc::append_crc(b"123456789");
+/// assert_eq!(frame[9..], 0xCBF4_3926u32.to_le_bytes());
 /// ```
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let t = table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
@@ -63,7 +65,7 @@ pub fn append_crc(payload: &[u8]) -> Vec<u8> {
 }
 
 /// [`append_crc`] onto the end of `out`: the payload, then its CRC.
-pub fn append_crc_into(payload: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn append_crc_into(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }

@@ -3,9 +3,10 @@
 //! JMB selects bitrates with "the effective SNR algorithm, which is designed
 //! for rate selection for 802.11-like frequency selective wideband channels
 //! \[13\]" (§9, Halperin et al.). The idea: per-subcarrier SNRs are mapped
-//! through the modulation's BER curve, *averaged in BER domain* (where errors
-//! actually combine), and mapped back to a single scalar "effective SNR" that
-//! can be compared against flat-channel MCS thresholds.
+//! through an error model, averaged where errors actually combine, and
+//! mapped back to a single scalar "effective SNR" that can be compared
+//! against flat-channel MCS thresholds. The error model here is the
+//! exponential one (EESM, [`effective_snr_db_eesm`]), one β per MCS.
 //!
 //! Because JMB's zero-forcing precoder gives every client the same
 //! per-subcarrier signal power `k²` (§9), APs compute each client's
@@ -14,73 +15,14 @@
 //!
 //! Every SNR this module takes is linear power, as the callers hold it; dB
 //! appears only in what it returns and in the threshold table.
+//!
+//! The uncoded-BER model the EESM superseded (`erfc` through
+//! `effective_snr_db`, averaging in the bit-error-rate domain) is compiled
+//! for the tests alone, as the reference the EESM's docs compare against.
 
-use crate::modulation::Modulation;
-use crate::params::OfdmParams;
 use crate::rates::Mcs;
 use jmb_dsp::elementary::exp;
-use jmb_dsp::stats::{db_to_lin, lin_to_db};
-
-/// Complementary error function, Abramowitz & Stegun 7.1.26-based
-/// approximation (|error| < 1.5e-7 — far below any SNR modelling error).
-pub fn erfc(x: f64) -> f64 {
-    if x < 0.0 {
-        return 2.0 - erfc(-x);
-    }
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    poly * (-x * x).exp()
-}
-
-/// Gaussian tail probability `Q(x) = P(N(0,1) > x)`.
-pub fn q_func(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Uncoded bit-error rate of a modulation at per-symbol SNR `snr` (linear).
-///
-/// Standard Gray-mapped approximations:
-/// * BPSK: `Q(√(2ρ))`
-/// * QPSK: `Q(√ρ)`
-/// * 16-QAM: `(3/4)·Q(√(ρ/5))`
-/// * 64-QAM: `(7/12)·Q(√(ρ/21))`
-pub fn ber(modulation: Modulation, snr: f64) -> f64 {
-    let snr = snr.max(0.0);
-    match modulation {
-        Modulation::Bpsk => q_func((2.0 * snr).sqrt()),
-        Modulation::Qpsk => q_func(snr.sqrt()),
-        Modulation::Qam16 => 0.75 * q_func((snr / 5.0).sqrt()),
-        Modulation::Qam64 => (7.0 / 12.0) * q_func((snr / 21.0).sqrt()),
-    }
-}
-
-/// Inverse of [`ber`] in SNR: the linear SNR at which `modulation` has
-/// bit-error rate `target`. Solved by bisection (BER is monotone in SNR).
-pub fn snr_for_ber(modulation: Modulation, target: f64) -> f64 {
-    let target = target.clamp(1e-12, 0.5);
-    let (mut lo, mut hi) = (0.0f64, db_to_lin(40.0));
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if ber(modulation, mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Effective SNR of a frequency-selective channel for a modulation:
-/// average the per-subcarrier BERs, then invert back to SNR.
-///
-/// `snrs` are per-subcarrier linear SNRs. Returns effective SNR in dB.
-pub fn effective_snr_db(modulation: Modulation, snrs: &[f64]) -> f64 {
-    assert!(!snrs.is_empty(), "effective SNR of no subcarriers");
-    let mean_ber = snrs.iter().map(|&s| ber(modulation, s)).sum::<f64>() / snrs.len() as f64;
-    lin_to_db(snr_for_ber(modulation, mean_ber))
-}
+use jmb_dsp::stats::lin_to_db;
 
 /// Minimum effective SNR (dB) at which each MCS sustains a ~1% packet error
 /// rate for ~1500-byte frames — the lookup table of \[13\], Table 1 ballpark.
@@ -106,7 +48,7 @@ pub const MCS_EESM_BETA: [f64; 8] = [1.5, 2.5, 3.0, 5.0, 8.0, 14.0, 28.0, 36.0];
 ///
 /// `snrs` are the per-subcarrier linear SNRs `ρ_k`; the result is in dB,
 /// ready for [`MCS_THRESHOLD_DB`]. Identical to the per-subcarrier SNR on a
-/// flat channel. Unlike the raw BER-mean of [`effective_snr_db`], EESM
+/// flat channel. Unlike the raw BER-mean of `effective_snr_db`, EESM
 /// degrades *gracefully* when a few subcarriers are dead (e.g.
 /// zero-forcing inversion holes): the coded 802.11 PHY treats those as
 /// soft erasures — its interleaver spreads them and the CSI-weighted
@@ -188,12 +130,6 @@ pub fn select_mcs(snrs: &[f64]) -> Option<Mcs> {
         .find(|&mcs| effective_snr_db_eesm(mcs, snrs) >= MCS_THRESHOLD_DB[mcs.index()])
 }
 
-/// Data rate (bits/s) the selected MCS achieves from linear per-subcarrier
-/// SNRs, or 0 if no rate is usable.
-pub fn achievable_rate(params: &OfdmParams, snrs: &[f64]) -> f64 {
-    select_mcs(snrs).map_or(0.0, |m| m.bitrate(params))
-}
-
 /// Packet error rate of a stream whose effective SNR sits `margin_db` above
 /// its MCS threshold — the one residual-PER curve every layer that turns a
 /// margin into a delivery uses (the traffic backends' ACK draw, the figure
@@ -206,10 +142,85 @@ pub fn per_at_margin(margin_db: f64) -> f64 {
     (0.1 * (-margin_db).exp()).min(1.0)
 }
 
+/// Complementary error function, Abramowitz & Stegun 7.1.26-based
+/// approximation (|error| < 1.5e-7 — far below any SNR modelling error).
+#[cfg(test)]
+pub fn erfc(x: f64) -> f64 {
+    if x < 0.0 {
+        return 2.0 - erfc(-x);
+    }
+    let t = 1.0 / (1.0 + 0.3275911 * x);
+    let poly = t
+        * (0.254829592
+            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
+    poly * (-x * x).exp()
+}
+
+/// Gaussian tail probability `Q(x) = P(N(0,1) > x)`.
+#[cfg(test)]
+pub fn q_func(x: f64) -> f64 {
+    0.5 * erfc(x / std::f64::consts::SQRT_2)
+}
+
+/// Uncoded bit-error rate of a modulation at per-symbol SNR `snr` (linear).
+///
+/// Standard Gray-mapped approximations:
+/// * BPSK: `Q(√(2ρ))`
+/// * QPSK: `Q(√ρ)`
+/// * 16-QAM: `(3/4)·Q(√(ρ/5))`
+/// * 64-QAM: `(7/12)·Q(√(ρ/21))`
+#[cfg(test)]
+pub fn ber(modulation: crate::modulation::Modulation, snr: f64) -> f64 {
+    let snr = snr.max(0.0);
+    match modulation {
+        crate::modulation::Modulation::Bpsk => q_func((2.0 * snr).sqrt()),
+        crate::modulation::Modulation::Qpsk => q_func(snr.sqrt()),
+        crate::modulation::Modulation::Qam16 => 0.75 * q_func((snr / 5.0).sqrt()),
+        crate::modulation::Modulation::Qam64 => (7.0 / 12.0) * q_func((snr / 21.0).sqrt()),
+    }
+}
+
+/// Inverse of [`ber`] in SNR: the linear SNR at which `modulation` has
+/// bit-error rate `target`. Solved by bisection (BER is monotone in SNR).
+#[cfg(test)]
+pub fn snr_for_ber(modulation: crate::modulation::Modulation, target: f64) -> f64 {
+    let target = target.clamp(1e-12, 0.5);
+    let (mut lo, mut hi) = (0.0f64, jmb_dsp::stats::db_to_lin(40.0));
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if ber(modulation, mid) > target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
+/// Effective SNR of a frequency-selective channel for a modulation:
+/// average the per-subcarrier BERs, then invert back to SNR.
+///
+/// `snrs` are per-subcarrier linear SNRs. Returns effective SNR in dB.
+#[cfg(test)]
+pub fn effective_snr_db(modulation: crate::modulation::Modulation, snrs: &[f64]) -> f64 {
+    assert!(!snrs.is_empty(), "effective SNR of no subcarriers");
+    let mean_ber = snrs.iter().map(|&s| ber(modulation, s)).sum::<f64>() / snrs.len() as f64;
+    lin_to_db(snr_for_ber(modulation, mean_ber))
+}
+
+/// Data rate (bits/s) the selected MCS achieves from linear per-subcarrier
+/// SNRs, or 0 if no rate is usable.
+#[cfg(test)]
+pub fn achievable_rate(params: &crate::params::OfdmParams, snrs: &[f64]) -> f64 {
+    select_mcs(snrs).map_or(0.0, |m| m.bitrate(params))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ChannelProfile;
+    use crate::modulation::Modulation;
+    use crate::params::{ChannelProfile, OfdmParams};
+    use jmb_dsp::stats::db_to_lin;
 
     #[test]
     fn erfc_known_values() {

@@ -159,11 +159,6 @@ impl FrameTx {
         }
     }
 
-    /// The numerology in use.
-    pub fn params(&self) -> &OfdmParams {
-        self.ofdm.params()
-    }
-
     /// Builds the frequency-domain symbols (SIGNAL + DATA) for a payload.
     pub fn build_bins(&self, mcs: Mcs, payload: &[u8]) -> Result<StreamBins, TxError> {
         let mut bins = Vec::new();
@@ -277,7 +272,7 @@ impl FrameTx {
 
     /// Renders frequency-domain symbols into the full time-domain packet
     /// (prepends STF + LTF).
-    pub fn assemble_samples(&self, bins: &StreamBins) -> Vec<Complex64> {
+    fn assemble_samples(&self, bins: &StreamBins) -> Vec<Complex64> {
         let params = self.ofdm.params();
         let mut out = preamble::preamble(params);
         out.reserve(bins.symbols.len() * params.symbol_len());
@@ -332,18 +327,6 @@ pub struct RxResult {
     pub noise_var: f64,
     /// Post-equalisation error-vector magnitude in dB (lower = cleaner).
     pub evm_db: f64,
-}
-
-impl RxResult {
-    /// Per-subcarrier SNR in dB derived from the channel estimate and noise
-    /// — what JMB clients feed back for effective-SNR rate selection (§9).
-    pub fn snr_per_subcarrier_db(&self) -> Vec<f64> {
-        self.channel
-            .gains
-            .iter()
-            .map(|g| jmb_dsp::stats::lin_to_db(g.norm_sqr() / self.noise_var.max(1e-18)))
-            .collect()
-    }
 }
 
 /// Reusable receive-path scratch buffers (DESIGN.md §3.11).
@@ -430,11 +413,6 @@ impl FrameRx {
         }
     }
 
-    /// The numerology in use.
-    pub fn params(&self) -> &OfdmParams {
-        self.ofdm.params()
-    }
-
     /// Full receive chain — detect → sync → estimate → decode — in a fresh
     /// scratch: for a caller with one frame to decode.
     pub fn rx_frame(&self, samples: &[Complex64]) -> Result<RxResult, RxError> {
@@ -443,7 +421,7 @@ impl FrameRx {
 
     /// Full receive chain in the caller's scratch buffers, which a receiver
     /// that decodes frame after frame keeps and hands back in.
-    pub fn rx_frame_with(
+    fn rx_frame_with(
         &self,
         scratch: &mut RxScratch,
         samples: &[Complex64],
@@ -456,7 +434,7 @@ impl FrameRx {
         result
     }
 
-    /// [`FrameRx::rx_frame_with`] on a window the caller gives up: the
+    /// `FrameRx::rx_frame_with` on a window the caller gives up: the
     /// frame is CFO-corrected where it lies, so no copy of it is made and
     /// the scratch keeps none.
     pub fn rx_frame_in_place(
@@ -502,7 +480,7 @@ impl FrameRx {
 
     /// Frequency-domain receive chain: `bins` holds one 64-bin vector per
     /// received OFDM symbol (SIGNAL first). Used directly by the
-    /// per-subcarrier fidelity simulator and by [`FrameRx::rx_frame_with`].
+    /// per-subcarrier fidelity simulator and by `FrameRx::rx_frame_with`.
     ///
     /// The batched pipeline: per DATA symbol the pilot-corrected
     /// subcarriers, equalised values and LLRs are staged in preallocated
@@ -761,7 +739,7 @@ mod tests {
     #[test]
     fn loopback_with_cfo() {
         let (tx, rx) = chain();
-        let p = tx.params().clone();
+        let p = tx.ofdm.params().clone();
         let data = payload(100);
         let samples = tx.tx_frame(Mcs::ALL[2], &data).unwrap();
         // Apply a 20 kHz CFO (≈8 ppm at 2.4 GHz).
@@ -850,7 +828,11 @@ mod tests {
         for mcs in [Mcs::ALL[0], Mcs::ALL[3], Mcs::ALL[7]] {
             for n in [0usize, 1, 100, 1500] {
                 let samples = tx.tx_frame(mcs, &payload(n)).unwrap();
-                assert_eq!(samples.len(), frame_len(tx.params(), mcs, n), "{mcs} n={n}");
+                assert_eq!(
+                    samples.len(),
+                    frame_len(tx.ofdm.params(), mcs, n),
+                    "{mcs} n={n}"
+                );
             }
         }
     }
@@ -889,7 +871,7 @@ mod tests {
     fn bins_roundtrip_without_time_domain() {
         // Frequency-domain path used by the fast simulator.
         let (tx, rx) = chain();
-        let p = tx.params().clone();
+        let p = tx.ofdm.params().clone();
         let data = payload(300);
         let bins = tx.build_bins(Mcs::ALL[6], &data).unwrap();
         let channel = chanest::estimate_ideal(&p);
@@ -904,7 +886,7 @@ mod tests {
         // Per-subcarrier complex gains (what the client sees after JMB
         // beamforming) applied in the frequency domain.
         let (tx, rx) = chain();
-        let p = tx.params().clone();
+        let p = tx.ofdm.params().clone();
         let data = payload(120);
         let bins = tx.build_bins(Mcs::ALL[3], &data).unwrap();
         // Build a frequency-selective diagonal channel.
@@ -938,7 +920,12 @@ mod tests {
         let h = Complex64::from_polar(2.0, 0.3); // +6 dB
         let boosted: Vec<Complex64> = samples.iter().map(|&x| x * h).collect();
         let got = rx.rx_frame(&boosted).unwrap();
-        let snrs = got.snr_per_subcarrier_db();
+        let snrs: Vec<f64> = got
+            .channel
+            .gains
+            .iter()
+            .map(|g| jmb_dsp::stats::lin_to_db(g.norm_sqr() / got.noise_var))
+            .collect();
         assert_eq!(snrs.len(), 52);
         // All subcarriers should report (near-)identical SNR for a flat channel.
         let spread = snrs.iter().cloned().fold(f64::MIN, f64::max)

@@ -132,7 +132,7 @@ impl Interleaver {
         clippy::disallowed_macros,
         reason = "documented precondition (# Panics) — block length is fixed by the MCS"
     )]
-    pub fn interleave_into<T: Copy>(&self, bits: &[T], out: &mut Vec<T>) {
+    pub(crate) fn interleave_into<T: Copy>(&self, bits: &[T], out: &mut Vec<T>) {
         assert_eq!(
             bits.len(),
             self.block_len(),

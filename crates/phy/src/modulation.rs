@@ -125,7 +125,7 @@ impl Modulation {
 
     /// Normalisation factor `K_MOD` so that average symbol energy is 1.
     #[inline]
-    pub fn kmod(self) -> f64 {
+    fn kmod(self) -> f64 {
         match self {
             Modulation::Bpsk => 1.0,
             Modulation::Qpsk => 1.0 / 2f64.sqrt(),
@@ -169,7 +169,7 @@ impl Modulation {
         clippy::disallowed_macros,
         reason = "documented precondition (# Panics) — bits per symbol is part of the API contract"
     )]
-    pub fn map(self, bits: &[u8]) -> Complex64 {
+    pub(crate) fn map(self, bits: &[u8]) -> Complex64 {
         assert_eq!(
             bits.len(),
             self.bits_per_symbol(),
@@ -218,7 +218,7 @@ impl Modulation {
         clippy::disallowed_macros,
         reason = "documented precondition (# Panics) — bit streams are produced whole-symbol by the encoder"
     )]
-    pub fn map_stream_into(self, bits: &[u8], out: &mut Vec<Complex64>) {
+    pub(crate) fn map_stream_into(self, bits: &[u8], out: &mut Vec<Complex64>) {
         let bps = self.bits_per_symbol();
         assert_eq!(
             bits.len() % bps,
@@ -229,7 +229,7 @@ impl Modulation {
     }
 
     /// All constellation points with their bit labels, for exact demapping.
-    pub fn constellation(self) -> Vec<(Complex64, Vec<u8>)> {
+    fn constellation(self) -> Vec<(Complex64, Vec<u8>)> {
         let bps = self.bits_per_symbol();
         (0..(1usize << bps))
             .map(|v| {
@@ -285,22 +285,6 @@ impl Modulation {
         llrs
     }
 
-    /// Soft-demaps a symbol stream into one flat LLR vector.
-    pub fn demap_soft_stream(self, ys: &[Complex64], noise_var: f64, csi: &[f64]) -> Vec<f64> {
-        #[expect(
-            clippy::disallowed_macros,
-            reason = "documented precondition — one CSI weight per symbol, produced by the same channel estimate"
-        )]
-        {
-            assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
-        }
-        let mut out = Vec::with_capacity(ys.len() * self.bits_per_symbol());
-        for (y, &w) in ys.iter().zip(csi) {
-            out.extend(self.demap_soft(*y, noise_var, w));
-        }
-        out
-    }
-
     fn table(self) -> &'static ConstTable {
         use std::sync::OnceLock;
         static TABLES: [OnceLock<ConstTable>; 4] = [
@@ -345,7 +329,7 @@ impl Modulation {
     /// Appends `bits_per_symbol()` max-log LLRs per received value to `llrs`
     /// and accumulates into `evm_acc` the squared distance from each value
     /// to its nearest constellation point (the EVM numerator). Produces
-    /// bitwise the values the scalar [`Modulation::demap_soft_stream`] /
+    /// bitwise the values the scalar `Modulation::demap_soft_stream` /
     /// [`Modulation::demap_hard`] pair would, so the decode chain stays
     /// byte-identical whichever path runs.
     ///
@@ -359,7 +343,7 @@ impl Modulation {
     /// behaves as in the scan: a NaN coordinate makes every distance on its
     /// axis NaN, which the scan's `f64::min` passes over and which the
     /// nearest-point search orders last.
-    pub fn demap_soft_evm_into(
+    pub(crate) fn demap_soft_evm_into(
         self,
         ys: &[Complex64],
         noise_var: f64,
@@ -410,6 +394,20 @@ impl ConstTable {
                 llrs.push(((i.min + q.min1[b]) - (i.min + q.min0[b])) / nv * w);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl Modulation {
+    /// Soft-demaps a symbol stream into one flat LLR vector, a symbol at a
+    /// time: the scalar oracle of [`Modulation::demap_soft_evm_into`].
+    pub fn demap_soft_stream(self, ys: &[Complex64], noise_var: f64, csi: &[f64]) -> Vec<f64> {
+        assert_eq!(ys.len(), csi.len(), "per-symbol CSI required");
+        let mut out = Vec::with_capacity(ys.len() * self.bits_per_symbol());
+        for (y, &w) in ys.iter().zip(csi) {
+            out.extend(self.demap_soft(*y, noise_var, w));
+        }
+        out
     }
 }
 

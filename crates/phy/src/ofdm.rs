@@ -40,7 +40,7 @@ impl Ofdm {
     }
 
     /// The numerology in use.
-    pub fn params(&self) -> &OfdmParams {
+    pub(crate) fn params(&self) -> &OfdmParams {
         &self.params
     }
 
@@ -55,7 +55,12 @@ impl Ofdm {
         clippy::disallowed_macros,
         reason = "documented precondition — the framer always supplies n_data_subcarriers symbols"
     )]
-    pub fn assemble_bins_into(&self, data: &[Complex64], polarity: f64, out: &mut Vec<Complex64>) {
+    pub(crate) fn assemble_bins_into(
+        &self,
+        data: &[Complex64],
+        polarity: f64,
+        out: &mut Vec<Complex64>,
+    ) {
         assert_eq!(
             data.len(),
             self.params.n_data_subcarriers(),
@@ -109,7 +114,7 @@ impl Ofdm {
         clippy::disallowed_macros,
         reason = "documented precondition (# Panics) — the frame parser slices whole symbols"
     )]
-    pub fn demodulate_symbol_into(&self, samples: &[Complex64], out: &mut Vec<Complex64>) {
+    pub(crate) fn demodulate_symbol_into(&self, samples: &[Complex64], out: &mut Vec<Complex64>) {
         assert_eq!(
             samples.len(),
             self.params.symbol_len(),
@@ -121,7 +126,7 @@ impl Ofdm {
     }
 
     /// Extracts the 4 pilot values from 64 bins.
-    pub fn extract_pilots(&self, bins: &[Complex64]) -> [Complex64; 4] {
+    pub(crate) fn extract_pilots(&self, bins: &[Complex64]) -> [Complex64; 4] {
         let mut out = [Complex64::ZERO; 4];
         for (i, &k) in self.params.pilot_subcarriers.iter().enumerate() {
             out[i] = bins[self.params.bin(k)];
@@ -136,7 +141,11 @@ impl Ofdm {
 /// channel estimate is ~zero are zeroed (they carry no usable information and
 /// their LLR weight should be ~0 anyway).
 /// Clears `out` and fills it with the equalized values.
-pub fn equalize_into(received: &[Complex64], channel: &[Complex64], out: &mut Vec<Complex64>) {
+pub(crate) fn equalize_into(
+    received: &[Complex64],
+    channel: &[Complex64],
+    out: &mut Vec<Complex64>,
+) {
     #[expect(
         clippy::disallowed_macros,
         reason = "caller contract — symbols and channel gains are sliced from the same estimate"

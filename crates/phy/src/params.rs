@@ -36,7 +36,7 @@ impl ChannelProfile {
 ///
 /// let p = OfdmParams::new(ChannelProfile::Usrp10MHz);
 /// assert_eq!(p.fft_size, 64);
-/// assert_eq!(p.n_data_subcarriers(), 48);
+/// assert_eq!(p.occupied_subcarriers().len(), 52);
 /// assert!((p.symbol_duration() - 8e-6).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +79,7 @@ impl OfdmParams {
 
     /// Number of data subcarriers (48).
     #[inline]
-    pub fn n_data_subcarriers(&self) -> usize {
+    pub(crate) fn n_data_subcarriers(&self) -> usize {
         self.data_subcarriers.len()
     }
 
@@ -142,20 +142,22 @@ impl OfdmParams {
             (self.fft_size as i32 + subcarrier) as usize
         }
     }
-
-    /// Converts a ppm frequency tolerance at the carrier into Hz.
-    ///
-    /// E.g. the 802.11-mandated ±20 ppm at 2.437 GHz is ±48.7 kHz — the CFO
-    /// range JMB's sync must handle (§1).
-    #[inline]
-    pub fn ppm_to_hz(&self, ppm: f64) -> f64 {
-        ppm * 1e-6 * self.carrier_freq
-    }
 }
 
 impl Default for OfdmParams {
     fn default() -> Self {
         OfdmParams::new(ChannelProfile::Usrp10MHz)
+    }
+}
+
+#[cfg(test)]
+impl OfdmParams {
+    /// Converts a ppm frequency tolerance at the carrier into Hz.
+    ///
+    /// E.g. the 802.11-mandated ±20 ppm at 2.437 GHz is ±48.7 kHz — the CFO
+    /// range JMB's sync must handle (§1).
+    pub fn ppm_to_hz(&self, ppm: f64) -> f64 {
+        ppm * 1e-6 * self.carrier_freq
     }
 }
 

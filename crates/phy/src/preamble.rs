@@ -23,7 +23,7 @@ pub const LTF_LEN: usize = 160;
 /// Frequency-domain short-training sequence on subcarriers −26..=26.
 ///
 /// Nonzero every 4th subcarrier, making the time waveform 16-sample periodic.
-pub fn stf_freq() -> [Complex64; 53] {
+fn stf_freq() -> [Complex64; 53] {
     let p = Complex64::new(1.0, 1.0);
     let n = Complex64::new(-1.0, -1.0);
     let z = Complex64::ZERO;
@@ -77,7 +77,7 @@ pub fn ltf_symbol(params: &OfdmParams) -> Vec<Complex64> {
 }
 
 /// The 16-sample time-domain STF period.
-pub fn stf_period(params: &OfdmParams) -> Vec<Complex64> {
+fn stf_period(params: &OfdmParams) -> Vec<Complex64> {
     let s = stf_freq();
     let mut bins = vec![Complex64::ZERO; params.fft_size];
     for k in -26..=26i32 {
@@ -92,7 +92,7 @@ pub fn stf_period(params: &OfdmParams) -> Vec<Complex64> {
 }
 
 /// The full 160-sample short training field.
-pub fn stf(params: &OfdmParams) -> Vec<Complex64> {
+fn stf(params: &OfdmParams) -> Vec<Complex64> {
     let period = stf_period(params);
     let mut out = Vec::with_capacity(STF_LEN);
     for _ in 0..10 {
@@ -117,7 +117,7 @@ pub fn ltf(params: &OfdmParams) -> Vec<Complex64> {
 /// tail.
 ///
 /// Used by joint transmissions: each AP's precoded STF is the per-subcarrier
-/// beamforming weight applied to [`stf_freq`], rendered through this helper.
+/// beamforming weight applied to `stf_freq`, rendered through this helper.
 ///
 /// # Panics
 ///

@@ -21,18 +21,12 @@ pub enum CodeRate {
 
 impl CodeRate {
     /// The rate as a fraction `(numerator, denominator)`.
-    pub fn as_fraction(self) -> (usize, usize) {
+    fn as_fraction(self) -> (usize, usize) {
         match self {
             CodeRate::Half => (1, 2),
             CodeRate::TwoThirds => (2, 3),
             CodeRate::ThreeQuarters => (3, 4),
         }
-    }
-
-    /// The rate as an `f64`.
-    pub fn as_f64(self) -> f64 {
-        let (n, d) = self.as_fraction();
-        n as f64 / d as f64
     }
 }
 
@@ -89,21 +83,14 @@ impl Mcs {
     };
 
     /// Coded bits per OFDM symbol (`N_CBPS` = 48 · bits-per-subcarrier).
-    pub fn coded_bits_per_symbol(&self, params: &OfdmParams) -> usize {
+    pub(crate) fn coded_bits_per_symbol(&self, params: &OfdmParams) -> usize {
         params.n_data_subcarriers() * self.modulation.bits_per_symbol()
     }
 
     /// Data bits per OFDM symbol (`N_DBPS`).
-    pub fn data_bits_per_symbol(&self, params: &OfdmParams) -> usize {
+    pub(crate) fn data_bits_per_symbol(&self, params: &OfdmParams) -> usize {
         let (n, d) = self.code_rate.as_fraction();
         self.coded_bits_per_symbol(params) * n / d
-    }
-
-    /// Data rate in bits/second for the given numerology.
-    ///
-    /// 54 Mbps for 64-QAM 3/4 at 20 MHz; half of that at 10 MHz.
-    pub fn bitrate(&self, params: &OfdmParams) -> f64 {
-        self.data_bits_per_symbol(params) as f64 / params.symbol_duration()
     }
 
     /// Index of this scheme in [`Mcs::ALL`].
@@ -116,7 +103,7 @@ impl Mcs {
 
     /// Number of OFDM symbols needed for `n_bits` data bits (including the
     /// 16 SERVICE bits and 6 tail bits 802.11 adds around a PSDU).
-    pub fn symbols_for_psdu(&self, params: &OfdmParams, psdu_bytes: usize) -> usize {
+    pub(crate) fn symbols_for_psdu(&self, params: &OfdmParams, psdu_bytes: usize) -> usize {
         let n_bits = 16 + 8 * psdu_bytes + 6;
         n_bits.div_ceil(self.data_bits_per_symbol(params))
     }
@@ -126,6 +113,16 @@ impl std::fmt::Display for Mcs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (n, d) = self.code_rate.as_fraction();
         write!(f, "{:?} {}/{}", self.modulation, n, d)
+    }
+}
+
+#[cfg(test)]
+impl Mcs {
+    /// Data rate in bits/second for the given numerology: 54 Mbps for
+    /// 64-QAM 3/4 at 20 MHz, half of that at 10 MHz. The tests' view of the
+    /// rate table.
+    pub fn bitrate(&self, params: &OfdmParams) -> f64 {
+        self.data_bits_per_symbol(params) as f64 / params.symbol_duration()
     }
 }
 

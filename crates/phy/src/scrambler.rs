@@ -46,7 +46,7 @@ impl Scrambler {
 
     /// Returns the next scrambling bit and advances the LFSR.
     #[inline]
-    pub fn next_bit(&mut self) -> u8 {
+    fn next_bit(&mut self) -> u8 {
         // Feedback = x7 xor x4 (bits 6 and 3 of the 7-bit state, counting
         // from 0 at the newest bit).
         let b = ((self.state >> 6) ^ (self.state >> 3)) & 1;
@@ -55,7 +55,7 @@ impl Scrambler {
     }
 
     /// Scrambles (or descrambles) a bit slice in place.
-    pub fn scramble_in_place(&mut self, bits: &mut [u8]) {
+    pub(crate) fn scramble_in_place(&mut self, bits: &mut [u8]) {
         for b in bits.iter_mut() {
             #[expect(
                 clippy::disallowed_macros,
@@ -80,7 +80,7 @@ impl Scrambler {
 /// used by 802.11 as the pilot polarity sequence `p₀, p₁, …`.
 ///
 /// Returns `+1.0` / `-1.0` polarity factors: `p_n = 1 - 2·s_n`.
-pub fn pilot_polarity_sequence() -> [f64; 127] {
+pub(crate) fn pilot_polarity_sequence() -> [f64; 127] {
     let mut s = Scrambler::new(0x7F);
     let mut seq = [0.0; 127];
     for p in seq.iter_mut() {

@@ -149,7 +149,7 @@ pub fn correct_cfo(
 /// `coarse_ltf_start` is the expected index of the *LTF field* start (the
 /// guard). Searches ±`radius` samples and returns the refined LTF field
 /// start index.
-pub fn refine_timing(
+fn refine_timing(
     params: &OfdmParams,
     samples: &[Complex64],
     coarse_ltf_start: usize,

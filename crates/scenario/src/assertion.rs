@@ -41,7 +41,7 @@ impl Op {
     ];
 
     /// The operator's surface syntax.
-    pub fn symbol(self) -> &'static str {
+    fn symbol(self) -> &'static str {
         Op::ALL
             .iter()
             .find(|row| row.0 == self)
@@ -49,12 +49,12 @@ impl Op {
     }
 
     /// Parses the surface syntax.
-    pub fn from_symbol(s: &str) -> Option<Op> {
+    fn from_symbol(s: &str) -> Option<Op> {
         Op::ALL.iter().find(|row| row.1 == s).map(|row| row.0)
     }
 
     /// Applies the comparison.
-    pub fn holds(self, actual: f64, bound: f64) -> bool {
+    fn holds(self, actual: f64, bound: f64) -> bool {
         Op::ALL
             .iter()
             .any(|row| row.0 == self && row.2(&actual, &bound))
@@ -102,7 +102,7 @@ pub enum Assertion {
 impl Assertion {
     /// The assertion's canonical surface syntax (what `result.json` and
     /// the serializer print).
-    pub fn text(&self) -> String {
+    pub(crate) fn text(&self) -> String {
         match self {
             Assertion::Metric { name, op, value } => {
                 format!("metric {name} {} {value}", op.symbol())
@@ -263,7 +263,7 @@ pub struct AssertionOutcome {
 /// `horizon_s` is the last simulated instant the trace covers — `respond`
 /// triggers whose deadline extends past it are not judged (the response
 /// may simply not have been observable).
-pub fn evaluate(
+fn evaluate(
     index: usize,
     a: &Assertion,
     metrics: &[(String, f64)],
@@ -325,7 +325,7 @@ pub fn evaluate(
 }
 
 /// Evaluates every assertion in manifest order.
-pub fn evaluate_all(
+pub(crate) fn evaluate_all(
     assertions: &[Assertion],
     metrics: &[(String, f64)],
     events: &[Event],

@@ -104,7 +104,7 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// True when the section would change nothing: no probabilities, no
     /// windows, no outages.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.base.is_clean() && self.windows.is_empty() && self.outages.is_empty()
     }
 }

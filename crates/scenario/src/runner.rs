@@ -6,7 +6,7 @@
 //! the library validate each. [`Manifest::validate`] calls it, so
 //! `jmb-scenario check` refuses exactly what `run` would refuse;
 //! [`run_manifest`] executes it, folding the finished run through
-//! [`crate::assertion::evaluate_all`] into a [`ScenarioReport`]. Nothing
+//! `crate::assertion::evaluate_all` into a [`ScenarioReport`]. Nothing
 //! here panics: every failure is a typed [`ScenarioError`] (exit 2) or a
 //! [`Verdict`] (exit 0/1/3).
 //!

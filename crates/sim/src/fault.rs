@@ -89,7 +89,7 @@ impl ControlFaults {
 
     /// True when every probability is zero (the clean-path fast exit: no
     /// RNG draws happen, so clean runs stay byte-identical).
-    pub fn is_clean(&self) -> bool {
+    fn is_clean(&self) -> bool {
         self.sync_loss_chance == 0.0
             && self.meas_loss_chance == 0.0
             && self.per_slave_sync_loss.iter().all(|(_, p)| *p == 0.0)
@@ -275,11 +275,6 @@ impl FaultSchedule {
             .map(|w| &w.config)
             .unwrap_or(&self.base)
     }
-
-    /// True when the base config and every window are fault-free.
-    pub fn is_clean(&self) -> bool {
-        self.base.is_clean() && self.windows.iter().all(|w| w.config.is_clean())
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +287,8 @@ mod tests {
         assert_eq!(FaultConfig::none().drop_chance, 0.0);
         assert_eq!(FaultConfig::none().corrupt_chance, 0.0);
         assert!(FaultConfig::none().is_clean());
-        assert!(FaultSchedule::none().is_clean());
+        assert!(FaultSchedule::none().base.is_clean());
+        assert!(FaultSchedule::none().windows.is_empty());
     }
 
     #[test]
@@ -397,7 +393,7 @@ mod tests {
         assert_eq!(s.config_at(1.0).control.sync_loss_chance, 1.0);
         assert_eq!(s.config_at(1.999).control.sync_loss_chance, 1.0);
         assert!(s.config_at(2.0).is_clean());
-        assert!(!s.is_clean());
+        assert!(!s.windows[0].config.is_clean());
     }
 
     #[test]

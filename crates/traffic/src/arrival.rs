@@ -35,7 +35,7 @@ pub enum PacketSizeDist {
 
 impl PacketSizeDist {
     /// Draws one packet size.
-    pub fn sample(&self, rng: &mut JmbRng) -> usize {
+    fn sample(&self, rng: &mut JmbRng) -> usize {
         match *self {
             PacketSizeDist::Fixed(n) => n,
             PacketSizeDist::Uniform { min, max } => {
@@ -118,7 +118,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Long-run mean arrival rate, packets/second.
-    pub fn mean_rate_pps(&self) -> f64 {
+    pub(crate) fn mean_rate_pps(&self) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_pps } => rate_pps,
             ArrivalProcess::OnOff {
@@ -191,7 +191,7 @@ impl ArrivalGen {
 
     /// Next arrival: absolute time and packet size, bytes. Times are
     /// strictly increasing.
-    pub fn next_arrival(&mut self) -> (f64, usize) {
+    pub(crate) fn next_arrival(&mut self) -> (f64, usize) {
         let t = match self.process {
             ArrivalProcess::Poisson { rate_pps } => {
                 self.t += exp_sample(&mut self.rng, 1.0 / rate_pps);

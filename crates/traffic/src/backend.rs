@@ -146,7 +146,7 @@ impl<L: Serve> Backend<L> {
     /// [`jmb_phy::esnr::per_at_margin`], ~10% PER right at threshold, an
     /// order of magnitude per ~2.3 dB of margin, saturating at 1 below
     /// threshold — and at the `±∞` a real decode reports, 0 or 1.
-    pub fn per_from_margin(margin_db: f64) -> f64 {
+    fn per_from_margin(margin_db: f64) -> f64 {
         jmb_phy::esnr::per_at_margin(margin_db)
     }
 }

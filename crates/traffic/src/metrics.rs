@@ -108,7 +108,7 @@ impl TrafficMetrics {
 
     /// Latency percentile, seconds (`p` in `[0, 1]`). 0 if nothing was
     /// delivered.
-    pub fn latency_percentile_s(&self, p: f64) -> f64 {
+    fn latency_percentile_s(&self, p: f64) -> f64 {
         percentile(&self.latencies_s, p)
     }
 
@@ -141,7 +141,7 @@ impl TrafficMetrics {
     /// Raw series (`latencies_s`, `timeline`) and run-shape fields
     /// (`duration_s`, `offered_bps`, `elapsed_s`, `queued_at_end`) are not
     /// registry-backed and are left untouched.
-    pub fn fill_from_registry(&mut self, reg: &Registry, n_clients: usize) {
+    pub(crate) fn fill_from_registry(&mut self, reg: &Registry, n_clients: usize) {
         self.fill_scalars(reg);
         self.per_client_bits = reg.gauge_vec("traffic_client_bits", n_clients);
     }
@@ -231,7 +231,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 }
 
 /// Jain's fairness index `(Σx)² / (n·Σx²)`; 1 for an empty or all-zero set.
-pub fn jain(xs: &[f64]) -> f64 {
+fn jain(xs: &[f64]) -> f64 {
     let sum: f64 = xs.iter().sum();
     let sq: f64 = xs.iter().map(|&x| x * x).sum();
     if sq <= 0.0 || xs.is_empty() {

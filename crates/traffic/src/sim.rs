@@ -49,7 +49,7 @@ impl ClientLoad {
     }
 
     /// Mean offered load, bits/second.
-    pub fn offered_bps(&self) -> f64 {
+    fn offered_bps(&self) -> f64 {
         self.arrival.mean_rate_pps() * self.size.mean() * 8.0
     }
 }

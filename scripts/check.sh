@@ -19,9 +19,10 @@
 # `cmp`-equal every checked-in `results/*.csv` (fig06/07 and both
 # ablations go through the sample-level network).
 #
-# The jmb-* packages must be clippy- and rustfmt-clean; the vendored
-# stand-in crates under vendor/ (rand, proptest) are kept
-# byte-comparable to their upstreams and are exempt from formatting.
+# The jmb-* packages must be clippy- and rustfmt-clean, and their docs
+# must build without a rustdoc warning (a link to a private or deleted item
+# fails); the vendored stand-in crates under vendor/ (rand, proptest) are
+# kept byte-comparable to their upstreams and are exempt from formatting.
 #
 # Fourteen greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate —
@@ -94,6 +95,7 @@ cargo test --release -q -p jmb-scenario --test caps
 cargo test --release -q --manifest-path crates/bench/benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason
 cargo fmt "${JMB_PKGS[@]}" -- --check
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${JMB_PKGS[@]}"
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
@@ -198,7 +200,7 @@ if { kernel crates/core/src/fastnet.rs 'pub(crate) fn probe_sinr(';
      kernel crates/core/src/fastnet.rs 'fn joint_rate(';
      kernel crates/core/src/fastnet.rs 'pub fn joint_transmit_subset<';
      top_fn crates/phy/src/esnr.rs '^pub fn select_mcs(';
-     top_fn crates/core/src/baseline.rs '^pub fn select_joint_mcs(';
+     top_fn crates/core/src/baseline.rs '^pub(crate) fn select_joint_mcs(';
    } | grep -n 'lin_to_db(\|db_to_lin('; then
   echo "lin_to_db( or db_to_lin( on the rate path (probe_sinr, joint_rate, joint_transmit_subset, select_mcs, select_joint_mcs): keep SNR linear" >&2
   exit 1
@@ -227,7 +229,7 @@ fi
 # `interpolate_at(` there, or a second `resample(`, is the per-sample
 # kernel, whose trig the sweep walks as rotators.
 superpose() { kernel crates/sim/src/medium.rs 'fn superpose('; }
-live_medium() { sed '/#\[cfg(test)\]/q' crates/sim/src/medium.rs; }
+live_medium() { sed '/^#\[cfg(test)\]/q' crates/sim/src/medium.rs; }
 if superpose | grep -n 'tap_iter()\|interpolate_at(' \
    || [ "$(superpose | grep -o 'resample(' | wc -l)" -ne 1 ] \
    || [ "$(live_medium | grep -o 'tap_iter()' | wc -l)" -ne 1 ]; then
@@ -241,7 +243,7 @@ fi
 # as a const parameter. A second `fn acs…` or a second branch-metric line
 # (`SIGN0[j]`) in viterbi.rs, or a `distances` over a run-time level count,
 # is the fork creeping back.
-live() { sed '/#\[cfg(test)\]/q' "$1"; }
+live() { sed '/^#\[cfg(test)\]/q' "$1"; }
 count() { live "$1" | grep -c -- "$2" || true; }
 if [ "$(count crates/phy/src/viterbi.rs 'fn acs')" -ne 1 ] \
    || [ "$(count crates/phy/src/viterbi.rs 'fn acs_block<const ADMIT: bool>(')" -ne 1 ] \
@@ -267,9 +269,9 @@ soft_symbol() { kernel crates/phy/src/frame.rs 'fn soft_symbol('; }
 if { superpose;
      top_fn crates/phy/src/sync.rs '^pub fn correct_cfo(';
      kernel crates/core/src/net.rs 'fn transmit_streams(';
-     kernel crates/core/src/net.rs 'pub fn misalignment_probe(';
+     kernel crates/core/src/net.rs 'pub(crate) fn misalignment_probe(';
      soft_symbol;
-     kernel crates/phy/src/chanest.rs 'pub fn corrections<';
+     kernel crates/phy/src/chanest.rs 'pub(crate) fn corrections<';
    } | grep -n 'cis(\|sin_cos(\|\.sin()\|\.cos()' \
    || [ "$(soft_symbol | grep -o '\.corrections(' | wc -l)" -ne 1 ]; then
   echo "cis( / sin_cos( / .sin() / .cos() in superpose, correct_cfo, transmit_streams, misalignment_probe, soft_symbol or PilotTrack::corrections, or soft_symbol's pilot correction not read once from PilotTrack::corrections: walk the phase with rotate_ramp or phasor_ramp" >&2
@@ -336,11 +338,13 @@ if kernel crates/core/src/mac.rs 'pub fn select_batch(' | grep -n '\.remove('; t
   exit 1
 fi
 
-# Size, above the first #[cfg(test)] of each file, per program crate: lines,
-# `pub fn`s, and the settable (`pub`) fields of each `pub struct *Config`.
+# Size, above the first #[cfg(test)] in column 0 of each file (an indented
+# one gates a field or a statement, not the rest of the file), per program
+# crate: lines, `pub fn`s, and the settable (`pub`) fields of each
+# `pub struct *Config`.
 for crate in crates/*/; do
   find "$crate"src -name '*.rs' | sort | xargs awk '
-    FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 }
+    FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
     live { lines++; if (/pub fn/) fns++ }
     live && /^pub struct [A-Za-z]*Config \{/ { cfg = $3; configs = configs "  " cfg; fields[cfg] = 0; next }
     cfg != "" && /^}/ { configs = configs " " fields[cfg]; cfg = "" }

@@ -9,12 +9,25 @@
 //! * The hot modules — the ones the paper's throughput runs through — deny
 //!   every panicking construct clippy can name (DESIGN.md §3.10), and the
 //!   set of them is the table [`HOT`] below.
+//! * Every live `pub fn` of a program crate's library is named outside
+//!   that library — by another crate, the root `src/`, `tests/` or
+//!   `examples/`, the crate's own `tests/`, the benchmark package, or the
+//!   crate's binary root (`src/main.rs`) — or sits on [`ALLOWED`] with the
+//!   reason it stays public. One that only its own crate names is
+//!   `pub(crate)`; one that only tests reach is deleted, or compiled for
+//!   the tests alone when a test holds live code to it.
+//! * Every backticked `Path::item` in DESIGN.md and README.md resolves to a
+//!   definition in the tree — after a crate segment, in that crate — unless
+//!   followed by "(removed in …)".
 //!
 //! The scans are text, not tokens: "live code" is a file up to its first
-//! `#[cfg(test)]`, and a comment naming `EventKind::X` there counts as an
-//! emission.
+//! `#[cfg(test)]` in column 0 (an indented one gates a field or a statement,
+//! not the rest of the file), and a comment naming an `EventKind` variant
+//! there counts as an emission; a `pub fn` is "named" by any occurrence of
+//! its name as a whole identifier, comments included.
 
 use jmb::obs::EventKind;
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -62,8 +75,21 @@ const PANICKING: [&str; 7] = [
     "clippy::disallowed_macros",
 ];
 
+/// The `pub fn`s no file outside their crate's library names, as
+/// (path, name, why each stays public). A stale entry — its function gone,
+/// no longer `pub`, or named outside after all — fails the rule.
+const ALLOWED: [(&str, &str, &str); 1] = [(
+    "crates/core/src/fastnet.rs",
+    "evolve_client_links",
+    "paper §7's single-client channel change: the lever of the stitching ablation (DESIGN.md §4)",
+)];
+
+/// Path prefixes of backticked paths in the docs that name code outside
+/// the tree: the standard library and clippy's lints.
+const EXTERNAL: [&str; 6] = ["std", "clippy", "thread", "Instant", "SystemTime", "Vec"];
+
 /// Every `.rs` file under `dir`, as (path relative to the repo root, text),
-/// sorted by path.
+/// sorted by path; build output (`target/`) is skipped.
 fn sources(dir: &str) -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut stack = vec![root.join(dir)];
@@ -74,7 +100,9 @@ fn sources(dir: &str) -> Vec<(String, String)> {
         };
         for path in entries.map(|e| e.expect("directory entry").path()) {
             if path.is_dir() {
-                stack.push(path);
+                if path.file_name().is_some_and(|n| n != "target") {
+                    stack.push(path);
+                }
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let rel = path.strip_prefix(root).expect("under the root");
                 let text = fs::read_to_string(&path).expect("readable source");
@@ -105,9 +133,207 @@ fn crate_sources() -> Vec<(String, String)> {
         .collect()
 }
 
-/// A file up to its first `#[cfg(test)]`, and the rest.
+/// Every `.rs` file of the tree: the root package and every crate, tests,
+/// examples and the benchmark package included.
+fn tree_sources() -> Vec<(String, String)> {
+    ["src", "tests", "examples", "crates"]
+        .into_iter()
+        .flat_map(sources)
+        .collect()
+}
+
+/// A file up to its first `#[cfg(test)]` in column 0, and the rest.
 fn split_live(text: &str) -> (&str, &str) {
-    text.split_at(text.find("#[cfg(test)]").unwrap_or(text.len()))
+    let at = text
+        .match_indices("#[cfg(test)]")
+        .map(|(at, _)| at)
+        .find(|&at| at == 0 || text[..at].ends_with('\n'))
+        .unwrap_or(text.len());
+    text.split_at(at)
+}
+
+/// The identifiers `text` names, comments and strings included.
+fn identifiers(text: &str) -> BTreeSet<&str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// The library of the program crate `path` belongs to, as its `src/`
+/// prefix (`crates/<name>/src/`); `None` outside a library, and for a
+/// binary root (`src/main.rs`), which counts as outside its library.
+fn library_of(path: &str) -> Option<&str> {
+    let name = path.strip_prefix("crates/")?.split('/').next()?;
+    let lib = path.get(.."crates/".len() + name.len() + "/src/".len())?;
+    (lib.ends_with("/src/") && !path.ends_with("/src/main.rs")).then_some(lib)
+}
+
+/// Every live `pub fn` of a program crate's library in `files`, as
+/// (path, name).
+fn live_pub_fns(files: &[(String, String)]) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    for (rel, text) in files {
+        if library_of(rel).is_none() {
+            continue;
+        }
+        for line in split_live(text).0.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("pub fn ") {
+                let name = rest
+                    .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .next()
+                    .unwrap_or("");
+                out.push((rel.as_str(), name));
+            }
+        }
+    }
+    out
+}
+
+/// The live `pub fn`s of `files` that no file outside their library
+/// names, as (path, name).
+fn unnamed_pub_fns(files: &[(String, String)]) -> Vec<(&str, &str)> {
+    let named: Vec<(Option<&str>, BTreeSet<&str>)> = files
+        .iter()
+        .map(|(rel, text)| (library_of(rel), identifiers(text)))
+        .collect();
+    live_pub_fns(files)
+        .into_iter()
+        .filter(|&(rel, name)| {
+            let lib = library_of(rel);
+            !named
+                .iter()
+                .any(|(other, ids)| *other != lib && ids.contains(name))
+        })
+        .collect()
+}
+
+/// The entries of `allowed` that say something untrue of `files`: no live
+/// `pub fn` of that name at that path, or one that is named outside its
+/// library and needs no entry.
+fn stale_allowed<'a>(
+    files: &[(String, String)],
+    allowed: &'a [(&'a str, &'a str, &'a str)],
+) -> Vec<(&'a str, &'a str)> {
+    let unnamed = unnamed_pub_fns(files);
+    allowed
+        .iter()
+        .map(|&(rel, name, _)| (rel, name))
+        .filter(|entry| !unnamed.contains(entry))
+        .collect()
+}
+
+/// The names `files` define: items (`fn`, `struct`, `enum`, `trait`,
+/// `type`, `const`, `static`, `mod`, `macro_rules!`), fields and variants
+/// (a line that starts with the name), `use … as` aliases, what a `pub use`
+/// re-exports, and each file's module (its stem).
+fn definitions<'a>(files: impl Iterator<Item = &'a (String, String)>) -> BTreeSet<String> {
+    let mut defined = BTreeSet::new();
+    let ident = |w: &str| -> String {
+        w.chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect()
+    };
+    for (rel, text) in files {
+        let words: Vec<&str> = text.split_whitespace().collect();
+        for pair in words.windows(2) {
+            if matches!(
+                pair[0],
+                "fn" | "struct"
+                    | "enum"
+                    | "trait"
+                    | "type"
+                    | "const"
+                    | "static"
+                    | "mod"
+                    | "macro_rules!"
+                    | "as"
+            ) {
+                defined.insert(ident(pair[1]));
+            }
+        }
+        for line in text.lines() {
+            let line = line.trim_start();
+            if line.starts_with("pub use ") {
+                defined.extend(identifiers(line).into_iter().map(str::to_string));
+            }
+            let line = line
+                .strip_prefix("pub(crate) ")
+                .or_else(|| line.strip_prefix("pub "))
+                .unwrap_or(line);
+            defined.insert(ident(line));
+        }
+        let stem = rel.rsplit('/').next().unwrap_or(rel);
+        defined.insert(stem.trim_end_matches(".rs").to_string());
+    }
+    defined.remove("");
+    defined
+}
+
+/// The backticked `a::b` paths of `doc` that do not resolve in `files`:
+/// every segment must be defined somewhere in the tree ([`definitions`]),
+/// and the segments after a crate — `jmb_<name>`, or the root package's
+/// alias for it (`jmb::core`, `core::…`) — in that crate's `src/`. A path
+/// followed by "(removed in …)" names removed code on purpose, and one under
+/// [`EXTERNAL`] code outside the tree.
+fn unresolved_doc_paths(doc: &str, files: &[(String, String)]) -> Vec<String> {
+    let defined = definitions(files.iter());
+    // Crate segment (`jmb_<name>` and the root package's alias for it) →
+    // the crate's own definitions.
+    let mut crates: Vec<(String, BTreeSet<String>)> = Vec::new();
+    let libs: BTreeSet<&str> = files.iter().filter_map(|(r, _)| library_of(r)).collect();
+    for lib in libs {
+        let name = lib.split('/').nth(1).unwrap_or("");
+        let own = definitions(files.iter().filter(|(r, _)| library_of(r) == Some(lib)));
+        let alias = format!("pub use jmb_{name} as ");
+        let aliases = files
+            .iter()
+            .filter(|(r, _)| r == "src/lib.rs")
+            .flat_map(|(_, text)| text.lines())
+            .filter_map(|l| l.trim().strip_prefix(&alias))
+            .map(|a| a.trim_end_matches(';').to_string());
+        for seg in std::iter::once(format!("jmb_{name}")).chain(aliases) {
+            crates.push((seg, own.clone()));
+        }
+    }
+    let mut out = Vec::new();
+    let mut fenced = false;
+    let mut prose = String::new();
+    for line in doc.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    let spans: Vec<&str> = prose.split('`').collect();
+    for (i, span) in spans.iter().enumerate().skip(1).step_by(2) {
+        let removed = spans
+            .get(i + 1)
+            .is_some_and(|after| after.starts_with(" (removed in "));
+        if removed || span.contains('\n') {
+            continue;
+        }
+        for word in span.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':')) {
+            let segments: Vec<&str> = word.split("::").collect();
+            if segments.len() < 2
+                || segments.iter().any(|s| s.is_empty())
+                || EXTERNAL.contains(&segments[0])
+            {
+                continue;
+            }
+            let scoped = segments.iter().enumerate().find_map(|(i, seg)| {
+                let own = crates.iter().find(|(name, _)| name == seg)?;
+                (i == 0 || segments[i - 1] == "jmb").then_some((i, &own.1))
+            });
+            let resolves = segments.iter().all(|s| defined.contains(*s))
+                && scoped.is_none_or(|(i, own)| segments[i + 1..].iter().all(|s| own.contains(*s)));
+            if !resolves {
+                out.push(word.to_string());
+            }
+        }
+    }
+    out
 }
 
 /// Does `text` name `path` followed by something other than an identifier
@@ -236,5 +462,106 @@ fn hot_modules_deny_every_panicking_construct() {
     assert_eq!(
         carrying, HOT,
         "the modules denying panics are not the hot set (DESIGN.md §3.10)"
+    );
+}
+
+#[test]
+fn every_pub_fn_is_named_outside_its_crate() {
+    // This file names the ALLOWED entries; it is not their caller.
+    let this_file = file!().replace('\\', "/");
+    let files: Vec<(String, String)> = tree_sources()
+        .into_iter()
+        .filter(|(rel, _)| *rel != this_file)
+        .collect();
+    let unnamed: Vec<(&str, &str)> = unnamed_pub_fns(&files)
+        .into_iter()
+        .filter(|&(rel, name)| !ALLOWED.iter().any(|&(r, n, _)| (r, n) == (rel, name)))
+        .collect();
+    assert!(
+        unnamed.is_empty(),
+        "`pub fn`s nothing outside their crate's library names (make them `pub(crate)` or \
+         private, delete what only tests reach, or put them on ALLOWED with a reason): \
+         {unnamed:?}"
+    );
+    let stale = stale_allowed(&files, &ALLOWED);
+    assert!(
+        stale.is_empty(),
+        "ALLOWED entries that are gone, no longer `pub`, or named outside their library: {stale:?}"
+    );
+    assert!(
+        live_pub_fns(&files).len() > 100,
+        "found almost no `pub fn`: the scan is broken"
+    );
+}
+
+#[test]
+fn the_pub_fn_rule_flags_what_only_its_own_crate_names() {
+    let files: Vec<(String, String)> = [
+        (
+            "crates/a/src/lib.rs",
+            "pub mod m;\npub fn used() {}\npub fn by_bin() {}\npub fn lonely() {}\n\
+             fn f() { lonely(); }\n#[cfg(test)]\nmod tests { pub fn in_tests() {} }\n",
+        ),
+        (
+            "crates/a/src/m.rs",
+            "pub struct S {\n    #[cfg(test)]\n    x: u8,\n}\n\
+             pub fn after_a_gated_field() {}\npub fn by_own_tests() {}\n",
+        ),
+        ("crates/a/src/main.rs", "fn main() { a::by_bin(); }\n"),
+        (
+            "crates/a/tests/t.rs",
+            "#[test]\nfn t() { a::m::by_own_tests(); }\n",
+        ),
+        ("crates/b/src/lib.rs", "pub fn other() { a::used(); }\n"),
+        ("tests/root.rs", "#[test]\nfn t() { b::other(); }\n"),
+    ]
+    .into_iter()
+    .map(|(rel, text)| (rel.to_string(), text.to_string()))
+    .collect();
+    assert_eq!(
+        unnamed_pub_fns(&files),
+        [
+            ("crates/a/src/lib.rs", "lonely"),
+            ("crates/a/src/m.rs", "after_a_gated_field"),
+        ]
+    );
+    let gone = [("crates/a/src/lib.rs", "deleted", "reason")];
+    assert_eq!(
+        stale_allowed(&files, &gone),
+        [("crates/a/src/lib.rs", "deleted")]
+    );
+    let named = [("crates/a/src/lib.rs", "used", "reason")];
+    assert_eq!(
+        stale_allowed(&files, &named),
+        [("crates/a/src/lib.rs", "used")]
+    );
+    let needed = [("crates/a/src/lib.rs", "lonely", "reason")];
+    assert!(stale_allowed(&files, &needed).is_empty());
+}
+
+#[test]
+fn every_path_the_docs_cite_resolves() {
+    let files = tree_sources();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for doc in ["DESIGN.md", "README.md"] {
+        let text = fs::read_to_string(root.join(doc)).expect("readable doc");
+        let unresolved = unresolved_doc_paths(&text, &files);
+        assert!(
+            unresolved.is_empty(),
+            "{doc} cites paths nothing in the tree defines (rename them, or mark removed code \
+             \"(removed in …)\"): {unresolved:?}"
+        );
+    }
+    let planted = "`Link::freq_response_at`, `Link::gone_for_good`, \
+                   `Block::draw_through` (removed in PR 43), `std::mem::take`, \
+                   `jmb::obs::TraceQuery`, `jmb::sim::TraceQuery`, `core::phasesync`, \
+                   `jmb_dsp::delay::kernel_at`, `jmb_phy::delay::kernel_at`";
+    assert_eq!(
+        unresolved_doc_paths(planted, &files),
+        [
+            "Link::gone_for_good",
+            "jmb::sim::TraceQuery",
+            "jmb_phy::delay::kernel_at"
+        ]
     );
 }
