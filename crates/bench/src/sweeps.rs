@@ -148,9 +148,8 @@ impl Cell {
         }
     }
 
-    /// The simulation, ready to run. Both the PHY config and the traffic
-    /// config carry the strategy, so no mid-run switch (and no
-    /// `SyncStrategySwitched` event) perturbs the rows.
+    /// The simulation, ready to run. The PHY is built on the strategy, so
+    /// no switch (and no `SyncStrategySwitched` event) perturbs the rows.
     fn sim(self, duration_s: f64, seed: u64) -> TrafficSim<FastBackend> {
         let n = self.n_aps;
         let mut cfg = FastConfig::default_with(n, n, vec![SNR_DB; n], seed);
@@ -159,7 +158,6 @@ impl Cell {
         backend.net_mut().set_fault_schedule(self.faults);
         let loads = vec![ClientLoad::poisson(self.rate_pps, PACKET_BYTES); n];
         let mut tcfg = TrafficConfig::default_with(loads, seed);
-        tcfg.sync_strategy = self.strategy;
         tcfg.duration_s = duration_s;
         tcfg.drain_timeout_s = duration_s * 0.5;
         tcfg.outages = self.outages;

@@ -64,56 +64,6 @@ impl PathLossModel {
     }
 }
 
-/// Radio link-budget constants: the tests' budget for turning a path loss
-/// into an SNR.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy)]
-pub struct LinkBudget {
-    /// Transmit power, dBm.
-    pub tx_power_dbm: f64,
-    /// Receiver noise figure, dB.
-    pub noise_figure_db: f64,
-    /// Channel bandwidth, Hz.
-    pub bandwidth_hz: f64,
-}
-
-#[cfg(test)]
-impl LinkBudget {
-    /// USRP2-class defaults on a 10 MHz channel. Transmit power is kept low
-    /// (0 dBm) so that conference-room distances actually span the paper's
-    /// 6–25 dB operational SNR range rather than saturating at high SNR.
-    pub fn usrp2_10mhz() -> Self {
-        LinkBudget {
-            tx_power_dbm: 0.0,
-            noise_figure_db: 7.0,
-            bandwidth_hz: 10e6,
-        }
-    }
-
-    /// Thermal noise floor in dBm: −174 + 10·log₁₀(BW) + NF.
-    pub fn noise_floor_dbm(&self) -> f64 {
-        -174.0 + 10.0 * self.bandwidth_hz.log10() + self.noise_figure_db
-    }
-
-    /// Received power in dBm through `loss_db` of path loss.
-    pub fn rx_power_dbm(&self, loss_db: f64) -> f64 {
-        self.tx_power_dbm - loss_db
-    }
-
-    /// SNR in dB through `loss_db` of path loss.
-    pub fn snr_db(&self, loss_db: f64) -> f64 {
-        self.rx_power_dbm(loss_db) - self.noise_floor_dbm()
-    }
-
-    /// Linear amplitude gain corresponding to `loss_db` when transmit
-    /// amplitude is normalised to 1 and noise power to
-    /// `1/db_to_lin(snr target)` — helper for waveform-level simulation
-    /// where we work in normalised units: returns `10^(−loss/20)`.
-    pub fn amplitude_gain(loss_db: f64) -> f64 {
-        db_to_lin(-loss_db).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,31 +113,6 @@ mod tests {
         let sd = jmb_dsp::stats::variance(&samples).sqrt();
         assert!((mean - m.mean_loss_db(5.0)).abs() < 0.1);
         assert!((sd - 4.0).abs() < 0.1, "σ {sd}");
-    }
-
-    #[test]
-    fn noise_floor_10mhz() {
-        let b = LinkBudget::usrp2_10mhz();
-        // −174 + 70 + 7 = −97 dBm.
-        assert!((b.noise_floor_dbm() + 97.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn snr_at_conference_room_scale() {
-        // A few metres from the AP should be comfortably in the paper's
-        // "high SNR" band (>18 dB); ~20 m with obstructions near the low band.
-        let m = PathLossModel::indoor_2_4ghz();
-        let b = LinkBudget::usrp2_10mhz();
-        let near = b.snr_db(m.mean_loss_db(3.0));
-        let far = b.snr_db(m.mean_loss_db(25.0));
-        assert!(near > 18.0, "near SNR {near}");
-        assert!(far < 18.0, "far SNR {far}");
-    }
-
-    #[test]
-    fn amplitude_gain_squares_to_power() {
-        let g = LinkBudget::amplitude_gain(20.0);
-        assert!((g * g - 0.01).abs() < 1e-12);
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl CompatNet {
     /// returns per-*stream* SINR (linear) per subcarrier, streams ordered
     /// like client antennas.
     pub fn joint_sinr(&mut self, packet_duration_s: f64) -> Result<Vec<Vec<f64>>, JmbError> {
-        self.with_precoder(|net, precoder| {
+        self.with_zero_forcing(|net, precoder| {
             let t_d = net.frame().t_d;
             net.sync_headers(1..net.aps.len(), true);
             // The precoder spans the whole array: nobody can sit it out.

@@ -35,7 +35,7 @@ use crate::network::{
     drawn_link, first_broken, number_rules, raw_link, validate_shape, Deployment, LinkEval,
     Network, Serve, Served, AP_AP_SNR_DB,
 };
-use crate::precoder::{Precoder, ZfWork};
+use crate::precoder::Precoder;
 use crate::sync::{LeadObserver, SyncStrategyId};
 use jmb_channel::multipath::MultipathSpec;
 use jmb_channel::oscillator::{OscillatorSpec, PhaseTrajectory};
@@ -191,8 +191,7 @@ impl LinkEval for FastEval {
     }
 
     /// Frequency-domain model: every client measures every AP, averaged
-    /// over the measurement's rounds (`FastEval::measured_rows`). The
-    /// estimate becomes `H̃`, of which no kept precoder is (`ZfStore`).
+    /// over the measurement's rounds (`FastEval::measured_rows`).
     fn estimate_channel(
         &mut self,
         aps: &[NodeId],
@@ -201,7 +200,6 @@ impl LinkEval for FastEval {
         t0: f64,
         h: &mut Planar,
     ) -> Result<(usize, usize), JmbError> {
-        self.scratch.zf.clear();
         let (medium, rows) = (&mut self.medium, &mut self.scratch.rows);
         Self::measured_rows(medium, aps, clients, t0, rng, rows, h);
         Ok((clients.len(), aps.len()))
@@ -636,10 +634,10 @@ impl FastNet {
         mute_streams: &[usize],
         apply_phase_sync: bool,
     ) -> Result<JointOutcome<'_>, JmbError> {
-        let k_hat = self.with_precoder(|net, precoder| {
+        let k_hat = self.with_zero_forcing(|net, precoder| {
             net.sync_headers(1..net.aps.len(), true);
-            // The stored precoder spans the whole array: it cannot go out
-            // with a slave sitting the batch out.
+            // The precoder spans the whole array: it cannot go out with a
+            // slave sitting the batch out.
             if let Some(&slave) = net.last_sync().excluded.iter().min() {
                 return Err(JmbError::SyncHeaderMissed { slave });
             }
@@ -801,12 +799,13 @@ impl FastNet {
     /// The rotation is the ratio of the slave's two lead-reference
     /// observations, `h_lead_i(t_j) / h_lead_i(t₁)` — again a direct phase
     /// measurement, no frequency extrapolation. The rotated row is spliced
-    /// into `H̃` and the precoder is rebuilt from the stitched matrix.
+    /// into `H̃`; the next transmission solves its precoder from the
+    /// stitched matrix.
     pub fn remeasure_client(&mut self, client: usize) -> Result<(), JmbError> {
         if client >= self.clients.len() {
             return Err(JmbError::BadConfig("no such client"));
         }
-        if self.h_meas.is_none() {
+        if self.measured_channel().is_none() {
             return Err(JmbError::NoReference);
         }
         let t_j = self.now();
@@ -852,32 +851,7 @@ impl FastNet {
                 (*re, *im) = (z.re, z.im);
             }
         }
-        // Spliced into the stored `H̃` in place; the rows it replaces wait
-        // in `fresh` in case the stitched matrix turns out singular.
-        let h = self.h_meas.as_mut().ok_or(JmbError::NoReference)?;
-        self.link.scratch.zf.clear();
-        let swap = |h: &mut Planar, fresh: &mut Planar| {
-            for i in 0..n_aps {
-                let ((hr, hi), (fr, fi)) = (h.row_mut(client * n_aps + i), fresh.row_mut(i));
-                hr.swap_with_slice(fr);
-                hi.swap_with_slice(fi);
-            }
-        };
-        swap(h, &mut fresh);
-        // Same well-posedness gate as `run_measurement`: over-subscribed
-        // cells keep the stitched `h_meas` and rebuild per-batch precoders.
-        let n_clients = self.clients.len();
-        self.precoder = if n_clients <= n_aps {
-            match Precoder::from_lanes(h, n_clients, n_aps) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    swap(h, &mut fresh);
-                    return Err(e);
-                }
-            }
-        } else {
-            None
-        };
+        self.measured.splice(client * n_aps, &fresh)?;
         self.set_now(t_j + 200e-6);
         Ok(())
     }
@@ -909,9 +883,9 @@ impl FastNet {
     /// APs — the MAC-driven case: a batch is rarely the full client
     /// population, and during an AP outage the array shrinks. A
     /// zero-forcing precoder is built from the stored measurement `H̃`
-    /// restricted to `(clients × active_aps)` — or kept from a batch of the
-    /// same restriction since `H̃` was last written (`ZfStore`) — the MCS
-    /// is selected from its
+    /// restricted to `(clients × active_aps)` — or kept from a transmission
+    /// of the same restriction since `H̃` was last written
+    /// (`ZfStore`) — the MCS is selected from its
     /// `k̂²/N` (falling back to the base rate when even that is below
     /// threshold — the MAC's retry policy handles the resulting losses),
     /// and the airtime follows from MCS and `payload_bytes`. Every active
@@ -934,7 +908,7 @@ impl FastNet {
         active_aps: &[usize],
         payload_bytes: usize,
     ) -> Result<SubsetOutcome<'a>, JmbError> {
-        if self.h_meas.is_none() {
+        if self.measured_channel().is_none() {
             return Err(JmbError::NoReference);
         }
         let nb = clients.len();
@@ -982,20 +956,15 @@ impl FastNet {
         }
 
         // ZF over the measured channel restricted to the batch and the
-        // effective AP set. Its output depends on that restriction and `H̃`
-        // alone, so the store answers a restriction served since `H̃` was
-        // last written without solving it again.
-        let h_meas = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
-        let at = batch
-            .zf
-            .precoder_for(clients, &batch.devices, h_meas, self.aps.len())?;
-        // Taken out of the store so the kernel can borrow both.
-        let precoder = std::mem::take(&mut batch.zf.entries[at].precoder);
-        let mcs = self.joint_rate(&precoder).unwrap_or(Mcs::BASE);
+        // effective AP set, lent from the store so the kernel can borrow
+        // both.
+        let (rx, tx) = (clients.iter().copied(), batch.devices.iter().copied());
+        let lent = self.measured.lend_zero_forcing(rx, tx)?;
+        let mcs = self.joint_rate(&lent.1).unwrap_or(Mcs::BASE);
         let params = &self.link.cfg.params;
         let airtime_s = crate::baseline::frame_airtime(params, mcs, payload_bytes);
-        self.probe_sinr(&precoder, &[], airtime_s, 2, true);
-        self.link.scratch.zf.entries[at].precoder = precoder;
+        self.probe_sinr(&lent.1, &[], airtime_s, 2, true);
+        self.measured.give_back(lent);
 
         let n_k = self.link.medium.occupied().len();
         let Scratch {
@@ -1089,9 +1058,6 @@ pub(crate) struct Scratch {
     /// `[tx]` on the chunk of subcarriers under way (the gains it feeds
     /// live in registers).
     hd_chunk: Vec<Chunk>,
-    /// The zero-forcing precoders of the subset batches served since `H̃`
-    /// was last written.
-    pub(crate) zf: ZfStore,
     /// The lead→slave estimate of one observation ([`FastObserver`]).
     pub(crate) est: Option<ChannelEstimate>,
 }
@@ -1251,107 +1217,6 @@ impl Scratch {
             *i /= np;
             *s = *s / np / (noise_var + ext + *i);
         }
-    }
-}
-
-/// The most weight rows (`n_tx · n_streams`, summed over its precoders) a
-/// [`ZfStore`] keeps: four 8 × 8 precoders or sixteen 4 × 4 ones, 213 KB
-/// over 52 subcarriers. At seed 1 the benchmark's `traffic_storm` (one 8 × 8
-/// cell) then solves 123 restrictions a repetition (121 with room for
-/// sixteen 8 × 8, 136 at half this bound) and `city_grid` (4-AP cells)
-/// 3 376, as many as with room for sixty-four 4 × 4.
-const ZF_STORE_ROWS: usize = 256;
-
-/// The zero-forcing precoders of the subset batches served since the
-/// measured channel `H̃` was last written, keyed by the batch's restriction
-/// — its clients in stream order and its effective APs in precoder-row
-/// order — and searched linearly. A precoder is a function of `H̃` and its
-/// restriction alone, so a restriction served again is answered without a
-/// solve. Writing `H̃` ([`FastEval::estimate_channel`],
-/// [`FastNet::remeasure_client`]) empties the store; a full one makes room
-/// by dropping the restrictions served longest ago. A singular restriction
-/// is never kept.
-#[derive(Default)]
-pub(crate) struct ZfStore {
-    entries: Vec<ZfEntry>,
-    /// Lookups so far: each entry is stamped with the last that served it.
-    tick: u64,
-    /// The restriction being solved, planar `[stream · n_tx + tx]`, and
-    /// what the solve works in.
-    h_sub: Planar,
-    work: ZfWork,
-    /// Restrictions solved since the network was built.
-    pub(crate) solves: u64,
-}
-
-#[derive(Default)]
-struct ZfEntry {
-    clients: Vec<usize>,
-    aps: Vec<usize>,
-    precoder: Precoder,
-    served: u64,
-}
-
-impl ZfStore {
-    /// Forgets every kept precoder: `H̃` was written.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Index of the entry holding the precoder of `clients × aps` (indices
-    /// into the network's clients and APs) over `h_meas`, `n_aps` APs to a
-    /// client's row: a kept one, or one solved now.
-    fn precoder_for(
-        &mut self,
-        clients: &[usize],
-        aps: &[usize],
-        h_meas: &Planar,
-        n_aps: usize,
-    ) -> Result<usize, JmbError> {
-        self.tick += 1;
-        let found = self
-            .entries
-            .iter()
-            .position(|e| e.clients == clients && e.aps == aps);
-        if let Some(at) = found {
-            self.entries[at].served = self.tick;
-            return Ok(at);
-        }
-        let (nb, na) = (clients.len(), aps.len());
-        // Room for `nb · na` rows, an evicted entry's buffers reused.
-        let mut entry = ZfEntry::default();
-        let rows = |e: &ZfEntry| e.clients.len() * e.aps.len();
-        while !self.entries.is_empty()
-            && self.entries.iter().map(rows).sum::<usize>() + nb * na > ZF_STORE_ROWS
-        {
-            let oldest = (0..self.entries.len())
-                .min_by_key(|&at| self.entries[at].served)
-                .unwrap_or(0);
-            entry = self.entries.swap_remove(oldest);
-        }
-        {
-            let _span = jmb_obs::span("zf_gather");
-            self.h_sub.zeroed(nb * na, h_meas.width());
-            for (r, &j) in clients.iter().enumerate() {
-                for (c, &i) in aps.iter().enumerate() {
-                    let (src_re, src_im) = h_meas.row(j * n_aps + i);
-                    let (re, im) = self.h_sub.row_mut(r * na + c);
-                    re.copy_from_slice(src_re);
-                    im.copy_from_slice(src_im);
-                }
-            }
-        }
-        self.solves += 1;
-        entry
-            .precoder
-            .rebuild_zero_forcing(&self.h_sub, nb, na, &mut self.work)?;
-        entry.clients.clear();
-        entry.clients.extend_from_slice(clients);
-        entry.aps.clear();
-        entry.aps.extend_from_slice(aps);
-        entry.served = self.tick;
-        self.entries.push(entry);
-        Ok(self.entries.len() - 1)
     }
 }
 
@@ -1591,6 +1456,7 @@ impl LeadObserver for FastObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::ZF_STORE_ROWS;
     use jmb_dsp::CMat;
     use jmb_sim::{FaultConfig, FaultSchedule};
 
@@ -1673,6 +1539,11 @@ mod tests {
 
     fn cfg(n: usize, snr: f64, seed: u64) -> FastConfig {
         FastConfig::default_with(n, n, vec![snr; n], seed)
+    }
+
+    /// The zero-forcing precoder of the whole array, as the store lends it.
+    fn full_precoder(net: &mut FastNet) -> Precoder {
+        net.with_zero_forcing(|_, p| Ok(p.clone())).unwrap()
     }
 
     /// The mean of a row of linear SINRs taken in dB, as the figures read it.
@@ -1809,7 +1680,7 @@ mod tests {
         let mut net = FastNet::new(cfg(4, 20.0, 17)).unwrap();
         net.run_measurement().unwrap();
         net.advance(3e-3);
-        let precoder = net.precoder.clone().unwrap();
+        let precoder = full_precoder(&mut net);
         let (t_meas, t_d) = (net.frame().t_meas, net.frame().t_d);
         net.sync_headers(1..4, true);
         let heard = net.last_sync().clone();
@@ -1999,7 +1870,7 @@ mod tests {
                 let mut net = FastNet::new(c).unwrap();
                 net.run_measurement().unwrap();
                 net.advance(2e-3);
-                let precoder = net.precoder.clone().unwrap();
+                let precoder = full_precoder(&mut net);
                 let t_d = net.frame().t_d;
                 net.sync_headers(1..na, true);
                 let heard = net.last_sync().clone();
@@ -2056,7 +1927,7 @@ mod tests {
         let mut net = FastNet::new(cfg(4, 20.0, 19)).unwrap();
         net.run_measurement().unwrap();
         net.advance(3e-3);
-        let precoder = net.precoder.clone().unwrap();
+        let precoder = full_precoder(&mut net);
         let t_d = net.frame().t_d;
         net.sync_headers(1..4, true);
         let sync = net.last_sync().clone();
@@ -2110,12 +1981,9 @@ mod tests {
             let mut bits = Vec::new();
             net.run_measurement().unwrap();
             eat_h(&mut bits, net.measured_channel().unwrap());
-            eat(&mut bits, [net.k_hat().unwrap()]);
-            let mcs = net
-                .precoder
-                .as_ref()
-                .and_then(|p| net.joint_rate(p))
-                .map(|m| m.index());
+            let precoder = full_precoder(net);
+            eat(&mut bits, [precoder.k_hat()]);
+            let mcs = net.joint_rate(&precoder).map(|m| m.index());
             eat(&mut bits, [mcs.map_or(-1.0, |i| i as f64)]);
             net.advance(3e-3);
             let out = net.joint_transmit(1.2e-3, 4, &[], true).unwrap();
@@ -2129,7 +1997,7 @@ mod tests {
             net.advance(4e-3);
             net.remeasure_client(1).unwrap();
             eat_h(&mut bits, net.measured_channel().unwrap());
-            eat(&mut bits, [net.k_hat().unwrap()]);
+            eat(&mut bits, [full_precoder(net).k_hat()]);
             eat(&mut bits, net.diversity_snr(2).unwrap());
             bits
         }
@@ -2212,11 +2080,8 @@ mod tests {
     fn rate_selection_present_at_good_snr() {
         let mut net = FastNet::new(cfg(2, 25.0, 6)).unwrap();
         net.run_measurement().unwrap();
-        assert!(net
-            .precoder
-            .as_ref()
-            .and_then(|p| net.joint_rate(p))
-            .is_some());
+        let precoder = full_precoder(&mut net);
+        assert!(net.joint_rate(&precoder).is_some());
     }
 
     /// FNV-1a over the `f64` bits of what `cfg` deploys: every node's
@@ -2579,12 +2444,7 @@ mod tests {
     /// The precoder the store keeps for `clients` over the antennas that
     /// went out last.
     fn kept<'a>(net: &'a FastNet, clients: &[usize]) -> Option<&'a Precoder> {
-        let (zf, aps) = (&net.link.scratch.zf, &net.link.scratch.devices);
-        let entry = zf
-            .entries
-            .iter()
-            .find(|e| e.clients == clients && e.aps == *aps);
-        entry.map(|e| &e.precoder)
+        net.measured.zf.kept(clients, &net.link.scratch.devices)
     }
 
     /// Asserts that the store keeps, for `clients` and the antennas that
@@ -2640,7 +2500,7 @@ mod tests {
         });
         let all = [0, 1, 2, 3];
         let send = |net: &mut FastNet, twin: &mut FastNet, clients: &[usize]| {
-            twin.link.scratch.zf.clear();
+            twin.measured.zf.clear();
             twin.link.scratch.h_s_of.2 = None;
             let got = sent_bits(net.joint_transmit_subset(clients, &all, 1500));
             let want = sent_bits(twin.joint_transmit_subset(clients, &all, 1500));
@@ -2689,30 +2549,43 @@ mod tests {
         // the same batch again — solved each time, never kept, never served
         // from the last good precoder.
         both(&mut net, &mut twin, &|n| {
-            let h = n.h_meas.as_mut().unwrap();
+            let h = n.measured_channel().unwrap();
+            let mut rows = Planar::default();
+            rows.zeroed(4, h.width());
             for i in 0..4 {
-                let row: Vec<Complex64> = (0..h.width()).map(|k_idx| h.get(i, k_idx)).collect();
-                h.set_row(2 * 4 + i, row);
+                rows.set_row(i, (0..h.width()).map(|k_idx| h.get(i, k_idx)));
             }
-            n.link.scratch.zf.clear();
+            n.measured.splice(2 * 4, &rows).unwrap();
         });
-        let solves = net.link.scratch.zf.solves;
+        let solves = net.measured.zf.solves;
         assert!(!send(&mut net, &mut twin, &[0, 2]));
         assert!(!send(&mut net, &mut twin, &[0, 2]));
-        assert_eq!(net.link.scratch.zf.solves, solves + 2);
+        assert_eq!(net.measured.zf.solves, solves + 2);
         assert!(send(&mut net, &mut twin, &[0, 1]));
     }
 
     #[test]
     fn a_restriction_is_solved_once_per_measured_channel() {
         let mut net = FastNet::new(cfg(4, 20.0, 31)).unwrap();
+        // A measurement solves nothing; the first transmission over the
+        // whole array solves its restriction, the next reuses it.
         net.run_measurement().unwrap();
+        assert_eq!(net.measured.zf.solves, 0);
+        let full = |net: &mut FastNet| {
+            let before = net.measured.zf.solves;
+            net.joint_transmit(1e-3, 2, &[], true).unwrap();
+            net.measured.zf.solves - before
+        };
+        assert_eq!(full(&mut net), 1);
+        assert_eq!(full(&mut net), 0);
         let all = [0, 1, 2, 3];
         let solved = |net: &mut FastNet, clients: &[usize]| {
-            let before = net.link.scratch.zf.solves;
+            let before = net.measured.zf.solves;
             net.joint_transmit_subset(clients, &all, 1500).unwrap();
-            net.link.scratch.zf.solves - before
+            net.measured.zf.solves - before
         };
+        // A batch of every client in order is the same restriction.
+        assert_eq!(solved(&mut net, &all), 0);
         // A, B, A: two solves.
         assert_eq!(solved(&mut net, &[0, 2]), 1);
         assert_eq!(solved(&mut net, &[1, 3]), 1);
@@ -2723,8 +2596,11 @@ mod tests {
         net.run_measurement().unwrap();
         assert_eq!(solved(&mut net, &[0, 2]), 1);
         assert_eq!(solved(&mut net, &[1, 3]), 1);
+        assert_eq!(full(&mut net), 1);
         net.remeasure_client(3).unwrap();
+        assert_eq!(net.measured.zf.len(), 0, "a splice empties the store");
         assert_eq!(solved(&mut net, &[0, 2]), 1);
+        assert_eq!(full(&mut net), 1);
         // A full store drops the restriction served longest ago. Each order
         // of all four clients takes 16 of its rows: of one more than fit,
         // the first goes, the rest stay.
@@ -2743,7 +2619,7 @@ mod tests {
         for clients in &many {
             assert_eq!(solved(&mut net, clients), 1, "{clients:?}");
         }
-        assert_eq!(net.link.scratch.zf.entries.len(), fit);
+        assert_eq!(net.measured.zf.len(), fit);
         for clients in &many[2..] {
             assert_eq!(solved(&mut net, clients), 0, "{clients:?}");
         }
@@ -2762,7 +2638,7 @@ mod tests {
         let mut net = FastNet::new(cfg(4, 20.0, 37)).unwrap();
         net.run_measurement().unwrap();
         net.advance(1e-3);
-        let precoder = net.precoder.clone().unwrap();
+        let precoder = full_precoder(&mut net);
         let frame = ProbeFrame {
             sync: None,
             mute_streams: &[],
@@ -2945,17 +2821,13 @@ mod tests {
         let c = FastConfig::default_with(4, 12, vec![20.0; 12], 33);
         let mut net = FastNet::new(c).unwrap();
         net.run_measurement().unwrap();
-        assert!(
-            net.precoder
-                .as_ref()
-                .and_then(|p| net.joint_rate(p))
-                .is_none(),
-            "no full-population rate"
+        let ill_posed = JmbError::BadConfig("fewer total AP antennas than streams");
+        let t0 = net.now();
+        assert_eq!(
+            net.joint_transmit(1e-3, 1, &[], true).unwrap_err(),
+            ill_posed
         );
-        assert!(matches!(
-            net.joint_transmit(1e-3, 1, &[], true),
-            Err(JmbError::NoReference)
-        ));
+        assert_eq!(net.now(), t0, "refused before anything goes on the air");
         net.advance(1e-3);
         let out = net
             .joint_transmit_subset(&[3, 7, 10, 11], &[0, 1, 2, 3], 1500)
@@ -2967,5 +2839,66 @@ mod tests {
         // Decoupled re-measurement also keeps working without a precoder.
         net.advance(1e-3);
         net.remeasure_client(5).unwrap();
+    }
+
+    #[test]
+    fn a_measurement_commits_whole_even_when_its_array_has_no_precoder() {
+        // Client 3's links turned so strong that the Gram matrix of the
+        // whole array overflows (a zero gain would not do: its fed-back row
+        // is then estimation noise, well posed). The measurement still
+        // commits everything — `H̃`, the slaves' references and the clock
+        // are what a twin without the change measures, but for client 3's
+        // rows — and only a transmission that asks for the whole array is
+        // refused, before anything goes on the air. A batch without client 3
+        // goes out as the twin's does, bit for bit.
+        let mut net = FastNet::new(cfg(4, 20.0, 43)).unwrap();
+        let mut twin = FastNet::new(cfg(4, 20.0, 43)).unwrap();
+        let refs = |net: &FastNet| -> Vec<u64> {
+            let gains = (1..4).flat_map(|s| &net.strategy.reference(s).unwrap().gains);
+            gains
+                .flat_map(|g| [g.re.to_bits(), g.im.to_bits()])
+                .collect()
+        };
+        let rows = |net: &FastNet, clients: std::ops::Range<usize>| -> Vec<u64> {
+            let (re, im) = net
+                .measured_channel()
+                .unwrap()
+                .rows_from(clients.start * 4, clients.len() * 4);
+            re.iter().chain(im).map(|x| x.to_bits()).collect()
+        };
+        for n in [&mut net, &mut twin] {
+            n.run_measurement().unwrap();
+            n.advance(2e-3);
+        }
+        let first = refs(&net);
+        let c = net.clients[3];
+        for ap in net.aps.clone() {
+            net.link.medium.set_gain(ap, c, Complex64::new(1e160, 0.0));
+        }
+        for n in [&mut net, &mut twin] {
+            n.run_measurement().unwrap();
+            n.advance(1e-3);
+        }
+        assert_eq!(net.now(), twin.now());
+        assert_ne!(
+            refs(&net),
+            first,
+            "the references moved to the new measurement"
+        );
+        assert_eq!(refs(&net), refs(&twin));
+        assert_eq!(rows(&net, 0..3), rows(&twin, 0..3));
+        assert_ne!(rows(&net, 3..4), rows(&twin, 3..4));
+        let t0 = net.now();
+        assert!(matches!(
+            net.joint_transmit(1e-3, 2, &[], true),
+            Err(JmbError::Precoding(_))
+        ));
+        assert_eq!(net.now(), t0);
+        let batch = [0, 1, 2];
+        let got = sent_bits(net.joint_transmit_subset(&batch, &[0, 1, 2, 3], 1500));
+        let want = sent_bits(twin.joint_transmit_subset(&batch, &[0, 1, 2, 3], 1500));
+        assert!(got.is_ok());
+        assert_eq!(got, want);
+        assert!(twin.joint_transmit(1e-3, 2, &[], true).is_ok());
     }
 }

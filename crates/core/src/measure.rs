@@ -65,15 +65,6 @@ pub struct MeasurementPlan {
 }
 
 impl MeasurementPlan {
-    /// Creates a plan with the paper's interleaved ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_aps == 0` or `rounds == 0`.
-    pub fn new(n_aps: usize, rounds: usize) -> Self {
-        Self::with_order(n_aps, rounds, SlotOrder::Interleaved)
-    }
-
     /// Creates a plan with an explicit slot ordering.
     ///
     /// # Panics
@@ -342,7 +333,7 @@ mod tests {
     #[test]
     fn plan_layout_non_overlapping() {
         let p = params();
-        let plan = MeasurementPlan::new(4, 3);
+        let plan = MeasurementPlan::with_order(4, 3, SlotOrder::Interleaved);
         // Collect all segments of all APs and check for overlap.
         let mut spans: Vec<(usize, usize)> = Vec::new();
         for ap in 0..4 {
@@ -361,7 +352,7 @@ mod tests {
     #[test]
     fn plan_offsets() {
         let p = params();
-        let plan = MeasurementPlan::new(3, 2);
+        let plan = MeasurementPlan::with_order(3, 2, SlotOrder::Interleaved);
         assert_eq!(plan.cfo_field_offset(1), 320);
         assert_eq!(plan.cfo_field_offset(2), 480);
         assert_eq!(plan.rounds_offset(), 640);
@@ -412,7 +403,7 @@ mod tests {
     #[test]
     fn client_estimate_recovers_gains_and_cfos() {
         let p = params();
-        let plan = MeasurementPlan::new(3, 4);
+        let plan = MeasurementPlan::with_order(3, 4, SlotOrder::Interleaved);
         let cfos = [500.0, -1200.0, 2500.0];
         let gains = [
             Complex64::from_polar(1.0, 0.3),
@@ -444,7 +435,7 @@ mod tests {
     #[test]
     fn client_estimate_rejects_short_window() {
         let p = params();
-        let plan = MeasurementPlan::new(2, 2);
+        let plan = MeasurementPlan::with_order(2, 2, SlotOrder::Interleaved);
         let window = vec![Complex64::ZERO; 100];
         assert!(matches!(
             client_estimate(&p, &plan, &window),
@@ -517,6 +508,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_ap_plan_rejected() {
-        MeasurementPlan::new(0, 1);
+        MeasurementPlan::with_order(0, 1, SlotOrder::Interleaved);
     }
 }

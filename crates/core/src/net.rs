@@ -458,30 +458,34 @@ impl JmbNetwork {
         &mut self.link.medium
     }
 
-    /// Per-subcarrier SNR (linear) every client will see under the current
-    /// precoder — `k̂²/N` per §9 — and the rate the effective-SNR algorithm
-    /// selects from it.
-    pub fn select_rate(&self) -> Option<Mcs> {
-        let p = self.precoder.as_ref()?;
-        let h = self.h_meas.as_ref()?;
-        // Per-client per-subcarrier received amplitude under the precoder
-        // (the diagonal of H·W), against that client's fed-back noise; the
-        // joint rate must clear every client (§9: same rate for all).
-        let noise_bins = &self.link.client_noise_bins;
-        let n_aps = self.aps.len();
-        let per_client: Vec<Vec<f64>> = (0..self.clients.len())
-            .map(|j| {
-                let noise = noise_bins.get(j).copied().unwrap_or(1e-12);
-                (0..h.width())
-                    .map(|k_idx| {
-                        let row = (0..n_aps).map(|i| h.get(j * n_aps + i, k_idx));
-                        let g = p.stream_gain(k_idx, row, j);
-                        g * g / noise
-                    })
-                    .collect()
-            })
-            .collect();
-        crate::baseline::select_joint_mcs(&per_client)
+    /// Per-subcarrier SNR (linear) every client will see under the
+    /// zero-forcing precoder of the whole array — `k̂²/N` per §9 — and the
+    /// rate the effective-SNR algorithm selects from it; `None` where there
+    /// is no such precoder.
+    pub fn select_rate(&mut self) -> Option<Mcs> {
+        let rate = self.with_zero_forcing(|net, p| {
+            let h = net.measured_channel().ok_or(JmbError::NoReference)?;
+            // Per-client per-subcarrier received amplitude under the
+            // precoder (the diagonal of H·W), against that client's fed-back
+            // noise; the joint rate must clear every client (§9: same rate
+            // for all).
+            let noise_bins = &net.link.client_noise_bins;
+            let n_aps = net.aps.len();
+            let per_client: Vec<Vec<f64>> = (0..net.clients.len())
+                .map(|j| {
+                    let noise = noise_bins.get(j).copied().unwrap_or(1e-12);
+                    (0..h.width())
+                        .map(|k_idx| {
+                            let row = (0..n_aps).map(|i| h.get(j * n_aps + i, k_idx));
+                            let g = p.stream_gain(k_idx, row, j);
+                            g * g / noise
+                        })
+                        .collect()
+                })
+                .collect();
+            Ok(crate::baseline::select_joint_mcs(&per_client))
+        });
+        rate.ok().flatten()
     }
 
     /// One joint data transmission (§5.2): all APs beamform `payloads[j]`
@@ -533,7 +537,7 @@ impl JmbNetwork {
                 return Err(JmbError::BadConfig("every AP masked out"));
             }
         }
-        self.with_precoder(|net, precoder| {
+        self.with_zero_forcing(|net, precoder| {
             net.transmit_streams(precoder, payloads, mcs, apply_phase_sync, active_aps)
         })
     }
@@ -1017,7 +1021,11 @@ mod tests {
         let run = |workers| {
             let mut net = network_on(workers, 4, 56);
             net.run_measurement().unwrap();
-            let h = format!("{:?} {:?}", net.h_meas, net.link.client_noise_bins);
+            let h = format!(
+                "{:?} {:?}",
+                net.measured_channel(),
+                net.link.client_noise_bins
+            );
             net.advance(1e-3);
             let mcs = net.select_rate().unwrap_or(Mcs::BASE);
             let results = net.joint_transmit(&payloads(4, 120), mcs, true).unwrap();

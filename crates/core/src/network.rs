@@ -5,8 +5,9 @@
 //! joint transmission (§5.2), re-measuring when the channel has gone stale
 //! (§7). [`Network`] is that protocol: it owns what the protocol owns — who
 //! the APs and clients are, the [`SyncStrategy`], the [`ControlPlane`], the
-//! measured channel and its precoder, the main RNG stream, the clock and the
-//! frame timeline — and knows nothing about how a channel is evaluated.
+//! measured channel and the precoders solved from it, the main RNG stream,
+//! the clock and the frame timeline — and knows nothing about how a channel
+//! is evaluated.
 //!
 //! That is [`LinkEval`], the fidelity and nothing else: build the medium and
 //! its links from a config, measure the joint channel, and lend the slaves'
@@ -39,7 +40,7 @@ use crate::control::{BatchSync, ControlPlane};
 use crate::csi::SyncHealth;
 use crate::error::JmbError;
 use crate::measure::REF_ANCHOR;
-use crate::precoder::Precoder;
+use crate::precoder::{Precoder, ZfWork};
 use crate::sync::{strategy_for, LeadObserver, SyncStrategy, SyncStrategyId};
 use jmb_channel::multipath::{Multipath, MultipathSpec};
 use jmb_channel::Link;
@@ -260,9 +261,8 @@ pub struct Network<L: LinkEval> {
     pub(crate) strategy: Box<dyn SyncStrategy>,
     /// Fault draws, sync health, the fallback policy and their events.
     pub(crate) control: ControlPlane,
-    /// Measured joint channel `H̃` ([`Network::measured_channel`]).
-    pub(crate) h_meas: Option<Planar>,
-    pub(crate) precoder: Option<Precoder>,
+    /// Measured joint channel `H̃` and the precoders solved from it.
+    pub(crate) measured: Measured,
     pub(crate) rng: JmbRng,
     seed: u64,
     /// Events are stamped on the frame timeline (header at `now`, sync
@@ -288,8 +288,7 @@ impl<L: LinkEval> Network<L> {
             link: d.link,
             strategy: strategy_for(d.sync, n_aps),
             control: ControlPlane::new(d.seed, n_aps),
-            h_meas: None,
-            precoder: None,
+            measured: Measured::default(),
             rng: d.rng,
             seed: d.seed,
             now: 1e-4,
@@ -389,12 +388,7 @@ impl<L: LinkEval> Network<L> {
     /// [`jmb_sim::SubcarrierMedium::transmit_rows_into`] writes and the
     /// zero-forcing build reads.
     pub fn measured_channel(&self) -> Option<&Planar> {
-        self.h_meas.as_ref()
-    }
-
-    /// The power normalisation `k̂` of the current precoder.
-    pub fn k_hat(&self) -> Option<f64> {
-        self.precoder.as_ref().map(|p| p.k_hat())
+        self.measured.channel()
     }
 
     /// Medium node ids of the APs (index 0 = lead).
@@ -417,8 +411,9 @@ impl<L: LinkEval> Network<L> {
     /// The channel-measurement phase (§5.1) at the current time.
     ///
     /// On return the joint channel is stored (feedback modelled as
-    /// reliable), every slave holds its reference channel and a CFO seed,
-    /// and the zero-forcing precoder is (re)computed. A lost exchange
+    /// reliable) and every slave holds its reference channel and a CFO
+    /// seed; no precoder is solved until a transmission asks for one
+    /// (`Measured`). A lost exchange
     /// ([`JmbError::MeasurementLost`]) still occupies the air, but produces
     /// no CSI: every stored state stays as it was — stale — and the caller
     /// owns the backoff re-measurement schedule.
@@ -429,7 +424,7 @@ impl<L: LinkEval> Network<L> {
             return Err(JmbError::MeasurementLost);
         }
         let mut h = Planar::default();
-        let (n_rx, n_tx) =
+        let shape =
             self.link
                 .estimate_channel(&self.aps, &self.clients, &mut self.rng, t0, &mut h)?;
         let (strategy, sigma_hz) = (&mut self.strategy, self.seed_cfo_sigma_hz);
@@ -437,17 +432,7 @@ impl<L: LinkEval> Network<L> {
             .observe(&self.aps, &mut self.rng, t0, true, |obs| {
                 strategy.on_measurement(obs, t0, sigma_hz)
             });
-        // A full-population precoder only exists when ZF is well posed
-        // (clients ≤ AP antennas). An over-subscribed cell — the city-scale
-        // case, hundreds of clients behind a handful of APs — still gets a
-        // valid measurement: the MAC schedules ≤ n_aps clients per batch and
-        // a per-batch precoder is built from `h_meas` directly.
-        self.precoder = if self.clients.len() <= self.aps.len() {
-            Some(Precoder::from_lanes(&h, n_rx, n_tx)?)
-        } else {
-            None
-        };
-        self.h_meas = Some(h);
+        self.measured.replace(h, shape);
         self.set_now(t0 + self.measurement_airtime_s());
         Ok(())
     }
@@ -492,21 +477,203 @@ impl<L: LinkEval> Network<L> {
         if client >= self.clients.len() {
             return Err(JmbError::BadConfig("no such client"));
         }
-        let h = self.h_meas.as_ref().ok_or(JmbError::NoReference)?;
+        let h = self.measured.channel().ok_or(JmbError::NoReference)?;
         let n_aps = self.aps.len();
         Precoder::mrt(h.rows_from(client * n_aps, n_aps), n_aps)
     }
 
-    /// Lends the stored precoder to `f` beside the rest of the network:
-    /// taken out for the call, so nothing is cloned, and put back on every
-    /// path. [`JmbError::NoReference`] before the first measurement.
-    pub(crate) fn with_precoder<R>(
+    /// Lends `f` the zero-forcing precoder of the whole measured array
+    /// ([`Measured::lend_zero_forcing`]) beside the rest of the network.
+    /// [`JmbError::NoReference`] before the first measurement; the solve's
+    /// error where the array has none (more clients than AP antennas, or a
+    /// singular channel).
+    pub(crate) fn with_zero_forcing<R>(
         &mut self,
         f: impl FnOnce(&mut Self, &Precoder) -> Result<R, JmbError>,
     ) -> Result<R, JmbError> {
-        let precoder = self.precoder.take().ok_or(JmbError::NoReference)?;
-        let out = f(self, &precoder);
-        self.precoder = Some(precoder);
+        let (n_rx, n_tx) = self.measured.shape;
+        let lent = self.measured.lend_zero_forcing(0..n_rx, 0..n_tx)?;
+        let out = f(self, &lent.1);
+        self.measured.give_back(lent);
         out
+    }
+}
+
+/// The measured joint channel `H̃` ([`Network::measured_channel`]) and the
+/// zero-forcing precoders solved from it, the one home of both: every write
+/// of `H̃` — a measurement ([`Measured::replace`]) or one client's spliced
+/// rows ([`Measured::splice`]) — empties the store.
+#[derive(Default)]
+pub(crate) struct Measured {
+    /// `H̃`; `None` before the first measurement.
+    h: Option<Planar>,
+    /// Its antennas, `(receive, transmit)`: entry `(j, i)` in row
+    /// `j · n_tx + i`.
+    shape: (usize, usize),
+    /// The precoders solved from `h` since it was last written.
+    pub(crate) zf: ZfStore,
+}
+
+impl Measured {
+    /// `H̃`, once measured.
+    pub(crate) fn channel(&self) -> Option<&Planar> {
+        self.h.as_ref()
+    }
+
+    /// A measurement of `shape` antennas becomes `H̃`.
+    fn replace(&mut self, h: Planar, shape: (usize, usize)) {
+        self.zf.entries.clear();
+        self.h = Some(h);
+        self.shape = shape;
+    }
+
+    /// Writes `rows` over `H̃`'s, from row `first` on: one client's
+    /// re-measured rows (§7). [`JmbError::NoReference`] before the first
+    /// measurement.
+    pub(crate) fn splice(&mut self, first: usize, rows: &Planar) -> Result<(), JmbError> {
+        let h = self.h.as_mut().ok_or(JmbError::NoReference)?;
+        self.zf.entries.clear();
+        for i in 0..rows.rows() {
+            let ((re, im), (src_re, src_im)) = (h.row_mut(first + i), rows.row(i));
+            re.copy_from_slice(src_re);
+            im.copy_from_slice(src_im);
+        }
+        Ok(())
+    }
+
+    /// Lends out the zero-forcing precoder of `H̃` restricted to `rx × tx`
+    /// (receive antennas in stream order, transmit antennas in precoder-row
+    /// order) — kept, or solved now — to hand to [`Measured::give_back`].
+    pub(crate) fn lend_zero_forcing(
+        &mut self,
+        rx: impl ExactSizeIterator<Item = usize> + Clone,
+        tx: impl ExactSizeIterator<Item = usize> + Clone,
+    ) -> Result<(usize, Precoder), JmbError> {
+        let h = self.h.as_ref().ok_or(JmbError::NoReference)?;
+        let at = self.zf.precoder_for(rx, tx, h, self.shape.1)?;
+        Ok((at, std::mem::take(&mut self.zf.entries[at].precoder)))
+    }
+
+    /// Puts a lent precoder back in the store.
+    pub(crate) fn give_back(&mut self, (at, precoder): (usize, Precoder)) {
+        if let Some(entry) = self.zf.entries.get_mut(at) {
+            entry.precoder = precoder;
+        }
+    }
+}
+
+/// The most weight rows (`n_tx · n_streams`, summed over its precoders) a
+/// [`ZfStore`] keeps: four 8 × 8 precoders or sixteen 4 × 4 ones, 213 KB
+/// over 52 subcarriers. At seed 1 the benchmark's `traffic_storm` (one 8 × 8
+/// cell) then solves 108 restrictions a repetition (106 with room for
+/// sixteen 8 × 8, 121 at half this bound).
+pub(crate) const ZF_STORE_ROWS: usize = 256;
+
+/// The zero-forcing precoders solved since the measured channel `H̃` was
+/// last written, keyed by the restriction each was asked for — receive
+/// antennas in stream order, transmit antennas in precoder-row order — and
+/// searched linearly. A precoder is a function of `H̃` and its restriction
+/// alone, so a restriction asked for again is answered without a solve,
+/// whoever asks: a MAC batch or a transmission over the whole array. A full
+/// store makes room by dropping the restrictions served longest ago. A
+/// singular restriction is never kept.
+#[derive(Default)]
+pub(crate) struct ZfStore {
+    entries: Vec<ZfEntry>,
+    /// Lookups so far: each entry is stamped with the last that served it.
+    tick: u64,
+    /// The restriction being solved, planar `[stream · n_tx + tx]`, and
+    /// what the solve works in.
+    h_sub: Planar,
+    work: ZfWork,
+    /// Restrictions solved since the network was built.
+    pub(crate) solves: u64,
+}
+
+#[derive(Default)]
+struct ZfEntry {
+    rx: Vec<usize>,
+    tx: Vec<usize>,
+    precoder: Precoder,
+    served: u64,
+}
+
+impl ZfStore {
+    /// Index of the entry holding the precoder of `rx × tx` over `h`,
+    /// `n_tx` transmit antennas to a receive antenna's run of rows: a kept
+    /// one, or one solved now.
+    fn precoder_for(
+        &mut self,
+        rx: impl ExactSizeIterator<Item = usize> + Clone,
+        tx: impl ExactSizeIterator<Item = usize> + Clone,
+        h: &Planar,
+        n_tx: usize,
+    ) -> Result<usize, JmbError> {
+        self.tick += 1;
+        let found = self.entries.iter().position(|e| {
+            e.rx.iter().copied().eq(rx.clone()) && e.tx.iter().copied().eq(tx.clone())
+        });
+        if let Some(at) = found {
+            self.entries[at].served = self.tick;
+            return Ok(at);
+        }
+        let (nb, na) = (rx.len(), tx.len());
+        // Room for `nb · na` rows, an evicted entry's buffers reused.
+        let mut entry = ZfEntry::default();
+        let rows = |e: &ZfEntry| e.rx.len() * e.tx.len();
+        while !self.entries.is_empty()
+            && self.entries.iter().map(rows).sum::<usize>() + nb * na > ZF_STORE_ROWS
+        {
+            let oldest = (0..self.entries.len())
+                .min_by_key(|&at| self.entries[at].served)
+                .unwrap_or(0);
+            entry = self.entries.swap_remove(oldest);
+        }
+        // The whole channel in order is `h` as it is; any other restriction
+        // is gathered, its rows in the same order.
+        let whole = nb * na == h.rows() && rx.clone().eq(0..nb) && tx.clone().eq(0..n_tx);
+        if !whole {
+            let _span = jmb_obs::span("zf_gather");
+            self.h_sub.zeroed(nb * na, h.width());
+            for (r, j) in rx.clone().enumerate() {
+                for (c, i) in tx.clone().enumerate() {
+                    let (src_re, src_im) = h.row(j * n_tx + i);
+                    let (re, im) = self.h_sub.row_mut(r * na + c);
+                    re.copy_from_slice(src_re);
+                    im.copy_from_slice(src_im);
+                }
+            }
+        }
+        self.solves += 1;
+        let restricted = if whole { h } else { &self.h_sub };
+        entry
+            .precoder
+            .rebuild_zero_forcing(restricted, nb, na, &mut self.work)?;
+        entry.rx.clear();
+        entry.rx.extend(rx);
+        entry.tx.clear();
+        entry.tx.extend(tx);
+        entry.served = self.tick;
+        self.entries.push(entry);
+        Ok(self.entries.len() - 1)
+    }
+}
+
+#[cfg(test)]
+impl ZfStore {
+    /// Forgets every kept precoder, as a write of `H̃` does.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The precoder kept for `rx × tx`, if any.
+    pub(crate) fn kept(&self, rx: &[usize], tx: &[usize]) -> Option<&Precoder> {
+        let entry = self.entries.iter().find(|e| e.rx == rx && e.tx == tx);
+        entry.map(|e| &e.precoder)
+    }
+
+    /// Restrictions kept.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
     }
 }

@@ -70,7 +70,8 @@ impl Precoder {
     /// Builds the zero-forcing precoder from per-subcarrier channel
     /// matrices (`n_streams × n_tx` each, rows = clients): the constructor
     /// for a caller that holds one matrix per subcarrier; a network's
-    /// measured channel is built from its lanes.
+    /// precoders are solved from its measured channel's lanes
+    /// ([`crate::network::ZfStore`]).
     ///
     /// `W(k) = H(k)⁺`, scaled per subcarrier by `k̂(k)` so that the busiest
     /// AP antenna's transmit power on that subcarrier equals the unit
@@ -105,19 +106,8 @@ impl Precoder {
                 h.set(row, k_idx, z);
             }
         }
-        Precoder::from_lanes(&h, n_streams, n_tx)
-    }
-
-    /// [`Precoder::zero_forcing`] from the channel as lanes, laid out as
-    /// [`Precoder::rebuild_zero_forcing`] reads it — the measured channel's
-    /// own layout ([`crate::network::Network::measured_channel`]).
-    pub(crate) fn from_lanes(
-        h: &Planar,
-        n_streams: usize,
-        n_tx: usize,
-    ) -> Result<Precoder, JmbError> {
         let mut precoder = Precoder::default();
-        precoder.rebuild_zero_forcing(h, n_streams, n_tx, &mut ZfWork::default())?;
+        precoder.rebuild_zero_forcing(&h, n_streams, n_tx, &mut ZfWork::default())?;
         Ok(precoder)
     }
 
@@ -314,7 +304,7 @@ impl Precoder {
 
     /// Root-mean-square `k̂` across subcarriers (a scalar summary: the
     /// average received signal power is `k_hat()²`).
-    pub fn k_hat(&self) -> f64 {
+    pub(crate) fn k_hat(&self) -> f64 {
         (self.k_hats.iter().map(|k| k * k).sum::<f64>() / self.k_hats.len() as f64).sqrt()
     }
 
@@ -367,23 +357,6 @@ impl Precoder {
     /// per subcarrier.
     pub(crate) fn lanes(&self, tx: usize, stream: usize) -> Lanes<'_> {
         self.weights.row(tx * self.n_streams + stream)
-    }
-
-    /// Applies the precoder at one subcarrier: stream vector `x` →
-    /// per-antenna transmit vector `W(k)·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n_streams`.
-    pub(crate) fn apply(&self, k_idx: usize, x: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(x.len(), self.n_streams, "stream vector length");
-        (0..self.n_tx)
-            .map(|m| {
-                x.iter().enumerate().fold(Complex64::ZERO, |acc, (j, &x)| {
-                    self.weight(k_idx, m, j).mul_add(x, acc)
-                })
-            })
-            .collect()
     }
 
     /// Mean transmit power of antenna `m`, averaged over subcarriers,
@@ -495,23 +468,6 @@ pub(crate) mod tests {
         let gain = |p: &Precoder, h: &CMat, j: usize| p.stream_gain(0, h.row(j).iter().copied(), j);
         assert!((gain(&p_bad, &bad_h, 0) - gain(&p_good, &good_h, 0)).abs() < 1e-9);
         assert!(gain(&p_bad, &bad_h, 1) < 0.1);
-    }
-
-    #[test]
-    fn apply_matches_weights() {
-        let hs: Vec<CMat> = (0..2).map(|k| random_h(2, 3, 11 + k)).collect();
-        let p = Precoder::zero_forcing(&hs).unwrap();
-        let x = vec![Complex64::new(1.0, 0.5), Complex64::new(-0.3, 0.2)];
-        let tx = p.apply(0, &x);
-        assert_eq!(tx.len(), 3);
-        let w: Vec<Complex64> = (0..3)
-            .flat_map(|m| (0..2).map(move |j| (m, j)))
-            .map(|(m, j)| p.weight(0, m, j))
-            .collect();
-        let manual = CMat::from_vec(3, 2, w).mul_vec(&x).unwrap();
-        for (a, b) in tx.iter().zip(&manual) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -598,7 +598,7 @@ mod tests {
 
     mod contract {
         use super::*;
-        use crate::measure::{MeasurementPlan, REF_ANCHOR};
+        use crate::measure::{MeasurementPlan, SlotOrder, REF_ANCHOR};
         use crate::net::SampleObserver;
         use jmb_phy::preamble;
         use jmb_sim::Medium;
@@ -698,7 +698,7 @@ mod tests {
 
         impl Drive for SampleRig {
             fn measure(&mut self, s: &mut dyn SyncStrategy, t0: f64) {
-                let plan = MeasurementPlan::new(self.aps.len(), 8);
+                let plan = MeasurementPlan::with_order(self.aps.len(), 8, SlotOrder::Interleaved);
                 let ts = self.params.sample_period();
                 for (i, &ap) in self.aps.iter().enumerate() {
                     for (off, seg) in plan.ap_segments(&self.params, i) {

@@ -193,7 +193,7 @@ impl CMat {
     }
 
     /// Matrix–vector product `self · v`.
-    pub fn mul_vec(&self, v: &[Complex64]) -> Result<Vec<Complex64>, MatError> {
+    pub(crate) fn mul_vec(&self, v: &[Complex64]) -> Result<Vec<Complex64>, MatError> {
         if self.cols != v.len() {
             return Err(MatError::DimensionMismatch {
                 left: (self.rows, self.cols),

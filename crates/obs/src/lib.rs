@@ -39,6 +39,6 @@ pub use event::{DropCause, Event, EventKind, StopCause, SyncStrategyId};
 pub use json::{json_f64, json_str};
 pub use query::{read_jsonl, TraceQuery};
 pub use registry::{Histogram, Registry};
-pub use sink::{FilterSink, JsonLinesSink, RingBufferSink, TraceSink};
+pub use sink::{JsonLinesSink, RingBufferSink, TraceSink};
 pub use span::{reset_spans, set_spans_enabled, span, span_report, SpanStat};
 pub use trace::Trace;

@@ -238,34 +238,6 @@ impl<W: Write + Send + 'static> Drop for JsonLinesSink<W> {
     }
 }
 
-/// Forwards only events matching a predicate to an inner sink.
-pub struct FilterSink<S: TraceSink> {
-    pred: Box<dyn Fn(&Event) -> bool + Send>,
-    inner: S,
-}
-
-impl<S: TraceSink> FilterSink<S> {
-    /// Wraps `inner`, forwarding only events where `pred` returns true.
-    pub fn new(pred: impl Fn(&Event) -> bool + Send + 'static, inner: S) -> Self {
-        FilterSink {
-            pred: Box::new(pred),
-            inner,
-        }
-    }
-}
-
-impl<S: TraceSink> TraceSink for FilterSink<S> {
-    fn record(&mut self, e: &Event) {
-        if (self.pred)(e) {
-            self.inner.record(e);
-        }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,16 +370,5 @@ mod tests {
         }));
         let payload = raised.expect_err("the writer's panic is raised on join");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"the writer broke"));
-    }
-
-    #[test]
-    fn filter_sink_forwards_matches_only() {
-        let ring = RingBufferSink::new(8);
-        let mut f = FilterSink::new(|e| e.kind.ap() == Some(1), ring);
-        f.record(&ev(0, 0.0, 0));
-        f.record(&ev(1, 0.1, 1));
-        f.record(&ev(2, 0.2, 1));
-        let seqs: Vec<u64> = f.inner.events().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2]);
     }
 }

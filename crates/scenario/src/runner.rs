@@ -69,7 +69,6 @@ pub(crate) fn plan(m: &Manifest, seed: u64, threads: usize) -> Result<Plan, Scen
         let mut cfg = TrafficConfig::default_with(vec![m.traffic.load; clients], seed);
         cfg.duration_s = m.traffic.duration_s;
         cfg.drain_timeout_s = m.traffic.drain_s;
-        cfg.sync_strategy = m.sync;
         cfg.outages = m.faults.outages.clone();
         cfg
     };

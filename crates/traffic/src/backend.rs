@@ -154,7 +154,7 @@ impl<L: Serve> Backend<L> {
 impl SampleBackend {
     /// The MCS every batch goes out at until the next measurement: the
     /// network's own §9 rate selection (base rate if none clears).
-    pub fn mcs(&self) -> Mcs {
+    pub fn mcs(&mut self) -> Mcs {
         self.net.select_rate().unwrap_or(Mcs::BASE)
     }
 }

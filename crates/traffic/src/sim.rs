@@ -85,16 +85,11 @@ pub struct TrafficConfig {
     pub outages: Vec<ApOutage>,
     /// Master seed (arrivals and backoff; the backend seeds itself).
     pub seed: u64,
-    /// Synchronization backend for the run. Applied to the PHY at
-    /// construction when it differs from the backend's current strategy; a
-    /// non-default strategy is announced on the trace at run start with
-    /// [`TraceKind::SyncStrategySwitched`].
-    pub sync_strategy: SyncStrategyId,
 }
 
 impl TrafficConfig {
-    /// Defaults: 1 s horizon with 0.5 s drain from t = 0, the default MAC
-    /// and sync strategy, no outages.
+    /// Defaults: 1 s horizon with 0.5 s drain from t = 0, the default MAC,
+    /// no outages. The sync strategy is the backend's own.
     pub fn default_with(loads: Vec<ClientLoad>, seed: u64) -> Self {
         TrafficConfig {
             start_s: 0.0,
@@ -104,7 +99,6 @@ impl TrafficConfig {
             loads,
             outages: Vec::new(),
             seed,
-            sync_strategy: SyncStrategyId::default(),
         }
     }
 
@@ -300,15 +294,8 @@ impl<B: TransmitBackend> TrafficSim<B> {
     /// The initial designated-AP map assigns client `j` to AP `j mod n_aps`
     /// (matching the backend topologies, where strongest APs are spread
     /// across clients).
-    pub fn new(cfg: TrafficConfig, mut backend: B) -> Result<Self, JmbError> {
+    pub fn new(cfg: TrafficConfig, backend: B) -> Result<Self, JmbError> {
         cfg.validate(backend.n_aps(), backend.n_clients())?;
-        // Apply the run's sync strategy only when it differs: a backend
-        // whose PHY was already built on the requested strategy keeps its
-        // measurement-phase seeding (and, for the default strategy, its
-        // byte-exact draw stream).
-        if backend.sync_strategy() != cfg.sync_strategy {
-            backend.set_sync_strategy(cfg.sync_strategy);
-        }
         let n_aps = backend.n_aps();
         let home_ap: Vec<usize> = (0..backend.n_clients()).map(|j| j % n_aps).collect();
         let mut mac = JmbMac::new(cfg.mac, home_ap.clone());

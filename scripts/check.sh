@@ -24,7 +24,7 @@
 # fails); the vendored stand-in crates under vendor/ (rand, proptest) are
 # kept byte-comparable to their upstreams and are exempt from formatting.
 #
-# Fourteen greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
+# Fifteen greps beside the figure CSVs: the scratch rule (DESIGN.md §7) — no
 # `thread_local!` in a program crate —
 # the ramp rule — no `Complex64::cis(` per subcarrier in the fast path's
 # two kernels, `channel_rows_into` and `Scratch::probe_sinr` — the
@@ -61,7 +61,9 @@
 # `scale_gain`, never `link_mut(`, which would drop the rows calibration
 # just summed — and the
 # head-pick rule (DESIGN.md §3.5): `JmbMac::select_batch` pops client queue
-# heads and calls no `.remove(`. The script ends by printing (not gating)
+# heads and calls no `.remove(` — and the one-store rule (DESIGN.md §3.5):
+# outside precoder.rs, `ZfStore` is the one live caller of
+# `rebuild_zero_forcing(`. The script ends by printing (not gating)
 # the size scan simplicity PRs quote: live lines, `pub fn`s and the
 # settable fields of every `pub struct *Config`, per program crate.
 #
@@ -285,7 +287,7 @@ fi
 shared=$(ls crates/core/src/*.rs | grep -v '/precoder.rs$')
 for name in now advance sync_health last_sync sync_strategy set_sync_strategy \
     sync_phase_error_rad take_sync_control_airtime_s set_fault_schedule \
-    measured_channel k_hat ap_nodes client_nodes run_measurement; do
+    measured_channel ap_nodes client_nodes run_measurement; do
   # shellcheck disable=SC2086
   n=$(cat $shared | grep -c 'pub fn '"$name"'(' || true)
   if [ "$n" -ne 1 ]; then
@@ -327,6 +329,18 @@ if { kernel crates/core/src/fastnet.rs 'fn deploy(';
      kernel crates/core/src/fastnet.rs 'fn calibrate(';
    } | grep -n 'link_mut('; then
   echo "link_mut( inside the fast deployment (FastEval::deploy, FastRoom::draw/deploy/calibrate): calibrate with SubcarrierMedium::set_gain/scale_gain, which keep the row" >&2
+  exit 1
+fi
+
+# A zero-forcing precoder comes from one store (DESIGN.md §3.5): outside
+# precoder.rs, the only live `rebuild_zero_forcing(` is `ZfStore`'s, which
+# solves a restriction of the measured channel when a transmission asks for
+# it. A second caller is an eager solve, or a second cache, creeping back.
+zf_callers=$(for f in crates/*/src/*.rs; do
+  [ "$f" = crates/core/src/precoder.rs ] || live "$f"
+done | grep -c 'rebuild_zero_forcing(' || true)
+if [ "$zf_callers" -ne 1 ]; then
+  echo "rebuild_zero_forcing( has $zf_callers live callers outside precoder.rs (one: ZfStore in network.rs)" >&2
   exit 1
 fi
 

@@ -62,6 +62,11 @@
 
 #![warn(missing_docs)]
 
+/// README.md's Rust examples, compiled by `cargo test` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use jmb_channel as channel;
 pub use jmb_city as city;
 pub use jmb_core as core;

@@ -17,8 +17,8 @@
 //!   `pub(crate)`; one that only tests reach is deleted, or compiled for
 //!   the tests alone when a test holds live code to it.
 //! * Every backticked `Path::item` in DESIGN.md and README.md resolves to a
-//!   definition in the tree — after a crate segment, in that crate — unless
-//!   followed by "(removed in …)".
+//!   definition in the tree — after a crate segment, in that crate; after a
+//!   type, on that type — unless followed by "(removed in …)".
 //!
 //! The scans are text, not tokens: "live code" is a file up to its first
 //! `#[cfg(test)]` in column 0 (an indented one gates a field or a statement,
@@ -27,7 +27,7 @@
 //! its name as a whole identifier, comments included.
 
 use jmb::obs::EventKind;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -86,7 +86,15 @@ const ALLOWED: [(&str, &str, &str); 1] = [(
 
 /// Path prefixes of backticked paths in the docs that name code outside
 /// the tree: the standard library and clippy's lints.
-const EXTERNAL: [&str; 6] = ["std", "clippy", "thread", "Instant", "SystemTime", "Vec"];
+const EXTERNAL: [&str; 7] = [
+    "std",
+    "clippy",
+    "thread",
+    "Instant",
+    "SystemTime",
+    "Vec",
+    "f64",
+];
 
 /// Every `.rs` file under `dir`, as (path relative to the repo root, text),
 /// sorted by path; build output (`target/`) is skipped.
@@ -269,14 +277,163 @@ fn definitions<'a>(files: impl Iterator<Item = &'a (String, String)>) -> BTreeSe
     defined
 }
 
+/// The first identifier of `w`.
+fn ident(w: &str) -> &str {
+    let end = w
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(w.len());
+    &w[..end]
+}
+
+/// `text` without a leading visibility (`pub`, `pub(crate)`, …).
+fn without_vis(text: &str) -> &str {
+    match text.strip_prefix("pub") {
+        Some(rest) if rest.starts_with('(') => rest.split_once(") ").map_or(rest, |(_, r)| r),
+        Some(rest) if rest.starts_with(' ') => rest.trim_start(),
+        _ => text,
+    }
+}
+
+/// The type an `impl` header implements on: `Type` of `impl<…> Type<…>`
+/// and of `impl<…> Trait for path::Type<…>`.
+fn impl_self_type(header: &str) -> &str {
+    let mut rest = &header["impl".len()..];
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let end = rest.char_indices().find_map(|(at, c)| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            (depth == 0).then_some(at + 1)
+        });
+        rest = &rest[end.unwrap_or(rest.len())..];
+    }
+    let rest = rest
+        .split_once(" for ")
+        .map_or(rest, |(_, t)| t)
+        .trim_start();
+    let path = &rest[..rest.find(['<', ' ', '{']).unwrap_or(rest.len())];
+    ident(path.rsplit("::").next().unwrap_or(path))
+}
+
+/// What each type defined in the libraries of `files` has on itself, by
+/// name: the `fn`s, `const`s and `type`s of every `impl Type` and
+/// `impl … for Type` block and of `trait Type`, the fields of
+/// `struct Type` and the variants of `enum Type`. A type alias at the top
+/// of a file (`type FastNet = Network<FastEval>;`) is its target: it has
+/// the target's members, and an `impl` on it adds to them.
+fn members(files: &[(String, String)]) -> BTreeMap<String, BTreeSet<String>> {
+    let libs: Vec<&str> = files
+        .iter()
+        .filter(|(rel, _)| library_of(rel).is_some() || rel.starts_with("src/"))
+        .map(|(_, text)| text.as_str())
+        .collect();
+    let mut alias: BTreeMap<&str, &str> = BTreeMap::new();
+    for line in libs.iter().flat_map(|text| text.lines()) {
+        if let Some(rest) = without_vis(line).strip_prefix("type ") {
+            if let Some((name, target)) = rest.split_once(" = ") {
+                let path = &target[..target.find(['<', ';']).unwrap_or(target.len())];
+                alias.insert(ident(name), ident(path.rsplit("::").next().unwrap_or(path)));
+            }
+        }
+    }
+    let canon = |name: &str| alias.get(name).copied().unwrap_or(name).to_string();
+    let mut out: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for text in libs {
+        // What an `impl $name` in a macro's body defines goes to every type
+        // the file defines.
+        let (mut defined_here, mut by_macro) = (Vec::new(), BTreeSet::new());
+        let lines: Vec<&str> = text.lines().collect();
+        for (at, line) in lines.iter().enumerate() {
+            let indent = line.len() - line.trim_start().len();
+            let decl = without_vis(line.trim_start());
+            let is_impl = decl.starts_with("impl<") || decl.starts_with("impl ");
+            let keyword = ["struct ", "enum ", "trait "]
+                .into_iter()
+                .find(|k| decl.starts_with(k));
+            if !is_impl && keyword.is_none() {
+                continue;
+            }
+            // The header runs to its `{`: a `where` clause can take lines.
+            let open = (at..lines.len()).find(|&i| {
+                let l = lines[i].trim_end();
+                l.ends_with('{') || l.ends_with(';') || l.ends_with(')')
+            });
+            let Some(open) = open.filter(|&i| lines[i].trim_end().ends_with('{')) else {
+                continue;
+            };
+            let header = lines[at..=open].join(" ");
+            let owner = match keyword {
+                Some(k) => ident(&decl[k.len()..]),
+                None => impl_self_type(without_vis(header.trim_start())),
+            };
+            let close = format!("{}}}", " ".repeat(indent));
+            let body = lines[open + 1..]
+                .iter()
+                .take_while(|l| l.trim_end() != close)
+                .filter(|l| l.len() - l.trim_start().len() == indent + 4)
+                .map(|l| without_vis(l.trim()));
+            let own = match owner {
+                "" => &mut by_macro,
+                owner => {
+                    if keyword.is_some() {
+                        defined_here.push(canon(owner));
+                    }
+                    out.entry(canon(owner)).or_default()
+                }
+            };
+            for item in body {
+                let name = match keyword {
+                    Some("struct ") => {
+                        Some(ident(item)).filter(|n| item[n.len()..].starts_with(':'))
+                    }
+                    Some("enum ") => {
+                        Some(ident(item)).filter(|n| n.starts_with(char::is_uppercase))
+                    }
+                    _ => {
+                        let words: Vec<&str> = item
+                            .split_whitespace()
+                            .filter(|w| !["unsafe", "async", "extern", "default"].contains(w))
+                            .collect();
+                        match words.as_slice() {
+                            ["const", "fn", name, ..]
+                            | ["fn", name, ..]
+                            | ["type", name, ..]
+                            | ["const", name, ..] => Some(ident(name)),
+                            _ => None,
+                        }
+                    }
+                };
+                if let Some(name) = name.filter(|n| !n.is_empty()) {
+                    own.insert(name.to_string());
+                }
+            }
+        }
+        for owner in defined_here {
+            out.entry(owner)
+                .or_default()
+                .extend(by_macro.iter().cloned());
+        }
+    }
+    for (&name, &target) in &alias {
+        let of_target = out.get(target).cloned().unwrap_or_default();
+        out.entry(name.to_string()).or_default().extend(of_target);
+    }
+    out
+}
+
 /// The backticked `a::b` paths of `doc` that do not resolve in `files`:
 /// every segment must be defined somewhere in the tree ([`definitions`]),
-/// and the segments after a crate — `jmb_<name>`, or the root package's
-/// alias for it (`jmb::core`, `core::…`) — in that crate's `src/`. A path
-/// followed by "(removed in …)" names removed code on purpose, and one under
-/// [`EXTERNAL`] code outside the tree.
+/// the segments after a crate — `jmb_<name>`, or the root package's alias
+/// for it (`jmb::core`, `core::…`) — in that crate's `src/`, and a segment
+/// after a type on that type ([`members`]). A path followed by "(removed in
+/// …)" names removed code on purpose, and one under [`EXTERNAL`] code
+/// outside the tree.
 fn unresolved_doc_paths(doc: &str, files: &[(String, String)]) -> Vec<String> {
     let defined = definitions(files.iter());
+    let members = members(files);
     // Crate segment (`jmb_<name>` and the root package's alias for it) →
     // the crate's own definitions.
     let mut crates: Vec<(String, BTreeSet<String>)> = Vec::new();
@@ -326,8 +483,12 @@ fn unresolved_doc_paths(doc: &str, files: &[(String, String)]) -> Vec<String> {
                 let own = crates.iter().find(|(name, _)| name == seg)?;
                 (i == 0 || segments[i - 1] == "jmb").then_some((i, &own.1))
             });
+            let on_its_type = segments
+                .windows(2)
+                .all(|pair| members.get(pair[0]).is_none_or(|own| own.contains(pair[1])));
             let resolves = segments.iter().all(|s| defined.contains(*s))
-                && scoped.is_none_or(|(i, own)| segments[i + 1..].iter().all(|s| own.contains(*s)));
+                && scoped.is_none_or(|(i, own)| segments[i + 1..].iter().all(|s| own.contains(*s)))
+                && on_its_type;
             if !resolves {
                 out.push(word.to_string());
             }
@@ -555,13 +716,18 @@ fn every_path_the_docs_cite_resolves() {
     let planted = "`Link::freq_response_at`, `Link::gone_for_good`, \
                    `Block::draw_through` (removed in PR 43), `std::mem::take`, \
                    `jmb::obs::TraceQuery`, `jmb::sim::TraceQuery`, `core::phasesync`, \
-                   `jmb_dsp::delay::kernel_at`, `jmb_phy::delay::kernel_at`";
+                   `jmb_dsp::delay::kernel_at`, `jmb_phy::delay::kernel_at`, \
+                   `FastNet::joint_transmit_subset`, `FastNet::run_measurement`, \
+                   `FastNet::select_batch`, `JmbMac::select_batch`, `Network::k_hat`, \
+                   `EventKind::SyncMissed`, `EventKind::Transmit::len`";
     assert_eq!(
         unresolved_doc_paths(planted, &files),
         [
             "Link::gone_for_good",
             "jmb::sim::TraceQuery",
-            "jmb_phy::delay::kernel_at"
+            "jmb_phy::delay::kernel_at",
+            "FastNet::select_batch",
+            "Network::k_hat",
         ]
     );
 }

@@ -147,12 +147,12 @@ fn rival_sync_strategies_ride_out_a_header_storm_on_real_waveforms() {
         SyncStrategyId::AirSyncPilot,
         SyncStrategyId::ReciprocityImplicit,
     ] {
-        let backend = SampleBackend::new(NetConfig::default_with(2, 2, 22.0, 5)).unwrap();
+        let mut backend = SampleBackend::new(NetConfig::default_with(2, 2, 22.0, 5)).unwrap();
+        backend.set_sync_strategy(strategy);
         let loads = vec![ClientLoad::poisson(400.0, 200); 2];
         let mut cfg = TrafficConfig::default_with(loads, 5);
         cfg.duration_s = 0.02;
         cfg.drain_timeout_s = 0.02;
-        cfg.sync_strategy = strategy;
         let mut sim = TrafficSim::new(cfg, backend).unwrap();
         assert_eq!(sim.backend_mut().net_mut().sync_strategy(), strategy);
         let storm = FaultConfig::builder().per_slave_sync_loss(1, 1.0).build();
