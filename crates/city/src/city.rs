@@ -352,7 +352,7 @@ fn run_cell(
     let mut backend = FastBackend::new(fc)?;
     backend
         .net_mut()
-        .set_external_interference(&[ext_inr_lin * NOISE_VAR])?;
+        .set_external_interference(ext_inr_lin * NOISE_VAR)?;
     let loads = vec![ClientLoad::poisson(cfg.rate_pps, cfg.packet_bytes); nc];
     let mut tc = TrafficConfig::default_with(loads, mac_seed);
     tc.duration_s = cfg.duration_s;

@@ -6,7 +6,7 @@
 //! lays them out on a rectangular grid ([`Grid`]), assigns each a
 //! frequency-reuse color ([`Reuse`] 1, 3, or 7), couples co-channel cells
 //! through distance-based path loss (each cell's aggregate out-of-cell
-//! leakage is folded into its per-subcarrier noise floor via
+//! leakage is folded into its noise floor, flat across the band, via
 //! `FastNet::set_external_interference`, so the EESM rate selection and
 //! SINRs honor it), and runs every cell's
 //! traffic event loop as an independent shard.

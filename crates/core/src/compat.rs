@@ -323,10 +323,9 @@ impl CompatNet {
                 duration_s: packet_duration_s,
                 n_probes: 2,
             };
-            let floor = (NOISE_VAR, &[][..]);
             net.link
                 .scratch
-                .probe_sinr(&mut net.link.medium, precoder, &frame, floor);
+                .probe_sinr(&mut net.link.medium, precoder, &frame, NOISE_VAR);
             net.end_frame(t_d, packet_duration_s);
             let n_k = net.link.medium.occupied().len();
             let per_stream = net.link.scratch.sinr.chunks_exact(n_k);

@@ -58,8 +58,8 @@
 # processes it serves, the oscillator grid walk (oscillator.rs) and
 # estimation noise (fastnet.rs) — the kept-row rule
 # (DESIGN.md §3.4): the fast deployment calibrates through `set_gain` and
-# `scale_gain`, never `link_mut(`, which would drop the rows calibration
-# just summed — and the
+# `scale_gain`, and neither its `deploy` nor its `calibrate` calls
+# `set_link(`, which would drop the rows calibration just summed — and the
 # head-pick rule (DESIGN.md §3.5): `JmbMac::select_batch` pops client queue
 # heads and calls no `.remove(` — and the one-store rule (DESIGN.md §3.5):
 # outside precoder.rs, `ZfStore` is the one live caller of
@@ -321,14 +321,15 @@ fi
 
 # Calibration rescales the rows it summed (DESIGN.md §3.4, §3.5): a row is
 # `gain · F_k · d_k`, and `set_gain` / `scale_gain` rewrite it from the kept
-# factors. A `link_mut(` in the fast deployment — `FastEval::deploy` and
-# `FastRoom::{draw, deploy, calibrate}` — drops them, every calibrated link
-# is summed twice, and the room refuses the medium it lent.
+# factors. A link is replaced, never rewritten in place, so `set_link(` is
+# the one way left to drop a row: one in `FastEval::deploy`,
+# `FastRoom::deploy` or `FastRoom::calibrate` drops the rows calibration
+# summed, and every calibrated link is summed twice. (`FastRoom::draw`
+# installs the links, and is not grepped.)
 if { kernel crates/core/src/fastnet.rs 'fn deploy(';
-     kernel crates/core/src/fastnet.rs 'fn draw(';
      kernel crates/core/src/fastnet.rs 'fn calibrate(';
-   } | grep -n 'link_mut('; then
-  echo "link_mut( inside the fast deployment (FastEval::deploy, FastRoom::draw/deploy/calibrate): calibrate with SubcarrierMedium::set_gain/scale_gain, which keep the row" >&2
+   } | grep -n 'set_link('; then
+  echo "set_link( inside the fast deployment (FastEval::deploy, FastRoom::deploy/calibrate): calibrate with SubcarrierMedium::set_gain/scale_gain, which keep the row" >&2
   exit 1
 fi
 
