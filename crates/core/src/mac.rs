@@ -159,11 +159,6 @@ impl JmbMac {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &MacConfig {
-        &self.cfg
-    }
-
     /// The designated AP for a client.
     pub fn designated_ap(&self, client: usize) -> usize {
         self.designated_ap[client]
@@ -519,7 +514,7 @@ mod tests {
                         }
                         3 => {
                             let (batch, padded_len) = m.select_batch();
-                            let want = scan.select_batch(&m.blacklisted, m.config().max_streams);
+                            let want = scan.select_batch(&m.blacklisted, m.cfg.max_streams);
                             prop_assert_eq!(&batch, &want.0);
                             prop_assert_eq!(padded_len, want.1);
                             let acked: Vec<bool> = (0..batch.len()).map(|k| acks >> k & 1 == 1).collect();
@@ -645,7 +640,7 @@ mod tests {
         assert_eq!(m.select_batch().0.len(), 2);
         // Never below one stream.
         m.set_max_streams(0);
-        assert_eq!(m.config().max_streams, 1);
+        assert_eq!(m.cfg.max_streams, 1);
     }
 
     #[test]

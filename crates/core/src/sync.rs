@@ -238,7 +238,7 @@ pub struct JmbLeadSlave {
 
 impl JmbLeadSlave {
     /// Fresh state for a network with `n_aps` APs (index 0 = lead).
-    pub fn new(n_aps: usize) -> Self {
+    pub(crate) fn new(n_aps: usize) -> Self {
         JmbLeadSlave {
             sync: (1..n_aps).map(|_| PhaseSync::new()).collect(),
         }

@@ -98,12 +98,6 @@ impl Complex64 {
         self.im.atan2(self.re)
     }
 
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Complex64::from_polar(self.re.exp(), self.im)
-    }
-
     /// Multiplicative inverse `1/z`.
     ///
     /// Returns an all-infinite/NaN value when `z == 0`, mirroring `f64`
@@ -515,15 +509,6 @@ mod tests {
         let a = Complex64::new(1.0, 2.0);
         let p = a * a.inv();
         assert!(close(p.re, 1.0) && close(p.im, 0.0));
-    }
-
-    #[test]
-    fn exp_matches_euler() {
-        let z = Complex64::new(0.0, PI);
-        let e = z.exp();
-        assert!(close(e.re, -1.0) && close(e.im, 0.0));
-        let z2 = Complex64::new(1.0, 0.0);
-        assert!(close(z2.exp().re, std::f64::consts::E));
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Histogram {
     /// A histogram with the given upper bucket bounds (must be sorted
     /// ascending); samples above the last bound land in an overflow
     /// bucket.
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Histogram {
             bounds: bounds.to_vec(),
@@ -52,7 +52,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         let idx = self
             .bounds
             .iter()

@@ -36,16 +36,6 @@ impl RingBufferSink {
             buf: VecDeque::new(),
         }
     }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 impl TraceSink for RingBufferSink {
@@ -255,12 +245,12 @@ mod tests {
     #[test]
     fn ring_buffer_keeps_tail() {
         let mut s = RingBufferSink::new(3);
-        assert!(s.is_empty());
+        assert!(s.buf.is_empty());
         for i in 0..5 {
             s.record(&ev(i, i as f64, 0));
         }
         assert_eq!(s.buf.len(), 3);
-        let seqs: Vec<u64> = s.events().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = s.buf.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
     }
 

@@ -71,11 +71,6 @@ pub struct ControlFaults {
 }
 
 impl ControlFaults {
-    /// No control-plane faults.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// The sync-header loss probability in effect for the given AP,
     /// honouring per-slave overrides.
     pub fn sync_loss_for(&self, ap: usize) -> f64 {
@@ -112,11 +107,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// No faults — the default.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// Starts a validated builder: it composes any combination of faults
     /// and checks all probabilities jointly at [`FaultConfigBuilder::build`].
     pub fn builder() -> FaultConfigBuilder {
@@ -283,10 +273,9 @@ mod tests {
 
     #[test]
     fn defaults_are_clean() {
-        assert_eq!(FaultConfig::default(), FaultConfig::none());
-        assert_eq!(FaultConfig::none().drop_chance, 0.0);
-        assert_eq!(FaultConfig::none().corrupt_chance, 0.0);
-        assert!(FaultConfig::none().is_clean());
+        assert_eq!(FaultConfig::default().drop_chance, 0.0);
+        assert_eq!(FaultConfig::default().corrupt_chance, 0.0);
+        assert!(FaultConfig::default().is_clean());
         assert!(FaultSchedule::none().base.is_clean());
         assert!(FaultSchedule::none().windows.is_empty());
     }
@@ -419,7 +408,7 @@ mod tests {
     #[test]
     fn schedule_rejects_empty_window() {
         let err = FaultSchedule::none()
-            .with_window(2.0, 2.0, FaultConfig::none())
+            .with_window(2.0, 2.0, FaultConfig::default())
             .unwrap_err();
         assert_eq!(
             err,
@@ -518,7 +507,7 @@ mod tests {
         // so construction refuses it rather than silently never matching.
         for (from, until) in [(2.0, 2.0), (3.0, 2.0), (f64::NAN, 1.0), (1.0, f64::NAN)] {
             let err = FaultSchedule::none()
-                .with_window(from, until, FaultConfig::none())
+                .with_window(from, until, FaultConfig::default())
                 .unwrap_err();
             assert!(matches!(err, FaultError::Window { .. }), "{from}..{until}");
         }

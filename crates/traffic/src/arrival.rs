@@ -175,7 +175,7 @@ pub struct ArrivalGen {
 
 impl ArrivalGen {
     /// Creates a generator starting at `t0`.
-    pub fn new(process: ArrivalProcess, size: PacketSizeDist, rng: JmbRng, t0: f64) -> Self {
+    pub(crate) fn new(process: ArrivalProcess, size: PacketSizeDist, rng: JmbRng, t0: f64) -> Self {
         let mut g = ArrivalGen {
             process,
             size,
