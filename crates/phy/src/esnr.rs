@@ -15,10 +15,6 @@
 //!
 //! Every SNR this module takes is linear power, as the callers hold it; dB
 //! appears only in what it returns and in the threshold table.
-//!
-//! The uncoded-BER model the EESM superseded (`erfc` through
-//! `effective_snr_db`, averaging in the bit-error-rate domain) is compiled
-//! for the tests alone, as the reference the EESM's docs compare against.
 
 use crate::rates::Mcs;
 use jmb_dsp::elementary::exp;
@@ -48,7 +44,7 @@ pub const MCS_EESM_BETA: [f64; 8] = [1.5, 2.5, 3.0, 5.0, 8.0, 14.0, 28.0, 36.0];
 ///
 /// `snrs` are the per-subcarrier linear SNRs `ρ_k`; the result is in dB,
 /// ready for [`MCS_THRESHOLD_DB`]. Identical to the per-subcarrier SNR on a
-/// flat channel. Unlike the raw BER-mean of `effective_snr_db`, EESM
+/// flat channel. Unlike a raw mean of uncoded bit-error rates, EESM
 /// degrades *gracefully* when a few subcarriers are dead (e.g.
 /// zero-forcing inversion holes): the coded 802.11 PHY treats those as
 /// soft erasures — its interleaver spreads them and the CSI-weighted
@@ -142,182 +138,48 @@ pub fn per_at_margin(margin_db: f64) -> f64 {
     (0.1 * (-margin_db).exp()).min(1.0)
 }
 
-/// Complementary error function, Abramowitz & Stegun 7.1.26-based
-/// approximation (|error| < 1.5e-7 — far below any SNR modelling error).
-#[cfg(test)]
-pub fn erfc(x: f64) -> f64 {
-    if x < 0.0 {
-        return 2.0 - erfc(-x);
-    }
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    poly * (-x * x).exp()
-}
-
-/// Gaussian tail probability `Q(x) = P(N(0,1) > x)`.
-#[cfg(test)]
-pub fn q_func(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Uncoded bit-error rate of a modulation at per-symbol SNR `snr` (linear).
-///
-/// Standard Gray-mapped approximations:
-/// * BPSK: `Q(√(2ρ))`
-/// * QPSK: `Q(√ρ)`
-/// * 16-QAM: `(3/4)·Q(√(ρ/5))`
-/// * 64-QAM: `(7/12)·Q(√(ρ/21))`
-#[cfg(test)]
-pub fn ber(modulation: crate::modulation::Modulation, snr: f64) -> f64 {
-    let snr = snr.max(0.0);
-    match modulation {
-        crate::modulation::Modulation::Bpsk => q_func((2.0 * snr).sqrt()),
-        crate::modulation::Modulation::Qpsk => q_func(snr.sqrt()),
-        crate::modulation::Modulation::Qam16 => 0.75 * q_func((snr / 5.0).sqrt()),
-        crate::modulation::Modulation::Qam64 => (7.0 / 12.0) * q_func((snr / 21.0).sqrt()),
-    }
-}
-
-/// Inverse of [`ber`] in SNR: the linear SNR at which `modulation` has
-/// bit-error rate `target`. Solved by bisection (BER is monotone in SNR).
-#[cfg(test)]
-pub fn snr_for_ber(modulation: crate::modulation::Modulation, target: f64) -> f64 {
-    let target = target.clamp(1e-12, 0.5);
-    let (mut lo, mut hi) = (0.0f64, jmb_dsp::stats::db_to_lin(40.0));
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if ber(modulation, mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Effective SNR of a frequency-selective channel for a modulation:
-/// average the per-subcarrier BERs, then invert back to SNR.
-///
-/// `snrs` are per-subcarrier linear SNRs. Returns effective SNR in dB.
-#[cfg(test)]
-pub fn effective_snr_db(modulation: crate::modulation::Modulation, snrs: &[f64]) -> f64 {
-    assert!(!snrs.is_empty(), "effective SNR of no subcarriers");
-    let mean_ber = snrs.iter().map(|&s| ber(modulation, s)).sum::<f64>() / snrs.len() as f64;
-    lin_to_db(snr_for_ber(modulation, mean_ber))
-}
-
-/// Data rate (bits/s) the selected MCS achieves from linear per-subcarrier
-/// SNRs, or 0 if no rate is usable.
-#[cfg(test)]
-pub fn achievable_rate(params: &crate::params::OfdmParams, snrs: &[f64]) -> f64 {
-    select_mcs(snrs).map_or(0.0, |m| m.bitrate(params))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modulation::Modulation;
     use crate::params::{ChannelProfile, OfdmParams};
     use jmb_dsp::stats::db_to_lin;
-
-    #[test]
-    fn erfc_known_values() {
-        assert!((erfc(0.0) - 1.0).abs() < 1e-7);
-        assert!((erfc(1.0) - 0.157_299_2).abs() < 1e-6);
-        assert!((erfc(-1.0) - 1.842_700_8).abs() < 1e-6);
-        assert!(erfc(5.0) < 2e-11);
-    }
-
-    #[test]
-    fn q_func_known_values() {
-        assert!((q_func(0.0) - 0.5).abs() < 1e-9);
-        assert!((q_func(1.0) - 0.158_655_3).abs() < 1e-6);
-        assert!((q_func(3.0) - 1.349_898e-3).abs() < 1e-7);
-    }
-
-    #[test]
-    fn ber_ordering_by_modulation() {
-        // At equal SNR, denser constellations have higher BER.
-        for &snr_db in &[5.0, 10.0, 15.0, 20.0] {
-            let snr = db_to_lin(snr_db);
-            let b = ber(Modulation::Bpsk, snr);
-            let q = ber(Modulation::Qpsk, snr);
-            let q16 = ber(Modulation::Qam16, snr);
-            let q64 = ber(Modulation::Qam64, snr);
-            assert!(b <= q && q <= q16 && q16 <= q64, "at {snr_db} dB");
-        }
-    }
-
-    #[test]
-    fn ber_monotone_decreasing_in_snr() {
-        for m in [
-            Modulation::Bpsk,
-            Modulation::Qpsk,
-            Modulation::Qam16,
-            Modulation::Qam64,
-        ] {
-            let mut prev = 1.0;
-            for s in 0..30 {
-                let b = ber(m, db_to_lin(s as f64));
-                assert!(b <= prev + 1e-15, "{m:?} at {s} dB");
-                prev = b;
-            }
-        }
-    }
-
-    #[test]
-    fn bpsk_ber_textbook_point() {
-        // BPSK at Eb/N0 ≈ 9.6 dB has BER ≈ 1e-5.
-        let b = ber(Modulation::Bpsk, db_to_lin(9.6));
-        assert!(b > 3e-6 && b < 3e-5, "BER {b}");
-    }
-
-    #[test]
-    fn snr_for_ber_inverts_ber() {
-        for m in [Modulation::Bpsk, Modulation::Qam16, Modulation::Qam64] {
-            for &target in &[1e-2, 1e-3, 1e-5] {
-                let snr = snr_for_ber(m, target);
-                let back = ber(m, snr);
-                assert!(
-                    (back.log10() - target.log10()).abs() < 0.05,
-                    "{m:?}: target {target}, got {back}"
-                );
-            }
-        }
-    }
 
     /// A row of `n` subcarriers flat at `snr_db`, linear.
     fn flat(snr_db: f64, n: usize) -> Vec<f64> {
         vec![db_to_lin(snr_db); n]
     }
 
+    /// The data rate (bits/s) [`select_mcs`] picks for `snrs`, 0 where no
+    /// rate is usable.
+    fn rate_of(params: &OfdmParams, snrs: &[f64]) -> f64 {
+        select_mcs(snrs).map_or(0.0, |m| m.bitrate(params))
+    }
+
     #[test]
     fn effective_snr_of_flat_channel_is_identity() {
-        for m in [
-            Modulation::Bpsk,
-            Modulation::Qpsk,
-            Modulation::Qam16,
-            Modulation::Qam64,
-        ] {
-            // Pick mid-range SNRs where the BER curve is informative for the
-            // modulation (flat very-high SNR saturates BER to ~0).
+        for mcs in Mcs::ALL {
             for &snr in &[6.0, 10.0, 14.0] {
-                let eff = effective_snr_db(m, &flat(snr, 48));
-                assert!((eff - snr).abs() < 0.1, "{m:?} at {snr}: eff {eff}");
+                let eff = effective_snr_db_eesm(mcs, &flat(snr, 48));
+                assert!((eff - snr).abs() < 0.1, "{mcs} at {snr}: eff {eff}");
             }
         }
     }
 
     #[test]
     fn effective_snr_penalises_fades() {
-        // One deeply faded subcarrier drags the effective SNR below the mean.
+        // One deeply faded subcarrier drags every MCS's effective SNR below
+        // the flat channel's, and — EESM degrading gracefully — drags the
+        // robust ones, whose small β weighs a fade hardest, below the mean.
         let mut snrs = flat(15.0, 48);
         snrs[0] = db_to_lin(-5.0);
-        let eff = effective_snr_db(Modulation::Qam16, &snrs);
         let mean = 15.0 * 47.0 / 48.0 - 5.0 / 48.0;
-        assert!(eff < mean - 0.5, "eff {eff} vs mean {mean}");
+        for (i, mcs) in Mcs::ALL.into_iter().enumerate() {
+            let eff = effective_snr_db_eesm(mcs, &snrs);
+            assert!(eff < 15.0 - 0.1, "{mcs}: eff {eff}");
+            if MCS_EESM_BETA[i] <= 5.0 {
+                assert!(eff < mean - 0.5, "{mcs}: eff {eff} vs mean {mean}");
+            }
+        }
     }
 
     #[test]
@@ -325,7 +187,7 @@ mod tests {
         let mut prev_rate = 0.0;
         let p = OfdmParams::new(ChannelProfile::Wifi20MHz);
         for snr_db in 0..32 {
-            let rate = achievable_rate(&p, &flat(snr_db as f64, 48));
+            let rate = rate_of(&p, &flat(snr_db as f64, 48));
             assert!(rate >= prev_rate, "rate dropped at {snr_db} dB");
             prev_rate = rate;
         }
@@ -498,9 +360,9 @@ mod tests {
         // put low/mid/high-band flat channels in the same rate neighbourhoods:
         // low (6–12 dB) → 6-18 Mbps class, high (>18 dB) → 24-27 Mbps class.
         let p = OfdmParams::new(ChannelProfile::Usrp10MHz);
-        let low = achievable_rate(&p, &flat(9.0, 48)) / 1e6;
-        let med = achievable_rate(&p, &flat(15.0, 48)) / 1e6;
-        let high = achievable_rate(&p, &flat(21.0, 48)) / 1e6;
+        let low = rate_of(&p, &flat(9.0, 48)) / 1e6;
+        let med = rate_of(&p, &flat(15.0, 48)) / 1e6;
+        let high = rate_of(&p, &flat(21.0, 48)) / 1e6;
         assert!((3.0..=9.0).contains(&low), "low {low}");
         assert!((9.0..=18.0).contains(&med), "med {med}");
         assert!((18.0..=27.0).contains(&high), "high {high}");
@@ -523,6 +385,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no subcarriers")]
     fn effective_snr_rejects_empty() {
-        effective_snr_db(Modulation::Bpsk, &[]);
+        effective_snr_db_eesm(Mcs::ALL[0], &[]);
     }
 }
