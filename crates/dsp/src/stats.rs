@@ -191,28 +191,6 @@ impl Ewma {
 }
 
 #[cfg(test)]
-impl Cdf {
-    /// Fraction of samples ≤ `x`: the tests' view of the CDF the quantile
-    /// inverts.
-    pub fn fraction_at(&self, x: f64) -> f64 {
-        match self
-            .values
-            .binary_search_by(|v| v.partial_cmp(&x).expect("NaN"))
-        {
-            Ok(mut i) => {
-                // Step to the last equal value so ties are fully counted.
-                while i + 1 < self.values.len() && self.values[i + 1] == x {
-                    i += 1;
-                }
-                self.fractions[i]
-            }
-            Err(0) => 0.0,
-            Err(i) => self.fractions[i - 1],
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -276,22 +254,6 @@ mod tests {
         for w in cdf.values.windows(2) {
             assert!(w[0] <= w[1]);
         }
-    }
-
-    #[test]
-    fn cdf_fraction_at() {
-        let cdf = Cdf::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cdf.fraction_at(0.5), 0.0);
-        assert_eq!(cdf.fraction_at(1.0), 0.25);
-        assert_eq!(cdf.fraction_at(2.5), 0.5);
-        assert_eq!(cdf.fraction_at(4.0), 1.0);
-        assert_eq!(cdf.fraction_at(100.0), 1.0);
-    }
-
-    #[test]
-    fn cdf_ties_counted_fully() {
-        let cdf = Cdf::new(&[1.0, 1.0, 1.0, 2.0]);
-        assert_eq!(cdf.fraction_at(1.0), 0.75);
     }
 
     #[test]
