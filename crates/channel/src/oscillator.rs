@@ -485,14 +485,6 @@ impl PhaseTrajectory {
 }
 
 #[cfg(test)]
-impl PhaseTrajectory {
-    /// Phasor `e^{jφ(t)}`.
-    pub fn phasor_at(&mut self, t: f64) -> jmb_dsp::Complex64 {
-        jmb_dsp::Complex64::cis(self.phase_at(t))
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use jmb_dsp::rng::rng_from_seed;
@@ -762,15 +754,5 @@ mod tests {
         let rel = lead.phase_at(t) - slave.phase_at(t);
         let expected = 2.0 * std::f64::consts::PI * 450.0 * t;
         assert!((rel - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn phasor_is_unit() {
-        let mut rng = rng_from_seed(5);
-        let mut t = PhaseTrajectory::new(OscillatorSpec::wifi_worst_case(), FC, &mut rng);
-        for i in 1..10 {
-            let z = t.phasor_at(i as f64 * 1e-3);
-            assert!((z.abs() - 1.0).abs() < 1e-12);
-        }
     }
 }
